@@ -1,0 +1,378 @@
+//! The criteria kernel: the one evaluation of every criterion that reads
+//! the shared log `G` — PUSH (ii)/(iii), UNPUSH (i)/(ii) and CMT (iii).
+//!
+//! The kernel is *pure*: it reads a view of `G` and returns a
+//! [`Verdict`], touching neither the log nor the audit. What varies
+//! between the ways a rule can execute is only where the view comes from
+//! and who holds the lock (DESIGN.md §10–11):
+//!
+//! * **locked** — evaluate over a held [`LogView`], then
+//!   [`Verdict::settle`] (record the tallies, surface the denial);
+//! * **speculative** — evaluate over a published [`ShardSnap`] with no
+//!   lock held, and record the verdict only if it passed *and* the shard
+//!   version revalidates under the append lock; anything else is dropped
+//!   and re-evaluated locked (a stale snapshot can show a since-committed
+//!   entry as uncommitted, so a speculative failure never denies);
+//! * **advisory** (`can_push`) — evaluate and never record.
+//!
+//! [`Verdict::record`] is the only place these clauses touch the audit,
+//! so the ledger is identical whichever way a verdict was reached.
+
+use std::collections::HashSet;
+
+use crate::audit::AtomicAudit;
+use crate::error::{Clause, MachineError, MachineResult, Rule};
+use crate::global::{GlobalState, LogView, ShardSnap};
+use crate::log::{GlobalEntry, GlobalFlag};
+use crate::op::{Op, OpId, TxnId};
+use crate::spec::SeqSpec;
+
+/// What the kernel reads of (a segment of) the shared log. Implemented
+/// by the locked [`LogView`] and the lock-free [`ShardSnap`]; at the same
+/// shard version the two give the same verdict and the same tallies.
+pub(crate) trait LogRead<S: SeqSpec> {
+    /// Every entry that may still be uncommitted, in stamp order. A
+    /// snapshot leaves out its committed prefix, which is all-committed
+    /// by construction and folded into [`Self::denote`].
+    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
+    where
+        S: 'a;
+
+    /// `⟦G ∖ skip⟧` — the denotation of the whole viewed log, optionally
+    /// without one entry. A single-shard view replays only the suffix
+    /// past the shard's committed-prefix cache when the incremental path
+    /// is on; the answer is the same either way.
+    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State>;
+}
+
+impl<S: SeqSpec> LogRead<S> for ShardSnap<S> {
+    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
+    where
+        S: 'a,
+    {
+        self.suffix.iter()
+    }
+
+    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State> {
+        let kept = self.suffix.iter().filter(|e| Some(e.op.id) != skip);
+        global
+            .spec()
+            .denote_from_refs(&self.states, kept.map(|e| &e.op))
+    }
+}
+
+/// How one clause concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Pass,
+    /// Elided by an installed static proof (no oracle queries).
+    Static,
+    Fail,
+}
+
+/// The shared-log clauses of `rule`, in evaluation order.
+fn clauses(rule: Rule) -> [Clause; 2] {
+    match rule {
+        Rule::Push => [Clause::Ii, Clause::Iii],
+        Rule::UnPush => [Clause::I, Clause::Ii],
+        _ => [Clause::Iii, Clause::Iv],
+    }
+}
+
+/// The outcome of one kernel evaluation: how each clause concluded and
+/// the oracle queries it took. Holds no heap data — the denial message is
+/// only rendered by [`Verdict::result`], so a dropped speculation costs
+/// no allocation.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Verdict {
+    rule: Rule,
+    /// One slot per entry of [`clauses`]; `None` = not reached (an
+    /// earlier clause failed) or not checked (the gray UNPUSH (i)).
+    marks: [Option<Mark>; 2],
+    movers: u64,
+    allowed: u64,
+    /// The operation the rule is about.
+    subject: OpId,
+    /// On a failed mover/flag check, the entry of `G` that refuted it.
+    witness: Option<(OpId, TxnId)>,
+}
+
+impl Verdict {
+    fn new(rule: Rule, subject: OpId) -> Self {
+        Self {
+            rule,
+            marks: [None; 2],
+            movers: 0,
+            allowed: 0,
+            subject,
+            witness: None,
+        }
+    }
+
+    fn deny(mut self, slot: usize, witness: Option<(OpId, TxnId)>) -> Self {
+        self.marks[slot] = Some(Mark::Fail);
+        self.witness = witness;
+        self
+    }
+
+    /// Did every evaluated clause hold?
+    pub(crate) fn passed(&self) -> bool {
+        !self.marks.contains(&Some(Mark::Fail))
+    }
+
+    /// Records exactly the queries and pass/static/fail marks of this
+    /// evaluation in the audit (`shard` is the caller's query stripe).
+    pub(crate) fn record(&self, audit: &AtomicAudit, shard: usize) {
+        audit.count_mover_n(shard, self.movers);
+        audit.count_allowed_n(shard, self.allowed);
+        for (clause, mark) in clauses(self.rule).into_iter().zip(self.marks) {
+            match mark {
+                Some(Mark::Pass) => audit.pass(self.rule, clause),
+                Some(Mark::Static) => audit.pass_static(self.rule, clause),
+                Some(Mark::Fail) => audit.fail(self.rule, clause),
+                None => {}
+            }
+        }
+    }
+
+    /// `Ok` on a pass, the failing clause's criterion violation otherwise.
+    pub(crate) fn result(&self) -> MachineResult<()> {
+        let Some(slot) = self.marks.iter().position(|m| *m == Some(Mark::Fail)) else {
+            return Ok(());
+        };
+        let op = self.subject;
+        let detail = match (self.rule, slot, self.witness) {
+            (Rule::Push, 0, Some((g, txn))) => {
+                format!("uncommitted {g} of {txn} cannot move right of {op}")
+            }
+            (Rule::Push, ..) => format!("global log does not allow {op}"),
+            (Rule::UnPush, 0, Some((g, _))) => format!("{op} cannot slide past later {g}"),
+            (Rule::UnPush, ..) => format!("global log without {op} is not allowed"),
+            (_, _, Some(_)) => format!("pulled {op} is still uncommitted"),
+            _ => format!("pulled {op} vanished from the global log"),
+        };
+        Err(MachineError::criterion(
+            self.rule,
+            clauses(self.rule)[slot],
+            detail,
+        ))
+    }
+
+    /// The locked evaluation's epilogue: record, then surface the result.
+    pub(crate) fn settle(&self, audit: &AtomicAudit, shard: usize) -> MachineResult<()> {
+        self.record(audit, shard);
+        self.result()
+    }
+}
+
+/// PUSH criteria (ii)/(iii) for `op`, pushed by transaction `txn`.
+///
+/// (ii): every uncommitted operation of *another* transaction moves
+/// right of `op`. A single-shard view inspects only entries sharing
+/// `op`'s footprint class — entries on other shards have disjoint
+/// declared footprints and are both-movers by the validated footprint
+/// law, so the verdict is identical. (iii): `G` allows `op`.
+pub(crate) fn push<S: SeqSpec>(
+    global: &GlobalState<S>,
+    view: &impl LogRead<S>,
+    txn: TxnId,
+    op: &Op<S::Method, S::Ret>,
+) -> Verdict {
+    let spec = global.spec();
+    let mut v = Verdict::new(Rule::Push, op.id);
+    let foreign = || {
+        view.live()
+            .filter(|g| g.flag == GlobalFlag::Uncommitted && g.op.txn != txn)
+    };
+    if global.statically_discharged(Rule::Push, Clause::Ii) {
+        // Soundness cross-check: in debug builds the elided loop still
+        // runs (without audit accounting) and must agree.
+        #[cfg(debug_assertions)]
+        for g in foreign() {
+            assert!(
+                spec.mover(&g.op, op),
+                "static discharge of PUSH (ii) contradicted dynamically: {} vs {}",
+                g.op.id,
+                op.id
+            );
+        }
+        v.marks[0] = Some(Mark::Static);
+    } else {
+        for g in foreign() {
+            v.movers += 1;
+            if !spec.mover(&g.op, op) {
+                return v.deny(0, Some((g.op.id, g.op.txn)));
+            }
+        }
+        v.marks[0] = Some(Mark::Pass);
+    }
+    v.allowed += 1;
+    let states = view.denote(global, None);
+    if spec
+        .denote_from(&states, std::slice::from_ref(op))
+        .is_empty()
+    {
+        return v.deny(1, None);
+    }
+    v.marks[1] = Some(Mark::Pass);
+    v
+}
+
+/// UNPUSH criteria for the uncommitted entry `op` of the viewed log.
+///
+/// (i), gray — checked only when `gray`: `op` slides right across
+/// everything after it in the view (on other shards everything is a
+/// both-mover by footprint). (ii): `G` without `op` is still allowed.
+pub(crate) fn unpush<S: SeqSpec>(
+    global: &GlobalState<S>,
+    view: &impl LogRead<S>,
+    op: &Op<S::Method, S::Ret>,
+    gray: bool,
+) -> Verdict {
+    let spec = global.spec();
+    let mut v = Verdict::new(Rule::UnPush, op.id);
+    if gray {
+        let later = || view.live().skip_while(|g| g.op.id != op.id).skip(1);
+        if global.statically_discharged(Rule::UnPush, Clause::I) {
+            #[cfg(debug_assertions)]
+            for g in later() {
+                assert!(
+                    spec.mover(op, &g.op),
+                    "static discharge of UNPUSH (i) contradicted dynamically: {} vs {}",
+                    op.id,
+                    g.op.id
+                );
+            }
+            v.marks[0] = Some(Mark::Static);
+        } else {
+            for g in later() {
+                v.movers += 1;
+                if !spec.mover(op, &g.op) {
+                    return v.deny(0, Some((g.op.id, g.op.txn)));
+                }
+            }
+            v.marks[0] = Some(Mark::Pass);
+        }
+    }
+    v.allowed += 1;
+    if view.denote(global, Some(op.id)).is_empty() {
+        return v.deny(1, None);
+    }
+    v.marks[1] = Some(Mark::Pass);
+    v
+}
+
+/// CMT criterion (iii): every pulled operation belongs to a committed
+/// transaction. Needs the whole held log (a pulled entry may sit in the
+/// committed prefix a snapshot has folded away), hence no [`LogRead`].
+pub(crate) fn cmt<S: SeqSpec>(
+    view: &LogView<'_, S>,
+    pulled: impl Iterator<Item = OpId>,
+) -> Verdict {
+    let mut v = Verdict::new(Rule::Cmt, OpId(0));
+    for id in pulled {
+        let found = view.entry(id);
+        if !found.is_some_and(|g| g.flag == GlobalFlag::Committed) {
+            v.subject = id;
+            return v.deny(0, found.map(|g| (g.op.id, g.op.txn)));
+        }
+    }
+    v.marks[0] = Some(Mark::Pass);
+    v
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global::Route;
+    use crate::lang::Code;
+    use crate::log::LocalFlag;
+    use crate::machine::Machine;
+    use crate::rng::Xorshift64;
+    use crate::toy::{CounterMethod, StrictCounter, ToyCounter};
+
+    /// For every own operation of every thread, the kernel over the
+    /// published snapshot and over the locked view — at the same shard
+    /// version, incremental on and off — must return the same
+    /// [`Verdict`]: outcome, witness *and* tallies. Returns how many
+    /// comparisons ended in a denial.
+    fn compare<S: SeqSpec<Method = CounterMethod>>(m: &Machine<S>) -> usize {
+        let global = m.global_state();
+        let mut denials = 0;
+        for t in 0..m.thread_count() {
+            let local = m.thread(crate::op::ThreadId(t)).unwrap().local();
+            for e in local.entries().iter().filter(|e| e.flag.is_own()) {
+                let op = &e.op;
+                let pushed = matches!(e.flag, LocalFlag::Pushed { .. });
+                let on_snap = global.read_shard_snap(0, |snap| {
+                    let v = if pushed {
+                        unpush(global, snap, op, true)
+                    } else {
+                        push(global, snap, op.txn, op)
+                    };
+                    (snap.version, v)
+                });
+                for incremental in [true, false] {
+                    global.set_incremental(incremental);
+                    let view = global.acquire_route(Route::Single(0));
+                    let v = if pushed {
+                        unpush(global, &view, op, true)
+                    } else {
+                        push(global, &view, op.txn, op)
+                    };
+                    denials += usize::from(!v.passed());
+                    assert_eq!(v.passed(), v.result().is_ok());
+                    assert_eq!(on_snap, Some((view.shard_version(0), v)));
+                }
+            }
+        }
+        denials
+    }
+
+    /// A few hundred seeded single-shard logs: three threads of one
+    /// random transaction each take random APP / PUSH / UNPUSH / CMT
+    /// steps (refused steps are part of the input space), leaving mixed
+    /// committed and uncommitted entries of several transactions.
+    fn differential<S: SeqSpec<Method = CounterMethod>>(spec: impl Fn() -> S) {
+        let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
+        let mut denials = 0;
+        for seed in 1..=300 {
+            let mut rng = Xorshift64::new(seed);
+            let mut m = Machine::new(spec());
+            let tids: Vec<_> = (0..3)
+                .map(|_| {
+                    let body = (0..rng.gen_index(3)).fold(Code::method(methods[0]), |c, _| {
+                        Code::seq(c, Code::method(methods[rng.gen_index(3)]))
+                    });
+                    m.add_thread(vec![body])
+                })
+                .collect();
+            for _ in 0..20 {
+                let t = tids[rng.gen_index(3)];
+                let flagged = |m: &Machine<S>, pushed: bool| {
+                    let local = m.thread(t).unwrap().local();
+                    let mut own = local.entries().iter().filter(|e| e.flag.is_own());
+                    own.find(|e| e.flag.is_pushed() == pushed).map(|e| e.op.id)
+                };
+                let _refusable = match rng.gen_index(4) {
+                    0 => m.app_auto(t).map(|_| ()),
+                    1 => flagged(&m, false).map_or(Ok(()), |id| m.push(t, id)),
+                    2 => flagged(&m, true).map_or(Ok(()), |id| m.unpush(t, id)),
+                    _ => m.commit(t).map(|_| ()),
+                };
+                denials += compare(&m);
+            }
+        }
+        assert!(denials > 100, "the sweep must exercise denials ({denials})");
+    }
+
+    #[test]
+    fn snapshot_and_locked_verdicts_agree_on_toy_counter() {
+        differential(|| ToyCounter::with_bound(2));
+    }
+
+    #[test]
+    fn snapshot_and_locked_verdicts_agree_on_strict_counter() {
+        differential(|| StrictCounter::with_bound(2));
+    }
+}

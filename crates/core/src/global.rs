@@ -132,10 +132,11 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 use crate::arena::{ArenaRef, SlabArena};
 use crate::audit::{AtomicAudit, CriteriaAudit};
 use crate::certificate::SpecCertificate;
+use crate::criteria::LogRead;
 use crate::error::{Clause, Rule};
 use crate::faults::{FaultHook, FaultKind};
 use crate::lang::Code;
-use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalLog};
+use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
 use crate::snapcell::SnapCell;
@@ -234,12 +235,6 @@ type StampedEntry<S> = (
 type StampedEntryRef<'a, S> = (
     u64,
     &'a GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
-);
-
-/// An entry removed from a shard, with its former position there.
-type RemovedEntry<S> = (
-    usize,
-    GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
 );
 
 /// The immutable snapshot a shard publishes for the lock-free criteria
@@ -382,24 +377,22 @@ impl<S: SeqSpec> ShardLog<S> {
         );
     }
 
-    /// Removes the entry with `id`, returning its former position (the
-    /// effect of an UNPUSH on this shard). The arena slot is recycled;
-    /// any stale [`ArenaRef`] to it resolves to `None` from now on.
-    pub(crate) fn remove_by_id(&mut self, id: OpId) -> Option<RemovedEntry<S>> {
-        let pos = self.position(id)?;
+    /// Removes the entry at `pos` (the effect of an UNPUSH on this
+    /// shard). The arena slot is recycled; any stale [`ArenaRef`] to it
+    /// resolves to `None` from now on.
+    fn remove_at(&mut self, pos: usize) {
         let (_, r) = self.order.remove(pos);
-        let entry = self.arena.remove(r).expect("order refs are live");
-        Some((pos, entry))
+        self.arena.remove(r).expect("order refs are live");
     }
 
     /// Flips every entry of `local` held by this shard to committed,
     /// returning `(stamp, id)` per flip (the CMT effect on this shard).
-    fn commit_local(&mut self, local: &LocalLog<S::Method, S::Ret>) -> Vec<(u64, OpId)> {
+    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<(u64, OpId)> {
         let ShardLog { arena, order, .. } = self;
         let mut flipped = Vec::new();
         for (stamp, r) in order.iter() {
             let e = arena.get_mut(*r).expect("order refs are live");
-            if e.flag == GlobalFlag::Uncommitted && local.contains_id(e.op.id) {
+            if e.flag == GlobalFlag::Uncommitted && local.iter().any(|l| l.op.id == e.op.id) {
                 e.flag = GlobalFlag::Committed;
                 flipped.push((*stamp, e.op.id));
             }
@@ -688,21 +681,9 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
             .find_map(|(v, (_, sh))| sh.position(id).map(|p| (v, p)))
     }
 
-    /// The commit-sequence stamp of the entry at `(view index, position)`.
-    pub(crate) fn stamp_at(&self, vidx: usize, pos: usize) -> u64 {
-        self.shards[vidx].1.stamp_at(pos)
-    }
-
-    /// The held entries strictly *after* `stamp`, in stamp order — the
-    /// suffix the UNPUSH gray criterion slides across. Cursor-backed: no
-    /// allocation.
-    pub(crate) fn entries_after(
-        &self,
-        stamp: u64,
-    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
-        self.stamped()
-            .filter(move |(s, _)| *s > stamp)
-            .map(|(_, e)| e)
+    /// The entry at `(view index, position)`, as located by [`Self::find`].
+    pub(crate) fn at(&self, vidx: usize, pos: usize) -> &GlobalEntry<S::Method, S::Ret> {
+        self.shards[vidx].1.entry_at(pos)
     }
 
     /// Flips every held entry of `local` to committed (the `cmt`
@@ -710,7 +691,7 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// ids in global stamp order — identical to the single-log flip
     /// order at any shard count. Bumps the version of every shard that
     /// flipped at least one entry.
-    pub(crate) fn commit_local(&mut self, local: &LocalLog<S::Method, S::Ret>) -> Vec<OpId> {
+    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<OpId> {
         let mut flipped: Vec<(u64, OpId)> = Vec::new();
         for (_, sh) in &mut self.shards {
             let here = sh.commit_local(local);
@@ -752,6 +733,38 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
         let e = self.view.shards[k].1.entry_at(self.pos[k]);
         self.pos[k] += 1;
         Some((s, e))
+    }
+}
+
+impl<S: SeqSpec> LogRead<S> for LogView<'_, S> {
+    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
+    where
+        S: 'a,
+    {
+        self.stamped().map(|(_, e)| e)
+    }
+
+    /// A single-shard view replays only the suffix past that shard's
+    /// cache (when the incremental path is on); a multi-shard view
+    /// replays the merged stamp-ordered log in full. `skip` is an
+    /// uncommitted entry, so it lies past the cache boundary; if it ever
+    /// does not (unreachable through the rule API), fall back to the
+    /// full replay.
+    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State> {
+        let kept = |e: &&GlobalEntry<S::Method, S::Ret>| Some(e.op.id) != skip;
+        if !self.is_single() {
+            let merged = self.stamped().map(|(_, e)| e);
+            return global.spec.denote_refs(merged.filter(kept).map(|e| &e.op));
+        }
+        let sh = &self.shards[0].1;
+        let in_suffix = skip.is_none_or(|id| sh.position(id).is_none_or(|p| p >= sh.cache.len));
+        if global.incremental() && in_suffix {
+            global.suffix_states(sh, skip)
+        } else {
+            global
+                .spec
+                .denote_refs(sh.iter().filter(kept).map(|e| &e.op))
+        }
     }
 }
 
@@ -1448,26 +1461,15 @@ impl<S: SeqSpec> GlobalState<S> {
         None
     }
 
-    /// Appends `op` to shard `target` inside the held view, minting its
-    /// commit-sequence stamp under the shard lock (the PUSH effect), and
-    /// republishes the shard's snapshot. `target` is the routed shard
-    /// ([`Route::target`]) — the degraded coarse path passes it through
-    /// unchanged, so placement survives degradation and healing.
+    /// Appends `op` to shard `target` inside the held view with
+    /// commit-sequence `stamp` (the PUSH effect) and republishes the
+    /// shard's snapshot. The stamp is minted by [`Self::reserve_stamps`]
+    /// under the shard lock — one at a time, or as a group-commit
+    /// batch's contiguous block handed out one append at a time.
+    /// `target` is the routed shard ([`Route::target`]) — the degraded
+    /// coarse path passes it through unchanged, so placement survives
+    /// degradation and healing.
     pub(crate) fn append_push(
-        &self,
-        view: &mut LogView<'_, S>,
-        target: usize,
-        op: Op<S::Method, S::Ret>,
-    ) {
-        let stamp = self.push_stamp.fetch_add(1, Ordering::Relaxed);
-        self.append_push_stamped(view, target, stamp, op);
-    }
-
-    /// [`Self::append_push`] with the commit-sequence stamp supplied by
-    /// the caller: the group-commit path reserves a contiguous stamp
-    /// block with [`Self::reserve_stamps`] (under the shard lock) and
-    /// hands the stamps out one append at a time.
-    pub(crate) fn append_push_stamped(
         &self,
         view: &mut LogView<'_, S>,
         target: usize,
@@ -1513,36 +1515,42 @@ impl<S: SeqSpec> GlobalState<S> {
         &self.nesting
     }
 
-    /// Removes the entry `id` from the held shard at `view index` (the
-    /// UNPUSH effect): recycles its arena slot, maintains the prefix
-    /// cache (a removal inside the cached prefix — impossible through
-    /// the rule API — resets it defensively), bumps the shard version
-    /// and republishes the snapshot.
-    pub(crate) fn remove_push(
-        &self,
-        view: &mut LogView<'_, S>,
-        vidx: usize,
-        id: OpId,
-    ) -> Option<RemovedEntry<S>> {
+    /// Removes the entry at `(view index, position)`, as located by
+    /// [`LogView::find`] (the UNPUSH effect): recycles its arena slot,
+    /// maintains the prefix cache (a removal inside the cached prefix —
+    /// impossible through the rule API — resets it defensively), bumps
+    /// the shard version and republishes the snapshot.
+    pub(crate) fn remove_push(&self, view: &mut LogView<'_, S>, vidx: usize, pos: usize) {
         let (idx, sh) = &mut view.shards[vidx];
-        let removed = sh.remove_by_id(id)?;
-        if removed.0 < sh.cache.len {
+        sh.remove_at(pos);
+        if pos < sh.cache.len {
             sh.cache.reset(self.spec.initial_states());
         }
         sh.version += 1;
         let shard_idx = *idx;
         self.publish_shard(shard_idx, sh);
-        Some(removed)
     }
 
-    /// Appends a committed-transaction record. Called while still holding
-    /// the commit's shard locks, so the global commit order agrees with
-    /// the per-shard flip order (`committed` is last in the lock order).
-    pub(crate) fn push_committed(&self, txn: CommittedTxn<S::Method, S::Ret>) {
+    /// The `cmt` effect over a held view: flips every held entry of
+    /// `local` committed, appends `record` to the committed list — while
+    /// still holding the commit's shard locks, so the global commit order
+    /// agrees with the per-shard flip order (`committed` is last in the
+    /// lock order) — and advances the held shards' caches. Returns the
+    /// flipped ids in global stamp order, so the recorded `Commit`
+    /// event's op order is identical at any shard count.
+    pub(crate) fn seal_commit(
+        &self,
+        view: &mut LogView<'_, S>,
+        local: &[LocalEntry<S::Method, S::Ret>],
+        record: CommittedTxn<S::Method, S::Ret>,
+    ) -> Vec<OpId> {
+        let flipped = view.commit_local(local);
         self.committed
             .lock()
             .expect("committed list mutex poisoned")
-            .push(txn);
+            .push(record);
+        self.advance_caches(view);
+        flipped
     }
 
     /// Committed transactions in global commit order.
@@ -1596,84 +1604,6 @@ impl<S: SeqSpec> GlobalState<S> {
         self.spec.allowed(log)
     }
 
-    /// `G allows op` (PUSH criterion (iii)). A single-shard view replays
-    /// only the uncommitted suffix past that shard's cache (when the
-    /// incremental path is on); a multi-shard view replays the merged
-    /// stamp-ordered log in full. One audited query either way.
-    pub(crate) fn g_allows(
-        &self,
-        view: &LogView<'_, S>,
-        shard: usize,
-        op: &Op<S::Method, S::Ret>,
-    ) -> bool {
-        self.audit.count_allowed(shard);
-        let states = if view.is_single() {
-            let sh = &view.shards[0].1;
-            if self.incremental() {
-                self.suffix_states(sh, None)
-            } else {
-                self.spec.denote_refs(sh.iter().map(|e| &e.op))
-            }
-        } else {
-            self.spec.denote_refs(view.stamped().map(|(_, e)| &e.op))
-        };
-        !self
-            .spec
-            .denote_from(&states, std::slice::from_ref(op))
-            .is_empty()
-    }
-
-    /// Unaudited variant of [`GlobalState::g_allows`] evaluated against
-    /// a published [`ShardSnap`] — the zero-lock criterion (iii). The
-    /// snapshot's prefix denotation plus its suffix replay is exactly
-    /// the incremental single-shard computation, so the verdict agrees
-    /// bit-for-bit with what the locked path would conclude at the
-    /// snapshot's version.
-    pub(crate) fn snap_allows(&self, snap: &ShardSnap<S>, op: &Op<S::Method, S::Ret>) -> bool {
-        let states = self
-            .spec
-            .denote_from_refs(&snap.states, snap.suffix.iter().map(|e| &e.op));
-        !self
-            .spec
-            .denote_from(&states, std::slice::from_ref(op))
-            .is_empty()
-    }
-
-    /// `allowed (G ∖ skip)` (UNPUSH criterion (ii)). `skip` is an
-    /// uncommitted entry, so on the single-shard path it lies past the
-    /// cache boundary; if it ever does not (unreachable through the rule
-    /// API), fall back to a full replay. Multi-shard views replay the
-    /// merged log without `skip`.
-    pub(crate) fn g_allowed_without(
-        &self,
-        view: &LogView<'_, S>,
-        shard: usize,
-        skip: OpId,
-    ) -> bool {
-        self.audit.count_allowed(shard);
-        if view.is_single() {
-            let sh = &view.shards[0].1;
-            let in_suffix = sh.position(skip).is_none_or(|p| p >= sh.cache.len);
-            if self.incremental() && in_suffix {
-                !self.suffix_states(sh, Some(skip)).is_empty()
-            } else {
-                !self
-                    .spec
-                    .denote_refs(sh.iter().filter(|e| e.op.id != skip).map(|e| &e.op))
-                    .is_empty()
-            }
-        } else {
-            !self
-                .spec
-                .denote_refs(
-                    view.stamped()
-                        .filter(|(_, e)| e.op.id != skip)
-                        .map(|(_, e)| &e.op),
-                )
-                .is_empty()
-        }
-    }
-
     /// `⟦G_i⟧` (optionally skipping one suffix entry), from the shard's
     /// cached committed-prefix denotation — cursor-backed, no collected
     /// `Vec`.
@@ -1711,7 +1641,7 @@ impl<S: SeqSpec> GlobalState<S> {
     /// Advances every held shard's cache and republishes its snapshot
     /// (after CMT — the commit flips already bumped the versions of the
     /// shards they touched, via [`LogView::commit_local`]).
-    pub(crate) fn advance_caches(&self, view: &mut LogView<'_, S>) {
+    fn advance_caches(&self, view: &mut LogView<'_, S>) {
         for (idx, sh) in &mut view.shards {
             Self::advance_shard_cache(&self.spec, sh);
             let shard_idx = *idx;

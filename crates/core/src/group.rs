@@ -24,12 +24,13 @@
 //! per-rule argument of Theorem 5.17 unchanged; batching only removes
 //! lock round-trips, never reorders criteria against effects.
 //!
-//! A transaction denied mid-batch is aborted *inside the held view*
-//! ([`TxnHandle::batch_abort_in_view`]) with the same tail-first rewind
-//! the per-transaction path performs, so its partial appends never leak
-//! into the next batched transaction's criteria. Stamps it consumed are
-//! simply skipped — stamp gaps are already routine (UNPUSH leaves them)
-//! and only relative stamp order matters for replay.
+//! A transaction denied mid-batch is aborted *inside the held view* with
+//! the same tail-first rewind the per-transaction path performs (it is
+//! the same code: every rule body takes an optional held section), so
+//! its partial appends never leak into the next batched transaction's
+//! criteria. Stamps it consumed are simply skipped — stamp gaps are
+//! already routine (UNPUSH leaves them) and only relative stamp order
+//! matters for replay.
 //!
 //! Eligibility is conservative: every operation of the transaction must
 //! route [`Route::Single`] to one common shard, coarse mode must be off
@@ -41,7 +42,7 @@ use std::sync::Arc;
 
 use crate::error::MachineError;
 use crate::global::Route;
-use crate::handle::{BatchTally, TxnHandle};
+use crate::handle::{Held, TxnHandle};
 use crate::op::{ThreadId, TxnId};
 use crate::spec::SeqSpec;
 
@@ -130,75 +131,51 @@ pub fn commit_group<S: SeqSpec>(handles: &mut [&mut TxnHandle<S>]) -> GroupOutco
         }
     }
     for (shard, members) in by_shard {
-        let mut tally = BatchTally::default();
+        let view = first.acquire_route(Route::Single(shard));
+        if !view.is_single_shard(shard) {
+            // Coarse mode raced in between eligibility and acquisition:
+            // the single-shard premise is gone. Leave the members
+            // Ineligible for the per-txn fallback.
+            continue;
+        }
+        // The contiguous stamp block, reserved under the shard lock:
+        // everything already in this shard is stamped strictly below its
+        // base, and no other thread can append to it while we hold the
+        // view, so handing the block out in order preserves the shard's
+        // strict stamp monotonicity.
+        let total_ops: u64 = members
+            .iter()
+            .map(|&i| handles[i].unpushed_ids().len() as u64)
+            .sum();
+        let mut held = Held {
+            view,
+            target: shard,
+            stamp: first.reserve_stamps(total_ops),
+        };
         let mut committed_here = 0u64;
         let mut ops_here = 0u64;
-        {
-            let mut view = first.acquire_route(Route::Single(shard));
-            if !view.is_single_shard(shard) {
-                // Coarse mode raced in between eligibility and
-                // acquisition: the single-shard premise is gone. Leave
-                // the members Ineligible for the per-txn fallback.
-                continue;
-            }
-            // The contiguous stamp block, reserved under the shard lock:
-            // everything already in this shard is stamped strictly below
-            // `base`, and no other thread can append to it while we hold
-            // the view, so handing the block out in order preserves the
-            // shard's strict stamp monotonicity.
-            let total_ops: u64 = members
-                .iter()
-                .map(|&i| handles[i].unpushed_ids().len() as u64)
-                .sum();
-            let base = first.reserve_stamps(total_ops);
-            let mut cursor = base;
-            for &i in &members {
-                let h = &mut *handles[i];
-                let ids = h.unpushed_ids();
-                let mut denied: Option<MachineError> = None;
-                let mut appended = 0u64;
-                for id in ids {
-                    match h.batch_push_in_view(&mut view, shard, cursor, id, &mut tally) {
-                        Ok(()) => {
-                            cursor += 1;
-                            appended += 1;
-                        }
-                        Err(e) => {
-                            denied = Some(e);
-                            break;
-                        }
-                    }
+        for &i in &members {
+            let h = &mut *handles[i];
+            let ids = h.unpushed_ids();
+            let appended = ids.len() as u64;
+            // The ordinary rule bodies, inside the held section.
+            let committed = ids
+                .into_iter()
+                .try_for_each(|id| h.push_in(id, Some(&mut held)))
+                .and_then(|()| h.commit_in(Some(&mut held)));
+            out.results[i].1 = match committed {
+                Ok(txn) => {
+                    committed_here += 1;
+                    ops_here += appended;
+                    GroupTxnResult::Committed(txn)
                 }
-                let result = match denied {
-                    None => match h.batch_commit_in_view(&mut view, &mut tally) {
-                        Ok(txn) => {
-                            committed_here += 1;
-                            ops_here += appended;
-                            GroupTxnResult::Committed(txn)
-                        }
-                        Err(e) => match h.batch_abort_in_view(&mut view, &mut tally) {
-                            Ok(restarted) => GroupTxnResult::Aborted {
-                                denied: e,
-                                restarted,
-                            },
-                            Err(abort_err) => GroupTxnResult::Wedged(abort_err),
-                        },
-                    },
-                    Some(e) => match h.batch_abort_in_view(&mut view, &mut tally) {
-                        Ok(restarted) => GroupTxnResult::Aborted {
-                            denied: e,
-                            restarted,
-                        },
-                        Err(abort_err) => GroupTxnResult::Wedged(abort_err),
-                    },
-                };
-                out.results[i].1 = result;
-            }
+                Err(denied) => match h.abort_in(Some(&mut held)) {
+                    Ok(restarted) => GroupTxnResult::Aborted { denied, restarted },
+                    Err(abort_err) => GroupTxnResult::Wedged(abort_err),
+                },
+            };
         }
-        // Satellite invariant: the batched path re-asserts the audit
-        // ledger closure (discharged + violated + static == reaches)
-        // over its locally tracked tallies in debug builds.
-        tally.assert_closed();
+        drop(held);
         if committed_here > 0 {
             first.note_group_batch(committed_here, ops_here);
             out.batches += 1;

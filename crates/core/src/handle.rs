@@ -27,6 +27,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::audit::QUERY_SHARDS;
+use crate::criteria::{self, Verdict};
 use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
 use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
@@ -37,60 +38,25 @@ use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
 use crate::spec::{OpInverse, SeqSpec};
 use crate::trace::Event;
-use crate::transport::{FallbackMode, ShardRequest, ShardResponse, ShardTransport, TransportError};
+use crate::transport::{
+    critical_section, execute_in_view, FallbackMode, ShardRequest, ShardResponse, ShardTransport,
+    TransportError,
+};
 
 /// A trace event stamped with its global sequence number.
 pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>);
 
-/// A PUSH criteria verdict speculated lock-free from a shard snapshot,
-/// carrying the audit tallies buffered during evaluation. A failed
-/// criterion flushes immediately (denial is always safe); a pass is
-/// flushed only after the shard version revalidates under the append
-/// lock — a stale pass is discarded wholesale and the audited locked
-/// evaluation re-runs, keeping the ledger exact.
-struct SnapVerdict {
-    /// Snapshot version the verdict is valid for.
-    version: u64,
-    /// Buffered mover-oracle consultations from criterion (ii).
-    movers: u64,
-    /// Criterion (ii) was statically discharged (no queries; flushes as
-    /// `pass_static`).
-    static_ii: bool,
-}
-
-/// Criterion-evaluation tallies recorded locally by the group-commit
-/// batch helpers, mirroring the audit columns at the same program
-/// points. [`crate::group::commit_group`] re-asserts the ledger-closure
-/// equation `discharged + violated + statically_discharged == reaches`
-/// over them at the end of every batch (debug builds) — local tallies,
-/// so the assertion cannot race other threads' audit traffic.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct BatchTally {
-    /// Criterion evaluations the batch path reached.
-    pub(crate) reached: u64,
-    /// ... that passed (audited `discharged`).
-    pub(crate) discharged: u64,
-    /// ... that failed (audited `violated`).
-    pub(crate) violated: u64,
-    /// ... elided by a static proof (audited `statically_discharged`).
-    pub(crate) statically_discharged: u64,
-}
-
-impl BatchTally {
-    /// Debug-build re-assertion of the audit ledger closure on the
-    /// batched append path (a no-op in release builds).
-    pub(crate) fn assert_closed(&self) {
-        debug_assert_eq!(
-            self.reached,
-            self.discharged + self.violated + self.statically_discharged,
-            "batched append broke the ledger closure: \
-             {} reaches vs {} discharged + {} violated + {} static",
-            self.reached,
-            self.discharged,
-            self.violated,
-            self.statically_discharged,
-        );
-    }
+/// A critical section the *caller* already holds (the group-commit batch
+/// path, see [`crate::group`]): the shared rule bodies run inside it
+/// instead of acquiring their own, so many transactions share one lock
+/// acquisition.
+pub(crate) struct Held<'a, S: SeqSpec> {
+    /// The held shard view.
+    pub(crate) view: LogView<'a, S>,
+    /// The shard every PUSH of the batch appends to.
+    pub(crate) target: usize,
+    /// The next unused stamp of the block reserved under the lock.
+    pub(crate) stamp: u64,
 }
 
 /// A thread `{c, σ, L}` plus its queue of future transactions, bound to
@@ -364,6 +330,60 @@ impl<S: SeqSpec> TxnHandle<S> {
             .ok_or(MachineError::ThreadFinished(self.tid))
     }
 
+    /// The local-log position of own entry `op_id`, which the calling
+    /// rule requires to carry flag `expected` (`npshd`/`pshd`/`pld`).
+    fn expect_flag(&self, op_id: OpId, expected: &'static str) -> MachineResult<usize> {
+        let pos = self
+            .local
+            .position(op_id)
+            .ok_or(MachineError::NoSuchOp(op_id))?;
+        let found = match self.local.entries()[pos].flag {
+            LocalFlag::NotPushed { .. } => "npshd",
+            LocalFlag::Pushed { .. } => "pshd",
+            LocalFlag::Pulled => "pld",
+        };
+        if found == expected {
+            Ok(pos)
+        } else {
+            Err(MachineError::WrongFlag {
+                op: op_id,
+                expected,
+                found,
+            })
+        }
+    }
+
+    /// Flips own entry `op_id` between `npshd` and `pshd` (the local half
+    /// of PUSH/UNPUSH), keeping its saved code and stack. A `pld` entry
+    /// has neither and stays as it is — `expect_flag` keeps those away
+    /// from both callers.
+    fn set_pushed(&mut self, op_id: OpId, pushed: bool) {
+        let Some(entry) = self.local.entry_mut(op_id) else {
+            return;
+        };
+        if let LocalFlag::NotPushed {
+            saved_code,
+            saved_stack,
+        }
+        | LocalFlag::Pushed {
+            saved_code,
+            saved_stack,
+        } = std::mem::replace(&mut entry.flag, LocalFlag::Pulled)
+        {
+            entry.flag = if pushed {
+                LocalFlag::Pushed {
+                    saved_code,
+                    saved_stack,
+                }
+            } else {
+                LocalFlag::NotPushed {
+                    saved_code,
+                    saved_stack,
+                }
+            };
+        }
+    }
+
     /// Enqueues another transaction body; restarts the thread with a
     /// fresh transaction id if it had finished.
     pub fn enqueue(&mut self, program: Code<S::Method>) {
@@ -546,7 +566,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             return Err(MachineError::NoScope(self.tid));
         };
         let base = top.base_len;
-        self.rewind_suffix(base)?;
+        self.rewind_suffix(base, None)?;
         let frame = self.frames.pop().expect("checked above");
         self.drop_aborted_frame(frame);
         self.replay_compensations_above(self.frames.len())
@@ -565,7 +585,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         if !self.frames.iter().any(|f| f.base_len == target_len) {
             return Err(MachineError::NoScope(self.tid));
         }
-        self.rewind_suffix(target_len)?;
+        self.rewind_suffix(target_len, None)?;
         self.pop_rewound_frames(target_len, true)
     }
 
@@ -737,69 +757,15 @@ impl<S: SeqSpec> TxnHandle<S> {
             ScopeOrigin::Peeled { body, .. } => body.strip_open(),
             ScopeOrigin::Explicit => methods_as_seq(own_ops.iter().map(|o| &o.method)),
         };
-        let flipped = {
-            // Critical section: criterion (iii) plus the flips, over
-            // exactly the shards the suffix routes to (ascending).
-            let mut coarse = false;
-            let mut indices = Vec::new();
-            for e in &self.local.entries()[base..] {
-                match self.global.route(&e.op.method) {
-                    Route::Coarse => coarse = true,
-                    Route::Single(i) => indices.push(i),
-                }
-            }
-            let mut view = if coarse {
-                self.global.acquire_all()
-            } else {
-                self.global.acquire_shards(indices)
-            };
-            if checked {
-                // Criterion (iii): every pulled op of the suffix belongs
-                // to a committed transaction.
-                for e in self.local.entries()[base..]
-                    .iter()
-                    .filter(|e| e.flag.is_pulled())
-                {
-                    match view.entry(e.op.id) {
-                        Some(g) if g.flag == GlobalFlag::Committed => {}
-                        Some(_) => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} is still uncommitted", e.op.id),
-                            ));
-                        }
-                        None => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} vanished from the global log", e.op.id),
-                            ));
-                        }
-                    }
-                }
-                self.global.audit.pass(Rule::Cmt, Clause::Iii);
-            }
-            // Flip the suffix committed via a temporary log holding
-            // exactly the child's entries.
-            let mut tmp = LocalLog::new();
-            for e in &self.local.entries()[base..] {
-                tmp.push_entry(e.clone());
-            }
-            let flipped = view.commit_local(&tmp);
-            self.global.push_committed(CommittedTxn {
-                txn: child,
-                thread: tid,
-                code: child_code,
-                ops: own_ops.clone(),
-                pulled_from,
-                kind: TxnKind::OpenChild { parent, level },
-            });
-            self.global.advance_caches(&mut view);
-            flipped
+        let record = CommittedTxn {
+            txn: child,
+            thread: tid,
+            code: child_code,
+            ops: own_ops.clone(),
+            pulled_from,
+            kind: TxnKind::OpenChild { parent, level },
         };
+        let flipped = self.cmt_section(base, record, None)?;
         self.record(Event::Commit {
             thread: tid,
             txn: child,
@@ -841,8 +807,13 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// Rewinds the local log down to `target_len`, tearing down frames
     /// entered strictly above the target as the walk passes their base
     /// (the unapp scope floor would otherwise block it). Frames based
-    /// *at* `target_len` are left for the caller to resolve.
-    fn rewind_suffix(&mut self, target_len: usize) -> MachineResult<()> {
+    /// *at* `target_len` are left for the caller to resolve. Each UNPUSH
+    /// of the walk runs inside `held` when the caller holds the section.
+    fn rewind_suffix(
+        &mut self,
+        target_len: usize,
+        mut held: Option<&mut Held<'_, S>>,
+    ) -> MachineResult<()> {
         loop {
             if self.local.len() <= target_len {
                 return Ok(());
@@ -863,7 +834,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 None => return Ok(()),
                 Some((id, LocalFlag::Pulled)) => self.unpull(id)?,
                 Some((id, LocalFlag::Pushed { .. })) => {
-                    self.unpush(id)?;
+                    self.unpush_in(id, held.as_deref_mut())?;
                     self.unapp()?;
                 }
                 Some((_, LocalFlag::NotPushed { .. })) => {
@@ -959,16 +930,19 @@ impl<S: SeqSpec> TxnHandle<S> {
         let mut ops: Vec<Op<S::Method, S::Ret>> = Vec::new();
         let flipped = {
             let mut view = self.global.acquire_all();
-            let mut tmp = LocalLog::new();
+            let mut tmp = Vec::new();
             for (method, ret) in &comp.ops {
                 let id = self.global.ids.fresh();
                 let op = Op::new(id, txn, method.clone(), ret.clone());
                 if checked {
-                    crate::transport::locked_push_criteria(&self.global, txn, shard, &view, &op)?;
+                    criteria::push(&*self.global, &view, txn, &op)
+                        .settle(&self.global.audit, shard)?;
                 }
                 let target = self.global.route(method).target();
-                self.global.append_push(&mut view, target, op.clone());
-                tmp.push_entry(LocalEntry {
+                let stamp = self.global.reserve_stamps(1);
+                self.global
+                    .append_push(&mut view, target, stamp, op.clone());
+                tmp.push(LocalEntry {
                     op: op.clone(),
                     flag: LocalFlag::Pushed {
                         saved_code: Code::Skip,
@@ -977,8 +951,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 });
                 ops.push(op);
             }
-            let flipped = view.commit_local(&tmp);
-            self.global.push_committed(CommittedTxn {
+            let record = CommittedTxn {
                 txn,
                 thread: tid,
                 code,
@@ -987,9 +960,8 @@ impl<S: SeqSpec> TxnHandle<S> {
                 kind: TxnKind::Compensation {
                     undoes: comp.undoes,
                 },
-            });
-            self.global.advance_caches(&mut view);
-            flipped
+            };
+            self.global.seal_commit(&mut view, &tmp, record)
         };
         self.record(Event::Commit {
             thread: tid,
@@ -1199,34 +1171,23 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// [`MachineError::Criterion`] with the failing clause; `WrongFlag` /
     /// `NoSuchOp` on structural misuse.
     pub fn push(&mut self, op_id: OpId) -> MachineResult<()> {
+        self.push_in(op_id, None)
+    }
+
+    /// The one PUSH body: [`Self::push`] when `held` is `None`; with a
+    /// caller-held section (the group-commit batch path) the critical
+    /// section is the caller's one batch-wide lock acquisition and the
+    /// stamp comes from its reserved contiguous block.
+    pub(crate) fn push_in(
+        &mut self,
+        op_id: OpId,
+        held: Option<&mut Held<'_, S>>,
+    ) -> MachineResult<()> {
         self.fault_gate(Rule::Push)?;
         let checked = self.mode() != CheckMode::Unchecked;
         let shard = self.shard();
-        let (op, pos) = {
-            let pos = self
-                .local
-                .position(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            let entry = &self.local.entries()[pos];
-            match entry.flag {
-                LocalFlag::NotPushed { .. } => {}
-                LocalFlag::Pushed { .. } => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "npshd",
-                        found: "pshd",
-                    })
-                }
-                LocalFlag::Pulled => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "npshd",
-                        found: "pld",
-                    })
-                }
-            }
-            (entry.op.clone(), pos)
-        };
+        let pos = self.expect_flag(op_id, "npshd")?;
+        let op = self.local.entries()[pos].op.clone();
         if checked {
             // Criterion (i): op ◁ op' for every earlier npshd own op'.
             // Local-log only — evaluated outside the critical section.
@@ -1261,328 +1222,170 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         let route = self.global.route(&op.method);
-        // The transport seam: with a transport installed, a routed
-        // single-shard PUSH ships its criteria-and-append critical
-        // section as a [`ShardRequest`] instead of running it in place
-        // (speculation is skipped — both transports serialize at the
-        // executor, so the outcome is identical either way). Coarse
-        // routes stay on this thread: they aggregate across shards,
-        // which is the coordinator's job.
-        let remote = match route {
-            Route::Single(i) if !self.global.coarse_mode() => {
-                self.global.transport().map(|t| (i, t))
-            }
-            _ => None,
+        let method = op.method.clone();
+        let req = ShardRequest::Push {
+            txn: op.txn,
+            audit_shard: shard,
+            checked,
+            op,
         };
-        if let Some((target, tr)) = remote {
-            self.push_via_transport(tr.as_ref(), target, shard, &op, checked)?;
-        } else {
-            // Lock-free speculation: on a routed single shard (coarse
-            // off), criteria (ii)/(iii) evaluate against the shard's
-            // published snapshot without taking any lock. Only a *pass*
-            // is kept, and only as a speculation: it is trusted below
-            // iff the shard version is unchanged under the append lock.
-            // A speculative *failure* never denies by itself — a stale
-            // snapshot can show a since-committed entry as still
-            // uncommitted and manufacture a mover conflict the true log
-            // does not have — so failures fall back to the audited
-            // locked evaluation, whose verdict is exact.
-            let speculated = if checked {
-                match route {
-                    Route::Single(i) if !self.global.coarse_mode() => {
-                        self.speculate_push_criteria(i, &op)
-                    }
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            // Critical section: the append — plus the criteria whenever
-            // speculation did not conclude. One footprint shard on the
-            // routed fast path; every shard (ascending) when coarse.
-            let mut view = self.global.acquire_route(route);
-            let validated = match (&speculated, route) {
-                (Some(v), Route::Single(i))
-                    if view.is_single_shard(i) && view.shard_version(0) == v.version =>
-                {
-                    true
-                }
-                (Some(_), _) => {
-                    // The shard mutated (or the coarse flag flipped)
-                    // between snapshot and lock: discard the speculated
-                    // verdict with its buffered tallies and re-run.
-                    self.global.note_snap_fallback();
-                    false
-                }
-                (None, _) => false,
-            };
-            if checked {
-                if validated {
-                    let v = speculated.as_ref().expect("validated implies speculated");
-                    self.flush_push_pass(shard, v);
-                } else {
-                    crate::transport::locked_push_criteria(
-                        &self.global,
-                        op.txn,
-                        shard,
-                        &view,
-                        &op,
-                    )?;
-                }
-            }
-            self.global
-                .append_push(&mut view, route.target(), op.clone());
-        }
+        // Criteria (ii)/(iii) and the append to `G`, one critical section.
+        self.shared_section(route, &req, held)?;
         // Effect on the local half (private to this thread): flip flag.
-        let entry = self.local.entry_mut(op_id).expect("position found above");
-        let (saved_code, saved_stack) = match &entry.flag {
-            LocalFlag::NotPushed {
-                saved_code,
-                saved_stack,
-            } => (saved_code.clone(), saved_stack.clone()),
-            _ => unreachable!("flag checked above"),
-        };
-        entry.flag = LocalFlag::Pushed {
-            saved_code,
-            saved_stack,
-        };
+        self.set_pushed(op_id, true);
         let tid = self.tid;
         self.record(Event::Push {
             thread: tid,
             op: op_id,
-            method: op.method,
+            method,
         });
         Ok(())
     }
 
-    /// Evaluates PUSH criteria (ii)/(iii) against shard `shard_idx`'s
-    /// published snapshot, **without taking any lock**, buffering the
-    /// audit tallies the locked path would have recorded.
+    /// Runs the critical section of one PUSH/UNPUSH request wherever
+    /// this machine puts it. The body is always [`critical_section`];
+    /// what varies is where the view comes from and who holds the lock:
     ///
-    /// * `Some(verdict)` — both criteria passed at `verdict.version`;
-    ///   the caller must revalidate that version under the shard lock
-    ///   before flushing the verdict's buffered tallies.
-    /// * `None` — no conclusion: the snapshot was unreadable
-    ///   (unpublished, reader contention, coarse raced in) **or a
-    ///   criterion failed against it**. A snapshot failure is never a
-    ///   verdict, because a stale snapshot can show a since-committed
-    ///   entry as uncommitted and manufacture a conflict; the caller
-    ///   must evaluate under the lock, which records the exact audit.
-    fn speculate_push_criteria(
+    /// * a caller-held section — its view, its reserved stamp block;
+    /// * an installed transport, for a routed single shard with coarse
+    ///   mode off — the request is shipped ([`Self::ship`]). Coarse
+    ///   routes stay on this thread: they aggregate across shards, which
+    ///   is the coordinator's job;
+    /// * otherwise this thread locks the route itself — one footprint
+    ///   shard on the routed fast path, every shard (ascending) when
+    ///   coarse.
+    fn shared_section(
         &self,
-        shard_idx: usize,
-        op: &Op<S::Method, S::Ret>,
-    ) -> Option<SnapVerdict> {
-        let global = &self.global;
-        let static_ii = global.statically_discharged(Rule::Push, Clause::Ii);
+        route: Route,
+        req: &ShardRequest<S>,
+        held: Option<&mut Held<'_, S>>,
+    ) -> MachineResult<()> {
+        let global = &*self.global;
+        if let Some(h) = held {
+            let stamp = Some(&mut h.stamp);
+            return critical_section(global, &mut h.view, h.target, stamp, req, None);
+        }
+        if let Route::Single(i) = route {
+            if !global.coarse_mode() {
+                if let Some(tr) = global.transport() {
+                    return self.ship(tr.as_ref(), i, req);
+                }
+            }
+        }
+        // Lock-free speculation: a checked PUSH first evaluates its
+        // criteria against the shard's published snapshot. The pass is
+        // trusted below iff the shard version is unchanged under the
+        // append lock; otherwise it is dropped, tallies and all, and the
+        // locked evaluation runs.
+        let speculated = match req {
+            ShardRequest::Push {
+                checked: true, op, ..
+            } => self.speculate(route, op),
+            _ => None,
+        };
+        let mut view = global.acquire_route(route);
+        let trusted = speculated.and_then(|(version, verdict)| {
+            // The coarse flag may have flipped between snapshot and lock.
+            let fresh = matches!(route, Route::Single(i) if view.is_single_shard(i))
+                && view.shard_version(0) == version;
+            if !fresh {
+                global.note_snap_fallback();
+            }
+            fresh.then_some(verdict)
+        });
+        critical_section(global, &mut view, route.target(), None, req, trusted)
+    }
+
+    /// Evaluates PUSH criteria (ii)/(iii) against the routed shard's
+    /// published snapshot, **without taking any lock** and without
+    /// touching the audit.
+    ///
+    /// * `Some((version, verdict))` — both criteria passed at shard
+    ///   version `version`; a caller that acts on it must revalidate
+    ///   that version under the shard lock before recording `verdict`.
+    /// * `None` — no conclusion: no snapshot applies (coarse route or
+    ///   coarse mode), it was unreadable (unpublished, reader
+    ///   contention) **or a criterion failed against it**. A snapshot
+    ///   failure is never a verdict, because a stale snapshot can show a
+    ///   since-committed entry as uncommitted and manufacture a
+    ///   conflict; the caller must evaluate under the lock, which
+    ///   records the exact audit.
+    fn speculate(&self, route: Route, op: &Op<S::Method, S::Ret>) -> Option<(u64, Verdict)> {
+        let global = &*self.global;
+        let Route::Single(i) = route else {
+            return None;
+        };
+        if global.coarse_mode() {
+            return None;
+        }
         // Own entries are judged by the *operation's* transaction (an
         // open-scoped op belongs to its child transaction).
-        let txn = op.txn;
-        let outcome = global.read_shard_snap(shard_idx, |snap| {
-            // Criterion (ii) over the snapshot suffix. The committed
-            // prefix never contributes a mover query (its entries all
-            // fail the `Uncommitted` test), so walking the suffix
-            // consults the oracle for exactly the pairs — in the same
-            // stamp order — as the locked loop over the whole shard.
-            let mut movers = 0u64;
-            if static_ii {
-                #[cfg(debug_assertions)]
-                for g in &snap.suffix {
-                    assert!(
-                        g.flag != GlobalFlag::Uncommitted
-                            || g.op.txn == txn
-                            || global.spec().mover(&g.op, op),
-                        "static discharge of PUSH (ii) contradicted dynamically: {} vs {}",
-                        g.op.id,
-                        op.id
-                    );
-                }
-            } else {
-                for g in &snap.suffix {
-                    if g.flag == GlobalFlag::Uncommitted && g.op.txn != txn {
-                        movers += 1;
-                        if !global.spec().mover(&g.op, op) {
-                            return None;
-                        }
-                    }
-                }
-            }
-            // Criterion (iii): one (buffered) allowed query.
-            global
-                .snap_allows(snap, op)
-                .then_some((snap.version, movers))
-        });
-        match outcome {
-            // Snapshot read but a criterion failed against it: discard
-            // the buffered tallies and send the caller to the lock.
-            Some(None) => {
-                global.note_snap_fallback();
-                None
-            }
-            Some(Some((version, movers))) => Some(SnapVerdict {
-                version,
-                movers,
-                static_ii,
-            }),
-            None => None,
+        let (version, verdict) = global.read_shard_snap(i, |snap| {
+            (snap.version, criteria::push(global, snap, op.txn, op))
+        })?;
+        if !verdict.passed() {
+            global.note_snap_fallback();
+            return None;
         }
+        Some((version, verdict))
     }
 
-    /// Flushes a revalidated speculative pass to the audit: exactly the
-    /// queries and pass marks the locked evaluation would have recorded.
-    fn flush_push_pass(&self, shard: usize, v: &SnapVerdict) {
-        let audit = &self.global.audit;
-        audit.count_mover_n(shard, v.movers);
-        if v.static_ii {
-            audit.pass_static(Rule::Push, Clause::Ii);
-        } else {
-            audit.pass(Rule::Push, Clause::Ii);
-        }
-        audit.count_allowed_n(shard, 1);
-        audit.pass(Rule::Push, Clause::Iii);
-    }
-
-    /// PUSH over the installed transport, with the degradation ladder.
+    /// Ships one routed single-shard request over the installed
+    /// transport, with the degradation ladder.
     ///
     /// Degraded shard: probe first — one success clears the mark
     /// (counted as a recovery) and the call proceeds on the fast path;
     /// failure keeps the operation on the coarse coordinator path.
     /// Healthy shard: ship the request; if the whole robustness envelope
-    /// is exhausted, degrade per the transport's [`FallbackMode`] —
-    /// coarse execution here, or a clean
+    /// is exhausted — or the transport answers `Pong`, which answers no
+    /// PUSH/UNPUSH and so counts as a failed delivery — degrade per the
+    /// transport's [`FallbackMode`]: coarse execution here, or a clean
     /// [`MachineError::TransportExhausted`].
-    fn push_via_transport(
+    fn ship(
         &self,
         tr: &dyn ShardTransport<S>,
         target: usize,
-        audit_shard: usize,
-        op: &Op<S::Method, S::Ret>,
-        checked: bool,
+        req: &ShardRequest<S>,
     ) -> MachineResult<()> {
-        if self.global.is_transport_degraded(target) {
-            if tr.probe(&self.global, self.tid, target) {
-                self.global.note_transport_recovery(target);
-            } else {
-                return self.degraded_push(target, audit_shard, op, checked);
+        let global = &*self.global;
+        let mut reachable = true;
+        if global.is_transport_degraded(target) {
+            reachable = tr.probe(global, self.tid, target);
+            if reachable {
+                global.note_transport_recovery(target);
             }
         }
-        let req = ShardRequest::Push {
-            txn: op.txn,
-            audit_shard,
-            checked,
-            op: op.clone(),
-        };
-        match tr.call(&self.global, self.tid, target, req) {
-            Ok(ShardResponse::Done) => Ok(()),
-            Ok(ShardResponse::Denied(e)) => Err(e),
-            Ok(ShardResponse::Pong) => unreachable!("Pong response to a Push request"),
-            Err(TransportError::Exhausted { .. }) => match tr.fallback() {
-                FallbackMode::Coarse => {
-                    self.global.note_transport_degraded(target);
-                    self.degraded_push(target, audit_shard, op, checked)
+        if reachable {
+            match tr.call(global, self.tid, target, req.clone()) {
+                Ok(ShardResponse::Done) => return Ok(()),
+                Ok(ShardResponse::Denied(e)) => return Err(e),
+                Ok(ShardResponse::Pong) | Err(TransportError::Exhausted { .. }) => {}
+            }
+            match tr.fallback() {
+                FallbackMode::Coarse => global.note_transport_degraded(target),
+                FallbackMode::Fail => {
+                    return Err(MachineError::TransportExhausted {
+                        thread: self.tid,
+                        shard: target,
+                    })
                 }
-                FallbackMode::Fail => Err(MachineError::TransportExhausted {
-                    thread: self.tid,
-                    shard: target,
-                }),
-            },
-        }
-    }
-
-    /// The degraded PUSH: the coordinator runs the critical section
-    /// itself over the coarse all-shard view (the one lock ladder that
-    /// needs no transport). Placement is preserved — the op still lands
-    /// on its routed shard — so healing back to the fast path is sound.
-    fn degraded_push(
-        &self,
-        target: usize,
-        audit_shard: usize,
-        op: &Op<S::Method, S::Ret>,
-        checked: bool,
-    ) -> MachineResult<()> {
-        let mut view = self.global.acquire_all();
-        // A lost-reply fault may have executed the append before we
-        // degraded; the log itself is the idempotency source of truth.
-        if view.entry(op.id).is_some() {
-            return Ok(());
-        }
-        if checked {
-            crate::transport::locked_push_criteria(&self.global, op.txn, audit_shard, &view, op)?;
-        }
-        self.global.append_push(&mut view, target, op.clone());
-        Ok(())
-    }
-
-    /// UNPUSH over the installed transport — same envelope and ladder as
-    /// [`TxnHandle::push_via_transport`].
-    fn unpush_via_transport(
-        &self,
-        tr: &dyn ShardTransport<S>,
-        target: usize,
-        audit_shard: usize,
-        op_id: OpId,
-        checked: bool,
-        check_gray: bool,
-    ) -> MachineResult<()> {
-        if self.global.is_transport_degraded(target) {
-            if tr.probe(&self.global, self.tid, target) {
-                self.global.note_transport_recovery(target);
-            } else {
-                return self.degraded_unpush(audit_shard, op_id, checked, check_gray);
             }
         }
-        let req = ShardRequest::Unpush {
-            audit_shard,
-            checked,
-            check_gray,
-            op_id,
-        };
-        match tr.call(&self.global, self.tid, target, req) {
-            Ok(ShardResponse::Done) => Ok(()),
-            Ok(ShardResponse::Denied(e)) => Err(e),
-            Ok(ShardResponse::Pong) => unreachable!("Pong response to an Unpush request"),
-            Err(TransportError::Exhausted { .. }) => match tr.fallback() {
-                FallbackMode::Coarse => {
-                    self.global.note_transport_degraded(target);
-                    self.degraded_unpush(audit_shard, op_id, checked, check_gray)
-                }
-                FallbackMode::Fail => Err(MachineError::TransportExhausted {
-                    thread: self.tid,
-                    shard: target,
-                }),
-            },
+        // Degraded: the coordinator runs the request itself over the
+        // coarse all-shard view (the one lock ladder that needs no
+        // transport). A lost-reply fault may have applied it before we
+        // degraded, so it goes through the delivered-request executor,
+        // which consults the log first.
+        match execute_in_view(global, &mut global.acquire_all(), target, req) {
+            ShardResponse::Denied(e) => Err(e),
+            _ => Ok(()),
         }
-    }
-
-    /// The degraded UNPUSH, over the coarse all-shard view. An absent
-    /// entry means an earlier delivery of this same logical request
-    /// already removed it (the handle verified the `pshd` flag, and no
-    /// one else removes another transaction's entry).
-    fn degraded_unpush(
-        &self,
-        audit_shard: usize,
-        op_id: OpId,
-        checked: bool,
-        check_gray: bool,
-    ) -> MachineResult<()> {
-        let mut view = self.global.acquire_all();
-        if view.find(op_id).is_none() {
-            return Ok(());
-        }
-        crate::transport::locked_unpush_in_view(
-            &self.global,
-            audit_shard,
-            &mut view,
-            op_id,
-            checked,
-            check_gray,
-        )
-        .map(|_| ())
     }
 
     /// Read-only, unaudited "would PUSH accept `op_id` right now?" —
-    /// criterion (i) over the local log plus (ii)/(iii) against the
-    /// routed shard's published snapshot.
+    /// criterion (i) over the local log plus the kernel's (ii)/(iii)
+    /// against the routed shard's published snapshot, under the same
+    /// [`CheckMode`] gate as [`TxnHandle::push`].
     ///
     /// On the fast path — declared single-key footprint, coarse mode
     /// off, snapshot readable — this acquires **zero locks**; the
@@ -1598,76 +1401,27 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// `NoSuchOp` / `WrongFlag` on structural misuse, exactly as
     /// [`TxnHandle::push`].
     pub fn can_push(&self, op_id: OpId) -> MachineResult<bool> {
-        let pos = self
-            .local
-            .position(op_id)
-            .ok_or(MachineError::NoSuchOp(op_id))?;
-        let entry = &self.local.entries()[pos];
-        match entry.flag {
-            LocalFlag::NotPushed { .. } => {}
-            LocalFlag::Pushed { .. } => {
-                return Err(MachineError::WrongFlag {
-                    op: op_id,
-                    expected: "npshd",
-                    found: "pshd",
-                })
-            }
-            LocalFlag::Pulled => {
-                return Err(MachineError::WrongFlag {
-                    op: op_id,
-                    expected: "npshd",
-                    found: "pld",
-                })
-            }
+        let pos = self.expect_flag(op_id, "npshd")?;
+        if self.mode() == CheckMode::Unchecked {
+            return Ok(true);
         }
-        let op = &entry.op;
+        let op = &self.local.entries()[pos].op;
         // Criterion (i): local-log only, no locks regardless of route.
         for e in &self.local.entries()[..pos] {
             if e.flag.is_not_pushed() && !self.global.spec().mover(op, &e.op) {
                 return Ok(false);
             }
         }
+        // A snapshot "yes" is as good as any advisory answer gets (it
+        // can go stale the moment it is returned). A snapshot "no" is
+        // re-checked under the lock: a wrong "no" would make callers
+        // give up on a PUSH that would succeed.
         let route = self.global.route(&op.method);
-        if let Route::Single(i) = route {
-            if !self.global.coarse_mode() {
-                let global = &self.global;
-                let txn = op.txn;
-                let verdict = global.read_shard_snap(i, |snap| {
-                    snap.suffix.iter().all(|g| {
-                        g.flag != GlobalFlag::Uncommitted
-                            || g.op.txn == txn
-                            || global.spec().mover(&g.op, op)
-                    }) && global.snap_allows(snap, op)
-                });
-                // A snapshot "yes" is as good as any advisory answer
-                // gets (it can go stale the moment it is returned). A
-                // snapshot "no" is re-checked under the lock: a stale
-                // snapshot can manufacture a conflict out of an entry
-                // that has since committed, and a wrong "no" would make
-                // callers give up on a PUSH that would succeed.
-                match verdict {
-                    Some(true) => return Ok(true),
-                    Some(false) => self.global.note_snap_fallback(),
-                    None => {}
-                }
-            }
+        if self.speculate(route, op).is_some() {
+            return Ok(true);
         }
-        // Locked fallback: read-only criteria under the routed view,
-        // full replay (no audit, no cache interaction).
         let view = self.global.acquire_route(route);
-        let ii = view.stamped().all(|(_, g)| {
-            g.flag != GlobalFlag::Uncommitted
-                || g.op.txn == op.txn
-                || self.global.spec().mover(&g.op, op)
-        });
-        if !ii {
-            return Ok(false);
-        }
-        let spec = self.global.spec();
-        let states = spec.denote_refs(view.stamped().map(|(_, e)| &e.op));
-        Ok(!spec
-            .denote_from(&states, std::slice::from_ref(op))
-            .is_empty())
+        Ok(criteria::push(&*self.global, &view, op.txn, op).passed())
     }
 
     /// **UNPUSH**: recalls a pushed operation from the shared log
@@ -1678,95 +1432,31 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// (so the suffix does not depend on it); (ii) the remaining global
     /// log is still allowed.
     pub fn unpush(&mut self, op_id: OpId) -> MachineResult<()> {
-        let checked = self.mode() != CheckMode::Unchecked;
-        let check_gray = self.mode() == CheckMode::Checked;
-        let shard = self.shard();
-        {
-            let entry = self
-                .local
-                .entry(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            match entry.flag {
-                LocalFlag::Pushed { .. } => {}
-                LocalFlag::NotPushed { .. } => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "pshd",
-                        found: "npshd",
-                    })
-                }
-                LocalFlag::Pulled => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "pshd",
-                        found: "pld",
-                    })
-                }
-            }
-        }
-        let op = {
-            // Route by the method recorded in the local (pshd) entry —
-            // the global entry lives on that method's footprint shard.
-            let method = self
-                .local
-                .entry(op_id)
-                .expect("flag checked above")
-                .op
-                .method
-                .clone();
-            let route = self.global.route(&method);
-            // The transport seam, exactly as in PUSH: a routed
-            // single-shard recall ships its critical section; coarse
-            // routes run on the coordinator.
-            let remote = match route {
-                Route::Single(i) if !self.global.coarse_mode() => {
-                    self.global.transport().map(|t| (i, t))
-                }
-                _ => None,
-            };
-            if let Some((target, tr)) = remote {
-                self.unpush_via_transport(tr.as_ref(), target, shard, op_id, checked, check_gray)?;
-                // The local `pshd` entry is a verbatim copy of the
-                // removed global entry's op (PUSH published it from
-                // here), so the trace event does not need the remote op
-                // echoed back.
-                self.local
-                    .entry(op_id)
-                    .expect("flag checked above")
-                    .op
-                    .clone()
-            } else {
-                // Critical section: criteria over G plus the removal,
-                // atomic — shared with the transport executors and the
-                // degraded path (see `transport::locked_unpush_in_view`).
-                let mut view = self.global.acquire_route(route);
-                crate::transport::locked_unpush_in_view(
-                    &self.global,
-                    shard,
-                    &mut view,
-                    op_id,
-                    checked,
-                    check_gray,
-                )?
-            }
+        self.unpush_in(op_id, None)
+    }
+
+    /// The one UNPUSH body, optionally inside a caller-held section
+    /// (see [`Self::push_in`]).
+    fn unpush_in(&mut self, op_id: OpId, held: Option<&mut Held<'_, S>>) -> MachineResult<()> {
+        let mode = self.mode();
+        let pos = self.expect_flag(op_id, "pshd")?;
+        // Route by the method recorded in the local (pshd) entry — the
+        // global entry lives on that method's footprint shard, and is a
+        // verbatim copy of this one (PUSH published it from here).
+        let method = self.local.entries()[pos].op.method.clone();
+        let req = ShardRequest::Unpush {
+            audit_shard: self.shard(),
+            checked: mode != CheckMode::Unchecked,
+            check_gray: mode == CheckMode::Checked,
+            op_id,
         };
-        let entry = self.local.entry_mut(op_id).expect("checked above");
-        let (saved_code, saved_stack) = match &entry.flag {
-            LocalFlag::Pushed {
-                saved_code,
-                saved_stack,
-            } => (saved_code.clone(), saved_stack.clone()),
-            _ => unreachable!("flag checked above"),
-        };
-        entry.flag = LocalFlag::NotPushed {
-            saved_code,
-            saved_stack,
-        };
+        self.shared_section(self.global.route(&method), &req, held)?;
+        self.set_pushed(op_id, false);
         let tid = self.tid;
         self.record(Event::UnPush {
             thread: tid,
             op: op_id,
-            method: op.method,
+            method,
         });
         Ok(())
     }
@@ -1882,19 +1572,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     pub fn unpull(&mut self, op_id: OpId) -> MachineResult<()> {
         let checked = self.mode() != CheckMode::Unchecked;
         let shard = self.shard();
-        {
-            let entry = self
-                .local
-                .entry(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            if !entry.flag.is_pulled() {
-                return Err(MachineError::WrongFlag {
-                    op: op_id,
-                    expected: "pld",
-                    found: "npshd/pshd",
-                });
-            }
-        }
+        self.expect_flag(op_id, "pld")?;
         if checked {
             let remaining: Vec<_> = self
                 .local
@@ -1934,6 +1612,21 @@ impl<S: SeqSpec> TxnHandle<S> {
     ///
     /// On success the thread's next pending transaction (if any) begins.
     pub fn commit(&mut self) -> MachineResult<TxnId> {
+        self.commit_in(None)
+    }
+
+    /// The one CMT body: [`Self::commit`] when `held` is `None`; with a
+    /// caller-held section (the group-commit batch path) criterion (iii)
+    /// and the `cmt` effect run inside it. The caller must hold every
+    /// shard this transaction's pushed/pulled operations route to, and
+    /// the handle must have no live scope or compensation — resolving
+    /// those takes shard locks of its own ([`Self::group_route`] checks
+    /// both).
+    pub(crate) fn commit_in(&mut self, held: Option<&mut Held<'_, S>>) -> MachineResult<TxnId> {
+        debug_assert!(
+            held.is_none() || (self.frames.is_empty() && self.comps.is_empty()),
+            "held commit on a handle with live scopes (group_route must exclude it)"
+        );
         self.fault_gate(Rule::Cmt)?;
         // Resolve every still-open scope first: closed frames merge
         // (observationally free), open frames commit to `G` as their
@@ -1963,75 +1656,21 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
             self.global.audit.pass(Rule::Cmt, Clause::Ii);
         }
-        let (own_ops, pulled_from) = {
-            let pulled = self
-                .local
-                .iter()
-                .filter(|e| e.flag.is_pulled())
-                .map(|e| (e.op.id, e.op.txn))
-                .collect();
-            (self.local.own_ops(), pulled)
+        let pulled_from = self
+            .local
+            .iter()
+            .filter(|e| e.flag.is_pulled())
+            .map(|e| (e.op.id, e.op.txn))
+            .collect();
+        let record = CommittedTxn {
+            txn,
+            thread: self.tid,
+            code: self.committed_code(),
+            ops: self.local.own_ops(),
+            pulled_from,
+            kind: TxnKind::Top,
         };
-        let flipped = {
-            // Critical section: criterion (iii) plus cmt(G, L, G'), over
-            // exactly the shards this transaction's pushed and pulled
-            // operations live on, locked in canonical ascending order.
-            let mut coarse = false;
-            let mut indices = Vec::new();
-            for e in self.local.iter() {
-                if e.flag.is_pushed() || e.flag.is_pulled() {
-                    match self.global.route(&e.op.method) {
-                        Route::Coarse => coarse = true,
-                        Route::Single(i) => indices.push(i),
-                    }
-                }
-            }
-            let mut view = if coarse {
-                self.global.acquire_all()
-            } else {
-                self.global.acquire_shards(indices)
-            };
-            if checked {
-                // Criterion (iii): every pulled op is committed.
-                for pulled in self.local.pulled_ops() {
-                    match view.entry(pulled.id) {
-                        Some(e) if e.flag == GlobalFlag::Committed => {}
-                        Some(_) => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} is still uncommitted", pulled.id),
-                            ));
-                        }
-                        None => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} vanished from the global log", pulled.id),
-                            ));
-                        }
-                    }
-                }
-                self.global.audit.pass(Rule::Cmt, Clause::Iii);
-            }
-            // Flips land in global commit-stamp order, so the recorded
-            // Commit event's op order is identical at any shard count.
-            let flipped = view.commit_local(&self.local);
-            self.global.push_committed(CommittedTxn {
-                txn,
-                thread: self.tid,
-                code: self.committed_code(),
-                ops: own_ops,
-                pulled_from,
-                kind: TxnKind::Top,
-            });
-            // Newly committed entries may extend the fully committed
-            // prefix of each held shard: advance their caches.
-            self.global.advance_caches(&mut view);
-            flipped
-        };
+        let flipped = self.cmt_section(0, record, held)?;
         let tid = self.tid;
         self.record(Event::Commit {
             thread: tid,
@@ -2042,6 +1681,48 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.reset_txn_state();
         self.begin_next_pending();
         Ok(txn)
+    }
+
+    /// The CMT critical section for the local-log suffix `[base..]` (the
+    /// whole log for a top-level commit, an open child's own suffix
+    /// otherwise): criterion (iii) plus the `cmt` effect
+    /// ([`GlobalState::seal_commit`]), atomic over exactly the shards
+    /// the suffix's pushed and pulled operations live on, locked in
+    /// canonical ascending order — or over the caller's held section.
+    /// Returns the flipped ids.
+    fn cmt_section(
+        &self,
+        base: usize,
+        record: CommittedTxn<S::Method, S::Ret>,
+        held: Option<&mut Held<'_, S>>,
+    ) -> MachineResult<Vec<OpId>> {
+        let suffix = &self.local.entries()[base..];
+        let section = |view: &mut LogView<'_, S>| {
+            if self.mode() != CheckMode::Unchecked {
+                let pulled = suffix.iter().filter(|e| e.flag.is_pulled());
+                criteria::cmt(view, pulled.map(|e| e.op.id))
+                    .settle(&self.global.audit, self.shard())?;
+            }
+            // Newly committed entries may extend the fully committed
+            // prefix of each held shard: the seal advances their caches.
+            Ok(self.global.seal_commit(view, suffix, record))
+        };
+        if let Some(h) = held {
+            return section(&mut h.view);
+        }
+        let mut coarse = false;
+        let mut indices = Vec::new();
+        for e in suffix.iter().filter(|e| !e.flag.is_not_pushed()) {
+            match self.global.route(&e.op.method) {
+                Route::Coarse => coarse = true,
+                Route::Single(i) => indices.push(i),
+            }
+        }
+        if coarse {
+            section(&mut self.global.acquire_all())
+        } else {
+            section(&mut self.global.acquire_shards(indices))
+        }
     }
 
     /// Resets the per-transaction state after a commit: the local log,
@@ -2124,12 +1805,27 @@ impl<S: SeqSpec> TxnHandle<S> {
     ///
     /// Records an `Abort` plus a `Begin` event.
     pub fn abort_and_retry(&mut self) -> MachineResult<TxnId> {
+        self.abort_in(None)
+    }
+
+    /// The one abort-and-restart body: [`Self::abort_and_retry`] when
+    /// `held` is `None`; inside a caller-held section the rewind's
+    /// UNPUSHes run there, so a transaction denied mid-batch leaves `G`
+    /// — and the recorded trace — exactly as an immediate abort would,
+    /// before the next batched transaction's criteria run. Same
+    /// no-scopes precondition as [`Self::commit_in`].
+    pub(crate) fn abort_in(&mut self, held: Option<&mut Held<'_, S>>) -> MachineResult<TxnId> {
+        debug_assert!(
+            held.is_none() || (self.frames.is_empty() && self.comps.is_empty()),
+            "held abort on a handle with live scopes (group_route must exclude it)"
+        );
         if self.code.is_none() {
             // A finished thread has nothing to abort; restarting its last
             // transaction here would resurrect committed work.
             return Err(MachineError::ThreadFinished(self.tid));
         }
-        self.rewind_all()?;
+        self.rewind_suffix(0, held)?;
+        self.pop_rewound_frames(0, true)?;
         let old = self.txn;
         let tid = self.tid;
         self.record(Event::Abort {
@@ -2155,7 +1851,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// compensations owned by popped scopes are replayed, while those
     /// owned by the root stay registered for the caller's abort path.
     pub fn rewind_all(&mut self) -> MachineResult<()> {
-        self.rewind_suffix(0)?;
+        self.rewind_suffix(0, None)?;
         self.pop_rewound_frames(0, true)
     }
 
@@ -2169,7 +1865,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// Propagates criterion violations from the constituent
     /// UNPUSH/UNPULL steps (an UNAPP at the tail never fails).
     pub fn rewind_to(&mut self, target_len: usize) -> MachineResult<()> {
-        self.rewind_suffix(target_len)?;
+        self.rewind_suffix(target_len, None)?;
         self.pop_rewound_frames(target_len, false)
     }
 
@@ -2215,10 +1911,8 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     // ------------------------------------------------------------------
-    // Group-commit batch path (see [`crate::group`]): the PUSH and CMT
-    // bodies above, re-entrant under a caller-held shard view so many
-    // transactions share one lock acquisition. Criteria, audit tallies
-    // and recorded events are identical to the per-transaction path.
+    // Group-commit eligibility (see [`crate::group`], which runs the
+    // PUSH/CMT/abort bodies above inside one held section).
     // ------------------------------------------------------------------
 
     /// The single shard every operation of the current transaction routes
@@ -2254,411 +1948,6 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         target
-    }
-
-    /// **PUSH** under a caller-held view (the group-commit batch path):
-    /// same fault gate, criteria, audit tallies, flag flip and trace
-    /// event as [`Self::push`], but the critical section is the caller's
-    /// one batch-wide lock acquisition and the commit-sequence stamp
-    /// comes from the batch's reserved contiguous block.
-    pub(crate) fn batch_push_in_view(
-        &mut self,
-        view: &mut LogView<'_, S>,
-        target: usize,
-        stamp: u64,
-        op_id: OpId,
-        tally: &mut BatchTally,
-    ) -> MachineResult<()> {
-        self.fault_gate(Rule::Push)?;
-        let checked = self.mode() != CheckMode::Unchecked;
-        let shard = self.shard();
-        let (op, pos) = {
-            let pos = self
-                .local
-                .position(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            let entry = &self.local.entries()[pos];
-            match entry.flag {
-                LocalFlag::NotPushed { .. } => {}
-                LocalFlag::Pushed { .. } => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "npshd",
-                        found: "pshd",
-                    })
-                }
-                LocalFlag::Pulled => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "npshd",
-                        found: "pld",
-                    })
-                }
-            }
-            (entry.op.clone(), pos)
-        };
-        if checked {
-            // Criterion (i): op ◁ op' for every earlier npshd own op'.
-            tally.reached += 1;
-            if self.global.statically_discharged(Rule::Push, Clause::I) {
-                #[cfg(debug_assertions)]
-                for e in &self.local.entries()[..pos] {
-                    assert!(
-                        !e.flag.is_not_pushed() || self.global.spec().mover(&op, &e.op),
-                        "static discharge of PUSH (i) contradicted dynamically: {} vs {}",
-                        op.id,
-                        e.op.id
-                    );
-                }
-                self.global.audit.pass_static(Rule::Push, Clause::I);
-                tally.statically_discharged += 1;
-            } else {
-                for e in &self.local.entries()[..pos] {
-                    if e.flag.is_not_pushed() && !self.global.mover_q(shard, &op, &e.op) {
-                        self.global.audit.fail(Rule::Push, Clause::I);
-                        tally.violated += 1;
-                        return Err(MachineError::criterion(
-                            Rule::Push,
-                            Clause::I,
-                            format!(
-                                "{} does not move across earlier unpushed {}",
-                                op.id, e.op.id
-                            ),
-                        ));
-                    }
-                }
-                self.global.audit.pass(Rule::Push, Clause::I);
-                tally.discharged += 1;
-            }
-            // Criteria (ii)/(iii) under the held view — the exact locked
-            // evaluation of the per-transaction path. The tally deltas
-            // are inferred from the outcome: (ii) is reached always and
-            // recorded pass/static/fail; (iii) is reached only when (ii)
-            // held.
-            let ii_static = self.global.statically_discharged(Rule::Push, Clause::Ii);
-            match crate::transport::locked_push_criteria(&self.global, op.txn, shard, view, &op) {
-                Ok(()) => {
-                    tally.reached += 2;
-                    if ii_static {
-                        tally.statically_discharged += 1;
-                    } else {
-                        tally.discharged += 1;
-                    }
-                    tally.discharged += 1;
-                }
-                Err(e) => {
-                    if let MachineError::Criterion(v) = &e {
-                        match v.clause {
-                            Clause::Ii => {
-                                tally.reached += 1;
-                                tally.violated += 1;
-                            }
-                            Clause::Iii => {
-                                tally.reached += 2;
-                                if ii_static {
-                                    tally.statically_discharged += 1;
-                                } else {
-                                    tally.discharged += 1;
-                                }
-                                tally.violated += 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        self.global
-            .append_push_stamped(view, target, stamp, op.clone());
-        let entry = self.local.entry_mut(op_id).expect("position found above");
-        let (saved_code, saved_stack) = match &entry.flag {
-            LocalFlag::NotPushed {
-                saved_code,
-                saved_stack,
-            } => (saved_code.clone(), saved_stack.clone()),
-            _ => unreachable!("flag checked above"),
-        };
-        entry.flag = LocalFlag::Pushed {
-            saved_code,
-            saved_stack,
-        };
-        let tid = self.tid;
-        self.record(Event::Push {
-            thread: tid,
-            op: op_id,
-            method: op.method,
-        });
-        Ok(())
-    }
-
-    /// **CMT** under a caller-held view (the group-commit batch path):
-    /// same criteria, audit tallies, committed record, cache advance and
-    /// trace events as [`Self::commit`], but criterion (iii) and the
-    /// `cmt` effect run inside the caller's one batch-wide lock
-    /// acquisition. The caller must hold every shard this transaction's
-    /// pushed/pulled operations route to (the group-eligibility check:
-    /// [`Self::group_route`]).
-    pub(crate) fn batch_commit_in_view(
-        &mut self,
-        view: &mut LogView<'_, S>,
-        tally: &mut BatchTally,
-    ) -> MachineResult<TxnId> {
-        debug_assert!(
-            self.frames.is_empty() && self.comps.is_empty(),
-            "batch commit on a handle with live scopes (group_route must exclude it)"
-        );
-        self.fault_gate(Rule::Cmt)?;
-        let checked = self.mode() != CheckMode::Unchecked;
-        let txn = self.txn;
-        if checked {
-            // Criterion (i): fin(c).
-            tally.reached += 1;
-            if !self.active_code()?.fin() {
-                self.global.audit.fail(Rule::Cmt, Clause::I);
-                tally.violated += 1;
-                return Err(MachineError::criterion(
-                    Rule::Cmt,
-                    Clause::I,
-                    "no method-free path to skip remains".to_string(),
-                ));
-            }
-            self.global.audit.pass(Rule::Cmt, Clause::I);
-            tally.discharged += 1;
-            // Criterion (ii): all own ops pushed.
-            tally.reached += 1;
-            if !self.local.fully_pushed() {
-                self.global.audit.fail(Rule::Cmt, Clause::Ii);
-                tally.violated += 1;
-                return Err(MachineError::criterion(
-                    Rule::Cmt,
-                    Clause::Ii,
-                    "local log contains npshd operations".to_string(),
-                ));
-            }
-            self.global.audit.pass(Rule::Cmt, Clause::Ii);
-            tally.discharged += 1;
-        }
-        let (own_ops, pulled_from) = {
-            let pulled = self
-                .local
-                .iter()
-                .filter(|e| e.flag.is_pulled())
-                .map(|e| (e.op.id, e.op.txn))
-                .collect();
-            (self.local.own_ops(), pulled)
-        };
-        let flipped = {
-            if checked {
-                // Criterion (iii): every pulled op is committed.
-                tally.reached += 1;
-                for pulled in self.local.pulled_ops() {
-                    match view.entry(pulled.id) {
-                        Some(e) if e.flag == GlobalFlag::Committed => {}
-                        Some(_) => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            tally.violated += 1;
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} is still uncommitted", pulled.id),
-                            ));
-                        }
-                        None => {
-                            self.global.audit.fail(Rule::Cmt, Clause::Iii);
-                            tally.violated += 1;
-                            return Err(MachineError::criterion(
-                                Rule::Cmt,
-                                Clause::Iii,
-                                format!("pulled {} vanished from the global log", pulled.id),
-                            ));
-                        }
-                    }
-                }
-                self.global.audit.pass(Rule::Cmt, Clause::Iii);
-                tally.discharged += 1;
-            }
-            let flipped = view.commit_local(&self.local);
-            self.global.push_committed(CommittedTxn {
-                txn,
-                thread: self.tid,
-                code: self.committed_code(),
-                ops: own_ops,
-                pulled_from,
-                kind: TxnKind::Top,
-            });
-            self.global.advance_caches(view);
-            flipped
-        };
-        let tid = self.tid;
-        self.record(Event::Commit {
-            thread: tid,
-            txn,
-            ops: flipped,
-        });
-        self.commits += 1;
-        self.reset_txn_state();
-        self.begin_next_pending();
-        Ok(txn)
-    }
-
-    /// **UNPUSH** under a caller-held view (the group-commit failure
-    /// rollback): same criteria, audit tallies, flag restore and trace
-    /// event as [`Self::unpush`], but the critical section is the
-    /// caller's batch-wide lock acquisition.
-    pub(crate) fn batch_unpush_in_view(
-        &mut self,
-        view: &mut LogView<'_, S>,
-        op_id: OpId,
-        tally: &mut BatchTally,
-    ) -> MachineResult<()> {
-        let checked = self.mode() != CheckMode::Unchecked;
-        let check_gray = self.mode() == CheckMode::Checked;
-        let shard = self.shard();
-        {
-            let entry = self
-                .local
-                .entry(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?;
-            match entry.flag {
-                LocalFlag::Pushed { .. } => {}
-                LocalFlag::NotPushed { .. } => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "pshd",
-                        found: "npshd",
-                    })
-                }
-                LocalFlag::Pulled => {
-                    return Err(MachineError::WrongFlag {
-                        op: op_id,
-                        expected: "pshd",
-                        found: "pld",
-                    })
-                }
-            }
-        }
-        let gray_static = check_gray && self.global.statically_discharged(Rule::UnPush, Clause::I);
-        let op = match crate::transport::locked_unpush_in_view(
-            &self.global,
-            shard,
-            view,
-            op_id,
-            checked,
-            check_gray,
-        ) {
-            Ok(op) => {
-                if checked {
-                    // Gray criterion (i) when graying, plus criterion (ii).
-                    tally.reached += if check_gray { 2 } else { 1 };
-                    if check_gray {
-                        if gray_static {
-                            tally.statically_discharged += 1;
-                        } else {
-                            tally.discharged += 1;
-                        }
-                    }
-                    tally.discharged += 1;
-                }
-                op
-            }
-            Err(e) => {
-                if checked {
-                    if let MachineError::Criterion(v) = &e {
-                        match v.clause {
-                            Clause::I => {
-                                tally.reached += 1;
-                                tally.violated += 1;
-                            }
-                            Clause::Ii => {
-                                tally.reached += if check_gray { 2 } else { 1 };
-                                if check_gray {
-                                    if gray_static {
-                                        tally.statically_discharged += 1;
-                                    } else {
-                                        tally.discharged += 1;
-                                    }
-                                }
-                                tally.violated += 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                return Err(e);
-            }
-        };
-        let entry = self.local.entry_mut(op_id).expect("checked above");
-        let (saved_code, saved_stack) = match &entry.flag {
-            LocalFlag::Pushed {
-                saved_code,
-                saved_stack,
-            } => (saved_code.clone(), saved_stack.clone()),
-            _ => unreachable!("flag checked above"),
-        };
-        entry.flag = LocalFlag::NotPushed {
-            saved_code,
-            saved_stack,
-        };
-        let tid = self.tid;
-        self.record(Event::UnPush {
-            thread: tid,
-            op: op_id,
-            method: op.method,
-        });
-        Ok(())
-    }
-
-    /// The full abort-and-restart of [`Self::abort_and_retry`], executed
-    /// inside a caller-held view: the rewind walks the local log from the
-    /// tail exactly as [`Self::rewind_all`] (UNPULL / in-view UNPUSH then
-    /// UNAPP / UNAPP), so a transaction that fails mid-batch leaves `G` —
-    /// and the recorded trace — exactly as the per-transaction path's
-    /// immediate abort would, before the next batched transaction's
-    /// criteria run.
-    pub(crate) fn batch_abort_in_view(
-        &mut self,
-        view: &mut LogView<'_, S>,
-        tally: &mut BatchTally,
-    ) -> MachineResult<TxnId> {
-        debug_assert!(
-            self.frames.is_empty() && self.comps.is_empty(),
-            "batch abort on a handle with live scopes (group_route must exclude it)"
-        );
-        if self.code.is_none() {
-            return Err(MachineError::ThreadFinished(self.tid));
-        }
-        loop {
-            let last = match self.local.entries().last() {
-                None => break,
-                Some(e) => (e.op.id, e.flag.clone()),
-            };
-            match last.1 {
-                LocalFlag::Pulled => {
-                    self.unpull(last.0)?;
-                }
-                LocalFlag::Pushed { .. } => {
-                    self.batch_unpush_in_view(view, last.0, tally)?;
-                    self.unapp()?;
-                }
-                LocalFlag::NotPushed { .. } => {
-                    self.unapp()?;
-                }
-            }
-        }
-        let old = self.txn;
-        let txn = self.global.fresh_txn();
-        self.aborts += 1;
-        self.code = Some(self.original.clone());
-        self.stack = Vec::new();
-        self.txn = txn;
-        let tid = self.tid;
-        self.record(Event::Abort {
-            thread: tid,
-            txn: old,
-        });
-        self.record(Event::Begin { thread: tid, txn });
-        Ok(txn)
     }
 
     /// Pulls every *committed* global operation not yet in the local log,

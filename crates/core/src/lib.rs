@@ -67,6 +67,7 @@ pub mod arena;
 pub mod atomic;
 pub mod audit;
 pub mod certificate;
+mod criteria;
 pub mod error;
 pub mod faults;
 pub mod global;

@@ -7,10 +7,9 @@
 //!
 //! A routed single-shard PUSH or UNPUSH is, logically, a *request*: "run
 //! these criteria against your segment of `G` and, if they pass, apply
-//! the effect". [`execute_on_shard`] is that request's executor — the
-//! same audited criteria code the historical locked path ran, factored
-//! out of [`TxnHandle`](crate::handle::TxnHandle) so that *who* runs it
-//! becomes a deployment choice:
+//! the effect". [`critical_section`] is that request's one body — the
+//! criteria kernel plus the effect over a given view — so that *who*
+//! runs it, under *whose* lock, becomes a deployment choice:
 //!
 //! * [`LocalTransport`] runs it inline on the calling thread — the
 //!   existing mutex path, zero-cost and infallible.
@@ -74,6 +73,7 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread;
 use std::time::Duration;
 
+use crate::criteria::{self, Verdict};
 use crate::error::{MachineError, MachineResult};
 use crate::faults::TransportFault;
 use crate::global::{GlobalState, LogView, Route};
@@ -339,145 +339,71 @@ pub trait ShardTransport<S: SeqSpec>: fmt::Debug + Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// The shared executor: the audited criteria + effect of the single-shard
-// mutating rules, factored out of TxnHandle so both transports (and the
-// degraded coordinator path) run the exact same code.
+// The one request executor: every PUSH/UNPUSH critical section — direct,
+// group-held, shipped or degraded — is `critical_section` over some view.
 // ---------------------------------------------------------------------
 
-/// The audited PUSH criteria (ii)/(iii) over a held view — the locked
-/// evaluation used by the direct path (coarse routes, unreadable
-/// snapshots, stale speculations), by both transports' executors and by
-/// the degraded coordinator path.
+/// The critical section of one request over a *given* view: the criteria
+/// kernel (evaluate + record), then the effect. Who acquired `view` is
+/// the caller's business — the handle's direct path (one routed shard,
+/// or all of them when coarse), a group-commit batch's held section
+/// (`stamp` is then the cursor into its reserved block), a transport
+/// executor, or the degraded coordinator.
 ///
-/// Criterion (ii): every uncommitted op of other txns moves right of
-/// `op`. A single-shard view inspects only entries sharing op's
-/// footprint class — entries on other shards have disjoint declared
-/// footprints and are both-movers by the validated footprint law, so
-/// the verdict is identical.
-pub(crate) fn locked_push_criteria<S: SeqSpec>(
+/// `speculated` is a PUSH verdict already reached lock-free on the
+/// shard's snapshot and revalidated by the caller against the held
+/// shard's version; it is recorded in place of a locked evaluation.
+pub(crate) fn critical_section<S: SeqSpec>(
     global: &GlobalState<S>,
-    txn: TxnId,
-    audit_shard: usize,
-    view: &LogView<'_, S>,
-    op: &Op<S::Method, S::Ret>,
+    view: &mut LogView<'_, S>,
+    target: usize,
+    stamp: Option<&mut u64>,
+    req: &ShardRequest<S>,
+    speculated: Option<Verdict>,
 ) -> MachineResult<()> {
-    use crate::error::{Clause, Rule};
-    use crate::log::GlobalFlag;
-
-    if global.statically_discharged(Rule::Push, Clause::Ii) {
-        #[cfg(debug_assertions)]
-        for (_, g) in view.stamped() {
-            assert!(
-                g.flag != GlobalFlag::Uncommitted
-                    || g.op.txn == txn
-                    || global.spec().mover(&g.op, op),
-                "static discharge of PUSH (ii) contradicted dynamically: {} vs {}",
-                g.op.id,
-                op.id
-            );
-        }
-        global.audit.pass_static(Rule::Push, Clause::Ii);
-    } else {
-        for (_, g) in view.stamped() {
-            if g.flag == GlobalFlag::Uncommitted
-                && g.op.txn != txn
-                && !global.mover_q(audit_shard, &g.op, op)
-            {
-                global.audit.fail(Rule::Push, Clause::Ii);
-                return Err(MachineError::criterion(
-                    Rule::Push,
-                    Clause::Ii,
-                    format!(
-                        "uncommitted {} of {} cannot move right of {}",
-                        g.op.id, g.op.txn, op.id
-                    ),
-                ));
+    match req {
+        ShardRequest::Ping => {}
+        ShardRequest::Push {
+            txn,
+            audit_shard,
+            checked,
+            op,
+        } => {
+            if *checked {
+                speculated
+                    .unwrap_or_else(|| criteria::push(global, &*view, *txn, op))
+                    .settle(&global.audit, *audit_shard)?;
             }
+            let stamp = match stamp {
+                Some(cursor) => {
+                    *cursor += 1;
+                    *cursor - 1
+                }
+                None => global.reserve_stamps(1),
+            };
+            global.append_push(view, target, stamp, op.clone());
         }
-        global.audit.pass(Rule::Push, Clause::Ii);
+        ShardRequest::Unpush {
+            audit_shard,
+            checked,
+            check_gray,
+            op_id,
+        } => {
+            let (vidx, pos) = view.find(*op_id).ok_or(MachineError::NoSuchOp(*op_id))?;
+            if *checked {
+                criteria::unpush(global, &*view, &view.at(vidx, pos).op, *check_gray)
+                    .settle(&global.audit, *audit_shard)?;
+            }
+            global.remove_push(view, vidx, pos);
+        }
     }
-    // Criterion (iii): G allows op (incremental over the uncommitted
-    // suffix when the cache is on).
-    if !global.g_allows(view, audit_shard, op) {
-        global.audit.fail(Rule::Push, Clause::Iii);
-        return Err(MachineError::criterion(
-            Rule::Push,
-            Clause::Iii,
-            format!("global log does not allow {}", op.id),
-        ));
-    }
-    global.audit.pass(Rule::Push, Clause::Iii);
     Ok(())
 }
 
-/// The audited UNPUSH critical section over a held view: locate the
-/// entry, run the gray criterion (i) and criterion (ii), remove it.
-pub(crate) fn locked_unpush_in_view<S: SeqSpec>(
-    global: &GlobalState<S>,
-    audit_shard: usize,
-    view: &mut LogView<'_, S>,
-    op_id: OpId,
-    checked: bool,
-    check_gray: bool,
-) -> MachineResult<Op<S::Method, S::Ret>> {
-    use crate::error::{Clause, Rule};
-
-    let (vidx, gpos) = view.find(op_id).ok_or(MachineError::NoSuchOp(op_id))?;
-    let op = view.entry(op_id).expect("found above").op.clone();
-    let stamp = view.stamp_at(vidx, gpos);
-    if checked {
-        // Criterion (i), gray: op slides right across the suffix
-        // (everything stamped after it in the held shards; on other
-        // shards everything is a both-mover by footprint).
-        if check_gray {
-            if global.statically_discharged(Rule::UnPush, Clause::I) {
-                #[cfg(debug_assertions)]
-                for g in view.entries_after(stamp) {
-                    assert!(
-                        global.spec().mover(&op, &g.op),
-                        "static discharge of UNPUSH (i) contradicted dynamically: {} vs {}",
-                        op.id,
-                        g.op.id
-                    );
-                }
-                global.audit.pass_static(Rule::UnPush, Clause::I);
-            } else {
-                for g in view.entries_after(stamp) {
-                    if !global.mover_q(audit_shard, &op, &g.op) {
-                        global.audit.fail(Rule::UnPush, Clause::I);
-                        return Err(MachineError::criterion(
-                            Rule::UnPush,
-                            Clause::I,
-                            format!("{} cannot slide past later {}", op.id, g.op.id),
-                        ));
-                    }
-                }
-                global.audit.pass(Rule::UnPush, Clause::I);
-            }
-        }
-        // Criterion (ii): G without op is still allowed (incremental:
-        // an uncommitted op lies past the cached committed prefix, so
-        // only the suffix is replayed).
-        if !global.g_allowed_without(view, audit_shard, op_id) {
-            global.audit.fail(Rule::UnPush, Clause::Ii);
-            return Err(MachineError::criterion(
-                Rule::UnPush,
-                Clause::Ii,
-                format!("global log without {} is not allowed", op.id),
-            ));
-        }
-        global.audit.pass(Rule::UnPush, Clause::Ii);
-    }
-    global.remove_push(view, vidx, op_id).expect("found above");
-    Ok(op)
-}
-
-/// Executes one [`ShardRequest`] against `shard`: acquire the shard's
-/// critical section (re-routed to the coarse all-shard section if the
-/// sticky flag flipped) and run the audited criteria + effect.
-///
-/// Idempotent by construction — the crash-safe layer beneath the
-/// request-id memo table:
+/// Executes one *delivered* request over a given view. A delivery can
+/// repeat (retry, duplicate, lost reply), so the log itself is consulted
+/// first — the crash-safe idempotency layer beneath the request-id memo
+/// table:
 ///
 /// * a `Push` whose op id is already in the log was applied by an
 ///   earlier delivery of this same request (op ids are globally unique
@@ -486,54 +412,42 @@ pub(crate) fn locked_unpush_in_view<S: SeqSpec>(
 ///   earlier delivery (the client only unpushes entries it verified
 ///   `pshd`, and no one else removes another transaction's entry) →
 ///   `Done`.
+///
+/// Placement is preserved — the op lands on `target`, its routed shard,
+/// whatever the view — so healing back from the degraded path is sound.
+pub(crate) fn execute_in_view<S: SeqSpec>(
+    global: &GlobalState<S>,
+    view: &mut LogView<'_, S>,
+    target: usize,
+    req: &ShardRequest<S>,
+) -> ShardResponse {
+    let applied = match req {
+        ShardRequest::Ping => return ShardResponse::Pong,
+        ShardRequest::Push { op, .. } => view.entry(op.id).is_some(),
+        ShardRequest::Unpush { op_id, .. } => view.find(*op_id).is_none(),
+    };
+    if applied {
+        return ShardResponse::Done;
+    }
+    match critical_section(global, view, target, None, req, None) {
+        Ok(()) => ShardResponse::Done,
+        Err(e) => ShardResponse::Denied(e),
+    }
+}
+
+/// [`execute_in_view`] on `shard`'s own critical section (re-routed to
+/// the coarse all-shard section if the sticky flag flipped) — what both
+/// transports run.
 pub(crate) fn execute_on_shard<S: SeqSpec>(
     global: &GlobalState<S>,
     shard: usize,
     req: &ShardRequest<S>,
 ) -> ShardResponse {
-    match req {
-        ShardRequest::Ping => ShardResponse::Pong,
-        ShardRequest::Push {
-            txn,
-            audit_shard,
-            checked,
-            op,
-        } => {
-            let mut view = global.acquire_route(Route::Single(shard));
-            if view.entry(op.id).is_some() {
-                return ShardResponse::Done;
-            }
-            if *checked {
-                if let Err(e) = locked_push_criteria(global, *txn, *audit_shard, &view, op) {
-                    return ShardResponse::Denied(e);
-                }
-            }
-            global.append_push(&mut view, shard, op.clone());
-            ShardResponse::Done
-        }
-        ShardRequest::Unpush {
-            audit_shard,
-            checked,
-            check_gray,
-            op_id,
-        } => {
-            let mut view = global.acquire_route(Route::Single(shard));
-            if view.find(*op_id).is_none() {
-                return ShardResponse::Done;
-            }
-            match locked_unpush_in_view(
-                global,
-                *audit_shard,
-                &mut view,
-                *op_id,
-                *checked,
-                *check_gray,
-            ) {
-                Ok(_) => ShardResponse::Done,
-                Err(e) => ShardResponse::Denied(e),
-            }
-        }
+    if matches!(req, ShardRequest::Ping) {
+        return ShardResponse::Pong;
     }
+    let mut view = global.acquire_route(Route::Single(shard));
+    execute_in_view(global, &mut view, shard, req)
 }
 
 // ---------------------------------------------------------------------

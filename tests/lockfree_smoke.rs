@@ -16,7 +16,7 @@
 //! [`SnapCell`]: pushpull::core::snapcell::SnapCell
 
 use pushpull::core::lang::Code;
-use pushpull::core::machine::Machine;
+use pushpull::core::machine::{CheckMode, Machine};
 use pushpull::core::toy::{CounterMethod, ToyCounter};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
@@ -128,6 +128,19 @@ fn can_push_agrees_with_push_verdicts() {
     assert!(m.can_push(tb, b).expect("well-formed op"));
     m.push(tb, b).expect("push must agree with the prediction");
     m.commit(tb).expect("commit B");
+
+    // Bound-1 again, but `Unchecked`: PUSH skips its criteria there, so
+    // it accepts B's inc — and can_push, behind the same gate, says so.
+    let mut m = Machine::with_mode(ToyCounter::with_bound(1), CheckMode::Unchecked);
+    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let a = m.app_auto(ta).expect("app A");
+    m.push(ta, a).expect("push A");
+    m.commit(ta).expect("commit A");
+
+    let b = m.app_auto(tb).expect("app B");
+    assert!(m.can_push(tb, b).expect("well-formed op"));
+    m.push(tb, b).expect("push must agree with the prediction");
 }
 
 #[test]

@@ -22,11 +22,13 @@ use std::time::Duration;
 
 use pushpull::core::error::MachineError;
 use pushpull::core::faults::{FaultHook, FaultKind};
+use pushpull::core::global::GlobalState;
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::transport::{ShardRequest, ShardResponse, ShardTransport, TransportError};
 use pushpull::core::{FallbackMode, SeededBackoff, TransportConfig};
 use pushpull::harness::testutil::{assert_injection_accounted, assert_ledger_matches};
 use pushpull::harness::{run, FaultPlan, RoundRobin};
@@ -441,4 +443,66 @@ fn persistent_partition_fails_clean_without_coarse_fallback() {
     m.commit(t).unwrap();
     assert_eq!(m.committed_txns().len(), 1);
     assert_injection_accounted(&m.audit(), &plan.fired());
+}
+
+/// A misbehaving transport: it answers `Pong` — the reply to a probe —
+/// to every PUSH/UNPUSH, and its own probes fail.
+#[derive(Debug)]
+struct PongTransport(FallbackMode);
+
+impl<Sp: SeqSpec> ShardTransport<Sp> for PongTransport {
+    fn name(&self) -> &'static str {
+        "pong"
+    }
+
+    fn call(
+        &self,
+        _global: &GlobalState<Sp>,
+        _tid: ThreadId,
+        _shard: usize,
+        _req: ShardRequest<Sp>,
+    ) -> Result<ShardResponse, TransportError> {
+        Ok(ShardResponse::Pong)
+    }
+
+    fn probe(&self, _global: &GlobalState<Sp>, _tid: ThreadId, _shard: usize) -> bool {
+        false
+    }
+
+    fn fallback(&self) -> FallbackMode {
+        self.0
+    }
+}
+
+/// `ShardTransport` and `set_transport` are public, so a mismatched
+/// response must be handled like a failed delivery — degrade per the
+/// transport's fallback — not panic the caller.
+#[test]
+fn mismatched_response_is_a_failed_delivery() {
+    for fallback in [FallbackMode::Coarse, FallbackMode::Fail] {
+        let mut m: Machine<KvMap> = Machine::new(KvMap::new());
+        let t = m.add_thread(vec![Code::method(MapMethod::Put(0, 1))]);
+        m.global_state()
+            .set_transport(Some(Arc::new(PongTransport(fallback))));
+        let op = m.app_auto(t).unwrap();
+        match (fallback, m.push(t, op)) {
+            (FallbackMode::Coarse, Ok(())) => {
+                assert_eq!(m.transport_stats().degradations, 1);
+                assert_eq!(m.global().len(), 1, "coarse execution appended the op");
+                // Degraded now, and the probe keeps failing: UNPUSH and
+                // the second PUSH run on the coordinator.
+                m.unpush(t, op).unwrap();
+                assert_eq!(m.global().len(), 0);
+                m.push(t, op).unwrap();
+                m.commit(t).unwrap();
+                assert_eq!(m.committed_txns().len(), 1);
+            }
+            (FallbackMode::Fail, Err(MachineError::TransportExhausted { thread, shard })) => {
+                assert_eq!((thread, shard), (t, 0));
+                assert_eq!(m.transport_stats().degradations, 0);
+                assert_eq!(m.global().len(), 0, "the failed push appended nothing");
+            }
+            (_, other) => panic!("{fallback:?}: unexpected push outcome {other:?}"),
+        }
+    }
 }
