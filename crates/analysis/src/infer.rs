@@ -2,7 +2,7 @@
 //! sound footprint assignment, derived exhaustively from a spec's
 //! denotational semantics alone.
 //!
-//! The certifier ([`crate::certify`]) never trusts a hand-written
+//! The certifier ([`mod@crate::certify`]) never trusts a hand-written
 //! [`method_mover`](pushpull_core::spec::SeqSpec::method_mover) or
 //! [`method_keys`](pushpull_core::spec::SeqSpec::method_keys) override.
 //! Instead, for any spec that exposes both a finite
@@ -48,7 +48,7 @@ pub struct InferredSpec<M> {
     /// whole universe? For single-return methods the exhaustive mover
     /// is immune to universe-bound artifacts on the *return* side of
     /// the quantifier, which upgrades some findings from note to
-    /// warning (see [`crate::certify`]).
+    /// warning (see [`mod@crate::certify`]).
     pub single_ret: Vec<bool>,
 }
 

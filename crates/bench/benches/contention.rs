@@ -88,7 +88,7 @@ fn bench_contention(c: &mut Criterion) {
                             ReadPolicy::Snapshot,
                             Arc::clone(&cm2),
                         );
-                        drive(&mut sys, 5, |s| s.stats())
+                        drive(&mut sys, 5)
                     })
                 },
             );
@@ -101,7 +101,7 @@ fn bench_contention(c: &mut Criterion) {
                         ReadPolicy::Snapshot,
                         Arc::clone(&cm),
                     );
-                    drive(&mut sys, 5, |s| s.stats())
+                    drive(&mut sys, 5)
                 })
             });
         }
@@ -118,7 +118,7 @@ fn bench_contention(c: &mut Criterion) {
                 ReadPolicy::Snapshot,
                 cm,
             );
-            let (_, t) = drive(&mut sys, 5, |s| s.stats());
+            let (_, t) = drive(&mut sys, 5);
             assert_serializable(sys.machine());
             print_policy_row(&format!("transfers / {threads}T {name}"), &sys, t);
         }
@@ -133,7 +133,7 @@ fn bench_contention(c: &mut Criterion) {
                 ReadPolicy::Snapshot,
                 cm,
             );
-            let (_, t) = drive(&mut sys, 5, |s| s.stats());
+            let (_, t) = drive(&mut sys, 5);
             assert_serializable(sys.machine());
             print_policy_row(&format!("rmw-chains / {threads}T {name}"), &sys, t);
         }

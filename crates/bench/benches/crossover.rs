@@ -33,13 +33,13 @@ fn bench_crossover(c: &mut Criterion) {
             b.iter(|| {
                 let mut sys =
                     OptimisticSystem::new(RwMem::new(), w.rwmem_programs(), ReadPolicy::Snapshot);
-                drive(&mut sys, 3, |s| s.stats())
+                drive(&mut sys, 3)
             })
         });
         group.bench_function(BenchmarkId::new("htm", pct), |b| {
             b.iter(|| {
                 let mut sys = HtmSystem::new(w.rwmem_programs());
-                drive(&mut sys, 3, |s| s.stats())
+                drive(&mut sys, 3)
             })
         });
     }
@@ -54,15 +54,15 @@ fn bench_crossover(c: &mut Criterion) {
         let w = workload(pct as f64 / 100.0);
 
         let mut opt = OptimisticSystem::new(RwMem::new(), w.rwmem_programs(), ReadPolicy::Snapshot);
-        let (so, _) = drive(&mut opt, 3, |s| s.stats());
+        let (so, _) = drive(&mut opt, 3);
         assert_serializable(opt.machine());
 
         let mut ms = MatveevShavitSystem::new(RwMem::new(), w.rwmem_programs());
-        let (sm, _) = drive(&mut ms, 3, |s| s.stats());
+        let (sm, _) = drive(&mut ms, 3);
         assert_serializable(ms.machine());
 
         let mut htm = HtmSystem::new(w.rwmem_programs());
-        let (sh, _) = drive(&mut htm, 3, |s| s.stats());
+        let (sh, _) = drive(&mut htm, 3);
         assert_serializable(htm.machine());
 
         eprintln!(

@@ -33,14 +33,14 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("boosting-contended", threads), |b| {
             b.iter(|| {
                 let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_programs());
-                drive(&mut sys, 5, |s| s.stats())
+                drive(&mut sys, 5)
             })
         });
         group.bench_function(BenchmarkId::new("optimistic-contended", threads), |b| {
             b.iter(|| {
                 let mut sys =
                     OptimisticSystem::new(KvMap::new(), w.kvmap_programs(), ReadPolicy::Snapshot);
-                drive(&mut sys, 5, |s| s.stats())
+                drive(&mut sys, 5)
             })
         });
     }
@@ -51,20 +51,20 @@ fn bench_scaling(c: &mut Criterion) {
         let w = workload(threads);
         {
             let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_programs());
-            let (s, t) = drive(&mut sys, 5, |s| s.stats());
+            let (s, t) = drive(&mut sys, 5);
             assert_serializable(sys.machine());
             print_row(&format!("boosting   / {threads}T contended"), s, t);
         }
         {
             let mut sys =
                 OptimisticSystem::new(KvMap::new(), w.kvmap_programs(), ReadPolicy::Snapshot);
-            let (s, t) = drive(&mut sys, 5, |s| s.stats());
+            let (s, t) = drive(&mut sys, 5);
             assert_serializable(sys.machine());
             print_row(&format!("optimistic / {threads}T contended"), s, t);
         }
         {
             let mut sys = BoostingSystem::new(KvMap::new(), w.kvmap_disjoint_programs());
-            let (s, t) = drive(&mut sys, 5, |s| s.stats());
+            let (s, t) = drive(&mut sys, 5);
             assert_serializable(sys.machine());
             assert_eq!(s.aborts, 0);
             print_row(&format!("boosting   / {threads}T disjoint"), s, t);

@@ -25,7 +25,6 @@ use pushpull_core::lang::Code;
 use pushpull_harness::testutil::assert_ledger_closes;
 use pushpull_spec::kvmap::{KvMap, MapMethod};
 use pushpull_tm::boosting::BoostingSystem;
-use pushpull_tm::driver::TmSystem;
 
 /// `threads` threads × `txns` transactions, each putting a key owned by
 /// its thread and reading a key nobody writes: every ordered pair in the
@@ -59,18 +58,18 @@ fn conflict_heavy(threads: u64, txns: u64) -> Vec<Vec<Code<MapMethod>>> {
 fn run_once(programs: &[Vec<Code<MapMethod>>], plan: Option<&AnalysisPlan>, seed: u64) -> u64 {
     let mut sys = BoostingSystem::new(KvMap::new(), programs.to_vec());
     if let Some(plan) = plan {
-        sys.set_static_discharge(plan.discharge.clone());
+        sys.machine().set_static_discharge(plan.discharge.clone());
     }
-    let (stats, _) = drive(&mut sys, seed, |s| s.stats());
+    let (stats, _) = drive(&mut sys, seed);
     stats.commits
 }
 
 fn report(label: &str, programs: &[Vec<Code<MapMethod>>], plan: Option<&AnalysisPlan>) {
     let mut sys = BoostingSystem::new(KvMap::new(), programs.to_vec());
     if let Some(plan) = plan {
-        sys.set_static_discharge(plan.discharge.clone());
+        sys.machine().set_static_discharge(plan.discharge.clone());
     }
-    let (stats, ticks) = drive(&mut sys, 7, |s| s.stats());
+    let (stats, ticks) = drive(&mut sys, 7);
     assert_serializable(sys.machine());
     let audit = sys.machine().audit();
     eprintln!(
@@ -108,10 +107,12 @@ fn bench_static_elision(c: &mut Criterion) {
         // baseline's dynamic discharges, strictly fewer mover queries).
         {
             let mut base = BoostingSystem::new(KvMap::new(), heavy.to_vec());
-            drive(&mut base, 7, |s| s.stats());
+            drive(&mut base, 7);
             let mut armed = BoostingSystem::new(KvMap::new(), heavy.to_vec());
-            armed.set_static_discharge(heavy_plan.discharge.clone());
-            drive(&mut armed, 7, |s| s.stats());
+            armed
+                .machine()
+                .set_static_discharge(heavy_plan.discharge.clone());
+            drive(&mut armed, 7);
             assert_ledger_closes(
                 &armed.machine().audit(),
                 &base.machine().audit(),

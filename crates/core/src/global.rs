@@ -6,7 +6,7 @@
 //! ## The footprint-sharded log
 //!
 //! `G` is partitioned into `N` *footprint-addressed shards*, each a
-//! [`ShardLog`] behind its own [`Mutex`]: a segment of the global log
+//! `ShardLog` behind its own [`Mutex`]: a segment of the global log
 //! (its own `gUCmt`/`gCmt` entries), a parallel vector of *commit-sequence
 //! stamps*, and its own committed-prefix denotation cache. An operation is
 //! routed to shard `key % N` by [`SeqSpec::method_keys`], the declared
@@ -27,7 +27,7 @@
 //!
 //! ## Routing and the sticky coarse fallback
 //!
-//! [`GlobalState::route`] maps a method to a [`Route`]:
+//! `GlobalState::route` maps a method to a `Route`:
 //!
 //! * With one shard (the default), *everything* routes to shard 0 before
 //!   `method_keys` is even consulted — bit-identical to the historical
@@ -35,7 +35,7 @@
 //!   included.
 //! * With `N > 1` shards, a method declaring exactly one footprint key
 //!   `k` routes to shard `k % N`; a method with no declared footprint
-//!   (or a multi-key footprint) routes [`Route::Coarse`].
+//!   (or a multi-key footprint) routes `Route::Coarse`.
 //!
 //! The first coarse-routed operation sets a *sticky* flag: from then on
 //! every criteria evaluation acquires **all** shard locks in ascending
@@ -70,7 +70,7 @@
 //!
 //! Every PUSH evaluates `G allows op` and every UNPUSH evaluates
 //! `allowed (G ∖ op)`; replaying the whole log makes a run of `n`
-//! operations O(n²) in spec transitions. Each shard's [`PrefixCache`]
+//! operations O(n²) in spec transitions. Each shard's `PrefixCache`
 //! memoizes the denotation `⟦G_i[..len]⟧` of the longest *fully
 //! committed* prefix of that shard's segment. Because the denotation is
 //! compositional (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split
@@ -96,7 +96,7 @@
 //! ## The lock-free snapshot path (seqlock prefix reads)
 //!
 //! On top of the mutex ladder, every shard *publishes* an immutable
-//! [`ShardSnap`] — its committed-prefix denotation, its uncommitted
+//! `ShardSnap` — its committed-prefix denotation, its uncommitted
 //! suffix and a monotonically increasing per-shard `version` — into a
 //! [`SnapCell`] whenever it mutates (append, removal, commit flip). A
 //! routed PUSH evaluates its shared criteria (ii)/(iii) against that

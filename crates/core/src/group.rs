@@ -9,7 +9,7 @@
 //! acquisition per PUSH (minting one stamp under the lock) plus one per
 //! CMT. The batch path acquires the destination shard's lock once,
 //! reserves a contiguous stamp block of the batch's total op count
-//! ([`GlobalState::reserve_stamps`] — *after* acquiring the lock, so
+//! (`GlobalState::reserve_stamps` — *after* acquiring the lock, so
 //! every stamp already in the shard is strictly below the block's base),
 //! and then replays the transactions **one at a time, in batch order**,
 //! inside the held view: each transaction runs its full PUSH criteria
@@ -33,7 +33,7 @@
 //! matters for replay.
 //!
 //! Eligibility is conservative: every operation of the transaction must
-//! route [`Route::Single`] to one common shard, coarse mode must be off
+//! route `Route::Single` to one common shard, coarse mode must be off
 //! and no transport installed ([`TxnHandle::group_route`]); everything
 //! else falls back to the unchanged per-transaction path.
 

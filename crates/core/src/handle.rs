@@ -528,22 +528,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             return Err(MachineError::NoScope(self.tid));
         };
         match top.kind {
-            ScopeKind::Closed => {
-                let checked = self.mode() != CheckMode::Unchecked;
-                if checked
-                    && matches!(top.origin, ScopeOrigin::Peeled { .. })
-                    && !self.active_code()?.fin()
-                {
-                    self.global.audit.fail(Rule::Cmt, Clause::I);
-                    return Err(MachineError::criterion(
-                        Rule::Cmt,
-                        Clause::I,
-                        "no method-free path to skip remains in the nested scope".to_string(),
-                    ));
-                }
-                self.merge_top_frame();
-                Ok(())
-            }
+            ScopeKind::Closed => self.merge_closed_top(),
             ScopeKind::Open => {
                 self.fault_gate(Rule::Cmt)?;
                 self.commit_open_frame()
@@ -628,23 +613,9 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// closed frames merge (a peeled body must satisfy `fin`), open
     /// frames commit to `G` as their own transactions.
     fn exit_scopes_for_commit(&mut self) -> MachineResult<()> {
-        let checked = self.mode() != CheckMode::Unchecked;
         while let Some(top) = self.frames.last() {
             match top.kind {
-                ScopeKind::Closed => {
-                    if checked
-                        && matches!(top.origin, ScopeOrigin::Peeled { .. })
-                        && !self.active_code()?.fin()
-                    {
-                        self.global.audit.fail(Rule::Cmt, Clause::I);
-                        return Err(MachineError::criterion(
-                            Rule::Cmt,
-                            Clause::I,
-                            "no method-free path to skip remains in the nested scope".to_string(),
-                        ));
-                    }
-                    self.merge_top_frame();
-                }
+                ScopeKind::Closed => self.merge_closed_top()?,
                 ScopeKind::Open => self.commit_open_frame()?,
             }
         }
@@ -652,11 +623,25 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// Pops the innermost (closed) frame, merging its suffix into the
-    /// parent: entries stay exactly where they are in the flat log, the
-    /// continuation code is restored for peeled scopes, and
-    /// compensations owned by the merged scope transfer to its parent.
-    fn merge_top_frame(&mut self) {
-        let frame = self.frames.pop().expect("caller checked a frame exists");
+    /// parent — after CMT criterion (i) at the scope level: a peeled
+    /// body must satisfy `fin`. Entries stay exactly where they are in
+    /// the flat log, the continuation code is restored for peeled
+    /// scopes, and compensations owned by the merged scope transfer to
+    /// its parent.
+    fn merge_closed_top(&mut self) -> MachineResult<()> {
+        let top = self.frames.last().expect("caller checked a frame exists");
+        if self.mode() != CheckMode::Unchecked
+            && matches!(top.origin, ScopeOrigin::Peeled { .. })
+            && !self.active_code()?.fin()
+        {
+            self.global.audit.fail(Rule::Cmt, Clause::I);
+            return Err(MachineError::criterion(
+                Rule::Cmt,
+                Clause::I,
+                "no method-free path to skip remains in the nested scope".to_string(),
+            ));
+        }
+        let frame = self.frames.pop().expect("checked above");
         if let ScopeOrigin::Peeled { cont, .. } = frame.origin {
             self.code = Some(cont);
         }
@@ -667,6 +652,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         self.global.nesting_counters().note_merged();
+        Ok(())
     }
 
     /// Commits the innermost (open) frame's suffix to `G` as an
@@ -706,23 +692,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         // Derive the compensating inverse program *before* committing
         // anything: a non-invertible operation must fail the open
         // commit while the scope can still abort cleanly.
-        let mut inverses: Vec<(S::Method, S::Ret)> = Vec::new();
-        for e in &self.local.entries()[base..] {
-            if e.flag.is_pulled() {
-                continue;
-            }
-            match self.global.spec().inverse(&e.op) {
-                OpInverse::ReadOnly => {}
-                OpInverse::Inverse(m, r) => inverses.push((m, r)),
-                OpInverse::NotInvertible => {
-                    return Err(MachineError::NotInvertible {
-                        thread: tid,
-                        op: e.op.id,
-                    })
-                }
-            }
-        }
-        inverses.reverse();
+        let inverses = self.inverse_program(&self.local.entries()[base..])?;
         // The child's optimistic commit sequence: PUSH the unpushed
         // suffix in local order, with the full criteria and audit.
         let unpushed: Vec<OpId> = self.local.entries()[base..]
@@ -1763,19 +1733,14 @@ impl<S: SeqSpec> TxnHandle<S> {
     // Derived operations (compositions of back rules).
     // ------------------------------------------------------------------
 
-    /// Derives the compensating undo program for the transaction's live
-    /// local log: the spec-level inverse of every own (non-pulled) entry,
-    /// in reverse log order, read-only observations elided. This is the
-    /// undo log a boosted implementation would execute on abort; callers
-    /// that roll back via the back rules can use it for accounting or
-    /// cross-checking without mutating the handle. Tallies the derived
-    /// inverses in the global nesting counters.
-    ///
-    /// Errors with [`MachineError::NotInvertible`] if any live operation
-    /// has no spec-level inverse.
-    pub fn undo_program(&self) -> MachineResult<Vec<(S::Method, S::Ret)>> {
+    /// The spec-level inverse of every own (non-pulled) entry of
+    /// `entries`, in reverse order, read-only observations elided.
+    fn inverse_program(
+        &self,
+        entries: &[LocalEntry<S::Method, S::Ret>],
+    ) -> MachineResult<Vec<(S::Method, S::Ret)>> {
         let mut inverses: Vec<(S::Method, S::Ret)> = Vec::new();
-        for e in self.local.entries() {
+        for e in entries {
             if e.flag.is_pulled() {
                 continue;
             }
@@ -1791,6 +1756,21 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         inverses.reverse();
+        Ok(inverses)
+    }
+
+    /// Derives the compensating undo program for the transaction's live
+    /// local log: the spec-level inverse of every own (non-pulled) entry,
+    /// in reverse log order, read-only observations elided. This is the
+    /// undo log a boosted implementation would execute on abort; callers
+    /// that roll back via the back rules can use it for accounting or
+    /// cross-checking without mutating the handle. Tallies the derived
+    /// inverses in the global nesting counters.
+    ///
+    /// Errors with [`MachineError::NotInvertible`] if any live operation
+    /// has no spec-level inverse.
+    pub fn undo_program(&self) -> MachineResult<Vec<(S::Method, S::Ret)>> {
+        let inverses = self.inverse_program(self.local.entries())?;
         self.global
             .nesting_counters()
             .note_undo_inverses(inverses.len() as u64);

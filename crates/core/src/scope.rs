@@ -2,7 +2,7 @@
 //! nesting", and the Börger–Schewe multi-level transaction control
 //! model).
 //!
-//! A [`crate::handle::TxnHandle`] carries a stack of [`ScopeFrame`]s
+//! A [`crate::handle::TxnHandle`] carries a stack of `ScopeFrame`s
 //! over its *flat* local log `L`: frame `k` owns the log suffix starting
 //! at its `base_len`. Keeping `L` flat is what makes closed nesting
 //! observationally free — every PUSH/PULL/CMT criterion evaluates the
@@ -17,7 +17,7 @@
 //!   mechanism, now shared with `CheckpointOptimistic`.
 //! * An **open** scope commits *straight to `G`* as an independent
 //!   transaction (PUSH + CMT of its suffix under its own [`TxnId`]) and
-//!   registers a [`Compensation`] — the inverse program derived from the
+//!   registers a `Compensation` — the inverse program derived from the
 //!   spec's [`crate::spec::SeqSpec::inverse`] oracle — in the enclosing
 //!   scope's compensation set. If the enclosing transaction later
 //!   aborts, the handle replays the registered compensations in reverse

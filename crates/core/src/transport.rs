@@ -7,7 +7,7 @@
 //!
 //! A routed single-shard PUSH or UNPUSH is, logically, a *request*: "run
 //! these criteria against your segment of `G` and, if they pass, apply
-//! the effect". [`critical_section`] is that request's one body — the
+//! the effect". `critical_section` is that request's one body — the
 //! criteria kernel plus the effect over a given view — so that *who*
 //! runs it, under *whose* lock, becomes a deployment choice:
 //!
@@ -312,7 +312,7 @@ pub enum ShardResponse {
 
 /// Where shard critical sections execute. Implementations must be
 /// deterministic relays: the criteria themselves always run via
-/// [`execute_on_shard`], so any two transports agree bit-for-bit on
+/// `execute_on_shard`, so any two transports agree bit-for-bit on
 /// verdicts, audit tallies and stamps.
 pub trait ShardTransport<S: SeqSpec>: fmt::Debug + Send + Sync {
     /// Short name for stats and the watchdog dump.

@@ -98,110 +98,101 @@ pub struct WatchdogReport {
     /// One dump per model thread.
     pub threads: Vec<ThreadDump>,
     /// Shared-log `(acquires, contended)` lock counters at the time the
-    /// watchdog tripped, when the system exposes them — a livelock whose
-    /// `contended` tally keeps climbing is fighting over the log; one
-    /// whose tallies are flat is stuck outside it (driver metadata,
-    /// dependency waits).
-    pub lock_stats: Option<(u64, u64)>,
+    /// watchdog tripped — a livelock whose `contended` tally keeps
+    /// climbing is fighting over the log; one whose tallies are flat is
+    /// stuck outside it (driver metadata, dependency waits).
+    pub lock_stats: (u64, u64),
     /// Per-shard `(acquires, contended)`, ascending by shard index —
     /// pinpoints *which* shard a log-bound livelock is fighting over.
-    pub lock_stats_per_shard: Option<Vec<(u64, u64)>>,
-    /// Seqlock `(snapshot reads, retries, fallbacks)` counters, when the
-    /// system exposes them — a high fallback share means the lock-free
-    /// path is being defeated (coarse mode or write churn).
-    pub seqlock_stats: Option<(u64, u64, u64)>,
+    pub lock_stats_per_shard: Vec<(u64, u64)>,
+    /// Seqlock `(snapshot reads, retries, fallbacks)` counters — a high
+    /// fallback share means the lock-free path is being defeated (coarse
+    /// mode or write churn).
+    pub seqlock_stats: (u64, u64, u64),
     /// Arena `(live, capacity, reused)` occupancy across the shard logs.
-    pub arena_stats: Option<(u64, u64, u64)>,
-    /// Transport envelope counters, when a shard transport is installed —
-    /// a stall whose `timeouts` keep climbing with `degradations` still
-    /// zero means the retry envelope is absorbing a fault without ever
-    /// reaching the coarse fallback.
-    pub transport_stats: Option<pushpull_core::TransportStats>,
-    /// Group-commit batch counters, when the system runs the service
-    /// commit seam — a stall with `batches` flat but commit-ready work
-    /// queued means the batching stage itself is wedged.
-    pub group_stats: Option<pushpull_core::GroupStats>,
-    /// Nested-scope counters, when the system exposes them — a stall
-    /// with `scopes_opened` climbing but neither `scopes_merged` nor
-    /// `scopes_aborted` moving means threads keep re-entering a scope
-    /// they can never exit.
-    pub nesting_stats: Option<pushpull_core::NestingStats>,
+    pub arena_stats: (u64, u64, u64),
+    /// Transport envelope counters (all-zero with no shard transport
+    /// installed) — a stall whose `timeouts` keep climbing with
+    /// `degradations` still zero means the retry envelope is absorbing a
+    /// fault without ever reaching the coarse fallback.
+    pub transport_stats: pushpull_core::TransportStats,
+    /// Group-commit batch counters (all-zero unless the system runs the
+    /// service commit seam) — a stall with `batches` flat but
+    /// commit-ready work queued means the batching stage itself is
+    /// wedged.
+    pub group_stats: pushpull_core::GroupStats,
+    /// Nested-scope counters — a stall with `scopes_opened` climbing but
+    /// neither `scopes_merged` nor `scopes_aborted` moving means threads
+    /// keep re-entering a scope they can never exit.
+    pub nesting_stats: pushpull_core::NestingStats,
 }
 
 impl std::fmt::Display for WatchdogReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "watchdog: tick budget exhausted")?;
-        if let Some((acquires, contended)) = self.lock_stats {
+        let (acquires, contended) = self.lock_stats;
+        writeln!(
+            f,
+            "  shard locks: {acquires} acquires, {contended} contended"
+        )?;
+        // Ascending shard order: the dump is deterministic, diffable
+        // across runs of the same configuration.
+        for (i, (acquires, contended)) in self.lock_stats_per_shard.iter().enumerate() {
             writeln!(
                 f,
-                "  shard locks: {acquires} acquires, {contended} contended"
+                "    shard {i:<3} acquires={acquires:<9} contended={contended}"
             )?;
         }
-        if let Some(per_shard) = &self.lock_stats_per_shard {
-            // Ascending shard order: the dump is deterministic, diffable
-            // across runs of the same configuration.
-            for (i, (acquires, contended)) in per_shard.iter().enumerate() {
-                writeln!(
-                    f,
-                    "    shard {i:<3} acquires={acquires:<9} contended={contended}"
-                )?;
-            }
-        }
-        if let Some((reads, retries, fallbacks)) = self.seqlock_stats {
+        let (reads, retries, fallbacks) = self.seqlock_stats;
+        writeln!(
+            f,
+            "  seqlock: {reads} snapshot reads, {retries} retries, {fallbacks} fallbacks"
+        )?;
+        let (live, capacity, reused) = self.arena_stats;
+        writeln!(
+            f,
+            "  arena: {live} live / {capacity} slots, {reused} reused"
+        )?;
+        let t = self.transport_stats;
+        writeln!(
+            f,
+            "  transport: {} requests, {} retries, {} timeouts, {} degradations, {} recoveries",
+            t.requests, t.retries, t.timeouts, t.degradations, t.recoveries
+        )?;
+        let g = self.group_stats;
+        if g.batches > 0 {
             writeln!(
                 f,
-                "  seqlock: {reads} snapshot reads, {retries} retries, {fallbacks} fallbacks"
+                "  group commit: {} batches, {} txns, {} ops, {} locks saved",
+                g.batches, g.batched_txns, g.batched_ops, g.locks_saved
             )?;
-        }
-        if let Some((live, capacity, reused)) = self.arena_stats {
-            writeln!(
-                f,
-                "  arena: {live} live / {capacity} slots, {reused} reused"
-            )?;
-        }
-        if let Some(t) = self.transport_stats {
-            writeln!(
-                f,
-                "  transport: {} requests, {} retries, {} timeouts, {} degradations, {} recoveries",
-                t.requests, t.retries, t.timeouts, t.degradations, t.recoveries
-            )?;
-        }
-        if let Some(g) = self.group_stats {
-            if g.batches > 0 {
-                writeln!(
-                    f,
-                    "  group commit: {} batches, {} txns, {} ops, {} locks saved",
-                    g.batches, g.batched_txns, g.batched_ops, g.locks_saved
-                )?;
-                // Fixed ascending bucket order: deterministic output.
-                write!(f, "  batch sizes:")?;
-                for (i, count) in g.size_hist.iter().enumerate() {
-                    if *count > 0 {
-                        write!(
-                            f,
-                            " {}={}",
-                            pushpull_core::GroupStats::bucket_label(i),
-                            count
-                        )?;
-                    }
+            // Fixed ascending bucket order: deterministic output.
+            write!(f, "  batch sizes:")?;
+            for (i, count) in g.size_hist.iter().enumerate() {
+                if *count > 0 {
+                    write!(
+                        f,
+                        " {}={}",
+                        pushpull_core::GroupStats::bucket_label(i),
+                        count
+                    )?;
                 }
-                writeln!(f)?;
             }
+            writeln!(f)?;
         }
-        if let Some(n) = &self.nesting_stats {
-            if n.scopes_opened > 0 {
-                writeln!(
-                    f,
-                    "  nesting: {} opened, {} merged, {} aborted, {} open commits, \
-                     {} compensations, {} undo inverses",
-                    n.scopes_opened,
-                    n.scopes_merged,
-                    n.scopes_aborted,
-                    n.open_commits,
-                    n.compensations_replayed,
-                    n.undo_inverses
-                )?;
-            }
+        let n = &self.nesting_stats;
+        if n.scopes_opened > 0 {
+            writeln!(
+                f,
+                "  nesting: {} opened, {} merged, {} aborted, {} open commits, \
+                 {} compensations, {} undo inverses",
+                n.scopes_opened,
+                n.scopes_merged,
+                n.scopes_aborted,
+                n.open_commits,
+                n.compensations_replayed,
+                n.undo_inverses
+            )?;
         }
         for t in &self.threads {
             writeln!(
@@ -266,9 +257,9 @@ where
         // carrying both must land the certificate before the discharge
         // (and before any shard routing the caller set up is exercised).
         if plan.certificate.is_some() {
-            sys.install_certificate(plan.certificate.clone());
+            sys.machine().install_certificate(plan.certificate.clone());
         }
-        sys.set_static_discharge(plan.discharge.clone());
+        sys.machine().set_static_discharge(plan.discharge.clone());
     }
     let total_ticks = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -361,6 +352,7 @@ where
     }
     let all_done = summaries.iter().all(|s| s.done);
     let completed = all_done && sys.is_done();
+    let m = sys.machine();
     let watchdog = (!completed).then(|| WatchdogReport {
         threads: summaries
             .iter()
@@ -372,13 +364,13 @@ where
                 done: s.done,
             })
             .collect(),
-        lock_stats: sys.lock_stats(),
-        lock_stats_per_shard: sys.lock_stats_per_shard(),
-        seqlock_stats: sys.seqlock_stats(),
-        arena_stats: sys.arena_stats(),
-        transport_stats: sys.transport_stats(),
-        group_stats: sys.group_stats(),
-        nesting_stats: sys.nesting_stats(),
+        lock_stats: m.lock_stats(),
+        lock_stats_per_shard: m.lock_stats_per_shard(),
+        seqlock_stats: m.seqlock_stats(),
+        arena_stats: m.arena_stats(),
+        transport_stats: m.transport_stats(),
+        group_stats: m.group_stats(),
+        nesting_stats: m.nesting_stats(),
     });
     Ok((
         sys,
@@ -392,7 +384,7 @@ where
 
 /// [`run_parallel`] with the machine's shared log resharded into
 /// `shards` footprint shards first (see
-/// [`TmSystem::set_log_shards`](pushpull_tm::driver::TmSystem::set_log_shards)).
+/// [`Machine::set_log_shards`](pushpull_core::machine::Machine::set_log_shards)).
 ///
 /// Sharding changes only which lock a shared-log rule takes — commits,
 /// audit ledgers and oracle verdicts are identical at every shard count
@@ -417,7 +409,7 @@ where
     // on record before the shards are cut.
     if let Some(plan) = plan {
         if plan.certificate.is_some() {
-            sys.install_certificate(plan.certificate.clone());
+            sys.machine().install_certificate(plan.certificate.clone());
         }
     }
     sys.set_log_shards(shards);
@@ -428,7 +420,9 @@ where
 mod tests {
     use super::*;
     use pushpull_core::lang::Code;
+    use pushpull_core::machine::Machine;
     use pushpull_core::serializability::check_machine;
+    use pushpull_core::toy::ToyCounter;
     use pushpull_spec::kvmap::{KvMap, MapMethod};
     use pushpull_tm::boosting::BoostingSystem;
 
@@ -477,11 +471,14 @@ mod tests {
         }
     }
 
-    /// A two-thread system whose second worker panics on its third tick.
+    /// A two-thread system whose second worker panics on its third tick,
+    /// over an empty machine.
     #[derive(Debug)]
-    struct PanickySystem;
+    struct PanickySystem(Machine<ToyCounter>);
 
     impl pushpull_tm::driver::TmSystem for PanickySystem {
+        type MachineSpec = ToyCounter;
+
         fn tick(&mut self, _tid: pushpull_core::op::ThreadId) -> Result<Tick, MachineError> {
             Ok(Tick::Progress)
         }
@@ -493,6 +490,21 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "panicky"
+        }
+        fn stats(&self) -> pushpull_tm::driver::SystemStats {
+            Default::default()
+        }
+        fn machine(&self) -> &Machine<ToyCounter> {
+            &self.0
+        }
+        fn machine_mut(&mut self) -> &mut Machine<ToyCounter> {
+            &mut self.0
+        }
+        fn starvation(&self) -> Option<pushpull_tm::contention::StarvationReport> {
+            None
+        }
+        fn declared_pattern(&self) -> Option<pushpull_core::RulePattern> {
+            None
         }
     }
 
@@ -514,7 +526,8 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_thread_and_tick() {
-        let err = run_parallel(PanickySystem, 100_000, None).unwrap_err();
+        let sys = PanickySystem(Machine::new(ToyCounter::with_bound(1)));
+        let err = run_parallel(sys, 100_000, None).unwrap_err();
         match err {
             ParallelError::Panic {
                 thread,

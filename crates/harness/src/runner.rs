@@ -2,10 +2,8 @@
 //! statistics, serializability verdict, opacity verdict.
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
 use pushpull_core::opacity::{check_trace, OpacityVerdict};
 use pushpull_core::serializability::{check_machine, SerializabilityReport};
-use pushpull_core::spec::SeqSpec;
 use pushpull_tm::driver::{SystemStats, TmSystem};
 
 use crate::scheduler::{run, RandomSched, RunOutcome, Scheduler};
@@ -53,32 +51,27 @@ impl std::fmt::Display for RunReport {
     }
 }
 
-/// Runs `sys` under `sched` and produces the full report.
-///
-/// `stats` and `machine` accessors differ per system type, so callers
-/// pass closures; see [`run_reported`] for the common case.
+/// Runs `sys` under `sched` and produces the full report; see
+/// [`run_reported`] for the common seeded-random case.
 ///
 /// # Errors
 ///
 /// Propagates unexpected machine errors.
-pub fn run_with<T, S, Sp>(
+pub fn run_with<T, S>(
     sys: &mut T,
     sched: &mut S,
     max_ticks: usize,
-    stats: impl Fn(&T) -> SystemStats,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> Result<RunReport, MachineError>
 where
     T: TmSystem,
     S: Scheduler,
-    Sp: SeqSpec,
 {
     let outcome = run(sys, sched, max_ticks)?;
-    let m = machine(sys);
+    let m = sys.machine();
     Ok(RunReport {
         algorithm: sys.name(),
         outcome,
-        stats: stats(sys),
+        stats: sys.stats(),
         serializability: check_machine(m),
         opacity: check_trace(&m.trace()),
     })
@@ -89,18 +82,12 @@ where
 /// # Errors
 ///
 /// Propagates unexpected machine errors.
-pub fn run_reported<T, Sp>(
+pub fn run_reported<T: TmSystem>(
     sys: &mut T,
     seed: u64,
     max_ticks: usize,
-    stats: impl Fn(&T) -> SystemStats,
-    machine: impl Fn(&T) -> &Machine<Sp>,
-) -> Result<RunReport, MachineError>
-where
-    T: TmSystem,
-    Sp: SeqSpec,
-{
-    run_with(sys, &mut RandomSched::new(seed), max_ticks, stats, machine)
+) -> Result<RunReport, MachineError> {
+    run_with(sys, &mut RandomSched::new(seed), max_ticks)
 }
 
 #[cfg(test)]
@@ -119,7 +106,7 @@ mod tests {
                 vec![Code::method(MapMethod::Put(2, 2))],
             ],
         );
-        let report = run_reported(&mut sys, 7, 10_000, |s| s.stats(), |s| s.machine()).unwrap();
+        let report = run_reported(&mut sys, 7, 10_000).unwrap();
         assert!(report.outcome.completed);
         assert_eq!(report.stats.commits, 2);
         assert!(report.serializability.is_serializable());

@@ -6,7 +6,7 @@
 //! [`TxnServer`] owns one [`Machine`] with `workers × slots_per_worker`
 //! machine threads. Worker `w` exclusively owns the handle slots
 //! `[w·K, (w+1)·K)` **and** its own pre-dealt session queue (see
-//! [`assign_sessions`](crate::session::assign_sessions)), so a tick of
+//! [`assign_sessions`]), so a tick of
 //! one worker never touches another worker's state — the sequential
 //! [`TmSystem::tick`] drive and the OS-thread [`ParallelSystem`] drive
 //! run the very same per-worker function.
@@ -23,7 +23,7 @@
 //!    (e.g. a bank overdraft: retrying could never succeed);
 //! 4. **commit** — commit-ready slots are scheduled in destination-shard
 //!    order and committed through
-//!    [`commit_group`](pushpull_core::commit_group) (one shard-lock
+//!    [`commit_group`] (one shard-lock
 //!    acquisition and one contiguous stamp range per shard batch), or
 //!    one by one when batching is off or a transaction is ineligible.
 //!    The scheduling order is computed identically with batching on or
@@ -41,8 +41,11 @@ use pushpull_core::error::MachineError;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::{commit_group, GroupTxnResult, TxnHandle};
-use pushpull_tm::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
+use pushpull_core::{commit_group, GroupTxnResult, RulePattern, TxnHandle};
+use pushpull_tm::contention::StarvationReport;
+use pushpull_tm::driver::{
+    fold_machine_counters, full_rule_pattern, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
+};
 use pushpull_tm::util::pull_committed_lenient;
 
 use crate::proto::{SessionId, TxnResponse};
@@ -67,7 +70,7 @@ pub struct ServerConfig {
     /// of its worker's clock, regardless of capacity.
     pub arrival_period: u64,
     /// Seed for the admission assignment (see
-    /// [`assign_sessions`](crate::session::assign_sessions)).
+    /// [`assign_sessions`]).
     pub seed: u64,
     /// Record a [`TxnResponse`] log (off by default: a 10k-session drive
     /// doesn't want the allocation churn).
@@ -631,28 +634,12 @@ impl<S: SeqSpec> TxnServer<S> {
             .collect()
     }
 
-    /// Accumulated statistics: worker counters summed, machine-level
-    /// counters (locks, seqlock, arena, transport, group commit) read
-    /// from the machine.
+    /// Accumulated statistics: worker counters summed, the machine-owned
+    /// counters folded in (see [`fold_machine_counters`]), and the
+    /// group-commit family read from the machine.
     pub fn stats(&self) -> SystemStats {
         let mut stats: SystemStats = self.workers.iter().map(|w| w.stats).sum();
-        let (acquires, contended) = self.machine.lock_stats();
-        stats.lock_acquires = acquires;
-        stats.lock_contended = contended;
-        let (snap_reads, snap_retries, snap_fallbacks) = self.machine.seqlock_stats();
-        stats.snap_reads = snap_reads;
-        stats.snap_retries = snap_retries;
-        stats.snap_fallbacks = snap_fallbacks;
-        let (arena_live, arena_capacity, arena_reused) = self.machine.arena_stats();
-        stats.arena_live = arena_live;
-        stats.arena_capacity = arena_capacity;
-        stats.arena_reused = arena_reused;
-        let t = self.machine.transport_stats();
-        stats.transport_requests = t.requests;
-        stats.transport_retries = t.retries;
-        stats.transport_timeouts = t.timeouts;
-        stats.transport_degradations = t.degradations;
-        stats.transport_recoveries = t.recoveries;
+        fold_machine_counters(&self.machine, &mut stats);
         let g = self.machine.group_stats();
         stats.group_batches = g.batches;
         stats.group_txns = g.batched_txns;
@@ -663,6 +650,8 @@ impl<S: SeqSpec> TxnServer<S> {
 }
 
 impl<S: SeqSpec> TmSystem for TxnServer<S> {
+    type MachineSpec = S;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         let w = tid.0;
         if w >= self.workers.len() {
@@ -685,7 +674,27 @@ impl<S: SeqSpec> TmSystem for TxnServer<S> {
         "txn-server"
     }
 
-    pushpull_tm::forward_machine_hooks!();
+    fn stats(&self) -> SystemStats {
+        TxnServer::stats(self)
+    }
+
+    fn machine(&self) -> &Machine<S> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<S> {
+        &mut self.machine
+    }
+
+    /// The server retries on its own budget; it runs no contention
+    /// manager.
+    fn starvation(&self) -> Option<StarvationReport> {
+        None
+    }
+
+    fn declared_pattern(&self) -> Option<RulePattern> {
+        Some(full_rule_pattern())
+    }
 }
 
 impl<S> ParallelSystem for TxnServer<S>

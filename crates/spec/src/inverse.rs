@@ -21,7 +21,7 @@
 //! `Write` over an unknown previous value) have no context-free inverse,
 //! which is precisely why word-based STMs keep undo-logs — the inverse
 //! is manufactured from the recorded previous value, as
-//! [`MemInverse`](crate::rwmem::MemInverse) shows with `Prev`-carrying
+//! [`MemInverse`] shows with `Prev`-carrying
 //! rets.
 
 use pushpull_core::op::Op;

@@ -21,18 +21,14 @@
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
 use pushpull_core::op::{OpId, ThreadId};
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-    WaitVerdict,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::driver::{Algorithm, Driver, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 /// A transactional-boosting system over any [`ConflictKeyed`]
 /// specification.
@@ -63,162 +59,159 @@ use crate::util::{is_conflict, pull_committed_lenient};
 /// assert_eq!(sys.stats().aborts, 0);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct BoostingSystem<S: ConflictKeyed> {
-    machine: Machine<S>,
-    shared: BoostShared<S::LockKey>,
-    threads: Vec<BoostThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
-}
+pub type BoostingSystem<S> = Driver<Boosting<S>>;
 
-/// Boosting's cross-thread state: the abstract lock manager and the
-/// forced-abort test hook, each behind a short-held mutex.
+/// The boosting algorithm's cross-thread state: the abstract lock
+/// manager and the forced-abort test hook, each behind a short-held
+/// mutex. There is no per-thread state.
 #[derive(Debug)]
-struct BoostShared<K> {
-    locks: Mutex<AbstractLockManager<K>>,
+pub struct Boosting<S: ConflictKeyed> {
+    locks: Mutex<AbstractLockManager<S::LockKey>>,
     /// Thread indices that must abort at their next tick (test hook for
     /// the Figure 2 abort path).
     forced_aborts: Mutex<Vec<ThreadId>>,
 }
 
-/// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone, Default)]
-struct BoostThread {
-    stats: SystemStats,
-}
-
-fn abort_thread<S: ConflictKeyed>(
-    shared: &BoostShared<S::LockKey>,
-    h: &mut TxnHandle<S>,
-    t: &mut BoostThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    // §4's "UNPUSH is typically implemented via inverse operations":
-    // derive the undo log — the spec-level inverse of each live
-    // operation, in reverse order — before rewinding. The rollback
-    // itself still runs through the back rules (traces are unchanged);
-    // the derived program is what a boosted runtime would execute
-    // against the shared object, and it feeds the nesting counters.
-    // Specs without an inverse oracle fall back to plain rewind
-    // accounting.
-    let _undo = h.undo_program();
-    // Figure 2's abort path: UNPUSH; UNAPP in reverse order
-    // (rewind_all walks the local log from the tail), then unlock.
-    h.abort_and_retry()?;
-    shared
-        .locks
-        .lock()
-        .expect("lock manager poisoned")
-        .release_all(txn);
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
-
-fn blocked_thread<S: ConflictKeyed>(
-    shared: &BoostShared<S::LockKey>,
-    h: &mut TxnHandle<S>,
-    t: &mut BoostThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    t.stats.blocked_ticks += 1;
-    // The contention manager decides how long to tolerate push-wait /
-    // lock-wait livelocks the waits-for graph cannot see.
-    match gov.on_blocked() {
-        WaitVerdict::GiveUp => abort_thread(shared, h, t, gov),
-        WaitVerdict::Wait => Ok(Tick::Blocked),
-    }
-}
-
-/// One boosting tick for one thread: abstract locks are taken briefly per
-/// method; APP runs on the thread's own handle with no system-wide lock.
-fn tick_thread<S: ConflictKeyed>(
-    shared: &BoostShared<S::LockKey>,
-    h: &mut TxnHandle<S>,
-    t: &mut BoostThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill => return abort_thread(shared, h, t, gov),
-        Gate::Run => {}
-    }
-    {
-        let mut forced = shared
-            .forced_aborts
-            .lock()
-            .expect("forced-abort list poisoned");
-        if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
-            forced.remove(pos);
-            drop(forced);
-            return abort_thread(shared, h, t, gov);
+impl<S: ConflictKeyed> Clone for Boosting<S> {
+    fn clone(&self) -> Self {
+        Self {
+            locks: fork_mutex(&self.locks),
+            forced_aborts: fork_mutex(&self.forced_aborts),
         }
     }
-    let txn = h.txn();
-    // Commit once no method remains: boosting runs each transaction
-    // to completion in program order.
-    let options = h.step_options()?;
-    if options.is_empty() {
-        let committed = match h.commit() {
-            Ok(c) => c,
-            Err(e) if is_conflict(&e) => return abort_thread(shared, h, t, gov),
+}
+
+impl<S: ConflictKeyed> Boosting<S> {
+    fn blocked(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        t.stats.blocked_ticks += 1;
+        // The contention manager decides how long to tolerate push-wait /
+        // lock-wait livelocks the waits-for graph cannot see.
+        match gov.on_blocked() {
+            WaitVerdict::GiveUp => self.abort(h, t, gov),
+            WaitVerdict::Wait => Ok(Tick::Blocked),
+        }
+    }
+}
+
+impl<S: ConflictKeyed> Algorithm for Boosting<S> {
+    type Spec = S;
+    type Thread = ();
+
+    fn name(&self) -> &'static str {
+        "boosting"
+    }
+
+    /// One boosting tick: abstract locks are taken briefly per method;
+    /// APP runs on the thread's own handle with no system-wide lock.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        {
+            let mut forced = self
+                .forced_aborts
+                .lock()
+                .expect("forced-abort list poisoned");
+            if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
+                forced.remove(pos);
+                drop(forced);
+                return self.abort(h, t, gov);
+            }
+        }
+        let txn = h.txn();
+        // Commit once no method remains: boosting runs each transaction
+        // to completion in program order.
+        let options = h.step_options()?;
+        if options.is_empty() {
+            let committed = match h.commit() {
+                Ok(c) => c,
+                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+                Err(e) => return Err(e),
+            };
+            self.locks
+                .lock()
+                .expect("lock manager poisoned")
+                .release_all(committed);
+            t.stats.commits += 1;
+            gov.on_commit();
+            return Ok(Tick::Committed);
+        }
+        let (method, _) = &options[0];
+        // Acquire this method's abstract locks (2PL: held to commit).
+        for key in h.spec().lock_keys(method) {
+            // Bind the outcome first: matching on the locked expression would
+            // hold the guard across the abort path and self-deadlock.
+            let outcome = self
+                .locks
+                .lock()
+                .expect("lock manager poisoned")
+                .try_lock(txn, key);
+            match outcome {
+                LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
+                LockOutcome::Busy { .. } => return self.blocked(h, t, gov),
+                LockOutcome::WouldDeadlock { .. } => return self.abort(h, t, gov),
+            }
+        }
+        // Implicit PULL: refresh the committed shared view (the paper's
+        // "the local view is the same as the shared view").
+        pull_committed_lenient(h)?;
+        // APP, then immediately PUSH.
+        let method = method.clone();
+        let op: OpId = match h.app_method(&method) {
+            Ok(op) => op,
+            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
             Err(e) => return Err(e),
         };
-        shared
-            .locks
-            .lock()
-            .expect("lock manager poisoned")
-            .release_all(committed);
-        t.stats.commits += 1;
-        gov.on_commit();
-        return Ok(Tick::Committed);
-    }
-    let (method, _) = &options[0];
-    // Acquire this method's abstract locks (2PL: held to commit).
-    for key in h.spec().lock_keys(method) {
-        // Bind the outcome first: matching on the locked expression would
-        // hold the guard across the abort path and self-deadlock.
-        let outcome = shared
-            .locks
-            .lock()
-            .expect("lock manager poisoned")
-            .try_lock(txn, key);
-        match outcome {
-            LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
-            LockOutcome::Busy { .. } => return blocked_thread(shared, h, t, gov),
-            LockOutcome::WouldDeadlock { .. } => return abort_thread(shared, h, t, gov),
+        match h.push(op) {
+            Ok(()) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(e) if is_conflict(&e) => {
+                // Criterion (ii)/(iii) conflict the locks could not
+                // express: undo the APP and wait for the conflicting
+                // transaction to commit (abort if it takes too long).
+                h.unapp()?;
+                self.blocked(h, t, gov)
+            }
+            Err(e) => Err(e),
         }
     }
-    // Implicit PULL: refresh the committed shared view (the paper's
-    // "the local view is the same as the shared view").
-    pull_committed_lenient(h)?;
-    // APP, then immediately PUSH.
-    let method = method.clone();
-    let op: OpId = match h.app_method(&method) {
-        Ok(op) => op,
-        Err(MachineError::NoAllowedResult(_)) => return abort_thread(shared, h, t, gov),
-        Err(e) if is_conflict(&e) => return abort_thread(shared, h, t, gov),
-        Err(e) => return Err(e),
-    };
-    match h.push(op) {
-        Ok(()) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
-        }
-        Err(e) if is_conflict(&e) => {
-            // Criterion (ii)/(iii) conflict the locks could not
-            // express: undo the APP and wait for the conflicting
-            // transaction to commit (abort if it takes too long).
-            h.unapp()?;
-            blocked_thread(shared, h, t, gov)
-        }
-        Err(e) => Err(e),
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        // §4's "UNPUSH is typically implemented via inverse operations":
+        // derive the undo log — the spec-level inverse of each live
+        // operation, in reverse order — before rewinding. The rollback
+        // itself still runs through the back rules (traces are unchanged);
+        // the derived program is what a boosted runtime would execute
+        // against the shared object, and it feeds the nesting counters.
+        // Specs without an inverse oracle fall back to plain rewind
+        // accounting.
+        let _undo = h.undo_program();
+        // Figure 2's abort path: UNPUSH; UNAPP in reverse order
+        // (rewind_all walks the local log from the tail), then unlock.
+        h.abort_and_retry()?;
+        self.locks
+            .lock()
+            .expect("lock manager poisoned")
+            .release_all(txn);
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -235,43 +228,18 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
         programs: Vec<Vec<Code<S::Method>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
-            shared: BoostShared {
-                locks: Mutex::new(AbstractLockManager::new()),
-                forced_aborts: Mutex::new(Vec::new()),
-            },
-            threads: vec![BoostThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine (for oracles, traces, invariant checks).
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+        let alg = Boosting {
+            locks: Mutex::new(AbstractLockManager::new()),
+            forced_aborts: Mutex::new(Vec::new()),
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 
     /// Forces the thread's current transaction to abort at its next tick
     /// — the Figure 2 "if aborting" path, exercised by tests and the
     /// examples.
     pub fn force_abort(&mut self, tid: ThreadId) {
-        self.shared
+        self.algorithm()
             .forced_aborts
             .lock()
             .expect("forced-abort list poisoned")
@@ -279,109 +247,15 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
     }
 }
 
-impl<S: ConflictKeyed + Clone> Clone for BoostingSystem<S>
-where
-    S::LockKey: Clone,
-{
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            shared: BoostShared {
-                locks: Mutex::new(
-                    self.shared
-                        .locks
-                        .lock()
-                        .expect("lock manager poisoned")
-                        .clone(),
-                ),
-                forced_aborts: Mutex::new(
-                    self.shared
-                        .forced_aborts
-                        .lock()
-                        .expect("forced-abort list poisoned")
-                        .clone(),
-                ),
-            },
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl<S: ConflictKeyed> TmSystem for BoostingSystem<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.shared,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "boosting"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for BoostingSystem<S>
-where
-    S: ConflictKeyed + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-    S::LockKey: Send,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let shared = &self.shared;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(shared, h, t, gov)) as Worker<'_>)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::kvmap::{KvMap, MapMethod};
     use pushpull_spec::set::{SetMethod, SetSpec};
-
-    fn run_round_robin<S: ConflictKeyed>(sys: &mut BoostingSystem<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     #[test]
     fn disjoint_key_transactions_commit_without_aborts() {

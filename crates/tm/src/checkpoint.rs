@@ -14,26 +14,16 @@
 //! the paper's point that the model "permits threads to roll backwards to
 //! any execution point".
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-    WaitVerdict,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
+use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Begin,
-    Running,
-}
 
 /// An optimistic system with checkpoint-based partial aborts.
 ///
@@ -57,61 +47,20 @@ enum Phase {
 /// assert_eq!(sys.stats().commits, 1);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct CheckpointOptimistic<S: SeqSpec> {
-    machine: Machine<S>,
-    threads: Vec<CkptThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
-}
+pub type CheckpointOptimistic<S> = Driver<Checkpoint<S>>;
 
-impl<S: SeqSpec> Clone for CheckpointOptimistic<S>
-where
-    Machine<S>: Clone,
-{
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-/// Per-thread driver state, owned by exactly one worker. Checkpointing
-/// has no cross-thread driver state at all.
+/// The checkpointing algorithm: no cross-thread driver state at all.
 #[derive(Debug, Clone)]
-struct CkptThread {
+pub struct Checkpoint<S> {
+    spec: PhantomData<fn() -> S>,
+}
+
+/// Per-thread driver state, owned by exactly one worker.
+#[derive(Debug, Clone, Default)]
+pub struct CkptThread {
     phase: Phase,
-    stats: SystemStats,
     partial_rewinds: u64,
     ops_salvaged: u64,
-}
-
-impl Default for CkptThread {
-    fn default() -> Self {
-        Self {
-            phase: Phase::Begin,
-            stats: SystemStats::default(),
-            partial_rewinds: 0,
-            ops_salvaged: 0,
-        }
-    }
-}
-
-fn abort_thread<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut CkptThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    h.abort_and_retry()?;
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
 }
 
 /// Validates the thread's own operations against the current shared log,
@@ -134,98 +83,113 @@ fn first_invalid<S: SeqSpec>(h: &TxnHandle<S>) -> Option<usize> {
     None
 }
 
-/// One checkpointing tick for one thread: validation and partial rewinds
-/// run entirely on the thread's own handle against a consistent snapshot.
-fn tick_thread<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut CkptThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill => return abort_thread(h, t, gov),
-        Gate::Run => {}
+impl<S: SeqSpec> Algorithm for Checkpoint<S> {
+    type Spec = S;
+    type Thread = CkptThread;
+
+    fn name(&self) -> &'static str {
+        "checkpoint-optimistic"
     }
-    if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if !options.is_empty() {
-        let method = options[0].0.clone();
-        // The §6.2 placemarker: a checkpoint scope before every
-        // operation, so any suffix is later abortable on its own.
-        h.begin_checkpoint()?;
-        return match h.app_method(&method) {
-            Ok(_) => Ok(Tick::Progress),
-            Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
-                // Local view wedged: partial-abort to the checkpoint
-                // before the first invalid entry instead of a full
-                // abort.
-                match first_invalid(h) {
-                    Some(idx) => {
-                        let salvaged = idx as u64;
-                        h.abort_to_checkpoint(idx)?;
-                        pull_committed_lenient(h)?;
-                        t.partial_rewinds += 1;
-                        t.ops_salvaged += salvaged;
-                        Ok(Tick::Progress)
-                    }
-                    None => abort_thread(h, t, gov),
-                }
-            }
-            Err(e) => Err(e),
-        };
-    }
-    // Commit phase.
-    match first_invalid(h) {
-        None => match h.push_all_and_commit() {
-            Ok(_) => {
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
-            }
-            Err(e) if is_conflict(&e) => {
-                // Raced between validation and push: fall through to a
-                // partial rewind on the next tick — but let the
-                // contention manager bound the wait, since the conflict
-                // may be with another thread's *uncommitted* pushed
-                // ops, which validation cannot see: two threads whose
-                // uncommitted pushed ops conflict would otherwise block
-                // each other forever (`push_all_and_commit` does not
-                // unwind partial pushes). A full abort UNPUSHes
-                // everything and breaks the cycle.
-                t.stats.blocked_ticks += 1;
-                match gov.on_blocked() {
-                    WaitVerdict::GiveUp => abort_thread(h, t, gov),
-                    WaitVerdict::Wait => Ok(Tick::Blocked),
-                }
-            }
-            Err(e) => Err(e),
-        },
-        Some(idx) => {
-            // The §6.2 move: abort the scope suffix, UNAPPing only the
-            // invalidated operations.
-            let salvaged = idx as u64;
-            h.abort_to_checkpoint(idx)?;
+
+    /// One checkpointing tick: validation and partial rewinds run
+    /// entirely on the thread's own handle against a consistent snapshot.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<CkptThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if t.local.phase == Phase::Begin {
             pull_committed_lenient(h)?;
-            gov.on_progress();
-            t.partial_rewinds += 1;
-            t.ops_salvaged += salvaged;
-            Ok(Tick::Progress)
+            t.local.phase = Phase::Running;
+            return Ok(Tick::Progress);
         }
+        let options = h.step_options()?;
+        if !options.is_empty() {
+            let method = options[0].0.clone();
+            // The §6.2 placemarker: a checkpoint scope before every
+            // operation, so any suffix is later abortable on its own.
+            h.begin_checkpoint()?;
+            return match h.app_method(&method) {
+                Ok(_) => Ok(Tick::Progress),
+                Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
+                    // Local view wedged: partial-abort to the checkpoint
+                    // before the first invalid entry instead of a full
+                    // abort.
+                    match first_invalid(h) {
+                        Some(idx) => {
+                            let salvaged = idx as u64;
+                            h.abort_to_checkpoint(idx)?;
+                            pull_committed_lenient(h)?;
+                            t.local.partial_rewinds += 1;
+                            t.local.ops_salvaged += salvaged;
+                            Ok(Tick::Progress)
+                        }
+                        None => self.abort(h, t, gov),
+                    }
+                }
+                Err(e) => Err(e),
+            };
+        }
+        // Commit phase.
+        match first_invalid(h) {
+            None => match h.push_all_and_commit() {
+                Ok(_) => {
+                    t.local.phase = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => {
+                    // Raced between validation and push: fall through to a
+                    // partial rewind on the next tick — but let the
+                    // contention manager bound the wait, since the conflict
+                    // may be with another thread's *uncommitted* pushed
+                    // ops, which validation cannot see: two threads whose
+                    // uncommitted pushed ops conflict would otherwise block
+                    // each other forever (`push_all_and_commit` does not
+                    // unwind partial pushes). A full abort UNPUSHes
+                    // everything and breaks the cycle.
+                    t.stats.blocked_ticks += 1;
+                    match gov.on_blocked() {
+                        WaitVerdict::GiveUp => self.abort(h, t, gov),
+                        WaitVerdict::Wait => Ok(Tick::Blocked),
+                    }
+                }
+                Err(e) => Err(e),
+            },
+            Some(idx) => {
+                // The §6.2 move: abort the scope suffix, UNAPPing only the
+                // invalidated operations.
+                let salvaged = idx as u64;
+                h.abort_to_checkpoint(idx)?;
+                pull_committed_lenient(h)?;
+                gov.on_progress();
+                t.local.partial_rewinds += 1;
+                t.local.ops_salvaged += salvaged;
+                Ok(Tick::Progress)
+            }
+        }
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<CkptThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        h.abort_and_retry()?;
+        t.local.phase = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
 impl<S: SeqSpec> CheckpointOptimistic<S> {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention manager. Its `stats().aborts` counts *full*
+    /// aborts only; see [`CheckpointOptimistic::partial_rewinds`].
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
         Self::with_contention(spec, programs, default_manager())
     }
@@ -236,116 +200,31 @@ impl<S: SeqSpec> CheckpointOptimistic<S> {
         programs: Vec<Vec<Code<S::Method>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
-            threads: vec![CkptThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads). `aborts` counts
-    /// *full* aborts only; see [`CheckpointOptimistic::partial_rewinds`].
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+        Driver::host(Checkpoint { spec: PhantomData }, spec, programs, cm)
     }
 
     /// Conflicts resolved by rewinding to a checkpoint rather than
     /// restarting the transaction.
     pub fn partial_rewinds(&self) -> u64 {
-        self.threads.iter().map(|t| t.partial_rewinds).sum()
+        self.locals().map(|t| t.partial_rewinds).sum()
     }
 
     /// Operations that survived partial rewinds (work saved vs a full
     /// abort).
     pub fn ops_salvaged(&self) -> u64 {
-        self.threads.iter().map(|t| t.ops_salvaged).sum()
-    }
-}
-
-impl<S: SeqSpec> TmSystem for CheckpointOptimistic<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "checkpoint-optimistic"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for CheckpointOptimistic<S>
-where
-    S: SeqSpec + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(h, t, gov)) as Worker<'_>)
-            .collect()
+        self.locals().map(|t| t.ops_salvaged).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::counter::{Counter, CtrMethod};
     use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
-
-    fn run_round_robin<S: SeqSpec>(sys: &mut CheckpointOptimistic<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     #[test]
     fn clean_runs_commit_without_rewinds() {

@@ -442,8 +442,8 @@ impl ContentionState {
         }
     }
 
-    /// Folds the starvation counters into a stats value (drivers call
-    /// this from their `stats()`).
+    /// Folds the starvation counters into a stats value (called from
+    /// [`Driver::stats`](crate::driver::Driver::stats)).
     pub fn fold_into(&self, stats: &mut SystemStats) {
         let r = self.report();
         stats.degradations = r.degradations;

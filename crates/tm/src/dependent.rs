@@ -22,27 +22,18 @@
 //! is what makes their uncommitted effects visible for others to pull.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
 use pushpull_core::log::{GlobalFlag, LocalFlag};
-use pushpull_core::machine::Machine;
 use pushpull_core::op::{OpId, ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-    WaitVerdict,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::is_conflict;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Begin,
-    Running,
-}
+use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict};
 
 /// A dependent-transactions system.
 ///
@@ -71,38 +62,36 @@ enum Phase {
 /// assert_eq!(sys.stats().commits, 2);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
+pub type DependentSystem<S> = Driver<Dependent<S>>;
+
+/// The dependent-transactions algorithm: the early-release switch and
+/// the forced-abort test hook — the only cross-thread driver state.
 #[derive(Debug)]
-pub struct DependentSystem<S: SeqSpec> {
-    machine: Machine<S>,
+pub struct Dependent<S> {
     eager_release: bool,
-    /// Forced-abort test hook — the only cross-thread driver state.
     forced_aborts: Mutex<Vec<ThreadId>>,
-    threads: Vec<DepThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
+    spec: PhantomData<fn() -> S>,
+}
+
+impl<S> Clone for Dependent<S> {
+    fn clone(&self) -> Self {
+        Self {
+            eager_release: self.eager_release,
+            forced_aborts: fork_mutex(&self.forced_aborts),
+            spec: PhantomData,
+        }
+    }
 }
 
 /// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone)]
-struct DepThread {
+#[derive(Debug, Clone, Default)]
+pub struct DepThread {
     phase: Phase,
     /// Uncommitted operations this thread has pulled, with their owner.
     /// Ordered so the commit phase resolves dependencies in a
     /// deterministic (OpId) order under deterministic schedulers.
     deps: BTreeMap<OpId, TxnId>,
-    stats: SystemStats,
     partial_detangles: u64,
-}
-
-impl Default for DepThread {
-    fn default() -> Self {
-        Self {
-            phase: Phase::Begin,
-            deps: BTreeMap::new(),
-            stats: SystemStats::default(),
-            partial_detangles: 0,
-        }
-    }
 }
 
 /// Pulls every pullable global operation (committed or not) not yet in
@@ -196,117 +185,120 @@ fn detangle<S: SeqSpec>(
     }
 }
 
-fn abort_thread<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut DepThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    h.abort_and_retry()?;
-    t.deps.clear();
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
+impl<S: SeqSpec> Algorithm for Dependent<S> {
+    type Spec = S;
+    type Thread = DepThread;
 
-/// One dependent-transactions tick for one thread. PULLs and detangles
-/// take the machine's short critical sections; everything else runs on
-/// the thread's own handle.
-fn tick_thread<S: SeqSpec>(
-    eager_release: bool,
-    forced_aborts: &Mutex<Vec<ThreadId>>,
-    h: &mut TxnHandle<S>,
-    t: &mut DepThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
+    fn name(&self) -> &'static str {
+        "dependent"
+    }
+
+    /// One dependent-transactions tick. PULLs and detangles take the
+    /// machine's short critical sections; everything else runs on the
+    /// thread's own handle.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<DepThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        {
+            let mut forced = self
+                .forced_aborts
+                .lock()
+                .expect("forced-abort list poisoned");
+            if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
+                forced.remove(pos);
+                drop(forced);
+                return self.abort(h, t, gov);
+            }
         }
-        Gate::Kill => return abort_thread(h, t, gov),
-        Gate::Run => {}
-    }
-    {
-        let mut forced = forced_aborts.lock().expect("forced-abort list poisoned");
-        if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
-            forced.remove(pos);
-            drop(forced);
-            return abort_thread(h, t, gov);
+        if t.local.phase == Phase::Begin {
+            pull_everything(h, &mut t.local)?;
+            t.local.phase = Phase::Running;
+            return Ok(Tick::Progress);
         }
-    }
-    if t.phase == Phase::Begin {
-        pull_everything(h, t)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if !options.is_empty() {
-        pull_everything(h, t)?;
-        let method = options[0].0.clone();
-        let op = match h.app_method(&method) {
-            Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return abort_thread(h, t, gov),
-            Err(e) if is_conflict(&e) => return abort_thread(h, t, gov),
-            Err(e) => return Err(e),
-        };
-        if eager_release {
-            // Early release: publish if the criteria allow it.
-            match h.push(op) {
-                Ok(()) | Err(MachineError::Criterion(_)) => {}
+        let options = h.step_options()?;
+        if !options.is_empty() {
+            pull_everything(h, &mut t.local)?;
+            let method = options[0].0.clone();
+            let op = match h.app_method(&method) {
+                Ok(op) => op,
+                Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
+                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
                 Err(e) => return Err(e),
+            };
+            if self.eager_release {
+                // Early release: publish if the criteria allow it.
+                match h.push(op) {
+                    Ok(()) | Err(MachineError::Criterion(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            gov.on_progress();
+            return Ok(Tick::Progress);
+        }
+        // Commit phase: resolve dependencies first.
+        let dep_list: Vec<(OpId, TxnId)> = t.local.deps.iter().map(|(o, x)| (*o, *x)).collect();
+        for (dep, _owner) in dep_list {
+            match h.global_snapshot().entry(dep).map(|e| e.flag) {
+                Some(GlobalFlag::Committed) => {
+                    t.local.deps.remove(&dep);
+                }
+                Some(GlobalFlag::Uncommitted) => {
+                    // Still live: wait for it. The contention manager
+                    // decides when waiting turns into giving up — that is
+                    // what breaks cyclic dependencies.
+                    t.stats.blocked_ticks += 1;
+                    return match gov.on_blocked() {
+                        WaitVerdict::GiveUp => self.abort(h, t, gov),
+                        WaitVerdict::Wait => Ok(Tick::Blocked),
+                    };
+                }
+                None => {
+                    // The dependency aborted: cascade — detangle from it. If
+                    // the partial rewind cannot reach the vanished entry
+                    // (racing interleavings can wedge it), fall back to a
+                    // full abort.
+                    return match detangle(h, &mut t.local, dep) {
+                        Ok(()) => {
+                            t.local.deps.remove(&dep);
+                            gov.on_progress();
+                            Ok(Tick::Progress)
+                        }
+                        Err(MachineError::NoSuchOp(_)) | Err(MachineError::Criterion(_)) => {
+                            self.abort(h, t, gov)
+                        }
+                        Err(e) => Err(e),
+                    };
+                }
             }
         }
-        gov.on_progress();
-        return Ok(Tick::Progress);
+        match h.push_all_and_commit() {
+            Ok(_) => {
+                t.local.deps.clear();
+                t.local.phase = Phase::Begin;
+                t.stats.commits += 1;
+                gov.on_commit();
+                Ok(Tick::Committed)
+            }
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) => Err(e),
+        }
     }
-    // Commit phase: resolve dependencies first.
-    let dep_list: Vec<(OpId, TxnId)> = t.deps.iter().map(|(o, x)| (*o, *x)).collect();
-    for (dep, _owner) in dep_list {
-        match h.global_snapshot().entry(dep).map(|e| e.flag) {
-            Some(GlobalFlag::Committed) => {
-                t.deps.remove(&dep);
-            }
-            Some(GlobalFlag::Uncommitted) => {
-                // Still live: wait for it. The contention manager
-                // decides when waiting turns into giving up — that is
-                // what breaks cyclic dependencies.
-                t.stats.blocked_ticks += 1;
-                return match gov.on_blocked() {
-                    WaitVerdict::GiveUp => abort_thread(h, t, gov),
-                    WaitVerdict::Wait => Ok(Tick::Blocked),
-                };
-            }
-            None => {
-                // The dependency aborted: cascade — detangle from it. If
-                // the partial rewind cannot reach the vanished entry
-                // (racing interleavings can wedge it), fall back to a
-                // full abort.
-                return match detangle(h, t, dep) {
-                    Ok(()) => {
-                        t.deps.remove(&dep);
-                        gov.on_progress();
-                        Ok(Tick::Progress)
-                    }
-                    Err(MachineError::NoSuchOp(_)) | Err(MachineError::Criterion(_)) => {
-                        abort_thread(h, t, gov)
-                    }
-                    Err(e) => Err(e),
-                };
-            }
-        }
-    }
-    match h.push_all_and_commit() {
-        Ok(_) => {
-            t.deps.clear();
-            t.phase = Phase::Begin;
-            t.stats.commits += 1;
-            gov.on_commit();
-            Ok(Tick::Committed)
-        }
-        Err(e) if is_conflict(&e) => abort_thread(h, t, gov),
-        Err(e) => Err(e),
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<DepThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        h.abort_and_retry()?;
+        t.local.deps.clear();
+        t.local.phase = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -325,44 +317,24 @@ impl<S: SeqSpec> DependentSystem<S> {
         eager_release: bool,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = Dependent {
             eager_release,
             forced_aborts: Mutex::new(Vec::new()),
-            threads: vec![DepThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+            spec: PhantomData,
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 
     /// Partial rewinds performed to detangle from aborted dependencies.
     pub fn partial_detangles(&self) -> u64 {
-        self.threads.iter().map(|t| t.partial_detangles).sum()
+        self.locals().map(|t| t.partial_detangles).sum()
     }
 
     /// Current dependencies of a thread (uncommitted pulled operations).
     pub fn dependencies(&self, tid: ThreadId) -> Vec<(OpId, TxnId)> {
-        self.threads[tid.0]
+        self.locals()
+            .nth(tid.0)
+            .expect("thread index in range")
             .deps
             .iter()
             .map(|(o, t)| (*o, *t))
@@ -372,107 +344,23 @@ impl<S: SeqSpec> DependentSystem<S> {
     /// Forces the thread's current transaction to abort at its next tick
     /// (used to trigger dependency cascades in tests and examples).
     pub fn force_abort(&mut self, tid: ThreadId) {
-        self.forced_aborts
+        self.algorithm()
+            .forced_aborts
             .lock()
             .expect("forced-abort list poisoned")
             .push(tid);
     }
 }
 
-impl<S: SeqSpec + Clone> Clone for DependentSystem<S> {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            eager_release: self.eager_release,
-            forced_aborts: Mutex::new(
-                self.forced_aborts
-                    .lock()
-                    .expect("forced-abort list poisoned")
-                    .clone(),
-            ),
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl<S: SeqSpec> TmSystem for DependentSystem<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            self.eager_release,
-            &self.forced_aborts,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "dependent"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for DependentSystem<S>
-where
-    S: SeqSpec + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let eager_release = self.eager_release;
-        let forced_aborts = &self.forced_aborts;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| {
-                Box::new(move || tick_thread(eager_release, forced_aborts, h, t, gov)) as Worker<'_>
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::counter::{Counter, CtrMethod, CtrRet};
-
-    fn run_round_robin<S: SeqSpec>(sys: &mut DependentSystem<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     #[test]
     fn dependency_established_and_commit_gated() {

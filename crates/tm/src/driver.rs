@@ -1,5 +1,5 @@
 //! The common interface of transactional-memory systems built on the
-//! PUSH/PULL machine.
+//! PUSH/PULL machine, and the one skeleton that hosts an algorithm on it.
 //!
 //! Each algorithm class of §6 is a *system*: a machine plus whatever
 //! implementation state the algorithm keeps (abstract locks, version
@@ -9,6 +9,15 @@
 //! checker in `pushpull-harness` — decide which thread ticks next, which
 //! is precisely how interleavings arise in the model.
 //!
+//! §6 distinguishes its classes by *which PUSH/PULL rules fire when* and
+//! by the metadata each keeps — nothing else. The code is cut the same
+//! way: an [`Algorithm`] is shared metadata + per-thread state + one
+//! [`step`](Algorithm::step) and one [`abort`](Algorithm::abort);
+//! [`Driver`] is everything about *hosting* it that is the same for all
+//! ten — building the machine, the contention governors and their gate,
+//! statistics folding, cloning, the per-thread worker split and what a
+//! system exposes of its machine ([`TmSystem`]).
+//!
 //! Systems are `Clone` so the model checker can branch on scheduler
 //! choices; all shared implementation state therefore lives *inside* the
 //! system value (no `Arc` aliasing).
@@ -16,8 +25,12 @@
 use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
+use pushpull_core::machine::Machine;
 use pushpull_core::op::ThreadId;
-use pushpull_core::{RulePattern, StaticDischarge};
+use pushpull_core::spec::SeqSpec;
+use pushpull_core::{Code, RulePattern, TxnHandle};
+
+use crate::contention::{ContentionManager, ContentionState, Gate, Governor, StarvationReport};
 
 /// The rule pattern every driver in this crate declares: all seven rules.
 ///
@@ -50,14 +63,17 @@ pub enum Tick {
 
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
-/// Implementors: [`BoostingSystem`](crate::boosting::BoostingSystem),
-/// [`OptimisticSystem`](crate::optimistic::OptimisticSystem),
-/// [`MatveevShavitSystem`](crate::pessimistic::MatveevShavitSystem),
-/// [`IrrevocableSystem`](crate::irrevocable::IrrevocableSystem),
-/// [`DependentSystem`](crate::dependent::DependentSystem),
-/// [`HtmSystem`](crate::htm::HtmSystem) and
-/// [`MixedSystem`](crate::mixed::MixedSystem).
+/// A system *hands out its machine*: everything machine-level — static
+/// discharge facts, certificates, shard and transport configuration,
+/// lock/seqlock/arena/transport/group/nesting counters, the group-commit
+/// seam — is reached through [`machine`](TmSystem::machine) /
+/// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
+/// method. Implementors are [`Driver`] (the ten §6/§7 algorithm classes
+/// of this crate are aliases of it) and `pushpull_server::TxnServer`.
 pub trait TmSystem {
+    /// The sequential specification of the machine this system drives.
+    type MachineSpec: SeqSpec;
+
     /// Ticks one thread, performing a bounded burst of machine rules.
     ///
     /// # Errors
@@ -77,215 +93,35 @@ pub trait TmSystem {
     /// Short human-readable algorithm name (for reports).
     fn name(&self) -> &'static str;
 
-    /// Starvation metrics from the system's contention manager, for
-    /// systems that run one (all ten drivers do).
-    fn starvation(&self) -> Option<crate::contention::StarvationReport> {
-        None
-    }
+    /// Accumulated statistics: the system's own per-thread counters plus
+    /// the machine-owned ones (see [`fold_machine_counters`]).
+    fn stats(&self) -> SystemStats;
 
-    /// The §6 rule pattern this driver expects to exercise, checked by
+    /// The underlying machine (for oracles, traces, audits, counters and
+    /// the `&self` configuration seams such as
+    /// [`Machine::set_static_discharge`]).
+    fn machine(&self) -> &Machine<Self::MachineSpec>;
+
+    /// The underlying machine, mutably (resharding, the
+    /// [`Machine::commit_group`] seam).
+    fn machine_mut(&mut self) -> &mut Machine<Self::MachineSpec>;
+
+    /// Starvation metrics from the system's contention manager; `None`
+    /// for a system that runs none (the service front-end).
+    fn starvation(&self) -> Option<StarvationReport>;
+
+    /// The §6 rule pattern this system expects to exercise, checked by
     /// the static linter's `pattern-divergence` lint. `None` opts out of
-    /// the check; the in-crate drivers all return
-    /// [`full_rule_pattern`].
-    fn declared_pattern(&self) -> Option<RulePattern> {
-        None
-    }
+    /// the check; [`Driver`] returns [`full_rule_pattern`].
+    fn declared_pattern(&self) -> Option<RulePattern>;
 
-    /// Installs (or, with `None`, clears) statically proven criteria
-    /// facts on the underlying machine, so proven mover loops are elided
-    /// at runtime; see
-    /// [`GlobalState::set_static_discharge`](pushpull_core::GlobalState::set_static_discharge).
-    ///
-    /// The default is a no-op so wrapper systems without a machine still
-    /// implement the trait; every in-crate driver forwards to its
-    /// machine.
-    fn set_static_discharge(&self, _facts: Option<Arc<StaticDischarge>>) {}
-
-    /// Installs (or, with `None`, clears) a spec certificate on the
-    /// underlying machine — the machine-checked verdict that the spec's
-    /// footprint/mover declarations agree with the exhaustively derived
-    /// ground truth, which strict mode
-    /// ([`TmSystem::set_require_certificate`]) demands before arming any
-    /// unsafe fast path. The default is a no-op so wrapper systems
-    /// without a machine still implement the trait.
-    fn install_certificate(&self, _cert: Option<Arc<pushpull_core::SpecCertificate>>) {}
-
-    /// Turns strict certificate-gated arming on or off on the underlying
-    /// machine (see
-    /// [`Machine::set_require_certificate`](pushpull_core::Machine::set_require_certificate)).
-    /// The default is a no-op.
-    fn set_require_certificate(&self, _on: bool) {}
-
-    /// The certificate gate's diagnostics from the underlying machine
-    /// (refused arming requests, coarse demotions), or `None` for
-    /// systems without a machine.
-    fn arming_diagnostics(&self) -> Option<Vec<String>> {
-        None
-    }
-
-    /// Reshards the underlying machine's shared log into `shards`
-    /// footprint-addressed segments (see
-    /// [`Machine::set_log_shards`](pushpull_core::Machine::set_log_shards)).
-    /// Sharding changes the *cost* of the shared-rule critical sections,
-    /// never their verdicts; the default is a no-op so wrapper systems
-    /// without a machine still implement the trait.
-    fn set_log_shards(&mut self, _shards: usize) {}
-
-    /// Shard-lock contention counters from the underlying machine:
-    /// `(acquires, contended)` summed over shards, or `None` for systems
-    /// without a machine.
-    fn lock_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
-
-    /// Per-shard `(acquires, contended)` lock counters, indexed by shard,
-    /// or `None` for systems without a machine. Used by the watchdog's
-    /// deterministic per-shard dump.
-    fn lock_stats_per_shard(&self) -> Option<Vec<(u64, u64)>> {
-        None
-    }
-
-    /// Seqlock-path counters from the machine's lock-free criteria path:
-    /// `(snapshot reads, validation retries, fallbacks)`, or `None` for
-    /// systems without a machine.
-    fn seqlock_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
-
-    /// Arena occupancy of the machine's shard logs: `(live entries, slot
-    /// capacity, cumulative slot reuses)`, or `None` for systems without
-    /// a machine.
-    fn arena_stats(&self) -> Option<(u64, u64, u64)> {
-        None
-    }
-
-    /// Transport envelope counters from the machine's shard transport
-    /// seam (requests, retries, timeouts, degradations, recoveries), or
-    /// `None` for systems without a machine. All-zero when no transport
-    /// is installed.
-    fn transport_stats(&self) -> Option<pushpull_core::TransportStats> {
-        None
-    }
-
-    /// Group-commit batch counters from the underlying machine (batches
-    /// sealed, transactions/operations batched, lock acquisitions saved,
-    /// batch size histogram), or `None` for systems without a machine.
-    /// All-zero until the service commit seam batches something.
-    fn group_stats(&self) -> Option<pushpull_core::GroupStats> {
-        None
-    }
-
-    /// Nested-scope counters from the underlying machine (scopes opened /
-    /// merged / aborted, open-nested commits, compensations replayed,
-    /// undo inverses derived), or `None` for systems without a machine.
-    /// All-zero for programs that never nest.
-    fn nesting_stats(&self) -> Option<pushpull_core::NestingStats> {
-        None
-    }
-
-    /// The service-callable commit seam: commits the commit-ready
-    /// transactions of `tids` through the per-shard group-commit path
-    /// (one shard-lock acquisition and one contiguous stamp range per
-    /// batch), reporting ineligible threads back for the caller's
-    /// per-transaction fallback. `None` for systems without a machine —
-    /// the service front-end in `pushpull-server` requires a driver that
-    /// forwards this (all ten in-crate drivers do, via
-    /// `forward_machine_hooks!`).
-    ///
-    /// # Errors
-    ///
-    /// [`MachineError`] on duplicate or out-of-range `tids`.
-    fn service_commit_group(
-        &mut self,
-        _tids: &[ThreadId],
-    ) -> Option<Result<pushpull_core::GroupOutcome, MachineError>> {
-        None
+    /// Reshards the machine's shared log into `shards` footprint-addressed
+    /// segments (see [`Machine::set_log_shards`]). Sharding changes the
+    /// *cost* of the shared-rule critical sections, never their verdicts.
+    fn set_log_shards(&mut self, shards: usize) {
+        self.machine_mut().set_log_shards(shards);
     }
 }
-
-/// Forwards the machine-backed [`TmSystem`] hooks to `self.machine`.
-///
-/// Every in-crate driver keeps a `machine: Machine<…>` field and forwards
-/// `declared_pattern` / `set_static_discharge` / `install_certificate` /
-/// `set_require_certificate` / `arming_diagnostics` / `set_log_shards` /
-/// `lock_stats` / `lock_stats_per_shard` / `seqlock_stats` /
-/// `arena_stats` / `transport_stats` identically; invoke this inside the
-/// driver's `impl TmSystem for …` block instead of spelling out the
-/// methods.
-#[macro_export]
-macro_rules! forward_machine_hooks {
-    () => {
-        fn declared_pattern(&self) -> Option<pushpull_core::RulePattern> {
-            Some($crate::driver::full_rule_pattern())
-        }
-
-        fn set_static_discharge(
-            &self,
-            facts: Option<std::sync::Arc<pushpull_core::StaticDischarge>>,
-        ) {
-            self.machine.set_static_discharge(facts);
-        }
-
-        fn install_certificate(
-            &self,
-            cert: Option<std::sync::Arc<pushpull_core::SpecCertificate>>,
-        ) {
-            self.machine.install_certificate(cert);
-        }
-
-        fn set_require_certificate(&self, on: bool) {
-            self.machine.set_require_certificate(on);
-        }
-
-        fn arming_diagnostics(&self) -> Option<Vec<String>> {
-            Some(self.machine.arming_diagnostics())
-        }
-
-        fn set_log_shards(&mut self, shards: usize) {
-            self.machine.set_log_shards(shards);
-        }
-
-        fn lock_stats(&self) -> Option<(u64, u64)> {
-            Some(self.machine.lock_stats())
-        }
-
-        fn lock_stats_per_shard(&self) -> Option<Vec<(u64, u64)>> {
-            Some(self.machine.lock_stats_per_shard())
-        }
-
-        fn seqlock_stats(&self) -> Option<(u64, u64, u64)> {
-            Some(self.machine.seqlock_stats())
-        }
-
-        fn arena_stats(&self) -> Option<(u64, u64, u64)> {
-            Some(self.machine.arena_stats())
-        }
-
-        fn transport_stats(&self) -> Option<pushpull_core::TransportStats> {
-            Some(self.machine.transport_stats())
-        }
-
-        fn group_stats(&self) -> Option<pushpull_core::GroupStats> {
-            Some(self.machine.group_stats())
-        }
-
-        fn nesting_stats(&self) -> Option<pushpull_core::NestingStats> {
-            Some(self.machine.nesting_stats())
-        }
-
-        fn service_commit_group(
-            &mut self,
-            tids: &[pushpull_core::ThreadId],
-        ) -> Option<Result<pushpull_core::GroupOutcome, pushpull_core::error::MachineError>> {
-            Some(self.machine.commit_group(tids))
-        }
-    };
-}
-// `#[macro_export]` hoists the macro to the crate root
-// (`pushpull_tm::forward_machine_hooks`); this alias keeps the
-// historical `crate::driver::forward_machine_hooks!` path working for
-// the in-crate drivers.
-pub use forward_machine_hooks;
 
 /// A worker closure for one model thread: each call performs one tick on
 /// that thread, touching only its own [`TxnHandle`] and per-thread driver
@@ -310,6 +146,264 @@ pub type Worker<'a> = Box<dyn FnMut() -> Result<Tick, MachineError> + Send + 'a>
 pub trait ParallelSystem: TmSystem {
     /// Splits the system into one worker per model thread.
     fn workers(&mut self) -> Vec<Worker<'_>>;
+}
+
+/// One §6/§7 algorithm class: its shared metadata (the value itself),
+/// its per-thread state, and its rule pattern. [`Driver`] hosts it.
+///
+/// `step` and `abort` touch only the calling thread's [`TxnHandle`], its
+/// [`Slot`] and its [`Governor`], plus whatever `&self` metadata the
+/// algorithm guards behind its own short-held locks — the lock
+/// discipline [`ParallelSystem`] documents.
+pub trait Algorithm {
+    /// The sequential specification the algorithm runs over.
+    type Spec: SeqSpec;
+    /// Per-thread algorithm state (phase, read sets, dependencies, …),
+    /// owned by exactly one worker.
+    type Thread: Default;
+
+    /// Short human-readable algorithm name (for reports).
+    fn name(&self) -> &'static str;
+
+    /// One tick of the algorithm's rule pattern on a thread the governor
+    /// let run.
+    ///
+    /// # Errors
+    ///
+    /// As [`TmSystem::tick`].
+    fn step(
+        &self,
+        h: &mut TxnHandle<Self::Spec>,
+        t: &mut Slot<Self::Thread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError>;
+
+    /// Rolls the thread's transaction back through the algorithm's own
+    /// abort path (back rules, metadata release, bookkeeping) and reports
+    /// [`Tick::Aborted`]; also the response to an injected kill.
+    ///
+    /// # Errors
+    ///
+    /// As [`TmSystem::tick`].
+    fn abort(
+        &self,
+        h: &mut TxnHandle<Self::Spec>,
+        t: &mut Slot<Self::Thread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError>;
+
+    /// Called when the governor finds the thread out of transactions
+    /// (the pessimistic driver drops a commit token it may still hold).
+    fn on_done(&self, _h: &TxnHandle<Self::Spec>) {}
+
+    /// Does this thread never roll back? An injected kill on such a
+    /// thread degenerates to a stall of one tick (§6.4's irrevocable
+    /// transaction).
+    fn never_aborts(&self, _tid: ThreadId) -> bool {
+        false
+    }
+}
+
+/// One model thread's driver-side slot: the counters every algorithm
+/// keeps plus the algorithm's own per-thread state.
+#[derive(Debug, Clone, Default)]
+pub struct Slot<T> {
+    /// Commits, aborts and blocked ticks of this thread.
+    pub stats: SystemStats,
+    /// The algorithm's per-thread state.
+    pub local: T,
+}
+
+/// The begin/running phase most optimistic-style algorithms keep per
+/// thread: a transaction first takes its snapshot, then runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Phase {
+    /// Needs its begin-time snapshot.
+    #[default]
+    Begin,
+    /// Applying operations.
+    Running,
+}
+
+/// The skeleton hosting an [`Algorithm`] on a [`Machine`]: the one
+/// implementor of [`TmSystem`] and [`ParallelSystem`] in this crate. The
+/// ten public system names (`OptimisticSystem`, `BoostingSystem`, …) are
+/// aliases of `Driver<…>`, each adding its own `new`/`with_contention`.
+#[derive(Debug)]
+pub struct Driver<A: Algorithm> {
+    machine: Machine<A::Spec>,
+    alg: A,
+    threads: Vec<Slot<A::Thread>>,
+    contention: Arc<ContentionState>,
+    governors: Vec<Governor>,
+}
+
+impl<A: Algorithm> Driver<A> {
+    /// Hosts `alg` on a fresh machine over `spec`, running `programs[i]`
+    /// on thread `i` under contention manager `cm`.
+    pub(crate) fn host(
+        alg: A,
+        spec: A::Spec,
+        programs: Vec<Vec<Code<<A::Spec as SeqSpec>::Method>>>,
+        cm: Arc<dyn ContentionManager>,
+    ) -> Self {
+        let mut machine = Machine::new(spec);
+        let n = programs.len();
+        for p in programs {
+            machine.add_thread(p);
+        }
+        let contention = ContentionState::new(cm);
+        let governors = contention.governors(n);
+        Self {
+            machine,
+            alg,
+            threads: std::iter::repeat_with(Slot::default).take(n).collect(),
+            contention,
+            governors,
+        }
+    }
+
+    /// The underlying machine (for oracles, traces, invariant checks).
+    pub fn machine(&self) -> &Machine<A::Spec> {
+        &self.machine
+    }
+
+    /// Accumulated statistics: per-thread counters summed, the contention
+    /// manager's starvation counters and the machine-owned counters
+    /// folded in.
+    pub fn stats(&self) -> SystemStats {
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
+        self.contention.fold_into(&mut stats);
+        fold_machine_counters(&self.machine, &mut stats);
+        stats
+    }
+
+    /// The hosted algorithm's shared metadata.
+    pub(crate) fn algorithm(&self) -> &A {
+        &self.alg
+    }
+
+    /// The algorithm's per-thread states, in thread order.
+    pub(crate) fn locals(&self) -> impl Iterator<Item = &A::Thread> {
+        self.threads.iter().map(|t| &t.local)
+    }
+}
+
+impl<A> Clone for Driver<A>
+where
+    A: Algorithm + Clone,
+    A::Thread: Clone,
+    Machine<A::Spec>: Clone,
+{
+    /// Deep copy sharing nothing with the original: the contention state
+    /// is forked (same policy, zeroed token and metrics) and the
+    /// governors rebuilt against the fork.
+    fn clone(&self) -> Self {
+        let contention = self.contention.fork();
+        let governors = contention.governors(self.threads.len());
+        Self {
+            machine: self.machine.clone(),
+            alg: self.alg.clone(),
+            threads: self.threads.clone(),
+            contention,
+            governors,
+        }
+    }
+}
+
+/// One tick of one thread: the governor's gate, then the algorithm. The
+/// single function behind both [`TmSystem::tick`] and
+/// [`ParallelSystem::workers`].
+fn tick_thread<A: Algorithm>(
+    alg: &A,
+    h: &mut TxnHandle<A::Spec>,
+    t: &mut Slot<A::Thread>,
+    gov: &mut Governor,
+) -> Result<Tick, MachineError> {
+    match gov.gate(h) {
+        Gate::Done => {
+            alg.on_done(h);
+            Ok(Tick::Done)
+        }
+        Gate::Park => {
+            t.stats.blocked_ticks += 1;
+            Ok(Tick::Blocked)
+        }
+        Gate::Kill if alg.never_aborts(h.tid()) => {
+            t.stats.blocked_ticks += 1;
+            Ok(Tick::Blocked)
+        }
+        Gate::Kill => alg.abort(h, t, gov),
+        Gate::Run => alg.step(h, t, gov),
+    }
+}
+
+impl<A: Algorithm> TmSystem for Driver<A> {
+    type MachineSpec = A::Spec;
+
+    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
+        tick_thread(
+            &self.alg,
+            self.machine.handle_mut(tid)?,
+            &mut self.threads[tid.0],
+            &mut self.governors[tid.0],
+        )
+    }
+
+    fn thread_count(&self) -> usize {
+        self.machine.thread_count()
+    }
+
+    fn is_done(&self) -> bool {
+        (0..self.machine.thread_count()).all(|t| {
+            self.machine
+                .thread(ThreadId(t))
+                .map(|t| t.is_done())
+                .unwrap_or(true)
+        })
+    }
+
+    fn name(&self) -> &'static str {
+        self.alg.name()
+    }
+
+    fn stats(&self) -> SystemStats {
+        Driver::stats(self)
+    }
+
+    fn machine(&self) -> &Machine<A::Spec> {
+        &self.machine
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine<A::Spec> {
+        &mut self.machine
+    }
+
+    fn starvation(&self) -> Option<StarvationReport> {
+        Some(self.contention.report())
+    }
+
+    fn declared_pattern(&self) -> Option<RulePattern> {
+        Some(full_rule_pattern())
+    }
+}
+
+impl<A> ParallelSystem for Driver<A>
+where
+    A: Algorithm + Sync,
+    A::Thread: Send,
+    TxnHandle<A::Spec>: Send,
+{
+    fn workers(&mut self) -> Vec<Worker<'_>> {
+        let alg = &self.alg;
+        self.machine
+            .handles_mut()
+            .iter_mut()
+            .zip(self.threads.iter_mut())
+            .zip(self.governors.iter_mut())
+            .map(|((h, t), gov)| Box::new(move || tick_thread(alg, h, t, gov)) as Worker<'_>)
+            .collect()
+    }
 }
 
 /// Statistics every system accumulates, for the benchmark tables.
@@ -399,12 +493,9 @@ pub struct SystemStats {
 
 /// Folds the machine-owned shared counters — shard locks, seqlock path,
 /// arena occupancy, transport envelope, nested scopes — into `stats`:
-/// the common tail of every in-crate driver's `stats()`, deduplicated
-/// here so a new machine counter lands in all ten drivers at once.
-pub fn fold_machine_counters<S: pushpull_core::SeqSpec>(
-    machine: &pushpull_core::Machine<S>,
-    stats: &mut SystemStats,
-) {
+/// the common tail of [`Driver::stats`] and the service front-end's
+/// `stats()`, so a new machine counter lands in every system at once.
+pub fn fold_machine_counters<S: SeqSpec>(machine: &Machine<S>, stats: &mut SystemStats) {
     let (acquires, contended) = machine.lock_stats();
     stats.lock_acquires = acquires;
     stats.lock_contended = contended;

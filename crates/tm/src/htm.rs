@@ -16,23 +16,13 @@
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::ThreadId;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::HtmConflicts;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Begin,
-    Running,
-}
+use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 /// A simulated-HTM system over [`RwMem`].
 ///
@@ -57,122 +47,113 @@ enum Phase {
 /// assert_eq!(sys.stats().commits, 2);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
+pub type HtmSystem = Driver<Htm>;
+
+/// The simulated HTM: its cache-coherence machinery — the algorithm's
+/// only cross-thread state, behind a short-held mutex. Per thread, the
+/// begin/running [`Phase`].
 #[derive(Debug)]
-pub struct HtmSystem {
-    machine: Machine<RwMem>,
-    /// The simulated cache-coherence machinery — the algorithm's only
-    /// cross-thread state, behind a short-held mutex.
+pub struct Htm {
     tracker: Mutex<HtmConflicts<Loc>>,
-    threads: Vec<HtmThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
 }
 
-/// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone)]
-struct HtmThread {
-    phase: Phase,
-    stats: SystemStats,
-}
-
-impl Default for HtmThread {
-    fn default() -> Self {
+impl Clone for Htm {
+    fn clone(&self) -> Self {
         Self {
-            phase: Phase::Begin,
-            stats: SystemStats::default(),
+            tracker: fork_mutex(&self.tracker),
         }
     }
 }
 
-fn abort_thread(
-    tracker: &Mutex<HtmConflicts<Loc>>,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut HtmThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    h.abort_and_retry()?;
-    tracker
-        .lock()
-        .expect("conflict tracker poisoned")
-        .clear(txn);
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
+impl Algorithm for Htm {
+    type Spec = RwMem;
+    type Thread = Phase;
 
-/// One HTM tick for one thread: the conflict tracker is consulted briefly
-/// per access; APP runs on the thread's own handle with no system-wide
-/// lock.
-fn tick_thread(
-    tracker: &Mutex<HtmConflicts<Loc>>,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut HtmThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
+    fn name(&self) -> &'static str {
+        "htm-sim"
+    }
+
+    /// One HTM tick: the conflict tracker is consulted briefly per
+    /// access; APP runs on the thread's own handle with no system-wide
+    /// lock.
+    fn step(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<Phase>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if t.local == Phase::Begin {
+            pull_committed_lenient(h)?;
+            t.local = Phase::Running;
+            return Ok(Tick::Progress);
         }
-        Gate::Kill => return abort_thread(tracker, h, t, gov),
-        Gate::Run => {}
-    }
-    if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let txn = h.txn();
-    let options = h.step_options()?;
-    if options.is_empty() {
-        // Commit: publish the write buffer, then CMT; clear the
-        // access tracker either way.
-        return match h.push_all_and_commit() {
-            Ok(committed) => {
-                tracker
-                    .lock()
-                    .expect("conflict tracker poisoned")
-                    .clear(committed);
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
+        let txn = h.txn();
+        let options = h.step_options()?;
+        if options.is_empty() {
+            // Commit: publish the write buffer, then CMT; clear the
+            // access tracker either way.
+            return match h.push_all_and_commit() {
+                Ok(committed) => {
+                    self.tracker
+                        .lock()
+                        .expect("conflict tracker poisoned")
+                        .clear(committed);
+                    t.local = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) => Err(e),
+            };
+        }
+        let method = options[0].0;
+        // Injected hardware faults: a capacity overflow or a spurious
+        // coherence conflict aborts the transaction exactly as the real
+        // best-effort hardware would, before the access is even recorded.
+        if h.fault_at_htm_access().is_some() {
+            return self.abort(h, t, gov);
+        }
+        // Eager word-granularity conflict detection: the access that
+        // closes a conflict aborts its own transaction (requester-loses,
+        // as on real best-effort HTMs).
+        let access = {
+            let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
+            match method {
+                MemMethod::Read(l) => tr.record_read(txn, l),
+                MemMethod::Write(l, _) => tr.record_write(txn, l),
             }
-            Err(e) if is_conflict(&e) => abort_thread(tracker, h, t, gov),
-            Err(e) => Err(e),
         };
-    }
-    let method = options[0].0;
-    // Injected hardware faults: a capacity overflow or a spurious
-    // coherence conflict aborts the transaction exactly as the real
-    // best-effort hardware would, before the access is even recorded.
-    if h.fault_at_htm_access().is_some() {
-        return abort_thread(tracker, h, t, gov);
-    }
-    // Eager word-granularity conflict detection: the access that
-    // closes a conflict aborts its own transaction (requester-loses,
-    // as on real best-effort HTMs).
-    let access = {
-        let mut tr = tracker.lock().expect("conflict tracker poisoned");
-        match method {
-            MemMethod::Read(l) => tr.record_read(txn, l),
-            MemMethod::Write(l, _) => tr.record_write(txn, l),
+        if access.is_err() {
+            return self.abort(h, t, gov);
         }
-    };
-    if access.is_err() {
-        return abort_thread(tracker, h, t, gov);
-    }
-    match h.app_method(&method) {
-        Ok(_) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
+        match h.app_method(&method) {
+            Ok(_) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) => Err(e),
         }
-        Err(MachineError::NoAllowedResult(_)) => abort_thread(tracker, h, t, gov),
-        Err(e) if is_conflict(&e) => abort_thread(tracker, h, t, gov),
-        Err(e) => Err(e),
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<Phase>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        h.abort_and_retry()?;
+        self.tracker
+            .lock()
+            .expect("conflict tracker poisoned")
+            .clear(txn);
+        t.local = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -188,118 +169,21 @@ impl HtmSystem {
         programs: Vec<Vec<Code<MemMethod>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(RwMem::new());
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = Htm {
             tracker: Mutex::new(HtmConflicts::new()),
-            threads: vec![HtmThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-}
-
-impl Clone for HtmSystem {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            tracker: Mutex::new(
-                self.tracker
-                    .lock()
-                    .expect("conflict tracker poisoned")
-                    .clone(),
-            ),
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl TmSystem for HtmSystem {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.tracker,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "htm-sim"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl ParallelSystem for HtmSystem {
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let tracker = &self.tracker;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(tracker, h, t, gov)) as Worker<'_>)
-            .collect()
+        };
+        Driver::host(alg, RwMem::new(), programs, cm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn run_round_robin(sys: &mut HtmSystem, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
         vec![Code::seq_all(vec![

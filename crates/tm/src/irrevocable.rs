@@ -11,26 +11,17 @@
 //! the way. Optimistic threads behave exactly as in
 //! [`crate::optimistic`].
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
 use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
+use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
-
-/// Per-thread phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Begin,
-    Running,
-}
 
 /// A system with one irrevocable thread among optimistic ones.
 ///
@@ -59,172 +50,163 @@ enum Phase {
 /// assert_eq!(sys.irrevocable_aborts(), 0);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct IrrevocableSystem<S: SeqSpec> {
-    machine: Machine<S>,
+pub type IrrevocableSystem<S> = Driver<Irrevocable<S>>;
+
+/// The irrevocable algorithm: which thread is the pessimistic one. No
+/// cross-thread driver state exists at all — the machine's global log is
+/// the only shared structure.
+#[derive(Debug, Clone)]
+pub struct Irrevocable<S> {
     irrevocable: ThreadId,
-    threads: Vec<IrrThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
+    spec: PhantomData<fn() -> S>,
 }
 
 /// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone)]
-struct IrrThread {
+#[derive(Debug, Clone, Default)]
+pub struct IrrThread {
     phase: Phase,
-    stats: SystemStats,
     /// Aborts taken while irrevocable — must stay zero.
     irrevocable_aborts: u64,
 }
 
-impl Default for IrrThread {
-    fn default() -> Self {
-        Self {
-            phase: Phase::Begin,
-            stats: SystemStats::default(),
-            irrevocable_aborts: 0,
+impl<S: SeqSpec> Irrevocable<S> {
+    /// One tick of the pessimistic thread: eager APP;PUSH on its own
+    /// handle, waiting out (never aborting through) any conflict.
+    fn step_irrevocable(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<IrrThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let options = h.step_options()?;
+        if options.is_empty() {
+            // Everything is already pushed; CMT cannot fail for the
+            // irrevocable thread — an injected denial is waited out (never
+            // abort), and the retry next tick succeeds.
+            return match h.commit() {
+                Ok(_) => {
+                    t.local.phase = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => {
+                    t.stats.blocked_ticks += 1;
+                    Ok(Tick::Blocked)
+                }
+                Err(e) => Err(e),
+            };
         }
-    }
-}
-
-/// One tick of the pessimistic thread: eager APP;PUSH on its own handle,
-/// waiting out (never aborting through) any conflict.
-fn tick_irrevocable<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut IrrThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    if t.phase == Phase::Begin {
+        // Refresh committed view, then APP;PUSH eagerly.
         pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if options.is_empty() {
-        // Everything is already pushed; CMT cannot fail for the
-        // irrevocable thread — an injected denial is waited out (never
-        // abort), and the retry next tick succeeds.
-        return match h.commit() {
-            Ok(_) => {
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
+        let method = options[0].0.clone();
+        let op = match h.app_method(&method) {
+            Ok(op) => op,
+            Err(MachineError::NoAllowedResult(_)) => {
+                // A racing commit shifted the committed prefix between our
+                // PULL and APP; the snapshot will be consistent next tick.
+                t.stats.blocked_ticks += 1;
+                return Ok(Tick::Blocked);
             }
             Err(e) if is_conflict(&e) => {
+                // An injected APP denial: transient — retry next tick.
+                t.stats.blocked_ticks += 1;
+                return Ok(Tick::Blocked);
+            }
+            Err(e) => return Err(e),
+        };
+        match h.push(op) {
+            Ok(()) => Ok(Tick::Progress),
+            Err(e) if is_conflict(&e) => {
+                // An optimistic transaction is mid-commit: wait it out.
+                // (Never abort — undo the APP and retry the same method.)
+                h.unapp()?;
                 t.stats.blocked_ticks += 1;
                 Ok(Tick::Blocked)
             }
             Err(e) => Err(e),
-        };
+        }
     }
-    // Refresh committed view, then APP;PUSH eagerly.
-    pull_committed_lenient(h)?;
-    let method = options[0].0.clone();
-    let op = match h.app_method(&method) {
-        Ok(op) => op,
-        Err(MachineError::NoAllowedResult(_)) => {
-            // A racing commit shifted the committed prefix between our
-            // PULL and APP; the snapshot will be consistent next tick.
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Err(e) if is_conflict(&e) => {
-            // An injected APP denial: transient — retry next tick.
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Err(e) => return Err(e),
-    };
-    match h.push(op) {
-        Ok(()) => Ok(Tick::Progress),
-        Err(e) if is_conflict(&e) => {
-            // An optimistic transaction is mid-commit: wait it out.
-            // (Never abort — undo the APP and retry the same method.)
-            h.unapp()?;
-            t.stats.blocked_ticks += 1;
-            Ok(Tick::Blocked)
-        }
-        Err(e) => Err(e),
-    }
-}
 
-/// One tick of an optimistic thread, exactly as in [`crate::optimistic`].
-fn tick_optimistic<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut IrrThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if options.is_empty() {
-        return match h.push_all_and_commit() {
+    /// One tick of an optimistic thread, exactly as in
+    /// [`crate::optimistic`].
+    fn step_optimistic(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<IrrThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let options = h.step_options()?;
+        if options.is_empty() {
+            return match h.push_all_and_commit() {
+                Ok(_) => {
+                    t.local.phase = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) => Err(e),
+            };
+        }
+        let method = options[0].0.clone();
+        match h.app_method(&method) {
             Ok(_) => {
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
+                gov.on_progress();
+                Ok(Tick::Progress)
             }
-            Err(e) if is_conflict(&e) => abort_optimistic(h, t, gov),
+            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
             Err(e) => Err(e),
-        };
-    }
-    let method = options[0].0.clone();
-    match h.app_method(&method) {
-        Ok(_) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
         }
-        Err(MachineError::NoAllowedResult(_)) => abort_optimistic(h, t, gov),
-        Err(e) if is_conflict(&e) => abort_optimistic(h, t, gov),
-        Err(e) => Err(e),
     }
 }
 
-fn abort_optimistic<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut IrrThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    h.abort_and_retry()?;
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
+impl<S: SeqSpec> Algorithm for Irrevocable<S> {
+    type Spec = S;
+    type Thread = IrrThread;
 
-/// One tick for one thread; dispatches on whether this is the
-/// irrevocable thread. No cross-thread driver state exists at all — the
-/// machine's global log is the only shared structure.
-fn tick_thread<S: SeqSpec>(
-    irrevocable: ThreadId,
-    h: &mut TxnHandle<S>,
-    t: &mut IrrThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill if h.tid() != irrevocable => return abort_optimistic(h, t, gov),
-        Gate::Kill => {
-            // The irrevocable thread never aborts — an injected kill
-            // degenerates to a stall of one tick.
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Run => {}
+    fn name(&self) -> &'static str {
+        "irrevocable"
     }
-    if h.tid() == irrevocable {
-        tick_irrevocable(h, t, gov)
-    } else {
-        tick_optimistic(h, t, gov)
+
+    /// One tick for one thread; dispatches on whether this is the
+    /// irrevocable thread.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<IrrThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if t.local.phase == Phase::Begin {
+            pull_committed_lenient(h)?;
+            t.local.phase = Phase::Running;
+            return Ok(Tick::Progress);
+        }
+        if h.tid() == self.irrevocable {
+            self.step_irrevocable(h, t, gov)
+        } else {
+            self.step_optimistic(h, t, gov)
+        }
+    }
+
+    /// The optimistic threads' abort path; the governor never routes the
+    /// irrevocable thread here (see [`Algorithm::never_aborts`]).
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<IrrThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        h.abort_and_retry()?;
+        t.local.phase = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
+    }
+
+    fn never_aborts(&self, tid: ThreadId) -> bool {
+        tid == self.irrevocable
     }
 }
 
@@ -254,131 +236,29 @@ impl<S: SeqSpec> IrrevocableSystem<S> {
             irrevocable.0 < programs.len(),
             "irrevocable thread out of range"
         );
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = Irrevocable {
             irrevocable,
-            threads: vec![IrrThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+            spec: PhantomData,
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 
     /// Aborts taken by the irrevocable thread — must always be zero; kept
     /// as an observable so tests state it as an assertion, not an
     /// assumption.
     pub fn irrevocable_aborts(&self) -> u64 {
-        self.threads.iter().map(|t| t.irrevocable_aborts).sum()
-    }
-}
-
-impl<S: SeqSpec> Clone for IrrevocableSystem<S>
-where
-    Machine<S>: Clone,
-{
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            irrevocable: self.irrevocable,
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl<S: SeqSpec> TmSystem for IrrevocableSystem<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            self.irrevocable,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "irrevocable"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for IrrevocableSystem<S>
-where
-    S: SeqSpec + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let irrevocable = self.irrevocable;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| {
-                Box::new(move || tick_thread(irrevocable, h, t, gov)) as Worker<'_>
-            })
-            .collect()
+        self.locals().map(|t| t.irrevocable_aborts).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
-
-    fn run_round_robin<S: SeqSpec>(sys: &mut IrrevocableSystem<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     fn rw_prog(l: u32, v: i64) -> Vec<Code<MemMethod>> {
         vec![Code::seq_all(vec![

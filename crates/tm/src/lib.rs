@@ -19,7 +19,10 @@
 //! | 7 | [`htm::HtmSystem`] | simulated word-granularity eager-conflict HTM |
 //! | 7 | [`mixed::MixedSystem`] | boosted objects + HTM words in one transaction, partial HTM rewind |
 //!
-//! Every system implements [`driver::TmSystem`]; schedulers and the
+//! Each row is an [`driver::Algorithm`] — shared metadata, per-thread
+//! state, one `step` and one `abort` — and each system name is an alias
+//! of [`driver::Driver`], the one skeleton that hosts an algorithm on the
+//! machine and implements [`driver::TmSystem`]; schedulers and the
 //! model checker live in `pushpull-harness`. Because the machine checks
 //! every rule criterion, each system is serializable by construction on
 //! every run — the serializability oracle re-verifies this in the tests.
@@ -51,7 +54,9 @@ pub use contention::{
     WaitVerdict,
 };
 pub use dependent::DependentSystem;
-pub use driver::{full_rule_pattern, ParallelSystem, SystemStats, Tick, TmSystem, Worker};
+pub use driver::{
+    full_rule_pattern, Algorithm, Driver, ParallelSystem, Slot, SystemStats, Tick, TmSystem, Worker,
+};
 pub use htm::HtmSystem;
 pub use irrevocable::IrrevocableSystem;
 pub use mixed::MixedSystem;

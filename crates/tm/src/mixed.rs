@@ -19,8 +19,7 @@ use std::sync::{Arc, Mutex};
 use pushpull_core::error::MachineError;
 use pushpull_core::faults::HtmFault;
 use pushpull_core::log::LocalFlag;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::{OpId, ThreadId};
+use pushpull_core::op::OpId;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
 use pushpull_ds::memory::HtmConflicts;
@@ -31,12 +30,9 @@ use pushpull_spec::rwmem::{Loc, MemMethod, MemRet, RwMem};
 use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-    WaitVerdict,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 /// The §7 composite specification: `((skiplist, hashT), (size, memory))`.
 pub type MixedSpec = Product<Product<SetSpec, KvMap>, Product<Counter, RwMem>>;
@@ -106,12 +102,6 @@ fn htm_access(m: &MixedMethod) -> Option<(HtmWord, bool)> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Begin,
-    Running,
-}
-
 /// The mixed Boosting + HTM driver.
 ///
 /// # Examples
@@ -135,111 +125,170 @@ enum Phase {
 /// assert_eq!(sys.stats().commits, 1);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct MixedSystem {
-    machine: Machine<MixedSpec>,
-    shared: MixedShared,
-    threads: Vec<MixedThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
-}
+pub type MixedSystem = Driver<Mixed>;
 
-/// The mixed driver's cross-thread state: abstract locks for the boosted
-/// components, the simulated HTM tracker for the word components. Each
-/// sits behind a short-held mutex.
+/// The mixed algorithm's cross-thread state: abstract locks for the
+/// boosted components, the simulated HTM tracker for the word components.
+/// Each sits behind a short-held mutex.
 #[derive(Debug)]
-struct MixedShared {
+pub struct Mixed {
     locks: Mutex<AbstractLockManager<<MixedSpec as ConflictKeyed>::LockKey>>,
     tracker: Mutex<HtmConflicts<HtmWord>>,
 }
 
+impl Clone for Mixed {
+    fn clone(&self) -> Self {
+        Self {
+            locks: fork_mutex(&self.locks),
+            tracker: fork_mutex(&self.tracker),
+        }
+    }
+}
+
 /// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone)]
-struct MixedThread {
+#[derive(Debug, Clone, Default)]
+pub struct MixedThread {
     phase: Phase,
-    stats: SystemStats,
     partial_htm_aborts: u64,
 }
 
-impl Default for MixedThread {
-    fn default() -> Self {
-        Self {
-            phase: Phase::Begin,
-            stats: SystemStats::default(),
-            partial_htm_aborts: 0,
+impl Mixed {
+    /// The §7 move: discard trailing (necessarily HTM) unpushed effects
+    /// while leaving the pushed boosted effects in the shared view, then
+    /// resume forward execution. Re-records the surviving HTM accesses.
+    fn partial_htm_abort(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        // UNAPP the trailing npshd entries (HTM ops are npshd until
+        // commit; boosted ops are pushed at APP, so a pshd entry is the
+        // rewind boundary).
+        loop {
+            let last_is_npshd = h
+                .local()
+                .entries()
+                .last()
+                .map(|e| e.flag.is_not_pushed())
+                .unwrap_or(false);
+            if !last_is_npshd {
+                break;
+            }
+            h.unapp()?;
         }
-    }
-}
-
-fn full_abort(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    h.abort_and_retry()?;
-    shared
-        .locks
-        .lock()
-        .expect("lock manager poisoned")
-        .release_all(txn);
-    shared
-        .tracker
-        .lock()
-        .expect("conflict tracker poisoned")
-        .clear(txn);
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
-
-/// The §7 move: discard trailing (necessarily HTM) unpushed effects
-/// while leaving the pushed boosted effects in the shared view, then
-/// resume forward execution. Re-records the surviving HTM accesses.
-fn partial_htm_abort(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    // UNAPP the trailing npshd entries (HTM ops are npshd until
-    // commit; boosted ops are pushed at APP, so a pshd entry is the
-    // rewind boundary).
-    loop {
-        let last_is_npshd = h
+        // Rebuild the tracker from the surviving npshd entries (there are
+        // none at the tail now, but earlier HTM ops may survive between
+        // pushed boosted ops — they cannot, actually: npshd entries are
+        // contiguous at the tail only when every boosted op pushed at
+        // APP; re-scan to stay robust).
+        self.tracker
+            .lock()
+            .expect("conflict tracker poisoned")
+            .clear(txn);
+        let survivors: Vec<MixedMethod> = h
             .local()
-            .entries()
-            .last()
-            .map(|e| e.flag.is_not_pushed())
-            .unwrap_or(false);
-        if !last_is_npshd {
-            break;
+            .iter()
+            .filter(|e| matches!(e.flag, LocalFlag::NotPushed { .. }))
+            .map(|e| e.op.method)
+            .collect();
+        for m in survivors {
+            if let Some((w, is_write)) = htm_access(&m) {
+                let res = {
+                    let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
+                    if is_write {
+                        tr.record_write(txn, w)
+                    } else {
+                        tr.record_read(txn, w)
+                    }
+                };
+                if res.is_err() {
+                    // A surviving access still conflicts: give up fully.
+                    return self.abort(h, t, gov);
+                }
+            }
         }
-        h.unapp()?;
+        t.local.partial_htm_aborts += 1;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
-    // Rebuild the tracker from the surviving npshd entries (there are
-    // none at the tail now, but earlier HTM ops may survive between
-    // pushed boosted ops — they cannot, actually: npshd entries are
-    // contiguous at the tail only when every boosted op pushed at
-    // APP; re-scan to stay robust).
-    shared
-        .tracker
-        .lock()
-        .expect("conflict tracker poisoned")
-        .clear(txn);
-    let survivors: Vec<MixedMethod> = h
-        .local()
-        .iter()
-        .filter(|e| matches!(e.flag, LocalFlag::NotPushed { .. }))
-        .map(|e| e.op.method)
-        .collect();
-    for m in survivors {
-        if let Some((w, is_write)) = htm_access(&m) {
+
+    fn blocked(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        t.stats.blocked_ticks += 1;
+        match gov.on_blocked() {
+            WaitVerdict::GiveUp => self.abort(h, t, gov),
+            WaitVerdict::Wait => Ok(Tick::Blocked),
+        }
+    }
+
+    fn step_boosted(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+        method: MixedMethod,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        for key in h.spec().lock_keys(&method) {
+            // Bind the outcome first: matching on the locked expression would
+            // hold the guard across the abort path and self-deadlock.
+            let outcome = self
+                .locks
+                .lock()
+                .expect("lock manager poisoned")
+                .try_lock(txn, key);
+            match outcome {
+                LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
+                LockOutcome::Busy { .. } => return self.blocked(h, t, gov),
+                LockOutcome::WouldDeadlock { .. } => return self.abort(h, t, gov),
+            }
+        }
+        pull_committed_lenient(h)?;
+        let op: OpId = match h.app_method(&method) {
+            Ok(op) => op,
+            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+            Err(e) => return Err(e),
+        };
+        match h.push(op) {
+            Ok(()) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(e) if is_conflict(&e) => {
+                h.unapp()?;
+                self.blocked(h, t, gov)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn step_htm(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+        method: MixedMethod,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        // Injected hardware faults: a spurious coherence conflict takes the
+        // §7 partial-rewind path; a capacity overflow discards the whole
+        // transaction (overflow invalidates the entire HTM write buffer).
+        match h.fault_at_htm_access() {
+            Some(HtmFault::Conflict) => return self.partial_htm_abort(h, t, gov),
+            Some(HtmFault::Capacity) => return self.abort(h, t, gov),
+            None => {}
+        }
+        if let Some((w, is_write)) = htm_access(&method) {
             let res = {
-                let mut tr = shared.tracker.lock().expect("conflict tracker poisoned");
+                let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
                 if is_write {
                     tr.record_write(txn, w)
                 } else {
@@ -247,166 +296,95 @@ fn partial_htm_abort(
                 }
             };
             if res.is_err() {
-                // A surviving access still conflicts: give up fully.
-                return full_abort(shared, h, t, gov);
+                // HTM signals abort: rewind only the HTM suffix (§7).
+                return self.partial_htm_abort(h, t, gov);
             }
         }
-    }
-    t.partial_htm_aborts += 1;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
-
-fn blocked_thread(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    t.stats.blocked_ticks += 1;
-    match gov.on_blocked() {
-        WaitVerdict::GiveUp => full_abort(shared, h, t, gov),
-        WaitVerdict::Wait => Ok(Tick::Blocked),
+        pull_committed_lenient(h)?;
+        match h.app_method(&method) {
+            Ok(_) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) => Err(e),
+        }
     }
 }
 
-fn tick_boosted(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-    method: MixedMethod,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    for key in h.spec().lock_keys(&method) {
-        // Bind the outcome first: matching on the locked expression would
-        // hold the guard across the abort path and self-deadlock.
-        let outcome = shared
-            .locks
+impl Algorithm for Mixed {
+    type Spec = MixedSpec;
+    type Thread = MixedThread;
+
+    fn name(&self) -> &'static str {
+        "mixed-boosting-htm"
+    }
+
+    /// One mixed tick; dispatches each method to its boosted or HTM path.
+    fn step(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if t.local.phase == Phase::Begin {
+            pull_committed_lenient(h)?;
+            t.local.phase = Phase::Running;
+            return Ok(Tick::Progress);
+        }
+        let options = h.step_options()?;
+        if options.is_empty() {
+            // Uninterleaved commit: PUSH the HTM suffix, then CMT.
+            let txn = h.txn();
+            return match h.push_all_and_commit() {
+                Ok(committed) => {
+                    self.locks
+                        .lock()
+                        .expect("lock manager poisoned")
+                        .release_all(committed);
+                    self.tracker
+                        .lock()
+                        .expect("conflict tracker poisoned")
+                        .clear(txn);
+                    t.local.phase = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) => Err(e),
+            };
+        }
+        let method = options[0].0;
+        if is_htm(&method) {
+            self.step_htm(h, t, gov, method)
+        } else {
+            self.step_boosted(h, t, gov, method)
+        }
+    }
+
+    /// The full abort: everything rewound, locks and tracker released.
+    fn abort(
+        &self,
+        h: &mut TxnHandle<MixedSpec>,
+        t: &mut Slot<MixedThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        h.abort_and_retry()?;
+        self.locks
             .lock()
             .expect("lock manager poisoned")
-            .try_lock(txn, key);
-        match outcome {
-            LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
-            LockOutcome::Busy { .. } => return blocked_thread(shared, h, t, gov),
-            LockOutcome::WouldDeadlock { .. } => return full_abort(shared, h, t, gov),
-        }
-    }
-    pull_committed_lenient(h)?;
-    let op: OpId = match h.app_method(&method) {
-        Ok(op) => op,
-        Err(MachineError::NoAllowedResult(_)) => return full_abort(shared, h, t, gov),
-        Err(e) if is_conflict(&e) => return full_abort(shared, h, t, gov),
-        Err(e) => return Err(e),
-    };
-    match h.push(op) {
-        Ok(()) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
-        }
-        Err(e) if is_conflict(&e) => {
-            h.unapp()?;
-            blocked_thread(shared, h, t, gov)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn tick_htm(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-    method: MixedMethod,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    // Injected hardware faults: a spurious coherence conflict takes the
-    // §7 partial-rewind path; a capacity overflow discards the whole
-    // transaction (overflow invalidates the entire HTM write buffer).
-    match h.fault_at_htm_access() {
-        Some(HtmFault::Conflict) => return partial_htm_abort(shared, h, t, gov),
-        Some(HtmFault::Capacity) => return full_abort(shared, h, t, gov),
-        None => {}
-    }
-    if let Some((w, is_write)) = htm_access(&method) {
-        let res = {
-            let mut tr = shared.tracker.lock().expect("conflict tracker poisoned");
-            if is_write {
-                tr.record_write(txn, w)
-            } else {
-                tr.record_read(txn, w)
-            }
-        };
-        if res.is_err() {
-            // HTM signals abort: rewind only the HTM suffix (§7).
-            return partial_htm_abort(shared, h, t, gov);
-        }
-    }
-    pull_committed_lenient(h)?;
-    match h.app_method(&method) {
-        Ok(_) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
-        }
-        Err(MachineError::NoAllowedResult(_)) => full_abort(shared, h, t, gov),
-        Err(e) if is_conflict(&e) => full_abort(shared, h, t, gov),
-        Err(e) => Err(e),
-    }
-}
-
-/// One mixed tick for one thread; dispatches each method to its boosted
-/// or HTM path.
-fn tick_thread(
-    shared: &MixedShared,
-    h: &mut TxnHandle<MixedSpec>,
-    t: &mut MixedThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill => return full_abort(shared, h, t, gov),
-        Gate::Run => {}
-    }
-    if t.phase == Phase::Begin {
-        pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if options.is_empty() {
-        // Uninterleaved commit: PUSH the HTM suffix, then CMT.
-        let txn = h.txn();
-        return match h.push_all_and_commit() {
-            Ok(committed) => {
-                shared
-                    .locks
-                    .lock()
-                    .expect("lock manager poisoned")
-                    .release_all(committed);
-                shared
-                    .tracker
-                    .lock()
-                    .expect("conflict tracker poisoned")
-                    .clear(txn);
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
-            }
-            Err(e) if is_conflict(&e) => full_abort(shared, h, t, gov),
-            Err(e) => Err(e),
-        };
-    }
-    let method = options[0].0;
-    if is_htm(&method) {
-        tick_htm(shared, h, t, gov, method)
-    } else {
-        tick_boosted(shared, h, t, gov, method)
+            .release_all(txn);
+        self.tracker
+            .lock()
+            .expect("conflict tracker poisoned")
+            .clear(txn);
+        t.local.phase = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -423,117 +401,16 @@ impl MixedSystem {
         programs: Vec<Vec<Code<MixedMethod>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
-            shared: MixedShared {
-                locks: Mutex::new(AbstractLockManager::new()),
-                tracker: Mutex::new(HtmConflicts::new()),
-            },
-            threads: vec![MixedThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<MixedSpec> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+        let alg = Mixed {
+            locks: Mutex::new(AbstractLockManager::new()),
+            tracker: Mutex::new(HtmConflicts::new()),
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 
     /// HTM aborts resolved by *partial* rewind (boosted effects kept).
     pub fn partial_htm_aborts(&self) -> u64 {
-        self.threads.iter().map(|t| t.partial_htm_aborts).sum()
-    }
-}
-
-impl Clone for MixedSystem {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            shared: MixedShared {
-                locks: Mutex::new(
-                    self.shared
-                        .locks
-                        .lock()
-                        .expect("lock manager poisoned")
-                        .clone(),
-                ),
-                tracker: Mutex::new(
-                    self.shared
-                        .tracker
-                        .lock()
-                        .expect("conflict tracker poisoned")
-                        .clone(),
-                ),
-            },
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl TmSystem for MixedSystem {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.shared,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "mixed-boosting-htm"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl ParallelSystem for MixedSystem {
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let shared = &self.shared;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(shared, h, t, gov)) as Worker<'_>)
-            .collect()
+        self.locals().map(|t| t.partial_htm_aborts).sum()
     }
 }
 
@@ -541,18 +418,10 @@ impl ParallelSystem for MixedSystem {
 mod tests {
     use super::methods::*;
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
-
-    fn run_round_robin(sys: &mut MixedSystem, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     /// The §7 transaction: skiplist.insert(k); size++; hashT.put(k,v); x++.
     fn section7_prog(k: u64, x_loc: u32) -> Vec<Code<MixedMethod>> {

@@ -17,18 +17,15 @@
 //! discovered at commit, TL2-style) and *refresh* (re-pull committed
 //! effects before every APP, an incremental-validation TinySTM flavour).
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
+use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
 
 /// Read-validation flavour of the optimistic system.
@@ -41,15 +38,6 @@ pub enum ReadPolicy {
     /// Additionally re-pull committed effects before every APP
     /// (TinySTM-style incremental validation; fewer doomed executions).
     Refresh,
-}
-
-/// Per-thread driver phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Needs its begin-time snapshot.
-    Begin,
-    /// Applying operations locally.
-    Running,
 }
 
 /// An optimistic system over any specification.
@@ -79,135 +67,106 @@ enum Phase {
 /// assert_eq!(sys.stats().commits, 2);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct OptimisticSystem<S: SeqSpec> {
-    machine: Machine<S>,
-    policy: ReadPolicy,
-    threads: Vec<OptThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
-}
+pub type OptimisticSystem<S> = Driver<Optimistic<S>>;
 
-impl<S: SeqSpec> Clone for OptimisticSystem<S>
-where
-    Machine<S>: Clone,
-{
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            policy: self.policy,
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-/// Per-thread driver state: owned by exactly one worker, so ticking never
-/// contends on it.
+/// The optimistic algorithm: no cross-thread metadata at all, only the
+/// read policy; per thread, the begin/running [`Phase`].
 #[derive(Debug, Clone)]
-struct OptThread {
-    phase: Phase,
-    stats: SystemStats,
-}
-
-impl Default for OptThread {
-    fn default() -> Self {
-        Self {
-            phase: Phase::Begin,
-            stats: SystemStats::default(),
-        }
-    }
-}
-
-/// One optimistic tick for one thread, touching only that thread's
-/// [`TxnHandle`] and driver state — the whole fast path (APP, local
-/// bookkeeping) runs without any system-wide lock.
-fn tick_thread<S: SeqSpec>(
+pub struct Optimistic<S> {
     policy: ReadPolicy,
-    h: &mut TxnHandle<S>,
-    t: &mut OptThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill => return abort_thread(h, t, gov),
-        Gate::Run => {}
-    }
-    if t.phase == Phase::Begin {
-        // Begin-time snapshot: PULL all committed operations.
-        pull_committed_lenient(h)?;
-        t.phase = Phase::Running;
-        return Ok(Tick::Progress);
-    }
-    // Raw stepping flattens tx/otx markers; settle first so nested
-    // scopes open and merge exactly as under the settling executors.
-    h.settle()?;
-    // Commit as soon as CMT criterion (i) — fin(c) — holds: for
-    // straight-line code that is exactly "no method remains", and it
-    // terminates looping programs `(c)*` (which always offer another
-    // iteration) by taking the skip branch.
-    if h.can_finish()? {
-        // Commit phase: PUSH everything in APP order, then CMT.
-        return match h.push_all_and_commit() {
-            Ok(_) => {
-                t.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
-            }
-            Err(e) if is_conflict(&e) => abort_thread(h, t, gov),
-            Err(e) => Err(e),
-        };
-    }
-    if policy == ReadPolicy::Refresh {
-        pull_committed_lenient(h)?;
-    }
-    // Resolve program nondeterminism by taking the LAST step option —
-    // `(method, continuation)` as a pair, since the same method name
-    // can appear in both a loop-iteration continuation and an exit
-    // continuation. `step(c₁;c₂)` lists loop-iteration continuations
-    // before the continuations that exit toward the mandatory
-    // remainder, so the lazy choice always makes progress toward
-    // `fin`; picking the first option would iterate `(c)*` on the
-    // left of a `;` forever.
-    let (method, cont) = h
-        .step_options()?
-        .pop()
-        .ok_or(MachineError::NoSuchStep(h.tid()))?;
-    let ret = match h.allowed_results(&method)?.into_iter().next() {
-        Some(r) => r,
-        None => return abort_thread(h, t, gov), // doomed local view: retry
-    };
-    match h.app(method, cont, ret) {
-        Ok(_) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
-        }
-        Err(MachineError::NoAllowedResult(_)) => abort_thread(h, t, gov),
-        Err(e) if is_conflict(&e) => abort_thread(h, t, gov),
-        Err(e) => Err(e),
-    }
+    spec: PhantomData<fn() -> S>,
 }
 
-fn abort_thread<S: SeqSpec>(
-    h: &mut TxnHandle<S>,
-    t: &mut OptThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    // §6.2: "simply perform UNAPP repeatedly and needn't UNPUSH" —
-    // nothing was pushed; rewinding also unpulls the stale snapshot.
-    h.abort_and_retry()?;
-    t.phase = Phase::Begin;
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
+impl<S: SeqSpec> Algorithm for Optimistic<S> {
+    type Spec = S;
+    type Thread = Phase;
+
+    fn name(&self) -> &'static str {
+        match self.policy {
+            ReadPolicy::Snapshot => "optimistic-snapshot",
+            ReadPolicy::Refresh => "optimistic-refresh",
+        }
+    }
+
+    /// One optimistic tick, touching only the thread's own [`TxnHandle`]
+    /// and slot — the whole fast path (APP, local bookkeeping) runs
+    /// without any system-wide lock.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<Phase>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if t.local == Phase::Begin {
+            // Begin-time snapshot: PULL all committed operations.
+            pull_committed_lenient(h)?;
+            t.local = Phase::Running;
+            return Ok(Tick::Progress);
+        }
+        // Raw stepping flattens tx/otx markers; settle first so nested
+        // scopes open and merge exactly as under the settling executors.
+        h.settle()?;
+        // Commit as soon as CMT criterion (i) — fin(c) — holds: for
+        // straight-line code that is exactly "no method remains", and it
+        // terminates looping programs `(c)*` (which always offer another
+        // iteration) by taking the skip branch.
+        if h.can_finish()? {
+            // Commit phase: PUSH everything in APP order, then CMT.
+            return match h.push_all_and_commit() {
+                Ok(_) => {
+                    t.local = Phase::Begin;
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) => Err(e),
+            };
+        }
+        if self.policy == ReadPolicy::Refresh {
+            pull_committed_lenient(h)?;
+        }
+        // Resolve program nondeterminism by taking the LAST step option —
+        // `(method, continuation)` as a pair, since the same method name
+        // can appear in both a loop-iteration continuation and an exit
+        // continuation. `step(c₁;c₂)` lists loop-iteration continuations
+        // before the continuations that exit toward the mandatory
+        // remainder, so the lazy choice always makes progress toward
+        // `fin`; picking the first option would iterate `(c)*` on the
+        // left of a `;` forever.
+        let (method, cont) = h
+            .step_options()?
+            .pop()
+            .ok_or(MachineError::NoSuchStep(h.tid()))?;
+        let ret = match h.allowed_results(&method)?.into_iter().next() {
+            Some(r) => r,
+            None => return self.abort(h, t, gov), // doomed local view: retry
+        };
+        match h.app(method, cont, ret) {
+            Ok(_) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) => Err(e),
+        }
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<Phase>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        // §6.2: "simply perform UNAPP repeatedly and needn't UNPUSH" —
+        // nothing was pushed; rewinding also unpulls the stale snapshot.
+        h.abort_and_retry()?;
+        t.local = Phase::Begin;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
+    }
 }
 
 impl<S: SeqSpec> OptimisticSystem<S> {
@@ -224,110 +183,24 @@ impl<S: SeqSpec> OptimisticSystem<S> {
         policy: ReadPolicy,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = Optimistic {
             policy,
-            threads: vec![OptThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-}
-
-impl<S: SeqSpec> TmSystem for OptimisticSystem<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            self.policy,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        match self.policy {
-            ReadPolicy::Snapshot => "optimistic-snapshot",
-            ReadPolicy::Refresh => "optimistic-refresh",
-        }
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for OptimisticSystem<S>
-where
-    S: SeqSpec + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let policy = self.policy;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(policy, h, t, gov)) as Worker<'_>)
-            .collect()
+            spec: PhantomData,
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::counter::{Counter, CtrMethod};
     use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
-
-    fn run_round_robin<S: SeqSpec>(sys: &mut OptimisticSystem<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     #[test]
     fn commuting_adds_commit_without_aborts() {

@@ -14,19 +14,17 @@
 //! re-runs (our multiversion-free approximation of MS-TM's abort-free
 //! readers, recorded in DESIGN.md).
 
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
 use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::driver::{Algorithm, Driver, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 /// A Matveev–Shavit-style pessimistic system.
 ///
@@ -54,113 +52,119 @@ use crate::util::{is_conflict, pull_committed_lenient};
 /// assert_eq!(sys.stats().commits, 2);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
+pub type MatveevShavitSystem<S> = Driver<MatveevShavit<S>>;
+
+/// The pessimistic algorithm's only metadata: the commit token.
 #[derive(Debug)]
-pub struct MatveevShavitSystem<S: SeqSpec> {
-    machine: Machine<S>,
+pub struct MatveevShavit<S> {
     /// Which thread holds the commit token, if any. The token is the
     /// algorithm's single serialization point; workers touch it only in
     /// their commit phase.
     token: Mutex<Option<ThreadId>>,
-    threads: Vec<MsThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
+    spec: PhantomData<fn() -> S>,
 }
 
-/// Per-thread driver state, owned by exactly one worker.
+impl<S> Clone for MatveevShavit<S> {
+    fn clone(&self) -> Self {
+        Self {
+            token: fork_mutex(&self.token),
+            spec: PhantomData,
+        }
+    }
+}
+
+/// Per-thread state: has the current transaction pulled its snapshot?
 #[derive(Debug, Clone, Default)]
-struct MsThread {
+pub struct MsThread {
     started: bool,
-    stats: SystemStats,
 }
 
-/// One tick for one thread: APP and local bookkeeping run lock-free; only
-/// the commit burst contends on the token.
-fn tick_thread<S: SeqSpec>(
-    token: &Mutex<Option<ThreadId>>,
-    h: &mut TxnHandle<S>,
-    t: &mut MsThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => {
-            let mut tok = token.lock().expect("token lock poisoned");
-            if *tok == Some(h.tid()) {
-                *tok = None;
+impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
+    type Spec = S;
+    type Thread = MsThread;
+
+    fn name(&self) -> &'static str {
+        "pessimistic-ms"
+    }
+
+    /// One tick: APP and local bookkeeping run lock-free; only the
+    /// commit burst contends on the token.
+    fn step(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<MsThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        if !t.local.started {
+            // Reads PULL committed effects only.
+            pull_committed_lenient(h)?;
+            t.local.started = true;
+            return Ok(Tick::Progress);
+        }
+        let options = h.step_options()?;
+        if !options.is_empty() {
+            // Apply locally (writes are buffered — delayed to commit).
+            let method = options[0].0.clone();
+            return match h.app_method(&method) {
+                Ok(_) => {
+                    gov.on_progress();
+                    Ok(Tick::Progress)
+                }
+                Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
+                    self.abort(h, t, gov)
+                }
+                Err(e) => Err(e),
+            };
+        }
+        // Commit phase: take the token so the PUSH*;CMT burst is
+        // uninterleaved.
+        {
+            let mut tok = self.token.lock().expect("token lock poisoned");
+            match *tok {
+                Some(holder) if holder != h.tid() => {
+                    // The commit-token wait deliberately does NOT consult the
+                    // contention manager: MS writers never abort, and the
+                    // token is released within the holder's same tick, so the
+                    // wait is always short and bounded.
+                    t.stats.blocked_ticks += 1;
+                    return Ok(Tick::Blocked);
+                }
+                _ => *tok = Some(h.tid()),
             }
-            return Ok(Tick::Done);
         }
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
-        }
-        Gate::Kill => {
-            h.abort_and_retry()?;
-            t.started = false;
-            t.stats.aborts += 1;
-            gov.on_abort();
-            return Ok(Tick::Aborted);
-        }
-        Gate::Run => {}
-    }
-    if !t.started {
-        // Reads PULL committed effects only.
-        pull_committed_lenient(h)?;
-        t.started = true;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if !options.is_empty() {
-        // Apply locally (writes are buffered — delayed to commit).
-        let method = options[0].0.clone();
-        return match h.app_method(&method) {
+        let result = h.push_all_and_commit();
+        *self.token.lock().expect("token lock poisoned") = None;
+        match result {
             Ok(_) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
+                t.local.started = false;
+                t.stats.commits += 1;
+                gov.on_commit();
+                Ok(Tick::Committed)
             }
-            Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
-                h.abort_and_retry()?;
-                t.started = false;
-                t.stats.aborts += 1;
-                gov.on_abort();
-                Ok(Tick::Aborted)
-            }
-            Err(e) => Err(e),
-        };
-    }
-    // Commit phase: take the token so the PUSH*;CMT burst is
-    // uninterleaved.
-    {
-        let mut tok = token.lock().expect("token lock poisoned");
-        match *tok {
-            Some(holder) if holder != h.tid() => {
-                // The commit-token wait deliberately does NOT consult the
-                // contention manager: MS writers never abort, and the
-                // token is released within the holder's same tick, so the
-                // wait is always short and bounded.
-                t.stats.blocked_ticks += 1;
-                return Ok(Tick::Blocked);
-            }
-            _ => *tok = Some(h.tid()),
-        }
-    }
-    let result = h.push_all_and_commit();
-    *token.lock().expect("token lock poisoned") = None;
-    match result {
-        Ok(_) => {
-            t.started = false;
-            t.stats.commits += 1;
-            gov.on_commit();
-            Ok(Tick::Committed)
-        }
-        Err(e) if is_conflict(&e) => {
             // A reader that raced a writer: re-run on fresh state.
-            h.abort_and_retry()?;
-            t.started = false;
-            t.stats.aborts += 1;
-            gov.on_abort();
-            Ok(Tick::Aborted)
+            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) => Err(e),
         }
-        Err(e) => Err(e),
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<S>,
+        t: &mut Slot<MsThread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        h.abort_and_retry()?;
+        t.local.started = false;
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
+    }
+
+    fn on_done(&self, h: &TxnHandle<S>) {
+        let mut tok = self.token.lock().expect("token lock poisoned");
+        if *tok == Some(h.tid()) {
+            *tok = None;
+        }
     }
 }
 
@@ -177,120 +181,21 @@ impl<S: SeqSpec> MatveevShavitSystem<S> {
         programs: Vec<Vec<Code<S::Method>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(spec);
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = MatveevShavit {
             token: Mutex::new(None),
-            threads: vec![MsThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<S> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-}
-
-impl<S: SeqSpec + Clone> Clone for MatveevShavitSystem<S> {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            token: Mutex::new(*self.token.lock().expect("token lock poisoned")),
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl<S: SeqSpec> TmSystem for MatveevShavitSystem<S> {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.token,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "pessimistic-ms"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl<S> ParallelSystem for MatveevShavitSystem<S>
-where
-    S: SeqSpec + Send + Sync,
-    S::Method: Send + Sync,
-    S::Ret: Send + Sync,
-    S::State: Send + Sync,
-{
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let token = &self.token;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(token, h, t, gov)) as Worker<'_>)
-            .collect()
+            spec: PhantomData,
+        };
+        Driver::host(alg, spec, programs, cm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::run_round_robin;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
-
-    fn run_round_robin<S: SeqSpec>(sys: &mut MatveevShavitSystem<S>, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     #[test]
     fn write_only_transactions_never_abort() {

@@ -21,17 +21,13 @@
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::ThreadId;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::{GlobalClock, VersionedMemory};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::driver::{Algorithm, Driver, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 #[derive(Debug, Clone, Default)]
 struct Tl2Txn {
@@ -67,173 +63,171 @@ struct Tl2Txn {
 /// assert_eq!(sys.stats().commits, 2);
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
-#[derive(Debug)]
-pub struct Tl2System {
-    machine: Machine<RwMem>,
-    shared: Tl2Shared,
-    threads: Vec<Tl2Thread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
-}
+pub type Tl2System = Driver<Tl2>;
 
 /// TL2's shared metadata: the global version clock (already atomic) and
 /// the versioned memory with its commit-time location locks (behind a
 /// short-held mutex — the per-location locks inside are the real
 /// protocol; the mutex only guards the table itself).
 #[derive(Debug)]
-struct Tl2Shared {
+pub struct Tl2 {
     clock: GlobalClock,
     vmem: Mutex<VersionedMemory<Loc>>,
 }
 
+impl Clone for Tl2 {
+    fn clone(&self) -> Self {
+        Self {
+            clock: self.clock.clone(),
+            vmem: fork_mutex(&self.vmem),
+        }
+    }
+}
+
 /// Per-thread driver state, owned by exactly one worker.
 #[derive(Debug, Clone, Default)]
-struct Tl2Thread {
+pub struct Tl2Thread {
     txn: Tl2Txn,
-    stats: SystemStats,
     criteria_surprises: u64,
 }
 
-fn abort_thread(
-    shared: &Tl2Shared,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut Tl2Thread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    shared
-        .vmem
-        .lock()
-        .expect("vmem lock poisoned")
-        .unlock_all(txn);
-    h.abort_and_retry()?;
-    t.txn = Tl2Txn::default();
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
+impl Algorithm for Tl2 {
+    type Spec = RwMem;
+    type Thread = Tl2Thread;
 
-/// One TL2 tick for one thread. Reads/writes APP without any system-wide
-/// lock; the vmem mutex is taken per metadata operation only.
-fn tick_thread(
-    shared: &Tl2Shared,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut Tl2Thread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
+    fn name(&self) -> &'static str {
+        "tl2"
+    }
+
+    /// One TL2 tick. Reads/writes APP without any system-wide lock; the
+    /// vmem mutex is taken per metadata operation only.
+    fn step(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<Tl2Thread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        if !t.local.txn.started {
+            // Begin: rv := GV; snapshot the committed state.
+            t.local.txn.rv = self.clock.now();
+            pull_committed_lenient(h)?;
+            t.local.txn.started = true;
+            return Ok(Tick::Progress);
         }
-        Gate::Kill => return abort_thread(shared, h, t, gov),
-        Gate::Run => {}
-    }
-    let txn = h.txn();
-    if !t.txn.started {
-        // Begin: rv := GV; snapshot the committed state.
-        t.txn.rv = shared.clock.now();
-        pull_committed_lenient(h)?;
-        t.txn.started = true;
-        return Ok(Tick::Progress);
-    }
-    let options = h.step_options()?;
-    if options.is_empty() {
-        // Commit phase.
-        // 1. Lock the write set.
-        let write_set = t.txn.write_set.clone();
-        for l in &write_set {
-            if !shared
+        let options = h.step_options()?;
+        if options.is_empty() {
+            // Commit phase.
+            // 1. Lock the write set.
+            let write_set = t.local.txn.write_set.clone();
+            for l in &write_set {
+                if !self
+                    .vmem
+                    .lock()
+                    .expect("vmem lock poisoned")
+                    .try_lock(txn, *l)
+                {
+                    return self.abort(h, t, gov);
+                }
+            }
+            // 2. wv := GV.tick().
+            let wv = self.clock.tick();
+            // 3. Validate the read set.
+            let read_set = t.local.txn.read_set.clone();
+            if !self
                 .vmem
                 .lock()
                 .expect("vmem lock poisoned")
-                .try_lock(txn, *l)
+                .validate(txn, &read_set)
             {
-                return abort_thread(shared, h, t, gov);
+                return self.abort(h, t, gov);
+            }
+            // 4. Publish: PUSH*;CMT on the machine, then bump versions.
+            match h.push_all_and_commit() {
+                Ok(_) => {
+                    self.vmem
+                        .lock()
+                        .expect("vmem lock poisoned")
+                        .publish(txn, &write_set, wv);
+                    t.local.txn = Tl2Txn::default();
+                    t.stats.commits += 1;
+                    gov.on_commit();
+                    Ok(Tick::Committed)
+                }
+                Err(MachineError::Criterion(v)) => {
+                    // TL2 said yes but the exact criteria said no: record
+                    // the surprise (the soundness tests require zero) —
+                    // unless a fault hook is armed, in which case the
+                    // denial is injected, not a soundness gap.
+                    if h.global_state().fault_hook().is_none() {
+                        t.local.criteria_surprises += 1;
+                    }
+                    self.vmem
+                        .lock()
+                        .expect("vmem lock poisoned")
+                        .unlock_all(txn);
+                    let _ = v;
+                    self.abort(h, t, gov)
+                }
+                Err(e) => Err(e),
+            }
+        } else {
+            let method = options[0].0;
+            match method {
+                MemMethod::Read(l) => {
+                    // TL2 read rule: version must not exceed rv; the
+                    // location must not be commit-locked by another txn.
+                    let (ver, locked_by_other) = {
+                        let vmem = self.vmem.lock().expect("vmem lock poisoned");
+                        (vmem.version(&l), vmem.locked_by_other(&l, txn))
+                    };
+                    if ver > t.local.txn.rv || locked_by_other {
+                        return self.abort(h, t, gov);
+                    }
+                    t.local.txn.read_set.push((l, ver));
+                    match h.app_method(&method) {
+                        Ok(_) => {
+                            gov.on_progress();
+                            Ok(Tick::Progress)
+                        }
+                        Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
+                        Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                        Err(e) => Err(e),
+                    }
+                }
+                MemMethod::Write(l, _) => {
+                    if !t.local.txn.write_set.contains(&l) {
+                        t.local.txn.write_set.push(l);
+                    }
+                    match h.app_method(&method) {
+                        Ok(_) => {
+                            gov.on_progress();
+                            Ok(Tick::Progress)
+                        }
+                        Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                        Err(e) => Err(e),
+                    }
+                }
             }
         }
-        // 2. wv := GV.tick().
-        let wv = shared.clock.tick();
-        // 3. Validate the read set.
-        let read_set = t.txn.read_set.clone();
-        if !shared
-            .vmem
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<Tl2Thread>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        self.vmem
             .lock()
             .expect("vmem lock poisoned")
-            .validate(txn, &read_set)
-        {
-            return abort_thread(shared, h, t, gov);
-        }
-        // 4. Publish: PUSH*;CMT on the machine, then bump versions.
-        match h.push_all_and_commit() {
-            Ok(_) => {
-                shared
-                    .vmem
-                    .lock()
-                    .expect("vmem lock poisoned")
-                    .publish(txn, &write_set, wv);
-                t.txn = Tl2Txn::default();
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
-            }
-            Err(MachineError::Criterion(v)) => {
-                // TL2 said yes but the exact criteria said no: record
-                // the surprise (the soundness tests require zero) —
-                // unless a fault hook is armed, in which case the
-                // denial is injected, not a soundness gap.
-                if h.global_state().fault_hook().is_none() {
-                    t.criteria_surprises += 1;
-                }
-                shared
-                    .vmem
-                    .lock()
-                    .expect("vmem lock poisoned")
-                    .unlock_all(txn);
-                let _ = v;
-                abort_thread(shared, h, t, gov)
-            }
-            Err(e) => Err(e),
-        }
-    } else {
-        let method = options[0].0;
-        match method {
-            MemMethod::Read(l) => {
-                // TL2 read rule: version must not exceed rv; the
-                // location must not be commit-locked by another txn.
-                let (ver, locked_by_other) = {
-                    let vmem = shared.vmem.lock().expect("vmem lock poisoned");
-                    (vmem.version(&l), vmem.locked_by_other(&l, txn))
-                };
-                if ver > t.txn.rv || locked_by_other {
-                    return abort_thread(shared, h, t, gov);
-                }
-                t.txn.read_set.push((l, ver));
-                match h.app_method(&method) {
-                    Ok(_) => {
-                        gov.on_progress();
-                        Ok(Tick::Progress)
-                    }
-                    Err(MachineError::NoAllowedResult(_)) => abort_thread(shared, h, t, gov),
-                    Err(e) if is_conflict(&e) => abort_thread(shared, h, t, gov),
-                    Err(e) => Err(e),
-                }
-            }
-            MemMethod::Write(l, _) => {
-                if !t.txn.write_set.contains(&l) {
-                    t.txn.write_set.push(l);
-                }
-                match h.app_method(&method) {
-                    Ok(_) => {
-                        gov.on_progress();
-                        Ok(Tick::Progress)
-                    }
-                    Err(e) if is_conflict(&e) => abort_thread(shared, h, t, gov),
-                    Err(e) => Err(e),
-                }
-            }
-        }
+            .unlock_all(txn);
+        h.abort_and_retry()?;
+        t.local.txn = Tl2Txn::default();
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -249,126 +243,29 @@ impl Tl2System {
         programs: Vec<Vec<Code<MemMethod>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(RwMem::new());
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
-            shared: Tl2Shared {
-                clock: GlobalClock::new(),
-                vmem: Mutex::new(VersionedMemory::new()),
-            },
-            threads: vec![Tl2Thread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
+        let alg = Tl2 {
+            clock: GlobalClock::new(),
+            vmem: Mutex::new(VersionedMemory::new()),
+        };
+        Driver::host(alg, RwMem::new(), programs, cm)
     }
 
     /// Times the machine's criteria rejected a commit that TL2's own
     /// validation had accepted. Zero on every run ⇒ the read/write-set
     /// discipline soundly approximates the model's criteria.
     pub fn criteria_surprises(&self) -> u64 {
-        self.threads.iter().map(|t| t.criteria_surprises).sum()
-    }
-}
-
-impl Clone for Tl2System {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            shared: Tl2Shared {
-                clock: self.shared.clock.clone(),
-                vmem: Mutex::new(self.shared.vmem.lock().expect("vmem lock poisoned").clone()),
-            },
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl TmSystem for Tl2System {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.shared,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "tl2"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl ParallelSystem for Tl2System {
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let shared = &self.shared;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(shared, h, t, gov)) as Worker<'_>)
-            .collect()
+        self.locals().map(|t| t.criteria_surprises).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
+    use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn run_round_robin(sys: &mut Tl2System, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
         vec![Code::seq_all(vec![

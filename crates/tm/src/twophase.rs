@@ -17,18 +17,13 @@
 use std::sync::{Arc, Mutex};
 
 use pushpull_core::error::MachineError;
-use pushpull_core::machine::Machine;
-use pushpull_core::op::ThreadId;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, StarvationReport,
-    WaitVerdict,
-};
-use crate::driver::{ParallelSystem, SystemStats, Tick, TmSystem, Worker};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::driver::{Algorithm, Driver, Slot, Tick};
+use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
 /// A strict two-phase-locking system over [`RwMem`].
 ///
@@ -54,122 +49,128 @@ use crate::util::{is_conflict, pull_committed_lenient};
 /// assert_eq!(sys.stats().blocked_ticks, 0, "shared reads never block");
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
+pub type TwoPhaseLocking = Driver<TwoPhase>;
+
+/// Strict 2PL: the shared lock table — the algorithm's only cross-thread
+/// state, behind a short-held mutex. There is no per-thread state.
 #[derive(Debug)]
-pub struct TwoPhaseLocking {
-    machine: Machine<RwMem>,
-    /// The shared lock table — the algorithm's only cross-thread state,
-    /// behind a short-held mutex.
+pub struct TwoPhase {
     locks: Mutex<RwLockTable<Loc>>,
-    threads: Vec<TplThread>,
-    contention: Arc<ContentionState>,
-    governors: Vec<Governor>,
 }
 
-/// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone, Default)]
-struct TplThread {
-    stats: SystemStats,
-}
-
-fn abort_thread(
-    locks: &Mutex<RwLockTable<Loc>>,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut TplThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    let txn = h.txn();
-    h.abort_and_retry()?;
-    locks.lock().expect("lock table poisoned").release_all(txn);
-    t.stats.aborts += 1;
-    gov.on_abort();
-    Ok(Tick::Aborted)
-}
-
-fn blocked_thread(
-    locks: &Mutex<RwLockTable<Loc>>,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut TplThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    t.stats.blocked_ticks += 1;
-    match gov.on_blocked() {
-        WaitVerdict::GiveUp => abort_thread(locks, h, t, gov),
-        WaitVerdict::Wait => Ok(Tick::Blocked),
-    }
-}
-
-/// One 2PL tick for one thread: the lock table is consulted briefly per
-/// access; APP runs on the thread's own handle with no system-wide lock.
-fn tick_thread(
-    locks: &Mutex<RwLockTable<Loc>>,
-    h: &mut TxnHandle<RwMem>,
-    t: &mut TplThread,
-    gov: &mut Governor,
-) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
-        Gate::Done => return Ok(Tick::Done),
-        Gate::Park => {
-            t.stats.blocked_ticks += 1;
-            return Ok(Tick::Blocked);
+impl Clone for TwoPhase {
+    fn clone(&self) -> Self {
+        Self {
+            locks: fork_mutex(&self.locks),
         }
-        Gate::Kill => return abort_thread(locks, h, t, gov),
-        Gate::Run => {}
     }
-    let txn = h.txn();
-    let options = h.step_options()?;
-    if options.is_empty() {
-        let committed = match h.commit() {
-            Ok(committed) => committed,
-            // Natural CMT failures cannot happen (everything was pushed
-            // under locks); an injected denial aborts like a deadlock.
-            Err(e) if is_conflict(&e) => return abort_thread(locks, h, t, gov),
-            Err(e) => return Err(e),
+}
+
+impl TwoPhase {
+    fn blocked(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        t.stats.blocked_ticks += 1;
+        match gov.on_blocked() {
+            WaitVerdict::GiveUp => self.abort(h, t, gov),
+            WaitVerdict::Wait => Ok(Tick::Blocked),
+        }
+    }
+}
+
+impl Algorithm for TwoPhase {
+    type Spec = RwMem;
+    type Thread = ();
+
+    fn name(&self) -> &'static str {
+        "two-phase-locking"
+    }
+
+    /// One 2PL tick: the lock table is consulted briefly per access; APP
+    /// runs on the thread's own handle with no system-wide lock.
+    fn step(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        let options = h.step_options()?;
+        if options.is_empty() {
+            let committed = match h.commit() {
+                Ok(committed) => committed,
+                // Natural CMT failures cannot happen (everything was pushed
+                // under locks); an injected denial aborts like a deadlock.
+                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+                Err(e) => return Err(e),
+            };
+            self.locks
+                .lock()
+                .expect("lock table poisoned")
+                .release_all(committed);
+            t.stats.commits += 1;
+            gov.on_commit();
+            return Ok(Tick::Committed);
+        }
+        let method = options[0].0;
+        let (loc, mode) = match method {
+            MemMethod::Read(l) => (l, Mode::Shared),
+            MemMethod::Write(l, _) => (l, Mode::Exclusive),
         };
-        locks
+        // Bind the outcome first: matching on the locked expression would
+        // hold the guard across the abort path and self-deadlock.
+        let outcome = self
+            .locks
             .lock()
             .expect("lock table poisoned")
-            .release_all(committed);
-        t.stats.commits += 1;
-        gov.on_commit();
-        return Ok(Tick::Committed);
-    }
-    let method = options[0].0;
-    let (loc, mode) = match method {
-        MemMethod::Read(l) => (l, Mode::Shared),
-        MemMethod::Write(l, _) => (l, Mode::Exclusive),
-    };
-    // Bind the outcome first: matching on the locked expression would
-    // hold the guard across the abort path and self-deadlock.
-    let outcome = locks
-        .lock()
-        .expect("lock table poisoned")
-        .try_lock(txn, loc, mode);
-    match outcome {
-        RwOutcome::Granted => {}
-        RwOutcome::Busy { .. } => return blocked_thread(locks, h, t, gov),
-        RwOutcome::WouldDeadlock => return abort_thread(locks, h, t, gov),
-    }
-    // Lock held: refresh committed view, then APP;PUSH eagerly.
-    pull_committed_lenient(h)?;
-    let op = match h.app_method(&method) {
-        Ok(op) => op,
-        Err(MachineError::NoAllowedResult(_)) => return abort_thread(locks, h, t, gov),
-        Err(e) if is_conflict(&e) => return abort_thread(locks, h, t, gov),
-        Err(e) => return Err(e),
-    };
-    match h.push(op) {
-        Ok(()) => {
-            gov.on_progress();
-            Ok(Tick::Progress)
+            .try_lock(txn, loc, mode);
+        match outcome {
+            RwOutcome::Granted => {}
+            RwOutcome::Busy { .. } => return self.blocked(h, t, gov),
+            RwOutcome::WouldDeadlock => return self.abort(h, t, gov),
         }
-        Err(e) if is_conflict(&e) => {
-            // Shared-read vs shared-read pushes always commute, so
-            // this only fires for exotic interleavings the lock order
-            // didn't cover; treat as a wait.
-            h.unapp()?;
-            blocked_thread(locks, h, t, gov)
+        // Lock held: refresh committed view, then APP;PUSH eagerly.
+        pull_committed_lenient(h)?;
+        let op = match h.app_method(&method) {
+            Ok(op) => op,
+            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
+            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+            Err(e) => return Err(e),
+        };
+        match h.push(op) {
+            Ok(()) => {
+                gov.on_progress();
+                Ok(Tick::Progress)
+            }
+            Err(e) if is_conflict(&e) => {
+                // Shared-read vs shared-read pushes always commute, so
+                // this only fires for exotic interleavings the lock order
+                // didn't cover; treat as a wait.
+                h.unapp()?;
+                self.blocked(h, t, gov)
+            }
+            Err(e) => Err(e),
         }
-        Err(e) => Err(e),
+    }
+
+    fn abort(
+        &self,
+        h: &mut TxnHandle<RwMem>,
+        t: &mut Slot<()>,
+        gov: &mut Governor,
+    ) -> Result<Tick, MachineError> {
+        let txn = h.txn();
+        h.abort_and_retry()?;
+        self.locks
+            .lock()
+            .expect("lock table poisoned")
+            .release_all(txn);
+        t.stats.aborts += 1;
+        gov.on_abort();
+        Ok(Tick::Aborted)
     }
 }
 
@@ -185,114 +186,22 @@ impl TwoPhaseLocking {
         programs: Vec<Vec<Code<MemMethod>>>,
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
-        let mut machine = Machine::new(RwMem::new());
-        let n = programs.len();
-        for p in programs {
-            machine.add_thread(p);
-        }
-        let contention = ContentionState::new(cm);
-        let governors = contention.governors(n);
-        Self {
-            machine,
+        let alg = TwoPhase {
             locks: Mutex::new(RwLockTable::new()),
-            threads: vec![TplThread::default(); n],
-            contention,
-            governors,
-        }
-    }
-
-    /// The underlying machine.
-    pub fn machine(&self) -> &Machine<RwMem> {
-        &self.machine
-    }
-
-    /// Accumulated statistics (summed over threads).
-    pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
-        crate::driver::fold_machine_counters(&self.machine, &mut stats);
-        stats
-    }
-}
-
-impl Clone for TwoPhaseLocking {
-    fn clone(&self) -> Self {
-        let contention = self.contention.fork();
-        let governors = contention.governors(self.threads.len());
-        Self {
-            machine: self.machine.clone(),
-            locks: Mutex::new(self.locks.lock().expect("lock table poisoned").clone()),
-            threads: self.threads.clone(),
-            contention,
-            governors,
-        }
-    }
-}
-
-impl TmSystem for TwoPhaseLocking {
-    fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
-        tick_thread(
-            &self.locks,
-            self.machine.handle_mut(tid)?,
-            &mut self.threads[tid.0],
-            &mut self.governors[tid.0],
-        )
-    }
-
-    fn thread_count(&self) -> usize {
-        self.machine.thread_count()
-    }
-
-    fn is_done(&self) -> bool {
-        (0..self.machine.thread_count()).all(|t| {
-            self.machine
-                .thread(ThreadId(t))
-                .map(|t| t.is_done())
-                .unwrap_or(true)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "two-phase-locking"
-    }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
-
-    crate::driver::forward_machine_hooks!();
-}
-
-impl ParallelSystem for TwoPhaseLocking {
-    fn workers(&mut self) -> Vec<Worker<'_>> {
-        let locks = &self.locks;
-        self.machine
-            .handles_mut()
-            .iter_mut()
-            .zip(self.threads.iter_mut())
-            .zip(self.governors.iter_mut())
-            .map(|((h, t), gov)| Box::new(move || tick_thread(locks, h, t, gov)) as Worker<'_>)
-            .collect()
+        };
+        Driver::host(alg, RwMem::new(), programs, cm)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TmSystem;
+    use crate::util::run_round_robin;
     use pushpull_core::error::{Clause, Rule};
+    use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn run_round_robin(sys: &mut TwoPhaseLocking, max_ticks: usize) {
-        let n = sys.thread_count();
-        for i in 0..max_ticks {
-            if sys.is_done() {
-                return;
-            }
-            let _ = sys.tick(ThreadId(i % n)).unwrap();
-        }
-        panic!("system did not terminate within {max_ticks} ticks");
-    }
 
     fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
         vec![Code::seq_all(vec![

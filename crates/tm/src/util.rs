@@ -1,5 +1,7 @@
 //! Small helpers shared by the algorithm drivers.
 
+use std::sync::Mutex;
+
 use pushpull_core::error::MachineError;
 use pushpull_core::log::GlobalFlag;
 use pushpull_core::op::OpId;
@@ -47,6 +49,29 @@ pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize,
 /// driver's point of view)?
 pub fn is_conflict(e: &MachineError) -> bool {
     e.is_criterion()
+}
+
+/// Deep-copies a driver's mutex-guarded metadata for a system clone,
+/// which must share nothing with the original.
+pub(crate) fn fork_mutex<T: Clone>(m: &Mutex<T>) -> Mutex<T> {
+    Mutex::new(m.lock().expect("driver metadata lock poisoned").clone())
+}
+
+/// Drives `sys` round-robin, one tick per thread in turn, until done.
+///
+/// # Panics
+///
+/// Panics on a machine error or when `max_ticks` is exhausted.
+#[cfg(test)]
+pub(crate) fn run_round_robin<T: crate::driver::TmSystem>(sys: &mut T, max_ticks: usize) {
+    let n = sys.thread_count();
+    for i in 0..max_ticks {
+        if sys.is_done() {
+            return;
+        }
+        let _ = sys.tick(pushpull_core::op::ThreadId(i % n)).unwrap();
+    }
+    panic!("system did not terminate within {max_ticks} ticks");
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ fn strict_uncertified_sharding_demotes_to_coarse_with_same_verdicts() {
 
     // Strict mode + shards, no certificate: reshards, but demoted.
     let mut sys = BoostingSystem::new(KvMap::new(), programs());
-    sys.set_require_certificate(true);
+    sys.machine().set_require_certificate(true);
     sys.set_log_shards(4);
     assert_eq!(
         sys.machine().log_shards(),
@@ -62,9 +62,7 @@ fn strict_uncertified_sharding_demotes_to_coarse_with_same_verdicts() {
         sys.machine().global_state().coarse_mode(),
         "uncertified fine-grained routing must demote to coarse"
     );
-    let diags = sys
-        .arming_diagnostics()
-        .expect("driver exposes the gate log");
+    let diags = sys.machine().arming_diagnostics();
     assert!(
         diags.iter().any(|d| d.contains("coarse")),
         "demotion must be recorded: {diags:?}"
@@ -85,7 +83,7 @@ fn strict_mode_on_an_already_sharded_uncertified_log_demotes_immediately() {
     let mut sys = BoostingSystem::new(KvMap::new(), programs());
     sys.set_log_shards(4);
     assert!(!sys.machine().global_state().coarse_mode());
-    sys.set_require_certificate(true);
+    sys.machine().set_require_certificate(true);
     assert!(
         sys.machine().global_state().coarse_mode(),
         "enabling strict mode on a sharded uncertified log demotes on the spot"
@@ -105,13 +103,13 @@ fn strict_uncertified_arming_is_refused() {
     );
 
     let mut sys = BoostingSystem::new(KvMap::new(), programs);
-    sys.set_require_certificate(true);
-    sys.set_static_discharge(plan.discharge.clone());
+    sys.machine().set_require_certificate(true);
+    sys.machine().set_static_discharge(plan.discharge.clone());
     let out = run(&mut sys, &mut RoundRobin, BUDGET).unwrap();
     assert!(out.completed);
     // Nothing was elided: the refusal kept the exact dynamic checks.
     assert_eq!(sys.machine().audit().statically_discharged_total(), 0);
-    let diags = sys.arming_diagnostics().unwrap();
+    let diags = sys.machine().arming_diagnostics();
     assert!(
         diags.iter().any(|d| d.contains("refused")),
         "refusal must be recorded: {diags:?}"
@@ -132,7 +130,7 @@ fn certified_plan_arms_and_routes_fine_under_strict_mode() {
     assert_eq!(plan.recommended_shards(), THREADS as usize);
 
     let sys = BoostingSystem::new(bounded_spec(), programs);
-    sys.set_require_certificate(true);
+    sys.machine().set_require_certificate(true);
     let (sys, out) =
         run_parallel_sharded(sys, BUDGET, Some(&plan), plan.recommended_shards()).unwrap();
     assert!(out.completed);
@@ -141,7 +139,7 @@ fn certified_plan_arms_and_routes_fine_under_strict_mode() {
         !sys.machine().global_state().coarse_mode(),
         "a certified plan keeps fine-grained routing"
     );
-    let diags = sys.arming_diagnostics().unwrap();
+    let diags = sys.machine().arming_diagnostics();
     assert!(
         diags.is_empty(),
         "no refusals with a valid certificate: {diags:?}"
@@ -168,8 +166,8 @@ fn certificate_gated_sharding_is_trace_identical_to_legacy() {
     assert!(out.completed);
 
     let mut gated = BoostingSystem::new(bounded_spec(), programs());
-    gated.install_certificate(Some(cert));
-    gated.set_require_certificate(true);
+    gated.machine().install_certificate(Some(cert));
+    gated.machine().set_require_certificate(true);
     gated.set_log_shards(4);
     assert!(!gated.machine().global_state().coarse_mode());
     let out = run(&mut gated, &mut RoundRobin, BUDGET).unwrap();

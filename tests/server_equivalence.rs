@@ -13,8 +13,8 @@
 //!
 //! Riding along:
 //!
-//! * the driver-facing `service_commit_group` seam contract (forwarded
-//!   by every machine-backed driver, validated end-to-end on a raw
+//! * the driver-facing group-commit seam contract (`commit_group` on
+//!   the machine every system hands out, validated end-to-end on a raw
 //!   machine);
 //! * the server's chaos rows: every transport fault kind through the
 //!   whole session loop under a seeded random scheduler, with exact
@@ -301,38 +301,38 @@ fn abort_mix_group_equivalent() {
     });
 }
 
-/// The driver-facing commit seam: every machine-backed driver forwards
-/// `service_commit_group`, idle threads report back `Ineligible` for the
-/// caller's per-transaction fallback, malformed batches error, and on a
-/// raw machine the same entry point really does commit a multi-thread
-/// batch under one acquisition.
+/// The driver-facing commit seam: every system hands out its machine,
+/// whose `commit_group` reports idle threads back `Ineligible` for the
+/// caller's per-transaction fallback and errors on malformed batches;
+/// on a raw machine the same entry point really does commit a
+/// multi-thread batch under one acquisition.
 #[test]
 fn service_commit_seam_contract() {
-    // The hook, through a driver.
+    // The seam, through a driver.
     let mut sys = BoostingSystem::new(
         KvMap::new(),
         vec![vec![Code::method(MapMethod::Put(0, 1))], vec![]],
     );
     let out = sys
-        .service_commit_group(&[])
-        .expect("machine-backed drivers forward the seam")
+        .machine_mut()
+        .commit_group(&[])
         .expect("empty batch is not an error");
     assert!(out.results.is_empty());
     assert_eq!(out.batches, 0);
-    let out = sys.service_commit_group(&[ThreadId(0)]).unwrap().unwrap();
+    let out = sys.machine_mut().commit_group(&[ThreadId(0)]).unwrap();
     assert!(
         matches!(out.results[..], [(ThreadId(0), GroupTxnResult::Ineligible)]),
         "a thread with nothing applied must fall back, got {:?}",
         out.results
     );
     assert!(
-        sys.service_commit_group(&[ThreadId(0), ThreadId(0)])
-            .unwrap()
+        sys.machine_mut()
+            .commit_group(&[ThreadId(0), ThreadId(0)])
             .is_err(),
         "duplicate tids must be rejected"
     );
     assert!(
-        sys.service_commit_group(&[ThreadId(9)]).unwrap().is_err(),
+        sys.machine_mut().commit_group(&[ThreadId(9)]).is_err(),
         "out-of-range tids must be rejected"
     );
 
@@ -388,7 +388,7 @@ fn server_chaos_transport_matrix() {
             sys.machine()
                 .set_channel_transport(TransportConfig::default());
             let cell = format!("server/{kind}");
-            let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false, |s| s.machine());
+            let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false);
             assert_eq!(
                 sys.stats().sessions as usize,
                 expected,

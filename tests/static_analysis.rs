@@ -19,13 +19,17 @@ use pushpull::analysis::{analyze, check_declaration, Severity, PATTERN_DIVERGENC
 use pushpull::core::error::{Clause, MachineError, Rule};
 use pushpull::core::faults::{FaultHook, FaultKind};
 use pushpull::core::lang::Code;
+use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::RulePattern;
 use pushpull::harness::testutil::assert_ledger_closes;
-use pushpull::harness::{run, run_parallel, FaultPlan, RoundRobin};
+use pushpull::harness::{run, run_parallel, run_parallel_sharded, FaultPlan, RoundRobin};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
-use pushpull::tm::{full_rule_pattern, BoostingSystem, ParallelSystem, Tick, TmSystem};
+use pushpull::tm::{
+    full_rule_pattern, BoostingSystem, ParallelSystem, StarvationReport, SystemStats, Tick,
+    TmSystem,
+};
 
 const BUDGET: usize = 2_000_000;
 
@@ -79,7 +83,7 @@ fn static_plan_elides_checks_and_ledger_closes() {
 
     // Same schedule, facts armed.
     let mut sys = BoostingSystem::new(KvMap::new(), programs);
-    sys.set_static_discharge(plan.discharge.clone());
+    sys.machine().set_static_discharge(plan.discharge.clone());
     run(&mut sys, &mut RoundRobin, BUDGET).unwrap();
     assert!(sys.is_done());
     assert_eq!(sys.stats().commits, base.stats().commits);
@@ -125,6 +129,8 @@ fn analysis_enabled_run_survives_fault_injection() {
 struct Misdeclared(BoostingSystem<KvMap>);
 
 impl TmSystem for Misdeclared {
+    type MachineSpec = KvMap;
+
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError> {
         self.0.tick(tid)
     }
@@ -136,6 +142,18 @@ impl TmSystem for Misdeclared {
     }
     fn name(&self) -> &'static str {
         "misdeclared-boosting"
+    }
+    fn stats(&self) -> SystemStats {
+        self.0.stats()
+    }
+    fn machine(&self) -> &Machine<KvMap> {
+        self.0.machine()
+    }
+    fn machine_mut(&mut self) -> &mut Machine<KvMap> {
+        self.0.machine_mut()
+    }
+    fn starvation(&self) -> Option<StarvationReport> {
+        self.0.starvation()
     }
     fn declared_pattern(&self) -> Option<RulePattern> {
         Some(RulePattern::from_iter([Rule::App, Rule::Pull]))
@@ -186,6 +204,31 @@ fn mis_declared_driver_is_caught() {
     assert_eq!(diag.lint, PATTERN_DIVERGENCE);
     assert!(diag.message.contains("misdeclared-boosting"), "{diag}");
     assert_eq!(plan.errors(), 1);
+}
+
+/// A wrapper system overrides only what it means to: a plan handed to
+/// `run_parallel` and a shard count handed to `run_parallel_sharded`
+/// still reach the wrapped machine, because both go through
+/// `machine()`/`machine_mut()` rather than per-hook forwarding a wrapper
+/// could forget.
+#[test]
+fn wrapper_system_still_receives_plan_and_shards() {
+    let programs = disjoint_key_programs(4);
+    let plan = analyze(&KvMap::new(), &programs);
+    assert!(plan.discharge.is_some());
+
+    let sys = Misdeclared(BoostingSystem::new(KvMap::new(), programs.clone()));
+    let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
+    assert!(out.completed);
+    assert!(sys.machine().audit().statically_discharged_total() > 0);
+    assert!(check_machine(sys.machine()).is_serializable());
+
+    let sys = Misdeclared(BoostingSystem::new(KvMap::new(), programs));
+    let (sys, out) = run_parallel_sharded(sys, BUDGET, Some(&plan), 4).unwrap();
+    assert!(out.completed);
+    assert_eq!(sys.machine().log_shards(), 4);
+    assert!(sys.machine().audit().statically_discharged_total() > 0);
+    assert!(check_machine(sys.machine()).is_serializable());
 }
 
 #[test]

@@ -53,33 +53,33 @@ const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 /// drive to completion round-robin, snapshot everything the claim
 /// quantifies over (committed txns with their ops and stamps, the
 /// rendered trace, the audit ledger).
-fn golden<T, Sp>(
+fn golden<T>(
     label: &str,
     mut sys: T,
     shards: usize,
     channel: bool,
-    machine: impl Fn(&T) -> &Machine<Sp>,
 ) -> (String, String, pushpull::core::audit::CriteriaAudit)
 where
     T: TmSystem,
-    Sp: SeqSpec + Send + Sync + 'static,
-    Sp::Method: std::fmt::Display + Send + Sync + 'static,
-    Sp::Ret: Send + Sync + 'static,
-    Sp::State: Send + Sync + 'static,
+    T::MachineSpec: Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::Method: std::fmt::Display + Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::Ret: Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::State: Send + Sync + 'static,
 {
     sys.set_log_shards(shards);
     // Install after resharding: resharding rebuilds the shard layout and
     // detaches any installed transport.
     if channel {
-        machine(&sys).set_channel_transport(TransportConfig::default());
+        sys.machine()
+            .set_channel_transport(TransportConfig::default());
     } else {
-        machine(&sys).set_local_transport();
+        sys.machine().set_local_transport();
     }
     let which = if channel { "channel" } else { "local" };
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}/{which}: machine error: {e}"));
     assert!(out.completed, "{label}@{shards}/{which}: wedged");
-    let m = machine(&sys);
+    let m = sys.machine();
     let t = m.transport_stats();
     assert!(
         t.requests > 0,
@@ -103,21 +103,17 @@ where
 
 /// Runs `make()`'s system on both transports at every shard count and
 /// asserts the channel run is bit-identical to the local one.
-fn assert_transport_equivalence<T, Sp>(
-    label: &str,
-    make: impl Fn() -> T,
-    machine: impl Fn(&T) -> &Machine<Sp> + Copy,
-) where
+fn assert_transport_equivalence<T>(label: &str, make: impl Fn() -> T)
+where
     T: TmSystem,
-    Sp: SeqSpec + Send + Sync + 'static,
-    Sp::Method: std::fmt::Display + Send + Sync + 'static,
-    Sp::Ret: Send + Sync + 'static,
-    Sp::State: Send + Sync + 'static,
+    T::MachineSpec: Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::Method: std::fmt::Display + Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::Ret: Send + Sync + 'static,
+    <T::MachineSpec as SeqSpec>::State: Send + Sync + 'static,
 {
     for shards in SHARD_COUNTS {
-        let (local_commits, local_trace, local_audit) =
-            golden(label, make(), shards, false, machine);
-        let (chan_commits, chan_trace, chan_audit) = golden(label, make(), shards, true, machine);
+        let (local_commits, local_trace, local_audit) = golden(label, make(), shards, false);
+        let (chan_commits, chan_trace, chan_audit) = golden(label, make(), shards, true);
         assert_eq!(
             chan_commits, local_commits,
             "{label}@{shards}: committed transactions diverge"
@@ -149,11 +145,9 @@ fn boosting_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "boosting/kvmap",
-        || BoostingSystem::new(KvMap::new(), programs()),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("boosting/kvmap", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
 }
 
 #[test]
@@ -168,64 +162,50 @@ fn optimistic_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "optimistic/rwmem",
-        || OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("optimistic/rwmem", || {
+        OptimisticSystem::new(RwMem::new(), programs(), ReadPolicy::Snapshot)
+    });
 }
 
 #[test]
 fn pessimistic_transport_equivalent() {
     let prog = |v: i64| vec![Code::method(MemMethod::Write(Loc(0), v))];
-    assert_transport_equivalence(
-        "pessimistic/rwmem",
-        || MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("pessimistic/rwmem", || {
+        MatveevShavitSystem::new(RwMem::new(), vec![prog(1), prog(2), prog(3), prog(4)])
+    });
 }
 
 #[test]
 fn tl2_transport_equivalent() {
-    assert_transport_equivalence(
-        "tl2/rwmem",
-        || Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("tl2/rwmem", || {
+        Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)])
+    });
 }
 
 #[test]
 fn twophase_transport_equivalent() {
     let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
-    assert_transport_equivalence(
-        "2pl/rwmem",
-        || TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("2pl/rwmem", || {
+        TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)])
+    });
 }
 
 #[test]
 fn htm_transport_equivalent() {
-    assert_transport_equivalence(
-        "htm/rwmem",
-        || HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)]),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("htm/rwmem", || {
+        HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)])
+    });
 }
 
 #[test]
 fn irrevocable_transport_equivalent() {
-    assert_transport_equivalence(
-        "irrevocable/rwmem",
-        || {
-            IrrevocableSystem::new(
-                RwMem::new(),
-                vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
-                ThreadId(0),
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("irrevocable/rwmem", || {
+        IrrevocableSystem::new(
+            RwMem::new(),
+            vec![rmw(0, 10), rmw(0, 20), rmw(1, 30), rmw(0, 40)],
+            ThreadId(0),
+        )
+    });
 }
 
 #[test]
@@ -237,16 +217,12 @@ fn checkpoint_transport_equivalent() {
             Code::method(MemMethod::Write(Loc(l), v)),
         ])]
     };
-    assert_transport_equivalence(
-        "checkpoint/rwmem",
-        || {
-            CheckpointOptimistic::new(
-                RwMem::new(),
-                vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
-            )
-        },
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("checkpoint/rwmem", || {
+        CheckpointOptimistic::new(
+            RwMem::new(),
+            vec![prog(0, 1), prog(0, 2), prog(1, 3), prog(1, 4)],
+        )
+    });
 }
 
 #[test]
@@ -261,11 +237,9 @@ fn dependent_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "dependent/counter",
-        || DependentSystem::new(Counter::new(), programs(), true),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("dependent/counter", || {
+        DependentSystem::new(Counter::new(), programs(), true)
+    });
 }
 
 #[test]
@@ -282,11 +256,9 @@ fn mixed_transport_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_transport_equivalence(
-        "mixed/product",
-        || MixedSystem::new(mixed_spec(), programs()),
-        |s| s.machine(),
-    );
+    assert_transport_equivalence("mixed/product", || {
+        MixedSystem::new(mixed_spec(), programs())
+    });
 }
 
 /// The full degradation lifecycle on one machine, with *exact* counter
