@@ -39,6 +39,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod certify;
 pub mod diagnostics;

@@ -1,22 +1,20 @@
-//! B10: the cost of one operation on the lock-free shard hot path.
+//! B10: the cost of one operation on the locked shard path.
 //!
 //! B9 measures throughput under OS-thread contention; this target
-//! isolates the *single-op* costs the log-memory overhaul targets:
+//! isolates the *single-op* costs:
 //!
 //! * **app-push-unpush-unapp** — one full forward/backward cycle of a
-//!   declared-footprint write. PUSH speculates its criteria against the
-//!   shard's published snapshot (zero locks for the criteria window,
-//!   one for the append); UNPUSH returns the entry's arena slot, so at
-//!   steady state the cycle allocates nothing for log storage — slots
-//!   and `SmallVec` footprints are recycled, which the per-op
-//!   allocation counts (from a counting global allocator) make visible.
+//!   declared-footprint write: PUSH and UNPUSH each take their routed
+//!   shard's lock once, evaluate the criteria kernel and apply the
+//!   effect. The per-op allocation counts (from a counting global
+//!   allocator) show what the cycle costs in heap traffic.
 //! * **can-push-readonly** — the pure criteria check on a disjoint
-//!   footprint: zero locks, zero log mutation. The bench-smoke
-//!   assertion pins the zero: if the fast path ever regresses into
-//!   taking a mutex, this target fails before timing anything.
+//!   footprint: one lock (its routed shard), no log mutation, no audit
+//!   movement. The bench-smoke assertion pins both before timing
+//!   anything.
 //!
 //! The shape table prints per-op allocation counts and the machine's
-//! seqlock/arena counters; EXPERIMENTS.md §B10 keeps the numbers.
+//! lock counter; EXPERIMENTS.md §B10 keeps the numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,35 +98,23 @@ fn readonly_machine(shards: usize) -> (Machine<RwMem>, ThreadId, OpId) {
 }
 
 fn bench_single_op(c: &mut Criterion) {
-    // Bench-smoke assertions before timing.
-    //
-    // 1. The read-only disjoint criteria check takes ZERO mutex
-    //    acquisitions — the tentpole property of the seqlock fast path.
+    // Bench-smoke assertion before timing: the read-only disjoint
+    // criteria check acquires exactly one lock — its routed shard,
+    // `Loc(1)` → shard 1 — and moves no audit counter.
     let (m, reader, op) = readonly_machine(16);
-    let (acq_before, _) = m.lock_stats();
-    let (reads_before, _, fb_before) = m.seqlock_stats();
+    let locks_before = m.lock_stats_per_shard();
+    let audit_before = m.audit();
     for _ in 0..1_000 {
         assert!(m.can_push(reader, op).expect("well-formed"));
     }
-    let (acq_after, _) = m.lock_stats();
-    let (reads_after, _, fb_after) = m.seqlock_stats();
+    let mut expected = locks_before;
+    expected[1].0 += 1_000;
     assert_eq!(
-        acq_after, acq_before,
-        "B10 regression: read-only disjoint criteria check took a mutex"
+        m.lock_stats_per_shard(),
+        expected,
+        "B10 regression: a read-only check locks its routed shard once, nothing else"
     );
-    assert_eq!(reads_after, reads_before + 1_000);
-    assert_eq!(fb_after, fb_before, "B10 regression: snapshot fallback");
-
-    // 2. The cycle recycles arena slots: after a warm-up, reuse grows.
-    let (mut m, t) = cycle_machine(16);
-    for _ in 0..100 {
-        cycle(&mut m, t);
-    }
-    let (_, _, reused) = m.arena_stats();
-    assert!(
-        reused >= 99,
-        "UNPUSH-freed slots must be recycled, got {reused}"
-    );
+    assert_eq!(m.audit(), audit_before, "B10 regression: can_push audited");
 
     let mut group = c.benchmark_group("B10-single-op");
     group.sample_size(20);
@@ -148,21 +134,17 @@ fn bench_single_op(c: &mut Criterion) {
     for shards in [1usize, 16] {
         let (mut m, t) = cycle_machine(shards);
         for _ in 0..1_000 {
-            cycle(&mut m, t); // warm up: arena slots + footprint storage
+            cycle(&mut m, t); // warm up: log and footprint storage
         }
         let cyc = allocs_per(10_000, || cycle(&mut m, t));
-        let (live, cap, reused) = m.arena_stats();
         let (acq, _) = m.lock_stats();
-        let (reads, retries, fb) = m.seqlock_stats();
 
         let (rm, reader, op) = readonly_machine(shards);
         let chk = allocs_per(10_000, || {
             rm.can_push(reader, op).expect("well-formed");
         });
         eprintln!(
-            "{shards:>2} shards  allocs/cycle={cyc:<6.2} allocs/check={chk:<6.2} \
-             arena live={live} cap={cap} reused={reused}  locks={acq}  \
-             snaps={reads} (retry={retries} fb={fb})"
+            "{shards:>2} shards  allocs/cycle={cyc:<6.2} allocs/check={chk:<6.2} locks={acq}"
         );
     }
 }

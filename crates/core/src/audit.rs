@@ -309,10 +309,9 @@ impl AtomicAudit {
         self.allowed_queries[shard % QUERY_SHARDS].add(1);
     }
 
-    /// Counts `n` mover-oracle consultations at once. The lock-free
-    /// snapshot path buffers its tallies while evaluating criteria
-    /// optimistically and flushes them here in one shot, so the audit
-    /// ledger stays exact whether a check ran locked or lock-free.
+    /// Counts `n` mover-oracle consultations at once: the criteria
+    /// kernel tallies while it evaluates and `Verdict::record` flushes
+    /// here in one shot.
     pub fn count_mover_n(&self, shard: usize, n: u64) {
         if n > 0 {
             self.mover_queries[shard % QUERY_SHARDS].add(n);

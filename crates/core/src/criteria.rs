@@ -1,65 +1,23 @@
 //! The criteria kernel: the one evaluation of every criterion that reads
 //! the shared log `G` — PUSH (ii)/(iii), UNPUSH (i)/(ii) and CMT (iii).
 //!
-//! The kernel is *pure*: it reads a view of `G` and returns a
-//! [`Verdict`], touching neither the log nor the audit. What varies
-//! between the ways a rule can execute is only where the view comes from
-//! and who holds the lock (DESIGN.md §10–11):
+//! The kernel is *pure*: it reads a held [`LogView`] of `G` and returns a
+//! [`Verdict`], touching neither the log nor the audit. A rule uses it in
+//! one of two modes (DESIGN.md §10–11), both under the shard lock:
 //!
-//! * **locked** — evaluate over a held [`LogView`], then
-//!   [`Verdict::settle`] (record the tallies, surface the denial);
-//! * **speculative** — evaluate over a published [`ShardSnap`] with no
-//!   lock held, and record the verdict only if it passed *and* the shard
-//!   version revalidates under the append lock; anything else is dropped
-//!   and re-evaluated locked (a stale snapshot can show a since-committed
-//!   entry as uncommitted, so a speculative failure never denies);
+//! * **locked** — evaluate, then [`Verdict::settle`] (record the tallies,
+//!   surface the denial), then apply the effect in the same critical
+//!   section;
 //! * **advisory** (`can_push`) — evaluate and never record.
 //!
-//! [`Verdict::record`] is the only place these clauses touch the audit,
-//! so the ledger is identical whichever way a verdict was reached.
-
-use std::collections::HashSet;
+//! [`Verdict::record`] is the only place these clauses touch the audit.
 
 use crate::audit::AtomicAudit;
 use crate::error::{Clause, MachineError, MachineResult, Rule};
-use crate::global::{GlobalState, LogView, ShardSnap};
-use crate::log::{GlobalEntry, GlobalFlag};
+use crate::global::{GlobalState, LogView};
+use crate::log::GlobalFlag;
 use crate::op::{Op, OpId, TxnId};
 use crate::spec::SeqSpec;
-
-/// What the kernel reads of (a segment of) the shared log. Implemented
-/// by the locked [`LogView`] and the lock-free [`ShardSnap`]; at the same
-/// shard version the two give the same verdict and the same tallies.
-pub(crate) trait LogRead<S: SeqSpec> {
-    /// Every entry that may still be uncommitted, in stamp order. A
-    /// snapshot leaves out its committed prefix, which is all-committed
-    /// by construction and folded into [`Self::denote`].
-    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
-    where
-        S: 'a;
-
-    /// `⟦G ∖ skip⟧` — the denotation of the whole viewed log, optionally
-    /// without one entry. A single-shard view replays only the suffix
-    /// past the shard's committed-prefix cache when the incremental path
-    /// is on; the answer is the same either way.
-    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State>;
-}
-
-impl<S: SeqSpec> LogRead<S> for ShardSnap<S> {
-    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
-    where
-        S: 'a,
-    {
-        self.suffix.iter()
-    }
-
-    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State> {
-        let kept = self.suffix.iter().filter(|e| Some(e.op.id) != skip);
-        global
-            .spec()
-            .denote_from_refs(&self.states, kept.map(|e| &e.op))
-    }
-}
 
 /// How one clause concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +39,7 @@ fn clauses(rule: Rule) -> [Clause; 2] {
 
 /// The outcome of one kernel evaluation: how each clause concluded and
 /// the oracle queries it took. Holds no heap data — the denial message is
-/// only rendered by [`Verdict::result`], so a dropped speculation costs
+/// only rendered by [`Verdict::result`], so an advisory evaluation costs
 /// no allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Verdict {
@@ -174,7 +132,7 @@ impl Verdict {
 /// law, so the verdict is identical. (iii): `G` allows `op`.
 pub(crate) fn push<S: SeqSpec>(
     global: &GlobalState<S>,
-    view: &impl LogRead<S>,
+    view: &LogView<'_, S>,
     txn: TxnId,
     op: &Op<S::Method, S::Ret>,
 ) -> Verdict {
@@ -218,18 +176,20 @@ pub(crate) fn push<S: SeqSpec>(
     v
 }
 
-/// UNPUSH criteria for the uncommitted entry `op` of the viewed log.
+/// UNPUSH criteria for the uncommitted entry at `(vidx, pos)` of the
+/// viewed log, as located by [`LogView::find`].
 ///
 /// (i), gray — checked only when `gray`: `op` slides right across
 /// everything after it in the view (on other shards everything is a
 /// both-mover by footprint). (ii): `G` without `op` is still allowed.
 pub(crate) fn unpush<S: SeqSpec>(
     global: &GlobalState<S>,
-    view: &impl LogRead<S>,
-    op: &Op<S::Method, S::Ret>,
+    view: &LogView<'_, S>,
+    (vidx, pos): (usize, usize),
     gray: bool,
 ) -> Verdict {
     let spec = global.spec();
+    let op = &view.at(vidx, pos).op;
     let mut v = Verdict::new(Rule::UnPush, op.id);
     if gray {
         let later = || view.live().skip_while(|g| g.op.id != op.id).skip(1);
@@ -255,7 +215,7 @@ pub(crate) fn unpush<S: SeqSpec>(
         }
     }
     v.allowed += 1;
-    if view.denote(global, Some(op.id)).is_empty() {
+    if view.denote(global, Some((vidx, pos))).is_empty() {
         return v.deny(1, None);
     }
     v.marks[1] = Some(Mark::Pass);
@@ -263,8 +223,7 @@ pub(crate) fn unpush<S: SeqSpec>(
 }
 
 /// CMT criterion (iii): every pulled operation belongs to a committed
-/// transaction. Needs the whole held log (a pulled entry may sit in the
-/// committed prefix a snapshot has folded away), hence no [`LogRead`].
+/// transaction.
 pub(crate) fn cmt<S: SeqSpec>(
     view: &LogView<'_, S>,
     pulled: impl Iterator<Item = OpId>,
@@ -292,10 +251,9 @@ mod tests {
     use crate::toy::{CounterMethod, StrictCounter, ToyCounter};
 
     /// For every own operation of every thread, the kernel over the
-    /// published snapshot and over the locked view — at the same shard
-    /// version, incremental on and off — must return the same
-    /// [`Verdict`]: outcome, witness *and* tallies. Returns how many
-    /// comparisons ended in a denial.
+    /// locked view must return the same [`Verdict`] — outcome, witness
+    /// *and* tallies — with the incremental path on and off (full replay
+    /// is the reference). Returns how many comparisons ended in a denial.
     fn compare<S: SeqSpec<Method = CounterMethod>>(m: &Machine<S>) -> usize {
         let global = m.global_state();
         let mut denials = 0;
@@ -303,27 +261,20 @@ mod tests {
             let local = m.thread(crate::op::ThreadId(t)).unwrap().local();
             for e in local.entries().iter().filter(|e| e.flag.is_own()) {
                 let op = &e.op;
-                let pushed = matches!(e.flag, LocalFlag::Pushed { .. });
-                let on_snap = global.read_shard_snap(0, |snap| {
-                    let v = if pushed {
-                        unpush(global, snap, op, true)
-                    } else {
-                        push(global, snap, op.txn, op)
-                    };
-                    (snap.version, v)
-                });
-                for incremental in [true, false] {
+                let [cached, replayed] = [true, false].map(|incremental| {
                     global.set_incremental(incremental);
                     let view = global.acquire_route(Route::Single(0));
-                    let v = if pushed {
-                        unpush(global, &view, op, true)
+                    let v = if matches!(e.flag, LocalFlag::Pushed { .. }) {
+                        let at = view.find(op.id).expect("a pshd op is in G");
+                        unpush(global, &view, at, true)
                     } else {
                         push(global, &view, op.txn, op)
                     };
-                    denials += usize::from(!v.passed());
                     assert_eq!(v.passed(), v.result().is_ok());
-                    assert_eq!(on_snap, Some((view.shard_version(0), v)));
-                }
+                    v
+                });
+                assert_eq!(cached, replayed);
+                denials += usize::from(!cached.passed());
             }
         }
         denials
@@ -367,12 +318,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_locked_verdicts_agree_on_toy_counter() {
+    fn incremental_and_full_replay_verdicts_agree_on_toy_counter() {
         differential(|| ToyCounter::with_bound(2));
     }
 
     #[test]
-    fn snapshot_and_locked_verdicts_agree_on_strict_counter() {
+    fn incremental_and_full_replay_verdicts_agree_on_strict_counter() {
         differential(|| StrictCounter::with_bound(2));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! `G` is partitioned into `N` *footprint-addressed shards*, each a
 //! `ShardLog` behind its own [`Mutex`]: a segment of the global log
-//! (its own `gUCmt`/`gCmt` entries), a parallel vector of *commit-sequence
-//! stamps*, and its own committed-prefix denotation cache. An operation is
+//! (its own `gUCmt`/`gCmt` entries, each paired with its *commit-sequence
+//! stamp*) and its own committed-prefix denotation cache. An operation is
 //! routed to shard `key % N` by [`SeqSpec::method_keys`], the declared
 //! footprint of its method. Two operations with disjoint footprints are
 //! both-movers (Def 4.1 — the declared law, validated against the
@@ -56,11 +56,15 @@
 //!   the atomics (fresh ids, audit counters, trace sequence numbers).
 //! * **PUSH/UNPUSH** take *their operation's shard lock* for their
 //!   criteria-over-`G` and their effect, as one atomic critical section.
+//!   The advisory `can_push` takes the same one lock, evaluates, and
+//!   records nothing.
 //! * **CMT** takes the locks of exactly the shards its pushed/pulled
 //!   operations touch, ascending, then appends to the committed list.
 //! * **PULL** locks one shard at a time only to locate and snapshot the
 //!   pulled entry; its criteria and effect are local. **UNPULL** is
 //!   entirely local.
+//! * Once the sticky **coarse** flag is set, every shared rule takes
+//!   every shard lock.
 //!
 //! Multi-shard acquisitions always lock in ascending shard-index order,
 //! and the `committed` list's mutex is only ever taken while already
@@ -93,53 +97,30 @@
 //!   inside the cached prefix (impossible through the rule API) resets the
 //!   cache defensively.
 //!
-//! ## The lock-free snapshot path (seqlock prefix reads)
+//! ## The fallback ladder and log memory
 //!
-//! On top of the mutex ladder, every shard *publishes* an immutable
-//! `ShardSnap` — its committed-prefix denotation, its uncommitted
-//! suffix and a monotonically increasing per-shard `version` — into a
-//! [`SnapCell`] whenever it mutates (append, removal, commit flip). A
-//! routed PUSH evaluates its shared criteria (ii)/(iii) against that
-//! snapshot **without taking any lock**, buffering its audit tallies:
+//! The ladder is: per-shard mutex → sticky coarse (all shards). Every
+//! shared rule is "evaluate the criteria kernel, then apply the effect"
+//! inside one critical section, so no evaluation can be stale. Stamps are
+//! minted from `push_stamp` under the shard lock, so per-shard stamps
+//! stay strictly increasing.
 //!
-//! * a *failing* verdict is returned immediately — zero locks; denial at
-//!   any moment is a legal machine step, and single-threaded runs always
-//!   see a fresh snapshot, so golden traces are bit-identical;
-//! * a *passing* verdict acquires the shard mutex only for the mutating
-//!   append, revalidates `version`, and — on a match — flushes the
-//!   buffered tallies and appends. A mismatch (a concurrent writer got
-//!   in between) discards the speculation and re-runs the criteria under
-//!   the lock, audited exactly as the classic path.
-//!
-//! The fallback ladder is thus: optimistic snapshot → per-shard mutex →
-//! sticky coarse (all shards). Snapshots are never published while the
-//! coarse flag is set, and the coarse flag is re-checked under the lock
-//! (same argument as the routing double-check), so the optimistic path
-//! can never miss a coarse entry. Stamp order is untouched: stamps are
-//! still minted from `push_stamp` under the shard lock in the (short)
-//! mutating section, so per-shard stamps stay strictly increasing.
-//!
-//! Log memory is arena-backed ([`SlabArena`]): entries never move once
-//! appended, UNPUSH removal shifts only the 16-byte `(stamp, ref)` order
-//! records, and the criteria replay iterates cursors instead of
-//! collecting `Vec`s — per-op step complexity stops scaling with log
-//! length or allocator behavior.
+//! A shard's segment is one `Vec` of `(stamp, entry)` in append order.
+//! UNPUSH removes by position, and the criteria replay iterates cursors
+//! over it instead of collecting `Vec`s.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 
-use crate::arena::{ArenaRef, SlabArena};
 use crate::audit::{AtomicAudit, CriteriaAudit};
 use crate::certificate::SpecCertificate;
-use crate::criteria::LogRead;
 use crate::error::{Clause, Rule};
 use crate::faults::{FaultHook, FaultKind};
 use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
-use crate::snapcell::SnapCell;
 use crate::spec::SeqSpec;
 use crate::static_facts::StaticDischarge;
 use crate::transport::{ShardTransport, TransportStats};
@@ -218,12 +199,6 @@ impl<St: Clone + Eq + std::hash::Hash> PrefixCache<St> {
     }
 }
 
-/// Seqlock validation retries before an optimistic snapshot read gives
-/// up and takes the mutex fallback. Small on purpose: a race means a
-/// writer is active on this shard, and the mutex path is then cheaper
-/// than spinning.
-const SNAP_RETRIES: u64 = 3;
-
 /// A global entry paired with its commit-sequence stamp (owned).
 type StampedEntry<S> = (
     u64,
@@ -237,41 +212,18 @@ type StampedEntryRef<'a, S> = (
     &'a GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
 );
 
-/// The immutable snapshot a shard publishes for the lock-free criteria
-/// read path: everything PUSH criteria (ii)/(iii) need — the cached
-/// committed-prefix denotation and the (flagged) entries past it —
-/// tagged with the shard `version` that produced it, so the mutating
-/// append section can revalidate before relying on a speculated verdict.
-pub(crate) struct ShardSnap<S: SeqSpec> {
-    /// [`ShardLog::version`] at publication time.
-    pub(crate) version: u64,
-    /// `⟦G_i[..cache.len]⟧` — the committed-prefix denotation.
-    pub(crate) states: HashSet<S::State>,
-    /// The entries past the cached prefix, flags as of publication, in
-    /// shard (= stamp) order.
-    pub(crate) suffix: Vec<GlobalEntry<S::Method, S::Ret>>,
-}
-
-/// One footprint shard of the global log: an arena-backed segment of `G`
-/// with its commit-sequence append order and its own committed-prefix
-/// cache. Everything the shared rules read-modify on this shard sits
-/// behind one mutex in [`GlobalState::shards`].
+/// One footprint shard of the global log: a segment of `G` in append
+/// (= stamp) order with its own committed-prefix cache. Everything the
+/// shared rules read-modify on this shard sits behind one mutex in
+/// [`GlobalState::shards`].
 #[derive(Debug)]
 pub(crate) struct ShardLog<S: SeqSpec> {
-    /// Slab storage for this shard's segment of `G`: entries never move
-    /// once appended, and UNPUSH removals recycle slots through the
-    /// generation-tagged free list instead of shifting entry payloads.
-    arena: SlabArena<GlobalEntry<S::Method, S::Ret>>,
-    /// `(stamp, slot)` in append order. Stamps are strictly increasing
+    /// `(stamp, entry)` in append order. Stamps are strictly increasing
     /// within a shard (minted under the shard lock); merging all shards
-    /// by stamp reconstructs the total append order of `G`. Removals
-    /// shift only these 16-byte records, never the entries.
-    order: Vec<(u64, ArenaRef)>,
+    /// by stamp reconstructs the total append order of `G`.
+    entries: Vec<StampedEntry<S>>,
     /// The committed-prefix denotation cache for this segment.
     pub(crate) cache: PrefixCache<S::State>,
-    /// Bumped on every mutation (append, removal, commit flip) — the
-    /// validation token for [`ShardSnap`] speculation.
-    pub(crate) version: u64,
 }
 
 // Manual impl: a derived `Clone` would demand `S: Clone`, which nothing
@@ -280,10 +232,8 @@ pub(crate) struct ShardLog<S: SeqSpec> {
 impl<S: SeqSpec> Clone for ShardLog<S> {
     fn clone(&self) -> Self {
         Self {
-            arena: self.arena.clone(),
-            order: self.order.clone(),
+            entries: self.entries.clone(),
             cache: self.cache.clone(),
-            version: self.version,
         }
     }
 }
@@ -291,60 +241,49 @@ impl<S: SeqSpec> Clone for ShardLog<S> {
 impl<S: SeqSpec> ShardLog<S> {
     fn new(initial: Vec<S::State>) -> Self {
         Self {
-            arena: SlabArena::new(),
-            order: Vec::new(),
+            entries: Vec::new(),
             cache: PrefixCache::new(initial),
-            version: 0,
         }
     }
 
     /// Rebuilds a shard from stamp-ordered entries (resharding).
-    fn from_stamped(stamped: Vec<StampedEntry<S>>, initial: Vec<S::State>) -> Self {
-        let mut sh = Self::new(initial);
-        for (stamp, entry) in stamped {
-            sh.push_entry(stamp, entry);
+    fn from_stamped(entries: Vec<StampedEntry<S>>, initial: Vec<S::State>) -> Self {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "stamps must be strictly increasing within a shard"
+        );
+        Self {
+            entries,
+            cache: PrefixCache::new(initial),
         }
-        sh
     }
 
     /// Number of entries in this shard's segment.
     pub(crate) fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// The entries in shard (= stamp) order.
-    pub(crate) fn iter(
-        &self,
-    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + Clone + '_ {
-        self.order
-            .iter()
-            .map(move |(_, r)| self.arena.get(*r).expect("order refs are live"))
-    }
-
-    /// The entries with their stamps, in shard order.
-    pub(crate) fn iter_stamped(&self) -> impl Iterator<Item = StampedEntryRef<'_, S>> + '_ {
-        self.order
-            .iter()
-            .map(move |(s, r)| (*s, self.arena.get(*r).expect("order refs are live")))
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
+        self.entries.iter().map(|(_, e)| e)
     }
 
     /// The entries from position `pos` on, in shard order (the suffix
     /// cursor the incremental criteria replay).
     fn iter_from(&self, pos: usize) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
-        self.order[pos.min(self.order.len())..]
+        self.entries[pos.min(self.entries.len())..]
             .iter()
-            .map(move |(_, r)| self.arena.get(*r).expect("order refs are live"))
+            .map(|(_, e)| e)
     }
 
     /// The entry at `pos` in shard order.
     fn entry_at(&self, pos: usize) -> &GlobalEntry<S::Method, S::Ret> {
-        let (_, r) = self.order[pos];
-        self.arena.get(r).expect("order refs are live")
+        &self.entries[pos].1
     }
 
     /// The stamp of the entry at `pos`.
     fn stamp_at(&self, pos: usize) -> u64 {
-        self.order[pos].0
+        self.entries[pos].0
     }
 
     /// Position of the entry with `id` in shard order.
@@ -357,61 +296,43 @@ impl<S: SeqSpec> ShardLog<S> {
         self.iter().find(|e| e.op.id == id)
     }
 
-    fn push_entry(&mut self, stamp: u64, entry: GlobalEntry<S::Method, S::Ret>) {
-        debug_assert!(
-            self.order.last().is_none_or(|(s, _)| *s < stamp),
-            "stamps must be strictly increasing within a shard"
-        );
-        let r = self.arena.insert(entry);
-        self.order.push((stamp, r));
-    }
-
     /// Appends an uncommitted entry with `stamp` (the PUSH effect).
     fn push_uncommitted(&mut self, stamp: u64, op: Op<S::Method, S::Ret>) {
-        self.push_entry(
-            stamp,
-            GlobalEntry {
-                op,
-                flag: GlobalFlag::Uncommitted,
-            },
+        debug_assert!(
+            self.entries.last().is_none_or(|(s, _)| *s < stamp),
+            "stamps must be strictly increasing within a shard"
         );
+        let flag = GlobalFlag::Uncommitted;
+        self.entries.push((stamp, GlobalEntry { op, flag }));
     }
 
     /// Removes the entry at `pos` (the effect of an UNPUSH on this
-    /// shard). The arena slot is recycled; any stale [`ArenaRef`] to it
-    /// resolves to `None` from now on.
+    /// shard).
     fn remove_at(&mut self, pos: usize) {
-        let (_, r) = self.order.remove(pos);
-        self.arena.remove(r).expect("order refs are live");
+        self.entries.remove(pos);
     }
 
     /// Flips every entry of `local` held by this shard to committed,
     /// returning `(stamp, id)` per flip (the CMT effect on this shard).
+    /// Every uncommitted entry lies at or past `cache.len` (the
+    /// all-committed invariant of the cached prefix), so the walk starts
+    /// there.
     fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<(u64, OpId)> {
-        let ShardLog { arena, order, .. } = self;
+        let from = self.cache.len.min(self.entries.len());
+        debug_assert!(
+            self.entries[..from]
+                .iter()
+                .all(|(_, e)| e.flag == GlobalFlag::Committed),
+            "the cached prefix is all committed"
+        );
         let mut flipped = Vec::new();
-        for (stamp, r) in order.iter() {
-            let e = arena.get_mut(*r).expect("order refs are live");
+        for (stamp, e) in &mut self.entries[from..] {
             if e.flag == GlobalFlag::Uncommitted && local.iter().any(|l| l.op.id == e.op.id) {
                 e.flag = GlobalFlag::Committed;
                 flipped.push((*stamp, e.op.id));
             }
         }
         flipped
-    }
-
-    /// Clones the entries past the cached prefix (for [`ShardSnap`]).
-    fn suffix_entries(&self) -> Vec<GlobalEntry<S::Method, S::Ret>> {
-        self.iter_from(self.cache.len).cloned().collect()
-    }
-
-    /// `(live, capacity, reused)` of this shard's arena.
-    fn arena_stats(&self) -> (u64, u64, u64) {
-        (
-            self.arena.live() as u64,
-            self.arena.capacity() as u64,
-            self.arena.reused(),
-        )
     }
 }
 
@@ -644,17 +565,10 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
         self.shards.len() == 1
     }
 
-    /// Is this view exactly `{shard i}` (the optimistic append's
-    /// revalidation needs to know its speculation still covers the whole
-    /// criteria scope)?
+    /// Is this view exactly `{shard i}` (a group-commit batch checks
+    /// that the coarse flag did not widen its section)?
     pub(crate) fn is_single_shard(&self, i: usize) -> bool {
         self.shards.len() == 1 && self.shards[0].0 == i
-    }
-
-    /// The `version` of the held shard at `view index` (snapshot
-    /// revalidation).
-    pub(crate) fn shard_version(&self, vidx: usize) -> u64 {
-        self.shards[vidx].1.version
     }
 
     /// All held entries with their stamps, in stamp order, as a k-way
@@ -689,16 +603,11 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// Flips every held entry of `local` to committed (the `cmt`
     /// predicate restricted to the held shards), returning the flipped
     /// ids in global stamp order — identical to the single-log flip
-    /// order at any shard count. Bumps the version of every shard that
-    /// flipped at least one entry.
+    /// order at any shard count.
     fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<OpId> {
         let mut flipped: Vec<(u64, OpId)> = Vec::new();
         for (_, sh) in &mut self.shards {
-            let here = sh.commit_local(local);
-            if !here.is_empty() {
-                sh.version += 1;
-            }
-            flipped.extend(here);
+            flipped.extend(sh.commit_local(local));
         }
         flipped.sort_by_key(|(s, _)| *s);
         flipped.into_iter().map(|(_, id)| id).collect()
@@ -736,34 +645,42 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
     }
 }
 
-impl<S: SeqSpec> LogRead<S> for LogView<'_, S> {
-    fn live<'a>(&'a self) -> impl Iterator<Item = &'a GlobalEntry<S::Method, S::Ret>>
-    where
-        S: 'a,
-    {
+impl<S: SeqSpec> LogView<'_, S> {
+    /// Every held entry, in stamp order — what the mover criteria scan.
+    pub(crate) fn live(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
         self.stamped().map(|(_, e)| e)
     }
 
-    /// A single-shard view replays only the suffix past that shard's
-    /// cache (when the incremental path is on); a multi-shard view
-    /// replays the merged stamp-ordered log in full. `skip` is an
-    /// uncommitted entry, so it lies past the cache boundary; if it ever
-    /// does not (unreachable through the rule API), fall back to the
-    /// full replay.
-    fn denote(&self, global: &GlobalState<S>, skip: Option<OpId>) -> HashSet<S::State> {
-        let kept = |e: &&GlobalEntry<S::Method, S::Ret>| Some(e.op.id) != skip;
+    /// `⟦G ∖ skip⟧` — the denotation of the whole viewed log, optionally
+    /// without the entry at `(view index, position)` as located by
+    /// [`Self::find`]. A single-shard view replays only the suffix past
+    /// that shard's cache (when the incremental path is on); a
+    /// multi-shard view replays the merged stamp-ordered log in full.
+    /// The answer is the same either way. `skip` is an uncommitted entry,
+    /// so it lies past the cache boundary; if it ever does not
+    /// (unreachable through the rule API), fall back to the full replay.
+    pub(crate) fn denote(
+        &self,
+        global: &GlobalState<S>,
+        skip: Option<(usize, usize)>,
+    ) -> HashSet<S::State> {
+        let spec = &global.spec;
         if !self.is_single() {
-            let merged = self.stamped().map(|(_, e)| e);
-            return global.spec.denote_refs(merged.filter(kept).map(|e| &e.op));
+            let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
+            let merged = self.live().filter(|e| Some(e.op.id) != skipped);
+            return spec.denote_refs(merged.map(|e| &e.op));
         }
         let sh = &self.shards[0].1;
-        let in_suffix = skip.is_none_or(|id| sh.position(id).is_none_or(|p| p >= sh.cache.len));
-        if global.incremental() && in_suffix {
-            global.suffix_states(sh, skip)
+        let skip = skip.map(|(_, pos)| pos);
+        let ops_from = |from: usize| {
+            let kept = sh.iter_from(from).enumerate();
+            kept.filter(move |(k, _)| Some(from + k) != skip)
+                .map(|(_, e)| &e.op)
+        };
+        if global.incremental() && skip.is_none_or(|p| p >= sh.cache.len) {
+            spec.denote_from_refs(&sh.cache.states, ops_from(sh.cache.len))
         } else {
-            global
-                .spec
-                .denote_refs(sh.iter().filter(kept).map(|e| &e.op))
+            spec.denote_refs(ops_from(0))
         }
     }
 }
@@ -798,19 +715,6 @@ pub struct GlobalState<S: SeqSpec> {
     /// single-key footprint routes, never cleared (for this shard
     /// layout). See the module docs for the memory-ordering argument.
     coarse: AtomicBool,
-    /// Per-shard published snapshots for the lock-free criteria read
-    /// path. Published on every shard mutation (unless coarse mode is
-    /// on); read optimistically by routed PUSH and `can_push`.
-    snaps: Vec<SnapCell<ShardSnap<S>>>,
-    /// Optimistic snapshot reads that produced a verdict without
-    /// taking any lock.
-    snap_reads: AtomicU64,
-    /// Seqlock validation retries burned across all snapshot reads.
-    snap_retries: AtomicU64,
-    /// Snapshot reads that gave up (cell unpublished, contended past the
-    /// retry budget, or stale at revalidation) and fell back to the
-    /// mutex path.
-    snap_fallbacks: AtomicU64,
     /// Per-shard lock-acquisition tallies (observability, not audit).
     lock_acquires: Vec<AtomicU64>,
     /// Per-shard contended-acquisition tallies: acquisitions that found
@@ -875,7 +779,7 @@ impl<S: SeqSpec> GlobalState<S> {
         let shard_logs = (0..n)
             .map(|_| Mutex::new(ShardLog::new(spec.initial_states())))
             .collect();
-        let state = Self {
+        Self {
             spec: Arc::new(spec),
             mode,
             ids: OpIdGen::new(),
@@ -887,10 +791,6 @@ impl<S: SeqSpec> GlobalState<S> {
             committed: Mutex::new(Vec::new()),
             push_stamp: AtomicU64::new(0),
             coarse: AtomicBool::new(false),
-            snaps: (0..n).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(0),
-            snap_retries: AtomicU64::new(0),
-            snap_fallbacks: AtomicU64::new(0),
             lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
             lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
             faults: RwLock::new(None),
@@ -910,9 +810,7 @@ impl<S: SeqSpec> GlobalState<S> {
             arming_diags: Mutex::new(Vec::new()),
             group: GroupCounters::new(),
             nesting: NestingCounters::new(),
-        };
-        state.publish_all_shards();
-        state
+        }
     }
 
     /// The sequential specification.
@@ -959,90 +857,6 @@ impl<S: SeqSpec> GlobalState<S> {
             .zip(&self.lock_contended)
             .map(|(a, c)| (a.load(Ordering::Relaxed), c.load(Ordering::Relaxed)))
             .collect()
-    }
-
-    /// Seqlock snapshot counters: `(reads, retries, fallbacks)`.
-    /// `reads` are optimistic criteria evaluations that needed no lock,
-    /// `retries` the validation races burned, `fallbacks` the reads that
-    /// gave up and took the mutex ladder instead.
-    pub fn seqlock_stats(&self) -> (u64, u64, u64) {
-        (
-            self.snap_reads.load(Ordering::Relaxed),
-            self.snap_retries.load(Ordering::Relaxed),
-            self.snap_fallbacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Arena occupancy summed over all shards:
-    /// `(live entries, slot capacity, cumulative slot reuses)`. Takes
-    /// each shard lock briefly, without perturbing the lock counters
-    /// (this is a reporting path, not a rule).
-    pub fn arena_stats(&self) -> (u64, u64, u64) {
-        let mut totals = (0, 0, 0);
-        for m in &self.shards {
-            let sh = m.lock().expect("shard log mutex poisoned");
-            let (l, c, r) = sh.arena_stats();
-            totals.0 += l;
-            totals.1 += c;
-            totals.2 += r;
-        }
-        totals
-    }
-
-    /// Publishes shard `idx`'s current snapshot (no-op in coarse mode:
-    /// the optimistic path is disabled there, and skipping keeps the
-    /// coarse double-check airtight). Call with the shard lock held.
-    fn publish_shard(&self, idx: usize, sh: &ShardLog<S>) {
-        if self.coarse.load(Ordering::SeqCst) {
-            return;
-        }
-        self.snaps[idx].publish(ShardSnap {
-            version: sh.version,
-            states: sh.cache.states.clone(),
-            suffix: sh.suffix_entries(),
-        });
-    }
-
-    /// Publishes every shard's snapshot (construction, resharding and
-    /// deep-cloning — the per-mutation publishes keep them fresh from
-    /// then on).
-    fn publish_all_shards(&self) {
-        for (i, m) in self.shards.iter().enumerate() {
-            let sh = m.lock().expect("shard log mutex poisoned");
-            self.publish_shard(i, &sh);
-        }
-    }
-
-    /// Runs `f` against shard `idx`'s published snapshot without taking
-    /// any lock, retrying validation races up to [`SNAP_RETRIES`] times.
-    /// `None` means the caller must take the mutex path (and the
-    /// fallback was tallied).
-    pub(crate) fn read_shard_snap<R>(
-        &self,
-        idx: usize,
-        f: impl FnOnce(&ShardSnap<S>) -> R,
-    ) -> Option<R> {
-        let out = self.snaps[idx].read(SNAP_RETRIES, f);
-        if out.retries > 0 {
-            self.snap_retries.fetch_add(out.retries, Ordering::Relaxed);
-        }
-        match out.value {
-            Some(v) => {
-                self.snap_reads.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Tallies a fallback discovered *after* a successful snapshot read
-    /// (the under-lock version revalidation failed, so the speculated
-    /// verdict was discarded and the mutex path re-ran).
-    pub(crate) fn note_snap_fallback(&self) {
-        self.snap_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Is the incremental (prefix-cached) `allowed` path enabled?
@@ -1210,9 +1024,8 @@ impl<S: SeqSpec> GlobalState<S> {
     }
 
     /// Sets the sticky coarse flag (SeqCst, same protocol as routing's
-    /// own demotion: published snapshots stop being trusted because
-    /// every later `acquire_route` re-checks the flag under the lock)
-    /// and records why. Sound by the same argument as footprint-less
+    /// own demotion: every later `acquire_route` re-checks the flag
+    /// under the lock) and records why. Sound by the same argument as footprint-less
     /// routing — coarse mode evaluates every criterion against the
     /// whole log.
     pub(crate) fn demote_to_coarse(&self, reason: &str) {
@@ -1462,8 +1275,7 @@ impl<S: SeqSpec> GlobalState<S> {
     }
 
     /// Appends `op` to shard `target` inside the held view with
-    /// commit-sequence `stamp` (the PUSH effect) and republishes the
-    /// shard's snapshot. The stamp is minted by [`Self::reserve_stamps`]
+    /// commit-sequence `stamp` (the PUSH effect). The stamp is minted by [`Self::reserve_stamps`]
     /// under the shard lock — one at a time, or as a group-commit
     /// batch's contiguous block handed out one append at a time.
     /// `target` is the routed shard ([`Route::target`]) — the degraded
@@ -1482,8 +1294,6 @@ impl<S: SeqSpec> GlobalState<S> {
             .find(|(i, _)| *i == target)
             .expect("append target shard is held by the view");
         sh.push_uncommitted(stamp, op);
-        sh.version += 1;
-        self.publish_shard(target, sh);
     }
 
     /// Reserves a contiguous block of `n` commit-sequence stamps and
@@ -1516,19 +1326,15 @@ impl<S: SeqSpec> GlobalState<S> {
     }
 
     /// Removes the entry at `(view index, position)`, as located by
-    /// [`LogView::find`] (the UNPUSH effect): recycles its arena slot,
-    /// maintains the prefix cache (a removal inside the cached prefix —
-    /// impossible through the rule API — resets it defensively), bumps
-    /// the shard version and republishes the snapshot.
+    /// [`LogView::find`] (the UNPUSH effect), maintaining the prefix
+    /// cache (a removal inside the cached prefix — impossible through the
+    /// rule API — resets it defensively).
     pub(crate) fn remove_push(&self, view: &mut LogView<'_, S>, vidx: usize, pos: usize) {
-        let (idx, sh) = &mut view.shards[vidx];
+        let sh = &mut view.shards[vidx].1;
         sh.remove_at(pos);
         if pos < sh.cache.len {
             sh.cache.reset(self.spec.initial_states());
         }
-        sh.version += 1;
-        let shard_idx = *idx;
-        self.publish_shard(shard_idx, sh);
     }
 
     /// The `cmt` effect over a held view: flips every held entry of
@@ -1604,18 +1410,6 @@ impl<S: SeqSpec> GlobalState<S> {
         self.spec.allowed(log)
     }
 
-    /// `⟦G_i⟧` (optionally skipping one suffix entry), from the shard's
-    /// cached committed-prefix denotation — cursor-backed, no collected
-    /// `Vec`.
-    fn suffix_states(&self, sh: &ShardLog<S>, skip: Option<OpId>) -> HashSet<S::State> {
-        self.spec.denote_from_refs(
-            &sh.cache.states,
-            sh.iter_from(sh.cache.len)
-                .filter(move |e| Some(e.op.id) != skip)
-                .map(|e| &e.op),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Cache maintenance (called under the shard locks).
     // ------------------------------------------------------------------
@@ -1638,14 +1432,10 @@ impl<S: SeqSpec> GlobalState<S> {
         }
     }
 
-    /// Advances every held shard's cache and republishes its snapshot
-    /// (after CMT — the commit flips already bumped the versions of the
-    /// shards they touched, via [`LogView::commit_local`]).
+    /// Advances every held shard's cache (after CMT).
     fn advance_caches(&self, view: &mut LogView<'_, S>) {
-        for (idx, sh) in &mut view.shards {
+        for (_, sh) in &mut view.shards {
             Self::advance_shard_cache(&self.spec, sh);
-            let shard_idx = *idx;
-            self.publish_shard(shard_idx, sh);
         }
     }
 
@@ -1659,9 +1449,7 @@ impl<S: SeqSpec> GlobalState<S> {
         let mut stamped: Vec<StampedEntry<S>> = Vec::new();
         for m in &self.shards {
             let sh = m.lock().expect("shard log mutex poisoned");
-            for (stamp, e) in sh.iter_stamped() {
-                stamped.push((stamp, e.clone()));
-            }
+            stamped.extend(sh.entries.iter().cloned());
         }
         stamped.sort_by_key(|(s, _)| *s);
 
@@ -1682,7 +1470,7 @@ impl<S: SeqSpec> GlobalState<S> {
                 Mutex::new(sh)
             })
             .collect();
-        let state = Self {
+        Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
             ids: self.ids.clone(),
@@ -1694,10 +1482,6 @@ impl<S: SeqSpec> GlobalState<S> {
             committed: Mutex::new(self.committed_txns()),
             push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
             coarse: AtomicBool::new(coarse),
-            snaps: (0..n).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(0),
-            snap_retries: AtomicU64::new(0),
-            snap_fallbacks: AtomicU64::new(0),
             lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
             lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
             faults: RwLock::new(self.fault_hook()),
@@ -1721,9 +1505,7 @@ impl<S: SeqSpec> GlobalState<S> {
             arming_diags: Mutex::new(self.arming_diagnostics()),
             group: self.group.carried_over(),
             nesting: self.nesting.carried_over(),
-        };
-        state.publish_all_shards();
-        state
+        }
     }
 
     /// A deep copy with its own generators, audit and log state — used by
@@ -1731,7 +1513,7 @@ impl<S: SeqSpec> GlobalState<S> {
     /// handle at the copy so clones share nothing (the property the model
     /// checker's branching relies on).
     pub(crate) fn deep_clone(&self) -> Self {
-        let state = Self {
+        Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
             ids: self.ids.clone(),
@@ -1747,10 +1529,6 @@ impl<S: SeqSpec> GlobalState<S> {
             committed: Mutex::new(self.committed_txns()),
             push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
             coarse: AtomicBool::new(self.coarse.load(Ordering::SeqCst)),
-            snaps: (0..self.shards.len()).map(|_| SnapCell::new()).collect(),
-            snap_reads: AtomicU64::new(self.snap_reads.load(Ordering::Relaxed)),
-            snap_retries: AtomicU64::new(self.snap_retries.load(Ordering::Relaxed)),
-            snap_fallbacks: AtomicU64::new(self.snap_fallbacks.load(Ordering::Relaxed)),
             lock_acquires: self
                 .lock_acquires
                 .iter()
@@ -1786,8 +1564,6 @@ impl<S: SeqSpec> GlobalState<S> {
             arming_diags: Mutex::new(self.arming_diagnostics()),
             group: self.group.carried_over(),
             nesting: self.nesting.carried_over(),
-        };
-        state.publish_all_shards();
-        state
+        }
     }
 }

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::audit::QUERY_SHARDS;
-use crate::criteria::{self, Verdict};
+use crate::criteria;
 use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
 use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
@@ -1233,7 +1233,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         let global = &*self.global;
         if let Some(h) = held {
             let stamp = Some(&mut h.stamp);
-            return critical_section(global, &mut h.view, h.target, stamp, req, None);
+            return critical_section(global, &mut h.view, h.target, stamp, req);
         }
         if let Route::Single(i) = route {
             if !global.coarse_mode() {
@@ -1242,62 +1242,8 @@ impl<S: SeqSpec> TxnHandle<S> {
                 }
             }
         }
-        // Lock-free speculation: a checked PUSH first evaluates its
-        // criteria against the shard's published snapshot. The pass is
-        // trusted below iff the shard version is unchanged under the
-        // append lock; otherwise it is dropped, tallies and all, and the
-        // locked evaluation runs.
-        let speculated = match req {
-            ShardRequest::Push {
-                checked: true, op, ..
-            } => self.speculate(route, op),
-            _ => None,
-        };
         let mut view = global.acquire_route(route);
-        let trusted = speculated.and_then(|(version, verdict)| {
-            // The coarse flag may have flipped between snapshot and lock.
-            let fresh = matches!(route, Route::Single(i) if view.is_single_shard(i))
-                && view.shard_version(0) == version;
-            if !fresh {
-                global.note_snap_fallback();
-            }
-            fresh.then_some(verdict)
-        });
-        critical_section(global, &mut view, route.target(), None, req, trusted)
-    }
-
-    /// Evaluates PUSH criteria (ii)/(iii) against the routed shard's
-    /// published snapshot, **without taking any lock** and without
-    /// touching the audit.
-    ///
-    /// * `Some((version, verdict))` — both criteria passed at shard
-    ///   version `version`; a caller that acts on it must revalidate
-    ///   that version under the shard lock before recording `verdict`.
-    /// * `None` — no conclusion: no snapshot applies (coarse route or
-    ///   coarse mode), it was unreadable (unpublished, reader
-    ///   contention) **or a criterion failed against it**. A snapshot
-    ///   failure is never a verdict, because a stale snapshot can show a
-    ///   since-committed entry as uncommitted and manufacture a
-    ///   conflict; the caller must evaluate under the lock, which
-    ///   records the exact audit.
-    fn speculate(&self, route: Route, op: &Op<S::Method, S::Ret>) -> Option<(u64, Verdict)> {
-        let global = &*self.global;
-        let Route::Single(i) = route else {
-            return None;
-        };
-        if global.coarse_mode() {
-            return None;
-        }
-        // Own entries are judged by the *operation's* transaction (an
-        // open-scoped op belongs to its child transaction).
-        let (version, verdict) = global.read_shard_snap(i, |snap| {
-            (snap.version, criteria::push(global, snap, op.txn, op))
-        })?;
-        if !verdict.passed() {
-            global.note_snap_fallback();
-            return None;
-        }
-        Some((version, verdict))
+        critical_section(global, &mut view, route.target(), None, req)
     }
 
     /// Ships one routed single-shard request over the installed
@@ -1354,17 +1300,14 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// Read-only, unaudited "would PUSH accept `op_id` right now?" —
     /// criterion (i) over the local log plus the kernel's (ii)/(iii)
-    /// against the routed shard's published snapshot, under the same
-    /// [`CheckMode`] gate as [`TxnHandle::push`].
+    /// over the routed shard, under the same [`CheckMode`] gate as
+    /// [`TxnHandle::push`].
     ///
-    /// On the fast path — declared single-key footprint, coarse mode
-    /// off, snapshot readable — this acquires **zero locks**; the
-    /// lock-free smoke test and the B10 microbench pin that down through
-    /// the per-shard lock counters. Otherwise it falls back to a
-    /// read-only locked evaluation. The audit ledger is untouched either
-    /// way: no criteria obligation is reached, so none is recorded, and
-    /// the answer is advisory (another thread may invalidate it before a
-    /// real [`TxnHandle::push`]).
+    /// It takes the lock a PUSH would take (one shard for a declared
+    /// single-key footprint, every shard when coarse) and evaluates
+    /// without recording: no criteria obligation is reached, so the audit
+    /// ledger is untouched, and the answer is advisory (another thread
+    /// may invalidate it before a real [`TxnHandle::push`]).
     ///
     /// # Errors
     ///
@@ -1382,15 +1325,9 @@ impl<S: SeqSpec> TxnHandle<S> {
                 return Ok(false);
             }
         }
-        // A snapshot "yes" is as good as any advisory answer gets (it
-        // can go stale the moment it is returned). A snapshot "no" is
-        // re-checked under the lock: a wrong "no" would make callers
-        // give up on a PUSH that would succeed.
-        let route = self.global.route(&op.method);
-        if self.speculate(route, op).is_some() {
-            return Ok(true);
-        }
-        let view = self.global.acquire_route(route);
+        // Own entries are judged by the *operation's* transaction (an
+        // open-scoped op belongs to its child transaction).
+        let view = self.global.acquire_route(self.global.route(&op.method));
         Ok(criteria::push(&*self.global, &view, op.txn, op).passed())
     }
 

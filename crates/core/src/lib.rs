@@ -62,8 +62,8 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
-pub mod arena;
 pub mod atomic;
 pub mod audit;
 pub mod certificate;
@@ -83,8 +83,9 @@ pub mod precongruence;
 pub mod rng;
 pub mod scope;
 pub mod serializability;
+// The workspace's only exception to the `unsafe_code` lint.
+#[allow(unsafe_code)]
 pub mod smallvec;
-pub mod snapcell;
 pub mod spec;
 pub mod static_facts;
 pub mod structural;
@@ -92,7 +93,6 @@ pub mod toy;
 pub mod trace;
 pub mod transport;
 
-pub use arena::{ArenaRef, SlabArena};
 pub use certificate::SpecCertificate;
 pub use error::{Clause, CriterionViolation, MachineError, MachineResult, Rule};
 pub use faults::{BoundaryFault, FaultHook, FaultKind, HtmFault, TransportFault};
@@ -105,7 +105,6 @@ pub use machine::{CheckMode, Machine};
 pub use op::{Op, OpId, ThreadId, TxnId};
 pub use scope::{NestingStats, ScopeKind};
 pub use smallvec::SmallVec;
-pub use snapcell::SnapCell;
 pub use spec::{KeySet, OpInverse, SeqSpec};
 pub use static_facts::{RulePattern, StaticDischarge};
 pub use trace::{Event, Trace};

@@ -287,23 +287,8 @@ impl<S: SeqSpec> Machine<S> {
         self.global.lock_stats_per_shard()
     }
 
-    /// Seqlock-path counters `(snapshot reads, validation retries,
-    /// fallbacks)` — the observability behind the lock-free criteria
-    /// path (B10). Reads are criteria evaluations that took zero locks;
-    /// fallbacks took the mutex ladder (unpublished cell, reader
-    /// contention, or a stale speculation).
-    pub fn seqlock_stats(&self) -> (u64, u64, u64) {
-        self.global.seqlock_stats()
-    }
-
-    /// Arena occupancy over all shards: `(live entries, slot capacity,
-    /// cumulative slot reuses)`.
-    pub fn arena_stats(&self) -> (u64, u64, u64) {
-        self.global.arena_stats()
-    }
-
     /// Read-only, unaudited "would PUSH accept this op right now?" —
-    /// zero locks on the declared-footprint fast path. See
+    /// evaluated under the lock a PUSH would take, never recorded. See
     /// [`TxnHandle::can_push`].
     pub fn can_push(&self, tid: ThreadId, op_id: OpId) -> MachineResult<bool> {
         self.thread(tid)?.can_push(op_id)

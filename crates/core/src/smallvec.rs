@@ -7,9 +7,7 @@
 //! (a handful of operations) — used to heap-allocate a `Vec` per
 //! operation. `SmallVec` stores up to `N` elements inline on the stack
 //! and only spills to the heap past that, so the common case performs
-//! zero allocations. This is the §7-motivated *step complexity* half of
-//! the log-memory overhaul; the shared-log half is
-//! [`SlabArena`](crate::arena::SlabArena).
+//! zero allocations (the §7-motivated *step complexity* concern).
 //!
 //! The implementation is deliberately small: push/pop/remove/truncate
 //! plus slice access via `Deref`. Anything fancier should operate on the

@@ -73,7 +73,7 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread;
 use std::time::Duration;
 
-use crate::criteria::{self, Verdict};
+use crate::criteria;
 use crate::error::{MachineError, MachineResult};
 use crate::faults::TransportFault;
 use crate::global::{GlobalState, LogView, Route};
@@ -349,17 +349,12 @@ pub trait ShardTransport<S: SeqSpec>: fmt::Debug + Send + Sync {
 /// or all of them when coarse), a group-commit batch's held section
 /// (`stamp` is then the cursor into its reserved block), a transport
 /// executor, or the degraded coordinator.
-///
-/// `speculated` is a PUSH verdict already reached lock-free on the
-/// shard's snapshot and revalidated by the caller against the held
-/// shard's version; it is recorded in place of a locked evaluation.
 pub(crate) fn critical_section<S: SeqSpec>(
     global: &GlobalState<S>,
     view: &mut LogView<'_, S>,
     target: usize,
     stamp: Option<&mut u64>,
     req: &ShardRequest<S>,
-    speculated: Option<Verdict>,
 ) -> MachineResult<()> {
     match req {
         ShardRequest::Ping => {}
@@ -370,9 +365,7 @@ pub(crate) fn critical_section<S: SeqSpec>(
             op,
         } => {
             if *checked {
-                speculated
-                    .unwrap_or_else(|| criteria::push(global, &*view, *txn, op))
-                    .settle(&global.audit, *audit_shard)?;
+                criteria::push(global, view, *txn, op).settle(&global.audit, *audit_shard)?;
             }
             let stamp = match stamp {
                 Some(cursor) => {
@@ -391,7 +384,7 @@ pub(crate) fn critical_section<S: SeqSpec>(
         } => {
             let (vidx, pos) = view.find(*op_id).ok_or(MachineError::NoSuchOp(*op_id))?;
             if *checked {
-                criteria::unpush(global, &*view, &view.at(vidx, pos).op, *check_gray)
+                criteria::unpush(global, view, (vidx, pos), *check_gray)
                     .settle(&global.audit, *audit_shard)?;
             }
             global.remove_push(view, vidx, pos);
@@ -429,7 +422,7 @@ pub(crate) fn execute_in_view<S: SeqSpec>(
     if applied {
         return ShardResponse::Done;
     }
-    match critical_section(global, view, target, None, req, None) {
+    match critical_section(global, view, target, None, req) {
         Ok(()) => ShardResponse::Done,
         Err(e) => ShardResponse::Denied(e),
     }

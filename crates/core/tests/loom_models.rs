@@ -1,144 +1,27 @@
-//! Loom models of the two lock-free shard-log protocols: the seqlock
-//! snapshot read (`snapcell.rs`) and the stamp-ordered append
-//! (`global.rs`). Compiled **only** under `--cfg loom`, because `loom`
-//! is deliberately not a dependency of the offline container build —
-//! the CI loom job adds it on the runner:
+//! Loom model of the stamp-ordered append (`global.rs`). Compiled
+//! **only** under `--cfg loom`, because `loom` is deliberately not a
+//! dependency of the offline container build — the CI loom job adds it
+//! on the runner:
 //!
 //! ```text
 //! cargo add loom@0.7 --dev -p pushpull-core
 //! RUSTFLAGS="--cfg loom" cargo test -p pushpull-core --test loom_models --release
 //! ```
 //!
-//! `SnapCell` itself is built on `std` atomics (loom requires its own
-//! atomic types to instrument orderings), so the model re-states the
-//! protocol line-for-line on loom primitives — a miniature two-slot
-//! cell whose `publish`/`read` mirror `snapcell.rs`. Loom then explores
-//! every allowed interleaving *and memory ordering*, and its
-//! instrumented `UnsafeCell` turns any reader/writer overlap on a slot
-//! into a detected data race; the deterministic schedule enumeration of
-//! the same protocol (without ordering exploration) lives in
-//! `snapcell_model.rs` and runs in every normal CI pass.
+//! Loom explores every allowed interleaving *and memory ordering* of the
+//! one atomic the shard log shares across shard locks: the stamp
+//! counter.
 #![cfg(loom)]
 
-use loom::cell::UnsafeCell;
 use loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
-const SLOTS: usize = 2;
-
-/// Two-slot restatement of `SnapCell` on loom primitives. Slot data is
-/// a plain `u64` — loom's `UnsafeCell` already flags any concurrent
-/// access, so the owning-type (`Vec`/`HashSet`) aspect of the real cell
-/// adds nothing to the model.
-struct MiniSnapCell {
-    /// `(epoch << 1) | slot`, `0` = unpublished.
-    published: AtomicU64,
-    pins: [AtomicU32; SLOTS],
-    data: [UnsafeCell<u64>; SLOTS],
-}
-
-// SAFETY: same argument as `SnapCell` — the pin/validate protocol keeps
-// writer stores and validated reader loads disjoint per slot, and loom
-// verifies exactly that claim on every explored schedule.
-unsafe impl Sync for MiniSnapCell {}
-unsafe impl Send for MiniSnapCell {}
-
-fn pack(epoch: u64, slot: usize) -> u64 {
-    (epoch << 1) | slot as u64
-}
-
-impl MiniSnapCell {
-    fn new() -> Self {
-        MiniSnapCell {
-            published: AtomicU64::new(0),
-            pins: [AtomicU32::new(0), AtomicU32::new(0)],
-            data: [UnsafeCell::new(0), UnsafeCell::new(0)],
-        }
-    }
-
-    /// Mirrors `SnapCell::publish`; the caller (one thread in these
-    /// models) serializes publishes, as the shard mutex does in the
-    /// machine.
-    fn publish(&self, value: u64) -> bool {
-        let cur = self.published.load(Ordering::SeqCst);
-        let cur_slot = if cur == 0 {
-            usize::MAX
-        } else {
-            (cur & 1) as usize
-        };
-        let epoch = cur >> 1;
-        for i in 0..SLOTS {
-            if i == cur_slot || self.pins[i].load(Ordering::SeqCst) != 0 {
-                continue;
-            }
-            // Loom reports a data race here if any validated reader can
-            // still be inside `with` on this slot.
-            self.data[i].with_mut(|p| unsafe { *p = value });
-            self.published.store(pack(epoch + 1, i), Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-
-    /// Mirrors `SnapCell::read`: load, pin, validate, borrow, unpin;
-    /// bounded retry, `None` = mutex fallback.
-    fn read(&self, retries: u64) -> Option<(u64, u64)> {
-        let mut burned = 0;
-        loop {
-            let word = self.published.load(Ordering::SeqCst);
-            if word == 0 {
-                return None;
-            }
-            let slot = (word & 1) as usize;
-            self.pins[slot].fetch_add(1, Ordering::SeqCst);
-            if self.published.load(Ordering::SeqCst) == word {
-                let value = self.data[slot].with(|p| unsafe { *p });
-                self.pins[slot].fetch_sub(1, Ordering::SeqCst);
-                return Some((word, value));
-            }
-            self.pins[slot].fetch_sub(1, Ordering::SeqCst);
-            burned += 1;
-            if burned > retries {
-                return None;
-            }
-        }
-    }
-}
-
-/// The seqlock prefix-read vs commit-writer race: a writer republishes
-/// the snapshot (as CMT/PUSH do under the shard mutex) while a reader
-/// runs the optimistic criteria path. Publishing value `e` under epoch
-/// `e` makes the invariant checkable from the packed word alone: a
-/// validated read must return exactly its epoch's value — never `0`
-/// (torn/unwritten), never another epoch's.
-#[test]
-fn seqlock_prefix_read_never_tears_under_commit_writer() {
-    loom::model(|| {
-        let cell = Arc::new(MiniSnapCell::new());
-        assert!(cell.publish(1));
-        let reader = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                if let Some((word, value)) = cell.read(1) {
-                    assert_eq!(
-                        value,
-                        word >> 1,
-                        "validated read returned another epoch's value"
-                    );
-                }
-            })
-        };
-        assert!(cell.publish(2));
-        reader.join().unwrap();
-    });
-}
-
 /// Stamp-ordered append: concurrent appenders claim stamps from one
-/// atomic counter (as `GlobalState::push_stamp` orders PUSHes without
-/// holding the shard mutex across the criteria window). The claimed
+/// atomic counter (as `GlobalState::push_stamp` orders PUSHes on
+/// different shards, each under its own shard mutex). The claimed
 /// stamps must be dense, unique, and monotone per thread — the
-/// properties `entries_after` iteration relies on.
+/// properties the stamp-ordered merge of the shards relies on.
 #[test]
 fn stamp_ordered_append_is_dense_unique_and_monotone() {
     const PER_THREAD: usize = 2;

@@ -105,12 +105,6 @@ pub struct WatchdogReport {
     /// Per-shard `(acquires, contended)`, ascending by shard index —
     /// pinpoints *which* shard a log-bound livelock is fighting over.
     pub lock_stats_per_shard: Vec<(u64, u64)>,
-    /// Seqlock `(snapshot reads, retries, fallbacks)` counters — a high
-    /// fallback share means the lock-free path is being defeated (coarse
-    /// mode or write churn).
-    pub seqlock_stats: (u64, u64, u64),
-    /// Arena `(live, capacity, reused)` occupancy across the shard logs.
-    pub arena_stats: (u64, u64, u64),
     /// Transport envelope counters (all-zero with no shard transport
     /// installed) — a stall whose `timeouts` keep climbing with
     /// `degradations` still zero means the retry envelope is absorbing a
@@ -143,16 +137,6 @@ impl std::fmt::Display for WatchdogReport {
                 "    shard {i:<3} acquires={acquires:<9} contended={contended}"
             )?;
         }
-        let (reads, retries, fallbacks) = self.seqlock_stats;
-        writeln!(
-            f,
-            "  seqlock: {reads} snapshot reads, {retries} retries, {fallbacks} fallbacks"
-        )?;
-        let (live, capacity, reused) = self.arena_stats;
-        writeln!(
-            f,
-            "  arena: {live} live / {capacity} slots, {reused} reused"
-        )?;
         let t = self.transport_stats;
         writeln!(
             f,
@@ -366,8 +350,6 @@ where
             .collect(),
         lock_stats: m.lock_stats(),
         lock_stats_per_shard: m.lock_stats_per_shard(),
-        seqlock_stats: m.seqlock_stats(),
-        arena_stats: m.arena_stats(),
         transport_stats: m.transport_stats(),
         group_stats: m.group_stats(),
         nesting_stats: m.nesting_stats(),

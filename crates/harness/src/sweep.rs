@@ -77,14 +77,6 @@ pub struct SweepResult {
     pub lock_acquires: Aggregate,
     /// Shared-log shard-lock acquisitions that had to wait per run.
     pub lock_contended: Aggregate,
-    /// Criteria evaluations served lock-free from shard snapshots per run.
-    pub snap_reads: Aggregate,
-    /// Seqlock validation retries per run.
-    pub snap_retries: Aggregate,
-    /// Snapshot reads that fell back to the mutex ladder per run.
-    pub snap_fallbacks: Aggregate,
-    /// Arena slot reuses (recycled `GlobalEntry` slots) per run.
-    pub arena_reused: Aggregate,
     /// Transport envelope requests (calls + probes) per run.
     pub transport_requests: Aggregate,
     /// Transport delivery re-attempts per run.
@@ -124,7 +116,7 @@ impl std::fmt::Display for SweepResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:<34} commits={:<12} aborts={:<12} abort-rate={:>6.1}%  ticks={:<14} streak={:<9} degr={} locks={}/{} snaps={} (retry={} fb={}) reuse={}",
+            "{:<34} commits={:<12} aborts={:<12} abort-rate={:>6.1}%  ticks={:<14} streak={:<9} degr={} locks={}/{}",
             self.label,
             self.commits.to_string(),
             self.aborts.to_string(),
@@ -134,10 +126,6 @@ impl std::fmt::Display for SweepResult {
             self.degradations,
             self.lock_contended,
             self.lock_acquires,
-            self.snap_reads,
-            self.snap_retries,
-            self.snap_fallbacks,
-            self.arena_reused,
         )?;
         // Only runs with a transport installed print the envelope tail, so
         // fault-free sweep tables stay byte-compatible with older logs.
@@ -198,10 +186,6 @@ pub fn sweep(
     let mut streaks = Vec::new();
     let mut acquires = Vec::new();
     let mut contended = Vec::new();
-    let mut snap_reads = Vec::new();
-    let mut snap_retries = Vec::new();
-    let mut snap_fallbacks = Vec::new();
-    let mut arena_reused = Vec::new();
     let mut t_requests = Vec::new();
     let mut t_retries = Vec::new();
     let mut t_timeouts = Vec::new();
@@ -228,10 +212,6 @@ pub fn sweep(
         streaks.push(stats.max_abort_streak as f64);
         acquires.push(stats.lock_acquires as f64);
         contended.push(stats.lock_contended as f64);
-        snap_reads.push(stats.snap_reads as f64);
-        snap_retries.push(stats.snap_retries as f64);
-        snap_fallbacks.push(stats.snap_fallbacks as f64);
-        arena_reused.push(stats.arena_reused as f64);
         t_requests.push(stats.transport_requests as f64);
         t_retries.push(stats.transport_retries as f64);
         t_timeouts.push(stats.transport_timeouts as f64);
@@ -259,10 +239,6 @@ pub fn sweep(
         max_abort_streak: Aggregate::of(&streaks),
         lock_acquires: Aggregate::of(&acquires),
         lock_contended: Aggregate::of(&contended),
-        snap_reads: Aggregate::of(&snap_reads),
-        snap_retries: Aggregate::of(&snap_retries),
-        snap_fallbacks: Aggregate::of(&snap_fallbacks),
-        arena_reused: Aggregate::of(&arena_reused),
         transport_requests: Aggregate::of(&t_requests),
         transport_retries: Aggregate::of(&t_retries),
         transport_timeouts: Aggregate::of(&t_timeouts),

@@ -65,7 +65,7 @@ pub enum Tick {
 ///
 /// A system *hands out its machine*: everything machine-level — static
 /// discharge facts, certificates, shard and transport configuration,
-/// lock/seqlock/arena/transport/group/nesting counters, the group-commit
+/// lock/transport/group/nesting counters, the group-commit
 /// seam — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
 /// method. Implementors are [`Driver`] (the ten §6/§7 algorithm classes
@@ -426,22 +426,16 @@ pub struct SystemStats {
     /// Shard-lock acquisitions that found the lock already held and had
     /// to block (a direct read on log contention).
     pub lock_contended: u64,
-    /// Criteria evaluations served lock-free from a published shard
-    /// snapshot (the seqlock fast path).
+    /// Always zero, like the four fields after it: what they counted no
+    /// longer exists, and they stay only because `ledger/` reads them.
     pub snap_reads: u64,
-    /// Seqlock validation races burned before a successful snapshot read
-    /// (retries, not failures).
+    /// Always zero (see [`Self::snap_reads`]).
     pub snap_retries: u64,
-    /// Snapshot reads that gave up — unpublished cell, reader contention,
-    /// or a stale speculation — and fell back to the mutex ladder.
+    /// Always zero (see [`Self::snap_reads`]).
     pub snap_fallbacks: u64,
-    /// Live `GlobalEntry` slots across the shard-log arenas at sampling
-    /// time.
-    pub arena_live: u64,
-    /// Total arena slots allocated (live + free) across shards.
+    /// Always zero (see [`Self::snap_reads`]).
     pub arena_capacity: u64,
-    /// Cumulative arena slot reuses (UNPUSH-freed slots recycled by later
-    /// appends).
+    /// Always zero (see [`Self::snap_reads`]).
     pub arena_reused: u64,
     /// Logical shard-transport requests (calls and probes) through the
     /// machine's transport seam. Zero when no transport is installed.
@@ -491,22 +485,14 @@ pub struct SystemStats {
     pub undo_inverses: u64,
 }
 
-/// Folds the machine-owned shared counters — shard locks, seqlock path,
-/// arena occupancy, transport envelope, nested scopes — into `stats`:
+/// Folds the machine-owned shared counters — shard locks, transport
+/// envelope, nested scopes — into `stats`:
 /// the common tail of [`Driver::stats`] and the service front-end's
 /// `stats()`, so a new machine counter lands in every system at once.
 pub fn fold_machine_counters<S: SeqSpec>(machine: &Machine<S>, stats: &mut SystemStats) {
     let (acquires, contended) = machine.lock_stats();
     stats.lock_acquires = acquires;
     stats.lock_contended = contended;
-    let (snap_reads, snap_retries, snap_fallbacks) = machine.seqlock_stats();
-    stats.snap_reads = snap_reads;
-    stats.snap_retries = snap_retries;
-    stats.snap_fallbacks = snap_fallbacks;
-    let (arena_live, arena_capacity, arena_reused) = machine.arena_stats();
-    stats.arena_live = arena_live;
-    stats.arena_capacity = arena_capacity;
-    stats.arena_reused = arena_reused;
     let t = machine.transport_stats();
     stats.transport_requests = t.requests;
     stats.transport_retries = t.retries;
@@ -549,7 +535,6 @@ impl std::ops::Add for SystemStats {
             snap_reads: self.snap_reads + rhs.snap_reads,
             snap_retries: self.snap_retries + rhs.snap_retries,
             snap_fallbacks: self.snap_fallbacks + rhs.snap_fallbacks,
-            arena_live: self.arena_live + rhs.arena_live,
             arena_capacity: self.arena_capacity + rhs.arena_capacity,
             arena_reused: self.arena_reused + rhs.arena_reused,
             transport_requests: self.transport_requests + rhs.transport_requests,

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod boosting;
 pub mod checkpoint;

@@ -36,6 +36,8 @@
 //! # Ok::<(), pushpull::core::error::MachineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pushpull_analysis as analysis;
 pub use pushpull_core as core;
 pub use pushpull_ds as ds;

@@ -1,0 +1,222 @@
+//! Lock discipline: the per-shard lock counters must *prove* the "Lock
+//! discipline" list of `crates/core/src/global.rs`'s module docs — every
+//! shared rule is "evaluate, then effect" under exactly the shard locks
+//! it names, and nothing else takes one. The fallback ladder must stay
+//! honest too: sticky-coarse mode (an op with no declared footprint at
+//! shard count > 1) widens the section without changing any verdict.
+//!
+//! The counting tests are single-threaded and deterministic, so the lock
+//! counters have exact expected values rather than bounds; the last test
+//! runs the one critical section against itself on OS threads.
+
+use std::sync::Barrier;
+
+use pushpull::core::lang::Code;
+use pushpull::core::machine::{CheckMode, Machine};
+use pushpull::core::op::{OpId, ThreadId};
+use pushpull::core::serializability::check_machine;
+use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
+use pushpull::spec::kvmap::{KvMap, MapMethod};
+use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
+
+const TB: ThreadId = ThreadId(1);
+
+/// A 4-shard memory machine with one committed write on `Loc(0)`
+/// (shard 0) by thread A; thread B is about to write `Loc(1)` (shard 1)
+/// and then `Loc(2)` (shard 2) — disjoint footprints throughout.
+fn disjoint_setup() -> Machine<RwMem> {
+    let mut m = Machine::new(RwMem::new());
+    let ta = m.add_thread(vec![Code::method(MemMethod::Write(Loc(0), 7))]);
+    m.add_thread(vec![Code::seq(
+        Code::method(MemMethod::Write(Loc(1), 9)),
+        Code::method(MemMethod::Write(Loc(2), 4)),
+    )]);
+    m.set_log_shards(4);
+    let w = m.app_auto(ta).expect("app A");
+    m.push(ta, w).expect("push A");
+    m.commit(ta).expect("commit A");
+    m
+}
+
+#[test]
+fn each_rule_takes_exactly_the_locks_its_discipline_names() {
+    type Step = fn(&mut Machine<RwMem>, &mut OpId);
+    // (rule, step on thread B, expected lock acquisitions per shard)
+    let table: [(&str, Step, [u64; 4]); 9] = [
+        ("APP", |m, op| *op = m.app_auto(TB).unwrap(), [0, 0, 0, 0]),
+        (
+            "can_push",
+            |m, op| {
+                let audit = m.audit();
+                assert!(m.can_push(TB, *op).unwrap(), "disjoint write is pushable");
+                assert_eq!(m.audit(), audit, "can_push is unaudited");
+            },
+            [0, 1, 0, 0],
+        ),
+        ("PUSH", |m, op| m.push(TB, *op).unwrap(), [0, 1, 0, 0]),
+        ("UNPUSH", |m, op| m.unpush(TB, *op).unwrap(), [0, 1, 0, 0]),
+        ("UNAPP", |m, op| *op = m.unapp(TB).unwrap(), [0, 0, 0, 0]),
+        (
+            "APP + PUSH, shard 1",
+            |m, op| {
+                *op = m.app_auto(TB).unwrap();
+                m.push(TB, *op).unwrap();
+            },
+            [0, 1, 0, 0],
+        ),
+        (
+            "APP + PUSH, shard 2",
+            |m, op| {
+                *op = m.app_auto(TB).unwrap();
+                m.push(TB, *op).unwrap();
+            },
+            [0, 0, 1, 0],
+        ),
+        // CMT: exactly the shards its operations touch.
+        ("CMT", |m, _| assert!(m.commit(TB).is_ok()), [0, 1, 1, 0]),
+        // Coarse: strict mode demotes this uncertified sharded log, and
+        // from then on a shared rule takes every shard.
+        (
+            "coarse PUSH",
+            |m, op| {
+                m.set_require_certificate(true);
+                m.enqueue_txn(TB, Code::method(MemMethod::Write(Loc(3), 1)))
+                    .unwrap();
+                *op = m.app_auto(TB).unwrap();
+                m.push(TB, *op).unwrap();
+            },
+            [1, 1, 1, 1],
+        ),
+    ];
+    let mut m = disjoint_setup();
+    let mut op = OpId(0);
+    for (rule, step, delta) in table {
+        let before = m.lock_stats_per_shard();
+        step(&mut m, &mut op);
+        let after = m.lock_stats_per_shard();
+        let got: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a.0 - b.0).collect();
+        assert_eq!(got, delta, "{rule}: per-shard lock acquisitions");
+    }
+}
+
+#[test]
+fn can_push_agrees_with_push_verdicts() {
+    // Bound-1 counter: after A's committed inc, B's inc is denotationally
+    // disallowed — can_push must predict the PUSH (iii) rejection.
+    let mut m = Machine::new(ToyCounter::with_bound(1));
+    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let a = m.app_auto(ta).expect("app A");
+    m.push(ta, a).expect("push A");
+    m.commit(ta).expect("commit A");
+
+    let b = m.app_auto(tb).expect("app B");
+    assert!(!m.can_push(tb, b).expect("well-formed op"));
+    assert!(
+        m.push(tb, b).is_err(),
+        "push must agree with the prediction"
+    );
+
+    // Bound-2 counter, same shape: now both verdicts flip to true.
+    let mut m = Machine::new(ToyCounter::with_bound(2));
+    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let a = m.app_auto(ta).expect("app A");
+    m.push(ta, a).expect("push A");
+    m.commit(ta).expect("commit A");
+
+    let b = m.app_auto(tb).expect("app B");
+    assert!(m.can_push(tb, b).expect("well-formed op"));
+    m.push(tb, b).expect("push must agree with the prediction");
+    m.commit(tb).expect("commit B");
+
+    // Bound-1 again, but `Unchecked`: PUSH skips its criteria there, so
+    // it accepts B's inc — and can_push, behind the same gate, says so.
+    let mut m = Machine::with_mode(ToyCounter::with_bound(1), CheckMode::Unchecked);
+    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
+    let a = m.app_auto(ta).expect("app A");
+    m.push(ta, a).expect("push A");
+    m.commit(ta).expect("commit A");
+
+    let b = m.app_auto(tb).expect("app B");
+    assert!(m.can_push(tb, b).expect("well-formed op"));
+    m.push(tb, b).expect("push must agree with the prediction");
+}
+
+#[test]
+fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
+    // `Size` declares no footprint; pushing it at shard count 4 trips the
+    // sticky-coarse rung of the fallback ladder. From then on criteria
+    // checks take every shard lock while the verdicts stay exactly what
+    // the coarse whole-log evaluation gives.
+    let mut m = Machine::new(KvMap::new());
+    let ta = m.add_thread(vec![Code::method(MapMethod::Size)]);
+    let tb = m.add_thread(vec![Code::method(MapMethod::Put(3, 30))]);
+    m.set_log_shards(4);
+
+    let size = m.app_auto(ta).expect("app size");
+    m.push(ta, size).expect("push size");
+    m.commit(ta).expect("commit size");
+
+    let put = m.app_auto(tb).expect("app put");
+    let (acq_before, _) = m.lock_stats();
+    assert!(m.can_push(tb, put).expect("well-formed op"));
+    let (acq_after, _) = m.lock_stats();
+
+    assert!(
+        acq_after > acq_before,
+        "coarse mode must route the check through the locked ladder"
+    );
+    m.push(tb, put).expect("push put");
+    m.commit(tb).expect("commit put");
+}
+
+/// Evaluate-and-append is one step under the shard lock: four OS threads
+/// race `Inc`s at a counter that admits only `BOUND` of them. Were the
+/// criteria evaluated outside the appending critical section, two threads
+/// could both see room for the last `Inc` and both append.
+#[test]
+fn concurrent_pushes_never_exceed_what_allowed_admits() {
+    const BOUND: i64 = 5;
+    const THREADS: usize = 4;
+    const TXNS: usize = 8;
+    let mut m = Machine::new(StrictCounter::with_bound(BOUND));
+    for _ in 0..THREADS {
+        m.add_thread(vec![Code::method(CounterMethod::Inc); TXNS]);
+    }
+    let start = Barrier::new(THREADS);
+    let accepted: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = m
+            .handles_mut()
+            .iter_mut()
+            .map(|h| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    let mut accepted = 0;
+                    while !h.is_done() {
+                        let op = h.app_auto().expect("Inc is locally allowed");
+                        match h.push(op) {
+                            Ok(()) => {
+                                h.commit().expect("nothing pulled: CMT holds");
+                                accepted += 1;
+                            }
+                            Err(e) => {
+                                assert!(e.is_criterion(), "denial must be a criterion: {e}");
+                                h.abandon().expect("rewind of an unpushed op");
+                            }
+                        }
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    // A PUSH (ii) denial while another thread's `Inc` is in flight can
+    // waste an attempt, so fewer than `BOUND` may land — never more.
+    assert!((1..=BOUND as usize).contains(&accepted), "{accepted}");
+    assert_eq!(m.global().committed_ops().len(), accepted);
+    assert!(check_machine(&m).is_serializable());
+}
