@@ -15,7 +15,6 @@
 //! | `benches/static_elision.rs` | B8 — runtime payoff of the static criteria prover |
 //! | `benches/sharded.rs` | B9 — footprint-sharded vs single-lock shared log |
 //! | `benches/single_op.rs` | B10 — single-op cost on the locked shard path |
-//! | `benches/transport.rs` | B11 — transport seam cost and faulted throughput |
 //! | `benches/server.rs` | B12 — service front-end: group commit, open/closed-loop load |
 //!
 //! Besides wall-clock measurements, every target prints its shape table

@@ -268,7 +268,7 @@ pub struct AtomicAudit {
     allowed_queries: [PaddedU64; QUERY_SHARDS],
     /// Injected `Deny(rule)` faults, indexed by the rule's `ord_key`.
     injected_deny: [AtomicU64; 7],
-    /// Injected non-deny faults (kill, stall, HTM, transport), indexed
+    /// Injected non-deny faults (kill, stall, HTM), indexed
     /// by [`FaultKind::audit_slot`] — the dense numbering derived from
     /// the single exhaustive descriptor match in `faults.rs`.
     injected_other: [AtomicU64; NON_DENY_FAULT_COUNT],
@@ -602,9 +602,9 @@ mover queries: 7   allowed queries: 2
 
     #[test]
     fn every_non_deny_kind_round_trips_through_its_slot() {
-        // Exercises the full descriptor-derived slot table, including the
-        // transport family: one inject per kind must come back as exactly
-        // one tally per kind, in deterministic BTreeMap order.
+        // Exercises the full descriptor-derived slot table: one inject
+        // per kind must come back as exactly one tally per kind, in
+        // deterministic BTreeMap order.
         let a = AtomicAudit::new();
         for kind in NON_DENY_FAULT_KINDS {
             a.inject(kind);
@@ -614,8 +614,8 @@ mover queries: 7   allowed queries: 2
             assert_eq!(snap.injected_count(kind), 1, "{kind}");
         }
         assert_eq!(snap.injected_total(), NON_DENY_FAULT_COUNT as u64);
-        assert!(snap.render().contains("injected partition-shard: 1"));
-        assert!(snap.render().contains("injected crash-shard-server: 1"));
+        assert!(snap.render().contains("injected kill: 1"));
+        assert!(snap.render().contains("injected htm-conflict: 1"));
     }
 
     #[test]

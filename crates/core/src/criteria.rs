@@ -3,7 +3,7 @@
 //!
 //! The kernel is *pure*: it reads a held [`LogView`] of `G` and returns a
 //! [`Verdict`], touching neither the log nor the audit. A rule uses it in
-//! one of two modes (DESIGN.md §10–11), both under the shard lock:
+//! one of two modes (DESIGN.md §10), both under the shard lock:
 //!
 //! * **locked** — evaluate, then [`Verdict::settle`] (record the tallies,
 //!   surface the denial), then apply the effect in the same critical

@@ -139,18 +139,6 @@ pub enum MachineError {
     /// mode is on and no valid certificate with a proven inverse law is
     /// installed.
     OpenNestingUncertified(ThreadId),
-    /// The shard transport exhausted its robustness envelope: the
-    /// routed shard stayed unreachable past the retry budget and the
-    /// coarse degradation fallback was disabled (or itself unreachable).
-    /// Not a criterion violation — drivers must propagate it, so a
-    /// persistent partition terminates the run cleanly instead of
-    /// hanging.
-    TransportExhausted {
-        /// The thread whose request could not be delivered.
-        thread: ThreadId,
-        /// The unreachable shard.
-        shard: usize,
-    },
 }
 
 impl fmt::Display for MachineError {
@@ -197,13 +185,6 @@ impl fmt::Display for MachineError {
                     f,
                     "open-nested scope refused on thread {t}: strict mode requires \
                      a valid spec certificate with a proven inverse law"
-                )
-            }
-            MachineError::TransportExhausted { thread, shard } => {
-                write!(
-                    f,
-                    "shard transport exhausted on thread {thread}: shard {shard} \
-                     unreachable past the retry and degradation budget"
                 )
             }
         }
@@ -275,17 +256,6 @@ mod tests {
         assert!(err.is_criterion());
         assert_eq!(err.violated_rule(), Some(Rule::Cmt));
         assert!(std::error::Error::source(&err).is_some());
-    }
-
-    #[test]
-    fn transport_exhaustion_is_not_a_criterion() {
-        let err = MachineError::TransportExhausted {
-            thread: ThreadId(2),
-            shard: 5,
-        };
-        assert!(!err.is_criterion());
-        assert_eq!(err.violated_rule(), None);
-        assert!(err.to_string().contains("shard 5"));
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! a failed criterion — UNAPP-based abort, UNPUSH rollback, checkpoint
 //! UNPULL, HTM fallback. To exercise those recovery rules on demand, the
 //! machine exposes a [`FaultHook`]: an object consulted at the entry of
-//! every *forward* rule (APP, PUSH, PULL, CMT), at driver-defined
-//! boundaries (tick start, HTM access), and at every delivery attempt of
-//! a shard-transport request. A hook can
+//! every *forward* rule (APP, PUSH, PULL, CMT) and at driver-defined
+//! boundaries (tick start, HTM access). A hook can
 //!
 //! - **deny** a forward rule with a spurious criterion failure (the rule
 //!   has no effect; the driver sees an ordinary
@@ -15,11 +14,7 @@
 //! - **kill** a transaction at a rule boundary (the driver aborts and
 //!   restarts it), or **stall** a thread for k ticks,
 //! - force an **HTM capacity/conflict abort** in the simulated-HTM
-//!   drivers,
-//! - **fail a transport delivery** (partition the shard, drop or
-//!   duplicate the request, delay the reply, crash the shard server),
-//!   exercising the retry/degrade/recover envelope of
-//!   [`transport`](crate::transport).
+//!   drivers.
 //!
 //! Injection is deliberately *not* wired into the reverse rules (UNAPP,
 //! UNPUSH, UNPULL): drivers run those inside their recovery paths, where
@@ -49,21 +44,6 @@ pub enum FaultKind {
     HtmCapacity,
     /// A simulated-HTM conflict abort.
     HtmConflict,
-    /// A shard unreachable for the duration of the injection: the
-    /// request is never delivered and the client times out.
-    PartitionShard,
-    /// The request is delivered and executed, but the reply is delayed
-    /// past the client's deadline — the retry must hit the idempotency
-    /// layer, never double-apply.
-    DelayReply,
-    /// The request is lost before reaching the shard server.
-    DropRequest,
-    /// The request is delivered twice with the same request id — the
-    /// duplicate must be absorbed by the server's dedup layer.
-    DuplicateRequest,
-    /// The shard server thread is killed mid-run and restarted from the
-    /// durable shard log (its volatile dedup cache is lost).
-    CrashShardServer,
 }
 
 /// Everything derived from a [`FaultKind`] variant: its display label
@@ -87,7 +67,7 @@ pub struct FaultDescriptor {
 /// Number of non-`Deny` fault kinds — the size of the audit's dense
 /// injected-fault table. Derived from [`FaultKind::descriptor`]'s slot
 /// numbering and pinned by tests.
-pub const NON_DENY_FAULT_COUNT: usize = 9;
+pub const NON_DENY_FAULT_COUNT: usize = 4;
 
 /// Every non-`Deny` fault kind, ordered by audit slot. Pinned against
 /// [`FaultKind::descriptor`] by tests: `NON_DENY_FAULT_KINDS[i]` has
@@ -97,11 +77,6 @@ pub const NON_DENY_FAULT_KINDS: [FaultKind; NON_DENY_FAULT_COUNT] = [
     FaultKind::Stall,
     FaultKind::HtmCapacity,
     FaultKind::HtmConflict,
-    FaultKind::PartitionShard,
-    FaultKind::DelayReply,
-    FaultKind::DropRequest,
-    FaultKind::DuplicateRequest,
-    FaultKind::CrashShardServer,
 ];
 
 impl FaultKind {
@@ -124,11 +99,6 @@ impl FaultKind {
             FaultKind::Stall => d("stall", 1),
             FaultKind::HtmCapacity => d("htm-capacity", 2),
             FaultKind::HtmConflict => d("htm-conflict", 3),
-            FaultKind::PartitionShard => d("partition-shard", 4),
-            FaultKind::DelayReply => d("delay-reply", 5),
-            FaultKind::DropRequest => d("drop-request", 6),
-            FaultKind::DuplicateRequest => d("duplicate-request", 7),
-            FaultKind::CrashShardServer => d("crash-shard-server", 8),
         }
     }
 
@@ -148,9 +118,7 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// The machine-rule and boundary fault kinds, for iterating the original
-/// chaos matrix (transport kinds have their own list below — they only
-/// fire when a channel transport is installed).
+/// Every fault kind, for iterating the chaos matrix.
 pub const ALL_FAULT_KINDS: [FaultKind; 8] = [
     FaultKind::Deny(Rule::App),
     FaultKind::Deny(Rule::Push),
@@ -160,15 +128,6 @@ pub const ALL_FAULT_KINDS: [FaultKind; 8] = [
     FaultKind::Stall,
     FaultKind::HtmCapacity,
     FaultKind::HtmConflict,
-];
-
-/// Every transport fault kind, for iterating the transport chaos matrix.
-pub const ALL_TRANSPORT_FAULT_KINDS: [FaultKind; 5] = [
-    FaultKind::PartitionShard,
-    FaultKind::DelayReply,
-    FaultKind::DropRequest,
-    FaultKind::DuplicateRequest,
-    FaultKind::CrashShardServer,
 ];
 
 /// A fault fired at a tick boundary, before the driver runs any rule.
@@ -189,34 +148,6 @@ pub enum HtmFault {
     Conflict,
 }
 
-/// A fault fired at one delivery attempt of a shard-transport request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportFault {
-    /// The shard is unreachable: the request is not delivered.
-    Partition,
-    /// Deliver and execute, but the reply misses the deadline.
-    DelayReply,
-    /// The request is lost in flight.
-    DropRequest,
-    /// The request is delivered twice under the same request id.
-    DuplicateRequest,
-    /// Kill the shard server thread; it restarts from the shard log.
-    CrashServer,
-}
-
-impl TransportFault {
-    /// The audit key this fault is tallied under.
-    pub const fn kind(self) -> FaultKind {
-        match self {
-            TransportFault::Partition => FaultKind::PartitionShard,
-            TransportFault::DelayReply => FaultKind::DelayReply,
-            TransportFault::DropRequest => FaultKind::DropRequest,
-            TransportFault::DuplicateRequest => FaultKind::DuplicateRequest,
-            TransportFault::CrashServer => FaultKind::CrashShardServer,
-        }
-    }
-}
-
 /// The clause an injected denial of `rule` reports. Chosen to be the
 /// clause the rule most commonly fails under real contention, so a
 /// driver cannot distinguish an injected denial from a genuine one.
@@ -230,10 +161,10 @@ pub fn deny_clause(rule: Rule) -> Clause {
     }
 }
 
-/// A pluggable fault source, consulted by the machine at rule entry, by
-/// drivers at tick/HTM boundaries, and by the channel transport at every
-/// delivery attempt. Implementations must be deterministic given their
-/// own state (the harness `FaultPlan` keys decisions on per-thread
+/// A pluggable fault source, consulted by the machine at rule entry and
+/// by drivers at tick/HTM boundaries. Implementations must be
+/// deterministic given their own state (the harness `FaultPlan` keys
+/// decisions on per-thread
 /// attempt counters, never on wall-clock or OS scheduling), `Sync`
 /// (hooks are consulted concurrently from worker threads), and cheap —
 /// they sit on the hot path of every rule.
@@ -266,17 +197,6 @@ pub trait FaultHook: std::fmt::Debug + Send + Sync {
         let _ = tid;
         None
     }
-
-    /// Consulted by the channel transport once per **delivery attempt**
-    /// (initial send, each retry, and each recovery probe) of a request
-    /// from `tid` to `shard`. A returned fault is acted on by the
-    /// transport envelope and recorded on both sides (the plan's `fired`
-    /// tally and the machine audit's `injected` tally), keeping the
-    /// injected-vs-fired accounting exact.
-    fn transport_fault(&self, tid: ThreadId, shard: usize) -> Option<TransportFault> {
-        let _ = (tid, shard);
-        None
-    }
 }
 
 #[cfg(test)]
@@ -286,20 +206,11 @@ mod tests {
     #[test]
     fn fault_kinds_are_ordered_and_displayable() {
         let mut v = ALL_FAULT_KINDS.to_vec();
-        v.extend_from_slice(&ALL_TRANSPORT_FAULT_KINDS);
         v.sort();
         v.dedup();
-        assert_eq!(
-            v.len(),
-            ALL_FAULT_KINDS.len() + ALL_TRANSPORT_FAULT_KINDS.len()
-        );
+        assert_eq!(v.len(), ALL_FAULT_KINDS.len());
         assert_eq!(FaultKind::Deny(Rule::Push).to_string(), "deny-PUSH");
         assert_eq!(FaultKind::HtmCapacity.to_string(), "htm-capacity");
-        assert_eq!(FaultKind::PartitionShard.to_string(), "partition-shard");
-        assert_eq!(
-            FaultKind::CrashShardServer.to_string(),
-            "crash-shard-server"
-        );
     }
 
     /// The compile guard's runtime half: the descriptor match is
@@ -327,16 +238,6 @@ mod tests {
         for rule in [Rule::App, Rule::Push, Rule::Pull, Rule::Cmt] {
             assert_eq!(FaultKind::Deny(rule).audit_slot(), None);
         }
-        // Every transport fault maps onto a transport fault kind.
-        for tf in [
-            TransportFault::Partition,
-            TransportFault::DelayReply,
-            TransportFault::DropRequest,
-            TransportFault::DuplicateRequest,
-            TransportFault::CrashServer,
-        ] {
-            assert!(ALL_TRANSPORT_FAULT_KINDS.contains(&tf.kind()));
-        }
     }
 
     #[test]
@@ -362,6 +263,5 @@ mod tests {
         assert_eq!(h.deny_rule(ThreadId(0), Rule::App), None);
         assert_eq!(h.at_boundary(ThreadId(0)), None);
         assert_eq!(h.htm_access(ThreadId(0)), None);
-        assert_eq!(h.transport_fault(ThreadId(0), 0), None);
     }
 }

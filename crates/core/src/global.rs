@@ -123,7 +123,6 @@ use crate::machine::CheckMode;
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
 use crate::spec::SeqSpec;
 use crate::static_facts::StaticDischarge;
-use crate::transport::{ShardTransport, TransportStats};
 
 /// How a committed transaction relates to the nesting structure of the
 /// thread that ran it — the per-level tag the nested serializability
@@ -405,7 +404,7 @@ impl GroupCounters {
     }
 
     /// A copy carrying over another set's current values (resharding and
-    /// deep clones preserve counters, like the transport tallies).
+    /// deep clones preserve counters).
     pub(crate) fn carried_over(&self) -> Self {
         let copy = Self::new();
         copy.batches
@@ -730,22 +729,6 @@ pub struct GlobalState<S: SeqSpec> {
     /// build without the analyzer.
     static_facts: RwLock<Option<Arc<StaticDischarge>>>,
     static_armed: AtomicBool,
-    /// The shard transport, if one is installed. `None` (the default)
-    /// means the routed PUSH/UNPUSH critical sections run inline under
-    /// the shard mutex exactly as they always have — the arm flag keeps
-    /// that default to one relaxed load. See [`crate::transport`].
-    transport: RwLock<Option<Arc<dyn ShardTransport<S>>>>,
-    transport_armed: AtomicBool,
-    /// Per-shard degraded marks: a `true` shard exhausted its transport
-    /// envelope and its operations run on the coarse coordinator path
-    /// until a probe succeeds. Always all-`false` without a transport.
-    transport_degraded: Vec<AtomicBool>,
-    /// Transport envelope counters (see [`TransportStats`]).
-    t_requests: AtomicU64,
-    t_retries: AtomicU64,
-    t_timeouts: AtomicU64,
-    t_degradations: AtomicU64,
-    t_recoveries: AtomicU64,
     /// The installed spec certificate, if the analysis certified this
     /// spec's footprint/mover declarations (see [`SpecCertificate`]).
     certificate: RwLock<Option<Arc<SpecCertificate>>>,
@@ -797,14 +780,6 @@ impl<S: SeqSpec> GlobalState<S> {
             faults_armed: AtomicBool::new(false),
             static_facts: RwLock::new(None),
             static_armed: AtomicBool::new(false),
-            transport: RwLock::new(None),
-            transport_armed: AtomicBool::new(false),
-            transport_degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            t_requests: AtomicU64::new(0),
-            t_retries: AtomicU64::new(0),
-            t_timeouts: AtomicU64::new(0),
-            t_degradations: AtomicU64::new(0),
-            t_recoveries: AtomicU64::new(0),
             certificate: RwLock::new(None),
             require_certificate: AtomicBool::new(false),
             arming_diags: Mutex::new(Vec::new()),
@@ -1044,94 +1019,6 @@ impl<S: SeqSpec> GlobalState<S> {
             .clone()
     }
 
-    /// Installs (or, with `None`, removes) the shard transport that the
-    /// routed PUSH/UNPUSH critical sections go through. Without one the
-    /// machine behaves bit-identically to the historical in-place locked
-    /// path. See [`crate::transport`] for the seam, the robustness
-    /// envelope and the degradation ladder.
-    pub fn set_transport(&self, t: Option<Arc<dyn ShardTransport<S>>>) {
-        self.transport_armed.store(t.is_some(), Ordering::Release);
-        *self.transport.write().expect("transport lock poisoned") = t;
-        // A fresh transport starts on the fast path everywhere.
-        for d in &self.transport_degraded {
-            d.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// The installed shard transport, if any. One relaxed-ish load when
-    /// none is installed (the default).
-    pub(crate) fn transport(&self) -> Option<Arc<dyn ShardTransport<S>>> {
-        if !self.transport_armed.load(Ordering::Acquire) {
-            return None;
-        }
-        self.transport
-            .read()
-            .expect("transport lock poisoned")
-            .clone()
-    }
-
-    /// The installed transport's short name, if any (stats labels).
-    pub fn transport_name(&self) -> Option<&'static str> {
-        self.transport().map(|t| t.name())
-    }
-
-    /// A snapshot of the transport envelope counters. All-zero when no
-    /// transport was ever installed.
-    pub fn transport_stats(&self) -> TransportStats {
-        TransportStats {
-            requests: self.t_requests.load(Ordering::Relaxed),
-            retries: self.t_retries.load(Ordering::Relaxed),
-            timeouts: self.t_timeouts.load(Ordering::Relaxed),
-            degradations: self.t_degradations.load(Ordering::Relaxed),
-            recoveries: self.t_recoveries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Tallies one logical transport request (a call or a probe).
-    /// Transport implementations call this once per logical request,
-    /// not per delivery attempt.
-    pub fn note_transport_request(&self) {
-        self.t_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one transport re-delivery attempt.
-    pub fn note_transport_retry(&self) {
-        self.t_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies one failed delivery attempt (deadline missed or message
-    /// lost — injected faults included).
-    pub fn note_transport_timeout(&self) {
-        self.t_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Is `shard` currently degraded to the coarse coordinator path?
-    pub(crate) fn is_transport_degraded(&self, shard: usize) -> bool {
-        self.transport_degraded[shard].load(Ordering::Acquire)
-    }
-
-    /// Marks `shard` degraded; counts the transition exactly once even
-    /// when several threads exhaust their envelopes concurrently.
-    pub(crate) fn note_transport_degraded(&self, shard: usize) {
-        if self.transport_degraded[shard]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.t_degradations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Clears `shard`'s degraded mark after a successful probe; counts
-    /// the recovery exactly once per degradation episode.
-    pub(crate) fn note_transport_recovery(&self, shard: usize) {
-        if self.transport_degraded[shard]
-            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.t_recoveries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Is the runtime check for `(rule, clause)` statically discharged?
     /// One relaxed-ish load on the fast path when no plan is installed.
     pub(crate) fn statically_discharged(&self, rule: Rule, clause: Clause) -> bool {
@@ -1278,9 +1165,8 @@ impl<S: SeqSpec> GlobalState<S> {
     /// commit-sequence `stamp` (the PUSH effect). The stamp is minted by [`Self::reserve_stamps`]
     /// under the shard lock — one at a time, or as a group-commit
     /// batch's contiguous block handed out one append at a time.
-    /// `target` is the routed shard ([`Route::target`]) — the degraded
-    /// coarse path passes it through unchanged, so placement survives
-    /// degradation and healing.
+    /// `target` is the routed shard ([`Route::target`]), whichever shards
+    /// the view holds.
     pub(crate) fn append_push(
         &self,
         view: &mut LogView<'_, S>,
@@ -1470,6 +1356,44 @@ impl<S: SeqSpec> GlobalState<S> {
                 Mutex::new(sh)
             })
             .collect();
+        let fresh = || (0..n).map(|_| AtomicU64::new(0)).collect();
+        self.carried_over(shards, coarse, fresh(), fresh())
+    }
+
+    /// A deep copy with its own generators, audit and log state — used by
+    /// [`Machine::clone`](crate::machine::Machine), which re-points every
+    /// handle at the copy so clones share nothing (the property the model
+    /// checker's branching relies on).
+    pub(crate) fn deep_clone(&self) -> Self {
+        let shards = self
+            .shards
+            .iter()
+            .map(|m| Mutex::new(m.lock().expect("shard log mutex poisoned").clone()))
+            .collect();
+        let copied = |cs: &[AtomicU64]| {
+            cs.iter()
+                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
+                .collect()
+        };
+        self.carried_over(
+            shards,
+            self.coarse.load(Ordering::SeqCst),
+            copied(&self.lock_acquires),
+            copied(&self.lock_contended),
+        )
+    }
+
+    /// A new state over `shards` that carries everything else over from
+    /// this one — generators, audit, committed list, armed hooks and
+    /// certificate, counters. The one place resharding and deep cloning
+    /// copy fields, so a new field is written once.
+    fn carried_over(
+        &self,
+        shards: Vec<Mutex<ShardLog<S>>>,
+        coarse: bool,
+        lock_acquires: Vec<AtomicU64>,
+        lock_contended: Vec<AtomicU64>,
+    ) -> Self {
         Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
@@ -1482,83 +1406,12 @@ impl<S: SeqSpec> GlobalState<S> {
             committed: Mutex::new(self.committed_txns()),
             push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
             coarse: AtomicBool::new(coarse),
-            lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            lock_acquires,
+            lock_contended,
             faults: RwLock::new(self.fault_hook()),
             faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
             static_facts: RwLock::new(self.static_discharge()),
             static_armed: AtomicBool::new(self.static_armed.load(Ordering::Acquire)),
-            // The transport detaches on resharding: it is bound to the
-            // old state's shard layout (server threads, degraded marks).
-            // `Machine::set_log_shards` documents that a transport must
-            // be re-installed after resharding. Counters carry over.
-            transport: RwLock::new(None),
-            transport_armed: AtomicBool::new(false),
-            transport_degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            t_requests: AtomicU64::new(self.t_requests.load(Ordering::Relaxed)),
-            t_retries: AtomicU64::new(self.t_retries.load(Ordering::Relaxed)),
-            t_timeouts: AtomicU64::new(self.t_timeouts.load(Ordering::Relaxed)),
-            t_degradations: AtomicU64::new(self.t_degradations.load(Ordering::Relaxed)),
-            t_recoveries: AtomicU64::new(self.t_recoveries.load(Ordering::Relaxed)),
-            certificate: RwLock::new(self.certificate()),
-            require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
-            arming_diags: Mutex::new(self.arming_diagnostics()),
-            group: self.group.carried_over(),
-            nesting: self.nesting.carried_over(),
-        }
-    }
-
-    /// A deep copy with its own generators, audit and log state — used by
-    /// [`Machine::clone`](crate::machine::Machine), which re-points every
-    /// handle at the copy so clones share nothing (the property the model
-    /// checker's branching relies on).
-    pub(crate) fn deep_clone(&self) -> Self {
-        Self {
-            spec: Arc::clone(&self.spec),
-            mode: self.mode,
-            ids: self.ids.clone(),
-            next_txn: AtomicU64::new(self.next_txn.load(Ordering::Relaxed)),
-            seq: AtomicU64::new(self.seq.load(Ordering::Relaxed)),
-            audit: self.audit.clone(),
-            incremental: AtomicBool::new(self.incremental()),
-            shards: self
-                .shards
-                .iter()
-                .map(|m| Mutex::new(m.lock().expect("shard log mutex poisoned").clone()))
-                .collect(),
-            committed: Mutex::new(self.committed_txns()),
-            push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
-            coarse: AtomicBool::new(self.coarse.load(Ordering::SeqCst)),
-            lock_acquires: self
-                .lock_acquires
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            lock_contended: self
-                .lock_contended
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-            faults: RwLock::new(self.fault_hook()),
-            faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
-            static_facts: RwLock::new(self.static_discharge()),
-            static_armed: AtomicBool::new(self.static_armed.load(Ordering::Acquire)),
-            // The transport holds a `Weak` back-reference to *its*
-            // global state, so a deep clone cannot share it: the clone
-            // starts transport-less (the caller re-installs one if it
-            // wants the seam). Counter values are copied.
-            transport: RwLock::new(None),
-            transport_armed: AtomicBool::new(false),
-            transport_degraded: self
-                .transport_degraded
-                .iter()
-                .map(|d| AtomicBool::new(d.load(Ordering::Acquire)))
-                .collect(),
-            t_requests: AtomicU64::new(self.t_requests.load(Ordering::Relaxed)),
-            t_retries: AtomicU64::new(self.t_retries.load(Ordering::Relaxed)),
-            t_timeouts: AtomicU64::new(self.t_timeouts.load(Ordering::Relaxed)),
-            t_degradations: AtomicU64::new(self.t_degradations.load(Ordering::Relaxed)),
-            t_recoveries: AtomicU64::new(self.t_recoveries.load(Ordering::Relaxed)),
             certificate: RwLock::new(self.certificate()),
             require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
             arming_diags: Mutex::new(self.arming_diagnostics()),

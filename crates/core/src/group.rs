@@ -33,9 +33,9 @@
 //! matters for replay.
 //!
 //! Eligibility is conservative: every operation of the transaction must
-//! route `Route::Single` to one common shard, coarse mode must be off
-//! and no transport installed ([`TxnHandle::group_route`]); everything
-//! else falls back to the unchanged per-transaction path.
+//! route `Route::Single` to one common shard and coarse mode must be
+//! off ([`TxnHandle::group_route`]); everything else falls back to the
+//! unchanged per-transaction path.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -66,8 +66,8 @@ pub enum GroupTxnResult {
     /// from well-formed drives. The handle is left mid-rewind.
     Wedged(MachineError),
     /// Not eligible for batching (mixed shards, coarse route or coarse
-    /// mode, an installed transport, or nothing to commit) — the caller
-    /// falls back to the per-transaction path.
+    /// mode, or nothing to commit) — the caller falls back to the
+    /// per-transaction path.
     Ineligible,
 }
 

@@ -38,10 +38,6 @@ use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
 use crate::spec::{OpInverse, SeqSpec};
 use crate::trace::Event;
-use crate::transport::{
-    critical_section, execute_in_view, FallbackMode, ShardRequest, ShardResponse, ShardTransport,
-    TransportError,
-};
 
 /// A trace event stamped with its global sequence number.
 pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>);
@@ -1193,14 +1189,22 @@ impl<S: SeqSpec> TxnHandle<S> {
         }
         let route = self.global.route(&op.method);
         let method = op.method.clone();
-        let req = ShardRequest::Push {
-            txn: op.txn,
-            audit_shard: shard,
-            checked,
-            op,
-        };
+        let global = &*self.global;
         // Criteria (ii)/(iii) and the append to `G`, one critical section.
-        self.shared_section(route, &req, held)?;
+        self.shared_section(route, held, |view, target, stamp| {
+            if checked {
+                criteria::push(global, view, op.txn, &op).settle(&global.audit, shard)?;
+            }
+            let stamp = match stamp {
+                Some(cursor) => {
+                    *cursor += 1;
+                    *cursor - 1
+                }
+                None => global.reserve_stamps(1),
+            };
+            global.append_push(view, target, stamp, op);
+            Ok(())
+        })?;
         // Effect on the local half (private to this thread): flip flag.
         self.set_pushed(op_id, true);
         let tid = self.tid;
@@ -1212,89 +1216,21 @@ impl<S: SeqSpec> TxnHandle<S> {
         Ok(())
     }
 
-    /// Runs the critical section of one PUSH/UNPUSH request wherever
-    /// this machine puts it. The body is always [`critical_section`];
-    /// what varies is where the view comes from and who holds the lock:
-    ///
-    /// * a caller-held section — its view, its reserved stamp block;
-    /// * an installed transport, for a routed single shard with coarse
-    ///   mode off — the request is shipped ([`Self::ship`]). Coarse
-    ///   routes stay on this thread: they aggregate across shards, which
-    ///   is the coordinator's job;
-    /// * otherwise this thread locks the route itself — one footprint
-    ///   shard on the routed fast path, every shard (ascending) when
-    ///   coarse.
+    /// Runs `body` — the criteria over `G` and the effect of one PUSH or
+    /// UNPUSH — as the paper's one atomic step: inside the caller-held
+    /// section (its view, its target shard, the cursor into its reserved
+    /// stamp block), or else under the route's own lock — one footprint
+    /// shard on the routed fast path, every shard (ascending) when
+    /// coarse.
     fn shared_section(
         &self,
         route: Route,
-        req: &ShardRequest<S>,
         held: Option<&mut Held<'_, S>>,
+        body: impl FnOnce(&mut LogView<'_, S>, usize, Option<&mut u64>) -> MachineResult<()>,
     ) -> MachineResult<()> {
-        let global = &*self.global;
-        if let Some(h) = held {
-            let stamp = Some(&mut h.stamp);
-            return critical_section(global, &mut h.view, h.target, stamp, req);
-        }
-        if let Route::Single(i) = route {
-            if !global.coarse_mode() {
-                if let Some(tr) = global.transport() {
-                    return self.ship(tr.as_ref(), i, req);
-                }
-            }
-        }
-        let mut view = global.acquire_route(route);
-        critical_section(global, &mut view, route.target(), None, req)
-    }
-
-    /// Ships one routed single-shard request over the installed
-    /// transport, with the degradation ladder.
-    ///
-    /// Degraded shard: probe first — one success clears the mark
-    /// (counted as a recovery) and the call proceeds on the fast path;
-    /// failure keeps the operation on the coarse coordinator path.
-    /// Healthy shard: ship the request; if the whole robustness envelope
-    /// is exhausted — or the transport answers `Pong`, which answers no
-    /// PUSH/UNPUSH and so counts as a failed delivery — degrade per the
-    /// transport's [`FallbackMode`]: coarse execution here, or a clean
-    /// [`MachineError::TransportExhausted`].
-    fn ship(
-        &self,
-        tr: &dyn ShardTransport<S>,
-        target: usize,
-        req: &ShardRequest<S>,
-    ) -> MachineResult<()> {
-        let global = &*self.global;
-        let mut reachable = true;
-        if global.is_transport_degraded(target) {
-            reachable = tr.probe(global, self.tid, target);
-            if reachable {
-                global.note_transport_recovery(target);
-            }
-        }
-        if reachable {
-            match tr.call(global, self.tid, target, req.clone()) {
-                Ok(ShardResponse::Done) => return Ok(()),
-                Ok(ShardResponse::Denied(e)) => return Err(e),
-                Ok(ShardResponse::Pong) | Err(TransportError::Exhausted { .. }) => {}
-            }
-            match tr.fallback() {
-                FallbackMode::Coarse => global.note_transport_degraded(target),
-                FallbackMode::Fail => {
-                    return Err(MachineError::TransportExhausted {
-                        thread: self.tid,
-                        shard: target,
-                    })
-                }
-            }
-        }
-        // Degraded: the coordinator runs the request itself over the
-        // coarse all-shard view (the one lock ladder that needs no
-        // transport). A lost-reply fault may have applied it before we
-        // degraded, so it goes through the delivered-request executor,
-        // which consults the log first.
-        match execute_in_view(global, &mut global.acquire_all(), target, req) {
-            ShardResponse::Denied(e) => Err(e),
-            _ => Ok(()),
+        match held {
+            Some(h) => body(&mut h.view, h.target, Some(&mut h.stamp)),
+            None => body(&mut self.global.acquire_route(route), route.target(), None),
         }
     }
 
@@ -1351,13 +1287,18 @@ impl<S: SeqSpec> TxnHandle<S> {
         // global entry lives on that method's footprint shard, and is a
         // verbatim copy of this one (PUSH published it from here).
         let method = self.local.entries()[pos].op.method.clone();
-        let req = ShardRequest::Unpush {
-            audit_shard: self.shard(),
-            checked: mode != CheckMode::Unchecked,
-            check_gray: mode == CheckMode::Checked,
-            op_id,
-        };
-        self.shared_section(self.global.route(&method), &req, held)?;
+        let shard = self.shard();
+        let global = &*self.global;
+        self.shared_section(global.route(&method), held, |view, _, _| {
+            let (vidx, pos) = view.find(op_id).ok_or(MachineError::NoSuchOp(op_id))?;
+            if mode != CheckMode::Unchecked {
+                // The gray criterion (i) is checked in `Checked` mode only.
+                criteria::unpush(global, view, (vidx, pos), mode == CheckMode::Checked)
+                    .settle(&global.audit, shard)?;
+            }
+            global.remove_push(view, vidx, pos);
+            Ok(())
+        })?;
         self.set_pushed(op_id, false);
         let tid = self.tid;
         self.record(Event::UnPush {
@@ -1836,14 +1777,12 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// to, if this transaction is eligible for the per-shard group-commit
     /// path — `None` (caller falls back to the per-transaction path) when
     /// the thread is finished, the local log is empty, any operation
-    /// routes coarse or to a different shard, coarse mode is on, or a
-    /// transport is installed (the seam serializes at the shard executor;
-    /// batching behind its back would bypass the envelope).
+    /// routes coarse or to a different shard, or coarse mode is on.
     pub fn group_route(&self) -> Option<usize> {
         if self.code.is_none() || self.local.is_empty() {
             return None;
         }
-        if self.global.coarse_mode() || self.global.transport().is_some() {
+        if self.global.coarse_mode() {
             return None;
         }
         // Nested scopes and registered compensations stay off the batch

@@ -91,11 +91,10 @@ pub mod static_facts;
 pub mod structural;
 pub mod toy;
 pub mod trace;
-pub mod transport;
 
 pub use certificate::SpecCertificate;
 pub use error::{Clause, CriterionViolation, MachineError, MachineResult, Rule};
-pub use faults::{BoundaryFault, FaultHook, FaultKind, HtmFault, TransportFault};
+pub use faults::{BoundaryFault, FaultHook, FaultKind, HtmFault};
 pub use global::{CommittedTxn, GlobalState, GroupStats, TxnKind};
 pub use group::{commit_group, GroupOutcome, GroupTxnResult};
 pub use handle::TxnHandle;
@@ -108,7 +107,3 @@ pub use smallvec::SmallVec;
 pub use spec::{KeySet, OpInverse, SeqSpec};
 pub use static_facts::{RulePattern, StaticDischarge};
 pub use trace::{Event, Trace};
-pub use transport::{
-    ChannelTransport, FallbackMode, LocalTransport, RetryBackoff, SeededBackoff, ShardTransport,
-    TransportConfig, TransportError, TransportStats,
-};

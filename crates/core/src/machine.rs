@@ -186,35 +186,6 @@ impl<S: SeqSpec> Machine<S> {
         self.global.arming_diagnostics()
     }
 
-    /// Routes the single-shard PUSH/UNPUSH critical sections through
-    /// [`LocalTransport`](crate::transport::LocalTransport): inline
-    /// execution under the shard mutex, identical behaviour to the
-    /// default no-transport machine except that transport requests are
-    /// counted. The reference point the channel transport is measured
-    /// (and golden-tested) against.
-    pub fn set_local_transport(&self) {
-        self.global
-            .set_transport(Some(Arc::new(crate::transport::LocalTransport)));
-    }
-
-    /// Removes the installed shard transport: back to the in-place
-    /// locked path.
-    pub fn clear_transport(&self) {
-        self.global.set_transport(None);
-    }
-
-    /// The installed transport's short name (`"local"` / `"channel"`),
-    /// or `None` when no transport is installed.
-    pub fn transport_name(&self) -> Option<&'static str> {
-        self.global.transport_name()
-    }
-
-    /// A snapshot of the transport envelope counters (requests, retries,
-    /// timeouts, degradations, recoveries). All-zero without a transport.
-    pub fn transport_stats(&self) -> crate::transport::TransportStats {
-        self.global.transport_stats()
-    }
-
     /// A snapshot of the group-commit batch counters (batches sealed,
     /// transactions/operations batched, lock acquisitions saved, batch
     /// size histogram). All-zero until [`Self::commit_group`] runs.
@@ -301,10 +272,6 @@ impl<S: SeqSpec> Machine<S> {
     /// and all generators are preserved, so resharding mid-run changes
     /// the cost of the criteria, never their verdicts — and `shards == 1`
     /// reproduces the historical single-lock machine bit-for-bit.
-    ///
-    /// An installed shard transport **detaches** (it is bound to the old
-    /// layout's server set and degraded marks); re-install one after
-    /// resharding if the seam is wanted. Transport counters carry over.
     ///
     /// Under strict certificate mode
     /// ([`Machine::set_require_certificate`]) a shard count above one
@@ -632,31 +599,6 @@ impl<S: SeqSpec> Machine<S> {
     }
 }
 
-impl<S> Machine<S>
-where
-    S: SeqSpec + Send + Sync + 'static,
-    S::Method: Send + Sync + 'static,
-    S::Ret: Send + Sync + 'static,
-    S::State: Send + Sync + 'static,
-{
-    /// Routes the single-shard PUSH/UNPUSH critical sections through a
-    /// [`ChannelTransport`](crate::transport::ChannelTransport): each
-    /// shard owned by a dedicated server thread, requests serialized
-    /// over in-process channels, every call wrapped in the robustness
-    /// envelope `config` describes (deadline, bounded seeded-backoff
-    /// retries, idempotent request ids, fault injection, degradation to
-    /// the coarse path). Bit-identical ledgers and traces to
-    /// [`Machine::set_local_transport`] — the transport equivalence
-    /// suite pins this down for every driver.
-    ///
-    /// The `Send + Sync + 'static` bounds exist only here: the rest of
-    /// the machine never requires them, so specs that are not shareable
-    /// across threads simply cannot install this transport.
-    pub fn set_channel_transport(&self, config: crate::transport::TransportConfig) {
-        crate::transport::ChannelTransport::install(&self.global, config);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,6 +921,64 @@ mod tests {
         assert_eq!(m2.global().committed_ops().len(), 2);
         assert!(m.global().is_empty(), "clone's commits must not leak back");
         assert_eq!(m.thread(t).unwrap().local().len(), 1);
+    }
+
+    /// Resharding and deep-cloning build the new shared state through
+    /// one carry-over constructor: everything armed or counted on the
+    /// original is still there after a mid-run `set_log_shards` and on
+    /// a `clone`.
+    #[test]
+    fn reshard_and_clone_carry_armed_state_and_counters_over() {
+        #[derive(Debug)]
+        struct Quiet;
+        impl crate::faults::FaultHook for Quiet {}
+
+        let mut m = machine();
+        let a = m.add_thread(vec![inc_code()]);
+        let b = m.add_thread(vec![inc_code()]);
+        let c = m.add_thread(vec![Code::seq(inc_code(), inc_code())]);
+        m.set_fault_hook(Some(Arc::new(Quiet)));
+        m.install_certificate(Some(Arc::new(Default::default())));
+        m.set_require_certificate(true);
+        let mut facts = crate::static_facts::StaticDischarge::none();
+        facts.add(Rule::Push, Clause::I);
+        m.set_static_discharge(Some(Arc::new(facts)));
+        m.set_incremental(false);
+        // Mid-run: one sealed group batch, one scope in flight, one
+        // uncommitted push.
+        m.app_auto(a).unwrap();
+        m.app_auto(b).unwrap();
+        assert_eq!(m.commit_group(&[a, b]).unwrap().batched_txns, 2);
+        m.begin_nested(c, ScopeKind::Closed).unwrap();
+        let op = m.app_auto(c).unwrap();
+        m.push(c, op).unwrap();
+
+        let carried = |m: &Machine<ToyCounter>| {
+            let g = m.global_state();
+            (
+                g.fault_hook().is_some(),
+                g.static_discharge().map(|f| f.obligations()),
+                m.certificate(),
+                g.require_certificate(),
+                m.incremental(),
+                m.audit(),
+                m.group_stats(),
+                m.nesting_stats(),
+            )
+        };
+        let before = carried(&m);
+        assert!(before.0, "hook armed");
+        assert_eq!(before.1, Some(vec![(Rule::Push, Clause::I)]));
+        assert!(before.2.is_some() && before.3, "certificate, strict mode");
+        assert!(!before.4, "incremental off");
+        assert!(before.5.statically_discharged_count(Rule::Push, Clause::I) > 0);
+        assert_eq!(before.6.batches, 1);
+        assert_eq!(before.7.scopes_opened, 1);
+
+        assert_eq!(carried(&m.clone()), before, "Machine::clone");
+        m.set_log_shards(4);
+        assert_eq!(m.log_shards(), 4);
+        assert_eq!(carried(&m), before, "set_log_shards");
     }
 
     /// Incremental and full-replay criteria evaluation agree — verdicts

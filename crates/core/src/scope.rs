@@ -121,7 +121,7 @@ impl<S: SeqSpec> Clone for Compensation<S> {
 /// A snapshot of the machine-wide nesting counters (see
 /// [`crate::machine::Machine::nesting_stats`]): scope traffic and
 /// compensation activity, flowing through `SystemStats` → sweeps →
-/// watchdog like the lock/transport tallies.
+/// watchdog like the lock tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NestingStats {
     /// Scopes entered (peeled, explicit, and checkpoint markers).

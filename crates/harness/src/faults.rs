@@ -17,14 +17,12 @@
 //!
 //! [`CriteriaAudit::injected`]: pushpull_core::audit::CriteriaAudit
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use pushpull_core::error::{Clause, Rule};
-use pushpull_core::faults::{
-    deny_clause, BoundaryFault, FaultHook, FaultKind, HtmFault, TransportFault,
-};
+use pushpull_core::faults::{deny_clause, BoundaryFault, FaultHook, FaultKind, HtmFault};
 use pushpull_core::op::ThreadId;
 
 /// One planned fault: on `thread`'s `at`-th probe of the boundary that
@@ -63,7 +61,6 @@ struct ThreadProbes {
     rules: [AtomicU64; RULE_COUNT],
     ticks: AtomicU64,
     htm: AtomicU64,
-    transport: AtomicU64,
 }
 
 /// A deterministic, seeded-or-scripted fault plan.
@@ -79,10 +76,6 @@ pub struct FaultPlan {
     specs: Vec<FaultSpec>,
     probes: Vec<ThreadProbes>,
     fired: Mutex<BTreeMap<FaultKind, u64>>,
-    /// Shards under a *persistent* partition: every transport delivery
-    /// attempt against them fires [`FaultKind::PartitionShard`] until
-    /// [`heal_shard`](FaultPlan::heal_shard) removes them.
-    partitioned: Mutex<BTreeSet<usize>>,
 }
 
 impl FaultPlan {
@@ -93,7 +86,6 @@ impl FaultPlan {
             specs: Vec::new(),
             probes: (0..n_threads).map(|_| ThreadProbes::default()).collect(),
             fired: Mutex::new(BTreeMap::new()),
-            partitioned: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -144,44 +136,6 @@ impl FaultPlan {
             },
             stall: 0,
         })
-    }
-
-    /// Injects a one-shot transport fault at `thread`'s `at`-th transport
-    /// delivery attempt (any shard).
-    pub fn transport(self, thread: usize, fault: TransportFault, at: u64) -> Self {
-        self.with(FaultSpec {
-            thread: ThreadId(thread),
-            at,
-            kind: fault.kind(),
-            stall: 0,
-        })
-    }
-
-    /// Builder form of [`partition_shard`](FaultPlan::partition_shard):
-    /// the plan starts with `shard` persistently partitioned.
-    pub fn partition(self, shard: usize) -> Self {
-        self.partition_shard(shard);
-        self
-    }
-
-    /// Persistently partitions `shard`: every delivery attempt against it
-    /// fires [`TransportFault::Partition`] (and is tallied) until healed.
-    /// Takes `&self` so a test can flip partitions mid-run through the
-    /// same `Arc` the machine holds as its hook.
-    pub fn partition_shard(&self, shard: usize) {
-        self.partitioned
-            .lock()
-            .expect("partition set poisoned")
-            .insert(shard);
-    }
-
-    /// Heals a persistent partition; subsequent deliveries to `shard` go
-    /// back through the ordinary one-shot spec schedule.
-    pub fn heal_shard(&self, shard: usize) {
-        self.partitioned
-            .lock()
-            .expect("partition set poisoned")
-            .remove(&shard);
     }
 
     /// Derives a small plan from `seed`: one spec of `kind` per thread,
@@ -273,38 +227,6 @@ impl FaultHook for FaultPlan {
         }
         None
     }
-
-    fn transport_fault(&self, tid: ThreadId, shard: usize) -> Option<TransportFault> {
-        // Persistent partitions win and deliberately do *not* consume a
-        // probe index: however many retries the partition absorbs, the
-        // one-shot schedule resumes exactly where it left off after a
-        // heal. Every consult that fires is tallied, matching the
-        // envelope's injected count attempt for attempt.
-        if self
-            .partitioned
-            .lock()
-            .expect("partition set poisoned")
-            .contains(&shard)
-        {
-            self.record(FaultKind::PartitionShard);
-            return Some(TransportFault::Partition);
-        }
-        let probes = self.probes.get(tid.0)?;
-        let n = probes.transport.fetch_add(1, Ordering::Relaxed);
-        for fault in [
-            TransportFault::Partition,
-            TransportFault::DelayReply,
-            TransportFault::DropRequest,
-            TransportFault::DuplicateRequest,
-            TransportFault::CrashServer,
-        ] {
-            if self.matches(tid, fault.kind(), n).is_some() {
-                self.record(fault.kind());
-                return Some(fault);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -363,54 +285,5 @@ mod tests {
         assert_eq!(plan.deny_rule(ThreadId(7), Rule::App), None);
         assert_eq!(plan.at_boundary(ThreadId(7)), None);
         assert_eq!(plan.htm_access(ThreadId(7)), None);
-        assert_eq!(plan.transport_fault(ThreadId(7), 0), None);
-    }
-
-    #[test]
-    fn transport_faults_fire_at_the_planned_attempt() {
-        let plan = FaultPlan::new(2)
-            .transport(0, TransportFault::DropRequest, 1)
-            .transport(0, TransportFault::CrashServer, 2);
-        assert_eq!(plan.transport_fault(ThreadId(0), 0), None);
-        assert_eq!(
-            plan.transport_fault(ThreadId(0), 0),
-            Some(TransportFault::DropRequest)
-        );
-        assert_eq!(
-            plan.transport_fault(ThreadId(0), 3),
-            Some(TransportFault::CrashServer)
-        );
-        assert_eq!(plan.transport_fault(ThreadId(0), 0), None);
-        // Thread 1 has its own independent probe counter.
-        assert_eq!(plan.transport_fault(ThreadId(1), 0), None);
-        assert_eq!(plan.fired()[&FaultKind::DropRequest], 1);
-        assert_eq!(plan.fired()[&FaultKind::CrashShardServer], 1);
-    }
-
-    #[test]
-    fn persistent_partition_preserves_the_probe_schedule() {
-        let plan = FaultPlan::new(1)
-            .transport(0, TransportFault::DelayReply, 1)
-            .partition(2);
-        // Consults against the partitioned shard fire every time and are
-        // each tallied, without burning a probe index.
-        for _ in 0..3 {
-            assert_eq!(
-                plan.transport_fault(ThreadId(0), 2),
-                Some(TransportFault::Partition)
-            );
-        }
-        assert_eq!(plan.fired()[&FaultKind::PartitionShard], 3);
-        // The one-shot schedule is untouched: probes 0 and 1 on a healthy
-        // shard behave as if the partition never happened.
-        assert_eq!(plan.transport_fault(ThreadId(0), 0), None);
-        assert_eq!(
-            plan.transport_fault(ThreadId(0), 0),
-            Some(TransportFault::DelayReply)
-        );
-        // Healing stops the partition faults entirely.
-        plan.heal_shard(2);
-        assert_eq!(plan.transport_fault(ThreadId(0), 2), None);
-        assert_eq!(plan.fired()[&FaultKind::PartitionShard], 3);
     }
 }

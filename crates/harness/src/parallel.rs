@@ -105,11 +105,6 @@ pub struct WatchdogReport {
     /// Per-shard `(acquires, contended)`, ascending by shard index —
     /// pinpoints *which* shard a log-bound livelock is fighting over.
     pub lock_stats_per_shard: Vec<(u64, u64)>,
-    /// Transport envelope counters (all-zero with no shard transport
-    /// installed) — a stall whose `timeouts` keep climbing with
-    /// `degradations` still zero means the retry envelope is absorbing a
-    /// fault without ever reaching the coarse fallback.
-    pub transport_stats: pushpull_core::TransportStats,
     /// Group-commit batch counters (all-zero unless the system runs the
     /// service commit seam) — a stall with `batches` flat but
     /// commit-ready work queued means the batching stage itself is
@@ -137,12 +132,6 @@ impl std::fmt::Display for WatchdogReport {
                 "    shard {i:<3} acquires={acquires:<9} contended={contended}"
             )?;
         }
-        let t = self.transport_stats;
-        writeln!(
-            f,
-            "  transport: {} requests, {} retries, {} timeouts, {} degradations, {} recoveries",
-            t.requests, t.retries, t.timeouts, t.degradations, t.recoveries
-        )?;
         let g = self.group_stats;
         if g.batches > 0 {
             writeln!(
@@ -350,7 +339,6 @@ where
             .collect(),
         lock_stats: m.lock_stats(),
         lock_stats_per_shard: m.lock_stats_per_shard(),
-        transport_stats: m.transport_stats(),
         group_stats: m.group_stats(),
         nesting_stats: m.nesting_stats(),
     });

@@ -77,16 +77,6 @@ pub struct SweepResult {
     pub lock_acquires: Aggregate,
     /// Shared-log shard-lock acquisitions that had to wait per run.
     pub lock_contended: Aggregate,
-    /// Transport envelope requests (calls + probes) per run.
-    pub transport_requests: Aggregate,
-    /// Transport delivery re-attempts per run.
-    pub transport_retries: Aggregate,
-    /// Transport attempts that missed their deadline per run.
-    pub transport_timeouts: Aggregate,
-    /// Fast-path → coarse degradation transitions per run.
-    pub transport_degradations: Aggregate,
-    /// Coarse → fast-path recovery transitions per run.
-    pub transport_recoveries: Aggregate,
     /// Logical sessions multiplexed by the service front-end per run.
     pub sessions: Aggregate,
     /// Group-commit batches sealed per run.
@@ -127,21 +117,9 @@ impl std::fmt::Display for SweepResult {
             self.lock_contended,
             self.lock_acquires,
         )?;
-        // Only runs with a transport installed print the envelope tail, so
-        // fault-free sweep tables stay byte-compatible with older logs.
-        if self.transport_requests.max > 0.0 {
-            write!(
-                f,
-                " transport={} (retry={} to={} degr={} rec={})",
-                self.transport_requests,
-                self.transport_retries,
-                self.transport_timeouts,
-                self.transport_degradations,
-                self.transport_recoveries,
-            )?;
-        }
-        // Likewise, only service-front-end runs (sessions multiplexed or
-        // batches sealed) print the group-commit tail.
+        // Only service-front-end runs (sessions multiplexed or batches
+        // sealed) print the group-commit tail, so other sweep tables stay
+        // byte-compatible with older logs.
         if self.group_batches.max > 0.0 || self.sessions.max > 0.0 {
             write!(
                 f,
@@ -186,11 +164,6 @@ pub fn sweep(
     let mut streaks = Vec::new();
     let mut acquires = Vec::new();
     let mut contended = Vec::new();
-    let mut t_requests = Vec::new();
-    let mut t_retries = Vec::new();
-    let mut t_timeouts = Vec::new();
-    let mut t_degradations = Vec::new();
-    let mut t_recoveries = Vec::new();
     let mut sessions = Vec::new();
     let mut g_batches = Vec::new();
     let mut g_txns = Vec::new();
@@ -212,11 +185,6 @@ pub fn sweep(
         streaks.push(stats.max_abort_streak as f64);
         acquires.push(stats.lock_acquires as f64);
         contended.push(stats.lock_contended as f64);
-        t_requests.push(stats.transport_requests as f64);
-        t_retries.push(stats.transport_retries as f64);
-        t_timeouts.push(stats.transport_timeouts as f64);
-        t_degradations.push(stats.transport_degradations as f64);
-        t_recoveries.push(stats.transport_recoveries as f64);
         sessions.push(stats.sessions as f64);
         g_batches.push(stats.group_batches as f64);
         g_txns.push(stats.group_txns as f64);
@@ -239,11 +207,6 @@ pub fn sweep(
         max_abort_streak: Aggregate::of(&streaks),
         lock_acquires: Aggregate::of(&acquires),
         lock_contended: Aggregate::of(&contended),
-        transport_requests: Aggregate::of(&t_requests),
-        transport_retries: Aggregate::of(&t_retries),
-        transport_timeouts: Aggregate::of(&t_timeouts),
-        transport_degradations: Aggregate::of(&t_degradations),
-        transport_recoveries: Aggregate::of(&t_recoveries),
         sessions: Aggregate::of(&sessions),
         group_batches: Aggregate::of(&g_batches),
         group_txns: Aggregate::of(&g_txns),

@@ -20,8 +20,8 @@
 //! ([`assert_chaos_cell`]): arm a plan, drive the system to completion
 //! under a seeded random scheduler, then assert completion, exact
 //! injection accounting, and the safety oracles. Every fault family —
-//! rule denials, kills/stalls, HTM aborts, and the transport faults —
-//! runs its matrix rows through this one loop.
+//! rule denials, kills/stalls, HTM aborts — runs its matrix rows through
+//! this one loop.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -148,10 +148,10 @@ pub fn assert_ledger_matches(a: &CriteriaAudit, b: &CriteriaAudit) {
 /// audit's `injected` tallies equal the plan's fired tallies exactly),
 /// and **safety** (the serializability oracle, plus the opacity oracle
 /// when `expect_opaque`). Returns the finished system so callers can
-/// assert fault-family-specific extras (e.g. transport counters).
+/// assert fault-family-specific extras.
 ///
-/// Install any transport or static-discharge configuration on the
-/// machine *before* calling; this helper only arms the fault hook.
+/// Install any static-discharge configuration on the machine *before*
+/// calling; this helper only arms the fault hook.
 ///
 /// # Panics
 ///

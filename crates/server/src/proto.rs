@@ -74,9 +74,8 @@ pub enum TxnResponse {
         /// The aborted machine transaction id.
         txn: TxnId,
     },
-    /// The session failed: the spec refused an operation outright, the
-    /// retry budget ran out, or the shard transport exhausted its
-    /// robustness envelope.
+    /// The session failed: the spec refused an operation outright or
+    /// the retry budget ran out.
     Failed {
         /// The session.
         session: SessionId,

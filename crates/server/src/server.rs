@@ -30,9 +30,8 @@
 //!    off, which is why the two modes produce bit-identical traces.
 //!
 //! Conflict-denied transactions are retried with a refreshed committed
-//! view, up to `max_retries`; sessions whose shard transport exhausts
-//! its robustness envelope fail with
-//! [`MachineError::TransportExhausted`] instead of wedging the server.
+//! view, up to `max_retries`; a session that spends the budget fails
+//! with its last denial instead of wedging the server.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -111,8 +110,7 @@ pub enum SessionOutcome {
         /// The aborted machine transaction.
         txn: TxnId,
     },
-    /// The session failed: spec refusal, retry budget exhausted, or
-    /// transport exhaustion.
+    /// The session failed: spec refusal or retry budget exhausted.
     Failed {
         /// The terminal error.
         error: MachineError,
@@ -131,8 +129,8 @@ impl SessionOutcome {
 enum Slot {
     /// Free: can admit a session.
     Idle,
-    /// Permanently lost: the handle wedged mid-rewind (transport died
-    /// with operations still pushed) and cannot host another session.
+    /// Permanently lost: the handle wedged mid-rewind (`abandon()`
+    /// returned an error) and cannot host another session.
     Dead,
     /// Hosting a session.
     Busy(Active),
@@ -261,8 +259,8 @@ fn fail_session<S: SeqSpec>(
     };
     w.stats.aborts += 1;
     if let Err(wedge) = h.abandon() {
-        // The rewind itself failed (e.g. UNPUSH through a dead
-        // transport): this handle can never host a session again.
+        // The rewind itself failed: the handle is left mid-rewind and
+        // can never host a session again.
         w.slots[k] = Slot::Dead;
         w.dead_error = Some(wedge);
     }
@@ -332,10 +330,6 @@ fn commit_single<S: SeqSpec>(
             Ok(())
         }
         Err(e) if e.is_criterion() => conflict_retry(w, k, h, e, false, needs_pull, cfg),
-        Err(e @ MachineError::TransportExhausted { .. }) => {
-            fail_session(w, k, h, e, cfg.record_responses);
-            Ok(())
-        }
         Err(e) => Err(e),
     }
 }
@@ -507,8 +501,7 @@ fn tick_worker<S: SeqSpec>(
     // Refresh denied slots' committed views only now, after the whole
     // stage: every retrying transaction observes the same committed
     // prefix regardless of whether its peers committed through one batch
-    // or one at a time (PULL is local to the handle — no transport, no
-    // shard lock).
+    // or one at a time.
     for k in needs_pull {
         if matches!(w.slots[k], Slot::Busy(_)) {
             pull_committed_lenient(&mut handles[k])?;

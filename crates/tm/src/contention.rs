@@ -304,67 +304,6 @@ pub fn default_manager() -> Arc<dyn ContentionManager> {
     Arc::new(GracefulDegradation::default())
 }
 
-// ---------------------------------------------------------------------
-// The transport side of the policy seam: the same tuned policies that
-// govern abort-retry waiting also govern transport-retry waiting.
-// ---------------------------------------------------------------------
-
-/// [`ExponentialBackoff`] doubles as a transport
-/// [`RetryBackoff`](pushpull_core::RetryBackoff): delivery attempt `k`
-/// waits exactly what the `k`-th consecutive abort would have — same
-/// seed, same jitter, same windows — so a sweep tuning one policy tunes
-/// both.
-impl pushpull_core::RetryBackoff for ExponentialBackoff {
-    fn backoff_ticks(&self, tid: ThreadId, attempt: u32) -> u64 {
-        match self.after_abort(tid, attempt) {
-            Recovery::Backoff(ticks) => ticks.max(1),
-            Recovery::Retry => 1,
-            Recovery::Degrade => self.cap,
-        }
-    }
-}
-
-/// Adapts *any* [`ContentionManager`] to the transport
-/// [`RetryBackoff`](pushpull_core::RetryBackoff) seam, so all four
-/// policies (immediate, exponential, karma, graceful-degradation) can
-/// pace transport retries. `Retry` maps to the minimum wait (1 tick),
-/// `Backoff(t)` to `t` ticks, and `Degrade` to the full 256-tick window
-/// (the transport has its own degradation ladder past the retry budget,
-/// so the policy's escalation becomes its longest patience here).
-///
-/// Stateful policies see transport retries through the same
-/// `after_abort` entry point as real aborts — under [`KarmaAging`],
-/// retrying against a flaky shard earns karma exactly like losing a
-/// conflict race does, which is the intended fairness coupling.
-pub struct CmBackoff {
-    cm: Arc<dyn ContentionManager>,
-}
-
-impl CmBackoff {
-    /// Wraps a contention policy for transport use.
-    pub fn new(cm: Arc<dyn ContentionManager>) -> Self {
-        Self { cm }
-    }
-}
-
-impl std::fmt::Debug for CmBackoff {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CmBackoff")
-            .field("policy", &self.cm.name())
-            .finish()
-    }
-}
-
-impl pushpull_core::RetryBackoff for CmBackoff {
-    fn backoff_ticks(&self, tid: ThreadId, attempt: u32) -> u64 {
-        match self.cm.after_abort(tid, attempt) {
-            Recovery::Backoff(ticks) => ticks.max(1),
-            Recovery::Retry => 1,
-            Recovery::Degrade => 256,
-        }
-    }
-}
-
 /// Starvation metrics accumulated by a system's governors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StarvationReport {
@@ -762,31 +701,5 @@ mod tests {
         assert_eq!(r.p99_retries_to_commit, 9.0);
         // A fork shares the policy but none of the counters.
         assert_eq!(state.fork().report().commits_sampled, 0);
-    }
-
-    #[test]
-    fn transport_backoff_bridge_matches_abort_policy() {
-        use pushpull_core::RetryBackoff;
-        let policy = ExponentialBackoff::new(42);
-        for tid in 0..3usize {
-            for attempt in 0..8u32 {
-                let expect = match policy.after_abort(ThreadId(tid), attempt) {
-                    Recovery::Backoff(t) => t.max(1),
-                    Recovery::Retry => 1,
-                    Recovery::Degrade => policy.cap,
-                };
-                assert_eq!(policy.backoff_ticks(ThreadId(tid), attempt), expect);
-                // Windows stay bounded by the policy cap.
-                assert!(policy.backoff_ticks(ThreadId(tid), attempt) <= policy.cap.max(1));
-            }
-        }
-        // The erased adapter maps every verdict to a positive wait.
-        let karma = CmBackoff::new(Arc::new(KarmaAging::default()));
-        let eager = CmBackoff::new(Arc::new(ImmediateRetry));
-        for attempt in 0..8u32 {
-            assert!(karma.backoff_ticks(ThreadId(0), attempt) >= 1);
-            assert_eq!(eager.backoff_ticks(ThreadId(0), attempt), 1);
-        }
-        assert!(format!("{karma:?}").contains("karma"));
     }
 }

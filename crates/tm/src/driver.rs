@@ -64,8 +64,8 @@ pub enum Tick {
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
 /// A system *hands out its machine*: everything machine-level — static
-/// discharge facts, certificates, shard and transport configuration,
-/// lock/transport/group/nesting counters, the group-commit
+/// discharge facts, certificates, shard configuration,
+/// lock/group/nesting counters, the group-commit
 /// seam — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
 /// method. Implementors are [`Driver`] (the ten §6/§7 algorithm classes
@@ -437,20 +437,6 @@ pub struct SystemStats {
     pub arena_capacity: u64,
     /// Always zero (see [`Self::snap_reads`]).
     pub arena_reused: u64,
-    /// Logical shard-transport requests (calls and probes) through the
-    /// machine's transport seam. Zero when no transport is installed.
-    pub transport_requests: u64,
-    /// Transport re-delivery attempts after a failed one.
-    pub transport_retries: u64,
-    /// Transport delivery attempts that timed out or were lost
-    /// (injected transport faults included).
-    pub transport_timeouts: u64,
-    /// Shards degraded to the coarse coordinator path after exhausting
-    /// the transport's retry budget (fast→degraded transitions).
-    pub transport_degradations: u64,
-    /// Shards recovered to the fast path by a successful probe
-    /// (degraded→fast transitions).
-    pub transport_recoveries: u64,
     /// Logical sessions the service front-end multiplexed (zero outside
     /// `pushpull-server` runs).
     pub sessions: u64,
@@ -463,7 +449,7 @@ pub struct SystemStats {
     /// per-transaction path.
     pub group_locks_saved: u64,
     /// Commit-ready transactions that fell back to the per-transaction
-    /// path (mixed shards, coarse mode, or an installed transport).
+    /// path (mixed shards or coarse mode).
     pub group_fallbacks: u64,
     /// Batch-size histogram in fixed ascending power-of-two buckets
     /// (1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+) — deterministic to
@@ -485,20 +471,14 @@ pub struct SystemStats {
     pub undo_inverses: u64,
 }
 
-/// Folds the machine-owned shared counters — shard locks, transport
-/// envelope, nested scopes — into `stats`:
+/// Folds the machine-owned shared counters — shard locks, nested
+/// scopes — into `stats`:
 /// the common tail of [`Driver::stats`] and the service front-end's
 /// `stats()`, so a new machine counter lands in every system at once.
 pub fn fold_machine_counters<S: SeqSpec>(machine: &Machine<S>, stats: &mut SystemStats) {
     let (acquires, contended) = machine.lock_stats();
     stats.lock_acquires = acquires;
     stats.lock_contended = contended;
-    let t = machine.transport_stats();
-    stats.transport_requests = t.requests;
-    stats.transport_retries = t.retries;
-    stats.transport_timeouts = t.timeouts;
-    stats.transport_degradations = t.degradations;
-    stats.transport_recoveries = t.recoveries;
     let n = machine.nesting_stats();
     stats.scopes_opened = n.scopes_opened;
     stats.scopes_merged = n.scopes_merged;
@@ -537,11 +517,6 @@ impl std::ops::Add for SystemStats {
             snap_fallbacks: self.snap_fallbacks + rhs.snap_fallbacks,
             arena_capacity: self.arena_capacity + rhs.arena_capacity,
             arena_reused: self.arena_reused + rhs.arena_reused,
-            transport_requests: self.transport_requests + rhs.transport_requests,
-            transport_retries: self.transport_retries + rhs.transport_retries,
-            transport_timeouts: self.transport_timeouts + rhs.transport_timeouts,
-            transport_degradations: self.transport_degradations + rhs.transport_degradations,
-            transport_recoveries: self.transport_recoveries + rhs.transport_recoveries,
             sessions: self.sessions + rhs.sessions,
             group_batches: self.group_batches + rhs.group_batches,
             group_txns: self.group_txns + rhs.group_txns,

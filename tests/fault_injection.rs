@@ -4,10 +4,10 @@
 //! The robustness contract has three parts, asserted on every cell by
 //! the shared [`assert_chaos_cell`] loop:
 //!
-//! 1. **Completion** — injected denials, kills, stalls, HTM aborts and
-//!    transport faults exercise each driver's recovery rules, and the
-//!    contention manager bounds every retry loop, so a faulted run still
-//!    finishes within a generous tick budget.
+//! 1. **Completion** — injected denials, kills, stalls and HTM aborts
+//!    exercise each driver's recovery rules, and the contention manager
+//!    bounds every retry loop, so a faulted run still finishes within a
+//!    generous tick budget.
 //! 2. **Accounting** — the machine audit's `injected` tallies equal the
 //!    plan's own fired tallies *exactly* (including kinds that never
 //!    fired: absent on both sides), proving each fault was delivered
@@ -15,12 +15,6 @@
 //! 3. **Safety** — the serializability oracle passes on every faulted
 //!    run, and the opacity oracle on the algorithms that are opaque by
 //!    design (optimistic snapshot, MS pessimistic, HTM).
-//!
-//! The matrix rows span both fault families: the rule/boundary/HTM kinds
-//! run on the default local transport, and the five transport kinds run
-//! with the channel transport installed (its retry envelope is the code
-//! under test — a delivery fault must surface as retries/timeouts in the
-//! transport counters, never as a wedge or an oracle violation).
 //!
 //! Two regression tests ride along: the checkpoint commit-cycle livelock
 //! that motivated pluggable contention management, and the
@@ -30,12 +24,10 @@
 use std::sync::Arc;
 
 use pushpull::core::error::Rule;
-use pushpull::core::faults::{FaultHook, FaultKind, ALL_FAULT_KINDS, ALL_TRANSPORT_FAULT_KINDS};
+use pushpull::core::faults::{FaultHook, FaultKind, ALL_FAULT_KINDS};
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
-use pushpull::core::spec::SeqSpec;
-use pushpull::core::TransportConfig;
 use pushpull::harness::testutil::{assert_chaos_cell, assert_injection_accounted};
 use pushpull::harness::{run, FaultPlan, RandomSched, RoundRobin};
 use pushpull::spec::counter::{Counter, CtrMethod};
@@ -65,53 +57,16 @@ fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
     ])]
 }
 
-/// All matrix rows: the classic kinds on the local transport, then the
-/// transport kinds on the channel transport.
-fn matrix_kinds() -> impl Iterator<Item = FaultKind> {
-    ALL_FAULT_KINDS
-        .iter()
-        .chain(ALL_TRANSPORT_FAULT_KINDS.iter())
-        .copied()
-}
-
-/// Runs one chaos cell through the shared
-/// [`assert_chaos_cell`] loop. Transport-fault rows first install the
-/// channel transport (the only path that consults the transport fault
-/// hook) and afterwards assert its envelope counters actually moved.
-fn chaos<T>(label: &str, sys: T, kind: FaultKind, seed: u64, expect_opaque: bool)
-where
-    T: TmSystem,
-    T::MachineSpec: Send + Sync + 'static,
-    <T::MachineSpec as SeqSpec>::Method: Send + Sync + 'static,
-    <T::MachineSpec as SeqSpec>::Ret: Send + Sync + 'static,
-    <T::MachineSpec as SeqSpec>::State: Send + Sync + 'static,
-{
-    let n = sys.thread_count();
-    let plan = Arc::new(FaultPlan::seeded(seed, n, kind));
-    let transport_row = ALL_TRANSPORT_FAULT_KINDS.contains(&kind);
-    if transport_row {
-        sys.machine()
-            .set_channel_transport(TransportConfig::default());
-    }
+/// Runs one chaos cell through the shared [`assert_chaos_cell`] loop.
+fn chaos<T: TmSystem>(label: &str, sys: T, kind: FaultKind, seed: u64, expect_opaque: bool) {
+    let plan = Arc::new(FaultPlan::seeded(seed, sys.thread_count(), kind));
     let cell = format!("{label}/{kind}");
-    let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, expect_opaque);
-    if transport_row {
-        let t = sys.machine().transport_stats();
-        assert!(t.requests > 0, "{cell}/seed {seed}: no transport requests");
-        // Every fired delivery fault except a duplicate (whose first
-        // reply still lands in time) must show up as a missed deadline.
-        if plan.fired_total() > 0 && kind != FaultKind::DuplicateRequest {
-            assert!(
-                t.timeouts > 0,
-                "{cell}/seed {seed}: faults fired but the envelope recorded no timeouts"
-            );
-        }
-    }
+    assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, expect_opaque);
 }
 
 #[test]
 fn chaos_matrix_boosting() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs: Vec<_> = (0..3u64)
                 .map(|t| {
@@ -129,7 +84,7 @@ fn chaos_matrix_boosting() {
 
 #[test]
 fn chaos_matrix_optimistic() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs = vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)];
             let sys = OptimisticSystem::new(RwMem::new(), programs, ReadPolicy::Snapshot);
@@ -140,7 +95,7 @@ fn chaos_matrix_optimistic() {
 
 #[test]
 fn chaos_matrix_pessimistic() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs = vec![rmw(0, 1), rmw(0, 2), rmw(1, 3)];
             let sys = MatveevShavitSystem::new(RwMem::new(), programs);
@@ -151,7 +106,7 @@ fn chaos_matrix_pessimistic() {
 
 #[test]
 fn chaos_matrix_tl2() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let sys = Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)]);
             chaos("tl2", sys, kind, seed, false);
@@ -161,7 +116,7 @@ fn chaos_matrix_tl2() {
 
 #[test]
 fn chaos_matrix_twophase() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
             let sys = TwoPhaseLocking::new(vec![read0(), rmw(0, 7), rmw(1, 8)]);
@@ -172,7 +127,7 @@ fn chaos_matrix_twophase() {
 
 #[test]
 fn chaos_matrix_htm() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let sys = HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)]);
             chaos("htm", sys, kind, seed, true);
@@ -182,7 +137,7 @@ fn chaos_matrix_htm() {
 
 #[test]
 fn chaos_matrix_irrevocable() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs = vec![rmw(0, 10), rmw(0, 20), rmw(1, 30)];
             let sys = IrrevocableSystem::new(RwMem::new(), programs, ThreadId(0));
@@ -193,7 +148,7 @@ fn chaos_matrix_irrevocable() {
 
 #[test]
 fn chaos_matrix_checkpoint() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let prog = |l: u32, v: i64| {
                 vec![Code::seq_all(vec![
@@ -211,7 +166,7 @@ fn chaos_matrix_checkpoint() {
 
 #[test]
 fn chaos_matrix_dependent() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs: Vec<_> = (0..3i64)
                 .map(|t| {
@@ -229,7 +184,7 @@ fn chaos_matrix_dependent() {
 
 #[test]
 fn chaos_matrix_mixed() {
-    for kind in matrix_kinds() {
+    for kind in ALL_FAULT_KINDS {
         for seed in SEEDS {
             let programs: Vec<_> = (0..3u64)
                 .map(|t| {

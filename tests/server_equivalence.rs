@@ -1,10 +1,10 @@
 //! Group-commit golden equivalence for the service front-end, plus the
 //! server's chaos rows and the multiplexing scale test.
 //!
-//! The server's core claim mirrors the transport seam's: batching
-//! commit-ready transactions per destination shard (one shard-lock
-//! acquisition and one contiguous stamp reservation per batch) changes
-//! *how many times the lock is taken*, never what is decided. Ten
+//! The server's core claim: batching commit-ready transactions per
+//! destination shard (one shard-lock acquisition and one contiguous
+//! stamp reservation per batch) changes *how many times the lock is
+//! taken*, never what is decided. Ten
 //! workload families — the same spec/method mixes the §6/§7 drivers run —
 //! go through [`TxnServer`] with group commit on and off, at shard
 //! counts 1, 4 and 16; each pair of runs must produce bit-identical
@@ -16,31 +16,28 @@
 //! * the driver-facing group-commit seam contract (`commit_group` on
 //!   the machine every system hands out, validated end-to-end on a raw
 //!   machine);
-//! * the server's chaos rows: every transport fault kind through the
-//!   whole session loop under a seeded random scheduler, with exact
-//!   injection accounting, and a persistent partition under
-//!   [`FallbackMode::Fail`] failing every session cleanly instead of
-//!   hanging;
+//! * the server's chaos rows: every injected rule denial through the
+//!   whole session loop, batched and unbatched, under a seeded random
+//!   scheduler with exact injection accounting;
+//! * the session retry budget: sessions that cannot commit within
+//!   `max_retries` fail cleanly while the server drains;
 //! * ten thousand logical sessions multiplexed onto 256 worker slots,
 //!   with fewer lock acquisitions than committed transactions.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use pushpull::core::audit::CriteriaAudit;
-use pushpull::core::error::MachineError;
-use pushpull::core::faults::{FaultHook, ALL_TRANSPORT_FAULT_KINDS};
+use pushpull::core::error::{MachineError, Rule};
+use pushpull::core::faults::FaultKind;
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
-use pushpull::core::{FallbackMode, GroupTxnResult, SeededBackoff, TransportConfig};
-use pushpull::harness::testutil::{
-    assert_chaos_cell, assert_injection_accounted, assert_ledger_matches,
-};
+use pushpull::core::GroupTxnResult;
+use pushpull::harness::testutil::{assert_chaos_cell, assert_ledger_matches};
 use pushpull::harness::{run, FaultPlan, RoundRobin, WorkloadSpec};
-use pushpull::server::{ServerConfig, SessionOutcome, SessionScript, TxnServer};
+use pushpull::server::{ServerConfig, SessionId, SessionOutcome, SessionScript, TxnServer};
 use pushpull::spec::bank::Bank;
 use pushpull::spec::counter::{Counter, CtrMethod};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
@@ -356,100 +353,119 @@ fn service_commit_seam_contract() {
     assert!(check_machine(&m).is_serializable());
 }
 
-/// Every transport fault kind through the whole server loop: admission,
-/// APP, commit (per-transaction under a transport), retry. The chaos
+/// Every injected rule denial through the whole server loop — admission,
+/// APP, the commit stage (inside a held batch and per transaction), the
+/// post-denial refresh — with group commit on and off. The chaos
 /// contract — completion, exact injection accounting, serializability —
-/// holds on every cell, and every session still reaches an outcome.
+/// holds on every cell, faults really fire, and every session still
+/// reaches an outcome.
 #[test]
-fn server_chaos_transport_matrix() {
-    for kind in ALL_TRANSPORT_FAULT_KINDS {
-        for seed in 1..=3u64 {
-            let scripts: Vec<_> = (0..12u64)
-                .map(|s| {
-                    SessionScript::commit(vec![
-                        MapMethod::Put(s % 5, s as i64),
-                        MapMethod::Get((s + 2) % 5),
-                    ])
-                })
-                .collect();
-            let expected = scripts.len();
-            let sys = TxnServer::new(
-                KvMap::new(),
-                scripts,
-                ServerConfig {
+fn server_chaos_deny_matrix() {
+    for rule in [Rule::App, Rule::Push, Rule::Pull, Rule::Cmt] {
+        let kind = FaultKind::Deny(rule);
+        for group_commit in [true, false] {
+            for seed in 1..=3u64 {
+                let scripts: Vec<_> = (0..12u64)
+                    .map(|s| {
+                        SessionScript::commit(vec![
+                            MapMethod::Put(s % 5, s as i64),
+                            MapMethod::Get((s + 2) % 5),
+                        ])
+                    })
+                    .collect();
+                let expected = scripts.len();
+                let config = ServerConfig {
                     workers: 2,
                     slots_per_worker: 3,
+                    group_commit,
                     seed,
                     ..ServerConfig::default()
-                },
-            );
-            let n = sys.thread_count();
-            let plan = Arc::new(FaultPlan::seeded(seed, n, kind));
-            sys.machine()
-                .set_channel_transport(TransportConfig::default());
-            let cell = format!("server/{kind}");
-            let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false);
-            assert_eq!(
-                sys.stats().sessions as usize,
-                expected,
-                "{cell}/seed {seed}: sessions lost under faults"
-            );
-            let t = sys.machine().transport_stats();
-            assert!(t.requests > 0, "{cell}/seed {seed}: no transport requests");
+                };
+                let sys = TxnServer::new(KvMap::new(), scripts, config);
+                // Faults key on handle `ThreadId`s — one per slot, not
+                // one per worker.
+                let handles = config.workers * config.slots_per_worker;
+                let plan = Arc::new(FaultPlan::seeded(seed, handles, kind));
+                let cell = format!("server/{kind}/group={group_commit}");
+                let sys = assert_chaos_cell(&cell, sys, &plan, seed, BUDGET, false);
+                assert_eq!(
+                    sys.outcomes().len(),
+                    expected,
+                    "{cell}/seed {seed}: sessions lost under faults"
+                );
+                assert!(plan.fired_total() > 0, "{cell}/seed {seed}: no fault fired");
+            }
         }
     }
 }
 
-/// A persistent partition under [`FallbackMode::Fail`]: the server must
-/// fail every session with [`MachineError::TransportExhausted`] — never
-/// hang, never wedge a worker — and account every injected fault.
+/// The session retry budget: sixteen read-modify-write sessions on one
+/// key cannot all commit within `max_retries` ∈ {0, 1}. The losers must
+/// fail with their last criterion denial and leave nothing behind, the
+/// server must drain, and batching must not change who wins.
 #[test]
-fn persistent_partition_fails_every_session_clean() {
-    let scripts: Vec<_> = (0..10u64)
-        .map(|s| SessionScript::commit(vec![MapMethod::Put(s, s as i64)]))
-        .collect();
-    let mut sys = TxnServer::new(
-        KvMap::new(),
-        scripts,
-        ServerConfig {
-            workers: 2,
-            slots_per_worker: 2,
-            ..ServerConfig::default()
-        },
-    );
-    sys.set_log_shards(1);
-    sys.machine().set_channel_transport(TransportConfig {
-        max_retries: 1,
-        deadline: Duration::from_secs(5),
-        fallback: FallbackMode::Fail,
-        backoff: Arc::new(SeededBackoff::new(3)),
-    });
-    let plan = Arc::new(FaultPlan::new(sys.thread_count()).partition(0));
-    sys.machine()
-        .set_fault_hook(Some(Arc::clone(&plan) as Arc<dyn FaultHook>));
-    let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("exhaustion is handled, not raised");
-    assert!(out.completed, "partitioned server must drain, not hang");
+fn retry_budget_exhaustion_fails_sessions_clean() {
+    const SESSIONS: usize = 16;
+    type Verdict = (SessionId, Result<(), MachineError>);
+    let drive = |max_retries: u64, group_commit: bool| -> Vec<Verdict> {
+        let scripts: Vec<_> = (0..SESSIONS as i64)
+            .map(|s| SessionScript::commit(vec![MapMethod::Get(0), MapMethod::Put(0, s)]))
+            .collect();
+        let mut sys = TxnServer::new(
+            KvMap::new(),
+            scripts,
+            ServerConfig {
+                workers: 2,
+                slots_per_worker: 4,
+                group_commit,
+                max_retries,
+                ..ServerConfig::default()
+            },
+        );
+        let cell = format!("budget {max_retries}/group={group_commit}");
+        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("a spent budget is not raised");
+        assert!(out.completed, "{cell}: server must drain, not hang");
 
-    let outcomes = sys.outcomes();
-    assert_eq!(outcomes.len(), 10);
-    for (s, o) in outcomes {
-        assert!(
-            matches!(
-                o,
-                SessionOutcome::Failed {
-                    error: MachineError::TransportExhausted { .. }
+        let verdicts: Vec<Verdict> = sys
+            .outcomes()
+            .into_iter()
+            .map(|(s, o)| match o {
+                SessionOutcome::Committed { .. } => (s, Ok(())),
+                SessionOutcome::Failed { error } => {
+                    assert!(error.is_criterion(), "{cell}/{s}: failed with {error}");
+                    (s, Err(error.clone()))
                 }
-            ),
-            "{s}: expected TransportExhausted, got {o:?}"
+                SessionOutcome::Aborted { .. } => panic!("{cell}/{s}: no script aborts"),
+            })
+            .collect();
+        assert_eq!(verdicts.len(), SESSIONS, "{cell}: sessions lost");
+        let commits = verdicts.iter().filter(|(_, v)| v.is_ok()).count();
+        assert!(
+            commits > 0 && commits < SESSIONS,
+            "{cell}: {commits} commits — the budget must bind without starving everyone"
+        );
+        assert_eq!(sys.stats().commits as usize, commits, "{cell}");
+
+        // Failed sessions leave nothing behind: `G` holds exactly the
+        // winners' two operations each, and every handle is rewound to an
+        // empty local log — a dead slot is a handle left mid-rewind.
+        let m = sys.machine();
+        assert_eq!(m.global().len(), 2 * commits, "{cell}: residue in G");
+        for t in 0..m.thread_count() {
+            let local = m.thread(ThreadId(t)).expect("in range").local();
+            assert!(local.is_empty(), "{cell}: handle {t} left mid-rewind");
+        }
+        let report = check_machine(m);
+        assert!(report.is_serializable(), "{cell}: {report}");
+        verdicts
+    };
+    for max_retries in [0, 1] {
+        assert_eq!(
+            drive(max_retries, true),
+            drive(max_retries, false),
+            "budget {max_retries}: batching changed which sessions commit"
         );
     }
-    assert_eq!(sys.stats().commits, 0);
-    assert_eq!(
-        sys.machine().committed_txns().len(),
-        0,
-        "nothing may commit through a dead transport in Fail mode"
-    );
-    assert_injection_accounted(&sys.machine().audit(), &plan.fired());
 }
 
 /// Ten thousand logical sessions multiplexed onto 256 worker slots
