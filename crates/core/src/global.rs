@@ -58,11 +58,24 @@
 //!   criteria-over-`G` and their effect, as one atomic critical section.
 //!   The advisory `can_push` takes the same one lock, evaluates, and
 //!   records nothing.
-//! * **CMT** takes the locks of exactly the shards its pushed/pulled
-//!   operations touch, ascending, then appends to the committed list.
-//! * **PULL** locks one shard at a time only to locate and snapshot the
-//!   pulled entry; its criteria and effect are local. **UNPULL** is
-//!   entirely local.
+//! * **CMT** takes the locks of exactly the shards its pushed operations
+//!   and its *unsettled* pulled operations touch, ascending, then appends
+//!   to the committed list. An operation pulled while already `gCmt`
+//!   settled criterion (iii) at PULL time — no rule un-commits — so only
+//!   operations pulled `gUCmt` are looked up, and only their shards held.
+//! * A **held commit** (see [`crate::group`]) takes the same shard set
+//!   once — `GlobalState::acquire_held` — for all of a transaction's
+//!   PUSHes, its CMT and, denied, its abort. Inside it each PUSH/UNPUSH
+//!   *focuses* the view on its own route's shard, so the kernel reads
+//!   (cache, mover scan, audit tallies) exactly what it would under that
+//!   shard's own lock.
+//! * **PULL** by id locks one shard at a time, ascending, only to locate
+//!   and snapshot the pulled entry. The **refresh**
+//!   (`GlobalState::committed_except`) snapshots every committed entry the
+//!   caller lacks under one acquisition of *every* shard, each exactly
+//!   once — a consistent cut — and holds nothing while the entries are
+//!   pulled. PULL's criteria and effect are local; **UNPULL** is entirely
+//!   local.
 //! * Once the sticky **coarse** flag is set, every shared rule takes
 //!   every shard lock.
 //!
@@ -335,24 +348,26 @@ impl<S: SeqSpec> ShardLog<S> {
     }
 }
 
-/// Counters of the per-shard group-commit path (see
-/// [`crate::group`]): how many batches were sealed, how many
+/// Counters of [`commit_group`](crate::group::commit_group): how many
+/// batches — held sections with at least one commit; a multi-shard
+/// transaction's section is a batch of one — were sealed, how many
 /// transactions rode them, how the batch sizes distribute, and how many
-/// shard-lock acquisitions the batching amortized away compared to the
-/// per-transaction path.
+/// shard-lock acquisitions the held sections amortized away compared to
+/// the per-transaction path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupStats {
-    /// Batches executed under a single shard-lock acquisition.
+    /// Batches executed as one held section.
     pub batches: u64,
     /// Transactions committed through a batch.
     pub batched_txns: u64,
     /// Operations appended through a batch (each would have been its own
     /// lock acquisition on the per-transaction path).
     pub batched_ops: u64,
-    /// Lock acquisitions the batch path saved: for a batch of `n`
-    /// transactions and `k` appended operations the per-transaction path
-    /// pays `k` PUSH acquisitions plus `n` CMT acquisitions where the
-    /// batch pays one.
+    /// Lock acquisitions the batch path saved: for a one-shard batch of
+    /// `n` transactions and `k` appended operations the per-transaction
+    /// path pays `k` PUSH acquisitions plus `n` CMT acquisitions where the
+    /// batch pays one (for a transaction over `s` shards, `k + s` against
+    /// `s` — the same `k + n − 1` with `n = 1`).
     pub locks_saved: u64,
     /// Batch-size histogram in power-of-two buckets: sizes 1, 2, 3–4,
     /// 5–8, 9–16, 17–32, 33–64, 65+ committed transactions. Bucket
@@ -552,46 +567,60 @@ impl Route {
 /// order). A view over a single shard evaluates criteria with that
 /// shard's incremental cache; a view over several evaluates over the
 /// stamp-merged log.
+///
+/// A held section over a transaction's shard set (see [`crate::group`])
+/// *focuses* the view on one held shard for the span of a PUSH or UNPUSH:
+/// everything the criteria kernel reads — [`Self::live`], [`Self::denote`],
+/// [`Self::find`] — is then that shard alone, exactly what the rule would
+/// have read under its own route's lock.
 #[derive(Debug)]
 pub(crate) struct LogView<'a, S: SeqSpec> {
     shards: Vec<(usize, MutexGuard<'a, ShardLog<S>>)>,
+    /// View index of the focused shard, if any.
+    focus: Option<usize>,
 }
 
 impl<'a, S: SeqSpec> LogView<'a, S> {
-    /// Does this view hold exactly one shard (the fast, cache-backed
-    /// evaluation path)?
-    fn is_single(&self) -> bool {
-        self.shards.len() == 1
-    }
-
-    /// Is this view exactly `{shard i}` (a group-commit batch checks
-    /// that the coarse flag did not widen its section)?
-    pub(crate) fn is_single_shard(&self, i: usize) -> bool {
-        self.shards.len() == 1 && self.shards[0].0 == i
-    }
-
-    /// All held entries with their stamps, in stamp order, as a k-way
-    /// cursor merge over the held shards — no collection, no sort (each
-    /// shard is already stamp-ordered). For a single shard this
-    /// degenerates to a plain cursor walk.
-    pub(crate) fn stamped(&self) -> StampedIter<'_, 'a, S> {
-        StampedIter {
-            view: self,
-            pos: (0..self.shards.len()).map(|_| 0).collect(),
+    /// The view indices the kernel reads: the focused shard, or all held.
+    fn scope(&self) -> std::ops::Range<usize> {
+        match self.focus {
+            Some(k) => k..k + 1,
+            None => 0..self.shards.len(),
         }
     }
 
-    /// Finds an entry by op id across the held shards.
+    /// Runs `body` with the view focused on held shard `shard`.
+    pub(crate) fn focused<R>(&mut self, shard: usize, body: impl FnOnce(&mut Self) -> R) -> R {
+        let k = self.shards.iter().position(|(i, _)| *i == shard);
+        self.focus = Some(k.expect("a held section holds every shard its transactions route to"));
+        let out = body(self);
+        self.focus = None;
+        out
+    }
+
+    /// All viewed entries with their stamps, in stamp order, as a k-way
+    /// cursor merge over the viewed shards — no collection, no sort (each
+    /// shard is already stamp-ordered). For a single shard this
+    /// degenerates to a plain cursor walk.
+    pub(crate) fn stamped(&self) -> StampedIter<'_, 'a, S> {
+        let shards = &self.shards[self.scope()];
+        StampedIter {
+            shards,
+            pos: shards.iter().map(|_| 0).collect(),
+        }
+    }
+
+    /// Finds an entry by op id across the viewed shards.
     pub(crate) fn entry(&self, id: OpId) -> Option<&GlobalEntry<S::Method, S::Ret>> {
-        self.shards.iter().find_map(|(_, sh)| sh.entry(id))
+        self.shards[self.scope()]
+            .iter()
+            .find_map(|(_, sh)| sh.entry(id))
     }
 
     /// Locates an entry by op id: `(view index, position in shard)`.
     pub(crate) fn find(&self, id: OpId) -> Option<(usize, usize)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .find_map(|(v, (_, sh))| sh.position(id).map(|p| (v, p)))
+        self.scope()
+            .find_map(|v| self.shards[v].1.position(id).map(|p| (v, p)))
     }
 
     /// The entry at `(view index, position)`, as located by [`Self::find`].
@@ -613,12 +642,12 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     }
 }
 
-/// Allocation-free stamp-ordered merge over a view's held shards: one
-/// cursor per shard, advancing the minimum stamp each step (stamps are
-/// globally unique, so the merge is deterministic).
+/// Allocation-free stamp-ordered merge over a view's shards: one cursor
+/// per shard, advancing the minimum stamp each step (stamps are globally
+/// unique, so the merge is deterministic).
 pub(crate) struct StampedIter<'v, 'a, S: SeqSpec> {
-    view: &'v LogView<'a, S>,
-    /// One cursor per held shard; inline up to 16 shards, so iterating
+    shards: &'v [(usize, MutexGuard<'a, ShardLog<S>>)],
+    /// One cursor per viewed shard; inline up to 16 shards, so iterating
     /// any single- or CMT-width view allocates nothing.
     pos: crate::smallvec::SmallVec<usize, 16>,
 }
@@ -628,7 +657,7 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let mut best: Option<(usize, u64)> = None;
-        for (k, (_, sh)) in self.view.shards.iter().enumerate() {
+        for (k, (_, sh)) in self.shards.iter().enumerate() {
             let p = self.pos[k];
             if p < sh.len() {
                 let s = sh.stamp_at(p);
@@ -638,38 +667,40 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
             }
         }
         let (k, s) = best?;
-        let e = self.view.shards[k].1.entry_at(self.pos[k]);
+        let e = self.shards[k].1.entry_at(self.pos[k]);
         self.pos[k] += 1;
         Some((s, e))
     }
 }
 
 impl<S: SeqSpec> LogView<'_, S> {
-    /// Every held entry, in stamp order — what the mover criteria scan.
+    /// Every viewed entry, in stamp order — what the mover criteria scan.
     pub(crate) fn live(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
         self.stamped().map(|(_, e)| e)
     }
 
     /// `⟦G ∖ skip⟧` — the denotation of the whole viewed log, optionally
     /// without the entry at `(view index, position)` as located by
-    /// [`Self::find`]. A single-shard view replays only the suffix past
-    /// that shard's cache (when the incremental path is on); a
-    /// multi-shard view replays the merged stamp-ordered log in full.
-    /// The answer is the same either way. `skip` is an uncommitted entry,
-    /// so it lies past the cache boundary; if it ever does not
-    /// (unreachable through the rule API), fall back to the full replay.
+    /// [`Self::find`]. A view of one shard (the only one held, or the
+    /// focused one) replays only the suffix past that shard's cache (when
+    /// the incremental path is on); a multi-shard view replays the merged
+    /// stamp-ordered log in full. The answer is the same either way.
+    /// `skip` is an uncommitted entry, so it lies past the cache boundary;
+    /// if it ever does not (unreachable through the rule API), fall back
+    /// to the full replay.
     pub(crate) fn denote(
         &self,
         global: &GlobalState<S>,
         skip: Option<(usize, usize)>,
     ) -> HashSet<S::State> {
         let spec = &global.spec;
-        if !self.is_single() {
+        let scope = self.scope();
+        if scope.len() != 1 {
             let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
             let merged = self.live().filter(|e| Some(e.op.id) != skipped);
             return spec.denote_refs(merged.map(|e| &e.op));
         }
-        let sh = &self.shards[0].1;
+        let sh = &self.shards[scope.start].1;
         let skip = skip.map(|(_, pos)| pos);
         let ops_from = |from: usize| {
             let kept = sh.iter_from(from).enumerate();
@@ -1098,25 +1129,25 @@ impl<S: SeqSpec> GlobalState<S> {
 
     /// Locks every shard in ascending index order (the canonical order).
     pub(crate) fn acquire_all(&self) -> LogView<'_, S> {
-        LogView {
-            shards: (0..self.shards.len())
-                .map(|i| (i, self.lock_shard(i)))
-                .collect(),
-        }
+        self.acquire_shards(0..self.shards.len())
     }
 
-    /// Locks the given shards (sorted, deduplicated, ascending) — the
-    /// CMT critical section over exactly the shards a transaction's
-    /// operations touch. An empty set yields an empty view (a commit
-    /// with nothing in `G` to flip).
-    pub(crate) fn acquire_shards(&self, mut indices: Vec<usize>) -> LogView<'_, S> {
-        indices.sort_unstable();
-        indices.dedup();
+    /// Locks the given shards, which must come strictly ascending (the
+    /// canonical lock order) — the CMT critical section over exactly the
+    /// shards a transaction's operations touch. An empty set yields an
+    /// empty view (a commit with nothing in `G` to flip).
+    pub(crate) fn acquire_shards(
+        &self,
+        ascending: impl IntoIterator<Item = usize>,
+    ) -> LogView<'_, S> {
+        let mut last = None;
+        let lock = |i| {
+            debug_assert!(last.replace(i).is_none_or(|l| l < i), "lock order");
+            (i, self.lock_shard(i))
+        };
         LogView {
-            shards: indices
-                .into_iter()
-                .map(|i| (i, self.lock_shard(i)))
-                .collect(),
+            shards: ascending.into_iter().map(lock).collect(),
+            focus: None,
         }
     }
 
@@ -1131,26 +1162,29 @@ impl<S: SeqSpec> GlobalState<S> {
                 self.coarse.store(true, Ordering::SeqCst);
                 self.acquire_all()
             }
-            Route::Single(i) => {
-                if self.coarse.load(Ordering::SeqCst) {
-                    return self.acquire_all();
-                }
-                let guard = self.lock_shard(i);
-                if self.coarse.load(Ordering::SeqCst) {
-                    drop(guard);
-                    self.acquire_all()
-                } else {
-                    LogView {
-                        shards: vec![(i, guard)],
-                    }
-                }
-            }
+            Route::Single(i) => self.acquire_held([i]).unwrap_or_else(|| self.acquire_all()),
         }
     }
 
+    /// The fine-grained section over `shards` — one routed PUSH/UNPUSH's
+    /// shard, or the shard set of a held commit (see [`crate::group`]) —
+    /// or `None` once the sticky coarse flag is set: the flag is
+    /// re-checked *after* locking (see [`Self::acquire_route`]), so no
+    /// section evaluates shard-locally past a coarse append.
+    pub(crate) fn acquire_held(
+        &self,
+        shards: impl IntoIterator<Item = usize>,
+    ) -> Option<LogView<'_, S>> {
+        if self.coarse_mode() {
+            return None;
+        }
+        let view = self.acquire_shards(shards);
+        (!self.coarse_mode()).then_some(view)
+    }
+
     /// Locates and snapshots a global entry by id, locking one shard at
-    /// a time in ascending order (the PULL snapshot — never holds two
-    /// locks at once).
+    /// a time in ascending order (the PULL-by-id snapshot — never holds
+    /// two locks at once).
     pub(crate) fn find_entry(&self, id: OpId) -> Option<GlobalEntry<S::Method, S::Ret>> {
         for i in 0..self.shards.len() {
             let sh = self.lock_shard(i);
@@ -1159,6 +1193,24 @@ impl<S: SeqSpec> GlobalState<S> {
             }
         }
         None
+    }
+
+    /// The committed entries of `G` that `have` does not already hold, in
+    /// stamp order, snapshotted under every shard lock at once (each taken
+    /// exactly once) — the refresh's candidates, the same consistent cut
+    /// as [`Self::global_snapshot`] without the rest of the log.
+    /// Membership is by op id, never by a stamp watermark: stamps are
+    /// minted at PUSH and commits land later, so an entry can commit
+    /// below one already pulled.
+    pub(crate) fn committed_except(
+        &self,
+        have: impl Fn(OpId) -> bool,
+    ) -> Vec<GlobalEntry<S::Method, S::Ret>> {
+        let view = self.acquire_all();
+        let fresh = view
+            .live()
+            .filter(|e| e.flag == GlobalFlag::Committed && !have(e.op.id));
+        fresh.cloned().collect()
     }
 
     /// Appends `op` to shard `target` inside the held view with
@@ -1277,23 +1329,6 @@ impl<S: SeqSpec> GlobalState<S> {
     ) -> bool {
         self.audit.count_mover(shard);
         self.spec.mover(a, b)
-    }
-
-    /// `allows` over an explicit log (used for local-log criteria).
-    pub(crate) fn allows_q(
-        &self,
-        shard: usize,
-        log: &[Op<S::Method, S::Ret>],
-        op: &Op<S::Method, S::Ret>,
-    ) -> bool {
-        self.audit.count_allowed(shard);
-        self.spec.allows(log, op)
-    }
-
-    /// `allowed` over an explicit log (used for local-log criteria).
-    pub(crate) fn allowed_q(&self, shard: usize, log: &[Op<S::Method, S::Ret>]) -> bool {
-        self.audit.count_allowed(shard);
-        self.spec.allowed(log)
     }
 
     // ------------------------------------------------------------------

@@ -13,17 +13,38 @@
 //!   footprint shard* (every shard, ascending, for coarse-routed
 //!   operations) — criteria and effect are atomic, which is what
 //!   Theorem 5.17's per-rule reasoning needs. **CMT** locks exactly the
-//!   shards its pushed/pulled operations touch, in canonical ascending
-//!   order.
-//! * **PULL** locks one shard at a time, only long enough to locate and
-//!   snapshot the pulled entry; its criteria and effect are local.
-//!   **UNPULL** is entirely local.
+//!   shards of its pushed operations and of the operations it pulled
+//!   while they were still uncommitted, in canonical ascending order: an
+//!   operation pulled `gCmt` settled CMT (iii) at PULL time (no rule
+//!   un-commits), so its shard is not locked again.
+//! * A **held commit** ([`crate::group`]) runs a transaction's PUSHes and
+//!   its CMT — denied, its abort — inside *one* section over those same
+//!   shards, each locked exactly once; every shared rule body below takes
+//!   the caller's `Held` section in place of a lock of its own.
+//! * **PULL** by id locks one shard at a time, ascending, only long
+//!   enough to locate and snapshot the pulled entry; the refresh
+//!   ([`TxnHandle::pull_all_committed`]) snapshots every committed entry
+//!   `L` lacks under one acquisition of every shard, each exactly once.
+//!   Either way PULL's criteria and effect are local, and **UNPULL** is
+//!   entirely local.
+//!
+//! ## The carried local denotation
+//!
+//! APP (ii), PULL (ii) and UNPULL (i) are `allowed` queries over the
+//! *local* log. The handle keeps `⟦L⟧` beside `L` (`LocalDenot`), so each
+//! is one step of that set rather than a replay of `L`: an append installs
+//! the stepped set; removing the tail keeps only the fact that `L` was
+//! allowed, which by prefix closure answers the next UNPULL at the tail;
+//! anything else replays `L` once, lazily. Each rule firing is still
+//! exactly one audited `allowed` query, and
+//! [`GlobalState::set_incremental`]`(false)` switches the carried set off
+//! with the shards' prefix caches — the full-replay reference.
 //!
 //! Trace events are buffered per handle, stamped with a global atomic
 //! sequence number; [`Machine::trace`](crate::machine::Machine::trace)
 //! merges the buffers into one totally ordered trace.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::audit::QUERY_SHARDS;
@@ -32,7 +53,7 @@ use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
 use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
 use crate::lang::Code;
-use crate::log::{GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
+use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
 use crate::machine::{CheckMode, StepOptions};
 use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
@@ -42,17 +63,51 @@ use crate::trace::Event;
 /// A trace event stamped with its global sequence number.
 pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>);
 
-/// A critical section the *caller* already holds (the group-commit batch
-/// path, see [`crate::group`]): the shared rule bodies run inside it
-/// instead of acquiring their own, so many transactions share one lock
-/// acquisition.
+/// A critical section the *caller* already holds (see [`crate::group`]):
+/// the shared rule bodies run inside it instead of acquiring their own, so
+/// a transaction's PUSHes and its CMT — or a whole one-shard batch of
+/// transactions — are one uninterleaved section.
 pub(crate) struct Held<'a, S: SeqSpec> {
-    /// The held shard view.
+    /// The held shards: every shard the section's transactions route to.
     pub(crate) view: LogView<'a, S>,
-    /// The shard every PUSH of the batch appends to.
-    pub(crate) target: usize,
-    /// The next unused stamp of the block reserved under the lock.
+    /// The next unused stamp of the block reserved under the locks.
     pub(crate) stamp: u64,
+}
+
+/// What a handle knows of `⟦L⟧` without replaying `L` — the carried local
+/// denotation (DESIGN.md §10). Always *valid* for the current `L`; whether
+/// the local criteria use it is [`GlobalState::incremental`]'s call.
+#[derive(Debug, Clone)]
+enum LocalDenot<St> {
+    /// Nothing: the next local criterion replays `L` once.
+    Unknown,
+    /// `allowed L` holds — `L` is a prefix of a log that was allowed, and
+    /// `allowed` is prefix-closed — but the states went with the removed
+    /// tail.
+    Allowed,
+    /// `⟦L⟧` itself.
+    States(HashSet<St>),
+}
+
+impl<St> LocalDenot<St> {
+    /// Is `allowed L` known to hold?
+    fn allowed(&self) -> bool {
+        match self {
+            LocalDenot::Unknown => false,
+            LocalDenot::Allowed => true,
+            LocalDenot::States(states) => !states.is_empty(),
+        }
+    }
+
+    /// What is still known once the tail entry of `L` is removed: prefix
+    /// closure keeps `allowed`, nothing keeps the states.
+    fn without_tail(&self) -> Self {
+        if self.allowed() {
+            LocalDenot::Allowed
+        } else {
+            LocalDenot::Unknown
+        }
+    }
 }
 
 /// A thread `{c, σ, L}` plus its queue of future transactions, bound to
@@ -77,6 +132,13 @@ pub struct TxnHandle<S: SeqSpec> {
     stack: Vec<(S::Method, S::Ret)>,
     /// The local log `L`.
     local: LocalLog<S::Method, S::Ret>,
+    /// `⟦L⟧`, carried beside `L` so that APP (ii), PULL (ii) and UNPULL (i)
+    /// at the tail cost one step instead of one replay.
+    denot: LocalDenot<S::State>,
+    /// Entries of `L` pulled while still `gUCmt`: the only ones CMT (iii)
+    /// has left to look up — an operation pulled `gCmt` stays committed
+    /// for ever, no rule un-commits.
+    unsettled: Vec<OpId>,
     /// The stack of nested scopes in flight over `local` (innermost
     /// last): frame `k` owns the log suffix from its `base_len`.
     frames: Vec<ScopeFrame<S>>,
@@ -125,6 +187,8 @@ impl<S: SeqSpec> TxnHandle<S> {
             original,
             stack: Vec::new(),
             local: LocalLog::new(),
+            denot: LocalDenot::Unknown,
+            unsettled: Vec::new(),
             frames: Vec::new(),
             comps: Vec::new(),
             open_children: 0,
@@ -152,6 +216,8 @@ impl<S: SeqSpec> TxnHandle<S> {
             original: self.original.clone(),
             stack: self.stack.clone(),
             local: self.local.clone(),
+            denot: self.denot.clone(),
+            unsettled: self.unsettled.clone(),
             frames: self.frames.clone(),
             comps: self.comps.clone(),
             open_children: self.open_children,
@@ -411,9 +477,16 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// (APP criterion (ii) candidates).
     pub fn allowed_results(&self, method: &S::Method) -> MachineResult<Vec<S::Ret>> {
         let spec = self.global.spec();
-        let states = spec.denote(&self.local.ops());
+        let replayed;
+        let states = match self.carried() {
+            Some(states) => states,
+            None => {
+                replayed = spec.denote_refs(self.local_ops());
+                &replayed
+            }
+        };
         let mut out: Vec<S::Ret> = Vec::new();
-        for s in &states {
+        for s in states {
             for r in spec.results(s, method) {
                 if !out.contains(&r) {
                     out.push(r);
@@ -424,10 +497,75 @@ impl<S: SeqSpec> TxnHandle<S> {
         out.retain(|r| {
             let op = Op::new(OpId(u64::MAX), self.txn, method.clone(), r.clone());
             !spec
-                .denote_from(&states, std::slice::from_ref(&op))
+                .denote_from(states, std::slice::from_ref(&op))
                 .is_empty()
         });
         Ok(out)
+    }
+
+    // ------------------------------------------------------------------
+    // The carried local denotation: `⟦L⟧` kept beside `L`, so the local
+    // criteria step it by one operation instead of replaying `L`. Every
+    // change to `L` goes through `append_local` or leaves `denot` what
+    // `without_tail` allows; `set_incremental(false)` ignores it and is
+    // the full-replay reference.
+    // ------------------------------------------------------------------
+
+    /// The operations of `L`, in log order.
+    fn local_ops(&self) -> impl Iterator<Item = &Op<S::Method, S::Ret>> {
+        self.local.iter().map(|e| &e.op)
+    }
+
+    /// The carried `⟦L⟧`, if there is one and the incremental path is on.
+    fn carried(&self) -> Option<&HashSet<S::State>> {
+        match &self.denot {
+            LocalDenot::States(states) if self.global.incremental() => Some(states),
+            _ => None,
+        }
+    }
+
+    /// With the incremental path on, makes sure `⟦L⟧` is carried: one
+    /// replay of `L` if a removal (or a reset — `⟦ε⟧` is the initial
+    /// states) dropped it.
+    fn carry(&mut self) {
+        let spec = self.global.spec();
+        if self.global.incremental() && !matches!(self.denot, LocalDenot::States(_)) {
+            self.denot = LocalDenot::States(spec.denote_refs(self.local_ops()));
+        }
+        debug_assert!(
+            match &self.denot {
+                LocalDenot::Unknown => true,
+                LocalDenot::Allowed => spec.allowed(&self.local.ops()),
+                LocalDenot::States(states) => *states == spec.denote(&self.local.ops()),
+            },
+            "the carried denotation is stale: {:?}",
+            self.denot
+        );
+    }
+
+    /// `L allows op` — the one audited query behind APP (ii) and PULL
+    /// (ii): `⟦L · op⟧` if it is non-empty, by stepping the carried `⟦L⟧`
+    /// by `op`, or by the full replay with the incremental path off.
+    fn local_allows(&mut self, op: &Op<S::Method, S::Ret>) -> Option<HashSet<S::State>> {
+        self.global.audit.count_allowed(self.shard());
+        self.carry();
+        let spec = self.global.spec();
+        let next = match self.carried() {
+            Some(states) => spec.denote_from(states, std::slice::from_ref(op)),
+            None => spec.denote_refs(self.local_ops().chain(std::iter::once(op))),
+        };
+        (!next.is_empty()).then_some(next)
+    }
+
+    /// Appends `entry` to `L`; `next` is `⟦L · entry⟧` if the rule
+    /// evaluated it.
+    fn append_local(
+        &mut self,
+        entry: LocalEntry<S::Method, S::Ret>,
+        next: Option<HashSet<S::State>>,
+    ) {
+        self.local.push_entry(entry);
+        self.denot = next.map_or(LocalDenot::Unknown, LocalDenot::States);
     }
 
     // ------------------------------------------------------------------
@@ -1015,9 +1153,10 @@ impl<S: SeqSpec> TxnHandle<S> {
         // transaction; everywhere else `current_txn()` is the root.
         let op = Op::new(id, self.current_txn(), method.clone(), ret.clone());
         // Criterion (ii): L allows op.
+        let mut next = None;
         if checked {
-            let local_ops = self.local.ops();
-            if !self.global.allows_q(self.shard(), &local_ops, &op) {
+            next = self.local_allows(&op);
+            if next.is_none() {
                 self.global.audit.fail(Rule::App, Clause::Ii);
                 return Err(MachineError::criterion(
                     Rule::App,
@@ -1031,13 +1170,11 @@ impl<S: SeqSpec> TxnHandle<S> {
         let saved_stack = self.stack.clone();
         self.stack.push((method.clone(), ret.clone()));
         self.code = Some(cont);
-        self.local.push_entry(LocalEntry {
-            op,
-            flag: LocalFlag::NotPushed {
-                saved_code,
-                saved_stack,
-            },
-        });
+        let flag = LocalFlag::NotPushed {
+            saved_code,
+            saved_stack,
+        };
+        self.append_local(LocalEntry { op, flag }, next);
         let tid = self.tid;
         self.record(Event::App {
             thread: tid,
@@ -1059,6 +1196,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             .into_iter()
             .find(|(m, _)| m == method)
             .ok_or(MachineError::NoSuchStep(self.tid))?;
+        self.carry();
         let rets = self.allowed_results(&m)?;
         let ret = rets
             .into_iter()
@@ -1076,6 +1214,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             .into_iter()
             .next()
             .ok_or(MachineError::NoSuchStep(self.tid))?;
+        self.carry();
         let rets = self.allowed_results(&m)?;
         let ret = rets
             .into_iter()
@@ -1103,6 +1242,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             Some(e) if e.flag.is_not_pushed() => self.local.pop_entry().expect("non-empty"),
             _ => return Err(MachineError::NothingToUnapply(self.tid)),
         };
+        self.denot = self.denot.without_tail();
         let (saved_code, saved_stack) = match entry.flag {
             LocalFlag::NotPushed {
                 saved_code,
@@ -1141,8 +1281,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// The one PUSH body: [`Self::push`] when `held` is `None`; with a
-    /// caller-held section (the group-commit batch path) the critical
-    /// section is the caller's one batch-wide lock acquisition and the
+    /// caller-held section the critical section is the caller's and the
     /// stamp comes from its reserved contiguous block.
     pub(crate) fn push_in(
         &mut self,
@@ -1218,19 +1357,26 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// Runs `body` — the criteria over `G` and the effect of one PUSH or
     /// UNPUSH — as the paper's one atomic step: inside the caller-held
-    /// section (its view, its target shard, the cursor into its reserved
-    /// stamp block), or else under the route's own lock — one footprint
-    /// shard on the routed fast path, every shard (ascending) when
-    /// coarse.
+    /// section (its view *focused on the route's shard*, so the kernel
+    /// reads exactly what it would under its own lock, and the cursor into
+    /// its reserved stamp block), or else under the route's own lock — one
+    /// footprint shard on the routed fast path, every shard (ascending)
+    /// when coarse. `body` also receives the shard to append to.
     fn shared_section(
         &self,
         route: Route,
         held: Option<&mut Held<'_, S>>,
         body: impl FnOnce(&mut LogView<'_, S>, usize, Option<&mut u64>) -> MachineResult<()>,
     ) -> MachineResult<()> {
+        let target = route.target();
         match held {
-            Some(h) => body(&mut h.view, h.target, Some(&mut h.stamp)),
-            None => body(&mut self.global.acquire_route(route), route.target(), None),
+            Some(h) => {
+                debug_assert!(route != Route::Coarse, "held_shards excludes coarse routes");
+                let stamp = &mut h.stamp;
+                h.view
+                    .focused(target, |view| body(view, target, Some(stamp)))
+            }
+            None => body(&mut self.global.acquire_route(route), target, None),
         }
     }
 
@@ -1310,22 +1456,38 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// **PULL**: imports another transaction's published operation into
-    /// the local view. The global lock is held only to snapshot the
-    /// pulled entry; criteria and effect are local.
+    /// the local view. Shard locks are held only to locate and snapshot
+    /// the pulled entry — probing the shards in ascending order, one lock
+    /// at a time, until it is found; criteria and effect are local.
     ///
     /// Criteria: (i) not already pulled (`op ∉ L`); (ii) the local log
     /// allows `op`; (iii, gray) everything the transaction has done
     /// locally moves right of `op` (so the pull can be seen as having
     /// preceded the transaction).
     pub fn pull(&mut self, op_id: OpId) -> MachineResult<()> {
+        self.pull_in(op_id, None)
+    }
+
+    /// The one PULL body: [`Self::pull`] when `snapshot` is `None`; the
+    /// refresh ([`Self::pull_all_committed`]) passes the entry it
+    /// snapshotted with every other candidate, so nothing is searched
+    /// for.
+    fn pull_in(
+        &mut self,
+        op_id: OpId,
+        snapshot: Option<GlobalEntry<S::Method, S::Ret>>,
+    ) -> MachineResult<()> {
         self.fault_gate(Rule::Pull)?;
         let checked = self.mode() != CheckMode::Unchecked;
         let check_gray = self.mode() == CheckMode::Checked;
         let shard = self.shard();
-        let gentry = self
-            .global
-            .find_entry(op_id)
-            .ok_or(MachineError::NoSuchOp(op_id))?;
+        let gentry = match snapshot {
+            Some(entry) => entry,
+            None => self
+                .global
+                .find_entry(op_id)
+                .ok_or(MachineError::NoSuchOp(op_id))?,
+        };
         let own =
             gentry.op.txn == self.txn || self.frames.iter().any(|f| f.txn == Some(gentry.op.txn));
         if own {
@@ -1348,13 +1510,12 @@ impl<S: SeqSpec> TxnHandle<S> {
                 format!("{op_id} already pulled"),
             ));
         }
+        let mut next = None;
         if checked {
             self.global.audit.pass(Rule::Pull, Clause::I);
-        }
-        if checked {
             // Criterion (ii): L allows op.
-            let local_ops = self.local.ops();
-            if !self.global.allows_q(shard, &local_ops, &gentry.op) {
+            next = self.local_allows(&gentry.op);
+            if next.is_none() {
                 self.global.audit.fail(Rule::Pull, Clause::Ii);
                 return Err(MachineError::criterion(
                     Rule::Pull,
@@ -1365,25 +1526,26 @@ impl<S: SeqSpec> TxnHandle<S> {
             self.global.audit.pass(Rule::Pull, Clause::Ii);
             // Criterion (iii), gray: own local ops move right of op.
             if check_gray {
+                let own_ops = self.local.iter().filter(|e| e.flag.is_own());
                 if self.global.statically_discharged(Rule::Pull, Clause::Iii) {
                     #[cfg(debug_assertions)]
-                    for own in self.local.own_ops() {
+                    for own in own_ops {
                         assert!(
-                            self.global.spec().mover(&own, &gentry.op),
+                            self.global.spec().mover(&own.op, &gentry.op),
                             "static discharge of PULL (iii) contradicted dynamically: {} vs {}",
-                            own.id,
+                            own.op.id,
                             op_id
                         );
                     }
                     self.global.audit.pass_static(Rule::Pull, Clause::Iii);
                 } else {
-                    for own in self.local.own_ops() {
-                        if !self.global.mover_q(shard, &own, &gentry.op) {
+                    for own in own_ops {
+                        if !self.global.mover_q(shard, &own.op, &gentry.op) {
                             self.global.audit.fail(Rule::Pull, Clause::Iii);
                             return Err(MachineError::criterion(
                                 Rule::Pull,
                                 Clause::Iii,
-                                format!("own {} cannot move right of pulled {}", own.id, op_id),
+                                format!("own {} cannot move right of pulled {}", own.op.id, op_id),
                             ));
                         }
                     }
@@ -1395,10 +1557,14 @@ impl<S: SeqSpec> TxnHandle<S> {
             .active_code()
             .map(|c| c.reachable_methods())
             .unwrap_or_default();
-        self.local.push_entry(LocalEntry {
+        if gentry.flag == GlobalFlag::Uncommitted {
+            self.unsettled.push(op_id);
+        }
+        let entry = LocalEntry {
             op: gentry.op.clone(),
             flag: LocalFlag::Pulled,
-        });
+        };
+        self.append_local(entry, next);
         let tid = self.tid;
         self.record(Event::Pull {
             thread: tid,
@@ -1416,29 +1582,46 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// Entirely thread-local.
     ///
     /// Criterion (i): the local log without `op` is still allowed (the
-    /// transaction did nothing that depended on it).
+    /// transaction did nothing that depended on it). At the *tail* of an
+    /// allowed `L` that is prefix closure — `SeqSpec`'s denotation makes
+    /// `allowed` prefix-closed by construction — so an abort's tail-first
+    /// rewind never replays; anywhere else the rest of `L` is replayed
+    /// once.
     pub fn unpull(&mut self, op_id: OpId) -> MachineResult<()> {
         let checked = self.mode() != CheckMode::Unchecked;
         let shard = self.shard();
-        self.expect_flag(op_id, "pld")?;
+        let pos = self.expect_flag(op_id, "pld")?;
+        let tail = pos + 1 == self.local.len();
+        let mut remaining = self.denot.without_tail();
         if checked {
-            let remaining: Vec<_> = self
-                .local
-                .iter()
-                .filter(|e| e.op.id != op_id)
-                .map(|e| e.op.clone())
-                .collect();
-            if !self.global.allowed_q(shard, &remaining) {
-                self.global.audit.fail(Rule::UnPull, Clause::I);
-                return Err(MachineError::criterion(
-                    Rule::UnPull,
-                    Clause::I,
-                    format!("local log without {} is not allowed", op_id),
-                ));
+            self.global.audit.count_allowed(shard);
+            let rest = || self.local_ops().filter(|op| op.id != op_id);
+            if tail && self.global.incremental() && self.denot.allowed() {
+                debug_assert!(!self.global.spec().denote_refs(rest()).is_empty());
+            } else {
+                let states = self.global.spec().denote_refs(rest());
+                if states.is_empty() {
+                    self.global.audit.fail(Rule::UnPull, Clause::I);
+                    return Err(MachineError::criterion(
+                        Rule::UnPull,
+                        Clause::I,
+                        format!("local log without {} is not allowed", op_id),
+                    ));
+                }
+                remaining = LocalDenot::States(states);
             }
             self.global.audit.pass(Rule::UnPull, Clause::I);
+        } else if !tail {
+            remaining = LocalDenot::Unknown;
         }
         let entry = self.local.remove_by_id(op_id).expect("checked above");
+        // Frames own suffixes of `L` by position: those based above the
+        // removed entry slide down with their entries.
+        for f in self.frames.iter_mut().filter(|f| f.base_len > pos) {
+            f.base_len -= 1;
+        }
+        self.denot = remaining;
+        self.unsettled.retain(|id| *id != op_id);
         let tid = self.tid;
         self.record(Event::UnPull {
             thread: tid,
@@ -1464,16 +1647,14 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// The one CMT body: [`Self::commit`] when `held` is `None`; with a
-    /// caller-held section (the group-commit batch path) criterion (iii)
-    /// and the `cmt` effect run inside it. The caller must hold every
-    /// shard this transaction's pushed/pulled operations route to, and
-    /// the handle must have no live scope or compensation — resolving
-    /// those takes shard locks of its own ([`Self::group_route`] checks
-    /// both).
+    /// caller-held section criterion (iii) and the `cmt` effect run inside
+    /// it. The caller must hold [`Self::held_shards`], which also checks
+    /// that the handle has no live scope or compensation — resolving
+    /// those takes shard locks of its own.
     pub(crate) fn commit_in(&mut self, held: Option<&mut Held<'_, S>>) -> MachineResult<TxnId> {
         debug_assert!(
             held.is_none() || (self.frames.is_empty() && self.comps.is_empty()),
-            "held commit on a handle with live scopes (group_route must exclude it)"
+            "held commit on a handle with live scopes (held_shards must exclude it)"
         );
         self.fault_gate(Rule::Cmt)?;
         // Resolve every still-open scope first: closed frames merge
@@ -1535,9 +1716,9 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// whole log for a top-level commit, an open child's own suffix
     /// otherwise): criterion (iii) plus the `cmt` effect
     /// ([`GlobalState::seal_commit`]), atomic over exactly the shards
-    /// the suffix's pushed and pulled operations live on, locked in
-    /// canonical ascending order — or over the caller's held section.
-    /// Returns the flipped ids.
+    /// the suffix's pushed and still-unsettled pulled operations live on
+    /// ([`Self::cmt_entries`]), locked in canonical ascending order — or
+    /// over the caller's held section. Returns the flipped ids.
     fn cmt_section(
         &self,
         base: usize,
@@ -1547,8 +1728,8 @@ impl<S: SeqSpec> TxnHandle<S> {
         let suffix = &self.local.entries()[base..];
         let section = |view: &mut LogView<'_, S>| {
             if self.mode() != CheckMode::Unchecked {
-                let pulled = suffix.iter().filter(|e| e.flag.is_pulled());
-                criteria::cmt(view, pulled.map(|e| e.op.id))
+                let pulled = suffix.iter().map(|e| e.op.id);
+                criteria::cmt(view, pulled.filter(|id| self.unsettled.contains(id)))
                     .settle(&self.global.audit, self.shard())?;
             }
             // Newly committed entries may extend the fully committed
@@ -1558,19 +1739,40 @@ impl<S: SeqSpec> TxnHandle<S> {
         if let Some(h) = held {
             return section(&mut h.view);
         }
-        let mut coarse = false;
-        let mut indices = Vec::new();
-        for e in suffix.iter().filter(|e| !e.flag.is_not_pushed()) {
+        match self.routed_shards(self.cmt_entries(base)) {
+            Some(shards) => section(&mut self.global.acquire_shards(shards)),
+            None => section(&mut self.global.acquire_all()),
+        }
+    }
+
+    /// The entries of `L[base..]` a CMT has business with in `G`: own
+    /// pushed operations (the flips) and `unsettled` ones, pulled while
+    /// still `gUCmt` (criterion (iii) must find them committed by now). An
+    /// operation pulled `gCmt` settled (iii) at PULL time.
+    fn cmt_entries(&self, base: usize) -> impl Iterator<Item = &LocalEntry<S::Method, S::Ret>> {
+        let suffix = self.local.entries()[base..].iter();
+        suffix.filter(|e| e.flag.is_pushed() || self.unsettled.contains(&e.op.id))
+    }
+
+    /// The shards `entries` route to, ascending and distinct — `None` if
+    /// any of them routes coarse.
+    fn routed_shards<'e>(
+        &self,
+        entries: impl Iterator<Item = &'e LocalEntry<S::Method, S::Ret>>,
+    ) -> Option<Vec<usize>>
+    where
+        S: 'e,
+    {
+        let mut shards = Vec::new();
+        for e in entries {
             match self.global.route(&e.op.method) {
-                Route::Coarse => coarse = true,
-                Route::Single(i) => indices.push(i),
+                Route::Coarse => return None,
+                Route::Single(i) => shards.push(i),
             }
         }
-        if coarse {
-            section(&mut self.global.acquire_all())
-        } else {
-            section(&mut self.global.acquire_shards(indices))
-        }
+        shards.sort_unstable();
+        shards.dedup();
+        Some(shards)
     }
 
     /// Resets the per-transaction state after a commit: the local log,
@@ -1579,6 +1781,8 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// compensations are discarded, not replayed).
     fn reset_txn_state(&mut self) {
         self.local = LocalLog::new();
+        self.denot = LocalDenot::Unknown;
+        self.unsettled.clear();
         self.stack = Vec::new();
         self.frames.clear();
         self.comps.clear();
@@ -1675,7 +1879,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     pub(crate) fn abort_in(&mut self, held: Option<&mut Held<'_, S>>) -> MachineResult<TxnId> {
         debug_assert!(
             held.is_none() || (self.frames.is_empty() && self.comps.is_empty()),
-            "held abort on a handle with live scopes (group_route must exclude it)"
+            "held abort on a handle with live scopes (held_shards must exclude it)"
         );
         if self.code.is_none() {
             // A finished thread has nothing to abort; restarting its last
@@ -1731,8 +1935,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// the optimistic commit sequence ("PUSH everything and CMT at an
     /// uninterleaved moment", §6.2).
     pub fn push_all_and_commit(&mut self) -> MachineResult<TxnId> {
-        let unpushed: Vec<OpId> = self.local.not_pushed_ops().iter().map(|o| o.id).collect();
-        for id in unpushed {
+        for id in self.unpushed_ids() {
             self.push(id)?;
         }
         self.commit()
@@ -1740,7 +1943,8 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// Ids of the current transaction's unpushed operations, in order.
     pub fn unpushed_ids(&self) -> Vec<OpId> {
-        self.local.not_pushed_ops().iter().map(|o| o.id).collect()
+        let unpushed = self.local.iter().filter(|e| e.flag.is_not_pushed());
+        unpushed.map(|e| e.op.id).collect()
     }
 
     /// Abandons the current transaction without retrying it: fully
@@ -1769,62 +1973,93 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     // ------------------------------------------------------------------
-    // Group-commit eligibility (see [`crate::group`], which runs the
+    // Held-commit eligibility (see [`crate::group`], which runs the
     // PUSH/CMT/abort bodies above inside one held section).
     // ------------------------------------------------------------------
 
-    /// The single shard every operation of the current transaction routes
-    /// to, if this transaction is eligible for the per-shard group-commit
-    /// path — `None` (caller falls back to the per-transaction path) when
-    /// the thread is finished, the local log is empty, any operation
-    /// routes coarse or to a different shard, or coarse mode is on.
+    /// May the current transaction commit inside a held section at all?
+    /// Not when the thread is finished, the local log is empty or coarse
+    /// mode is on, and not with nested scopes or registered compensations:
+    /// resolving those (open commits, compensation replay) acquires shard
+    /// locks of its own, which would deadlock under the caller's held
+    /// view.
+    fn held_commit_allowed(&self) -> bool {
+        self.code.is_some()
+            && !self.local.is_empty()
+            && !self.global.coarse_mode()
+            && self.frames.is_empty()
+            && self.comps.is_empty()
+            && self.open_children == 0
+    }
+
+    /// The single shard *every* operation of the current transaction —
+    /// own and pulled — routes to, if it is eligible for a held commit
+    /// and there is such a shard: the transactions [`crate::group`]
+    /// batches per shard, and the key callers schedule their commit stage
+    /// by. `None` otherwise.
     pub fn group_route(&self) -> Option<usize> {
-        if self.code.is_none() || self.local.is_empty() {
+        if !self.held_commit_allowed() {
             return None;
         }
-        if self.global.coarse_mode() {
+        let mut routes = self.local.iter().map(|e| self.global.route(&e.op.method));
+        match routes.next()? {
+            Route::Single(shard) if routes.all(|r| r == Route::Single(shard)) => Some(shard),
+            _ => None,
+        }
+    }
+
+    /// The shards a held commit of the current transaction must hold —
+    /// those its own operations and its still-unsettled pulled operations
+    /// route to ([`Self::cmt_entries`], before any PUSH) — or `None` when
+    /// it is not eligible: see [`Self::held_commit_allowed`], or an
+    /// operation routes coarse.
+    pub(crate) fn held_shards(&self) -> Option<Vec<usize>> {
+        if !self.held_commit_allowed() {
             return None;
         }
-        // Nested scopes and registered compensations stay off the batch
-        // path: resolving them (open commits, compensation replay)
-        // acquires shard locks of its own, which would deadlock under
-        // the caller's held batch view.
-        if !self.frames.is_empty() || !self.comps.is_empty() || self.open_children > 0 {
-            return None;
-        }
-        let mut target: Option<usize> = None;
-        for e in self.local.iter() {
-            match self.global.route(&e.op.method) {
-                Route::Coarse => return None,
-                Route::Single(i) => match target {
-                    None => target = Some(i),
-                    Some(t) if t == i => {}
-                    Some(_) => return None,
-                },
-            }
-        }
-        target
+        let needed = self
+            .local
+            .iter()
+            .filter(|e| e.flag.is_own() || self.unsettled.contains(&e.op.id));
+        self.routed_shards(needed)
     }
 
     /// Pulls every *committed* global operation not yet in the local log,
     /// in global-log order — how opaque transactions snapshot the shared
-    /// state (§6.2: "transactions begin by PULLing all operations").
+    /// state (§6.2: "transactions begin by PULLing all operations"). The
+    /// first PULL denial ends the refresh with that error.
     pub fn pull_all_committed(&mut self) -> MachineResult<usize> {
-        let candidates: Vec<OpId> = {
-            let view = self.global.acquire_all();
-            view.stamped()
-                .filter(|(_, e)| {
-                    e.flag == GlobalFlag::Committed && !self.local.contains_id(e.op.id)
-                })
-                .map(|(_, e)| e.op.id)
-                .collect()
-        };
-        let mut n = 0;
-        for id in candidates {
-            self.pull(id)?;
-            n += 1;
+        self.refresh(false)
+    }
+
+    /// [`Self::pull_all_committed`], skipping (rather than failing on)
+    /// operations whose PULL criteria do not hold — the lenient snapshot
+    /// refresh drivers perform before applying an operation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates only structural errors; criterion failures are skipped
+    /// by design.
+    pub fn pull_committed_lenient(&mut self) -> MachineResult<usize> {
+        self.refresh(true)
+    }
+
+    /// The refresh, one pass: snapshot the committed entries `L` lacks
+    /// under one acquisition of every shard (gather once), then run the
+    /// ordinary PULL body on each, in stamp order, with no lock at all.
+    /// Returns how many were pulled.
+    fn refresh(&mut self, skip_denied: bool) -> MachineResult<usize> {
+        let have: HashSet<OpId> = self.local_ops().map(|op| op.id).collect();
+        let fresh = self.global.committed_except(|id| have.contains(&id));
+        let mut pulled = 0;
+        for entry in fresh {
+            match self.pull_in(entry.op.id, Some(entry)) {
+                Ok(()) => pulled += 1,
+                Err(MachineError::Criterion(_)) if skip_denied => {}
+                Err(e) => return Err(e),
+            }
         }
-        Ok(n)
+        Ok(pulled)
     }
 }
 

@@ -96,7 +96,7 @@ pub use certificate::SpecCertificate;
 pub use error::{Clause, CriterionViolation, MachineError, MachineResult, Rule};
 pub use faults::{BoundaryFault, FaultHook, FaultKind, HtmFault};
 pub use global::{CommittedTxn, GlobalState, GroupStats, TxnKind};
-pub use group::{commit_group, GroupOutcome, GroupTxnResult};
+pub use group::{commit_group, commit_held, GroupOutcome, GroupTxnResult};
 pub use handle::TxnHandle;
 pub use lang::Code;
 pub use log::{GlobalFlag, GlobalLog, LocalFlag, LocalLog};

@@ -46,6 +46,30 @@ fn closed_scope_merges_into_parent() {
     assert_eq!(stats.scopes_merged, 1);
 }
 
+/// A scope owns a suffix of `L` by position, so UNPULLing an entry *below*
+/// its base must slide the base down with the scope's entries: the scope
+/// abort then rewinds exactly the scope's own operation, and nothing
+/// slices `L` past its end.
+#[test]
+fn unpull_below_a_scope_base_keeps_the_frame_on_its_suffix() {
+    let mut m = Machine::new(ToyCounter::with_bound(8));
+    let a = m.add_thread(vec![inc()]);
+    let t = m.add_thread(vec![Code::seq(inc(), Code::choice(Code::Skip, inc()))]);
+    let pulled = m.app_auto(a).unwrap();
+    m.push_all_and_commit(a).unwrap();
+    m.pull(t, pulled).unwrap();
+    let own = m.app_auto(t).unwrap();
+    assert_eq!(m.begin_nested(t, ScopeKind::Closed).unwrap(), 2);
+    m.app_method(t, &CounterMethod::Inc).unwrap();
+    m.unpull(t, pulled).unwrap();
+    m.abort_nested(t).unwrap();
+    let local = m.thread(t).unwrap().local();
+    assert_eq!(local.len(), 1, "the scope's inc, and only it, is rewound");
+    assert_eq!(local.entries()[0].op.id, own);
+    m.push_all_and_commit(t).unwrap();
+    assert!(check_machine_nested(&m).is_serializable());
+}
+
 #[test]
 fn closed_scope_abort_rewinds_only_its_suffix() {
     let mut m = Machine::new(ToyCounter::with_bound(8));

@@ -22,16 +22,37 @@
 //!    (`Op`), failing the session cleanly if the spec refuses a result
 //!    (e.g. a bank overdraft: retrying could never succeed);
 //! 4. **commit** — commit-ready slots are scheduled in destination-shard
-//!    order and committed through
-//!    [`commit_group`] (one shard-lock
-//!    acquisition and one contiguous stamp range per shard batch), or
-//!    one by one when batching is off or a transaction is ineligible.
-//!    The scheduling order is computed identically with batching on or
-//!    off, which is why the two modes produce bit-identical traces.
+//!    order and each eligible transaction commits as *one uninterleaved
+//!    held section* over its own shards (its PUSHes and its CMT under one
+//!    acquisition of each, see [`pushpull_core::group`]): through
+//!    [`commit_group`] — one section and one contiguous stamp range per
+//!    shard batch, then one section per multi-shard transaction — or,
+//!    with batching off, through [`commit_held`] one transaction at a
+//!    time. Either way no thread ever observes a session's uncommitted
+//!    operation, so a preempted committer makes its peers wait on a mutex
+//!    instead of spending their retry budget, and a denied attempt is
+//!    aborted and restarted inside its section in both modes. The
+//!    scheduling order is computed identically with batching on or off,
+//!    which is why the two modes produce bit-identical traces — and the
+//!    same transaction ids.
 //!
 //! Conflict-denied transactions are retried with a refreshed committed
 //! view, up to `max_retries`; a session that spends the budget fails
 //! with its last denial instead of wedging the server.
+//!
+//! # What the commit counters count
+//!
+//! * [`SessionOutcome::Committed`]`::batched` — the commit went through
+//!   [`commit_group`] (batching on), whatever the size of its batch.
+//! * [`GroupStats`](pushpull_core::GroupStats) (`group_batches`,
+//!   `group_txns`, … in [`SystemStats`]) — the held sections
+//!   [`commit_group`] sealed with at least one commit and the
+//!   transactions in them; a multi-shard transaction's section is a batch
+//!   of one. All zero with batching off: [`commit_held`] tallies nothing.
+//! * `group_fallbacks` — with batching on, transactions [`commit_group`]
+//!   reported `Ineligible` and the server committed on the unheld
+//!   per-transaction path instead: coarse-routed, nested or compensating
+//!   ones, whose commit takes shard locks of its own.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,7 +61,7 @@ use pushpull_core::error::MachineError;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::{commit_group, GroupTxnResult, RulePattern, TxnHandle};
+use pushpull_core::{commit_group, commit_held, GroupTxnResult, RulePattern, TxnHandle};
 use pushpull_tm::contention::StarvationReport;
 use pushpull_tm::driver::{
     fold_machine_counters, full_rule_pattern, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
@@ -59,8 +80,9 @@ pub struct ServerConfig {
     /// Handle slots each worker owns — the worker's concurrent-session
     /// capacity.
     pub slots_per_worker: usize,
-    /// Commit commit-ready slots through the per-shard group-commit path
-    /// (`false` drives every commit down the per-transaction path).
+    /// Batch commit-ready slots per destination shard through
+    /// [`commit_group`] (`false` commits each through a held section of
+    /// its own, [`commit_held`]).
     pub group_commit: bool,
     /// Conflict-induced retries a session may spend before it fails.
     pub max_retries: u64,
@@ -97,7 +119,7 @@ pub enum SessionOutcome {
     Committed {
         /// The committed machine transaction.
         txn: TxnId,
-        /// Through a group-commit batch (vs the per-transaction path)?
+        /// Through [`commit_group`] (vs one transaction at a time)?
         batched: bool,
         /// Conflict retries spent before success.
         retries: u64,
@@ -315,9 +337,10 @@ fn conflict_retry<S: SeqSpec>(
     Ok(())
 }
 
-/// Per-transaction commit of slot `k` (batching off, or the group path
-/// reported the transaction ineligible).
-fn commit_single<S: SeqSpec>(
+/// Commits slot `k` on the unheld per-transaction path: the transaction
+/// was reported ineligible for a held section (coarse-routed, nested or
+/// compensating — its commit takes shard locks of its own).
+fn commit_unheld<S: SeqSpec>(
     w: &mut WorkerState,
     k: usize,
     h: &mut TxnHandle<S>,
@@ -464,37 +487,37 @@ fn tick_worker<S: SeqSpec>(
         Some(shard) => (0usize, shard, k),
         None => (1usize, 0, k),
     });
-    if cfg.group_commit && !ready.is_empty() {
-        let results = {
-            let mut lent: Vec<Option<&mut TxnHandle<S>>> = handles.iter_mut().map(Some).collect();
-            let mut batch: Vec<&mut TxnHandle<S>> = ready
-                .iter()
-                .map(|&k| lent[k].take().expect("ready slots are distinct"))
-                .collect();
-            commit_group(&mut batch).results
-        };
-        for (k, (_tid, result)) in ready.iter().copied().zip(results) {
-            let h = &mut handles[k];
-            match result {
-                GroupTxnResult::Committed(txn) => {
-                    finish_commit(w, k, txn, true, cfg.record_responses);
-                }
-                GroupTxnResult::Aborted {
-                    denied,
-                    restarted: _,
-                } => {
-                    conflict_retry(w, k, h, denied, true, &mut needs_pull, cfg)?;
-                }
-                GroupTxnResult::Wedged(e) => return Err(e),
-                GroupTxnResult::Ineligible => {
-                    w.stats.group_fallbacks += 1;
-                    commit_single(w, k, h, &mut needs_pull, cfg)?;
-                }
-            }
-        }
+    // Every eligible transaction commits inside a held section, batched
+    // per shard or one by one: no other thread ever observes a session's
+    // uncommitted operation in either mode.
+    let results: Vec<GroupTxnResult> = if cfg.group_commit {
+        let mut lent: Vec<Option<&mut TxnHandle<S>>> = handles.iter_mut().map(Some).collect();
+        let mut batch: Vec<&mut TxnHandle<S>> = ready
+            .iter()
+            .map(|&k| lent[k].take().expect("ready slots are distinct"))
+            .collect();
+        let results = commit_group(&mut batch).results;
+        results.into_iter().map(|(_tid, r)| r).collect()
     } else {
-        for k in ready {
-            commit_single(w, k, &mut handles[k], &mut needs_pull, cfg)?;
+        ready
+            .iter()
+            .map(|&k| commit_held(&mut handles[k]))
+            .collect()
+    };
+    for (k, result) in ready.into_iter().zip(results) {
+        let h = &mut handles[k];
+        match result {
+            GroupTxnResult::Committed(txn) => {
+                finish_commit(w, k, txn, cfg.group_commit, cfg.record_responses);
+            }
+            GroupTxnResult::Aborted { denied, .. } => {
+                conflict_retry(w, k, h, denied, true, &mut needs_pull, cfg)?;
+            }
+            GroupTxnResult::Wedged(e) => return Err(e),
+            GroupTxnResult::Ineligible => {
+                w.stats.group_fallbacks += u64::from(cfg.group_commit);
+                commit_unheld(w, k, h, &mut needs_pull, cfg)?;
+            }
         }
     }
 

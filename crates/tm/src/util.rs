@@ -3,15 +3,15 @@
 use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
-use pushpull_core::log::GlobalFlag;
-use pushpull_core::op::OpId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::TxnHandle;
 
 /// Pulls every *committed* global operation not yet in the thread's local
 /// log, in global-log order, skipping (rather than failing on) operations
 /// whose PULL criteria do not hold — the lenient snapshot refresh drivers
-/// perform before applying an operation.
+/// perform before applying an operation
+/// ([`TxnHandle::pull_committed_lenient`]: one snapshot of the committed
+/// log under every shard lock, then one PULL per operation with no lock).
 ///
 /// A skipped operation leaves the local view behind the shared view; any
 /// resulting inconsistency surfaces later as a PUSH criterion (iii)
@@ -19,30 +19,14 @@ use pushpull_core::TxnHandle;
 /// operations pulled.
 ///
 /// Takes the thread's own [`TxnHandle`], so concurrent workers can refresh
-/// their snapshots without serializing through the whole machine:
-/// committed entries never leave the shared log, so the candidate list
-/// stays valid even while other threads push and commit.
+/// their snapshots without serializing through the whole machine.
 ///
 /// # Errors
 ///
 /// Propagates only structural errors; criterion failures are skipped by
 /// design.
 pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize, MachineError> {
-    let candidates: Vec<OpId> = h
-        .global_snapshot()
-        .iter()
-        .filter(|e| e.flag == GlobalFlag::Committed && !h.local().contains_id(e.op.id))
-        .map(|e| e.op.id)
-        .collect();
-    let mut pulled = 0;
-    for id in candidates {
-        match h.pull(id) {
-            Ok(()) => pulled += 1,
-            Err(MachineError::Criterion(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(pulled)
+    h.pull_committed_lenient()
 }
 
 /// Is this error a criterion violation (an expected conflict, from a

@@ -16,6 +16,7 @@ use pushpull::core::machine::{CheckMode, Machine};
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
+use pushpull::core::GroupTxnResult;
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
@@ -42,7 +43,7 @@ fn disjoint_setup() -> Machine<RwMem> {
 fn each_rule_takes_exactly_the_locks_its_discipline_names() {
     type Step = fn(&mut Machine<RwMem>, &mut OpId);
     // (rule, step on thread B, expected lock acquisitions per shard)
-    let table: [(&str, Step, [u64; 4]); 9] = [
+    let table: [(&str, Step, [u64; 4]); 13] = [
         ("APP", |m, op| *op = m.app_auto(TB).unwrap(), [0, 0, 0, 0]),
         (
             "can_push",
@@ -74,6 +75,40 @@ fn each_rule_takes_exactly_the_locks_its_discipline_names() {
         ),
         // CMT: exactly the shards its operations touch.
         ("CMT", |m, _| assert!(m.commit(TB).is_ok()), [0, 1, 1, 0]),
+        // PULL by id: probes the shards ascending, one lock at a time,
+        // until it finds the entry — B's own committed write on shard 2.
+        (
+            "PULL by id",
+            |m, op| {
+                let next = [MemMethod::Write(Loc(1), 5), MemMethod::Write(Loc(3), 6)];
+                m.enqueue_txn(TB, Code::seq_all(next.map(Code::method)))
+                    .unwrap();
+                m.pull(TB, *op).unwrap();
+            },
+            [1, 1, 1, 0],
+        ),
+        ("UNPULL", |m, op| m.unpull(TB, *op).unwrap(), [0, 0, 0, 0]),
+        // The refresh: one snapshot under every shard lock, each taken
+        // exactly once, however many operations it then pulls.
+        (
+            "refresh",
+            |m, _| assert_eq!(m.pull_all_committed(TB).unwrap(), 3),
+            [1, 1, 1, 1],
+        ),
+        // Held commit: both PUSHes and the CMT under one acquisition of
+        // each *own* shard (1 and 3). The operations pulled from shards 0
+        // and 2 were committed when pulled, so CMT (iii) was settled then
+        // and their shards are not locked at all.
+        (
+            "held multi-shard commit",
+            |m, _| {
+                m.app_auto(TB).unwrap();
+                m.app_auto(TB).unwrap();
+                let out = m.commit_group(&[TB]).unwrap();
+                assert!(out.results[0].1.is_committed(), "{:?}", out.results);
+            },
+            [0, 1, 0, 1],
+        ),
         // Coarse: strict mode demotes this uncertified sharded log, and
         // from then on a shared rule takes every shard.
         (
@@ -170,6 +205,82 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     );
     m.push(tb, put).expect("push put");
     m.commit(tb).expect("commit put");
+}
+
+/// A two-shard transaction (`Put(1)` on shard 1, `Put(2)` on shard 2 of
+/// four) whose peer may hold an uncommitted `Put(2)`; `held` commits it
+/// through `commit_group`, the reference through the unheld rules.
+fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u64>) {
+    let mut m = Machine::new(KvMap::new());
+    let t = m.add_thread(vec![Code::seq(
+        Code::method(MapMethod::Put(1, 10)),
+        Code::method(MapMethod::Put(2, 20)),
+    )]);
+    let peer = m.add_thread(vec![Code::method(MapMethod::Put(2, 99))]);
+    m.set_log_shards(4);
+    if peer_in_flight {
+        let p = m.app_auto(peer).unwrap();
+        m.push(peer, p).unwrap();
+    }
+    m.app_auto(t).unwrap();
+    m.app_auto(t).unwrap();
+    let before = m.lock_stats_per_shard();
+    if held {
+        let out = m.commit_group(&[t]).unwrap();
+        match &out.results[0].1 {
+            GroupTxnResult::Committed(_) => assert!(!peer_in_flight),
+            GroupTxnResult::Aborted { denied, .. } => {
+                assert!(peer_in_flight && denied.is_criterion(), "{denied}");
+            }
+            other => panic!("unexpected held result {other:?}"),
+        }
+        assert_eq!(out.batches, u64::from(!peer_in_flight), "a batch of one");
+    } else if m.push_all_and_commit(t).is_err() {
+        assert!(peer_in_flight);
+        m.abort_and_retry(t).unwrap();
+    }
+    let after = m.lock_stats_per_shard();
+    let locks = after.iter().zip(&before).map(|(a, b)| a.0 - b.0).collect();
+    (m, locks)
+}
+
+/// The held commit is the unheld rule sequence minus the interleavings: a
+/// multi-shard transaction through `commit_group` records the same trace,
+/// the same audit and the same `G` as `push_all_and_commit`, under exactly
+/// one acquisition of each shard it touches; denied by a peer's
+/// uncommitted operation on its second shard it aborts inside the section
+/// — the same rewind as the unheld abort — and leaves nothing in `G`.
+#[test]
+fn held_commit_equals_the_unheld_rules_under_one_acquisition_per_shard() {
+    for peer_in_flight in [false, true] {
+        let (held, held_locks) = two_shard_commit(peer_in_flight, true);
+        let (unheld, unheld_locks) = two_shard_commit(peer_in_flight, false);
+        assert_eq!(held_locks, [0, 1, 1, 0], "peer in flight: {peer_in_flight}");
+        // Unheld: one lock per PUSH, the CMT's two — or, denied at the
+        // second PUSH, that attempt and the first one's UNPUSH.
+        let expected_unheld = if peer_in_flight {
+            [0, 2, 1, 0]
+        } else {
+            [0, 2, 2, 0]
+        };
+        assert_eq!(unheld_locks, expected_unheld);
+        assert_eq!(held.trace().render(), unheld.trace().render());
+        assert_eq!(held.audit(), unheld.audit());
+        assert_eq!(held.global(), unheld.global());
+        assert_eq!(held.committed_txns(), unheld.committed_txns());
+        let t = held.thread(ThreadId(0)).unwrap();
+        if peer_in_flight {
+            let rules = held.trace().rule_names(ThreadId(0));
+            let rewind = &rules[rules.len() - 5..];
+            assert_eq!(rewind, ["UNAPP", "UNPUSH", "UNAPP", "ABORT", "BEGIN"]);
+            let own = |txn| held.global().iter().any(|e| e.op.txn == txn);
+            assert!(!own(t.txn()) && held.global().len() == 1, "residue in G");
+            assert!(t.local().is_empty());
+        } else {
+            assert!(t.is_done());
+            assert_eq!(held.global().committed_ops().len(), 2);
+        }
+    }
 }
 
 /// Evaluate-and-append is one step under the shard lock: four OS threads

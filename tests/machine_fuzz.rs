@@ -15,8 +15,9 @@ use pushpull::core::log::GlobalFlag;
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::rng::Xorshift64;
 use pushpull::core::serializability::check_machine;
-use pushpull::core::spec::SeqSpec as _;
-use pushpull::core::{Machine, MachineError};
+use pushpull::core::spec::SeqSpec;
+use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
+use pushpull::core::{Machine, MachineError, ScopeKind};
 use pushpull::spec::counter::{Counter, CtrMethod};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 
@@ -196,4 +197,124 @@ fn fuzz_commits_nontrivially() {
         total_commits >= 10,
         "fuzzer committed almost nothing: {total_commits}"
     );
+}
+
+/// One seeded attempt at any rule or derived operation, local criteria
+/// first: APP, UNAPP, PULL of any foreign entry, UNPULL at the tail and
+/// mid-log, the strict and the lenient refresh, PUSH, UNPUSH, CMT,
+/// `abort_and_retry` and the nested-scope steps. Every outcome — a
+/// criterion denial, a structural refusal — is part of the input space.
+fn any_step<S: SeqSpec>(m: &mut Machine<S>, rng: &mut Xorshift64) -> Result<(), MachineError> {
+    let tid = ThreadId(rng.gen_index(m.thread_count()));
+    let local = m.thread(tid)?.local().clone();
+    let kind = rng.gen_index(16);
+    let mut pick = |ids: Vec<OpId>| match ids.len() {
+        0 => OpId(u64::MAX),
+        n => ids[rng.gen_index(n)],
+    };
+    match kind {
+        0..=2 => m.app_auto(tid).map(|_| ()),
+        3 => m.unapp(tid).map(|_| ()),
+        4 => {
+            let (own, global) = (m.thread(tid)?.current_txn(), m.global());
+            let foreign = global.iter().filter(|e| e.op.txn != own);
+            m.pull(tid, pick(foreign.map(|e| e.op.id).collect()))
+        }
+        5 => m.unpull(
+            tid,
+            local.entries().last().map_or(OpId(u64::MAX), |e| e.op.id),
+        ),
+        6 => m.unpull(tid, pick(local.pulled_ops().iter().map(|o| o.id).collect())),
+        7 => m.pull_all_committed(tid).map(|_| ()),
+        8 => m.handle_mut(tid)?.pull_committed_lenient().map(|_| ()),
+        9 => m.push(
+            tid,
+            pick(local.not_pushed_ops().iter().map(|o| o.id).collect()),
+        ),
+        10 => m.unpush(tid, pick(local.pushed_ops().iter().map(|o| o.id).collect())),
+        11 => m.commit(tid).map(|_| ()),
+        12 => m.abort_and_retry(tid).map(|_| ()),
+        13 => {
+            let kind = [ScopeKind::Closed, ScopeKind::Open][rng.gen_index(2)];
+            m.begin_nested(tid, kind).map(|_| ())
+        }
+        14 => m.commit_nested(tid),
+        _ => m.abort_nested(tid),
+    }
+}
+
+/// The carried local denotation against the full-replay reference: a
+/// machine and its clone, `set_incremental(true)` and `(false)`, take the
+/// same few thousand seeded steps and must agree on every result and
+/// error, every trace and every audit tally after every step (in debug
+/// builds the handle also asserts its carried set is `⟦L⟧` each time it
+/// reads it). Returns how many steps a criterion denied.
+fn carried_vs_replayed<S>(spec: impl Fn() -> S, shards: usize, methods: &[S::Method]) -> usize
+where
+    S: SeqSpec + Clone,
+    S::Ret: PartialEq,
+{
+    let mut denials = 0;
+    for seed in 1..=60 {
+        let mut rng = Xorshift64::new(seed);
+        let mut carried = Machine::new(spec());
+        for _ in 0..3 {
+            let txn = |rng: &mut Xorshift64| {
+                let ops =
+                    (0..=rng.gen_index(3)).map(|_| methods[rng.gen_index(methods.len())].clone());
+                Code::seq_all(ops.map(Code::method))
+            };
+            let programs = (0..3).map(|_| txn(&mut rng)).collect();
+            carried.add_thread(programs);
+        }
+        carried.set_log_shards(shards);
+        let mut replayed = carried.clone();
+        carried.set_incremental(true);
+        replayed.set_incremental(false);
+        for step in 0..120 {
+            let got = any_step(&mut carried, &mut rng.clone());
+            let want = any_step(&mut replayed, &mut rng);
+            assert_eq!(got, want, "seed {seed} step {step}");
+            assert_eq!(carried.audit(), replayed.audit(), "seed {seed} step {step}");
+            assert!(
+                carried.trace() == replayed.trace(),
+                "seed {seed} step {step}: traces"
+            );
+            denials += usize::from(matches!(got, Err(MachineError::Criterion(_))));
+        }
+        assert!(carried.global() == replayed.global(), "seed {seed}: G");
+        assert!(
+            carried.committed_txns() == replayed.committed_txns(),
+            "seed {seed}"
+        );
+    }
+    denials
+}
+
+#[test]
+fn carried_and_replayed_local_criteria_agree_on_toy_counter() {
+    let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
+    let denials = carried_vs_replayed(|| ToyCounter::with_bound(2), 1, &methods);
+    assert!(denials > 100, "the sweep must exercise denials ({denials})");
+}
+
+#[test]
+fn carried_and_replayed_local_criteria_agree_on_strict_counter() {
+    let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
+    let denials = carried_vs_replayed(|| StrictCounter::with_bound(2), 1, &methods);
+    assert!(denials > 100, "the sweep must exercise denials ({denials})");
+}
+
+#[test]
+fn carried_and_replayed_local_criteria_agree_on_kvmap() {
+    let methods = [
+        MapMethod::Put(0, 1),
+        MapMethod::Put(1, 2),
+        MapMethod::Get(0),
+        MapMethod::Get(1),
+        MapMethod::Remove(0),
+    ];
+    // Four shards: the multi-shard CMT section rides along.
+    let denials = carried_vs_replayed(KvMap::new, 4, &methods);
+    assert!(denials > 100, "the sweep must exercise denials ({denials})");
 }

@@ -31,7 +31,7 @@ use pushpull::core::error::{MachineError, Rule};
 use pushpull::core::faults::FaultKind;
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
-use pushpull::core::op::ThreadId;
+use pushpull::core::op::{ThreadId, TxnId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
 use pushpull::core::GroupTxnResult;
@@ -402,12 +402,15 @@ fn server_chaos_deny_matrix() {
 /// The session retry budget: sixteen read-modify-write sessions on one
 /// key cannot all commit within `max_retries` ∈ {0, 1}. The losers must
 /// fail with their last criterion denial and leave nothing behind, the
-/// server must drain, and batching must not change who wins.
+/// server must drain, and batching must not change who wins — nor, since
+/// both modes commit through the same held section and so restart an
+/// over-budget transaction before abandoning it, under which transaction
+/// id, nor anything else the trace records.
 #[test]
 fn retry_budget_exhaustion_fails_sessions_clean() {
     const SESSIONS: usize = 16;
-    type Verdict = (SessionId, Result<(), MachineError>);
-    let drive = |max_retries: u64, group_commit: bool| -> Vec<Verdict> {
+    type Verdict = (SessionId, Result<TxnId, MachineError>);
+    let drive = |max_retries: u64, group_commit: bool| -> (Vec<Verdict>, String) {
         let scripts: Vec<_> = (0..SESSIONS as i64)
             .map(|s| SessionScript::commit(vec![MapMethod::Get(0), MapMethod::Put(0, s)]))
             .collect();
@@ -430,7 +433,7 @@ fn retry_budget_exhaustion_fails_sessions_clean() {
             .outcomes()
             .into_iter()
             .map(|(s, o)| match o {
-                SessionOutcome::Committed { .. } => (s, Ok(())),
+                SessionOutcome::Committed { txn, .. } => (s, Ok(*txn)),
                 SessionOutcome::Failed { error } => {
                     assert!(error.is_criterion(), "{cell}/{s}: failed with {error}");
                     (s, Err(error.clone()))
@@ -457,13 +460,18 @@ fn retry_budget_exhaustion_fails_sessions_clean() {
         }
         let report = check_machine(m);
         assert!(report.is_serializable(), "{cell}: {report}");
-        verdicts
+        (verdicts, m.trace().render())
     };
     for max_retries in [0, 1] {
+        let (on, on_trace) = drive(max_retries, true);
+        let (off, off_trace) = drive(max_retries, false);
         assert_eq!(
-            drive(max_retries, true),
-            drive(max_retries, false),
+            on, off,
             "budget {max_retries}: batching changed which sessions commit"
+        );
+        assert_eq!(
+            on_trace, off_trace,
+            "budget {max_retries}: the two modes restart or abandon differently"
         );
     }
 }
