@@ -138,10 +138,7 @@ pub(crate) fn push<S: SeqSpec>(
 ) -> Verdict {
     let spec = global.spec();
     let mut v = Verdict::new(Rule::Push, op.id);
-    let foreign = || {
-        view.live()
-            .filter(|g| g.flag == GlobalFlag::Uncommitted && g.op.txn != txn)
-    };
+    let foreign = || view.uncommitted(global).filter(|g| g.op.txn != txn);
     if global.statically_discharged(Rule::Push, Clause::Ii) {
         // Soundness cross-check: in debug builds the elided loop still
         // runs (without audit accounting) and must agree.
@@ -165,11 +162,7 @@ pub(crate) fn push<S: SeqSpec>(
         v.marks[0] = Some(Mark::Pass);
     }
     v.allowed += 1;
-    let states = view.denote(global, None);
-    if spec
-        .denote_from(&states, std::slice::from_ref(op))
-        .is_empty()
-    {
+    if !view.allows(global, op) {
         return v.deny(1, None);
     }
     v.marks[1] = Some(Mark::Pass);
@@ -192,7 +185,7 @@ pub(crate) fn unpush<S: SeqSpec>(
     let op = &view.at(vidx, pos).op;
     let mut v = Verdict::new(Rule::UnPush, op.id);
     if gray {
-        let later = || view.live().skip_while(|g| g.op.id != op.id).skip(1);
+        let later = || view.after((vidx, pos));
         if global.statically_discharged(Rule::UnPush, Clause::I) {
             #[cfg(debug_assertions)]
             for g in later() {
@@ -215,7 +208,7 @@ pub(crate) fn unpush<S: SeqSpec>(
         }
     }
     v.allowed += 1;
-    if view.denote(global, Some((vidx, pos))).is_empty() {
+    if !view.allowed_without(global, (vidx, pos)) {
         return v.deny(1, None);
     }
     v.marks[1] = Some(Mark::Pass);
@@ -315,6 +308,30 @@ mod tests {
             }
         }
         assert!(denials > 100, "the sweep must exercise denials ({denials})");
+    }
+
+    /// No rule removes a committed entry, so only a test can reach below
+    /// the committed boundary: the shard's cache must then forget what it
+    /// memoized, or the next verdict replays a log that no longer exists.
+    #[test]
+    fn a_removal_below_the_committed_boundary_resets_the_cache() {
+        let mut m = Machine::new(ToyCounter::with_bound(2));
+        let inc = || vec![Code::method(CounterMethod::Inc)];
+        let tids = [inc(), inc(), inc()].map(|body| m.add_thread(body));
+        for t in &tids[..2] {
+            let op = m.app_auto(*t).unwrap();
+            m.push(*t, op).unwrap();
+            m.commit(*t).unwrap();
+        }
+        m.app_auto(tids[2]).unwrap();
+        assert_eq!(compare(&m), 1, "two committed incs: the bound is reached");
+        let first = m.global().iter().next().expect("two entries").op.id;
+        {
+            let mut view = m.global_state().acquire_route(Route::Single(0));
+            let at = view.find(first).expect("committed entries are found too");
+            view.remove(at);
+        }
+        assert_eq!(compare(&m), 0, "one committed inc left: there is room");
     }
 
     #[test]

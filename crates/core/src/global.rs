@@ -83,28 +83,59 @@
 //! and the `committed` list's mutex is only ever taken while already
 //! holding shard locks (never the reverse), so the lock order is total.
 //!
-//! ## Incremental `allowed` (the per-shard snapshot cache)
+//! ## Incremental `allowed` (the per-class committed-prefix cache)
 //!
 //! Every PUSH evaluates `G allows op` and every UNPUSH evaluates
 //! `allowed (G ∖ op)`; replaying the whole log makes a run of `n`
-//! operations O(n²) in spec transitions. Each shard's `PrefixCache`
-//! memoizes the denotation `⟦G_i[..len]⟧` of the longest *fully
-//! committed* prefix of that shard's segment. Because the denotation is
-//! compositional (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split
-//! point `k`), the criteria can replay only the uncommitted suffix and
-//! get bit-identical answers — and bit-identical audit counts, since the
-//! audit counts *queries*, not spec transitions. With `N > 1` the shards
-//! factor `allowed` as a product spec over footprint classes (the second
-//! declared law, validated by
-//! [`check_allowed_factorization`](crate::spec::check_allowed_factorization));
-//! the coarse path skips the caches and replays the merged log in full.
+//! operations O(n²) in spec transitions, and memoizing the *whole-shard*
+//! state still makes one query cost as much as the shard has keys. Both
+//! questions are about one operation, and by footprint law 2 (`allowed`
+//! factorizes over key classes —
+//! [`check_allowed_factorization`](crate::spec::check_allowed_factorization),
+//! the law that already makes sharding sound) together with the invariant
+//! that `G` itself is always allowed (every PUSH checked (iii), every
+//! UNPUSH (ii), CMT changes no content), their answer depends on the
+//! operation's own key class alone: `allowed (G · op)` ⇔ every class of
+//! `G · op` is allowed ⇔ `G|class(op) · op` is allowed, the other classes
+//! being classes of `G`, unchanged.
+//!
+//! So **lock granularity is `key % N`, cache granularity is the key**.
+//! Each shard's `PrefixCache` holds `len`, the boundary of the longest
+//! *fully committed* prefix of its segment, and for every footprint class
+//! `k` present in `G_i[..len]` the small set `⟦G_i[..len]|k⟧` — the
+//! sub-log of class `k` replayed from the initial states, which *is* the
+//! projection of the shard's state onto `k` (an absent class denotes
+//! `⟦ε⟧`). The class of a method is its single declared key when `N > 1`
+//! and the one class `0` when `N = 1`: `method_keys` is never consulted
+//! on a single-shard machine, and shard = class mod `N` — routing and
+//! caching are one decision (`GlobalState::class_in`). PUSH (iii) and
+//! UNPUSH (ii) replay `class(op)`'s cached set over only the suffix
+//! entries of that class. Because the denotation is compositional
+//! (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split point `k`) the
+//! verdicts are bit-identical to the full replay — and so are the audit
+//! counts, since the audit counts *queries*, not spec transitions. What
+//! a criterion costs is O(|uncommitted suffix|), whatever the shard's
+//! history and however many other keys hash to it.
+//!
+//! The scans that by the all-committed invariant concern only entries
+//! past `len` start there too: PUSH (ii)'s foreign-uncommitted mover
+//! loop, UNPUSH's lookup of its (uncommitted) entry, CMT's flag flips;
+//! UNPUSH (i) starts right after the entry it located.
+//!
+//! A multi-shard (coarse) view and [`GlobalState::set_incremental`]`(false)`
+//! skip every cache: the merged (or the one shard's) log is replayed in
+//! full from position 0 — the reference the differential tests compare
+//! against. A method with no single-key footprint has no class; entries
+//! of one exist only once the sticky coarse flag is set, after which no
+//! cache is read again.
 //!
 //! Invalidation rules, per shard:
 //!
 //! * PUSH appends — the cached prefix is untouched.
 //! * CMT flips flags in place and never reorders — flags are not part of
-//!   the denotation, so the cache stays valid and is then *advanced* over
-//!   the newly committed prefix.
+//!   the denotation, so the cache stays valid and is then *advanced*:
+//!   each newly committed entry at the boundary is folded into its own
+//!   class.
 //! * UNPUSH removes an *uncommitted* entry, which by the all-committed
 //!   invariant lies at or past `len`; the cache is untouched. A removal
 //!   inside the cached prefix (impossible through the rule API) resets the
@@ -122,9 +153,9 @@
 //! UNPUSH removes by position, and the criteria replay iterates cursors
 //! over it instead of collecting `Vec`s.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock, TryLockError};
 
 use crate::audit::{AtomicAudit, CriteriaAudit};
 use crate::certificate::SpecCertificate;
@@ -186,28 +217,43 @@ pub struct CommittedTxn<M, R> {
     pub kind: TxnKind,
 }
 
+/// Unwraps a lock acquisition. No critical section of this module is
+/// written to leave its data valid if it unwinds half-way, so a lock
+/// poisoned by a panicking holder is never recovered: the panic
+/// propagates to every later acquirer.
+fn unpoisoned<G>(acquired: LockResult<G>) -> G {
+    acquired.expect("a thread panicked while holding a GlobalState lock")
+}
+
 /// Memoized denotation of the longest fully committed prefix of a shard's
-/// log segment.
+/// log segment, one small set per footprint class (see the module docs).
 #[derive(Debug, Clone)]
-pub(crate) struct PrefixCache<St> {
-    /// Entries `[..len]` of the shard log are all committed and their
-    /// denotation is `states`.
-    pub(crate) len: usize,
-    /// `⟦G_i[..len]⟧`.
-    pub(crate) states: HashSet<St>,
+struct PrefixCache<St> {
+    /// Entries `[..len]` of the shard log are all committed.
+    len: usize,
+    /// `⟦ε⟧` — what a class absent from `classes` denotes.
+    initial: HashSet<St>,
+    /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
+    classes: HashMap<u64, HashSet<St>>,
 }
 
 impl<St: Clone + Eq + std::hash::Hash> PrefixCache<St> {
     fn new(initial: Vec<St>) -> Self {
         Self {
             len: 0,
-            states: initial.into_iter().collect(),
+            initial: initial.into_iter().collect(),
+            classes: HashMap::new(),
         }
     }
 
-    fn reset(&mut self, initial: Vec<St>) {
+    fn reset(&mut self) {
         self.len = 0;
-        self.states = initial.into_iter().collect();
+        self.classes.clear();
+    }
+
+    /// `⟦G_i[..len]|class⟧`.
+    fn class(&self, class: u64) -> &HashSet<St> {
+        self.classes.get(&class).unwrap_or(&self.initial)
     }
 }
 
@@ -235,7 +281,7 @@ pub(crate) struct ShardLog<S: SeqSpec> {
     /// by stamp reconstructs the total append order of `G`.
     entries: Vec<StampedEntry<S>>,
     /// The committed-prefix denotation cache for this segment.
-    pub(crate) cache: PrefixCache<S::State>,
+    cache: PrefixCache<S::State>,
 }
 
 // Manual impl: a derived `Clone` would demand `S: Clone`, which nothing
@@ -298,9 +344,15 @@ impl<S: SeqSpec> ShardLog<S> {
         self.entries[pos].0
     }
 
-    /// Position of the entry with `id` in shard order.
-    pub(crate) fn position(&self, id: OpId) -> Option<usize> {
-        self.iter().position(|e| e.op.id == id)
+    /// Position of the entry with `id` in shard order. Asked for by
+    /// UNPUSH, whose entry is uncommitted: the suffix past the committed
+    /// boundary is searched first, the prefix only as a fallback.
+    fn position(&self, id: OpId) -> Option<usize> {
+        let (committed, suffix) = self.entries.split_at(self.cache.len);
+        let at = |part: &[StampedEntry<S>]| part.iter().position(|(_, e)| e.op.id == id);
+        at(suffix)
+            .map(|p| committed.len() + p)
+            .or_else(|| at(committed))
     }
 
     /// The entry with `id`, if present.
@@ -319,9 +371,14 @@ impl<S: SeqSpec> ShardLog<S> {
     }
 
     /// Removes the entry at `pos` (the effect of an UNPUSH on this
-    /// shard).
+    /// shard). An uncommitted entry lies at or past the cache boundary; a
+    /// removal below it — impossible through the rule API — resets the
+    /// cache defensively.
     fn remove_at(&mut self, pos: usize) {
         self.entries.remove(pos);
+        if pos < self.cache.len {
+            self.cache.reset();
+        }
     }
 
     /// Flips every entry of `local` held by this shard to committed,
@@ -590,9 +647,17 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     }
 
     /// Runs `body` with the view focused on held shard `shard`.
+    ///
+    /// Invariant: `shard` is held. A held section's shard set is
+    /// `TxnHandle::held_shards` — the routes of its members' own
+    /// operations, the only ones a held PUSH/UNPUSH is about — so the
+    /// lookup cannot miss. Were it to, the view stays unfocused and
+    /// nothing is corrupted: an UNPUSH does not find its entry
+    /// (`NoSuchOp`), and a PUSH stops at `append_push`'s own held-target
+    /// check before anything is written.
     pub(crate) fn focused<R>(&mut self, shard: usize, body: impl FnOnce(&mut Self) -> R) -> R {
-        let k = self.shards.iter().position(|(i, _)| *i == shard);
-        self.focus = Some(k.expect("a held section holds every shard its transactions route to"));
+        self.focus = self.shards.iter().position(|(i, _)| *i == shard);
+        debug_assert!(self.focus.is_some(), "held section lacks shard {shard}");
         let out = body(self);
         self.focus = None;
         out
@@ -603,10 +668,15 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// shard is already stamp-ordered). For a single shard this
     /// degenerates to a plain cursor walk.
     pub(crate) fn stamped(&self) -> StampedIter<'_, 'a, S> {
+        self.stamped_from(|_| 0)
+    }
+
+    /// [`Self::stamped`] with each shard's cursor started at `start(shard)`.
+    fn stamped_from(&self, start: impl Fn(&ShardLog<S>) -> usize) -> StampedIter<'_, 'a, S> {
         let shards = &self.shards[self.scope()];
         StampedIter {
             shards,
-            pos: shards.iter().map(|_| 0).collect(),
+            pos: shards.iter().map(|(_, sh)| start(sh)).collect(),
         }
     }
 
@@ -621,6 +691,12 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     pub(crate) fn find(&self, id: OpId) -> Option<(usize, usize)> {
         self.scope()
             .find_map(|v| self.shards[v].1.position(id).map(|p| (v, p)))
+    }
+
+    /// Removes the entry at `(view index, position)`, as located by
+    /// [`Self::find`] (the UNPUSH effect).
+    pub(crate) fn remove(&mut self, (vidx, pos): (usize, usize)) {
+        self.shards[vidx].1.remove_at(pos);
     }
 
     /// The entry at `(view index, position)`, as located by [`Self::find`].
@@ -674,31 +750,74 @@ impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
 }
 
 impl<S: SeqSpec> LogView<'_, S> {
-    /// Every viewed entry, in stamp order — what the mover criteria scan.
+    /// Every viewed entry, in stamp order.
     pub(crate) fn live(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
         self.stamped().map(|(_, e)| e)
     }
 
-    /// `⟦G ∖ skip⟧` — the denotation of the whole viewed log, optionally
-    /// without the entry at `(view index, position)` as located by
-    /// [`Self::find`]. A view of one shard (the only one held, or the
-    /// focused one) replays only the suffix past that shard's cache (when
-    /// the incremental path is on); a multi-shard view replays the merged
-    /// stamp-ordered log in full. The answer is the same either way.
-    /// `skip` is an uncommitted entry, so it lies past the cache boundary;
-    /// if it ever does not (unreachable through the rule API), fall back
-    /// to the full replay.
-    pub(crate) fn denote(
+    /// Every viewed *uncommitted* entry, in stamp order — what PUSH (ii)
+    /// scans. All of them lie at or past their shard's committed boundary,
+    /// so the cursors start there (at 0 on the full-replay reference
+    /// path, which trusts no cache field).
+    pub(crate) fn uncommitted(
         &self,
         global: &GlobalState<S>,
+    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
+        let cached = global.incremental();
+        let from_boundary = self.stamped_from(move |sh| if cached { sh.cache.len } else { 0 });
+        from_boundary
+            .map(|(_, e)| e)
+            .filter(|e| e.flag == GlobalFlag::Uncommitted)
+    }
+
+    /// Every viewed entry stamped after the one at `(view index,
+    /// position)`, in stamp order — what UNPUSH (i) scans. Stamps are
+    /// strictly increasing within a shard, so each cursor starts by
+    /// binary search (on the entry's own shard: right behind it).
+    pub(crate) fn after(
+        &self,
+        (vidx, pos): (usize, usize),
+    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
+        let stamp = self.shards[vidx].1.stamp_at(pos);
+        let later = self.stamped_from(|sh| sh.entries.partition_point(|(s, _)| *s <= stamp));
+        later.map(|(_, e)| e)
+    }
+
+    /// PUSH (iii): does `G` allow `op`?
+    pub(crate) fn allows(&self, global: &GlobalState<S>, op: &Op<S::Method, S::Ret>) -> bool {
+        !self.replay(global, &op.method, None, Some(op)).is_empty()
+    }
+
+    /// UNPUSH (ii): is `G` without the entry at `(view index, position)`,
+    /// as located by [`Self::find`], still allowed?
+    pub(crate) fn allowed_without(&self, global: &GlobalState<S>, at: (usize, usize)) -> bool {
+        let method = &self.at(at.0, at.1).op.method;
+        !self.replay(global, method, Some(at), None).is_empty()
+    }
+
+    /// `⟦(G ∖ skip) · then⟧`, as far as the `allowed` verdict about an
+    /// operation of `method` needs it. A view of one shard (the only one
+    /// held, or the focused one) replays, from the cached set of
+    /// `method`'s footprint class, only the suffix entries of that class
+    /// past the shard's committed boundary (when the incremental path is
+    /// on); a multi-shard view replays the merged stamp-ordered log in
+    /// full. Empty or not is the same either way (module docs). `skip` is
+    /// an uncommitted entry, so it lies past the boundary; if it ever does
+    /// not (unreachable through the rule API), fall back to the full
+    /// replay.
+    fn replay<'o>(
+        &'o self,
+        global: &GlobalState<S>,
+        method: &S::Method,
         skip: Option<(usize, usize)>,
+        then: Option<&'o Op<S::Method, S::Ret>>,
     ) -> HashSet<S::State> {
         let spec = &global.spec;
         let scope = self.scope();
         if scope.len() != 1 {
             let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
             let merged = self.live().filter(|e| Some(e.op.id) != skipped);
-            return spec.denote_refs(merged.map(|e| &e.op));
+            return spec.denote_refs(merged.map(|e| &e.op).chain(then));
         }
         let sh = &self.shards[scope.start].1;
         let skip = skip.map(|(_, pos)| pos);
@@ -707,10 +826,14 @@ impl<S: SeqSpec> LogView<'_, S> {
             kept.filter(move |(k, _)| Some(from + k) != skip)
                 .map(|(_, e)| &e.op)
         };
-        if global.incremental() && skip.is_none_or(|p| p >= sh.cache.len) {
-            spec.denote_from_refs(&sh.cache.states, ops_from(sh.cache.len))
-        } else {
-            spec.denote_refs(ops_from(0))
+        let cached = global.incremental() && skip.is_none_or(|p| p >= sh.cache.len);
+        match global.class_of(method).filter(|_| cached) {
+            Some(class) => {
+                let suffix = ops_from(sh.cache.len);
+                let of_class = suffix.filter(|op| global.class_of(&op.method) == Some(class));
+                spec.denote_from_refs(sh.cache.class(class), of_class.chain(then))
+            }
+            None => spec.denote_refs(ops_from(0).chain(then)),
         }
     }
 }
@@ -887,7 +1010,7 @@ impl<S: SeqSpec> GlobalState<S> {
     /// tick and HTM boundaries.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
         self.faults_armed.store(hook.is_some(), Ordering::Release);
-        *self.faults.write().expect("fault hook lock poisoned") = hook;
+        *unpoisoned(self.faults.write()) = hook;
     }
 
     /// The armed fault hook, if any.
@@ -895,10 +1018,7 @@ impl<S: SeqSpec> GlobalState<S> {
         if !self.faults_armed.load(Ordering::Acquire) {
             return None;
         }
-        self.faults
-            .read()
-            .expect("fault hook lock poisoned")
-            .clone()
+        unpoisoned(self.faults.read()).clone()
     }
 
     /// Installs (or, with `None`, removes) a set of statically proven
@@ -921,17 +1041,11 @@ impl<S: SeqSpec> GlobalState<S> {
                  spec certificate and none is installed; keeping exact dynamic checks",
             );
             self.static_armed.store(false, Ordering::Release);
-            *self
-                .static_facts
-                .write()
-                .expect("static facts lock poisoned") = None;
+            *unpoisoned(self.static_facts.write()) = None;
             return;
         }
         self.static_armed.store(armed, Ordering::Release);
-        *self
-            .static_facts
-            .write()
-            .expect("static facts lock poisoned") = facts;
+        *unpoisoned(self.static_facts.write()) = facts;
     }
 
     /// Installs (or, with `None`, removes) a spec certificate — the
@@ -941,22 +1055,17 @@ impl<S: SeqSpec> GlobalState<S> {
     /// errors) is allowed but arms nothing: strict mode treats it
     /// exactly like no certificate.
     pub fn install_certificate(&self, cert: Option<Arc<SpecCertificate>>) {
-        *self.certificate.write().expect("certificate lock poisoned") = cert;
+        *unpoisoned(self.certificate.write()) = cert;
     }
 
     /// The installed spec certificate, if any.
     pub fn certificate(&self) -> Option<Arc<SpecCertificate>> {
-        self.certificate
-            .read()
-            .expect("certificate lock poisoned")
-            .clone()
+        unpoisoned(self.certificate.read()).clone()
     }
 
     /// Is a *valid* certificate installed (present and error-free)?
     pub fn certified(&self) -> bool {
-        self.certificate
-            .read()
-            .expect("certificate lock poisoned")
+        unpoisoned(self.certificate.read())
             .as_ref()
             .is_some_and(|c| c.is_valid())
     }
@@ -970,10 +1079,7 @@ impl<S: SeqSpec> GlobalState<S> {
         if !self.require_certificate() {
             return true;
         }
-        let ok = self
-            .certificate
-            .read()
-            .expect("certificate lock poisoned")
+        let ok = unpoisoned(self.certificate.read())
             .as_ref()
             .is_some_and(|c| c.open_nesting_certified());
         if !ok {
@@ -1015,18 +1121,12 @@ impl<S: SeqSpec> GlobalState<S> {
     /// The diagnostics recorded by the certificate gate: one line per
     /// refused arming request or coarse demotion, in order.
     pub fn arming_diagnostics(&self) -> Vec<String> {
-        self.arming_diags
-            .lock()
-            .expect("arming diags lock poisoned")
-            .clone()
+        unpoisoned(self.arming_diags.lock()).clone()
     }
 
     /// Records one certificate-gate diagnostic.
     fn note_arming_diag(&self, msg: &str) {
-        self.arming_diags
-            .lock()
-            .expect("arming diags lock poisoned")
-            .push(msg.to_string());
+        unpoisoned(self.arming_diags.lock()).push(msg.to_string());
     }
 
     /// Sets the sticky coarse flag (SeqCst, same protocol as routing's
@@ -1044,10 +1144,7 @@ impl<S: SeqSpec> GlobalState<S> {
         if !self.static_armed.load(Ordering::Acquire) {
             return None;
         }
-        self.static_facts
-            .read()
-            .expect("static facts lock poisoned")
-            .clone()
+        unpoisoned(self.static_facts.read()).clone()
     }
 
     /// Is the runtime check for `(rule, clause)` statically discharged?
@@ -1056,9 +1153,7 @@ impl<S: SeqSpec> GlobalState<S> {
         if !self.static_armed.load(Ordering::Acquire) {
             return false;
         }
-        self.static_facts
-            .read()
-            .expect("static facts lock poisoned")
+        unpoisoned(self.static_facts.read())
             .as_ref()
             .is_some_and(|f| f.discharges(rule, clause))
     }
@@ -1094,17 +1189,34 @@ impl<S: SeqSpec> GlobalState<S> {
     // Routing and shard-lock acquisition.
     // ------------------------------------------------------------------
 
-    /// Routes `method` under a layout of `n` shards. With one shard
-    /// everything is `Single(0)` — the footprints are not consulted, so
-    /// a single-shard machine is bit-identical to the historical
+    /// The footprint class of `method` under a layout of `n` shards: the
+    /// unit the committed-prefix caches memoize by, and — modulo `n` —
+    /// the shard the method routes to. With one shard everything is the
+    /// one class `0` — the footprints are not consulted, so a
+    /// single-shard machine is bit-identical to the historical
     /// single-lock one even for specs with (or without) footprints.
-    fn route_in(spec: &S, n: usize, method: &S::Method) -> Route {
+    /// Above one shard it is the method's single declared key; a method
+    /// with no (or a multi-key) footprint has no class and routes coarse.
+    fn class_in(spec: &S, n: usize, method: &S::Method) -> Option<u64> {
         if n == 1 {
-            return Route::Single(0);
+            return Some(0);
         }
         match spec.method_keys(method) {
-            Some(keys) if keys.len() == 1 => Route::Single((keys[0] % n as u64) as usize),
-            _ => Route::Coarse,
+            Some(keys) if keys.len() == 1 => Some(keys[0]),
+            _ => None,
+        }
+    }
+
+    /// The footprint class of `method` under the current shard layout.
+    fn class_of(&self, method: &S::Method) -> Option<u64> {
+        Self::class_in(&self.spec, self.shards.len(), method)
+    }
+
+    /// Routes `method` under a layout of `n` shards: class mod `n`.
+    fn route_in(spec: &S, n: usize, method: &S::Method) -> Route {
+        match Self::class_in(spec, n, method) {
+            Some(class) => Route::Single((class % n as u64) as usize),
+            None => Route::Coarse,
         }
     }
 
@@ -1121,9 +1233,9 @@ impl<S: SeqSpec> GlobalState<S> {
             Ok(guard) => guard,
             Err(TryLockError::WouldBlock) => {
                 self.lock_contended[i].fetch_add(1, Ordering::Relaxed);
-                self.shards[i].lock().expect("shard log mutex poisoned")
+                unpoisoned(self.shards[i].lock())
             }
-            Err(TryLockError::Poisoned(_)) => panic!("shard log mutex poisoned"),
+            Err(TryLockError::Poisoned(holder_panicked)) => unpoisoned(Err(holder_panicked)),
         }
     }
 
@@ -1263,18 +1375,6 @@ impl<S: SeqSpec> GlobalState<S> {
         &self.nesting
     }
 
-    /// Removes the entry at `(view index, position)`, as located by
-    /// [`LogView::find`] (the UNPUSH effect), maintaining the prefix
-    /// cache (a removal inside the cached prefix — impossible through the
-    /// rule API — resets it defensively).
-    pub(crate) fn remove_push(&self, view: &mut LogView<'_, S>, vidx: usize, pos: usize) {
-        let sh = &mut view.shards[vidx].1;
-        sh.remove_at(pos);
-        if pos < sh.cache.len {
-            sh.cache.reset(self.spec.initial_states());
-        }
-    }
-
     /// The `cmt` effect over a held view: flips every held entry of
     /// `local` committed, appends `record` to the committed list — while
     /// still holding the commit's shard locks, so the global commit order
@@ -1289,20 +1389,14 @@ impl<S: SeqSpec> GlobalState<S> {
         record: CommittedTxn<S::Method, S::Ret>,
     ) -> Vec<OpId> {
         let flipped = view.commit_local(local);
-        self.committed
-            .lock()
-            .expect("committed list mutex poisoned")
-            .push(record);
+        unpoisoned(self.committed.lock()).push(record);
         self.advance_caches(view);
         flipped
     }
 
     /// Committed transactions in global commit order.
     pub fn committed_txns(&self) -> Vec<CommittedTxn<S::Method, S::Ret>> {
-        self.committed
-            .lock()
-            .expect("committed list mutex poisoned")
-            .clone()
+        unpoisoned(self.committed.lock()).clone()
     }
 
     /// A snapshot of the whole shared log `G`, merged across shards in
@@ -1335,20 +1429,20 @@ impl<S: SeqSpec> GlobalState<S> {
     // Cache maintenance (called under the shard locks).
     // ------------------------------------------------------------------
 
-    /// Advances one shard's cache over its newly committed prefix.
-    fn advance_shard_cache(spec: &S, sh: &mut ShardLog<S>) {
-        loop {
-            if sh.cache.len >= sh.len() {
+    /// Advances one shard's cache (of a layout of `n` shards) over its
+    /// newly committed prefix, folding each entry into its own class. An
+    /// entry without a class exists only once the sticky coarse flag is
+    /// set, after which no cache is read; the boundary still moves past it
+    /// (the uncommitted-only scans start there at any routing).
+    fn advance_shard_cache(spec: &S, n: usize, sh: &mut ShardLog<S>) {
+        while let Some((_, e)) = sh.entries.get(sh.cache.len) {
+            if e.flag != GlobalFlag::Committed {
                 break;
             }
-            let next = {
-                let e = sh.entry_at(sh.cache.len);
-                if e.flag != GlobalFlag::Committed {
-                    break;
-                }
-                spec.denote_from_refs(&sh.cache.states, std::iter::once(&e.op))
-            };
-            sh.cache.states = next;
+            if let Some(class) = Self::class_in(spec, n, &e.op.method) {
+                let next = spec.denote_from_refs(sh.cache.class(class), std::iter::once(&e.op));
+                sh.cache.classes.insert(class, next);
+            }
             sh.cache.len += 1;
         }
     }
@@ -1356,7 +1450,7 @@ impl<S: SeqSpec> GlobalState<S> {
     /// Advances every held shard's cache (after CMT).
     fn advance_caches(&self, view: &mut LogView<'_, S>) {
         for (_, sh) in &mut view.shards {
-            Self::advance_shard_cache(&self.spec, sh);
+            Self::advance_shard_cache(&self.spec, self.shards.len(), sh);
         }
     }
 
@@ -1369,7 +1463,7 @@ impl<S: SeqSpec> GlobalState<S> {
         let n = n.max(1);
         let mut stamped: Vec<StampedEntry<S>> = Vec::new();
         for m in &self.shards {
-            let sh = m.lock().expect("shard log mutex poisoned");
+            let sh = unpoisoned(m.lock());
             stamped.extend(sh.entries.iter().cloned());
         }
         stamped.sort_by_key(|(s, _)| *s);
@@ -1387,7 +1481,7 @@ impl<S: SeqSpec> GlobalState<S> {
             .into_iter()
             .map(|seg| {
                 let mut sh = ShardLog::from_stamped(seg, self.spec.initial_states());
-                Self::advance_shard_cache(&self.spec, &mut sh);
+                Self::advance_shard_cache(&self.spec, n, &mut sh);
                 Mutex::new(sh)
             })
             .collect();
@@ -1403,7 +1497,7 @@ impl<S: SeqSpec> GlobalState<S> {
         let shards = self
             .shards
             .iter()
-            .map(|m| Mutex::new(m.lock().expect("shard log mutex poisoned").clone()))
+            .map(|m| Mutex::new(unpoisoned(m.lock()).clone()))
             .collect();
         let copied = |cs: &[AtomicU64]| {
             cs.iter()

@@ -1442,7 +1442,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 criteria::unpush(global, view, (vidx, pos), mode == CheckMode::Checked)
                     .settle(&global.audit, shard)?;
             }
-            global.remove_push(view, vidx, pos);
+            view.remove((vidx, pos));
             Ok(())
         })?;
         self.set_pushed(op_id, false);

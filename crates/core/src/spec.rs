@@ -148,18 +148,24 @@ pub trait SeqSpec {
         Self::Method: 'a,
         Self::Ret: 'a,
     {
-        let mut cur: HashSet<Self::State> = states.clone();
+        let step = |from: &HashSet<Self::State>, op: &Op<Self::Method, Self::Ret>| {
+            let posts = from
+                .iter()
+                .flat_map(|s| self.post_states(s, &op.method, &op.ret));
+            posts.collect::<HashSet<_>>()
+        };
+        // The first operation steps straight off the borrowed seed; the
+        // seed is cloned only when there is nothing to step.
+        let mut ops = ops.into_iter();
+        let Some(first) = ops.next() else {
+            return states.clone();
+        };
+        let mut cur = step(states, first);
         for op in ops {
-            let mut next = HashSet::new();
-            for s in &cur {
-                for s2 in self.post_states(s, &op.method, &op.ret) {
-                    next.insert(s2);
-                }
-            }
-            cur = next;
             if cur.is_empty() {
                 break;
             }
+            cur = step(&cur, op);
         }
         cur
     }
@@ -250,8 +256,9 @@ pub trait SeqSpec {
     /// 2. **`allowed` factorizes over key classes**: for any log whose
     ///    operations each declare exactly one key,
     ///    `allowed(ℓ) ⇔ ∀k. allowed(ℓ|k)` where `ℓ|k` keeps the ops with
-    ///    key `k` in order. This is what lets each shard keep its own
-    ///    committed-prefix cache and answer `G allows op` locally.
+    ///    key `k` in order. This is what lets each shard keep its
+    ///    committed-prefix cache per key class and answer `G allows op`
+    ///    from `op`'s own class alone.
     ///
     /// Returns an inline [`KeySet`] (not a `Vec`): footprints are
     /// consulted on every routed rule, so declaring one must not

@@ -7,17 +7,23 @@
 //!
 //! The counting tests are single-threaded and deterministic, so the lock
 //! counters have exact expected values rather than bounds; the last test
-//! runs the one critical section against itself on OS threads.
+//! runs the one critical section against itself on OS threads. Beside
+//! the lock counts, a metered spec counts what a critical section
+//! *evaluates*: the denotation steps of a transaction on a fresh key, and
+//! the sizes of the states they run over, must not depend on its shard's
+//! history.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use pushpull::core::lang::Code;
 use pushpull::core::machine::{CheckMode, Machine};
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
+use pushpull::core::spec::{KeySet, SeqSpec};
 use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
 use pushpull::core::GroupTxnResult;
-use pushpull::spec::kvmap::{KvMap, MapMethod};
+use pushpull::spec::kvmap::{KvMap, MapMethod, MapOp, MapRet, MapState};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
 const TB: ThreadId = ThreadId(1);
@@ -281,6 +287,97 @@ fn held_commit_equals_the_unheld_rules_under_one_acquisition_per_shard() {
             assert_eq!(held.global().committed_ops().len(), 2);
         }
     }
+}
+
+/// `KvMap` with its denotation metered: how often `post_states` ran, and
+/// over how many bindings in all (the sizes of the states it was handed).
+#[derive(Debug, Default)]
+struct MeteredKvMap {
+    map: KvMap,
+    calls: AtomicU64,
+    bindings: AtomicU64,
+}
+
+impl SeqSpec for MeteredKvMap {
+    type Method = MapMethod;
+    type Ret = MapRet;
+    type State = MapState;
+
+    fn initial_states(&self) -> Vec<MapState> {
+        self.map.initial_states()
+    }
+
+    fn post_states(&self, state: &MapState, method: &MapMethod, ret: &MapRet) -> Vec<MapState> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.bindings
+            .fetch_add(state.len() as u64, Ordering::Relaxed);
+        self.map.post_states(state, method, ret)
+    }
+
+    fn results(&self, state: &MapState, method: &MapMethod) -> Vec<MapRet> {
+        self.map.results(state, method)
+    }
+
+    fn mover(&self, op1: &MapOp, op2: &MapOp) -> bool {
+        self.map.mover(op1, op2)
+    }
+
+    fn method_keys(&self, m: &MapMethod) -> Option<KeySet> {
+        self.map.method_keys(m)
+    }
+}
+
+/// What a `Put;Get;Put` transaction on the fresh key 0 costs after
+/// `history` committed transactions on *other* keys of its shard (shard 0
+/// of 4): `[post_states calls, bindings in the states they were handed]`
+/// and the shard-lock acquisitions.
+fn fresh_key_cost(history: u64) -> ([u64; 2], Vec<u64>) {
+    let mut m = Machine::new(MeteredKvMap::default());
+    let others = (1..=history).map(|i| Code::method(MapMethod::Put(4 * i, 1)));
+    let filler = m.add_thread(others.collect());
+    let probe = [
+        MapMethod::Put(0, 1),
+        MapMethod::Get(0),
+        MapMethod::Put(0, 2),
+    ];
+    let probe = m.add_thread(vec![Code::seq_all(probe.map(Code::method).to_vec())]);
+    m.set_log_shards(4);
+    for _ in 0..history {
+        let op = m.app_auto(filler).unwrap();
+        m.push(filler, op).unwrap();
+        m.commit(filler).unwrap();
+    }
+    let meter = |m: &Machine<MeteredKvMap>| {
+        let spec = m.spec();
+        let steps = [&spec.calls, &spec.bindings].map(|c| c.load(Ordering::Relaxed));
+        (steps, m.lock_stats_per_shard())
+    };
+    let (steps_before, locks_before) = meter(&m);
+    for _ in 0..3 {
+        let op = m.app_auto(probe).unwrap();
+        m.push(probe, op).unwrap();
+    }
+    m.commit(probe).unwrap();
+    let (steps, locks) = meter(&m);
+    let locks = locks.iter().zip(&locks_before).map(|(a, b)| a.0 - b.0);
+    (
+        [steps[0] - steps_before[0], steps[1] - steps_before[1]],
+        locks.collect(),
+    )
+}
+
+/// History-flat as a count, not a timing: what the criteria evaluate for
+/// a transaction depends on its own key's history, not on how many other
+/// keys hash to its shard or how much was committed on them. With the
+/// committed-prefix cache kept per shard (the parent of PR 20) the same 15
+/// calls were handed 585 bindings after 64 transactions and 9 225 after
+/// 1 024 — nine of them over a state of the whole shard's size; per class
+/// it is 9 bindings either way, the transaction's own.
+#[test]
+fn a_fresh_key_costs_the_same_after_any_history_on_its_shard() {
+    let short = fresh_key_cost(64);
+    assert_eq!(short, fresh_key_cost(1024));
+    assert_eq!(short.1, [4, 0, 0, 0], "three PUSHes and the CMT, shard 0");
 }
 
 /// Evaluate-and-append is one step under the shard lock: four OS threads

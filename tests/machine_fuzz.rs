@@ -18,8 +18,10 @@ use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
 use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
 use pushpull::core::{Machine, MachineError, ScopeKind};
+use pushpull::spec::bank::{Bank, BankMethod};
 use pushpull::spec::counter::{Counter, CtrMethod};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
+use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
 /// One random rule attempt. Criterion violations are fine (the rule is
 /// simply not taken); structural errors for targets we chose in-range
@@ -199,15 +201,29 @@ fn fuzz_commits_nontrivially() {
     );
 }
 
-/// One seeded attempt at any rule or derived operation, local criteria
-/// first: APP, UNAPP, PULL of any foreign entry, UNPULL at the tail and
+/// Every kind of step [`seeded_step`] knows, once each: APP (three times
+/// as likely), UNAPP, PULL of any foreign entry, UNPULL at the tail and
 /// mid-log, the strict and the lenient refresh, PUSH, UNPUSH, CMT,
-/// `abort_and_retry` and the nested-scope steps. Every outcome — a
-/// criterion denial, a structural refusal — is part of the input space.
-fn any_step<S: SeqSpec>(m: &mut Machine<S>, rng: &mut Xorshift64) -> Result<(), MachineError> {
+/// `abort_and_retry` and the nested-scope steps.
+const ANY_STEP: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
+/// [`ANY_STEP`] narrowed to the steps that read or change `G`, so that
+/// most of a run is spent where the shared criteria differ: APP, the
+/// strict refresh (what lets a later operation observe a committed
+/// value), PUSH, UNPUSH, CMT and, rarely, `abort_and_retry`.
+const SHARED_STEP: [usize; 12] = [0, 1, 2, 7, 7, 9, 9, 9, 10, 11, 11, 12];
+
+/// One seeded attempt at a rule or derived operation drawn from `kinds`,
+/// local criteria first. Every outcome — a criterion denial, a structural
+/// refusal — is part of the input space.
+fn seeded_step<S: SeqSpec>(
+    m: &mut Machine<S>,
+    rng: &mut Xorshift64,
+    kinds: &[usize],
+) -> Result<(), MachineError> {
     let tid = ThreadId(rng.gen_index(m.thread_count()));
     let local = m.thread(tid)?.local().clone();
-    let kind = rng.gen_index(16);
+    let kind = kinds[rng.gen_index(kinds.len())];
     let mut pick = |ids: Vec<OpId>| match ids.len() {
         0 => OpId(u64::MAX),
         n => ids[rng.gen_index(n)],
@@ -243,13 +259,20 @@ fn any_step<S: SeqSpec>(m: &mut Machine<S>, rng: &mut Xorshift64) -> Result<(), 
     }
 }
 
-/// The carried local denotation against the full-replay reference: a
-/// machine and its clone, `set_incremental(true)` and `(false)`, take the
-/// same few thousand seeded steps and must agree on every result and
-/// error, every trace and every audit tally after every step (in debug
-/// builds the handle also asserts its carried set is `⟦L⟧` each time it
-/// reads it). Returns how many steps a criterion denied.
-fn carried_vs_replayed<S>(spec: impl Fn() -> S, shards: usize, methods: &[S::Method]) -> usize
+/// The incremental paths — the handles' carried local denotation, the
+/// shards' per-class committed-prefix caches and the scans that start at
+/// the committed boundary — against the full-replay reference: a machine
+/// and its clone, `set_incremental(true)` and `(false)`, take the same few
+/// thousand seeded steps and must agree on every result and error, every
+/// trace, every audit tally, `G` and the committed list after every step
+/// (in debug builds the handle also asserts its carried set is `⟦L⟧` each
+/// time it reads it). Returns how many steps a criterion denied.
+fn carried_vs_replayed<S>(
+    spec: impl Fn() -> S,
+    shards: usize,
+    methods: &[S::Method],
+    kinds: &[usize],
+) -> usize
 where
     S: SeqSpec + Clone,
     S::Ret: PartialEq,
@@ -272,21 +295,24 @@ where
         carried.set_incremental(true);
         replayed.set_incremental(false);
         for step in 0..120 {
-            let got = any_step(&mut carried, &mut rng.clone());
-            let want = any_step(&mut replayed, &mut rng);
+            let got = seeded_step(&mut carried, &mut rng.clone(), kinds);
+            let want = seeded_step(&mut replayed, &mut rng, kinds);
             assert_eq!(got, want, "seed {seed} step {step}");
             assert_eq!(carried.audit(), replayed.audit(), "seed {seed} step {step}");
             assert!(
                 carried.trace() == replayed.trace(),
                 "seed {seed} step {step}: traces"
             );
+            assert!(
+                carried.global() == replayed.global(),
+                "seed {seed} step {step}: G"
+            );
+            assert!(
+                carried.committed_txns() == replayed.committed_txns(),
+                "seed {seed} step {step}: committed"
+            );
             denials += usize::from(matches!(got, Err(MachineError::Criterion(_))));
         }
-        assert!(carried.global() == replayed.global(), "seed {seed}: G");
-        assert!(
-            carried.committed_txns() == replayed.committed_txns(),
-            "seed {seed}"
-        );
     }
     denials
 }
@@ -294,14 +320,14 @@ where
 #[test]
 fn carried_and_replayed_local_criteria_agree_on_toy_counter() {
     let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
-    let denials = carried_vs_replayed(|| ToyCounter::with_bound(2), 1, &methods);
+    let denials = carried_vs_replayed(|| ToyCounter::with_bound(2), 1, &methods, &ANY_STEP);
     assert!(denials > 100, "the sweep must exercise denials ({denials})");
 }
 
 #[test]
 fn carried_and_replayed_local_criteria_agree_on_strict_counter() {
     let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
-    let denials = carried_vs_replayed(|| StrictCounter::with_bound(2), 1, &methods);
+    let denials = carried_vs_replayed(|| StrictCounter::with_bound(2), 1, &methods, &ANY_STEP);
     assert!(denials > 100, "the sweep must exercise denials ({denials})");
 }
 
@@ -315,6 +341,75 @@ fn carried_and_replayed_local_criteria_agree_on_kvmap() {
         MapMethod::Remove(0),
     ];
     // Four shards: the multi-shard CMT section rides along.
-    let denials = carried_vs_replayed(KvMap::new, 4, &methods);
+    let denials = carried_vs_replayed(KvMap::new, 4, &methods, &ANY_STEP);
     assert!(denials > 100, "the sweep must exercise denials ({denials})");
+}
+
+/// Class-local replay against whole-log replay where it can matter: at
+/// 2 and at 4 shards over `3 × shards` keys, so every shard holds at least
+/// three footprint classes (the KvMap case above puts each key on a shard
+/// of its own, where class = shard). PUSH (iii) / UNPUSH (ii) then step
+/// one class's cached set over the suffix entries of that class only, and
+/// must say what the reference says with every other key's history
+/// replayed too.
+///
+/// Mutation check, made in release (`cargo test --release --test
+/// machine_fuzz`; EXPERIMENTS.md "PR 20" has the runs): with the class
+/// filter on the suffix dropped from `LogView::replay`, all three tests
+/// fail within the first 25 seeds — an operation that observed a
+/// committed value is stepped over a set that never saw its key — and
+/// with the cache advance folding entries into a wrong class they fail
+/// within the first 5, while `carried_and_replayed_…_on_kvmap` above, one
+/// key per shard, passes under both. That takes [`SHARED_STEP`]: under
+/// [`ANY_STEP`] the first mutant survived 60 seeds on `Bank` and `RwMem`.
+/// A PUSH (ii) scan started one entry past the committed boundary fails
+/// every differential test in this file. The reset on a removal below the
+/// boundary cannot be reached through the rules; `criteria.rs`'s
+/// `a_removal_below_the_committed_boundary_resets_the_cache` covers it.
+fn projected_vs_replayed<S, const K: usize>(
+    spec: impl Fn() -> S,
+    per_key: impl Fn(u64) -> [S::Method; K],
+) where
+    S: SeqSpec + Clone,
+    S::Ret: PartialEq,
+{
+    for shards in [2, 4] {
+        // Every key once, and two keys of shard 0 three times more: most
+        // conflicts then involve two classes of one shard.
+        let hot = [0, shards as u64];
+        let keys = (0..3 * shards as u64).chain(hot.into_iter().cycle().take(6));
+        let methods: Vec<S::Method> = keys.flat_map(&per_key).collect();
+        let denials = carried_vs_replayed(&spec, shards, &methods, &SHARED_STEP);
+        assert!(
+            denials > 100,
+            "the sweep must exercise denials ({denials} at {shards} shards)"
+        );
+    }
+}
+
+#[test]
+fn projected_and_full_replay_criteria_agree_on_kvmap() {
+    projected_vs_replayed(KvMap::new, |k| {
+        [MapMethod::Put(k, k as i64), MapMethod::Get(k)]
+    });
+}
+
+#[test]
+fn projected_and_full_replay_criteria_agree_on_bank() {
+    projected_vs_replayed(Bank::new, |a| {
+        let a = a as u32;
+        [
+            BankMethod::Deposit(a, 2),
+            BankMethod::Withdraw(a, 1),
+            BankMethod::Balance(a),
+        ]
+    });
+}
+
+#[test]
+fn projected_and_full_replay_criteria_agree_on_rwmem() {
+    projected_vs_replayed(RwMem::new, |l| {
+        let l = Loc(l as u32);
+        [MemMethod::Write(l, i64::from(l.0) + 1), MemMethod::Read(l)]
+    });
 }

@@ -104,6 +104,29 @@ fn boosting_sharding_is_verdict_equivalent() {
 }
 
 #[test]
+fn boosting_many_keys_per_shard_is_verdict_equivalent() {
+    // Keys 0, 16, 32 share shard 0 and keys 1, 17, 33 shard 1 at 4 and at
+    // 16 shards alike: three footprint classes behind one lock, where the
+    // committed-prefix cache is per class and the rows above (one key per
+    // shard) cannot tell it from a per-shard one.
+    let key = |t: u64| 16 * (t % 3) + t % 2;
+    let programs = || {
+        (0..12u64)
+            .map(|t| {
+                vec![Code::seq_all(vec![
+                    Code::method(MapMethod::Put(key(t), t as i64)),
+                    Code::method(MapMethod::Get(key(t + 1))),
+                    Code::method(MapMethod::Remove(key(t + 2))),
+                ])]
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_shard_equivalence("boosting/kvmap-many-keys-per-shard", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
+}
+
+#[test]
 fn boosting_coarse_size_workload_is_verdict_equivalent() {
     // `Size` declares no footprint: every route after its first append
     // degrades to the sticky-coarse whole-log path. Outcomes still must
