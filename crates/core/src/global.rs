@@ -71,11 +71,13 @@
 //!   shard's own lock.
 //! * **PULL** by id locks one shard at a time, ascending, only to locate
 //!   and snapshot the pulled entry. The **refresh**
-//!   (`GlobalState::committed_except`) snapshots every committed entry the
-//!   caller lacks under one acquisition of *every* shard, each exactly
-//!   once — a consistent cut — and holds nothing while the entries are
-//!   pulled. PULL's criteria and effect are local; **UNPULL** is entirely
-//!   local.
+//!   (`GlobalState::committed_except`) snapshots the committed entries the
+//!   caller lacks under one acquisition, each lock exactly once — a
+//!   consistent cut — and holds nothing while the entries are pulled: of
+//!   *every* shard for the strict refresh, of the shards the caller's
+//!   footprint keys route to for the lenient one, which pulls only what
+//!   those keys concern. PULL's criteria and effect are local; **UNPULL**
+//!   is entirely local.
 //! * Once the sticky **coarse** flag is set, every shared rule takes
 //!   every shard lock.
 //!
@@ -106,9 +108,11 @@
 //! sub-log of class `k` replayed from the initial states, which *is* the
 //! projection of the shard's state onto `k` (an absent class denotes
 //! `⟦ε⟧`). The class of a method is its single declared key when `N > 1`
-//! and the one class `0` when `N = 1`: `method_keys` is never consulted
-//! on a single-shard machine, and shard = class mod `N` — routing and
-//! caching are one decision (`GlobalState::class_in`). PUSH (iii) and
+//! and the one class `0` when `N = 1`, and shard = class mod `N` —
+//! routing and caching are one decision (`GlobalState::class_in`), which
+//! never consults `method_keys` on a single-shard machine. (The lenient
+//! refresh's filter is the one reader of declared keys there, and it
+//! decides no criterion.) PUSH (iii) and
 //! UNPUSH (ii) replay `class(op)`'s cached set over only the suffix
 //! entries of that class. Because the denotation is compositional
 //! (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split point `k`) the
@@ -1192,9 +1196,12 @@ impl<S: SeqSpec> GlobalState<S> {
     /// The footprint class of `method` under a layout of `n` shards: the
     /// unit the committed-prefix caches memoize by, and — modulo `n` —
     /// the shard the method routes to. With one shard everything is the
-    /// one class `0` — the footprints are not consulted, so a
-    /// single-shard machine is bit-identical to the historical
-    /// single-lock one even for specs with (or without) footprints.
+    /// one class `0` — the footprints are not consulted, so every
+    /// *criterion* of a single-shard machine is evaluated as on the
+    /// historical single-lock one even for specs with (or without)
+    /// footprints. (The lenient refresh — [`Self::committed_except`] —
+    /// does read `method_keys` at one shard, to choose what to PULL; it
+    /// is the only thing that does, and it evaluates nothing.)
     /// Above one shard it is the method's single declared key; a method
     /// with no (or a multi-key) footprint has no class and routes coarse.
     fn class_in(spec: &S, n: usize, method: &S::Method) -> Option<u64> {
@@ -1307,21 +1314,45 @@ impl<S: SeqSpec> GlobalState<S> {
         None
     }
 
-    /// The committed entries of `G` that `have` does not already hold, in
-    /// stamp order, snapshotted under every shard lock at once (each taken
-    /// exactly once) — the refresh's candidates, the same consistent cut
-    /// as [`Self::global_snapshot`] without the rest of the log.
+    /// The refresh's candidates: the committed entries of `G` that `have`
+    /// does not already hold and that `footprint` concerns, in stamp
+    /// order, snapshotted under one acquisition (each lock taken exactly
+    /// once) of the shards that can hold them — a consistent cut of those
+    /// shards, the one [`Self::global_snapshot`] takes of all of them.
+    ///
+    /// `footprint` is a set of declared keys, ascending; `None` concerns
+    /// everything and locks every shard. An entry is concerned when its
+    /// method's declared keys ([`SeqSpec::method_keys`]) meet the set, or
+    /// when it declares none. The filter never looks at `key % N`, so it
+    /// selects the same operations at every shard count; `N` only decides
+    /// the locks — the shards the keys route to, or every shard once the
+    /// sticky coarse flag is set, which is the only time a shard other
+    /// than a key's own can hold a concerned entry (one without a single
+    /// declared key lives on shard 0).
+    ///
     /// Membership is by op id, never by a stamp watermark: stamps are
     /// minted at PUSH and commits land later, so an entry can commit
     /// below one already pulled.
     pub(crate) fn committed_except(
         &self,
+        footprint: Option<&[u64]>,
         have: impl Fn(OpId) -> bool,
     ) -> Vec<GlobalEntry<S::Method, S::Ret>> {
-        let view = self.acquire_all();
-        let fresh = view
-            .live()
-            .filter(|e| e.flag == GlobalFlag::Committed && !have(e.op.id));
+        let n = self.shards.len() as u64;
+        let fine = footprint.and_then(|keys| {
+            let mut shards: Vec<usize> = keys.iter().map(|k| (k % n) as usize).collect();
+            shards.sort_unstable();
+            shards.dedup();
+            self.acquire_held(shards)
+        });
+        let view = fine.unwrap_or_else(|| self.acquire_all());
+        let concerned = |method: &S::Method| match (footprint, self.spec.method_keys(method)) {
+            (Some(keys), Some(declared)) => declared.iter().any(|k| keys.binary_search(k).is_ok()),
+            _ => true,
+        };
+        let fresh = view.live().filter(|e| {
+            e.flag == GlobalFlag::Committed && concerned(&e.op.method) && !have(e.op.id)
+        });
         fresh.cloned().collect()
     }
 

@@ -22,11 +22,13 @@
 //!   shards, each locked exactly once; every shared rule body below takes
 //!   the caller's `Held` section in place of a lock of its own.
 //! * **PULL** by id locks one shard at a time, ascending, only long
-//!   enough to locate and snapshot the pulled entry; the refresh
+//!   enough to locate and snapshot the pulled entry; the strict refresh
 //!   ([`TxnHandle::pull_all_committed`]) snapshots every committed entry
-//!   `L` lacks under one acquisition of every shard, each exactly once.
-//!   Either way PULL's criteria and effect are local, and **UNPULL** is
-//!   entirely local.
+//!   `L` lacks under one acquisition of every shard, each exactly once,
+//!   and the lenient one ([`TxnHandle::pull_committed_lenient`]) those the
+//!   transaction can touch, under one acquisition of the shards its
+//!   declared keys route to. Either way PULL's criteria and effect are
+//!   local, and **UNPULL** is entirely local.
 //!
 //! ## The carried local denotation
 //!
@@ -62,6 +64,13 @@ use crate::trace::Event;
 
 /// A trace event stamped with its global sequence number.
 pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>);
+
+/// What a refresh hands the PULL body: an entry it snapshotted, and the
+/// methods the remaining code can reach (computed once per refresh).
+type Refreshed<'r, S> = (
+    GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
+    &'r [<S as SeqSpec>::Method],
+);
 
 /// A critical section the *caller* already holds (see [`crate::group`]):
 /// the shared rule bodies run inside it instead of acquiring their own, so
@@ -1033,7 +1042,15 @@ impl<S: SeqSpec> TxnHandle<S> {
         let code = methods_as_seq(comp.ops.iter().map(|(m, _)| m));
         let mut ops: Vec<Op<S::Method, S::Ret>> = Vec::new();
         let flipped = {
-            let mut view = self.global.acquire_all();
+            // Every shard either way; through the coarse route — which
+            // sets the sticky flag before locking — when an inverse has no
+            // single-key footprint, so no later shard-local section can
+            // miss the entry it leaves on shard 0.
+            let mut routes = comp.ops.iter().map(|(m, _)| self.global.route(m));
+            let mut view = match routes.find(|r| *r == Route::Coarse) {
+                Some(coarse) => self.global.acquire_route(coarse),
+                None => self.global.acquire_all(),
+            };
             let mut tmp = Vec::new();
             for (method, ret) in &comp.ops {
                 let id = self.global.ids.fresh();
@@ -1468,25 +1485,23 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.pull_in(op_id, None)
     }
 
-    /// The one PULL body: [`Self::pull`] when `snapshot` is `None`; the
-    /// refresh ([`Self::pull_all_committed`]) passes the entry it
-    /// snapshotted with every other candidate, so nothing is searched
-    /// for.
-    fn pull_in(
-        &mut self,
-        op_id: OpId,
-        snapshot: Option<GlobalEntry<S::Method, S::Ret>>,
-    ) -> MachineResult<()> {
+    /// The one PULL body: [`Self::pull`] when `refreshed` is `None`. The
+    /// refresh ([`Self::refresh`]) passes the entry it snapshotted with
+    /// every other candidate — so nothing is searched for, and criterion
+    /// (i) is known to hold: the snapshot left out what `L` has — and the
+    /// methods the remaining code can reach, which one refresh computes
+    /// once.
+    fn pull_in(&mut self, op_id: OpId, refreshed: Option<Refreshed<'_, S>>) -> MachineResult<()> {
         self.fault_gate(Rule::Pull)?;
         let checked = self.mode() != CheckMode::Unchecked;
         let check_gray = self.mode() == CheckMode::Checked;
         let shard = self.shard();
-        let gentry = match snapshot {
-            Some(entry) => entry,
-            None => self
-                .global
-                .find_entry(op_id)
-                .ok_or(MachineError::NoSuchOp(op_id))?,
+        let (gentry, reachable) = match refreshed {
+            Some((entry, reachable)) => (entry, Some(reachable)),
+            None => {
+                let found = self.global.find_entry(op_id);
+                (found.ok_or(MachineError::NoSuchOp(op_id))?, None)
+            }
         };
         let own =
             gentry.op.txn == self.txn || self.frames.iter().any(|f| f.txn == Some(gentry.op.txn));
@@ -1499,8 +1514,11 @@ impl<S: SeqSpec> TxnHandle<S> {
         }
         // Criterion (i): op ∉ L. (Enforced in every mode — a duplicate
         // entry would corrupt the log structure — but only audited when
-        // criteria checking is on, so Unchecked runs audit nothing.)
-        if self.local.contains_id(op_id) {
+        // criteria checking is on, so Unchecked runs audit nothing.) A
+        // refreshed entry was filtered through `L`'s ids already.
+        let refreshed = reachable.is_some();
+        debug_assert!(!refreshed || !self.local.contains_id(op_id));
+        if !refreshed && self.local.contains_id(op_id) {
             if checked {
                 self.global.audit.fail(Rule::Pull, Clause::I);
             }
@@ -1553,10 +1571,10 @@ impl<S: SeqSpec> TxnHandle<S> {
                 }
             }
         }
-        let reachable_after = self
-            .active_code()
-            .map(|c| c.reachable_methods())
-            .unwrap_or_default();
+        let reachable_after = match reachable {
+            Some(reachable) => reachable.to_vec(),
+            None => self.reachable_methods(),
+        };
         if gentry.flag == GlobalFlag::Uncommitted {
             self.unsettled.push(op_id);
         }
@@ -2032,9 +2050,18 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.refresh(false)
     }
 
-    /// [`Self::pull_all_committed`], skipping (rather than failing on)
-    /// operations whose PULL criteria do not hold — the lenient snapshot
-    /// refresh drivers perform before applying an operation.
+    /// The lenient snapshot refresh drivers perform before applying an
+    /// operation: pulls the committed operations the transaction can
+    /// still *touch* — those whose declared keys
+    /// ([`SeqSpec::method_keys`]) meet its footprint, and every one that
+    /// declares none — skipping (rather than failing on) those whose PULL
+    /// criteria do not hold. The footprint is the keys of every method
+    /// the remaining code can reach and of every own operation already in
+    /// `L` (an UNAPP hands its method back to the code); it is
+    /// *everything*, as in [`Self::pull_all_committed`], when one of them
+    /// declares no keys or no transaction is active. PULL is per
+    /// operation (§4) and skipping one elides no criterion, so a footprint
+    /// declared too small can cost a retry and never a verdict.
     ///
     /// # Errors
     ///
@@ -2044,18 +2071,60 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.refresh(true)
     }
 
+    /// The methods the remaining code can still invoke (none once the
+    /// thread has finished) — what a PULL event records for the opacity
+    /// check.
+    fn reachable_methods(&self) -> Vec<S::Method> {
+        self.code
+            .as_ref()
+            .map(|c| c.reachable_methods())
+            .unwrap_or_default()
+    }
+
+    /// The keys the current transaction can still touch, ascending and
+    /// distinct: those `reachable` (the remaining code's methods) and the
+    /// own entries of `L` declare. `None` — everything — when any of them
+    /// declares no keys, or when no transaction is active.
+    fn footprint(&self, reachable: &[S::Method]) -> Option<Vec<u64>> {
+        self.code.as_ref()?;
+        let spec = self.global.spec();
+        let own = self.local.iter().filter(|e| e.flag.is_own());
+        let mut keys = Vec::new();
+        for method in reachable.iter().chain(own.map(|e| &e.op.method)) {
+            keys.extend(spec.method_keys(method)?.iter().copied());
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        Some(keys)
+    }
+
     /// The refresh, one pass: snapshot the committed entries `L` lacks
-    /// under one acquisition of every shard (gather once), then run the
-    /// ordinary PULL body on each, in stamp order, with no lock at all.
-    /// Returns how many were pulled.
-    fn refresh(&mut self, skip_denied: bool) -> MachineResult<usize> {
-        let have: HashSet<OpId> = self.local_ops().map(|op| op.id).collect();
-        let fresh = self.global.committed_except(|id| have.contains(&id));
+    /// under one acquisition of the shards concerned (gather once), then
+    /// run the ordinary PULL body on each, in stamp order, with no lock at
+    /// all. The strict refresh concerns every shard and stops at the first
+    /// denial; the `lenient` one concerns the shards of the transaction's
+    /// footprint and skips denials. Returns how many were pulled.
+    fn refresh(&mut self, lenient: bool) -> MachineResult<usize> {
+        let reachable = self.reachable_methods();
+        let footprint = if lenient {
+            self.footprint(&reachable)
+        } else {
+            None
+        };
+        if footprint.as_ref().is_some_and(|keys| keys.is_empty()) {
+            // Nothing reachable and nothing done: no shard to lock, at any
+            // shard count.
+            return Ok(0);
+        }
+        let have: Option<HashSet<OpId>> =
+            (!self.local.is_empty()).then(|| self.local_ops().map(|op| op.id).collect());
+        let have = |id| have.as_ref().is_some_and(|ids| ids.contains(&id));
+        let fresh = self.global.committed_except(footprint.as_deref(), have);
         let mut pulled = 0;
         for entry in fresh {
-            match self.pull_in(entry.op.id, Some(entry)) {
+            match self.pull_in(entry.op.id, Some((entry, &reachable))) {
                 Ok(()) => pulled += 1,
-                Err(MachineError::Criterion(_)) if skip_denied => {}
+                Err(MachineError::Criterion(_)) if lenient => {}
                 Err(e) => return Err(e),
             }
         }

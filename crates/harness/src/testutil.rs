@@ -1,4 +1,5 @@
-//! Shared audit-ledger assertions for the test suites and benchmarks.
+//! Shared audit-ledger assertions for the test suites and benchmarks, and
+//! the one spec wrapper they share ([`Redeclared`]).
 //!
 //! Three invariants recur across the static-analysis tests, the fault
 //! suite, the sharding equivalence suite and the benchmark sanity
@@ -29,8 +30,10 @@ use std::sync::Arc;
 use pushpull_core::audit::CriteriaAudit;
 use pushpull_core::error::{Clause, Rule};
 use pushpull_core::faults::{FaultHook, FaultKind};
+use pushpull_core::op::Op;
 use pushpull_core::opacity::check_trace;
 use pushpull_core::serializability::check_machine;
+use pushpull_core::spec::{KeySet, OpInverse, SeqSpec};
 use pushpull_tm::driver::TmSystem;
 
 use crate::faults::FaultPlan;
@@ -186,4 +189,61 @@ pub fn assert_chaos_cell<T: TmSystem>(
         );
     }
     sys
+}
+
+/// `inner` with its footprints re-declared by `keys` — every other answer
+/// is the inner spec's. What a test needs to put a *key-less mutator* in
+/// front of the footprint-filtered refresh (declare `None` for a method
+/// that has a key: sound, just coarser), or a *lie* (declare a key the
+/// method does not touch: unsound for routing, which is why strict mode
+/// asks for a certificate — and harmless for the refresh, which elides no
+/// criterion).
+#[derive(Debug, Clone)]
+pub struct Redeclared<S: SeqSpec> {
+    /// The specification every answer but the footprint comes from.
+    pub inner: S,
+    /// The footprint declared in its place.
+    pub keys: fn(&S::Method) -> Option<KeySet>,
+}
+
+impl<S: SeqSpec> SeqSpec for Redeclared<S> {
+    type Method = S::Method;
+    type Ret = S::Ret;
+    type State = S::State;
+
+    fn initial_states(&self) -> Vec<S::State> {
+        self.inner.initial_states()
+    }
+
+    fn post_states(&self, state: &S::State, method: &S::Method, ret: &S::Ret) -> Vec<S::State> {
+        self.inner.post_states(state, method, ret)
+    }
+
+    fn results(&self, state: &S::State, method: &S::Method) -> Vec<S::Ret> {
+        self.inner.results(state, method)
+    }
+
+    fn state_universe(&self) -> Option<Vec<S::State>> {
+        self.inner.state_universe()
+    }
+
+    fn mover(&self, op1: &Op<S::Method, S::Ret>, op2: &Op<S::Method, S::Ret>) -> bool {
+        self.inner.mover(op1, op2)
+    }
+
+    fn method_mover(&self, m1: &S::Method, m2: &S::Method) -> Option<bool> {
+        self.inner.method_mover(m1, m2)
+    }
+
+    fn method_keys(&self, m: &S::Method) -> Option<KeySet> {
+        (self.keys)(m)
+    }
+
+    fn inverse(&self, op: &Op<S::Method, S::Ret>) -> OpInverse<S::Method, S::Ret> {
+        self.inner.inverse(op)
+    }
+
+    fn has_inverses(&self) -> bool {
+        self.inner.has_inverses()
+    }
 }

@@ -38,7 +38,14 @@
 //!
 //! Conflict-denied transactions are retried with a refreshed committed
 //! view, up to `max_retries`; a session that spends the budget fails
-//! with its last denial instead of wedging the server.
+//! with its last denial instead of wedging the server. The refresh
+//! ([`pull_committed_lenient`]) pulls what the session's script can touch
+//! — the committed operations on the keys its methods declare — under the
+//! locks of those keys' shards only, so a retrying session holds no lock
+//! its peers' disjoint sessions need. A session is admitted with *no*
+//! refresh: one at admission was measured and lost (EXPERIMENTS.md
+//! "Ablation verdicts" — next to nothing where sessions share keys, a
+//! lock and a scan per session where they do not).
 //!
 //! # What the commit counters count
 //!

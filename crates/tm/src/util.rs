@@ -6,17 +6,20 @@ use pushpull_core::error::MachineError;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::TxnHandle;
 
-/// Pulls every *committed* global operation not yet in the thread's local
-/// log, in global-log order, skipping (rather than failing on) operations
-/// whose PULL criteria do not hold — the lenient snapshot refresh drivers
-/// perform before applying an operation
-/// ([`TxnHandle::pull_committed_lenient`]: one snapshot of the committed
-/// log under every shard lock, then one PULL per operation with no lock).
+/// Pulls the *committed* global operations the thread's transaction can
+/// still touch and does not hold yet, in global-log order, skipping
+/// (rather than failing on) operations whose PULL criteria do not hold —
+/// the lenient snapshot refresh drivers perform before applying an
+/// operation ([`TxnHandle::pull_committed_lenient`]: one snapshot, under
+/// the locks of the shards the transaction's declared keys route to, of
+/// the committed operations on those keys and of every one that declares
+/// none — everything, under every shard lock, when a method it can reach
+/// declares none — then one PULL per operation with no lock).
 ///
-/// A skipped operation leaves the local view behind the shared view; any
-/// resulting inconsistency surfaces later as a PUSH criterion (iii)
-/// failure, which the drivers treat as a conflict. Returns the number of
-/// operations pulled.
+/// An operation skipped or left out leaves the local view behind the
+/// shared view; any resulting inconsistency surfaces later as a PUSH
+/// criterion (iii) failure, which the drivers treat as a conflict.
+/// Returns the number of operations pulled.
 ///
 /// Takes the thread's own [`TxnHandle`], so concurrent workers can refresh
 /// their snapshots without serializing through the whole machine.

@@ -380,6 +380,54 @@ fn a_fresh_key_costs_the_same_after_any_history_on_its_shard() {
     assert_eq!(short.1, [4, 0, 0, 0], "three PUSHes and the CMT, shard 0");
 }
 
+/// One lenient refresh of a transaction about to run `probe`, on a
+/// 4-shard map where keys 1 and 2 (shards 1 and 2) each hold one committed
+/// `Put` and `history` more transactions committed on *other* keys of those
+/// two shards — after a committed `Size` (a coarse append: no footprint)
+/// if `coarse`. Returns how many operations it pulled and the shard-lock
+/// acquisitions it made.
+fn refresh_cost(history: u64, probe: &[MapMethod], coarse: bool) -> (usize, Vec<u64>) {
+    let mut m = Machine::new(KvMap::new());
+    let first = coarse.then_some(MapMethod::Size);
+    let own_keys = [MapMethod::Put(1, 7), MapMethod::Put(2, 8)];
+    let others = (0..history).map(|i| MapMethod::Put(4 * (i / 2 + 1) + 1 + i % 2, 1));
+    let committed = first.into_iter().chain(own_keys).chain(others);
+    let writer = m.add_thread(committed.map(Code::method).collect());
+    let reader = m.add_thread(vec![Code::seq_all(probe.iter().cloned().map(Code::method))]);
+    m.set_log_shards(4);
+    while !m.thread(writer).unwrap().is_done() {
+        let op = m.app_auto(writer).unwrap();
+        m.push(writer, op).unwrap();
+        m.commit(writer).unwrap();
+    }
+    let before = m.lock_stats_per_shard();
+    let pulled = m.handle_mut(reader).unwrap().pull_committed_lenient();
+    let after = m.lock_stats_per_shard();
+    let locks = after.iter().zip(&before).map(|(a, b)| a.0 - b.0);
+    (pulled.unwrap(), locks.collect())
+}
+
+/// The lenient refresh pulls what the transaction can touch, under the
+/// locks of the shards that can hold it: the committed operations on the
+/// keys its code reaches, whatever else was committed on their shards.
+/// Reaching a method without a footprint it is the whole log under every
+/// lock; past a coarse append it is every lock — an operation without a
+/// footprint lives on shard 0 — for the same keys' operations and that one.
+#[test]
+fn a_lenient_refresh_locks_and_pulls_by_the_footprint() {
+    let keyed = [MapMethod::Get(1), MapMethod::Put(2, 9)];
+    let short = refresh_cost(64, &keyed, false);
+    assert_eq!(short, (2, vec![0, 1, 1, 0]), "keys 1 and 2, their shards");
+    assert_eq!(short, refresh_cost(1024, &keyed, false), "history-flat");
+
+    let sized = [MapMethod::Get(1), MapMethod::Size];
+    assert_eq!(refresh_cost(64, &sized, false), (66, vec![1, 1, 1, 1]));
+
+    // `Size -> 0` came first, so the empty local log allows pulling it.
+    assert_eq!(refresh_cost(64, &keyed, true), (3, vec![1, 1, 1, 1]));
+    assert_eq!(refresh_cost(64, &sized, true), (67, vec![1, 1, 1, 1]));
+}
+
 /// Evaluate-and-append is one step under the shard lock: four OS threads
 /// race `Inc`s at a counter that admits only `BOUND` of them. Were the
 /// criteria evaluated outside the appending critical section, two threads

@@ -1,0 +1,116 @@
+//! The lenient refresh filters by declared keys *without* asking for a
+//! certificate, where fine-grained routing and static discharge do ask
+//! (strict mode demotes or refuses them, `tests/certificate_gate.rs`). The
+//! argument: routing and discharge decide which criteria *run*; the
+//! refresh decides which operations a transaction PULLs, and PULL is
+//! optional per operation — every PUSH and CMT criterion still runs
+//! against `G`. So a footprint that lies can leave a view stale, which
+//! costs retries, and can never let a stale view commit.
+//!
+//! Here the argument is a check: a memory whose `Read(l)` declares a key
+//! no `Write(l)` declares, on a single-shard machine (where routing does
+//! not look at footprints at all), through a §6 driver and through the
+//! service front-end under the round-robin scheduler.
+
+use pushpull::core::lang::Code;
+use pushpull::core::op::ThreadId;
+use pushpull::core::serializability::check_machine;
+use pushpull::core::spec::{KeySet, SeqSpec};
+use pushpull::harness::testutil::Redeclared;
+use pushpull::harness::{run, RoundRobin};
+use pushpull::server::{ServerConfig, SessionOutcome, SessionScript, TxnServer};
+use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
+use pushpull::tm::optimistic::ReadPolicy;
+use pushpull::tm::OptimisticSystem;
+
+const BUDGET: usize = 100_000;
+
+/// `RwMem` as it declares itself, or with every `Read` lying: a reader
+/// that touches nothing else never refreshes the location it reads.
+fn memory(lying: bool) -> Redeclared<RwMem> {
+    let honest = |m: &MemMethod| RwMem::new().method_keys(m);
+    let lie = |m: &MemMethod| match m {
+        MemMethod::Read(l) => Some(KeySet::one(1_000 + u64::from(l.0))),
+        write => RwMem::new().method_keys(write),
+    };
+    Redeclared {
+        inner: RwMem::new(),
+        keys: if lying { lie } else { honest },
+    }
+}
+
+/// A writer sets location 0, then writes its initial value back two
+/// transactions later; a reader gets to `Read(0)` in between. Refreshed,
+/// it reads the 1 and commits at once. Lied to, it keeps observing the
+/// initial 0, which PUSH (iii) keeps denying — until 0 is the committed
+/// value again, and it commits: late, and serializably.
+#[test]
+fn a_lying_footprint_costs_the_driver_retries_and_no_verdict() {
+    let drive = |lying: bool| {
+        let write = |l, v| Code::method(MemMethod::Write(Loc(l), v));
+        let writer = vec![write(0, 1), write(1, 5), write(0, 0)];
+        let reader = vec![write(2, 1), Code::method(MemMethod::Read(Loc(0)))];
+        let programs = vec![writer, reader];
+        let mut sys = OptimisticSystem::new(memory(lying), programs, ReadPolicy::Snapshot);
+        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("no machine error");
+        assert!(out.completed, "lying {lying}: the run must terminate");
+        let report = check_machine(sys.machine());
+        assert!(report.is_serializable(), "lying {lying}: {report}");
+        let stats = sys.stats();
+        assert_eq!(stats.commits, 5, "lying {lying}");
+        let read = sys.machine().committed_txns().pop().expect("five commits");
+        (stats.aborts, read.ops[0].ret)
+    };
+    let (honest_aborts, honest_read) = drive(false);
+    let (lying_aborts, lying_read) = drive(true);
+    assert_eq!(honest_aborts, 0, "a refreshed reader is never denied");
+    assert!(lying_aborts > 0, "the stale reader must have been denied");
+    assert_ne!(
+        honest_read, lying_read,
+        "1 when refreshed, 0 once it is 0 again"
+    );
+}
+
+/// The same lie through the server, one slot, so sessions run one after
+/// another in the order the server's seeded deal gives them: a reader
+/// admitted while location 0 holds 1 can never be refreshed, spends its
+/// retry budget and fails cleanly with its last criterion denial; every
+/// other session commits. Nothing is left behind and what committed is
+/// serializable.
+#[test]
+fn a_lying_footprint_fails_a_session_on_its_budget_and_no_verdict() {
+    let drive = |lying: bool| -> usize {
+        let read = || SessionScript::commit(vec![MemMethod::Read(Loc(0))]);
+        let write = |v| SessionScript::commit(vec![MemMethod::Write(Loc(0), v)]);
+        let config = ServerConfig {
+            workers: 1,
+            slots_per_worker: 1,
+            max_retries: 3,
+            ..ServerConfig::default()
+        };
+        let scripts = vec![write(1), read(), write(0), read(), write(1)];
+        let mut sys = TxnServer::new(memory(lying), scripts, config);
+        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("a spent budget is not raised");
+        assert!(out.completed, "lying {lying}: the server must drain");
+        let m = sys.machine();
+        let report = check_machine(m);
+        assert!(report.is_serializable(), "lying {lying}: {report}");
+        assert!(m.thread(ThreadId(0)).unwrap().local().is_empty());
+        let outcomes = sys.outcomes();
+        assert_eq!(outcomes.len(), 5, "lying {lying}: sessions lost");
+        let failed = outcomes.iter().filter(|(session, o)| match o {
+            SessionOutcome::Committed { .. } => false,
+            SessionOutcome::Failed { error } => {
+                assert!(error.is_criterion(), "failed with {error}");
+                assert!(session.0 % 2 == 1, "a writer is never stale");
+                true
+            }
+            SessionOutcome::Aborted { .. } => panic!("no script aborts"),
+        });
+        let failures = failed.count();
+        assert_eq!(m.committed_txns().len(), 5 - failures, "lying {lying}");
+        failures
+    };
+    assert_eq!(drive(false), 0, "refreshed, every session commits");
+    assert!(drive(true) > 0, "a reader that found 1 committed must fail");
+}

@@ -22,6 +22,7 @@ use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
+use pushpull::core::trace::Event;
 use pushpull::harness::testutil::assert_ledger_matches;
 use pushpull::harness::{run, RoundRobin};
 use pushpull::spec::counter::{Counter, CtrMethod};
@@ -124,6 +125,49 @@ fn boosting_many_keys_per_shard_is_verdict_equivalent() {
     assert_shard_equivalence("boosting/kvmap-many-keys-per-shard", || {
         BoostingSystem::new(KvMap::new(), programs())
     });
+}
+
+#[test]
+fn refresh_with_bystander_keys_is_verdict_equivalent() {
+    // Six threads contend on keys 0 and 1 while six more commit on 16, 32,
+    // 17 and 33 — shards 0 and 1 at 4 and at 16 shards alike, and keys no
+    // contender's code reaches. Every lenient refresh must leave the
+    // bystanders' operations out at *every* shard count, the single shard
+    // included: the filter is on declared keys, so a refresh that looked
+    // at `key % N` instead would pull them at 1 shard and not at 16.
+    let contender = |t: u64| {
+        Code::seq_all(vec![
+            Code::method(MapMethod::Get(t % 2)),
+            Code::method(MapMethod::Put(t % 2, t as i64)),
+            Code::method(MapMethod::Get((t + 1) % 2)),
+        ])
+    };
+    let bystander = |t: u64| Code::method(MapMethod::Put(16 * (1 + t % 2) + t / 2 % 2, 1));
+    let programs = || {
+        let contenders = (0..6).map(|t| vec![contender(t), contender(t + 6)]);
+        let bystanders = (0..6).map(|t| vec![bystander(t), bystander(t + 1)]);
+        contenders.chain(bystanders).collect::<Vec<_>>()
+    };
+    assert_shard_equivalence("optimistic/kvmap-bystanders", || {
+        OptimisticSystem::new(KvMap::new(), programs(), ReadPolicy::Snapshot)
+    });
+    assert_shard_equivalence("boosting/kvmap-bystanders", || {
+        BoostingSystem::new(KvMap::new(), programs())
+    });
+
+    // Not vacuously: contenders were refreshed, by their own keys only.
+    let mut sys = OptimisticSystem::new(KvMap::new(), programs(), ReadPolicy::Snapshot);
+    assert!(run(&mut sys, &mut RoundRobin, BUDGET).unwrap().completed);
+    let trace = sys.machine().trace();
+    let pulled = trace.iter().filter_map(|e| match e {
+        Event::Pull { thread, method, .. } if thread.0 < 6 => method.key(),
+        _ => None,
+    });
+    let pulled: Vec<u64> = pulled.collect();
+    assert!(
+        pulled.len() > 20 && pulled.iter().all(|k| *k < 2),
+        "{pulled:?}"
+    );
 }
 
 #[test]
