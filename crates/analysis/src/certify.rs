@@ -337,8 +337,7 @@ fn check_inverses<S: SeqSpec>(
 where
     S::Method: fmt::Display,
 {
-    use pushpull_core::spec::OpInverse;
-    use std::collections::HashSet;
+    use pushpull_core::spec::{OpInverse, StateSet};
 
     let claims = spec.has_inverses();
     let mut refuted = false;
@@ -372,7 +371,7 @@ where
                 }
                 OpInverse::ReadOnly => {
                     for s in states {
-                        let start: HashSet<S::State> = std::iter::once(s.clone()).collect();
+                        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
                         let fwd = spec.denote_from(&start, std::slice::from_ref(&op));
                         if !fwd.is_empty() && fwd != start {
                             refuted = true;
@@ -398,7 +397,7 @@ where
                     let inv = Op::new(OpId(next_id), TxnId(0), im, ir);
                     next_id += 1;
                     for s in states {
-                        let start: HashSet<S::State> = std::iter::once(s.clone()).collect();
+                        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
                         let fwd = spec.denote_from(&start, std::slice::from_ref(&op));
                         if fwd.is_empty() {
                             continue; // op not allowed here

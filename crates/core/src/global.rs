@@ -157,7 +157,7 @@
 //! UNPUSH removes by position, and the criteria replay iterates cursors
 //! over it instead of collecting `Vec`s.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock, TryLockError};
 
@@ -169,7 +169,7 @@ use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
-use crate::spec::SeqSpec;
+use crate::spec::{SeqSpec, StateSet};
 use crate::static_facts::StaticDischarge;
 
 /// How a committed transaction relates to the nesting structure of the
@@ -236,12 +236,12 @@ struct PrefixCache<St> {
     /// Entries `[..len]` of the shard log are all committed.
     len: usize,
     /// `⟦ε⟧` — what a class absent from `classes` denotes.
-    initial: HashSet<St>,
+    initial: StateSet<St>,
     /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
-    classes: HashMap<u64, HashSet<St>>,
+    classes: HashMap<u64, StateSet<St>>,
 }
 
-impl<St: Clone + Eq + std::hash::Hash> PrefixCache<St> {
+impl<St: PartialEq> PrefixCache<St> {
     fn new(initial: Vec<St>) -> Self {
         Self {
             len: 0,
@@ -256,7 +256,7 @@ impl<St: Clone + Eq + std::hash::Hash> PrefixCache<St> {
     }
 
     /// `⟦G_i[..len]|class⟧`.
-    fn class(&self, class: u64) -> &HashSet<St> {
+    fn class(&self, class: u64) -> &StateSet<St> {
         self.classes.get(&class).unwrap_or(&self.initial)
     }
 }
@@ -815,7 +815,7 @@ impl<S: SeqSpec> LogView<'_, S> {
         method: &S::Method,
         skip: Option<(usize, usize)>,
         then: Option<&'o Op<S::Method, S::Ret>>,
-    ) -> HashSet<S::State> {
+    ) -> StateSet<S::State> {
         let spec = &global.spec;
         let scope = self.scope();
         if scope.len() != 1 {

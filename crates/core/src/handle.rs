@@ -33,19 +33,26 @@
 //! ## The carried local denotation
 //!
 //! APP (ii), PULL (ii) and UNPULL (i) are `allowed` queries over the
-//! *local* log. The handle keeps `⟦L⟧` beside `L` (`LocalDenot`), so each
+//! *local* log. The handle keeps `⟦L⟧` beside `L` (`LocalDenot`, a
+//! [`StateSet`] — one inline state for every deterministic spec), so each
 //! is one step of that set rather than a replay of `L`: an append installs
 //! the stepped set; removing the tail keeps only the fact that `L` was
 //! allowed, which by prefix closure answers the next UNPULL at the tail;
-//! anything else replays `L` once, lazily. Each rule firing is still
-//! exactly one audited `allowed` query, and
-//! [`GlobalState::set_incremental`]`(false)` switches the carried set off
-//! with the shards' prefix caches — the full-replay reference.
+//! anything else replays `L` once, lazily. [`TxnHandle::app_method`] and
+//! [`TxnHandle::app_auto`] pick a return value by stepping `⟦L⟧` by each
+//! candidate, so the `⟦L · op⟧` that proved the pick allowed *is* APP
+//! (ii)'s evaluation: APP tallies its query and installs that set instead
+//! of stepping a second time. Each rule firing is still exactly one
+//! audited `allowed` query, and [`GlobalState::set_incremental`]`(false)`
+//! switches the carried set off with the shards' prefix caches — the
+//! full-replay reference, which evaluates the pick and the criterion
+//! separately.
 //!
 //! Trace events are buffered per handle, stamped with a global atomic
 //! sequence number; [`Machine::trace`](crate::machine::Machine::trace)
 //! merges the buffers into one totally ordered trace.
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -54,12 +61,12 @@ use crate::criteria;
 use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
 use crate::global::{CommittedTxn, GlobalState, LogView, Route, TxnKind};
-use crate::lang::Code;
+use crate::lang::{dedup_in_place, Code};
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry, LocalFlag, LocalLog};
 use crate::machine::{CheckMode, StepOptions};
 use crate::op::{Op, OpId, ThreadId, TxnId};
 use crate::scope::{Compensation, ScopeFrame, ScopeKind, ScopeOrigin};
-use crate::spec::{OpInverse, SeqSpec};
+use crate::spec::{OpInverse, SeqSpec, StateSet};
 use crate::trace::Event;
 
 /// A trace event stamped with its global sequence number.
@@ -71,6 +78,9 @@ type Refreshed<'r, S> = (
     GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
     &'r [<S as SeqSpec>::Method],
 );
+
+/// A return value with the `⟦L · op⟧` that proves `L` allows it.
+type Allowed<S> = (<S as SeqSpec>::Ret, StateSet<<S as SeqSpec>::State>);
 
 /// A critical section the *caller* already holds (see [`crate::group`]):
 /// the shared rule bodies run inside it instead of acquiring their own, so
@@ -95,7 +105,7 @@ enum LocalDenot<St> {
     /// tail.
     Allowed,
     /// `⟦L⟧` itself.
-    States(HashSet<St>),
+    States(StateSet<St>),
 }
 
 impl<St> LocalDenot<St> {
@@ -425,31 +435,31 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// Flips own entry `op_id` between `npshd` and `pshd` (the local half
-    /// of PUSH/UNPUSH), keeping its saved code and stack. A `pld` entry
-    /// has neither and stays as it is — `expect_flag` keeps those away
-    /// from both callers.
+    /// of PUSH/UNPUSH), keeping its saved code and stack length. A `pld`
+    /// entry has neither and stays as it is — `expect_flag` keeps those
+    /// away from both callers.
     fn set_pushed(&mut self, op_id: OpId, pushed: bool) {
         let Some(entry) = self.local.entry_mut(op_id) else {
             return;
         };
         if let LocalFlag::NotPushed {
             saved_code,
-            saved_stack,
+            stack_len,
         }
         | LocalFlag::Pushed {
             saved_code,
-            saved_stack,
+            stack_len,
         } = std::mem::replace(&mut entry.flag, LocalFlag::Pulled)
         {
             entry.flag = if pushed {
                 LocalFlag::Pushed {
                     saved_code,
-                    saved_stack,
+                    stack_len,
                 }
             } else {
                 LocalFlag::NotPushed {
                     saved_code,
-                    saved_stack,
+                    stack_len,
                 }
             };
         }
@@ -483,33 +493,50 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// Return values `r` such that the local log allows `⟨m, r⟩`
-    /// (APP criterion (ii) candidates).
+    /// (APP criterion (ii) candidates), in the order the states of `⟦L⟧`
+    /// first offer them — reproducible, since a [`StateSet`] iterates in
+    /// insertion order.
     pub fn allowed_results(&self, method: &S::Method) -> MachineResult<Vec<S::Ret>> {
+        let states = self.local_denotation();
+        Ok(self.allowed_from(&states, method).map(|(r, _)| r).collect())
+    }
+
+    /// Every return value `r` that `method` can observe in some state of
+    /// `states` (= `⟦L⟧`) and that the whole set allows, each with the
+    /// `⟦L · ⟨method, r⟩⟧` that proves it — evaluated lazily, one candidate
+    /// per `next()`.
+    fn allowed_from<'s>(
+        &'s self,
+        states: &'s StateSet<S::State>,
+        method: &'s S::Method,
+    ) -> impl Iterator<Item = Allowed<S>> + 's {
         let spec = self.global.spec();
-        let replayed;
-        let states = match self.carried() {
-            Some(states) => states,
-            None => {
-                replayed = spec.denote_refs(self.local_ops());
-                &replayed
-            }
-        };
-        let mut out: Vec<S::Ret> = Vec::new();
-        for s in states {
-            for r in spec.results(s, method) {
-                if !out.contains(&r) {
-                    out.push(r);
-                }
+        // The first state's own `Vec` of results is the candidate list.
+        let mut offered = states.iter().map(|s| spec.results(s, method));
+        let mut candidates = offered.next().unwrap_or_default();
+        dedup_in_place(&mut candidates);
+        for r in offered.flatten() {
+            if !candidates.contains(&r) {
+                candidates.push(r);
             }
         }
-        // Filter to those actually allowed from the full state set.
-        out.retain(|r| {
-            let op = Op::new(OpId(u64::MAX), self.txn, method.clone(), r.clone());
-            !spec
-                .denote_from(states, std::slice::from_ref(&op))
-                .is_empty()
-        });
-        Ok(out)
+        candidates.into_iter().filter_map(move |ret| {
+            // The id never reaches the spec: denotations read method and
+            // return only.
+            let op = Op::new(OpId(u64::MAX), self.txn, method.clone(), ret);
+            let next = spec.denote_from(states, std::slice::from_ref(&op));
+            (!next.is_empty()).then_some((op.ret, next))
+        })
+    }
+
+    /// The first return value `L` allows `method` to observe — what
+    /// [`Self::app_method`] and [`Self::app_auto`] apply — with the
+    /// `⟦L · ⟨method, r⟩⟧` that proved it allowed.
+    fn first_allowed(&mut self, method: &S::Method) -> MachineResult<Allowed<S>> {
+        self.carry();
+        let states = self.local_denotation();
+        let first = self.allowed_from(&states, method).next();
+        first.ok_or(MachineError::NoAllowedResult(self.tid))
     }
 
     // ------------------------------------------------------------------
@@ -526,10 +553,18 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// The carried `⟦L⟧`, if there is one and the incremental path is on.
-    fn carried(&self) -> Option<&HashSet<S::State>> {
+    fn carried(&self) -> Option<&StateSet<S::State>> {
         match &self.denot {
             LocalDenot::States(states) if self.global.incremental() => Some(states),
             _ => None,
+        }
+    }
+
+    /// `⟦L⟧`: the carried set, or else one replay of `L`.
+    fn local_denotation(&self) -> Cow<'_, StateSet<S::State>> {
+        match self.carried() {
+            Some(states) => Cow::Borrowed(states),
+            None => Cow::Owned(self.global.spec().denote_refs(self.local_ops())),
         }
     }
 
@@ -553,15 +588,27 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// `L allows op` — the one audited query behind APP (ii) and PULL
-    /// (ii): `⟦L · op⟧` if it is non-empty, by stepping the carried `⟦L⟧`
-    /// by `op`, or by the full replay with the incremental path off.
-    fn local_allows(&mut self, op: &Op<S::Method, S::Ret>) -> Option<HashSet<S::State>> {
+    /// (ii): `⟦L · op⟧` if it is non-empty. `proved` is that set when the
+    /// caller's choice of `op` already evaluated it over the carried `⟦L⟧`
+    /// ([`Self::first_allowed`]); otherwise the carried `⟦L⟧` is stepped by
+    /// `op` here, or `L · op` replayed in full with the incremental path
+    /// off. The query is tallied the same either way.
+    fn local_allows(
+        &mut self,
+        op: &Op<S::Method, S::Ret>,
+        proved: Option<StateSet<S::State>>,
+    ) -> Option<StateSet<S::State>> {
         self.global.audit.count_allowed(self.shard());
         self.carry();
         let spec = self.global.spec();
-        let next = match self.carried() {
-            Some(states) => spec.denote_from(states, std::slice::from_ref(op)),
-            None => spec.denote_refs(self.local_ops().chain(std::iter::once(op))),
+        let step = |states| spec.denote_from(states, std::slice::from_ref(op));
+        let next = match (proved, self.carried()) {
+            (Some(next), carried) => {
+                debug_assert!(carried.is_some_and(|states| next == step(states)));
+                next
+            }
+            (None, Some(states)) => step(states),
+            (None, None) => spec.denote_refs(self.local_ops().chain(std::iter::once(op))),
         };
         (!next.is_empty()).then_some(next)
     }
@@ -571,7 +618,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     fn append_local(
         &mut self,
         entry: LocalEntry<S::Method, S::Ret>,
-        next: Option<HashSet<S::State>>,
+        next: Option<StateSet<S::State>>,
     ) {
         self.local.push_entry(entry);
         self.denot = next.map_or(LocalDenot::Unknown, LocalDenot::States);
@@ -938,19 +985,17 @@ impl<S: SeqSpec> TxnHandle<S> {
                     continue;
                 }
             }
-            let last = self
-                .local
-                .entries()
-                .last()
-                .map(|e| (e.op.id, e.flag.clone()));
-            match last {
-                None => return Ok(()),
-                Some((id, LocalFlag::Pulled)) => self.unpull(id)?,
-                Some((id, LocalFlag::Pushed { .. })) => {
+            let Some(last) = self.local.entries().last() else {
+                return Ok(());
+            };
+            let id = last.op.id;
+            match last.flag {
+                LocalFlag::Pulled => self.unpull(id)?,
+                LocalFlag::Pushed { .. } => {
                     self.unpush_in(id, held.as_deref_mut())?;
                     self.unapp()?;
                 }
-                Some((_, LocalFlag::NotPushed { .. })) => {
+                LocalFlag::NotPushed { .. } => {
                     self.unapp()?;
                 }
             }
@@ -1067,7 +1112,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                     op: op.clone(),
                     flag: LocalFlag::Pushed {
                         saved_code: Code::Skip,
-                        saved_stack: Vec::new(),
+                        stack_len: 0,
                     },
                 });
                 ops.push(op);
@@ -1148,6 +1193,10 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// Criteria: (i) `(method, cont) ∈ step(c)`; (ii) the local log allows
     /// `⟨m, σ, σ′, id⟩`; (iii) `id` fresh (by construction).
     ///
+    /// The pair comes from outside, so (i) derives `step(c)` to look it
+    /// up; [`Self::app_method`] and [`Self::app_auto`] take theirs *from*
+    /// `step(c)` and skip the second derivation.
+    ///
     /// # Errors
     ///
     /// [`MachineError::NoSuchStep`] if (i) fails,
@@ -1159,12 +1208,28 @@ impl<S: SeqSpec> TxnHandle<S> {
         ret: S::Ret,
     ) -> MachineResult<OpId> {
         self.fault_gate(Rule::App)?;
-        let checked = self.mode() != CheckMode::Unchecked;
         // Criterion (i): (m, c') ∈ step(c).
-        let code = self.active_code()?.clone();
-        if checked && !code.step().iter().any(|(m, k)| *m == method && *k == cont) {
+        let code = self.active_code()?;
+        if self.mode() != CheckMode::Unchecked && !in_step(code, &method, &cont) {
             return Err(MachineError::NoSuchStep(self.tid));
         }
+        self.app_step(method, cont, ret, None)
+    }
+
+    /// The one APP body, past the fault gate and criterion (i): `(method,
+    /// cont)` is in `step(c)` — looked up by [`Self::app`], or taken from
+    /// it by [`Self::app_chosen`]. `proved` is `⟦L · ⟨method, ret⟩⟧` when
+    /// choosing `ret` already evaluated it ([`Self::first_allowed`]);
+    /// criterion (ii) is tallied and audited the same with or without.
+    fn app_step(
+        &mut self,
+        method: S::Method,
+        cont: Code<S::Method>,
+        ret: S::Ret,
+        proved: Option<StateSet<S::State>>,
+    ) -> MachineResult<OpId> {
+        let checked = self.mode() != CheckMode::Unchecked;
+        debug_assert!(!checked || in_step(self.active_code()?, &method, &cont));
         let id = self.global.ids.fresh();
         // Operations applied inside an open scope belong to the child
         // transaction; everywhere else `current_txn()` is the root.
@@ -1172,7 +1237,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         // Criterion (ii): L allows op.
         let mut next = None;
         if checked {
-            next = self.local_allows(&op);
+            next = self.local_allows(&op, proved);
             if next.is_none() {
                 self.global.audit.fail(Rule::App, Clause::Ii);
                 return Err(MachineError::criterion(
@@ -1183,13 +1248,16 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
             self.global.audit.pass(Rule::App, Clause::Ii);
         }
-        let saved_code = code;
-        let saved_stack = self.stack.clone();
+        let code = self
+            .code
+            .as_mut()
+            .ok_or(MachineError::ThreadFinished(self.tid))?;
+        let saved_code = std::mem::replace(code, cont);
+        let stack_len = self.stack.len();
         self.stack.push((method.clone(), ret.clone()));
-        self.code = Some(cont);
         let flag = LocalFlag::NotPushed {
             saved_code,
-            saved_stack,
+            stack_len,
         };
         self.append_local(LocalEntry { op, flag }, next);
         let tid = self.tid;
@@ -1202,42 +1270,37 @@ impl<S: SeqSpec> TxnHandle<S> {
         Ok(id)
     }
 
+    /// **APP** of the first `step(c)` option `pick` accepts, with the
+    /// first return value `L` allows — the body of [`Self::app_method`]
+    /// and [`Self::app_auto`]. Criterion (i) holds by construction (the
+    /// pair is an element of the `step(c)` derived here, once), and the
+    /// set that proved the return allowed is handed to criterion (ii).
+    fn app_chosen(&mut self, pick: impl Fn(&S::Method) -> bool) -> MachineResult<OpId> {
+        self.settle_scopes()?;
+        let options = self.step_options()?;
+        let (m, cont) = options
+            .into_iter()
+            .find(|(m, _)| pick(m))
+            .ok_or(MachineError::NoSuchStep(self.tid))?;
+        let (ret, next) = self.first_allowed(&m)?;
+        // The full-replay reference evaluates its criterion itself.
+        let proved = self.global.incremental().then_some(next);
+        self.fault_gate(Rule::App)?;
+        self.app_step(m, cont, ret, proved)
+    }
+
     /// **APP**, selecting the first `step(c)` option whose method equals
     /// `method` and the first allowed return value. Scope-aware: `tx`
     /// and `otx` redexes are entered as nested scopes first (and
     /// finished peeled scopes are exited).
     pub fn app_method(&mut self, method: &S::Method) -> MachineResult<OpId> {
-        self.settle_scopes()?;
-        let options = self.step_options()?;
-        let (m, cont) = options
-            .into_iter()
-            .find(|(m, _)| m == method)
-            .ok_or(MachineError::NoSuchStep(self.tid))?;
-        self.carry();
-        let rets = self.allowed_results(&m)?;
-        let ret = rets
-            .into_iter()
-            .next()
-            .ok_or(MachineError::NoAllowedResult(self.tid))?;
-        self.app(m, cont, ret)
+        self.app_chosen(|m| m == method)
     }
 
     /// **APP**, selecting the first `step(c)` option and the first
     /// allowed return value. Scope-aware, like [`Self::app_method`].
     pub fn app_auto(&mut self) -> MachineResult<OpId> {
-        self.settle_scopes()?;
-        let options = self.step_options()?;
-        let (m, cont) = options
-            .into_iter()
-            .next()
-            .ok_or(MachineError::NoSuchStep(self.tid))?;
-        self.carry();
-        let rets = self.allowed_results(&m)?;
-        let ret = rets
-            .into_iter()
-            .next()
-            .ok_or(MachineError::NoAllowedResult(self.tid))?;
-        self.app(m, cont, ret)
+        self.app_chosen(|_| true)
     }
 
     /// **UNAPP**: rewinds the most recent local entry, which must be
@@ -1260,15 +1323,24 @@ impl<S: SeqSpec> TxnHandle<S> {
             _ => return Err(MachineError::NothingToUnapply(self.tid)),
         };
         self.denot = self.denot.without_tail();
-        let (saved_code, saved_stack) = match entry.flag {
-            LocalFlag::NotPushed {
-                saved_code,
-                saved_stack,
-            } => (saved_code, saved_stack),
-            _ => unreachable!("checked above"),
+        let LocalFlag::NotPushed {
+            saved_code,
+            stack_len,
+        } = entry.flag
+        else {
+            unreachable!("checked above")
         };
         self.code = Some(saved_code);
-        self.stack = saved_stack;
+        // The stack only grew since this entry's APP, whose observation
+        // sits right at the saved length: cutting there restores exactly
+        // the stack a saved copy would have held.
+        debug_assert!(
+            self.stack
+                .get(stack_len)
+                .is_some_and(|(m, r)| (m, r) == (&entry.op.method, &entry.op.ret)),
+            "the observation stack was rewritten below an entry still in L"
+        );
+        self.stack.truncate(stack_len);
         let tid = self.tid;
         self.record(Event::UnApp {
             thread: tid,
@@ -1532,7 +1604,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         if checked {
             self.global.audit.pass(Rule::Pull, Clause::I);
             // Criterion (ii): L allows op.
-            next = self.local_allows(&gentry.op);
+            next = self.local_allows(&gentry.op, None);
             if next.is_none() {
                 self.global.audit.fail(Rule::Pull, Clause::Ii);
                 return Err(MachineError::criterion(
@@ -1798,10 +1870,10 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// (a committed root makes its open children durable — their
     /// compensations are discarded, not replayed).
     fn reset_txn_state(&mut self) {
-        self.local = LocalLog::new();
+        self.local.clear();
         self.denot = LocalDenot::Unknown;
         self.unsettled.clear();
-        self.stack = Vec::new();
+        self.stack.clear();
         self.frames.clear();
         self.comps.clear();
         self.open_children = 0;
@@ -2130,6 +2202,11 @@ impl<S: SeqSpec> TxnHandle<S> {
         }
         Ok(pulled)
     }
+}
+
+/// APP criterion (i): is `(method, cont)` an element of `step(code)`?
+fn in_step<M: Clone + PartialEq>(code: &Code<M>, method: &M, cont: &Code<M>) -> bool {
+    code.step().iter().any(|(m, k)| m == method && k == cont)
 }
 
 /// Folds a method sequence into `m₁ ; m₂ ; …` (or `skip` when empty) —

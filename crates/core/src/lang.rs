@@ -22,12 +22,18 @@
 //! behaviour bit-for-bit.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::scope::ScopeKind;
 
 /// Code of the generic transaction language.
 ///
 /// `M` is the method type of the sequential specification in use.
+///
+/// Subtrees are shared (`Arc`), never mutated: cloning a code, and taking
+/// the continuation `k ; c₂` of a step, copy one node and bump reference
+/// counts instead of copying `c₂` — which is what keeps an APP's cost
+/// independent of how much program is left.
 ///
 /// # Examples
 ///
@@ -51,20 +57,20 @@ pub enum Code<M> {
     /// A method invocation `m`.
     Method(M),
     /// Sequential composition `c₁ ; c₂`.
-    Seq(Box<Code<M>>, Box<Code<M>>),
+    Seq(Arc<Code<M>>, Arc<Code<M>>),
     /// Nondeterministic choice `c₁ + c₂`.
-    Choice(Box<Code<M>>, Box<Code<M>>),
+    Choice(Arc<Code<M>>, Arc<Code<M>>),
     /// Nondeterministic looping `(c)*`.
-    Star(Box<Code<M>>),
+    Star(Arc<Code<M>>),
     /// A transaction `tx c`.
-    Tx(Box<Code<M>>),
+    Tx(Arc<Code<M>>),
     /// An *open-nested* transaction `otx c` (§6.2 "open nesting"): its
     /// body commits to the shared log as an independent transaction the
     /// moment the scope finishes, registering compensating inverses in
     /// the enclosing transaction's compensation set. In `step`/`fin` it
     /// flattens exactly like [`Code::Tx`]; the open semantics engage
     /// only through [`Code::peel_scope`]-aware executors.
-    OpenTx(Box<Code<M>>),
+    OpenTx(Arc<Code<M>>),
 }
 
 impl<M: Clone> Code<M> {
@@ -75,27 +81,27 @@ impl<M: Clone> Code<M> {
 
     /// Convenience constructor for [`Code::Seq`].
     pub fn seq(a: Code<M>, b: Code<M>) -> Self {
-        Code::Seq(Box::new(a), Box::new(b))
+        Code::Seq(Arc::new(a), Arc::new(b))
     }
 
     /// Convenience constructor for [`Code::Choice`].
     pub fn choice(a: Code<M>, b: Code<M>) -> Self {
-        Code::Choice(Box::new(a), Box::new(b))
+        Code::Choice(Arc::new(a), Arc::new(b))
     }
 
     /// Convenience constructor for [`Code::Star`].
     pub fn star(a: Code<M>) -> Self {
-        Code::Star(Box::new(a))
+        Code::Star(Arc::new(a))
     }
 
     /// Convenience constructor for [`Code::Tx`].
     pub fn tx(a: Code<M>) -> Self {
-        Code::Tx(Box::new(a))
+        Code::Tx(Arc::new(a))
     }
 
     /// Convenience constructor for [`Code::OpenTx`].
     pub fn otx(a: Code<M>) -> Self {
-        Code::OpenTx(Box::new(a))
+        Code::OpenTx(Arc::new(a))
     }
 
     /// Sequences a list of codes: `seq_all([a, b, c]) = a ; (b ; c)`.
@@ -133,15 +139,7 @@ impl<M: Clone> Code<M> {
         M: PartialEq,
     {
         let mut out = self.step_raw();
-        let mut seen: Vec<(M, Code<M>)> = Vec::with_capacity(out.len());
-        out.retain(|pair| {
-            if seen.contains(pair) {
-                false
-            } else {
-                seen.push(pair.clone());
-                true
-            }
-        });
+        dedup_in_place(&mut out);
         out
     }
 
@@ -150,12 +148,14 @@ impl<M: Clone> Code<M> {
             Code::Skip => Vec::new(),
             Code::Method(m) => vec![(m.clone(), Code::Skip)],
             Code::Seq(c1, c2) => {
-                let mut out: Vec<(M, Code<M>)> = c1
-                    .step_raw()
-                    .into_iter()
-                    .map(|(m, k)| (m, Code::seq(k, (**c2).clone())))
-                    .collect();
+                let mut out = c1.step_raw();
+                Self::then_all(&mut out, c2);
                 if c1.fin() {
+                    // `skip ; c₂` — what every step leaves behind — has
+                    // nothing to extend: take c₂'s options as they are.
+                    if out.is_empty() {
+                        return c2.step_raw();
+                    }
                     out.extend(c2.step_raw());
                 }
                 out
@@ -165,12 +165,23 @@ impl<M: Clone> Code<M> {
                 out.extend(c2.step_raw());
                 out
             }
-            Code::Star(c) => c
-                .step_raw()
-                .into_iter()
-                .map(|(m, k)| (m, Code::seq(k, Code::star((**c).clone()))))
-                .collect(),
+            Code::Star(c) => {
+                let mut out = c.step_raw();
+                if !out.is_empty() {
+                    Self::then_all(&mut out, &Arc::new(Code::Star(Arc::clone(c))));
+                }
+                out
+            }
             Code::Tx(c) | Code::OpenTx(c) => c.step_raw(),
+        }
+    }
+
+    /// Sequences `rest` after every continuation: `(m, k) ↦ (m, k ; rest)`,
+    /// all of them sharing the one `rest`.
+    fn then_all(options: &mut [(M, Code<M>)], rest: &Arc<Code<M>>) {
+        for (_, k) in options {
+            let first = std::mem::replace(k, Code::Skip);
+            *k = Code::Seq(Arc::new(first), Arc::clone(rest));
         }
     }
 
@@ -207,7 +218,7 @@ impl<M: Clone> Code<M> {
                 if let Some((kind, body, cont)) = a.peel_scope() {
                     let cont = match cont {
                         Code::Skip => (**rest).clone(),
-                        c => Code::seq(c, (**rest).clone()),
+                        c => Code::Seq(Arc::new(c), Arc::clone(rest)),
                     };
                     Some((kind, body, cont))
                 } else if a.fin() && a.step_raw().is_empty() {
@@ -296,6 +307,20 @@ impl<M: Clone> Code<M> {
             Code::Star(a) | Code::Tx(a) | Code::OpenTx(a) => 1 + a.size(),
         }
     }
+}
+
+/// Removes every element equal to an earlier one, keeping first
+/// occurrences in order — in place, without cloning an element.
+pub(crate) fn dedup_in_place<T: PartialEq>(items: &mut Vec<T>) {
+    // Slots `[..kept]` hold the distinct elements seen so far.
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if !items[..kept].contains(&items[i]) {
+            items.swap(kept, i);
+            kept += 1;
+        }
+    }
+    items.truncate(kept);
 }
 
 impl<M: fmt::Display> fmt::Display for Code<M> {

@@ -21,31 +21,35 @@ use crate::smallvec::SmallVec;
 
 /// Status flag of a local-log entry.
 ///
-/// `NotPushed`/`Pushed` store the snapshot `(code, stack)` taken *before*
-/// the operation was applied, exactly like the paper's `npshd c`/`pshd c`
-/// annotations (we also save the stack, which the paper keeps in the rule
-/// premises).
+/// `NotPushed`/`Pushed` store what UNAPP needs to restore the thread as
+/// it was *before* the operation was applied: the code, exactly like the
+/// paper's `npshd c`/`pshd c` annotations (moved here, not copied — its
+/// subtrees are shared with the continuation), and the *length* of the
+/// observation stack, which the paper keeps in the rule premises. The
+/// stack is append-only between an entry's APP and its UNAPP (PULL and
+/// UNPULL never touch it), so truncating to the saved length restores it
+/// without a copy per entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocalFlag<M, R> {
+pub enum LocalFlag<M> {
     /// `npshd c`: applied locally, not yet in the global log.
     NotPushed {
         /// Code active before the APP that created this entry.
         saved_code: Code<M>,
-        /// Stack (observation history) before the APP.
-        saved_stack: Vec<(M, R)>,
+        /// Length of the stack (observation history) before the APP.
+        stack_len: usize,
     },
     /// `pshd c`: applied locally and present in the global log.
     Pushed {
         /// Code active before the APP that created this entry.
         saved_code: Code<M>,
-        /// Stack (observation history) before the APP.
-        saved_stack: Vec<(M, R)>,
+        /// Length of the stack (observation history) before the APP.
+        stack_len: usize,
     },
     /// `pld`: pulled from the global log (someone else's effect).
     Pulled,
 }
 
-impl<M, R> LocalFlag<M, R> {
+impl<M> LocalFlag<M> {
     /// Is this entry `npshd`?
     pub fn is_not_pushed(&self) -> bool {
         matches!(self, LocalFlag::NotPushed { .. })
@@ -74,7 +78,7 @@ pub struct LocalEntry<M, R> {
     /// The operation record.
     pub op: Op<M, R>,
     /// Its `npshd`/`pshd`/`pld` status.
-    pub flag: LocalFlag<M, R>,
+    pub flag: LocalFlag<M>,
 }
 
 /// A thread-local operation log `L`.
@@ -121,6 +125,12 @@ impl<M: Clone, R: Clone> LocalLog<M, R> {
     /// Appends an entry.
     pub fn push_entry(&mut self, entry: LocalEntry<M, R>) {
         self.entries.push(entry);
+    }
+
+    /// Removes every entry, keeping a spilled log's heap capacity for the
+    /// next transaction.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// Removes and returns the last entry.
@@ -386,7 +396,7 @@ mod tests {
             op: op(id, txn),
             flag: LocalFlag::NotPushed {
                 saved_code: Code::Skip,
-                saved_stack: vec![],
+                stack_len: 0,
             },
         }
     }
@@ -396,7 +406,7 @@ mod tests {
             op: op(id, txn),
             flag: LocalFlag::Pushed {
                 saved_code: Code::Skip,
-                saved_stack: vec![],
+                stack_len: 0,
             },
         }
     }

@@ -1005,4 +1005,94 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
     }
+
+    /// Raw APP takes its pair from outside, so criterion (i) still looks
+    /// it up in `step(c)`: the right method with a continuation `step(c)`
+    /// does not offer is refused, and the refusal leaves no trace.
+    #[test]
+    fn raw_app_rejects_a_continuation_not_in_step() {
+        let mut m = machine();
+        let t = m.add_thread(vec![Code::seq(
+            inc_code(),
+            Code::method(CounterMethod::Get),
+        )]);
+        let options = m.step_options(t).unwrap();
+        assert_eq!(options.len(), 1);
+        let (method, cont) = options.into_iter().next().unwrap();
+        let err = m.app(t, method, Code::Skip, 0).unwrap_err();
+        assert!(matches!(err, MachineError::NoSuchStep(_)));
+        assert!(m.thread(t).unwrap().local().is_empty());
+        assert_eq!(m.audit().allowed_queries, 0);
+        m.app(t, method, cont, 0).unwrap();
+    }
+
+    /// UNAPP restores the observation stack by cutting it at the length
+    /// saved by the entry's APP — no more and no less.
+    #[test]
+    fn unapp_cuts_the_stack_at_the_saved_length() {
+        let mut m = machine();
+        let t = m.add_thread(vec![Code::seq_all(vec![
+            inc_code(),
+            Code::method(CounterMethod::Get),
+            inc_code(),
+        ])]);
+        for _ in 0..3 {
+            m.app_auto(t).unwrap();
+        }
+        let full = m.thread(t).unwrap().stack().to_vec();
+        assert_eq!(
+            full,
+            vec![
+                (CounterMethod::Inc, 0),
+                (CounterMethod::Get, 1),
+                (CounterMethod::Inc, 0)
+            ]
+        );
+        m.unapp(t).unwrap();
+        assert_eq!(m.thread(t).unwrap().stack(), &full[..2]);
+        m.unapp(t).unwrap();
+        assert_eq!(m.thread(t).unwrap().stack(), &full[..1]);
+        m.app_auto(t).unwrap();
+        assert_eq!(m.thread(t).unwrap().stack(), &full[..2]);
+        m.abort_and_retry(t).unwrap();
+        assert!(m.thread(t).unwrap().stack().is_empty());
+    }
+
+    /// "A deterministic drive produces a deterministic trace" also when
+    /// `⟦L⟧` is a genuine set: the first allowed return is picked by
+    /// walking `⟦L⟧` in insertion order, not in the order of a per-instance
+    /// hash seed. (With a `HashSet` the 32 drives below split between
+    /// `get -> 5` and `get -> 2`.)
+    #[test]
+    fn first_allowed_return_is_reproducible_on_a_two_state_denotation() {
+        use crate::toy::TwoStartCounter;
+        let drive = || {
+            let mut m = Machine::new(TwoStartCounter::new([5, 2], 8));
+            let t = m.add_thread(vec![Code::seq_all(vec![
+                Code::method(CounterMethod::Get),
+                inc_code(),
+                Code::method(CounterMethod::Get),
+            ])]);
+            let allowed = m
+                .thread(t)
+                .unwrap()
+                .allowed_results(&CounterMethod::Get)
+                .unwrap();
+            for _ in 0..3 {
+                m.app_auto(t).unwrap();
+            }
+            let observed = m.thread(t).unwrap().stack().to_vec();
+            m.push_all_and_commit(t).unwrap();
+            (allowed, observed, m.trace().render())
+        };
+        let (allowed, observed, first) = drive();
+        assert_eq!(allowed, vec![5, 2], "candidates follow the initial states");
+        // The first `get` pins the start it picked: the set carried on is
+        // the one that proved *that* return, so the second reads 5 + 1.
+        let returns: Vec<i64> = observed.iter().map(|(_, r)| *r).collect();
+        assert_eq!(returns, vec![5, 0, 6]);
+        for _ in 1..32 {
+            assert_eq!(drive(), (allowed.clone(), observed.clone(), first.clone()));
+        }
+    }
 }

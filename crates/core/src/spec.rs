@@ -14,7 +14,6 @@
 
 use crate::op::{Op, OpId, TxnId};
 use crate::smallvec::SmallVec;
-use std::collections::HashSet;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -49,6 +48,154 @@ pub enum OpInverse<M, R> {
 /// [`SeqSpec::method_keys`] is called on the hot path of every routed
 /// rule and must not heap-allocate.
 pub type KeySet = SmallVec<u64, 2>;
+
+/// A denotation `⟦ℓ⟧`: a small set of abstract states in insertion order.
+///
+/// Every shipped spec has one initial state and deterministic
+/// `post_states`, so a denotation is almost always a *single* state: it
+/// lives inline and spills to the heap only past one element. Membership
+/// is by linear scan ([`StateSet::insert`] de-duplicates), equality and
+/// [`StateSet::is_subset`] ignore order, and iteration — borrowed or owned
+/// — follows insertion order, so a choice made by walking a denotation
+/// (the "first allowed return" of APP) is reproducible, which a hashed set
+/// with a per-instance seed is not.
+///
+/// # Examples
+///
+/// ```
+/// use pushpull_core::spec::StateSet;
+///
+/// let mut a: StateSet<u8> = [2, 1, 2].into_iter().collect();
+/// assert_eq!(a.len(), 2);
+/// assert!(!a.insert(1));
+/// let b: StateSet<u8> = [1, 2].into_iter().collect();
+/// assert_eq!(a, b);
+/// assert_eq!(a.into_iter().collect::<Vec<_>>(), vec![2, 1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct StateSet<St> {
+    /// Pairwise distinct, in insertion order.
+    states: SmallVec<St, 1>,
+}
+
+impl<St> StateSet<St> {
+    /// The empty set (`⟦ℓ⟧` of a log that is not allowed).
+    pub fn new() -> Self {
+        Self {
+            states: SmallVec::new(),
+        }
+    }
+
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Is the set empty — i.e. is the log it denotes *not* allowed?
+    pub fn is_empty(&self) -> bool {
+        self.states.is_empty()
+    }
+
+    /// The states, in insertion order.
+    pub fn iter(&self) -> std::slice::Iter<'_, St> {
+        self.states.iter()
+    }
+}
+
+impl<St: PartialEq> StateSet<St> {
+    /// Is `state` a member?
+    pub fn contains(&self, state: &St) -> bool {
+        self.states.contains(state)
+    }
+
+    /// Adds `state` unless it is already a member; returns whether it was
+    /// added.
+    pub fn insert(&mut self, state: St) -> bool {
+        let fresh = !self.contains(&state);
+        if fresh {
+            self.states.push(state);
+        }
+        fresh
+    }
+
+    /// Is every state of `self` a member of `other`?
+    pub fn is_subset(&self, other: &Self) -> bool {
+        self.iter().all(|s| other.contains(s))
+    }
+}
+
+impl<St> Default for StateSet<St> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Set equality: the same members, in any order.
+impl<St: PartialEq> PartialEq for StateSet<St> {
+    fn eq(&self, other: &Self) -> bool {
+        // Members are pairwise distinct, so equal sizes and one inclusion
+        // give the other.
+        self.len() == other.len() && self.is_subset(other)
+    }
+}
+
+impl<St: Eq> Eq for StateSet<St> {}
+
+impl<St: PartialEq> Extend<St> for StateSet<St> {
+    fn extend<I: IntoIterator<Item = St>>(&mut self, iter: I) {
+        for state in iter {
+            self.insert(state);
+        }
+    }
+}
+
+impl<St: PartialEq> FromIterator<St> for StateSet<St> {
+    fn from_iter<I: IntoIterator<Item = St>>(iter: I) -> Self {
+        let mut set = Self::new();
+        set.extend(iter);
+        set
+    }
+}
+
+impl<'a, St> IntoIterator for &'a StateSet<St> {
+    type Item = &'a St;
+    type IntoIter = std::slice::Iter<'a, St>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Owned iteration over a [`StateSet`], in insertion order.
+#[derive(Debug)]
+pub struct StateSetIntoIter<St> {
+    /// The states still to yield, last first.
+    reversed: SmallVec<St, 1>,
+}
+
+impl<St> Iterator for StateSetIntoIter<St> {
+    type Item = St;
+
+    fn next(&mut self) -> Option<St> {
+        self.reversed.pop()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.reversed.len(), Some(self.reversed.len()))
+    }
+}
+
+impl<St> IntoIterator for StateSet<St> {
+    type Item = St;
+    type IntoIter = StateSetIntoIter<St>;
+
+    fn into_iter(mut self) -> Self::IntoIter {
+        self.states.reverse();
+        StateSetIntoIter {
+            reversed: self.states,
+        }
+    }
+}
 
 /// A sequential specification over operation logs.
 ///
@@ -112,47 +259,54 @@ pub trait SeqSpec {
     }
 
     /// The denotation `⟦ℓ⟧`: the set of states reachable by running `ops`
-    /// from an initial state.
-    fn denote(&self, ops: &[Op<Self::Method, Self::Ret>]) -> HashSet<Self::State> {
+    /// from an initial state, as a [`StateSet`] (inline for the single
+    /// state every deterministic spec denotes).
+    fn denote(&self, ops: &[Op<Self::Method, Self::Ret>]) -> StateSet<Self::State> {
         self.denote_refs(ops)
     }
 
     /// Extends a denotation by further operations: `⟦states · ops⟧`.
     fn denote_from(
         &self,
-        states: &HashSet<Self::State>,
+        states: &StateSet<Self::State>,
         ops: &[Op<Self::Method, Self::Ret>],
-    ) -> HashSet<Self::State> {
+    ) -> StateSet<Self::State> {
         self.denote_from_refs(states, ops)
     }
 
     /// [`SeqSpec::denote`] over any iterator of operation references,
     /// so hot-path callers (shard views, suffix caches) can thread their
     /// cursors straight through without collecting a `Vec` first.
-    fn denote_refs<'a, I>(&self, ops: I) -> HashSet<Self::State>
+    fn denote_refs<'a, I>(&self, ops: I) -> StateSet<Self::State>
     where
         I: IntoIterator<Item = &'a Op<Self::Method, Self::Ret>>,
         Self::Method: 'a,
         Self::Ret: 'a,
     {
-        let init: HashSet<Self::State> = self.initial_states().into_iter().collect();
+        let init: StateSet<Self::State> = self.initial_states().into_iter().collect();
         self.denote_from_refs(&init, ops)
     }
 
     /// [`SeqSpec::denote_from`] over any iterator of operation
-    /// references (the allocation-free workhorse behind both `denote`
-    /// variants).
-    fn denote_from_refs<'a, I>(&self, states: &HashSet<Self::State>, ops: I) -> HashSet<Self::State>
+    /// references (the workhorse behind both `denote` variants): each
+    /// operation maps the current [`StateSet`] through
+    /// [`SeqSpec::post_states`], de-duplicating as it collects, so the
+    /// result lists states in the order `post_states` first produced them.
+    fn denote_from_refs<'a, I>(
+        &self,
+        states: &StateSet<Self::State>,
+        ops: I,
+    ) -> StateSet<Self::State>
     where
         I: IntoIterator<Item = &'a Op<Self::Method, Self::Ret>>,
         Self::Method: 'a,
         Self::Ret: 'a,
     {
-        let step = |from: &HashSet<Self::State>, op: &Op<Self::Method, Self::Ret>| {
+        let step = |from: &StateSet<Self::State>, op: &Op<Self::Method, Self::Ret>| {
             let posts = from
                 .iter()
                 .flat_map(|s| self.post_states(s, &op.method, &op.ret));
-            posts.collect::<HashSet<_>>()
+            posts.collect::<StateSet<_>>()
         };
         // The first operation steps straight off the borrowed seed; the
         // seed is cloned only when there is nothing to step.
@@ -361,7 +515,7 @@ pub fn mover_exhaustive<S: SeqSpec + ?Sized>(
     op2: &Op<S::Method, S::Ret>,
 ) -> bool {
     for s in universe {
-        let start: HashSet<S::State> = std::iter::once(s.clone()).collect();
+        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
         let fwd = spec.denote_from(&start, &[op1.clone(), op2.clone()]);
         let back = spec.denote_from(&start, &[op2.clone(), op1.clone()]);
         if !fwd.is_subset(&back) {
@@ -670,9 +824,85 @@ mod tests {
     }
 
     #[test]
+    fn state_set_insert_deduplicates_and_keeps_insertion_order() {
+        let mut set = StateSet::new();
+        assert!(set.is_empty());
+        assert!(set.insert(3));
+        assert!(set.insert(1));
+        assert!(!set.insert(3), "a member is not added twice");
+        assert!(set.insert(2));
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.iter().copied().collect::<Vec<_>>(), vec![3, 1, 2]);
+        assert!(set.contains(&1) && !set.contains(&4));
+        let collected: StateSet<i64> = [3, 3, 1, 2, 1].into_iter().collect();
+        assert_eq!(collected.iter().copied().collect::<Vec<_>>(), vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn state_set_equality_and_subset_ignore_order() {
+        let a: StateSet<i64> = [1, 2, 3].into_iter().collect();
+        let b: StateSet<i64> = [3, 1, 2].into_iter().collect();
+        let c: StateSet<i64> = [1, 2].into_iter().collect();
+        let d: StateSet<i64> = [1, 2, 4].into_iter().collect();
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(a, d, "same size, different members");
+        assert!(c.is_subset(&a) && c.is_subset(&b));
+        assert!(!a.is_subset(&c));
+        assert!(!d.is_subset(&a));
+        let empty = StateSet::<i64>::new();
+        assert!(empty.is_subset(&c));
+        assert_eq!(empty, StateSet::default());
+        assert_ne!(empty, c);
+    }
+
+    #[test]
+    fn state_set_spills_past_one_element_and_owned_iteration_yields_each_once() {
+        // `Rc` counts observe every drop: a state lost or dropped twice
+        // by the inline slot, the spill or the owned iterator shows.
+        use std::rc::Rc;
+        let tokens: Vec<Rc<i64>> = (0..4).map(Rc::new).collect();
+        let mut set = StateSet::new();
+        set.insert(Rc::clone(&tokens[0]));
+        assert_eq!(set.len(), 1, "one state lives inline");
+        for t in &tokens {
+            set.insert(Rc::clone(t));
+        }
+        assert_eq!(set.len(), 4);
+        assert!(tokens.iter().all(|t| Rc::strong_count(t) == 2));
+        let copy = set.clone();
+        assert_eq!(copy, set);
+        let mut owned = set.into_iter();
+        assert_eq!(owned.size_hint(), (4, Some(4)));
+        assert_eq!(owned.next().as_deref(), Some(&0));
+        assert_eq!(owned.next().as_deref(), Some(&1));
+        drop(owned); // the unyielded rest is dropped with the iterator
+        drop(copy);
+        assert!(tokens.iter().all(|t| Rc::strong_count(t) == 1));
+        let single: StateSet<i64> = std::iter::once(7).collect();
+        assert_eq!(single.into_iter().collect::<Vec<_>>(), vec![7]);
+    }
+
+    #[test]
+    fn denote_lists_states_in_post_state_order_without_repeats() {
+        use crate::toy::TwoStartCounter;
+        let spec = TwoStartCounter::new([1, 0], 4);
+        assert_eq!(
+            spec.denote(&[]).into_iter().collect::<Vec<_>>(),
+            vec![1, 0],
+            "⟦ε⟧ is the initial states, in order"
+        );
+        // A saturating Dec sends both starts to 0: one state, listed once.
+        let merged = spec.denote(&[counter_op(0, CounterMethod::Dec, 0)]);
+        assert_eq!(merged.into_iter().collect::<Vec<_>>(), vec![0]);
+        let inc = spec.denote(&[counter_op(0, CounterMethod::Inc, 0)]);
+        assert_eq!(inc.into_iter().collect::<Vec<_>>(), vec![2, 1]);
+    }
+
+    #[test]
     fn denote_from_empty_stays_empty() {
         let spec = ToyCounter::with_bound(3);
-        let empty: HashSet<i64> = HashSet::new();
+        let empty: StateSet<i64> = StateSet::new();
         let out = spec.denote_from(&empty, &[counter_op(0, CounterMethod::Inc, 0)]);
         assert!(out.is_empty());
     }

@@ -251,6 +251,66 @@ impl SeqSpec for StrictCounter {
     }
 }
 
+/// A [`ToyCounter`] whose starting value is one of two, not known which:
+/// `⟦ε⟧` has *two* states until a `Get` pins one — the smallest spec on
+/// which a denotation is a genuine set, for the tests of
+/// [`StateSet`](crate::spec::StateSet) and of the choices made by walking
+/// one (APP's "first allowed return").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TwoStartCounter {
+    starts: [i64; 2],
+    counter: ToyCounter,
+}
+
+impl TwoStartCounter {
+    /// A counter bounded at `bound` that starts at `starts[0]` or
+    /// `starts[1]`, listed in that order by [`SeqSpec::initial_states`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both starts lie in `0..=bound`.
+    pub fn new(starts: [i64; 2], bound: i64) -> Self {
+        assert!(
+            starts.iter().all(|s| (0..=bound).contains(s)),
+            "starts must lie within the bound"
+        );
+        Self {
+            starts,
+            counter: ToyCounter::with_bound(bound),
+        }
+    }
+}
+
+impl SeqSpec for TwoStartCounter {
+    type Method = CounterMethod;
+    type Ret = i64;
+    type State = i64;
+
+    fn initial_states(&self) -> Vec<i64> {
+        self.starts.to_vec()
+    }
+
+    fn post_states(&self, state: &i64, method: &CounterMethod, ret: &i64) -> Vec<i64> {
+        self.counter.post_states(state, method, ret)
+    }
+
+    fn results(&self, state: &i64, method: &CounterMethod) -> Vec<i64> {
+        self.counter.results(state, method)
+    }
+
+    fn state_universe(&self) -> Option<Vec<i64>> {
+        self.counter.state_universe()
+    }
+
+    fn method_universe(&self) -> Option<Vec<CounterMethod>> {
+        Some(vec![
+            CounterMethod::Inc,
+            CounterMethod::Dec,
+            CounterMethod::Get,
+        ])
+    }
+}
+
 /// Convenience constructor for counter operations in tests and examples:
 /// `counter_op(id, method, ret)` with the transaction defaulting to `t0`.
 pub fn counter_op(id: u64, method: CounterMethod, ret: i64) -> CounterOp {

@@ -173,7 +173,7 @@ mod tests {
             let inv = <S as Inverses>::inverse(op)
                 .map(|(im, ir)| Op::new(OpId(op.id.0 + 1000), TxnId(0), im, ir));
             for s in &universe {
-                let start: std::collections::HashSet<_> = std::iter::once(s.clone()).collect();
+                let start: pushpull_core::spec::StateSet<_> = std::iter::once(s.clone()).collect();
                 let fwd = spec.denote_from(&start, std::slice::from_ref(op));
                 if fwd.is_empty() {
                     continue; // op not allowed here

@@ -1,0 +1,230 @@
+//! What a conflict-free transaction allocates, as a count.
+//!
+//! The paper's APP → PUSH → CMT sequence for a transaction nobody
+//! conflicts with is "`(m, c′) ∈ step(c)`, `L allows op`, append" three
+//! times over; what it costs here is pinned as a number of allocations —
+//! a count repeats exactly, a timing does not. Two statements:
+//!
+//! * a **budget**: `enqueue` → `app_method` × 3 → `push_all_and_commit` on
+//!   session-private keys of a 16-shard `KvMap` machine stays within a
+//!   stated number of allocations per transaction and per APP;
+//! * **flatness**: what one APP allocates — count and bytes — does not
+//!   depend on how long the transaction is. (Before APP shared its code
+//!   and cut its stack by length it copied both into every entry: bytes
+//!   per operation grew linearly with the program.)
+//!
+//! This file is its own test binary so that the counting
+//! `#[global_allocator]` is private to it. The counters are per thread and
+//! every test drives its machine on its own thread, so the tests do not
+//! see each other. Counts are taken after a warm-up pass: append-only
+//! buffers (a handle's trace events, its spilled local log, the shard
+//! logs) have grown by then, so what is left is what every transaction
+//! pays.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pushpull::core::lang::Code;
+use pushpull::core::machine::Machine;
+use pushpull::core::op::ThreadId;
+use pushpull::spec::kvmap::{KvMap, MapMethod};
+
+thread_local! {
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls and requested bytes per thread.
+struct Counting;
+
+fn note(bytes: usize) {
+    // `try_with`: an allocation during thread teardown is served, not counted.
+    let _ = COUNT.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only
+// `const`-initialised thread-locals without destructors, so it neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are exactly `System::alloc_zeroed`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocations, bytes)` this thread has requested so far.
+fn counted() -> (u64, u64) {
+    (COUNT.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// `(allocations, bytes)` requested by this thread while `body` ran.
+fn counting<T>(body: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let (c0, b0) = counted();
+    let out = body();
+    let (c1, b1) = counted();
+    (out, (c1 - c0, b1 - b0))
+}
+
+const SHARDS: usize = 16;
+const HANDLES: usize = 16;
+
+fn machine() -> Machine<KvMap> {
+    let mut m = Machine::new(KvMap::new());
+    for _ in 0..HANDLES {
+        m.add_thread(Vec::new());
+    }
+    m.set_log_shards(SHARDS);
+    m
+}
+
+/// One transaction on handle `t`: `enqueue` the straight-line program of
+/// `ops`, `app_method` each, `push_all_and_commit`. Returns the
+/// `(allocations, bytes)` of the whole transaction and of its APPs alone.
+fn transaction(m: &mut Machine<KvMap>, t: ThreadId, ops: &[MapMethod]) -> [(u64, u64); 2] {
+    let h = m.handle_mut(t).expect("handle exists");
+    let mut apps = (0, 0);
+    let ((), whole) = counting(|| {
+        h.enqueue(Code::seq_all(ops.iter().copied().map(Code::method)));
+        let ((), app_phase) = counting(|| {
+            for op in ops {
+                h.app_method(op).expect("conflict-free APP");
+            }
+        });
+        apps = app_phase;
+        h.push_all_and_commit().expect("conflict-free commit");
+    });
+    [whole, apps]
+}
+
+/// The ledger's fresh traffic: 64 sessions of `Put(k); Get(k); Put(k)` on a
+/// key of their own, dealt over the handles.
+fn fresh_epoch(m: &mut Machine<KvMap>, epoch: u64) -> [(u64, u64); 2] {
+    let mut total = [(0, 0); 2];
+    for s in 0..64u64 {
+        let k = epoch * 64 + s;
+        let ops = [
+            MapMethod::Put(k, 1),
+            MapMethod::Get(k),
+            MapMethod::Put(k, 2),
+        ];
+        let t = ThreadId(s as usize % HANDLES);
+        for (sum, part) in total.iter_mut().zip(transaction(m, t, &ops)) {
+            sum.0 += part.0;
+            sum.1 += part.1;
+        }
+    }
+    total
+}
+
+/// Ceilings on allocations per conflict-free 3-operation transaction and
+/// per APP, `(release, debug)`. Release is the statement (132 and 26.7
+/// before APP stepped its code once, asked `allowed` once, kept `⟦L⟧`
+/// inline and shared its code; 47.8 and 5.0 now), with headroom for a
+/// shard log or an event buffer doubling inside the counted epoch. A debug
+/// build also runs the cross-checks that make the short cuts safe to take
+/// — `carry` replays `L`, APP re-derives `step(c)` — and they allocate.
+/// Lower a ceiling when the count falls; never raise one without saying
+/// where the allocations went.
+const PER_TXN_BUDGET: (f64, f64) = (60.0, 100.0);
+const PER_APP_BUDGET: (f64, f64) = (8.0, 20.0);
+
+#[test]
+fn a_conflict_free_transaction_stays_within_its_allocation_budget() {
+    let mut m = machine();
+    fresh_epoch(&mut m, 0);
+    let [(whole, _), (apps, _)] = fresh_epoch(&mut m, 1);
+    let per_txn = whole as f64 / 64.0;
+    let per_app = apps as f64 / (64.0 * 3.0);
+    println!("allocations: {per_txn:.2} per transaction, {per_app:.2} per APP");
+    let pick = |(release, debug): (f64, f64)| {
+        if cfg!(debug_assertions) {
+            debug
+        } else {
+            release
+        }
+    };
+    assert!(
+        per_txn <= pick(PER_TXN_BUDGET),
+        "{per_txn} allocations per transaction"
+    );
+    assert!(
+        per_app <= pick(PER_APP_BUDGET),
+        "{per_app} allocations per APP"
+    );
+    // Not by asking less: 3 APP (ii) + 3 PUSH (iii) audited `allowed`
+    // queries per transaction, as ever, and nothing denied.
+    let audit = m.audit();
+    assert_eq!(audit.allowed_queries, 2 * 64 * 6);
+    assert!(audit.violated.is_empty(), "{audit:?}");
+}
+
+/// APP's `(allocations, bytes)` per operation in straight-line
+/// transactions of `len` `Put`s, each on a key of its own (so every APP
+/// steps a one-key state, whatever the length): the cheapest of eight
+/// transactions after two of warm-up — the one in which no append-only
+/// buffer happened to double.
+#[cfg(not(debug_assertions))]
+fn app_cost_per_op(len: usize) -> (f64, f64) {
+    let mut m = machine();
+    let mut run = |txn: u64| {
+        let ops: Vec<MapMethod> = (0..len as u64)
+            .map(|i| MapMethod::Put(txn, i as i64))
+            .collect();
+        transaction(&mut m, ThreadId(0), &ops)[1]
+    };
+    run(0);
+    run(1);
+    let runs: Vec<(u64, u64)> = (2..10).map(run).collect();
+    let fewest = runs.iter().map(|r| r.0).min().expect("eight runs");
+    let smallest = runs.iter().map(|r| r.1).min().expect("eight runs");
+    (fewest as f64 / len as f64, smallest as f64 / len as f64)
+}
+
+/// Release builds only: a debug build's `carry` cross-check replays `L`
+/// on every APP, which is linear in the transaction by design.
+#[cfg(not(debug_assertions))]
+#[test]
+fn app_cost_per_operation_is_flat_in_transaction_length() {
+    let costs: Vec<(usize, (f64, f64))> = [3, 48, 192]
+        .into_iter()
+        .map(|len| (len, app_cost_per_op(len)))
+        .collect();
+    for (len, (allocs, bytes)) in &costs {
+        println!("{len:>4} puts: {allocs:.2} allocations, {bytes:.1} bytes per APP");
+    }
+    let spread = |pick: fn(&(f64, f64)) -> f64| {
+        let values = costs.iter().map(|(_, c)| pick(c));
+        let (lo, hi) = values.fold((f64::MAX, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        hi / lo
+    };
+    let allocs = spread(|c| c.0);
+    let bytes = spread(|c| c.1);
+    assert!(
+        allocs <= 1.10,
+        "allocations per APP vary {allocs:.2}x with length"
+    );
+    assert!(bytes <= 1.10, "bytes per APP vary {bytes:.2}x with length");
+}
