@@ -5,9 +5,9 @@
 //! discharges those criteria dynamically; this module counts them, so a
 //! run can report the exact shape of its correctness argument — how many
 //! PUSH criterion (ii) mover checks, how many `allowed` evaluations, and
-//! so on. The benchmark B3 measures their cost; the audit explains where
-//! it goes, and the per-algorithm tests assert the *pattern* (e.g. an
-//! optimistic run discharges no UNPUSH obligations at all).
+//! so on. The audit explains where the cost of checking goes, and the
+//! per-algorithm tests assert the *pattern* (e.g. an optimistic run
+//! discharges no UNPUSH obligations at all).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

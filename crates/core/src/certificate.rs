@@ -23,15 +23,11 @@
 //!   nonzero error count is *invalid*: the machine refuses to arm the
 //!   unsafe fast paths on it and demotes to coarse mode instead.
 //!
-//! Certificates are serializable without any external crates: a
-//! line-oriented text form ([`SpecCertificate::to_text`] /
-//! [`SpecCertificate::parse`]) round-trips exactly, so a CI job can emit
-//! one and a later run can re-check it.
+//! A certificate lives for one process: the certifier builds it and the
+//! run that armed it drops it. Its one rendering is the `Display`
+//! summary line.
 
 use std::fmt;
-
-/// The serialization format tag; bump on incompatible layout changes.
-const FORMAT_TAG: &str = "pushpull-spec-certificate v2";
 
 /// A machine-checked certificate that a spec's footprint and mover
 /// declarations agree with the exhaustively derived ground truth.
@@ -120,183 +116,6 @@ impl SpecCertificate {
         seen.dedup();
         seen.len()
     }
-
-    /// Serializes the certificate to its line-oriented text form
-    /// (round-tripped exactly by [`SpecCertificate::parse`]). Field
-    /// separators inside method lines are `" | "`; method names are
-    /// sanitized so the format stays unambiguous.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(FORMAT_TAG);
-        out.push('\n');
-        out.push_str(&format!("spec: {}\n", sanitize(&self.spec_name)));
-        out.push_str(&format!("shard-keys: {}\n", self.shard_keys));
-        out.push_str(&format!(
-            "findings: errors={} warnings={} notes={}\n",
-            self.errors, self.warnings, self.notes
-        ));
-        out.push_str(&format!("obligations: {}\n", self.obligations.join("; ")));
-        out.push_str(&format!(
-            "inverse-law: {}\n",
-            match self.inverse_law {
-                Some(true) => "certified",
-                Some(false) => "refuted",
-                None => "unchecked",
-            }
-        ));
-        out.push_str(&format!("methods: {}\n", self.methods.len()));
-        for (i, name) in self.methods.iter().enumerate() {
-            let keys = match &self.footprints[i] {
-                Some(ks) => {
-                    if ks.is_empty() {
-                        String::from("")
-                    } else {
-                        ks.iter()
-                            .map(|k| k.to_string())
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    }
-                }
-                None => String::from("-"),
-            };
-            out.push_str(&format!(
-                "method: {} | keys={} | component={}\n",
-                sanitize(name),
-                keys,
-                self.components[i]
-            ));
-        }
-        let cells: String = self
-            .matrix
-            .iter()
-            .map(|c| match c {
-                Some(true) => 'T',
-                Some(false) => 'F',
-                None => '?',
-            })
-            .collect();
-        out.push_str(&format!("matrix: {cells}\n"));
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parses the text form produced by [`SpecCertificate::to_text`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line: wrong format
-    /// tag, missing section, or a count that disagrees with the data.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let tag = lines.next().ok_or("empty certificate")?;
-        if tag.trim() != FORMAT_TAG {
-            return Err(format!("unrecognized format tag {tag:?}"));
-        }
-        let spec_name = field(lines.next(), "spec")?.to_string();
-        let shard_keys: usize = field(lines.next(), "shard-keys")?
-            .parse()
-            .map_err(|e| format!("bad shard-keys: {e}"))?;
-        let findings = field(lines.next(), "findings")?.to_string();
-        let mut errors = 0;
-        let mut warnings = 0;
-        let mut notes = 0;
-        for part in findings.split_whitespace() {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad findings field {part:?}"))?;
-            let v: usize = v.parse().map_err(|e| format!("bad findings count: {e}"))?;
-            match k {
-                "errors" => errors = v,
-                "warnings" => warnings = v,
-                "notes" => notes = v,
-                _ => return Err(format!("unknown findings key {k:?}")),
-            }
-        }
-        let obligations_line = field(lines.next(), "obligations")?.to_string();
-        let obligations: Vec<String> = if obligations_line.is_empty() {
-            Vec::new()
-        } else {
-            obligations_line.split("; ").map(String::from).collect()
-        };
-        let inverse_law = match field(lines.next(), "inverse-law")? {
-            "certified" => Some(true),
-            "refuted" => Some(false),
-            "unchecked" => None,
-            other => return Err(format!("bad inverse-law verdict {other:?}")),
-        };
-        let n: usize = field(lines.next(), "methods")?
-            .parse()
-            .map_err(|e| format!("bad method count: {e}"))?;
-        let mut methods = Vec::with_capacity(n);
-        let mut footprints = Vec::with_capacity(n);
-        let mut components = Vec::with_capacity(n);
-        for i in 0..n {
-            let body = field(lines.next(), "method")?;
-            let mut parts = body.split(" | ");
-            let name = parts
-                .next()
-                .ok_or_else(|| format!("method {i}: missing name"))?;
-            let keys = parts
-                .next()
-                .and_then(|p| p.strip_prefix("keys="))
-                .ok_or_else(|| format!("method {i}: missing keys field"))?;
-            let component: usize = parts
-                .next()
-                .and_then(|p| p.strip_prefix("component="))
-                .ok_or_else(|| format!("method {i}: missing component field"))?
-                .parse()
-                .map_err(|e| format!("method {i}: bad component: {e}"))?;
-            let fp = match keys {
-                "-" => None,
-                "" => Some(Vec::new()),
-                list => Some(
-                    list.split(',')
-                        .map(|k| {
-                            k.parse::<u64>()
-                                .map_err(|e| format!("method {i}: bad key {k:?}: {e}"))
-                        })
-                        .collect::<Result<Vec<u64>, String>>()?,
-                ),
-            };
-            methods.push(name.to_string());
-            footprints.push(fp);
-            components.push(component);
-        }
-        let cells = field(lines.next(), "matrix")?;
-        if cells.len() != n * n {
-            return Err(format!(
-                "matrix has {} cells, expected {}",
-                cells.len(),
-                n * n
-            ));
-        }
-        let matrix: Vec<Option<bool>> = cells
-            .chars()
-            .map(|c| match c {
-                'T' => Ok(Some(true)),
-                'F' => Ok(Some(false)),
-                '?' => Ok(None),
-                other => Err(format!("bad matrix cell {other:?}")),
-            })
-            .collect::<Result<_, String>>()?;
-        match lines.next() {
-            Some("end") => {}
-            other => return Err(format!("expected trailing 'end', got {other:?}")),
-        }
-        Ok(SpecCertificate {
-            spec_name,
-            methods,
-            matrix,
-            footprints,
-            components,
-            obligations,
-            inverse_law,
-            shard_keys,
-            errors,
-            warnings,
-            notes,
-        })
-    }
 }
 
 impl fmt::Display for SpecCertificate {
@@ -324,24 +143,6 @@ impl fmt::Display for SpecCertificate {
             }
         )
     }
-}
-
-/// Keeps method display names from colliding with the format's own
-/// delimiters (`" | "` field separators, line structure).
-fn sanitize(name: &str) -> String {
-    name.replace('|', "/").replace(['\n', '\r'], " ")
-}
-
-/// Strips the `"{key}: "` prefix from a line, erroring when the line is
-/// missing or labelled differently.
-fn field<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    let line = line.ok_or_else(|| format!("missing '{key}:' line"))?;
-    line.strip_prefix(key)
-        .and_then(|r| {
-            r.strip_prefix(": ")
-                .or(if r == ":" { Some("") } else { None })
-        })
-        .ok_or_else(|| format!("expected '{key}: …', got {line:?}"))
 }
 
 #[cfg(test)]
@@ -375,35 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn text_form_round_trips() {
-        let cert = sample();
-        let text = cert.to_text();
-        let parsed = SpecCertificate::parse(&text).unwrap();
-        assert_eq!(parsed, cert);
-        // And the round-trip is a fixed point.
-        assert_eq!(parsed.to_text(), text);
-    }
-
-    #[test]
-    fn none_footprints_and_empty_obligations_round_trip() {
-        let mut cert = sample();
-        cert.footprints[1] = None;
-        cert.obligations.clear();
-        let parsed = SpecCertificate::parse(&cert.to_text()).unwrap();
-        assert_eq!(parsed, cert);
-    }
-
-    #[test]
-    fn inverse_law_verdicts_round_trip_and_gate_open_nesting() {
+    fn only_a_proven_inverse_law_gates_open_nesting() {
         let mut cert = sample();
         assert!(cert.open_nesting_certified());
-        for law in [Some(true), Some(false), None] {
+        for law in [Some(false), None] {
             cert.inverse_law = law;
-            let parsed = SpecCertificate::parse(&cert.to_text()).unwrap();
-            assert_eq!(parsed.inverse_law, law);
+            assert!(!cert.open_nesting_certified(), "{law:?}");
         }
-        cert.inverse_law = None;
-        assert!(!cert.open_nesting_certified());
         cert.inverse_law = Some(true);
         cert.errors = 1;
         assert!(
@@ -422,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_malformed_input() {
-        assert!(SpecCertificate::parse("").is_err());
-        assert!(SpecCertificate::parse("bogus v9\n").is_err());
-        let truncated = sample().to_text().replace("end\n", "");
-        assert!(SpecCertificate::parse(&truncated).is_err());
-        let short_matrix = sample().to_text().replace("matrix: ", "matrix: T");
-        assert!(SpecCertificate::parse(&short_matrix).is_err());
-    }
-
-    #[test]
     fn mover_indexes_row_major() {
         let cert = sample();
         assert_eq!(cert.mover(0, 0), Some(true));
@@ -440,14 +209,5 @@ mod tests {
         assert_eq!(cert.mover(2, 2), Some(true));
         assert_eq!(cert.proven_pairs(), 7);
         assert_eq!(cert.component_count(), 2);
-    }
-
-    #[test]
-    fn sanitize_defuses_delimiters() {
-        let mut cert = sample();
-        cert.methods[0] = "weird | name\nwith newline".into();
-        let parsed = SpecCertificate::parse(&cert.to_text()).unwrap();
-        assert_eq!(parsed.methods[0], "weird / name with newline");
-        assert_eq!(parsed.methods.len(), 3);
     }
 }

@@ -2,13 +2,10 @@
 //! the shared log `G` — PUSH (ii)/(iii), UNPUSH (i)/(ii) and CMT (iii).
 //!
 //! The kernel is *pure*: it reads a held [`LogView`] of `G` and returns a
-//! [`Verdict`], touching neither the log nor the audit. A rule uses it in
-//! one of two modes (DESIGN.md §10), both under the shard lock:
-//!
-//! * **locked** — evaluate, then [`Verdict::settle`] (record the tallies,
-//!   surface the denial), then apply the effect in the same critical
-//!   section;
-//! * **advisory** (`can_push`) — evaluate and never record.
+//! [`Verdict`], touching neither the log nor the audit. A rule uses it
+//! under the shard lock (DESIGN.md §10): evaluate, then
+//! [`Verdict::settle`] (record the tallies, surface the denial), then
+//! apply the effect in the same critical section.
 //!
 //! [`Verdict::record`] is the only place these clauses touch the audit.
 
@@ -39,8 +36,8 @@ fn clauses(rule: Rule) -> [Clause; 2] {
 
 /// The outcome of one kernel evaluation: how each clause concluded and
 /// the oracle queries it took. Holds no heap data — the denial message is
-/// only rendered by [`Verdict::result`], so an advisory evaluation costs
-/// no allocation.
+/// only rendered by [`Verdict::result`], so a passing evaluation costs no
+/// allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Verdict {
     rule: Rule,
@@ -71,11 +68,6 @@ impl Verdict {
         self.marks[slot] = Some(Mark::Fail);
         self.witness = witness;
         self
-    }
-
-    /// Did every evaluated clause hold?
-    pub(crate) fn passed(&self) -> bool {
-        !self.marks.contains(&Some(Mark::Fail))
     }
 
     /// Records exactly the queries and pass/static/fail marks of this
@@ -257,17 +249,15 @@ mod tests {
                 let [cached, replayed] = [true, false].map(|incremental| {
                     global.set_incremental(incremental);
                     let view = global.acquire_route(Route::Single(0));
-                    let v = if matches!(e.flag, LocalFlag::Pushed { .. }) {
+                    if matches!(e.flag, LocalFlag::Pushed { .. }) {
                         let at = view.find(op.id).expect("a pshd op is in G");
                         unpush(global, &view, at, true)
                     } else {
                         push(global, &view, op.txn, op)
-                    };
-                    assert_eq!(v.passed(), v.result().is_ok());
-                    v
+                    }
                 });
                 assert_eq!(cached, replayed);
-                denials += usize::from(!cached.passed());
+                denials += usize::from(cached.result().is_err());
             }
         }
         denials

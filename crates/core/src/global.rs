@@ -56,8 +56,6 @@
 //!   the atomics (fresh ids, audit counters, trace sequence numbers).
 //! * **PUSH/UNPUSH** take *their operation's shard lock* for their
 //!   criteria-over-`G` and their effect, as one atomic critical section.
-//!   The advisory `can_push` takes the same one lock, evaluates, and
-//!   records nothing.
 //! * **CMT** takes the locks of exactly the shards its pushed operations
 //!   and its *unsettled* pulled operations touch, ascending, then appends
 //!   to the committed list. An operation pulled while already `gCmt`
@@ -998,8 +996,10 @@ impl<S: SeqSpec> GlobalState<S> {
     }
 
     /// Switches between incremental and full-replay criteria evaluation.
-    /// Both produce identical verdicts and audit counts; the toggle exists
-    /// so benchmarks and the golden-trace tests can compare them.
+    /// Both produce identical verdicts and audit counts; full replay is
+    /// the reference the golden-trace tests and the differential fuzz
+    /// families (`tests/machine_fuzz.rs`, `criteria.rs`) compare the
+    /// cached path against.
     pub fn set_incremental(&self, on: bool) {
         self.incremental.store(on, Ordering::Relaxed);
     }

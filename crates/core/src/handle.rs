@@ -256,7 +256,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     // ------------------------------------------------------------------
-    // Accessors (source-compatible with the old `Thread`).
+    // Accessors.
     // ------------------------------------------------------------------
 
     /// The thread this handle drives.
@@ -761,7 +761,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             return Err(MachineError::NoScope(self.tid));
         }
         self.rewind_suffix(target_len, None)?;
-        self.pop_rewound_frames(target_len, true)
+        self.pop_rewound_frames(target_len)
     }
 
     /// Exits finished peeled scopes and enters peelable `tx`/`otx`
@@ -1029,12 +1029,11 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// Pops every remaining frame whose base position was rewound away
-    /// (strictly above `target_len`, or also *at* it when `inclusive`),
-    /// then replays the compensations no longer owned by a live scope.
-    fn pop_rewound_frames(&mut self, target_len: usize, inclusive: bool) -> MachineResult<()> {
+    /// (at or above `target_len`), then replays the compensations no
+    /// longer owned by a live scope.
+    fn pop_rewound_frames(&mut self, target_len: usize) -> MachineResult<()> {
         while let Some(top) = self.frames.last() {
-            let gone = top.base_len > target_len || (inclusive && top.base_len == target_len);
-            if !gone {
+            if top.base_len < target_len {
                 break;
             }
             let frame = self.frames.pop().expect("checked above");
@@ -1467,39 +1466,6 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
             None => body(&mut self.global.acquire_route(route), target, None),
         }
-    }
-
-    /// Read-only, unaudited "would PUSH accept `op_id` right now?" —
-    /// criterion (i) over the local log plus the kernel's (ii)/(iii)
-    /// over the routed shard, under the same [`CheckMode`] gate as
-    /// [`TxnHandle::push`].
-    ///
-    /// It takes the lock a PUSH would take (one shard for a declared
-    /// single-key footprint, every shard when coarse) and evaluates
-    /// without recording: no criteria obligation is reached, so the audit
-    /// ledger is untouched, and the answer is advisory (another thread
-    /// may invalidate it before a real [`TxnHandle::push`]).
-    ///
-    /// # Errors
-    ///
-    /// `NoSuchOp` / `WrongFlag` on structural misuse, exactly as
-    /// [`TxnHandle::push`].
-    pub fn can_push(&self, op_id: OpId) -> MachineResult<bool> {
-        let pos = self.expect_flag(op_id, "npshd")?;
-        if self.mode() == CheckMode::Unchecked {
-            return Ok(true);
-        }
-        let op = &self.local.entries()[pos].op;
-        // Criterion (i): local-log only, no locks regardless of route.
-        for e in &self.local.entries()[..pos] {
-            if e.flag.is_not_pushed() && !self.global.spec().mover(op, &e.op) {
-                return Ok(false);
-            }
-        }
-        // Own entries are judged by the *operation's* transaction (an
-        // open-scoped op belongs to its child transaction).
-        let view = self.global.acquire_route(self.global.route(&op.method));
-        Ok(criteria::push(&*self.global, &view, op.txn, op).passed())
     }
 
     /// **UNPUSH**: recalls a pushed operation from the shared log
@@ -1977,7 +1943,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             return Err(MachineError::ThreadFinished(self.tid));
         }
         self.rewind_suffix(0, held)?;
-        self.pop_rewound_frames(0, true)?;
+        self.pop_rewound_frames(0)?;
         let old = self.txn;
         let tid = self.tid;
         self.record(Event::Abort {
@@ -2004,21 +1970,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// owned by the root stay registered for the caller's abort path.
     pub fn rewind_all(&mut self) -> MachineResult<()> {
         self.rewind_suffix(0, None)?;
-        self.pop_rewound_frames(0, true)
-    }
-
-    /// Rewinds the current transaction's local log down to `target_len`
-    /// entries, taking whatever back rules the tail requires — the
-    /// checkpoint/partial-abort mechanism of §6.2. Scopes entered
-    /// strictly after `target_len` are aborted with their suffixes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates criterion violations from the constituent
-    /// UNPUSH/UNPULL steps (an UNAPP at the tail never fails).
-    pub fn rewind_to(&mut self, target_len: usize) -> MachineResult<()> {
-        self.rewind_suffix(target_len, None)?;
-        self.pop_rewound_frames(target_len, false)
+        self.pop_rewound_frames(0)
     }
 
     /// Pushes every unpushed own operation in local order, then commits —

@@ -11,9 +11,10 @@
 //! global log `G : list (op × g)` tags operations with
 //! `g ::= gUCmt | gCmt`.
 //!
-//! This module also provides the log combinators the rules are stated
-//! with: the projections `⌊L⌋ₗ` and `⌊G⌋_g`, id-based membership, `G ∖ L`,
-//! `L ⊆ G`, and the `cmt(G₁, L, G₂)` commit predicate.
+//! This module also provides the projections `⌊L⌋ₗ` and `⌊G⌋_gCmt` and
+//! id-based membership. [`GlobalLog`] is a read-only merged snapshot of
+//! `G`; the log the rules mutate (PUSH's append, UNPUSH's removal, the
+//! `cmt(G₁, L, G₂)` flip) is the per-shard log of [`crate::global`].
 
 use crate::lang::Code;
 use crate::op::{Op, OpId};
@@ -244,13 +245,6 @@ pub struct GlobalLog<M, R> {
 }
 
 impl<M: Clone, R: Clone> GlobalLog<M, R> {
-    /// Creates an empty global log.
-    pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
     /// Builds a log from entries already in order — how the sharded
     /// global state materializes a merged (commit-stamp-sorted) snapshot
     /// of `G`, and how shard rebuilds re-seed their segments.
@@ -278,21 +272,6 @@ impl<M: Clone, R: Clone> GlobalLog<M, R> {
         &self.entries
     }
 
-    /// Appends an uncommitted entry (the effect of a PUSH).
-    pub fn push_uncommitted(&mut self, op: Op<M, R>) {
-        self.entries.push(GlobalEntry {
-            op,
-            flag: GlobalFlag::Uncommitted,
-        });
-    }
-
-    /// Removes the entry with the given id (the effect of an UNPUSH),
-    /// returning it.
-    pub fn remove_by_id(&mut self, id: OpId) -> Option<GlobalEntry<M, R>> {
-        let idx = self.entries.iter().position(|e| e.op.id == id)?;
-        Some(self.entries.remove(idx))
-    }
-
     /// Id-based membership (`op ∈ G`).
     pub fn contains_id(&self, id: OpId) -> bool {
         self.entries.iter().any(|e| e.op.id == id)
@@ -308,20 +287,6 @@ impl<M: Clone, R: Clone> GlobalLog<M, R> {
         self.entries.iter().position(|e| e.op.id == id)
     }
 
-    /// All operations in log order.
-    pub fn ops(&self) -> Vec<Op<M, R>> {
-        self.entries.iter().map(|e| e.op.clone()).collect()
-    }
-
-    /// `⌊G⌋_gUCmt`: uncommitted operations, in log order.
-    pub fn uncommitted_ops(&self) -> Vec<Op<M, R>> {
-        self.entries
-            .iter()
-            .filter(|e| e.flag == GlobalFlag::Uncommitted)
-            .map(|e| e.op.clone())
-            .collect()
-    }
-
     /// `⌊G⌋_gCmt`: committed operations, in log order.
     pub fn committed_ops(&self) -> Vec<Op<M, R>> {
         self.entries
@@ -329,36 +294,6 @@ impl<M: Clone, R: Clone> GlobalLog<M, R> {
             .filter(|e| e.flag == GlobalFlag::Committed)
             .map(|e| e.op.clone())
             .collect()
-    }
-
-    /// `G ∖ L`: the global log with every operation appearing in `L`
-    /// (by id) filtered out. Preserves the order of `G`.
-    pub fn minus_local(&self, local: &LocalLog<M, R>) -> Vec<Op<M, R>> {
-        self.entries
-            .iter()
-            .filter(|e| !local.contains_id(e.op.id))
-            .map(|e| e.op.clone())
-            .collect()
-    }
-
-    /// `L ⊆ G`: every operation of `local` (by id) occurs in `self`.
-    pub fn contains_local(&self, local: &LocalLog<M, R>) -> bool {
-        local.iter().all(|e| self.contains_id(e.op.id))
-    }
-
-    /// The `cmt(G₁, L, G₂)` predicate of Figure 5, applied in place: marks
-    /// every entry of `self` whose op occurs in `local` as committed.
-    ///
-    /// Returns the ids that were flipped from `gUCmt` to `gCmt`.
-    pub fn commit_local(&mut self, local: &LocalLog<M, R>) -> Vec<OpId> {
-        let mut flipped = Vec::new();
-        for e in &mut self.entries {
-            if local.contains_id(e.op.id) && e.flag == GlobalFlag::Uncommitted {
-                e.flag = GlobalFlag::Committed;
-                flipped.push(e.op.id);
-            }
-        }
-        flipped
     }
 
     /// Drops every *uncommitted* entry not owned by ops in `keep` (id set),
@@ -437,66 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn global_minus_local_filters_by_id() {
-        let mut g = GlobalLog::new();
-        g.push_uncommitted(op(0, 1));
-        g.push_uncommitted(op(1, 2));
-        g.push_uncommitted(op(2, 1));
-        let mut l = LocalLog::new();
-        l.push_entry(pshd(0, 1));
-        l.push_entry(pshd(2, 1));
-        let rest: Vec<u64> = g.minus_local(&l).iter().map(|o| o.id.0).collect();
-        assert_eq!(rest, vec![1]);
-    }
-
-    #[test]
-    fn commit_local_flips_only_own_entries() {
-        let mut g = GlobalLog::new();
-        g.push_uncommitted(op(0, 1));
-        g.push_uncommitted(op(1, 2));
-        let mut l = LocalLog::new();
-        l.push_entry(pshd(0, 1));
-        let flipped = g.commit_local(&l);
-        assert_eq!(flipped, vec![OpId(0)]);
-        assert_eq!(g.entry(OpId(0)).unwrap().flag, GlobalFlag::Committed);
-        assert_eq!(g.entry(OpId(1)).unwrap().flag, GlobalFlag::Uncommitted);
-        let committed: Vec<u64> = g.committed_ops().iter().map(|o| o.id.0).collect();
-        assert_eq!(committed, vec![0]);
-    }
-
-    #[test]
-    fn contains_local_requires_all_ids() {
-        let mut g = GlobalLog::new();
-        g.push_uncommitted(op(0, 1));
-        let mut l = LocalLog::new();
-        l.push_entry(pshd(0, 1));
-        assert!(g.contains_local(&l));
-        l.push_entry(npshd(5, 1));
-        assert!(!g.contains_local(&l));
-    }
-
-    #[test]
-    fn remove_by_id_preserves_surrounding_order() {
-        let mut g = GlobalLog::new();
-        for i in 0..4 {
-            g.push_uncommitted(op(i, 1));
-        }
-        let removed = g.remove_by_id(OpId(2)).unwrap();
-        assert_eq!(removed.op.id, OpId(2));
-        let ids: Vec<u64> = g.ops().iter().map(|o| o.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 3]);
-        assert!(g.remove_by_id(OpId(2)).is_none());
-    }
-
-    #[test]
     fn drop_uncommitted_except_keeps_committed_and_listed() {
-        let mut g = GlobalLog::new();
-        g.push_uncommitted(op(0, 1));
-        g.push_uncommitted(op(1, 2));
-        g.push_uncommitted(op(2, 3));
-        let mut l = LocalLog::new();
-        l.push_entry(pshd(0, 1));
-        g.commit_local(&l);
+        let entry = |id, txn, flag| GlobalEntry {
+            op: op(id, txn),
+            flag,
+        };
+        let g = GlobalLog::from_entries(vec![
+            entry(0, 1, GlobalFlag::Committed),
+            entry(1, 2, GlobalFlag::Uncommitted),
+            entry(2, 3, GlobalFlag::Uncommitted),
+        ]);
         let kept = g.drop_uncommitted_except(&[OpId(2)]);
         let ids: Vec<u64> = kept.iter().map(|e| e.op.id.0).collect();
         assert_eq!(ids, vec![0, 2]);

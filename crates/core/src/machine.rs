@@ -25,8 +25,11 @@
 //! critical section.
 //!
 //! Threads execute a *sequence of transactions* (each program in the list
-//! passed to [`Machine::add_thread`] is one `tx c` body). Nested
-//! transactions are flattened, as in the paper.
+//! passed to [`Machine::add_thread`] is one `tx c` body). A nested
+//! `tx`/`otx` inside a body is a first-class scope (closed: merged into
+//! its parent or partially aborted; open: committed on its own with a
+//! compensation registered) — see [`crate::scope`] and
+//! [`Machine::begin_nested`].
 
 use std::sync::Arc;
 
@@ -46,10 +49,6 @@ pub use crate::global::CommittedTxn;
 /// The `(method, continuation)` pairs `step(c)` offers a thread.
 pub type StepOptions<M> = Vec<(M, Code<M>)>;
 
-/// A thread of the machine — alias kept from before the
-/// [`GlobalState`]/[`TxnHandle`] split.
-pub type Thread<S> = TxnHandle<S>;
-
 /// How strictly rule criteria are enforced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckMode {
@@ -60,8 +59,11 @@ pub enum CheckMode {
     /// Enforce all black criteria but skip the grayed-out ones.
     RelaxedGray,
     /// Enforce only structural well-formedness (flags, membership), no
-    /// commutativity or allowedness checks. Exists so benchmarks can
-    /// measure the cost of checking; never use for correctness arguments.
+    /// commutativity or allowedness checks. Exists to build
+    /// criteria-violating runs for the negative tests of the
+    /// serializability and invariant oracles (`serializability.rs`,
+    /// `tests/invariants.rs`, `tests/audit_patterns.rs`); never use for
+    /// correctness arguments.
     Unchecked,
 }
 
@@ -167,11 +169,6 @@ impl<S: SeqSpec> Machine<S> {
         self.global.install_certificate(cert);
     }
 
-    /// The installed spec certificate, if any.
-    pub fn certificate(&self) -> Option<std::sync::Arc<crate::certificate::SpecCertificate>> {
-        self.global.certificate()
-    }
-
     /// Turns strict certificate-gated arming on or off; see
     /// [`GlobalState::set_require_certificate`]. When strict mode finds
     /// the log already sharded and uncertified it demotes to coarse
@@ -222,14 +219,9 @@ impl<S: SeqSpec> Machine<S> {
         Ok(crate::group::commit_group(&mut selected))
     }
 
-    /// Is the incremental (committed-prefix cached) `allowed` evaluation
-    /// enabled? See [`GlobalState::set_incremental`].
-    pub fn incremental(&self) -> bool {
-        self.global.incremental()
-    }
-
-    /// Switches between incremental and full-replay criteria evaluation;
-    /// both produce identical verdicts and audit counts.
+    /// Switches between incremental (committed-prefix cached) and
+    /// full-replay criteria evaluation; both produce identical verdicts
+    /// and audit counts. See [`GlobalState::set_incremental`].
     pub fn set_incremental(&self, on: bool) {
         self.global.set_incremental(on);
     }
@@ -256,13 +248,6 @@ impl<S: SeqSpec> Machine<S> {
     /// dumps.
     pub fn lock_stats_per_shard(&self) -> Vec<(u64, u64)> {
         self.global.lock_stats_per_shard()
-    }
-
-    /// Read-only, unaudited "would PUSH accept this op right now?" —
-    /// evaluated under the lock a PUSH would take, never recorded. See
-    /// [`TxnHandle::can_push`].
-    pub fn can_push(&self, tid: ThreadId, op_id: OpId) -> MachineResult<bool> {
-        self.thread(tid)?.can_push(op_id)
     }
 
     /// Re-shards the global log into `shards` footprint shards (clamped
@@ -381,26 +366,6 @@ impl<S: SeqSpec> Machine<S> {
         self.thread(tid)?.step_options()
     }
 
-    /// `fin(c)` for the thread's current code.
-    pub fn can_finish(&self, tid: ThreadId) -> MachineResult<bool> {
-        self.thread(tid)?.can_finish()
-    }
-
-    /// Return values `r` such that the local log allows `⟨m, r⟩`
-    /// (APP criterion (ii) candidates).
-    pub fn allowed_results(&self, tid: ThreadId, method: &S::Method) -> MachineResult<Vec<S::Ret>> {
-        self.thread(tid)?.allowed_results(method)
-    }
-
-    /// The structural steps (Figure 6) applicable to the thread's current
-    /// code at its leftmost redex.
-    pub fn struct_options(
-        &self,
-        tid: ThreadId,
-    ) -> MachineResult<Vec<crate::structural::StructStep>> {
-        self.thread(tid)?.struct_options()
-    }
-
     /// Applies one structural reduction (NONDETL/NONDETR/LOOP/SEMISKIP,
     /// with the SEMI congruence locating the redex) to the thread's code.
     ///
@@ -502,20 +467,6 @@ impl<S: SeqSpec> Machine<S> {
     /// UNPUSHed then UNAPPed, unpushed entries are UNAPPed.
     pub fn rewind_all(&mut self, tid: ThreadId) -> MachineResult<()> {
         self.handle_mut(tid)?.rewind_all()
-    }
-
-    /// Rewinds the current transaction's local log down to `target_len`
-    /// entries, taking whatever back rules the tail requires — the
-    /// checkpoint/partial-abort mechanism of §6.2 ("placemarkers are set
-    /// so that UNAPP only needs to be performed for some operations";
-    /// the paper's model of checkpoints \[19\] and closed nesting \[27\]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates criterion violations from the constituent UNPUSH/UNPULL
-    /// steps (an UNAPP at the tail never fails).
-    pub fn rewind_to(&mut self, tid: ThreadId, target_len: usize) -> MachineResult<()> {
-        self.handle_mut(tid)?.rewind_to(target_len)
     }
 
     /// Pushes every unpushed own operation in local order, then commits —
@@ -862,7 +813,7 @@ mod tests {
             Code::method(CounterMethod::Dec),
         )]);
         assert_eq!(
-            m.struct_options(t).unwrap(),
+            m.thread(t).unwrap().struct_options().unwrap(),
             vec![StructStep::NondetL, StructStep::NondetR]
         );
         m.struct_step(t, StructStep::NondetR).unwrap();
@@ -958,9 +909,9 @@ mod tests {
             (
                 g.fault_hook().is_some(),
                 g.static_discharge().map(|f| f.obligations()),
-                m.certificate(),
+                g.certificate(),
                 g.require_certificate(),
-                m.incremental(),
+                g.incremental(),
                 m.audit(),
                 m.group_stats(),
                 m.nesting_stats(),

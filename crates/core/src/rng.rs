@@ -1,6 +1,6 @@
 //! A tiny, dependency-free, seeded PRNG.
 //!
-//! Workload generation, fuzzing and benchmarks all need *reproducible*
+//! Workload generation and fuzzing both need *reproducible*
 //! randomness: the same seed must yield the same programs so that runs
 //! are comparable across algorithms and across machines. An xorshift64
 //! generator is more than enough for that — statistical quality only has

@@ -137,12 +137,6 @@ impl<K: Eq + Hash + Ord + Clone> AbstractLockManager<K> {
         keys
     }
 
-    /// Clears `txn`'s waits-for edge (call when giving up a blocked
-    /// request without aborting).
-    pub fn clear_waiting(&mut self, txn: TxnId) {
-        self.waiting.remove(&txn);
-    }
-
     /// Does `txn` hold `key`?
     pub fn holds(&self, txn: TxnId, key: &K) -> bool {
         self.owners.get(key) == Some(&txn)

@@ -7,8 +7,10 @@
 //! * [`model_check`] — an exhaustive interleaving explorer for small
 //!   configurations, used to check §6's per-algorithm claims over *all*
 //!   interleavings rather than sampled ones;
-//! * [`workload`] — seeded workload generators (key skew, read ratio,
-//!   transaction length) shared by the benchmarks;
+//! * [`workload`] and [`patterns`] — seeded workload generators (key
+//!   skew, read ratio, transaction length) and structured program
+//!   families, so the tests and examples that compare algorithms run
+//!   identical transaction mixes;
 //! * [`runner`] — drives a system to completion and bundles statistics
 //!   with the serializability and opacity verdicts;
 //! * [`faults`] — deterministic seeded fault plans implementing the core
@@ -17,16 +19,13 @@
 //! * [`parallel`] — the OS-thread runner, with panic propagation, a
 //!   tick-budget watchdog, and optional installation of a static
 //!   [`AnalysisPlan`](pushpull_analysis::AnalysisPlan) so proven mover
-//!   clauses are elided before any worker spawns;
-//! * [`loadgen`] — open-/closed-loop arrival models and deterministic
-//!   latency-percentile recording for the service front-end bench.
+//!   clauses are elided before any worker spawns.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod faults;
-pub mod loadgen;
 pub mod model_check;
 pub mod parallel;
 pub mod patterns;
@@ -37,12 +36,11 @@ pub mod testutil;
 pub mod workload;
 
 pub use faults::{FaultPlan, FaultSpec};
-pub use loadgen::{Arrival, LatencyHistogram};
 pub use model_check::{explore, ExploreLimits, ExploreReport};
 pub use parallel::{
     run_parallel, run_parallel_sharded, ParallelError, ParallelOutcome, ThreadDump, WatchdogReport,
 };
-pub use runner::{run_reported, run_with, RunReport};
+pub use runner::{run_reported, RunReport};
 pub use scheduler::{run, RandomSched, RoundRobin, RunOutcome, Scheduler};
 pub use sweep::{sweep, Aggregate, SweepResult};
 pub use workload::WorkloadSpec;

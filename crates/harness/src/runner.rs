@@ -6,7 +6,7 @@ use pushpull_core::opacity::{check_trace, OpacityVerdict};
 use pushpull_core::serializability::{check_machine, SerializabilityReport};
 use pushpull_tm::driver::{SystemStats, TmSystem};
 
-use crate::scheduler::{run, RandomSched, RunOutcome, Scheduler};
+use crate::scheduler::{run, RandomSched, RunOutcome};
 
 /// Everything a finished run tells us.
 #[derive(Debug, Clone)]
@@ -21,17 +21,6 @@ pub struct RunReport {
     pub serializability: SerializabilityReport,
     /// Opacity fragment verdict.
     pub opacity: OpacityVerdict,
-}
-
-impl RunReport {
-    /// Throughput proxy: committed transactions per tick.
-    pub fn commits_per_tick(&self) -> f64 {
-        if self.outcome.ticks == 0 {
-            0.0
-        } else {
-            self.stats.commits as f64 / self.outcome.ticks as f64
-        }
-    }
 }
 
 impl std::fmt::Display for RunReport {
@@ -51,33 +40,8 @@ impl std::fmt::Display for RunReport {
     }
 }
 
-/// Runs `sys` under `sched` and produces the full report; see
-/// [`run_reported`] for the common seeded-random case.
-///
-/// # Errors
-///
-/// Propagates unexpected machine errors.
-pub fn run_with<T, S>(
-    sys: &mut T,
-    sched: &mut S,
-    max_ticks: usize,
-) -> Result<RunReport, MachineError>
-where
-    T: TmSystem,
-    S: Scheduler,
-{
-    let outcome = run(sys, sched, max_ticks)?;
-    let m = sys.machine();
-    Ok(RunReport {
-        algorithm: sys.name(),
-        outcome,
-        stats: sys.stats(),
-        serializability: check_machine(m),
-        opacity: check_trace(&m.trace()),
-    })
-}
-
-/// Convenience macro-free wrapper: run under a seeded random scheduler.
+/// Runs `sys` to completion under a seeded random scheduler and produces
+/// the full report.
 ///
 /// # Errors
 ///
@@ -87,7 +51,15 @@ pub fn run_reported<T: TmSystem>(
     seed: u64,
     max_ticks: usize,
 ) -> Result<RunReport, MachineError> {
-    run_with(sys, &mut RandomSched::new(seed), max_ticks)
+    let outcome = run(sys, &mut RandomSched::new(seed), max_ticks)?;
+    let m = sys.machine();
+    Ok(RunReport {
+        algorithm: sys.name(),
+        outcome,
+        stats: sys.stats(),
+        serializability: check_machine(m),
+        opacity: check_trace(&m.trace()),
+    })
 }
 
 #[cfg(test)]
@@ -111,7 +83,6 @@ mod tests {
         assert_eq!(report.stats.commits, 2);
         assert!(report.serializability.is_serializable());
         assert!(report.opacity.is_opaque());
-        assert!(report.commits_per_tick() > 0.0);
         let line = report.to_string();
         assert!(line.contains("boosting"));
         assert!(line.contains("serializable=true"));

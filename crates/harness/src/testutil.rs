@@ -1,9 +1,9 @@
-//! Shared audit-ledger assertions for the test suites and benchmarks, and
+//! Shared audit-ledger assertions for the test suites, and
 //! the one spec wrapper they share ([`Redeclared`]).
 //!
 //! Three invariants recur across the static-analysis tests, the fault
-//! suite, the sharding equivalence suite and the benchmark sanity
-//! checks; they live here so every caller asserts the *same* property
+//! suite and the sharding and server equivalence suites; they live here
+//! so every caller asserts the *same* property
 //! with the same diagnostics:
 //!
 //! * **Ledger closure** under a static-discharge plan: every criterion

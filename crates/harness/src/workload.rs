@@ -1,8 +1,11 @@
-//! Random workload generators for the benchmark experiments.
+//! Random workload generators for the tests and examples that run one
+//! transaction mix through several algorithms (`algorithms_compare`,
+//! `experiment_sweeps`, `tests/serializability_algorithms.rs`,
+//! `tests/server_equivalence.rs`, `tests/invariants.rs`).
 //!
 //! Workloads are seeded and deterministic: the same [`WorkloadSpec`]
-//! always yields the same programs, so benchmark comparisons across
-//! algorithms run identical transaction mixes.
+//! always yields the same programs, so every algorithm compared runs the
+//! identical transaction mix.
 
 use pushpull_core::lang::Code;
 use pushpull_core::rng::Xorshift64;

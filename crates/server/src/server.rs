@@ -636,18 +636,6 @@ impl<S: SeqSpec> TxnServer<S> {
         out
     }
 
-    /// Commit latencies (in worker ticks) of every committed session, in
-    /// session-id order — feed these to a latency histogram.
-    pub fn commit_latencies(&self) -> Vec<u64> {
-        self.outcomes()
-            .into_iter()
-            .filter_map(|(_, o)| match o {
-                SessionOutcome::Committed { latency, .. } => Some(*latency),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The recorded response log (only populated with
     /// [`ServerConfig::record_responses`]), in worker-major order.
     pub fn responses(&self) -> Vec<&TxnResponse> {
@@ -928,7 +916,11 @@ mod tests {
         );
         drive(&mut sys, 10_000);
         assert_eq!(sys.stats().commits, 8);
-        let lat = sys.commit_latencies();
+        let committed = |(_, o): (SessionId, &SessionOutcome)| match o {
+            SessionOutcome::Committed { latency, .. } => Some(*latency),
+            _ => None,
+        };
+        let lat: Vec<u64> = sys.outcomes().into_iter().filter_map(committed).collect();
         assert_eq!(lat.len(), 8);
         // One slot, one arrival per tick: later sessions queue, so the
         // maximum latency strictly exceeds the minimum.

@@ -346,11 +346,6 @@ impl ContentionState {
         })
     }
 
-    /// The policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.cm.name()
-    }
-
     /// One governor per model thread.
     pub fn governors(self: &Arc<Self>, n: usize) -> Vec<Governor> {
         (0..n).map(|t| Governor::new(self, ThreadId(t))).collect()
@@ -451,11 +446,6 @@ impl Governor {
     /// The shared contention state this governor reports to.
     pub fn shared(&self) -> &Arc<ContentionState> {
         &self.shared
-    }
-
-    /// Is this thread currently running degraded (token held)?
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     fn token_ticket(&self) -> usize {

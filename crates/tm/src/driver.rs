@@ -406,7 +406,8 @@ where
     }
 }
 
-/// Statistics every system accumulates, for the benchmark tables.
+/// Statistics every system accumulates, for the example tables, the
+/// sweeps and the ledger's per-layer metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SystemStats {
     /// Committed transactions.

@@ -10,9 +10,9 @@
 //! access, and march forward again — Figure 7's rule sequence.
 //!
 //! [`MixedSpec`] is the product specification; [`MixedSystem`] is the
-//! generic driver used by the benchmarks. The exact Figure 7 trace is
-//! reproduced by driving the machine directly (see
-//! `examples/boosting_htm.rs` and `tests/fig7_mixed.rs`).
+//! generic driver. The exact Figure 7 trace is reproduced by driving the
+//! machine directly (see `examples/boosting_htm.rs` and
+//! `tests/fig7_mixed.rs`).
 
 use std::sync::{Arc, Mutex};
 

@@ -17,11 +17,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use pushpull::core::lang::Code;
-use pushpull::core::machine::{CheckMode, Machine};
+use pushpull::core::machine::Machine;
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::{KeySet, SeqSpec};
-use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
+use pushpull::core::toy::{CounterMethod, StrictCounter};
 use pushpull::core::GroupTxnResult;
 use pushpull::spec::kvmap::{KvMap, MapMethod, MapOp, MapRet, MapState};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
@@ -49,17 +49,8 @@ fn disjoint_setup() -> Machine<RwMem> {
 fn each_rule_takes_exactly_the_locks_its_discipline_names() {
     type Step = fn(&mut Machine<RwMem>, &mut OpId);
     // (rule, step on thread B, expected lock acquisitions per shard)
-    let table: [(&str, Step, [u64; 4]); 13] = [
+    let table: [(&str, Step, [u64; 4]); 12] = [
         ("APP", |m, op| *op = m.app_auto(TB).unwrap(), [0, 0, 0, 0]),
-        (
-            "can_push",
-            |m, op| {
-                let audit = m.audit();
-                assert!(m.can_push(TB, *op).unwrap(), "disjoint write is pushable");
-                assert_eq!(m.audit(), audit, "can_push is unaudited");
-            },
-            [0, 1, 0, 0],
-        ),
         ("PUSH", |m, op| m.push(TB, *op).unwrap(), [0, 1, 0, 0]),
         ("UNPUSH", |m, op| m.unpush(TB, *op).unwrap(), [0, 1, 0, 0]),
         ("UNAPP", |m, op| *op = m.unapp(TB).unwrap(), [0, 0, 0, 0]),
@@ -141,51 +132,6 @@ fn each_rule_takes_exactly_the_locks_its_discipline_names() {
 }
 
 #[test]
-fn can_push_agrees_with_push_verdicts() {
-    // Bound-1 counter: after A's committed inc, B's inc is denotationally
-    // disallowed — can_push must predict the PUSH (iii) rejection.
-    let mut m = Machine::new(ToyCounter::with_bound(1));
-    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let a = m.app_auto(ta).expect("app A");
-    m.push(ta, a).expect("push A");
-    m.commit(ta).expect("commit A");
-
-    let b = m.app_auto(tb).expect("app B");
-    assert!(!m.can_push(tb, b).expect("well-formed op"));
-    assert!(
-        m.push(tb, b).is_err(),
-        "push must agree with the prediction"
-    );
-
-    // Bound-2 counter, same shape: now both verdicts flip to true.
-    let mut m = Machine::new(ToyCounter::with_bound(2));
-    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let a = m.app_auto(ta).expect("app A");
-    m.push(ta, a).expect("push A");
-    m.commit(ta).expect("commit A");
-
-    let b = m.app_auto(tb).expect("app B");
-    assert!(m.can_push(tb, b).expect("well-formed op"));
-    m.push(tb, b).expect("push must agree with the prediction");
-    m.commit(tb).expect("commit B");
-
-    // Bound-1 again, but `Unchecked`: PUSH skips its criteria there, so
-    // it accepts B's inc — and can_push, behind the same gate, says so.
-    let mut m = Machine::with_mode(ToyCounter::with_bound(1), CheckMode::Unchecked);
-    let ta = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let tb = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
-    let a = m.app_auto(ta).expect("app A");
-    m.push(ta, a).expect("push A");
-    m.commit(ta).expect("commit A");
-
-    let b = m.app_auto(tb).expect("app B");
-    assert!(m.can_push(tb, b).expect("well-formed op"));
-    m.push(tb, b).expect("push must agree with the prediction");
-}
-
-#[test]
 fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     // `Size` declares no footprint; pushing it at shard count 4 trips the
     // sticky-coarse rung of the fallback ladder. From then on criteria
@@ -201,15 +147,15 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     m.commit(ta).expect("commit size");
 
     let put = m.app_auto(tb).expect("app put");
-    let (acq_before, _) = m.lock_stats();
-    assert!(m.can_push(tb, put).expect("well-formed op"));
-    let (acq_after, _) = m.lock_stats();
-
-    assert!(
-        acq_after > acq_before,
-        "coarse mode must route the check through the locked ladder"
-    );
+    let before = m.lock_stats_per_shard();
     m.push(tb, put).expect("push put");
+    let after = m.lock_stats_per_shard();
+    let locks: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a.0 - b.0).collect();
+    assert_eq!(
+        locks,
+        [1, 1, 1, 1],
+        "coarse mode must evaluate a single-key PUSH under every shard lock"
+    );
     m.commit(tb).expect("commit put");
 }
 
