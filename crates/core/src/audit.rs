@@ -10,7 +10,7 @@
 //! discharges no UNPUSH obligations at all).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::error::{Clause, Rule};
 use crate::faults::{FaultKind, NON_DENY_FAULT_COUNT, NON_DENY_FAULT_KINDS};
@@ -231,10 +231,20 @@ const ALL_RULES: [Rule; 7] = [
 const ALL_CLAUSES: [Clause; 4] = [Clause::I, Clause::Ii, Clause::Iii, Clause::Iv];
 
 /// Number of cache-line-padded stripes the hot query counters are sharded
-/// over. Threads index stripes by `thread_id % QUERY_SHARDS`, so concurrent
-/// APP-side `allowed` accounting on different threads touches different
-/// cache lines.
+/// over. Each OS thread counts into the stripe `stripe()` numbers it on its
+/// first count, so concurrent APP-side `allowed` accounting on different
+/// threads (up to this many) touches different cache lines.
 pub const QUERY_SHARDS: usize = 8;
+
+/// The calling OS thread's stripe: threads are numbered round-robin over
+/// the stripes on their first count, and keep their stripe.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % QUERY_SHARDS;
+    }
+    STRIPE.with(|s| *s)
+}
 
 /// One cache line worth of counter, so stripes never false-share.
 #[derive(Debug, Default)]
@@ -298,31 +308,30 @@ impl AtomicAudit {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one mover-oracle consultation, attributed to `shard`
-    /// (typically the querying thread's index).
-    pub fn count_mover(&self, shard: usize) {
-        self.mover_queries[shard % QUERY_SHARDS].add(1);
+    /// Counts one mover-oracle consultation in the calling thread's stripe.
+    pub fn count_mover(&self) {
+        self.mover_queries[stripe()].add(1);
     }
 
-    /// Counts one `allowed` evaluation, attributed to `shard`.
-    pub fn count_allowed(&self, shard: usize) {
-        self.allowed_queries[shard % QUERY_SHARDS].add(1);
+    /// Counts one `allowed` evaluation in the calling thread's stripe.
+    pub fn count_allowed(&self) {
+        self.allowed_queries[stripe()].add(1);
     }
 
     /// Counts `n` mover-oracle consultations at once: the criteria
     /// kernel tallies while it evaluates and `Verdict::record` flushes
     /// here in one shot.
-    pub fn count_mover_n(&self, shard: usize, n: u64) {
+    pub fn count_mover_n(&self, n: u64) {
         if n > 0 {
-            self.mover_queries[shard % QUERY_SHARDS].add(n);
+            self.mover_queries[stripe()].add(n);
         }
     }
 
     /// Counts `n` `allowed` evaluations at once (see
     /// [`AtomicAudit::count_mover_n`]).
-    pub fn count_allowed_n(&self, shard: usize, n: u64) {
+    pub fn count_allowed_n(&self, n: u64) {
         if n > 0 {
-            self.allowed_queries[shard % QUERY_SHARDS].add(n);
+            self.allowed_queries[stripe()].add(n);
         }
     }
 
@@ -533,11 +542,11 @@ mover queries: 7   allowed queries: 2
         }
         a.fail(Rule::Cmt, Clause::Iii);
         m.fail(Rule::Cmt, Clause::Iii);
-        for i in 0..10 {
-            a.count_mover(i);
+        for _ in 0..10 {
+            a.count_mover();
             m.mover_queries += 1;
         }
-        a.count_allowed(0);
+        a.count_allowed();
         m.allowed_queries += 1;
         assert_eq!(a.snapshot(), m);
     }
@@ -546,30 +555,36 @@ mover queries: 7   allowed queries: 2
     fn atomic_audit_is_concurrency_safe() {
         let a = std::sync::Arc::new(AtomicAudit::new());
         let mut handles = Vec::new();
-        for t in 0..4usize {
+        for t in 0..4u64 {
             let a = std::sync::Arc::clone(&a);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
                     a.pass(Rule::App, Clause::Ii);
-                    a.count_allowed(t);
-                    a.count_mover(t);
+                    a.count_allowed();
+                    a.count_mover_n(t + 1);
                 }
+                stripe()
             }));
         }
-        for h in handles {
-            h.join().unwrap();
+        // Each thread's counts land in the one stripe it was numbered, so
+        // the stripes hold exactly what their threads counted.
+        let mut movers = [0u64; QUERY_SHARDS];
+        for (t, h) in handles.into_iter().enumerate() {
+            movers[h.join().unwrap()] += 1000 * (t as u64 + 1);
         }
+        let per_stripe: Vec<u64> = a.mover_queries.iter().map(PaddedU64::load).collect();
+        assert_eq!(per_stripe, movers);
         let snap = a.snapshot();
         assert_eq!(snap.discharged_count(Rule::App, Clause::Ii), 4000);
         assert_eq!(snap.allowed_queries, 4000);
-        assert_eq!(snap.mover_queries, 4000);
+        assert_eq!(snap.mover_queries, 10_000);
     }
 
     #[test]
     fn atomic_reset_and_clone() {
         let a = AtomicAudit::new();
         a.pass(Rule::Pull, Clause::I);
-        a.count_mover(3);
+        a.count_mover();
         let b = a.clone();
         assert_eq!(a.snapshot(), b.snapshot());
         a.reset();

@@ -4,8 +4,9 @@
 //! The kernel is *pure*: it reads a held [`LogView`] of `G` and returns a
 //! [`Verdict`], touching neither the log nor the audit. A rule uses it
 //! under the shard lock (DESIGN.md §10): evaluate, then
-//! [`Verdict::settle`] (record the tallies, surface the denial), then
-//! apply the effect in the same critical section.
+//! [`Verdict::settle`] (record the tallies, surface the denial — or, for a
+//! PUSH, hand over the set that proved (iii)), then apply the effect in the
+//! same critical section.
 //!
 //! [`Verdict::record`] is the only place these clauses touch the audit.
 
@@ -14,7 +15,7 @@ use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::global::{GlobalState, LogView};
 use crate::log::GlobalFlag;
 use crate::op::{Op, OpId, TxnId};
-use crate::spec::SeqSpec;
+use crate::spec::{SeqSpec, StateSet};
 
 /// How one clause concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +35,12 @@ fn clauses(rule: Rule) -> [Clause; 2] {
     }
 }
 
-/// The outcome of one kernel evaluation: how each clause concluded and
-/// the oracle queries it took. Holds no heap data — the denial message is
-/// only rendered by [`Verdict::result`], so a passing evaluation costs no
-/// allocation.
+/// The outcome of one kernel evaluation: how each clause concluded, the
+/// oracle queries it took and, for a PUSH, the set that proved (iii). The
+/// denial message is only rendered by [`Verdict::result`], so a passing
+/// evaluation allocates nothing beyond what its spec steps do.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct Verdict {
+pub(crate) struct Verdict<St> {
     rule: Rule,
     /// One slot per entry of [`clauses`]; `None` = not reached (an
     /// earlier clause failed) or not checked (the gray UNPUSH (i)).
@@ -50,9 +51,12 @@ pub(crate) struct Verdict {
     subject: OpId,
     /// On a failed mover/flag check, the entry of `G` that refuted it.
     witness: Option<(OpId, TxnId)>,
+    /// A passed PUSH (iii)'s class-local `⟦G|k · op⟧` ([`LogView::allows`]),
+    /// handed by [`Verdict::settle`] to the append that installs it.
+    proved: Option<StateSet<St>>,
 }
 
-impl Verdict {
+impl<St> Verdict<St> {
     fn new(rule: Rule, subject: OpId) -> Self {
         Self {
             rule,
@@ -61,6 +65,7 @@ impl Verdict {
             allowed: 0,
             subject,
             witness: None,
+            proved: None,
         }
     }
 
@@ -71,10 +76,10 @@ impl Verdict {
     }
 
     /// Records exactly the queries and pass/static/fail marks of this
-    /// evaluation in the audit (`shard` is the caller's query stripe).
-    pub(crate) fn record(&self, audit: &AtomicAudit, shard: usize) {
-        audit.count_mover_n(shard, self.movers);
-        audit.count_allowed_n(shard, self.allowed);
+    /// evaluation in the audit.
+    pub(crate) fn record(&self, audit: &AtomicAudit) {
+        audit.count_mover_n(self.movers);
+        audit.count_allowed_n(self.allowed);
         for (clause, mark) in clauses(self.rule).into_iter().zip(self.marks) {
             match mark {
                 Some(Mark::Pass) => audit.pass(self.rule, clause),
@@ -108,10 +113,11 @@ impl Verdict {
         ))
     }
 
-    /// The locked evaluation's epilogue: record, then surface the result.
-    pub(crate) fn settle(&self, audit: &AtomicAudit, shard: usize) -> MachineResult<()> {
-        self.record(audit, shard);
-        self.result()
+    /// The locked evaluation's epilogue: record, then surface the result —
+    /// on a pass, with the set that proved PUSH (iii), if any.
+    pub(crate) fn settle(self, audit: &AtomicAudit) -> MachineResult<Option<StateSet<St>>> {
+        self.record(audit);
+        self.result().map(|()| self.proved)
     }
 }
 
@@ -121,13 +127,14 @@ impl Verdict {
 /// right of `op`. A single-shard view inspects only entries sharing
 /// `op`'s footprint class — entries on other shards have disjoint
 /// declared footprints and are both-movers by the validated footprint
-/// law, so the verdict is identical. (iii): `G` allows `op`.
+/// law, so the verdict is identical. (iii): `G` allows `op`; the verdict
+/// carries the class-local set that proved it, if there is one.
 pub(crate) fn push<S: SeqSpec>(
     global: &GlobalState<S>,
     view: &LogView<'_, S>,
     txn: TxnId,
     op: &Op<S::Method, S::Ret>,
-) -> Verdict {
+) -> Verdict<S::State> {
     let spec = global.spec();
     let mut v = Verdict::new(Rule::Push, op.id);
     let foreign = || view.uncommitted(global).filter(|g| g.op.txn != txn);
@@ -154,10 +161,12 @@ pub(crate) fn push<S: SeqSpec>(
         v.marks[0] = Some(Mark::Pass);
     }
     v.allowed += 1;
-    if !view.allows(global, op) {
+    let (allowed, proved) = view.allows(global, op);
+    if !allowed {
         return v.deny(1, None);
     }
     v.marks[1] = Some(Mark::Pass);
+    v.proved = proved;
     v
 }
 
@@ -172,7 +181,7 @@ pub(crate) fn unpush<S: SeqSpec>(
     view: &LogView<'_, S>,
     (vidx, pos): (usize, usize),
     gray: bool,
-) -> Verdict {
+) -> Verdict<S::State> {
     let spec = global.spec();
     let op = &view.at(vidx, pos).op;
     let mut v = Verdict::new(Rule::UnPush, op.id);
@@ -212,7 +221,7 @@ pub(crate) fn unpush<S: SeqSpec>(
 pub(crate) fn cmt<S: SeqSpec>(
     view: &LogView<'_, S>,
     pulled: impl Iterator<Item = OpId>,
-) -> Verdict {
+) -> Verdict<S::State> {
     let mut v = Verdict::new(Rule::Cmt, OpId(0));
     for id in pulled {
         let found = view.entry(id);
@@ -238,38 +247,56 @@ mod tests {
     /// For every own operation of every thread, the kernel over the
     /// locked view must return the same [`Verdict`] — outcome, witness
     /// *and* tallies — with the incremental path on and off (full replay
-    /// is the reference). Returns how many comparisons ended in a denial.
-    fn compare<S: SeqSpec<Method = CounterMethod>>(m: &Machine<S>) -> usize {
+    /// is the reference, and proves nothing). A cached PUSH's proof must be
+    /// `⟦G · op⟧`: on one shard there is one class. The switch is turned
+    /// back on after each comparison, so the machine's own steps keep
+    /// running — and installing end-of-log sets — on the incremental path.
+    /// Returns how many comparisons ended in a denial, and how many cached
+    /// PUSH evaluations started from an end-of-log set.
+    fn compare<S: SeqSpec<Method = CounterMethod>>(m: &Machine<S>) -> [usize; 2] {
         let global = m.global_state();
-        let mut denials = 0;
+        let mut tally = [0; 2];
         for t in 0..m.thread_count() {
             let local = m.thread(crate::op::ThreadId(t)).unwrap().local();
             for e in local.entries().iter().filter(|e| e.flag.is_own()) {
                 let op = &e.op;
-                let [cached, replayed] = [true, false].map(|incremental| {
+                let pushed = matches!(e.flag, LocalFlag::Pushed { .. });
+                let [(mut cached, from_end), (replayed, _)] = [true, false].map(|incremental| {
                     global.set_incremental(incremental);
                     let view = global.acquire_route(Route::Single(0));
-                    if matches!(e.flag, LocalFlag::Pushed { .. }) {
+                    let from_end = incremental && !pushed && view.end_sets() > 0;
+                    let verdict = if pushed {
                         let at = view.find(op.id).expect("a pshd op is in G");
                         unpush(global, &view, at, true)
                     } else {
                         push(global, &view, op.txn, op)
-                    }
+                    };
+                    (verdict, from_end)
                 });
+                global.set_incremental(true);
+                assert_eq!(replayed.proved, None, "the reference installs nothing");
+                if let Some(proved) = cached.proved.take() {
+                    let g = m.global();
+                    let then = g.iter().map(|e| &e.op).chain(std::iter::once(op));
+                    assert_eq!(proved, global.spec().denote_refs(then));
+                }
                 assert_eq!(cached, replayed);
-                denials += usize::from(cached.result().is_err());
+                tally[0] += usize::from(cached.result().is_err());
+                tally[1] += usize::from(from_end);
             }
         }
-        denials
+        tally
     }
 
     /// A few hundred seeded single-shard logs: three threads of one
     /// random transaction each take random APP / PUSH / UNPUSH / CMT
     /// steps (refused steps are part of the input space), leaving mixed
-    /// committed and uncommitted entries of several transactions.
+    /// committed and uncommitted entries of several transactions. One step
+    /// in four runs on the full-replay path, so its PUSH appends with no
+    /// proof — and must drop its class's end-of-log set.
     fn differential<S: SeqSpec<Method = CounterMethod>>(spec: impl Fn() -> S) {
         let methods = [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get];
-        let mut denials = 0;
+        let [mut denials, mut from_end] = [0; 2];
         for seed in 1..=300 {
             let mut rng = Xorshift64::new(seed);
             let mut m = Machine::new(spec());
@@ -288,16 +315,23 @@ mod tests {
                     let mut own = local.entries().iter().filter(|e| e.flag.is_own());
                     own.find(|e| e.flag.is_pushed() == pushed).map(|e| e.op.id)
                 };
+                m.set_incremental(rng.gen_index(4) != 0);
                 let _refusable = match rng.gen_index(4) {
                     0 => m.app_auto(t).map(|_| ()),
                     1 => flagged(&m, false).map_or(Ok(()), |id| m.push(t, id)),
                     2 => flagged(&m, true).map_or(Ok(()), |id| m.unpush(t, id)),
                     _ => m.commit(t).map(|_| ()),
                 };
-                denials += compare(&m);
+                let [denied, ended] = compare(&m);
+                denials += denied;
+                from_end += ended;
             }
         }
         assert!(denials > 100, "the sweep must exercise denials ({denials})");
+        assert!(
+            from_end > 1000,
+            "the sweep must reach the end-of-log sets ({from_end})"
+        );
     }
 
     /// No rule removes a committed entry, so only a test can reach below
@@ -314,14 +348,45 @@ mod tests {
             m.commit(*t).unwrap();
         }
         m.app_auto(tids[2]).unwrap();
-        assert_eq!(compare(&m), 1, "two committed incs: the bound is reached");
+        assert_eq!(
+            compare(&m)[0],
+            1,
+            "two committed incs: the bound is reached"
+        );
         let first = m.global().iter().next().expect("two entries").op.id;
         {
             let mut view = m.global_state().acquire_route(Route::Single(0));
             let at = view.find(first).expect("committed entries are found too");
             view.remove(at);
         }
-        assert_eq!(compare(&m), 0, "one committed inc left: there is room");
+        assert_eq!(compare(&m)[0], 0, "one committed inc left: there is room");
+    }
+
+    /// The full-replay reference never reads an end-of-log set, and the
+    /// cached PUSH (iii) starts from one: with the set emptied behind the
+    /// cache's back, the reference still allows the second `Inc`, while the
+    /// cached path denies it — in a debug build its cross-check against the
+    /// suffix replay trips first, so only a release build asks.
+    #[test]
+    fn only_the_cached_push_reads_the_end_of_log_set() {
+        let mut m = Machine::new(ToyCounter::with_bound(2));
+        let inc = || Code::method(CounterMethod::Inc);
+        let t = m.add_thread(vec![Code::seq(inc(), inc())]);
+        let first = m.app_auto(t).unwrap();
+        m.app_auto(t).unwrap();
+        m.push(t, first).unwrap();
+        let second = m.thread(t).unwrap().local().entries()[1].op.clone();
+        let global = m.global_state();
+        let allows = |incremental| {
+            global.set_incremental(incremental);
+            let mut view = global.acquire_route(Route::Single(0));
+            assert_eq!(view.end_sets(), 1, "the first PUSH installed its proof");
+            view.poison_end_sets();
+            push(global, &view, second.txn, &second).result().is_ok()
+        };
+        assert!(allows(false), "the reference read the end-of-log set");
+        #[cfg(not(debug_assertions))]
+        assert!(!allows(true), "the cached path did not start from it");
     }
 
     #[test]

@@ -83,7 +83,7 @@
 //! and the `committed` list's mutex is only ever taken while already
 //! holding shard locks (never the reverse), so the lock order is total.
 //!
-//! ## Incremental `allowed` (the per-class committed-prefix cache)
+//! ## Incremental `allowed` (two cached points per footprint class)
 //!
 //! Every PUSH evaluates `G allows op` and every UNPUSH evaluates
 //! `allowed (G ∖ op)`; replaying the whole log makes a run of `n`
@@ -110,14 +110,27 @@
 //! routing and caching are one decision (`GlobalState::class_in`), which
 //! never consults `method_keys` on a single-shard machine. (The lenient
 //! refresh's filter is the one reader of declared keys there, and it
-//! decides no criterion.) PUSH (iii) and
-//! UNPUSH (ii) replay `class(op)`'s cached set over only the suffix
-//! entries of that class. Because the denotation is compositional
-//! (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split point `k`) the
-//! verdicts are bit-identical to the full replay — and so are the audit
-//! counts, since the audit counts *queries*, not spec transitions. What
-//! a criterion costs is O(|uncommitted suffix|), whatever the shard's
-//! history and however many other keys hash to it.
+//! decides no criterion.) UNPUSH (ii) replays `class(op)`'s cached set
+//! over only the suffix entries of that class. Because the denotation is
+//! compositional (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split
+//! point `k`) the verdicts are bit-identical to the full replay — and so
+//! are the audit counts, since the audit counts *queries*, not spec
+//! transitions. What a criterion costs is O(|uncommitted suffix|),
+//! whatever the shard's history and however many other keys hash to it.
+//!
+//! PUSH (iii) costs one spec step. Beside `⟦G_i[..len]|k⟧` the cache keeps
+//! a second point per class, `ends[k] = ⟦G_i|k⟧` over the *whole* segment,
+//! and it is filled for free: the class-local evaluation of `G allows op`
+//! computes `⟦G_i|k · op⟧`, which after the append *is* `⟦G_i|k⟧`, so
+//! `LogView::allows` returns it, the kernel's verdict carries it, and
+//! `GlobalState::append_push` installs it with the entry. The next PUSH
+//! of the class steps `ends[k]` by its own operation (one application of
+//! compositionality, at the split point "everything"), and falls back to
+//! the suffix replay when the class has no end set. A `debug_assert!`
+//! re-checks every end set it starts from against that replay. When a
+//! CMT leaves the shard fully committed, `len` reaches the end of the
+//! segment, so each `ends[k]` *is* the new `classes[k]` and moves there
+//! with no spec step; only classes without an end set are folded.
 //!
 //! The scans that by the all-committed invariant concern only entries
 //! past `len` start there too: PUSH (ii)'s foreign-uncommitted mover
@@ -127,21 +140,31 @@
 //! A multi-shard (coarse) view and [`GlobalState::set_incremental`]`(false)`
 //! skip every cache: the merged (or the one shard's) log is replayed in
 //! full from position 0 — the reference the differential tests compare
-//! against. A method with no single-key footprint has no class; entries
-//! of one exist only once the sticky coarse flag is set, after which no
-//! cache is read again.
+//! against. Neither proves a class-local set, so neither installs an end
+//! set, and neither reads one. A method with no single-key footprint has
+//! no class; entries of one exist only once the sticky coarse flag is set,
+//! after which no cache is read again.
 //!
-//! Invalidation rules, per shard:
+//! Invalidation rules, per shard — an end set, where present, is always
+//! `⟦G_i|k⟧`, whichever path evaluates:
 //!
-//! * PUSH appends — the cached prefix is untouched.
+//! * PUSH appends — the cached prefix is untouched. An append with the set
+//!   that proved it installs that set as its class's end set; an append
+//!   with none — `Unchecked` mode, `set_incremental(false)`, a coarse
+//!   multi-shard view, a compensation — drops its class's end set. Other
+//!   classes' end sets are untouched: `G_i|j` did not change.
 //! * CMT flips flags in place and never reorders — flags are not part of
-//!   the denotation, so the cache stays valid and is then *advanced*:
-//!   each newly committed entry at the boundary is folded into its own
-//!   class.
+//!   the denotation, so both points stay valid and the cache is then
+//!   *advanced*: when the shard is fully committed the end sets move into
+//!   `classes`; otherwise each newly committed entry at the boundary is
+//!   folded into its own class.
 //! * UNPUSH removes an *uncommitted* entry, which by the all-committed
-//!   invariant lies at or past `len`; the cache is untouched. A removal
-//!   inside the cached prefix (impossible through the rule API) resets the
-//!   cache defensively.
+//!   invariant lies at or past `len`; the committed prefix is untouched
+//!   and the shard's end sets are dropped. A removal inside the cached
+//!   prefix (impossible through the rule API) resets the whole cache
+//!   defensively.
+//! * Resharding rebuilds every shard without end sets; a deep clone
+//!   copies them.
 //!
 //! ## The fallback ladder and log memory
 //!
@@ -227,8 +250,9 @@ fn unpoisoned<G>(acquired: LockResult<G>) -> G {
     acquired.expect("a thread panicked while holding a GlobalState lock")
 }
 
-/// Memoized denotation of the longest fully committed prefix of a shard's
-/// log segment, one small set per footprint class (see the module docs).
+/// Memoized denotations of a shard's log segment, two points per footprint
+/// class: at the end of its longest fully committed prefix, and at the end
+/// of the whole segment (see the module docs).
 #[derive(Debug, Clone)]
 struct PrefixCache<St> {
     /// Entries `[..len]` of the shard log are all committed.
@@ -237,6 +261,9 @@ struct PrefixCache<St> {
     initial: StateSet<St>,
     /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
     classes: HashMap<u64, StateSet<St>>,
+    /// `⟦G_i|k⟧` over the whole segment, for every class `k` whose last
+    /// append carried the set that proved its PUSH (iii).
+    ends: HashMap<u64, StateSet<St>>,
 }
 
 impl<St: PartialEq> PrefixCache<St> {
@@ -245,12 +272,14 @@ impl<St: PartialEq> PrefixCache<St> {
             len: 0,
             initial: initial.into_iter().collect(),
             classes: HashMap::new(),
+            ends: HashMap::new(),
         }
     }
 
     fn reset(&mut self) {
         self.len = 0;
         self.classes.clear();
+        self.ends.clear();
     }
 
     /// `⟦G_i[..len]|class⟧`.
@@ -373,22 +402,23 @@ impl<S: SeqSpec> ShardLog<S> {
     }
 
     /// Removes the entry at `pos` (the effect of an UNPUSH on this
-    /// shard). An uncommitted entry lies at or past the cache boundary; a
-    /// removal below it — impossible through the rule API — resets the
-    /// cache defensively.
+    /// shard), dropping the end-of-log sets. An uncommitted entry lies at
+    /// or past the cache boundary; a removal below it — impossible through
+    /// the rule API — resets the cache defensively.
     fn remove_at(&mut self, pos: usize) {
         self.entries.remove(pos);
+        self.cache.ends.clear();
         if pos < self.cache.len {
             self.cache.reset();
         }
     }
 
-    /// Flips every entry of `local` held by this shard to committed,
-    /// returning `(stamp, id)` per flip (the CMT effect on this shard).
-    /// Every uncommitted entry lies at or past `cache.len` (the
-    /// all-committed invariant of the cached prefix), so the walk starts
-    /// there.
-    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<(u64, OpId)> {
+    /// Flips every uncommitted entry whose id is in `own` (ascending) to
+    /// committed, pushing `(stamp, id)` per flip onto `flipped` (the CMT
+    /// effect on this shard). Every uncommitted entry lies at or past
+    /// `cache.len` (the all-committed invariant of the cached prefix), so
+    /// the walk starts there.
+    fn commit_local(&mut self, own: &[OpId], flipped: &mut Vec<(u64, OpId)>) {
         let from = self.cache.len.min(self.entries.len());
         debug_assert!(
             self.entries[..from]
@@ -396,14 +426,12 @@ impl<S: SeqSpec> ShardLog<S> {
                 .all(|(_, e)| e.flag == GlobalFlag::Committed),
             "the cached prefix is all committed"
         );
-        let mut flipped = Vec::new();
         for (stamp, e) in &mut self.entries[from..] {
-            if e.flag == GlobalFlag::Uncommitted && local.iter().any(|l| l.op.id == e.op.id) {
+            if e.flag == GlobalFlag::Uncommitted && own.binary_search(&e.op.id).is_ok() {
                 e.flag = GlobalFlag::Committed;
                 flipped.push((*stamp, e.op.id));
             }
         }
-        flipped
     }
 }
 
@@ -706,14 +734,37 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
         self.shards[vidx].1.entry_at(pos)
     }
 
-    /// Flips every held entry of `local` to committed (the `cmt`
-    /// predicate restricted to the held shards), returning the flipped
-    /// ids in global stamp order — identical to the single-log flip
-    /// order at any shard count.
+    /// How many end-of-log sets the viewed shards hold (for the tests that
+    /// show their evaluations reach them).
+    #[cfg(test)]
+    pub(crate) fn end_sets(&self) -> usize {
+        let viewed = self.shards[self.scope()].iter();
+        viewed.map(|(_, sh)| sh.cache.ends.len()).sum()
+    }
+
+    /// Empties every end-of-log set behind the cache's back (for the test
+    /// that shows which evaluations read them).
+    #[cfg(test)]
+    pub(crate) fn poison_end_sets(&mut self) {
+        let ends = self
+            .shards
+            .iter_mut()
+            .flat_map(|(_, sh)| sh.cache.ends.values_mut());
+        ends.for_each(|end| *end = StateSet::new());
+    }
+
+    /// Flips every held entry of `local`'s pushed operations to committed
+    /// (the `cmt` predicate restricted to the held shards), returning the
+    /// flipped ids in global stamp order — identical to the single-log
+    /// flip order at any shard count. The pushed ids are gathered and
+    /// sorted once, so each shard entry is one binary search.
     fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<OpId> {
+        let pushed = local.iter().filter(|l| l.flag.is_pushed());
+        let mut own: crate::smallvec::SmallVec<OpId, 8> = pushed.map(|l| l.op.id).collect();
+        own.sort_unstable();
         let mut flipped: Vec<(u64, OpId)> = Vec::new();
         for (_, sh) in &mut self.shards {
-            flipped.extend(sh.commit_local(local));
+            sh.commit_local(&own, &mut flipped);
         }
         flipped.sort_by_key(|(s, _)| *s);
         flipped.into_iter().map(|(_, id)| id).collect()
@@ -785,41 +836,53 @@ impl<S: SeqSpec> LogView<'_, S> {
         later.map(|(_, e)| e)
     }
 
-    /// PUSH (iii): does `G` allow `op`?
-    pub(crate) fn allows(&self, global: &GlobalState<S>, op: &Op<S::Method, S::Ret>) -> bool {
-        !self.replay(global, &op.method, None, Some(op)).is_empty()
+    /// PUSH (iii): does `G` allow `op`? On the class-local path an allowed
+    /// `op` also yields the set that proved it, `⟦G|k · op⟧` for its class
+    /// `k` — what [`GlobalState::append_push`] installs as `k`'s
+    /// end-of-log set. A coarse or full-replay evaluation yields none: its
+    /// states are not one class's.
+    pub(crate) fn allows(
+        &self,
+        global: &GlobalState<S>,
+        op: &Op<S::Method, S::Ret>,
+    ) -> (bool, Option<StateSet<S::State>>) {
+        let (states, class_local) = self.replay(global, &op.method, None, Some(op));
+        let allowed = !states.is_empty();
+        (allowed, (allowed && class_local).then_some(states))
     }
 
     /// UNPUSH (ii): is `G` without the entry at `(view index, position)`,
     /// as located by [`Self::find`], still allowed?
     pub(crate) fn allowed_without(&self, global: &GlobalState<S>, at: (usize, usize)) -> bool {
         let method = &self.at(at.0, at.1).op.method;
-        !self.replay(global, method, Some(at), None).is_empty()
+        !self.replay(global, method, Some(at), None).0.is_empty()
     }
 
     /// `⟦(G ∖ skip) · then⟧`, as far as the `allowed` verdict about an
-    /// operation of `method` needs it. A view of one shard (the only one
-    /// held, or the focused one) replays, from the cached set of
-    /// `method`'s footprint class, only the suffix entries of that class
-    /// past the shard's committed boundary (when the incremental path is
-    /// on); a multi-shard view replays the merged stamp-ordered log in
-    /// full. Empty or not is the same either way (module docs). `skip` is
-    /// an uncommitted entry, so it lies past the boundary; if it ever does
-    /// not (unreachable through the rule API), fall back to the full
-    /// replay.
+    /// operation of `method` needs it, and whether it was evaluated
+    /// class-locally. A view of one shard (the only one held, or the
+    /// focused one) with the incremental path on starts from a cached set
+    /// of `method`'s footprint class: for a PUSH, the class's end-of-log
+    /// set when the shard has one, stepped by `then` alone; otherwise the
+    /// committed-prefix set, replayed over the suffix entries of that
+    /// class past the shard's committed boundary. A multi-shard view
+    /// replays the merged stamp-ordered log in full. Empty or not is the
+    /// same either way (module docs). `skip` is an uncommitted entry, so it
+    /// lies past the boundary; if it ever does not (unreachable through the
+    /// rule API), fall back to the full replay.
     fn replay<'o>(
         &'o self,
         global: &GlobalState<S>,
         method: &S::Method,
         skip: Option<(usize, usize)>,
         then: Option<&'o Op<S::Method, S::Ret>>,
-    ) -> StateSet<S::State> {
+    ) -> (StateSet<S::State>, bool) {
         let spec = &global.spec;
         let scope = self.scope();
         if scope.len() != 1 {
             let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
             let merged = self.live().filter(|e| Some(e.op.id) != skipped);
-            return spec.denote_refs(merged.map(|e| &e.op).chain(then));
+            return (spec.denote_refs(merged.map(|e| &e.op).chain(then)), false);
         }
         let sh = &self.shards[scope.start].1;
         let skip = skip.map(|(_, pos)| pos);
@@ -829,14 +892,22 @@ impl<S: SeqSpec> LogView<'_, S> {
                 .map(|(_, e)| &e.op)
         };
         let cached = global.incremental() && skip.is_none_or(|p| p >= sh.cache.len);
-        match global.class_of(method).filter(|_| cached) {
-            Some(class) => {
-                let suffix = ops_from(sh.cache.len);
-                let of_class = suffix.filter(|op| global.class_of(&op.method) == Some(class));
-                spec.denote_from_refs(sh.cache.class(class), of_class.chain(then))
+        let Some(class) = global.class_of(method).filter(|_| cached) else {
+            return (spec.denote_refs(ops_from(0).chain(then)), false);
+        };
+        let suffix = ops_from(sh.cache.len);
+        let of_class = suffix.filter(|op| global.class_of(&op.method) == Some(class));
+        let states = match sh.cache.ends.get(&class).filter(|_| skip.is_none()) {
+            Some(end) => {
+                debug_assert!(
+                    *end == spec.denote_from_refs(sh.cache.class(class), of_class),
+                    "the end-of-log set of class {class} is the replay of its suffix"
+                );
+                spec.denote_from_refs(end, then)
             }
-            None => spec.denote_refs(ops_from(0).chain(then)),
-        }
+            None => spec.denote_from_refs(sh.cache.class(class), of_class.chain(then)),
+        };
+        (states, true)
     }
 }
 
@@ -1361,20 +1432,30 @@ impl<S: SeqSpec> GlobalState<S> {
     /// under the shard lock — one at a time, or as a group-commit
     /// batch's contiguous block handed out one append at a time.
     /// `target` is the routed shard ([`Route::target`]), whichever shards
-    /// the view holds.
+    /// the view holds. `proved` — the class-local `⟦G|k · op⟧` that proved
+    /// PUSH (iii), see [`LogView::allows`] — becomes class `k`'s end-of-log
+    /// set; an append without one drops the class's end set instead.
     pub(crate) fn append_push(
         &self,
         view: &mut LogView<'_, S>,
         target: usize,
         stamp: u64,
         op: Op<S::Method, S::Ret>,
+        proved: Option<StateSet<S::State>>,
     ) {
+        let class = self.class_of(&op.method);
         let (_, sh) = view
             .shards
             .iter_mut()
             .find(|(i, _)| *i == target)
             .expect("append target shard is held by the view");
         sh.push_uncommitted(stamp, op);
+        if let Some(class) = class {
+            match proved {
+                Some(end) => sh.cache.ends.insert(class, end),
+                None => sh.cache.ends.remove(&class),
+            };
+        }
     }
 
     /// Reserves a contiguous block of `n` commit-sequence stamps and
@@ -1407,10 +1488,11 @@ impl<S: SeqSpec> GlobalState<S> {
     }
 
     /// The `cmt` effect over a held view: flips every held entry of
-    /// `local` committed, appends `record` to the committed list — while
-    /// still holding the commit's shard locks, so the global commit order
-    /// agrees with the per-shard flip order (`committed` is last in the
-    /// lock order) — and advances the held shards' caches. Returns the
+    /// `local`'s pushed operations committed, appends `record` to the
+    /// committed list — while still holding the commit's shard locks, so
+    /// the global commit order agrees with the per-shard flip order
+    /// (`committed` is last in the lock order) — and advances the held
+    /// shards' caches. Returns the
     /// flipped ids in global stamp order, so the recorded `Commit`
     /// event's op order is identical at any shard count.
     pub(crate) fn seal_commit(
@@ -1444,15 +1526,9 @@ impl<S: SeqSpec> GlobalState<S> {
     // so the incremental path is invisible to it by construction).
     // ------------------------------------------------------------------
 
-    /// Mover query with audit accounting; `shard` attributes the count
-    /// (an audit stripe, unrelated to the log shards).
-    pub(crate) fn mover_q(
-        &self,
-        shard: usize,
-        a: &Op<S::Method, S::Ret>,
-        b: &Op<S::Method, S::Ret>,
-    ) -> bool {
-        self.audit.count_mover(shard);
+    /// Mover query with audit accounting.
+    pub(crate) fn mover_q(&self, a: &Op<S::Method, S::Ret>, b: &Op<S::Method, S::Ret>) -> bool {
+        self.audit.count_mover();
         self.spec.mover(a, b)
     }
 
@@ -1461,20 +1537,30 @@ impl<S: SeqSpec> GlobalState<S> {
     // ------------------------------------------------------------------
 
     /// Advances one shard's cache (of a layout of `n` shards) over its
-    /// newly committed prefix, folding each entry into its own class. An
-    /// entry without a class exists only once the sticky coarse flag is
-    /// set, after which no cache is read; the boundary still moves past it
-    /// (the uncommitted-only scans start there at any routing).
+    /// newly committed prefix, folding each entry into its own class. When
+    /// that prefix is the whole segment, a class's end-of-log set *is* its
+    /// new committed-prefix set: it moves into `classes`, and only the
+    /// entries of classes without one are folded. An entry without a class
+    /// exists only once the sticky coarse flag is set, after which no cache
+    /// is read; the boundary still moves past it (the uncommitted-only
+    /// scans start there at any routing).
     fn advance_shard_cache(spec: &S, n: usize, sh: &mut ShardLog<S>) {
-        while let Some((_, e)) = sh.entries.get(sh.cache.len) {
+        let pending = &sh.entries[sh.cache.len..];
+        let whole = pending.iter().all(|(_, e)| e.flag == GlobalFlag::Committed);
+        let cache = &mut sh.cache;
+        for (_, e) in pending {
             if e.flag != GlobalFlag::Committed {
                 break;
             }
-            if let Some(class) = Self::class_in(spec, n, &e.op.method) {
-                let next = spec.denote_from_refs(sh.cache.class(class), std::iter::once(&e.op));
-                sh.cache.classes.insert(class, next);
+            let class = Self::class_in(spec, n, &e.op.method);
+            if let Some(class) = class.filter(|k| !(whole && cache.ends.contains_key(k))) {
+                let next = spec.denote_from_refs(cache.class(class), std::iter::once(&e.op));
+                cache.classes.insert(class, next);
             }
-            sh.cache.len += 1;
+            cache.len += 1;
+        }
+        if whole {
+            cache.classes.extend(cache.ends.drain());
         }
     }
 

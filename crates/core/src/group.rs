@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 use crate::error::MachineError;
 use crate::handle::{Held, TxnHandle};
-use crate::op::{ThreadId, TxnId};
+use crate::op::{OpId, ThreadId, TxnId};
 use crate::spec::SeqSpec;
 
 /// Per-transaction outcome of a held commit ([`commit_held`], or
@@ -143,17 +143,14 @@ fn held_section<S: SeqSpec>(
     // stamped strictly below the block's base, and no other thread can
     // append to them while the view is held, so handing the block out in
     // order preserves each shard's strict stamp monotonicity.
-    let total_ops: usize = members
-        .iter()
-        .map(|&i| handles[i].unpushed_ids().len())
-        .sum();
+    let unpushed: Vec<Vec<OpId>> = members.iter().map(|&i| handles[i].unpushed_ids()).collect();
+    let total_ops: usize = unpushed.iter().map(Vec::len).sum();
     let mut held = Held {
         view,
         stamp: global.reserve_stamps(total_ops as u64),
     };
-    let commit = |&i: &usize| {
+    let commit = |(&i, ids): (&usize, Vec<OpId>)| {
         let h = &mut *handles[i];
-        let ids = h.unpushed_ids();
         let appended = ids.len() as u64;
         let committed = ids
             .into_iter()
@@ -168,7 +165,7 @@ fn held_section<S: SeqSpec>(
         };
         (result, appended)
     };
-    Some(members.iter().map(commit).collect())
+    Some(members.iter().zip(unpushed).map(commit).collect())
 }
 
 /// Commits the current transaction of `h` as one uninterleaved section

@@ -56,7 +56,6 @@ use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use crate::audit::QUERY_SHARDS;
 use crate::criteria;
 use crate::error::{Clause, MachineError, MachineResult, Rule};
 use crate::faults::{BoundaryFault, FaultKind, HtmFault};
@@ -356,11 +355,6 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.events.push((seq, event));
     }
 
-    /// The audit shard this thread's query counts land in.
-    fn shard(&self) -> usize {
-        self.tid.0 % QUERY_SHARDS
-    }
-
     fn mode(&self) -> CheckMode {
         self.global.mode()
     }
@@ -434,14 +428,13 @@ impl<S: SeqSpec> TxnHandle<S> {
         }
     }
 
-    /// Flips own entry `op_id` between `npshd` and `pshd` (the local half
+    /// Flips the own entry at local-log position `pos` — where
+    /// `expect_flag` found it — between `npshd` and `pshd` (the local half
     /// of PUSH/UNPUSH), keeping its saved code and stack length. A `pld`
     /// entry has neither and stays as it is — `expect_flag` keeps those
     /// away from both callers.
-    fn set_pushed(&mut self, op_id: OpId, pushed: bool) {
-        let Some(entry) = self.local.entry_mut(op_id) else {
-            return;
-        };
+    fn set_pushed(&mut self, pos: usize, pushed: bool) {
+        let entry = self.local.entry_at_mut(pos);
         if let LocalFlag::NotPushed {
             saved_code,
             stack_len,
@@ -598,7 +591,7 @@ impl<S: SeqSpec> TxnHandle<S> {
         op: &Op<S::Method, S::Ret>,
         proved: Option<StateSet<S::State>>,
     ) -> Option<StateSet<S::State>> {
-        self.global.audit.count_allowed(self.shard());
+        self.global.audit.count_allowed();
         self.carry();
         let spec = self.global.spec();
         let step = |states| spec.denote_from(states, std::slice::from_ref(op));
@@ -1082,7 +1075,6 @@ impl<S: SeqSpec> TxnHandle<S> {
         let tid = self.tid;
         self.record(Event::Begin { thread: tid, txn });
         let checked = self.mode() != CheckMode::Unchecked;
-        let shard = self.shard();
         let code = methods_as_seq(comp.ops.iter().map(|(m, _)| m));
         let mut ops: Vec<Op<S::Method, S::Ret>> = Vec::new();
         let flipped = {
@@ -1100,13 +1092,14 @@ impl<S: SeqSpec> TxnHandle<S> {
                 let id = self.global.ids.fresh();
                 let op = Op::new(id, txn, method.clone(), ret.clone());
                 if checked {
-                    criteria::push(&*self.global, &view, txn, &op)
-                        .settle(&self.global.audit, shard)?;
+                    criteria::push(&*self.global, &view, txn, &op).settle(&self.global.audit)?;
                 }
                 let target = self.global.route(method).target();
                 let stamp = self.global.reserve_stamps(1);
+                // A compensation append installs no end-of-log set: it
+                // drops its class's (`global.rs`, invalidation rules).
                 self.global
-                    .append_push(&mut view, target, stamp, op.clone());
+                    .append_push(&mut view, target, stamp, op.clone(), None);
                 tmp.push(LocalEntry {
                     op: op.clone(),
                     flag: LocalFlag::Pushed {
@@ -1378,7 +1371,6 @@ impl<S: SeqSpec> TxnHandle<S> {
     ) -> MachineResult<()> {
         self.fault_gate(Rule::Push)?;
         let checked = self.mode() != CheckMode::Unchecked;
-        let shard = self.shard();
         let pos = self.expect_flag(op_id, "npshd")?;
         let op = self.local.entries()[pos].op.clone();
         if checked {
@@ -1399,7 +1391,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 self.global.audit.pass_static(Rule::Push, Clause::I);
             } else {
                 for e in &self.local.entries()[..pos] {
-                    if e.flag.is_not_pushed() && !self.global.mover_q(shard, &op, &e.op) {
+                    if e.flag.is_not_pushed() && !self.global.mover_q(&op, &e.op) {
                         self.global.audit.fail(Rule::Push, Clause::I);
                         return Err(MachineError::criterion(
                             Rule::Push,
@@ -1417,11 +1409,14 @@ impl<S: SeqSpec> TxnHandle<S> {
         let route = self.global.route(&op.method);
         let method = op.method.clone();
         let global = &*self.global;
-        // Criteria (ii)/(iii) and the append to `G`, one critical section.
+        // Criteria (ii)/(iii) and the append to `G`, one critical section;
+        // the set that proved (iii) is installed with the entry.
         self.shared_section(route, held, |view, target, stamp| {
-            if checked {
-                criteria::push(global, view, op.txn, &op).settle(&global.audit, shard)?;
-            }
+            let proved = if checked {
+                criteria::push(global, view, op.txn, &op).settle(&global.audit)?
+            } else {
+                None
+            };
             let stamp = match stamp {
                 Some(cursor) => {
                     *cursor += 1;
@@ -1429,11 +1424,11 @@ impl<S: SeqSpec> TxnHandle<S> {
                 }
                 None => global.reserve_stamps(1),
             };
-            global.append_push(view, target, stamp, op);
+            global.append_push(view, target, stamp, op, proved);
             Ok(())
         })?;
         // Effect on the local half (private to this thread): flip flag.
-        self.set_pushed(op_id, true);
+        self.set_pushed(pos, true);
         let tid = self.tid;
         self.record(Event::Push {
             thread: tid,
@@ -1488,19 +1483,18 @@ impl<S: SeqSpec> TxnHandle<S> {
         // global entry lives on that method's footprint shard, and is a
         // verbatim copy of this one (PUSH published it from here).
         let method = self.local.entries()[pos].op.method.clone();
-        let shard = self.shard();
         let global = &*self.global;
         self.shared_section(global.route(&method), held, |view, _, _| {
-            let (vidx, pos) = view.find(op_id).ok_or(MachineError::NoSuchOp(op_id))?;
+            let at = view.find(op_id).ok_or(MachineError::NoSuchOp(op_id))?;
             if mode != CheckMode::Unchecked {
                 // The gray criterion (i) is checked in `Checked` mode only.
-                criteria::unpush(global, view, (vidx, pos), mode == CheckMode::Checked)
-                    .settle(&global.audit, shard)?;
+                criteria::unpush(global, view, at, mode == CheckMode::Checked)
+                    .settle(&global.audit)?;
             }
-            view.remove((vidx, pos));
+            view.remove(at);
             Ok(())
         })?;
-        self.set_pushed(op_id, false);
+        self.set_pushed(pos, false);
         let tid = self.tid;
         self.record(Event::UnPush {
             thread: tid,
@@ -1533,7 +1527,6 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.fault_gate(Rule::Pull)?;
         let checked = self.mode() != CheckMode::Unchecked;
         let check_gray = self.mode() == CheckMode::Checked;
-        let shard = self.shard();
         let (gentry, reachable) = match refreshed {
             Some((entry, reachable)) => (entry, Some(reachable)),
             None => {
@@ -1596,7 +1589,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                     self.global.audit.pass_static(Rule::Pull, Clause::Iii);
                 } else {
                     for own in own_ops {
-                        if !self.global.mover_q(shard, &own.op, &gentry.op) {
+                        if !self.global.mover_q(&own.op, &gentry.op) {
                             self.global.audit.fail(Rule::Pull, Clause::Iii);
                             return Err(MachineError::criterion(
                                 Rule::Pull,
@@ -1645,12 +1638,11 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// once.
     pub fn unpull(&mut self, op_id: OpId) -> MachineResult<()> {
         let checked = self.mode() != CheckMode::Unchecked;
-        let shard = self.shard();
         let pos = self.expect_flag(op_id, "pld")?;
         let tail = pos + 1 == self.local.len();
         let mut remaining = self.denot.without_tail();
         if checked {
-            self.global.audit.count_allowed(shard);
+            self.global.audit.count_allowed();
             let rest = || self.local_ops().filter(|op| op.id != op_id);
             if tail && self.global.incremental() && self.denot.allowed() {
                 debug_assert!(!self.global.spec().denote_refs(rest()).is_empty());
@@ -1786,7 +1778,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             if self.mode() != CheckMode::Unchecked {
                 let pulled = suffix.iter().map(|e| e.op.id);
                 criteria::cmt(view, pulled.filter(|id| self.unsettled.contains(id)))
-                    .settle(&self.global.audit, self.shard())?;
+                    .settle(&self.global.audit)?;
             }
             // Newly committed entries may extend the fully committed
             // prefix of each held shard: the seal advances their caches.

@@ -160,6 +160,11 @@ impl<M: Clone, R: Clone> LocalLog<M, R> {
         self.entries.iter_mut().find(|e| e.op.id == id)
     }
 
+    /// The entry at index `pos`, mutably.
+    pub(crate) fn entry_at_mut(&mut self, pos: usize) -> &mut LocalEntry<M, R> {
+        &mut self.entries[pos]
+    }
+
     /// Index of an entry by op id.
     pub fn position(&self, id: OpId) -> Option<usize> {
         self.entries.iter().position(|e| e.op.id == id)
