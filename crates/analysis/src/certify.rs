@@ -12,13 +12,13 @@
 //! [`Diagnostic`]; the checked facts are packaged as a
 //! [`SpecCertificate`] that
 //! [`GlobalState`](pushpull_core::GlobalState) can demand (strict mode)
-//! before it arms static discharge or fine-grained shard routing.
+//! before it routes fine-grained shards or opens an open-nested scope.
 //!
 //! Severity ladder for mover findings:
 //!
 //! * a `Some(true)` override the exhaustive derivation *refutes* is an
-//!   **error** ([`UNSOUND_MOVER`]) — the runtime would elide checks
-//!   that can fail;
+//!   **error** ([`UNSOUND_MOVER`]) — the linter's conflict scan, and
+//!   any reasoning from the matrix, would trust a pair that can fail;
 //! * a refused pair (`Some(false)`/`None`) the derivation *proves* is
 //!   **incomplete** ([`INCOMPLETE_MOVER`]): a **warning** when the
 //!   proof is structurally certain (a method self-pair with a single
@@ -39,7 +39,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use pushpull_core::certificate::SpecCertificate;
-use pushpull_core::error::{Clause, Rule};
 use pushpull_core::lang::Code;
 use pushpull_core::op::{Op, OpId, TxnId};
 use pushpull_core::spec::{
@@ -83,15 +82,6 @@ pub const OPEN_NESTING_REFUSED: &str = "open-nesting-refused";
 /// otherwise), so open-nested scopes cannot commit methods built on
 /// them.
 pub const OPEN_NESTING_UNAVAILABLE: &str = "open-nesting-unavailable";
-
-/// The four machine obligations a fully-proven matrix discharges
-/// spec-wide (the same set `discharge::prove` targets per-workload).
-const SPEC_OBLIGATIONS: [(Rule, Clause); 4] = [
-    (Rule::Push, Clause::I),
-    (Rule::Push, Clause::Ii),
-    (Rule::UnPush, Clause::I),
-    (Rule::Pull, Clause::Iii),
-];
 
 /// Longest factored log the factorization law is checked on. Dropped to
 /// 2 for large samples so the sequence enumeration stays test-sized.
@@ -172,19 +162,6 @@ where
     let warnings = count(&diags, Severity::Warning);
     let notes = count(&diags, Severity::Note);
 
-    // Obligations discharged spec-wide: with every ordered pair of the
-    // method universe a proven mover, all four mover loops are provable
-    // for any program over this spec. (Workload-specific discharge — the
-    // common case — still comes from `discharge::prove`.)
-    let obligations = if inf.matrix.all_pairs_proven() {
-        SPEC_OBLIGATIONS
-            .iter()
-            .map(|(r, c)| format!("{r} {c}"))
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     let footprints: Vec<Option<Vec<u64>>> = inf
         .methods
         .iter()
@@ -205,7 +182,6 @@ where
         matrix: inf.matrix.cells().to_vec(),
         footprints,
         components: inf.components.clone(),
-        obligations,
         inverse_law,
         shard_keys,
         errors,
@@ -269,7 +245,7 @@ fn check_mover_matrix<S: SeqSpec>(
                     ),
                 )
                 .with_note(
-                    "a `Some(true)` override lets the runtime elide mover checks that can \
+                    "a `Some(true)` override makes the linter trust mover checks that can \
                      fail; weaken the override (or fix the denotation)",
                 );
                 diags.push(at_method(d, programs, m1));
@@ -603,9 +579,6 @@ mod tests {
         assert!(cert.is_valid(), "{:?}", cert.diagnostics);
         assert_eq!(cert.errors(), 0);
         assert_eq!(cert.certificate.shard_keys, 1);
-        // Get conflicts with Add(k≠0): not everything is a mover, so no
-        // spec-wide obligations.
-        assert!(cert.certificate.obligations.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! # pushpull-analysis
 //!
-//! Static analysis for the Push/Pull reproduction: a criteria prover
-//! that discharges the machine's mover-loop proof obligations ahead of
-//! time, and a linter for the §6 rule patterns and for transaction
-//! programs themselves.
+//! Static analysis for the Push/Pull reproduction: a linter for the §6
+//! rule patterns and for transaction programs themselves, and a
+//! certifier for the spec declarations the runtime trusts. Neither skips
+//! a runtime check: the machine evaluates every criterion when its rule
+//! fires.
 //!
 //! The pipeline ([`analyze`]):
 //!
@@ -13,15 +14,10 @@
 //!    footprint through the spec's return-universal
 //!    [`method_mover`](pushpull_core::spec::SeqSpec::method_mover)
 //!    oracle, cached as a [`MoverMatrix`];
-//! 3. [`discharge`] proves whichever of the four mover clauses
-//!    (PUSH (i)/(ii), UNPUSH (i), PULL (iii)) the matrix supports,
-//!    yielding a [`StaticDischarge`](pushpull_core::StaticDischarge)
-//!    the runtime arms to skip those loops (tallying
-//!    `statically_discharged` so the audit ledger still closes);
-//! 4. [`lint`] runs bounded semantic exploration for never-commits and
+//! 3. [`lint`] runs bounded semantic exploration for never-commits and
 //!    unreachable-method findings, a conflict-graph scan for potential
 //!    PULL cycles, and checks driver-declared rule patterns;
-//! 5. [`diagnostics`] renders it all rustc-style.
+//! 4. [`diagnostics`] renders it all rustc-style.
 //!
 //! Independently of the per-workload pipeline, [`mod@certify`] infers the
 //! ground-truth mover matrix and minimal sound footprint cover for any
@@ -29,13 +25,13 @@
 //! hand-written `method_mover`/`method_keys` declaration and the two
 //! footprint laws against it, and packages the result as a
 //! [`SpecCertificate`](pushpull_core::SpecCertificate) — which
-//! strict-mode runtimes demand before arming static discharge or
-//! fine-grained shard routing ([`analyze_certified`] threads it through
-//! the plan).
+//! strict-mode runtimes demand before routing fine-grained shards or
+//! opening an open-nested scope ([`analyze_certified`] threads it
+//! through the plan).
 //!
 //! The result is an [`AnalysisPlan`]; hand it to
-//! `pushpull_harness::run_parallel` (or install its `discharge` on any
-//! machine directly) to elide the proven checks.
+//! `pushpull_harness::run_parallel` (or install its `certificate` on any
+//! machine directly) to certify the run.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,7 +39,6 @@
 
 pub mod certify;
 pub mod diagnostics;
-pub mod discharge;
 pub mod infer;
 pub mod lint;
 pub mod matrix;
@@ -55,14 +50,11 @@ pub use certify::{
     UNCERTIFIABLE, UNSOUND_FACTORIZATION, UNSOUND_FOOTPRINT, UNSOUND_MOVER,
 };
 pub use diagnostics::{render_report, Diagnostic, PathStep, Severity, Span};
-pub use discharge::{prove, DischargeOutcome};
 pub use infer::{infer, InferredSpec};
 pub use lint::{
     explore_txn, lint_declaration, lint_programs, Exploration, LintConfig, Tri, NEVER_COMMITS,
     PATTERN_DIVERGENCE, PULL_CYCLE, UNREACHABLE_METHOD,
 };
 pub use matrix::MoverMatrix;
-pub use plan::{
-    analyze, analyze_certified, analyze_with, check_declaration, AnalysisConfig, AnalysisPlan,
-};
-pub use summary::{max_occurrences, summarize, summarize_txn, ProgramSummary, TxnSummary};
+pub use plan::{analyze, analyze_certified, check_declaration, AnalysisPlan};
+pub use summary::{summarize, summarize_txn, ProgramSummary, TxnSummary};

@@ -12,8 +12,9 @@
 //! * `None` — the spec cannot decide at the method level (no override
 //!   and no finite state universe).
 //!
-//! Only `Some(true)` cells contribute to static discharge; the other two
-//! keep the runtime check.
+//! The linter's PULL-cycle scan and rule-pattern check read only
+//! `Some(true)` cells as proven; the certifier compares every cell with
+//! the exhaustive derivation.
 
 use std::fmt;
 
@@ -100,14 +101,6 @@ impl<M: Clone + Eq> MoverMatrix<M> {
     /// true for an empty alphabet.
     pub fn all_pairs_proven(&self) -> bool {
         self.cells.iter().all(|c| *c == Some(true))
-    }
-
-    /// Are all ordered pairs drawn from `methods` (in both positions)
-    /// proven movers? Methods outside the alphabet count as unproven.
-    pub fn pairs_proven_within(&self, methods: &[M]) -> bool {
-        methods
-            .iter()
-            .all(|m1| methods.iter().all(|m2| self.proven(m1, m2)))
     }
 
     /// The deduplicated method alphabet, in first-occurrence order.
@@ -198,7 +191,6 @@ mod tests {
         // Distinct keys: proven.
         assert!(matrix.proven(&MapMethod::Put(0, 1), &MapMethod::Get(1)));
         assert!(!matrix.all_pairs_proven());
-        assert!(matrix.pairs_proven_within(&[MapMethod::Get(0), MapMethod::Get(1)]));
         // Outside the alphabet: unknown, not proven.
         assert_eq!(matrix.query(&MapMethod::Get(7), &MapMethod::Get(7)), None);
     }

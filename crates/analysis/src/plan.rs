@@ -1,7 +1,7 @@
 //! The analyzer entry point: one call that summarizes the programs,
-//! builds the mover matrix, proves whatever criteria it can, runs the
-//! lints, and packages everything as an [`AnalysisPlan`] the harness can
-//! install on any driver.
+//! builds the mover matrix, runs the lints, and packages everything as an
+//! [`AnalysisPlan`]; [`analyze_certified`] adds the spec certificate the
+//! harness installs on any driver.
 
 use std::fmt;
 use std::sync::Arc;
@@ -9,56 +9,34 @@ use std::sync::Arc;
 use pushpull_core::certificate::SpecCertificate;
 use pushpull_core::lang::Code;
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::static_facts::{RulePattern, StaticDischarge};
+use pushpull_core::static_facts::RulePattern;
 
 use crate::certify::certify_in;
 use crate::diagnostics::{render_report, Diagnostic, Severity};
-use crate::discharge::prove;
 use crate::lint::{lint_declaration, lint_programs, LintConfig};
 use crate::matrix::MoverMatrix;
 use crate::summary::{summarize, ProgramSummary};
 
-/// Tunables for [`analyze_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisConfig {
-    /// Exploration caps for the semantic lints.
-    pub lint: LintConfig,
-    /// Skip the semantic lints entirely (the prover still runs).
-    pub skip_lints: bool,
-}
-
 /// Everything the static analysis learned about a workload, type-erased
-/// enough for the harness to carry: proven discharge facts, diagnostics,
+/// enough for the harness to carry: the spec certificate, diagnostics,
 /// and a rendered report.
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
-    /// Proven obligations, `Some` only when at least one clause was
-    /// discharged — ready for
-    /// [`GlobalState::set_static_discharge`](pushpull_core::GlobalState::set_static_discharge).
-    pub discharge: Option<Arc<StaticDischarge>>,
     /// The spec's soundness certificate, `Some` only when
     /// [`analyze_certified`] ran and the spec certified without errors —
     /// ready for
     /// [`GlobalState::install_certificate`](pushpull_core::GlobalState::install_certificate),
-    /// and what strict-mode arming demands before trusting `discharge`
-    /// or fine-grained shard routing.
+    /// and what strict mode demands before it routes fine-grained shards
+    /// or opens an open-nested scope.
     pub certificate: Option<Arc<SpecCertificate>>,
     /// Linter findings, program-level and declaration-level.
     pub diagnostics: Vec<Diagnostic>,
-    /// Rules every completed run of the workload must exercise.
-    pub required: RulePattern,
-    /// Size of the union method footprint.
-    pub footprint: usize,
     /// Distinct key classes declared (via `SeqSpec::method_keys`) across
     /// the footprint, or `0` when any method declares no footprint — the
     /// workload then degrades a sharded log to its coarse path anyway.
     pub shard_keys: usize,
-    /// Number of transactions analyzed.
-    pub txns: usize,
-    /// Number of threads.
-    pub threads: usize,
-    /// Human-readable report: mover matrix (when small), discharge facts,
-    /// and rendered diagnostics.
+    /// Human-readable report: mover matrix (when small) and rendered
+    /// diagnostics.
     pub report: String,
 }
 
@@ -94,48 +72,20 @@ impl fmt::Display for AnalysisPlan {
     }
 }
 
-/// Analyzes a thread set with default settings.
+/// Analyzes a thread set: summary → mover matrix → lints → plan.
 pub fn analyze<S: SeqSpec>(spec: &S, programs: &[Vec<Code<S::Method>>]) -> AnalysisPlan
 where
     S::Method: fmt::Display,
 {
-    analyze_with(spec, programs, &AnalysisConfig::default())
-}
-
-/// Analyzes a thread set: summary → mover matrix → criteria proofs →
-/// lints → plan.
-pub fn analyze_with<S: SeqSpec>(
-    spec: &S,
-    programs: &[Vec<Code<S::Method>>],
-    cfg: &AnalysisConfig,
-) -> AnalysisPlan
-where
-    S::Method: fmt::Display,
-{
     let summary = summarize(programs);
-    let outcome = prove(spec, &summary);
-    let diagnostics = if cfg.skip_lints {
-        Vec::new()
-    } else {
-        lint_programs(spec, programs, &summary, &outcome.matrix, &cfg.lint)
-    };
+    let matrix = MoverMatrix::build(spec, &summary.footprint);
+    let diagnostics = lint_programs(spec, programs, &summary, &matrix, &LintConfig::default());
     let shard_keys = count_shard_keys(spec, &summary);
-    let report = render(
-        &summary,
-        &outcome.matrix,
-        &outcome.facts,
-        &diagnostics,
-        shard_keys,
-    );
+    let report = render(&summary, &matrix, &diagnostics, shard_keys);
     AnalysisPlan {
-        discharge: outcome.facts.any().then(|| Arc::new(outcome.facts.clone())),
         certificate: None,
         diagnostics,
-        required: summary.required,
-        footprint: summary.footprint.len(),
         shard_keys,
-        txns: summary.txns.len(),
-        threads: summary.threads,
         report,
     }
 }
@@ -218,7 +168,6 @@ where
 fn render<M: Clone + Eq + fmt::Display>(
     summary: &ProgramSummary<M>,
     matrix: &MoverMatrix<M>,
-    facts: &StaticDischarge,
     diagnostics: &[Diagnostic],
     shard_keys: usize,
 ) -> String {
@@ -249,8 +198,6 @@ fn render<M: Clone + Eq + fmt::Display>(
             matrix.len() * matrix.len(),
         ));
     }
-    out.push_str(&facts.to_string());
-    out.push('\n');
     if !diagnostics.is_empty() {
         out.push_str(&render_report(diagnostics));
     }
@@ -260,22 +207,9 @@ fn render<M: Clone + Eq + fmt::Display>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pushpull_core::error::{Clause, Rule};
+    use pushpull_core::error::Rule;
     use pushpull_spec::counter::{Counter, CtrMethod};
     use pushpull_spec::queue::{QueueMethod, QueueSpec};
-
-    #[test]
-    fn mover_heavy_plan_carries_discharge_facts() {
-        let programs: Vec<Vec<Code<CtrMethod>>> = (0..4)
-            .map(|t| vec![Code::method(CtrMethod::Add(t))])
-            .collect();
-        let plan = analyze(&Counter::new(), &programs);
-        let facts = plan.discharge.as_ref().expect("all-mover must discharge");
-        assert!(facts.discharges(Rule::Push, Clause::Ii));
-        assert_eq!(plan.errors(), 0);
-        assert_eq!(plan.txns, 4);
-        assert!(plan.report.contains("statically discharged"), "{plan}");
-    }
 
     #[test]
     fn conflicting_plan_has_no_discharge_but_diagnoses() {
@@ -287,7 +221,6 @@ mod tests {
             vec![Code::method(QueueMethod::Deq)],
         ];
         let plan = analyze(&QueueSpec::new(), &programs);
-        assert!(plan.discharge.is_none());
         assert!(plan.warnings() > 0, "pull-cycle expected: {plan}");
         assert!(plan.report.contains("pull-cycle"), "{plan}");
     }
@@ -334,17 +267,5 @@ mod tests {
         assert_eq!(plan.shard_keys, 0);
         assert_eq!(plan.recommended_shards(), 1);
         assert!(plan.report.contains("coarse"), "{plan}");
-    }
-
-    #[test]
-    fn skip_lints_still_proves() {
-        let programs = vec![vec![Code::method(CtrMethod::Add(1))]];
-        let cfg = AnalysisConfig {
-            skip_lints: true,
-            ..AnalysisConfig::default()
-        };
-        let plan = analyze_with(&Counter::new(), &programs, &cfg);
-        assert!(plan.discharge.is_some());
-        assert!(plan.diagnostics.is_empty());
     }
 }

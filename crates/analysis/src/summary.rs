@@ -2,8 +2,8 @@
 //! by walking the syntax with the paper's `step`/`fin` equations.
 //!
 //! A [`TxnSummary`] records the transaction's *method footprint* (every
-//! method it may invoke, via [`Code::reachable_methods`]), whether it can
-//! finish without invoking any method, and whether it contains a loop.
+//! method it may invoke, via [`Code::reachable_methods`]) and whether it
+//! can finish without invoking any method.
 //! [`ProgramSummary`] aggregates a whole thread set and derives the §6
 //! rule-usage facts that hold for **any** driver running these programs:
 //! the rules that *must* fire on every completed run ([`ProgramSummary::
@@ -24,48 +24,9 @@ pub struct TxnSummary<M> {
     /// Every method the transaction may invoke (deduplicated, in first
     /// syntactic occurrence order).
     pub footprint: Vec<M>,
-    /// Methods the transaction may invoke **twice or more in one
-    /// execution** (so their self-pair shows up in PUSH (i)'s own-ops
-    /// mover loop). A method occurring once per execution — even one
-    /// duplicated across `Choice` branches — is excluded.
-    pub repeated: Vec<M>,
     /// Can the transaction commit without invoking any method (`fin`
     /// holds of the whole body)?
     pub fin_immediate: bool,
-    /// Does the body contain a `(c)*` loop (so its executions are not
-    /// syntactically bounded)?
-    pub has_loop: bool,
-    /// Grammar-node size of the body.
-    pub size: usize,
-}
-
-fn has_star<M>(code: &Code<M>) -> bool {
-    match code {
-        Code::Skip | Code::Method(_) => false,
-        Code::Seq(a, b) | Code::Choice(a, b) => has_star(a) || has_star(b),
-        Code::Star(_) => true,
-        Code::Tx(a) | Code::OpenTx(a) => has_star(a),
-    }
-}
-
-/// The maximum number of times a single execution of `code` may invoke
-/// `m`: sequencing adds, choice takes the larger branch, and a loop whose
-/// body can invoke `m` makes the count unbounded (`usize::MAX`).
-pub fn max_occurrences<M: PartialEq>(code: &Code<M>, m: &M) -> usize {
-    match code {
-        Code::Skip => 0,
-        Code::Method(n) => usize::from(n == m),
-        Code::Seq(a, b) => max_occurrences(a, m).saturating_add(max_occurrences(b, m)),
-        Code::Choice(a, b) => max_occurrences(a, m).max(max_occurrences(b, m)),
-        Code::Star(a) => {
-            if max_occurrences(a, m) > 0 {
-                usize::MAX
-            } else {
-                0
-            }
-        }
-        Code::Tx(a) | Code::OpenTx(a) => max_occurrences(a, m),
-    }
 }
 
 /// Summarizes one transaction body.
@@ -74,20 +35,11 @@ pub fn summarize_txn<M: Clone + PartialEq>(
     index: usize,
     code: &Code<M>,
 ) -> TxnSummary<M> {
-    let footprint = code.reachable_methods();
-    let repeated = footprint
-        .iter()
-        .filter(|m| max_occurrences(code, m) >= 2)
-        .cloned()
-        .collect();
     TxnSummary {
         thread,
         index,
-        footprint,
-        repeated,
+        footprint: code.reachable_methods(),
         fin_immediate: code.fin(),
-        has_loop: has_star(code),
-        size: code.size(),
     }
 }
 
@@ -100,19 +52,6 @@ pub struct ProgramSummary<M> {
     /// Union of all footprints (deduplicated, first-occurrence order) —
     /// the method alphabet the mover matrix ranges over.
     pub footprint: Vec<M>,
-    /// Methods that can have **two live operation instances at once**
-    /// anywhere in the run: the sum over all transactions of each one's
-    /// per-execution occurrence bound is ≥ 2. Only these methods'
-    /// self-pairs can ever reach a runtime mover loop — a rewound
-    /// (aborted) instance leaves the logs before its retry re-invokes
-    /// the method, so single-occurrence methods never meet themselves.
-    pub multi_instance: Vec<M>,
-    /// Number of syntactic open-nested scopes (`otx`) across the thread
-    /// set. Nonzero means aborts can replay *compensating* transactions
-    /// whose methods are spec-level inverses — methods that need not
-    /// appear anywhere in the syntactic footprint, so the static
-    /// alphabet no longer bounds what the runtime mover loops compare.
-    pub open_scopes: usize,
     /// Number of threads.
     pub threads: usize,
     /// Rules that must fire on every run that completes all transactions,
@@ -137,19 +76,6 @@ pub fn summarize<M: Clone + PartialEq>(programs: &[Vec<Code<M>>]) -> ProgramSumm
             txns.push(s);
         }
     }
-    let multi_instance = footprint
-        .iter()
-        .filter(|m| {
-            let total: usize = programs
-                .iter()
-                .flatten()
-                .map(|code| max_occurrences(code, m))
-                .fold(0, usize::saturating_add);
-            total >= 2
-        })
-        .cloned()
-        .collect();
-    let open_scopes = programs.iter().flatten().map(count_open).sum();
     let mut required = RulePattern::new();
     if !txns.is_empty() {
         required = required.with(Rule::Cmt);
@@ -160,20 +86,8 @@ pub fn summarize<M: Clone + PartialEq>(programs: &[Vec<Code<M>>]) -> ProgramSumm
     ProgramSummary {
         txns,
         footprint,
-        multi_instance,
-        open_scopes,
         threads: programs.len(),
         required,
-    }
-}
-
-/// Number of `otx` nodes anywhere in `code` (including nested ones).
-fn count_open<M>(code: &Code<M>) -> usize {
-    match code {
-        Code::Skip | Code::Method(_) => 0,
-        Code::Seq(a, b) | Code::Choice(a, b) => count_open(a) + count_open(b),
-        Code::Star(a) | Code::Tx(a) => count_open(a),
-        Code::OpenTx(a) => 1 + count_open(a),
     }
 }
 
@@ -190,22 +104,7 @@ mod tests {
         let c = Code::seq(m("a"), Code::star(Code::choice(m("b"), m("a"))));
         let s = summarize_txn(0, 0, &c);
         assert_eq!(s.footprint, vec!["a", "b"]);
-        // Both may repeat: `a` runs before and inside the loop, `b` loops.
-        assert_eq!(s.repeated, vec!["a", "b"]);
         assert!(!s.fin_immediate);
-        assert!(s.has_loop);
-        assert_eq!(s.size, c.size());
-    }
-
-    #[test]
-    fn occurrence_lattice_distinguishes_choice_from_seq() {
-        // One execution of (a + a) runs `a` once; (a ; a) runs it twice.
-        assert_eq!(max_occurrences(&Code::choice(m("a"), m("a")), &"a"), 1);
-        assert_eq!(max_occurrences(&Code::seq(m("a"), m("a")), &"a"), 2);
-        assert_eq!(max_occurrences(&Code::star(m("a")), &"a"), usize::MAX);
-        assert_eq!(max_occurrences(&Code::star(m("b")), &"a"), 0);
-        let once = Code::tx(Code::seq(m("a"), m("b")));
-        assert!(summarize_txn(0, 0, &once).repeated.is_empty());
     }
 
     #[test]

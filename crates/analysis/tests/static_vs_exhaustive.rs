@@ -2,16 +2,17 @@
 //! enumerable state universe, a `Some(true)` cell must be confirmed by
 //! the exhaustive method-level oracle
 //! ([`method_mover_exhaustive`]), which itself quantifies the dynamic
-//! op-level `mover` over all observable return pairs. This is the exact
-//! soundness condition the runtime elision relies on: an elided mover
-//! loop compares ops whose methods the matrix proved, so the dynamic
-//! check it skips could never have failed.
+//! op-level `mover` over all observable return pairs. The matrix has two
+//! consumers: the §6 linter, whose PULL-cycle scan and rule-pattern check
+//! read a proven cell as "these methods never conflict", and the spec
+//! certifier, which compares every declared cell with the exhaustive one.
+//! A `Some(true)` the exhaustive oracle refutes would let the linter miss
+//! a conflict.
 //!
 //! `Some(false)` cells are allowed to be conservative (the hand-written
 //! oracles decline some return-dependent movers the exhaustive check
 //! would admit, e.g. zero-amount withdraw self-pairs), so only the
-//! `Some(true)` direction is asserted — that is the only direction the
-//! prover consumes.
+//! `Some(true)` direction is asserted — the only one the linter trusts.
 
 use pushpull_analysis::MoverMatrix;
 use pushpull_core::spec::{method_mover_exhaustive, SeqSpec};

@@ -86,13 +86,6 @@ pub struct CriteriaAudit {
     pub discharged: BTreeMap<Obligation, u64>,
     /// Criterion evaluations that failed (and blocked the rule).
     pub violated: BTreeMap<Obligation, u64>,
-    /// Criterion evaluations elided because a static analysis proved the
-    /// obligation ahead of time (see `pushpull-analysis`). Counted at the
-    /// same program points as `discharged`, so
-    /// `discharged + violated + statically_discharged` is exactly the
-    /// number of times the machine reached a criterion — the ledger
-    /// closes whether or not an analysis plan is installed.
-    pub statically_discharged: BTreeMap<Obligation, u64>,
     /// Individual mover-oracle consultations (Definition 4.1 queries).
     pub mover_queries: u64,
     /// Individual `allowed` evaluations.
@@ -121,20 +114,9 @@ impl CriteriaAudit {
             .or_default() += 1;
     }
 
-    /// Records a criterion elided by a static proof.
-    pub fn pass_static(&mut self, rule: Rule, clause: Clause) {
-        *self
-            .statically_discharged
-            .entry(Obligation { rule, clause })
-            .or_default() += 1;
-    }
-
-    /// Total criterion evaluations (dynamic passes + failures + static
-    /// elisions).
+    /// Total criterion evaluations (passes + failures).
     pub fn total(&self) -> u64 {
-        self.discharged.values().sum::<u64>()
-            + self.violated.values().sum::<u64>()
-            + self.statically_discharged.values().sum::<u64>()
+        self.discharged.values().sum::<u64>() + self.violated.values().sum::<u64>()
     }
 
     /// Passed evaluations of one obligation.
@@ -151,19 +133,6 @@ impl CriteriaAudit {
             .get(&Obligation { rule, clause })
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Statically elided evaluations of one obligation.
-    pub fn statically_discharged_count(&self, rule: Rule, clause: Clause) -> u64 {
-        self.statically_discharged
-            .get(&Obligation { rule, clause })
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Total statically elided evaluations of every obligation.
-    pub fn statically_discharged_total(&self) -> u64 {
-        self.statically_discharged.values().sum()
     }
 
     /// Records one injected fault.
@@ -189,23 +158,21 @@ impl CriteriaAudit {
     /// byte-identically — golden tests and CI log diffs rely on this.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("obligation                 discharged   violated     static\n");
+        out.push_str("obligation                 discharged   violated\n");
         let mut keys: Vec<Obligation> = self
             .discharged
             .keys()
             .chain(self.violated.keys())
-            .chain(self.statically_discharged.keys())
             .copied()
             .collect();
         keys.sort();
         keys.dedup();
         for k in keys {
             out.push_str(&format!(
-                "{:<26} {:>10} {:>10} {:>10}\n",
+                "{:<26} {:>10} {:>10}\n",
                 k.to_string(),
                 self.discharged.get(&k).copied().unwrap_or(0),
-                self.violated.get(&k).copied().unwrap_or(0),
-                self.statically_discharged.get(&k).copied().unwrap_or(0)
+                self.violated.get(&k).copied().unwrap_or(0)
             ));
         }
         out.push_str(&format!(
@@ -246,18 +213,18 @@ fn stripe() -> usize {
     STRIPE.with(|s| *s)
 }
 
-/// One cache line worth of counter, so stripes never false-share.
-#[derive(Debug, Default)]
+/// One cache line worth of `T`, for a word that threads write concurrently,
+/// so it shares its line with no other word: the query stripes here, and
+/// [`GlobalState`](crate::global::GlobalState)'s generators.
+#[derive(Debug, Default, Clone)]
 #[repr(align(64))]
-struct PaddedU64(AtomicU64);
+pub(crate) struct CachePadded<T>(pub(crate) T);
 
-impl PaddedU64 {
-    fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
 
-    fn load(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 
@@ -273,9 +240,8 @@ impl PaddedU64 {
 pub struct AtomicAudit {
     discharged: [[AtomicU64; 4]; 7],
     violated: [[AtomicU64; 4]; 7],
-    statically_discharged: [[AtomicU64; 4]; 7],
-    mover_queries: [PaddedU64; QUERY_SHARDS],
-    allowed_queries: [PaddedU64; QUERY_SHARDS],
+    mover_queries: [CachePadded<AtomicU64>; QUERY_SHARDS],
+    allowed_queries: [CachePadded<AtomicU64>; QUERY_SHARDS],
     /// Injected `Deny(rule)` faults, indexed by the rule's `ord_key`.
     injected_deny: [AtomicU64; 7],
     /// Injected non-deny faults (kill, stall, HTM), indexed
@@ -302,20 +268,14 @@ impl AtomicAudit {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a criterion elided by a static proof.
-    pub fn pass_static(&self, rule: Rule, clause: Clause) {
-        self.statically_discharged[rule.ord_key() as usize][clause.ord_key() as usize]
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts one mover-oracle consultation in the calling thread's stripe.
     pub fn count_mover(&self) {
-        self.mover_queries[stripe()].add(1);
+        self.mover_queries[stripe()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one `allowed` evaluation in the calling thread's stripe.
     pub fn count_allowed(&self) {
-        self.allowed_queries[stripe()].add(1);
+        self.allowed_queries[stripe()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts `n` mover-oracle consultations at once: the criteria
@@ -323,7 +283,7 @@ impl AtomicAudit {
     /// here in one shot.
     pub fn count_mover_n(&self, n: u64) {
         if n > 0 {
-            self.mover_queries[stripe()].add(n);
+            self.mover_queries[stripe()].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -331,7 +291,7 @@ impl AtomicAudit {
     /// [`AtomicAudit::count_mover_n`]).
     pub fn count_allowed_n(&self, n: u64) {
         if n > 0 {
-            self.allowed_queries[stripe()].add(n);
+            self.allowed_queries[stripe()].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -366,18 +326,18 @@ impl AtomicAudit {
                 if v > 0 {
                     *out.violated.entry(Obligation { rule, clause }).or_default() += v;
                 }
-                let s = self.statically_discharged[rule.ord_key() as usize]
-                    [clause.ord_key() as usize]
-                    .load(Ordering::Relaxed);
-                if s > 0 {
-                    *out.statically_discharged
-                        .entry(Obligation { rule, clause })
-                        .or_default() += s;
-                }
             }
         }
-        out.mover_queries = self.mover_queries.iter().map(PaddedU64::load).sum();
-        out.allowed_queries = self.allowed_queries.iter().map(PaddedU64::load).sum();
+        out.mover_queries = self
+            .mover_queries
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .sum();
+        out.allowed_queries = self
+            .allowed_queries
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .sum();
         for rule in ALL_RULES {
             let n = self.injected_deny[rule.ord_key() as usize].load(Ordering::Relaxed);
             if n > 0 {
@@ -396,18 +356,13 @@ impl AtomicAudit {
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        for row in self
-            .discharged
-            .iter()
-            .chain(self.violated.iter())
-            .chain(self.statically_discharged.iter())
-        {
+        for row in self.discharged.iter().chain(self.violated.iter()) {
             for c in row {
                 c.store(0, Ordering::Relaxed);
             }
         }
         for s in self.mover_queries.iter().chain(self.allowed_queries.iter()) {
-            s.0.store(0, Ordering::Relaxed);
+            s.store(0, Ordering::Relaxed);
         }
         for c in self.injected_deny.iter().chain(self.injected_other.iter()) {
             c.store(0, Ordering::Relaxed);
@@ -428,20 +383,11 @@ impl Clone for AtomicAudit {
                 d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
-        for (dst, src) in out
-            .statically_discharged
-            .iter()
-            .zip(self.statically_discharged.iter())
-        {
-            for (d, s) in dst.iter().zip(src.iter()) {
-                d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-        }
         for (dst, src) in out.mover_queries.iter().zip(self.mover_queries.iter()) {
-            dst.0.store(src.load(), Ordering::Relaxed);
+            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         for (dst, src) in out.allowed_queries.iter().zip(self.allowed_queries.iter()) {
-            dst.0.store(src.load(), Ordering::Relaxed);
+            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         for (dst, src) in out
             .injected_deny
@@ -481,55 +427,26 @@ mod tests {
         let mut a = CriteriaAudit::default();
         a.fail(Rule::Cmt, Clause::Iii);
         a.pass(Rule::Push, Clause::Ii);
-        a.pass_static(Rule::Push, Clause::I);
         a.pass(Rule::App, Clause::Ii);
-        a.pass_static(Rule::Push, Clause::Ii);
         a.mover_queries = 7;
         a.allowed_queries = 2;
         let expected = "\
-obligation                 discharged   violated     static
-APP criterion (ii)                  1          0          0
-PUSH criterion (i)                  0          0          1
-PUSH criterion (ii)                 1          0          1
-CMT criterion (iii)                 0          1          0
+obligation                 discharged   violated
+APP criterion (ii)                  1          0
+PUSH criterion (ii)                 1          0
+CMT criterion (iii)                 0          1
 mover queries: 7   allowed queries: 2
 ";
         assert_eq!(a.render(), expected);
         // A second audit built in a different insertion order renders
         // identically.
         let mut b = CriteriaAudit::default();
-        b.pass_static(Rule::Push, Clause::Ii);
         b.pass(Rule::App, Clause::Ii);
-        b.pass_static(Rule::Push, Clause::I);
         b.pass(Rule::Push, Clause::Ii);
         b.fail(Rule::Cmt, Clause::Iii);
         b.mover_queries = 7;
         b.allowed_queries = 2;
         assert_eq!(a.render(), b.render());
-    }
-
-    #[test]
-    fn static_discharge_tallies_round_trip() {
-        let a = AtomicAudit::new();
-        let mut m = CriteriaAudit::default();
-        for _ in 0..5 {
-            a.pass_static(Rule::Push, Clause::Ii);
-            m.pass_static(Rule::Push, Clause::Ii);
-        }
-        a.pass_static(Rule::Pull, Clause::Iii);
-        m.pass_static(Rule::Pull, Clause::Iii);
-        a.pass(Rule::Push, Clause::Iii);
-        m.pass(Rule::Push, Clause::Iii);
-        let snap = a.snapshot();
-        assert_eq!(snap, m);
-        assert_eq!(snap.statically_discharged_count(Rule::Push, Clause::Ii), 5);
-        assert_eq!(snap.statically_discharged_total(), 6);
-        // The ledger closes: total counts static elisions too.
-        assert_eq!(snap.total(), 7);
-        let b = a.clone();
-        assert_eq!(b.snapshot(), snap);
-        a.reset();
-        assert_eq!(a.snapshot().statically_discharged_total(), 0);
     }
 
     #[test]
@@ -572,7 +489,11 @@ mover queries: 7   allowed queries: 2
         for (t, h) in handles.into_iter().enumerate() {
             movers[h.join().unwrap()] += 1000 * (t as u64 + 1);
         }
-        let per_stripe: Vec<u64> = a.mover_queries.iter().map(PaddedU64::load).collect();
+        let per_stripe: Vec<u64> = a
+            .mover_queries
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect();
         assert_eq!(per_stripe, movers);
         let snap = a.snapshot();
         assert_eq!(snap.discharged_count(Rule::App, Clause::Ii), 4000);

@@ -1,14 +1,14 @@
 //! Machine-checked soundness certificates for sequential specifications.
 //!
-//! The sharded global log and the static-discharge fast path both trust
-//! hand-written [`SeqSpec`](crate::spec::SeqSpec) declarations —
-//! `method_keys` footprints and `method_mover` overrides. A
-//! [`SpecCertificate`] is the output of cross-checking every such
-//! declaration against the ground truth derived exhaustively from the
-//! denotational semantics (the `pushpull-analysis` certifier does the
-//! deriving; this type lives in core so
-//! [`GlobalState`](crate::global::GlobalState) can gate its arming paths
-//! on it without a dependency cycle).
+//! The sharded global log trusts hand-written
+//! [`SeqSpec`](crate::spec::SeqSpec) declarations — `method_keys`
+//! footprints and `method_mover` overrides — and open nesting trusts its
+//! `inverse` verdicts. A [`SpecCertificate`] is the output of
+//! cross-checking every such declaration against the ground truth derived
+//! exhaustively from the denotational semantics (the `pushpull-analysis`
+//! certifier does the deriving; this type lives in core so
+//! [`GlobalState`](crate::global::GlobalState) can gate fine-grained
+//! routing and open-nested scope entry on it without a dependency cycle).
 //!
 //! A certificate records, over a finite method alphabet:
 //!
@@ -17,11 +17,10 @@
 //! * the **footprint cover** — each method's declared key set (or its
 //!   absence, which forces the coarse path) plus the inferred conflict
 //!   component it belongs to;
-//! * the **discharge set** — the rule obligations the matrix proves for
-//!   any program over the alphabet;
+//! * the **inverse-law verdict** open nesting is gated on;
 //! * the finding counts of the certification run. A certificate with a
-//!   nonzero error count is *invalid*: the machine refuses to arm the
-//!   unsafe fast paths on it and demotes to coarse mode instead.
+//!   nonzero error count is *invalid*: strict mode treats it like no
+//!   certificate, demoting to coarse routing and refusing open scopes.
 //!
 //! A certificate lives for one process: the certifier builds it and the
 //! run that armed it drops it. Its one rendering is the `Display`
@@ -32,10 +31,8 @@ use std::fmt;
 /// A machine-checked certificate that a spec's footprint and mover
 /// declarations agree with the exhaustively derived ground truth.
 ///
-/// Non-generic on purpose, like
-/// [`StaticDischarge`](crate::static_facts::StaticDischarge): the
-/// certifier works over a concrete spec, but the *verdict* is plain
-/// data, so [`GlobalState`](crate::global::GlobalState) and the harness
+/// Non-generic on purpose: the certifier works over a concrete spec, but
+/// the *verdict* is plain data, so [`GlobalState`](crate::global::GlobalState) and the harness
 /// can carry it without becoming generic over the spec.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecCertificate {
@@ -55,9 +52,6 @@ pub struct SpecCertificate {
     /// footprint assignment: methods in distinct components commute
     /// exhaustively and may live on distinct shards.
     pub components: Vec<usize>,
-    /// Rule obligations the checked matrix discharges for *any* program
-    /// over the alphabet, rendered `"RULE (clause)"`.
-    pub obligations: Vec<String>,
     /// The inverse-law verdict over the certified alphabet:
     /// `Some(true)` — the spec claims [`has_inverses`] and the round-trip
     /// law `⟦ℓ · op · op⁻¹⟧ = ⟦ℓ⟧` (plus state-identity for `ReadOnly`
@@ -82,7 +76,7 @@ pub struct SpecCertificate {
 }
 
 impl SpecCertificate {
-    /// Is this certificate sound to arm fast paths on? (No
+    /// Is this certificate sound to route fine-grained shards on? (No
     /// error-severity finding survived certification.)
     pub fn is_valid(&self) -> bool {
         self.errors == 0
@@ -123,14 +117,13 @@ impl fmt::Display for SpecCertificate {
         write!(
             f,
             "certificate[{}]: {} methods, {}/{} mover pairs proven, {} component(s), \
-             {} shard key(s), {} obligation(s) discharged, inverse law {} — {}",
+             {} shard key(s), inverse law {} — {}",
             self.spec_name,
             self.methods.len(),
             self.proven_pairs(),
             self.matrix.len(),
             self.component_count(),
             self.shard_keys,
-            self.obligations.len(),
             match self.inverse_law {
                 Some(true) => "certified",
                 Some(false) => "refuted",
@@ -166,7 +159,6 @@ mod tests {
             ],
             footprints: vec![Some(vec![1]), Some(vec![1]), Some(vec![2])],
             components: vec![0, 0, 1],
-            obligations: vec!["PUSH (i)".into(), "PULL (iii)".into()],
             inverse_law: Some(true),
             shard_keys: 2,
             errors: 0,

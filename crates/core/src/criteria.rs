@@ -21,8 +21,6 @@ use crate::spec::{SeqSpec, StateSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mark {
     Pass,
-    /// Elided by an installed static proof (no oracle queries).
-    Static,
     Fail,
 }
 
@@ -75,7 +73,7 @@ impl<St> Verdict<St> {
         self
     }
 
-    /// Records exactly the queries and pass/static/fail marks of this
+    /// Records exactly the queries and pass/fail marks of this
     /// evaluation in the audit.
     pub(crate) fn record(&self, audit: &AtomicAudit) {
         audit.count_mover_n(self.movers);
@@ -83,7 +81,6 @@ impl<St> Verdict<St> {
         for (clause, mark) in clauses(self.rule).into_iter().zip(self.marks) {
             match mark {
                 Some(Mark::Pass) => audit.pass(self.rule, clause),
-                Some(Mark::Static) => audit.pass_static(self.rule, clause),
                 Some(Mark::Fail) => audit.fail(self.rule, clause),
                 None => {}
             }
@@ -137,29 +134,13 @@ pub(crate) fn push<S: SeqSpec>(
 ) -> Verdict<S::State> {
     let spec = global.spec();
     let mut v = Verdict::new(Rule::Push, op.id);
-    let foreign = || view.uncommitted(global).filter(|g| g.op.txn != txn);
-    if global.statically_discharged(Rule::Push, Clause::Ii) {
-        // Soundness cross-check: in debug builds the elided loop still
-        // runs (without audit accounting) and must agree.
-        #[cfg(debug_assertions)]
-        for g in foreign() {
-            assert!(
-                spec.mover(&g.op, op),
-                "static discharge of PUSH (ii) contradicted dynamically: {} vs {}",
-                g.op.id,
-                op.id
-            );
+    for g in view.uncommitted(global).filter(|g| g.op.txn != txn) {
+        v.movers += 1;
+        if !spec.mover(&g.op, op) {
+            return v.deny(0, Some((g.op.id, g.op.txn)));
         }
-        v.marks[0] = Some(Mark::Static);
-    } else {
-        for g in foreign() {
-            v.movers += 1;
-            if !spec.mover(&g.op, op) {
-                return v.deny(0, Some((g.op.id, g.op.txn)));
-            }
-        }
-        v.marks[0] = Some(Mark::Pass);
     }
+    v.marks[0] = Some(Mark::Pass);
     v.allowed += 1;
     let (allowed, proved) = view.allows(global, op);
     if !allowed {
@@ -186,27 +167,13 @@ pub(crate) fn unpush<S: SeqSpec>(
     let op = &view.at(vidx, pos).op;
     let mut v = Verdict::new(Rule::UnPush, op.id);
     if gray {
-        let later = || view.after((vidx, pos));
-        if global.statically_discharged(Rule::UnPush, Clause::I) {
-            #[cfg(debug_assertions)]
-            for g in later() {
-                assert!(
-                    spec.mover(op, &g.op),
-                    "static discharge of UNPUSH (i) contradicted dynamically: {} vs {}",
-                    op.id,
-                    g.op.id
-                );
+        for g in view.after((vidx, pos)) {
+            v.movers += 1;
+            if !spec.mover(op, &g.op) {
+                return v.deny(0, Some((g.op.id, g.op.txn)));
             }
-            v.marks[0] = Some(Mark::Static);
-        } else {
-            for g in later() {
-                v.movers += 1;
-                if !spec.mover(op, &g.op) {
-                    return v.deny(0, Some((g.op.id, g.op.txn)));
-                }
-            }
-            v.marks[0] = Some(Mark::Pass);
         }
+        v.marks[0] = Some(Mark::Pass);
     }
     v.allowed += 1;
     if !view.allowed_without(global, (vidx, pos)) {

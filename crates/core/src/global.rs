@@ -182,7 +182,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock, TryLockError};
 
-use crate::audit::{AtomicAudit, CriteriaAudit};
+use crate::audit::{AtomicAudit, CachePadded, CriteriaAudit};
 use crate::certificate::SpecCertificate;
 use crate::error::{Clause, Rule};
 use crate::faults::{FaultHook, FaultKind};
@@ -191,7 +191,6 @@ use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
 use crate::spec::{SeqSpec, StateSet};
-use crate::static_facts::StaticDischarge;
 
 /// How a committed transaction relates to the nesting structure of the
 /// thread that ran it — the per-level tag the nested serializability
@@ -920,11 +919,15 @@ pub struct GlobalState<S: SeqSpec> {
     /// resharding and deep-cloning need no `S: Clone` bound.
     pub(crate) spec: Arc<S>,
     pub(crate) mode: CheckMode,
-    pub(crate) ids: OpIdGen,
-    pub(crate) next_txn: AtomicU64,
+    /// The four generators every thread writes — op ids, transaction ids,
+    /// trace sequence numbers and commit-sequence stamps — each on a cache
+    /// line of its own ([`CachePadded`]), so no write to them evicts the
+    /// read-mostly fields every rule reads.
+    pub(crate) ids: CachePadded<OpIdGen>,
+    pub(crate) next_txn: CachePadded<AtomicU64>,
     /// Global trace-event sequence: one `fetch_add` per recorded event
     /// gives a real-time-consistent total order across threads.
-    pub(crate) seq: AtomicU64,
+    pub(crate) seq: CachePadded<AtomicU64>,
     pub(crate) audit: AtomicAudit,
     incremental: AtomicBool,
     /// The footprint shards of `G`, each behind its own lock. The count
@@ -936,7 +939,7 @@ pub struct GlobalState<S: SeqSpec> {
     committed: Mutex<Vec<CommittedTxn<S::Method, S::Ret>>>,
     /// Mints commit-sequence stamps for appends; fetched under the
     /// destination shard's lock.
-    push_stamp: AtomicU64,
+    push_stamp: CachePadded<AtomicU64>,
     /// Sticky coarse-mode flag: set the first time an operation with no
     /// single-key footprint routes, never cleared (for this shard
     /// layout). See the module docs for the memory-ordering argument.
@@ -950,20 +953,14 @@ pub struct GlobalState<S: SeqSpec> {
     /// rule hot paths to a single relaxed load when no hook is set.
     faults: RwLock<Option<Arc<dyn FaultHook>>>,
     faults_armed: AtomicBool,
-    /// Statically proven obligations, if an analysis plan installed any.
-    /// Same arm-flag pattern as the fault hook: with no plan the rule
-    /// hot paths pay one relaxed load and behave bit-identically to a
-    /// build without the analyzer.
-    static_facts: RwLock<Option<Arc<StaticDischarge>>>,
-    static_armed: AtomicBool,
     /// The installed spec certificate, if the analysis certified this
     /// spec's footprint/mover declarations (see [`SpecCertificate`]).
     certificate: RwLock<Option<Arc<SpecCertificate>>>,
-    /// Strict arming mode: when set, the unsafe fast paths
-    /// (static-discharge elision, fine-grained shard routing) refuse to
-    /// arm without a valid certificate and demote to the sound coarse
-    /// path instead, recording a diagnostic. Off by default —
-    /// bit-identical legacy behaviour.
+    /// Strict arming mode: when set, fine-grained shard routing demotes
+    /// to the sound coarse path without a valid certificate, and an
+    /// open-nested scope is refused without a proven inverse law, each
+    /// recording a diagnostic. Off by default — bit-identical legacy
+    /// behaviour.
     require_certificate: AtomicBool,
     /// Human-readable records of every arming request the certificate
     /// gate refused or demoted (drained by [`Self::arming_diagnostics`]).
@@ -992,21 +989,19 @@ impl<S: SeqSpec> GlobalState<S> {
         Self {
             spec: Arc::new(spec),
             mode,
-            ids: OpIdGen::new(),
-            next_txn: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
+            ids: CachePadded(OpIdGen::new()),
+            next_txn: CachePadded(AtomicU64::new(0)),
+            seq: CachePadded(AtomicU64::new(0)),
             audit: AtomicAudit::new(),
             incremental: AtomicBool::new(true),
             shards: shard_logs,
             committed: Mutex::new(Vec::new()),
-            push_stamp: AtomicU64::new(0),
+            push_stamp: CachePadded(AtomicU64::new(0)),
             coarse: AtomicBool::new(false),
             lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
             lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
             faults: RwLock::new(None),
             faults_armed: AtomicBool::new(false),
-            static_facts: RwLock::new(None),
-            static_armed: AtomicBool::new(false),
             certificate: RwLock::new(None),
             require_certificate: AtomicBool::new(false),
             arming_diags: Mutex::new(Vec::new()),
@@ -1096,33 +1091,6 @@ impl<S: SeqSpec> GlobalState<S> {
         unpoisoned(self.faults.read()).clone()
     }
 
-    /// Installs (or, with `None`, removes) a set of statically proven
-    /// obligations. When installed, the mover-loop criteria the proof
-    /// covers are elided at runtime and tallied in the audit's
-    /// `statically_discharged` column instead of `discharged`; in debug
-    /// builds every elided check is still evaluated dynamically and
-    /// asserted to pass (the soundness cross-check).
-    ///
-    /// Under strict mode ([`Self::set_require_certificate`]) a plan that
-    /// would arm elision is refused unless a *valid* [`SpecCertificate`]
-    /// is installed: the facts are dropped, the machine keeps its exact
-    /// dynamic checks (the sound default), and a diagnostic is recorded
-    /// in [`Self::arming_diagnostics`].
-    pub fn set_static_discharge(&self, facts: Option<Arc<StaticDischarge>>) {
-        let armed = facts.as_ref().is_some_and(|f| f.any());
-        if armed && self.require_certificate.load(Ordering::SeqCst) && !self.certified() {
-            self.note_arming_diag(
-                "refused to arm static discharge: strict mode requires a valid \
-                 spec certificate and none is installed; keeping exact dynamic checks",
-            );
-            self.static_armed.store(false, Ordering::Release);
-            *unpoisoned(self.static_facts.write()) = None;
-            return;
-        }
-        self.static_armed.store(armed, Ordering::Release);
-        *unpoisoned(self.static_facts.write()) = facts;
-    }
-
     /// Installs (or, with `None`, removes) a spec certificate — the
     /// machine-checked verdict that this spec's `method_keys`/
     /// `method_mover` declarations agree with the exhaustively derived
@@ -1168,12 +1136,14 @@ impl<S: SeqSpec> GlobalState<S> {
 
     /// Turns strict certificate-gated arming on or off. Off (the
     /// default) reproduces the historical trust-the-declarations
-    /// behaviour bit-identically. On, every unsafe fast path demands a
-    /// valid certificate:
+    /// behaviour bit-identically. On, the two paths that trust the spec's
+    /// declarations demand a certificate:
     ///
-    /// * [`Self::set_static_discharge`] refuses to arm elision;
     /// * fine-grained shard routing (a shard count above one) demotes to
-    ///   the sticky coarse path — sound, never wrong, just slower;
+    ///   the sticky coarse path unless a valid certificate is installed —
+    ///   sound, never wrong, just slower;
+    /// * entering an open-nested scope is refused unless the certificate
+    ///   also proved the inverse law ([`SpecCertificate::open_nesting_certified`]);
     ///
     /// each refusal/demotion recording a diagnostic in
     /// [`Self::arming_diagnostics`]. Turning strict mode on while
@@ -1212,25 +1182,6 @@ impl<S: SeqSpec> GlobalState<S> {
     pub(crate) fn demote_to_coarse(&self, reason: &str) {
         self.coarse.store(true, Ordering::SeqCst);
         self.note_arming_diag(reason);
-    }
-
-    /// The installed static-discharge facts, if any.
-    pub fn static_discharge(&self) -> Option<Arc<StaticDischarge>> {
-        if !self.static_armed.load(Ordering::Acquire) {
-            return None;
-        }
-        unpoisoned(self.static_facts.read()).clone()
-    }
-
-    /// Is the runtime check for `(rule, clause)` statically discharged?
-    /// One relaxed-ish load on the fast path when no plan is installed.
-    pub(crate) fn statically_discharged(&self, rule: Rule, clause: Clause) -> bool {
-        if !self.static_armed.load(Ordering::Acquire) {
-            return false;
-        }
-        unpoisoned(self.static_facts.read())
-            .as_ref()
-            .is_some_and(|f| f.discharges(rule, clause))
     }
 
     /// Records one injected fault in the audit. The machine calls this
@@ -1644,20 +1595,18 @@ impl<S: SeqSpec> GlobalState<S> {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
             ids: self.ids.clone(),
-            next_txn: AtomicU64::new(self.next_txn.load(Ordering::Relaxed)),
-            seq: AtomicU64::new(self.seq.load(Ordering::Relaxed)),
+            next_txn: CachePadded(AtomicU64::new(self.next_txn.load(Ordering::Relaxed))),
+            seq: CachePadded(AtomicU64::new(self.seq.load(Ordering::Relaxed))),
             audit: self.audit.clone(),
             incremental: AtomicBool::new(self.incremental()),
             shards,
             committed: Mutex::new(self.committed_txns()),
-            push_stamp: AtomicU64::new(self.push_stamp.load(Ordering::Relaxed)),
+            push_stamp: CachePadded(AtomicU64::new(self.push_stamp.load(Ordering::Relaxed))),
             coarse: AtomicBool::new(coarse),
             lock_acquires,
             lock_contended,
             faults: RwLock::new(self.fault_hook()),
             faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
-            static_facts: RwLock::new(self.static_discharge()),
-            static_armed: AtomicBool::new(self.static_armed.load(Ordering::Acquire)),
             certificate: RwLock::new(self.certificate()),
             require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
             arming_diags: Mutex::new(self.arming_diagnostics()),

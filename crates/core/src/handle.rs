@@ -1376,35 +1376,20 @@ impl<S: SeqSpec> TxnHandle<S> {
         if checked {
             // Criterion (i): op ◁ op' for every earlier npshd own op'.
             // Local-log only — evaluated outside the critical section.
-            if self.global.statically_discharged(Rule::Push, Clause::I) {
-                // Soundness cross-check: in debug builds the elided loop
-                // still runs (without audit accounting) and must agree.
-                #[cfg(debug_assertions)]
-                for e in &self.local.entries()[..pos] {
-                    assert!(
-                        !e.flag.is_not_pushed() || self.global.spec().mover(&op, &e.op),
-                        "static discharge of PUSH (i) contradicted dynamically: {} vs {}",
-                        op.id,
-                        e.op.id
-                    );
+            for e in &self.local.entries()[..pos] {
+                if e.flag.is_not_pushed() && !self.global.mover_q(&op, &e.op) {
+                    self.global.audit.fail(Rule::Push, Clause::I);
+                    return Err(MachineError::criterion(
+                        Rule::Push,
+                        Clause::I,
+                        format!(
+                            "{} does not move across earlier unpushed {}",
+                            op.id, e.op.id
+                        ),
+                    ));
                 }
-                self.global.audit.pass_static(Rule::Push, Clause::I);
-            } else {
-                for e in &self.local.entries()[..pos] {
-                    if e.flag.is_not_pushed() && !self.global.mover_q(&op, &e.op) {
-                        self.global.audit.fail(Rule::Push, Clause::I);
-                        return Err(MachineError::criterion(
-                            Rule::Push,
-                            Clause::I,
-                            format!(
-                                "{} does not move across earlier unpushed {}",
-                                op.id, e.op.id
-                            ),
-                        ));
-                    }
-                }
-                self.global.audit.pass(Rule::Push, Clause::I);
             }
+            self.global.audit.pass(Rule::Push, Clause::I);
         }
         let route = self.global.route(&op.method);
         let method = op.method.clone();
@@ -1575,31 +1560,17 @@ impl<S: SeqSpec> TxnHandle<S> {
             self.global.audit.pass(Rule::Pull, Clause::Ii);
             // Criterion (iii), gray: own local ops move right of op.
             if check_gray {
-                let own_ops = self.local.iter().filter(|e| e.flag.is_own());
-                if self.global.statically_discharged(Rule::Pull, Clause::Iii) {
-                    #[cfg(debug_assertions)]
-                    for own in own_ops {
-                        assert!(
-                            self.global.spec().mover(&own.op, &gentry.op),
-                            "static discharge of PULL (iii) contradicted dynamically: {} vs {}",
-                            own.op.id,
-                            op_id
-                        );
+                for own in self.local.iter().filter(|e| e.flag.is_own()) {
+                    if !self.global.mover_q(&own.op, &gentry.op) {
+                        self.global.audit.fail(Rule::Pull, Clause::Iii);
+                        return Err(MachineError::criterion(
+                            Rule::Pull,
+                            Clause::Iii,
+                            format!("own {} cannot move right of pulled {}", own.op.id, op_id),
+                        ));
                     }
-                    self.global.audit.pass_static(Rule::Pull, Clause::Iii);
-                } else {
-                    for own in own_ops {
-                        if !self.global.mover_q(&own.op, &gentry.op) {
-                            self.global.audit.fail(Rule::Pull, Clause::Iii);
-                            return Err(MachineError::criterion(
-                                Rule::Pull,
-                                Clause::Iii,
-                                format!("own {} cannot move right of pulled {}", own.op.id, op_id),
-                            ));
-                        }
-                    }
-                    self.global.audit.pass(Rule::Pull, Clause::Iii);
                 }
+                self.global.audit.pass(Rule::Pull, Clause::Iii);
             }
         }
         let reachable_after = match reachable {

@@ -105,5 +105,5 @@ pub use op::{Op, OpId, ThreadId, TxnId};
 pub use scope::{NestingStats, ScopeKind};
 pub use smallvec::SmallVec;
 pub use spec::{KeySet, OpInverse, SeqSpec};
-pub use static_facts::{RulePattern, StaticDischarge};
+pub use static_facts::RulePattern;
 pub use trace::{Event, Trace};

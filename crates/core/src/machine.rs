@@ -149,15 +149,6 @@ impl<S: SeqSpec> Machine<S> {
         self.global.set_fault_hook(hook);
     }
 
-    /// Arms (or, with `None`, disarms) statically proven criteria facts;
-    /// see [`GlobalState::set_static_discharge`].
-    pub fn set_static_discharge(
-        &self,
-        facts: Option<std::sync::Arc<crate::static_facts::StaticDischarge>>,
-    ) {
-        self.global.set_static_discharge(facts);
-    }
-
     /// Installs (or, with `None`, removes) a spec certificate — the
     /// machine-checked verdict that the spec's footprint/mover
     /// declarations agree with the exhaustive ground truth; see
@@ -891,9 +882,6 @@ mod tests {
         m.set_fault_hook(Some(Arc::new(Quiet)));
         m.install_certificate(Some(Arc::new(Default::default())));
         m.set_require_certificate(true);
-        let mut facts = crate::static_facts::StaticDischarge::none();
-        facts.add(Rule::Push, Clause::I);
-        m.set_static_discharge(Some(Arc::new(facts)));
         m.set_incremental(false);
         // Mid-run: one sealed group batch, one scope in flight, one
         // uncommitted push.
@@ -908,7 +896,6 @@ mod tests {
             let g = m.global_state();
             (
                 g.fault_hook().is_some(),
-                g.static_discharge().map(|f| f.obligations()),
                 g.certificate(),
                 g.require_certificate(),
                 g.incremental(),
@@ -919,12 +906,11 @@ mod tests {
         };
         let before = carried(&m);
         assert!(before.0, "hook armed");
-        assert_eq!(before.1, Some(vec![(Rule::Push, Clause::I)]));
-        assert!(before.2.is_some() && before.3, "certificate, strict mode");
-        assert!(!before.4, "incremental off");
-        assert!(before.5.statically_discharged_count(Rule::Push, Clause::I) > 0);
-        assert_eq!(before.6.batches, 1);
-        assert_eq!(before.7.scopes_opened, 1);
+        assert!(before.1.is_some() && before.2, "certificate, strict mode");
+        assert!(!before.3, "incremental off");
+        assert!(before.4.discharged_count(Rule::Push, Clause::I) > 0);
+        assert_eq!(before.5.batches, 1);
+        assert_eq!(before.6.scopes_opened, 1);
 
         assert_eq!(carried(&m.clone()), before, "Machine::clone");
         m.set_log_shards(4);

@@ -367,13 +367,13 @@ pub trait SeqSpec {
     }
 
     /// The *method-level* (return-universal) mover relation used by the
-    /// static criteria prover (`pushpull-analysis`):
+    /// `pushpull-analysis` linter and certifier:
     ///
     /// * `Some(true)` — `m1 ◁ m2` holds for **every** pair of return
     ///   observations the two methods can produce, so any runtime mover
     ///   check between an `m1`-op and an `m2`-op is guaranteed to pass;
     /// * `Some(false)` — some observable return pair is not a mover (the
-    ///   runtime check cannot be elided);
+    ///   runtime outcome depends on the returns);
     /// * `None` — unknown (no finite universe and no algebraic override);
     ///   the analyzer must treat the pair as a potential conflict.
     ///

@@ -1,5 +1,4 @@
-//! Support types for ahead-of-time criterion proofs: the §6 rule-usage
-//! pattern and the set of statically discharged obligations.
+//! The §6 rule-usage pattern.
 //!
 //! The paper's §6 classifies each TM algorithm by *which* of the seven
 //! rules it exercises — e.g. boosting is "APP;PUSH per operation,
@@ -7,20 +6,10 @@
 //! [`RulePattern`] makes that classification a value so drivers can
 //! declare it and the `pushpull-analysis` linter can check the
 //! declaration against a program's static summary.
-//!
-//! [`StaticDischarge`] is the type-erased output of the static criteria
-//! prover: the set of rule clauses whose runtime check may be skipped
-//! because the analysis proved the obligation for every operation the
-//! run can perform. [`GlobalState`](crate::global::GlobalState) holds an
-//! optional `Arc<StaticDischarge>`; when armed, the mover-loop clauses
-//! in [`TxnHandle`](crate::handle::TxnHandle) consult it and tally
-//! `statically_discharged` instead of running the loop, so the audit
-//! ledger (`discharged + violated + statically_discharged`) still closes
-//! exactly.
 
 use std::fmt;
 
-use crate::error::{Clause, Rule};
+use crate::error::Rule;
 
 /// A set of the seven PUSH/PULL rules, encoded as a bitset — the §6
 /// "rule pattern" of an algorithm class.
@@ -147,109 +136,6 @@ impl FromIterator<Rule> for RulePattern {
     }
 }
 
-/// The set of rule clauses a static analysis has proven ahead of time,
-/// plus how many method pairs the proof covered (for reports).
-///
-/// Non-generic on purpose: the analyzer works over a concrete
-/// [`SeqSpec`](crate::spec::SeqSpec), but the *facts* it produces are
-/// just obligations, so the harness can carry them without becoming
-/// generic over the spec.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StaticDischarge {
-    elidable: [[bool; 4]; 7],
-    /// Ordered method pairs the mover matrix proved (for reports).
-    pub proven_pairs: usize,
-    /// Size of the method alphabet the proof ranged over.
-    pub alphabet: usize,
-}
-
-fn idx(rule: Rule) -> usize {
-    match rule {
-        Rule::App => 0,
-        Rule::UnApp => 1,
-        Rule::Push => 2,
-        Rule::UnPush => 3,
-        Rule::Pull => 4,
-        Rule::UnPull => 5,
-        Rule::Cmt => 6,
-    }
-}
-
-fn cidx(clause: Clause) -> usize {
-    match clause {
-        Clause::I => 0,
-        Clause::Ii => 1,
-        Clause::Iii => 2,
-        Clause::Iv => 3,
-    }
-}
-
-impl StaticDischarge {
-    /// No obligations proven (installing this is equivalent to no plan).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Marks `(rule, clause)` as statically proven.
-    pub fn add(&mut self, rule: Rule, clause: Clause) {
-        self.elidable[idx(rule)][cidx(clause)] = true;
-    }
-
-    /// Is the runtime check for `(rule, clause)` elidable?
-    pub fn discharges(&self, rule: Rule, clause: Clause) -> bool {
-        self.elidable[idx(rule)][cidx(clause)]
-    }
-
-    /// Are any obligations proven at all?
-    pub fn any(&self) -> bool {
-        self.elidable.iter().flatten().any(|b| *b)
-    }
-
-    /// The proven obligations in `(rule, clause)` order.
-    pub fn obligations(&self) -> Vec<(Rule, Clause)> {
-        let rules = [
-            Rule::App,
-            Rule::UnApp,
-            Rule::Push,
-            Rule::UnPush,
-            Rule::Pull,
-            Rule::UnPull,
-            Rule::Cmt,
-        ];
-        let clauses = [Clause::I, Clause::Ii, Clause::Iii, Clause::Iv];
-        let mut out = Vec::new();
-        for r in rules {
-            for c in clauses {
-                if self.discharges(r, c) {
-                    out.push((r, c));
-                }
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for StaticDischarge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let obs = self.obligations();
-        if obs.is_empty() {
-            return write!(f, "no obligations statically discharged");
-        }
-        write!(
-            f,
-            "statically discharged ({} mover pairs over {} methods): ",
-            self.proven_pairs, self.alphabet
-        )?;
-        for (i, (r, c)) in obs.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{r} {c}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,20 +164,5 @@ mod tests {
         let p = RulePattern::from_iter([Rule::Cmt, Rule::App, Rule::Push]);
         assert_eq!(p.to_string(), "APP+PUSH+CMT");
         assert_eq!(RulePattern::new().to_string(), "∅");
-    }
-
-    #[test]
-    fn discharge_set_round_trips() {
-        let mut d = StaticDischarge::none();
-        assert!(!d.any());
-        d.add(Rule::Push, Clause::Ii);
-        d.add(Rule::Pull, Clause::Iii);
-        assert!(d.discharges(Rule::Push, Clause::Ii));
-        assert!(!d.discharges(Rule::Push, Clause::Iii));
-        assert_eq!(
-            d.obligations(),
-            vec![(Rule::Push, Clause::Ii), (Rule::Pull, Clause::Iii)]
-        );
-        assert!(d.to_string().contains("PUSH"));
     }
 }

@@ -303,7 +303,7 @@ fn explicit_open_scope_round_trip() {
 }
 
 #[test]
-fn strict_mode_gates_open_scopes_on_the_inverse_law() {
+fn strict_mode_gates_open_nesting_on_the_inverse_law() {
     use pushpull_core::certificate::SpecCertificate;
     use std::sync::Arc;
 
@@ -313,7 +313,6 @@ fn strict_mode_gates_open_scopes_on_the_inverse_law() {
         matrix: vec![Some(true); 9],
         footprints: vec![None, None, None],
         components: vec![0, 0, 0],
-        obligations: vec![],
         inverse_law: law,
         shard_keys: 0,
         errors: 0,

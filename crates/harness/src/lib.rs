@@ -17,9 +17,9 @@
 //!   machine's [`FaultHook`](pushpull_core::faults::FaultHook) seam, for
 //!   the chaos-matrix tests;
 //! * [`parallel`] — the OS-thread runner, with panic propagation, a
-//!   tick-budget watchdog, and optional installation of a static
-//!   [`AnalysisPlan`](pushpull_analysis::AnalysisPlan) so proven mover
-//!   clauses are elided before any worker spawns.
+//!   tick-budget watchdog, and optional installation of an
+//!   [`AnalysisPlan`](pushpull_analysis::AnalysisPlan)'s spec certificate
+//!   before any worker spawns.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -202,12 +202,13 @@ struct ThreadSummary {
 /// Runs `sys` with one OS thread per model thread, each ticking its own
 /// worker closure until done (or until `max_ticks_per_thread`).
 ///
-/// When `plan` is `Some`, its statically proven discharge facts (from
-/// [`pushpull_analysis::analyze`]) are installed on the system before any
-/// worker spawns, so the machine's proven mover loops are elided and
-/// tallied under `statically_discharged`; `Some` of a plan that proved
-/// nothing *clears* any previously installed facts. `None` leaves the
-/// system's installed facts untouched.
+/// When `plan` carries a spec certificate (from
+/// [`pushpull_analysis::analyze_certified`]), it is installed on the
+/// system before any worker spawns, so strict mode's two gates —
+/// fine-grained shard routing and open-nested scope entry — find it. A
+/// plan without one, and `None`, leave the installed certificate
+/// untouched. The plan arms nothing else: every criterion is still
+/// checked when its rule fires.
 ///
 /// # Errors
 ///
@@ -225,15 +226,7 @@ pub fn run_parallel<T>(
 where
     T: ParallelSystem + Send,
 {
-    if let Some(plan) = plan {
-        // Certificate first: strict-mode arming consults it, so a plan
-        // carrying both must land the certificate before the discharge
-        // (and before any shard routing the caller set up is exercised).
-        if plan.certificate.is_some() {
-            sys.machine().install_certificate(plan.certificate.clone());
-        }
-        sys.machine().set_static_discharge(plan.discharge.clone());
-    }
+    install_certificate(&sys, plan);
     let total_ticks = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
 
@@ -376,14 +369,17 @@ where
 {
     // Certificate before resharding: strict-mode `set_log_shards` demotes
     // an uncertified log to coarse routing, so a certified plan must be
-    // on record before the shards are cut.
-    if let Some(plan) = plan {
-        if plan.certificate.is_some() {
-            sys.machine().install_certificate(plan.certificate.clone());
-        }
-    }
+    // on record before the shards are cut. `None` below: it is installed.
+    install_certificate(&sys, plan);
     sys.set_log_shards(shards);
-    run_parallel(sys, max_ticks_per_thread, plan)
+    run_parallel(sys, max_ticks_per_thread, None)
+}
+
+/// Installs `plan`'s certificate, if it carries one.
+fn install_certificate<T: ParallelSystem>(sys: &T, plan: Option<&AnalysisPlan>) {
+    if let Some(cert) = plan.and_then(|p| p.certificate.clone()) {
+        sys.machine().install_certificate(Some(cert));
+    }
 }
 
 #[cfg(test)]

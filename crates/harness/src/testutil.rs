@@ -1,14 +1,10 @@
 //! Shared audit-ledger assertions for the test suites, and
 //! the one spec wrapper they share ([`Redeclared`]).
 //!
-//! Three invariants recur across the static-analysis tests, the fault
-//! suite and the sharding and server equivalence suites; they live here
-//! so every caller asserts the *same* property
-//! with the same diagnostics:
+//! Two invariants recur across the fault suite and the sharding and
+//! server equivalence suites; they live here so every caller asserts the
+//! *same* property with the same diagnostics:
 //!
-//! * **Ledger closure** under a static-discharge plan: every criterion
-//!   reach is tallied exactly once, so the static column of an armed run
-//!   absorbs exactly what a plan-free baseline discharged dynamically.
 //! * **Injection accounting**: the audit's `injected` tallies equal the
 //!   fault plan's own fired tallies — every fault recorded once, none
 //!   leaked into `violated`.
@@ -28,7 +24,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pushpull_core::audit::CriteriaAudit;
-use pushpull_core::error::{Clause, Rule};
 use pushpull_core::faults::{FaultHook, FaultKind};
 use pushpull_core::op::Op;
 use pushpull_core::opacity::check_trace;
@@ -38,58 +33,6 @@ use pushpull_tm::driver::TmSystem;
 
 use crate::faults::FaultPlan;
 use crate::scheduler::{run, RandomSched};
-
-/// Asserts the static-discharge ledger closes: on an armed run of a
-/// conflict-free workload, every obligation in `obligations` was (a)
-/// never re-checked dynamically, (b) statically discharged exactly as
-/// often as the plan-free `base` run discharged it dynamically, and (c)
-/// cheaper — strictly fewer raw mover queries than the baseline. Also
-/// requires the two runs to have reached criteria the same total number
-/// of times (`total`), which is what "the ledger closes" means.
-///
-/// # Panics
-///
-/// Panics (via `assert!`) describing the first column that fails to
-/// close.
-pub fn assert_ledger_closes(
-    audit: &CriteriaAudit,
-    base: &CriteriaAudit,
-    obligations: &[(Rule, Clause)],
-) {
-    assert!(
-        audit.statically_discharged_total() > 0,
-        "armed run recorded no static discharges at all\n{}",
-        audit.render()
-    );
-    for &(rule, clause) in obligations {
-        assert_eq!(
-            audit.discharged_count(rule, clause),
-            0,
-            "{rule} {clause}: armed runs must never re-check a proven clause"
-        );
-        assert_eq!(
-            audit.violated_count(rule, clause),
-            0,
-            "{rule} {clause}: proven clause recorded a violation"
-        );
-        assert_eq!(
-            audit.statically_discharged_count(rule, clause),
-            base.discharged_count(rule, clause),
-            "{rule} {clause}: static column must absorb the baseline's dynamic discharges"
-        );
-    }
-    assert_eq!(
-        audit.total(),
-        base.total(),
-        "ledger must close: armed and baseline runs reached different criterion counts"
-    );
-    assert!(
-        audit.mover_queries < base.mover_queries,
-        "elision must cut mover queries ({} vs {})",
-        audit.mover_queries,
-        base.mover_queries
-    );
-}
 
 /// Asserts the audit's `injected` tallies equal a fault plan's fired
 /// tallies: every injected fault was recorded exactly once, by kind.
@@ -107,7 +50,7 @@ pub fn assert_injection_accounted(audit: &CriteriaAudit, fired: &BTreeMap<FaultK
 }
 
 /// Asserts two audits agree on every *ledger* column — `discharged`,
-/// `violated`, `statically_discharged` and `injected`, per obligation —
+/// `violated` and `injected`, per obligation —
 /// while deliberately ignoring the raw `mover_queries`/`allowed_queries`
 /// counters. Criteria *verdict* equality is exactly what log sharding
 /// and the incremental prefix cache promise; what each verdict *cost* in
@@ -117,14 +60,9 @@ pub fn assert_injection_accounted(audit: &CriteriaAudit, fired: &BTreeMap<FaultK
 ///
 /// Panics naming the first diverging column, with both audits rendered.
 pub fn assert_ledger_matches(a: &CriteriaAudit, b: &CriteriaAudit) {
-    let columns: [(&str, &BTreeMap<_, u64>, &BTreeMap<_, u64>); 3] = [
+    let columns: [(&str, &BTreeMap<_, u64>, &BTreeMap<_, u64>); 2] = [
         ("discharged", &a.discharged, &b.discharged),
         ("violated", &a.violated, &b.violated),
-        (
-            "statically_discharged",
-            &a.statically_discharged,
-            &b.statically_discharged,
-        ),
     ];
     for (name, left, right) in columns {
         assert_eq!(
@@ -153,7 +91,7 @@ pub fn assert_ledger_matches(a: &CriteriaAudit, b: &CriteriaAudit) {
 /// when `expect_opaque`). Returns the finished system so callers can
 /// assert fault-family-specific extras.
 ///
-/// Install any static-discharge configuration on the machine *before*
+/// Install any certificate or strict mode on the machine *before*
 /// calling; this helper only arms the fault hook.
 ///
 /// # Panics

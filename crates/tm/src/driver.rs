@@ -63,8 +63,8 @@ pub enum Tick {
 
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
-/// A system *hands out its machine*: everything machine-level — static
-/// discharge facts, certificates, shard configuration,
+/// A system *hands out its machine*: everything machine-level — spec
+/// certificates, strict mode, shard configuration,
 /// lock/group/nesting counters, the group-commit
 /// seam — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
@@ -99,7 +99,7 @@ pub trait TmSystem {
 
     /// The underlying machine (for oracles, traces, audits, counters and
     /// the `&self` configuration seams such as
-    /// [`Machine::set_static_discharge`]).
+    /// [`Machine::install_certificate`]).
     fn machine(&self) -> &Machine<Self::MachineSpec>;
 
     /// The underlying machine, mutably (resharding, the

@@ -1,11 +1,9 @@
-//! `pushpull-lint`: run the static criteria prover, the §6 linter, and
-//! the spec certifier over the structured workload corpus
-//! (`harness::patterns`) and the shipped specification suite, printing
-//! rustc-style reports.
+//! `pushpull-lint`: run the §6 linter and the spec certifier over the
+//! structured workload corpus (`harness::patterns`) and the shipped
+//! specification suite, printing rustc-style reports.
 //!
 //! For each workload family the analyzer reports the mover matrix over
-//! the union method footprint, which of the machine's mover clauses are
-//! provable ahead of time (and would be elided at runtime), and any
+//! the union method footprint, the declared key classes, and any
 //! program-level findings (never-commits, unreachable methods, potential
 //! PULL cycles). A deliberately mis-declared driver shows the
 //! `pattern-divergence` lint firing — asserted here as a self-test, not
@@ -37,14 +35,7 @@ use pushpull::tm::full_rule_pattern;
 
 fn banner(title: &str, plan: &AnalysisPlan) {
     println!("=== {title} ===");
-    print!("{plan}");
-    match &plan.discharge {
-        Some(facts) => println!(
-            "→ runtime elides {} mover clause(s) on this workload\n",
-            facts.obligations().len()
-        ),
-        None => println!("→ nothing provable: every check stays dynamic\n"),
-    }
+    println!("{plan}");
 }
 
 /// Certify one bounded spec, print its report, and return its
@@ -60,10 +51,9 @@ where
             print!("{}", render_report(&cert.diagnostics));
             let c = &cert.certificate;
             println!(
-                "→ {} method(s), {} footprint class(es), {} obligation(s) discharged, valid={}\n",
+                "→ {} method(s), {} footprint class(es), valid={}\n",
                 c.methods.len(),
                 c.components.iter().copied().max().map_or(0, |m| m + 1),
-                c.obligations.len(),
                 cert.is_valid()
             );
             cert.errors()
@@ -79,7 +69,7 @@ where
 
 fn main() {
     // Bank transfers: disjoint-account deposits commute, shared-account
-    // withdraws do not — PUSH (i) survives, the cross-txn clauses don't.
+    // withdraws do not.
     let transfers = patterns::transfers(4, 2, 5, 100);
     banner("transfers (bank)", &analyze(&Bank::new(), &transfers));
 
@@ -101,7 +91,7 @@ fn main() {
     let scans = patterns::scans_and_updates(4, 2, 3);
     banner("scans-and-updates (kvmap)", &analyze(&KvMap::new(), &scans));
 
-    // Disjoint-key workload: everything proven, all four clauses elide.
+    // Disjoint-key workload: every method pair a proven mover.
     let disjoint: Vec<_> = (0..4u64)
         .map(|t| {
             vec![pushpull::core::lang::Code::method(
@@ -166,7 +156,7 @@ fn main() {
 
     // ── Certificate-carrying plan ────────────────────────────────────
     // `analyze_certified` folds the certifier into the workload plan;
-    // the certificate is what strict-mode arming will demand, and its
+    // the certificate is what strict mode will demand, and its
     // footprint cover yields the recommended shard count.
     let bounded = KvMap::bounded(vec![0, 1, 2, 3], vec![1]);
     let cplan = analyze_certified(&bounded, &disjoint, "kvmap");

@@ -9,7 +9,7 @@
 //! * [`spec`] — sequential specifications (`pushpull-spec`)
 //! * [`ds`] — substrate data structures (`pushpull-ds`)
 //! * [`tm`] — the §6/§7 algorithm classes (`pushpull-tm`)
-//! * [`analysis`] — static criteria prover and program/pattern linter
+//! * [`analysis`] — program/pattern linter and spec certifier
 //!   (`pushpull-analysis`)
 //! * [`harness`] — schedulers, model checker, workloads (`pushpull-harness`)
 //! * [`server`] — the transactional service front-end: session

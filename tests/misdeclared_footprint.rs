@@ -1,8 +1,7 @@
 //! The lenient refresh filters by declared keys *without* asking for a
-//! certificate, where fine-grained routing and static discharge do ask
-//! (strict mode demotes or refuses them, `tests/certificate_gate.rs`). The
-//! argument: routing and discharge decide which criteria *run*; the
-//! refresh decides which operations a transaction PULLs, and PULL is
+//! certificate, where fine-grained routing does ask (strict mode demotes
+//! it, `tests/certificate_gate.rs`). The argument: routing decides which
+//! entries of `G` a criterion *reads*; the refresh decides which operations a transaction PULLs, and PULL is
 //! optional per operation — every PUSH and CMT criterion still runs
 //! against `G`. So a footprint that lies can leave a view stale, which
 //! costs retries, and can never let a stale view commit.

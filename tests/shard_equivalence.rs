@@ -8,7 +8,7 @@
 //! verdict, all three runs must produce **bit-identical traces** (same
 //! rules fired in the same order with the same operations), identical
 //! commit counts, identical audit ledgers (the per-obligation
-//! discharged/violated/statically-discharged columns — raw query counts
+//! discharged/violated columns — raw query counts
 //! may differ, since multi-shard views replay merged logs where the
 //! single-shard path uses the incremental prefix cache), and the same
 //! serializability verdict.

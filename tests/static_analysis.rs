@@ -1,30 +1,22 @@
-//! The static criteria prover end to end: analyze a workload, install
-//! the plan through [`run_parallel`], and check that
+//! The §6 linter end to end, and an analysis plan's route into a
+//! running system:
 //!
-//! 1. proven mover clauses are *elided* at runtime (the audit's
-//!    `statically_discharged` column fills, `mover_queries` drops) while
-//!    the ledger still closes exactly — every criterion evaluation lands
-//!    in `discharged`, `violated` or `statically_discharged`, and the
-//!    per-obligation totals match a plan-free run of the same workload;
-//! 2. results are unchanged: same commits, serializability oracle green
-//!    (debug builds additionally re-run every elided predicate inside
-//!    the machine and panic on disagreement);
-//! 3. analysis-enabled runs survive fault injection;
-//! 4. a driver that mis-declares its §6 rule pattern is caught by the
-//!    `pattern-divergence` lint (the negative test).
+//! 1. a driver that mis-declares its §6 rule pattern is caught by the
+//!    `pattern-divergence` lint (the negative test);
+//! 2. a plan handed to the parallel runner reaches a wrapped driver's
+//!    machine: its spec certificate is what keeps a strict-mode,
+//!    four-shard log on fine-grained routing.
 
-use std::sync::Arc;
-
-use pushpull::analysis::{analyze, check_declaration, Severity, PATTERN_DIVERGENCE};
-use pushpull::core::error::{Clause, MachineError, Rule};
-use pushpull::core::faults::{FaultHook, FaultKind};
+use pushpull::analysis::{
+    analyze, analyze_certified, check_declaration, Severity, PATTERN_DIVERGENCE,
+};
+use pushpull::core::error::{MachineError, Rule};
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::RulePattern;
-use pushpull::harness::testutil::assert_ledger_closes;
-use pushpull::harness::{run, run_parallel, run_parallel_sharded, FaultPlan, RoundRobin};
+use pushpull::harness::run_parallel_sharded;
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::tm::{
     full_rule_pattern, BoostingSystem, ParallelSystem, StarvationReport, SystemStats, Tick,
@@ -35,8 +27,7 @@ const BUDGET: usize = 2_000_000;
 
 /// Disjoint-key workload: every thread writes its own keys and reads a
 /// key nobody writes, so every ordered method pair in the union
-/// footprint is a proven mover (distinct keys, or read/read) and all
-/// four mover clauses discharge statically.
+/// footprint is a proven mover (distinct keys, or read/read).
 fn disjoint_key_programs(threads: u64) -> Vec<Vec<Code<MapMethod>>> {
     (0..threads)
         .map(|t| {
@@ -49,78 +40,6 @@ fn disjoint_key_programs(threads: u64) -> Vec<Vec<Code<MapMethod>>> {
             ]
         })
         .collect()
-}
-
-/// Obligations whose loops the prover can elide on this workload.
-const MOVER_OBLIGATIONS: [(Rule, Clause); 4] = [
-    (Rule::Push, Clause::I),
-    (Rule::Push, Clause::Ii),
-    (Rule::UnPush, Clause::I),
-    (Rule::Pull, Clause::Iii),
-];
-
-#[test]
-fn static_plan_elides_checks_and_ledger_closes() {
-    let programs = disjoint_key_programs(6);
-    let plan = analyze(&KvMap::new(), &programs);
-    let facts = plan
-        .discharge
-        .as_ref()
-        .expect("disjoint keys: all four mover clauses must be provable");
-    for (rule, clause) in MOVER_OBLIGATIONS {
-        assert!(facts.discharges(rule, clause), "{rule} {clause} unproven");
-    }
-    assert_eq!(plan.errors(), 0, "{plan}");
-
-    // Deterministic round-robin schedule so the armed and plan-free runs
-    // reach every criterion the same number of times (pull timing — and
-    // hence criterion counts — varies under OS-thread interleavings).
-    let mut base = BoostingSystem::new(KvMap::new(), programs.clone());
-    run(&mut base, &mut RoundRobin, BUDGET).unwrap();
-    assert!(base.is_done());
-    let base_audit = base.machine().audit();
-    assert_eq!(base_audit.statically_discharged_total(), 0);
-
-    // Same schedule, facts armed.
-    let mut sys = BoostingSystem::new(KvMap::new(), programs);
-    sys.machine().set_static_discharge(plan.discharge.clone());
-    run(&mut sys, &mut RoundRobin, BUDGET).unwrap();
-    assert!(sys.is_done());
-    assert_eq!(sys.stats().commits, base.stats().commits);
-    let audit = sys.machine().audit();
-
-    // The proven clauses were reached, every reach was elided, the
-    // static column exactly absorbs the baseline's dynamic discharges,
-    // and the elision measurably cut mover queries.
-    assert_ledger_closes(&audit, &base_audit, &MOVER_OBLIGATIONS);
-
-    // And harmless: the oracle still passes (in debug builds the machine
-    // also re-ran every elided predicate and would have panicked on any
-    // disagreement).
-    let report = check_machine(sys.machine());
-    assert!(report.is_serializable(), "{report}");
-}
-
-#[test]
-fn analysis_enabled_run_survives_fault_injection() {
-    for seed in 1..=3u64 {
-        let programs = disjoint_key_programs(4);
-        let plan = analyze(&KvMap::new(), &programs);
-        assert!(plan.discharge.is_some());
-        let sys = BoostingSystem::new(KvMap::new(), programs);
-        // Kills exercise the abort path, so the elided UNPUSH (i) loop
-        // actually runs (statically) under the same chaos the dynamic
-        // check would face.
-        let faults = Arc::new(FaultPlan::seeded(seed, sys.thread_count(), FaultKind::Kill));
-        sys.machine()
-            .set_fault_hook(Some(faults.clone() as Arc<dyn FaultHook>));
-        let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
-        assert!(out.completed, "seed {seed}: faulted run wedged");
-        let audit = sys.machine().audit();
-        assert!(audit.statically_discharged_total() > 0, "seed {seed}");
-        let report = check_machine(sys.machine());
-        assert!(report.is_serializable(), "seed {seed}: {report}");
-    }
 }
 
 /// A wrapper that forwards a real boosting system but lies about its §6
@@ -207,52 +126,37 @@ fn mis_declared_driver_is_caught() {
 }
 
 /// A wrapper system overrides only what it means to: a plan handed to
-/// `run_parallel` and a shard count handed to `run_parallel_sharded`
-/// still reach the wrapped machine, because both go through
-/// `machine()`/`machine_mut()` rather than per-hook forwarding a wrapper
-/// could forget.
+/// `run_parallel_sharded`, and the shard count with it, still reach the
+/// wrapped machine, because both go through `machine()`/`machine_mut()`
+/// rather than per-hook forwarding a wrapper could forget. Under strict
+/// mode the plan's certificate is what keeps the four shards fine-grained:
+/// a plan that never arrived would leave the log demoted to coarse.
 #[test]
 fn wrapper_system_still_receives_plan_and_shards() {
-    let programs = disjoint_key_programs(4);
-    let plan = analyze(&KvMap::new(), &programs);
-    assert!(plan.discharge.is_some());
-
-    let sys = Misdeclared(BoostingSystem::new(KvMap::new(), programs.clone()));
-    let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
-    assert!(out.completed);
-    assert!(sys.machine().audit().statically_discharged_total() > 0);
-    assert!(check_machine(sys.machine()).is_serializable());
-
-    let sys = Misdeclared(BoostingSystem::new(KvMap::new(), programs));
-    let (sys, out) = run_parallel_sharded(sys, BUDGET, Some(&plan), 4).unwrap();
-    assert!(out.completed);
-    assert_eq!(sys.machine().log_shards(), 4);
-    assert!(sys.machine().audit().statically_discharged_total() > 0);
-    assert!(check_machine(sys.machine()).is_serializable());
-}
-
-#[test]
-fn conflicting_workload_gets_no_elision_but_same_results() {
-    // All threads hammer one key: nothing is provable, the plan is
-    // empty, and an installed empty plan changes nothing.
+    // Own keys only, inside the bounded universe the certifier checks.
+    let spec = || KvMap::bounded((0..4).collect(), vec![1]);
     let programs: Vec<Vec<Code<MapMethod>>> = (0..4)
         .map(|t| {
-            vec![Code::seq_all(vec![
-                Code::method(MapMethod::Put(0, t)),
-                Code::method(MapMethod::Get(0)),
-            ])]
+            vec![Code::seq(
+                Code::method(MapMethod::Put(t, 1)),
+                Code::method(MapMethod::Get(t)),
+            )]
         })
         .collect();
-    let plan = analyze(&KvMap::new(), &programs);
-    assert!(
-        plan.discharge.is_none(),
-        "single-key write contention proves nothing: {plan}"
-    );
-    let sys = BoostingSystem::new(KvMap::new(), programs);
-    let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
+    let plan = analyze_certified(&spec(), &programs, "kvmap");
+    assert!(plan.certificate.is_some(), "{plan}");
+
+    let sys = Misdeclared(BoostingSystem::new(spec(), programs));
+    sys.machine().set_require_certificate(true);
+    let (sys, out) = run_parallel_sharded(sys, BUDGET, Some(&plan), 4).unwrap();
     assert!(out.completed);
-    let audit = sys.machine().audit();
-    assert_eq!(audit.statically_discharged_total(), 0);
-    assert_eq!(sys.stats().commits, 4);
+    let global = sys.machine().global_state();
+    assert!(global.certified(), "the plan's certificate was installed");
+    assert_eq!(sys.machine().log_shards(), 4);
+    assert!(
+        !global.coarse_mode(),
+        "a certified log keeps fine-grained routing: {:?}",
+        global.arming_diagnostics()
+    );
     assert!(check_machine(sys.machine()).is_serializable());
 }
