@@ -2,8 +2,8 @@
 //! name, a span *into the `Code` tree*, and a rendered report.
 //!
 //! Spans are structural paths ([`PathStep`]) from a transaction's root
-//! to the offending subterm, so they survive pretty-printing and can be
-//! resolved back to the exact grammar node with [`resolve`].
+//! to the offending subterm, so they survive pretty-printing and name
+//! the exact grammar node.
 
 use std::fmt;
 
@@ -91,25 +91,6 @@ impl fmt::Display for Span {
         }
         Ok(())
     }
-}
-
-/// Follows a structural path from `code`; `None` if the path does not
-/// fit the tree.
-pub fn resolve<'c, M>(code: &'c Code<M>, path: &[PathStep]) -> Option<&'c Code<M>> {
-    let mut cur = code;
-    for step in path {
-        cur = match (step, cur) {
-            (PathStep::SeqL, Code::Seq(a, _)) => a,
-            (PathStep::SeqR, Code::Seq(_, b)) => b,
-            (PathStep::ChoiceL, Code::Choice(a, _)) => a,
-            (PathStep::ChoiceR, Code::Choice(_, b)) => b,
-            (PathStep::Star, Code::Star(a)) => a,
-            (PathStep::Tx, Code::Tx(a)) => a,
-            (PathStep::OpenTx, Code::OpenTx(a)) => a,
-            _ => return None,
-        };
-    }
-    Some(cur)
 }
 
 /// The path to the first syntactic occurrence of method `m` in `code`,
@@ -281,6 +262,25 @@ mod tests {
 
     fn m(s: &'static str) -> Code<&'static str> {
         Code::method(s)
+    }
+
+    /// Follows a structural path from `code`; `None` if the path does not
+    /// fit the tree.
+    fn resolve<'c, M>(code: &'c Code<M>, path: &[PathStep]) -> Option<&'c Code<M>> {
+        let mut cur = code;
+        for step in path {
+            cur = match (step, cur) {
+                (PathStep::SeqL, Code::Seq(a, _)) => a,
+                (PathStep::SeqR, Code::Seq(_, b)) => b,
+                (PathStep::ChoiceL, Code::Choice(a, _)) => a,
+                (PathStep::ChoiceR, Code::Choice(_, b)) => b,
+                (PathStep::Star, Code::Star(a)) => a,
+                (PathStep::Tx, Code::Tx(a)) => a,
+                (PathStep::OpenTx, Code::OpenTx(a)) => a,
+                _ => return None,
+            };
+        }
+        Some(cur)
     }
 
     #[test]

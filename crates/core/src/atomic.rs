@@ -417,7 +417,7 @@ impl std::error::Error for NoAtomicRun {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::{counter_op, counter_op_t, CounterMethod, ToyCounter};
+    use crate::toy::{counter_op, CounterMethod, ToyCounter};
 
     fn inc() -> Code<CounterMethod> {
         Code::method(CounterMethod::Inc)
@@ -531,8 +531,14 @@ mod tests {
     fn serialization_search_finds_order() {
         let spec = ToyCounter::with_bound(4);
         // T1: get()=1 — only valid AFTER T0's inc.
-        let t0 = (inc(), vec![counter_op_t(0, 0, CounterMethod::Inc, 0)]);
-        let t1 = (get(), vec![counter_op_t(1, 1, CounterMethod::Get, 1)]);
+        let t0 = (
+            inc(),
+            vec![Op::new(OpId(0), TxnId(0), CounterMethod::Inc, 0)],
+        );
+        let t1 = (
+            get(),
+            vec![Op::new(OpId(1), TxnId(1), CounterMethod::Get, 1)],
+        );
         let order = exists_serialization(&spec, &[t1.clone(), t0.clone()]).expect("serializable");
         assert_eq!(order, vec![1, 0], "must schedule the inc first");
     }
@@ -543,8 +549,14 @@ mod tests {
         // Two transactions both claiming to read 1 with only... actually
         // get()=1 twice is fine after one inc; make an impossible pair:
         // T0 reads 0 AND T1 reads 1 with no inc anywhere.
-        let t0 = (get(), vec![counter_op_t(0, 0, CounterMethod::Get, 0)]);
-        let t1 = (get(), vec![counter_op_t(1, 1, CounterMethod::Get, 1)]);
+        let t0 = (
+            get(),
+            vec![Op::new(OpId(0), TxnId(0), CounterMethod::Get, 0)],
+        );
+        let t1 = (
+            get(),
+            vec![Op::new(OpId(1), TxnId(1), CounterMethod::Get, 1)],
+        );
         assert!(exists_serialization(&spec, &[t0, t1]).is_none());
     }
 

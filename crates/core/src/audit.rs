@@ -140,16 +140,6 @@ impl CriteriaAudit {
         *self.injected.entry(kind).or_default() += 1;
     }
 
-    /// Injected faults of one kind.
-    pub fn injected_count(&self, kind: FaultKind) -> u64 {
-        self.injected.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Total injected faults of every kind.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.values().sum()
-    }
-
     /// Renders the audit as a small table.
     ///
     /// The output is deterministic: obligations appear in `(rule, clause)`
@@ -284,14 +274,6 @@ impl AtomicAudit {
     pub fn count_mover_n(&self, n: u64) {
         if n > 0 {
             self.mover_queries[stripe()].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts `n` `allowed` evaluations at once (see
-    /// [`AtomicAudit::count_mover_n`]).
-    pub fn count_allowed_n(&self, n: u64) {
-        if n > 0 {
-            self.allowed_queries[stripe()].fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -522,18 +504,19 @@ mover queries: 7   allowed queries: 2
         a.inject(FaultKind::Kill);
         a.inject(FaultKind::HtmConflict);
         let snap = a.snapshot();
-        assert_eq!(snap.injected_count(FaultKind::Deny(Rule::Push)), 2);
-        assert_eq!(snap.injected_count(FaultKind::Kill), 1);
-        assert_eq!(snap.injected_count(FaultKind::HtmConflict), 1);
-        assert_eq!(snap.injected_count(FaultKind::Stall), 0);
-        assert_eq!(snap.injected_total(), 4);
+        let expected = [
+            (FaultKind::Deny(Rule::Push), 2),
+            (FaultKind::Kill, 1),
+            (FaultKind::HtmConflict, 1),
+        ];
+        assert_eq!(snap.injected, BTreeMap::from(expected));
         // Injection never touches the violated tallies.
         assert_eq!(snap.violated_count(Rule::Push, Clause::Iii), 0);
         assert!(snap.render().contains("injected deny-PUSH: 2"));
         let b = a.clone();
         assert_eq!(b.snapshot(), snap);
         a.reset();
-        assert_eq!(a.snapshot().injected_total(), 0);
+        assert!(a.snapshot().injected.is_empty());
     }
 
     #[test]
@@ -546,10 +529,9 @@ mover queries: 7   allowed queries: 2
             a.inject(kind);
         }
         let snap = a.snapshot();
-        for kind in NON_DENY_FAULT_KINDS {
-            assert_eq!(snap.injected_count(kind), 1, "{kind}");
-        }
-        assert_eq!(snap.injected_total(), NON_DENY_FAULT_COUNT as u64);
+        let once = NON_DENY_FAULT_KINDS.map(|kind| (kind, 1));
+        assert_eq!(snap.injected, BTreeMap::from(once));
+        assert_eq!(snap.injected.len(), NON_DENY_FAULT_COUNT);
         assert!(snap.render().contains("injected kill: 1"));
         assert!(snap.render().contains("injected htm-conflict: 1"));
     }

@@ -44,7 +44,8 @@ pub(crate) struct Verdict<St> {
     /// earlier clause failed) or not checked (the gray UNPUSH (i)).
     marks: [Option<Mark>; 2],
     movers: u64,
-    allowed: u64,
+    /// Did the evaluation reach its one `allowed` query?
+    allowed: bool,
     /// The operation the rule is about.
     subject: OpId,
     /// On a failed mover/flag check, the entry of `G` that refuted it.
@@ -60,7 +61,7 @@ impl<St> Verdict<St> {
             rule,
             marks: [None; 2],
             movers: 0,
-            allowed: 0,
+            allowed: false,
             subject,
             witness: None,
             proved: None,
@@ -77,7 +78,9 @@ impl<St> Verdict<St> {
     /// evaluation in the audit.
     pub(crate) fn record(&self, audit: &AtomicAudit) {
         audit.count_mover_n(self.movers);
-        audit.count_allowed_n(self.allowed);
+        if self.allowed {
+            audit.count_allowed();
+        }
         for (clause, mark) in clauses(self.rule).into_iter().zip(self.marks) {
             match mark {
                 Some(Mark::Pass) => audit.pass(self.rule, clause),
@@ -141,7 +144,7 @@ pub(crate) fn push<S: SeqSpec>(
         }
     }
     v.marks[0] = Some(Mark::Pass);
-    v.allowed += 1;
+    v.allowed = true;
     let (allowed, proved) = view.allows(global, op);
     if !allowed {
         return v.deny(1, None);
@@ -175,7 +178,7 @@ pub(crate) fn unpush<S: SeqSpec>(
         }
         v.marks[0] = Some(Mark::Pass);
     }
-    v.allowed += 1;
+    v.allowed = true;
     if !view.allowed_without(global, (vidx, pos)) {
         return v.deny(1, None);
     }

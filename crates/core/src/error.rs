@@ -220,14 +220,6 @@ impl MachineError {
     pub fn is_criterion(&self) -> bool {
         matches!(self, MachineError::Criterion(_))
     }
-
-    /// The violated rule, if this is a criterion violation.
-    pub fn violated_rule(&self) -> Option<Rule> {
-        match self {
-            MachineError::Criterion(v) => Some(v.rule),
-            _ => None,
-        }
-    }
 }
 
 /// Result alias for machine operations.
@@ -254,7 +246,7 @@ mod tests {
     fn machine_error_source_chains_to_violation() {
         let err = MachineError::criterion(Rule::Cmt, Clause::Iii, "pulled op uncommitted");
         assert!(err.is_criterion());
-        assert_eq!(err.violated_rule(), Some(Rule::Cmt));
+        assert!(matches!(&err, MachineError::Criterion(v) if v.rule == Rule::Cmt));
         assert!(std::error::Error::source(&err).is_some());
     }
 

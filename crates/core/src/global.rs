@@ -3,54 +3,20 @@
 //! committed-transaction list and the criteria audit — while the
 //! per-thread halves live in [`TxnHandle`](crate::handle::TxnHandle).
 //!
-//! ## The footprint-sharded log
-//!
-//! `G` is partitioned into `N` *footprint-addressed shards*, each a
-//! `ShardLog` behind its own [`Mutex`]: a segment of the global log
-//! (its own `gUCmt`/`gCmt` entries, each paired with its *commit-sequence
-//! stamp*) and its own committed-prefix denotation cache. An operation is
-//! routed to shard `key % N` by [`SeqSpec::method_keys`], the declared
-//! footprint of its method. Two operations with disjoint footprints are
-//! both-movers (Def 4.1 — the declared law, validated against the
-//! exhaustive mover oracle by
-//! [`check_disjoint_footprints_commute`](crate::spec::check_disjoint_footprints_commute)),
-//! so the PUSH/UNPUSH criteria of one never need to inspect entries that
-//! live on another shard: disjoint-access parallelism, straight from the
-//! paper's mover theory.
-//!
-//! Every append mints a stamp from one global `AtomicU64` *while holding
-//! the shard lock*, so stamps are strictly increasing within a shard and
-//! totally order all appends across shards. Merging the shards by stamp
-//! reconstructs the exact single-log `G` order — that merged order is
-//! what [`GlobalState::global_snapshot`] hands the serializability
-//! oracle, and what the coarse evaluation path replays.
-//!
-//! ## Routing and the sticky coarse fallback
-//!
-//! `GlobalState::route` maps a method to a `Route`:
-//!
-//! * With one shard (the default), *everything* routes to shard 0 before
-//!   `method_keys` is even consulted — bit-identical to the historical
-//!   single-`Mutex<SharedLog>` machine, golden traces and audit counts
-//!   included.
-//! * With `N > 1` shards, a method declaring exactly one footprint key
-//!   `k` routes to shard `k % N`; a method with no declared footprint
-//!   (or a multi-key footprint) routes `Route::Coarse`.
-//!
-//! The first coarse-routed operation sets a *sticky* flag: from then on
-//! every criteria evaluation acquires **all** shard locks in ascending
-//! index order (the canonical lock order — no deadlocks) and evaluates
-//! over the stamp-merged log, a sound degradation to the single-lock
-//! semantics. The flag is set (SeqCst) *before* any lock is taken and a
-//! single-shard acquirer re-checks it after locking, so no evaluation can
-//! miss a coarse entry: the coarse thread's flag store happens-before its
-//! shard unlock, which happens-before any later acquirer's lock.
+//! Besides the spec and the check mode it is three owned parts: the log
+//! (`global/shared_log.rs`: the shards of `G`, stamps, the committed list,
+//! routing and the critical sections), the arming (`global/arming.rs`:
+//! fault hook, certificate, strict mode) and the counters
+//! (`global/counters.rs`: generators, audit and tallies). A deep clone
+//! copies each part and a reshard rebuilds the log: one line per part.
 //!
 //! ## Lock discipline
 //!
-//! `GlobalState` is `Sync`. Its id/txn/sequence generators and the audit
-//! are lock-free atomics; each shard sits behind one short-held
-//! [`Mutex`]. The discipline, relied on by the parallel harness:
+//! `GlobalState` is `Sync`. The counters part's generators and audit, and
+//! the log part's `push_stamp` and flags, are lock-free atomics; each of
+//! the log part's `shards` sits behind one short-held
+//! [`Mutex`](std::sync::Mutex). The discipline, relied on by the parallel
+//! harness:
 //!
 //! * **APP/UNAPP never lock.** They touch only the handle's local log and
 //!   the atomics (fresh ids, audit counters, trace sequence numbers).
@@ -80,117 +46,27 @@
 //!   every shard lock.
 //!
 //! Multi-shard acquisitions always lock in ascending shard-index order,
-//! and the `committed` list's mutex is only ever taken while already
-//! holding shard locks (never the reverse), so the lock order is total.
-//!
-//! ## Incremental `allowed` (two cached points per footprint class)
-//!
-//! Every PUSH evaluates `G allows op` and every UNPUSH evaluates
-//! `allowed (G ∖ op)`; replaying the whole log makes a run of `n`
-//! operations O(n²) in spec transitions, and memoizing the *whole-shard*
-//! state still makes one query cost as much as the shard has keys. Both
-//! questions are about one operation, and by footprint law 2 (`allowed`
-//! factorizes over key classes —
-//! [`check_allowed_factorization`](crate::spec::check_allowed_factorization),
-//! the law that already makes sharding sound) together with the invariant
-//! that `G` itself is always allowed (every PUSH checked (iii), every
-//! UNPUSH (ii), CMT changes no content), their answer depends on the
-//! operation's own key class alone: `allowed (G · op)` ⇔ every class of
-//! `G · op` is allowed ⇔ `G|class(op) · op` is allowed, the other classes
-//! being classes of `G`, unchanged.
-//!
-//! So **lock granularity is `key % N`, cache granularity is the key**.
-//! Each shard's `PrefixCache` holds `len`, the boundary of the longest
-//! *fully committed* prefix of its segment, and for every footprint class
-//! `k` present in `G_i[..len]` the small set `⟦G_i[..len]|k⟧` — the
-//! sub-log of class `k` replayed from the initial states, which *is* the
-//! projection of the shard's state onto `k` (an absent class denotes
-//! `⟦ε⟧`). The class of a method is its single declared key when `N > 1`
-//! and the one class `0` when `N = 1`, and shard = class mod `N` —
-//! routing and caching are one decision (`GlobalState::class_in`), which
-//! never consults `method_keys` on a single-shard machine. (The lenient
-//! refresh's filter is the one reader of declared keys there, and it
-//! decides no criterion.) UNPUSH (ii) replays `class(op)`'s cached set
-//! over only the suffix entries of that class. Because the denotation is
-//! compositional (`⟦ℓ⟧ = denote_from(⟦ℓ[..k]⟧, ℓ[k..])` for any split
-//! point `k`) the verdicts are bit-identical to the full replay — and so
-//! are the audit counts, since the audit counts *queries*, not spec
-//! transitions. What a criterion costs is O(|uncommitted suffix|),
-//! whatever the shard's history and however many other keys hash to it.
-//!
-//! PUSH (iii) costs one spec step. Beside `⟦G_i[..len]|k⟧` the cache keeps
-//! a second point per class, `ends[k] = ⟦G_i|k⟧` over the *whole* segment,
-//! and it is filled for free: the class-local evaluation of `G allows op`
-//! computes `⟦G_i|k · op⟧`, which after the append *is* `⟦G_i|k⟧`, so
-//! `LogView::allows` returns it, the kernel's verdict carries it, and
-//! `GlobalState::append_push` installs it with the entry. The next PUSH
-//! of the class steps `ends[k]` by its own operation (one application of
-//! compositionality, at the split point "everything"), and falls back to
-//! the suffix replay when the class has no end set. A `debug_assert!`
-//! re-checks every end set it starts from against that replay. When a
-//! CMT leaves the shard fully committed, `len` reaches the end of the
-//! segment, so each `ends[k]` *is* the new `classes[k]` and moves there
-//! with no spec step; only classes without an end set are folded.
-//!
-//! The scans that by the all-committed invariant concern only entries
-//! past `len` start there too: PUSH (ii)'s foreign-uncommitted mover
-//! loop, UNPUSH's lookup of its (uncommitted) entry, CMT's flag flips;
-//! UNPUSH (i) starts right after the entry it located.
-//!
-//! A multi-shard (coarse) view and [`GlobalState::set_incremental`]`(false)`
-//! skip every cache: the merged (or the one shard's) log is replayed in
-//! full from position 0 — the reference the differential tests compare
-//! against. Neither proves a class-local set, so neither installs an end
-//! set, and neither reads one. A method with no single-key footprint has
-//! no class; entries of one exist only once the sticky coarse flag is set,
-//! after which no cache is read again.
-//!
-//! Invalidation rules, per shard — an end set, where present, is always
-//! `⟦G_i|k⟧`, whichever path evaluates:
-//!
-//! * PUSH appends — the cached prefix is untouched. An append with the set
-//!   that proved it installs that set as its class's end set; an append
-//!   with none — `Unchecked` mode, `set_incremental(false)`, a coarse
-//!   multi-shard view, a compensation — drops its class's end set. Other
-//!   classes' end sets are untouched: `G_i|j` did not change.
-//! * CMT flips flags in place and never reorders — flags are not part of
-//!   the denotation, so both points stay valid and the cache is then
-//!   *advanced*: when the shard is fully committed the end sets move into
-//!   `classes`; otherwise each newly committed entry at the boundary is
-//!   folded into its own class.
-//! * UNPUSH removes an *uncommitted* entry, which by the all-committed
-//!   invariant lies at or past `len`; the committed prefix is untouched
-//!   and the shard's end sets are dropped. A removal inside the cached
-//!   prefix (impossible through the rule API) resets the whole cache
-//!   defensively.
-//! * Resharding rebuilds every shard without end sets; a deep clone
-//!   copies them.
-//!
-//! ## The fallback ladder and log memory
-//!
-//! The ladder is: per-shard mutex → sticky coarse (all shards). Every
-//! shared rule is "evaluate the criteria kernel, then apply the effect"
-//! inside one critical section, so no evaluation can be stale. Stamps are
-//! minted from `push_stamp` under the shard lock, so per-shard stamps
-//! stay strictly increasing.
-//!
-//! A shard's segment is one `Vec` of `(stamp, entry)` in append order.
-//! UNPUSH removes by position, and the criteria replay iterates cursors
-//! over it instead of collecting `Vec`s.
+//! and the log part's `committed` list's mutex is only ever taken while
+//! already holding shard locks (never the reverse), so the lock order is
+//! total.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Arc, LockResult};
 
-use crate::audit::{AtomicAudit, CachePadded, CriteriaAudit};
-use crate::certificate::SpecCertificate;
-use crate::error::{Clause, Rule};
-use crate::faults::{FaultHook, FaultKind};
 use crate::lang::Code;
-use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::machine::CheckMode;
-use crate::op::{Op, OpId, OpIdGen, ThreadId, TxnId};
-use crate::spec::{SeqSpec, StateSet};
+use crate::op::{Op, OpId, ThreadId, TxnId};
+use crate::spec::SeqSpec;
+
+mod arming;
+mod counters;
+mod shared_log;
+
+use arming::Arming;
+use counters::Counters;
+pub use counters::GroupStats;
+pub(crate) use counters::Nesting;
+use shared_log::SharedLog;
+pub(crate) use shared_log::{LogView, Route};
 
 /// How a committed transaction relates to the nesting structure of the
 /// thread that ran it — the per-level tag the nested serializability
@@ -249,726 +125,18 @@ fn unpoisoned<G>(acquired: LockResult<G>) -> G {
     acquired.expect("a thread panicked while holding a GlobalState lock")
 }
 
-/// Memoized denotations of a shard's log segment, two points per footprint
-/// class: at the end of its longest fully committed prefix, and at the end
-/// of the whole segment (see the module docs).
-#[derive(Debug, Clone)]
-struct PrefixCache<St> {
-    /// Entries `[..len]` of the shard log are all committed.
-    len: usize,
-    /// `⟦ε⟧` — what a class absent from `classes` denotes.
-    initial: StateSet<St>,
-    /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
-    classes: HashMap<u64, StateSet<St>>,
-    /// `⟦G_i|k⟧` over the whole segment, for every class `k` whose last
-    /// append carried the set that proved its PUSH (iii).
-    ends: HashMap<u64, StateSet<St>>,
-}
-
-impl<St: PartialEq> PrefixCache<St> {
-    fn new(initial: Vec<St>) -> Self {
-        Self {
-            len: 0,
-            initial: initial.into_iter().collect(),
-            classes: HashMap::new(),
-            ends: HashMap::new(),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.len = 0;
-        self.classes.clear();
-        self.ends.clear();
-    }
-
-    /// `⟦G_i[..len]|class⟧`.
-    fn class(&self, class: u64) -> &StateSet<St> {
-        self.classes.get(&class).unwrap_or(&self.initial)
-    }
-}
-
-/// A global entry paired with its commit-sequence stamp (owned).
-type StampedEntry<S> = (
-    u64,
-    GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
-);
-
-/// A global entry paired with its commit-sequence stamp (borrowed from a
-/// held shard view).
-type StampedEntryRef<'a, S> = (
-    u64,
-    &'a GlobalEntry<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>,
-);
-
-/// One footprint shard of the global log: a segment of `G` in append
-/// (= stamp) order with its own committed-prefix cache. Everything the
-/// shared rules read-modify on this shard sits behind one mutex in
-/// [`GlobalState::shards`].
-#[derive(Debug)]
-pub(crate) struct ShardLog<S: SeqSpec> {
-    /// `(stamp, entry)` in append order. Stamps are strictly increasing
-    /// within a shard (minted under the shard lock); merging all shards
-    /// by stamp reconstructs the total append order of `G`.
-    entries: Vec<StampedEntry<S>>,
-    /// The committed-prefix denotation cache for this segment.
-    cache: PrefixCache<S::State>,
-}
-
-// Manual impl: a derived `Clone` would demand `S: Clone`, which nothing
-// in the fields (method/ret/state types are `Clone` by the `SeqSpec`
-// bounds) actually needs.
-impl<S: SeqSpec> Clone for ShardLog<S> {
-    fn clone(&self) -> Self {
-        Self {
-            entries: self.entries.clone(),
-            cache: self.cache.clone(),
-        }
-    }
-}
-
-impl<S: SeqSpec> ShardLog<S> {
-    fn new(initial: Vec<S::State>) -> Self {
-        Self {
-            entries: Vec::new(),
-            cache: PrefixCache::new(initial),
-        }
-    }
-
-    /// Rebuilds a shard from stamp-ordered entries (resharding).
-    fn from_stamped(entries: Vec<StampedEntry<S>>, initial: Vec<S::State>) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "stamps must be strictly increasing within a shard"
-        );
-        Self {
-            entries,
-            cache: PrefixCache::new(initial),
-        }
-    }
-
-    /// Number of entries in this shard's segment.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The entries in shard (= stamp) order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
-        self.entries.iter().map(|(_, e)| e)
-    }
-
-    /// The entries from position `pos` on, in shard order (the suffix
-    /// cursor the incremental criteria replay).
-    fn iter_from(&self, pos: usize) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> + '_ {
-        self.entries[pos.min(self.entries.len())..]
-            .iter()
-            .map(|(_, e)| e)
-    }
-
-    /// The entry at `pos` in shard order.
-    fn entry_at(&self, pos: usize) -> &GlobalEntry<S::Method, S::Ret> {
-        &self.entries[pos].1
-    }
-
-    /// The stamp of the entry at `pos`.
-    fn stamp_at(&self, pos: usize) -> u64 {
-        self.entries[pos].0
-    }
-
-    /// Position of the entry with `id` in shard order. Asked for by
-    /// UNPUSH, whose entry is uncommitted: the suffix past the committed
-    /// boundary is searched first, the prefix only as a fallback.
-    fn position(&self, id: OpId) -> Option<usize> {
-        let (committed, suffix) = self.entries.split_at(self.cache.len);
-        let at = |part: &[StampedEntry<S>]| part.iter().position(|(_, e)| e.op.id == id);
-        at(suffix)
-            .map(|p| committed.len() + p)
-            .or_else(|| at(committed))
-    }
-
-    /// The entry with `id`, if present.
-    pub(crate) fn entry(&self, id: OpId) -> Option<&GlobalEntry<S::Method, S::Ret>> {
-        self.iter().find(|e| e.op.id == id)
-    }
-
-    /// Appends an uncommitted entry with `stamp` (the PUSH effect).
-    fn push_uncommitted(&mut self, stamp: u64, op: Op<S::Method, S::Ret>) {
-        debug_assert!(
-            self.entries.last().is_none_or(|(s, _)| *s < stamp),
-            "stamps must be strictly increasing within a shard"
-        );
-        let flag = GlobalFlag::Uncommitted;
-        self.entries.push((stamp, GlobalEntry { op, flag }));
-    }
-
-    /// Removes the entry at `pos` (the effect of an UNPUSH on this
-    /// shard), dropping the end-of-log sets. An uncommitted entry lies at
-    /// or past the cache boundary; a removal below it — impossible through
-    /// the rule API — resets the cache defensively.
-    fn remove_at(&mut self, pos: usize) {
-        self.entries.remove(pos);
-        self.cache.ends.clear();
-        if pos < self.cache.len {
-            self.cache.reset();
-        }
-    }
-
-    /// Flips every uncommitted entry whose id is in `own` (ascending) to
-    /// committed, pushing `(stamp, id)` per flip onto `flipped` (the CMT
-    /// effect on this shard). Every uncommitted entry lies at or past
-    /// `cache.len` (the all-committed invariant of the cached prefix), so
-    /// the walk starts there.
-    fn commit_local(&mut self, own: &[OpId], flipped: &mut Vec<(u64, OpId)>) {
-        let from = self.cache.len.min(self.entries.len());
-        debug_assert!(
-            self.entries[..from]
-                .iter()
-                .all(|(_, e)| e.flag == GlobalFlag::Committed),
-            "the cached prefix is all committed"
-        );
-        for (stamp, e) in &mut self.entries[from..] {
-            if e.flag == GlobalFlag::Uncommitted && own.binary_search(&e.op.id).is_ok() {
-                e.flag = GlobalFlag::Committed;
-                flipped.push((*stamp, e.op.id));
-            }
-        }
-    }
-}
-
-/// Counters of [`commit_group`](crate::group::commit_group): how many
-/// batches — held sections with at least one commit; a multi-shard
-/// transaction's section is a batch of one — were sealed, how many
-/// transactions rode them, how the batch sizes distribute, and how many
-/// shard-lock acquisitions the held sections amortized away compared to
-/// the per-transaction path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GroupStats {
-    /// Batches executed as one held section.
-    pub batches: u64,
-    /// Transactions committed through a batch.
-    pub batched_txns: u64,
-    /// Operations appended through a batch (each would have been its own
-    /// lock acquisition on the per-transaction path).
-    pub batched_ops: u64,
-    /// Lock acquisitions the batch path saved: for a one-shard batch of
-    /// `n` transactions and `k` appended operations the per-transaction
-    /// path pays `k` PUSH acquisitions plus `n` CMT acquisitions where the
-    /// batch pays one (for a transaction over `s` shards, `k + s` against
-    /// `s` — the same `k + n − 1` with `n = 1`).
-    pub locks_saved: u64,
-    /// Batch-size histogram in power-of-two buckets: sizes 1, 2, 3–4,
-    /// 5–8, 9–16, 17–32, 33–64, 65+ committed transactions. Bucket
-    /// order is fixed ascending, so any dump of it is deterministic.
-    pub size_hist: [u64; 8],
-}
-
-impl GroupStats {
-    /// The histogram bucket a batch of `n` transactions lands in.
-    pub fn bucket(n: u64) -> usize {
-        match n {
-            0 | 1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            17..=32 => 5,
-            33..=64 => 6,
-            _ => 7,
-        }
-    }
-
-    /// Upper bound (inclusive) of histogram bucket `i`, for rendering.
-    pub fn bucket_label(i: usize) -> &'static str {
-        ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"][i.min(7)]
-    }
-}
-
-/// The atomic backing of [`GroupStats`], one field per counter so the
-/// batch path updates without any extra lock.
-#[derive(Debug)]
-pub(crate) struct GroupCounters {
-    batches: AtomicU64,
-    batched_txns: AtomicU64,
-    batched_ops: AtomicU64,
-    locks_saved: AtomicU64,
-    size_hist: [AtomicU64; 8],
-}
-
-impl GroupCounters {
-    pub(crate) fn new() -> Self {
-        Self {
-            batches: AtomicU64::new(0),
-            batched_txns: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            locks_saved: AtomicU64::new(0),
-            size_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// A copy carrying over another set's current values (resharding and
-    /// deep clones preserve counters).
-    pub(crate) fn carried_over(&self) -> Self {
-        let copy = Self::new();
-        copy.batches
-            .store(self.batches.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.batched_txns
-            .store(self.batched_txns.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.batched_ops
-            .store(self.batched_ops.load(Ordering::Relaxed), Ordering::Relaxed);
-        copy.locks_saved
-            .store(self.locks_saved.load(Ordering::Relaxed), Ordering::Relaxed);
-        for (dst, src) in copy.size_hist.iter().zip(&self.size_hist) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        copy
-    }
-
-    pub(crate) fn snapshot(&self) -> GroupStats {
-        GroupStats {
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_txns: self.batched_txns.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            locks_saved: self.locks_saved.load(Ordering::Relaxed),
-            size_hist: std::array::from_fn(|i| self.size_hist[i].load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Records one sealed batch of `txns` committed transactions and
-    /// `ops` appended operations under a single lock acquisition.
-    pub(crate) fn note_batch(&self, txns: u64, ops: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_txns.fetch_add(txns, Ordering::Relaxed);
-        self.batched_ops.fetch_add(ops, Ordering::Relaxed);
-        // Per-transaction cost of the same work: one acquisition per
-        // appended op (PUSH) plus one per transaction (CMT); the batch
-        // paid exactly one.
-        self.locks_saved
-            .fetch_add((ops + txns).saturating_sub(1), Ordering::Relaxed);
-        self.size_hist[GroupStats::bucket(txns)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The atomic backing of [`crate::scope::NestingStats`], one field per
-/// counter so scope-heavy handles update without any extra lock (same
-/// pattern as [`GroupCounters`]).
-#[derive(Debug)]
-pub(crate) struct NestingCounters {
-    scopes_opened: AtomicU64,
-    scopes_merged: AtomicU64,
-    scopes_aborted: AtomicU64,
-    open_commits: AtomicU64,
-    compensations_replayed: AtomicU64,
-    undo_inverses: AtomicU64,
-}
-
-impl NestingCounters {
-    pub(crate) fn new() -> Self {
-        Self {
-            scopes_opened: AtomicU64::new(0),
-            scopes_merged: AtomicU64::new(0),
-            scopes_aborted: AtomicU64::new(0),
-            open_commits: AtomicU64::new(0),
-            compensations_replayed: AtomicU64::new(0),
-            undo_inverses: AtomicU64::new(0),
-        }
-    }
-
-    /// A copy carrying over another set's current values (resharding and
-    /// deep clones preserve counters, like the group tallies).
-    pub(crate) fn carried_over(&self) -> Self {
-        let copy = Self::new();
-        for (dst, src) in [
-            (&copy.scopes_opened, &self.scopes_opened),
-            (&copy.scopes_merged, &self.scopes_merged),
-            (&copy.scopes_aborted, &self.scopes_aborted),
-            (&copy.open_commits, &self.open_commits),
-            (&copy.compensations_replayed, &self.compensations_replayed),
-            (&copy.undo_inverses, &self.undo_inverses),
-        ] {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        copy
-    }
-
-    pub(crate) fn snapshot(&self) -> crate::scope::NestingStats {
-        crate::scope::NestingStats {
-            scopes_opened: self.scopes_opened.load(Ordering::Relaxed),
-            scopes_merged: self.scopes_merged.load(Ordering::Relaxed),
-            scopes_aborted: self.scopes_aborted.load(Ordering::Relaxed),
-            open_commits: self.open_commits.load(Ordering::Relaxed),
-            compensations_replayed: self.compensations_replayed.load(Ordering::Relaxed),
-            undo_inverses: self.undo_inverses.load(Ordering::Relaxed),
-        }
-    }
-
-    pub(crate) fn note_opened(&self) {
-        self.scopes_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_merged(&self) {
-        self.scopes_merged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_aborted(&self) {
-        self.scopes_aborted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_open_commit(&self) {
-        self.open_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_compensation(&self) {
-        self.compensations_replayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_undo_inverses(&self, n: u64) {
-        self.undo_inverses.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Where a method's criteria evaluation must go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Route {
-    /// The method's declared footprint confines it to one shard.
-    Single(usize),
-    /// No (or a multi-key) footprint: the operation concerns the whole
-    /// log. Evaluation acquires every shard (ascending) and the sticky
-    /// coarse flag is set.
-    Coarse,
-}
-
-impl Route {
-    /// The shard a routed operation is *appended* to. Coarse operations
-    /// live on shard 0; soundness does not depend on the choice because
-    /// once the coarse flag is set every evaluation merges all shards.
-    pub(crate) fn target(self) -> usize {
-        match self {
-            Route::Single(i) => i,
-            Route::Coarse => 0,
-        }
-    }
-}
-
-/// A set of held shard locks — the critical section of a shared rule.
-/// Shards are always held in ascending index order (the canonical lock
-/// order). A view over a single shard evaluates criteria with that
-/// shard's incremental cache; a view over several evaluates over the
-/// stamp-merged log.
-///
-/// A held section over a transaction's shard set (see [`crate::group`])
-/// *focuses* the view on one held shard for the span of a PUSH or UNPUSH:
-/// everything the criteria kernel reads — [`Self::live`], [`Self::denote`],
-/// [`Self::find`] — is then that shard alone, exactly what the rule would
-/// have read under its own route's lock.
-#[derive(Debug)]
-pub(crate) struct LogView<'a, S: SeqSpec> {
-    shards: Vec<(usize, MutexGuard<'a, ShardLog<S>>)>,
-    /// View index of the focused shard, if any.
-    focus: Option<usize>,
-}
-
-impl<'a, S: SeqSpec> LogView<'a, S> {
-    /// The view indices the kernel reads: the focused shard, or all held.
-    fn scope(&self) -> std::ops::Range<usize> {
-        match self.focus {
-            Some(k) => k..k + 1,
-            None => 0..self.shards.len(),
-        }
-    }
-
-    /// Runs `body` with the view focused on held shard `shard`.
-    ///
-    /// Invariant: `shard` is held. A held section's shard set is
-    /// `TxnHandle::held_shards` — the routes of its members' own
-    /// operations, the only ones a held PUSH/UNPUSH is about — so the
-    /// lookup cannot miss. Were it to, the view stays unfocused and
-    /// nothing is corrupted: an UNPUSH does not find its entry
-    /// (`NoSuchOp`), and a PUSH stops at `append_push`'s own held-target
-    /// check before anything is written.
-    pub(crate) fn focused<R>(&mut self, shard: usize, body: impl FnOnce(&mut Self) -> R) -> R {
-        self.focus = self.shards.iter().position(|(i, _)| *i == shard);
-        debug_assert!(self.focus.is_some(), "held section lacks shard {shard}");
-        let out = body(self);
-        self.focus = None;
-        out
-    }
-
-    /// All viewed entries with their stamps, in stamp order, as a k-way
-    /// cursor merge over the viewed shards — no collection, no sort (each
-    /// shard is already stamp-ordered). For a single shard this
-    /// degenerates to a plain cursor walk.
-    pub(crate) fn stamped(&self) -> StampedIter<'_, 'a, S> {
-        self.stamped_from(|_| 0)
-    }
-
-    /// [`Self::stamped`] with each shard's cursor started at `start(shard)`.
-    fn stamped_from(&self, start: impl Fn(&ShardLog<S>) -> usize) -> StampedIter<'_, 'a, S> {
-        let shards = &self.shards[self.scope()];
-        StampedIter {
-            shards,
-            pos: shards.iter().map(|(_, sh)| start(sh)).collect(),
-        }
-    }
-
-    /// Finds an entry by op id across the viewed shards.
-    pub(crate) fn entry(&self, id: OpId) -> Option<&GlobalEntry<S::Method, S::Ret>> {
-        self.shards[self.scope()]
-            .iter()
-            .find_map(|(_, sh)| sh.entry(id))
-    }
-
-    /// Locates an entry by op id: `(view index, position in shard)`.
-    pub(crate) fn find(&self, id: OpId) -> Option<(usize, usize)> {
-        self.scope()
-            .find_map(|v| self.shards[v].1.position(id).map(|p| (v, p)))
-    }
-
-    /// Removes the entry at `(view index, position)`, as located by
-    /// [`Self::find`] (the UNPUSH effect).
-    pub(crate) fn remove(&mut self, (vidx, pos): (usize, usize)) {
-        self.shards[vidx].1.remove_at(pos);
-    }
-
-    /// The entry at `(view index, position)`, as located by [`Self::find`].
-    pub(crate) fn at(&self, vidx: usize, pos: usize) -> &GlobalEntry<S::Method, S::Ret> {
-        self.shards[vidx].1.entry_at(pos)
-    }
-
-    /// How many end-of-log sets the viewed shards hold (for the tests that
-    /// show their evaluations reach them).
-    #[cfg(test)]
-    pub(crate) fn end_sets(&self) -> usize {
-        let viewed = self.shards[self.scope()].iter();
-        viewed.map(|(_, sh)| sh.cache.ends.len()).sum()
-    }
-
-    /// Empties every end-of-log set behind the cache's back (for the test
-    /// that shows which evaluations read them).
-    #[cfg(test)]
-    pub(crate) fn poison_end_sets(&mut self) {
-        let ends = self
-            .shards
-            .iter_mut()
-            .flat_map(|(_, sh)| sh.cache.ends.values_mut());
-        ends.for_each(|end| *end = StateSet::new());
-    }
-
-    /// Flips every held entry of `local`'s pushed operations to committed
-    /// (the `cmt` predicate restricted to the held shards), returning the
-    /// flipped ids in global stamp order — identical to the single-log
-    /// flip order at any shard count. The pushed ids are gathered and
-    /// sorted once, so each shard entry is one binary search.
-    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<OpId> {
-        let pushed = local.iter().filter(|l| l.flag.is_pushed());
-        let mut own: crate::smallvec::SmallVec<OpId, 8> = pushed.map(|l| l.op.id).collect();
-        own.sort_unstable();
-        let mut flipped: Vec<(u64, OpId)> = Vec::new();
-        for (_, sh) in &mut self.shards {
-            sh.commit_local(&own, &mut flipped);
-        }
-        flipped.sort_by_key(|(s, _)| *s);
-        flipped.into_iter().map(|(_, id)| id).collect()
-    }
-}
-
-/// Allocation-free stamp-ordered merge over a view's shards: one cursor
-/// per shard, advancing the minimum stamp each step (stamps are globally
-/// unique, so the merge is deterministic).
-pub(crate) struct StampedIter<'v, 'a, S: SeqSpec> {
-    shards: &'v [(usize, MutexGuard<'a, ShardLog<S>>)],
-    /// One cursor per viewed shard; inline up to 16 shards, so iterating
-    /// any single- or CMT-width view allocates nothing.
-    pos: crate::smallvec::SmallVec<usize, 16>,
-}
-
-impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {
-    type Item = StampedEntryRef<'v, S>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut best: Option<(usize, u64)> = None;
-        for (k, (_, sh)) in self.shards.iter().enumerate() {
-            let p = self.pos[k];
-            if p < sh.len() {
-                let s = sh.stamp_at(p);
-                if best.is_none_or(|(_, bs)| s < bs) {
-                    best = Some((k, s));
-                }
-            }
-        }
-        let (k, s) = best?;
-        let e = self.shards[k].1.entry_at(self.pos[k]);
-        self.pos[k] += 1;
-        Some((s, e))
-    }
-}
-
-impl<S: SeqSpec> LogView<'_, S> {
-    /// Every viewed entry, in stamp order.
-    pub(crate) fn live(&self) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
-        self.stamped().map(|(_, e)| e)
-    }
-
-    /// Every viewed *uncommitted* entry, in stamp order — what PUSH (ii)
-    /// scans. All of them lie at or past their shard's committed boundary,
-    /// so the cursors start there (at 0 on the full-replay reference
-    /// path, which trusts no cache field).
-    pub(crate) fn uncommitted(
-        &self,
-        global: &GlobalState<S>,
-    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
-        let cached = global.incremental();
-        let from_boundary = self.stamped_from(move |sh| if cached { sh.cache.len } else { 0 });
-        from_boundary
-            .map(|(_, e)| e)
-            .filter(|e| e.flag == GlobalFlag::Uncommitted)
-    }
-
-    /// Every viewed entry stamped after the one at `(view index,
-    /// position)`, in stamp order — what UNPUSH (i) scans. Stamps are
-    /// strictly increasing within a shard, so each cursor starts by
-    /// binary search (on the entry's own shard: right behind it).
-    pub(crate) fn after(
-        &self,
-        (vidx, pos): (usize, usize),
-    ) -> impl Iterator<Item = &GlobalEntry<S::Method, S::Ret>> {
-        let stamp = self.shards[vidx].1.stamp_at(pos);
-        let later = self.stamped_from(|sh| sh.entries.partition_point(|(s, _)| *s <= stamp));
-        later.map(|(_, e)| e)
-    }
-
-    /// PUSH (iii): does `G` allow `op`? On the class-local path an allowed
-    /// `op` also yields the set that proved it, `⟦G|k · op⟧` for its class
-    /// `k` — what [`GlobalState::append_push`] installs as `k`'s
-    /// end-of-log set. A coarse or full-replay evaluation yields none: its
-    /// states are not one class's.
-    pub(crate) fn allows(
-        &self,
-        global: &GlobalState<S>,
-        op: &Op<S::Method, S::Ret>,
-    ) -> (bool, Option<StateSet<S::State>>) {
-        let (states, class_local) = self.replay(global, &op.method, None, Some(op));
-        let allowed = !states.is_empty();
-        (allowed, (allowed && class_local).then_some(states))
-    }
-
-    /// UNPUSH (ii): is `G` without the entry at `(view index, position)`,
-    /// as located by [`Self::find`], still allowed?
-    pub(crate) fn allowed_without(&self, global: &GlobalState<S>, at: (usize, usize)) -> bool {
-        let method = &self.at(at.0, at.1).op.method;
-        !self.replay(global, method, Some(at), None).0.is_empty()
-    }
-
-    /// `⟦(G ∖ skip) · then⟧`, as far as the `allowed` verdict about an
-    /// operation of `method` needs it, and whether it was evaluated
-    /// class-locally. A view of one shard (the only one held, or the
-    /// focused one) with the incremental path on starts from a cached set
-    /// of `method`'s footprint class: for a PUSH, the class's end-of-log
-    /// set when the shard has one, stepped by `then` alone; otherwise the
-    /// committed-prefix set, replayed over the suffix entries of that
-    /// class past the shard's committed boundary. A multi-shard view
-    /// replays the merged stamp-ordered log in full. Empty or not is the
-    /// same either way (module docs). `skip` is an uncommitted entry, so it
-    /// lies past the boundary; if it ever does not (unreachable through the
-    /// rule API), fall back to the full replay.
-    fn replay<'o>(
-        &'o self,
-        global: &GlobalState<S>,
-        method: &S::Method,
-        skip: Option<(usize, usize)>,
-        then: Option<&'o Op<S::Method, S::Ret>>,
-    ) -> (StateSet<S::State>, bool) {
-        let spec = &global.spec;
-        let scope = self.scope();
-        if scope.len() != 1 {
-            let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
-            let merged = self.live().filter(|e| Some(e.op.id) != skipped);
-            return (spec.denote_refs(merged.map(|e| &e.op).chain(then)), false);
-        }
-        let sh = &self.shards[scope.start].1;
-        let skip = skip.map(|(_, pos)| pos);
-        let ops_from = |from: usize| {
-            let kept = sh.iter_from(from).enumerate();
-            kept.filter(move |(k, _)| Some(from + k) != skip)
-                .map(|(_, e)| &e.op)
-        };
-        let cached = global.incremental() && skip.is_none_or(|p| p >= sh.cache.len);
-        let Some(class) = global.class_of(method).filter(|_| cached) else {
-            return (spec.denote_refs(ops_from(0).chain(then)), false);
-        };
-        let suffix = ops_from(sh.cache.len);
-        let of_class = suffix.filter(|op| global.class_of(&op.method) == Some(class));
-        let states = match sh.cache.ends.get(&class).filter(|_| skip.is_none()) {
-            Some(end) => {
-                debug_assert!(
-                    *end == spec.denote_from_refs(sh.cache.class(class), of_class),
-                    "the end-of-log set of class {class} is the replay of its suffix"
-                );
-                spec.denote_from_refs(end, then)
-            }
-            None => spec.denote_from_refs(sh.cache.class(class), of_class.chain(then)),
-        };
-        (states, true)
-    }
-}
-
-/// The shared half of the machine: spec, generators, audit and the
-/// footprint-sharded, mutex-guarded log state. `Sync`, shared by every
-/// [`TxnHandle`](crate::handle::TxnHandle) through an `Arc`.
+/// The shared half of the machine: the spec and check mode, and the log,
+/// arming and counters parts (see the module docs). `Sync`, shared by
+/// every [`TxnHandle`](crate::handle::TxnHandle) through an `Arc`.
 #[derive(Debug)]
 pub struct GlobalState<S: SeqSpec> {
     /// The sequential specification, shared (it is immutable) so that
     /// resharding and deep-cloning need no `S: Clone` bound.
     pub(crate) spec: Arc<S>,
     pub(crate) mode: CheckMode,
-    /// The four generators every thread writes — op ids, transaction ids,
-    /// trace sequence numbers and commit-sequence stamps — each on a cache
-    /// line of its own ([`CachePadded`]), so no write to them evicts the
-    /// read-mostly fields every rule reads.
-    pub(crate) ids: CachePadded<OpIdGen>,
-    pub(crate) next_txn: CachePadded<AtomicU64>,
-    /// Global trace-event sequence: one `fetch_add` per recorded event
-    /// gives a real-time-consistent total order across threads.
-    pub(crate) seq: CachePadded<AtomicU64>,
-    pub(crate) audit: AtomicAudit,
-    incremental: AtomicBool,
-    /// The footprint shards of `G`, each behind its own lock. The count
-    /// is fixed at construction (see [`Machine::set_log_shards`]
-    /// (crate::machine::Machine::set_log_shards) for resharding).
-    shards: Vec<Mutex<ShardLog<S>>>,
-    /// Committed transactions in global commit order (guarded last in the
-    /// lock order: only ever taken while already holding shard locks).
-    committed: Mutex<Vec<CommittedTxn<S::Method, S::Ret>>>,
-    /// Mints commit-sequence stamps for appends; fetched under the
-    /// destination shard's lock.
-    push_stamp: CachePadded<AtomicU64>,
-    /// Sticky coarse-mode flag: set the first time an operation with no
-    /// single-key footprint routes, never cleared (for this shard
-    /// layout). See the module docs for the memory-ordering argument.
-    coarse: AtomicBool,
-    /// Per-shard lock-acquisition tallies (observability, not audit).
-    lock_acquires: Vec<AtomicU64>,
-    /// Per-shard contended-acquisition tallies: acquisitions that found
-    /// the lock already held and had to wait.
-    lock_contended: Vec<AtomicU64>,
-    /// The fault-injection hook, if armed. The flag short-circuits the
-    /// rule hot paths to a single relaxed load when no hook is set.
-    faults: RwLock<Option<Arc<dyn FaultHook>>>,
-    faults_armed: AtomicBool,
-    /// The installed spec certificate, if the analysis certified this
-    /// spec's footprint/mover declarations (see [`SpecCertificate`]).
-    certificate: RwLock<Option<Arc<SpecCertificate>>>,
-    /// Strict arming mode: when set, fine-grained shard routing demotes
-    /// to the sound coarse path without a valid certificate, and an
-    /// open-nested scope is refused without a proven inverse law, each
-    /// recording a diagnostic. Off by default — bit-identical legacy
-    /// behaviour.
-    require_certificate: AtomicBool,
-    /// Human-readable records of every arming request the certificate
-    /// gate refused or demoted (drained by [`Self::arming_diagnostics`]).
-    arming_diags: Mutex<Vec<String>>,
-    /// Group-commit batch counters (see [`GroupStats`]).
-    group: GroupCounters,
-    /// Nested-scope traffic counters (see [`crate::scope::NestingStats`]).
-    nesting: NestingCounters,
+    log: SharedLog<S>,
+    arming: Arming,
+    pub(crate) counters: Counters,
 }
 
 impl<S: SeqSpec> GlobalState<S> {
@@ -983,30 +151,12 @@ impl<S: SeqSpec> GlobalState<S> {
     /// the spec's footprints are even consulted.
     pub fn with_shards(spec: S, mode: CheckMode, shards: usize) -> Self {
         let n = shards.max(1);
-        let shard_logs = (0..n)
-            .map(|_| Mutex::new(ShardLog::new(spec.initial_states())))
-            .collect();
         Self {
+            log: SharedLog::new(&spec, n),
+            arming: Arming::new(),
+            counters: Counters::new(n),
             spec: Arc::new(spec),
             mode,
-            ids: CachePadded(OpIdGen::new()),
-            next_txn: CachePadded(AtomicU64::new(0)),
-            seq: CachePadded(AtomicU64::new(0)),
-            audit: AtomicAudit::new(),
-            incremental: AtomicBool::new(true),
-            shards: shard_logs,
-            committed: Mutex::new(Vec::new()),
-            push_stamp: CachePadded(AtomicU64::new(0)),
-            coarse: AtomicBool::new(false),
-            lock_acquires: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            lock_contended: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            faults: RwLock::new(None),
-            faults_armed: AtomicBool::new(false),
-            certificate: RwLock::new(None),
-            require_certificate: AtomicBool::new(false),
-            arming_diags: Mutex::new(Vec::new()),
-            group: GroupCounters::new(),
-            nesting: NestingCounters::new(),
         }
     }
 
@@ -1020,541 +170,27 @@ impl<S: SeqSpec> GlobalState<S> {
         self.mode
     }
 
-    /// Number of footprint shards the log is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Has the sticky coarse fallback been triggered (an operation with
-    /// no single-key footprint was routed at a shard count above one)?
-    pub fn coarse_mode(&self) -> bool {
-        self.coarse.load(Ordering::SeqCst)
-    }
-
-    /// Total `(lock acquisitions, contended acquisitions)` across all
-    /// shard locks.
-    pub fn lock_stats(&self) -> (u64, u64) {
-        let a = self
-            .lock_acquires
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        let c = self
-            .lock_contended
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        (a, c)
-    }
-
-    /// Per-shard `(lock acquisitions, contended acquisitions)`.
-    pub fn lock_stats_per_shard(&self) -> Vec<(u64, u64)> {
-        self.lock_acquires
-            .iter()
-            .zip(&self.lock_contended)
-            .map(|(a, c)| (a.load(Ordering::Relaxed), c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Is the incremental (prefix-cached) `allowed` path enabled?
-    pub fn incremental(&self) -> bool {
-        self.incremental.load(Ordering::Relaxed)
-    }
-
-    /// Switches between incremental and full-replay criteria evaluation.
-    /// Both produce identical verdicts and audit counts; full replay is
-    /// the reference the golden-trace tests and the differential fuzz
-    /// families (`tests/machine_fuzz.rs`, `criteria.rs`) compare the
-    /// cached path against.
-    pub fn set_incremental(&self, on: bool) {
-        self.incremental.store(on, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the criteria audit.
-    pub fn audit_snapshot(&self) -> CriteriaAudit {
-        self.audit.snapshot()
-    }
-
-    /// Arms (or, with `None`, disarms) the fault-injection hook. The
-    /// machine consults it at forward-rule entry; drivers consult it at
-    /// tick and HTM boundaries.
-    pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
-        self.faults_armed.store(hook.is_some(), Ordering::Release);
-        *unpoisoned(self.faults.write()) = hook;
-    }
-
-    /// The armed fault hook, if any.
-    pub fn fault_hook(&self) -> Option<Arc<dyn FaultHook>> {
-        if !self.faults_armed.load(Ordering::Acquire) {
-            return None;
-        }
-        unpoisoned(self.faults.read()).clone()
-    }
-
-    /// Installs (or, with `None`, removes) a spec certificate — the
-    /// machine-checked verdict that this spec's `method_keys`/
-    /// `method_mover` declarations agree with the exhaustively derived
-    /// ground truth. Installing an *invalid* certificate (one with
-    /// errors) is allowed but arms nothing: strict mode treats it
-    /// exactly like no certificate.
-    pub fn install_certificate(&self, cert: Option<Arc<SpecCertificate>>) {
-        *unpoisoned(self.certificate.write()) = cert;
-    }
-
-    /// The installed spec certificate, if any.
-    pub fn certificate(&self) -> Option<Arc<SpecCertificate>> {
-        unpoisoned(self.certificate.read()).clone()
-    }
-
-    /// Is a *valid* certificate installed (present and error-free)?
-    pub fn certified(&self) -> bool {
-        unpoisoned(self.certificate.read())
-            .as_ref()
-            .is_some_and(|c| c.is_valid())
-    }
-
-    /// May an open-nested scope be opened right now? Outside strict mode
-    /// the answer is always yes (each operation's inverse is still
-    /// checked at the open commit); under strict mode it additionally
-    /// demands an installed certificate whose inverse law was proven —
-    /// a refusal is recorded in [`Self::arming_diagnostics`].
-    pub(crate) fn open_nesting_allowed(&self) -> bool {
-        if !self.require_certificate() {
-            return true;
-        }
-        let ok = unpoisoned(self.certificate.read())
-            .as_ref()
-            .is_some_and(|c| c.open_nesting_certified());
-        if !ok {
-            self.note_arming_diag(
-                "refused to open an open-nested scope: strict mode requires a valid \
-                 spec certificate with a proven inverse law, and none is installed",
-            );
-        }
-        ok
-    }
-
-    /// Turns strict certificate-gated arming on or off. Off (the
-    /// default) reproduces the historical trust-the-declarations
-    /// behaviour bit-identically. On, the two paths that trust the spec's
-    /// declarations demand a certificate:
-    ///
-    /// * fine-grained shard routing (a shard count above one) demotes to
-    ///   the sticky coarse path unless a valid certificate is installed —
-    ///   sound, never wrong, just slower;
-    /// * entering an open-nested scope is refused unless the certificate
-    ///   also proved the inverse law ([`SpecCertificate::open_nesting_certified`]);
-    ///
-    /// each refusal/demotion recording a diagnostic in
-    /// [`Self::arming_diagnostics`]. Turning strict mode on while
-    /// already sharded and uncertified demotes immediately.
-    pub fn set_require_certificate(&self, on: bool) {
-        self.require_certificate.store(on, Ordering::SeqCst);
-        if on && self.shard_count() > 1 && !self.certified() && !self.coarse_mode() {
-            self.demote_to_coarse(
-                "strict mode enabled on an uncertified sharded log: demoting to \
-                 coarse routing (all-shard critical sections)",
-            );
-        }
-    }
-
-    /// Is strict certificate-gated arming on?
-    pub fn require_certificate(&self) -> bool {
-        self.require_certificate.load(Ordering::SeqCst)
-    }
-
-    /// The diagnostics recorded by the certificate gate: one line per
-    /// refused arming request or coarse demotion, in order.
-    pub fn arming_diagnostics(&self) -> Vec<String> {
-        unpoisoned(self.arming_diags.lock()).clone()
-    }
-
-    /// Records one certificate-gate diagnostic.
-    fn note_arming_diag(&self, msg: &str) {
-        unpoisoned(self.arming_diags.lock()).push(msg.to_string());
-    }
-
-    /// Sets the sticky coarse flag (SeqCst, same protocol as routing's
-    /// own demotion: every later `acquire_route` re-checks the flag
-    /// under the lock) and records why. Sound by the same argument as footprint-less
-    /// routing — coarse mode evaluates every criterion against the
-    /// whole log.
-    pub(crate) fn demote_to_coarse(&self, reason: &str) {
-        self.coarse.store(true, Ordering::SeqCst);
-        self.note_arming_diag(reason);
-    }
-
-    /// Records one injected fault in the audit. The machine calls this
-    /// for rule denials; drivers call it when they act on a boundary or
-    /// HTM fault, so the audit tallies faults that actually *fired*.
-    pub fn note_injected(&self, kind: FaultKind) {
-        self.audit.inject(kind);
-    }
-
-    /// Consults the hook at the entry of forward rule `rule` on `tid`;
-    /// on a denial, records the injected fault and returns the clause
-    /// the rule must report.
-    pub(crate) fn fault_deny(&self, tid: ThreadId, rule: Rule) -> Option<Clause> {
-        let hook = self.fault_hook()?;
-        let clause = hook.deny_rule(tid, rule)?;
-        self.audit.inject(FaultKind::Deny(rule));
-        Some(clause)
-    }
-
-    /// Mints the next trace-event sequence number.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Mints a fresh transaction id.
-    pub(crate) fn fresh_txn(&self) -> TxnId {
-        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
-    }
-
-    // ------------------------------------------------------------------
-    // Routing and shard-lock acquisition.
-    // ------------------------------------------------------------------
-
-    /// The footprint class of `method` under a layout of `n` shards: the
-    /// unit the committed-prefix caches memoize by, and — modulo `n` —
-    /// the shard the method routes to. With one shard everything is the
-    /// one class `0` — the footprints are not consulted, so every
-    /// *criterion* of a single-shard machine is evaluated as on the
-    /// historical single-lock one even for specs with (or without)
-    /// footprints. (The lenient refresh — [`Self::committed_except`] —
-    /// does read `method_keys` at one shard, to choose what to PULL; it
-    /// is the only thing that does, and it evaluates nothing.)
-    /// Above one shard it is the method's single declared key; a method
-    /// with no (or a multi-key) footprint has no class and routes coarse.
-    fn class_in(spec: &S, n: usize, method: &S::Method) -> Option<u64> {
-        if n == 1 {
-            return Some(0);
-        }
-        match spec.method_keys(method) {
-            Some(keys) if keys.len() == 1 => Some(keys[0]),
-            _ => None,
-        }
-    }
-
-    /// The footprint class of `method` under the current shard layout.
-    fn class_of(&self, method: &S::Method) -> Option<u64> {
-        Self::class_in(&self.spec, self.shards.len(), method)
-    }
-
-    /// Routes `method` under a layout of `n` shards: class mod `n`.
-    fn route_in(spec: &S, n: usize, method: &S::Method) -> Route {
-        match Self::class_in(spec, n, method) {
-            Some(class) => Route::Single((class % n as u64) as usize),
-            None => Route::Coarse,
-        }
-    }
-
-    /// Routes `method` under the current shard layout.
-    pub(crate) fn route(&self, method: &S::Method) -> Route {
-        Self::route_in(&self.spec, self.shards.len(), method)
-    }
-
-    /// Locks shard `i`, tallying the acquisition (and whether it had to
-    /// wait) in the per-shard lock counters.
-    fn lock_shard(&self, i: usize) -> MutexGuard<'_, ShardLog<S>> {
-        self.lock_acquires[i].fetch_add(1, Ordering::Relaxed);
-        match self.shards[i].try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.lock_contended[i].fetch_add(1, Ordering::Relaxed);
-                unpoisoned(self.shards[i].lock())
-            }
-            Err(TryLockError::Poisoned(holder_panicked)) => unpoisoned(Err(holder_panicked)),
-        }
-    }
-
-    /// Locks every shard in ascending index order (the canonical order).
-    pub(crate) fn acquire_all(&self) -> LogView<'_, S> {
-        self.acquire_shards(0..self.shards.len())
-    }
-
-    /// Locks the given shards, which must come strictly ascending (the
-    /// canonical lock order) — the CMT critical section over exactly the
-    /// shards a transaction's operations touch. An empty set yields an
-    /// empty view (a commit with nothing in `G` to flip).
-    pub(crate) fn acquire_shards(
-        &self,
-        ascending: impl IntoIterator<Item = usize>,
-    ) -> LogView<'_, S> {
-        let mut last = None;
-        let lock = |i| {
-            debug_assert!(last.replace(i).is_none_or(|l| l < i), "lock order");
-            (i, self.lock_shard(i))
-        };
-        LogView {
-            shards: ascending.into_iter().map(lock).collect(),
-            focus: None,
-        }
-    }
-
-    /// The critical section for a routed PUSH/UNPUSH: one shard on the
-    /// fast path, all shards once the sticky coarse flag is (or gets)
-    /// set. The flag is stored *before* any lock is acquired and
-    /// re-checked after a single-shard acquisition, so a coarse append
-    /// can never be missed by a concurrent single-shard evaluation.
-    pub(crate) fn acquire_route(&self, route: Route) -> LogView<'_, S> {
-        match route {
-            Route::Coarse => {
-                self.coarse.store(true, Ordering::SeqCst);
-                self.acquire_all()
-            }
-            Route::Single(i) => self.acquire_held([i]).unwrap_or_else(|| self.acquire_all()),
-        }
-    }
-
-    /// The fine-grained section over `shards` — one routed PUSH/UNPUSH's
-    /// shard, or the shard set of a held commit (see [`crate::group`]) —
-    /// or `None` once the sticky coarse flag is set: the flag is
-    /// re-checked *after* locking (see [`Self::acquire_route`]), so no
-    /// section evaluates shard-locally past a coarse append.
-    pub(crate) fn acquire_held(
-        &self,
-        shards: impl IntoIterator<Item = usize>,
-    ) -> Option<LogView<'_, S>> {
-        if self.coarse_mode() {
-            return None;
-        }
-        let view = self.acquire_shards(shards);
-        (!self.coarse_mode()).then_some(view)
-    }
-
-    /// Locates and snapshots a global entry by id, locking one shard at
-    /// a time in ascending order (the PULL-by-id snapshot — never holds
-    /// two locks at once).
-    pub(crate) fn find_entry(&self, id: OpId) -> Option<GlobalEntry<S::Method, S::Ret>> {
-        for i in 0..self.shards.len() {
-            let sh = self.lock_shard(i);
-            if let Some(e) = sh.entry(id) {
-                return Some(e.clone());
-            }
-        }
-        None
-    }
-
-    /// The refresh's candidates: the committed entries of `G` that `have`
-    /// does not already hold and that `footprint` concerns, in stamp
-    /// order, snapshotted under one acquisition (each lock taken exactly
-    /// once) of the shards that can hold them — a consistent cut of those
-    /// shards, the one [`Self::global_snapshot`] takes of all of them.
-    ///
-    /// `footprint` is a set of declared keys, ascending; `None` concerns
-    /// everything and locks every shard. An entry is concerned when its
-    /// method's declared keys ([`SeqSpec::method_keys`]) meet the set, or
-    /// when it declares none. The filter never looks at `key % N`, so it
-    /// selects the same operations at every shard count; `N` only decides
-    /// the locks — the shards the keys route to, or every shard once the
-    /// sticky coarse flag is set, which is the only time a shard other
-    /// than a key's own can hold a concerned entry (one without a single
-    /// declared key lives on shard 0).
-    ///
-    /// Membership is by op id, never by a stamp watermark: stamps are
-    /// minted at PUSH and commits land later, so an entry can commit
-    /// below one already pulled.
-    pub(crate) fn committed_except(
-        &self,
-        footprint: Option<&[u64]>,
-        have: impl Fn(OpId) -> bool,
-    ) -> Vec<GlobalEntry<S::Method, S::Ret>> {
-        let n = self.shards.len() as u64;
-        let fine = footprint.and_then(|keys| {
-            let mut shards: Vec<usize> = keys.iter().map(|k| (k % n) as usize).collect();
-            shards.sort_unstable();
-            shards.dedup();
-            self.acquire_held(shards)
-        });
-        let view = fine.unwrap_or_else(|| self.acquire_all());
-        let concerned = |method: &S::Method| match (footprint, self.spec.method_keys(method)) {
-            (Some(keys), Some(declared)) => declared.iter().any(|k| keys.binary_search(k).is_ok()),
-            _ => true,
-        };
-        let fresh = view.live().filter(|e| {
-            e.flag == GlobalFlag::Committed && concerned(&e.op.method) && !have(e.op.id)
-        });
-        fresh.cloned().collect()
-    }
-
-    /// Appends `op` to shard `target` inside the held view with
-    /// commit-sequence `stamp` (the PUSH effect). The stamp is minted by [`Self::reserve_stamps`]
-    /// under the shard lock — one at a time, or as a group-commit
-    /// batch's contiguous block handed out one append at a time.
-    /// `target` is the routed shard ([`Route::target`]), whichever shards
-    /// the view holds. `proved` — the class-local `⟦G|k · op⟧` that proved
-    /// PUSH (iii), see [`LogView::allows`] — becomes class `k`'s end-of-log
-    /// set; an append without one drops the class's end set instead.
-    pub(crate) fn append_push(
-        &self,
-        view: &mut LogView<'_, S>,
-        target: usize,
-        stamp: u64,
-        op: Op<S::Method, S::Ret>,
-        proved: Option<StateSet<S::State>>,
-    ) {
-        let class = self.class_of(&op.method);
-        let (_, sh) = view
-            .shards
-            .iter_mut()
-            .find(|(i, _)| *i == target)
-            .expect("append target shard is held by the view");
-        sh.push_uncommitted(stamp, op);
-        if let Some(class) = class {
-            match proved {
-                Some(end) => sh.cache.ends.insert(class, end),
-                None => sh.cache.ends.remove(&class),
-            };
-        }
-    }
-
-    /// Reserves a contiguous block of `n` commit-sequence stamps and
-    /// returns its base. Must be called while holding the destination
-    /// shard's lock: every stamp already in that shard is then strictly
-    /// below the reserved base, so appends from the block preserve the
-    /// shard's strictly-increasing stamp order.
-    pub(crate) fn reserve_stamps(&self, n: u64) -> u64 {
-        self.push_stamp.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// A snapshot of the group-commit batch counters.
-    pub fn group_stats(&self) -> GroupStats {
-        self.group.snapshot()
-    }
-
-    /// Records one sealed group-commit batch (see [`GroupCounters`]).
-    pub(crate) fn note_group_batch(&self, txns: u64, ops: u64) {
-        self.group.note_batch(txns, ops);
-    }
-
-    /// A snapshot of the nested-scope traffic counters.
-    pub fn nesting_stats(&self) -> crate::scope::NestingStats {
-        self.nesting.snapshot()
-    }
-
-    /// The atomic nesting counters, for handles to tally into.
-    pub(crate) fn nesting_counters(&self) -> &NestingCounters {
-        &self.nesting
-    }
-
-    /// The `cmt` effect over a held view: flips every held entry of
-    /// `local`'s pushed operations committed, appends `record` to the
-    /// committed list — while still holding the commit's shard locks, so
-    /// the global commit order agrees with the per-shard flip order
-    /// (`committed` is last in the lock order) — and advances the held
-    /// shards' caches. Returns the
-    /// flipped ids in global stamp order, so the recorded `Commit`
-    /// event's op order is identical at any shard count.
-    pub(crate) fn seal_commit(
-        &self,
-        view: &mut LogView<'_, S>,
-        local: &[LocalEntry<S::Method, S::Ret>],
-        record: CommittedTxn<S::Method, S::Ret>,
-    ) -> Vec<OpId> {
-        let flipped = view.commit_local(local);
-        unpoisoned(self.committed.lock()).push(record);
-        self.advance_caches(view);
-        flipped
-    }
-
-    /// Committed transactions in global commit order.
-    pub fn committed_txns(&self) -> Vec<CommittedTxn<S::Method, S::Ret>> {
-        unpoisoned(self.committed.lock()).clone()
-    }
-
-    /// A snapshot of the whole shared log `G`, merged across shards in
-    /// commit-stamp order — with one shard, exactly the historical log
-    /// order.
-    pub fn global_snapshot(&self) -> GlobalLog<S::Method, S::Ret> {
-        let view = self.acquire_all();
-        let entries = view.stamped().map(|(_, e)| e.clone()).collect();
-        GlobalLog::from_entries(entries)
-    }
-
-    // ------------------------------------------------------------------
-    // Audited primitive queries (the audit counts queries, not replays,
-    // so the incremental path is invisible to it by construction).
-    // ------------------------------------------------------------------
-
-    /// Mover query with audit accounting.
+    /// Mover query with audit accounting. (The audit counts queries, not
+    /// replays, so the incremental path is invisible to it by
+    /// construction.)
     pub(crate) fn mover_q(&self, a: &Op<S::Method, S::Ret>, b: &Op<S::Method, S::Ret>) -> bool {
-        self.audit.count_mover();
+        self.counters.audit.count_mover();
         self.spec.mover(a, b)
     }
 
-    // ------------------------------------------------------------------
-    // Cache maintenance (called under the shard locks).
-    // ------------------------------------------------------------------
-
-    /// Advances one shard's cache (of a layout of `n` shards) over its
-    /// newly committed prefix, folding each entry into its own class. When
-    /// that prefix is the whole segment, a class's end-of-log set *is* its
-    /// new committed-prefix set: it moves into `classes`, and only the
-    /// entries of classes without one are folded. An entry without a class
-    /// exists only once the sticky coarse flag is set, after which no cache
-    /// is read; the boundary still moves past it (the uncommitted-only
-    /// scans start there at any routing).
-    fn advance_shard_cache(spec: &S, n: usize, sh: &mut ShardLog<S>) {
-        let pending = &sh.entries[sh.cache.len..];
-        let whole = pending.iter().all(|(_, e)| e.flag == GlobalFlag::Committed);
-        let cache = &mut sh.cache;
-        for (_, e) in pending {
-            if e.flag != GlobalFlag::Committed {
-                break;
-            }
-            let class = Self::class_in(spec, n, &e.op.method);
-            if let Some(class) = class.filter(|k| !(whole && cache.ends.contains_key(k))) {
-                let next = spec.denote_from_refs(cache.class(class), std::iter::once(&e.op));
-                cache.classes.insert(class, next);
-            }
-            cache.len += 1;
-        }
-        if whole {
-            cache.classes.extend(cache.ends.drain());
-        }
-    }
-
-    /// Advances every held shard's cache (after CMT).
-    fn advance_caches(&self, view: &mut LogView<'_, S>) {
-        for (_, sh) in &mut view.shards {
-            Self::advance_shard_cache(&self.spec, self.shards.len(), sh);
-        }
-    }
-
-    /// Rebuilds this state under a layout of `n` shards: every entry is
-    /// re-routed by its method's footprint, stamps and the commit order
-    /// are preserved, per-shard caches are re-seeded and advanced, and
-    /// the coarse flag is recomputed from the entries actually present.
-    /// Used by [`Machine::set_log_shards`](crate::machine::Machine::set_log_shards).
+    /// Rebuilds this state under a layout of `n` shards: the log is
+    /// re-routed entry by entry, everything else carries over, the
+    /// per-shard lock tallies afresh. Used by
+    /// [`Machine::set_log_shards`](crate::machine::Machine::set_log_shards).
     pub(crate) fn rebuilt_with_shards(&self, n: usize) -> Self {
         let n = n.max(1);
-        let mut stamped: Vec<StampedEntry<S>> = Vec::new();
-        for m in &self.shards {
-            let sh = unpoisoned(m.lock());
-            stamped.extend(sh.entries.iter().cloned());
+        Self {
+            spec: Arc::clone(&self.spec),
+            mode: self.mode,
+            log: self.log.rebuilt(&self.spec, n),
+            arming: self.arming.copy(),
+            counters: self.counters.resharded(n),
         }
-        stamped.sort_by_key(|(s, _)| *s);
-
-        let mut per: Vec<Vec<StampedEntry<S>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut coarse = false;
-        for (stamp, entry) in stamped {
-            let route = Self::route_in(&self.spec, n, &entry.op.method);
-            if route == Route::Coarse {
-                coarse = true;
-            }
-            per[route.target()].push((stamp, entry));
-        }
-        let shards: Vec<Mutex<ShardLog<S>>> = per
-            .into_iter()
-            .map(|seg| {
-                let mut sh = ShardLog::from_stamped(seg, self.spec.initial_states());
-                Self::advance_shard_cache(&self.spec, n, &mut sh);
-                Mutex::new(sh)
-            })
-            .collect();
-        let fresh = || (0..n).map(|_| AtomicU64::new(0)).collect();
-        self.carried_over(shards, coarse, fresh(), fresh())
     }
 
     /// A deep copy with its own generators, audit and log state — used by
@@ -1562,56 +198,59 @@ impl<S: SeqSpec> GlobalState<S> {
     /// handle at the copy so clones share nothing (the property the model
     /// checker's branching relies on).
     pub(crate) fn deep_clone(&self) -> Self {
-        let shards = self
-            .shards
-            .iter()
-            .map(|m| Mutex::new(unpoisoned(m.lock()).clone()))
-            .collect();
-        let copied = |cs: &[AtomicU64]| {
-            cs.iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect()
-        };
-        self.carried_over(
-            shards,
-            self.coarse.load(Ordering::SeqCst),
-            copied(&self.lock_acquires),
-            copied(&self.lock_contended),
-        )
-    }
-
-    /// A new state over `shards` that carries everything else over from
-    /// this one — generators, audit, committed list, armed hooks and
-    /// certificate, counters. The one place resharding and deep cloning
-    /// copy fields, so a new field is written once.
-    fn carried_over(
-        &self,
-        shards: Vec<Mutex<ShardLog<S>>>,
-        coarse: bool,
-        lock_acquires: Vec<AtomicU64>,
-        lock_contended: Vec<AtomicU64>,
-    ) -> Self {
         Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
-            ids: self.ids.clone(),
-            next_txn: CachePadded(AtomicU64::new(self.next_txn.load(Ordering::Relaxed))),
-            seq: CachePadded(AtomicU64::new(self.seq.load(Ordering::Relaxed))),
-            audit: self.audit.clone(),
-            incremental: AtomicBool::new(self.incremental()),
-            shards,
-            committed: Mutex::new(self.committed_txns()),
-            push_stamp: CachePadded(AtomicU64::new(self.push_stamp.load(Ordering::Relaxed))),
-            coarse: AtomicBool::new(coarse),
-            lock_acquires,
-            lock_contended,
-            faults: RwLock::new(self.fault_hook()),
-            faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
-            certificate: RwLock::new(self.certificate()),
-            require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
-            arming_diags: Mutex::new(self.arming_diagnostics()),
-            group: self.group.carried_over(),
-            nesting: self.nesting.carried_over(),
+            log: self.log.copy(),
+            arming: self.arming.copy(),
+            counters: self.counters.copy(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::mem::{offset_of, size_of};
+    use std::ops::Range;
+
+    use super::*;
+    use crate::toy::ToyCounter;
+
+    /// The 64-byte lines `size` bytes at `offset` in `GlobalState` touch.
+    fn lines(offset: usize, size: usize) -> Range<usize> {
+        offset / 64..(offset + size - 1) / 64 + 1
+    }
+
+    fn disjoint(a: &Range<usize>, b: &Range<usize>) -> bool {
+        a.end <= b.start || b.end <= a.start
+    }
+
+    /// The four generators every thread writes each own a cache line:
+    /// none shares one with another, nor with the spec or the shard vector
+    /// that every rule reads. (With `spec` and `shards` on the line of `seq`
+    /// and `push_stamp`, every workload ran 4–16 % slower.) Nor does the
+    /// committed list's mutex, which every commit writes, share the shard
+    /// vector's line.
+    #[test]
+    fn each_generator_owns_its_cache_line() {
+        type G = GlobalState<ToyCounter>;
+        assert_eq!(std::mem::align_of::<G>() % 64, 0, "lines start at the base");
+        let padded = size_of::<crate::audit::CachePadded<std::sync::atomic::AtomicU64>>();
+        let generators = [
+            offset_of!(G, counters.ids),
+            offset_of!(G, counters.next_txn),
+            offset_of!(G, counters.seq),
+            offset_of!(G, log.push_stamp),
+        ]
+        .map(|at| lines(at, padded));
+        let shards = lines(offset_of!(G, log.shards), size_of::<Vec<()>>());
+        let spec = lines(offset_of!(G, spec), size_of::<Arc<ToyCounter>>());
+        for (i, line) in generators.iter().enumerate() {
+            assert_eq!(line.len(), 1, "generator {i} spans one line");
+            for other in generators.iter().skip(i + 1).chain([&spec, &shards]) {
+                assert!(disjoint(line, other), "generator {i} shares {line:?}");
+            }
+        }
+        assert!(disjoint(&lines(offset_of!(G, log.committed), 1), &shards));
     }
 }

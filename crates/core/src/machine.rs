@@ -130,7 +130,7 @@ impl<S: SeqSpec> Machine<S> {
 
     /// Clears the criteria audit counters.
     pub fn reset_audit(&mut self) {
-        self.global.audit.reset();
+        self.global.counters.audit.reset();
     }
 
     /// The sequential specification.
@@ -576,7 +576,7 @@ mod tests {
         let op = m.app_auto(t).unwrap();
         m.push(t, op).unwrap();
         let err = m.commit(t).unwrap_err();
-        assert_eq!(err.violated_rule(), Some(Rule::Cmt));
+        assert!(matches!(err, MachineError::Criterion(v) if v.rule == Rule::Cmt));
     }
 
     #[test]
@@ -692,7 +692,7 @@ mod tests {
         // B's get observed 1; dropping the pulled inc would make the local
         // log disallowed, so UNPULL criterion (i) fires.
         let err = m.unpull(b, ia).unwrap_err();
-        assert_eq!(err.violated_rule(), Some(Rule::UnPull));
+        assert!(matches!(err, MachineError::Criterion(v) if v.rule == Rule::UnPull));
         // Rewind the get, then the unpull goes through.
         m.unapp(b).unwrap();
         m.unpull(b, ia).unwrap();
@@ -804,7 +804,7 @@ mod tests {
             Code::method(CounterMethod::Dec),
         )]);
         assert_eq!(
-            m.thread(t).unwrap().struct_options().unwrap(),
+            crate::structural::applicable(m.thread(t).unwrap().code().unwrap()),
             vec![StructStep::NondetL, StructStep::NondetR]
         );
         m.struct_step(t, StructStep::NondetR).unwrap();
@@ -868,7 +868,9 @@ mod tests {
     /// Resharding and deep-cloning build the new shared state through
     /// one carry-over constructor: everything armed or counted on the
     /// original is still there after a mid-run `set_log_shards` and on
-    /// a `clone`.
+    /// a `clone`, and what either mints next continues the original's
+    /// sequences. The lock tallies are per shard: a clone copies them, a
+    /// reshard starts them afresh.
     #[test]
     fn reshard_and_clone_carry_armed_state_and_counters_over() {
         #[derive(Debug)]
@@ -884,37 +886,67 @@ mod tests {
         m.set_require_certificate(true);
         m.set_incremental(false);
         // Mid-run: one sealed group batch, one scope in flight, one
-        // uncommitted push.
+        // uncommitted push, one refused arming request.
         m.app_auto(a).unwrap();
         m.app_auto(b).unwrap();
         assert_eq!(m.commit_group(&[a, b]).unwrap().batched_txns, 2);
         m.begin_nested(c, ScopeKind::Closed).unwrap();
         let op = m.app_auto(c).unwrap();
         m.push(c, op).unwrap();
+        assert!(matches!(
+            m.begin_nested(c, ScopeKind::Open),
+            Err(MachineError::OpenNestingUncertified(_))
+        ));
 
+        // What a copy mints next: a transaction id, an op id, and a stamp
+        // that sorts the op last in `G` — once more after a reshard, which
+        // reorders by stamp. Each must be above everything minted before.
+        let minted = |mut m: Machine<ToyCounter>| {
+            let t = m.add_thread(vec![inc_code()]);
+            let op = m.app_auto(t).unwrap();
+            m.push(t, op).unwrap();
+            m.set_log_shards(m.log_shards() + 1);
+            let last = m.global().iter().last().map(|e| e.op.id);
+            (m.thread(t).unwrap().txn(), op, last)
+        };
         let carried = |m: &Machine<ToyCounter>| {
             let g = m.global_state();
             (
-                g.fault_hook().is_some(),
-                g.certificate(),
-                g.require_certificate(),
+                (g.fault_hook().is_some(), g.certificate()),
+                (g.require_certificate(), g.arming_diagnostics()),
                 g.incremental(),
                 m.audit(),
-                m.group_stats(),
-                m.nesting_stats(),
+                (m.group_stats(), m.nesting_stats()),
+                m.committed_txns(),
+                minted(m.clone()),
             )
         };
         let before = carried(&m);
-        assert!(before.0, "hook armed");
-        assert!(before.1.is_some() && before.2, "certificate, strict mode");
-        assert!(!before.3, "incremental off");
-        assert!(before.4.discharged_count(Rule::Push, Clause::I) > 0);
-        assert_eq!(before.5.batches, 1);
-        assert_eq!(before.6.scopes_opened, 1);
+        assert!(before.0 .0 && before.0 .1.is_some(), "hook, certificate");
+        assert!(before.1 .0, "strict mode");
+        assert_eq!(before.1 .1.len(), 1, "the refused open scope");
+        assert!(!before.2, "incremental off");
+        assert!(before.3.discharged_count(Rule::Push, Clause::I) > 0);
+        assert_eq!((before.4 .0.batches, before.4 .1.scopes_opened), (1, 1));
+        assert_eq!(before.5.len(), 2);
+        let (txn, op_id, last) = before.6;
+        let seen = m.committed_txns().iter().map(|c| c.txn).max().unwrap();
+        assert!(
+            txn > seen.max(m.thread(c).unwrap().txn()),
+            "txn ids continue"
+        );
+        assert!(
+            op_id > op && last == Some(op_id),
+            "op ids and stamps continue"
+        );
 
+        let locks = m.lock_stats_per_shard();
+        assert!(locks[0].0 > 0);
+        assert_eq!(m.clone().lock_stats_per_shard(), locks, "clone copies");
         assert_eq!(carried(&m.clone()), before, "Machine::clone");
         m.set_log_shards(4);
         assert_eq!(m.log_shards(), 4);
+        assert_eq!(m.lock_stats_per_shard(), vec![(0, 0); 4], "fresh per shard");
         assert_eq!(carried(&m), before, "set_log_shards");
     }
 
@@ -937,7 +969,10 @@ mod tests {
             m.commit(a).unwrap();
             // b's stale get now fails PUSH (iii)/(ii) the same way in
             // both modes.
-            let push_res = m.push(b, gb).map_err(|e| e.violated_rule());
+            let push_res = m.push(b, gb).map_err(|e| match e {
+                MachineError::Criterion(v) => Some(v.rule),
+                _ => None,
+            });
             (m.audit().render(), m.trace().render(), push_res)
         };
         assert_eq!(run(true), run(false));

@@ -126,12 +126,6 @@ pub fn check_trace_refined<M, R>(
     }
 }
 
-/// Convenience: do these events describe a run in the *plain* opaque
-/// fragment (no uncommitted pull at all)?
-pub fn is_opaque_fragment<M, R>(trace: &Trace<M, R>) -> bool {
-    matches!(check_trace(trace), OpacityVerdict::Opaque)
-}
-
 /// Snapshot-consistency check, the semantic core of opacity: every
 /// committed *and aborted* transaction attempt must only ever have held an
 /// `allowed` local log. The checked machine enforces this through APP/PULL
@@ -225,7 +219,6 @@ mod tests {
         m.commit(a).unwrap();
         m.pull_all_committed(b).unwrap();
         assert_eq!(check_trace(&m.trace()), OpacityVerdict::Opaque);
-        assert!(is_opaque_fragment(&m.trace()));
     }
 
     #[test]

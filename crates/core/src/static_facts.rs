@@ -78,12 +78,6 @@ impl RulePattern {
         self.0 == 0
     }
 
-    /// Union of two patterns.
-    #[must_use]
-    pub fn union(self, other: Self) -> Self {
-        RulePattern(self.0 | other.0)
-    }
-
     /// Rules in `self` but not in `other` — the divergences the linter
     /// reports.
     #[must_use]
@@ -155,7 +149,6 @@ mod tests {
             .with(Rule::Pull);
         let diff = boosting.difference(opt);
         assert_eq!(diff.rules(), vec![Rule::UnPush]);
-        assert_eq!(boosting.union(opt), boosting.with(Rule::Pull));
         assert_eq!(boosting.without(Rule::App).rules().len(), 4);
     }
 

@@ -88,29 +88,29 @@ fn leftmost<M: Clone>(code: &Code<M>) -> Option<&Code<M>> {
     }
 }
 
-/// The soundness statement connecting Figure 6 to `step`/`fin`: a
-/// structural step never invents behaviours — the `step` set of the
-/// reduct is a subset of the original's, and likewise for `fin`.
-/// (`NondetL`/`NondetR` genuinely shrink the set; `Loop` and `SemiSkip`
-/// preserve it.) Used by property tests.
-pub fn preserves_step_inclusion<M: Clone + Eq>(code: &Code<M>, step: StructStep) -> bool {
-    let Some(reduct) = apply(code, step) else {
-        return true;
-    };
-    let before = code.step();
-    let after = reduct.step();
-    after
-        .iter()
-        .all(|(m, k)| before.iter().any(|(m2, k2)| m2 == m && k2 == k))
-        && (!reduct.fin() || code.fin())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn m(s: &'static str) -> Code<&'static str> {
         Code::method(s)
+    }
+
+    /// The soundness statement connecting Figure 6 to `step`/`fin`: a
+    /// structural step never invents behaviours — the `step` set of the
+    /// reduct is a subset of the original's, and likewise for `fin`.
+    /// (`NondetL`/`NondetR` genuinely shrink the set; `Loop` and `SemiSkip`
+    /// preserve it.)
+    fn preserves_step_inclusion<M: Clone + Eq>(code: &Code<M>, step: StructStep) -> bool {
+        let Some(reduct) = apply(code, step) else {
+            return true;
+        };
+        let before = code.step();
+        let after = reduct.step();
+        after
+            .iter()
+            .all(|(m, k)| before.iter().any(|(m2, k2)| m2 == m && k2 == k))
+            && (!reduct.fin() || code.fin())
     }
 
     #[test]

@@ -317,11 +317,6 @@ pub fn counter_op(id: u64, method: CounterMethod, ret: i64) -> CounterOp {
     Op::new(OpId(id), TxnId(0), method, ret)
 }
 
-/// Like [`counter_op`] but with an explicit transaction id.
-pub fn counter_op_t(id: u64, txn: u64, method: CounterMethod, ret: i64) -> CounterOp {
-    Op::new(OpId(id), TxnId(txn), method, ret)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -205,20 +205,6 @@ impl<L: Eq + Hash + Ord + Clone> HtmConflicts<L> {
         }
         self.readers.retain(|_, rs| !rs.is_empty());
     }
-
-    /// Locations currently written by `txn`, in ascending order (map
-    /// iteration order is seeded per process; sorting keeps the report
-    /// deterministic across runs).
-    pub fn writes_of(&self, txn: TxnId) -> Vec<L> {
-        let mut locs: Vec<L> = self
-            .writers
-            .iter()
-            .filter(|(_, w)| **w == txn)
-            .map(|(l, _)| l.clone())
-            .collect();
-        locs.sort_unstable();
-        locs
-    }
 }
 
 #[cfg(test)]
@@ -289,11 +275,9 @@ mod tests {
         let mut h: HtmConflicts<u32> = HtmConflicts::new();
         h.record_write(TxnId(1), 1).unwrap();
         h.record_write(TxnId(1), 2).unwrap();
-        let mut w = h.writes_of(TxnId(1));
-        w.sort();
-        assert_eq!(w, vec![1, 2]);
+        assert!(h.record_read(TxnId(2), 2).is_err(), "held by the writer");
         h.clear(TxnId(1));
-        assert!(h.writes_of(TxnId(1)).is_empty());
         assert!(h.record_write(TxnId(2), 1).is_ok());
+        assert!(h.record_write(TxnId(2), 2).is_ok());
     }
 }

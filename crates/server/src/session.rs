@@ -11,8 +11,6 @@
 use pushpull_core::lang::Code;
 use pushpull_core::rng::Xorshift64;
 
-use crate::proto::TxnRequest;
-
 /// How a session closes its transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionEnd {
@@ -60,19 +58,6 @@ impl<M: Clone> SessionScript<M> {
         Self::commit(code.reachable_methods())
     }
 
-    /// The canonical wire rendering: `Begin`, one `Op` per operation,
-    /// then the closing request.
-    pub fn requests(&self) -> Vec<TxnRequest<M>> {
-        let mut out = Vec::with_capacity(self.ops.len() + 2);
-        out.push(TxnRequest::Begin);
-        out.extend(self.ops.iter().cloned().map(TxnRequest::Op));
-        out.push(match self.end {
-            SessionEnd::Commit => TxnRequest::Commit,
-            SessionEnd::Abort => TxnRequest::Abort,
-        });
-        out
-    }
-
     /// The transaction body as machine code (a straight-line sequence).
     pub fn program(&self) -> Code<M> {
         Code::seq_all(self.ops.iter().cloned().map(Code::method))
@@ -107,17 +92,6 @@ pub fn assign_sessions(sessions: usize, workers: usize, seed: u64) -> Vec<Vec<us
 mod tests {
     use super::*;
     use pushpull_spec::kvmap::MapMethod;
-
-    #[test]
-    fn wire_rendering_brackets_the_ops() {
-        let s = SessionScript::commit(vec![MapMethod::Put(0, 1), MapMethod::Get(0)]);
-        let reqs = s.requests();
-        assert_eq!(reqs.len(), 4);
-        assert_eq!(reqs[0], TxnRequest::Begin);
-        assert_eq!(reqs[3], TxnRequest::Commit);
-        let a = SessionScript::abort(vec![MapMethod::Get(1)]);
-        assert_eq!(a.requests().last(), Some(&TxnRequest::Abort));
-    }
 
     #[test]
     fn from_code_flattens_straight_line_programs() {

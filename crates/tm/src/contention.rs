@@ -11,14 +11,7 @@
 //!
 //! * [`ImmediateRetry`] — the naive baseline: retry at once, wait
 //!   forever. Reproduces the checkpoint commit livelock PR 1 patched
-//!   around, so the regression tests can show the other policies resolve
-//!   it.
-//! * [`ExponentialBackoff`] — seeded, deterministic, *tick-based*
-//!   binary exponential backoff (no wall clock anywhere: a backoff of k
-//!   parks the thread for k scheduler ticks).
-//! * [`KarmaAging`] — priority aging: every abort earns karma; the
-//!   thread with the most karma retries immediately while the others
-//!   yield to it, so long-suffering transactions win races.
+//!   around, so the regression tests can show the default resolves it.
 //! * [`GracefulDegradation`] — the default: bounded backoff below a
 //!   retry budget, then *degrade* — escalate the starving transaction to
 //!   solo (irrevocable-style) execution behind a global degrade token,
@@ -91,12 +84,6 @@ pub trait ContentionManager: std::fmt::Debug + Send + Sync {
     /// consecutive ticks (`blocked_streak ≥ 1`) on a rule it may
     /// legitimately give up on.
     fn on_blocked(&self, tid: ThreadId, blocked_streak: u32) -> WaitVerdict;
-
-    /// Called when `tid` commits (for policies that age state per
-    /// transaction).
-    fn on_commit(&self, tid: ThreadId) {
-        let _ = tid;
-    }
 }
 
 /// Blocked-streak patience shared by the bounded policies: the value the
@@ -126,126 +113,6 @@ impl ContentionManager for ImmediateRetry {
 
     fn on_blocked(&self, _tid: ThreadId, _blocked_streak: u32) -> WaitVerdict {
         WaitVerdict::Wait
-    }
-}
-
-/// SplitMix64: the deterministic hash behind the seeded backoff jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Seeded binary exponential backoff, measured in scheduler ticks. The
-/// delay after the n-th consecutive abort is drawn deterministically
-/// from `[1, min(cap, 2ⁿ)]` by hashing `(seed, thread, streak)` — two
-/// runs with the same seed and schedule back off identically.
-#[derive(Debug, Clone, Copy)]
-pub struct ExponentialBackoff {
-    /// Jitter seed.
-    pub seed: u64,
-    /// Largest window, in ticks.
-    pub cap: u64,
-    /// Blocked ticks tolerated before giving up.
-    pub patience: u32,
-}
-
-impl ExponentialBackoff {
-    /// Backoff with the given seed and default window/patience.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            cap: 256,
-            patience: DEFAULT_PATIENCE,
-        }
-    }
-}
-
-impl ContentionManager for ExponentialBackoff {
-    fn name(&self) -> &'static str {
-        "exponential-backoff"
-    }
-
-    fn after_abort(&self, tid: ThreadId, streak: u32) -> Recovery {
-        let window = self.cap.min(1u64 << streak.min(62));
-        let jitter = splitmix64(self.seed ^ ((tid.0 as u64) << 32) ^ u64::from(streak));
-        Recovery::Backoff(1 + jitter % window)
-    }
-
-    fn on_blocked(&self, _tid: ThreadId, blocked_streak: u32) -> WaitVerdict {
-        if blocked_streak >= self.patience {
-            WaitVerdict::GiveUp
-        } else {
-            WaitVerdict::Wait
-        }
-    }
-}
-
-/// Karma/priority aging: every abort earns the thread one karma point;
-/// on each abort the thread with the (weakly) highest karma retries
-/// immediately while poorer threads back off in proportion to their
-/// karma deficit, so the longest-suffering transaction wins the next
-/// race. Karma resets on commit.
-#[derive(Debug)]
-pub struct KarmaAging {
-    karma: Mutex<Vec<u64>>,
-    /// Blocked ticks tolerated before giving up.
-    pub patience: u32,
-}
-
-impl KarmaAging {
-    /// A fresh karma table.
-    pub fn new() -> Self {
-        Self {
-            karma: Mutex::new(Vec::new()),
-            patience: DEFAULT_PATIENCE,
-        }
-    }
-
-    fn with_slot<R>(&self, tid: ThreadId, f: impl FnOnce(&mut Vec<u64>) -> R) -> R {
-        let mut k = self.karma.lock().expect("karma table poisoned");
-        if k.len() <= tid.0 {
-            k.resize(tid.0 + 1, 0);
-        }
-        f(&mut k)
-    }
-}
-
-impl Default for KarmaAging {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ContentionManager for KarmaAging {
-    fn name(&self) -> &'static str {
-        "karma-aging"
-    }
-
-    fn after_abort(&self, tid: ThreadId, _streak: u32) -> Recovery {
-        self.with_slot(tid, |k| {
-            k[tid.0] += 1;
-            let richest = k.iter().copied().max().unwrap_or(0);
-            let deficit = richest - k[tid.0];
-            if deficit == 0 {
-                Recovery::Retry
-            } else {
-                Recovery::Backoff(deficit.min(64))
-            }
-        })
-    }
-
-    fn on_blocked(&self, _tid: ThreadId, blocked_streak: u32) -> WaitVerdict {
-        if blocked_streak >= self.patience {
-            WaitVerdict::GiveUp
-        } else {
-            WaitVerdict::Wait
-        }
-    }
-
-    fn on_commit(&self, tid: ThreadId) {
-        self.with_slot(tid, |k| k[tid.0] = 0);
     }
 }
 
@@ -582,7 +449,6 @@ impl Governor {
                 .expect("contention metrics poisoned");
             m.retries_to_commit.push(self.retries);
         }
-        self.shared.cm.on_commit(self.tid);
         self.streak = 0;
         self.blocked_streak = 0;
         self.retries = 0;
@@ -599,46 +465,6 @@ mod tests {
         let cm = ImmediateRetry;
         assert_eq!(cm.after_abort(ThreadId(0), 1000), Recovery::Retry);
         assert_eq!(cm.on_blocked(ThreadId(0), 1000), WaitVerdict::Wait);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_growing() {
-        let cm = ExponentialBackoff::new(42);
-        for streak in 1..20 {
-            let Recovery::Backoff(a) = cm.after_abort(ThreadId(3), streak) else {
-                panic!("backoff policy must back off");
-            };
-            let Recovery::Backoff(b) = cm.after_abort(ThreadId(3), streak) else {
-                panic!()
-            };
-            assert_eq!(a, b, "same inputs, same delay");
-            assert!(a >= 1 && a <= cm.cap);
-        }
-        // Different seeds decorrelate the jitter.
-        let other = ExponentialBackoff::new(43);
-        let delays = |cm: &ExponentialBackoff| -> Vec<Recovery> {
-            (1..12).map(|s| cm.after_abort(ThreadId(0), s)).collect()
-        };
-        assert_ne!(delays(&cm), delays(&other));
-        assert_eq!(
-            cm.on_blocked(ThreadId(0), DEFAULT_PATIENCE),
-            WaitVerdict::GiveUp
-        );
-    }
-
-    #[test]
-    fn karma_prioritizes_the_long_sufferer() {
-        let cm = KarmaAging::new();
-        // Thread 0 aborts three times, thread 1 once: thread 0 is now
-        // richest and retries immediately; thread 1 must yield.
-        for _ in 0..3 {
-            cm.after_abort(ThreadId(0), 1);
-        }
-        assert_eq!(cm.after_abort(ThreadId(1), 1), Recovery::Backoff(2));
-        assert_eq!(cm.after_abort(ThreadId(0), 4), Recovery::Retry);
-        // Commit resets the winner's karma; the other thread catches up.
-        cm.on_commit(ThreadId(0));
-        assert_eq!(cm.after_abort(ThreadId(1), 2), Recovery::Retry);
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub use boosting::BoostingSystem;
 pub use checkpoint::CheckpointOptimistic;
 pub use conflict::ConflictKeyed;
 pub use contention::{
-    default_manager, ContentionManager, ContentionState, ExponentialBackoff, Gate, Governor,
-    GracefulDegradation, ImmediateRetry, KarmaAging, Recovery, StarvationReport, WaitVerdict,
+    default_manager, ContentionManager, ContentionState, Gate, Governor, GracefulDegradation,
+    ImmediateRetry, Recovery, StarvationReport, WaitVerdict,
 };
 pub use dependent::DependentSystem;
 pub use driver::{
