@@ -7,7 +7,10 @@
 //! hand-written [`method_mover`](SeqSpec::method_mover) and
 //! [`method_keys`](SeqSpec::method_keys) override — plus the two
 //! footprint laws (disjointness ⇒ both-mover, single-key factorization
-//! of `allowed`) — against that ground truth. Each unsound, incomplete,
+//! of `allowed`) — against that ground truth, and checks the two laws of
+//! the in-place step [`apply`](SeqSpec::apply) that the machine's checks
+//! rely on (a refusal writes nothing; `apply` accepts exactly what
+//! [`results`](SeqSpec::results) offers). Each unsound, incomplete,
 //! or needlessly-coarse declaration becomes a rustc-style
 //! [`Diagnostic`]; the checked facts are packaged as a
 //! [`SpecCertificate`] that
@@ -27,6 +30,8 @@
 //!   (exhaustiveness over a bounded universe can be *more* permissive
 //!   than a sound algebraic oracle — a larger universe might refute
 //!   the pair).
+//!
+//! Step findings ([`UNSOUND_STEP`], [`UNSOUND_RESULTS`]) are **errors**.
 //!
 //! Footprint findings: law violations are **errors**
 //! ([`UNSOUND_FOOTPRINT`], [`UNSOUND_FACTORIZATION`]); a method
@@ -66,6 +71,12 @@ pub const UNSOUND_FACTORIZATION: &str = "unsound-factorization";
 pub const COARSE_FORCING: &str = "coarse-forcing";
 /// A declared key class joins methods that provably never conflict.
 pub const NEEDLESSLY_COARSE: &str = "needlessly-coarse";
+/// `apply` refused an operation after writing to the state: a denial
+/// would corrupt the set it was asked about.
+pub const UNSOUND_STEP: &str = "unsound-step";
+/// `results` and `apply` disagree (the check-first law): a return offered
+/// but refused, or accepted but not offered.
+pub const UNSOUND_RESULTS: &str = "unsound-results";
 /// The spec exposes no finite state/method universe to certify against.
 pub const UNCERTIFIABLE: &str = "uncertifiable-spec";
 /// An `inverse` verdict the exhaustive law check refutes: an
@@ -154,6 +165,7 @@ where
     let mut diags = Vec::new();
 
     check_mover_matrix::<S>(&inf, &declared, programs, &mut diags);
+    check_step_laws(spec, &states, &inf, programs, &mut diags);
     check_footprints(spec, &states, &inf, programs, &mut diags);
     let inverse_law = check_inverses(spec, &states, &inf, programs, &mut diags);
 
@@ -313,7 +325,7 @@ fn check_inverses<S: SeqSpec>(
 where
     S::Method: fmt::Display,
 {
-    use pushpull_core::spec::{OpInverse, StateSet};
+    use pushpull_core::spec::OpInverse;
 
     let claims = spec.has_inverses();
     let mut refuted = false;
@@ -347,9 +359,8 @@ where
                 }
                 OpInverse::ReadOnly => {
                     for s in states {
-                        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
-                        let fwd = spec.denote_from(&start, std::slice::from_ref(&op));
-                        if !fwd.is_empty() && fwd != start {
+                        let mut t = s.clone();
+                        if spec.apply(&mut t, m, &op.ret) && t != *s {
                             refuted = true;
                             let d = Diagnostic::global(
                                 Severity::Error,
@@ -370,24 +381,20 @@ where
                     }
                 }
                 OpInverse::Inverse(im, ir) => {
-                    let inv = Op::new(OpId(next_id), TxnId(0), im, ir);
-                    next_id += 1;
                     for s in states {
-                        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
-                        let fwd = spec.denote_from(&start, std::slice::from_ref(&op));
-                        if fwd.is_empty() {
+                        let mut t = s.clone();
+                        if !spec.apply(&mut t, m, &op.ret) {
                             continue; // op not allowed here
                         }
-                        let round = spec.denote_from(&fwd, std::slice::from_ref(&inv));
-                        if round != start {
+                        if !(spec.apply(&mut t, &im, &ir) && t == *s) {
                             refuted = true;
                             let d = Diagnostic::global(
                                 Severity::Error,
                                 UNSOUND_INVERSE,
                                 format!(
                                     "inverse law fails for `{m}` (ret {:?}): applying the \
-                                     declared inverse `{}` does not restore every pre-state",
-                                    op.ret, inv.method
+                                     declared inverse `{im}` does not restore every pre-state",
+                                    op.ret
                                 ),
                             )
                             .with_note(
@@ -456,6 +463,72 @@ fn open_bodies_reach<M: PartialEq>(code: &Code<M>, inside: bool, m: &M) -> bool 
         }
         Code::Star(a) | Code::Tx(a) => open_bodies_reach(a, inside, m),
         Code::OpenTx(a) => open_bodies_reach(a, true, m),
+    }
+}
+
+/// Certifies the two laws of the in-place step, exhaustively over every
+/// universe state, every method of the alphabet and every return it can
+/// observe anywhere in the universe:
+///
+/// * a refused [`apply`](SeqSpec::apply) leaves its state bit-identical
+///   ([`UNSOUND_STEP`]) — a denied step must not corrupt the set stepped;
+/// * the check-first law: `apply(s, m, r)` accepts exactly when
+///   `r ∈ results(s, m)` ([`UNSOUND_RESULTS`]) — what the machine asks
+///   instead of stepping, for APP (ii), PULL (ii) and PUSH (iii).
+///
+/// At most one finding per method and law, at its first counterexample.
+fn check_step_laws<S: SeqSpec>(
+    spec: &S,
+    states: &[S::State],
+    inf: &InferredSpec<S::Method>,
+    programs: &[Vec<Code<S::Method>>],
+    diags: &mut Vec<Diagnostic>,
+) where
+    S::Method: fmt::Display,
+{
+    for m in &inf.methods {
+        let rets = observable_rets(spec, states, m);
+        let (mut wrote, mut disagreed) = (None, None);
+        for s in states {
+            let offered = spec.results(s, m);
+            for r in &rets {
+                let mut t = s.clone();
+                let accepted = spec.apply(&mut t, m, r);
+                if !accepted && t != *s {
+                    wrote.get_or_insert_with(|| format!("{r:?} in {s:?}"));
+                }
+                if accepted != offered.contains(r) {
+                    let how = if accepted { "accepts" } else { "refuses" };
+                    let case =
+                        || format!("{r:?} in {s:?}: `apply` {how} it, `results` does not agree");
+                    disagreed.get_or_insert_with(case);
+                }
+            }
+        }
+        if let Some(case) = wrote {
+            let d = Diagnostic::global(
+                Severity::Error,
+                UNSOUND_STEP,
+                format!("`{m}` writes to the state before refusing: ret {case}"),
+            )
+            .with_note(
+                "`apply` must refuse before it writes; a denied step would corrupt the \
+                 denotation the machine keeps",
+            );
+            diags.push(at_method(d, programs, m));
+        }
+        if let Some(case) = disagreed {
+            let d = Diagnostic::global(
+                Severity::Error,
+                UNSOUND_RESULTS,
+                format!("the check-first law fails for `{m}`: ret {case}"),
+            )
+            .with_note(
+                "the machine checks `r ∈ results(s, m)` instead of stepping; `results` must \
+                 offer exactly the returns `apply` accepts",
+            );
+            diags.push(at_method(d, programs, m));
+        }
     }
 }
 
@@ -613,7 +686,7 @@ mod tests {
     #[test]
     fn unsound_inverse_claim_is_refuted() {
         use pushpull_core::op::Op;
-        use pushpull_core::spec::{KeySet, OpInverse, SeqSpec};
+        use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
         use pushpull_spec::counter::{CtrMethod, CtrRet};
 
         /// Claims `has_inverses` but "undoes" `Add(k)` with another
@@ -628,10 +701,10 @@ mod tests {
             fn initial_states(&self) -> Vec<i64> {
                 self.inner.initial_states()
             }
-            fn post_states(&self, s: &i64, m: &CtrMethod, r: &CtrRet) -> Vec<i64> {
-                self.inner.post_states(s, m, r)
+            fn apply(&self, s: &mut i64, m: &CtrMethod, r: &CtrRet) -> bool {
+                self.inner.apply(s, m, r)
             }
-            fn results(&self, s: &i64, m: &CtrMethod) -> Vec<CtrRet> {
+            fn results(&self, s: &i64, m: &CtrMethod) -> Rets<CtrRet> {
                 self.inner.results(s, m)
             }
             fn state_universe(&self) -> Option<Vec<i64>> {

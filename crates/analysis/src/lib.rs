@@ -22,8 +22,9 @@
 //! Independently of the per-workload pipeline, [`mod@certify`] infers the
 //! ground-truth mover matrix and minimal sound footprint cover for any
 //! spec with finite universes ([`mod@infer`]), cross-checks every
-//! hand-written `method_mover`/`method_keys` declaration and the two
-//! footprint laws against it, and packages the result as a
+//! hand-written `method_mover`/`method_keys` declaration, the two
+//! footprint laws and the two laws of the in-place step against it, and
+//! packages the result as a
 //! [`SpecCertificate`](pushpull_core::SpecCertificate) — which
 //! strict-mode runtimes demand before routing fine-grained shards or
 //! opening an open-nested scope ([`analyze_certified`] threads it
@@ -47,7 +48,8 @@ pub mod summary;
 
 pub use certify::{
     certify, certify_in, Certification, COARSE_FORCING, INCOMPLETE_MOVER, NEEDLESSLY_COARSE,
-    UNCERTIFIABLE, UNSOUND_FACTORIZATION, UNSOUND_FOOTPRINT, UNSOUND_MOVER,
+    UNCERTIFIABLE, UNSOUND_FACTORIZATION, UNSOUND_FOOTPRINT, UNSOUND_MOVER, UNSOUND_RESULTS,
+    UNSOUND_STEP,
 };
 pub use diagnostics::{render_report, Diagnostic, PathStep, Severity, Span};
 pub use infer::{infer, InferredSpec};

@@ -127,13 +127,12 @@ pub fn explore_txn<S: SeqSpec>(
             let mut next: Vec<S::State> = Vec::new();
             'post: for s in &states {
                 for ret in spec.results(s, &m) {
-                    for s2 in spec.post_states(s, &m, &ret) {
-                        if !next.contains(&s2) {
-                            next.push(s2);
-                            if next.len() > cfg.max_states {
-                                capped = true;
-                                break 'post;
-                            }
+                    let mut s2 = s.clone();
+                    if spec.apply(&mut s2, &m, &ret) && !next.contains(&s2) {
+                        next.push(s2);
+                        if next.len() > cfg.max_states {
+                            capped = true;
+                            break 'post;
                         }
                     }
                 }

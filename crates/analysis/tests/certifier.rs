@@ -6,10 +6,11 @@
 
 use pushpull_analysis::{
     certify, infer, COARSE_FORCING, NEEDLESSLY_COARSE, UNSOUND_FOOTPRINT, UNSOUND_MOVER,
+    UNSOUND_RESULTS, UNSOUND_STEP,
 };
 use pushpull_analysis::{Diagnostic, Severity};
 use pushpull_core::op::Op;
-use pushpull_core::spec::{method_mover_exhaustive, KeySet, SeqSpec};
+use pushpull_core::spec::{method_mover_exhaustive, KeySet, Rets, SeqSpec};
 use pushpull_spec::bank::Bank;
 use pushpull_spec::composite::Product;
 use pushpull_spec::counter::Counter;
@@ -23,18 +24,27 @@ use pushpull_spec::set::{SetMethod, SetRet, SetSpec, SetState};
 /// each test wrapper overrides exactly one declaration on top.
 macro_rules! delegate_set_semantics {
     () => {
+        delegate_set_universe!();
+
+        fn apply(&self, s: &mut SetState, m: &SetMethod, r: &SetRet) -> bool {
+            self.inner.apply(s, m, r)
+        }
+        fn results(&self, s: &SetState, m: &SetMethod) -> Rets<SetRet> {
+            self.inner.results(s, m)
+        }
+    };
+}
+
+/// [`delegate_set_semantics`] without the step and its returns, for the
+/// wrappers that seed a defect in one of those.
+macro_rules! delegate_set_universe {
+    () => {
         type Method = SetMethod;
         type Ret = SetRet;
         type State = SetState;
 
         fn initial_states(&self) -> Vec<SetState> {
             self.inner.initial_states()
-        }
-        fn post_states(&self, s: &SetState, m: &SetMethod, r: &SetRet) -> Vec<SetState> {
-            self.inner.post_states(s, m, r)
-        }
-        fn results(&self, s: &SetState, m: &SetMethod) -> Vec<SetRet> {
-            self.inner.results(s, m)
         }
         fn state_universe(&self) -> Option<Vec<SetState>> {
             self.inner.state_universe()
@@ -211,6 +221,97 @@ fn one_class_cover_is_needlessly_coarse() {
     // The base spec's per-element cover draws no such note.
     let clean = certify(&base(), "set").unwrap();
     assert!(findings(&clean.diagnostics, NEEDLESSLY_COARSE).is_empty());
+}
+
+/// `Remove(x)` takes `x` out before it compares the observed presence, so
+/// a refused removal has already written.
+struct WritesBeforeRefusing {
+    inner: SetSpec,
+}
+
+impl SeqSpec for WritesBeforeRefusing {
+    delegate_set_universe!();
+
+    fn apply(&self, s: &mut SetState, m: &SetMethod, r: &SetRet) -> bool {
+        match m {
+            SetMethod::Remove(x) => s.remove(x) == r.0,
+            _ => self.inner.apply(s, m, r),
+        }
+    }
+
+    fn results(&self, s: &SetState, m: &SetMethod) -> Rets<SetRet> {
+        self.inner.results(s, m)
+    }
+
+    fn method_keys(&self, m: &SetMethod) -> Option<KeySet> {
+        self.inner.method_keys(m)
+    }
+}
+
+#[test]
+fn a_step_that_writes_before_refusing_is_an_error() {
+    let cert = certify(&WritesBeforeRefusing { inner: base() }, "writes-first").unwrap();
+    assert!(!cert.is_valid());
+    let hits = findings(&cert.diagnostics, UNSOUND_STEP);
+    assert_eq!(
+        hits.len(),
+        2,
+        "one error per bounded element:\n{:?}",
+        cert.diagnostics
+    );
+    for d in &hits {
+        assert_eq!(d.severity, Severity::Error);
+        assert!(d.message.contains("remove"), "{}", d.message);
+    }
+    // It accepts exactly what `results` offers: only the write is wrong.
+    assert!(findings(&cert.diagnostics, UNSOUND_RESULTS).is_empty());
+}
+
+/// `Contains(x)` offers both answers, though every state pins one: a
+/// return `results` offers that `apply` refuses.
+struct OffersBoth {
+    inner: SetSpec,
+}
+
+impl SeqSpec for OffersBoth {
+    delegate_set_universe!();
+
+    fn apply(&self, s: &mut SetState, m: &SetMethod, r: &SetRet) -> bool {
+        self.inner.apply(s, m, r)
+    }
+
+    fn results(&self, s: &SetState, m: &SetMethod) -> Rets<SetRet> {
+        match m {
+            SetMethod::Contains(_) => [SetRet(true), SetRet(false)].into_iter().collect(),
+            _ => self.inner.results(s, m),
+        }
+    }
+
+    fn method_keys(&self, m: &SetMethod) -> Option<KeySet> {
+        self.inner.method_keys(m)
+    }
+}
+
+#[test]
+fn results_offering_a_refused_return_break_the_check_first_law() {
+    let cert = certify(&OffersBoth { inner: base() }, "offers-both").unwrap();
+    assert!(!cert.is_valid());
+    let hits = findings(&cert.diagnostics, UNSOUND_RESULTS);
+    assert_eq!(
+        hits.len(),
+        2,
+        "one error per bounded element:\n{:?}",
+        cert.diagnostics
+    );
+    for d in &hits {
+        assert_eq!(d.severity, Severity::Error);
+        assert!(
+            d.message.contains("contains") && d.message.contains("refuses"),
+            "{}",
+            d.message
+        );
+    }
+    assert!(findings(&cert.diagnostics, UNSOUND_STEP).is_empty());
 }
 
 /// The inferred matrix is definitionally the exhaustive method-level

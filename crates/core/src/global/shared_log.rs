@@ -62,17 +62,21 @@
 //! Each shard's `PrefixCache` keeps two points per class `k`:
 //! `classes[k] = ⟦G_i[..len]|k⟧` at `len`, the end of the longest fully
 //! committed prefix (an absent class denotes `⟦ε⟧`), and `ends[k] =
-//! ⟦G_i|k⟧` at the end of the whole segment. A PUSH of class `k` steps
-//! `ends[k]` by its own operation, or else replays `classes[k]` over the
-//! suffix entries of its class; the `⟦G_i|k · op⟧` that proved it
-//! (`LogView::allows`, carried by the kernel's verdict) is what
-//! `GlobalState::append_push` installs as the new `ends[k]`. UNPUSH (ii)
-//! replays `classes[k]` over the suffix without its entry. The denotation
-//! is compositional, so the verdicts — and the audit counts, which count
-//! queries — are those of the full replay, and a `debug_assert!` re-checks
-//! every end set a PUSH starts from. When a CMT leaves the shard fully
-//! committed, each `ends[k]` *is* the new `classes[k]` and moves there
-//! with no spec step; only classes without an end set are folded.
+//! ⟦G_i|k⟧` at the end of the whole segment. Both are owned and only ever
+//! stepped forward, so both are stepped *in place* ([`StateSet::step`]).
+//! A PUSH of class `k` *checks* `ends[k]` against its own operation, or
+//! else `classes[k]` replayed over the suffix entries of its class — the
+//! kernel stays pure, and a denial costs no copy. A class-local pass says
+//! so in the kernel's verdict, and `GlobalState::append_push` then steps
+//! `ends[k]` in place under the same lock, seeding it from that replay
+//! when the class has none: one copy of the class's state per run of
+//! pushes, not one per push. UNPUSH (ii) replays `classes[k]` over the
+//! suffix without its entry. The denotation is compositional, so the
+//! verdicts — and the audit counts, which count queries — are those of the
+//! full replay, and a `debug_assert!` re-checks every end set a PUSH starts
+//! from. When a CMT leaves the shard fully committed, each `ends[k]` *is*
+//! the new `classes[k]` and moves there with no spec step; only classes
+//! without an end set are folded, each in place.
 //!
 //! The scans that by the all-committed invariant concern only entries
 //! past `len` start there too: PUSH (ii)'s foreign-uncommitted mover
@@ -82,19 +86,19 @@
 //! A multi-shard (coarse) view and [`GlobalState::set_incremental`]`(false)`
 //! skip every cache: the merged (or the one shard's) log is replayed in
 //! full from position 0 — the reference the differential tests compare
-//! against. Neither proves a class-local set, so neither installs an end
-//! set, and neither reads one. A method with no single-key footprint has
+//! against. Neither answers class-locally, so neither steps an end set,
+//! and neither reads one. A method with no single-key footprint has
 //! no class; entries of one exist only once the sticky coarse flag is set,
 //! after which no cache is read again.
 //!
 //! Invalidation rules, per shard — an end set, where present, is always
 //! `⟦G_i|k⟧`, whichever path evaluates:
 //!
-//! * PUSH appends — the cached prefix is untouched. An append with the set
-//!   that proved it installs that set as its class's end set; an append
-//!   with none — `Unchecked` mode, `set_incremental(false)`, a coarse
-//!   multi-shard view, a compensation — drops its class's end set. Other
-//!   classes' end sets are untouched: `G_i|j` did not change.
+//! * PUSH appends — the cached prefix is untouched. An append whose PUSH
+//!   (iii) passed class-locally steps its class's end set; any other —
+//!   `Unchecked` mode, `set_incremental(false)`, a coarse multi-shard view,
+//!   a compensation — drops it. Other classes' end sets are untouched:
+//!   `G_i|j` did not change.
 //! * CMT flips flags in place and never reorders — flags are not part of
 //!   the denotation, so both points stay valid and the cache is then
 //!   *advanced*: when the shard is fully committed the end sets move into
@@ -137,7 +141,7 @@ struct PrefixCache<St> {
     /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
     classes: HashMap<u64, StateSet<St>>,
     /// `⟦G_i|k⟧` over the whole segment, for every class `k` whose last
-    /// append carried the set that proved its PUSH (iii).
+    /// append passed its PUSH (iii) class-locally.
     ends: HashMap<u64, StateSet<St>>,
 }
 
@@ -302,8 +306,32 @@ impl<S: SeqSpec> ShardLog<S> {
         }
     }
 
+    /// Steps class `class`'s end-of-log set in place by `op`, whose PUSH
+    /// (iii) the kernel has just passed class-locally, before `op` is
+    /// appended (under a layout of `n` shards). A class without one seeds
+    /// it from its committed-prefix set replayed over the class's suffix —
+    /// the one copy of the class's state a run of pushes makes.
+    fn step_end(&mut self, spec: &S, n: usize, class: u64, op: &Op<S::Method, S::Ret>) {
+        let PrefixCache {
+            len,
+            initial,
+            classes,
+            ends,
+        } = &mut self.cache;
+        let end = ends.entry(class).or_insert_with(|| {
+            let suffix = self.entries[*len..].iter().map(|(_, e)| &e.op);
+            let of_class = suffix.filter(|o| class_in(spec, n, &o.method) == Some(class));
+            spec.denote_from_refs(classes.get(&class).unwrap_or(initial), of_class)
+        });
+        let stepped = end.step(spec, op);
+        debug_assert!(
+            stepped,
+            "the kernel checked that class {class} allows the op"
+        );
+    }
+
     /// Advances the cache (of a layout of `n` shards) over the newly
-    /// committed prefix, folding each entry into its own class. When that
+    /// committed prefix, stepping each entry's own class in place. When that
     /// prefix is the whole segment, a class's end-of-log set *is* its new
     /// committed-prefix set: it moves into `classes`, and only the entries
     /// of classes without one are folded. An entry without a class exists
@@ -314,20 +342,27 @@ impl<S: SeqSpec> ShardLog<S> {
     fn advance_cache(&mut self, spec: &S, n: usize) {
         let pending = &self.entries[self.cache.len..];
         let whole = pending.iter().all(|(_, e)| e.flag == GlobalFlag::Committed);
-        let cache = &mut self.cache;
+        let PrefixCache {
+            len,
+            initial,
+            classes,
+            ends,
+        } = &mut self.cache;
         for (_, e) in pending {
             if e.flag != GlobalFlag::Committed {
                 break;
             }
             let class = class_in(spec, n, &e.op.method);
-            if let Some(class) = class.filter(|k| !(whole && cache.ends.contains_key(k))) {
-                let next = spec.denote_from_refs(cache.class(class), std::iter::once(&e.op));
-                cache.classes.insert(class, next);
+            if let Some(class) = class.filter(|k| !(whole && ends.contains_key(k))) {
+                let states = classes.entry(class).or_insert_with(|| initial.clone());
+                if !states.step(spec, &e.op) {
+                    *states = StateSet::new();
+                }
             }
-            cache.len += 1;
+            *len += 1;
         }
         if whole {
-            cache.classes.extend(cache.ends.drain());
+            classes.extend(ends.drain());
         }
     }
 }
@@ -542,53 +577,55 @@ impl<S: SeqSpec> LogView<'_, S> {
         later.map(|(_, e)| e)
     }
 
-    /// PUSH (iii): does `G` allow `op`? On the class-local path an allowed
-    /// `op` also yields the set that proved it, `⟦G|k · op⟧` for its class
-    /// `k` — what [`GlobalState::append_push`] installs as `k`'s
-    /// end-of-log set. A coarse or full-replay evaluation yields none: its
-    /// states are not one class's.
+    /// PUSH (iii): does `G` allow `op` — and was that answered
+    /// class-locally, so that [`GlobalState::append_push`] steps the
+    /// end-of-log set of `op`'s class? A coarse or full-replay evaluation
+    /// is not: its states are not one class's.
     pub(crate) fn allows(
         &self,
         global: &GlobalState<S>,
         op: &Op<S::Method, S::Ret>,
-    ) -> (bool, Option<StateSet<S::State>>) {
-        let (states, class_local) = self.replay(global, &op.method, None, Some(op));
-        let allowed = !states.is_empty();
-        (allowed, (allowed && class_local).then_some(states))
+    ) -> (bool, bool) {
+        self.replay(global, &op.method, None, Some(op))
     }
 
     /// UNPUSH (ii): is `G` without the entry at `(view index, position)`,
     /// as located by [`Self::find`], still allowed?
     pub(crate) fn allowed_without(&self, global: &GlobalState<S>, at: (usize, usize)) -> bool {
         let method = &self.at(at.0, at.1).op.method;
-        !self.replay(global, method, Some(at), None).0.is_empty()
+        self.replay(global, method, Some(at), None).0
     }
 
-    /// `⟦(G ∖ skip) · then⟧`, as far as the `allowed` verdict about an
-    /// operation of `method` needs it, and whether it was evaluated
-    /// class-locally. A view of one shard (the only one held, or the
-    /// focused one) with the incremental path on starts from a cached set
-    /// of `method`'s footprint class: for a PUSH, the class's end-of-log
-    /// set when the shard has one, stepped by `then` alone; otherwise the
-    /// committed-prefix set, replayed over the suffix entries of that
-    /// class past the shard's committed boundary. A multi-shard view
-    /// replays the merged stamp-ordered log in full. Empty or not is the
-    /// same either way (module docs). `skip` is an uncommitted entry, so it
-    /// lies past the boundary; if it ever does not (unreachable through the
-    /// rule API), fall back to the full replay.
-    fn replay<'o>(
-        &'o self,
+    /// Is `(G ∖ skip) · then` allowed, as far as the verdict about an
+    /// operation of `method` needs it — and was it evaluated class-locally?
+    /// A view of one shard (the only one held, or the focused one) with the
+    /// incremental path on starts from a cached set of `method`'s footprint
+    /// class: for a PUSH, the class's end-of-log set when the shard has
+    /// one, checked against `then` alone; otherwise the committed-prefix
+    /// set, replayed over the suffix entries of that class past the shard's
+    /// committed boundary (checked where it is, when there are none). A
+    /// multi-shard view replays the merged stamp-ordered log in full. The
+    /// verdict is the same either way (module docs), and `then` is always
+    /// a check, never a step. `skip` is an uncommitted entry, so it lies
+    /// past the boundary; if it ever does not (unreachable through the rule
+    /// API), fall back to the full replay.
+    fn replay(
+        &self,
         global: &GlobalState<S>,
         method: &S::Method,
         skip: Option<(usize, usize)>,
-        then: Option<&'o Op<S::Method, S::Ret>>,
-    ) -> (StateSet<S::State>, bool) {
-        let spec = &global.spec;
+        then: Option<&Op<S::Method, S::Ret>>,
+    ) -> (bool, bool) {
+        let spec = global.spec();
+        let allowed = |states: &StateSet<S::State>| match then {
+            Some(op) => states.admits(spec, op),
+            None => !states.is_empty(),
+        };
         let scope = self.scope();
         if scope.len() != 1 {
             let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
             let merged = self.live().filter(|e| Some(e.op.id) != skipped);
-            return (spec.denote_refs(merged.map(|e| &e.op).chain(then)), false);
+            return (allowed(&spec.denote_refs(merged.map(|e| &e.op))), false);
         }
         let sh = &self.shards[scope.start].1;
         let skip = skip.map(|(_, pos)| pos);
@@ -599,21 +636,24 @@ impl<S: SeqSpec> LogView<'_, S> {
         };
         let cached = global.incremental() && skip.is_none_or(|p| p >= sh.cache.len);
         let Some(class) = global.class_of(method).filter(|_| cached) else {
-            return (spec.denote_refs(ops_from(0).chain(then)), false);
+            return (allowed(&spec.denote_refs(ops_from(0))), false);
         };
         let suffix = ops_from(sh.cache.len);
-        let of_class = suffix.filter(|op| global.class_of(&op.method) == Some(class));
-        let states = match sh.cache.ends.get(&class).filter(|_| skip.is_none()) {
+        let mut of_class = suffix
+            .filter(|op| global.class_of(&op.method) == Some(class))
+            .peekable();
+        let verdict = match sh.cache.ends.get(&class).filter(|_| skip.is_none()) {
             Some(end) => {
                 debug_assert!(
                     *end == spec.denote_from_refs(sh.cache.class(class), of_class),
                     "the end-of-log set of class {class} is the replay of its suffix"
                 );
-                spec.denote_from_refs(end, then)
+                allowed(end)
             }
-            None => spec.denote_from_refs(sh.cache.class(class), of_class.chain(then)),
+            None if of_class.peek().is_none() => allowed(sh.cache.class(class)),
+            None => allowed(&spec.denote_from_refs(sh.cache.class(class), of_class)),
         };
-        (states, true)
+        (verdict, true)
     }
 }
 
@@ -897,16 +937,16 @@ impl<S: SeqSpec> GlobalState<S> {
     /// under the shard lock — one at a time, or as a group-commit
     /// batch's contiguous block handed out one append at a time.
     /// `target` is the routed shard ([`Route::target`]), whichever shards
-    /// the view holds. `proved` — the class-local `⟦G|k · op⟧` that proved
-    /// PUSH (iii), see [`LogView::allows`] — becomes class `k`'s end-of-log
-    /// set; an append without one drops the class's end set instead.
+    /// the view holds. `step_end` — PUSH (iii) passed class-locally, see
+    /// [`LogView::allows`] — steps class `k`'s end-of-log set in place to
+    /// `⟦G|k · op⟧`; an append without it drops the class's end set instead.
     pub(crate) fn append_push(
         &self,
         view: &mut LogView<'_, S>,
         target: usize,
         stamp: u64,
         op: Op<S::Method, S::Ret>,
-        proved: Option<StateSet<S::State>>,
+        step_end: bool,
     ) {
         let class = self.class_of(&op.method);
         let (_, sh) = view
@@ -914,13 +954,14 @@ impl<S: SeqSpec> GlobalState<S> {
             .iter_mut()
             .find(|(i, _)| *i == target)
             .expect("append target shard is held by the view");
-        sh.push_uncommitted(stamp, op);
-        if let Some(class) = class {
-            match proved {
-                Some(end) => sh.cache.ends.insert(class, end),
-                None => sh.cache.ends.remove(&class),
-            };
+        match class {
+            Some(class) if step_end => sh.step_end(&*self.spec, self.shard_count(), class, &op),
+            Some(class) => {
+                sh.cache.ends.remove(&class);
+            }
+            None => {}
         }
+        sh.push_uncommitted(stamp, op);
     }
 
     /// Reserves a contiguous block of `n` commit-sequence stamps and

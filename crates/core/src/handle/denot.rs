@@ -3,31 +3,26 @@
 //! APP (ii), PULL (ii) and UNPULL (i) are `allowed` queries over the
 //! *local* log. The handle keeps `⟦L⟧` beside `L` (`LocalDenot`, a
 //! [`StateSet`] — one inline state for every deterministic spec), so each
-//! is one step of that set rather than a replay of `L`: an append installs
-//! the stepped set; removing the tail keeps only the fact that `L` was
-//! allowed, which by prefix closure answers the next UNPULL at the tail;
-//! anything else replays `L` once, lazily. [`TxnHandle::app_method`] and
-//! [`TxnHandle::app_auto`] pick a return value by stepping `⟦L⟧` by each
-//! candidate, so the `⟦L · op⟧` that proved the pick allowed *is* APP
-//! (ii)'s evaluation: APP tallies its query and installs that set instead
-//! of stepping a second time. Each rule firing is still exactly one
-//! audited `allowed` query, and [`GlobalState::set_incremental`]`(false)`
-//! switches the carried set off with the shards' prefix caches — the
-//! full-replay reference, which evaluates the pick and the criterion
-//! separately.
+//! is one check of that set rather than a replay of `L`: an append steps
+//! the set in place by the appended operation; removing the tail keeps
+//! only the fact that `L` was allowed, which by prefix closure answers the
+//! next UNPULL at the tail; anything else replays `L` once, lazily. The
+//! criterion is a *check* — the check-first law of [`SeqSpec::results`] —
+//! so a denial leaves the carried set as it was and nothing is copied to
+//! ask. [`TxnHandle::app_method`] and [`TxnHandle::app_auto`] pick their
+//! return value by the same law: the first one `⟦L⟧` offers is allowed.
+//! Each rule firing is still exactly one audited `allowed` query, and
+//! [`GlobalState::set_incremental`]`(false)` switches the carried set off
+//! with the shards' prefix caches — the full-replay reference.
 
 use std::borrow::Cow;
 
 use crate::error::{MachineError, MachineResult};
-use crate::lang::dedup_in_place;
 use crate::log::LocalEntry;
-use crate::op::{Op, OpId};
+use crate::op::Op;
 use crate::spec::{SeqSpec, StateSet};
 
 use super::TxnHandle;
-
-/// A return value with the `⟦L · op⟧` that proves `L` allows it.
-type Allowed<S> = (<S as SeqSpec>::Ret, StateSet<<S as SeqSpec>::State>);
 
 /// What a handle knows of `⟦L⟧` without replaying `L` — the carried local
 /// denotation (DESIGN.md §10). Always *valid* for the current `L`; whether
@@ -67,58 +62,41 @@ impl<St> LocalDenot<St> {
 
 impl<S: SeqSpec> TxnHandle<S> {
     /// Return values `r` such that the local log allows `⟨m, r⟩`
-    /// (APP criterion (ii) candidates), in the order the states of `⟦L⟧`
-    /// first offer them — reproducible, since a [`StateSet`] iterates in
+    /// (APP criterion (ii) candidates): by the check-first law, every
+    /// return some state of `⟦L⟧` offers, in the order the states first
+    /// offer them — reproducible, since a [`StateSet`] iterates in
     /// insertion order.
     pub fn allowed_results(&self, method: &S::Method) -> MachineResult<Vec<S::Ret>> {
-        let states = self.local_denotation();
-        Ok(self.allowed_from(&states, method).map(|(r, _)| r).collect())
-    }
-
-    /// Every return value `r` that `method` can observe in some state of
-    /// `states` (= `⟦L⟧`) and that the whole set allows, each with the
-    /// `⟦L · ⟨method, r⟩⟧` that proves it — evaluated lazily, one candidate
-    /// per `next()`.
-    fn allowed_from<'s>(
-        &'s self,
-        states: &'s StateSet<S::State>,
-        method: &'s S::Method,
-    ) -> impl Iterator<Item = Allowed<S>> + 's {
         let spec = self.global.spec();
-        // The first state's own `Vec` of results is the candidate list.
-        let mut offered = states.iter().map(|s| spec.results(s, method));
-        let mut candidates = offered.next().unwrap_or_default();
-        dedup_in_place(&mut candidates);
-        for r in offered.flatten() {
-            if !candidates.contains(&r) {
-                candidates.push(r);
+        let mut rets = Vec::new();
+        for s in self.local_denotation().iter() {
+            for r in spec.results(s, method) {
+                if !rets.contains(&r) {
+                    rets.push(r);
+                }
             }
         }
-        candidates.into_iter().filter_map(move |ret| {
-            // The id never reaches the spec: denotations read method and
-            // return only.
-            let op = Op::new(OpId(u64::MAX), self.txn, method.clone(), ret);
-            let next = spec.denote_from(states, std::slice::from_ref(&op));
-            (!next.is_empty()).then_some((op.ret, next))
-        })
+        Ok(rets)
     }
 
     /// The first return value `L` allows `method` to observe — what
-    /// [`Self::app_method`] and [`Self::app_auto`] apply — with the
-    /// `⟦L · ⟨method, r⟩⟧` that proved it allowed.
-    pub(super) fn first_allowed(&mut self, method: &S::Method) -> MachineResult<Allowed<S>> {
+    /// [`Self::app_method`] and [`Self::app_auto`] apply.
+    pub(super) fn first_allowed(&mut self, method: &S::Method) -> MachineResult<S::Ret> {
         self.carry();
+        let spec = self.global.spec();
         let states = self.local_denotation();
-        let first = self.allowed_from(&states, method).next();
+        let first = states
+            .iter()
+            .find_map(|s| spec.results(s, method).into_iter().next());
         first.ok_or(MachineError::NoAllowedResult(self.tid))
     }
 
     // ------------------------------------------------------------------
     // The carried local denotation: `⟦L⟧` kept beside `L`, so the local
-    // criteria step it by one operation instead of replaying `L`. Every
-    // change to `L` goes through `append_local` or leaves `denot` what
-    // `without_tail` allows; `set_incremental(false)` ignores it and is
-    // the full-replay reference.
+    // criteria check it instead of replaying `L`, and an append steps it
+    // in place. Every change to `L` goes through `append_local` or leaves
+    // `denot` what `without_tail` allows; `set_incremental(false)` ignores
+    // it and is the full-replay reference.
     // ------------------------------------------------------------------
 
     /// The operations of `L`, in log order.
@@ -162,39 +140,33 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// `L allows op` — the one audited query behind APP (ii) and PULL
-    /// (ii): `⟦L · op⟧` if it is non-empty. `proved` is that set when the
-    /// caller's choice of `op` already evaluated it over the carried `⟦L⟧`
-    /// ([`Self::first_allowed`]); otherwise the carried `⟦L⟧` is stepped by
-    /// `op` here, or `L · op` replayed in full with the incremental path
-    /// off. The query is tallied the same either way.
-    pub(super) fn local_allows(
-        &mut self,
-        op: &Op<S::Method, S::Ret>,
-        proved: Option<StateSet<S::State>>,
-    ) -> Option<StateSet<S::State>> {
+    /// (ii): a check of the carried `⟦L⟧`, which stays as it was whatever
+    /// the answer, or with the incremental path off a replay of `L · op`.
+    pub(super) fn local_allows(&mut self, op: &Op<S::Method, S::Ret>) -> bool {
         self.global.counters.audit.count_allowed();
         self.carry();
         let spec = self.global.spec();
-        let step = |states| spec.denote_from(states, std::slice::from_ref(op));
-        let next = match (proved, self.carried()) {
-            (Some(next), carried) => {
-                debug_assert!(carried.is_some_and(|states| next == step(states)));
-                next
-            }
-            (None, Some(states)) => step(states),
-            (None, None) => spec.denote_refs(self.local_ops().chain(std::iter::once(op))),
-        };
-        (!next.is_empty()).then_some(next)
+        match self.carried() {
+            Some(states) => states.admits(spec, op),
+            None => !spec
+                .denote_refs(self.local_ops().chain(std::iter::once(op)))
+                .is_empty(),
+        }
     }
 
-    /// Appends `entry` to `L`; `next` is `⟦L · entry⟧` if the rule
-    /// evaluated it.
-    pub(super) fn append_local(
-        &mut self,
-        entry: LocalEntry<S::Method, S::Ret>,
-        next: Option<StateSet<S::State>>,
-    ) {
+    /// Appends `entry` to `L`. `allowed` says [`Self::local_allows`]
+    /// passed on its operation: then a carried `⟦L⟧` is stepped in place
+    /// to `⟦L · entry⟧`; otherwise nothing is known of the new `L`.
+    pub(super) fn append_local(&mut self, entry: LocalEntry<S::Method, S::Ret>, allowed: bool) {
+        let spec = self.global.spec();
+        self.denot = match std::mem::replace(&mut self.denot, LocalDenot::Unknown) {
+            LocalDenot::States(mut states) if allowed && self.global.incremental() => {
+                let stepped = states.step(spec, &entry.op);
+                debug_assert!(stepped, "an allowed operation steps the carried set");
+                LocalDenot::States(states)
+            }
+            _ => LocalDenot::Unknown,
+        };
         self.local.push_entry(entry);
-        self.denot = next.map_or(LocalDenot::Unknown, LocalDenot::States);
     }
 }

@@ -9,7 +9,7 @@ use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, LocalEntry, LocalFlag};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, TxnId};
-use crate::spec::{SeqSpec, StateSet};
+use crate::spec::SeqSpec;
 use crate::trace::Event;
 
 use super::denot::LocalDenot;
@@ -49,20 +49,18 @@ impl<S: SeqSpec> TxnHandle<S> {
         if self.mode() != CheckMode::Unchecked && !in_step(code, &method, &cont) {
             return Err(MachineError::NoSuchStep(self.tid));
         }
-        self.app_step(method, cont, ret, None)
+        self.app_step(method, cont, ret)
     }
 
     /// The one APP body, past the fault gate and criterion (i): `(method,
     /// cont)` is in `step(c)` — looked up by [`Self::app`], or taken from
-    /// it by [`Self::app_chosen`]. `proved` is `⟦L · ⟨method, ret⟩⟧` when
-    /// choosing `ret` already evaluated it ([`Self::first_allowed`]);
-    /// criterion (ii) is tallied and audited the same with or without.
+    /// it by [`Self::app_chosen`]. Criterion (ii) checks the carried `⟦L⟧`,
+    /// and the append steps it in place.
     fn app_step(
         &mut self,
         method: S::Method,
         cont: Code<S::Method>,
         ret: S::Ret,
-        proved: Option<StateSet<S::State>>,
     ) -> MachineResult<OpId> {
         let checked = self.mode() != CheckMode::Unchecked;
         debug_assert!(!checked || in_step(self.active_code()?, &method, &cont));
@@ -71,10 +69,10 @@ impl<S: SeqSpec> TxnHandle<S> {
         // transaction; everywhere else `current_txn()` is the root.
         let op = Op::new(id, self.current_txn(), method.clone(), ret.clone());
         // Criterion (ii): L allows op.
-        let mut next = None;
+        let mut allowed = false;
         if checked {
-            next = self.local_allows(&op, proved);
-            let denial = next.is_none();
+            allowed = self.local_allows(&op);
+            let denial = !allowed;
             let detail = || format!("local log does not allow {:?} -> {:?}", method, ret);
             self.local_criterion(Rule::App, Clause::Ii, denial.then(detail))?;
         }
@@ -89,7 +87,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             saved_code,
             stack_len,
         };
-        self.append_local(LocalEntry { op, flag }, next);
+        self.append_local(LocalEntry { op, flag }, allowed);
         let tid = self.tid;
         self.record(Event::App {
             thread: tid,
@@ -103,8 +101,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// **APP** of the first `step(c)` option `pick` accepts, with the
     /// first return value `L` allows — the body of [`Self::app_method`]
     /// and [`Self::app_auto`]. Criterion (i) holds by construction (the
-    /// pair is an element of the `step(c)` derived here, once), and the
-    /// set that proved the return allowed is handed to criterion (ii).
+    /// pair is an element of the `step(c)` derived here, once).
     fn app_chosen(&mut self, pick: impl Fn(&S::Method) -> bool) -> MachineResult<OpId> {
         self.settle_scopes()?;
         let options = self.step_options()?;
@@ -112,11 +109,9 @@ impl<S: SeqSpec> TxnHandle<S> {
             .into_iter()
             .find(|(m, _)| pick(m))
             .ok_or(MachineError::NoSuchStep(self.tid))?;
-        let (ret, next) = self.first_allowed(&m)?;
-        // The full-replay reference evaluates its criterion itself.
-        let proved = self.global.incremental().then_some(next);
+        let ret = self.first_allowed(&m)?;
         self.fault_gate(Rule::App)?;
-        self.app_step(m, cont, ret, proved)
+        self.app_step(m, cont, ret)
     }
 
     /// **APP**, selecting the first `step(c)` option whose method equals
@@ -229,13 +224,10 @@ impl<S: SeqSpec> TxnHandle<S> {
         let method = op.method.clone();
         let global = &*self.global;
         // Criteria (ii)/(iii) and the append to `G`, one critical section;
-        // the set that proved (iii) is installed with the entry.
+        // a class-local pass of (iii) steps its class's end-of-log set.
         self.shared_section(route, held, |view, target, stamp| {
-            let proved = if checked {
-                criteria::push(global, view, op.txn, &op).settle(&global.counters.audit)?
-            } else {
-                None
-            };
+            let step_end = checked
+                && criteria::push(global, view, op.txn, &op).settle(&global.counters.audit)?;
             let stamp = match stamp {
                 Some(cursor) => {
                     *cursor += 1;
@@ -243,7 +235,7 @@ impl<S: SeqSpec> TxnHandle<S> {
                 }
                 None => global.reserve_stamps(1),
             };
-            global.append_push(view, target, stamp, op, proved);
+            global.append_push(view, target, stamp, op, step_end);
             Ok(())
         })?;
         // Effect on the local half (private to this thread): flip flag.
@@ -386,13 +378,13 @@ impl<S: SeqSpec> TxnHandle<S> {
                 format!("{op_id} already pulled"),
             ));
         }
-        let mut next = None;
+        let mut allowed = false;
         if checked {
             self.global.counters.audit.pass(Rule::Pull, Clause::I);
             // Criterion (ii): L allows op.
-            next = self.local_allows(&gentry.op, None);
+            allowed = self.local_allows(&gentry.op);
             let detail = || format!("local log does not allow pulled {}", op_id);
-            self.local_criterion(Rule::Pull, Clause::Ii, next.is_none().then(detail))?;
+            self.local_criterion(Rule::Pull, Clause::Ii, (!allowed).then(detail))?;
             // Criterion (iii), gray: own local ops move right of op.
             if check_gray {
                 let mut own = self.local.iter().filter(|e| e.flag.is_own());
@@ -414,7 +406,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             op: gentry.op.clone(),
             flag: LocalFlag::Pulled,
         };
-        self.append_local(entry, next);
+        self.append_local(entry, allowed);
         let tid = self.tid;
         self.record(Event::Pull {
             thread: tid,

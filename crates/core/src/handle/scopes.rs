@@ -481,10 +481,10 @@ impl<S: SeqSpec> TxnHandle<S> {
                 }
                 let target = self.global.route(method).target();
                 let stamp = self.global.reserve_stamps(1);
-                // A compensation append installs no end-of-log set: it
-                // drops its class's (`global.rs`, invalidation rules).
+                // A compensation append steps no end-of-log set: it drops
+                // its class's (`shared_log.rs`, invalidation rules).
                 self.global
-                    .append_push(&mut view, target, stamp, op.clone(), None);
+                    .append_push(&mut view, target, stamp, op.clone(), false);
                 tmp.push(LocalEntry {
                     op: op.clone(),
                     flag: LocalFlag::Pushed {

@@ -291,7 +291,8 @@ pub fn compensation_restores<S: SeqSpec>(
     true
 }
 
-/// Relational image of an operation sequence over a set of states.
+/// Image of an operation sequence over a set of states: each state is
+/// stepped in place, and those an operation refuses drop out.
 fn run_ops<S: SeqSpec>(
     spec: &S,
     mut states: Vec<S::State>,
@@ -299,11 +300,9 @@ fn run_ops<S: SeqSpec>(
 ) -> Vec<S::State> {
     for op in ops {
         let mut next = Vec::new();
-        for s in &states {
-            for post in spec.post_states(s, &op.method, &op.ret) {
-                if !next.contains(&post) {
-                    next.push(post);
-                }
+        for mut s in states {
+            if spec.apply(&mut s, &op.method, &op.ret) && !next.contains(&s) {
+                next.push(s);
             }
         }
         states = next;

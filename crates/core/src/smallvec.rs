@@ -299,6 +299,35 @@ impl<'a, T, const N: usize> IntoIterator for &'a mut SmallVec<T, N> {
     }
 }
 
+/// Owned iteration over a [`SmallVec`], front to back.
+#[derive(Debug)]
+pub struct IntoIter<T, const N: usize> {
+    /// The elements still to yield, last first.
+    reversed: SmallVec<T, N>,
+}
+
+impl<T, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        self.reversed.pop()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.reversed.len(), Some(self.reversed.len()))
+    }
+}
+
+impl<T, const N: usize> IntoIterator for SmallVec<T, N> {
+    type Item = T;
+    type IntoIter = IntoIter<T, N>;
+
+    fn into_iter(mut self) -> Self::IntoIter {
+        self.reverse();
+        IntoIter { reversed: self }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

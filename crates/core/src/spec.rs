@@ -6,8 +6,17 @@
 //! `allowed` to be induced by a denotation `⟦op⟧ : P(State × State)` with
 //! initial states `I`, via `allowed ℓ ⇔ ⟦ℓ⟧ ≠ ∅` where
 //! `⟦ℓ·op⟧ = ⟦ℓ⟧;⟦op⟧` and `⟦ε⟧ = I`. [`SeqSpec`] captures exactly this:
-//! implementors supply the denotation ([`SeqSpec::initial_states`],
-//! [`SeqSpec::post_states`]) and receive `allowed` for free.
+//! implementors supply the denotation ([`SeqSpec::initial_states`] and one
+//! in-place step, [`SeqSpec::apply`]) and receive `allowed` for free.
+//!
+//! The step is deterministic and mutates: every set the machine steps (a
+//! handle's carried `⟦L⟧`, a shard's per-class caches) is owned and only
+//! ever stepped forward, so `⟦ℓ · op⟧` is computed by applying `op` to the
+//! states of `⟦ℓ⟧` where they lie. A state is copied only when a replay
+//! starts from a borrowed seed — once per replay, not once per operation.
+//! Where a denial must not cost the set it was asked about, the *check-first
+//! law* — `apply(s, m, r)` accepts exactly when `r ∈ results(s, m)` — answers
+//! without stepping ([`StateSet::admits`]).
 //!
 //! The trait also hosts the *mover* oracle of Definition 4.1 used by the
 //! PUSH/PULL rule criteria; see [`SeqSpec::mover`].
@@ -51,8 +60,8 @@ pub type KeySet = SmallVec<u64, 2>;
 
 /// A denotation `⟦ℓ⟧`: a small set of abstract states in insertion order.
 ///
-/// Every shipped spec has one initial state and deterministic
-/// `post_states`, so a denotation is almost always a *single* state: it
+/// Every shipped spec has one initial state and a deterministic
+/// [`SeqSpec::apply`], so a denotation is almost always a *single* state: it
 /// lives inline and spills to the heap only past one element. Membership
 /// is by linear scan ([`StateSet::insert`] de-duplicates), equality and
 /// [`StateSet::is_subset`] ignore order, and iteration — borrowed or owned
@@ -122,6 +131,59 @@ impl<St: PartialEq> StateSet<St> {
     pub fn is_subset(&self, other: &Self) -> bool {
         self.iter().all(|s| other.contains(s))
     }
+
+    /// Steps every member in place by `apply`, which reports whether it
+    /// accepted and leaves a state it refuses unchanged: refused members
+    /// are dropped, and a member stepped onto one already kept is merged
+    /// into it, so the set stays in first-produced order without repeats.
+    ///
+    /// If *every* member refuses, nothing changed: the set is kept as it
+    /// was and `false` is returned — a denial never loses the set it was
+    /// asked about. Otherwise the set is the image and `true` is returned.
+    fn step_by(&mut self, mut apply: impl FnMut(&mut St) -> bool) -> bool {
+        let Some(first) = self.states.iter_mut().position(&mut apply) else {
+            return false;
+        };
+        // Every member before the first that accepted refused.
+        for _ in 0..first {
+            self.states.remove(0);
+        }
+        let mut i = 1;
+        while i < self.states.len() {
+            let (kept, rest) = self.states.split_at_mut(i);
+            if apply(&mut rest[0]) && !kept.contains(&rest[0]) {
+                i += 1;
+            } else {
+                self.states.remove(i);
+            }
+        }
+        true
+    }
+
+    /// Steps the set in place by `op`: [`SeqSpec::apply`] on each member,
+    /// dropping those that refuse and merging a member stepped onto one
+    /// already kept. `true` with the set now `⟦ℓ · op⟧`; or, when every
+    /// member refuses, `false` with the set untouched — a denial never
+    /// loses the set it was asked about.
+    pub fn step<S>(&mut self, spec: &S, op: &Op<S::Method, S::Ret>) -> bool
+    where
+        S: SeqSpec<State = St> + ?Sized,
+    {
+        self.step_by(|s| spec.apply(s, &op.method, &op.ret))
+    }
+
+    /// Does some member allow `op` — is `⟦ℓ · op⟧` non-empty? Answered by
+    /// the check-first law, `apply(s, m, r)` accepts exactly when
+    /// `r ∈ results(s, m)` (certified by `pushpull-analysis`), so nothing
+    /// is stepped or copied: what a caller that may not mutate the set
+    /// asks before it is stepped.
+    pub fn admits<S>(&self, spec: &S, op: &Op<S::Method, S::Ret>) -> bool
+    where
+        S: SeqSpec<State = St> + ?Sized,
+    {
+        self.iter()
+            .any(|s| spec.results(s, &op.method).contains(&op.ret))
+    }
 }
 
 impl<St> Default for StateSet<St> {
@@ -167,43 +229,29 @@ impl<'a, St> IntoIterator for &'a StateSet<St> {
 }
 
 /// Owned iteration over a [`StateSet`], in insertion order.
-#[derive(Debug)]
-pub struct StateSetIntoIter<St> {
-    /// The states still to yield, last first.
-    reversed: SmallVec<St, 1>,
-}
-
-impl<St> Iterator for StateSetIntoIter<St> {
-    type Item = St;
-
-    fn next(&mut self) -> Option<St> {
-        self.reversed.pop()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.reversed.len(), Some(self.reversed.len()))
-    }
-}
+pub type StateSetIntoIter<St> = crate::smallvec::IntoIter<St, 1>;
 
 impl<St> IntoIterator for StateSet<St> {
     type Item = St;
     type IntoIter = StateSetIntoIter<St>;
 
-    fn into_iter(mut self) -> Self::IntoIter {
-        self.states.reverse();
-        StateSetIntoIter {
-            reversed: self.states,
-        }
+    fn into_iter(self) -> Self::IntoIter {
+        self.states.into_iter()
     }
 }
+
+/// The return values [`SeqSpec::results`] offers: inline, since a method
+/// observes one return in nearly every state of every shipped spec.
+pub type Rets<R> = SmallVec<R, 2>;
 
 /// A sequential specification over operation logs.
 ///
 /// Implementors provide a *denotational* semantics: a set of initial
-/// abstract states and, for each `(state, method, ret)` triple, the set of
-/// post-states. A log is `allowed` iff its denotation (the set of states
-/// reachable by threading every operation through) is non-empty — precisely
-/// the induction proposed in §3 of the paper.
+/// abstract states and, for each `(state, method, ret)` triple, at most one
+/// post-state, computed in place by [`SeqSpec::apply`]. A log is `allowed`
+/// iff its denotation (the set of states reachable by threading every
+/// operation through) is non-empty — precisely the induction proposed in
+/// §3 of the paper.
 ///
 /// `allowed` is prefix-closed by construction (removing a suffix can only
 /// grow the denotation from non-empty to non-empty).
@@ -233,23 +281,26 @@ pub trait SeqSpec {
     /// The set `I` of initial states. Must be non-empty.
     fn initial_states(&self) -> Vec<Self::State>;
 
-    /// The relational image `⟦⟨m, ret⟩⟧(state)`: all post-states of running
-    /// `method` in `state` while observing return value `ret`. An empty
-    /// result means the observation is not allowed in `state`.
-    fn post_states(
-        &self,
-        state: &Self::State,
-        method: &Self::Method,
-        ret: &Self::Ret,
-    ) -> Vec<Self::State>;
+    /// One step of the denotation `⟦⟨m, ret⟩⟧`, in place: runs `method` in
+    /// `state` while observing return value `ret`, and reports whether the
+    /// observation is allowed there. Returning `false` must leave `state`
+    /// unchanged — refuse before writing. This law and the check-first law
+    /// of [`SeqSpec::results`] are certified exhaustively by
+    /// `pushpull-analysis` on bounded specs.
+    ///
+    /// The step is a function, not a relation: each state has at most one
+    /// post-state. A spec whose operation could land in several states
+    /// keeps that choice inside its state type (DESIGN.md §4), and one whose
+    /// *start* is uncertain lists several [`SeqSpec::initial_states`].
+    fn apply(&self, state: &mut Self::State, method: &Self::Method, ret: &Self::Ret) -> bool;
 
     /// Enumerates the return values `method` may produce in `state`.
     ///
     /// Used by the machine's `APP` rule to resolve the post-stack σ₂ and by
-    /// the atomic oracle. The default derives nothing; specs with small
-    /// result spaces should override. Every `r` returned must satisfy
-    /// `!post_states(state, method, r).is_empty()`.
-    fn results(&self, state: &Self::State, method: &Self::Method) -> Vec<Self::Ret>;
+    /// the atomic oracle. The *check-first law*: `r` is offered exactly when
+    /// [`SeqSpec::apply`] accepts it in `state` — which is what lets
+    /// [`StateSet::admits`] answer `ℓ allows op` without stepping.
+    fn results(&self, state: &Self::State, method: &Self::Method) -> Rets<Self::Ret>;
 
     /// A finite universe of states, if one exists, enabling exhaustive
     /// mover checking. `None` (the default) for unbounded specs, which
@@ -288,10 +339,11 @@ pub trait SeqSpec {
     }
 
     /// [`SeqSpec::denote_from`] over any iterator of operation
-    /// references (the workhorse behind both `denote` variants): each
-    /// operation maps the current [`StateSet`] through
-    /// [`SeqSpec::post_states`], de-duplicating as it collects, so the
-    /// result lists states in the order `post_states` first produced them.
+    /// references (the workhorse behind both `denote` variants). The
+    /// first operation is *checked* against the borrowed seed, so a log
+    /// refused at once costs no copy; otherwise the seed is cloned once
+    /// and stepped in place ([`StateSet::step`]) by every operation, so
+    /// the result lists states in the order the steps first produced them.
     fn denote_from_refs<'a, I>(
         &self,
         states: &StateSet<Self::State>,
@@ -302,24 +354,18 @@ pub trait SeqSpec {
         Self::Method: 'a,
         Self::Ret: 'a,
     {
-        let step = |from: &StateSet<Self::State>, op: &Op<Self::Method, Self::Ret>| {
-            let posts = from
-                .iter()
-                .flat_map(|s| self.post_states(s, &op.method, &op.ret));
-            posts.collect::<StateSet<_>>()
-        };
-        // The first operation steps straight off the borrowed seed; the
-        // seed is cloned only when there is nothing to step.
         let mut ops = ops.into_iter();
         let Some(first) = ops.next() else {
             return states.clone();
         };
-        let mut cur = step(states, first);
-        for op in ops {
-            if cur.is_empty() {
-                break;
+        if !states.admits(self, first) {
+            return StateSet::new();
+        }
+        let mut cur = states.clone();
+        for op in std::iter::once(first).chain(ops) {
+            if !cur.step(self, op) {
+                return StateSet::new();
             }
-            cur = step(&cur, op);
         }
         cur
     }
@@ -335,13 +381,7 @@ pub trait SeqSpec {
         ops: &[Op<Self::Method, Self::Ret>],
         op: &Op<Self::Method, Self::Ret>,
     ) -> bool {
-        let states = self.denote(ops);
-        if states.is_empty() {
-            return false;
-        }
-        !self
-            .denote_from(&states, std::slice::from_ref(op))
-            .is_empty()
+        self.denote(ops).admits(self, op)
     }
 
     /// The mover relation of **Definition 4.1**:
@@ -501,8 +541,10 @@ pub fn method_mover_exhaustive<S: SeqSpec + ?Sized>(
     true
 }
 
-/// Checks Definition 4.1 over an explicit state universe: for each state,
-/// the post-state set of `op1·op2` must be included in that of `op2·op1`.
+/// Checks Definition 4.1 over an explicit state universe: from each state,
+/// wherever `op1·op2` runs, `op2·op1` must run too and land in the same
+/// state (the step is a function, so inclusion of the post-state sets is
+/// equality of the one post-state each).
 ///
 /// This witnesses `∀ℓ. ℓ·op1·op2 ≼ ℓ·op2·op1` soundly because the
 /// denotation of any `ℓ` is a subset of the universe, denotations
@@ -514,15 +556,15 @@ pub fn mover_exhaustive<S: SeqSpec + ?Sized>(
     op1: &Op<S::Method, S::Ret>,
     op2: &Op<S::Method, S::Ret>,
 ) -> bool {
-    for s in universe {
-        let start: StateSet<S::State> = std::iter::once(s.clone()).collect();
-        let fwd = spec.denote_from(&start, &[op1.clone(), op2.clone()]);
-        let back = spec.denote_from(&start, &[op2.clone(), op1.clone()]);
-        if !fwd.is_subset(&back) {
-            return false;
-        }
-    }
-    true
+    let run = |s: &S::State, a: &Op<S::Method, S::Ret>, b: &Op<S::Method, S::Ret>| {
+        let mut t = s.clone();
+        let ran = spec.apply(&mut t, &a.method, &a.ret) && spec.apply(&mut t, &b.method, &b.ret);
+        ran.then_some(t)
+    };
+    universe.iter().all(|s| match run(s, op1, op2) {
+        Some(fwd) => run(s, op2, op1).as_ref() == Some(&fwd),
+        None => true,
+    })
 }
 
 /// Both-ways mover: `op1 ◁ op2 ∧ op2 ◁ op1`, i.e. full commutativity of the
@@ -789,15 +831,21 @@ mod tests {
     }
 
     #[test]
-    fn results_agree_with_post_states() {
+    fn results_agree_with_apply() {
         let spec = ToyCounter::with_bound(3);
-        for s in spec.state_universe().unwrap() {
+        let universe = spec.state_universe().unwrap();
+        for s in &universe {
             for m in [CounterMethod::Inc, CounterMethod::Dec, CounterMethod::Get] {
-                for r in spec.results(&s, &m) {
-                    assert!(
-                        !spec.post_states(&s, &m, &r).is_empty(),
-                        "results() returned an unobservable ret {r:?} for {m:?} in {s:?}"
+                let offered = spec.results(s, &m);
+                for r in observable_rets(&spec, &universe, &m) {
+                    let mut t = *s;
+                    let accepted = spec.apply(&mut t, &m, &r);
+                    assert_eq!(
+                        accepted,
+                        offered.contains(&r),
+                        "the check-first law fails for {m:?} -> {r:?} in {s:?}"
                     );
+                    assert!(accepted || t == *s, "a refused {m:?} wrote to {s:?}");
                 }
             }
         }
@@ -881,6 +929,74 @@ mod tests {
         assert!(tokens.iter().all(|t| Rc::strong_count(t) == 1));
         let single: StateSet<i64> = std::iter::once(7).collect();
         assert_eq!(single.into_iter().collect::<Vec<_>>(), vec![7]);
+    }
+
+    /// A state that records its value in a shared tally when dropped.
+    #[derive(Debug)]
+    struct Tallied<'t> {
+        value: i64,
+        drops: &'t std::cell::RefCell<Vec<i64>>,
+    }
+
+    impl PartialEq for Tallied<'_> {
+        fn eq(&self, other: &Self) -> bool {
+            self.value == other.value
+        }
+    }
+
+    impl Drop for Tallied<'_> {
+        fn drop(&mut self) {
+            self.drops.borrow_mut().push(self.value);
+        }
+    }
+
+    #[test]
+    fn stepping_in_place_drops_each_refused_or_merged_state_exactly_once() {
+        let drops = std::cell::RefCell::new(Vec::new());
+        let set_of = |values: &[i64]| -> StateSet<Tallied<'_>> {
+            let states = values.iter().map(|&value| Tallied {
+                value,
+                drops: &drops,
+            });
+            states.collect()
+        };
+        // Odd states refuse; even ones step onto 10, where they merge.
+        let even_to_ten = |s: &mut Tallied<'_>| {
+            let accept = s.value % 2 == 0;
+            if accept {
+                s.value = 10;
+            }
+            accept
+        };
+        let values = |set: &StateSet<Tallied<'_>>| set.iter().map(|s| s.value).collect::<Vec<_>>();
+
+        // Inline: a refusal keeps the one state, an acceptance steps it.
+        let mut inline = set_of(&[3]);
+        assert!(!inline.step_by(even_to_ten));
+        assert_eq!(values(&inline), [3]);
+        let mut inline = set_of(&[4]);
+        assert!(inline.step_by(even_to_ten));
+        assert_eq!(values(&inline), [10]);
+        assert!(drops.borrow().is_empty(), "nothing refused or merged yet");
+        drop(inline);
+        drops.borrow_mut().clear();
+
+        // Spilled: when every member refuses, the set is kept whole.
+        let mut spilled = set_of(&[1, 3, 5]);
+        assert!(!spilled.step_by(even_to_ten));
+        assert_eq!(values(&spilled), [1, 3, 5]);
+        assert!(drops.borrow().is_empty());
+        drop(spilled);
+        drops.borrow_mut().clear();
+
+        // Refused members before and after the first acceptance go, and the
+        // second state stepped onto 10 is merged into the first.
+        let mut spilled = set_of(&[1, 3, 2, 5, 4]);
+        assert!(spilled.step_by(even_to_ten));
+        assert_eq!(values(&spilled), [10]);
+        assert_eq!(*drops.borrow(), [1, 3, 5, 10], "each dropped once");
+        drop(spilled);
+        assert_eq!(*drops.borrow(), [1, 3, 5, 10, 10], "the kept one last");
     }
 
     #[test]

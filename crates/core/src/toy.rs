@@ -6,7 +6,7 @@
 //! `pushpull-core` is self-contained and its doc examples run.
 
 use crate::op::{Op, OpId, TxnId};
-use crate::spec::{OpInverse, SeqSpec};
+use crate::spec::{OpInverse, Rets, SeqSpec};
 
 /// Methods of the toy counter.
 ///
@@ -94,37 +94,21 @@ impl SeqSpec for ToyCounter {
         vec![0]
     }
 
-    fn post_states(&self, state: &i64, method: &CounterMethod, ret: &i64) -> Vec<i64> {
+    fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
         match method {
-            CounterMethod::Inc => {
-                if *ret == 0 && *state < self.bound {
-                    vec![state + 1]
-                } else {
-                    vec![]
-                }
-            }
-            CounterMethod::Dec => {
-                if *ret == 0 {
-                    vec![(state - 1).max(0)]
-                } else {
-                    vec![]
-                }
-            }
-            CounterMethod::Get => {
-                if *ret == *state {
-                    vec![*state]
-                } else {
-                    vec![]
-                }
-            }
+            CounterMethod::Inc if *ret == 0 && *state < self.bound => *state += 1,
+            CounterMethod::Dec if *ret == 0 => *state = (*state - 1).max(0),
+            CounterMethod::Get if *ret == *state => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &i64, method: &CounterMethod) -> Vec<i64> {
+    fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         match method {
-            CounterMethod::Inc if state + 1 > self.bound => vec![],
-            CounterMethod::Inc | CounterMethod::Dec => vec![0],
-            CounterMethod::Get => vec![*state],
+            CounterMethod::Inc if state + 1 > self.bound => Rets::new(),
+            CounterMethod::Inc | CounterMethod::Dec => Rets::one(0),
+            CounterMethod::Get => Rets::one(*state),
         }
     }
 
@@ -191,38 +175,22 @@ impl SeqSpec for StrictCounter {
         vec![0]
     }
 
-    fn post_states(&self, state: &i64, method: &CounterMethod, ret: &i64) -> Vec<i64> {
+    fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
         match method {
-            CounterMethod::Inc => {
-                if *ret == 0 && *state < self.bound {
-                    vec![state + 1]
-                } else {
-                    vec![]
-                }
-            }
-            CounterMethod::Dec => {
-                if *ret == 0 && *state > 0 {
-                    vec![state - 1]
-                } else {
-                    vec![]
-                }
-            }
-            CounterMethod::Get => {
-                if *ret == *state {
-                    vec![*state]
-                } else {
-                    vec![]
-                }
-            }
+            CounterMethod::Inc if *ret == 0 && *state < self.bound => *state += 1,
+            CounterMethod::Dec if *ret == 0 && *state > 0 => *state -= 1,
+            CounterMethod::Get if *ret == *state => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &i64, method: &CounterMethod) -> Vec<i64> {
+    fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         match method {
-            CounterMethod::Inc if state + 1 > self.bound => vec![],
-            CounterMethod::Dec if *state <= 0 => vec![],
-            CounterMethod::Inc | CounterMethod::Dec => vec![0],
-            CounterMethod::Get => vec![*state],
+            CounterMethod::Inc if state + 1 > self.bound => Rets::new(),
+            CounterMethod::Dec if *state <= 0 => Rets::new(),
+            CounterMethod::Inc | CounterMethod::Dec => Rets::one(0),
+            CounterMethod::Get => Rets::one(*state),
         }
     }
 
@@ -290,11 +258,11 @@ impl SeqSpec for TwoStartCounter {
         self.starts.to_vec()
     }
 
-    fn post_states(&self, state: &i64, method: &CounterMethod, ret: &i64) -> Vec<i64> {
-        self.counter.post_states(state, method, ret)
+    fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
+        self.counter.apply(state, method, ret)
     }
 
-    fn results(&self, state: &i64, method: &CounterMethod) -> Vec<i64> {
+    fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         self.counter.results(state, method)
     }
 

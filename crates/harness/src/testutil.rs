@@ -28,7 +28,7 @@ use pushpull_core::faults::{FaultHook, FaultKind};
 use pushpull_core::op::Op;
 use pushpull_core::opacity::check_trace;
 use pushpull_core::serializability::check_machine;
-use pushpull_core::spec::{KeySet, OpInverse, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 use pushpull_tm::driver::TmSystem;
 
 use crate::faults::FaultPlan;
@@ -153,11 +153,11 @@ impl<S: SeqSpec> SeqSpec for Redeclared<S> {
         self.inner.initial_states()
     }
 
-    fn post_states(&self, state: &S::State, method: &S::Method, ret: &S::Ret) -> Vec<S::State> {
-        self.inner.post_states(state, method, ret)
+    fn apply(&self, state: &mut S::State, method: &S::Method, ret: &S::Ret) -> bool {
+        self.inner.apply(state, method, ret)
     }
 
-    fn results(&self, state: &S::State, method: &S::Method) -> Vec<S::Ret> {
+    fn results(&self, state: &S::State, method: &S::Method) -> Rets<S::Ret> {
         self.inner.results(state, method)
     }
 

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Account identifiers.
 pub type Acct = u32;
@@ -116,7 +116,7 @@ impl SeqSpec for Bank {
         vec![BankState::new()]
     }
 
-    fn post_states(&self, state: &BankState, method: &BankMethod, ret: &BankRet) -> Vec<BankState> {
+    fn apply(&self, state: &mut BankState, method: &BankMethod, ret: &BankRet) -> bool {
         let bal = |s: &BankState, a: &Acct| s.get(a).copied().unwrap_or(0);
         // Canonical representation: a zero balance is never stored, so
         // states that agree on every balance are *equal* — which is what
@@ -130,47 +130,32 @@ impl SeqSpec for Bank {
             }
         };
         match (method, ret) {
-            (BankMethod::Deposit(a, n), BankRet::Ack) => {
-                if *n < 0 {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                set(&mut s, *a, bal(state, a) + n);
-                vec![s]
+            (BankMethod::Deposit(a, n), BankRet::Ack) if *n >= 0 => {
+                let after = bal(state, a) + n;
+                set(state, *a, after);
             }
-            (BankMethod::Withdraw(a, n), BankRet::Ok(ok)) => {
-                if *n < 0 {
-                    return vec![];
-                }
-                let can = bal(state, a) >= *n;
-                if can != *ok {
-                    return vec![];
-                }
+            (BankMethod::Withdraw(a, n), BankRet::Ok(ok))
+                if *n >= 0 && (bal(state, a) >= *n) == *ok =>
+            {
                 if *ok {
-                    let mut s = state.clone();
-                    set(&mut s, *a, bal(state, a) - n);
-                    vec![s]
-                } else {
-                    vec![state.clone()]
+                    let after = bal(state, a) - n;
+                    set(state, *a, after);
                 }
             }
-            (BankMethod::Balance(a), BankRet::Amount(v)) => {
-                if bal(state, a) == *v {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
+            (BankMethod::Balance(a), BankRet::Amount(v)) if bal(state, a) == *v => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &BankState, method: &BankMethod) -> Vec<BankRet> {
+    fn results(&self, state: &BankState, method: &BankMethod) -> Rets<BankRet> {
         let bal = |a: &Acct| state.get(a).copied().unwrap_or(0);
         match method {
-            BankMethod::Deposit(_, _) => vec![BankRet::Ack],
-            BankMethod::Withdraw(a, n) => vec![BankRet::Ok(bal(a) >= *n)],
-            BankMethod::Balance(a) => vec![BankRet::Amount(bal(a))],
+            // A negative amount is refused in every state.
+            BankMethod::Deposit(_, n) | BankMethod::Withdraw(_, n) if *n < 0 => Rets::new(),
+            BankMethod::Deposit(_, _) => Rets::one(BankRet::Ack),
+            BankMethod::Withdraw(a, n) => Rets::one(BankRet::Ok(bal(a) >= *n)),
+            BankMethod::Balance(a) => Rets::one(BankRet::Amount(bal(a))),
         }
     }
 

@@ -14,7 +14,7 @@
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Disjoint union of two method (or return) types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -115,30 +115,20 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
             .collect()
     }
 
-    fn post_states(
+    fn apply(
         &self,
-        state: &(A::State, B::State),
+        state: &mut (A::State, B::State),
         method: &Self::Method,
         ret: &Self::Ret,
-    ) -> Vec<(A::State, B::State)> {
+    ) -> bool {
         match (method, ret) {
-            (Either::L(m), Either::L(r)) => self
-                .left
-                .post_states(&state.0, m, r)
-                .into_iter()
-                .map(|s| (s, state.1.clone()))
-                .collect(),
-            (Either::R(m), Either::R(r)) => self
-                .right
-                .post_states(&state.1, m, r)
-                .into_iter()
-                .map(|s| (state.0.clone(), s))
-                .collect(),
-            _ => vec![],
+            (Either::L(m), Either::L(r)) => self.left.apply(&mut state.0, m, r),
+            (Either::R(m), Either::R(r)) => self.right.apply(&mut state.1, m, r),
+            _ => false,
         }
     }
 
-    fn results(&self, state: &(A::State, B::State), method: &Self::Method) -> Vec<Self::Ret> {
+    fn results(&self, state: &(A::State, B::State), method: &Self::Method) -> Rets<Self::Ret> {
         match method {
             Either::L(m) => self
                 .left

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Methods of the counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,19 +87,20 @@ impl SeqSpec for Counter {
         vec![0]
     }
 
-    fn post_states(&self, state: &i64, method: &CtrMethod, ret: &CtrRet) -> Vec<i64> {
+    fn apply(&self, state: &mut i64, method: &CtrMethod, ret: &CtrRet) -> bool {
         match (method, ret) {
-            (CtrMethod::Add(k), CtrRet::Ack) => vec![state + k],
-            (CtrMethod::Get, CtrRet::Val(v)) if v == state => vec![*state],
-            _ => vec![],
+            (CtrMethod::Add(k), CtrRet::Ack) => *state += k,
+            (CtrMethod::Get, CtrRet::Val(v)) if *v == *state => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &i64, method: &CtrMethod) -> Vec<CtrRet> {
-        match method {
-            CtrMethod::Add(_) => vec![CtrRet::Ack],
-            CtrMethod::Get => vec![CtrRet::Val(*state)],
-        }
+    fn results(&self, state: &i64, method: &CtrMethod) -> Rets<CtrRet> {
+        Rets::one(match method {
+            CtrMethod::Add(_) => CtrRet::Ack,
+            CtrMethod::Get => CtrRet::Val(*state),
+        })
     }
 
     fn state_universe(&self) -> Option<Vec<i64>> {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Map keys.
 pub type Key = u64;
@@ -134,58 +134,29 @@ impl SeqSpec for KvMap {
         vec![MapState::new()]
     }
 
-    fn post_states(&self, state: &MapState, method: &MapMethod, ret: &MapRet) -> Vec<MapState> {
+    fn apply(&self, state: &mut MapState, method: &MapMethod, ret: &MapRet) -> bool {
         match (method, ret) {
-            (MapMethod::Put(k, v), MapRet::Prev(prev)) => {
-                if state.get(k).copied() != *prev {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                s.insert(*k, *v);
-                vec![s]
+            (MapMethod::Put(k, v), MapRet::Prev(prev)) if state.get(k) == prev.as_ref() => {
+                state.insert(*k, *v);
             }
-            (MapMethod::Remove(k), MapRet::Prev(prev)) => {
-                if state.get(k).copied() != *prev {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                s.remove(k);
-                vec![s]
+            (MapMethod::Remove(k), MapRet::Prev(prev)) if state.get(k) == prev.as_ref() => {
+                state.remove(k);
             }
-            (MapMethod::Get(k), MapRet::Val(v)) => {
-                if state.get(k).copied() == *v {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
-            (MapMethod::ContainsKey(k), MapRet::Bool(b)) => {
-                if state.contains_key(k) == *b {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
-            (MapMethod::Size, MapRet::Count(n)) => {
-                if state.len() == *n {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
+            (MapMethod::Get(k), MapRet::Val(v)) if state.get(k) == v.as_ref() => {}
+            (MapMethod::ContainsKey(k), MapRet::Bool(b)) if state.contains_key(k) == *b => {}
+            (MapMethod::Size, MapRet::Count(n)) if state.len() == *n => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &MapState, method: &MapMethod) -> Vec<MapRet> {
-        match method {
-            MapMethod::Put(k, _) | MapMethod::Remove(k) => {
-                vec![MapRet::Prev(state.get(k).copied())]
-            }
-            MapMethod::Get(k) => vec![MapRet::Val(state.get(k).copied())],
-            MapMethod::ContainsKey(k) => vec![MapRet::Bool(state.contains_key(k))],
-            MapMethod::Size => vec![MapRet::Count(state.len())],
-        }
+    fn results(&self, state: &MapState, method: &MapMethod) -> Rets<MapRet> {
+        Rets::one(match method {
+            MapMethod::Put(k, _) | MapMethod::Remove(k) => MapRet::Prev(state.get(k).copied()),
+            MapMethod::Get(k) => MapRet::Val(state.get(k).copied()),
+            MapMethod::ContainsKey(k) => MapRet::Bool(state.contains_key(k)),
+            MapMethod::Size => MapRet::Count(state.len()),
+        })
     }
 
     fn state_universe(&self) -> Option<Vec<MapState>> {

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Queue items.
 pub type Item = i64;
@@ -83,6 +83,13 @@ impl QueueSpec {
             bound: Some((items, max_len)),
         }
     }
+
+    /// May `v` be enqueued onto `state`? A bounded queue holds only its
+    /// items, up to its length.
+    fn admits_enq(&self, state: &QueueState, v: &Item) -> bool {
+        let bounded = self.bound.as_ref();
+        bounded.is_none_or(|(items, max_len)| items.contains(v) && state.len() < *max_len)
+    }
 }
 
 impl Default for QueueSpec {
@@ -100,54 +107,27 @@ impl SeqSpec for QueueSpec {
         vec![QueueState::new()]
     }
 
-    fn post_states(
-        &self,
-        state: &QueueState,
-        method: &QueueMethod,
-        ret: &QueueRet,
-    ) -> Vec<QueueState> {
+    fn apply(&self, state: &mut QueueState, method: &QueueMethod, ret: &QueueRet) -> bool {
+        let head = state.front().copied();
         match (method, ret) {
-            (QueueMethod::Enq(v), QueueRet::Ack) => {
-                if let Some((items, max_len)) = &self.bound {
-                    if !items.contains(v) || state.len() >= *max_len {
-                        return vec![];
-                    }
-                }
-                let mut s = state.clone();
-                s.push_back(*v);
-                vec![s]
+            (QueueMethod::Enq(v), QueueRet::Ack) if self.admits_enq(state, v) => {
+                state.push_back(*v);
             }
-            (QueueMethod::Deq, QueueRet::Item(observed)) => {
-                if state.front().copied() != *observed {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                s.pop_front();
-                vec![s]
+            (QueueMethod::Deq, QueueRet::Item(seen)) if *seen == head => {
+                state.pop_front();
             }
-            (QueueMethod::Peek, QueueRet::Item(observed)) => {
-                if state.front().copied() == *observed {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
+            (QueueMethod::Peek, QueueRet::Item(seen)) if *seen == head => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &QueueState, method: &QueueMethod) -> Vec<QueueRet> {
+    fn results(&self, state: &QueueState, method: &QueueMethod) -> Rets<QueueRet> {
         match method {
-            QueueMethod::Enq(v) => {
-                if let Some((items, max_len)) = &self.bound {
-                    if !items.contains(v) || state.len() >= *max_len {
-                        return vec![];
-                    }
-                }
-                vec![QueueRet::Ack]
-            }
+            QueueMethod::Enq(v) if self.admits_enq(state, v) => Rets::one(QueueRet::Ack),
+            QueueMethod::Enq(_) => Rets::new(),
             QueueMethod::Deq | QueueMethod::Peek => {
-                vec![QueueRet::Item(state.front().copied())]
+                Rets::one(QueueRet::Item(state.front().copied()))
             }
         }
     }

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Methods of the CAS register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,36 +107,28 @@ impl SeqSpec for CasRegister {
         vec![0]
     }
 
-    fn post_states(&self, state: &i64, method: &RegMethod, ret: &RegRet) -> Vec<i64> {
+    fn apply(&self, state: &mut i64, method: &RegMethod, ret: &RegRet) -> bool {
         match (method, ret) {
-            (RegMethod::Read, RegRet::Val(v)) => {
-                if v == state {
-                    vec![*state]
-                } else {
-                    vec![]
+            (RegMethod::Read, RegRet::Val(v)) if *v == *state => {}
+            (RegMethod::Write(v), RegRet::Ack) => *state = *v,
+            (RegMethod::Cas { expected, new }, RegRet::Swapped(ok))
+                if (state == expected) == *ok =>
+            {
+                if *ok {
+                    *state = *new;
                 }
             }
-            (RegMethod::Write(v), RegRet::Ack) => vec![*v],
-            (RegMethod::Cas { expected, new }, RegRet::Swapped(ok)) => {
-                let matches = state == expected;
-                if matches != *ok {
-                    vec![]
-                } else if *ok {
-                    vec![*new]
-                } else {
-                    vec![*state]
-                }
-            }
-            _ => vec![],
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &i64, method: &RegMethod) -> Vec<RegRet> {
-        match method {
-            RegMethod::Read => vec![RegRet::Val(*state)],
-            RegMethod::Write(_) => vec![RegRet::Ack],
-            RegMethod::Cas { expected, .. } => vec![RegRet::Swapped(state == expected)],
-        }
+    fn results(&self, state: &i64, method: &RegMethod) -> Rets<RegRet> {
+        Rets::one(match method {
+            RegMethod::Read => RegRet::Val(*state),
+            RegMethod::Write(_) => RegRet::Ack,
+            RegMethod::Cas { expected, .. } => RegRet::Swapped(state == expected),
+        })
     }
 
     fn state_universe(&self) -> Option<Vec<i64>> {

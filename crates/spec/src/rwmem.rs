@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// A memory location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,6 +82,16 @@ pub type MemState = BTreeMap<Loc, i64>;
 /// Operation records of the read/write memory.
 pub type MemOp = Op<MemMethod, MemRet>;
 
+/// The value `l` holds in `state` (absent locations read as `0`).
+fn read(state: &MemState, l: &Loc) -> i64 {
+    state.get(l).copied().unwrap_or(0)
+}
+
+/// May `v` be written under `bound`? A bounded memory only holds its values.
+fn writable(bound: &Option<(Vec<Loc>, Vec<i64>)>, v: &i64) -> bool {
+    bound.as_ref().is_none_or(|(_, vals)| vals.contains(v))
+}
+
 /// The read/write memory specification.
 ///
 /// Unbounded by default (no state universe); [`RwMem::bounded`] produces a
@@ -135,33 +145,22 @@ impl SeqSpec for RwMem {
         vec![MemState::new()]
     }
 
-    fn post_states(&self, state: &MemState, method: &MemMethod, ret: &MemRet) -> Vec<MemState> {
+    fn apply(&self, state: &mut MemState, method: &MemMethod, ret: &MemRet) -> bool {
         match (method, ret) {
-            (MemMethod::Read(l), MemRet::Val(v)) => {
-                if state.get(l).copied().unwrap_or(0) == *v {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
+            (MemMethod::Read(l), MemRet::Val(v)) if read(state, l) == *v => {}
+            (MemMethod::Write(l, v), MemRet::Ack) if writable(&self.bound, v) => {
+                state.insert(*l, *v);
             }
-            (MemMethod::Write(l, v), MemRet::Ack) => {
-                if let Some((_, vals)) = &self.bound {
-                    if !vals.contains(v) {
-                        return vec![];
-                    }
-                }
-                let mut s = state.clone();
-                s.insert(*l, *v);
-                vec![s]
-            }
-            _ => vec![],
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &MemState, method: &MemMethod) -> Vec<MemRet> {
+    fn results(&self, state: &MemState, method: &MemMethod) -> Rets<MemRet> {
         match method {
-            MemMethod::Read(l) => vec![MemRet::Val(state.get(l).copied().unwrap_or(0))],
-            MemMethod::Write(_, _) => vec![MemRet::Ack],
+            MemMethod::Read(l) => Rets::one(MemRet::Val(read(state, l))),
+            MemMethod::Write(_, v) if writable(&self.bound, v) => Rets::one(MemRet::Ack),
+            MemMethod::Write(..) => Rets::new(),
         }
     }
 
@@ -308,39 +307,29 @@ impl SeqSpec for MemInverse {
         vec![MemState::new()]
     }
 
-    fn post_states(&self, state: &MemState, method: &MemMethod, ret: &UndoRet) -> Vec<MemState> {
+    fn apply(&self, state: &mut MemState, method: &MemMethod, ret: &UndoRet) -> bool {
         match (method, ret) {
-            (MemMethod::Read(l), UndoRet::Val(v)) => {
-                if state.get(l).copied().unwrap_or(0) == *v {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            (MemMethod::Read(l), UndoRet::Val(v)) if read(state, l) == *v => {}
             // A write is allowed exactly where its recorded previous
             // value matches the current binding — the undo log pins the
             // pre-state.
-            (MemMethod::Write(l, v), UndoRet::Prev(p)) => {
-                if state.get(l).copied().unwrap_or(0) != *p {
-                    return vec![];
-                }
-                if let Some((_, vals)) = &self.bound {
-                    if !vals.contains(v) {
-                        return vec![];
-                    }
-                }
-                let mut s = state.clone();
-                s.insert(*l, *v);
-                vec![s]
+            (MemMethod::Write(l, v), UndoRet::Prev(p))
+                if read(state, l) == *p && writable(&self.bound, v) =>
+            {
+                state.insert(*l, *v);
             }
-            _ => vec![],
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &MemState, method: &MemMethod) -> Vec<UndoRet> {
+    fn results(&self, state: &MemState, method: &MemMethod) -> Rets<UndoRet> {
         match method {
-            MemMethod::Read(l) => vec![UndoRet::Val(state.get(l).copied().unwrap_or(0))],
-            MemMethod::Write(l, _) => vec![UndoRet::Prev(state.get(l).copied().unwrap_or(0))],
+            MemMethod::Read(l) => Rets::one(UndoRet::Val(read(state, l))),
+            MemMethod::Write(l, v) if writable(&self.bound, v) => {
+                Rets::one(UndoRet::Prev(read(state, l)))
+            }
+            MemMethod::Write(..) => Rets::new(),
         }
     }
 
@@ -545,12 +534,12 @@ mod tests {
         let mut s = MemState::new();
         s.insert(Loc(3), 9);
         assert_eq!(
-            spec.results(&s, &MemMethod::Read(Loc(3))),
-            vec![MemRet::Val(9)]
+            spec.results(&s, &MemMethod::Read(Loc(3))).as_slice(),
+            [MemRet::Val(9)]
         );
         assert_eq!(
-            spec.results(&s, &MemMethod::Write(Loc(3), 1)),
-            vec![MemRet::Ack]
+            spec.results(&s, &MemMethod::Write(Loc(3), 1)).as_slice(),
+            [MemRet::Ack]
         );
     }
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, SeqSpec};
+use pushpull_core::spec::{KeySet, Rets, SeqSpec};
 
 /// Set elements.
 pub type Elem = u64;
@@ -104,41 +104,26 @@ impl SeqSpec for SetSpec {
         vec![SetState::new()]
     }
 
-    fn post_states(&self, state: &SetState, method: &SetMethod, ret: &SetRet) -> Vec<SetState> {
+    fn apply(&self, state: &mut SetState, method: &SetMethod, ret: &SetRet) -> bool {
         match method {
-            SetMethod::Add(x) => {
-                let newly = !state.contains(x);
-                if ret.0 != newly {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                s.insert(*x);
-                vec![s]
+            // `Add` observes whether the element was newly added.
+            SetMethod::Add(x) if ret.0 != state.contains(x) => {
+                state.insert(*x);
             }
-            SetMethod::Remove(x) => {
-                let present = state.contains(x);
-                if ret.0 != present {
-                    return vec![];
-                }
-                let mut s = state.clone();
-                s.remove(x);
-                vec![s]
+            SetMethod::Remove(x) if ret.0 == state.contains(x) => {
+                state.remove(x);
             }
-            SetMethod::Contains(x) => {
-                if ret.0 == state.contains(x) {
-                    vec![state.clone()]
-                } else {
-                    vec![]
-                }
-            }
+            SetMethod::Contains(x) if ret.0 == state.contains(x) => {}
+            _ => return false,
         }
+        true
     }
 
-    fn results(&self, state: &SetState, method: &SetMethod) -> Vec<SetRet> {
-        match method {
-            SetMethod::Add(x) => vec![SetRet(!state.contains(x))],
-            SetMethod::Remove(x) | SetMethod::Contains(x) => vec![SetRet(state.contains(x))],
-        }
+    fn results(&self, state: &SetState, method: &SetMethod) -> Rets<SetRet> {
+        Rets::one(match method {
+            SetMethod::Add(x) => SetRet(!state.contains(x)),
+            SetMethod::Remove(x) | SetMethod::Contains(x) => SetRet(state.contains(x)),
+        })
     }
 
     fn state_universe(&self) -> Option<Vec<SetState>> {

@@ -19,17 +19,18 @@ use pushpull_spec::rwmem::{Loc, RwMem};
 
 type Log<S> = Vec<Op<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>>;
 
-/// `⟦from · ops⟧` as the definition reads: thread every state through
-/// every operation, collecting post-states in a hashed set.
+/// `⟦from · ops⟧` as the definition reads: step a copy of every state by
+/// every operation, collecting the post-states it accepts in a hashed set.
 fn reference_from<S: SeqSpec>(
     spec: &S,
     from: HashSet<S::State>,
     ops: &[Op<S::Method, S::Ret>],
 ) -> HashSet<S::State> {
     ops.iter().fold(from, |states, op| {
-        let posts = states
-            .iter()
-            .flat_map(|s| spec.post_states(s, &op.method, &op.ret));
+        let posts = states.iter().filter_map(|s| {
+            let mut post = s.clone();
+            spec.apply(&mut post, &op.method, &op.ret).then_some(post)
+        });
         posts.collect()
     })
 }

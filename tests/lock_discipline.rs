@@ -20,7 +20,7 @@ use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
-use pushpull::core::spec::{KeySet, SeqSpec};
+use pushpull::core::spec::{KeySet, Rets, SeqSpec};
 use pushpull::core::toy::{CounterMethod, StrictCounter};
 use pushpull::core::GroupTxnResult;
 use pushpull::spec::kvmap::{KvMap, MapMethod, MapOp, MapRet, MapState};
@@ -235,8 +235,8 @@ fn held_commit_equals_the_unheld_rules_under_one_acquisition_per_shard() {
     }
 }
 
-/// `KvMap` with its denotation metered: how often `post_states` ran, and
-/// over how many bindings in all (the sizes of the states it was handed).
+/// `KvMap` with its denotation metered: how often `apply` ran, and over
+/// how many bindings in all (the sizes of the states it was handed).
 #[derive(Debug, Default)]
 struct MeteredKvMap {
     map: KvMap,
@@ -253,14 +253,14 @@ impl SeqSpec for MeteredKvMap {
         self.map.initial_states()
     }
 
-    fn post_states(&self, state: &MapState, method: &MapMethod, ret: &MapRet) -> Vec<MapState> {
+    fn apply(&self, state: &mut MapState, method: &MapMethod, ret: &MapRet) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
         self.bindings
             .fetch_add(state.len() as u64, Ordering::Relaxed);
-        self.map.post_states(state, method, ret)
+        self.map.apply(state, method, ret)
     }
 
-    fn results(&self, state: &MapState, method: &MapMethod) -> Vec<MapRet> {
+    fn results(&self, state: &MapState, method: &MapMethod) -> Rets<MapRet> {
         self.map.results(state, method)
     }
 
@@ -275,7 +275,7 @@ impl SeqSpec for MeteredKvMap {
 
 /// What a `Put;Get;Put` transaction on the fresh key 0 costs after
 /// `history` committed transactions on *other* keys of its shard (shard 0
-/// of 4): `[post_states calls, bindings in the states they were handed]`
+/// of 4): `[apply calls, bindings in the states they were handed]`
 /// and the shard-lock acquisitions.
 fn fresh_key_cost(history: u64) -> ([u64; 2], Vec<u64>) {
     let mut m = Machine::new(MeteredKvMap::default());
