@@ -300,9 +300,9 @@ fn check_mover_matrix<S: SeqSpec>(
 /// over every observable operation of the finite alphabet and every
 /// universe state:
 ///
-/// * `Inverse(m, r)` must satisfy `⟦ℓ · op · op⁻¹⟧ = ⟦ℓ⟧` wherever
-///   `ℓ · op` is allowed;
-/// * `ReadOnly` must satisfy `⟦ℓ · op⟧ = ⟦ℓ⟧` (state identity);
+/// * `Inverse(m, r)`: every state that admits `op` is restored by `op`
+///   then `⟨m, r⟩`;
+/// * `ReadOnly`: every state that admits `op` is left unchanged by it;
 /// * `NotInvertible` is always sound — unless
 ///   [`has_inverses`](SeqSpec::has_inverses) claims otherwise, which is
 ///   an **error** ([`UNSOUND_INVERSE_CLAIM`]).
@@ -372,8 +372,8 @@ where
                                 ),
                             )
                             .with_note(
-                                "`ReadOnly` asserts ⟦ℓ · op⟧ = ⟦ℓ⟧; return an `Inverse` \
-                                 (or `NotInvertible`) for state-changing operations",
+                                "`ReadOnly` asserts every state admitting it is left unchanged; return \
+                                 an `Inverse` (or `NotInvertible`) for state-changing operations",
                             );
                             diags.push(at_method(d, programs, m));
                             break;

@@ -54,8 +54,9 @@ pub struct SpecCertificate {
     pub components: Vec<usize>,
     /// The inverse-law verdict over the certified alphabet:
     /// `Some(true)` — the spec claims [`has_inverses`] and the round-trip
-    /// law `⟦ℓ · op · op⁻¹⟧ = ⟦ℓ⟧` (plus state-identity for `ReadOnly`
-    /// verdicts) was proven exhaustively, so open-nested scopes may be
+    /// law (per state: `op · op⁻¹` restores every state admitting `op`,
+    /// and a `ReadOnly` operation leaves it unchanged) was proven
+    /// exhaustively, so open-nested scopes may be
     /// armed under strict mode; `Some(false)` — the claim was *refuted*
     /// (also counted in `errors`); `None` — the spec does not claim
     /// invertibility, so open nesting stays per-op-checked at commit and

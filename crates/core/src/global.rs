@@ -55,7 +55,7 @@ use std::sync::{Arc, LockResult};
 use crate::lang::Code;
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, ThreadId, TxnId};
-use crate::spec::SeqSpec;
+use crate::spec::{SeqSpec, StateSet};
 
 mod arming;
 mod counters;
@@ -134,6 +134,9 @@ pub struct GlobalState<S: SeqSpec> {
     /// resharding and deep-cloning need no `S: Clone` bound.
     pub(crate) spec: Arc<S>,
     pub(crate) mode: CheckMode,
+    /// `⟦ε⟧`, the spec's initial states, collected once at construction:
+    /// what every replay of a log and every shard cache starts from.
+    init: StateSet<S::State>,
     log: SharedLog<S>,
     arming: Arming,
     pub(crate) counters: Counters,
@@ -151,8 +154,10 @@ impl<S: SeqSpec> GlobalState<S> {
     /// the spec's footprints are even consulted.
     pub fn with_shards(spec: S, mode: CheckMode, shards: usize) -> Self {
         let n = shards.max(1);
+        let init: StateSet<S::State> = spec.initial_states().into_iter().collect();
         Self {
-            log: SharedLog::new(&spec, n),
+            log: SharedLog::new(&init, n),
+            init,
             arming: Arming::new(),
             counters: Counters::new(n),
             spec: Arc::new(spec),
@@ -168,6 +173,23 @@ impl<S: SeqSpec> GlobalState<S> {
     /// The check mode.
     pub fn mode(&self) -> CheckMode {
         self.mode
+    }
+
+    /// `⟦ε⟧`: the spec's initial states, as collected at construction.
+    pub(crate) fn initial(&self) -> &StateSet<S::State> {
+        &self.init
+    }
+
+    /// `⟦ops⟧`: `ops` replayed from [`Self::initial`] — what
+    /// [`SeqSpec::denote_refs`] gives, without asking the spec for its
+    /// initial states again.
+    pub(crate) fn denote_refs<'a, I>(&self, ops: I) -> StateSet<S::State>
+    where
+        I: IntoIterator<Item = &'a Op<S::Method, S::Ret>>,
+        S::Method: 'a,
+        S::Ret: 'a,
+    {
+        self.spec.denote_from_refs(&self.init, ops)
     }
 
     /// Mover query with audit accounting. (The audit counts queries, not
@@ -187,7 +209,8 @@ impl<S: SeqSpec> GlobalState<S> {
         Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
-            log: self.log.rebuilt(&self.spec, n),
+            init: self.init.clone(),
+            log: self.log.rebuilt(&self.spec, &self.init, n),
             arming: self.arming.copy(),
             counters: self.counters.resharded(n),
         }
@@ -201,6 +224,7 @@ impl<S: SeqSpec> GlobalState<S> {
         Self {
             spec: Arc::clone(&self.spec),
             mode: self.mode,
+            init: self.init.clone(),
             log: self.log.copy(),
             arming: self.arming.copy(),
             counters: self.counters.copy(),

@@ -146,10 +146,10 @@ struct PrefixCache<St> {
 }
 
 impl<St: PartialEq> PrefixCache<St> {
-    fn new(initial: Vec<St>) -> Self {
+    fn new(initial: StateSet<St>) -> Self {
         Self {
             len: 0,
-            initial: initial.into_iter().collect(),
+            initial,
             classes: HashMap::new(),
             ends: HashMap::new(),
         }
@@ -208,7 +208,7 @@ impl<S: SeqSpec> Clone for ShardLog<S> {
 
 impl<S: SeqSpec> ShardLog<S> {
     /// A shard over stamp-ordered entries (empty, or resharded).
-    fn from_stamped(entries: Vec<StampedEntry<S>>, initial: Vec<S::State>) -> Self {
+    fn from_stamped(entries: Vec<StampedEntry<S>>, initial: StateSet<S::State>) -> Self {
         debug_assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "stamps must be strictly increasing within a shard"
@@ -625,7 +625,7 @@ impl<S: SeqSpec> LogView<'_, S> {
         if scope.len() != 1 {
             let skipped = skip.map(|(vidx, pos)| self.at(vidx, pos).op.id);
             let merged = self.live().filter(|e| Some(e.op.id) != skipped);
-            return (allowed(&spec.denote_refs(merged.map(|e| &e.op))), false);
+            return (allowed(&global.denote_refs(merged.map(|e| &e.op))), false);
         }
         let sh = &self.shards[scope.start].1;
         let skip = skip.map(|(_, pos)| pos);
@@ -636,7 +636,7 @@ impl<S: SeqSpec> LogView<'_, S> {
         };
         let cached = global.incremental() && skip.is_none_or(|p| p >= sh.cache.len);
         let Some(class) = global.class_of(method).filter(|_| cached) else {
-            return (allowed(&spec.denote_refs(ops_from(0))), false);
+            return (allowed(&global.denote_refs(ops_from(0))), false);
         };
         let suffix = ops_from(sh.cache.len);
         let mut of_class = suffix
@@ -712,9 +712,9 @@ pub(crate) struct SharedLog<S: SeqSpec> {
 }
 
 impl<S: SeqSpec> SharedLog<S> {
-    /// An empty log of `n` shards.
-    pub(super) fn new(spec: &S, n: usize) -> Self {
-        let empty = || Mutex::new(ShardLog::from_stamped(Vec::new(), spec.initial_states()));
+    /// An empty log of `n` shards, each cache seeded with `⟦ε⟧ = init`.
+    pub(super) fn new(init: &StateSet<S::State>, n: usize) -> Self {
+        let empty = || Mutex::new(ShardLog::from_stamped(Vec::new(), init.clone()));
         Self {
             shards: (0..n).map(|_| empty()).collect(),
             coarse: AtomicBool::new(false),
@@ -736,7 +736,7 @@ impl<S: SeqSpec> SharedLog<S> {
     /// by its method's footprint, stamps and the commit order are
     /// preserved, per-shard caches are re-seeded and advanced, and the
     /// coarse flag is recomputed from the entries actually present.
-    pub(super) fn rebuilt(&self, spec: &S, n: usize) -> Self {
+    pub(super) fn rebuilt(&self, spec: &S, init: &StateSet<S::State>, n: usize) -> Self {
         let mut stamped: Vec<StampedEntry<S>> = Vec::new();
         for m in &self.shards {
             stamped.extend(unpoisoned(m.lock()).entries.iter().cloned());
@@ -750,7 +750,7 @@ impl<S: SeqSpec> SharedLog<S> {
             per[route.target()].push((stamp, entry));
         }
         let shards = per.into_iter().map(|seg| {
-            let mut sh = ShardLog::from_stamped(seg, spec.initial_states());
+            let mut sh = ShardLog::from_stamped(seg, init.clone());
             sh.advance_cache(spec, n);
             Mutex::new(sh)
         });
@@ -890,11 +890,14 @@ impl<S: SeqSpec> GlobalState<S> {
         None
     }
 
-    /// The refresh's candidates: the committed entries of `G` that `have`
-    /// does not already hold and that `footprint` concerns, in stamp
-    /// order, snapshotted under one acquisition (each lock taken exactly
-    /// once) of the shards that can hold them — a consistent cut of those
-    /// shards, the one [`Self::global_snapshot`] takes of all of them.
+    /// The refresh's candidates: the committed entries of `G` that
+    /// `footprint` concerns and `skip` does not exclude (the operations the
+    /// caller already holds, and for the lenient refresh committed reads),
+    /// in stamp order, snapshotted under one acquisition (each lock taken
+    /// exactly once) of the shards that can hold them — a consistent cut
+    /// of those shards, the one [`Self::global_snapshot`] takes of all of
+    /// them. `skip` runs under those locks, so an excluded entry is never
+    /// cloned.
     ///
     /// `footprint` is a set of declared keys, ascending; `None` concerns
     /// everything and locks every shard. An entry is concerned when its
@@ -912,7 +915,7 @@ impl<S: SeqSpec> GlobalState<S> {
     pub(crate) fn committed_except(
         &self,
         footprint: Option<&[u64]>,
-        have: impl Fn(OpId) -> bool,
+        skip: impl Fn(&Op<S::Method, S::Ret>) -> bool,
     ) -> Vec<GlobalEntry<S::Method, S::Ret>> {
         let n = self.log.shards.len() as u64;
         let fine = footprint.and_then(|keys| {
@@ -926,9 +929,9 @@ impl<S: SeqSpec> GlobalState<S> {
             (Some(keys), Some(declared)) => declared.iter().any(|k| keys.binary_search(k).is_ok()),
             _ => true,
         };
-        let fresh = view.live().filter(|e| {
-            e.flag == GlobalFlag::Committed && concerned(&e.op.method) && !have(e.op.id)
-        });
+        let fresh = view
+            .live()
+            .filter(|e| e.flag == GlobalFlag::Committed && concerned(&e.op.method) && !skip(&e.op));
         fresh.cloned().collect()
     }
 

@@ -116,7 +116,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     fn local_denotation(&self) -> Cow<'_, StateSet<S::State>> {
         match self.carried() {
             Some(states) => Cow::Borrowed(states),
-            None => Cow::Owned(self.global.spec().denote_refs(self.local_ops())),
+            None => Cow::Owned(self.global.denote_refs(self.local_ops())),
         }
     }
 
@@ -126,7 +126,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     fn carry(&mut self) {
         let spec = self.global.spec();
         if self.global.incremental() && !matches!(self.denot, LocalDenot::States(_)) {
-            self.denot = LocalDenot::States(spec.denote_refs(self.local_ops()));
+            self.denot = LocalDenot::States(self.global.denote_refs(self.local_ops()));
         }
         debug_assert!(
             match &self.denot {
@@ -148,7 +148,8 @@ impl<S: SeqSpec> TxnHandle<S> {
         let spec = self.global.spec();
         match self.carried() {
             Some(states) => states.admits(spec, op),
-            None => !spec
+            None => !self
+                .global
                 .denote_refs(self.local_ops().chain(std::iter::once(op)))
                 .is_empty(),
         }

@@ -1,11 +1,12 @@
 //! The refresh of a [`TxnHandle`] — pulling the committed operations its
-//! local log lacks — and the footprint that bounds the lenient one.
+//! local log lacks — and the two filters of the lenient one: the
+//! footprint, and committed reads under a one-state `⟦ε⟧`.
 
 use std::collections::HashSet;
 
 use crate::error::{MachineError, MachineResult};
-use crate::op::OpId;
-use crate::spec::SeqSpec;
+use crate::op::{Op, OpId};
+use crate::spec::{OpInverse, SeqSpec};
 
 use super::TxnHandle;
 
@@ -27,9 +28,20 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// the remaining code can reach and of every own operation already in
     /// `L` (an UNAPP hands its method back to the code); it is
     /// *everything*, as in [`Self::pull_all_committed`], when one of them
-    /// declares no keys or no transaction is active. PULL is per
-    /// operation (§4) and skipping one elides no criterion, so a footprint
-    /// declared too small can cost a retry and never a verdict.
+    /// declares no keys or no transaction is active.
+    ///
+    /// When `⟦ε⟧` has exactly one state it also leaves in `G` every
+    /// committed operation [`SeqSpec::inverse`] declares
+    /// [`OpInverse::ReadOnly`]. `apply` is a function, so every `⟦L⟧`
+    /// then holds at most one state: one that admits the read is left
+    /// unchanged by it, and one that refuses it would have the PULL
+    /// skipped anyway — so every later answer about `L` is the one the
+    /// unfiltered refresh gives. Under several initial states a read
+    /// narrows `⟦L⟧`, and reads are pulled.
+    ///
+    /// PULL is per operation (§4) and skipping one elides no criterion,
+    /// so a footprint declared too small, or a state-changing operation
+    /// declared read-only, can cost a retry and never a verdict.
     ///
     /// # Errors
     ///
@@ -71,7 +83,8 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// run the ordinary PULL body on each, in stamp order, with no lock at
     /// all. The strict refresh concerns every shard and stops at the first
     /// denial; the `lenient` one concerns the shards of the transaction's
-    /// footprint and skips denials. Returns how many were pulled.
+    /// footprint, leaves committed reads in `G` under a one-state `⟦ε⟧`,
+    /// and skips denials. Returns how many were pulled.
     fn refresh(&mut self, lenient: bool) -> MachineResult<usize> {
         let reachable = self.reachable_methods();
         let footprint = if lenient {
@@ -87,7 +100,12 @@ impl<S: SeqSpec> TxnHandle<S> {
         let have: Option<HashSet<OpId>> =
             (!self.local.is_empty()).then(|| self.local_ops().map(|op| op.id).collect());
         let have = |id| have.as_ref().is_some_and(|ids| ids.contains(&id));
-        let fresh = self.global.committed_except(footprint.as_deref(), have);
+        let reads_stay = lenient && self.global.initial().len() == 1;
+        let spec = self.global.spec();
+        let read_only =
+            |op: &Op<S::Method, S::Ret>| matches!(spec.inverse(op), OpInverse::ReadOnly);
+        let skip = |op: &Op<S::Method, S::Ret>| (reads_stay && read_only(op)) || have(op.id);
+        let fresh = self.global.committed_except(footprint.as_deref(), skip);
         let mut pulled = 0;
         for entry in fresh {
             match self.pull_in(entry.op.id, Some((entry, &reachable))) {
@@ -97,5 +115,55 @@ impl<S: SeqSpec> TxnHandle<S> {
             }
         }
         Ok(pulled)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::lang::Code;
+    use crate::machine::Machine;
+    use crate::spec::SeqSpec;
+    use crate::toy::{CounterMethod, ToyCounter, TwoStartCounter};
+
+    /// One thread commits a `Get` and another, about to `Get`, refreshes
+    /// leniently. Returns the returns the second thread's `Get` is allowed
+    /// before the refresh, how many operations the refresh pulled, and the
+    /// returns allowed after it.
+    fn refresh_after_a_committed_get<S: SeqSpec<Method = CounterMethod, Ret = i64>>(
+        spec: S,
+    ) -> (Vec<i64>, usize, Vec<i64>) {
+        let mut m = Machine::new(spec);
+        let get = || vec![Code::method(CounterMethod::Get)];
+        let (a, b) = (m.add_thread(get()), m.add_thread(get()));
+        let op = m.app_auto(a).unwrap();
+        m.push(a, op).unwrap();
+        m.commit(a).unwrap();
+        let h = m.handle_mut(b).unwrap();
+        let before = h.allowed_results(&CounterMethod::Get).unwrap();
+        let pulled = h.pull_committed_lenient().unwrap();
+        (
+            before,
+            pulled,
+            h.allowed_results(&CounterMethod::Get).unwrap(),
+        )
+    }
+
+    /// Under one initial state the committed read changes nothing `L` can
+    /// see, and stays in `G`.
+    #[test]
+    fn a_committed_read_stays_in_g_under_one_initial_state() {
+        let spec = ToyCounter::with_bound(4);
+        assert_eq!(refresh_after_a_committed_get(spec), (vec![0], 0, vec![0]));
+    }
+
+    /// Under two the committed read pins which one `G` started from: the
+    /// refresh pulls it, and `⟦L⟧` narrows from both starts to `G`'s.
+    #[test]
+    fn a_committed_read_is_pulled_under_two_initial_states() {
+        let spec = TwoStartCounter::new([5, 2], 8);
+        assert_eq!(
+            refresh_after_a_committed_get(spec),
+            (vec![5, 2], 1, vec![5])
+        );
     }
 }

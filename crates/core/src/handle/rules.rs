@@ -438,10 +438,10 @@ impl<S: SeqSpec> TxnHandle<S> {
             self.global.counters.audit.count_allowed();
             let rest = || self.local_ops().filter(|op| op.id != op_id);
             let denied = if tail && self.global.incremental() && self.denot.allowed() {
-                debug_assert!(!self.global.spec().denote_refs(rest()).is_empty());
+                debug_assert!(!self.global.denote_refs(rest()).is_empty());
                 false
             } else {
-                let states = self.global.spec().denote_refs(rest());
+                let states = self.global.denote_refs(rest());
                 let denied = states.is_empty();
                 remaining = LocalDenot::States(states);
                 denied

@@ -33,13 +33,23 @@ use std::hash::Hash;
 /// This is what makes open nesting and boosting-style undo sound: a
 /// committed open-nested child is compensated by replaying the
 /// [`OpInverse::Inverse`] of each of its state-changing operations in
-/// reverse order, and the inverse *law* — `⟦ℓ · op · op⁻¹⟧ = ⟦ℓ⟧`
-/// whenever `ℓ · op` is allowed, and `⟦ℓ · op⟧ = ⟦ℓ⟧` for
-/// [`OpInverse::ReadOnly`] — is certified exhaustively by
-/// `pushpull-analysis` on bounded specs.
+/// reverse order.
+///
+/// The law `pushpull-analysis` certifies, exhaustively on bounded specs,
+/// holds *per state*: a state that admits `op` is restored by `op` then
+/// `op⁻¹` ([`OpInverse::Inverse`]), or is left unchanged by `op`
+/// ([`OpInverse::ReadOnly`]). Over a denotation that gives
+/// `⟦ℓ · op · op⁻¹⟧ ⊆ ⟦ℓ⟧` and `⟦ℓ · op⟧ ⊆ ⟦ℓ⟧` — each is the states of
+/// `⟦ℓ⟧` that admit `op` — with equality only when every state of `⟦ℓ⟧`
+/// admits `op`. That always holds for an allowed `op` over a one-state
+/// `⟦ℓ⟧`; over several, a read can narrow the set (a `Get` pins which
+/// start a counter had). The lenient refresh relies on exactly the
+/// one-state case to leave committed reads in `G`
+/// ([`TxnHandle::pull_committed_lenient`](crate::handle::TxnHandle::pull_committed_lenient)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpInverse<M, R> {
-    /// The operation never changes state; there is nothing to undo.
+    /// The operation leaves every state that admits it unchanged; there is
+    /// nothing to undo.
     ReadOnly,
     /// Appending this `(method, ret)` after the operation restores every
     /// pre-state exactly.

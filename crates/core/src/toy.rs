@@ -223,7 +223,9 @@ impl SeqSpec for StrictCounter {
 /// `⟦ε⟧` has *two* states until a `Get` pins one — the smallest spec on
 /// which a denotation is a genuine set, for the tests of
 /// [`StateSet`](crate::spec::StateSet) and of the choices made by walking
-/// one (APP's "first allowed return").
+/// one (APP's "first allowed return"). It declares `Get` read-only, as
+/// [`ToyCounter`] does, and is the spec on which the lenient refresh must
+/// still pull committed reads: here one narrows `⟦L⟧`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoStartCounter {
     starts: [i64; 2],
@@ -276,6 +278,10 @@ impl SeqSpec for TwoStartCounter {
             CounterMethod::Dec,
             CounterMethod::Get,
         ])
+    }
+
+    fn inverse(&self, op: &CounterOp) -> OpInverse<CounterMethod, i64> {
+        self.counter.inverse(op)
     }
 }
 

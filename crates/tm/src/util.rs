@@ -14,7 +14,9 @@ use pushpull_core::TxnHandle;
 /// the locks of the shards the transaction's declared keys route to, of
 /// the committed operations on those keys and of every one that declares
 /// none — everything, under every shard lock, when a method it can reach
-/// declares none — then one PULL per operation with no lock).
+/// declares none — then one PULL per operation with no lock). Committed
+/// operations the spec declares read-only stay in `G` when it has one
+/// initial state: they could change no state the local view holds.
 ///
 /// An operation skipped or left out leaves the local view behind the
 /// shared view; any resulting inconsistency surfaces later as a PUSH

@@ -150,7 +150,8 @@ fn fresh_epoch(m: &mut Machine<KvMap>, epoch: u64) -> [(u64, u64); 3] {
 /// inline and shared its code; 47.8 and 5.0 while each PUSH (iii) still
 /// replayed the class's uncommitted suffix and CMT folded it again; 34.8
 /// and 5.0 while every spec step copied the state it stepped; 21.8 and
-/// 2.3 now), with headroom for a shard log or an event buffer doubling
+/// 2.3 while each attempt's first replay asked the spec for `⟦ε⟧` as a
+/// fresh `Vec`; 20.8 and 2.0 now), with headroom for a shard log or an event buffer doubling
 /// inside the counted epoch. A debug build also runs the cross-checks that
 /// make the short cuts safe to take — `carry` replays `L`, APP re-derives
 /// `step(c)`, PUSH re-checks its end-of-log set against that replay — and
@@ -228,9 +229,11 @@ fn spread(values: impl Iterator<Item = f64>) -> f64 {
 
 /// What an APP costs per operation does not grow with the transaction:
 /// at no length above 3 is it dearer, in allocations or bytes, than at 3.
-/// It falls instead (2.33 / 2.02 / 2.01 allocations at 3 / 48 / 192),
-/// because the first `Put` on the transaction's empty map allocates the
-/// map's node once per transaction, and the later ones step it in place.
+/// Its allocations are flat (2.00 at 3 / 48 / 192; 2.33 / 2.02 / 2.01
+/// while each transaction's first replay collected `⟦ε⟧` into a fresh
+/// `Vec`) and its bytes fall (138.7 / 91.2 / 88.8), because the first
+/// `Put` on the transaction's empty map allocates the map's node once per
+/// transaction, and the later ones step it in place.
 /// Release builds only: a debug build's `carry` cross-check replays `L`
 /// on every APP, which is linear in the transaction by design.
 #[cfg(not(debug_assertions))]

@@ -333,15 +333,29 @@ fn a_fresh_key_costs_the_same_after_any_history_on_its_shard() {
 /// if `coarse`. Returns how many operations it pulled and the shard-lock
 /// acquisitions it made.
 fn refresh_cost(history: u64, probe: &[MapMethod], coarse: bool) -> (usize, Vec<u64>) {
-    let mut m = Machine::new(KvMap::new());
     let first = coarse.then_some(MapMethod::Size);
     let own_keys = [MapMethod::Put(1, 7), MapMethod::Put(2, 8)];
     let others = (0..history).map(|i| MapMethod::Put(4 * (i / 2 + 1) + 1 + i % 2, 1));
-    let committed = first.into_iter().chain(own_keys).chain(others);
+    lenient_refresh(first.into_iter().chain(own_keys).chain(others), probe)
+}
+
+/// One lenient refresh of a transaction about to run `probe`, on a
+/// 4-shard map after `committed` ran as one transaction each, each begun
+/// by a refresh of its own (so a read observes what `G` holds). Returns
+/// how many operations it pulled and the shard-lock acquisitions it made.
+fn lenient_refresh(
+    committed: impl Iterator<Item = MapMethod>,
+    probe: &[MapMethod],
+) -> (usize, Vec<u64>) {
+    let mut m = Machine::new(KvMap::new());
     let writer = m.add_thread(committed.map(Code::method).collect());
     let reader = m.add_thread(vec![Code::seq_all(probe.iter().cloned().map(Code::method))]);
     m.set_log_shards(4);
     while !m.thread(writer).unwrap().is_done() {
+        m.handle_mut(writer)
+            .unwrap()
+            .pull_committed_lenient()
+            .unwrap();
         let op = m.app_auto(writer).unwrap();
         m.push(writer, op).unwrap();
         m.commit(writer).unwrap();
@@ -357,8 +371,9 @@ fn refresh_cost(history: u64, probe: &[MapMethod], coarse: bool) -> (usize, Vec<
 /// locks of the shards that can hold it: the committed operations on the
 /// keys its code reaches, whatever else was committed on their shards.
 /// Reaching a method without a footprint it is the whole log under every
-/// lock; past a coarse append it is every lock — an operation without a
-/// footprint lives on shard 0 — for the same keys' operations and that one.
+/// lock. Past a coarse append it is every lock — an operation without a
+/// footprint lives on shard 0 — for the same operations: that append, a
+/// committed `Size`, is a read, and committed reads stay in `G`.
 #[test]
 fn a_lenient_refresh_locks_and_pulls_by_the_footprint() {
     let keyed = [MapMethod::Get(1), MapMethod::Put(2, 9)];
@@ -369,9 +384,26 @@ fn a_lenient_refresh_locks_and_pulls_by_the_footprint() {
     let sized = [MapMethod::Get(1), MapMethod::Size];
     assert_eq!(refresh_cost(64, &sized, false), (66, vec![1, 1, 1, 1]));
 
-    // `Size -> 0` came first, so the empty local log allows pulling it.
-    assert_eq!(refresh_cost(64, &keyed, true), (3, vec![1, 1, 1, 1]));
-    assert_eq!(refresh_cost(64, &sized, true), (67, vec![1, 1, 1, 1]));
+    // The committed `Size -> 0` is read-only, so it stays in `G`: past it,
+    // the refresh still takes every lock, and pulls what it did before.
+    assert_eq!(refresh_cost(64, &keyed, true), (2, vec![1, 1, 1, 1]));
+    assert_eq!(refresh_cost(64, &sized, true), (66, vec![1, 1, 1, 1]));
+}
+
+/// Committed reads on the transaction's own key stay in `G` (a map has one
+/// initial state): after one `Put` and 1 or 64 `Get`s on key 1, the
+/// refresh pulls the `Put` alone, under key 1's shard lock alone.
+#[test]
+fn a_lenient_refresh_leaves_committed_reads_in_g() {
+    let reads = |gets| {
+        let committed = [MapMethod::Put(1, 7)].into_iter();
+        lenient_refresh(
+            committed.chain(std::iter::repeat_n(MapMethod::Get(1), gets)),
+            &[MapMethod::Get(1)],
+        )
+    };
+    assert_eq!(reads(1), (1, vec![0, 1, 0, 0]));
+    assert_eq!(reads(64), reads(1), "read-flat");
 }
 
 /// Evaluate-and-append is one step under the shard lock: four OS threads

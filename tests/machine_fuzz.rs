@@ -16,8 +16,8 @@ use pushpull::core::machine::CheckMode;
 use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::rng::Xorshift64;
 use pushpull::core::serializability::check_machine;
-use pushpull::core::spec::SeqSpec;
-use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter};
+use pushpull::core::spec::{OpInverse, SeqSpec};
+use pushpull::core::toy::{CounterMethod, StrictCounter, ToyCounter, TwoStartCounter};
 use pushpull::core::{Machine, MachineError, ScopeKind};
 use pushpull::harness::testutil::Redeclared;
 use pushpull::spec::bank::{Bank, BankMethod};
@@ -472,6 +472,31 @@ fn unpull_tail_beyond<S: SeqSpec>(
     }
 }
 
+/// UNPULLs from thread `tid`'s log, wherever they sit, the committed reads
+/// `other` — the filtered side's log — does not hold, when `⟦ε⟧` has one
+/// state: the reads the filtered refresh left in `G`. A read pins the state
+/// it observed, so on the full side it can deny an UNPULL of an earlier
+/// operation that the filtered side takes. Removing it always holds: it
+/// changed no state of `L`.
+fn unpull_reads_beyond<S: SeqSpec>(
+    m: &mut Machine<S>,
+    tid: ThreadId,
+    other: &LocalLog<S::Method, S::Ret>,
+) {
+    if m.spec().initial_states().len() != 1 {
+        return;
+    }
+    let local = m.thread(tid).unwrap().local();
+    let reads = local.entries().iter().filter(|e| {
+        e.flag.is_pulled()
+            && !other.contains_id(e.op.id)
+            && m.spec().inverse(&e.op) == OpInverse::ReadOnly
+    });
+    for id in reads.map(|e| e.op.id).collect::<Vec<_>>() {
+        m.unpull(tid, id).expect("UNPULL of a read");
+    }
+}
+
 /// The steps of [`footprint_vs_full`], numbered like [`seeded_step`]'s:
 /// APP (three times), UNAPP, UNPULL at the tail and mid-log, the lenient
 /// refresh (four times), PUSH (twice), UNPUSH, CMT (twice),
@@ -487,13 +512,16 @@ const REFRESH_STEP: [usize; 19] = [
 /// machine and its clone take the same seeded steps, one refreshing through
 /// `pull_committed_lenient`, the other through
 /// [`pull_everything_leniently`]. What the second pulls beyond the first
-/// are operations its transaction cannot touch, so after every step both
+/// are operations its transaction cannot touch, and — under a one-state
+/// `⟦ε⟧` — committed reads, which change no state `L` can hold; so after
+/// every step both
 /// must answer `allowed_results` alike for every method any thread can
 /// still reach, give the same result for every APP, UNAPP, PUSH, UNPUSH,
 /// CMT, abort and scope step, and hold the same `G` and the same committed
 /// transactions (all but `pulled_from`, which is the difference under
 /// test) — and every keyed operation only the full side holds must lie
-/// outside the footprint as the test computes it. Targets are drawn from
+/// outside the footprint as the test computes it, or be a read under a
+/// one-state `⟦ε⟧`. Targets are drawn from
 /// the footprint side's log, and UNPULL results are not compared: the other
 /// side's copy may sit below later pulls of a key the transaction has since
 /// left behind.
@@ -560,6 +588,9 @@ where
                     unpull_tail_beyond(&mut full, tid, &local);
                     unpull_tail_beyond(&mut filtered, tid, &other);
                 }
+                if matches!(kind, 5 | 6) {
+                    unpull_reads_beyond(&mut full, tid, &local);
+                }
                 let got = step_on(&mut filtered, &mut rng.clone(), tid, kind, &local);
                 let want = step_on(&mut full, &mut rng, tid, kind, &local);
                 assert!(
@@ -580,7 +611,9 @@ where
                 }
                 // The definition itself: a keyed operation only the full
                 // side holds is one the transaction cannot touch — its keys
-                // are declared by no reachable method and no own entry.
+                // are declared by no reachable method and no own entry — or
+                // a read, which a one-state `⟦ε⟧` leaves in `G`.
+                let reads_stay = a.spec().initial_states().len() == 1;
                 let own = a.local().iter().filter(|e| e.flag.is_own());
                 let touched = reachable.iter().chain(own.map(|e| &e.op.method));
                 let footprint: Option<Vec<u64>> = touched
@@ -593,7 +626,12 @@ where
                         let touchable = footprint
                             .as_ref()
                             .is_none_or(|f| declared.iter().any(|k| f.contains(k)));
-                        assert!(!touchable, "{at}: thread {t} was not handed {}", e.op.id);
+                        let read = reads_stay && a.spec().inverse(&e.op) == OpInverse::ReadOnly;
+                        assert!(
+                            !touchable || read,
+                            "{at}: thread {t} was not handed {}",
+                            e.op.id
+                        );
                     }
                 }
             }
@@ -683,4 +721,28 @@ fn footprint_and_full_refresh_agree_on_rwmem() {
         },
         &[],
     );
+}
+
+/// A counter declares no keys, so every refresh concerns everything and
+/// reads are the only thing it leaves out: with one initial state the
+/// committed `Get`s stay in `G` and every answer still agrees; with two,
+/// where a `Get` narrows `⟦L⟧`, the refresh leaves out nothing at all.
+///
+/// Mutation check, in release (EXPERIMENTS.md "PR 29" has the runs): with
+/// the one-state guard dropped the two-start run answers a `Get`
+/// differently from the full side, and with state-changing operations left
+/// in `G` as well the one-start run does, and the three keyed families
+/// above fail their structural clause.
+#[test]
+fn footprint_and_full_refresh_agree_on_counters_with_one_and_two_starts() {
+    let methods = [
+        CounterMethod::Inc,
+        CounterMethod::Dec,
+        CounterMethod::Get,
+        CounterMethod::Get,
+    ];
+    let (_, one) = footprint_vs_full(&|| ToyCounter::with_bound(4), 1, &methods);
+    assert!(one > 0, "one start: refreshes must leave reads out ({one})");
+    let (_, two) = footprint_vs_full(&|| TwoStartCounter::new([1, 3], 4), 1, &methods);
+    assert_eq!(two, 0, "two starts: every committed read is pulled");
 }

@@ -10,15 +10,22 @@
 //! no `Write(l)` declares, on a single-shard machine (where routing does
 //! not look at footprints at all), through a §6 driver and through the
 //! service front-end under the round-robin scheduler.
+//!
+//! The refresh's other filter — committed operations the spec declares
+//! `ReadOnly` stay in `G` — trusts the inverse oracle the same way, with
+//! no certificate either, and for the same reason: a memory whose every
+//! `Write` claims to be read-only is never refreshed past a write, and
+//! the same two runs show it costs retries, or a session its budget, and
+//! no verdict.
 
 use pushpull::core::lang::Code;
-use pushpull::core::op::ThreadId;
+use pushpull::core::op::{Op, ThreadId};
 use pushpull::core::serializability::check_machine;
-use pushpull::core::spec::{KeySet, SeqSpec};
+use pushpull::core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 use pushpull::harness::testutil::Redeclared;
 use pushpull::harness::{run, RoundRobin};
 use pushpull::server::{ServerConfig, SessionOutcome, SessionScript, TxnServer};
-use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
+use pushpull::spec::rwmem::{Loc, MemMethod, MemRet, MemState, RwMem};
 use pushpull::tm::optimistic::ReadPolicy;
 use pushpull::tm::OptimisticSystem;
 
@@ -38,30 +45,73 @@ fn memory(lying: bool) -> Redeclared<RwMem> {
     }
 }
 
+/// `RwMem` with every operation declared [`OpInverse::ReadOnly`] —
+/// uncertified, and false for a `Write`: the lenient refresh (`RwMem` has
+/// one initial state) then leaves every committed write in `G`.
+#[derive(Debug, Clone, Default)]
+struct WritesReadOnly(RwMem);
+
+impl SeqSpec for WritesReadOnly {
+    type Method = MemMethod;
+    type Ret = MemRet;
+    type State = MemState;
+
+    fn initial_states(&self) -> Vec<MemState> {
+        self.0.initial_states()
+    }
+
+    fn apply(&self, state: &mut MemState, method: &MemMethod, ret: &MemRet) -> bool {
+        self.0.apply(state, method, ret)
+    }
+
+    fn results(&self, state: &MemState, method: &MemMethod) -> Rets<MemRet> {
+        self.0.results(state, method)
+    }
+
+    fn mover(&self, op1: &Op<MemMethod, MemRet>, op2: &Op<MemMethod, MemRet>) -> bool {
+        self.0.mover(op1, op2)
+    }
+
+    fn method_mover(&self, m1: &MemMethod, m2: &MemMethod) -> Option<bool> {
+        self.0.method_mover(m1, m2)
+    }
+
+    fn method_keys(&self, m: &MemMethod) -> Option<KeySet> {
+        self.0.method_keys(m)
+    }
+
+    fn inverse(&self, _op: &Op<MemMethod, MemRet>) -> OpInverse<MemMethod, MemRet> {
+        OpInverse::ReadOnly
+    }
+}
+
 /// A writer sets location 0, then writes its initial value back two
-/// transactions later; a reader gets to `Read(0)` in between. Refreshed,
-/// it reads the 1 and commits at once. Lied to, it keeps observing the
-/// initial 0, which PUSH (iii) keeps denying — until 0 is the committed
-/// value again, and it commits: late, and serializably.
+/// transactions later; a reader gets to `Read(0)` in between, through the
+/// optimistic driver. Returns the aborts and what the reader's `Read(0)`
+/// returned.
+fn through_the_driver<S: SeqSpec<Method = MemMethod, Ret = MemRet>>(spec: S) -> (u64, MemRet) {
+    let write = |l, v| Code::method(MemMethod::Write(Loc(l), v));
+    let writer = vec![write(0, 1), write(1, 5), write(0, 0)];
+    let reader = vec![write(2, 1), Code::method(MemMethod::Read(Loc(0)))];
+    let mut sys = OptimisticSystem::new(spec, vec![writer, reader], ReadPolicy::Snapshot);
+    let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("no machine error");
+    assert!(out.completed, "the run must terminate");
+    let report = check_machine(sys.machine());
+    assert!(report.is_serializable(), "{report}");
+    let stats = sys.stats();
+    assert_eq!(stats.commits, 5);
+    let read = sys.machine().committed_txns().pop().expect("five commits");
+    (stats.aborts, read.ops[0].ret)
+}
+
+/// Refreshed, the reader of [`through_the_driver`] reads the 1 and commits
+/// at once. Lied to, it keeps observing the initial 0, which PUSH (iii)
+/// keeps denying — until 0 is the committed value again, and it commits:
+/// late, and serializably.
 #[test]
 fn a_lying_footprint_costs_the_driver_retries_and_no_verdict() {
-    let drive = |lying: bool| {
-        let write = |l, v| Code::method(MemMethod::Write(Loc(l), v));
-        let writer = vec![write(0, 1), write(1, 5), write(0, 0)];
-        let reader = vec![write(2, 1), Code::method(MemMethod::Read(Loc(0)))];
-        let programs = vec![writer, reader];
-        let mut sys = OptimisticSystem::new(memory(lying), programs, ReadPolicy::Snapshot);
-        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("no machine error");
-        assert!(out.completed, "lying {lying}: the run must terminate");
-        let report = check_machine(sys.machine());
-        assert!(report.is_serializable(), "lying {lying}: {report}");
-        let stats = sys.stats();
-        assert_eq!(stats.commits, 5, "lying {lying}");
-        let read = sys.machine().committed_txns().pop().expect("five commits");
-        (stats.aborts, read.ops[0].ret)
-    };
-    let (honest_aborts, honest_read) = drive(false);
-    let (lying_aborts, lying_read) = drive(true);
+    let (honest_aborts, honest_read) = through_the_driver(memory(false));
+    let (lying_aborts, lying_read) = through_the_driver(memory(true));
     assert_eq!(honest_aborts, 0, "a refreshed reader is never denied");
     assert!(lying_aborts > 0, "the stale reader must have been denied");
     assert_ne!(
@@ -70,46 +120,86 @@ fn a_lying_footprint_costs_the_driver_retries_and_no_verdict() {
     );
 }
 
-/// The same lie through the server, one slot, so sessions run one after
-/// another in the order the server's seeded deal gives them: a reader
-/// admitted while location 0 holds 1 can never be refreshed, spends its
-/// retry budget and fails cleanly with its last criterion denial; every
-/// other session commits. Nothing is left behind and what committed is
-/// serializable.
+/// The same through a write declared read-only: the reader's refresh
+/// leaves the committed `Write(0, 1)` in `G`.
+#[test]
+fn a_write_declared_read_only_costs_the_driver_retries_and_no_verdict() {
+    let (honest_aborts, honest_read) = through_the_driver(RwMem::new());
+    let (lying_aborts, lying_read) = through_the_driver(WritesReadOnly::default());
+    assert_eq!(honest_aborts, 0, "a refreshed reader is never denied");
+    assert!(lying_aborts > 0, "the stale reader must have been denied");
+    assert_ne!(
+        honest_read, lying_read,
+        "1 when refreshed, 0 once it is 0 again"
+    );
+}
+
+/// Readers and writers of location 0 through the server, one slot, so
+/// sessions run one after another in the order the server's seeded deal
+/// gives them. Asserts that nothing is left behind, that what committed is
+/// serializable and that only readers fail, each cleanly with its last
+/// criterion denial; returns how many failed.
+fn through_the_server<S: SeqSpec<Method = MemMethod>>(spec: S) -> usize {
+    let read = || SessionScript::commit(vec![MemMethod::Read(Loc(0))]);
+    let write = |v| SessionScript::commit(vec![MemMethod::Write(Loc(0), v)]);
+    let config = ServerConfig {
+        workers: 1,
+        slots_per_worker: 1,
+        max_retries: 3,
+        ..ServerConfig::default()
+    };
+    let scripts = vec![write(1), read(), write(0), read(), write(1)];
+    let mut sys = TxnServer::new(spec, scripts, config);
+    let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("a spent budget is not raised");
+    assert!(out.completed, "the server must drain");
+    let m = sys.machine();
+    let report = check_machine(m);
+    assert!(report.is_serializable(), "{report}");
+    assert!(m.thread(ThreadId(0)).unwrap().local().is_empty());
+    let outcomes = sys.outcomes();
+    assert_eq!(outcomes.len(), 5, "sessions lost");
+    let failed = outcomes.iter().filter(|(session, o)| match o {
+        SessionOutcome::Committed { .. } => false,
+        SessionOutcome::Failed { error } => {
+            assert!(error.is_criterion(), "failed with {error}");
+            assert!(session.0 % 2 == 1, "a writer is never stale");
+            true
+        }
+        SessionOutcome::Aborted { .. } => panic!("no script aborts"),
+    });
+    let failures = failed.count();
+    assert_eq!(m.committed_txns().len(), 5 - failures);
+    failures
+}
+
+/// The lying footprint through the server: a reader admitted while
+/// location 0 holds 1 can never be refreshed, spends its retry budget and
+/// fails cleanly with its last criterion denial; every other session
+/// commits.
 #[test]
 fn a_lying_footprint_fails_a_session_on_its_budget_and_no_verdict() {
-    let drive = |lying: bool| -> usize {
-        let read = || SessionScript::commit(vec![MemMethod::Read(Loc(0))]);
-        let write = |v| SessionScript::commit(vec![MemMethod::Write(Loc(0), v)]);
-        let config = ServerConfig {
-            workers: 1,
-            slots_per_worker: 1,
-            max_retries: 3,
-            ..ServerConfig::default()
-        };
-        let scripts = vec![write(1), read(), write(0), read(), write(1)];
-        let mut sys = TxnServer::new(memory(lying), scripts, config);
-        let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("a spent budget is not raised");
-        assert!(out.completed, "lying {lying}: the server must drain");
-        let m = sys.machine();
-        let report = check_machine(m);
-        assert!(report.is_serializable(), "lying {lying}: {report}");
-        assert!(m.thread(ThreadId(0)).unwrap().local().is_empty());
-        let outcomes = sys.outcomes();
-        assert_eq!(outcomes.len(), 5, "lying {lying}: sessions lost");
-        let failed = outcomes.iter().filter(|(session, o)| match o {
-            SessionOutcome::Committed { .. } => false,
-            SessionOutcome::Failed { error } => {
-                assert!(error.is_criterion(), "failed with {error}");
-                assert!(session.0 % 2 == 1, "a writer is never stale");
-                true
-            }
-            SessionOutcome::Aborted { .. } => panic!("no script aborts"),
-        });
-        let failures = failed.count();
-        assert_eq!(m.committed_txns().len(), 5 - failures, "lying {lying}");
-        failures
-    };
-    assert_eq!(drive(false), 0, "refreshed, every session commits");
-    assert!(drive(true) > 0, "a reader that found 1 committed must fail");
+    assert_eq!(
+        through_the_server(memory(false)),
+        0,
+        "refreshed, every session commits"
+    );
+    assert!(
+        through_the_server(memory(true)) > 0,
+        "a reader that found 1 committed must fail"
+    );
+}
+
+/// The write declared read-only through the server, as the lying
+/// footprint.
+#[test]
+fn a_write_declared_read_only_fails_a_session_on_its_budget_and_no_verdict() {
+    assert_eq!(
+        through_the_server(RwMem::new()),
+        0,
+        "refreshed, every session commits"
+    );
+    assert!(
+        through_the_server(WritesReadOnly::default()) > 0,
+        "a reader that found 1 committed must fail"
+    );
 }
