@@ -1,10 +1,11 @@
 //! # pushpull-analysis
 //!
-//! Static analysis for the Push/Pull reproduction: a linter for the §6
-//! rule patterns and for transaction programs themselves, and a
-//! certifier for the spec declarations the runtime trusts. Neither skips
-//! a runtime check: the machine evaluates every criterion when its rule
-//! fires.
+//! Static analysis for the Push/Pull reproduction: a linter for
+//! transaction programs, and a certifier for the spec declarations the
+//! runtime trusts. Neither skips a runtime check: the machine evaluates
+//! every criterion when its rule fires. Nothing here checks which §6
+//! rules a driver fires; those patterns are observed on real runs, by
+//! the criteria audit and the golden rule traces.
 //!
 //! The pipeline ([`analyze`]):
 //!
@@ -15,8 +16,8 @@
 //!    [`method_mover`](pushpull_core::spec::SeqSpec::method_mover)
 //!    oracle, cached as a [`MoverMatrix`];
 //! 3. [`lint`] runs bounded semantic exploration for never-commits and
-//!    unreachable-method findings, a conflict-graph scan for potential
-//!    PULL cycles, and checks driver-declared rule patterns;
+//!    unreachable-method findings and a conflict-graph scan for
+//!    potential PULL cycles;
 //! 4. [`diagnostics`] renders it all rustc-style.
 //!
 //! Independently of the per-workload pipeline, [`mod@certify`] infers the
@@ -54,9 +55,9 @@ pub use certify::{
 pub use diagnostics::{render_report, Diagnostic, PathStep, Severity, Span};
 pub use infer::{infer, InferredSpec};
 pub use lint::{
-    explore_txn, lint_declaration, lint_programs, Exploration, LintConfig, Tri, NEVER_COMMITS,
-    PATTERN_DIVERGENCE, PULL_CYCLE, UNREACHABLE_METHOD,
+    explore_txn, lint_programs, Exploration, LintConfig, Tri, NEVER_COMMITS, PULL_CYCLE,
+    UNREACHABLE_METHOD,
 };
 pub use matrix::MoverMatrix;
-pub use plan::{analyze, analyze_certified, check_declaration, AnalysisPlan};
+pub use plan::{analyze, analyze_certified, AnalysisPlan};
 pub use summary::{summarize, summarize_txn, ProgramSummary, TxnSummary};

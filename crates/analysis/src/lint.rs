@@ -1,10 +1,8 @@
-//! The §6 rule-pattern linter and the semantic program lints.
+//! The semantic program lints.
 //!
 //! Three program lints run a *bounded semantic exploration* of each
 //! transaction body — configurations are `(code, possible-state-set)`
-//! pairs evolved with `step`/`fin` and the spec's denotation — and one
-//! declaration lint checks a driver's declared [`RulePattern`] against
-//! the workload's static summary:
+//! pairs evolved with `step`/`fin` and the spec's denotation:
 //!
 //! * [`NEVER_COMMITS`] (error): no execution of the transaction reaches
 //!   a `fin` configuration — every path gets stuck on a method that has
@@ -14,9 +12,7 @@
 //! * [`PULL_CYCLE`] (warning): transactions on different threads whose
 //!   footprints mutually conflict — under a driver that PULLs
 //!   uncommitted effects (§6.5) they may form a PULL dependency cycle
-//!   and deadlock or cascade-abort;
-//! * [`PATTERN_DIVERGENCE`] (error): a driver's declared §6 rule pattern
-//!   omits rules the workload provably exercises.
+//!   and deadlock or cascade-abort.
 //!
 //! The exploration is capped (configurations and state-set size); a
 //! capped transaction yields [`Tri::Unknown`] and the semantic lints
@@ -27,7 +23,6 @@ use std::fmt;
 
 use pushpull_core::lang::Code;
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::static_facts::RulePattern;
 
 use crate::diagnostics::{find_method, Diagnostic, Severity, Span};
 use crate::matrix::MoverMatrix;
@@ -39,8 +34,6 @@ pub const NEVER_COMMITS: &str = "never-commits";
 pub const UNREACHABLE_METHOD: &str = "unreachable-method";
 /// Lint name: a potential PULL dependency cycle between transactions.
 pub const PULL_CYCLE: &str = "pull-cycle";
-/// Lint name: a declared rule pattern diverging from the static summary.
-pub const PATTERN_DIVERGENCE: &str = "pattern-divergence";
 
 /// Caps for the bounded semantic exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,60 +282,10 @@ fn pull_cycle<M: Clone + Eq + fmt::Display>(
     None
 }
 
-/// Checks a driver's declared §6 rule pattern against the workload's
-/// static summary: an error when the declaration omits rules the
-/// workload provably exercises, and a note when the declared abort-path
-/// rules cannot fire from conflicts (fully proven mover matrix).
-pub fn lint_declaration<M: Clone + Eq>(
-    driver: &str,
-    declared: RulePattern,
-    summary: &ProgramSummary<M>,
-    matrix: &MoverMatrix<M>,
-) -> Option<Diagnostic> {
-    let missing = summary.required.difference(declared);
-    if !missing.is_empty() {
-        return Some(
-            Diagnostic::global(
-                Severity::Error,
-                PATTERN_DIVERGENCE,
-                format!(
-                    "driver `{driver}` declares rule pattern {declared} but the \
-                     workload requires {missing}",
-                ),
-            )
-            .with_note(format!(
-                "every completed run of these programs must exercise {}",
-                summary.required
-            )),
-        );
-    }
-    use pushpull_core::error::Rule;
-    let abort_path = RulePattern::from_iter([Rule::UnApp, Rule::UnPush, Rule::UnPull]);
-    // declared ∩ abort_path, via two differences.
-    let declared_abort = declared.difference(declared.difference(abort_path));
-    if !declared_abort.is_empty() && matrix.all_pairs_proven() && !matrix.is_empty() {
-        return Some(
-            Diagnostic::global(
-                Severity::Note,
-                PATTERN_DIVERGENCE,
-                format!(
-                    "driver `{driver}` declares abort-path rules {declared_abort}, but \
-                     every method pair of this workload is a proven mover",
-                ),
-            )
-            .with_note(
-                "conflicts cannot arise, so these rules can only fire under fault injection",
-            ),
-        );
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::summary::summarize;
-    use pushpull_core::error::Rule;
     use pushpull_spec::counter::{Counter, CtrMethod};
     use pushpull_spec::queue::{QueueMethod, QueueSpec};
 
@@ -433,21 +376,5 @@ mod tests {
         let matrix = MoverMatrix::build(&spec, &summary.footprint);
         let diags = lint_programs(&spec, &programs, &summary, &matrix, &LintConfig::default());
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn declaration_missing_required_rules_is_an_error() {
-        let spec = Counter::new();
-        let programs = vec![vec![Code::method(CtrMethod::Add(1))]];
-        let summary = summarize(&programs);
-        let matrix = MoverMatrix::build(&spec, &summary.footprint);
-        let declared = RulePattern::from_iter([Rule::App, Rule::Cmt]); // omits PUSH
-        let d = lint_declaration("bogus", declared, &summary, &matrix).unwrap();
-        assert_eq!(d.severity, Severity::Error);
-        assert!(d.message.contains("PUSH"), "{d}");
-        // A full declaration on an all-mover workload only gets the
-        // dead-abort-rules note.
-        let d = lint_declaration("boosting", RulePattern::all(), &summary, &matrix).unwrap();
-        assert_eq!(d.severity, Severity::Note);
     }
 }

@@ -9,11 +9,10 @@ use std::sync::Arc;
 use pushpull_core::certificate::SpecCertificate;
 use pushpull_core::lang::Code;
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::static_facts::RulePattern;
 
 use crate::certify::certify_in;
 use crate::diagnostics::{render_report, Diagnostic, Severity};
-use crate::lint::{lint_declaration, lint_programs, LintConfig};
+use crate::lint::{lint_programs, LintConfig};
 use crate::matrix::MoverMatrix;
 use crate::summary::{summarize, ProgramSummary};
 
@@ -29,7 +28,8 @@ pub struct AnalysisPlan {
     /// and what strict mode demands before it routes fine-grained shards
     /// or opens an open-nested scope.
     pub certificate: Option<Arc<SpecCertificate>>,
-    /// Linter findings, program-level and declaration-level.
+    /// Linter findings (program lints and, after [`analyze_certified`],
+    /// the certifier's).
     pub diagnostics: Vec<Diagnostic>,
     /// Distinct key classes declared (via `SeqSpec::method_keys`) across
     /// the footprint, or `0` when any method declares no footprint — the
@@ -140,31 +140,6 @@ fn count_shard_keys<S: SeqSpec>(spec: &S, summary: &ProgramSummary<S::Method>) -
     keys.len()
 }
 
-/// Checks a driver's declared rule pattern against an existing plan's
-/// workload, appending any finding to the plan's diagnostics and report.
-///
-/// Call after [`analyze`] with the values from
-/// `TmSystem::{name, declared_pattern}`; a `None` declaration is not a
-/// finding.
-pub fn check_declaration<S: SeqSpec>(
-    plan: &mut AnalysisPlan,
-    spec: &S,
-    programs: &[Vec<Code<S::Method>>],
-    driver: &str,
-    declared: Option<RulePattern>,
-) -> Option<Diagnostic>
-where
-    S::Method: fmt::Display,
-{
-    let declared = declared?;
-    let summary = summarize(programs);
-    let matrix = MoverMatrix::build(spec, &summary.footprint);
-    let diag = lint_declaration(driver, declared, &summary, &matrix)?;
-    plan.diagnostics.push(diag.clone());
-    plan.report.push_str(&diag.to_string());
-    Some(diag)
-}
-
 fn render<M: Clone + Eq + fmt::Display>(
     summary: &ProgramSummary<M>,
     matrix: &MoverMatrix<M>,
@@ -174,11 +149,10 @@ fn render<M: Clone + Eq + fmt::Display>(
     const MATRIX_RENDER_CAP: usize = 12;
     let mut out = String::new();
     out.push_str(&format!(
-        "analyzed {} txns on {} threads, footprint {} methods, required rules {}\n",
+        "analyzed {} txns on {} threads, footprint {} methods\n",
         summary.txns.len(),
         summary.threads,
         summary.footprint.len(),
-        summary.required,
     ));
     if shard_keys == 0 {
         out.push_str("footprint partly undeclared: sharded logs degrade to coarse (1 shard)\n");
@@ -207,7 +181,6 @@ fn render<M: Clone + Eq + fmt::Display>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pushpull_core::error::Rule;
     use pushpull_spec::counter::{Counter, CtrMethod};
     use pushpull_spec::queue::{QueueMethod, QueueSpec};
 
@@ -223,21 +196,6 @@ mod tests {
         let plan = analyze(&QueueSpec::new(), &programs);
         assert!(plan.warnings() > 0, "pull-cycle expected: {plan}");
         assert!(plan.report.contains("pull-cycle"), "{plan}");
-    }
-
-    #[test]
-    fn declaration_check_appends_to_plan() {
-        let programs = vec![vec![Code::method(CtrMethod::Add(1))]];
-        let spec = Counter::new();
-        let mut plan = analyze(&spec, &programs);
-        let before = plan.diagnostics.len();
-        let missing_push = RulePattern::from_iter([Rule::App, Rule::Cmt]);
-        let diag =
-            check_declaration(&mut plan, &spec, &programs, "bogus", Some(missing_push)).unwrap();
-        assert_eq!(diag.severity, Severity::Error);
-        assert_eq!(plan.diagnostics.len(), before + 1);
-        assert!(plan.report.contains("pattern-divergence"), "{plan}");
-        assert!(check_declaration(&mut plan, &spec, &programs, "quiet", None).is_none());
     }
 
     #[test]

@@ -2,17 +2,11 @@
 //! by walking the syntax with the paper's `step`/`fin` equations.
 //!
 //! A [`TxnSummary`] records the transaction's *method footprint* (every
-//! method it may invoke, via [`Code::reachable_methods`]) and whether it
-//! can finish without invoking any method.
-//! [`ProgramSummary`] aggregates a whole thread set and derives the §6
-//! rule-usage facts that hold for **any** driver running these programs:
-//! the rules that *must* fire on every completed run ([`ProgramSummary::
-//! required`]) — the baseline the rule-pattern lint checks declarations
-//! against.
+//! method it may invoke, via [`Code::reachable_methods`]).
+//! [`ProgramSummary`] aggregates a whole thread set: the union footprint
+//! the mover matrix ranges over.
 
-use pushpull_core::error::Rule;
 use pushpull_core::lang::Code;
-use pushpull_core::static_facts::RulePattern;
 
 /// Conservative static facts about one transaction body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,9 +18,6 @@ pub struct TxnSummary<M> {
     /// Every method the transaction may invoke (deduplicated, in first
     /// syntactic occurrence order).
     pub footprint: Vec<M>,
-    /// Can the transaction commit without invoking any method (`fin`
-    /// holds of the whole body)?
-    pub fin_immediate: bool,
 }
 
 /// Summarizes one transaction body.
@@ -39,7 +30,6 @@ pub fn summarize_txn<M: Clone + PartialEq>(
         thread,
         index,
         footprint: code.reachable_methods(),
-        fin_immediate: code.fin(),
     }
 }
 
@@ -54,11 +44,6 @@ pub struct ProgramSummary<M> {
     pub footprint: Vec<M>,
     /// Number of threads.
     pub threads: usize,
-    /// Rules that must fire on every run that completes all transactions,
-    /// for any driver: CMT whenever a transaction exists, plus APP and
-    /// PUSH whenever some transaction cannot finish methodless (every
-    /// invoked operation is APPed, and CMT requires it pushed).
-    pub required: RulePattern,
 }
 
 /// Summarizes a thread set.
@@ -76,18 +61,10 @@ pub fn summarize<M: Clone + PartialEq>(programs: &[Vec<Code<M>>]) -> ProgramSumm
             txns.push(s);
         }
     }
-    let mut required = RulePattern::new();
-    if !txns.is_empty() {
-        required = required.with(Rule::Cmt);
-    }
-    if txns.iter().any(|t| !t.fin_immediate) {
-        required = required.with(Rule::App).with(Rule::Push);
-    }
     ProgramSummary {
         txns,
         footprint,
         threads: programs.len(),
-        required,
     }
 }
 
@@ -104,7 +81,6 @@ mod tests {
         let c = Code::seq(m("a"), Code::star(Code::choice(m("b"), m("a"))));
         let s = summarize_txn(0, 0, &c);
         assert_eq!(s.footprint, vec!["a", "b"]);
-        assert!(!s.fin_immediate);
     }
 
     #[test]
@@ -117,25 +93,12 @@ mod tests {
         assert_eq!(s.txns.len(), 3);
         assert_eq!(s.footprint, vec!["a", "b", "c"]);
         assert_eq!(s.threads, 2);
-        // Some txn must run a method: APP+PUSH+CMT required.
-        assert!(s.required.contains(Rule::App));
-        assert!(s.required.contains(Rule::Push));
-        assert!(s.required.contains(Rule::Cmt));
-        assert!(!s.required.contains(Rule::Pull));
-    }
-
-    #[test]
-    fn methodless_programs_require_only_cmt() {
-        let programs: Vec<Vec<Code<&str>>> = vec![vec![Code::Skip, Code::star(m("a"))]];
-        let s = summarize(&programs);
-        // Both transactions can finish without running a method.
-        assert_eq!(s.required.rules(), vec![Rule::Cmt]);
     }
 
     #[test]
     fn empty_thread_set_requires_nothing() {
         let s = summarize::<&str>(&[]);
-        assert!(s.required.is_empty());
+        assert!(s.txns.is_empty());
         assert!(s.footprint.is_empty());
     }
 }

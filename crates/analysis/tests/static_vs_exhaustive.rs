@@ -3,9 +3,9 @@
 //! the exhaustive method-level oracle
 //! ([`method_mover_exhaustive`]), which itself quantifies the dynamic
 //! op-level `mover` over all observable return pairs. The matrix has two
-//! consumers: the §6 linter, whose PULL-cycle scan and rule-pattern check
-//! read a proven cell as "these methods never conflict", and the spec
-//! certifier, which compares every declared cell with the exhaustive one.
+//! consumers: the linter, whose PULL-cycle scan reads a proven cell as
+//! "these methods never conflict", and the spec certifier, which compares
+//! every declared cell with the exhaustive one.
 //! A `Some(true)` the exhaustive oracle refutes would let the linter miss
 //! a conflict.
 //!

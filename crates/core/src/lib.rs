@@ -87,7 +87,6 @@ pub mod serializability;
 #[allow(unsafe_code)]
 pub mod smallvec;
 pub mod spec;
-pub mod static_facts;
 pub mod structural;
 pub mod toy;
 pub mod trace;
@@ -105,5 +104,4 @@ pub use op::{Op, OpId, ThreadId, TxnId};
 pub use scope::{NestingStats, ScopeKind};
 pub use smallvec::SmallVec;
 pub use spec::{KeySet, OpInverse, SeqSpec};
-pub use static_facts::RulePattern;
 pub use trace::{Event, Trace};

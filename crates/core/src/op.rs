@@ -108,7 +108,6 @@ impl Clone for OpIdGen {
 /// use pushpull_core::op::{Op, OpId, TxnId};
 /// let op = Op::new(OpId(0), TxnId(1), "inc", ());
 /// assert_eq!(op.method, "inc");
-/// assert!(op.same_id(&op));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Op<M, R> {
@@ -131,11 +130,6 @@ impl<M, R> Op<M, R> {
             method,
             ret,
         }
-    }
-
-    /// Id-based equality, the lifting the paper uses for log membership.
-    pub fn same_id(&self, other: &Op<M, R>) -> bool {
-        self.id == other.id
     }
 }
 
@@ -176,14 +170,6 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), n, "duplicate ids minted across threads");
-    }
-
-    #[test]
-    fn same_id_ignores_payload() {
-        let a = Op::new(OpId(7), TxnId(0), "put", 1);
-        let b = Op::new(OpId(7), TxnId(9), "get", 2);
-        assert!(a.same_id(&b));
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -469,9 +469,6 @@ mod tests {
         fn starvation(&self) -> Option<pushpull_tm::contention::StarvationReport> {
             None
         }
-        fn declared_pattern(&self) -> Option<pushpull_core::RulePattern> {
-            None
-        }
     }
 
     impl ParallelSystem for PanickySystem {

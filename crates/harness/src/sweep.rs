@@ -56,93 +56,76 @@ impl std::fmt::Display for Aggregate {
     }
 }
 
-/// Aggregated results of one algorithm/workload cell across seeds.
+/// The runs of one algorithm/workload cell across seeds; each statistic's
+/// [`Aggregate`] is computed when asked.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Label of the cell (algorithm/workload).
     pub label: String,
-    /// Commits per run.
-    pub commits: Aggregate,
-    /// Aborts per run.
-    pub aborts: Aggregate,
-    /// Abort rate per run.
-    pub abort_rate: Aggregate,
-    /// Ticks to completion per run.
-    pub ticks: Aggregate,
-    /// Contention-manager degradations (solo-mode escalations) per run.
-    pub degradations: Aggregate,
-    /// Longest single-thread consecutive-abort streak per run.
-    pub max_abort_streak: Aggregate,
-    /// Shared-log shard-lock acquisitions per run.
-    pub lock_acquires: Aggregate,
-    /// Shared-log shard-lock acquisitions that had to wait per run.
-    pub lock_contended: Aggregate,
-    /// Logical sessions multiplexed by the service front-end per run.
-    pub sessions: Aggregate,
-    /// Group-commit batches sealed per run.
-    pub group_batches: Aggregate,
-    /// Transactions committed through group-commit batches per run.
-    pub group_txns: Aggregate,
-    /// Shard-lock acquisitions amortized away by batching per run.
-    pub group_locks_saved: Aggregate,
-    /// Commit-ready transactions that fell back to the per-transaction
-    /// path per run.
-    pub group_fallbacks: Aggregate,
-    /// Nested scopes opened (closed, open and checkpoint) per run.
-    pub scopes_opened: Aggregate,
-    /// Closed scopes merged into their parent per run.
-    pub scopes_merged: Aggregate,
-    /// Nested scopes aborted (suffix rewound) per run.
-    pub scopes_aborted: Aggregate,
-    /// Open-nested children committed to `G` per run.
-    pub open_commits: Aggregate,
-    /// Compensating transactions replayed on parent aborts per run.
-    pub compensations_replayed: Aggregate,
-    /// Inverse operations derived for undo programs per run.
-    pub undo_inverses: Aggregate,
+    /// Each seed's statistics and ticks to completion, in seed order.
+    pub runs: Vec<(SystemStats, usize)>,
+}
+
+impl SweepResult {
+    /// Aggregates one statistic of every run.
+    pub fn aggregate(&self, stat: impl Fn(&SystemStats) -> f64) -> Aggregate {
+        let samples: Vec<f64> = self.runs.iter().map(|(s, _)| stat(s)).collect();
+        Aggregate::of(&samples)
+    }
+
+    /// Aggregates the ticks to completion.
+    pub fn ticks(&self) -> Aggregate {
+        let samples: Vec<f64> = self.runs.iter().map(|&(_, t)| t as f64).collect();
+        Aggregate::of(&samples)
+    }
 }
 
 impl std::fmt::Display for SweepResult {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let count = |stat: fn(&SystemStats) -> u64| self.aggregate(|s| stat(s) as f64);
         write!(
             f,
             "{:<34} commits={:<12} aborts={:<12} abort-rate={:>6.1}%  ticks={:<14} streak={:<9} degr={} locks={}/{}",
             self.label,
-            self.commits.to_string(),
-            self.aborts.to_string(),
-            self.abort_rate.mean * 100.0,
-            self.ticks.to_string(),
-            self.max_abort_streak.to_string(),
-            self.degradations,
-            self.lock_contended,
-            self.lock_acquires,
+            count(|s| s.commits).to_string(),
+            count(|s| s.aborts).to_string(),
+            self.aggregate(SystemStats::abort_rate).mean * 100.0,
+            self.ticks().to_string(),
+            count(|s| s.max_abort_streak).to_string(),
+            count(|s| s.degradations),
+            count(|s| s.lock_contended),
+            count(|s| s.lock_acquires),
         )?;
         // Only service-front-end runs (sessions multiplexed or batches
         // sealed) print the group-commit tail, so other sweep tables stay
         // byte-compatible with older logs.
-        if self.group_batches.max > 0.0 || self.sessions.max > 0.0 {
+        if self
+            .runs
+            .iter()
+            .any(|(s, _)| s.group_batches > 0 || s.sessions > 0)
+        {
             write!(
                 f,
                 " sessions={} batches={} (txns={} saved={} fb={})",
-                self.sessions,
-                self.group_batches,
-                self.group_txns,
-                self.group_locks_saved,
-                self.group_fallbacks,
+                count(|s| s.sessions),
+                count(|s| s.group_batches),
+                count(|s| s.group_txns),
+                count(|s| s.group_locks_saved),
+                count(|s| s.group_fallbacks),
             )?;
         }
         // And only runs that actually nested scopes print the nesting
         // tail, keeping flat sweep tables byte-compatible.
-        if self.scopes_opened.max > 0.0 {
+        if self.runs.iter().any(|(s, _)| s.scopes_opened > 0) {
             write!(
                 f,
                 " scopes={} (merged={} aborted={} open={} comp={} undo={})",
-                self.scopes_opened,
-                self.scopes_merged,
-                self.scopes_aborted,
-                self.open_commits,
-                self.compensations_replayed,
-                self.undo_inverses,
+                count(|s| s.scopes_opened),
+                count(|s| s.scopes_merged),
+                count(|s| s.scopes_aborted),
+                count(|s| s.open_commits),
+                count(|s| s.compensations_replayed),
+                count(|s| s.undo_inverses),
             )?;
         }
         Ok(())
@@ -150,74 +133,15 @@ impl std::fmt::Display for SweepResult {
 }
 
 /// Runs `make_and_run` once per seed (it returns the run's stats and
-/// tick count) and aggregates.
+/// tick count) and collects the runs.
 pub fn sweep(
     label: impl Into<String>,
     seeds: impl IntoIterator<Item = u64>,
-    mut make_and_run: impl FnMut(u64) -> (SystemStats, usize),
+    make_and_run: impl FnMut(u64) -> (SystemStats, usize),
 ) -> SweepResult {
-    let mut commits = Vec::new();
-    let mut aborts = Vec::new();
-    let mut rates = Vec::new();
-    let mut ticks = Vec::new();
-    let mut degradations = Vec::new();
-    let mut streaks = Vec::new();
-    let mut acquires = Vec::new();
-    let mut contended = Vec::new();
-    let mut sessions = Vec::new();
-    let mut g_batches = Vec::new();
-    let mut g_txns = Vec::new();
-    let mut g_saved = Vec::new();
-    let mut g_fallbacks = Vec::new();
-    let mut n_opened = Vec::new();
-    let mut n_merged = Vec::new();
-    let mut n_aborted = Vec::new();
-    let mut n_open_commits = Vec::new();
-    let mut n_compensations = Vec::new();
-    let mut n_undo = Vec::new();
-    for seed in seeds {
-        let (stats, t) = make_and_run(seed);
-        commits.push(stats.commits as f64);
-        aborts.push(stats.aborts as f64);
-        rates.push(stats.abort_rate());
-        ticks.push(t as f64);
-        degradations.push(stats.degradations as f64);
-        streaks.push(stats.max_abort_streak as f64);
-        acquires.push(stats.lock_acquires as f64);
-        contended.push(stats.lock_contended as f64);
-        sessions.push(stats.sessions as f64);
-        g_batches.push(stats.group_batches as f64);
-        g_txns.push(stats.group_txns as f64);
-        g_saved.push(stats.group_locks_saved as f64);
-        g_fallbacks.push(stats.group_fallbacks as f64);
-        n_opened.push(stats.scopes_opened as f64);
-        n_merged.push(stats.scopes_merged as f64);
-        n_aborted.push(stats.scopes_aborted as f64);
-        n_open_commits.push(stats.open_commits as f64);
-        n_compensations.push(stats.compensations_replayed as f64);
-        n_undo.push(stats.undo_inverses as f64);
-    }
     SweepResult {
         label: label.into(),
-        commits: Aggregate::of(&commits),
-        aborts: Aggregate::of(&aborts),
-        abort_rate: Aggregate::of(&rates),
-        ticks: Aggregate::of(&ticks),
-        degradations: Aggregate::of(&degradations),
-        max_abort_streak: Aggregate::of(&streaks),
-        lock_acquires: Aggregate::of(&acquires),
-        lock_contended: Aggregate::of(&contended),
-        sessions: Aggregate::of(&sessions),
-        group_batches: Aggregate::of(&g_batches),
-        group_txns: Aggregate::of(&g_txns),
-        group_locks_saved: Aggregate::of(&g_saved),
-        group_fallbacks: Aggregate::of(&g_fallbacks),
-        scopes_opened: Aggregate::of(&n_opened),
-        scopes_merged: Aggregate::of(&n_merged),
-        scopes_aborted: Aggregate::of(&n_aborted),
-        open_commits: Aggregate::of(&n_open_commits),
-        compensations_replayed: Aggregate::of(&n_compensations),
-        undo_inverses: Aggregate::of(&n_undo),
+        runs: seeds.into_iter().map(make_and_run).collect(),
     }
 }
 
@@ -245,6 +169,45 @@ mod tests {
     }
 
     #[test]
+    fn sweep_line_is_pinned_byte_for_byte() {
+        // Synthetic runs with every counter the line prints non-zero, so
+        // both optional tails (sessions/batches and scopes) render.
+        let result = sweep("server/pinned", [1u64, 3], |k| {
+            let stats = SystemStats {
+                commits: 4 * k,
+                aborts: k,
+                degradations: k - 1,
+                max_abort_streak: k,
+                lock_acquires: 20 * k,
+                lock_contended: k,
+                sessions: 5 * k,
+                group_batches: 2 * k,
+                group_txns: 3 * k,
+                group_locks_saved: k,
+                group_fallbacks: k - 1,
+                scopes_opened: 6 * k,
+                scopes_merged: 2 * k,
+                scopes_aborted: k,
+                open_commits: k,
+                compensations_replayed: k - 1,
+                undo_inverses: 2 * k,
+                ..SystemStats::default()
+            };
+            (stats, 10 + 2 * k as usize)
+        });
+        assert_eq!(
+            result.to_string(),
+            concat!(
+                "server/pinned                      commits=8.0±5.7      aborts=2.0±1.4      ",
+                "abort-rate=  20.0%  ticks=14.0±2.8       streak=2.0±1.4   degr=1.0±1.4 ",
+                "locks=2.0±1.4/40.0±28.3 sessions=10.0±7.1 batches=4.0±2.8 ",
+                "(txns=6.0±4.2 saved=2.0±1.4 fb=1.0±1.4) scopes=12.0±8.5 ",
+                "(merged=4.0±2.8 aborted=2.0±1.4 open=2.0±1.4 comp=1.0±1.4 undo=4.0±2.8)",
+            )
+        );
+    }
+
+    #[test]
     fn sweep_runs_per_seed() {
         let spec = WorkloadSpec {
             threads: 2,
@@ -262,15 +225,13 @@ mod tests {
             assert!(out.completed);
             (sys.stats(), out.ticks)
         });
-        assert_eq!(result.commits.n, 5);
-        assert!(
-            (result.commits.mean - 4.0).abs() < 1e-9,
-            "4 txns always commit"
-        );
+        let commits = result.aggregate(|s| s.commits as f64);
+        assert_eq!(commits.n, 5);
+        assert!((commits.mean - 4.0).abs() < 1e-9, "4 txns always commit");
         let line = result.to_string();
         assert!(line.contains("counter/optimistic"));
         // Flat workloads never nest, and the table stays byte-compatible.
-        assert_eq!(result.scopes_opened.max, 0.0);
+        assert_eq!(result.aggregate(|s| s.scopes_opened as f64).max, 0.0);
         assert!(!line.contains("scopes="));
         let _ = Code::method(CtrMethod::Get); // silence unused import pathologies
     }
@@ -292,10 +253,10 @@ mod tests {
             (sys.stats(), out.ticks)
         });
         assert!(
-            result.scopes_opened.mean > 0.0,
+            result.aggregate(|s| s.scopes_opened as f64).mean > 0.0,
             "tx markers must open scopes: {result}"
         );
-        assert!(result.scopes_merged.mean > 0.0);
+        assert!(result.aggregate(|s| s.scopes_merged as f64).mean > 0.0);
         assert!(result.to_string().contains("scopes="), "{result}");
     }
 }

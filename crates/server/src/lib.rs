@@ -6,10 +6,9 @@
 //! bounded pool of workers, each worker owning a fixed set of
 //! transaction handles.
 //!
-//! * [`proto`] — the wire shapes: [`TxnRequest`], [`TxnResponse`],
-//!   [`SessionId`];
-//! * [`session`] — [`SessionScript`] (a straight-line transaction body
-//!   plus its close) and the deterministic seeded admission assignment;
+//! * [`session`] — [`SessionId`], [`SessionScript`] (a straight-line
+//!   transaction body plus its close) and the deterministic seeded
+//!   admission assignment;
 //! * [`server`] — [`TxnServer`]: admission, APPly, and a commit stage
 //!   that batches commit-ready transactions *per destination shard* so
 //!   one shard-lock acquisition and one contiguous stamp reservation
@@ -28,10 +27,8 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use proto::{SessionId, TxnRequest, TxnResponse};
 pub use server::{ServerConfig, SessionOutcome, TxnServer};
-pub use session::{assign_sessions, SessionEnd, SessionScript};
+pub use session::{assign_sessions, SessionEnd, SessionId, SessionScript};

@@ -68,15 +68,14 @@ use pushpull_core::error::MachineError;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::{commit_group, commit_held, GroupTxnResult, RulePattern, TxnHandle};
+use pushpull_core::{commit_group, commit_held, GroupTxnResult, TxnHandle};
 use pushpull_tm::contention::StarvationReport;
 use pushpull_tm::driver::{
-    fold_machine_counters, full_rule_pattern, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
+    fold_machine_counters, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
 };
 use pushpull_tm::util::pull_committed_lenient;
 
-use crate::proto::{SessionId, TxnResponse};
-use crate::session::{assign_sessions, SessionEnd, SessionScript};
+use crate::session::{assign_sessions, SessionEnd, SessionId, SessionScript};
 
 /// Server shape and policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +99,6 @@ pub struct ServerConfig {
     /// Seed for the admission assignment (see
     /// [`assign_sessions`]).
     pub seed: u64,
-    /// Record a [`TxnResponse`] log (off by default: a 10k-session drive
-    /// doesn't want the allocation churn).
-    pub record_responses: bool,
 }
 
 impl Default for ServerConfig {
@@ -114,7 +110,6 @@ impl Default for ServerConfig {
             max_retries: 32,
             arrival_period: 0,
             seed: 0x5E55_10AD,
-            record_responses: false,
         }
     }
 }
@@ -180,7 +175,7 @@ struct Active {
 
 /// Per-worker state: the pre-dealt session queue, slot table, clock and
 /// counters. Deliberately not generic — it holds no methods — so the
-/// response/outcome types stay spec-independent.
+/// outcome type stays spec-independent.
 #[derive(Debug)]
 struct WorkerState {
     /// Sessions dealt to this worker, not yet runnable.
@@ -197,7 +192,6 @@ struct WorkerState {
     dead_error: Option<MachineError>,
     stats: SystemStats,
     outcomes: Vec<(SessionId, SessionOutcome)>,
-    responses: Vec<TxnResponse>,
 }
 
 impl WorkerState {
@@ -211,7 +205,6 @@ impl WorkerState {
             dead_error: None,
             stats: SystemStats::default(),
             outcomes: Vec::new(),
-            responses: Vec::new(),
         }
     }
 
@@ -225,38 +218,14 @@ impl WorkerState {
     }
 
     /// Records a finished session.
-    fn finish(&mut self, session: usize, outcome: SessionOutcome, record: bool) {
-        let id = SessionId(session as u64);
-        if record {
-            self.responses.push(match &outcome {
-                SessionOutcome::Committed {
-                    txn,
-                    batched,
-                    retries,
-                    ..
-                } => TxnResponse::Committed {
-                    session: id,
-                    txn: *txn,
-                    batched: *batched,
-                    retries: *retries,
-                },
-                SessionOutcome::Aborted { txn } => TxnResponse::Aborted {
-                    session: id,
-                    txn: *txn,
-                },
-                SessionOutcome::Failed { error } => TxnResponse::Failed {
-                    session: id,
-                    error: error.clone(),
-                },
-            });
-        }
+    fn finish(&mut self, session: usize, outcome: SessionOutcome) {
         self.stats.sessions += 1;
-        self.outcomes.push((id, outcome));
+        self.outcomes.push((SessionId(session as u64), outcome));
     }
 }
 
 /// Commits the session in slot `k` and frees the slot.
-fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId, batched: bool, record: bool) {
+fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId, batched: bool) {
     let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
         unreachable!("commit on a non-busy slot");
     };
@@ -270,7 +239,6 @@ fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId, batched: bool, recor
             retries: a.retries,
             latency,
         },
-        record,
     );
 }
 
@@ -281,7 +249,6 @@ fn fail_session<S: SeqSpec>(
     k: usize,
     h: &mut TxnHandle<S>,
     error: MachineError,
-    record: bool,
 ) {
     let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
         unreachable!("failure on a non-busy slot");
@@ -293,7 +260,7 @@ fn fail_session<S: SeqSpec>(
         w.slots[k] = Slot::Dead;
         w.dead_error = Some(wedge);
     }
-    w.finish(a.session, SessionOutcome::Failed { error }, record);
+    w.finish(a.session, SessionOutcome::Failed { error });
 }
 
 /// Handles a conflict denial on slot `k`: abort-and-retry, or fail the
@@ -327,13 +294,13 @@ fn conflict_retry<S: SeqSpec>(
     if over_budget {
         // `fail_session` counts its own abort; ours covered this denial.
         w.stats.aborts -= 1;
-        fail_session(w, k, h, denied, cfg.record_responses);
+        fail_session(w, k, h, denied);
         return Ok(());
     }
     if !restarted {
         if let Err(wedge) = h.abort_and_retry() {
             w.stats.aborts -= 1;
-            fail_session(w, k, h, wedge, cfg.record_responses);
+            fail_session(w, k, h, wedge);
             return Ok(());
         }
     }
@@ -356,7 +323,7 @@ fn commit_unheld<S: SeqSpec>(
 ) -> Result<(), MachineError> {
     match h.push_all_and_commit() {
         Ok(txn) => {
-            finish_commit(w, k, txn, false, cfg.record_responses);
+            finish_commit(w, k, txn, false);
             Ok(())
         }
         Err(e) if e.is_criterion() => conflict_retry(w, k, h, e, false, needs_pull, cfg),
@@ -408,12 +375,6 @@ fn tick_worker<S: SeqSpec>(
         let h = &mut handles[k];
         debug_assert!(h.is_done(), "idle slot holds a live transaction");
         h.enqueue(scripts[s].program());
-        if cfg.record_responses {
-            w.responses.push(TxnResponse::Began {
-                session: SessionId(s as u64),
-                txn: h.txn(),
-            });
-        }
         *slot = Slot::Busy(Active {
             session: s,
             applied: 0,
@@ -451,12 +412,6 @@ fn tick_worker<S: SeqSpec>(
         }
         match verdict {
             Ok(()) => {
-                if cfg.record_responses && cursor == script.ops.len() {
-                    w.responses.push(TxnResponse::Acked {
-                        session: SessionId(session as u64),
-                        applied: cursor,
-                    });
-                }
                 match script.end {
                     // Client-requested abort: rewind and drop, no retry.
                     SessionEnd::Abort => {
@@ -466,11 +421,7 @@ fn tick_worker<S: SeqSpec>(
                             unreachable!()
                         };
                         w.stats.aborts += 1;
-                        w.finish(
-                            a.session,
-                            SessionOutcome::Aborted { txn },
-                            cfg.record_responses,
-                        );
+                        w.finish(a.session, SessionOutcome::Aborted { txn });
                     }
                     SessionEnd::Commit => ready.push(k),
                 }
@@ -478,7 +429,7 @@ fn tick_worker<S: SeqSpec>(
             // The spec refuses every result (e.g. an overdraft): no
             // retry could ever succeed — fail the session cleanly.
             Err(e @ MachineError::NoAllowedResult(_)) => {
-                fail_session(w, k, h, e, cfg.record_responses);
+                fail_session(w, k, h, e);
             }
             // An injected APP denial behaves like any conflict.
             Err(e) if e.is_criterion() => conflict_retry(w, k, h, e, false, &mut needs_pull, cfg)?,
@@ -515,7 +466,7 @@ fn tick_worker<S: SeqSpec>(
         let h = &mut handles[k];
         match result {
             GroupTxnResult::Committed(txn) => {
-                finish_commit(w, k, txn, cfg.group_commit, cfg.record_responses);
+                finish_commit(w, k, txn, cfg.group_commit);
             }
             GroupTxnResult::Aborted { denied, .. } => {
                 conflict_retry(w, k, h, denied, true, &mut needs_pull, cfg)?;
@@ -542,24 +493,13 @@ fn tick_worker<S: SeqSpec>(
     // fail them with the error that killed the pool instead of hanging.
     if !w.slots.is_empty() && w.slots.iter().all(|s| matches!(s, Slot::Dead)) {
         let error = w.dead_error.clone().expect("dead slots record their error");
-        let record = cfg.record_responses;
         while let Some((s, _)) = w.arrived.pop_front() {
-            w.finish(
-                s,
-                SessionOutcome::Failed {
-                    error: error.clone(),
-                },
-                record,
-            );
+            let error = error.clone();
+            w.finish(s, SessionOutcome::Failed { error });
         }
         while let Some(s) = w.upcoming.pop_front() {
-            w.finish(
-                s,
-                SessionOutcome::Failed {
-                    error: error.clone(),
-                },
-                record,
-            );
+            let error = error.clone();
+            w.finish(s, SessionOutcome::Failed { error });
         }
     }
 
@@ -636,15 +576,6 @@ impl<S: SeqSpec> TxnServer<S> {
         out
     }
 
-    /// The recorded response log (only populated with
-    /// [`ServerConfig::record_responses`]), in worker-major order.
-    pub fn responses(&self) -> Vec<&TxnResponse> {
-        self.workers
-            .iter()
-            .flat_map(|w| w.responses.iter())
-            .collect()
-    }
-
     /// Accumulated statistics: worker counters summed, the machine-owned
     /// counters folded in (see [`fold_machine_counters`]), and the
     /// group-commit family read from the machine.
@@ -701,10 +632,6 @@ impl<S: SeqSpec> TmSystem for TxnServer<S> {
     /// manager.
     fn starvation(&self) -> Option<StarvationReport> {
         None
-    }
-
-    fn declared_pattern(&self) -> Option<RulePattern> {
-        Some(full_rule_pattern())
     }
 }
 
@@ -828,7 +755,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 slots_per_worker: 2,
-                record_responses: true,
                 ..ServerConfig::default()
             },
         );
@@ -840,14 +766,6 @@ mod tests {
         ));
         assert!(matches!(outcomes[1].1, SessionOutcome::Aborted { .. }));
         assert_eq!(sys.machine().committed_txns().len(), 1);
-        // The response log saw every lifecycle edge.
-        let responses = sys.responses();
-        assert!(responses
-            .iter()
-            .any(|r| matches!(r, TxnResponse::Began { .. })));
-        assert!(responses
-            .iter()
-            .any(|r| matches!(r, TxnResponse::Aborted { .. })));
     }
 
     #[test]

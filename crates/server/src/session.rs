@@ -1,4 +1,5 @@
-//! Session scripts and the deterministic seeded admission assignment.
+//! Session ids, session scripts and the deterministic seeded admission
+//! assignment.
 //!
 //! A *session* is one logical client: a straight-line transaction body
 //! (its operations in order) plus how the client closes it — `Commit` or
@@ -10,6 +11,17 @@
 
 use pushpull_core::lang::Code;
 use pushpull_core::rng::Xorshift64;
+
+/// A logical client session id — dense indices assigned by the server at
+/// construction, stable across retries of the session's transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SessionId(pub u64);
+
+impl std::fmt::Display for SessionId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "s{}", self.0)
+    }
+}
 
 /// How a session closes its transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +61,7 @@ impl<M: Clone> SessionScript<M> {
 
     /// Flattens a *straight-line* program (a `Seq`/`Method` chain, as the
     /// workload generators emit) into a committing session. Choice and
-    /// loop structure is not representable on the wire; such programs
+    /// loop structure is not representable in a script; such programs
     /// belong on a driver, not the service front-end.
     pub fn from_code(code: &Code<M>) -> Self
     where
@@ -102,6 +114,11 @@ mod tests {
         let s = SessionScript::from_code(&code);
         assert_eq!(s.ops, vec![MapMethod::Put(3, 9), MapMethod::Get(3)]);
         assert_eq!(s.end, SessionEnd::Commit);
+    }
+
+    #[test]
+    fn session_ids_render_with_an_s_prefix() {
+        assert_eq!(SessionId(7).to_string(), "s7");
     }
 
     #[test]

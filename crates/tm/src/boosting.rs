@@ -18,7 +18,7 @@
 //! handled as a conflict: the driver waits briefly, then aborts — the
 //! checked machine guarantees nothing unserializable ever slips through.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::op::{OpId, ThreadId};
@@ -26,7 +26,7 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::contention::{default_manager, Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -219,20 +219,11 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
     /// Creates a system running `programs[i]` (a list of transaction
     /// bodies) on thread `i`.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
-        Self::with_contention(spec, programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Boosting {
             locks: Mutex::new(AbstractLockManager::new()),
             forced_aborts: Mutex::new(Vec::new()),
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs, default_manager())
     }
 
     /// Forces the thread's current transaction to abort at its next tick

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::log::{GlobalFlag, LocalFlag};
@@ -31,7 +31,7 @@ use pushpull_core::op::{OpId, ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::contention::{default_manager, Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict};
 
@@ -307,22 +307,12 @@ impl<S: SeqSpec> DependentSystem<S> {
     /// `eager_release`, operations are opportunistically PUSHed right
     /// after APP so that other transactions can pull them before commit.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>, eager_release: bool) -> Self {
-        Self::with_contention(spec, programs, eager_release, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        eager_release: bool,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Dependent {
             eager_release,
             forced_aborts: Mutex::new(Vec::new()),
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs, default_manager())
     }
 
     /// Partial rewinds performed to detangle from aborted dependencies.

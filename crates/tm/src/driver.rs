@@ -16,7 +16,9 @@
 //! [`Driver`] is everything about *hosting* it that is the same for all
 //! ten — building the machine, the contention governors and their gate,
 //! statistics folding, cloning, the per-thread worker split and what a
-//! system exposes of its machine ([`TmSystem`]).
+//! system exposes of its machine ([`TmSystem`]). A system declares no
+//! rule pattern: which rules fire is observed on its runs (the criteria
+//! audit and the golden rule traces).
 //!
 //! Systems are `Clone` so the model checker can branch on scheduler
 //! choices; all shared implementation state therefore lives *inside* the
@@ -28,22 +30,9 @@ use pushpull_core::error::MachineError;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::{Code, RulePattern, TxnHandle};
+use pushpull_core::{Code, TxnHandle};
 
 use crate::contention::{ContentionManager, ContentionState, Gate, Governor, StarvationReport};
-
-/// The rule pattern every driver in this crate declares: all seven rules.
-///
-/// §6 of the paper distinguishes algorithm classes by *which rules fire
-/// when* (e.g. pessimistic readers pull before every read, optimistic
-/// ones pull at commit). In this executable rendering all ten drivers
-/// share the abort path (`abort_and_retry` → UNPULL/UNPUSH/UNAPP) and
-/// the lenient pull helper, so at the rule-*set* level they coincide; the
-/// linter checks the declared set against the workload's `required` rules
-/// and flags declared abort-path rules that are provably conflict-dead.
-pub fn full_rule_pattern() -> RulePattern {
-    RulePattern::all()
-}
 
 /// The outcome of one scheduler tick on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +98,6 @@ pub trait TmSystem {
     /// Starvation metrics from the system's contention manager; `None`
     /// for a system that runs none (the service front-end).
     fn starvation(&self) -> Option<StarvationReport>;
-
-    /// The §6 rule pattern this system expects to exercise, checked by
-    /// the static linter's `pattern-divergence` lint. `None` opts out of
-    /// the check; [`Driver`] returns [`full_rule_pattern`].
-    fn declared_pattern(&self) -> Option<RulePattern>;
 
     /// Reshards the machine's shared log into `shards` footprint-addressed
     /// segments (see [`Machine::set_log_shards`]). Sharding changes the
@@ -228,7 +212,8 @@ pub enum Phase {
 /// The skeleton hosting an [`Algorithm`] on a [`Machine`]: the one
 /// implementor of [`TmSystem`] and [`ParallelSystem`] in this crate. The
 /// ten public system names (`OptimisticSystem`, `BoostingSystem`, …) are
-/// aliases of `Driver<…>`, each adding its own `new`/`with_contention`.
+/// aliases of `Driver<…>`, each adding its own `new` (three also take an
+/// explicit contention manager, `with_contention`).
 #[derive(Debug)]
 pub struct Driver<A: Algorithm> {
     machine: Machine<A::Spec>,
@@ -381,10 +366,6 @@ impl<A: Algorithm> TmSystem for Driver<A> {
 
     fn starvation(&self) -> Option<StarvationReport> {
         Some(self.contention.report())
-    }
-
-    fn declared_pattern(&self) -> Option<RulePattern> {
-        Some(full_rule_pattern())
     }
 }
 

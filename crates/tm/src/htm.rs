@@ -13,14 +13,14 @@
 //! DESIGN.md: conflict granularity, eagerness and the abort signal are
 //! what the model can see, and those are preserved.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::HtmConflicts;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::contention::{default_manager, Governor};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -161,18 +161,10 @@ impl HtmSystem {
     /// Creates a system running `programs[i]` on thread `i` under the
     /// default contention manager.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
-        Self::with_contention(programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        programs: Vec<Vec<Code<MemMethod>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Htm {
             tracker: Mutex::new(HtmConflicts::new()),
         };
-        Driver::host(alg, RwMem::new(), programs, cm)
+        Driver::host(alg, RwMem::new(), programs, default_manager())
     }
 }
 

@@ -12,14 +12,13 @@
 //! [`crate::optimistic`].
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::contention::{default_manager, Governor};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
 
@@ -218,20 +217,6 @@ impl<S: SeqSpec> IrrevocableSystem<S> {
     ///
     /// Panics if `irrevocable` is out of range for `programs`.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>, irrevocable: ThreadId) -> Self {
-        Self::with_contention(spec, programs, irrevocable, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `irrevocable` is out of range for `programs`.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        irrevocable: ThreadId,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         assert!(
             irrevocable.0 < programs.len(),
             "irrevocable thread out of range"
@@ -240,7 +225,7 @@ impl<S: SeqSpec> IrrevocableSystem<S> {
             irrevocable,
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs, default_manager())
     }
 
     /// Aborts taken by the irrevocable thread — must always be zero; kept

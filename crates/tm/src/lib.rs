@@ -26,6 +26,9 @@
 //! model checker live in `pushpull-harness`. Because the machine checks
 //! every rule criterion, each system is serializable by construction on
 //! every run — the serializability oracle re-verifies this in the tests.
+//! The rule-pattern column is what the systems *do*, not something they
+//! declare: `tests/audit_patterns.rs` and the golden rule traces pin it
+//! on real runs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -54,9 +57,7 @@ pub use contention::{
     ImmediateRetry, Recovery, StarvationReport, WaitVerdict,
 };
 pub use dependent::DependentSystem;
-pub use driver::{
-    full_rule_pattern, Algorithm, Driver, ParallelSystem, Slot, SystemStats, Tick, TmSystem, Worker,
-};
+pub use driver::{Algorithm, Driver, ParallelSystem, Slot, SystemStats, Tick, TmSystem, Worker};
 pub use htm::HtmSystem;
 pub use irrevocable::IrrevocableSystem;
 pub use mixed::MixedSystem;

@@ -14,7 +14,7 @@
 //! machine directly (see `examples/boosting_htm.rs` and
 //! `tests/fig7_mixed.rs`).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::faults::HtmFault;
@@ -30,7 +30,7 @@ use pushpull_spec::rwmem::{Loc, MemMethod, MemRet, RwMem};
 use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::contention::{default_manager, Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -392,20 +392,11 @@ impl MixedSystem {
     /// Creates a system running `programs[i]` on thread `i` under the
     /// default contention manager.
     pub fn new(spec: MixedSpec, programs: Vec<Vec<Code<MixedMethod>>>) -> Self {
-        Self::with_contention(spec, programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: MixedSpec,
-        programs: Vec<Vec<Code<MixedMethod>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Mixed {
             locks: Mutex::new(AbstractLockManager::new()),
             tracker: Mutex::new(HtmConflicts::new()),
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs, default_manager())
     }
 
     /// HTM aborts resolved by *partial* rewind (boosted effects kept).

@@ -15,14 +15,14 @@
 //! readers, recorded in DESIGN.md).
 
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::contention::{default_manager, Governor};
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -172,20 +172,11 @@ impl<S: SeqSpec> MatveevShavitSystem<S> {
     /// Creates a system running `programs[i]` on thread `i` under the
     /// default contention manager.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
-        Self::with_contention(spec, programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = MatveevShavit {
             token: Mutex::new(None),
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs, default_manager())
     }
 }
 

@@ -18,14 +18,14 @@
 //! exact commutativity checks, exactly as §6.2 says ("which is
 //! approximated via read/write sets").
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::{GlobalClock, VersionedMemory};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::contention::{default_manager, Governor};
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -235,19 +235,11 @@ impl Tl2System {
     /// Creates a system running `programs[i]` on thread `i` under the
     /// default contention manager.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
-        Self::with_contention(programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        programs: Vec<Vec<Code<MemMethod>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Tl2 {
             clock: GlobalClock::new(),
             vmem: Mutex::new(VersionedMemory::new()),
         };
-        Driver::host(alg, RwMem::new(), programs, cm)
+        Driver::host(alg, RwMem::new(), programs, default_manager())
     }
 
     /// Times the machine's criteria rejected a commit that TL2's own

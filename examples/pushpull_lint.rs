@@ -1,13 +1,11 @@
-//! `pushpull-lint`: run the §6 linter and the spec certifier over the
+//! `pushpull-lint`: run the program linter and the spec certifier over the
 //! structured workload corpus (`harness::patterns`) and the shipped
 //! specification suite, printing rustc-style reports.
 //!
 //! For each workload family the analyzer reports the mover matrix over
 //! the union method footprint, the declared key classes, and any
 //! program-level findings (never-commits, unreachable methods, potential
-//! PULL cycles). A deliberately mis-declared driver shows the
-//! `pattern-divergence` lint firing — asserted here as a self-test, not
-//! counted against the exit status.
+//! PULL cycles).
 //!
 //! The certifier section re-derives each bounded spec's mover matrix and
 //! minimal footprint cover from its denotational semantics and
@@ -18,10 +16,8 @@
 //! Run with: `cargo run --example pushpull_lint`
 
 use pushpull::analysis::{
-    analyze, analyze_certified, certify, check_declaration, render_report, AnalysisPlan, Severity,
+    analyze, analyze_certified, certify, render_report, AnalysisPlan, Severity,
 };
-use pushpull::core::error::Rule;
-use pushpull::core::RulePattern;
 use pushpull::harness::patterns;
 use pushpull::spec::bank::Bank;
 use pushpull::spec::composite::Product;
@@ -31,7 +27,6 @@ use pushpull::spec::queue::QueueSpec;
 use pushpull::spec::register::CasRegister;
 use pushpull::spec::rwmem::{Loc, RwMem};
 use pushpull::spec::set::SetSpec;
-use pushpull::tm::full_rule_pattern;
 
 fn banner(title: &str, plan: &AnalysisPlan) {
     println!("=== {title} ===");
@@ -100,38 +95,6 @@ fn main() {
         })
         .collect();
     banner("disjoint-keys (kvmap)", &analyze(&KvMap::new(), &disjoint));
-
-    // Declaration lint self-test: a driver claiming it never pushes, on a
-    // workload that must push, is an error; the real drivers declare all
-    // seven rules. The bogus finding is expected — assert it fired and
-    // leave it out of the exit status.
-    let spec = KvMap::new();
-    let mut plan = analyze(&spec, &disjoint);
-    check_declaration(
-        &mut plan,
-        &spec,
-        &disjoint,
-        "bogus-driver",
-        Some(RulePattern::from_iter([Rule::App, Rule::Cmt])),
-    );
-    check_declaration(
-        &mut plan,
-        &spec,
-        &disjoint,
-        "boosting",
-        Some(full_rule_pattern()),
-    );
-    println!("=== declaration check (self-test) ===");
-    for d in &plan.diagnostics {
-        print!("{d}");
-    }
-    println!("{} error(s), {} warning(s)", plan.errors(), plan.warnings());
-    assert_eq!(
-        plan.errors(),
-        1,
-        "the deliberately bogus driver declaration must be caught"
-    );
-    println!("→ pattern-divergence fired on the bogus driver, as expected\n");
 
     // ── Spec certifier over the whole shipped suite ──────────────────
     // Every spec is certified against its own denotational semantics;

@@ -143,7 +143,6 @@ fn server_items() {
         max_retries: _,
         arrival_period: _,
         seed: _,
-        record_responses: _,
     } = ServerConfig::default();
     let _ = |o: &SessionOutcome| match o {
         SessionOutcome::Committed {
