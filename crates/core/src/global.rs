@@ -144,22 +144,16 @@ pub struct GlobalState<S: SeqSpec> {
 
 impl<S: SeqSpec> GlobalState<S> {
     /// Creates the shared state for a fresh machine with a single shard —
-    /// bit-identical behaviour to the historical single-lock log.
+    /// bit-identical behaviour to the historical single-lock log, routed
+    /// before the spec's footprints are even consulted. Resharding goes
+    /// through [`Machine::set_log_shards`](crate::machine::Machine::set_log_shards).
     pub fn new(spec: S, mode: CheckMode) -> Self {
-        Self::with_shards(spec, mode, 1)
-    }
-
-    /// Creates the shared state with `shards` footprint shards (clamped
-    /// to at least one). With one shard, routing short-circuits before
-    /// the spec's footprints are even consulted.
-    pub fn with_shards(spec: S, mode: CheckMode, shards: usize) -> Self {
-        let n = shards.max(1);
         let init: StateSet<S::State> = spec.initial_states().into_iter().collect();
         Self {
-            log: SharedLog::new(&init, n),
+            log: SharedLog::new(&init, 1),
             init,
             arming: Arming::new(),
-            counters: Counters::new(n),
+            counters: Counters::new(1),
             spec: Arc::new(spec),
             mode,
         }

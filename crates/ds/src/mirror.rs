@@ -14,9 +14,7 @@ use std::fmt;
 
 use pushpull_core::op::{Op, OpId};
 use pushpull_spec::kvmap::{MapMethod, MapRet};
-use pushpull_spec::set::{SetMethod, SetRet};
 
-use crate::hashtable::ChainedHashTable;
 use crate::skiplist::SkipListMap;
 
 /// A committed operation whose recorded observation disagrees with the
@@ -121,77 +119,10 @@ impl SkipListMirror {
     }
 }
 
-/// A hashtable-backed mirror of the
-/// [`SetSpec`](pushpull_spec::set::SetSpec) specification — Figure 2's
-/// boosted set, stored in the chained hashtable.
-#[derive(Debug, Clone, Default)]
-pub struct SetMirror {
-    table: ChainedHashTable<u64, ()>,
-}
-
-impl SetMirror {
-    /// Creates an empty mirror.
-    pub fn new() -> Self {
-        Self {
-            table: ChainedHashTable::new(),
-        }
-    }
-
-    /// Number of elements currently present.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Applies one committed operation, checking its observation.
-    ///
-    /// # Errors
-    ///
-    /// [`MirrorError`] on divergence.
-    pub fn apply(&mut self, op: &Op<SetMethod, SetRet>) -> Result<(), MirrorError> {
-        let produced = match op.method {
-            SetMethod::Add(x) => SetRet(self.table.insert(x, ()).is_none()),
-            SetMethod::Remove(x) => SetRet(self.table.remove(&x).is_some()),
-            SetMethod::Contains(x) => SetRet(self.table.contains_key(&x)),
-        };
-        if produced == op.ret {
-            Ok(())
-        } else {
-            Err(MirrorError {
-                op: op.id,
-                substrate: format!("{produced:?}"),
-                recorded: format!("{:?}", op.ret),
-            })
-        }
-    }
-
-    /// Replays a whole committed log.
-    ///
-    /// # Errors
-    ///
-    /// The first divergence, if any.
-    pub fn replay<'a>(
-        &mut self,
-        ops: impl IntoIterator<Item = &'a Op<SetMethod, SetRet>>,
-    ) -> Result<usize, MirrorError> {
-        let mut n = 0;
-        for op in ops {
-            self.apply(op)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pushpull_spec::kvmap::ops as mops;
-    use pushpull_spec::set::ops as sops;
 
     #[test]
     fn map_mirror_accepts_consistent_logs() {
@@ -216,19 +147,5 @@ mod tests {
         let err = m.apply(&mops::put(1, 0, 1, 20, None)).unwrap_err();
         assert_eq!(err.op, pushpull_core::op::OpId(1));
         assert!(err.to_string().contains("diverged"));
-    }
-
-    #[test]
-    fn set_mirror_roundtrip() {
-        let mut s = SetMirror::new();
-        s.replay(&[
-            sops::add(0, 0, 5, true),
-            sops::add(1, 1, 5, false),
-            sops::contains(2, 0, 5, true),
-            sops::remove(3, 1, 5, true),
-        ])
-        .unwrap();
-        assert!(s.is_empty());
-        assert!(s.apply(&sops::remove(4, 0, 5, true)).is_err());
     }
 }

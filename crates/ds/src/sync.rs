@@ -2,12 +2,11 @@
 //!
 //! Transactional boosting assumes a *linearizable* base object (the
 //! paper's `ConcurrentSkipListMap`). Our substitution gives the
-//! sequential [`SkipListMap`](crate::skiplist::SkipListMap) and
-//! [`ChainedHashTable`](crate::hashtable::ChainedHashTable) linearizable
-//! concurrent interfaces the cheapest sound way: one lock around each
-//! operation. Linearization points coincide with the critical sections,
-//! which is all boosting needs — scalability of the base object is
-//! orthogonal to the transaction-level behaviour the reproduction
+//! sequential [`SkipListMap`](crate::skiplist::SkipListMap) a
+//! linearizable concurrent interface the cheapest sound way: one lock
+//! around each operation. Linearization points coincide with the critical
+//! sections, which is all boosting needs — scalability of the base object
+//! is orthogonal to the transaction-level behaviour the reproduction
 //! studies.
 
 use std::sync::{Arc, Mutex};

@@ -466,9 +466,6 @@ mod tests {
         fn machine_mut(&mut self) -> &mut Machine<ToyCounter> {
             &mut self.0
         }
-        fn starvation(&self) -> Option<pushpull_tm::contention::StarvationReport> {
-            None
-        }
     }
 
     impl ParallelSystem for PanickySystem {

@@ -69,7 +69,6 @@ use pushpull_core::machine::Machine;
 use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{commit_group, commit_held, GroupTxnResult, TxnHandle};
-use pushpull_tm::contention::StarvationReport;
 use pushpull_tm::driver::{
     fold_machine_counters, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
 };
@@ -626,12 +625,6 @@ impl<S: SeqSpec> TmSystem for TxnServer<S> {
 
     fn machine_mut(&mut self) -> &mut Machine<S> {
         &mut self.machine
-    }
-
-    /// The server retries on its own budget; it runs no contention
-    /// manager.
-    fn starvation(&self) -> Option<StarvationReport> {
-        None
     }
 }
 

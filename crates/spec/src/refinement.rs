@@ -18,7 +18,7 @@ use pushpull_core::spec::{commute, SeqSpec};
 ///
 /// Returns `None` for unbounded specifications (no universe to quantify
 /// over).
-pub fn possible_rets<S: SeqSpec>(spec: &S, method: &S::Method) -> Option<Vec<S::Ret>> {
+fn possible_rets<S: SeqSpec>(spec: &S, method: &S::Method) -> Option<Vec<S::Ret>> {
     let universe = spec.state_universe()?;
     let mut out: Vec<S::Ret> = Vec::new();
     let mut seen: HashSet<S::Ret> = HashSet::new();
@@ -35,6 +35,21 @@ pub fn possible_rets<S: SeqSpec>(spec: &S, method: &S::Method) -> Option<Vec<S::
 /// Does *every possible invocation* of `method` commute (both mover
 /// directions) with the concrete operation `op`? Conservatively `false`
 /// for unbounded specifications.
+///
+/// # Examples
+///
+/// ```
+/// use pushpull_spec::counter::{Counter, CtrMethod};
+/// use pushpull_spec::refinement::method_commutes_with_op;
+/// use pushpull_core::op::{Op, OpId, TxnId};
+/// use pushpull_spec::counter::CtrRet;
+///
+/// let spec = Counter::with_universe(6);
+/// let pulled = Op::new(OpId(0), TxnId(0), CtrMethod::Add(1), CtrRet::Ack);
+/// // Any Add commutes with the pulled Add; a Get never does.
+/// assert!(method_commutes_with_op(&spec, &CtrMethod::Add(3), &pulled));
+/// assert!(!method_commutes_with_op(&spec, &CtrMethod::Get, &pulled));
+/// ```
 pub fn method_commutes_with_op<S: SeqSpec>(
     spec: &S,
     method: &S::Method,
@@ -52,45 +67,6 @@ pub fn method_commutes_with_op<S: SeqSpec>(
         );
         commute(spec, &candidate, op)
     })
-}
-
-/// Builds the closure shape `check_trace_refined` expects, judging
-/// `(reachable method, pulled op)` pairs via [`method_commutes_with_op`].
-///
-/// The pulled operation is reconstructed from the trace data (`id`,
-/// method) using the provided `ret` lookup — the opacity checker only
-/// carries the pulled op's method, so callers supply the machine's
-/// global log to resolve rets.
-///
-/// # Examples
-///
-/// ```
-/// use pushpull_spec::counter::{Counter, CtrMethod};
-/// use pushpull_spec::refinement::method_commutes_with_op;
-/// use pushpull_core::op::{Op, OpId, TxnId};
-/// use pushpull_spec::counter::CtrRet;
-///
-/// let spec = Counter::with_universe(6);
-/// let pulled = Op::new(OpId(0), TxnId(0), CtrMethod::Add(1), CtrRet::Ack);
-/// // Any Add commutes with the pulled Add; a Get never does.
-/// assert!(method_commutes_with_op(&spec, &CtrMethod::Add(3), &pulled));
-/// assert!(!method_commutes_with_op(&spec, &CtrMethod::Get, &pulled));
-/// ```
-#[derive(Debug)]
-pub struct RefinementOracle<'a, S: SeqSpec> {
-    spec: &'a S,
-}
-
-impl<'a, S: SeqSpec> RefinementOracle<'a, S> {
-    /// Wraps a bounded specification.
-    pub fn new(spec: &'a S) -> Self {
-        Self { spec }
-    }
-
-    /// The judgement for one `(reachable method, pulled op)` pair.
-    pub fn judge(&self, method: &S::Method, pulled: &Op<S::Method, S::Ret>) -> bool {
-        method_commutes_with_op(self.spec, method, pulled)
-    }
 }
 
 #[cfg(test)]
@@ -136,11 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn oracle_wrapper_delegates() {
+    fn counter_adds_commute_with_a_pulled_add() {
         let spec = Counter::with_universe(4);
-        let oracle = RefinementOracle::new(&spec);
         let pulled = cops::add(0, 0, 2);
-        assert!(oracle.judge(&CtrMethod::Add(5), &pulled));
-        assert!(!oracle.judge(&CtrMethod::Get, &pulled));
+        assert!(method_commutes_with_op(&spec, &CtrMethod::Add(5), &pulled));
+        assert!(!method_commutes_with_op(&spec, &CtrMethod::Get, &pulled));
     }
 }

@@ -26,7 +26,7 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{default_manager, Governor, WaitVerdict};
+use crate::contention::{Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -89,7 +89,7 @@ impl<S: ConflictKeyed> Boosting<S> {
         gov: &mut Governor,
     ) -> Result<Tick, MachineError> {
         t.stats.blocked_ticks += 1;
-        // The contention manager decides how long to tolerate push-wait /
+        // The contention policy decides how long to tolerate push-wait /
         // lock-wait livelocks the waits-for graph cannot see.
         match gov.on_blocked() {
             WaitVerdict::GiveUp => self.abort(h, t, gov),
@@ -223,7 +223,7 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
             locks: Mutex::new(AbstractLockManager::new()),
             forced_aborts: Mutex::new(Vec::new()),
         };
-        Driver::host(alg, spec, programs, default_manager())
+        Driver::host(alg, spec, programs)
     }
 
     /// Forces the thread's current transaction to abort at its next tick

@@ -15,13 +15,12 @@
 //! any execution point".
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::contention::{Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
 
@@ -143,7 +142,7 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
                 Err(e) if is_conflict(&e) => {
                     // Raced between validation and push: fall through to a
                     // partial rewind on the next tick — but let the
-                    // contention manager bound the wait, since the conflict
+                    // contention policy bound the wait, since the conflict
                     // may be with another thread's *uncommitted* pushed
                     // ops, which validation cannot see: two threads whose
                     // uncommitted pushed ops conflict would otherwise block
@@ -188,19 +187,10 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
 
 impl<S: SeqSpec> CheckpointOptimistic<S> {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager. Its `stats().aborts` counts *full*
+    /// default contention policy. Its `stats().aborts` counts *full*
     /// aborts only; see [`CheckpointOptimistic::partial_rewinds`].
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
-        Self::with_contention(spec, programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
-        Driver::host(Checkpoint { spec: PhantomData }, spec, programs, cm)
+        Driver::host(Checkpoint { spec: PhantomData }, spec, programs)
     }
 
     /// Conflicts resolved by rewinding to a checkpoint rather than

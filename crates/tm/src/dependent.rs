@@ -31,7 +31,7 @@ use pushpull_core::op::{OpId, ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, Governor, WaitVerdict};
+use crate::contention::{Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict};
 
@@ -246,7 +246,7 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
                     t.local.deps.remove(&dep);
                 }
                 Some(GlobalFlag::Uncommitted) => {
-                    // Still live: wait for it. The contention manager
+                    // Still live: wait for it. The contention policy
                     // decides when waiting turns into giving up — that is
                     // what breaks cyclic dependencies.
                     t.stats.blocked_ticks += 1;
@@ -312,7 +312,7 @@ impl<S: SeqSpec> DependentSystem<S> {
             forced_aborts: Mutex::new(Vec::new()),
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, default_manager())
+        Driver::host(alg, spec, programs)
     }
 
     /// Partial rewinds performed to detangle from aborted dependencies.

@@ -32,7 +32,7 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{ContentionManager, ContentionState, Gate, Governor, StarvationReport};
+use crate::contention::{ContentionPolicy, ContentionState, Gate, Governor};
 
 /// The outcome of one scheduler tick on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,10 +94,6 @@ pub trait TmSystem {
     /// The underlying machine, mutably (resharding, the
     /// [`Machine::commit_group`] seam).
     fn machine_mut(&mut self) -> &mut Machine<Self::MachineSpec>;
-
-    /// Starvation metrics from the system's contention manager; `None`
-    /// for a system that runs none (the service front-end).
-    fn starvation(&self) -> Option<StarvationReport>;
 
     /// Reshards the machine's shared log into `shards` footprint-addressed
     /// segments (see [`Machine::set_log_shards`]). Sharding changes the
@@ -212,8 +208,9 @@ pub enum Phase {
 /// The skeleton hosting an [`Algorithm`] on a [`Machine`]: the one
 /// implementor of [`TmSystem`] and [`ParallelSystem`] in this crate. The
 /// ten public system names (`OptimisticSystem`, `BoostingSystem`, …) are
-/// aliases of `Driver<…>`, each adding its own `new` (three also take an
-/// explicit contention manager, `with_contention`).
+/// aliases of `Driver<…>`, each adding its own `new`; all run
+/// [`ContentionPolicy::DEFAULT`] unless [`Driver::with_policy`] says
+/// otherwise.
 #[derive(Debug)]
 pub struct Driver<A: Algorithm> {
     machine: Machine<A::Spec>,
@@ -225,19 +222,18 @@ pub struct Driver<A: Algorithm> {
 
 impl<A: Algorithm> Driver<A> {
     /// Hosts `alg` on a fresh machine over `spec`, running `programs[i]`
-    /// on thread `i` under contention manager `cm`.
+    /// on thread `i` under the default contention policy.
     pub(crate) fn host(
         alg: A,
         spec: A::Spec,
         programs: Vec<Vec<Code<<A::Spec as SeqSpec>::Method>>>,
-        cm: Arc<dyn ContentionManager>,
     ) -> Self {
         let mut machine = Machine::new(spec);
         let n = programs.len();
         for p in programs {
             machine.add_thread(p);
         }
-        let contention = ContentionState::new(cm);
+        let contention = ContentionState::new(ContentionPolicy::DEFAULT);
         let governors = contention.governors(n);
         Self {
             machine,
@@ -248,17 +244,24 @@ impl<A: Algorithm> Driver<A> {
         }
     }
 
+    /// The same system running `policy`, with a free token and fresh
+    /// governors. Call it before the first tick.
+    pub fn with_policy(mut self, policy: ContentionPolicy) -> Self {
+        self.contention = ContentionState::new(policy);
+        self.governors = self.contention.governors(self.threads.len());
+        self
+    }
+
     /// The underlying machine (for oracles, traces, invariant checks).
     pub fn machine(&self) -> &Machine<A::Spec> {
         &self.machine
     }
 
-    /// Accumulated statistics: per-thread counters summed, the contention
-    /// manager's starvation counters and the machine-owned counters
-    /// folded in.
+    /// Accumulated statistics: per-thread counters and the governors'
+    /// contention counters merged, the machine-owned counters folded in.
     pub fn stats(&self) -> SystemStats {
-        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).sum();
-        self.contention.fold_into(&mut stats);
+        let governors = self.governors.iter().map(Governor::stats);
+        let mut stats: SystemStats = self.threads.iter().map(|t| t.stats).chain(governors).sum();
         fold_machine_counters(&self.machine, &mut stats);
         stats
     }
@@ -280,11 +283,10 @@ where
     A::Thread: Clone,
     Machine<A::Spec>: Clone,
 {
-    /// Deep copy sharing nothing with the original: the contention state
-    /// is forked (same policy, zeroed token and metrics) and the
-    /// governors rebuilt against the fork.
+    /// Deep copy sharing nothing with the original: the clone runs the
+    /// same policy with a free token and fresh governors.
     fn clone(&self) -> Self {
-        let contention = self.contention.fork();
+        let contention = ContentionState::new(self.contention.policy());
         let governors = contention.governors(self.threads.len());
         Self {
             machine: self.machine.clone(),
@@ -363,10 +365,6 @@ impl<A: Algorithm> TmSystem for Driver<A> {
     fn machine_mut(&mut self) -> &mut Machine<A::Spec> {
         &mut self.machine
     }
-
-    fn starvation(&self) -> Option<StarvationReport> {
-        Some(self.contention.report())
-    }
 }
 
 impl<A> ParallelSystem for Driver<A>
@@ -398,7 +396,7 @@ pub struct SystemStats {
     /// Blocked ticks (lock or dependency waits).
     pub blocked_ticks: u64,
     /// Transactions escalated to degraded (solo/irrevocable-style)
-    /// execution by the contention manager.
+    /// execution by the contention policy.
     pub degradations: u64,
     /// The longest run of consecutive aborts any single thread suffered
     /// (merged by `max`, not summed).

@@ -20,7 +20,7 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::HtmConflicts;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{default_manager, Governor};
+use crate::contention::Governor;
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -159,12 +159,12 @@ impl Algorithm for Htm {
 
 impl HtmSystem {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention policy.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
         let alg = Htm {
             tracker: Mutex::new(HtmConflicts::new()),
         };
-        Driver::host(alg, RwMem::new(), programs, default_manager())
+        Driver::host(alg, RwMem::new(), programs)
     }
 }
 

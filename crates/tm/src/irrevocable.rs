@@ -18,7 +18,7 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, Governor};
+use crate::contention::Governor;
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
 
@@ -225,7 +225,7 @@ impl<S: SeqSpec> IrrevocableSystem<S> {
             irrevocable,
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, default_manager())
+        Driver::host(alg, spec, programs)
     }
 
     /// Aborts taken by the irrevocable thread — must always be zero; kept

@@ -52,10 +52,7 @@ pub mod util;
 pub use boosting::BoostingSystem;
 pub use checkpoint::CheckpointOptimistic;
 pub use conflict::ConflictKeyed;
-pub use contention::{
-    default_manager, ContentionManager, ContentionState, Gate, Governor, GracefulDegradation,
-    ImmediateRetry, Recovery, StarvationReport, WaitVerdict,
-};
+pub use contention::{ContentionPolicy, ContentionState, Gate, Governor, WaitVerdict};
 pub use dependent::DependentSystem;
 pub use driver::{Algorithm, Driver, ParallelSystem, Slot, SystemStats, Tick, TmSystem, Worker};
 pub use htm::HtmSystem;

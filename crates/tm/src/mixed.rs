@@ -30,7 +30,7 @@ use pushpull_spec::rwmem::{Loc, MemMethod, MemRet, RwMem};
 use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{default_manager, Governor, WaitVerdict};
+use crate::contention::{Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -390,13 +390,13 @@ impl Algorithm for Mixed {
 
 impl MixedSystem {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention policy.
     pub fn new(spec: MixedSpec, programs: Vec<Vec<Code<MixedMethod>>>) -> Self {
         let alg = Mixed {
             locks: Mutex::new(AbstractLockManager::new()),
             tracker: Mutex::new(HtmConflicts::new()),
         };
-        Driver::host(alg, spec, programs, default_manager())
+        Driver::host(alg, spec, programs)
     }
 
     /// HTM aborts resolved by *partial* rewind (boosted effects kept).

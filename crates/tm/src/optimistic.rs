@@ -18,13 +18,12 @@
 //! effects before every APP, an incremental-validation TinySTM flavour).
 
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, ContentionManager, Governor};
+use crate::contention::Governor;
 use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
 use crate::util::{is_conflict, pull_committed_lenient};
 
@@ -173,21 +172,11 @@ impl<S: SeqSpec> OptimisticSystem<S> {
     /// Creates a system running `programs[i]` on thread `i` under the
     /// given read policy.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>, policy: ReadPolicy) -> Self {
-        Self::with_contention(spec, programs, policy, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        spec: S,
-        programs: Vec<Vec<Code<S::Method>>>,
-        policy: ReadPolicy,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = Optimistic {
             policy,
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, cm)
+        Driver::host(alg, spec, programs)
     }
 }
 

@@ -22,7 +22,7 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{default_manager, Governor};
+use crate::contention::Governor;
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -123,7 +123,7 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
             match *tok {
                 Some(holder) if holder != h.tid() => {
                     // The commit-token wait deliberately does NOT consult the
-                    // contention manager: MS writers never abort, and the
+                    // contention policy: MS writers never abort, and the
                     // token is released within the holder's same tick, so the
                     // wait is always short and bounded.
                     t.stats.blocked_ticks += 1;
@@ -170,13 +170,13 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
 
 impl<S: SeqSpec> MatveevShavitSystem<S> {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention policy.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
         let alg = MatveevShavit {
             token: Mutex::new(None),
             spec: PhantomData,
         };
-        Driver::host(alg, spec, programs, default_manager())
+        Driver::host(alg, spec, programs)
     }
 }
 

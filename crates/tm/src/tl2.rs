@@ -25,7 +25,7 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::{GlobalClock, VersionedMemory};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{default_manager, Governor};
+use crate::contention::Governor;
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -233,13 +233,13 @@ impl Algorithm for Tl2 {
 
 impl Tl2System {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention policy.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
         let alg = Tl2 {
             clock: GlobalClock::new(),
             vmem: Mutex::new(VersionedMemory::new()),
         };
-        Driver::host(alg, RwMem::new(), programs, default_manager())
+        Driver::host(alg, RwMem::new(), programs)
     }
 
     /// Times the machine's criteria rejected a commit that TL2's own

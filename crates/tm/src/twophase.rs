@@ -14,14 +14,14 @@
 //! this pattern: a 2PL run discharges PUSH obligations but never
 //! violates one.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{default_manager, ContentionManager, Governor, WaitVerdict};
+use crate::contention::{Governor, WaitVerdict};
 use crate::driver::{Algorithm, Driver, Slot, Tick};
 use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
 
@@ -176,20 +176,12 @@ impl Algorithm for TwoPhase {
 
 impl TwoPhaseLocking {
     /// Creates a system running `programs[i]` on thread `i` under the
-    /// default contention manager.
+    /// default contention policy.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
-        Self::with_contention(programs, default_manager())
-    }
-
-    /// Creates a system with an explicit contention-management policy.
-    pub fn with_contention(
-        programs: Vec<Vec<Code<MemMethod>>>,
-        cm: Arc<dyn ContentionManager>,
-    ) -> Self {
         let alg = TwoPhase {
             locks: Mutex::new(RwLockTable::new()),
         };
-        Driver::host(alg, RwMem::new(), programs, cm)
+        Driver::host(alg, RwMem::new(), programs)
     }
 }
 

@@ -5,7 +5,7 @@
 //! the shared [`assert_chaos_cell`] loop:
 //!
 //! 1. **Completion** — injected denials, kills, stalls and HTM aborts
-//!    exercise each driver's recovery rules, and the contention manager
+//!    exercise each driver's recovery rules, and the contention policy
 //!    bounds every retry loop, so a faulted run still finishes within a
 //!    generous tick budget.
 //! 2. **Accounting** — the machine audit's `injected` tallies equal the
@@ -17,8 +17,8 @@
 //!    design (optimistic snapshot, MS pessimistic, HTM).
 //!
 //! Two regression tests ride along: the checkpoint commit-cycle livelock
-//! that motivated pluggable contention management, and the
-//! graceful-degradation guarantee that a transaction starving past the
+//! that motivated a bounded contention policy, and the default
+//! policy's guarantee that a transaction starving past the
 //! retry budget commits solo.
 
 use std::sync::Arc;
@@ -37,14 +37,14 @@ use pushpull::spec::set::SetMethod;
 use pushpull::tm::mixed::{methods, mixed_spec};
 use pushpull::tm::optimistic::ReadPolicy;
 use pushpull::tm::{
-    BoostingSystem, CheckpointOptimistic, ContentionManager, DependentSystem, GracefulDegradation,
-    HtmSystem, ImmediateRetry, IrrevocableSystem, MatveevShavitSystem, MixedSystem,
-    OptimisticSystem, Tl2System, TmSystem, TwoPhaseLocking,
+    BoostingSystem, CheckpointOptimistic, ContentionPolicy, DependentSystem, HtmSystem,
+    IrrevocableSystem, MatveevShavitSystem, MixedSystem, OptimisticSystem, Tl2System, TmSystem,
+    TwoPhaseLocking,
 };
 
 /// Per-run tick budget. Normal runs finish in hundreds of ticks; stalls
 /// are ≤ 3 ticks, backoff windows are capped, and blocked waits are
-/// bounded by the contention manager's patience, so exhausting this
+/// bounded by the contention policy's patience, so exhausting this
 /// means a genuine wedge.
 const BUDGET: usize = 300_000;
 
@@ -236,7 +236,7 @@ fn irrevocable_thread_survives_targeted_kills() {
     }
 }
 
-fn contending_checkpoint(cm: Arc<dyn ContentionManager>) -> CheckpointOptimistic<RwMem> {
+fn contending_checkpoint(policy: ContentionPolicy) -> CheckpointOptimistic<RwMem> {
     // Opposite push orders on two shared locations: t0 pushes w0 then
     // w1, t1 pushes w1 then w0.
     let prog = |first: u32, second: u32, v: i64| {
@@ -245,7 +245,7 @@ fn contending_checkpoint(cm: Arc<dyn ContentionManager>) -> CheckpointOptimistic
             Code::method(MemMethod::Write(Loc(second), v)),
         ])]
     };
-    CheckpointOptimistic::with_contention(RwMem::new(), vec![prog(0, 1, 5), prog(1, 0, 7)], cm)
+    CheckpointOptimistic::new(RwMem::new(), vec![prog(0, 1, 5), prog(1, 0, 7)]).with_policy(policy)
 }
 
 /// Denying thread 0's *second* PUSH leaves its first write pushed but
@@ -255,11 +255,11 @@ fn contending_checkpoint(cm: Arc<dyn ContentionManager>) -> CheckpointOptimistic
 /// ("wait forever") this livelocks; any policy with bounded patience
 /// gives up, UNPUSHes the cycle, and both threads commit. This is the
 /// scenario that forced the old hard-coded blocked-streak threshold out
-/// of the driver and into the contention manager.
+/// of the driver and into the contention policy.
 #[test]
 fn checkpoint_push_cycle_livelocks_under_immediate_retry() {
-    let wedge = |cm: Arc<dyn ContentionManager>, budget: usize| {
-        let mut sys = contending_checkpoint(cm);
+    let wedge = |policy: ContentionPolicy, budget: usize| {
+        let mut sys = contending_checkpoint(policy);
         let plan = Arc::new(FaultPlan::new(2).deny(0, Rule::Push, 1));
         sys.machine()
             .set_fault_hook(Some(plan as Arc<dyn FaultHook>));
@@ -268,7 +268,7 @@ fn checkpoint_push_cycle_livelocks_under_immediate_retry() {
     };
 
     // Baseline policy: both threads block forever on the push cycle.
-    let (sys, out) = wedge(Arc::new(ImmediateRetry), 50_000);
+    let (sys, out) = wedge(ContentionPolicy::IMMEDIATE_RETRY, 50_000);
     assert!(
         !out.completed,
         "immediate-retry was expected to livelock but completed in {} ticks",
@@ -278,7 +278,7 @@ fn checkpoint_push_cycle_livelocks_under_immediate_retry() {
 
     // The bounded-patience default aborts one side of the cycle and
     // recovers.
-    let (sys, out) = wedge(Arc::new(GracefulDegradation::new()), BUDGET);
+    let (sys, out) = wedge(ContentionPolicy::DEFAULT, BUDGET);
     assert!(out.completed, "failed to break the push cycle");
     assert_eq!(sys.stats().commits, 2);
     assert!(sys.stats().aborts >= 1, "recovery requires a full abort");
@@ -288,18 +288,17 @@ fn checkpoint_push_cycle_livelocks_under_immediate_retry() {
 
 /// Acceptance: a transaction that starves past the retry budget under
 /// repeated commit denials is escalated to solo (degraded) mode and
-/// commits. The degradation is visible in `SystemStats` and in the
-/// starvation report.
+/// commits. The degradation is visible in `SystemStats`.
 #[test]
 fn degradation_commits_a_starving_transaction() {
-    let cm = GracefulDegradation::new();
-    let budget = cm.retry_budget;
-    let mut sys = OptimisticSystem::with_contention(
+    let policy = ContentionPolicy::DEFAULT;
+    let budget = policy.retry_budget.expect("the default degrades");
+    let mut sys = OptimisticSystem::new(
         RwMem::new(),
         vec![rmw(0, 1), rmw(1, 2)],
         ReadPolicy::Snapshot,
-        Arc::new(cm),
-    );
+    )
+    .with_policy(policy);
     // Deny thread 0's CMT for `budget + 4` consecutive attempts: enough
     // to blow the retry budget, degrade, and keep aborting a few more
     // times while already solo before the denial finally lifts.
@@ -324,32 +323,26 @@ fn degradation_commits_a_starving_transaction() {
         "streak {} never reached the retry budget {budget}",
         stats.max_abort_streak
     );
-    let starvation = sys.starvation().expect("driver runs a contention manager");
-    assert!(starvation.max_consecutive_aborts >= u64::from(budget));
-    assert!(starvation.degradations >= 1);
     assert_injection_accounted(&sys.machine().audit(), &plan.fired());
     assert!(check_machine(sys.machine()).is_serializable());
 }
 
 /// Every policy drives a genuinely contended (unfaulted) workload to
-/// completion — the pluggable-manager seam works with both built-in
-/// policies on both an optimistic and a lock-based driver.
+/// completion — both named policies on both an optimistic and a
+/// lock-based driver.
 #[test]
 fn every_policy_completes_contended_runs() {
-    type MakePolicy = fn() -> Arc<dyn ContentionManager>;
-    let policies: Vec<(&str, MakePolicy)> = vec![
-        ("immediate-retry", || Arc::new(ImmediateRetry)),
-        ("graceful-degradation", || {
-            Arc::new(GracefulDegradation::new())
-        }),
+    let policies = [
+        ("immediate-retry", ContentionPolicy::IMMEDIATE_RETRY),
+        ("graceful-degradation", ContentionPolicy::DEFAULT),
     ];
-    for (name, make) in policies {
-        let mut sys = OptimisticSystem::with_contention(
+    for (name, policy) in policies {
+        let mut sys = OptimisticSystem::new(
             RwMem::new(),
             vec![rmw(0, 1), rmw(0, 2), rmw(0, 3)],
             ReadPolicy::Snapshot,
-            make(),
-        );
+        )
+        .with_policy(policy);
         let out = run(&mut sys, &mut RandomSched::new(11), BUDGET).unwrap();
         assert!(out.completed, "optimistic/{name}");
         assert_eq!(sys.stats().commits, 3, "optimistic/{name}");
@@ -359,7 +352,7 @@ fn every_policy_completes_contended_runs() {
         );
 
         let mut sys =
-            TwoPhaseLocking::with_contention(vec![rmw(0, 4), rmw(0, 5), rmw(1, 6)], make());
+            TwoPhaseLocking::new(vec![rmw(0, 4), rmw(0, 5), rmw(1, 6)]).with_policy(policy);
         let out = run(&mut sys, &mut RandomSched::new(11), BUDGET).unwrap();
         assert!(out.completed, "twophase/{name}");
         assert_eq!(sys.stats().commits, 3, "twophase/{name}");

@@ -8,7 +8,7 @@
 use pushpull::core::lang::Code;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::Machine;
-use pushpull::harness::{run, RandomSched};
+use pushpull::harness::{run, RandomSched, RoundRobin};
 use pushpull::spec::counter::CtrMethod;
 use pushpull::spec::kvmap::MapMethod;
 use pushpull::spec::rwmem::{Loc, MemMethod};
@@ -141,6 +141,33 @@ fn mixed_driver_serializable_under_random_interleavings() {
         let report = check_machine(sys.machine());
         assert!(report.is_serializable(), "seed {seed}: {report}");
     }
+}
+
+/// §7's partial rewind, on the four programs `parallel_stress` runs on OS
+/// threads: under round-robin every abort is an HTM abort resolved by
+/// UNAPPing only the trailing HTM effects, so the boosted effects stay
+/// pushed and the transaction resumes from them.
+#[test]
+fn round_robin_resolves_every_abort_by_partial_htm_rewind() {
+    let programs: Vec<_> = (0..4u64)
+        .map(|t| {
+            vec![Code::seq_all(vec![
+                Code::method(methods::skiplist(SetMethod::Add(t))),
+                Code::method(methods::size(CtrMethod::Add(1))),
+                Code::method(methods::hash_table(MapMethod::Put(t, t as i64))),
+                Code::method(methods::mem(MemMethod::Write(Loc((t % 2) as u32), 1))),
+            ])]
+        })
+        .collect();
+    let mut sys = MixedSystem::new(mixed_spec(), programs);
+    let out = run(&mut sys, &mut RoundRobin, 400_000).unwrap();
+    assert!(out.completed, "wedged after {} ticks", out.ticks);
+    let stats = sys.stats();
+    assert_eq!(stats.commits, 4);
+    assert!(sys.partial_htm_aborts() >= 1, "no partial rewind taken");
+    assert_eq!(sys.partial_htm_aborts(), stats.aborts);
+    let report = check_machine(sys.machine());
+    assert!(report.is_serializable(), "{report}");
 }
 
 /// The committed `size` counter equals the number of committed

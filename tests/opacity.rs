@@ -134,11 +134,11 @@ fn commutativity_refinement_classifies_pullers() {
     assert!(!check_trace_refined(&m.trace(), commutes).is_opaque());
 }
 
-/// The same refinement, driven by the generic oracle of
+/// The same refinement, driven by the generic judgement of
 /// `pushpull_spec::refinement` instead of a hand-written closure.
 #[test]
 fn refinement_oracle_classifies_pullers_generically() {
-    use pushpull::spec::refinement::RefinementOracle;
+    use pushpull::spec::refinement::method_commutes_with_op;
 
     let spec = Counter::with_universe(8);
     let mut m = Machine::new(spec);
@@ -150,8 +150,9 @@ fn refinement_oracle_classifies_pullers_generically() {
 
     let pulled_op = m.global().entry(ia).unwrap().op.clone();
     let spec2 = Counter::with_universe(8);
-    let oracle = RefinementOracle::new(&spec2);
-    let verdict = check_trace_refined(&m.trace(), |method, _, _| oracle.judge(method, &pulled_op));
+    let verdict = check_trace_refined(&m.trace(), |method, _, _| {
+        method_commutes_with_op(&spec2, method, &pulled_op)
+    });
     assert_eq!(verdict, OpacityVerdict::OpaqueByCommutativity);
 
     // A Get-remainder puller is rejected by the same oracle.
@@ -162,7 +163,9 @@ fn refinement_oracle_classifies_pullers_generically() {
     m.push(a, ia).unwrap();
     m.pull(b, ia).unwrap();
     let pulled_op = m.global().entry(ia).unwrap().op.clone();
-    let verdict = check_trace_refined(&m.trace(), |method, _, _| oracle.judge(method, &pulled_op));
+    let verdict = check_trace_refined(&m.trace(), |method, _, _| {
+        method_commutes_with_op(&spec2, method, &pulled_op)
+    });
     assert!(!verdict.is_opaque());
 }
 

@@ -11,7 +11,7 @@ use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::harness::run_parallel_sharded;
 use pushpull::spec::kvmap::{KvMap, MapMethod};
-use pushpull::tm::{BoostingSystem, ParallelSystem, StarvationReport, SystemStats, Tick, TmSystem};
+use pushpull::tm::{BoostingSystem, ParallelSystem, SystemStats, Tick, TmSystem};
 
 const BUDGET: usize = 2_000_000;
 
@@ -42,9 +42,6 @@ impl TmSystem for Wrapped {
     }
     fn machine_mut(&mut self) -> &mut Machine<KvMap> {
         self.0.machine_mut()
-    }
-    fn starvation(&self) -> Option<StarvationReport> {
-        self.0.starvation()
     }
 }
 
