@@ -26,9 +26,8 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{Governor, WaitVerdict};
-use crate::driver::{Algorithm, Driver, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 /// A transactional-boosting system over any [`ConflictKeyed`]
 /// specification.
@@ -81,23 +80,6 @@ impl<S: ConflictKeyed> Clone for Boosting<S> {
     }
 }
 
-impl<S: ConflictKeyed> Boosting<S> {
-    fn blocked(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        t.stats.blocked_ticks += 1;
-        // The contention policy decides how long to tolerate push-wait /
-        // lock-wait livelocks the waits-for graph cannot see.
-        match gov.on_blocked() {
-            WaitVerdict::GiveUp => self.abort(h, t, gov),
-            WaitVerdict::Wait => Ok(Tick::Blocked),
-        }
-    }
-}
-
 impl<S: ConflictKeyed> Algorithm for Boosting<S> {
     type Spec = S;
     type Thread = ();
@@ -108,12 +90,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
 
     /// One boosting tick: abstract locks are taken briefly per method;
     /// APP runs on the thread's own handle with no system-wide lock.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn step(&self, h: &mut TxnHandle<S>, _: &mut ()) -> Result<Outcome, MachineError> {
         {
             let mut forced = self
                 .forced_aborts
@@ -121,8 +98,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
                 .expect("forced-abort list poisoned");
             if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
                 forced.remove(pos);
-                drop(forced);
-                return self.abort(h, t, gov);
+                return Ok(Outcome::Abort);
             }
         }
         let txn = h.txn();
@@ -132,31 +108,30 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         if options.is_empty() {
             let committed = match h.commit() {
                 Ok(c) => c,
-                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
                 Err(e) => return Err(e),
             };
             self.locks
                 .lock()
                 .expect("lock manager poisoned")
                 .release_all(committed);
-            t.stats.commits += 1;
-            gov.on_commit();
-            return Ok(Tick::Committed);
+            return Ok(Outcome::Committed);
         }
         let (method, _) = &options[0];
         // Acquire this method's abstract locks (2PL: held to commit).
         for key in h.spec().lock_keys(method) {
-            // Bind the outcome first: matching on the locked expression would
-            // hold the guard across the abort path and self-deadlock.
-            let outcome = self
+            match self
                 .locks
                 .lock()
                 .expect("lock manager poisoned")
-                .try_lock(txn, key);
-            match outcome {
+                .try_lock(txn, key)
+            {
                 LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
-                LockOutcome::Busy { .. } => return self.blocked(h, t, gov),
-                LockOutcome::WouldDeadlock { .. } => return self.abort(h, t, gov),
+                // The contention policy decides how long to tolerate
+                // push-wait / lock-wait livelocks the waits-for graph
+                // cannot see.
+                LockOutcome::Busy { .. } => return Ok(Outcome::Wait),
+                LockOutcome::WouldDeadlock { .. } => return Ok(Outcome::Abort),
             }
         }
         // Implicit PULL: refresh the committed shared view (the paper's
@@ -166,32 +141,24 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         let method = method.clone();
         let op: OpId = match h.app_method(&method) {
             Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
             Err(e) => return Err(e),
         };
         match h.push(op) {
-            Ok(()) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(e) if is_conflict(&e) => {
+            Ok(()) => Ok(Outcome::Progress),
+            Err(e) if e.is_criterion() => {
                 // Criterion (ii)/(iii) conflict the locks could not
                 // express: undo the APP and wait for the conflicting
                 // transaction to commit (abort if it takes too long).
                 h.unapp()?;
-                self.blocked(h, t, gov)
+                Ok(Outcome::Wait)
             }
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, _: &mut ()) -> Result<(), MachineError> {
         let txn = h.txn();
         // §4's "UNPUSH is typically implemented via inverse operations":
         // derive the undo log — the spec-level inverse of each live
@@ -209,9 +176,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
             .lock()
             .expect("lock manager poisoned")
             .release_all(txn);
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        Ok(())
     }
 }
 
@@ -241,7 +206,7 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;

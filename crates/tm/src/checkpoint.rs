@@ -20,9 +20,8 @@ use pushpull_core::error::MachineError;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{Governor, WaitVerdict};
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::pull_committed_lenient;
 
 /// An optimistic system with checkpoint-based partial aborts.
 ///
@@ -92,16 +91,11 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
 
     /// One checkpointing tick: validation and partial rewinds run
     /// entirely on the thread's own handle against a consistent snapshot.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<CkptThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if t.local.phase == Phase::Begin {
+    fn step(&self, h: &mut TxnHandle<S>, t: &mut CkptThread) -> Result<Outcome, MachineError> {
+        if t.phase == Phase::Begin {
             pull_committed_lenient(h)?;
-            t.local.phase = Phase::Running;
-            return Ok(Tick::Progress);
+            t.phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if !options.is_empty() {
@@ -110,21 +104,14 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
             // operation, so any suffix is later abortable on its own.
             h.begin_checkpoint()?;
             return match h.app_method(&method) {
-                Ok(_) => Ok(Tick::Progress),
+                Ok(_) => Ok(Outcome::Progress),
                 Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
                     // Local view wedged: partial-abort to the checkpoint
                     // before the first invalid entry instead of a full
                     // abort.
                     match first_invalid(h) {
-                        Some(idx) => {
-                            let salvaged = idx as u64;
-                            h.abort_to_checkpoint(idx)?;
-                            pull_committed_lenient(h)?;
-                            t.local.partial_rewinds += 1;
-                            t.local.ops_salvaged += salvaged;
-                            Ok(Tick::Progress)
-                        }
-                        None => self.abort(h, t, gov),
+                        Some(idx) => rewind_to(h, t, idx),
+                        None => Ok(Outcome::Abort),
                     }
                 }
                 Err(e) => Err(e),
@@ -134,55 +121,46 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
         match first_invalid(h) {
             None => match h.push_all_and_commit() {
                 Ok(_) => {
-                    t.local.phase = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    t.phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => {
-                    // Raced between validation and push: fall through to a
-                    // partial rewind on the next tick — but let the
-                    // contention policy bound the wait, since the conflict
-                    // may be with another thread's *uncommitted* pushed
-                    // ops, which validation cannot see: two threads whose
-                    // uncommitted pushed ops conflict would otherwise block
-                    // each other forever (`push_all_and_commit` does not
-                    // unwind partial pushes). A full abort UNPUSHes
-                    // everything and breaks the cycle.
-                    t.stats.blocked_ticks += 1;
-                    match gov.on_blocked() {
-                        WaitVerdict::GiveUp => self.abort(h, t, gov),
-                        WaitVerdict::Wait => Ok(Tick::Blocked),
-                    }
-                }
+                // Raced between validation and push: fall through to a
+                // partial rewind on the next tick — but let the contention
+                // policy bound the wait, since the conflict may be with
+                // another thread's *uncommitted* pushed ops, which
+                // validation cannot see: two threads whose uncommitted
+                // pushed ops conflict would otherwise block each other
+                // forever (`push_all_and_commit` does not unwind partial
+                // pushes). A full abort UNPUSHes everything and breaks the
+                // cycle.
+                Err(e) if e.is_criterion() => Ok(Outcome::Wait),
                 Err(e) => Err(e),
             },
-            Some(idx) => {
-                // The §6.2 move: abort the scope suffix, UNAPPing only the
-                // invalidated operations.
-                let salvaged = idx as u64;
-                h.abort_to_checkpoint(idx)?;
-                pull_committed_lenient(h)?;
-                gov.on_progress();
-                t.local.partial_rewinds += 1;
-                t.local.ops_salvaged += salvaged;
-                Ok(Tick::Progress)
-            }
+            // The §6.2 move: abort the scope suffix, UNAPPing only the
+            // invalidated operations.
+            Some(idx) => rewind_to(h, t, idx),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<CkptThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, t: &mut CkptThread) -> Result<(), MachineError> {
         h.abort_and_retry()?;
-        t.local.phase = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.phase = Phase::Begin;
+        Ok(())
     }
+}
+
+/// Partially aborts to the checkpoint before local entry `idx` and
+/// refreshes the view: the transaction goes on from there.
+fn rewind_to<S: SeqSpec>(
+    h: &mut TxnHandle<S>,
+    t: &mut CkptThread,
+    idx: usize,
+) -> Result<Outcome, MachineError> {
+    h.abort_to_checkpoint(idx)?;
+    pull_committed_lenient(h)?;
+    t.partial_rewinds += 1;
+    t.ops_salvaged += idx as u64;
+    Ok(Outcome::Progress)
 }
 
 impl<S: SeqSpec> CheckpointOptimistic<S> {
@@ -209,7 +187,7 @@ impl<S: SeqSpec> CheckpointOptimistic<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;

@@ -16,21 +16,24 @@
 //!   at once, wait forever. It reproduces the checkpoint commit
 //!   livelock, so the regression tests can show the default resolves it.
 //!
-//! Drivers talk to the policy through a per-thread [`Governor`], which
-//! also owns the degradation token protocol, the injected kill/stall
-//! faults of the [`FaultHook`](pushpull_core::FaultHook) layer, and the
-//! thread's own degradation and abort-streak counters, which
+//! Only the skeleton talks to the policy, through a per-thread `Governor`:
+//! [`Driver`](crate::driver::Driver) turns each tick's
+//! [`Outcome`](crate::driver::Outcome) into the governor's calls, so no
+//! algorithm sees it. The governor also owns the degradation token
+//! protocol, the injected kill/stall faults of the
+//! [`FaultHook`](pushpull_core::FaultHook) layer, and the thread's own
+//! degradation and abort-streak counters, which
 //! [`Driver::stats`](crate::driver::Driver::stats) folds in.
 //!
 //! ## Degradation protocol
 //!
 //! When a thread's abort streak reaches the retry budget, its governor
-//! (whose driver has just rolled the transaction back, releasing every
+//! (whose skeleton has just rolled the transaction back, releasing every
 //! pushed-uncommitted operation) competes for a single shared token.
 //! While a degraded thread holds the token, every other thread whose
 //! transaction holds no pushed-uncommitted operations *parks*; threads
 //! that do hold pushed state keep running until their own policy makes
-//! them give up and roll back (a [`WaitVerdict::GiveUp`] is guaranteed
+//! them give up and roll back (a give-up is guaranteed
 //! eventually under a bounded patience), after which they park too.
 //! The degraded thread therefore converges to running alone and commits.
 //! Parking is bounded by a safety valve ([`TOKEN_PARK_PATIENCE`]): a
@@ -49,7 +52,7 @@ use crate::driver::SystemStats;
 
 /// Whether a blocked thread should keep waiting or roll back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitVerdict {
+pub(crate) enum WaitVerdict {
     /// Stay blocked; retry the rule next tick.
     Wait,
     /// Stop waiting: abort the transaction and retry.
@@ -99,7 +102,7 @@ pub const TOKEN_PARK_PATIENCE: u32 = 64;
 /// The per-system half of contention management: the policy and the
 /// degrade token, shared by every thread's [`Governor`] through an `Arc`.
 #[derive(Debug)]
-pub struct ContentionState {
+pub(crate) struct ContentionState {
     policy: ContentionPolicy,
     /// Degrade token: 0 when free, `tid + 1` when held.
     token: AtomicUsize,
@@ -107,7 +110,7 @@ pub struct ContentionState {
 
 impl ContentionState {
     /// Fresh shared state running `policy`, with a free token.
-    pub fn new(policy: ContentionPolicy) -> Arc<Self> {
+    pub(crate) fn new(policy: ContentionPolicy) -> Arc<Self> {
         Arc::new(Self {
             policy,
             token: AtomicUsize::new(0),
@@ -120,33 +123,33 @@ impl ContentionState {
     }
 
     /// One governor per model thread.
-    pub fn governors(self: &Arc<Self>, n: usize) -> Vec<Governor> {
+    pub(crate) fn governors(self: &Arc<Self>, n: usize) -> Vec<Governor> {
         (0..n).map(|t| Governor::new(self, ThreadId(t))).collect()
     }
 }
 
 /// What the governor decides a thread should do this tick, before the
-/// driver runs any rule.
+/// algorithm runs any rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// The thread has no transactions left.
     Done,
     /// Park this tick (backoff, injected stall, or yielding to a
     /// degraded thread); report `Tick::Blocked`.
     Park,
-    /// An injected fault killed the transaction: the driver must roll it
-    /// back through its own abort path.
+    /// An injected fault killed the transaction: the skeleton rolls it
+    /// back through the algorithm's abort path.
     Kill,
     /// Run the tick normally.
     Run,
 }
 
-/// The per-thread half of contention management. Drivers call
-/// [`Governor::gate`] at the top of every tick, [`Governor::on_abort`]
-/// from their abort paths, [`Governor::on_blocked`] from their wait
-/// paths, and [`Governor::on_commit`] after a commit.
+/// The per-thread half of contention management. The skeleton's tick
+/// calls [`Governor::gate`] before the algorithm's step and one of
+/// [`Governor::on_progress`], [`Governor::on_commit`],
+/// [`Governor::on_blocked`] or [`Governor::on_abort`] after it.
 #[derive(Debug)]
-pub struct Governor {
+pub(crate) struct Governor {
     shared: Arc<ContentionState>,
     tid: ThreadId,
     /// Consecutive aborts (reset on commit).
@@ -214,10 +217,10 @@ impl Governor {
         self.degrade_pending = false;
     }
 
-    /// Decides this tick before the driver runs any rule: counts down
+    /// Decides this tick before the algorithm runs any rule: counts down
     /// backoff and injected stalls, fires injected kill/stall faults at
     /// the rule boundary, and runs the degrade-token protocol.
-    pub fn gate<S: SeqSpec>(&mut self, h: &TxnHandle<S>) -> Gate {
+    pub(crate) fn gate<S: SeqSpec>(&mut self, h: &TxnHandle<S>) -> Gate {
         if h.is_done() {
             self.release_token();
             return Gate::Done;
@@ -272,10 +275,11 @@ impl Governor {
     }
 
     /// Records an abort and applies the policy: back off below the retry
-    /// budget, degrade at it. Call from the driver's abort path, *after*
-    /// the transaction has been rolled back (so pushed-uncommitted state
-    /// is released before any degradation parks other threads).
-    pub fn on_abort(&mut self) {
+    /// budget, degrade at it. The skeleton calls it once per abort, full
+    /// or partial, *after* the transaction has been rolled back (so
+    /// pushed-uncommitted state is released before any degradation parks
+    /// other threads).
+    pub(crate) fn on_abort(&mut self) {
         self.streak += 1;
         self.max_streak = self.max_streak.max(self.streak);
         self.blocked_streak = 0;
@@ -294,9 +298,9 @@ impl Governor {
     }
 
     /// Records one blocked tick and asks the policy whether to keep
-    /// waiting. On [`WaitVerdict::GiveUp`] the driver must roll the
-    /// transaction back through its abort path.
-    pub fn on_blocked(&mut self) -> WaitVerdict {
+    /// waiting. On [`WaitVerdict::GiveUp`] the skeleton rolls the
+    /// transaction back through the algorithm's abort path.
+    pub(crate) fn on_blocked(&mut self) -> WaitVerdict {
         self.blocked_streak += 1;
         match self.shared.policy.patience {
             Some(p) if self.blocked_streak >= p => WaitVerdict::GiveUp,
@@ -305,13 +309,13 @@ impl Governor {
     }
 
     /// Records rule progress (resets the blocked streak).
-    pub fn on_progress(&mut self) {
+    pub(crate) fn on_progress(&mut self) {
         self.blocked_streak = 0;
     }
 
     /// Records a commit: resets the streaks and releases the degrade
     /// token.
-    pub fn on_commit(&mut self) {
+    pub(crate) fn on_commit(&mut self) {
         self.streak = 0;
         self.blocked_streak = 0;
         self.release_token();

@@ -31,9 +31,8 @@ use pushpull_core::op::{OpId, ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{Governor, WaitVerdict};
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::fork_mutex;
 
 /// A dependent-transactions system.
 ///
@@ -196,12 +195,7 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
     /// One dependent-transactions tick. PULLs and detangles take the
     /// machine's short critical sections; everything else runs on the
     /// thread's own handle.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<DepThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn step(&self, h: &mut TxnHandle<S>, t: &mut DepThread) -> Result<Outcome, MachineError> {
         {
             let mut forced = self
                 .forced_aborts
@@ -209,23 +203,22 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
                 .expect("forced-abort list poisoned");
             if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
                 forced.remove(pos);
-                drop(forced);
-                return self.abort(h, t, gov);
+                return Ok(Outcome::Abort);
             }
         }
-        if t.local.phase == Phase::Begin {
-            pull_everything(h, &mut t.local)?;
-            t.local.phase = Phase::Running;
-            return Ok(Tick::Progress);
+        if t.phase == Phase::Begin {
+            pull_everything(h, t)?;
+            t.phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if !options.is_empty() {
-            pull_everything(h, &mut t.local)?;
+            pull_everything(h, t)?;
             let method = options[0].0.clone();
             let op = match h.app_method(&method) {
                 Ok(op) => op,
-                Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
-                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+                Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
+                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
                 Err(e) => return Err(e),
             };
             if self.eager_release {
@@ -235,39 +228,31 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
                     Err(e) => return Err(e),
                 }
             }
-            gov.on_progress();
-            return Ok(Tick::Progress);
+            return Ok(Outcome::Progress);
         }
         // Commit phase: resolve dependencies first.
-        let dep_list: Vec<(OpId, TxnId)> = t.local.deps.iter().map(|(o, x)| (*o, *x)).collect();
+        let dep_list: Vec<(OpId, TxnId)> = t.deps.iter().map(|(o, x)| (*o, *x)).collect();
         for (dep, _owner) in dep_list {
             match h.global_snapshot().entry(dep).map(|e| e.flag) {
                 Some(GlobalFlag::Committed) => {
-                    t.local.deps.remove(&dep);
+                    t.deps.remove(&dep);
                 }
-                Some(GlobalFlag::Uncommitted) => {
-                    // Still live: wait for it. The contention policy
-                    // decides when waiting turns into giving up — that is
-                    // what breaks cyclic dependencies.
-                    t.stats.blocked_ticks += 1;
-                    return match gov.on_blocked() {
-                        WaitVerdict::GiveUp => self.abort(h, t, gov),
-                        WaitVerdict::Wait => Ok(Tick::Blocked),
-                    };
-                }
+                // Still live: wait for it. The contention policy decides
+                // when waiting turns into giving up — that is what breaks
+                // cyclic dependencies.
+                Some(GlobalFlag::Uncommitted) => return Ok(Outcome::Wait),
                 None => {
                     // The dependency aborted: cascade — detangle from it. If
                     // the partial rewind cannot reach the vanished entry
                     // (racing interleavings can wedge it), fall back to a
                     // full abort.
-                    return match detangle(h, &mut t.local, dep) {
+                    return match detangle(h, t, dep) {
                         Ok(()) => {
-                            t.local.deps.remove(&dep);
-                            gov.on_progress();
-                            Ok(Tick::Progress)
+                            t.deps.remove(&dep);
+                            Ok(Outcome::Progress)
                         }
                         Err(MachineError::NoSuchOp(_)) | Err(MachineError::Criterion(_)) => {
-                            self.abort(h, t, gov)
+                            Ok(Outcome::Abort)
                         }
                         Err(e) => Err(e),
                     };
@@ -276,29 +261,20 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
         }
         match h.push_all_and_commit() {
             Ok(_) => {
-                t.local.deps.clear();
-                t.local.phase = Phase::Begin;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
+                t.deps.clear();
+                t.phase = Phase::Begin;
+                Ok(Outcome::Committed)
             }
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<DepThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, t: &mut DepThread) -> Result<(), MachineError> {
         h.abort_and_retry()?;
-        t.local.deps.clear();
-        t.local.phase = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.deps.clear();
+        t.phase = Phase::Begin;
+        Ok(())
     }
 }
 
@@ -345,7 +321,7 @@ impl<S: SeqSpec> DependentSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};

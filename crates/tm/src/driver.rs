@@ -12,13 +12,16 @@
 //! §6 distinguishes its classes by *which PUSH/PULL rules fire when* and
 //! by the metadata each keeps — nothing else. The code is cut the same
 //! way: an [`Algorithm`] is shared metadata + per-thread state + one
-//! [`step`](Algorithm::step) and one [`abort`](Algorithm::abort);
-//! [`Driver`] is everything about *hosting* it that is the same for all
-//! ten — building the machine, the contention governors and their gate,
-//! statistics folding, cloning, the per-thread worker split and what a
-//! system exposes of its machine ([`TmSystem`]). A system declares no
-//! rule pattern: which rules fire is observed on its runs (the criteria
-//! audit and the golden rule traces).
+//! [`step`](Algorithm::step), which says what the tick did as an
+//! [`Outcome`], and one [`abort`](Algorithm::abort), which is the class's
+//! own rollback; [`Driver`] is everything about *hosting* it that is the
+//! same for all ten — building the machine, the transaction lifecycle
+//! (turning each outcome into the [`Tick`], the per-thread counters and
+//! the contention governor's calls, and taking every abort through one
+//! site), statistics folding, cloning, the per-thread worker split and
+//! what a system exposes of its machine ([`TmSystem`]). A system declares
+//! no rule pattern: which rules fire is observed on its runs (the
+//! criteria audit and the golden rule traces).
 //!
 //! Systems are `Clone` so the model checker can branch on scheduler
 //! choices; all shared implementation state therefore lives *inside* the
@@ -32,7 +35,7 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::{ContentionPolicy, ContentionState, Gate, Governor};
+use crate::contention::{ContentionPolicy, ContentionState, Gate, Governor, WaitVerdict};
 
 /// The outcome of one scheduler tick on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +51,33 @@ pub enum Tick {
     Blocked,
     /// The thread has no transactions left.
     Done,
+}
+
+/// What one [`Algorithm::step`] did. [`Driver`] alone turns it into the
+/// [`Tick`], the thread's commit/abort/blocked counters and the
+/// contention governor's calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Applied at least one rule; more work remains.
+    Progress,
+    /// The transaction committed (and the algorithm released whatever
+    /// metadata it held for it).
+    Committed,
+    /// The transaction must be rolled back in full, through
+    /// [`Algorithm::abort`].
+    Abort,
+    /// The algorithm already rolled back part of the transaction (the §7
+    /// partial HTM rewind) and carries on from there: an abort with
+    /// nothing left for [`Algorithm::abort`] to undo.
+    PartialAbort,
+    /// Blocked on a conflict, waiting within the contention policy's
+    /// patience; once the policy gives up, the transaction is rolled back
+    /// as for [`Outcome::Abort`].
+    Wait,
+    /// Blocked on a conflict the algorithm always waits out, without
+    /// asking the policy (the pessimistic commit token, the irrevocable
+    /// thread).
+    WaitOut,
 }
 
 /// A transactional-memory system driving a PUSH/PULL machine.
@@ -131,10 +161,10 @@ pub trait ParallelSystem: TmSystem {
 /// One §6/§7 algorithm class: its shared metadata (the value itself),
 /// its per-thread state, and its rule pattern. [`Driver`] hosts it.
 ///
-/// `step` and `abort` touch only the calling thread's [`TxnHandle`], its
-/// [`Slot`] and its [`Governor`], plus whatever `&self` metadata the
-/// algorithm guards behind its own short-held locks — the lock
-/// discipline [`ParallelSystem`] documents.
+/// `step` and `abort` touch only the calling thread's [`TxnHandle`] and
+/// its per-thread state, plus whatever `&self` metadata the algorithm
+/// guards behind its own short-held locks — the lock discipline
+/// [`ParallelSystem`] documents.
 pub trait Algorithm {
     /// The sequential specification the algorithm runs over.
     type Spec: SeqSpec;
@@ -145,8 +175,8 @@ pub trait Algorithm {
     /// Short human-readable algorithm name (for reports).
     fn name(&self) -> &'static str;
 
-    /// One tick of the algorithm's rule pattern on a thread the governor
-    /// let run.
+    /// One tick of the algorithm's rule pattern on a thread the
+    /// contention governor let run, reporting what it did.
     ///
     /// # Errors
     ///
@@ -154,13 +184,15 @@ pub trait Algorithm {
     fn step(
         &self,
         h: &mut TxnHandle<Self::Spec>,
-        t: &mut Slot<Self::Thread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError>;
+        t: &mut Self::Thread,
+    ) -> Result<Outcome, MachineError>;
 
-    /// Rolls the thread's transaction back through the algorithm's own
-    /// abort path (back rules, metadata release, bookkeeping) and reports
-    /// [`Tick::Aborted`]; also the response to an injected kill.
+    /// Rolls the thread's transaction back in full through the class's
+    /// own rollback: the back rules and re-begin
+    /// ([`TxnHandle::abort_and_retry`]), the release of its metadata and
+    /// the reset of its per-thread state. [`Driver`] calls it for an
+    /// [`Outcome::Abort`], a policy give-up and an injected kill alike,
+    /// then counts the abort.
     ///
     /// # Errors
     ///
@@ -168,9 +200,8 @@ pub trait Algorithm {
     fn abort(
         &self,
         h: &mut TxnHandle<Self::Spec>,
-        t: &mut Slot<Self::Thread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError>;
+        t: &mut Self::Thread,
+    ) -> Result<(), MachineError>;
 
     /// Called when the governor finds the thread out of transactions
     /// (the pessimistic driver drops a commit token it may still hold).
@@ -184,14 +215,14 @@ pub trait Algorithm {
     }
 }
 
-/// One model thread's driver-side slot: the counters every algorithm
-/// keeps plus the algorithm's own per-thread state.
+/// One model thread's driver-side slot: the counters the skeleton keeps
+/// for every algorithm plus the algorithm's own per-thread state.
 #[derive(Debug, Clone, Default)]
-pub struct Slot<T> {
+pub(crate) struct Slot<T> {
     /// Commits, aborts and blocked ticks of this thread.
-    pub stats: SystemStats,
+    stats: SystemStats,
     /// The algorithm's per-thread state.
-    pub local: T,
+    local: T,
 }
 
 /// The begin/running phase most optimistic-style algorithms keep per
@@ -298,31 +329,59 @@ where
     }
 }
 
-/// One tick of one thread: the governor's gate, then the algorithm. The
-/// single function behind both [`TmSystem::tick`] and
-/// [`ParallelSystem::workers`].
+/// One tick of one thread: the governor's gate, then the algorithm's
+/// step, then the transaction lifecycle — the single function behind
+/// both [`TmSystem::tick`] and [`ParallelSystem::workers`], and the one
+/// place that counts commits, aborts and blocked ticks, tells the
+/// governor, and rolls a transaction back.
 fn tick_thread<A: Algorithm>(
     alg: &A,
     h: &mut TxnHandle<A::Spec>,
     t: &mut Slot<A::Thread>,
     gov: &mut Governor,
 ) -> Result<Tick, MachineError> {
-    match gov.gate(h) {
+    let outcome = match gov.gate(h) {
         Gate::Done => {
             alg.on_done(h);
-            Ok(Tick::Done)
+            return Ok(Tick::Done);
         }
-        Gate::Park => {
+        Gate::Park => Outcome::WaitOut,
+        Gate::Kill if alg.never_aborts(h.tid()) => Outcome::WaitOut,
+        Gate::Kill => Outcome::Abort,
+        Gate::Run => alg.step(h, &mut t.local)?,
+    };
+    let roll_back = match outcome {
+        Outcome::Progress => {
+            gov.on_progress();
+            return Ok(Tick::Progress);
+        }
+        Outcome::Committed => {
+            t.stats.commits += 1;
+            gov.on_commit();
+            return Ok(Tick::Committed);
+        }
+        Outcome::WaitOut => {
             t.stats.blocked_ticks += 1;
-            Ok(Tick::Blocked)
+            return Ok(Tick::Blocked);
         }
-        Gate::Kill if alg.never_aborts(h.tid()) => {
+        Outcome::Wait => {
             t.stats.blocked_ticks += 1;
-            Ok(Tick::Blocked)
+            if gov.on_blocked() == WaitVerdict::Wait {
+                return Ok(Tick::Blocked);
+            }
+            true
         }
-        Gate::Kill => alg.abort(h, t, gov),
-        Gate::Run => alg.step(h, t, gov),
+        Outcome::Abort => true,
+        Outcome::PartialAbort => false,
+    };
+    if roll_back {
+        alg.abort(h, &mut t.local)?;
     }
+    // Counted after the rollback, so pushed-uncommitted state is released
+    // before any degradation the governor decides parks other threads.
+    t.stats.aborts += 1;
+    gov.on_abort();
+    Ok(Tick::Aborted)
 }
 
 impl<A: Algorithm> TmSystem for Driver<A> {

@@ -20,9 +20,8 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::HtmConflicts;
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::Governor;
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 /// A simulated-HTM system over [`RwMem`].
 ///
@@ -76,16 +75,11 @@ impl Algorithm for Htm {
     /// One HTM tick: the conflict tracker is consulted briefly per
     /// access; APP runs on the thread's own handle with no system-wide
     /// lock.
-    fn step(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<Phase>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if t.local == Phase::Begin {
+    fn step(&self, h: &mut TxnHandle<RwMem>, phase: &mut Phase) -> Result<Outcome, MachineError> {
+        if *phase == Phase::Begin {
             pull_committed_lenient(h)?;
-            t.local = Phase::Running;
-            return Ok(Tick::Progress);
+            *phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         let txn = h.txn();
         let options = h.step_options()?;
@@ -98,12 +92,10 @@ impl Algorithm for Htm {
                         .lock()
                         .expect("conflict tracker poisoned")
                         .clear(committed);
-                    t.local = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    *phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                 Err(e) => Err(e),
             };
         }
@@ -112,7 +104,7 @@ impl Algorithm for Htm {
         // coherence conflict aborts the transaction exactly as the real
         // best-effort hardware would, before the access is even recorded.
         if h.fault_at_htm_access().is_some() {
-            return self.abort(h, t, gov);
+            return Ok(Outcome::Abort);
         }
         // Eager word-granularity conflict detection: the access that
         // closes a conflict aborts its own transaction (requester-loses,
@@ -125,35 +117,25 @@ impl Algorithm for Htm {
             }
         };
         if access.is_err() {
-            return self.abort(h, t, gov);
+            return Ok(Outcome::Abort);
         }
         match h.app_method(&method) {
-            Ok(_) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Ok(_) => Ok(Outcome::Progress),
+            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<Phase>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<RwMem>, phase: &mut Phase) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
         self.tracker
             .lock()
             .expect("conflict tracker poisoned")
             .clear(txn);
-        t.local = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        *phase = Phase::Begin;
+        Ok(())
     }
 }
 
@@ -171,7 +153,7 @@ impl HtmSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};

@@ -18,9 +18,8 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::Governor;
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::pull_committed_lenient;
 
 /// A system with one irrevocable thread among optimistic ones.
 ///
@@ -74,9 +73,8 @@ impl<S: SeqSpec> Irrevocable<S> {
     fn step_irrevocable(
         &self,
         h: &mut TxnHandle<S>,
-        t: &mut Slot<IrrThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+        t: &mut IrrThread,
+    ) -> Result<Outcome, MachineError> {
         let options = h.step_options()?;
         if options.is_empty() {
             // Everything is already pushed; CMT cannot fail for the
@@ -84,15 +82,10 @@ impl<S: SeqSpec> Irrevocable<S> {
             // abort), and the retry next tick succeeds.
             return match h.commit() {
                 Ok(_) => {
-                    t.local.phase = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    t.phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => {
-                    t.stats.blocked_ticks += 1;
-                    Ok(Tick::Blocked)
-                }
+                Err(e) if e.is_criterion() => Ok(Outcome::WaitOut),
                 Err(e) => Err(e),
             };
         }
@@ -101,27 +94,20 @@ impl<S: SeqSpec> Irrevocable<S> {
         let method = options[0].0.clone();
         let op = match h.app_method(&method) {
             Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => {
-                // A racing commit shifted the committed prefix between our
-                // PULL and APP; the snapshot will be consistent next tick.
-                t.stats.blocked_ticks += 1;
-                return Ok(Tick::Blocked);
-            }
-            Err(e) if is_conflict(&e) => {
-                // An injected APP denial: transient — retry next tick.
-                t.stats.blocked_ticks += 1;
-                return Ok(Tick::Blocked);
-            }
+            // A racing commit shifted the committed prefix between our
+            // PULL and APP; the snapshot will be consistent next tick.
+            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::WaitOut),
+            // An injected APP denial: transient — retry next tick.
+            Err(e) if e.is_criterion() => return Ok(Outcome::WaitOut),
             Err(e) => return Err(e),
         };
         match h.push(op) {
-            Ok(()) => Ok(Tick::Progress),
-            Err(e) if is_conflict(&e) => {
+            Ok(()) => Ok(Outcome::Progress),
+            Err(e) if e.is_criterion() => {
                 // An optimistic transaction is mid-commit: wait it out.
                 // (Never abort — undo the APP and retry the same method.)
                 h.unapp()?;
-                t.stats.blocked_ticks += 1;
-                Ok(Tick::Blocked)
+                Ok(Outcome::WaitOut)
             }
             Err(e) => Err(e),
         }
@@ -132,30 +118,24 @@ impl<S: SeqSpec> Irrevocable<S> {
     fn step_optimistic(
         &self,
         h: &mut TxnHandle<S>,
-        t: &mut Slot<IrrThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+        t: &mut IrrThread,
+    ) -> Result<Outcome, MachineError> {
         let options = h.step_options()?;
         if options.is_empty() {
             return match h.push_all_and_commit() {
                 Ok(_) => {
-                    t.local.phase = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    t.phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                 Err(e) => Err(e),
             };
         }
         let method = options[0].0.clone();
         match h.app_method(&method) {
-            Ok(_) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Ok(_) => Ok(Outcome::Progress),
+            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
@@ -171,37 +151,30 @@ impl<S: SeqSpec> Algorithm for Irrevocable<S> {
 
     /// One tick for one thread; dispatches on whether this is the
     /// irrevocable thread.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<IrrThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if t.local.phase == Phase::Begin {
+    fn step(&self, h: &mut TxnHandle<S>, t: &mut IrrThread) -> Result<Outcome, MachineError> {
+        if t.phase == Phase::Begin {
             pull_committed_lenient(h)?;
-            t.local.phase = Phase::Running;
-            return Ok(Tick::Progress);
+            t.phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         if h.tid() == self.irrevocable {
-            self.step_irrevocable(h, t, gov)
+            self.step_irrevocable(h, t)
         } else {
-            self.step_optimistic(h, t, gov)
+            self.step_optimistic(h, t)
         }
     }
 
-    /// The optimistic threads' abort path; the governor never routes the
-    /// irrevocable thread here (see [`Algorithm::never_aborts`]).
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<IrrThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    /// The optimistic threads' abort path; neither the governor nor the
+    /// irrevocable thread's own step routes the irrevocable thread here
+    /// (see [`Algorithm::never_aborts`]), and should anything ever do so,
+    /// [`IrrevocableSystem::irrevocable_aborts`] counts it.
+    fn abort(&self, h: &mut TxnHandle<S>, t: &mut IrrThread) -> Result<(), MachineError> {
+        if h.tid() == self.irrevocable {
+            t.irrevocable_aborts += 1;
+        }
         h.abort_and_retry()?;
-        t.local.phase = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.phase = Phase::Begin;
+        Ok(())
     }
 
     fn never_aborts(&self, tid: ThreadId) -> bool {

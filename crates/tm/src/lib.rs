@@ -20,9 +20,13 @@
 //! | 7 | [`mixed::MixedSystem`] | boosted objects + HTM words in one transaction, partial HTM rewind |
 //!
 //! Each row is an [`driver::Algorithm`] — shared metadata, per-thread
-//! state, one `step` and one `abort` — and each system name is an alias
-//! of [`driver::Driver`], the one skeleton that hosts an algorithm on the
-//! machine and implements [`driver::TmSystem`]; schedulers and the
+//! state, one `step` that reports what its tick did as a
+//! [`driver::Outcome`] and one `abort` that is the class's own rollback —
+//! and each system name is an alias of [`driver::Driver`], the one
+//! skeleton that hosts an algorithm on the machine, runs every
+//! transaction's lifecycle (the commit/abort/blocked counters and the
+//! contention governor's calls) and implements [`driver::TmSystem`];
+//! schedulers and the
 //! model checker live in `pushpull-harness`. Because the machine checks
 //! every rule criterion, each system is serializable by construction on
 //! every run — the serializability oracle re-verifies this in the tests.
@@ -52,9 +56,9 @@ pub mod util;
 pub use boosting::BoostingSystem;
 pub use checkpoint::CheckpointOptimistic;
 pub use conflict::ConflictKeyed;
-pub use contention::{ContentionPolicy, ContentionState, Gate, Governor, WaitVerdict};
+pub use contention::ContentionPolicy;
 pub use dependent::DependentSystem;
-pub use driver::{Algorithm, Driver, ParallelSystem, Slot, SystemStats, Tick, TmSystem, Worker};
+pub use driver::{Algorithm, Driver, ParallelSystem, SystemStats, Tick, TmSystem, Worker};
 pub use htm::HtmSystem;
 pub use irrevocable::IrrevocableSystem;
 pub use mixed::MixedSystem;

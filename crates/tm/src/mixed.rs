@@ -30,9 +30,8 @@ use pushpull_spec::rwmem::{Loc, MemMethod, MemRet, RwMem};
 use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
 use crate::conflict::ConflictKeyed;
-use crate::contention::{Governor, WaitVerdict};
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 /// The §7 composite specification: `((skiplist, hashT), (size, memory))`.
 pub type MixedSpec = Product<Product<SetSpec, KvMap>, Product<Counter, RwMem>>;
@@ -159,9 +158,8 @@ impl Mixed {
     fn partial_htm_abort(
         &self,
         h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+        t: &mut MixedThread,
+    ) -> Result<Outcome, MachineError> {
         let txn = h.txn();
         // UNAPP the trailing npshd entries (HTM ops are npshd until
         // commit; boosted ops are pushed at APP, so a pshd entry is the
@@ -205,66 +203,44 @@ impl Mixed {
                 };
                 if res.is_err() {
                     // A surviving access still conflicts: give up fully.
-                    return self.abort(h, t, gov);
+                    return Ok(Outcome::Abort);
                 }
             }
         }
-        t.local.partial_htm_aborts += 1;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
-    }
-
-    fn blocked(
-        &self,
-        h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        t.stats.blocked_ticks += 1;
-        match gov.on_blocked() {
-            WaitVerdict::GiveUp => self.abort(h, t, gov),
-            WaitVerdict::Wait => Ok(Tick::Blocked),
-        }
+        t.partial_htm_aborts += 1;
+        Ok(Outcome::PartialAbort)
     }
 
     fn step_boosted(
         &self,
         h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
         method: MixedMethod,
-    ) -> Result<Tick, MachineError> {
+    ) -> Result<Outcome, MachineError> {
         let txn = h.txn();
         for key in h.spec().lock_keys(&method) {
-            // Bind the outcome first: matching on the locked expression would
-            // hold the guard across the abort path and self-deadlock.
-            let outcome = self
+            match self
                 .locks
                 .lock()
                 .expect("lock manager poisoned")
-                .try_lock(txn, key);
-            match outcome {
+                .try_lock(txn, key)
+            {
                 LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
-                LockOutcome::Busy { .. } => return self.blocked(h, t, gov),
-                LockOutcome::WouldDeadlock { .. } => return self.abort(h, t, gov),
+                LockOutcome::Busy { .. } => return Ok(Outcome::Wait),
+                LockOutcome::WouldDeadlock { .. } => return Ok(Outcome::Abort),
             }
         }
         pull_committed_lenient(h)?;
         let op: OpId = match h.app_method(&method) {
             Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
             Err(e) => return Err(e),
         };
         match h.push(op) {
-            Ok(()) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(e) if is_conflict(&e) => {
+            Ok(()) => Ok(Outcome::Progress),
+            Err(e) if e.is_criterion() => {
                 h.unapp()?;
-                self.blocked(h, t, gov)
+                Ok(Outcome::Wait)
             }
             Err(e) => Err(e),
         }
@@ -273,17 +249,16 @@ impl Mixed {
     fn step_htm(
         &self,
         h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
+        t: &mut MixedThread,
         method: MixedMethod,
-    ) -> Result<Tick, MachineError> {
+    ) -> Result<Outcome, MachineError> {
         let txn = h.txn();
         // Injected hardware faults: a spurious coherence conflict takes the
         // §7 partial-rewind path; a capacity overflow discards the whole
         // transaction (overflow invalidates the entire HTM write buffer).
         match h.fault_at_htm_access() {
-            Some(HtmFault::Conflict) => return self.partial_htm_abort(h, t, gov),
-            Some(HtmFault::Capacity) => return self.abort(h, t, gov),
+            Some(HtmFault::Conflict) => return self.partial_htm_abort(h, t),
+            Some(HtmFault::Capacity) => return Ok(Outcome::Abort),
             None => {}
         }
         if let Some((w, is_write)) = htm_access(&method) {
@@ -297,17 +272,14 @@ impl Mixed {
             };
             if res.is_err() {
                 // HTM signals abort: rewind only the HTM suffix (§7).
-                return self.partial_htm_abort(h, t, gov);
+                return self.partial_htm_abort(h, t);
             }
         }
         pull_committed_lenient(h)?;
         match h.app_method(&method) {
-            Ok(_) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Ok(_) => Ok(Outcome::Progress),
+            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
@@ -325,13 +297,12 @@ impl Algorithm for Mixed {
     fn step(
         &self,
         h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if t.local.phase == Phase::Begin {
+        t: &mut MixedThread,
+    ) -> Result<Outcome, MachineError> {
+        if t.phase == Phase::Begin {
             pull_committed_lenient(h)?;
-            t.local.phase = Phase::Running;
-            return Ok(Tick::Progress);
+            t.phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if options.is_empty() {
@@ -347,30 +318,23 @@ impl Algorithm for Mixed {
                         .lock()
                         .expect("conflict tracker poisoned")
                         .clear(txn);
-                    t.local.phase = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    t.phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                 Err(e) => Err(e),
             };
         }
         let method = options[0].0;
         if is_htm(&method) {
-            self.step_htm(h, t, gov, method)
+            self.step_htm(h, t, method)
         } else {
-            self.step_boosted(h, t, gov, method)
+            self.step_boosted(h, method)
         }
     }
 
     /// The full abort: everything rewound, locks and tracker released.
-    fn abort(
-        &self,
-        h: &mut TxnHandle<MixedSpec>,
-        t: &mut Slot<MixedThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<MixedSpec>, t: &mut MixedThread) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
         self.locks
@@ -381,10 +345,8 @@ impl Algorithm for Mixed {
             .lock()
             .expect("conflict tracker poisoned")
             .clear(txn);
-        t.local.phase = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.phase = Phase::Begin;
+        Ok(())
     }
 }
 
@@ -409,7 +371,7 @@ impl MixedSystem {
 mod tests {
     use super::methods::*;
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;

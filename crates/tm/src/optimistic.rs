@@ -23,9 +23,8 @@ use pushpull_core::error::MachineError;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::Governor;
-use crate::driver::{Algorithm, Driver, Phase, Slot, Tick};
-use crate::util::{is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome, Phase};
+use crate::util::pull_committed_lenient;
 
 /// Read-validation flavour of the optimistic system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,19 +87,14 @@ impl<S: SeqSpec> Algorithm for Optimistic<S> {
     }
 
     /// One optimistic tick, touching only the thread's own [`TxnHandle`]
-    /// and slot — the whole fast path (APP, local bookkeeping) runs
+    /// and phase — the whole fast path (APP, local bookkeeping) runs
     /// without any system-wide lock.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<Phase>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if t.local == Phase::Begin {
+    fn step(&self, h: &mut TxnHandle<S>, phase: &mut Phase) -> Result<Outcome, MachineError> {
+        if *phase == Phase::Begin {
             // Begin-time snapshot: PULL all committed operations.
             pull_committed_lenient(h)?;
-            t.local = Phase::Running;
-            return Ok(Tick::Progress);
+            *phase = Phase::Running;
+            return Ok(Outcome::Progress);
         }
         // Raw stepping flattens tx/otx markers; settle first so nested
         // scopes open and merge exactly as under the settling executors.
@@ -113,12 +107,10 @@ impl<S: SeqSpec> Algorithm for Optimistic<S> {
             // Commit phase: PUSH everything in APP order, then CMT.
             return match h.push_all_and_commit() {
                 Ok(_) => {
-                    t.local = Phase::Begin;
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    *phase = Phase::Begin;
+                    Ok(Outcome::Committed)
                 }
-                Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                 Err(e) => Err(e),
             };
         }
@@ -139,32 +131,22 @@ impl<S: SeqSpec> Algorithm for Optimistic<S> {
             .ok_or(MachineError::NoSuchStep(h.tid()))?;
         let ret = match h.allowed_results(&method)?.into_iter().next() {
             Some(r) => r,
-            None => return self.abort(h, t, gov), // doomed local view: retry
+            None => return Ok(Outcome::Abort), // doomed local view: retry
         };
         match h.app(method, cont, ret) {
-            Ok(_) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Ok(_) => Ok(Outcome::Progress),
+            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<Phase>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, phase: &mut Phase) -> Result<(), MachineError> {
         // §6.2: "simply perform UNAPP repeatedly and needn't UNPUSH" —
         // nothing was pushed; rewinding also unpulls the stale snapshot.
         h.abort_and_retry()?;
-        t.local = Phase::Begin;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        *phase = Phase::Begin;
+        Ok(())
     }
 }
 
@@ -183,7 +165,7 @@ impl<S: SeqSpec> OptimisticSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
+    use crate::driver::{Tick, TmSystem};
     use crate::util::run_round_robin;
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};

@@ -22,9 +22,8 @@ use pushpull_core::op::ThreadId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
-use crate::contention::Governor;
-use crate::driver::{Algorithm, Driver, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 /// A Matveev–Shavit-style pessimistic system.
 ///
@@ -89,29 +88,21 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
 
     /// One tick: APP and local bookkeeping run lock-free; only the
     /// commit burst contends on the token.
-    fn step(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<MsThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        if !t.local.started {
+    fn step(&self, h: &mut TxnHandle<S>, t: &mut MsThread) -> Result<Outcome, MachineError> {
+        if !t.started {
             // Reads PULL committed effects only.
             pull_committed_lenient(h)?;
-            t.local.started = true;
-            return Ok(Tick::Progress);
+            t.started = true;
+            return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if !options.is_empty() {
             // Apply locally (writes are buffered — delayed to commit).
             let method = options[0].0.clone();
             return match h.app_method(&method) {
-                Ok(_) => {
-                    gov.on_progress();
-                    Ok(Tick::Progress)
-                }
+                Ok(_) => Ok(Outcome::Progress),
                 Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
-                    self.abort(h, t, gov)
+                    Ok(Outcome::Abort)
                 }
                 Err(e) => Err(e),
             };
@@ -121,14 +112,11 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
         {
             let mut tok = self.token.lock().expect("token lock poisoned");
             match *tok {
-                Some(holder) if holder != h.tid() => {
-                    // The commit-token wait deliberately does NOT consult the
-                    // contention policy: MS writers never abort, and the
-                    // token is released within the holder's same tick, so the
-                    // wait is always short and bounded.
-                    t.stats.blocked_ticks += 1;
-                    return Ok(Tick::Blocked);
-                }
+                // The commit-token wait deliberately does NOT consult the
+                // contention policy: MS writers never abort, and the token
+                // is released within the holder's same tick, so the wait
+                // is always short and bounded.
+                Some(holder) if holder != h.tid() => return Ok(Outcome::WaitOut),
                 _ => *tok = Some(h.tid()),
             }
         }
@@ -136,28 +124,19 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
         *self.token.lock().expect("token lock poisoned") = None;
         match result {
             Ok(_) => {
-                t.local.started = false;
-                t.stats.commits += 1;
-                gov.on_commit();
-                Ok(Tick::Committed)
+                t.started = false;
+                Ok(Outcome::Committed)
             }
             // A reader that raced a writer: re-run on fresh state.
-            Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut Slot<MsThread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, t: &mut MsThread) -> Result<(), MachineError> {
         h.abort_and_retry()?;
-        t.local.started = false;
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.started = false;
+        Ok(())
     }
 
     fn on_done(&self, h: &TxnHandle<S>) {

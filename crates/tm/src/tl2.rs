@@ -25,9 +25,8 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::memory::{GlobalClock, VersionedMemory};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::Governor;
-use crate::driver::{Algorithm, Driver, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 #[derive(Debug, Clone, Default)]
 struct Tl2Txn {
@@ -101,25 +100,20 @@ impl Algorithm for Tl2 {
 
     /// One TL2 tick. Reads/writes APP without any system-wide lock; the
     /// vmem mutex is taken per metadata operation only.
-    fn step(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<Tl2Thread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn step(&self, h: &mut TxnHandle<RwMem>, t: &mut Tl2Thread) -> Result<Outcome, MachineError> {
         let txn = h.txn();
-        if !t.local.txn.started {
+        if !t.txn.started {
             // Begin: rv := GV; snapshot the committed state.
-            t.local.txn.rv = self.clock.now();
+            t.txn.rv = self.clock.now();
             pull_committed_lenient(h)?;
-            t.local.txn.started = true;
-            return Ok(Tick::Progress);
+            t.txn.started = true;
+            return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if options.is_empty() {
             // Commit phase.
             // 1. Lock the write set.
-            let write_set = t.local.txn.write_set.clone();
+            let write_set = t.txn.write_set.clone();
             for l in &write_set {
                 if !self
                     .vmem
@@ -127,20 +121,20 @@ impl Algorithm for Tl2 {
                     .expect("vmem lock poisoned")
                     .try_lock(txn, *l)
                 {
-                    return self.abort(h, t, gov);
+                    return Ok(Outcome::Abort);
                 }
             }
             // 2. wv := GV.tick().
             let wv = self.clock.tick();
             // 3. Validate the read set.
-            let read_set = t.local.txn.read_set.clone();
+            let read_set = t.txn.read_set.clone();
             if !self
                 .vmem
                 .lock()
                 .expect("vmem lock poisoned")
                 .validate(txn, &read_set)
             {
-                return self.abort(h, t, gov);
+                return Ok(Outcome::Abort);
             }
             // 4. Publish: PUSH*;CMT on the machine, then bump versions.
             match h.push_all_and_commit() {
@@ -149,25 +143,18 @@ impl Algorithm for Tl2 {
                         .lock()
                         .expect("vmem lock poisoned")
                         .publish(txn, &write_set, wv);
-                    t.local.txn = Tl2Txn::default();
-                    t.stats.commits += 1;
-                    gov.on_commit();
-                    Ok(Tick::Committed)
+                    t.txn = Tl2Txn::default();
+                    Ok(Outcome::Committed)
                 }
-                Err(MachineError::Criterion(v)) => {
+                Err(MachineError::Criterion(_)) => {
                     // TL2 said yes but the exact criteria said no: record
                     // the surprise (the soundness tests require zero) —
                     // unless a fault hook is armed, in which case the
                     // denial is injected, not a soundness gap.
                     if h.global_state().fault_hook().is_none() {
-                        t.local.criteria_surprises += 1;
+                        t.criteria_surprises += 1;
                     }
-                    self.vmem
-                        .lock()
-                        .expect("vmem lock poisoned")
-                        .unlock_all(txn);
-                    let _ = v;
-                    self.abort(h, t, gov)
+                    Ok(Outcome::Abort)
                 }
                 Err(e) => Err(e),
             }
@@ -181,30 +168,24 @@ impl Algorithm for Tl2 {
                         let vmem = self.vmem.lock().expect("vmem lock poisoned");
                         (vmem.version(&l), vmem.locked_by_other(&l, txn))
                     };
-                    if ver > t.local.txn.rv || locked_by_other {
-                        return self.abort(h, t, gov);
+                    if ver > t.txn.rv || locked_by_other {
+                        return Ok(Outcome::Abort);
                     }
-                    t.local.txn.read_set.push((l, ver));
+                    t.txn.read_set.push((l, ver));
                     match h.app_method(&method) {
-                        Ok(_) => {
-                            gov.on_progress();
-                            Ok(Tick::Progress)
-                        }
-                        Err(MachineError::NoAllowedResult(_)) => self.abort(h, t, gov),
-                        Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                        Ok(_) => Ok(Outcome::Progress),
+                        Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
+                        Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                         Err(e) => Err(e),
                     }
                 }
                 MemMethod::Write(l, _) => {
-                    if !t.local.txn.write_set.contains(&l) {
-                        t.local.txn.write_set.push(l);
+                    if !t.txn.write_set.contains(&l) {
+                        t.txn.write_set.push(l);
                     }
                     match h.app_method(&method) {
-                        Ok(_) => {
-                            gov.on_progress();
-                            Ok(Tick::Progress)
-                        }
-                        Err(e) if is_conflict(&e) => self.abort(h, t, gov),
+                        Ok(_) => Ok(Outcome::Progress),
+                        Err(e) if e.is_criterion() => Ok(Outcome::Abort),
                         Err(e) => Err(e),
                     }
                 }
@@ -212,22 +193,15 @@ impl Algorithm for Tl2 {
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<Tl2Thread>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<RwMem>, t: &mut Tl2Thread) -> Result<(), MachineError> {
         let txn = h.txn();
         self.vmem
             .lock()
             .expect("vmem lock poisoned")
             .unlock_all(txn);
         h.abort_and_retry()?;
-        t.local.txn = Tl2Txn::default();
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        t.txn = Tl2Txn::default();
+        Ok(())
     }
 }
 

@@ -21,9 +21,8 @@ use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
-use crate::contention::{Governor, WaitVerdict};
-use crate::driver::{Algorithm, Driver, Slot, Tick};
-use crate::util::{fork_mutex, is_conflict, pull_committed_lenient};
+use crate::driver::{Algorithm, Driver, Outcome};
+use crate::util::{fork_mutex, pull_committed_lenient};
 
 /// A strict two-phase-locking system over [`RwMem`].
 ///
@@ -66,21 +65,6 @@ impl Clone for TwoPhase {
     }
 }
 
-impl TwoPhase {
-    fn blocked(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
-        t.stats.blocked_ticks += 1;
-        match gov.on_blocked() {
-            WaitVerdict::GiveUp => self.abort(h, t, gov),
-            WaitVerdict::Wait => Ok(Tick::Blocked),
-        }
-    }
-}
-
 impl Algorithm for TwoPhase {
     type Spec = RwMem;
     type Thread = ();
@@ -91,12 +75,7 @@ impl Algorithm for TwoPhase {
 
     /// One 2PL tick: the lock table is consulted briefly per access; APP
     /// runs on the thread's own handle with no system-wide lock.
-    fn step(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn step(&self, h: &mut TxnHandle<RwMem>, _: &mut ()) -> Result<Outcome, MachineError> {
         let txn = h.txn();
         let options = h.step_options()?;
         if options.is_empty() {
@@ -104,73 +83,59 @@ impl Algorithm for TwoPhase {
                 Ok(committed) => committed,
                 // Natural CMT failures cannot happen (everything was pushed
                 // under locks); an injected denial aborts like a deadlock.
-                Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
                 Err(e) => return Err(e),
             };
             self.locks
                 .lock()
                 .expect("lock table poisoned")
                 .release_all(committed);
-            t.stats.commits += 1;
-            gov.on_commit();
-            return Ok(Tick::Committed);
+            return Ok(Outcome::Committed);
         }
         let method = options[0].0;
         let (loc, mode) = match method {
             MemMethod::Read(l) => (l, Mode::Shared),
             MemMethod::Write(l, _) => (l, Mode::Exclusive),
         };
-        // Bind the outcome first: matching on the locked expression would
-        // hold the guard across the abort path and self-deadlock.
-        let outcome = self
+        match self
             .locks
             .lock()
             .expect("lock table poisoned")
-            .try_lock(txn, loc, mode);
-        match outcome {
+            .try_lock(txn, loc, mode)
+        {
             RwOutcome::Granted => {}
-            RwOutcome::Busy { .. } => return self.blocked(h, t, gov),
-            RwOutcome::WouldDeadlock => return self.abort(h, t, gov),
+            RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
+            RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
         }
         // Lock held: refresh committed view, then APP;PUSH eagerly.
         pull_committed_lenient(h)?;
         let op = match h.app_method(&method) {
             Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return self.abort(h, t, gov),
-            Err(e) if is_conflict(&e) => return self.abort(h, t, gov),
+            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
+            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
             Err(e) => return Err(e),
         };
         match h.push(op) {
-            Ok(()) => {
-                gov.on_progress();
-                Ok(Tick::Progress)
-            }
-            Err(e) if is_conflict(&e) => {
+            Ok(()) => Ok(Outcome::Progress),
+            Err(e) if e.is_criterion() => {
                 // Shared-read vs shared-read pushes always commute, so
                 // this only fires for exotic interleavings the lock order
                 // didn't cover; treat as a wait.
                 h.unapp()?;
-                self.blocked(h, t, gov)
+                Ok(Outcome::Wait)
             }
             Err(e) => Err(e),
         }
     }
 
-    fn abort(
-        &self,
-        h: &mut TxnHandle<RwMem>,
-        t: &mut Slot<()>,
-        gov: &mut Governor,
-    ) -> Result<Tick, MachineError> {
+    fn abort(&self, h: &mut TxnHandle<RwMem>, _: &mut ()) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
         self.locks
             .lock()
             .expect("lock table poisoned")
             .release_all(txn);
-        t.stats.aborts += 1;
-        gov.on_abort();
-        Ok(Tick::Aborted)
+        Ok(())
     }
 }
 

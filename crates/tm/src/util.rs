@@ -34,12 +34,6 @@ pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize,
     h.pull_committed_lenient()
 }
 
-/// Is this error a criterion violation (an expected conflict, from a
-/// driver's point of view)?
-pub fn is_conflict(e: &MachineError) -> bool {
-    e.is_criterion()
-}
-
 /// Deep-copies a driver's mutex-guarded metadata for a system clone,
 /// which must share nothing with the original.
 pub(crate) fn fork_mutex<T: Clone>(m: &Mutex<T>) -> Mutex<T> {

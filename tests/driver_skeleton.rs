@@ -12,11 +12,22 @@
 //!   token and fresh governors: a system cloned mid-run and finished
 //!   under a different schedule leaves the original untouched, and the
 //!   original's run leaves the clone's statistics untouched.
+//! * **The skeleton counts what it reports.** Every commit, abort and
+//!   blocked tick goes through `Driver`'s one lifecycle, so `stats()`
+//!   holds one commit per `Tick::Committed`, one abort per
+//!   `Tick::Aborted`, and at least one blocked tick per `Tick::Blocked`
+//!   (a wait the contention policy gives up on is a blocked tick reported
+//!   as `Aborted`) — on the contended programs, and again with seeded
+//!   injected kills armed, which take the same abort.
 
+use std::sync::Arc;
+
+use pushpull::core::faults::{FaultHook, FaultKind};
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
+use pushpull::harness::FaultPlan;
 use pushpull::server::{ServerConfig, SessionScript, TxnServer};
 use pushpull::spec::counter::{Counter, CtrMethod};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
@@ -121,6 +132,39 @@ where
     }
 }
 
+/// Drives `sys` round-robin to the end and asserts its counters agree
+/// with the ticks it reported.
+fn assert_counts_match_ticks<T: TmSystem>(label: &str, mut sys: T) {
+    let n = sys.thread_count();
+    let ticks = drive(label, &mut sys, |i| i % n);
+    let reported = |kind: Tick| ticks.iter().filter(|t| **t == kind).count() as u64;
+    let stats = sys.stats();
+    assert_eq!(stats.commits, reported(Tick::Committed), "{label}: commits");
+    assert_eq!(stats.aborts, reported(Tick::Aborted), "{label}: aborts");
+    assert!(
+        stats.blocked_ticks >= reported(Tick::Blocked),
+        "{label}: {} blocked ticks, {} reported",
+        stats.blocked_ticks,
+        reported(Tick::Blocked)
+    );
+}
+
+/// [`assert_counts_match_ticks`] on `make()`, then on three more with a
+/// seeded kill plan armed; at least one kill must fire.
+fn assert_counts_match_ticks_under_kills<T: TmSystem>(label: &str, make: impl Fn() -> T) {
+    assert_counts_match_ticks(label, make());
+    let mut kills = 0;
+    for seed in 1..=3 {
+        let sys = make();
+        let plan = Arc::new(FaultPlan::seeded(seed, sys.thread_count(), FaultKind::Kill));
+        sys.machine()
+            .set_fault_hook(Some(Arc::clone(&plan) as Arc<dyn FaultHook>));
+        assert_counts_match_ticks(&format!("{label}/kill/{seed}"), sys);
+        kills += plan.fired_total();
+    }
+    assert!(kills > 0, "{label}: no injected kill fired");
+}
+
 fn assert_skeleton_contract<T>(label: &str, make: impl Fn() -> T)
 where
     T: ParallelSystem + Clone,
@@ -128,6 +172,7 @@ where
 {
     assert_workers_match_ticks(label, &make);
     assert_clone_diverges(label, &make);
+    assert_counts_match_ticks_under_kills(label, &make);
 }
 
 fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
