@@ -85,15 +85,18 @@ impl Default for ToyCounter {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for ToyCounter {
     type Method = CounterMethod;
     type Ret = i64;
     type State = i64;
 
+    #[inline]
     fn initial_states(&self) -> Vec<i64> {
         vec![0]
     }
 
+    #[inline]
     fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
         match method {
             CounterMethod::Inc if *ret == 0 && *state < self.bound => *state += 1,
@@ -104,6 +107,7 @@ impl SeqSpec for ToyCounter {
         true
     }
 
+    #[inline]
     fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         match method {
             CounterMethod::Inc if state + 1 > self.bound => Rets::new(),
@@ -112,10 +116,12 @@ impl SeqSpec for ToyCounter {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<i64>> {
         Some((0..=self.bound).collect())
     }
 
+    #[inline]
     fn inverse(&self, op: &CounterOp) -> OpInverse<CounterMethod, i64> {
         match op.method {
             // inc from s<bound lands at s+1 ≥ 1, where dec restores s
@@ -166,15 +172,18 @@ impl Default for StrictCounter {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for StrictCounter {
     type Method = CounterMethod;
     type Ret = i64;
     type State = i64;
 
+    #[inline]
     fn initial_states(&self) -> Vec<i64> {
         vec![0]
     }
 
+    #[inline]
     fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
         match method {
             CounterMethod::Inc if *ret == 0 && *state < self.bound => *state += 1,
@@ -185,6 +194,7 @@ impl SeqSpec for StrictCounter {
         true
     }
 
+    #[inline]
     fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         match method {
             CounterMethod::Inc if state + 1 > self.bound => Rets::new(),
@@ -194,10 +204,12 @@ impl SeqSpec for StrictCounter {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<i64>> {
         Some((0..=self.bound).collect())
     }
 
+    #[inline]
     fn method_universe(&self) -> Option<Vec<CounterMethod>> {
         Some(vec![
             CounterMethod::Inc,
@@ -206,6 +218,7 @@ impl SeqSpec for StrictCounter {
         ])
     }
 
+    #[inline]
     fn inverse(&self, op: &CounterOp) -> OpInverse<CounterMethod, i64> {
         match op.method {
             CounterMethod::Inc => OpInverse::Inverse(CounterMethod::Dec, 0),
@@ -214,6 +227,7 @@ impl SeqSpec for StrictCounter {
         }
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }
@@ -251,27 +265,33 @@ impl TwoStartCounter {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for TwoStartCounter {
     type Method = CounterMethod;
     type Ret = i64;
     type State = i64;
 
+    #[inline]
     fn initial_states(&self) -> Vec<i64> {
         self.starts.to_vec()
     }
 
+    #[inline]
     fn apply(&self, state: &mut i64, method: &CounterMethod, ret: &i64) -> bool {
         self.counter.apply(state, method, ret)
     }
 
+    #[inline]
     fn results(&self, state: &i64, method: &CounterMethod) -> Rets<i64> {
         self.counter.results(state, method)
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<i64>> {
         self.counter.state_universe()
     }
 
+    #[inline]
     fn method_universe(&self) -> Option<Vec<CounterMethod>> {
         Some(vec![
             CounterMethod::Inc,
@@ -280,6 +300,7 @@ impl SeqSpec for TwoStartCounter {
         ])
     }
 
+    #[inline]
     fn inverse(&self, op: &CounterOp) -> OpInverse<CounterMethod, i64> {
         self.counter.inverse(op)
     }

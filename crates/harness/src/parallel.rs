@@ -25,7 +25,7 @@
 //!   when diagnosing a livelock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use pushpull_analysis::AnalysisPlan;
 use pushpull_core::error::MachineError;
@@ -227,12 +227,10 @@ where
     T: ParallelSystem + Send,
 {
     install_certificate(&sys, plan);
-    let total_ticks = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
 
     let results: Vec<Result<ThreadSummary, ParallelError>> = {
         let workers = sys.workers();
-        let total_ticks = &total_ticks;
         let stop = &stop;
         std::thread::scope(|scope| {
             let handles: Vec<_> = workers
@@ -271,7 +269,6 @@ where
                             };
                             summary.ticks += 1;
                             summary.last = Some(tick);
-                            total_ticks.fetch_add(1, Ordering::Relaxed);
                             match tick {
                                 Tick::Done => {
                                     summary.done = true;
@@ -316,6 +313,7 @@ where
     if let Some(e) = first_error {
         return Err(e);
     }
+    let ticks = summaries.iter().map(|s| s.ticks).sum();
     let all_done = summaries.iter().all(|s| s.done);
     let completed = all_done && sys.is_done();
     let m = sys.machine();
@@ -338,7 +336,7 @@ where
     Ok((
         sys,
         ParallelOutcome {
-            ticks: total_ticks.into_inner(),
+            ticks,
             completed,
             watchdog,
         },
@@ -437,6 +435,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn ticks_are_the_sum_of_the_workers_ticks() {
+        use crate::scheduler::{run, RoundRobin};
+        use pushpull_tm::driver::TmSystem;
+        use pushpull_tm::optimistic::{OptimisticSystem, ReadPolicy};
+        // Private keys: no conflict, so each thread's tick count is the
+        // same under any interleaving.
+        let system = || {
+            let programs: Vec<_> = (0..2u64)
+                .map(|t| {
+                    (0..4u64)
+                        .map(|i| {
+                            let k = 100 * t + i;
+                            Code::seq_all(vec![
+                                Code::method(MapMethod::Put(k, 1)),
+                                Code::method(MapMethod::Get(k)),
+                            ])
+                        })
+                        .collect()
+                })
+                .collect();
+            OptimisticSystem::new(KvMap::new(), programs, ReadPolicy::Snapshot)
+        };
+        let mut serial = system();
+        let rr = run(&mut serial, &mut RoundRobin, 10_000).unwrap();
+        assert!(rr.completed);
+        let (sys, outcome) = run_parallel(system(), 10_000, None).unwrap();
+        assert!(outcome.completed);
+        assert_eq!(sys.stats().commits, serial.stats().commits);
+        // Each worker also takes the tick that reports `Tick::Done`,
+        // which the round-robin loop stops before.
+        assert_eq!(outcome.ticks, rr.ticks + sys.thread_count());
+    }
+
     /// A two-thread system whose second worker panics on its third tick,
     /// over an empty machine.
     #[derive(Debug)]
@@ -516,6 +548,8 @@ mod tests {
         assert!(!outcome.completed);
         let dump = outcome.watchdog.expect("watchdog must trip");
         assert_eq!(dump.threads.len(), 2);
+        let dumped: usize = dump.threads.iter().map(|t| t.ticks).sum();
+        assert_eq!(outcome.ticks, dumped);
         let rendered = dump.to_string();
         assert!(rendered.contains("thread 0"), "{rendered}");
         assert!(rendered.contains("tick budget exhausted"), "{rendered}");

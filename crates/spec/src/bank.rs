@@ -33,6 +33,7 @@ pub enum BankMethod {
 
 impl BankMethod {
     /// The account this method touches.
+    #[inline]
     pub fn acct(&self) -> Acct {
         match self {
             BankMethod::Deposit(a, _) | BankMethod::Withdraw(a, _) | BankMethod::Balance(a) => *a,
@@ -107,15 +108,18 @@ impl Default for Bank {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for Bank {
     type Method = BankMethod;
     type Ret = BankRet;
     type State = BankState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<BankState> {
         vec![BankState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut BankState, method: &BankMethod, ret: &BankRet) -> bool {
         let bal = |s: &BankState, a: &Acct| s.get(a).copied().unwrap_or(0);
         // Canonical representation: a zero balance is never stored, so
@@ -148,6 +152,7 @@ impl SeqSpec for Bank {
         true
     }
 
+    #[inline]
     fn results(&self, state: &BankState, method: &BankMethod) -> Rets<BankRet> {
         let bal = |a: &Acct| state.get(a).copied().unwrap_or(0);
         match method {
@@ -159,6 +164,7 @@ impl SeqSpec for Bank {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<BankState>> {
         let (accts, max) = self.bound.as_ref()?;
         let mut states = vec![BankState::new()];
@@ -179,6 +185,7 @@ impl SeqSpec for Bank {
         Some(states)
     }
 
+    #[inline]
     fn mover(&self, op1: &BankOp, op2: &BankOp) -> bool {
         use BankMethod::*;
         if op1.method.acct() != op2.method.acct() {
@@ -210,6 +217,7 @@ impl SeqSpec for Bank {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &BankMethod, m2: &BankMethod) -> Option<bool> {
         use BankMethod::*;
         if m1.acct() != m2.acct() {
@@ -234,6 +242,7 @@ impl SeqSpec for Bank {
 
     /// Footprint: the touched account — distinct accounts are
     /// both-movers (the first arm of `method_mover`).
+    #[inline]
     fn method_keys(&self, m: &BankMethod) -> Option<KeySet> {
         Some(KeySet::one(u64::from(m.acct())))
     }
@@ -241,6 +250,7 @@ impl SeqSpec for Bank {
     /// Deposits and withdraws over small amounts (including the
     /// zero-amount no-ops the mover oracle special-cases) plus balance
     /// reads, per bounded account.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<BankMethod>> {
         let (accts, max) = self.bound.as_ref()?;
         let mut ms = Vec::new();
@@ -258,10 +268,12 @@ impl SeqSpec for Bank {
     /// a deposit is undone by a withdrawal of the same amount and vice
     /// versa; failed withdrawals and `Balance` leave the state
     /// untouched.
+    #[inline]
     fn inverse(&self, op: &BankOp) -> pushpull_core::spec::OpInverse<BankMethod, BankRet> {
         crate::inverse::lift::<Self>(op)
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }

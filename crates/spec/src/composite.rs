@@ -101,11 +101,13 @@ impl<A: SeqSpec, B: SeqSpec> Product<A, B> {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
     type Method = Either<A::Method, B::Method>;
     type Ret = Either<A::Ret, B::Ret>;
     type State = (A::State, B::State);
 
+    #[inline]
     fn initial_states(&self) -> Vec<(A::State, B::State)> {
         let rs = self.right.initial_states();
         self.left
@@ -115,6 +117,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
             .collect()
     }
 
+    #[inline]
     fn apply(
         &self,
         state: &mut (A::State, B::State),
@@ -128,6 +131,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
         }
     }
 
+    #[inline]
     fn results(&self, state: &(A::State, B::State), method: &Self::Method) -> Rets<Self::Ret> {
         match method {
             Either::L(m) => self
@@ -145,6 +149,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<(A::State, B::State)>> {
         let ls = self.left.state_universe()?;
         let rs = self.right.state_universe()?;
@@ -155,6 +160,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
         )
     }
 
+    #[inline]
     fn mover(&self, op1: &Op<Self::Method, Self::Ret>, op2: &Op<Self::Method, Self::Ret>) -> bool {
         match (Self::split_op(op1), Self::split_op(op2)) {
             (Some(Either::L(a)), Some(Either::L(b))) => self.left.mover(&a, &b),
@@ -167,6 +173,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &Self::Method, m2: &Self::Method) -> Option<bool> {
         match (m1, m2) {
             (Either::L(a), Either::L(b)) => self.left.method_mover(a, b),
@@ -181,6 +188,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
     /// can only *merge* classes — a conservative (sound) degradation,
     /// never a split — and a component without footprints propagates
     /// `None`, degrading the whole product to the coarse path.
+    #[inline]
     fn method_keys(&self, m: &Self::Method) -> Option<KeySet> {
         match m {
             Either::L(a) => Some(
@@ -202,6 +210,7 @@ impl<A: SeqSpec, B: SeqSpec> SeqSpec for Product<A, B> {
 
     /// The disjoint union of the components' method universes; both
     /// sides must be bounded for the product to certify.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<Self::Method>> {
         let ls = self.left.method_universe()?;
         let rs = self.right.method_universe()?;

@@ -78,15 +78,18 @@ impl Counter {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for Counter {
     type Method = CtrMethod;
     type Ret = CtrRet;
     type State = i64;
 
+    #[inline]
     fn initial_states(&self) -> Vec<i64> {
         vec![0]
     }
 
+    #[inline]
     fn apply(&self, state: &mut i64, method: &CtrMethod, ret: &CtrRet) -> bool {
         match (method, ret) {
             (CtrMethod::Add(k), CtrRet::Ack) => *state += k,
@@ -96,6 +99,7 @@ impl SeqSpec for Counter {
         true
     }
 
+    #[inline]
     fn results(&self, state: &i64, method: &CtrMethod) -> Rets<CtrRet> {
         Rets::one(match method {
             CtrMethod::Add(_) => CtrRet::Ack,
@@ -103,10 +107,12 @@ impl SeqSpec for Counter {
         })
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<i64>> {
         self.bounded.map(|b| (-b..=b).collect())
     }
 
+    #[inline]
     fn mover(&self, op1: &CtrOp, op2: &CtrOp) -> bool {
         match (&op1.method, &op2.method) {
             // Adds commute with adds.
@@ -122,6 +128,7 @@ impl SeqSpec for Counter {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &CtrMethod, m2: &CtrMethod) -> Option<bool> {
         // The op-level oracle above never looks at returns, so it *is*
         // the method-level relation.
@@ -135,12 +142,14 @@ impl SeqSpec for Counter {
     /// Footprint: every method touches the one shared tally — a single
     /// key class, so a sharded log keeps all counter traffic together
     /// (the disjointness law is vacuous).
+    #[inline]
     fn method_keys(&self, _m: &CtrMethod) -> Option<KeySet> {
         Some(KeySet::one(0))
     }
 
     /// Small positive, negative, and zero increments (the zero arm is
     /// the `method_mover` special case) plus the read.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<CtrMethod>> {
         self.bounded?;
         Some(vec![
@@ -155,10 +164,12 @@ impl SeqSpec for Counter {
     /// The inverse oracle delegates to [`crate::inverse::Inverses`]:
     /// `Add(k)` is undone by `Add(-k)` (the counter is unsaturated, so
     /// every add is invertible); `Get` and `Add(0)` change nothing.
+    #[inline]
     fn inverse(&self, op: &CtrOp) -> pushpull_core::spec::OpInverse<CtrMethod, CtrRet> {
         crate::inverse::lift::<Self>(op)
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }

@@ -58,6 +58,7 @@ pub trait Inverses {
 /// helper — they override [`pushpull_core::SeqSpec::inverse`] directly
 /// to return [`OpInverse::NotInvertible`], as
 /// [`RwMem`](crate::rwmem::RwMem) does.
+#[inline]
 pub fn lift<I>(op: &Op<I::Method, I::Ret>) -> OpInverse<I::Method, I::Ret>
 where
     I: Inverses,
@@ -72,6 +73,7 @@ impl Inverses for crate::set::SetSpec {
     type Method = SetMethod;
     type Ret = SetRet;
 
+    #[inline]
     fn inverse(op: &SetOp) -> Option<(SetMethod, SetRet)> {
         match (op.method, op.ret) {
             // add that inserted ⇒ remove it; add that was a no-op ⇒ nothing.
@@ -89,6 +91,7 @@ impl Inverses for crate::kvmap::KvMap {
     type Method = MapMethod;
     type Ret = MapRet;
 
+    #[inline]
     fn inverse(op: &MapOp) -> Option<(MapMethod, MapRet)> {
         match (op.method, op.ret) {
             // The Prev-carrying ret is the undo log entry.
@@ -111,6 +114,7 @@ impl Inverses for crate::counter::Counter {
     type Method = CtrMethod;
     type Ret = CtrRet;
 
+    #[inline]
     fn inverse(op: &CtrOp) -> Option<(CtrMethod, CtrRet)> {
         match op.method {
             CtrMethod::Add(0) => None,
@@ -124,6 +128,7 @@ impl Inverses for crate::bank::Bank {
     type Method = BankMethod;
     type Ret = BankRet;
 
+    #[inline]
     fn inverse(op: &BankOp) -> Option<(BankMethod, BankRet)> {
         match (op.method, op.ret) {
             (BankMethod::Deposit(a, n), BankRet::Ack) if n > 0 => {
@@ -141,6 +146,7 @@ impl Inverses for MemInverse {
     type Method = MemMethod;
     type Ret = UndoRet;
 
+    #[inline]
     fn inverse(op: &UndoOp) -> Option<(MemMethod, UndoRet)> {
         match (op.method, op.ret) {
             // The recorded previous value *is* the undo-log entry: write

@@ -35,6 +35,7 @@ pub enum MapMethod {
 
 impl MapMethod {
     /// The key this method touches, if key-local.
+    #[inline]
     pub fn key(&self) -> Option<Key> {
         match self {
             MapMethod::Put(k, _)
@@ -46,6 +47,7 @@ impl MapMethod {
     }
 
     /// Is this a read-only method?
+    #[inline]
     pub fn is_read(&self) -> bool {
         matches!(
             self,
@@ -125,15 +127,18 @@ impl Default for KvMap {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for KvMap {
     type Method = MapMethod;
     type Ret = MapRet;
     type State = MapState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<MapState> {
         vec![MapState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut MapState, method: &MapMethod, ret: &MapRet) -> bool {
         match (method, ret) {
             (MapMethod::Put(k, v), MapRet::Prev(prev)) if state.get(k) == prev.as_ref() => {
@@ -150,6 +155,7 @@ impl SeqSpec for KvMap {
         true
     }
 
+    #[inline]
     fn results(&self, state: &MapState, method: &MapMethod) -> Rets<MapRet> {
         Rets::one(match method {
             MapMethod::Put(k, _) | MapMethod::Remove(k) => MapRet::Prev(state.get(k).copied()),
@@ -159,6 +165,7 @@ impl SeqSpec for KvMap {
         })
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<MapState>> {
         let (keys, vals) = self.bound.as_ref()?;
         let mut states = vec![MapState::new()];
@@ -177,6 +184,7 @@ impl SeqSpec for KvMap {
         Some(states)
     }
 
+    #[inline]
     fn mover(&self, op1: &MapOp, op2: &MapOp) -> bool {
         let (m1, m2) = (&op1.method, &op2.method);
         match (m1.key(), m2.key()) {
@@ -195,6 +203,7 @@ impl SeqSpec for KvMap {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &MapMethod, m2: &MapMethod) -> Option<bool> {
         Some(match (m1.key(), m2.key()) {
             (Some(k1), Some(k2)) if k1 != k2 => true,
@@ -211,12 +220,14 @@ impl SeqSpec for KvMap {
     /// Footprint: the touched key. `Size` reads every binding, so it
     /// declares no footprint (`None`) and soundly degrades a sharded
     /// log to the coarse whole-log path.
+    #[inline]
     fn method_keys(&self, m: &MapMethod) -> Option<KeySet> {
         m.key().map(KeySet::one)
     }
 
     /// Every method on every bounded key (writes per value), plus the
     /// footprint-less `Size` — the certifier's coarse-forcing case.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<MapMethod>> {
         let (keys, vals) = self.bound.as_ref()?;
         let mut ms = Vec::new();
@@ -234,10 +245,12 @@ impl SeqSpec for KvMap {
 
     /// The inverse oracle delegates to [`crate::inverse::Inverses`]: the
     /// `Prev`-carrying ret of `put`/`remove` is the undo-log entry.
+    #[inline]
     fn inverse(&self, op: &MapOp) -> pushpull_core::spec::OpInverse<MapMethod, MapRet> {
         crate::inverse::lift::<Self>(op)
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }
@@ -245,6 +258,7 @@ impl SeqSpec for KvMap {
 
 /// Does a key-local operation (with its observed ret) preserve key
 /// presence, and hence commute with `Size`?
+#[inline]
 fn size_commutes_with(m: &MapMethod, ret: &MapRet) -> bool {
     match (m, ret) {
         (MapMethod::Get(_), _) | (MapMethod::ContainsKey(_), _) => true,

@@ -86,6 +86,7 @@ impl QueueSpec {
 
     /// May `v` be enqueued onto `state`? A bounded queue holds only its
     /// items, up to its length.
+    #[inline]
     fn admits_enq(&self, state: &QueueState, v: &Item) -> bool {
         let bounded = self.bound.as_ref();
         bounded.is_none_or(|(items, max_len)| items.contains(v) && state.len() < *max_len)
@@ -98,15 +99,18 @@ impl Default for QueueSpec {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for QueueSpec {
     type Method = QueueMethod;
     type Ret = QueueRet;
     type State = QueueState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<QueueState> {
         vec![QueueState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut QueueState, method: &QueueMethod, ret: &QueueRet) -> bool {
         let head = state.front().copied();
         match (method, ret) {
@@ -122,6 +126,7 @@ impl SeqSpec for QueueSpec {
         true
     }
 
+    #[inline]
     fn results(&self, state: &QueueState, method: &QueueMethod) -> Rets<QueueRet> {
         match method {
             QueueMethod::Enq(v) if self.admits_enq(state, v) => Rets::one(QueueRet::Ack),
@@ -132,6 +137,7 @@ impl SeqSpec for QueueSpec {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<QueueState>> {
         let (items, max_len) = self.bound.as_ref()?;
         let mut states: Vec<QueueState> = vec![QueueState::new()];
@@ -151,6 +157,7 @@ impl SeqSpec for QueueSpec {
         Some(states)
     }
 
+    #[inline]
     fn mover(&self, op1: &QueueOp, op2: &QueueOp) -> bool {
         match (&op1.method, &op2.method) {
             // Peeks commute with peeks.
@@ -163,6 +170,7 @@ impl SeqSpec for QueueSpec {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &QueueMethod, m2: &QueueMethod) -> Option<bool> {
         // Return-independent already: peek/peek pairs and same-item
         // enqueue pairs move; nothing else does.
@@ -175,12 +183,14 @@ impl SeqSpec for QueueSpec {
 
     /// Footprint: every method touches the one FIFO order — a single key
     /// class (queues admit no disjoint-access parallelism).
+    #[inline]
     fn method_keys(&self, _m: &QueueMethod) -> Option<KeySet> {
         Some(KeySet::one(0))
     }
 
     /// One enqueue per bounded item, plus the observers — every arm of
     /// `method_mover` is exercised.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<QueueMethod>> {
         let (items, _) = self.bound.as_ref()?;
         let mut ms: Vec<QueueMethod> = items.iter().map(|v| QueueMethod::Enq(*v)).collect();

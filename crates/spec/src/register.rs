@@ -98,15 +98,18 @@ impl CasRegister {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for CasRegister {
     type Method = RegMethod;
     type Ret = RegRet;
     type State = i64;
 
+    #[inline]
     fn initial_states(&self) -> Vec<i64> {
         vec![0]
     }
 
+    #[inline]
     fn apply(&self, state: &mut i64, method: &RegMethod, ret: &RegRet) -> bool {
         match (method, ret) {
             (RegMethod::Read, RegRet::Val(v)) if *v == *state => {}
@@ -123,6 +126,7 @@ impl SeqSpec for CasRegister {
         true
     }
 
+    #[inline]
     fn results(&self, state: &i64, method: &RegMethod) -> Rets<RegRet> {
         Rets::one(match method {
             RegMethod::Read => RegRet::Val(*state),
@@ -131,10 +135,12 @@ impl SeqSpec for CasRegister {
         })
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<i64>> {
         self.universe.map(|m| (0..=m).collect())
     }
 
+    #[inline]
     fn mover(&self, op1: &RegOp, op2: &RegOp) -> bool {
         use RegMethod::*;
         use RegRet::*;
@@ -216,12 +222,14 @@ impl SeqSpec for CasRegister {
 
     /// Footprint: every method touches the one register cell — a single
     /// key class (a register admits no disjoint-access parallelism).
+    #[inline]
     fn method_keys(&self, _m: &RegMethod) -> Option<KeySet> {
         Some(KeySet::one(0))
     }
 
     /// Reads, writes, and CAS's over a small value range (including the
     /// degenerate `expected == new` no-op CAS's).
+    #[inline]
     fn method_universe(&self) -> Option<Vec<RegMethod>> {
         let max = self.universe?.min(2);
         let mut ms = vec![RegMethod::Read];

@@ -46,6 +46,7 @@ pub enum MemMethod {
 
 impl MemMethod {
     /// The location this method touches.
+    #[inline]
     pub fn loc(&self) -> Loc {
         match self {
             MemMethod::Read(l) | MemMethod::Write(l, _) => *l,
@@ -53,6 +54,7 @@ impl MemMethod {
     }
 
     /// Is this a read?
+    #[inline]
     pub fn is_read(&self) -> bool {
         matches!(self, MemMethod::Read(_))
     }
@@ -83,11 +85,13 @@ pub type MemState = BTreeMap<Loc, i64>;
 pub type MemOp = Op<MemMethod, MemRet>;
 
 /// The value `l` holds in `state` (absent locations read as `0`).
+#[inline]
 fn read(state: &MemState, l: &Loc) -> i64 {
     state.get(l).copied().unwrap_or(0)
 }
 
 /// May `v` be written under `bound`? A bounded memory only holds its values.
+#[inline]
 fn writable(bound: &Option<(Vec<Loc>, Vec<i64>)>, v: &i64) -> bool {
     bound.as_ref().is_none_or(|(_, vals)| vals.contains(v))
 }
@@ -136,15 +140,18 @@ impl Default for RwMem {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for RwMem {
     type Method = MemMethod;
     type Ret = MemRet;
     type State = MemState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<MemState> {
         vec![MemState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut MemState, method: &MemMethod, ret: &MemRet) -> bool {
         match (method, ret) {
             (MemMethod::Read(l), MemRet::Val(v)) if read(state, l) == *v => {}
@@ -156,6 +163,7 @@ impl SeqSpec for RwMem {
         true
     }
 
+    #[inline]
     fn results(&self, state: &MemState, method: &MemMethod) -> Rets<MemRet> {
         match method {
             MemMethod::Read(l) => Rets::one(MemRet::Val(read(state, l))),
@@ -164,6 +172,7 @@ impl SeqSpec for RwMem {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<MemState>> {
         let (locs, vals) = self.bound.as_ref()?;
         let mut states = vec![MemState::new()];
@@ -181,6 +190,7 @@ impl SeqSpec for RwMem {
         Some(states)
     }
 
+    #[inline]
     fn mover(&self, op1: &MemOp, op2: &MemOp) -> bool {
         let (m1, m2) = (&op1.method, &op2.method);
         if m1.loc() != m2.loc() {
@@ -195,6 +205,7 @@ impl SeqSpec for RwMem {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &MemMethod, m2: &MemMethod) -> Option<bool> {
         if m1.loc() != m2.loc() {
             return Some(true);
@@ -212,12 +223,14 @@ impl SeqSpec for RwMem {
     /// Footprint: exactly the touched location. Reads/writes on distinct
     /// locations are both-movers (the first arm of `mover`), so the
     /// disjointness law holds by construction.
+    #[inline]
     fn method_keys(&self, m: &MemMethod) -> Option<KeySet> {
         Some(KeySet::one(u64::from(m.loc().0)))
     }
 
     /// A read plus one write per bounded value, per location — the
     /// same-value write-write arm of `method_mover` included.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<MemMethod>> {
         let (locs, vals) = self.bound.as_ref()?;
         let mut ms = Vec::new();
@@ -234,6 +247,7 @@ impl SeqSpec for RwMem {
     /// previous binding and has no context-free inverse — use
     /// [`MemInverse`] (whose writes record the overwritten value) when
     /// open nesting or boosting-style undo is needed.
+    #[inline]
     fn inverse(&self, op: &MemOp) -> pushpull_core::spec::OpInverse<MemMethod, MemRet> {
         match op.method {
             MemMethod::Read(_) => pushpull_core::spec::OpInverse::ReadOnly,
@@ -298,15 +312,18 @@ impl Default for MemInverse {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for MemInverse {
     type Method = MemMethod;
     type Ret = UndoRet;
     type State = MemState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<MemState> {
         vec![MemState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut MemState, method: &MemMethod, ret: &UndoRet) -> bool {
         match (method, ret) {
             (MemMethod::Read(l), UndoRet::Val(v)) if read(state, l) == *v => {}
@@ -323,6 +340,7 @@ impl SeqSpec for MemInverse {
         true
     }
 
+    #[inline]
     fn results(&self, state: &MemState, method: &MemMethod) -> Rets<UndoRet> {
         match method {
             MemMethod::Read(l) => Rets::one(UndoRet::Val(read(state, l))),
@@ -333,6 +351,7 @@ impl SeqSpec for MemInverse {
         }
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<MemState>> {
         let (locs, vals) = self.bound.as_ref()?;
         let mut states = vec![MemState::new()];
@@ -354,6 +373,7 @@ impl SeqSpec for MemInverse {
     /// decided exhaustively on bounded instances (and conservatively
     /// refused on unbounded ones — Prev-observing writes see each
     /// other, so the algebraic table for [`RwMem`] does not carry over).
+    #[inline]
     fn mover(&self, op1: &UndoOp, op2: &UndoOp) -> bool {
         if op1.method.loc() != op2.method.loc() {
             return true;
@@ -367,6 +387,7 @@ impl SeqSpec for MemInverse {
         }
     }
 
+    #[inline]
     fn method_mover(&self, m1: &MemMethod, m2: &MemMethod) -> Option<bool> {
         if m1.loc() != m2.loc() {
             return Some(true);
@@ -379,10 +400,12 @@ impl SeqSpec for MemInverse {
         }
     }
 
+    #[inline]
     fn method_keys(&self, m: &MemMethod) -> Option<KeySet> {
         Some(KeySet::one(u64::from(m.loc().0)))
     }
 
+    #[inline]
     fn method_universe(&self) -> Option<Vec<MemMethod>> {
         let (locs, vals) = self.bound.as_ref()?;
         let mut ms = Vec::new();
@@ -395,10 +418,12 @@ impl SeqSpec for MemInverse {
         Some(ms)
     }
 
+    #[inline]
     fn inverse(&self, op: &UndoOp) -> pushpull_core::spec::OpInverse<MemMethod, UndoRet> {
         crate::inverse::lift::<Self>(op)
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }

@@ -25,6 +25,7 @@ pub enum SetMethod {
 
 impl SetMethod {
     /// The element this method touches.
+    #[inline]
     pub fn elem(&self) -> Elem {
         match self {
             SetMethod::Add(x) | SetMethod::Remove(x) | SetMethod::Contains(x) => *x,
@@ -32,6 +33,7 @@ impl SetMethod {
     }
 
     /// Is this a read-only method?
+    #[inline]
     pub fn is_read(&self) -> bool {
         matches!(self, SetMethod::Contains(_))
     }
@@ -95,15 +97,18 @@ impl Default for SetSpec {
     }
 }
 
+#[deny(clippy::missing_inline_in_public_items)]
 impl SeqSpec for SetSpec {
     type Method = SetMethod;
     type Ret = SetRet;
     type State = SetState;
 
+    #[inline]
     fn initial_states(&self) -> Vec<SetState> {
         vec![SetState::new()]
     }
 
+    #[inline]
     fn apply(&self, state: &mut SetState, method: &SetMethod, ret: &SetRet) -> bool {
         match method {
             // `Add` observes whether the element was newly added.
@@ -119,6 +124,7 @@ impl SeqSpec for SetSpec {
         true
     }
 
+    #[inline]
     fn results(&self, state: &SetState, method: &SetMethod) -> Rets<SetRet> {
         Rets::one(match method {
             SetMethod::Add(x) => SetRet(!state.contains(x)),
@@ -126,6 +132,7 @@ impl SeqSpec for SetSpec {
         })
     }
 
+    #[inline]
     fn state_universe(&self) -> Option<Vec<SetState>> {
         let elems = self.bound.as_ref()?;
         let mut states = vec![SetState::new()];
@@ -142,6 +149,7 @@ impl SeqSpec for SetSpec {
         Some(states)
     }
 
+    #[inline]
     fn mover(&self, op1: &SetOp, op2: &SetOp) -> bool {
         if op1.method.elem() != op2.method.elem() {
             return true;
@@ -149,6 +157,7 @@ impl SeqSpec for SetSpec {
         op1.method.is_read() && op2.method.is_read()
     }
 
+    #[inline]
     fn method_mover(&self, m1: &SetMethod, m2: &SetMethod) -> Option<bool> {
         // The op-level oracle never looks at returns: exact at the
         // method level.
@@ -157,11 +166,13 @@ impl SeqSpec for SetSpec {
 
     /// Footprint: the touched element — distinct elements are
     /// both-movers (first disjunct of `method_mover`).
+    #[inline]
     fn method_keys(&self, m: &SetMethod) -> Option<KeySet> {
         Some(KeySet::one(m.elem()))
     }
 
     /// Every method on every bounded element.
+    #[inline]
     fn method_universe(&self) -> Option<Vec<SetMethod>> {
         let elems = self.bound.as_ref()?;
         let mut ms = Vec::new();
@@ -176,10 +187,12 @@ impl SeqSpec for SetSpec {
     /// The inverse oracle delegates to [`crate::inverse::Inverses`]: a
     /// successful `add` is undone by `remove` (and vice versa); failed
     /// updates and `contains` leave the state untouched.
+    #[inline]
     fn inverse(&self, op: &SetOp) -> pushpull_core::spec::OpInverse<SetMethod, SetRet> {
         crate::inverse::lift::<Self>(op)
     }
 
+    #[inline]
     fn has_inverses(&self) -> bool {
         true
     }

@@ -61,28 +61,25 @@ use crate::util::{fork_mutex, pull_committed_lenient};
 pub type BoostingSystem<S> = Driver<Boosting<S>>;
 
 /// The boosting algorithm's cross-thread state: the abstract lock
-/// manager and the forced-abort test hook, each behind a short-held
-/// mutex. There is no per-thread state.
+/// manager behind a short-held mutex. The per-thread state is the number
+/// of aborts forced on the thread and not yet taken (the test hook for
+/// the Figure 2 abort path, [`BoostingSystem::force_abort`]).
 #[derive(Debug)]
 pub struct Boosting<S: ConflictKeyed> {
     locks: Mutex<AbstractLockManager<S::LockKey>>,
-    /// Thread indices that must abort at their next tick (test hook for
-    /// the Figure 2 abort path).
-    forced_aborts: Mutex<Vec<ThreadId>>,
 }
 
 impl<S: ConflictKeyed> Clone for Boosting<S> {
     fn clone(&self) -> Self {
         Self {
             locks: fork_mutex(&self.locks),
-            forced_aborts: fork_mutex(&self.forced_aborts),
         }
     }
 }
 
 impl<S: ConflictKeyed> Algorithm for Boosting<S> {
     type Spec = S;
-    type Thread = ();
+    type Thread = u32;
 
     fn name(&self) -> &'static str {
         "boosting"
@@ -90,16 +87,10 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
 
     /// One boosting tick: abstract locks are taken briefly per method;
     /// APP runs on the thread's own handle with no system-wide lock.
-    fn step(&self, h: &mut TxnHandle<S>, _: &mut ()) -> Result<Outcome, MachineError> {
-        {
-            let mut forced = self
-                .forced_aborts
-                .lock()
-                .expect("forced-abort list poisoned");
-            if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
-                forced.remove(pos);
-                return Ok(Outcome::Abort);
-            }
+    fn step(&self, h: &mut TxnHandle<S>, forced: &mut u32) -> Result<Outcome, MachineError> {
+        if *forced > 0 {
+            *forced -= 1;
+            return Ok(Outcome::Abort);
         }
         let txn = h.txn();
         // Commit once no method remains: boosting runs each transaction
@@ -158,7 +149,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         }
     }
 
-    fn abort(&self, h: &mut TxnHandle<S>, _: &mut ()) -> Result<(), MachineError> {
+    fn abort(&self, h: &mut TxnHandle<S>, _: &mut u32) -> Result<(), MachineError> {
         let txn = h.txn();
         // §4's "UNPUSH is typically implemented via inverse operations":
         // derive the undo log — the spec-level inverse of each live
@@ -186,7 +177,6 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
         let alg = Boosting {
             locks: Mutex::new(AbstractLockManager::new()),
-            forced_aborts: Mutex::new(Vec::new()),
         };
         Driver::host(alg, spec, programs)
     }
@@ -195,11 +185,7 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
     /// — the Figure 2 "if aborting" path, exercised by tests and the
     /// examples.
     pub fn force_abort(&mut self, tid: ThreadId) {
-        self.algorithm()
-            .forced_aborts
-            .lock()
-            .expect("forced-abort list poisoned")
-            .push(tid);
+        *self.local_mut(tid) += 1;
     }
 }
 
@@ -207,7 +193,7 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
 mod tests {
     use super::*;
     use crate::driver::{Tick, TmSystem};
-    use crate::util::run_round_robin;
+    use crate::util::{next_unblocked_tick, run_round_robin};
     use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
     use pushpull_spec::kvmap::{KvMap, MapMethod};
@@ -279,6 +265,29 @@ mod tests {
         run_round_robin(&mut sys, 1000);
         assert_eq!(sys.stats().commits, 1);
         assert!(check_machine(sys.machine()).is_serializable());
+    }
+
+    #[test]
+    fn forced_aborts_are_counted_per_thread_and_forked_by_clone() {
+        let mut sys = BoostingSystem::new(
+            SetSpec::new(),
+            vec![vec![Code::seq_all(vec![
+                Code::method(SetMethod::Add(1)),
+                Code::method(SetMethod::Add(2)),
+            ])]],
+        );
+        assert_eq!(sys.tick(ThreadId(0)).unwrap(), Tick::Progress);
+        sys.force_abort(ThreadId(0));
+        sys.force_abort(ThreadId(0));
+        let mut fork = sys.clone();
+        for s in [&mut sys, &mut fork] {
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Aborted);
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Aborted);
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Progress);
+            assert_eq!(s.stats().aborts, 2);
+            run_round_robin(s, 1000);
+            assert_eq!(s.stats().commits, 1);
+        }
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::log::{GlobalFlag, LocalFlag};
@@ -32,7 +31,6 @@ use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 
 use crate::driver::{Algorithm, Driver, Outcome, Phase};
-use crate::util::fork_mutex;
 
 /// A dependent-transactions system.
 ///
@@ -63,12 +61,11 @@ use crate::util::fork_mutex;
 /// ```
 pub type DependentSystem<S> = Driver<Dependent<S>>;
 
-/// The dependent-transactions algorithm: the early-release switch and
-/// the forced-abort test hook — the only cross-thread driver state.
+/// The dependent-transactions algorithm: the early-release switch, the
+/// only cross-thread driver state.
 #[derive(Debug)]
 pub struct Dependent<S> {
     eager_release: bool,
-    forced_aborts: Mutex<Vec<ThreadId>>,
     spec: PhantomData<fn() -> S>,
 }
 
@@ -76,7 +73,6 @@ impl<S> Clone for Dependent<S> {
     fn clone(&self) -> Self {
         Self {
             eager_release: self.eager_release,
-            forced_aborts: fork_mutex(&self.forced_aborts),
             spec: PhantomData,
         }
     }
@@ -91,6 +87,9 @@ pub struct DepThread {
     /// deterministic (OpId) order under deterministic schedulers.
     deps: BTreeMap<OpId, TxnId>,
     partial_detangles: u64,
+    /// Aborts forced on this thread and not yet taken (the test hook of
+    /// [`DependentSystem::force_abort`]).
+    forced_aborts: u32,
 }
 
 /// Pulls every pullable global operation (committed or not) not yet in
@@ -196,15 +195,9 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
     /// machine's short critical sections; everything else runs on the
     /// thread's own handle.
     fn step(&self, h: &mut TxnHandle<S>, t: &mut DepThread) -> Result<Outcome, MachineError> {
-        {
-            let mut forced = self
-                .forced_aborts
-                .lock()
-                .expect("forced-abort list poisoned");
-            if let Some(pos) = forced.iter().position(|f| *f == h.tid()) {
-                forced.remove(pos);
-                return Ok(Outcome::Abort);
-            }
+        if t.forced_aborts > 0 {
+            t.forced_aborts -= 1;
+            return Ok(Outcome::Abort);
         }
         if t.phase == Phase::Begin {
             pull_everything(h, t)?;
@@ -285,7 +278,6 @@ impl<S: SeqSpec> DependentSystem<S> {
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>, eager_release: bool) -> Self {
         let alg = Dependent {
             eager_release,
-            forced_aborts: Mutex::new(Vec::new()),
             spec: PhantomData,
         };
         Driver::host(alg, spec, programs)
@@ -310,11 +302,7 @@ impl<S: SeqSpec> DependentSystem<S> {
     /// Forces the thread's current transaction to abort at its next tick
     /// (used to trigger dependency cascades in tests and examples).
     pub fn force_abort(&mut self, tid: ThreadId) {
-        self.algorithm()
-            .forced_aborts
-            .lock()
-            .expect("forced-abort list poisoned")
-            .push(tid);
+        self.local_mut(tid).forced_aborts += 1;
     }
 }
 
@@ -322,7 +310,7 @@ impl<S: SeqSpec> DependentSystem<S> {
 mod tests {
     use super::*;
     use crate::driver::{Tick, TmSystem};
-    use crate::util::run_round_robin;
+    use crate::util::{next_unblocked_tick, run_round_robin};
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
@@ -391,6 +379,27 @@ mod tests {
         run_round_robin(&mut sys, 2000);
         assert_eq!(sys.stats().commits, 2);
         assert!(check_machine(sys.machine()).is_serializable());
+    }
+
+    #[test]
+    fn forced_aborts_are_counted_per_thread_and_forked_by_clone() {
+        let mut sys = DependentSystem::new(
+            Counter::new(),
+            vec![vec![Code::method(CtrMethod::Add(1))]],
+            true,
+        );
+        assert_eq!(sys.tick(ThreadId(0)).unwrap(), Tick::Progress); // begin
+        sys.force_abort(ThreadId(0));
+        sys.force_abort(ThreadId(0));
+        let mut fork = sys.clone();
+        for s in [&mut sys, &mut fork] {
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Aborted);
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Aborted);
+            assert_eq!(next_unblocked_tick(s, ThreadId(0)), Tick::Progress);
+            assert_eq!(s.stats().aborts, 2);
+            run_round_robin(s, 1000);
+            assert_eq!(s.stats().commits, 1);
+        }
     }
 
     #[test]

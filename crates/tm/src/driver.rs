@@ -297,9 +297,9 @@ impl<A: Algorithm> Driver<A> {
         stats
     }
 
-    /// The hosted algorithm's shared metadata.
-    pub(crate) fn algorithm(&self) -> &A {
-        &self.alg
+    /// One thread's algorithm state, mutably.
+    pub(crate) fn local_mut(&mut self, tid: ThreadId) -> &mut A::Thread {
+        &mut self.threads[tid.0].local
     }
 
     /// The algorithm's per-thread states, in thread order.

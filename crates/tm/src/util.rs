@@ -57,6 +57,26 @@ pub(crate) fn run_round_robin<T: crate::driver::TmSystem>(sys: &mut T, max_ticks
     panic!("system did not terminate within {max_ticks} ticks");
 }
 
+/// Ticks `tid` until a tick is not [`Tick::Blocked`](crate::driver::Tick)
+/// (a contention back-off parks a thread after an abort) and returns it.
+///
+/// # Panics
+///
+/// Panics on a machine error or after 64 blocked ticks in a row.
+#[cfg(test)]
+pub(crate) fn next_unblocked_tick<T: crate::driver::TmSystem>(
+    sys: &mut T,
+    tid: pushpull_core::op::ThreadId,
+) -> crate::driver::Tick {
+    for _ in 0..64 {
+        let tick = sys.tick(tid).unwrap();
+        if tick != crate::driver::Tick::Blocked {
+            return tick;
+        }
+    }
+    panic!("thread {tid:?} stayed blocked for 64 ticks");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
