@@ -248,7 +248,8 @@ mod tests {
     /// that every rule reads. (With `spec` and `shards` on the line of `seq`
     /// and `push_stamp`, every workload ran 4–16 % slower.) Nor does the
     /// committed list's mutex, which every commit writes, share the shard
-    /// vector's line.
+    /// vector's line. The trace switch, read by every rule, shares no
+    /// line with a generator or the audit counters either.
     #[test]
     fn each_generator_owns_its_cache_line() {
         type G = GlobalState<ToyCounter>;
@@ -270,5 +271,16 @@ mod tests {
             }
         }
         assert!(disjoint(&lines(offset_of!(G, log.committed), 1), &shards));
+        let traced = lines(offset_of!(G, arming.traced), 1);
+        let audit = lines(
+            offset_of!(G, counters.audit),
+            size_of::<crate::audit::AtomicAudit>(),
+        );
+        for (i, line) in generators.iter().chain([&audit]).enumerate() {
+            assert!(
+                disjoint(&traced, line),
+                "the trace switch shares {line:?} ({i})"
+            );
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The arming part of [`GlobalState`]: what is armed on the machine from
-//! outside — the fault-injection hook, the spec certificate and strict
-//! certificate-gated arming — and the diagnostics of every arming request
-//! the certificate gate refused or demoted.
+//! outside — the fault-injection hook, the spec certificate, strict
+//! certificate-gated arming and event recording — and the diagnostics of
+//! every arming request the certificate gate refused or demoted.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -21,6 +21,11 @@ pub(crate) struct Arming {
     /// rule hot paths to a single relaxed load when no hook is set.
     faults: RwLock<Option<Arc<dyn FaultHook>>>,
     faults_armed: AtomicBool,
+    /// Do the rules record trace events? Read by every rule, written only
+    /// by [`Machine::set_trace`](crate::machine::Machine::set_trace)
+    /// before any thread begins, so it shares the read-mostly line of
+    /// `faults_armed` and no line with a generator or the audit.
+    pub(super) traced: AtomicBool,
     /// The installed spec certificate, if the analysis certified this
     /// spec's footprint/mover declarations (see [`SpecCertificate`]).
     certificate: RwLock<Option<Arc<SpecCertificate>>>,
@@ -42,18 +47,20 @@ impl Arming {
         Self {
             faults: RwLock::new(None),
             faults_armed: AtomicBool::new(false),
+            traced: AtomicBool::new(true),
             certificate: RwLock::new(None),
             require_certificate: AtomicBool::new(false),
             arming_diags: Mutex::new(Vec::new()),
         }
     }
 
-    /// A copy arming the same hook and certificate, in the same mode, with
-    /// the same diagnostics (deep clones and resharding).
+    /// A copy arming the same hook and certificate, in the same modes,
+    /// with the same diagnostics (deep clones and resharding).
     pub(super) fn copy(&self) -> Self {
         Self {
             faults: RwLock::new(self.fault_hook()),
             faults_armed: AtomicBool::new(self.faults_armed.load(Ordering::Acquire)),
+            traced: AtomicBool::new(self.traced.load(Ordering::Relaxed)),
             certificate: RwLock::new(unpoisoned(self.certificate.read()).clone()),
             require_certificate: AtomicBool::new(self.require_certificate.load(Ordering::SeqCst)),
             arming_diags: Mutex::new(unpoisoned(self.arming_diags.lock()).clone()),
@@ -174,6 +181,20 @@ impl<S: SeqSpec> GlobalState<S> {
     pub(crate) fn demote_to_coarse(&self, reason: &str) {
         self.log.coarse.store(true, Ordering::SeqCst);
         self.arming.note(reason);
+    }
+
+    /// Do the rules record trace events? On unless
+    /// [`Machine::set_trace`](crate::machine::Machine::set_trace) turned
+    /// it off before the machine's first transaction.
+    pub fn traced(&self) -> bool {
+        self.arming.traced.load(Ordering::Relaxed)
+    }
+
+    /// Turns event recording on or off; only
+    /// [`Machine::set_trace`](crate::machine::Machine::set_trace) calls
+    /// this, before any thread has begun.
+    pub(crate) fn set_traced(&self, on: bool) {
+        self.arming.traced.store(on, Ordering::Relaxed);
     }
 
     /// Records one injected fault in the audit. The machine calls this

@@ -205,6 +205,13 @@ impl<S: SeqSpec> GlobalState<S> {
         self.counters.seq.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// How many trace events this machine has recorded — sequence numbers
+    /// minted. Always 0 on an untraced machine
+    /// ([`Machine::set_trace`](crate::machine::Machine::set_trace)).
+    pub fn events_recorded(&self) -> u64 {
+        self.counters.seq.load(Ordering::Relaxed)
+    }
+
     /// Mints a fresh transaction id.
     pub(crate) fn fresh_txn(&self) -> TxnId {
         TxnId(self.counters.next_txn.fetch_add(1, Ordering::Relaxed))

@@ -286,11 +286,11 @@ impl<S: SeqSpec> ShardLog<S> {
     }
 
     /// Flips every uncommitted entry whose id is in `own` (ascending) to
-    /// committed, pushing `(stamp, id)` per flip onto `flipped` (the CMT
-    /// effect on this shard). Every uncommitted entry lies at or past
-    /// `cache.len` (the all-committed invariant of the cached prefix), so
-    /// the walk starts there.
-    fn commit_local(&mut self, own: &[OpId], flipped: &mut Vec<(u64, OpId)>) {
+    /// committed, pushing `(stamp, id)` per flip onto `flipped`, if given
+    /// (the CMT effect on this shard). Every uncommitted entry lies at or
+    /// past `cache.len` (the all-committed invariant of the cached prefix),
+    /// so the walk starts there.
+    fn commit_local(&mut self, own: &[OpId], mut flipped: Option<&mut Vec<(u64, OpId)>>) {
         let from = self.cache.len.min(self.entries.len());
         debug_assert!(
             self.entries[..from]
@@ -301,7 +301,9 @@ impl<S: SeqSpec> ShardLog<S> {
         for (stamp, e) in &mut self.entries[from..] {
             if e.flag == GlobalFlag::Uncommitted && own.binary_search(&e.op.id).is_ok() {
                 e.flag = GlobalFlag::Committed;
-                flipped.push((*stamp, e.op.id));
+                if let Some(flipped) = flipped.as_deref_mut() {
+                    flipped.push((*stamp, e.op.id));
+                }
             }
         }
     }
@@ -495,17 +497,18 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     }
 
     /// Flips every held entry of `local`'s pushed operations to committed
-    /// (the `cmt` predicate restricted to the held shards), returning the
-    /// flipped ids in global stamp order — identical to the single-log
-    /// flip order at any shard count. The pushed ids are gathered and
-    /// sorted once, so each shard entry is one binary search.
-    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>]) -> Vec<OpId> {
+    /// (the `cmt` predicate restricted to the held shards). With `ids`,
+    /// returns the flipped ids in global stamp order — identical to the
+    /// single-log flip order at any shard count — and otherwise nothing.
+    /// The pushed ids are gathered and sorted once, so each shard entry is
+    /// one binary search.
+    fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>], ids: bool) -> Vec<OpId> {
         let pushed = local.iter().filter(|l| l.flag.is_pushed());
         let mut own: crate::smallvec::SmallVec<OpId, 8> = pushed.map(|l| l.op.id).collect();
         own.sort_unstable();
         let mut flipped: Vec<(u64, OpId)> = Vec::new();
         for (_, sh) in &mut self.shards {
-            sh.commit_local(&own, &mut flipped);
+            sh.commit_local(&own, ids.then_some(&mut flipped));
         }
         flipped.sort_by_key(|(s, _)| *s);
         flipped.into_iter().map(|(_, id)| id).collect()
@@ -981,16 +984,16 @@ impl<S: SeqSpec> GlobalState<S> {
     /// committed list — while still holding the commit's shard locks, so
     /// the global commit order agrees with the per-shard flip order
     /// (`committed` is last in the lock order) — and advances the held
-    /// shards' caches. Returns the
-    /// flipped ids in global stamp order, so the recorded `Commit`
-    /// event's op order is identical at any shard count.
+    /// shards' caches. Returns the flipped ids in global stamp order, so
+    /// the recorded `Commit` event's op order is identical at any shard
+    /// count; on an untraced machine, which records no event, none.
     pub(crate) fn seal_commit(
         &self,
         view: &mut LogView<'_, S>,
         local: &[LocalEntry<S::Method, S::Ret>],
         record: CommittedTxn<S::Method, S::Ret>,
     ) -> Vec<OpId> {
-        let flipped = view.commit_local(local);
+        let flipped = view.commit_local(local, self.traced());
         unpoisoned(self.log.committed.lock()).push(record);
         let n = self.log.shards.len();
         for (_, sh) in &mut view.shards {

@@ -395,28 +395,29 @@ impl<S: SeqSpec> TxnHandle<S> {
                 self.local_criterion(Rule::Pull, Clause::Iii, blocker.map(detail))?;
             }
         }
-        let reachable_after = match reachable {
-            Some(reachable) => reachable.to_vec(),
-            None => self.reachable_methods(),
-        };
         if gentry.flag == GlobalFlag::Uncommitted {
             self.unsettled.push(op_id);
         }
-        let entry = LocalEntry {
-            op: gentry.op.clone(),
-            flag: LocalFlag::Pulled,
-        };
-        self.append_local(entry, allowed);
-        let tid = self.tid;
-        self.record(Event::Pull {
-            thread: tid,
+        let event = self.traced().then(|| Event::Pull {
+            thread: self.tid,
             op: op_id,
             from: gentry.op.txn,
             status_at_pull: gentry.flag,
-            method: gentry.op.method,
-            ret: gentry.op.ret,
-            reachable_after,
+            method: gentry.op.method.clone(),
+            ret: gentry.op.ret.clone(),
+            reachable_after: match reachable {
+                Some(reachable) => reachable.to_vec(),
+                None => self.reachable_methods(),
+            },
         });
+        let entry = LocalEntry {
+            op: gentry.op,
+            flag: LocalFlag::Pulled,
+        };
+        self.append_local(entry, allowed);
+        if let Some(event) = event {
+            self.record(event);
+        }
         Ok(())
     }
 

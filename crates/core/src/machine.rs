@@ -282,9 +282,48 @@ impl<S: SeqSpec> Machine<S> {
         self.global = global;
     }
 
+    /// Turns event recording on or off (it is on by default). The trace
+    /// is an input to the oracles and the golden suites, not to any rule:
+    /// an untraced machine takes exactly the same steps and reaches the
+    /// same logs, committed list, audit and counters, and only
+    /// [`Self::trace`] can tell it apart — it refuses to answer. Untraced,
+    /// a rule builds no event, mints no sequence number on the shared
+    /// counter and stores nothing. Carried by `Clone` and by
+    /// [`Self::set_log_shards`].
+    ///
+    /// # Panics
+    ///
+    /// Panics once a thread of this machine has begun a transaction: the
+    /// trace would start, or stop, mid-run.
+    pub fn set_trace(&mut self, on: bool) {
+        assert!(
+            !self.handles.iter().any(TxnHandle::has_begun),
+            "Machine::set_trace({on}) after a thread began a transaction: \
+             the trace would start or stop mid-run"
+        );
+        self.global.set_traced(on);
+    }
+
+    /// Does this machine record its trace (see [`Self::set_trace`])?
+    pub fn traced(&self) -> bool {
+        self.global.traced()
+    }
+
     /// The recorded trace: every handle's sequence-stamped event buffer,
     /// merged into the real-time total order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a machine that records no trace
+    /// ([`Self::set_trace`]`(false)`, as `TxnServer` sets it): an empty
+    /// trace there would let every comparison and trace oracle pass on
+    /// nothing.
     pub fn trace(&self) -> Trace<S::Method, S::Ret> {
+        assert!(
+            self.traced(),
+            "Machine::trace on a machine that records no trace: \
+             call Machine::set_trace(true) before its first transaction"
+        );
         let mut stamped: Vec<&crate::handle::StampedEvent<S>> = self
             .handles
             .iter()
@@ -1066,5 +1105,44 @@ mod tests {
         for _ in 1..32 {
             assert_eq!(drive(), (allowed.clone(), observed.clone(), first.clone()));
         }
+    }
+
+    /// Untraced, the machine takes the same steps to the same logs,
+    /// committed list and audit, and stores no event; the setting
+    /// survives a reshard and a clone.
+    #[test]
+    fn an_untraced_machine_steps_alike_and_records_nothing() {
+        let run = |traced: bool| {
+            let mut m = machine();
+            m.set_trace(traced);
+            let a = m.add_thread(vec![inc_code(), inc_code()]);
+            let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
+            m.set_log_shards(2);
+            for _ in 0..2 {
+                m.app_auto(a).unwrap();
+                m.push_all_and_commit(a).unwrap();
+            }
+            m.pull_all_committed(b).unwrap();
+            m.app_auto(b).unwrap();
+            m.push_all_and_commit(b).unwrap();
+            assert_eq!(m.clone().traced(), traced);
+            m
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(on.traced() && !off.traced());
+        assert_eq!(on.committed_txns(), off.committed_txns());
+        assert_eq!(on.global(), off.global());
+        assert_eq!(on.audit(), off.audit());
+        assert!(on.handles.iter().all(|h| !h.events().is_empty()));
+        assert!(off.handles.iter().all(|h| h.events().is_empty()));
+        assert_eq!(off.global_state().events_recorded(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "after a thread began a transaction")]
+    fn tracing_cannot_be_turned_off_mid_run() {
+        let mut m = machine();
+        m.add_thread(vec![inc_code()]);
+        m.set_trace(false);
     }
 }

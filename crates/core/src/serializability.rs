@@ -91,16 +91,26 @@ impl std::fmt::Display for SerializabilityReport {
 /// # Ok::<(), pushpull_core::error::MachineError>(())
 /// ```
 pub fn check_machine<S: SeqSpec>(m: &Machine<S>) -> SerializabilityReport {
+    check_committed(m, &m.committed_txns())
+}
+
+/// The four checks of [`check_machine`] over `txns`, `m`'s committed
+/// transactions in commit order — taken once by the caller, since each
+/// [`Machine::committed_txns`] copies the whole list under its lock.
+fn check_committed<S: SeqSpec>(
+    m: &Machine<S>,
+    txns: &[CommittedTxn<S::Method, S::Ret>],
+) -> SerializabilityReport {
     let spec = m.spec();
     let committed_projection = m.global().committed_ops();
     let committed_projection_allowed = spec.allowed(&committed_projection);
 
-    let witness = serial_witness(&m.committed_txns());
+    let witness = serial_witness(txns);
     let serial_witness_allowed = spec.allowed(&witness);
 
     let mut atomic_replay_failures = Vec::new();
     let mut prefix: Vec<Op<S::Method, S::Ret>> = Vec::new();
-    for txn in m.committed_txns() {
+    for txn in txns {
         if !replay_tx(spec, &txn.code, &prefix, &txn.ops) {
             atomic_replay_failures.push(txn.txn);
         }
@@ -114,7 +124,7 @@ pub fn check_machine<S: SeqSpec>(m: &Machine<S>) -> SerializabilityReport {
         serial_witness_allowed,
         atomic_replay_failures,
         precongruent_to_witness,
-        commit_order: m.committed_txns().iter().map(|t| t.txn).collect(),
+        commit_order: txns.iter().map(|t| t.txn).collect(),
     }
 }
 
@@ -200,9 +210,9 @@ impl std::fmt::Display for NestedReport {
 /// each compensation provably restores the abstract state its child
 /// changed.
 pub fn check_machine_nested<S: SeqSpec>(m: &Machine<S>) -> NestedReport {
-    let base = check_machine(m);
-    let spec = m.spec();
     let txns = m.committed_txns();
+    let base = check_committed(m, &txns);
+    let spec = m.spec();
     let commit_pos: std::collections::HashMap<TxnId, usize> =
         txns.iter().enumerate().map(|(i, t)| (t.txn, i)).collect();
     let compensated: std::collections::HashMap<TxnId, usize> = txns

@@ -47,6 +47,22 @@
 //! "Ablation verdicts" — next to nothing where sessions share keys, a
 //! lock and a scan per session where they do not).
 //!
+//! # What the server records
+//!
+//! Outcomes, [`SystemStats`], the committed-transaction list and the
+//! audit — what the server's callers read. Not the rule trace:
+//! [`TxnServer::new`] turns event recording off
+//! ([`Machine::set_trace`]), because only the oracles and the golden
+//! suites read a trace and the server's outcomes never depend on it. A
+//! traced server paid, per conflict-free `KvMap` transaction, eight
+//! `fetch_add`s on one sequence counter every worker writes and eight
+//! 112-byte events kept until the server is dropped (1.6 kB per
+//! transaction requested from the allocator, by the ledger's
+//! `alloc.bytes_per_txn` on `kv_fresh_short`). A test that compares traces
+//! turns recording back on through [`TmSystem::machine_mut`] before the
+//! first tick; [`Machine::trace`] panics on an untraced server rather
+//! than hand back an empty trace every comparison would pass on.
+//!
 //! # What the commit counters count
 //!
 //! * [`SessionOutcome::Committed`]`::batched` — the commit went through
@@ -527,7 +543,8 @@ pub struct TxnServer<S: SeqSpec> {
 
 impl<S: SeqSpec> TxnServer<S> {
     /// Builds a server over `spec` serving `scripts`, with the admission
-    /// schedule fixed by `config.seed`.
+    /// schedule fixed by `config.seed`. Its machine records no trace (see
+    /// the module docs, "What the server records").
     ///
     /// # Panics
     ///
@@ -539,6 +556,7 @@ impl<S: SeqSpec> TxnServer<S> {
             "workers need at least one slot"
         );
         let mut machine = Machine::new(spec);
+        machine.set_trace(false);
         for _ in 0..config.workers * config.slots_per_worker {
             machine.add_thread(Vec::new());
         }
@@ -719,6 +737,7 @@ mod tests {
                     ..ServerConfig::default()
                 },
             );
+            sys.machine_mut().set_trace(true);
             drive(&mut sys, 10_000);
             sys
         };
@@ -851,6 +870,7 @@ mod tests {
                     ..ServerConfig::default()
                 },
             );
+            sys.machine_mut().set_trace(true);
             drive(&mut sys, 10_000);
             (
                 sys.machine().trace().render(),
@@ -863,5 +883,26 @@ mod tests {
             make(8).0,
             "different admission seeds should schedule differently"
         );
+    }
+
+    /// The server records no trace, and says so instead of handing out
+    /// an empty one: every comparison of two empty traces would pass.
+    #[test]
+    #[should_panic(expected = "Machine::set_trace(true)")]
+    fn an_untraced_server_refuses_to_hand_out_a_trace() {
+        let mut sys = TxnServer::new(KvMap::new(), disjoint_scripts(4), ServerConfig::default());
+        drive(&mut sys, 1_000);
+        assert!(!sys.machine().traced());
+        let _ = sys.machine().trace();
+    }
+
+    /// Tracing is chosen before the first tick: once a session has begun,
+    /// turning it on would record a trace that starts mid-run.
+    #[test]
+    #[should_panic(expected = "after a thread began a transaction")]
+    fn tracing_cannot_be_turned_on_mid_run() {
+        let mut sys = TxnServer::new(KvMap::new(), disjoint_scripts(4), ServerConfig::default());
+        sys.tick(ThreadId(0)).unwrap();
+        sys.machine_mut().set_trace(true);
     }
 }

@@ -16,7 +16,11 @@
 //!   transaction's earlier pushes: per operation, both grew linearly with
 //!   the program.) Nor does what an APP and its PUSH allocate depend on
 //!   how many bindings the state they step holds: the spec steps its sets
-//!   in place, where it once copied the state at every step.
+//!   in place, where it once copied the state at every step;
+//! * **the trace's share**: on a machine that records no trace (as
+//!   `TxnServer`'s), the same transaction allocates less — not the
+//!   `Commit` event's id list — and a refresh allocates no PULL event's
+//!   list of reachable methods.
 //!
 //! This file is its own test binary so that the counting
 //! `#[global_allocator]` is private to it. The counters are per thread and
@@ -97,7 +101,12 @@ const SHARDS: usize = 16;
 const HANDLES: usize = 16;
 
 fn machine() -> Machine<KvMap> {
+    traced_machine(true)
+}
+
+fn traced_machine(traced: bool) -> Machine<KvMap> {
     let mut m = Machine::new(KvMap::new());
+    m.set_trace(traced);
     for _ in 0..HANDLES {
         m.add_thread(Vec::new());
     }
@@ -328,4 +337,66 @@ fn an_app_and_its_push_cost_the_same_over_any_number_of_bindings() {
     for (n, cost) in costs {
         assert_eq!(cost, small, "an APP and its PUSH over {n} bindings");
     }
+}
+
+/// Untraced, a conflict-free transaction allocates at least one fewer
+/// time than traced — the `Commit` event's list of flipped ids, besides
+/// the events themselves — and the same `allowed` queries are asked.
+#[test]
+fn an_untraced_transaction_allocates_less() {
+    let per_txn = |traced: bool| {
+        let mut m = traced_machine(traced);
+        fresh_epoch(&mut m, 0);
+        let [(count, bytes), ..] = fresh_epoch(&mut m, 1);
+        assert_eq!(m.audit().allowed_queries, 2 * 64 * 6);
+        (count as f64 / 64.0, bytes as f64 / 64.0)
+    };
+    let (traced, untraced) = (per_txn(true), per_txn(false));
+    println!(
+        "per transaction: traced {:.2} allocations, {:.0} bytes; untraced {:.2}, {:.0}",
+        traced.0, traced.1, untraced.0, untraced.1
+    );
+    assert!(
+        untraced.0 + 1.0 <= traced.0,
+        "untraced {untraced:?} against traced {traced:?}"
+    );
+}
+
+/// `(allocations, bytes)` of one lenient refresh that pulls `n` committed
+/// `Put`s into a transaction about to overwrite their keys.
+fn refresh_cost(traced: bool, n: u64) -> (usize, (u64, u64)) {
+    let mut m = Machine::new(KvMap::new());
+    m.set_trace(traced);
+    let writer = m.add_thread(Vec::new());
+    let reader = m.add_thread(Vec::new());
+    let puts = |v: i64| Code::seq_all((0..n).map(|k| Code::method(MapMethod::Put(k, v))));
+    m.enqueue_txn(writer, puts(1)).expect("writer exists");
+    for k in 0..n {
+        m.app_method(writer, &MapMethod::Put(k, 1))
+            .expect("conflict-free APP");
+    }
+    m.push_all_and_commit(writer).expect("conflict-free commit");
+    m.enqueue_txn(reader, puts(2)).expect("reader exists");
+    let h = m.handle_mut(reader).expect("reader exists");
+    counting(|| h.pull_committed_lenient().expect("refresh"))
+}
+
+/// Untraced, a refresh's PULLs build no event: each of them allocates no
+/// copy of the methods the transaction can still reach.
+#[test]
+fn an_untraced_refresh_allocates_no_reachable_methods() {
+    const N: u64 = 8;
+    let ((pulled, traced), (untraced_pulled, untraced)) =
+        (refresh_cost(true, N), refresh_cost(false, N));
+    let every = N as usize;
+    assert_eq!(
+        (pulled, untraced_pulled),
+        (every, every),
+        "a refresh pulls every committed put"
+    );
+    println!("refresh of {N}: traced {traced:?}, untraced {untraced:?} (allocations, bytes)");
+    assert!(
+        untraced.0 + N <= traced.0,
+        "untraced {untraced:?} against traced {traced:?}"
+    );
 }

@@ -309,7 +309,9 @@ fn server_workers_match_ticks() {
                 group_commit,
                 ..ServerConfig::default()
             };
-            TxnServer::new(KvMap::new(), scripts, config)
+            let mut sys = TxnServer::new(KvMap::new(), scripts, config);
+            sys.machine_mut().set_trace(true);
+            sys
         });
     }
 }

@@ -26,7 +26,7 @@ use pushpull::tm::mixed::{methods, mixed_spec};
 use pushpull::tm::optimistic::ReadPolicy;
 use pushpull::tm::{
     BoostingSystem, CheckpointOptimistic, DependentSystem, HtmSystem, IrrevocableSystem,
-    MatveevShavitSystem, MixedSystem, OptimisticSystem, Tl2System, TwoPhaseLocking,
+    MatveevShavitSystem, MixedSystem, OptimisticSystem, Tl2System, TmSystem, TwoPhaseLocking,
 };
 
 /// Generous per-thread tick budget: threshold-based abort policies bound
@@ -324,7 +324,8 @@ fn server_commits_are_uninterleaved_and_retries_stay_far_from_the_budget() {
                 ..ServerConfig::default()
             };
             let cell = format!("group={group_commit} epoch {epoch}");
-            let sys = TxnServer::new(KvMap::new(), scripts, config);
+            let mut sys = TxnServer::new(KvMap::new(), scripts, config);
+            sys.machine_mut().set_trace(true);
             let (sys, outcome) = run_parallel_sharded(sys, BUDGET, None, SHARDS).unwrap();
             assert!(outcome.completed, "{cell}: incomplete");
             let outcomes = sys.outcomes();

@@ -9,7 +9,9 @@
 //! go through [`TxnServer`] with group commit on and off, at shard
 //! counts 1, 4 and 16; each pair of runs must produce bit-identical
 //! committed-transaction sequences, bit-identical traces, and identical
-//! audit ledgers.
+//! audit ledgers. The server records no trace by default, so those runs
+//! turn it on; a third run of each family stays untraced, as the server
+//! ships, and must match the traced one in everything but the trace.
 //!
 //! Riding along:
 //!
@@ -26,7 +28,6 @@
 
 use std::sync::Arc;
 
-use pushpull::core::audit::CriteriaAudit;
 use pushpull::core::error::{MachineError, Rule};
 use pushpull::core::faults::FaultKind;
 use pushpull::core::lang::Code;
@@ -64,15 +65,16 @@ fn sessions_from<M: Clone + PartialEq>(programs: Vec<Vec<Code<M>>>) -> Vec<Sessi
         .collect()
 }
 
-/// One server run: reshard, drive to completion round-robin, snapshot
-/// everything the claim quantifies over.
+/// One server run: choose tracing, reshard, drive to completion
+/// round-robin, check what holds of every run, and hand the server back.
 fn golden<S: SeqSpec>(
     label: &str,
     spec: S,
     scripts: Vec<SessionScript<S::Method>>,
     shards: usize,
     group: bool,
-) -> (String, String, CriteriaAudit)
+    traced: bool,
+) -> TxnServer<S>
 where
     S::Method: std::fmt::Display,
     S::Ret: std::fmt::Debug,
@@ -88,8 +90,13 @@ where
             ..ServerConfig::default()
         },
     );
+    sys.machine_mut().set_trace(traced);
     sys.set_log_shards(shards);
-    let which = if group { "group" } else { "single" };
+    let which = match (group, traced) {
+        (true, true) => "group",
+        (false, true) => "single",
+        (_, false) => "untraced",
+    };
     let out = run(&mut sys, &mut RoundRobin, BUDGET)
         .unwrap_or_else(|e| panic!("{label}@{shards}/{which}: machine error: {e}"));
     assert!(out.completed, "{label}@{shards}/{which}: wedged");
@@ -104,22 +111,18 @@ where
             "{label}@{shards}/{which}: batching disabled but batches sealed"
         );
     }
-    let m = sys.machine();
-    let report = check_machine(m);
+    let report = check_machine(sys.machine());
     assert!(
         report.is_serializable(),
         "{label}@{shards}/{which}: {report}"
     );
-    (
-        format!("{:?}", m.committed_txns()),
-        m.trace().render(),
-        m.audit(),
-    )
+    sys
 }
 
 /// Runs `scripts()` through the server with group commit on and off at
 /// every shard count and asserts the batched run is bit-identical to the
-/// per-transaction one.
+/// per-transaction one; then runs it batched and untraced, and asserts
+/// that recording the trace changed nothing else.
 fn assert_group_equivalence<S: SeqSpec>(
     label: &str,
     spec: impl Fn() -> S,
@@ -129,18 +132,56 @@ fn assert_group_equivalence<S: SeqSpec>(
     S::Ret: std::fmt::Debug,
 {
     for shards in SHARD_COUNTS {
-        let (on_commits, on_trace, on_audit) = golden(label, spec(), scripts(), shards, true);
-        let (off_commits, off_trace, off_audit) = golden(label, spec(), scripts(), shards, false);
+        let on = golden(label, spec(), scripts(), shards, true, true);
+        let off = golden(label, spec(), scripts(), shards, false, true);
+        let (on_m, off_m) = (on.machine(), off.machine());
         assert_eq!(
-            on_commits, off_commits,
+            format!("{:?}", on_m.committed_txns()),
+            format!("{:?}", off_m.committed_txns()),
             "{label}@{shards}: committed transactions diverge"
         );
         assert_eq!(
-            on_trace, off_trace,
+            on_m.trace().render(),
+            off_m.trace().render(),
             "{label}@{shards}: traces diverge — batching changed a verdict"
         );
-        assert_ledger_matches(&on_audit, &off_audit);
+        assert_ledger_matches(&on_m.audit(), &off_m.audit());
+        let untraced = golden(label, spec(), scripts(), shards, true, false);
+        assert_untraced_matches(&format!("{label}@{shards}"), &on, &untraced);
     }
+}
+
+/// `untraced` — the same server run with event recording off — matches
+/// `traced` in outcomes, committed transactions, audit and statistics,
+/// and recorded no event.
+fn assert_untraced_matches<S: SeqSpec>(cell: &str, traced: &TxnServer<S>, untraced: &TxnServer<S>) {
+    let (t, u) = (traced.machine(), untraced.machine());
+    assert!(t.traced() && !u.traced(), "{cell}: tracing not as chosen");
+    assert_eq!(
+        traced.outcomes(),
+        untraced.outcomes(),
+        "{cell}: untraced outcomes diverge"
+    );
+    assert_eq!(
+        format!("{:?}", t.committed_txns()),
+        format!("{:?}", u.committed_txns()),
+        "{cell}: untraced committed transactions diverge"
+    );
+    assert_eq!(t.audit(), u.audit(), "{cell}: untraced audit diverges");
+    assert_eq!(
+        traced.stats(),
+        untraced.stats(),
+        "{cell}: untraced statistics diverge"
+    );
+    assert!(
+        t.global_state().events_recorded() > 0,
+        "{cell}: nothing traced"
+    );
+    assert_eq!(
+        u.global_state().events_recorded(),
+        0,
+        "{cell}: the untraced server recorded events"
+    );
 }
 
 #[test]
@@ -425,6 +466,7 @@ fn retry_budget_exhaustion_fails_sessions_clean() {
                 ..ServerConfig::default()
             },
         );
+        sys.machine_mut().set_trace(true);
         let cell = format!("budget {max_retries}/group={group_commit}");
         let out = run(&mut sys, &mut RoundRobin, BUDGET).expect("a spent budget is not raised");
         assert!(out.completed, "{cell}: server must drain, not hang");
