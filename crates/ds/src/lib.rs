@@ -1,33 +1,30 @@
 //! # pushpull-ds
 //!
-//! Substrate data structures for the Push/Pull reproduction — everything
-//! the paper's evaluated systems assume and we therefore build:
+//! Substrate data structures for the Push/Pull reproduction — the
+//! machinery the paper's evaluated systems assume, one implementation per
+//! job:
 //!
-//! * [`skiplist`] — a probabilistic skip-list map, standing in for the
-//!   `ConcurrentSkipListMap`/`ConcurrentSkipList` base objects of
-//!   Figure 2 and §7;
-//! * [`locks`] — abstract locks with waits-for deadlock detection,
-//!   boosting's synchronization substrate;
-//! * [`memory`] — a TL2-style versioned memory with a global version
-//!   clock, and an HTM-style eager conflict tracker (the simulated
-//!   hardware of §7);
-//! * [`sync`] — a linearization wrapper turning the sequential base
-//!   objects into linearizable shared ones.
+//! * [`rwlocks`] — the one ownership table: shared/exclusive holders per
+//!   key with waits-for deadlock detection, behind boosting's abstract
+//!   locks, strict 2PL, the simulated HTM's eager word conflicts and
+//!   TL2's commit locks;
+//! * [`memory`] — TL2's global version clock and per-location versions;
+//! * [`mirror`] — Figure 2's base object: the committed map log replayed
+//!   into `std`'s `BTreeMap` (for the paper's `ConcurrentSkipListMap`),
+//!   checking every recorded return value;
+//! * [`sync`] — a linearization wrapper turning a sequential base object
+//!   into a linearizable shared one.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod locks;
 pub mod memory;
 pub mod mirror;
 pub mod rwlocks;
-pub mod skiplist;
 pub mod sync;
 
-pub use locks::{AbstractLockManager, LockOutcome};
-pub use memory::{GlobalClock, HtmConflicts, VersionedMemory};
-pub use mirror::{MirrorError, SkipListMirror};
+pub use memory::{GlobalClock, VersionedMemory};
+pub use mirror::{MapMirror, MirrorError};
 pub use rwlocks::{Mode, RwLockTable, RwOutcome};
-pub use skiplist::SkipListMap;
 pub use sync::Linearized;

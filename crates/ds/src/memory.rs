@@ -1,18 +1,19 @@
-//! Memory substrates: a TL2-style versioned memory with a global version
-//! clock, and an HTM-style eager conflict tracker.
+//! TL2's memory substrate: a global version clock and per-location
+//! versions, with commit locks kept in the [`RwLockTable`].
 //!
-//! These simulate the hardware/runtime machinery the paper's evaluated
-//! systems rely on — Intel/IBM HTM (§1, §7) and version-clock STMs
-//! (TL2 \[6\], TinySTM \[8\], §6.2) — at the granularity the PUSH/PULL model
-//! observes: which location was touched by whom, and whether a conflict
-//! arises. Values themselves live in the machine's logs (the model has no
-//! concrete state), so these trackers carry versions and ownership only.
+//! This simulates the runtime machinery of version-clock STMs (TL2 \[6\],
+//! TinySTM \[8\], §6.2) at the granularity the PUSH/PULL model observes:
+//! which location was last published when, and who holds it locked.
+//! Values themselves live in the machine's logs (the model has no
+//! concrete state), so the memory carries versions and ownership only.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pushpull_core::op::TxnId;
+
+use crate::rwlocks::{Mode, RwLockTable, RwOutcome};
 
 /// A global version clock (TL2's `GV`).
 #[derive(Debug, Default)]
@@ -49,11 +50,11 @@ impl Clone for GlobalClock {
 
 /// Per-location version metadata for a TL2-style optimistic STM.
 ///
-/// Tracks, per location: the version (commit timestamp of the last
-/// writer) and an optional commit-time lock. The optimistic driver uses
-/// it exactly as TL2 does: record read versions during the run, lock the
-/// write set at commit, validate the read set against the clock, then
-/// publish and bump versions.
+/// Tracks, per location, the version (commit timestamp of the last
+/// writer); a commit-time lock is an exclusive grant in the memory's
+/// [`RwLockTable`]. The TL2 driver uses it exactly as TL2 does: record
+/// read versions during the run, lock the write set at commit, validate
+/// the read set against the clock, then publish and bump versions.
 ///
 /// # Examples
 ///
@@ -74,7 +75,7 @@ impl Clone for GlobalClock {
 #[derive(Debug, Clone, Default)]
 pub struct VersionedMemory<L> {
     versions: HashMap<L, u64>,
-    locks: HashMap<L, TxnId>,
+    locks: RwLockTable<L>,
 }
 
 impl<L: Eq + Hash + Ord + Clone> VersionedMemory<L> {
@@ -82,7 +83,7 @@ impl<L: Eq + Hash + Ord + Clone> VersionedMemory<L> {
     pub fn new() -> Self {
         Self {
             versions: HashMap::new(),
-            locks: HashMap::new(),
+            locks: RwLockTable::new(),
         }
     }
 
@@ -93,29 +94,24 @@ impl<L: Eq + Hash + Ord + Clone> VersionedMemory<L> {
 
     /// Is the location commit-locked?
     pub fn is_locked(&self, loc: &L) -> bool {
-        self.locks.contains_key(loc)
+        self.locks.writer(loc).is_some()
     }
 
     /// Is the location commit-locked by someone other than `txn`?
     pub fn locked_by_other(&self, loc: &L, txn: TxnId) -> bool {
-        matches!(self.locks.get(loc), Some(o) if *o != txn)
+        matches!(self.locks.writer(loc), Some(o) if o != txn)
     }
 
     /// Tries to take the commit lock on `loc` for `txn`. Idempotent for
-    /// the holder.
+    /// the holder. A refusal leaves a waits-for edge until
+    /// [`unlock_all`](Self::unlock_all).
     pub fn try_lock(&mut self, txn: TxnId, loc: L) -> bool {
-        match self.locks.get(&loc) {
-            None => {
-                self.locks.insert(loc, txn);
-                true
-            }
-            Some(o) => *o == txn,
-        }
+        self.locks.try_lock(txn, loc, Mode::Exclusive) == RwOutcome::Granted
     }
 
     /// Releases every commit lock held by `txn` (abort path).
     pub fn unlock_all(&mut self, txn: TxnId) {
-        self.locks.retain(|_, o| *o != txn);
+        self.locks.release_all(txn);
     }
 
     /// TL2 read-set validation: every location still carries the version
@@ -131,79 +127,12 @@ impl<L: Eq + Hash + Ord + Clone> VersionedMemory<L> {
     pub fn publish(&mut self, txn: TxnId, write_set: &[L], ts: u64) {
         for l in write_set {
             debug_assert!(
-                self.locks.get(l) == Some(&txn),
+                self.locks.writer(l) == Some(txn),
                 "publishing unlocked location"
             );
             self.versions.insert(l.clone(), ts);
         }
         self.unlock_all(txn);
-    }
-}
-
-/// An eagerly-conflicting access tracker — the observable behaviour of a
-/// best-effort HTM (Intel Haswell-style, §7): the first conflicting
-/// access between two live transactions aborts one of them.
-#[derive(Debug, Clone, Default)]
-pub struct HtmConflicts<L> {
-    readers: HashMap<L, HashSet<TxnId>>,
-    writers: HashMap<L, TxnId>,
-}
-
-/// A detected HTM conflict: `loc` is contended with `other`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HtmConflict<L> {
-    /// The contended location.
-    pub loc: L,
-    /// The transaction already holding a conflicting access.
-    pub other: TxnId,
-}
-
-impl<L: Eq + Hash + Ord + Clone> HtmConflicts<L> {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self {
-            readers: HashMap::new(),
-            writers: HashMap::new(),
-        }
-    }
-
-    /// Records a transactional read. Conflicts with a foreign writer.
-    pub fn record_read(&mut self, txn: TxnId, loc: L) -> Result<(), HtmConflict<L>> {
-        if let Some(w) = self.writers.get(&loc) {
-            if *w != txn {
-                return Err(HtmConflict { loc, other: *w });
-            }
-        }
-        self.readers.entry(loc).or_default().insert(txn);
-        Ok(())
-    }
-
-    /// Records a transactional write. Conflicts with any foreign reader
-    /// or writer.
-    pub fn record_write(&mut self, txn: TxnId, loc: L) -> Result<(), HtmConflict<L>> {
-        if let Some(w) = self.writers.get(&loc) {
-            if *w != txn {
-                return Err(HtmConflict { loc, other: *w });
-            }
-        }
-        if let Some(rs) = self.readers.get(&loc) {
-            // Smallest foreign reader: deterministic conflict report.
-            if let Some(other) = rs.iter().filter(|r| **r != txn).min() {
-                return Err(HtmConflict { loc, other: *other });
-            }
-        }
-        self.writers.insert(loc.clone(), txn);
-        self.readers.entry(loc).or_default().insert(txn);
-        Ok(())
-    }
-
-    /// Forgets every access of `txn` (commit or abort).
-    pub fn clear(&mut self, txn: TxnId) {
-        self.writers.retain(|_, w| *w != txn);
-        for rs in self.readers.values_mut() {
-            rs.remove(&txn);
-        }
-        self.readers.retain(|_, rs| !rs.is_empty());
     }
 }
 
@@ -255,29 +184,5 @@ mod tests {
         assert!(vm.try_lock(TxnId(1), 3));
         assert!(vm.try_lock(TxnId(1), 3));
         assert!(!vm.try_lock(TxnId(2), 3));
-    }
-
-    #[test]
-    fn htm_read_write_conflicts() {
-        let mut h: HtmConflicts<u32> = HtmConflicts::new();
-        assert!(h.record_read(TxnId(1), 7).is_ok());
-        assert!(h.record_read(TxnId(2), 7).is_ok(), "readers share");
-        let err = h.record_write(TxnId(1), 7).unwrap_err();
-        assert_eq!(err.other, TxnId(2), "write conflicts with foreign reader");
-        h.clear(TxnId(2));
-        assert!(h.record_write(TxnId(1), 7).is_ok());
-        let err = h.record_read(TxnId(2), 7).unwrap_err();
-        assert_eq!(err.other, TxnId(1), "read conflicts with foreign writer");
-    }
-
-    #[test]
-    fn htm_clear_releases_everything() {
-        let mut h: HtmConflicts<u32> = HtmConflicts::new();
-        h.record_write(TxnId(1), 1).unwrap();
-        h.record_write(TxnId(1), 2).unwrap();
-        assert!(h.record_read(TxnId(2), 2).is_err(), "held by the writer");
-        h.clear(TxnId(1));
-        assert!(h.record_write(TxnId(2), 1).is_ok());
-        assert!(h.record_write(TxnId(2), 2).is_ok());
     }
 }

@@ -10,12 +10,11 @@
 //! mis-models the structure or the structure mis-implements the
 //! specification; either way [`MirrorError`] pinpoints the operation.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::{Op, OpId};
 use pushpull_spec::kvmap::{MapMethod, MapRet};
-
-use crate::skiplist::SkipListMap;
 
 /// A committed operation whose recorded observation disagrees with the
 /// substrate.
@@ -41,16 +40,18 @@ impl fmt::Display for MirrorError {
 
 impl std::error::Error for MirrorError {}
 
-/// A skip-list-backed mirror of the [`KvMap`](pushpull_spec::kvmap::KvMap)
-/// specification — the paper's `ConcurrentSkipListMap` base object.
+/// A mirror of the [`KvMap`](pushpull_spec::kvmap::KvMap) specification
+/// over `std`'s [`BTreeMap`], standing in for the paper's
+/// `ConcurrentSkipListMap` base object: an ordered map, which boosting
+/// only needs to be linearizable (see [`Linearized`](crate::sync::Linearized)).
 ///
 /// # Examples
 ///
 /// ```
-/// use pushpull_ds::mirror::SkipListMirror;
+/// use pushpull_ds::mirror::MapMirror;
 /// use pushpull_spec::kvmap::ops;
 ///
-/// let mut mirror = SkipListMirror::new();
+/// let mut mirror = MapMirror::new();
 /// mirror.apply(&ops::put(0, 0, 1, 10, None))?;
 /// mirror.apply(&ops::get(1, 0, 1, Some(10)))?;
 /// assert_eq!(mirror.map().len(), 1);
@@ -59,20 +60,20 @@ impl std::error::Error for MirrorError {}
 /// # Ok::<(), pushpull_ds::mirror::MirrorError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct SkipListMirror {
-    map: SkipListMap<u64, i64>,
+pub struct MapMirror {
+    map: BTreeMap<u64, i64>,
 }
 
-impl SkipListMirror {
+impl MapMirror {
     /// Creates an empty mirror.
     pub fn new() -> Self {
         Self {
-            map: SkipListMap::new(),
+            map: BTreeMap::new(),
         }
     }
 
     /// The mirrored structure.
-    pub fn map(&self) -> &SkipListMap<u64, i64> {
+    pub fn map(&self) -> &BTreeMap<u64, i64> {
         &self.map
     }
 
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn map_mirror_accepts_consistent_logs() {
-        let mut m = SkipListMirror::new();
+        let mut m = MapMirror::new();
         let n = m
             .replay(&[
                 mops::put(0, 0, 1, 10, None),
@@ -142,7 +143,7 @@ mod tests {
 
     #[test]
     fn map_mirror_pinpoints_divergence() {
-        let mut m = SkipListMirror::new();
+        let mut m = MapMirror::new();
         m.apply(&mops::put(0, 0, 1, 10, None)).unwrap();
         let err = m.apply(&mops::put(1, 0, 1, 20, None)).unwrap_err();
         assert_eq!(err.op, pushpull_core::op::OpId(1));

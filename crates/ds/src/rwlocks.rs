@@ -1,10 +1,21 @@
-//! Shared/exclusive (reader–writer) lock tables with deadlock detection —
-//! the substrate for strict two-phase locking, the lock-inference style
-//! of pessimistic atomic sections the paper cites as \[4\] (Cherem et al.).
+//! The one ownership table of the §6/§7 algorithms: which transaction
+//! holds which key, and in which mode, with waits-for deadlock detection.
 //!
-//! Unlike [`crate::locks::AbstractLockManager`] (exclusive-only, the
-//! boosting discipline), this table distinguishes read and write modes:
-//! readers share, writers exclude, and a sole reader may upgrade.
+//! Every algorithm that claims keys records that fact here. Boosting
+//! (Figure 2's `abstractLock(key).lock()`) and mixed's boosted half take
+//! abstract keys [`Mode::Exclusive`]; strict two-phase locking, the
+//! lock-inference style of pessimistic atomic sections the paper cites as
+//! \[4\] (Cherem et al.), takes locations shared for reads and exclusive
+//! for writes; the simulated HTM of §7 records each word it reads or
+//! writes the same way, its eager conflicts being the refused requests;
+//! and TL2 takes its commit locks exclusive. Readers share, writers
+//! exclude, and a sole reader may upgrade.
+//!
+//! A refused request records a waits-for edge from the requester to the
+//! holder it names, unless waiting would close a cycle — the "boosted
+//! transaction aborts (e.g. due to deadlock)" path of §4's UNPUSH
+//! discussion. The edge lasts until the requester is granted a key or
+//! releases everything.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -27,7 +38,8 @@ pub enum RwOutcome {
     Granted,
     /// Held incompatibly by others; a waits-for edge was recorded.
     Busy {
-        /// One current incompatible holder.
+        /// The incompatible holder: a foreign writer if there is one,
+        /// otherwise the smallest foreign reader.
         holder: TxnId,
     },
     /// Waiting would close a waits-for cycle; abort instead.
@@ -51,34 +63,36 @@ struct Entry {
 /// let mut t = RwLockTable::new();
 /// assert_eq!(t.try_lock(TxnId(1), "k", Mode::Shared), RwOutcome::Granted);
 /// assert_eq!(t.try_lock(TxnId(2), "k", Mode::Shared), RwOutcome::Granted);
-/// // A writer is refused while readers hold the key (the reported
-/// // holder is whichever reader the table finds first).
-/// assert!(matches!(t.try_lock(TxnId(3), "k", Mode::Exclusive), RwOutcome::Busy { .. }));
+/// // A writer is refused while readers hold the key.
+/// assert_eq!(
+///     t.try_lock(TxnId(3), "k", Mode::Exclusive),
+///     RwOutcome::Busy { holder: TxnId(1) }
+/// );
 /// t.release_all(TxnId(1));
 /// t.release_all(TxnId(2));
 /// assert_eq!(t.try_lock(TxnId(3), "k", Mode::Exclusive), RwOutcome::Granted);
+/// assert_eq!(t.writer(&"k"), Some(TxnId(3)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RwLockTable<K> {
     entries: HashMap<K, Entry>,
-    held: HashMap<TxnId, HashSet<K>>,
     waiting: HashMap<TxnId, TxnId>,
 }
 
-impl<K: Eq + Hash + Ord + Clone> RwLockTable<K> {
+impl<K: Eq + Hash> RwLockTable<K> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self {
             entries: HashMap::new(),
-            held: HashMap::new(),
             waiting: HashMap::new(),
         }
     }
 
     /// Attempts to acquire `key` in `mode` for `txn`. A sole reader
-    /// upgrades to exclusive in place.
+    /// upgrades to exclusive in place; a grant clears `txn`'s waits-for
+    /// edge, a refusal records one (see [`RwOutcome`]).
     pub fn try_lock(&mut self, txn: TxnId, key: K, mode: Mode) -> RwOutcome {
-        let entry = self.entries.entry(key.clone()).or_default();
+        let entry = self.entries.entry(key).or_default();
         let incompatible_holder = match mode {
             Mode::Shared => match entry.writer {
                 Some(w) if w != txn => Some(w),
@@ -110,7 +124,6 @@ impl<K: Eq + Hash + Ord + Clone> RwLockTable<K> {
                 entry.writer = Some(txn);
             }
         }
-        self.held.entry(txn).or_default().insert(key);
         self.waiting.remove(&txn);
         RwOutcome::Granted
     }
@@ -136,30 +149,18 @@ impl<K: Eq + Hash + Ord + Clone> RwLockTable<K> {
     /// Releases everything `txn` holds and clears its wait edge.
     pub fn release_all(&mut self, txn: TxnId) {
         self.waiting.remove(&txn);
-        if let Some(keys) = self.held.remove(&txn) {
-            for k in keys {
-                if let Some(e) = self.entries.get_mut(&k) {
-                    e.readers.remove(&txn);
-                    if e.writer == Some(txn) {
-                        e.writer = None;
-                    }
-                    if e.readers.is_empty() && e.writer.is_none() {
-                        self.entries.remove(&k);
-                    }
-                }
+        self.entries.retain(|_, e| {
+            e.readers.remove(&txn);
+            if e.writer == Some(txn) {
+                e.writer = None;
             }
-        }
+            e.writer.is_some() || !e.readers.is_empty()
+        });
     }
 
-    /// Does `txn` hold `key` at least in `mode`?
-    pub fn holds(&self, txn: TxnId, key: &K, mode: Mode) -> bool {
-        match self.entries.get(key) {
-            None => false,
-            Some(e) => match mode {
-                Mode::Shared => e.readers.contains(&txn) || e.writer == Some(txn),
-                Mode::Exclusive => e.writer == Some(txn),
-            },
-        }
+    /// The transaction holding `key` exclusively, if any.
+    pub fn writer(&self, key: &K) -> Option<TxnId> {
+        self.entries.get(key).and_then(|e| e.writer)
     }
 
     /// Number of keys with any holder.
@@ -181,8 +182,7 @@ mod tests {
             t.try_lock(TxnId(3), 0, Mode::Exclusive),
             RwOutcome::Busy { .. }
         ));
-        assert!(t.holds(TxnId(1), &0, Mode::Shared));
-        assert!(!t.holds(TxnId(1), &0, Mode::Exclusive));
+        assert_eq!(t.writer(&0), None);
     }
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         let mut t = RwLockTable::new();
         t.try_lock(TxnId(1), 0, Mode::Shared);
         assert_eq!(t.try_lock(TxnId(1), 0, Mode::Exclusive), RwOutcome::Granted);
-        assert!(t.holds(TxnId(1), &0, Mode::Exclusive));
+        assert_eq!(t.writer(&0), Some(TxnId(1)));
     }
 
     #[test]
@@ -255,6 +255,93 @@ mod tests {
         assert_eq!(
             t.try_lock(TxnId(2), 0, Mode::Exclusive),
             RwOutcome::WouldDeadlock
+        );
+    }
+
+    #[test]
+    fn three_party_deadlock_detected() {
+        let mut t = RwLockTable::new();
+        t.try_lock(TxnId(1), "a", Mode::Exclusive);
+        t.try_lock(TxnId(2), "b", Mode::Exclusive);
+        t.try_lock(TxnId(3), "c", Mode::Exclusive);
+        assert_eq!(
+            t.try_lock(TxnId(1), "b", Mode::Exclusive),
+            RwOutcome::Busy { holder: TxnId(2) }
+        );
+        assert_eq!(
+            t.try_lock(TxnId(2), "c", Mode::Exclusive),
+            RwOutcome::Busy { holder: TxnId(3) }
+        );
+        assert_eq!(
+            t.try_lock(TxnId(3), "a", Mode::Exclusive),
+            RwOutcome::WouldDeadlock
+        );
+    }
+
+    #[test]
+    fn release_breaks_wait_chains() {
+        let mut t = RwLockTable::new();
+        t.try_lock(TxnId(1), "a", Mode::Exclusive);
+        assert!(matches!(
+            t.try_lock(TxnId(2), "a", Mode::Exclusive),
+            RwOutcome::Busy { .. }
+        ));
+        t.release_all(TxnId(1));
+        assert_eq!(
+            t.try_lock(TxnId(2), "a", Mode::Exclusive),
+            RwOutcome::Granted
+        );
+        // No stale deadlock from the old edge.
+        assert_eq!(
+            t.try_lock(TxnId(1), "a", Mode::Exclusive),
+            RwOutcome::Busy { holder: TxnId(2) }
+        );
+    }
+
+    #[test]
+    fn regrant_is_idempotent() {
+        let mut t = RwLockTable::new();
+        t.try_lock(TxnId(1), 1, Mode::Exclusive);
+        assert_eq!(t.try_lock(TxnId(1), 1, Mode::Exclusive), RwOutcome::Granted);
+        assert_eq!(t.try_lock(TxnId(1), 1, Mode::Shared), RwOutcome::Granted);
+        assert_eq!(t.locked_count(), 1);
+        assert_eq!(t.writer(&1), Some(TxnId(1)));
+    }
+
+    #[test]
+    fn writer_names_the_exclusive_holder_only() {
+        let mut t = RwLockTable::new();
+        assert_eq!(t.writer(&0), None);
+        t.try_lock(TxnId(1), 0, Mode::Shared);
+        assert_eq!(t.writer(&0), None, "a reader is not a writer");
+        t.try_lock(TxnId(1), 0, Mode::Exclusive);
+        assert_eq!(t.writer(&0), Some(TxnId(1)));
+        t.release_all(TxnId(1));
+        assert_eq!(t.writer(&0), None);
+    }
+
+    #[test]
+    fn busy_names_a_foreign_writer_first_then_the_smallest_foreign_reader() {
+        let mut t = RwLockTable::new();
+        for r in [3, 1, 2] {
+            t.try_lock(TxnId(r), 0, Mode::Shared);
+        }
+        assert_eq!(
+            t.try_lock(TxnId(1), 0, Mode::Exclusive),
+            RwOutcome::Busy { holder: TxnId(2) }
+        );
+        t.release_all(TxnId(1));
+        t.release_all(TxnId(2));
+        t.release_all(TxnId(3));
+        t.try_lock(TxnId(5), 0, Mode::Exclusive);
+        t.try_lock(TxnId(5), 0, Mode::Shared);
+        assert_eq!(
+            t.try_lock(TxnId(4), 0, Mode::Shared),
+            RwOutcome::Busy { holder: TxnId(5) }
+        );
+        assert_eq!(
+            t.try_lock(TxnId(6), 0, Mode::Exclusive),
+            RwOutcome::Busy { holder: TxnId(5) }
         );
     }
 }

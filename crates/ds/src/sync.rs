@@ -1,10 +1,10 @@
 //! Linearization wrapper for base objects.
 //!
 //! Transactional boosting assumes a *linearizable* base object (the
-//! paper's `ConcurrentSkipListMap`). Our substitution gives the
-//! sequential [`SkipListMap`](crate::skiplist::SkipListMap) a
-//! linearizable concurrent interface the cheapest sound way: one lock
-//! around each operation. Linearization points coincide with the critical
+//! paper's `ConcurrentSkipListMap`). Our substitution gives a sequential
+//! object — `std`'s `BTreeMap` in Figure 2's example — a linearizable
+//! concurrent interface the cheapest sound way: one lock around each
+//! operation. Linearization points coincide with the critical
 //! sections, which is all boosting needs — scalability of the base object
 //! is orthogonal to the transaction-level behaviour the reproduction
 //! studies.
@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex};
 /// # Examples
 ///
 /// ```
+/// use std::collections::BTreeMap;
 /// use pushpull_ds::sync::Linearized;
-/// use pushpull_ds::skiplist::SkipListMap;
 ///
-/// let shared = Linearized::new(SkipListMap::new());
+/// let shared = Linearized::new(BTreeMap::new());
 /// let clone = shared.clone();
 /// shared.with(|m| m.insert(1, "a"));
 /// assert_eq!(clone.with(|m| m.get(&1).copied()), Some("a"));
@@ -56,11 +56,11 @@ impl<T> Clone for Linearized<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skiplist::SkipListMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn concurrent_inserts_are_all_applied() {
-        let shared = Linearized::new(SkipListMap::new());
+        let shared = Linearized::new(BTreeMap::new());
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let s = shared.clone();

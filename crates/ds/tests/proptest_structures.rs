@@ -1,120 +1,113 @@
-//! Property-based differential tests: the substrate data structures
-//! against `std` reference models, over arbitrary operation sequences.
+//! Property-based differential tests: the lock table against a reference
+//! model, over arbitrary request sequences.
 //!
 //! Cases are generated with the seeded [`Xorshift64`] PRNG, so every run
 //! checks the same case set and failures reproduce exactly.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use pushpull_core::op::TxnId;
 use pushpull_core::rng::Xorshift64;
-use pushpull_ds::skiplist::SkipListMap;
+use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 
-#[derive(Debug, Clone)]
-enum MapAction {
-    Insert(u16, i32),
-    Remove(u16),
-    Get(u16),
+/// One key's holders in the model.
+#[derive(Debug, Default)]
+struct Holders {
+    writer: Option<TxnId>,
+    readers: BTreeSet<TxnId>,
 }
 
-fn actions(rng: &mut Xorshift64, max_len: usize) -> Vec<MapAction> {
-    let len = rng.gen_index(max_len.max(1));
-    (0..len)
-        .map(|_| {
-            let k = (rng.next_u64() % 64) as u16;
-            match rng.gen_range(0..3) {
-                0 => MapAction::Insert(k, rng.next_u64() as i32),
-                1 => MapAction::Remove(k),
-                _ => MapAction::Get(k),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn skiplist_matches_btreemap() {
-    let mut rng = Xorshift64::new(0xD5_01);
-    for case in 0..128 {
-        let ops = actions(&mut rng, 200);
-        let seed = rng.next_u64() | 1;
-        let mut sl = SkipListMap::with_seed(seed);
-        let mut model: BTreeMap<u16, i32> = BTreeMap::new();
-        for op in &ops {
-            match op {
-                MapAction::Insert(k, v) => {
-                    assert_eq!(sl.insert(*k, *v), model.insert(*k, *v), "case {case}")
-                }
-                MapAction::Remove(k) => assert_eq!(sl.remove(k), model.remove(k), "case {case}"),
-                MapAction::Get(k) => assert_eq!(sl.get(k), model.get(k), "case {case}"),
-            }
-            assert_eq!(sl.len(), model.len(), "case {case}");
-        }
-        // Iteration agrees, in order.
-        let a: Vec<(u16, i32)> = sl.iter().map(|(k, v)| (*k, *v)).collect();
-        let b: Vec<(u16, i32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(a, b, "case {case}");
-    }
-}
-
-/// Skip-list structure is independent of operation interleaving with
-/// no-op queries: gets never perturb state.
-#[test]
-fn skiplist_gets_are_pure() {
-    let mut rng = Xorshift64::new(0xD5_03);
-    for case in 0..128 {
-        let keys: Vec<u16> = (0..rng.gen_range(1..50))
-            .map(|_| rng.next_u64() as u16)
-            .collect();
-        let mut sl = SkipListMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            sl.insert(*k, i);
-        }
-        let before: Vec<(u16, usize)> = sl.iter().map(|(k, v)| (*k, *v)).collect();
-        for k in &keys {
-            let _ = sl.get(k);
-            let _ = sl.contains_key(k);
-        }
-        let after: Vec<(u16, usize)> = sl.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(before, after, "case {case}");
-    }
-}
-
-/// The abstract lock manager never double-grants a key and always
-/// fully releases.
+/// The lock table never grants a key to two writers, or to a writer
+/// beside a foreign reader; every refusal names an incompatible holder
+/// (a foreign writer first, otherwise the smallest foreign reader) and
+/// reports a deadlock exactly when waiting on it would close a waits-for
+/// cycle; and release frees everything.
 #[test]
 fn lock_manager_exclusivity() {
-    use pushpull_core::op::TxnId;
-    use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
-
     let mut rng = Xorshift64::new(0xD5_04);
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
     for case in 0..128 {
         let n_acts = rng.gen_index(100);
-        let mut mgr: AbstractLockManager<u8> = AbstractLockManager::new();
-        let mut model: HashMap<u8, u64> = HashMap::new(); // key -> txn
+        let mut table: RwLockTable<u8> = RwLockTable::new();
+        let mut model: BTreeMap<u8, Holders> = BTreeMap::new();
+        let mut waiting: HashMap<TxnId, TxnId> = HashMap::new();
         for _ in 0..n_acts {
-            let t = (rng.next_u64() % 4) as u8;
+            let txn = TxnId(rng.next_u64() % 4);
             if rng.gen_bool(0.67) {
                 let k = (rng.next_u64() % 8) as u8;
-                let txn = TxnId(u64::from(t));
-                match mgr.try_lock(txn, k) {
-                    LockOutcome::Acquired => {
-                        assert!(!model.contains_key(&k), "case {case}: double grant of {k}");
-                        model.insert(k, u64::from(t));
+                let mode = if rng.gen_bool(0.5) {
+                    Mode::Shared
+                } else {
+                    Mode::Exclusive
+                };
+                let h = model.entry(k).or_default();
+                let foreign_writer = h.writer.filter(|w| *w != txn);
+                let incompatible = match mode {
+                    Mode::Shared => foreign_writer,
+                    Mode::Exclusive => {
+                        foreign_writer.or_else(|| h.readers.iter().copied().find(|r| *r != txn))
                     }
-                    LockOutcome::AlreadyHeld => {
-                        assert_eq!(model.get(&k), Some(&u64::from(t)), "case {case}");
+                };
+                let outcome = table.try_lock(txn, k, mode);
+                seen.insert(match outcome {
+                    RwOutcome::Granted => "granted",
+                    RwOutcome::Busy { .. } => "busy",
+                    RwOutcome::WouldDeadlock => "deadlock",
+                });
+                match incompatible {
+                    None => {
+                        assert_eq!(outcome, RwOutcome::Granted, "case {case}");
+                        match mode {
+                            Mode::Shared => {
+                                h.readers.insert(txn);
+                            }
+                            Mode::Exclusive => {
+                                h.readers.remove(&txn);
+                                h.writer = Some(txn);
+                            }
+                        }
+                        waiting.remove(&txn);
                     }
-                    LockOutcome::Busy { owner } => {
-                        assert_eq!(model.get(&k).copied(), Some(owner.0), "case {case}");
-                    }
-                    LockOutcome::WouldDeadlock { .. } => {
-                        assert!(model.contains_key(&k), "case {case}");
+                    Some(holder) => {
+                        let mut cur = Some(holder);
+                        let mut hops = 0;
+                        while cur.is_some_and(|c| c != txn) && hops <= waiting.len() {
+                            cur = cur.and_then(|c| waiting.get(&c).copied());
+                            hops += 1;
+                        }
+                        if cur == Some(txn) {
+                            assert_eq!(outcome, RwOutcome::WouldDeadlock, "case {case}");
+                        } else {
+                            assert_eq!(outcome, RwOutcome::Busy { holder }, "case {case}");
+                            waiting.insert(txn, holder);
+                        }
                     }
                 }
+                if h.writer.is_none() && h.readers.is_empty() {
+                    model.remove(&k);
+                }
             } else {
-                mgr.release_all(TxnId(u64::from(t)));
-                model.retain(|_, owner| *owner != u64::from(t));
+                table.release_all(txn);
+                for h in model.values_mut() {
+                    h.readers.remove(&txn);
+                    if h.writer == Some(txn) {
+                        h.writer = None;
+                    }
+                }
+                model.retain(|_, h| h.writer.is_some() || !h.readers.is_empty());
+                waiting.remove(&txn);
             }
-            assert_eq!(mgr.locked_count(), model.len(), "case {case}");
+            for (k, h) in &model {
+                assert_eq!(table.writer(k), h.writer, "case {case}: key {k}");
+                if let Some(w) = h.writer {
+                    assert!(
+                        h.readers.iter().all(|r| *r == w),
+                        "case {case}: writer beside a foreign reader on {k}"
+                    );
+                }
+            }
+            assert_eq!(table.locked_count(), model.len(), "case {case}");
         }
     }
+    assert_eq!(seen.len(), 3, "every outcome occurs: {seen:?}");
 }

@@ -8,31 +8,11 @@
 //! this module derives that judgement from the state universe; drivers
 //! and the opacity checker consume it as a closure.
 
-use std::collections::HashSet;
-
 use pushpull_core::op::{Op, OpId, TxnId};
-use pushpull_core::spec::{commute, SeqSpec};
+use pushpull_core::spec::{commute, observable_rets, SeqSpec};
 
-/// All return values `method` can produce anywhere in the specification's
-/// state universe.
-///
-/// Returns `None` for unbounded specifications (no universe to quantify
-/// over).
-fn possible_rets<S: SeqSpec>(spec: &S, method: &S::Method) -> Option<Vec<S::Ret>> {
-    let universe = spec.state_universe()?;
-    let mut out: Vec<S::Ret> = Vec::new();
-    let mut seen: HashSet<S::Ret> = HashSet::new();
-    for s in &universe {
-        for r in spec.results(s, method) {
-            if seen.insert(r.clone()) {
-                out.push(r);
-            }
-        }
-    }
-    Some(out)
-}
-
-/// Does *every possible invocation* of `method` commute (both mover
+/// Does *every possible invocation* of `method` — one per return value
+/// [`observable_rets`] finds in the state universe — commute (both mover
 /// directions) with the concrete operation `op`? Conservatively `false`
 /// for unbounded specifications.
 ///
@@ -55,9 +35,10 @@ pub fn method_commutes_with_op<S: SeqSpec>(
     method: &S::Method,
     op: &Op<S::Method, S::Ret>,
 ) -> bool {
-    let Some(rets) = possible_rets(spec, method) else {
+    let Some(universe) = spec.state_universe() else {
         return false;
     };
+    let rets = observable_rets(spec, &universe, method);
     rets.iter().all(|r| {
         let candidate = Op::new(
             OpId(u64::MAX - 1),
@@ -78,9 +59,10 @@ mod tests {
     #[test]
     fn possible_rets_enumerates_universe_observations() {
         let spec = Counter::with_universe(2);
-        let rets = possible_rets(&spec, &CtrMethod::Get).unwrap();
+        let universe = spec.state_universe().unwrap();
+        let rets = observable_rets(&spec, &universe, &CtrMethod::Get);
         assert_eq!(rets.len(), 5); // -2..=2
-        let rets = possible_rets(&spec, &CtrMethod::Add(1)).unwrap();
+        let rets = observable_rets(&spec, &universe, &CtrMethod::Add(1));
         assert_eq!(rets, vec![CtrRet::Ack]);
     }
 

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use pushpull_core::error::MachineError;
 use pushpull_core::op::{OpId, ThreadId};
 use pushpull_core::{Code, TxnHandle};
-use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
+use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 
 use crate::conflict::ConflictKeyed;
 use crate::driver::{Algorithm, Driver, Outcome};
@@ -60,13 +60,14 @@ use crate::util::{fork_mutex, pull_committed_lenient};
 /// ```
 pub type BoostingSystem<S> = Driver<Boosting<S>>;
 
-/// The boosting algorithm's cross-thread state: the abstract lock
-/// manager behind a short-held mutex. The per-thread state is the number
-/// of aborts forced on the thread and not yet taken (the test hook for
-/// the Figure 2 abort path, [`BoostingSystem::force_abort`]).
+/// The boosting algorithm's cross-thread state: the abstract locks, each
+/// an exclusive grant in a [`RwLockTable`] behind a short-held mutex.
+/// The per-thread state is the number of aborts forced on the thread and
+/// not yet taken (the test hook for the Figure 2 abort path,
+/// [`BoostingSystem::force_abort`]).
 #[derive(Debug)]
 pub struct Boosting<S: ConflictKeyed> {
-    locks: Mutex<AbstractLockManager<S::LockKey>>,
+    locks: Mutex<RwLockTable<S::LockKey>>,
 }
 
 impl<S: ConflictKeyed> Clone for Boosting<S> {
@@ -104,25 +105,25 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
             };
             self.locks
                 .lock()
-                .expect("lock manager poisoned")
+                .expect("lock table poisoned")
                 .release_all(committed);
             return Ok(Outcome::Committed);
         }
         let (method, _) = &options[0];
         // Acquire this method's abstract locks (2PL: held to commit).
         for key in h.spec().lock_keys(method) {
-            match self
-                .locks
-                .lock()
-                .expect("lock manager poisoned")
-                .try_lock(txn, key)
-            {
-                LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
+            let outcome =
+                self.locks
+                    .lock()
+                    .expect("lock table poisoned")
+                    .try_lock(txn, key, Mode::Exclusive);
+            match outcome {
+                RwOutcome::Granted => {}
                 // The contention policy decides how long to tolerate
                 // push-wait / lock-wait livelocks the waits-for graph
                 // cannot see.
-                LockOutcome::Busy { .. } => return Ok(Outcome::Wait),
-                LockOutcome::WouldDeadlock { .. } => return Ok(Outcome::Abort),
+                RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
+                RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
             }
         }
         // Implicit PULL: refresh the committed shared view (the paper's
@@ -165,7 +166,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         h.abort_and_retry()?;
         self.locks
             .lock()
-            .expect("lock manager poisoned")
+            .expect("lock table poisoned")
             .release_all(txn);
         Ok(())
     }
@@ -176,7 +177,7 @@ impl<S: ConflictKeyed> BoostingSystem<S> {
     /// bodies) on thread `i`.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
         let alg = Boosting {
-            locks: Mutex::new(AbstractLockManager::new()),
+            locks: Mutex::new(RwLockTable::new()),
         };
         Driver::host(alg, spec, programs)
     }

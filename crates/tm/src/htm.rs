@@ -5,9 +5,10 @@
 //! granularity *eager* conflict detection (the first conflicting access
 //! between two live transactions aborts one of them) and lazy publication
 //! (buffered writes become visible at commit). In PUSH/PULL terms: APP
-//! during the run, eager conflicts tracked by
-//! [`HtmConflicts`] (the simulated
-//! cache-coherence machinery), PUSH*;CMT at commit, UNAPP* on abort.
+//! during the run, eager conflicts tracked in a [`RwLockTable`] (the
+//! simulated cache-coherence machinery: a read is a shared grant of its
+//! word, a write an exclusive one, and a refused request is a conflict),
+//! PUSH*;CMT at commit, UNAPP* on abort.
 //!
 //! This is the substitution for real TSX/POWER hardware recorded in
 //! DESIGN.md: conflict granularity, eagerness and the abort signal are
@@ -17,7 +18,7 @@ use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
-use pushpull_ds::memory::HtmConflicts;
+use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
 use crate::driver::{Algorithm, Driver, Outcome, Phase};
@@ -48,12 +49,13 @@ use crate::util::{fork_mutex, pull_committed_lenient};
 /// ```
 pub type HtmSystem = Driver<Htm>;
 
-/// The simulated HTM: its cache-coherence machinery — the algorithm's
-/// only cross-thread state, behind a short-held mutex. Per thread, the
+/// The simulated HTM: its cache-coherence machinery — which live
+/// transaction reads or writes which word, the algorithm's only
+/// cross-thread state, behind a short-held mutex. Per thread, the
 /// begin/running [`Phase`].
 #[derive(Debug)]
 pub struct Htm {
-    tracker: Mutex<HtmConflicts<Loc>>,
+    tracker: Mutex<RwLockTable<Loc>>,
 }
 
 impl Clone for Htm {
@@ -84,14 +86,14 @@ impl Algorithm for Htm {
         let txn = h.txn();
         let options = h.step_options()?;
         if options.is_empty() {
-            // Commit: publish the write buffer, then CMT; clear the
-            // access tracker either way.
+            // Commit: publish the write buffer, then CMT, then release
+            // the word grants (a refused commit aborts, which releases).
             return match h.push_all_and_commit() {
                 Ok(committed) => {
                     self.tracker
                         .lock()
                         .expect("conflict tracker poisoned")
-                        .clear(committed);
+                        .release_all(committed);
                     *phase = Phase::Begin;
                     Ok(Outcome::Committed)
                 }
@@ -108,15 +110,19 @@ impl Algorithm for Htm {
         }
         // Eager word-granularity conflict detection: the access that
         // closes a conflict aborts its own transaction (requester-loses,
-        // as on real best-effort HTMs).
-        let access = {
-            let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
-            match method {
-                MemMethod::Read(l) => tr.record_read(txn, l),
-                MemMethod::Write(l, _) => tr.record_write(txn, l),
-            }
+        // as on real best-effort HTMs), whether the table calls it busy or
+        // a deadlock. The abort's release clears the refusal's waits-for
+        // edge in the same tick.
+        let (loc, mode) = match method {
+            MemMethod::Read(l) => (l, Mode::Shared),
+            MemMethod::Write(l, _) => (l, Mode::Exclusive),
         };
-        if access.is_err() {
+        let access = self
+            .tracker
+            .lock()
+            .expect("conflict tracker poisoned")
+            .try_lock(txn, loc, mode);
+        if access != RwOutcome::Granted {
             return Ok(Outcome::Abort);
         }
         match h.app_method(&method) {
@@ -133,7 +139,7 @@ impl Algorithm for Htm {
         self.tracker
             .lock()
             .expect("conflict tracker poisoned")
-            .clear(txn);
+            .release_all(txn);
         *phase = Phase::Begin;
         Ok(())
     }
@@ -144,7 +150,7 @@ impl HtmSystem {
     /// default contention policy.
     pub fn new(programs: Vec<Vec<Code<MemMethod>>>) -> Self {
         let alg = Htm {
-            tracker: Mutex::new(HtmConflicts::new()),
+            tracker: Mutex::new(RwLockTable::new()),
         };
         Driver::host(alg, RwMem::new(), programs)
     }

@@ -19,10 +19,9 @@ use std::sync::Mutex;
 use pushpull_core::error::MachineError;
 use pushpull_core::faults::HtmFault;
 use pushpull_core::log::LocalFlag;
-use pushpull_core::op::OpId;
+use pushpull_core::op::{OpId, TxnId};
 use pushpull_core::{Code, TxnHandle};
-use pushpull_ds::locks::{AbstractLockManager, LockOutcome};
-use pushpull_ds::memory::HtmConflicts;
+use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::composite::{Either, Product};
 use pushpull_spec::counter::{Counter, CtrMethod, CtrRet};
 use pushpull_spec::kvmap::{KvMap, MapMethod, MapRet};
@@ -90,13 +89,14 @@ pub fn is_htm(m: &MixedMethod) -> bool {
     matches!(m, Either::R(_))
 }
 
-fn htm_access(m: &MixedMethod) -> Option<(HtmWord, bool)> {
-    // (word, is_write)
+/// The HTM word an HTM-managed method touches, shared for a read and
+/// exclusive for a write.
+fn htm_access(m: &MixedMethod) -> Option<(HtmWord, Mode)> {
     match m {
-        Either::R(Either::L(CtrMethod::Add(_))) => Some((HtmWord::Size, true)),
-        Either::R(Either::L(CtrMethod::Get)) => Some((HtmWord::Size, false)),
-        Either::R(Either::R(MemMethod::Read(l))) => Some((HtmWord::Mem(*l), false)),
-        Either::R(Either::R(MemMethod::Write(l, _))) => Some((HtmWord::Mem(*l), true)),
+        Either::R(Either::L(CtrMethod::Add(_))) => Some((HtmWord::Size, Mode::Exclusive)),
+        Either::R(Either::L(CtrMethod::Get)) => Some((HtmWord::Size, Mode::Shared)),
+        Either::R(Either::R(MemMethod::Read(l))) => Some((HtmWord::Mem(*l), Mode::Shared)),
+        Either::R(Either::R(MemMethod::Write(l, _))) => Some((HtmWord::Mem(*l), Mode::Exclusive)),
         Either::L(_) => None,
     }
 }
@@ -126,13 +126,15 @@ fn htm_access(m: &MixedMethod) -> Option<(HtmWord, bool)> {
 /// ```
 pub type MixedSystem = Driver<Mixed>;
 
-/// The mixed algorithm's cross-thread state: abstract locks for the
-/// boosted components, the simulated HTM tracker for the word components.
-/// Each sits behind a short-held mutex.
+/// The mixed algorithm's cross-thread state: two [`RwLockTable`]s, one
+/// holding the boosted components' abstract locks (exclusive), one the
+/// HTM words' reads and writes (the simulated HTM's conflicts). Each sits
+/// behind a short-held mutex, and a partial HTM rewind releases only the
+/// second.
 #[derive(Debug)]
 pub struct Mixed {
-    locks: Mutex<AbstractLockManager<<MixedSpec as ConflictKeyed>::LockKey>>,
-    tracker: Mutex<HtmConflicts<HtmWord>>,
+    locks: Mutex<RwLockTable<<MixedSpec as ConflictKeyed>::LockKey>>,
+    tracker: Mutex<RwLockTable<HtmWord>>,
 }
 
 impl Clone for Mixed {
@@ -152,6 +154,16 @@ pub struct MixedThread {
 }
 
 impl Mixed {
+    /// Records `txn`'s access to an HTM word; `false` is an HTM conflict
+    /// (a busy word and a would-be deadlock alike).
+    fn record(&self, txn: TxnId, word: HtmWord, mode: Mode) -> bool {
+        self.tracker
+            .lock()
+            .expect("conflict tracker poisoned")
+            .try_lock(txn, word, mode)
+            == RwOutcome::Granted
+    }
+
     /// The §7 move: discard trailing (necessarily HTM) unpushed effects
     /// while leaving the pushed boosted effects in the shared view, then
     /// resume forward execution. Re-records the surviving HTM accesses.
@@ -176,15 +188,16 @@ impl Mixed {
             }
             h.unapp()?;
         }
-        // Rebuild the tracker from the surviving npshd entries (there are
-        // none at the tail now, but earlier HTM ops may survive between
-        // pushed boosted ops — they cannot, actually: npshd entries are
-        // contiguous at the tail only when every boosted op pushed at
-        // APP; re-scan to stay robust).
+        // Release the HTM words, then re-record the surviving npshd
+        // entries. HTM entries that were applied before a later boosted
+        // op was pushed survive the rewind: in §7's program `size++` is
+        // applied before `hashT.put` is pushed, so a conflict on `x`
+        // rewinds `x` alone and `size++` is recorded again here. The
+        // release also clears the refused request's waits-for edge.
         self.tracker
             .lock()
             .expect("conflict tracker poisoned")
-            .clear(txn);
+            .release_all(txn);
         let survivors: Vec<MixedMethod> = h
             .local()
             .iter()
@@ -192,16 +205,8 @@ impl Mixed {
             .map(|e| e.op.method)
             .collect();
         for m in survivors {
-            if let Some((w, is_write)) = htm_access(&m) {
-                let res = {
-                    let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
-                    if is_write {
-                        tr.record_write(txn, w)
-                    } else {
-                        tr.record_read(txn, w)
-                    }
-                };
-                if res.is_err() {
+            if let Some((word, mode)) = htm_access(&m) {
+                if !self.record(txn, word, mode) {
                     // A surviving access still conflicts: give up fully.
                     return Ok(Outcome::Abort);
                 }
@@ -218,15 +223,15 @@ impl Mixed {
     ) -> Result<Outcome, MachineError> {
         let txn = h.txn();
         for key in h.spec().lock_keys(&method) {
-            match self
-                .locks
-                .lock()
-                .expect("lock manager poisoned")
-                .try_lock(txn, key)
-            {
-                LockOutcome::Acquired | LockOutcome::AlreadyHeld => {}
-                LockOutcome::Busy { .. } => return Ok(Outcome::Wait),
-                LockOutcome::WouldDeadlock { .. } => return Ok(Outcome::Abort),
+            let outcome =
+                self.locks
+                    .lock()
+                    .expect("lock table poisoned")
+                    .try_lock(txn, key, Mode::Exclusive);
+            match outcome {
+                RwOutcome::Granted => {}
+                RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
+                RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
             }
         }
         pull_committed_lenient(h)?;
@@ -261,16 +266,8 @@ impl Mixed {
             Some(HtmFault::Capacity) => return Ok(Outcome::Abort),
             None => {}
         }
-        if let Some((w, is_write)) = htm_access(&method) {
-            let res = {
-                let mut tr = self.tracker.lock().expect("conflict tracker poisoned");
-                if is_write {
-                    tr.record_write(txn, w)
-                } else {
-                    tr.record_read(txn, w)
-                }
-            };
-            if res.is_err() {
+        if let Some((word, mode)) = htm_access(&method) {
+            if !self.record(txn, word, mode) {
                 // HTM signals abort: rewind only the HTM suffix (§7).
                 return self.partial_htm_abort(h, t);
             }
@@ -312,12 +309,12 @@ impl Algorithm for Mixed {
                 Ok(committed) => {
                     self.locks
                         .lock()
-                        .expect("lock manager poisoned")
+                        .expect("lock table poisoned")
                         .release_all(committed);
                     self.tracker
                         .lock()
                         .expect("conflict tracker poisoned")
-                        .clear(txn);
+                        .release_all(txn);
                     t.phase = Phase::Begin;
                     Ok(Outcome::Committed)
                 }
@@ -339,12 +336,12 @@ impl Algorithm for Mixed {
         h.abort_and_retry()?;
         self.locks
             .lock()
-            .expect("lock manager poisoned")
+            .expect("lock table poisoned")
             .release_all(txn);
         self.tracker
             .lock()
             .expect("conflict tracker poisoned")
-            .clear(txn);
+            .release_all(txn);
         t.phase = Phase::Begin;
         Ok(())
     }
@@ -355,8 +352,8 @@ impl MixedSystem {
     /// default contention policy.
     pub fn new(spec: MixedSpec, programs: Vec<Vec<Code<MixedMethod>>>) -> Self {
         let alg = Mixed {
-            locks: Mutex::new(AbstractLockManager::new()),
-            tracker: Mutex::new(HtmConflicts::new()),
+            locks: Mutex::new(RwLockTable::new()),
+            tracker: Mutex::new(RwLockTable::new()),
         };
         Driver::host(alg, spec, programs)
     }
@@ -372,7 +369,7 @@ mod tests {
     use super::methods::*;
     use super::*;
     use crate::driver::{Tick, TmSystem};
-    use crate::util::run_round_robin;
+    use crate::util::{next_unblocked_tick, run_round_robin};
     use pushpull_core::op::ThreadId;
     use pushpull_core::serializability::check_machine;
 
@@ -425,32 +422,53 @@ mod tests {
 
     #[test]
     fn partial_htm_abort_preserves_boosted_pushes() {
-        // T0 runs the §7 transaction up to (and including) size++ and
-        // x-write applied; T1 then writes x via HTM, forcing T0's next
-        // HTM access… instead, script T0 past its HTM ops, then have T1
-        // conflict on the size word so T0's *surviving* access conflicts.
+        // T0 runs §7's transaction on word x; T1 writes x first, so T0's
+        // own x access conflicts after its boosted put is pushed. T0's
+        // partial rewind keeps both boosted pushes and its `size++`,
+        // which was applied before the put and so survives; T2 then
+        // writes `size` and is refused until T0 commits.
         let mut sys = MixedSystem::new(
             mixed_spec(),
             vec![
                 section7_prog(1, 0),
                 vec![Code::method(mem(MemMethod::Write(Loc(0), 7)))],
+                vec![Code::method(size(CtrMethod::Add(1)))],
             ],
         );
-        // T0: begin, insert(boosted), size++(HTM), put(boosted), x-write(HTM app only).
-        for _ in 0..5 {
-            sys.tick(ThreadId(0)).unwrap();
+        // T0: begin, insert (boosted, pushed), size++ (HTM), put (boosted,
+        // pushed).
+        for _ in 0..4 {
+            assert_eq!(sys.tick(ThreadId(0)).unwrap(), Tick::Progress);
         }
-        assert_eq!(sys.machine().global().len(), 2, "two boosted pushes in G");
-        // T1 begins, then its write to word x conflicts with T0's tracked
-        // write → T1 aborts itself (requester-loses).
-        assert_eq!(sys.tick(ThreadId(1)).unwrap(), Tick::Progress);
-        let t = sys.tick(ThreadId(1)).unwrap();
-        assert_eq!(t, Tick::Aborted);
-        // T0 commits: pushes size++ and x, CMT.
-        let t = sys.tick(ThreadId(0)).unwrap();
-        assert_eq!(t, Tick::Committed);
-        run_round_robin(&mut sys, 2000);
-        assert_eq!(sys.stats().commits, 2);
-        assert!(check_machine(sys.machine()).is_serializable());
+        // T1: begin, write x (HTM): T1 now holds word x.
+        for _ in 0..2 {
+            assert_eq!(sys.tick(ThreadId(1)).unwrap(), Tick::Progress);
+        }
+        // T0's x write conflicts: a partial rewind, not a full abort.
+        assert_eq!(sys.tick(ThreadId(0)).unwrap(), Tick::Aborted);
+        assert_eq!(sys.partial_htm_aborts(), 1);
+        assert_eq!(sys.machine().global().len(), 2, "both boosted pushes in G");
+        let local = sys.machine().thread(ThreadId(0)).unwrap().local();
+        assert_eq!(local.len(), 3, "insert, size++ and put survive");
+        assert!(local.entries()[1].flag.is_not_pushed(), "size++ is npshd");
+        // The survivor is tracked again: T2's write to `size` is refused
+        // while T0 is live (the policy may back either thread off after
+        // an abort, so blocked ticks are skipped).
+        assert_eq!(sys.tick(ThreadId(2)).unwrap(), Tick::Progress);
+        assert_eq!(next_unblocked_tick(&mut sys, ThreadId(2)), Tick::Aborted);
+        // T2 has no boosted op, so its refusal is an (empty) partial
+        // rewind too.
+        assert_eq!(sys.partial_htm_aborts(), 2);
+        // T1 commits and releases x; T0 writes x and commits.
+        assert_eq!(sys.tick(ThreadId(1)).unwrap(), Tick::Committed);
+        assert_eq!(sys.machine().global().len(), 3);
+        assert_eq!(next_unblocked_tick(&mut sys, ThreadId(0)), Tick::Progress);
+        assert_eq!(next_unblocked_tick(&mut sys, ThreadId(0)), Tick::Committed);
+        assert_eq!(sys.partial_htm_aborts(), 2, "T0 committed without another");
+        // Now T2's write goes through.
+        run_round_robin(&mut sys, 200);
+        assert_eq!(sys.stats().commits, 3);
+        let report = check_machine(sys.machine());
+        assert!(report.is_serializable(), "{report}");
     }
 }

@@ -65,9 +65,10 @@ struct Tl2Txn {
 pub type Tl2System = Driver<Tl2>;
 
 /// TL2's shared metadata: the global version clock (already atomic) and
-/// the versioned memory with its commit-time location locks (behind a
-/// short-held mutex — the per-location locks inside are the real
-/// protocol; the mutex only guards the table itself).
+/// the versioned memory, whose commit-time location locks are exclusive
+/// grants in its [`RwLockTable`](pushpull_ds::rwlocks::RwLockTable)
+/// (behind a short-held mutex — the per-location locks inside are the
+/// real protocol; the mutex only guards the table itself).
 #[derive(Debug)]
 pub struct Tl2 {
     clock: GlobalClock,

@@ -89,8 +89,8 @@ mod tests {
         let mut m = Machine::new(ToyCounter::with_bound(4));
         let a = m.add_thread(vec![Code::method(CounterMethod::Inc)]);
         let b = m.add_thread(vec![Code::method(CounterMethod::Get)]);
-        // a commits enough incs to exceed what b's local log can absorb…
-        // actually: make b's local log conflict by giving it a stale get.
+        // a commits an inc; b's local log then holds a stale get, which
+        // conflicts with it.
         let ia = m.app_auto(a).unwrap();
         m.push(a, ia).unwrap();
         m.commit(a).unwrap();

@@ -12,17 +12,19 @@
 //!
 //! This example (a) runs concurrent boosted transactions and prints their
 //! rule decomposition, (b) exercises the abort path, and (c) mirrors the
-//! committed machine state into the real substrate data structure (a
-//! skip-list map behind a lock — our stand-in for Java's
-//! `ConcurrentSkipListMap`) to show the implementation-level view agrees
-//! with the model-level view.
+//! committed machine state into the real substrate data structure (`std`'s
+//! `BTreeMap` behind a lock — our stand-in for Java's
+//! `ConcurrentSkipListMap`; boosting only needs a linearizable base
+//! object) to show the implementation-level view agrees with the
+//! model-level view.
 //!
 //! Run with: `cargo run --example boosting_hashtable`
+
+use std::collections::BTreeMap;
 
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
-use pushpull::ds::skiplist::SkipListMap;
 use pushpull::ds::sync::Linearized;
 use pushpull::harness::{run, RandomSched};
 use pushpull::spec::kvmap::{KvMap, MapMethod, MapRet};
@@ -99,9 +101,9 @@ fn main() {
     assert_eq!(sys.stats().commits, 3);
 
     // Implementation-level view: replay the committed log into the real
-    // substrate (skip-list map behind a lock, like the paper's
-    // ConcurrentSkipListMap) and compare.
-    let base: Linearized<SkipListMap<u64, i64>> = Linearized::new(SkipListMap::new());
+    // substrate (an ordered map behind a lock, standing in for the
+    // paper's ConcurrentSkipListMap) and compare.
+    let base: Linearized<BTreeMap<u64, i64>> = Linearized::new(BTreeMap::new());
     for op in sys.machine().global().committed_ops() {
         match op.method {
             MapMethod::Put(k, v) => {
@@ -131,7 +133,7 @@ fn main() {
             }
         }
     }
-    println!("\nsubstrate skip-list agrees with the committed log:");
+    println!("\nsubstrate BTreeMap agrees with the committed log:");
     base.with(|m| {
         for (k, v) in m.iter() {
             println!("  {k} -> {v}");

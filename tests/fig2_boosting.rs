@@ -108,11 +108,11 @@ fn all_interleavings_serializable() {
 }
 
 /// The model-level committed log replays into the *real* substrate
-/// (skip-list map) with every observation agreeing — Figure 2's two
+/// (an ordered map) with every observation agreeing — Figure 2's two
 /// views of one execution.
 #[test]
 fn committed_log_mirrors_into_substrate() {
-    use pushpull::ds::mirror::SkipListMirror;
+    use pushpull::ds::mirror::MapMirror;
     for seed in 1..=10u64 {
         let mut sys = BoostingSystem::new(
             KvMap::new(),
@@ -124,7 +124,7 @@ fn committed_log_mirrors_into_substrate() {
         );
         run(&mut sys, &mut RandomSched::new(seed), 200_000).unwrap();
         assert!(sys.is_done(), "seed {seed}");
-        let mut mirror = SkipListMirror::new();
+        let mut mirror = MapMirror::new();
         let committed = sys.machine().global().committed_ops();
         let n = mirror
             .replay(committed.iter())

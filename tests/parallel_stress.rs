@@ -43,7 +43,7 @@ fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
 }
 
 /// §6.3 boosting across 8 OS threads contending on 4 keys. APP ticks
-/// touch no global lock; the abstract lock manager serializes conflicts.
+/// touch no global lock; the abstract locks serialize conflicts.
 #[test]
 fn parallel_boosting_eight_threads() {
     for round in 0..ROUNDS {

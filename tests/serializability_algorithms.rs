@@ -4,14 +4,19 @@
 
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
+use pushpull::core::opacity::check_trace;
 use pushpull::core::serializability::{check_machine, find_any_serialization};
-use pushpull::harness::{explore, run, ExploreLimits, RandomSched, WorkloadSpec};
+use pushpull::harness::{explore, run, ExploreLimits, ExploreReport, RandomSched, WorkloadSpec};
 use pushpull::spec::counter::{Counter, CtrMethod};
-use pushpull::spec::kvmap::KvMap;
+use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
+use pushpull::spec::set::SetMethod;
+use pushpull::tm::mixed::{methods, mixed_spec};
 use pushpull::tm::optimistic::{OptimisticSystem, ReadPolicy};
 use pushpull::tm::pessimistic::MatveevShavitSystem;
-use pushpull::tm::{BoostingSystem, HtmSystem, IrrevocableSystem, TmSystem};
+use pushpull::tm::{
+    BoostingSystem, HtmSystem, IrrevocableSystem, MixedSystem, Tl2System, TmSystem, TwoPhaseLocking,
+};
 
 fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
     vec![Code::seq_all(vec![
@@ -177,4 +182,93 @@ fn permutation_search_agrees_with_commit_order() {
             "seed {seed}"
         );
     }
+}
+
+/// Explores `sys` to `max_depth` ticks, checking `check` on every
+/// terminal state.
+fn explore_to<T: TmSystem + Clone>(
+    sys: &T,
+    max_depth: usize,
+    check: &mut impl FnMut(&T) -> bool,
+) -> ExploreReport {
+    let limits = ExploreLimits {
+        max_depth,
+        max_terminals: 200_000,
+    };
+    explore(sys, limits, check).unwrap()
+}
+
+fn report(terminals: usize, depth_pruned: usize) -> ExploreReport {
+    ExploreReport {
+        terminals,
+        depth_pruned,
+        stuck: 0,
+        failures: 0,
+    }
+}
+
+/// TL2 over every interleaving of two read-modify-writes of one shared
+/// location: commit locks and version validation abort the loser, every
+/// terminal run is serializable and opaque, and TL2's validation is never
+/// contradicted by the machine's criteria. Complete: no path reaches the
+/// depth bound. The exact report pins the commit-lock table's tick
+/// sequence.
+#[test]
+fn tl2_shared_location_exhaustive() {
+    let sys = Tl2System::new(vec![rmw(0, 1), rmw(0, 2)]);
+    let r = explore_to(&sys, 64, &mut |s| {
+        s.criteria_surprises() == 0
+            && check_machine(s.machine()).is_serializable()
+            && check_trace(&s.machine().trace()).is_opaque()
+    });
+    assert_eq!(r, report(70, 0));
+}
+
+/// The simulated HTM over the same program: eager word conflicts abort
+/// the requester, which may retry and lose again indefinitely, so the
+/// exploration is bounded by depth. Every run it finishes is
+/// serializable and opaque; the exact report pins the conflict table's
+/// tick sequence.
+#[test]
+fn htm_shared_word_exhaustive() {
+    let sys = HtmSystem::new(vec![rmw(0, 1), rmw(0, 2)]);
+    let r = explore_to(&sys, 20, &mut |s| {
+        check_machine(s.machine()).is_serializable()
+            && check_trace(&s.machine().trace()).is_opaque()
+    });
+    assert_eq!(r, report(774, 3480));
+}
+
+/// Strict 2PL over the same program: both readers share the location,
+/// the second upgrade closes a waits-for cycle and aborts, and the
+/// aborted thread may close it again on retry — bounded by depth. Every
+/// finished run is serializable.
+#[test]
+fn two_phase_shared_location_exhaustive() {
+    let sys = TwoPhaseLocking::new(vec![rmw(0, 1), rmw(0, 2)]);
+    let r = explore_to(&sys, 24, &mut |s| {
+        check_machine(s.machine()).is_serializable()
+    });
+    assert_eq!(r, report(380, 1152));
+}
+
+/// §7's mixed transaction on two threads with distinct boosted keys and
+/// shared HTM words (`size` and `x`): abstract locks never conflict,
+/// the HTM words do, and the loser takes a partial rewind or a full
+/// abort. Bounded by depth; every finished run is serializable.
+#[test]
+fn mixed_section7_shared_words_exhaustive() {
+    let section7 = |k: u64| {
+        vec![Code::seq_all(vec![
+            Code::method(methods::skiplist(SetMethod::Add(k))),
+            Code::method(methods::size(CtrMethod::Add(1))),
+            Code::method(methods::hash_table(MapMethod::Put(k, k as i64))),
+            Code::method(methods::mem(MemMethod::Write(Loc(0), 1))),
+        ])]
+    };
+    let sys = MixedSystem::new(mixed_spec(), vec![section7(1), section7(2)]);
+    let r = explore_to(&sys, 18, &mut |s| {
+        check_machine(s.machine()).is_serializable()
+    });
+    assert_eq!(r, report(2058, 6450));
 }
