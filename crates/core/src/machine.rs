@@ -176,38 +176,10 @@ impl<S: SeqSpec> Machine<S> {
 
     /// A snapshot of the group-commit batch counters (batches sealed,
     /// transactions/operations batched, lock acquisitions saved, batch
-    /// size histogram). All-zero until [`Self::commit_group`] runs.
+    /// size histogram). All-zero until [`crate::group::commit_group`]
+    /// runs over this machine's handles.
     pub fn group_stats(&self) -> crate::global::GroupStats {
         self.global.group_stats()
-    }
-
-    /// Commits the commit-ready transactions of `tids` through the
-    /// per-shard group-commit path (see [`crate::group::commit_group`]):
-    /// one shard-lock acquisition and one contiguous stamp range per
-    /// shard batch, with ineligible threads reported back for the
-    /// per-transaction fallback. Duplicate or out-of-range tids error.
-    pub fn commit_group(&mut self, tids: &[ThreadId]) -> MachineResult<crate::group::GroupOutcome> {
-        let mut want = vec![false; self.handles.len()];
-        for t in tids {
-            if t.0 >= self.handles.len() {
-                return Err(MachineError::NoSuchThread(*t));
-            }
-            if std::mem::replace(&mut want[t.0], true) {
-                return Err(MachineError::NoSuchThread(*t));
-            }
-        }
-        // Disjoint `&mut` handles, in the caller's tid order.
-        let mut by_tid: Vec<Option<&mut TxnHandle<S>>> = self
-            .handles
-            .iter_mut()
-            .zip(&want)
-            .map(|(h, w)| if *w { Some(h) } else { None })
-            .collect();
-        let mut selected: Vec<&mut TxnHandle<S>> = Vec::with_capacity(tids.len());
-        for t in tids {
-            selected.push(by_tid[t.0].take().expect("validated above"));
-        }
-        Ok(crate::group::commit_group(&mut selected))
     }
 
     /// Switches between incremental (committed-prefix cached) and
@@ -928,7 +900,10 @@ mod tests {
         // uncommitted push, one refused arming request.
         m.app_auto(a).unwrap();
         m.app_auto(b).unwrap();
-        assert_eq!(m.commit_group(&[a, b]).unwrap().batched_txns, 2);
+        let [ha, hb, _] = m.handles_mut() else {
+            unreachable!("three threads")
+        };
+        assert_eq!(crate::group::commit_group(&mut [ha, hb]).batched_txns, 2);
         m.begin_nested(c, ScopeKind::Closed).unwrap();
         let op = m.app_auto(c).unwrap();
         m.push(c, op).unwrap();

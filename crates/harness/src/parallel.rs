@@ -105,8 +105,8 @@ pub struct WatchdogReport {
     /// Per-shard `(acquires, contended)`, ascending by shard index —
     /// pinpoints *which* shard a log-bound livelock is fighting over.
     pub lock_stats_per_shard: Vec<(u64, u64)>,
-    /// Group-commit batch counters (all-zero unless the system runs the
-    /// service commit seam) — a stall with `batches` flat but
+    /// Group-commit batch counters (all-zero unless the system commits
+    /// through `commit_group`) — a stall with `batches` flat but
     /// commit-ready work queued means the batching stage itself is
     /// wedged.
     pub group_stats: pushpull_core::GroupStats,

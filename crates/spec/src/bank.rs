@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, Rets, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 
 /// Account identifiers.
 pub type Acct = u32;
@@ -264,13 +264,20 @@ impl SeqSpec for Bank {
         Some(ms)
     }
 
-    /// The inverse oracle delegates to [`crate::inverse::Inverses`]:
-    /// a deposit is undone by a withdrawal of the same amount and vice
-    /// versa; failed withdrawals and `Balance` leave the state
-    /// untouched.
+    /// A deposit is undone by a withdrawal of the same amount and vice
+    /// versa; failed withdrawals, zero amounts and `Balance` leave the
+    /// state untouched.
     #[inline]
-    fn inverse(&self, op: &BankOp) -> pushpull_core::spec::OpInverse<BankMethod, BankRet> {
-        crate::inverse::lift::<Self>(op)
+    fn inverse(&self, op: &BankOp) -> OpInverse<BankMethod, BankRet> {
+        match (op.method, op.ret) {
+            (BankMethod::Deposit(a, n), BankRet::Ack) if n > 0 => {
+                OpInverse::Inverse(BankMethod::Withdraw(a, n), BankRet::Ok(true))
+            }
+            (BankMethod::Withdraw(a, n), BankRet::Ok(true)) if n > 0 => {
+                OpInverse::Inverse(BankMethod::Deposit(a, n), BankRet::Ack)
+            }
+            _ => OpInverse::ReadOnly,
+        }
     }
 
     #[inline]

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, Rets, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 
 /// Methods of the counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,12 +161,14 @@ impl SeqSpec for Counter {
         ])
     }
 
-    /// The inverse oracle delegates to [`crate::inverse::Inverses`]:
     /// `Add(k)` is undone by `Add(-k)` (the counter is unsaturated, so
     /// every add is invertible); `Get` and `Add(0)` change nothing.
     #[inline]
-    fn inverse(&self, op: &CtrOp) -> pushpull_core::spec::OpInverse<CtrMethod, CtrRet> {
-        crate::inverse::lift::<Self>(op)
+    fn inverse(&self, op: &CtrOp) -> OpInverse<CtrMethod, CtrRet> {
+        match op.method {
+            CtrMethod::Add(k) if k != 0 => OpInverse::Inverse(CtrMethod::Add(-k), CtrRet::Ack),
+            _ => OpInverse::ReadOnly,
+        }
     }
 
     #[inline]

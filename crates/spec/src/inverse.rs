@@ -3,8 +3,9 @@
 //! The model's UNPUSH removes an operation from the shared log; §4 notes
 //! it is "typically implemented via inverse operations (such as `remove`
 //! on an element that had been `added`)", and Figure 2's abort path calls
-//! "the appropriate inverse operation". This module provides the inverse
-//! oracle for each specification and the law that makes the
+//! "the appropriate inverse operation". Each specification declares its
+//! inverses in [`SeqSpec::inverse`](pushpull_core::SeqSpec::inverse);
+//! this module states, and its tests check, the law that makes the
 //! implementation strategy sound:
 //!
 //! > applying `op` and then `inverse(op)` denotes the same states as
@@ -21,165 +22,30 @@
 //! `Write` over an unknown previous value) have no context-free inverse,
 //! which is precisely why word-based STMs keep undo-logs — the inverse
 //! is manufactured from the recorded previous value, as
-//! [`MemInverse`] shows with `Prev`-carrying
+//! [`MemInverse`](crate::rwmem::MemInverse) shows with `Prev`-carrying
 //! rets.
-
-use pushpull_core::op::Op;
-use pushpull_core::spec::OpInverse;
-
-use crate::bank::{BankMethod, BankOp, BankRet};
-use crate::counter::{CtrMethod, CtrOp, CtrRet};
-use crate::kvmap::{MapMethod, MapOp, MapRet};
-use crate::rwmem::{MemInverse, MemMethod, UndoOp, UndoRet};
-use crate::set::{SetMethod, SetOp, SetRet};
-
-/// A specification whose operations admit inverses.
-pub trait Inverses {
-    /// Method and return types mirror the spec's.
-    type Method;
-    /// Return type.
-    type Ret;
-
-    /// The method that undoes `op`'s state change, with the expected
-    /// observation, or `None` when the operation is read-only (nothing
-    /// to undo).
-    fn inverse(op: &Op<Self::Method, Self::Ret>) -> Option<(Self::Method, Self::Ret)>;
-}
-
-/// Lifts the [`Inverses`] oracle into the core machine's three-way
-/// [`OpInverse`] verdict. `Some` becomes [`OpInverse::Inverse`]; `None`
-/// becomes [`OpInverse::ReadOnly`], which is sound exactly because every
-/// `None` below is a state-preserving operation — a read, a failed
-/// update (`add` that was already present, `remove`/`Withdraw` that
-/// found nothing), or a no-op (`Add(0)`, `Deposit(_, 0)`).
-///
-/// Specs with genuinely destructive operations (an absolute `Write`
-/// without a recorded previous value) must *not* route through this
-/// helper — they override [`pushpull_core::SeqSpec::inverse`] directly
-/// to return [`OpInverse::NotInvertible`], as
-/// [`RwMem`](crate::rwmem::RwMem) does.
-#[inline]
-pub fn lift<I>(op: &Op<I::Method, I::Ret>) -> OpInverse<I::Method, I::Ret>
-where
-    I: Inverses,
-{
-    match I::inverse(op) {
-        Some((m, r)) => OpInverse::Inverse(m, r),
-        None => OpInverse::ReadOnly,
-    }
-}
-
-impl Inverses for crate::set::SetSpec {
-    type Method = SetMethod;
-    type Ret = SetRet;
-
-    #[inline]
-    fn inverse(op: &SetOp) -> Option<(SetMethod, SetRet)> {
-        match (op.method, op.ret) {
-            // add that inserted ⇒ remove it; add that was a no-op ⇒ nothing.
-            (SetMethod::Add(x), SetRet(true)) => Some((SetMethod::Remove(x), SetRet(true))),
-            (SetMethod::Add(_), SetRet(false)) => None,
-            // remove that removed ⇒ add it back.
-            (SetMethod::Remove(x), SetRet(true)) => Some((SetMethod::Add(x), SetRet(true))),
-            (SetMethod::Remove(_), SetRet(false)) => None,
-            (SetMethod::Contains(_), _) => None,
-        }
-    }
-}
-
-impl Inverses for crate::kvmap::KvMap {
-    type Method = MapMethod;
-    type Ret = MapRet;
-
-    #[inline]
-    fn inverse(op: &MapOp) -> Option<(MapMethod, MapRet)> {
-        match (op.method, op.ret) {
-            // The Prev-carrying ret is the undo log entry.
-            (MapMethod::Put(k, v), MapRet::Prev(Some(old))) => {
-                Some((MapMethod::Put(k, old), MapRet::Prev(Some(v))))
-            }
-            (MapMethod::Put(k, v), MapRet::Prev(None)) => {
-                Some((MapMethod::Remove(k), MapRet::Prev(Some(v))))
-            }
-            (MapMethod::Remove(k), MapRet::Prev(Some(old))) => {
-                Some((MapMethod::Put(k, old), MapRet::Prev(None)))
-            }
-            (MapMethod::Remove(_), MapRet::Prev(None)) => None,
-            _ => None, // reads
-        }
-    }
-}
-
-impl Inverses for crate::counter::Counter {
-    type Method = CtrMethod;
-    type Ret = CtrRet;
-
-    #[inline]
-    fn inverse(op: &CtrOp) -> Option<(CtrMethod, CtrRet)> {
-        match op.method {
-            CtrMethod::Add(0) => None,
-            CtrMethod::Add(k) => Some((CtrMethod::Add(-k), CtrRet::Ack)),
-            CtrMethod::Get => None,
-        }
-    }
-}
-
-impl Inverses for crate::bank::Bank {
-    type Method = BankMethod;
-    type Ret = BankRet;
-
-    #[inline]
-    fn inverse(op: &BankOp) -> Option<(BankMethod, BankRet)> {
-        match (op.method, op.ret) {
-            (BankMethod::Deposit(a, n), BankRet::Ack) if n > 0 => {
-                Some((BankMethod::Withdraw(a, n), BankRet::Ok(true)))
-            }
-            (BankMethod::Withdraw(a, n), BankRet::Ok(true)) if n > 0 => {
-                Some((BankMethod::Deposit(a, n), BankRet::Ack))
-            }
-            _ => None,
-        }
-    }
-}
-
-impl Inverses for MemInverse {
-    type Method = MemMethod;
-    type Ret = UndoRet;
-
-    #[inline]
-    fn inverse(op: &UndoOp) -> Option<(MemMethod, UndoRet)> {
-        match (op.method, op.ret) {
-            // The recorded previous value *is* the undo-log entry: write
-            // it back, observing the value we are undoing.
-            (MemMethod::Write(l, v), UndoRet::Prev(p)) => {
-                Some((MemMethod::Write(l, p), UndoRet::Prev(v)))
-            }
-            _ => None, // reads
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use pushpull_core::op::{OpId, TxnId};
-    use pushpull_core::spec::SeqSpec;
+    use pushpull_core::op::{Op, OpId, TxnId};
+    use pushpull_core::spec::{OpInverse, SeqSpec, StateSet};
 
     /// The inverse law: `⟦ℓ · op · op⁻¹⟧ = ⟦ℓ⟧` whenever `ℓ · op` is
     /// allowed — checked over the whole bounded state universe by
-    /// running from every state. A `None` verdict lifts to
-    /// [`OpInverse::ReadOnly`], so it carries its own obligation:
-    /// `⟦ℓ · op⟧ = ⟦ℓ⟧` (the operation must be state-preserving).
-    fn check_inverse_law<S>(spec: &S, ops: &[Op<<S as SeqSpec>::Method, <S as SeqSpec>::Ret>])
-    where
-        S: SeqSpec + Inverses<Method = <S as SeqSpec>::Method, Ret = <S as SeqSpec>::Ret>,
-    {
+    /// running from every state. [`OpInverse::ReadOnly`] carries its own
+    /// obligation: `⟦ℓ · op⟧ = ⟦ℓ⟧` (the operation must be
+    /// state-preserving). None of the checked operations is
+    /// [`OpInverse::NotInvertible`].
+    fn check_inverse_law<S: SeqSpec>(spec: &S, ops: &[Op<S::Method, S::Ret>]) {
         let universe = spec.state_universe().expect("bounded spec");
         for op in ops {
-            let inv = <S as Inverses>::inverse(op)
-                .map(|(im, ir)| Op::new(OpId(op.id.0 + 1000), TxnId(0), im, ir));
+            let inv = match spec.inverse(op) {
+                OpInverse::Inverse(im, ir) => Some(Op::new(OpId(op.id.0 + 1000), TxnId(0), im, ir)),
+                OpInverse::ReadOnly => None,
+                OpInverse::NotInvertible => panic!("{:?}/{:?} has no inverse", op.method, op.ret),
+            };
             for s in &universe {
-                let start: pushpull_core::spec::StateSet<_> = std::iter::once(s.clone()).collect();
+                let start: StateSet<_> = std::iter::once(s.clone()).collect();
                 let fwd = spec.denote_from(&start, std::slice::from_ref(op));
                 if fwd.is_empty() {
                     continue; // op not allowed here
@@ -264,37 +130,6 @@ mod tests {
         check_inverse_law(&spec, &ops);
     }
 
-    /// The lifted verdicts agree with the core oracle: `Some` lifts to
-    /// `Inverse`, `None` to `ReadOnly`, and `RwMem`'s absolute writes —
-    /// which destroy the overwritten value — stay `NotInvertible`.
-    #[test]
-    fn lift_matches_core_verdicts() {
-        use pushpull_core::spec::OpInverse;
-        {
-            use crate::set::{ops as o, SetSpec};
-            let spec = SetSpec::new();
-            assert_eq!(
-                spec.inverse(&o::add(0, 0, 1, true)),
-                OpInverse::Inverse(SetMethod::Remove(1), SetRet(true))
-            );
-            assert_eq!(spec.inverse(&o::add(1, 0, 1, false)), OpInverse::ReadOnly);
-            assert!(spec.has_inverses());
-        }
-        {
-            use crate::rwmem::{ops as o, Loc, MemInverse, RwMem};
-            let rw = RwMem::new();
-            assert_eq!(rw.inverse(&o::read(0, 0, 1, 0)), OpInverse::ReadOnly);
-            assert_eq!(rw.inverse(&o::write(1, 0, 1, 5)), OpInverse::NotInvertible);
-            assert!(!rw.has_inverses());
-            let undo = MemInverse::new();
-            assert_eq!(
-                undo.inverse(&o::undo_write(2, 0, 1, 5, 3)),
-                OpInverse::Inverse(MemMethod::Write(Loc(1), 3), UndoRet::Prev(5))
-            );
-            assert!(undo.has_inverses());
-        }
-    }
-
     /// Figure 2's abort path as the implementation sees it: a boosted put
     /// aborts by applying the inverse put/remove to the base object —
     /// equivalently, removing the op from the log. Both views agree.
@@ -307,10 +142,11 @@ mod tests {
         // View 1 (the model): remove put(2) from the log.
         let unpushed = vec![with_op[0].clone()];
         // View 2 (the implementation): append the inverse of put(2).
-        let (im, ir) = <KvMap as Inverses>::inverse(&with_op[1]).unwrap();
+        let OpInverse::Inverse(im, ir) = spec.inverse(&with_op[1]) else {
+            panic!("a put that inserted is invertible");
+        };
         let mut inversed = with_op.clone();
         inversed.push(Op::new(OpId(99), TxnId(1), im, ir));
-        use pushpull_core::spec::SeqSpec as _;
         assert_eq!(spec.denote(&unpushed), spec.denote(&inversed));
     }
 }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, Rets, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 
 /// Map keys.
 pub type Key = u64;
@@ -243,11 +243,22 @@ impl SeqSpec for KvMap {
         Some(ms)
     }
 
-    /// The inverse oracle delegates to [`crate::inverse::Inverses`]: the
-    /// `Prev`-carrying ret of `put`/`remove` is the undo-log entry.
+    /// The `Prev`-carrying ret of `put`/`remove` is the undo-log entry;
+    /// reads and a `remove` that found nothing change nothing.
     #[inline]
-    fn inverse(&self, op: &MapOp) -> pushpull_core::spec::OpInverse<MapMethod, MapRet> {
-        crate::inverse::lift::<Self>(op)
+    fn inverse(&self, op: &MapOp) -> OpInverse<MapMethod, MapRet> {
+        match (op.method, op.ret) {
+            (MapMethod::Put(k, v), MapRet::Prev(Some(old))) => {
+                OpInverse::Inverse(MapMethod::Put(k, old), MapRet::Prev(Some(v)))
+            }
+            (MapMethod::Put(k, v), MapRet::Prev(None)) => {
+                OpInverse::Inverse(MapMethod::Remove(k), MapRet::Prev(Some(v)))
+            }
+            (MapMethod::Remove(k), MapRet::Prev(Some(old))) => {
+                OpInverse::Inverse(MapMethod::Put(k, old), MapRet::Prev(None))
+            }
+            _ => OpInverse::ReadOnly,
+        }
     }
 
     #[inline]

@@ -19,8 +19,8 @@
 //!   asymmetry (withdraw moves across deposit, not vice versa);
 //! * [`composite`] — products of specifications (§7's multi-object
 //!   transactions), cross-component operations always commuting;
-//! * [`inverse`] — inverse-operation oracles, validating the paper's
-//!   "UNPUSH … typically implemented via inverse operations";
+//! * [`inverse`] — the law every spec's inverse oracle obeys, validating
+//!   the paper's "UNPUSH … typically implemented via inverse operations";
 //! * [`refinement`] — the §6.1 opacity-refinement oracle (may a
 //!   transaction pull this uncommitted effect?).
 //!
@@ -47,7 +47,6 @@ pub mod set;
 pub use bank::Bank;
 pub use composite::{Either, Product};
 pub use counter::Counter;
-pub use inverse::Inverses;
 pub use kvmap::KvMap;
 pub use queue::QueueSpec;
 pub use register::CasRegister;

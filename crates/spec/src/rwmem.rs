@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, Rets, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 
 /// A memory location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -248,10 +248,10 @@ impl SeqSpec for RwMem {
     /// [`MemInverse`] (whose writes record the overwritten value) when
     /// open nesting or boosting-style undo is needed.
     #[inline]
-    fn inverse(&self, op: &MemOp) -> pushpull_core::spec::OpInverse<MemMethod, MemRet> {
+    fn inverse(&self, op: &MemOp) -> OpInverse<MemMethod, MemRet> {
         match op.method {
-            MemMethod::Read(_) => pushpull_core::spec::OpInverse::ReadOnly,
-            MemMethod::Write(_, _) => pushpull_core::spec::OpInverse::NotInvertible,
+            MemMethod::Read(_) => OpInverse::ReadOnly,
+            MemMethod::Write(_, _) => OpInverse::NotInvertible,
         }
     }
 }
@@ -418,9 +418,16 @@ impl SeqSpec for MemInverse {
         Some(ms)
     }
 
+    /// The recorded previous value *is* the undo-log entry: write it
+    /// back, observing the value being undone. Reads change nothing.
     #[inline]
-    fn inverse(&self, op: &UndoOp) -> pushpull_core::spec::OpInverse<MemMethod, UndoRet> {
-        crate::inverse::lift::<Self>(op)
+    fn inverse(&self, op: &UndoOp) -> OpInverse<MemMethod, UndoRet> {
+        match (op.method, op.ret) {
+            (MemMethod::Write(l, v), UndoRet::Prev(p)) => {
+                OpInverse::Inverse(MemMethod::Write(l, p), UndoRet::Prev(v))
+            }
+            _ => OpInverse::ReadOnly,
+        }
     }
 
     #[inline]

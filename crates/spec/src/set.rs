@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use pushpull_core::op::Op;
-use pushpull_core::spec::{KeySet, Rets, SeqSpec};
+use pushpull_core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 
 /// Set elements.
 pub type Elem = u64;
@@ -184,12 +184,19 @@ impl SeqSpec for SetSpec {
         Some(ms)
     }
 
-    /// The inverse oracle delegates to [`crate::inverse::Inverses`]: a
-    /// successful `add` is undone by `remove` (and vice versa); failed
+    /// A successful `add` is undone by `remove` (and vice versa); failed
     /// updates and `contains` leave the state untouched.
     #[inline]
-    fn inverse(&self, op: &SetOp) -> pushpull_core::spec::OpInverse<SetMethod, SetRet> {
-        crate::inverse::lift::<Self>(op)
+    fn inverse(&self, op: &SetOp) -> OpInverse<SetMethod, SetRet> {
+        match (op.method, op.ret) {
+            (SetMethod::Add(x), SetRet(true)) => {
+                OpInverse::Inverse(SetMethod::Remove(x), SetRet(true))
+            }
+            (SetMethod::Remove(x), SetRet(true)) => {
+                OpInverse::Inverse(SetMethod::Add(x), SetRet(true))
+            }
+            _ => OpInverse::ReadOnly,
+        }
     }
 
     #[inline]

@@ -21,13 +21,13 @@
 use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
-use pushpull_core::op::{OpId, ThreadId};
+use pushpull_core::op::ThreadId;
 use pushpull_core::{Code, TxnHandle};
-use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
+use pushpull_ds::rwlocks::{Mode, RwLockTable};
 
 use crate::conflict::ConflictKeyed;
 use crate::driver::{Algorithm, Driver, Outcome};
-use crate::util::{fork_mutex, pull_committed_lenient};
+use crate::util::{fork_mutex, locked_step, release_all};
 
 /// A transactional-boosting system over any [`ConflictKeyed`]
 /// specification.
@@ -93,61 +93,18 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
             *forced -= 1;
             return Ok(Outcome::Abort);
         }
-        let txn = h.txn();
         // Commit once no method remains: boosting runs each transaction
         // to completion in program order.
         let options = h.step_options()?;
-        if options.is_empty() {
-            let committed = match h.commit() {
-                Ok(c) => c,
-                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-                Err(e) => return Err(e),
-            };
-            self.locks
-                .lock()
-                .expect("lock table poisoned")
-                .release_all(committed);
+        let Some((method, _)) = options.first() else {
+            let committed = h.commit()?;
+            release_all(&self.locks, committed);
             return Ok(Outcome::Committed);
-        }
-        let (method, _) = &options[0];
-        // Acquire this method's abstract locks (2PL: held to commit).
-        for key in h.spec().lock_keys(method) {
-            let outcome =
-                self.locks
-                    .lock()
-                    .expect("lock table poisoned")
-                    .try_lock(txn, key, Mode::Exclusive);
-            match outcome {
-                RwOutcome::Granted => {}
-                // The contention policy decides how long to tolerate
-                // push-wait / lock-wait livelocks the waits-for graph
-                // cannot see.
-                RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
-                RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
-            }
-        }
-        // Implicit PULL: refresh the committed shared view (the paper's
-        // "the local view is the same as the shared view").
-        pull_committed_lenient(h)?;
-        // APP, then immediately PUSH.
-        let method = method.clone();
-        let op: OpId = match h.app_method(&method) {
-            Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-            Err(e) => return Err(e),
         };
-        match h.push(op) {
-            Ok(()) => Ok(Outcome::Progress),
-            Err(e) if e.is_criterion() => {
-                // Criterion (ii)/(iii) conflict the locks could not
-                // express: undo the APP and wait for the conflicting
-                // transaction to commit (abort if it takes too long).
-                h.unapp()?;
-                Ok(Outcome::Wait)
-            }
-            Err(e) => Err(e),
-        }
+        // This method's abstract locks (2PL: held to commit), then APP;
+        // PUSH at once.
+        let keys = h.spec().lock_keys(method);
+        locked_step(h, &self.locks, keys, Mode::Exclusive, method)
     }
 
     fn abort(&self, h: &mut TxnHandle<S>, _: &mut u32) -> Result<(), MachineError> {
@@ -164,10 +121,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         // Figure 2's abort path: UNPUSH; UNAPP in reverse order
         // (rewind_all walks the local log from the tail), then unlock.
         h.abort_and_retry()?;
-        self.locks
-            .lock()
-            .expect("lock table poisoned")
-            .release_all(txn);
+        release_all(&self.locks, txn);
         Ok(())
     }
 }

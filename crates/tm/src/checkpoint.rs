@@ -105,13 +105,13 @@ impl<S: SeqSpec> Algorithm for Checkpoint<S> {
             h.begin_checkpoint()?;
             return match h.app_method(&method) {
                 Ok(_) => Ok(Outcome::Progress),
-                Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
-                    // Local view wedged: partial-abort to the checkpoint
-                    // before the first invalid entry instead of a full
-                    // abort.
+                // Local view wedged: partial-abort to the checkpoint
+                // before the first invalid entry instead of a full abort —
+                // which is what the denial means when there is none.
+                Err(e @ (MachineError::NoAllowedResult(_) | MachineError::Criterion(_))) => {
                     match first_invalid(h) {
                         Some(idx) => rewind_to(h, t, idx),
-                        None => Ok(Outcome::Abort),
+                        None => Err(e),
                     }
                 }
                 Err(e) => Err(e),

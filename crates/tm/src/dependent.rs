@@ -208,14 +208,10 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
         if !options.is_empty() {
             pull_everything(h, t)?;
             let method = options[0].0.clone();
-            let op = match h.app_method(&method) {
-                Ok(op) => op,
-                Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
-                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-                Err(e) => return Err(e),
-            };
+            let op = h.app_method(&method)?;
             if self.eager_release {
-                // Early release: publish if the criteria allow it.
+                // Early release: publish if the criteria allow it (a
+                // denial keeps the operation local until commit).
                 match h.push(op) {
                     Ok(()) | Err(MachineError::Criterion(_)) => {}
                     Err(e) => return Err(e),
@@ -244,23 +240,16 @@ impl<S: SeqSpec> Algorithm for Dependent<S> {
                             t.deps.remove(&dep);
                             Ok(Outcome::Progress)
                         }
-                        Err(MachineError::NoSuchOp(_)) | Err(MachineError::Criterion(_)) => {
-                            Ok(Outcome::Abort)
-                        }
+                        Err(MachineError::NoSuchOp(_)) => Ok(Outcome::Abort),
                         Err(e) => Err(e),
                     };
                 }
             }
         }
-        match h.push_all_and_commit() {
-            Ok(_) => {
-                t.deps.clear();
-                t.phase = Phase::Begin;
-                Ok(Outcome::Committed)
-            }
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
+        h.push_all_and_commit()?;
+        t.deps.clear();
+        t.phase = Phase::Begin;
+        Ok(Outcome::Committed)
     }
 
     fn abort(&self, h: &mut TxnHandle<S>, t: &mut DepThread) -> Result<(), MachineError> {

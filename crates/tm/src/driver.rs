@@ -19,9 +19,14 @@
 //! (turning each outcome into the [`Tick`], the per-thread counters and
 //! the contention governor's calls, and taking every abort through one
 //! site), statistics folding, cloning, the per-thread worker split and
-//! what a system exposes of its machine ([`TmSystem`]). A system declares
-//! no rule pattern: which rules fire is observed on its runs (the
-//! criteria audit and the golden rule traces).
+//! what a system exposes of its machine ([`TmSystem`]). A denied rule has
+//! one meaning, given there too: a criterion violation or
+//! `NoAllowedResult` that `step` returns is the transaction's abort (a
+//! wait-out on a thread that [never aborts](Algorithm::never_aborts)), so
+//! a step hands every denial it has no other reaction to back with `?`,
+//! and `tick` returns structural errors only. A system declares no rule
+//! pattern: which rules fire is observed on its runs (the criteria audit
+//! and the golden rule traces).
 //!
 //! Systems are `Clone` so the model checker can branch on scheduler
 //! choices; all shared implementation state therefore lives *inside* the
@@ -83,9 +88,9 @@ pub enum Outcome {
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
 /// A system *hands out its machine*: everything machine-level — spec
-/// certificates, strict mode, shard configuration,
-/// lock/group/nesting counters, the group-commit
-/// seam — is reached through [`machine`](TmSystem::machine) /
+/// certificates, strict mode, shard configuration, lock/group/nesting
+/// counters, the handles [`commit_group`](pushpull_core::commit_group)
+/// takes — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
 /// method. Implementors are [`Driver`] (the ten §6/§7 algorithm classes
 /// of this crate are aliases of it) and `pushpull_server::TxnServer`.
@@ -97,10 +102,10 @@ pub trait TmSystem {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] only for *structural* misuse or criterion
-    /// violations the algorithm cannot interpret as a conflict; expected
-    /// conflicts are handled internally (abort/retry/block) and reported
-    /// through [`Tick`].
+    /// Structural errors only (a missing thread, operation or scope, a
+    /// wrong flag, …). A denied rule — a criterion violation or
+    /// `NoAllowedResult` — is the system's own to take back (abort, retry
+    /// or block) and is reported through [`Tick`].
     fn tick(&mut self, tid: ThreadId) -> Result<Tick, MachineError>;
 
     /// Number of threads in the system.
@@ -121,8 +126,8 @@ pub trait TmSystem {
     /// [`Machine::install_certificate`]).
     fn machine(&self) -> &Machine<Self::MachineSpec>;
 
-    /// The underlying machine, mutably (resharding, the
-    /// [`Machine::commit_group`] seam).
+    /// The underlying machine, mutably (resharding, its handles for
+    /// [`commit_group`](pushpull_core::commit_group)).
     fn machine_mut(&mut self) -> &mut Machine<Self::MachineSpec>;
 
     /// Reshards the machine's shared log into `shards` footprint-addressed
@@ -180,7 +185,11 @@ pub trait Algorithm {
     ///
     /// # Errors
     ///
-    /// As [`TmSystem::tick`].
+    /// A criterion violation or `NoAllowedResult` is a denial, and
+    /// [`Driver`] turns it into [`Outcome::Abort`] (or
+    /// [`Outcome::WaitOut`] where [`never_aborts`](Self::never_aborts));
+    /// every other error is structural and comes back from
+    /// [`TmSystem::tick`] unchanged.
     fn step(
         &self,
         h: &mut TxnHandle<Self::Spec>,
@@ -332,23 +341,33 @@ where
 /// One tick of one thread: the governor's gate, then the algorithm's
 /// step, then the transaction lifecycle — the single function behind
 /// both [`TmSystem::tick`] and [`ParallelSystem::workers`], and the one
-/// place that counts commits, aborts and blocked ticks, tells the
-/// governor, and rolls a transaction back.
+/// place that interprets a denied rule, counts commits, aborts and
+/// blocked ticks, tells the governor, and rolls a transaction back.
 fn tick_thread<A: Algorithm>(
     alg: &A,
     h: &mut TxnHandle<A::Spec>,
     t: &mut Slot<A::Thread>,
     gov: &mut Governor,
 ) -> Result<Tick, MachineError> {
+    // A kill or a denied rule rolls the transaction back, unless the
+    // thread never rolls back: then it is waited out.
+    let refused = if alg.never_aborts(h.tid()) {
+        Outcome::WaitOut
+    } else {
+        Outcome::Abort
+    };
     let outcome = match gov.gate(h) {
         Gate::Done => {
             alg.on_done(h);
             return Ok(Tick::Done);
         }
         Gate::Park => Outcome::WaitOut,
-        Gate::Kill if alg.never_aborts(h.tid()) => Outcome::WaitOut,
-        Gate::Kill => Outcome::Abort,
-        Gate::Run => alg.step(h, &mut t.local)?,
+        Gate::Kill => refused,
+        Gate::Run => match alg.step(h, &mut t.local) {
+            Ok(outcome) => outcome,
+            Err(MachineError::Criterion(_) | MachineError::NoAllowedResult(_)) => refused,
+            Err(e) => return Err(e),
+        },
     };
     let roll_back = match outcome {
         Outcome::Progress => {
@@ -479,8 +498,8 @@ pub struct SystemStats {
     /// Logical sessions the service front-end multiplexed (zero outside
     /// `pushpull-server` runs).
     pub sessions: u64,
-    /// Group-commit batches sealed (each is one shard-lock acquisition
-    /// covering many transactions' PUSH/CMT critical sections).
+    /// Group-commit batches sealed: held sections that committed at
+    /// least one transaction.
     pub group_batches: u64,
     /// Transactions committed through a group-commit batch.
     pub group_txns: u64,
@@ -488,7 +507,9 @@ pub struct SystemStats {
     /// per-transaction path.
     pub group_locks_saved: u64,
     /// Commit-ready transactions that fell back to the per-transaction
-    /// path (mixed shards or coarse mode).
+    /// path: a coarse route or coarse mode, a live nested scope, a
+    /// registered compensation, or nothing to commit. (A multi-shard
+    /// transaction is batched, in a held section of its own.)
     pub group_fallbacks: u64,
     /// Batch-size histogram in fixed ascending power-of-two buckets
     /// (1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+) — deterministic to
@@ -575,5 +596,86 @@ impl std::ops::Add for SystemStats {
 impl std::iter::Sum for SystemStats {
     fn sum<I: Iterator<Item = SystemStats>>(iter: I) -> SystemStats {
         iter.fold(SystemStats::default(), std::ops::Add::add)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pushpull_core::error::{Clause, CriterionViolation, Rule};
+    use pushpull_core::toy::{CounterMethod, ToyCounter};
+
+    type Handle = TxnHandle<ToyCounter>;
+
+    /// An algorithm whose every step fails with `error`; its per-thread
+    /// state counts the rollbacks the skeleton runs.
+    #[derive(Debug)]
+    struct Failing {
+        error: MachineError,
+        never_aborts: bool,
+    }
+
+    impl Algorithm for Failing {
+        type Spec = ToyCounter;
+        type Thread = u32;
+
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn step(&self, _: &mut Handle, _: &mut u32) -> Result<Outcome, MachineError> {
+            Err(self.error.clone())
+        }
+
+        fn abort(&self, _: &mut Handle, rollbacks: &mut u32) -> Result<(), MachineError> {
+            *rollbacks += 1;
+            Ok(())
+        }
+
+        fn never_aborts(&self, _: ThreadId) -> bool {
+            self.never_aborts
+        }
+    }
+
+    /// A denial from `step` is the skeleton's abort — one rollback,
+    /// counted, and told to the governor — or a blocked tick on a thread
+    /// that never aborts; any other error comes back from `tick` as is.
+    #[test]
+    fn tick_alone_interprets_a_denial() {
+        let t = ThreadId(0);
+        let (rule, clause, detail) = (Rule::Push, Clause::Ii, String::new());
+        let criterion = MachineError::Criterion(CriterionViolation {
+            rule,
+            clause,
+            detail,
+        });
+        let (no_result, structural) = (
+            MachineError::NoAllowedResult(t),
+            MachineError::NoSuchStep(t),
+        );
+        let cases = [
+            (criterion.clone(), false, Ok(Tick::Aborted)),
+            (no_result.clone(), false, Ok(Tick::Aborted)),
+            (criterion, true, Ok(Tick::Blocked)),
+            (no_result, true, Ok(Tick::Blocked)),
+            (structural.clone(), false, Err(structural.clone())),
+            (structural.clone(), true, Err(structural)),
+        ];
+        for (error, never_aborts, expected) in cases {
+            let alg = Failing {
+                error,
+                never_aborts,
+            };
+            let program = vec![Code::method(CounterMethod::Inc)];
+            let mut sys = Driver::host(alg, ToyCounter::with_bound(4), vec![program]);
+            let tick = sys.tick(t);
+            assert_eq!(tick, expected, "never aborts: {never_aborts}");
+            let (aborted, blocked) = (tick == Ok(Tick::Aborted), tick == Ok(Tick::Blocked));
+            assert_eq!(sys.locals().next(), Some(&u32::from(aborted)), "rollbacks");
+            let stats = sys.stats();
+            assert_eq!(stats.aborts, u64::from(aborted));
+            assert_eq!(stats.max_abort_streak, u64::from(aborted), "the governor's");
+            assert_eq!(stats.blocked_ticks, u64::from(blocked));
+        }
     }
 }

@@ -22,7 +22,7 @@ use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
 use crate::driver::{Algorithm, Driver, Outcome, Phase};
-use crate::util::{fork_mutex, pull_committed_lenient};
+use crate::util::{fork_mutex, pull_committed_lenient, release_all};
 
 /// A simulated-HTM system over [`RwMem`].
 ///
@@ -88,18 +88,10 @@ impl Algorithm for Htm {
         if options.is_empty() {
             // Commit: publish the write buffer, then CMT, then release
             // the word grants (a refused commit aborts, which releases).
-            return match h.push_all_and_commit() {
-                Ok(committed) => {
-                    self.tracker
-                        .lock()
-                        .expect("conflict tracker poisoned")
-                        .release_all(committed);
-                    *phase = Phase::Begin;
-                    Ok(Outcome::Committed)
-                }
-                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                Err(e) => Err(e),
-            };
+            let committed = h.push_all_and_commit()?;
+            release_all(&self.tracker, committed);
+            *phase = Phase::Begin;
+            return Ok(Outcome::Committed);
         }
         let method = options[0].0;
         // Injected hardware faults: a capacity overflow or a spurious
@@ -125,21 +117,14 @@ impl Algorithm for Htm {
         if access != RwOutcome::Granted {
             return Ok(Outcome::Abort);
         }
-        match h.app_method(&method) {
-            Ok(_) => Ok(Outcome::Progress),
-            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
+        h.app_method(&method)?;
+        Ok(Outcome::Progress)
     }
 
     fn abort(&self, h: &mut TxnHandle<RwMem>, phase: &mut Phase) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
-        self.tracker
-            .lock()
-            .expect("conflict tracker poisoned")
-            .release_all(txn);
+        release_all(&self.tracker, txn);
         *phase = Phase::Begin;
         Ok(())
     }

@@ -67,80 +67,6 @@ pub struct IrrThread {
     irrevocable_aborts: u64,
 }
 
-impl<S: SeqSpec> Irrevocable<S> {
-    /// One tick of the pessimistic thread: eager APP;PUSH on its own
-    /// handle, waiting out (never aborting through) any conflict.
-    fn step_irrevocable(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut IrrThread,
-    ) -> Result<Outcome, MachineError> {
-        let options = h.step_options()?;
-        if options.is_empty() {
-            // Everything is already pushed; CMT cannot fail for the
-            // irrevocable thread — an injected denial is waited out (never
-            // abort), and the retry next tick succeeds.
-            return match h.commit() {
-                Ok(_) => {
-                    t.phase = Phase::Begin;
-                    Ok(Outcome::Committed)
-                }
-                Err(e) if e.is_criterion() => Ok(Outcome::WaitOut),
-                Err(e) => Err(e),
-            };
-        }
-        // Refresh committed view, then APP;PUSH eagerly.
-        pull_committed_lenient(h)?;
-        let method = options[0].0.clone();
-        let op = match h.app_method(&method) {
-            Ok(op) => op,
-            // A racing commit shifted the committed prefix between our
-            // PULL and APP; the snapshot will be consistent next tick.
-            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::WaitOut),
-            // An injected APP denial: transient — retry next tick.
-            Err(e) if e.is_criterion() => return Ok(Outcome::WaitOut),
-            Err(e) => return Err(e),
-        };
-        match h.push(op) {
-            Ok(()) => Ok(Outcome::Progress),
-            Err(e) if e.is_criterion() => {
-                // An optimistic transaction is mid-commit: wait it out.
-                // (Never abort — undo the APP and retry the same method.)
-                h.unapp()?;
-                Ok(Outcome::WaitOut)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// One tick of an optimistic thread, exactly as in
-    /// [`crate::optimistic`].
-    fn step_optimistic(
-        &self,
-        h: &mut TxnHandle<S>,
-        t: &mut IrrThread,
-    ) -> Result<Outcome, MachineError> {
-        let options = h.step_options()?;
-        if options.is_empty() {
-            return match h.push_all_and_commit() {
-                Ok(_) => {
-                    t.phase = Phase::Begin;
-                    Ok(Outcome::Committed)
-                }
-                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                Err(e) => Err(e),
-            };
-        }
-        let method = options[0].0.clone();
-        match h.app_method(&method) {
-            Ok(_) => Ok(Outcome::Progress),
-            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 impl<S: SeqSpec> Algorithm for Irrevocable<S> {
     type Spec = S;
     type Thread = IrrThread;
@@ -149,18 +75,49 @@ impl<S: SeqSpec> Algorithm for Irrevocable<S> {
         "irrevocable"
     }
 
-    /// One tick for one thread; dispatches on whether this is the
-    /// irrevocable thread.
+    /// One tick for one thread. An optimistic thread APPs and commits
+    /// with PUSH*;CMT. The irrevocable thread APPs and PUSHes eagerly on
+    /// its own handle, and every denial it meets is waited out (the
+    /// skeleton never aborts it, see [`Algorithm::never_aborts`]) and
+    /// retried next tick.
     fn step(&self, h: &mut TxnHandle<S>, t: &mut IrrThread) -> Result<Outcome, MachineError> {
         if t.phase == Phase::Begin {
             pull_committed_lenient(h)?;
             t.phase = Phase::Running;
             return Ok(Outcome::Progress);
         }
-        if h.tid() == self.irrevocable {
-            self.step_irrevocable(h, t)
-        } else {
-            self.step_optimistic(h, t)
+        let irrevocable = h.tid() == self.irrevocable;
+        let options = h.step_options()?;
+        if options.is_empty() {
+            // The irrevocable thread pushed everything already, so its CMT
+            // can only meet an injected denial.
+            if irrevocable {
+                h.commit()?;
+            } else {
+                h.push_all_and_commit()?;
+            }
+            t.phase = Phase::Begin;
+            return Ok(Outcome::Committed);
+        }
+        let method = options[0].0.clone();
+        if !irrevocable {
+            h.app_method(&method)?;
+            return Ok(Outcome::Progress);
+        }
+        // Refresh committed view, then APP;PUSH eagerly. An APP denial is
+        // a racing commit that shifted the committed prefix between our
+        // PULL and APP (or an injected one): transient.
+        pull_committed_lenient(h)?;
+        let op = h.app_method(&method)?;
+        match h.push(op) {
+            Ok(()) => Ok(Outcome::Progress),
+            // An optimistic transaction is mid-commit: undo the APP and
+            // wait it out, to retry the same method.
+            Err(e) if e.is_criterion() => {
+                h.unapp()?;
+                Err(e)
+            }
+            Err(e) => Err(e),
         }
     }
 

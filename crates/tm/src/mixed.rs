@@ -19,7 +19,7 @@ use std::sync::Mutex;
 use pushpull_core::error::MachineError;
 use pushpull_core::faults::HtmFault;
 use pushpull_core::log::LocalFlag;
-use pushpull_core::op::{OpId, TxnId};
+use pushpull_core::op::TxnId;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 use pushpull_spec::composite::{Either, Product};
@@ -30,7 +30,7 @@ use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
 use crate::conflict::ConflictKeyed;
 use crate::driver::{Algorithm, Driver, Outcome, Phase};
-use crate::util::{fork_mutex, pull_committed_lenient};
+use crate::util::{fork_mutex, locked_step, pull_committed_lenient, release_all};
 
 /// The §7 composite specification: `((skiplist, hashT), (size, memory))`.
 pub type MixedSpec = Product<Product<SetSpec, KvMap>, Product<Counter, RwMem>>;
@@ -194,10 +194,7 @@ impl Mixed {
         // applied before `hashT.put` is pushed, so a conflict on `x`
         // rewinds `x` alone and `size++` is recorded again here. The
         // release also clears the refused request's waits-for edge.
-        self.tracker
-            .lock()
-            .expect("conflict tracker poisoned")
-            .release_all(txn);
+        release_all(&self.tracker, txn);
         let survivors: Vec<MixedMethod> = h
             .local()
             .iter()
@@ -214,41 +211,6 @@ impl Mixed {
         }
         t.partial_htm_aborts += 1;
         Ok(Outcome::PartialAbort)
-    }
-
-    fn step_boosted(
-        &self,
-        h: &mut TxnHandle<MixedSpec>,
-        method: MixedMethod,
-    ) -> Result<Outcome, MachineError> {
-        let txn = h.txn();
-        for key in h.spec().lock_keys(&method) {
-            let outcome =
-                self.locks
-                    .lock()
-                    .expect("lock table poisoned")
-                    .try_lock(txn, key, Mode::Exclusive);
-            match outcome {
-                RwOutcome::Granted => {}
-                RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
-                RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
-            }
-        }
-        pull_committed_lenient(h)?;
-        let op: OpId = match h.app_method(&method) {
-            Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-            Err(e) => return Err(e),
-        };
-        match h.push(op) {
-            Ok(()) => Ok(Outcome::Progress),
-            Err(e) if e.is_criterion() => {
-                h.unapp()?;
-                Ok(Outcome::Wait)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     fn step_htm(
@@ -273,12 +235,8 @@ impl Mixed {
             }
         }
         pull_committed_lenient(h)?;
-        match h.app_method(&method) {
-            Ok(_) => Ok(Outcome::Progress),
-            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
+        h.app_method(&method)?;
+        Ok(Outcome::Progress)
     }
 }
 
@@ -305,28 +263,19 @@ impl Algorithm for Mixed {
         if options.is_empty() {
             // Uninterleaved commit: PUSH the HTM suffix, then CMT.
             let txn = h.txn();
-            return match h.push_all_and_commit() {
-                Ok(committed) => {
-                    self.locks
-                        .lock()
-                        .expect("lock table poisoned")
-                        .release_all(committed);
-                    self.tracker
-                        .lock()
-                        .expect("conflict tracker poisoned")
-                        .release_all(txn);
-                    t.phase = Phase::Begin;
-                    Ok(Outcome::Committed)
-                }
-                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                Err(e) => Err(e),
-            };
+            let committed = h.push_all_and_commit()?;
+            release_all(&self.locks, committed);
+            release_all(&self.tracker, txn);
+            t.phase = Phase::Begin;
+            return Ok(Outcome::Committed);
         }
         let method = options[0].0;
         if is_htm(&method) {
             self.step_htm(h, t, method)
         } else {
-            self.step_boosted(h, method)
+            // A boosted method: its abstract locks, then APP;PUSH at once.
+            let keys = h.spec().lock_keys(&method);
+            locked_step(h, &self.locks, keys, Mode::Exclusive, &method)
         }
     }
 
@@ -334,14 +283,8 @@ impl Algorithm for Mixed {
     fn abort(&self, h: &mut TxnHandle<MixedSpec>, t: &mut MixedThread) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
-        self.locks
-            .lock()
-            .expect("lock table poisoned")
-            .release_all(txn);
-        self.tracker
-            .lock()
-            .expect("conflict tracker poisoned")
-            .release_all(txn);
+        release_all(&self.locks, txn);
+        release_all(&self.tracker, txn);
         t.phase = Phase::Begin;
         Ok(())
     }

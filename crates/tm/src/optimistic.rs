@@ -105,14 +105,9 @@ impl<S: SeqSpec> Algorithm for Optimistic<S> {
         // iteration) by taking the skip branch.
         if h.can_finish()? {
             // Commit phase: PUSH everything in APP order, then CMT.
-            return match h.push_all_and_commit() {
-                Ok(_) => {
-                    *phase = Phase::Begin;
-                    Ok(Outcome::Committed)
-                }
-                Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                Err(e) => Err(e),
-            };
+            h.push_all_and_commit()?;
+            *phase = Phase::Begin;
+            return Ok(Outcome::Committed);
         }
         if self.policy == ReadPolicy::Refresh {
             pull_committed_lenient(h)?;
@@ -129,16 +124,11 @@ impl<S: SeqSpec> Algorithm for Optimistic<S> {
             .step_options()?
             .pop()
             .ok_or(MachineError::NoSuchStep(h.tid()))?;
-        let ret = match h.allowed_results(&method)?.into_iter().next() {
-            Some(r) => r,
-            None => return Ok(Outcome::Abort), // doomed local view: retry
-        };
-        match h.app(method, cont, ret) {
-            Ok(_) => Ok(Outcome::Progress),
-            Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
+        // No allowed result is a doomed local view: retry.
+        let ret = h.allowed_results(&method)?.into_iter().next();
+        let ret = ret.ok_or(MachineError::NoAllowedResult(h.tid()))?;
+        h.app(method, cont, ret)?;
+        Ok(Outcome::Progress)
     }
 
     fn abort(&self, h: &mut TxnHandle<S>, phase: &mut Phase) -> Result<(), MachineError> {

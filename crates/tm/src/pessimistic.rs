@@ -99,13 +99,8 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
         if !options.is_empty() {
             // Apply locally (writes are buffered — delayed to commit).
             let method = options[0].0.clone();
-            return match h.app_method(&method) {
-                Ok(_) => Ok(Outcome::Progress),
-                Err(MachineError::NoAllowedResult(_)) | Err(MachineError::Criterion(_)) => {
-                    Ok(Outcome::Abort)
-                }
-                Err(e) => Err(e),
-            };
+            h.app_method(&method)?;
+            return Ok(Outcome::Progress);
         }
         // Commit phase: take the token so the PUSH*;CMT burst is
         // uninterleaved.
@@ -121,16 +116,12 @@ impl<S: SeqSpec> Algorithm for MatveevShavit<S> {
             }
         }
         let result = h.push_all_and_commit();
+        // Released before the result is read: a reader that raced a
+        // writer aborts and re-runs on fresh state.
         *self.token.lock().expect("token lock poisoned") = None;
-        match result {
-            Ok(_) => {
-                t.started = false;
-                Ok(Outcome::Committed)
-            }
-            // A reader that raced a writer: re-run on fresh state.
-            Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-            Err(e) => Err(e),
-        }
+        result?;
+        t.started = false;
+        Ok(Outcome::Committed)
     }
 
     fn abort(&self, h: &mut TxnHandle<S>, t: &mut MsThread) -> Result<(), MachineError> {

@@ -138,27 +138,23 @@ impl Algorithm for Tl2 {
                 return Ok(Outcome::Abort);
             }
             // 4. Publish: PUSH*;CMT on the machine, then bump versions.
-            match h.push_all_and_commit() {
-                Ok(_) => {
-                    self.vmem
-                        .lock()
-                        .expect("vmem lock poisoned")
-                        .publish(txn, &write_set, wv);
-                    t.txn = Tl2Txn::default();
-                    Ok(Outcome::Committed)
-                }
-                Err(MachineError::Criterion(_)) => {
-                    // TL2 said yes but the exact criteria said no: record
-                    // the surprise (the soundness tests require zero) —
-                    // unless a fault hook is armed, in which case the
-                    // denial is injected, not a soundness gap.
-                    if h.global_state().fault_hook().is_none() {
-                        t.criteria_surprises += 1;
-                    }
-                    Ok(Outcome::Abort)
-                }
-                Err(e) => Err(e),
+            let result = h.push_all_and_commit();
+            // TL2 said yes but the exact criteria said no: record the
+            // surprise (the soundness tests require zero) — unless a fault
+            // hook is armed, in which case the denial is injected, not a
+            // soundness gap — and abort.
+            if result.as_ref().is_err_and(MachineError::is_criterion)
+                && h.global_state().fault_hook().is_none()
+            {
+                t.criteria_surprises += 1;
             }
+            result?;
+            self.vmem
+                .lock()
+                .expect("vmem lock poisoned")
+                .publish(txn, &write_set, wv);
+            t.txn = Tl2Txn::default();
+            Ok(Outcome::Committed)
         } else {
             let method = options[0].0;
             match method {
@@ -173,24 +169,15 @@ impl Algorithm for Tl2 {
                         return Ok(Outcome::Abort);
                     }
                     t.txn.read_set.push((l, ver));
-                    match h.app_method(&method) {
-                        Ok(_) => Ok(Outcome::Progress),
-                        Err(MachineError::NoAllowedResult(_)) => Ok(Outcome::Abort),
-                        Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                        Err(e) => Err(e),
-                    }
                 }
                 MemMethod::Write(l, _) => {
                     if !t.txn.write_set.contains(&l) {
                         t.txn.write_set.push(l);
                     }
-                    match h.app_method(&method) {
-                        Ok(_) => Ok(Outcome::Progress),
-                        Err(e) if e.is_criterion() => Ok(Outcome::Abort),
-                        Err(e) => Err(e),
-                    }
                 }
             }
+            h.app_method(&method)?;
+            Ok(Outcome::Progress)
         }
     }
 

@@ -18,11 +18,11 @@ use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
-use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
+use pushpull_ds::rwlocks::{Mode, RwLockTable};
 use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 
 use crate::driver::{Algorithm, Driver, Outcome};
-use crate::util::{fork_mutex, pull_committed_lenient};
+use crate::util::{fork_mutex, locked_step, release_all};
 
 /// A strict two-phase-locking system over [`RwMem`].
 ///
@@ -76,65 +76,28 @@ impl Algorithm for TwoPhase {
     /// One 2PL tick: the lock table is consulted briefly per access; APP
     /// runs on the thread's own handle with no system-wide lock.
     fn step(&self, h: &mut TxnHandle<RwMem>, _: &mut ()) -> Result<Outcome, MachineError> {
-        let txn = h.txn();
         let options = h.step_options()?;
-        if options.is_empty() {
-            let committed = match h.commit() {
-                Ok(committed) => committed,
-                // Natural CMT failures cannot happen (everything was pushed
-                // under locks); an injected denial aborts like a deadlock.
-                Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-                Err(e) => return Err(e),
-            };
-            self.locks
-                .lock()
-                .expect("lock table poisoned")
-                .release_all(committed);
+        let Some(&(method, _)) = options.first() else {
+            // Natural CMT failures cannot happen (everything was pushed
+            // under locks); an injected denial aborts like a deadlock.
+            let committed = h.commit()?;
+            release_all(&self.locks, committed);
             return Ok(Outcome::Committed);
-        }
-        let method = options[0].0;
+        };
+        // The location's lock in the access's mode, then APP;PUSH. A PUSH
+        // denial after the grant only fires for interleavings the lock
+        // order did not cover (shared reads always commute): a wait.
         let (loc, mode) = match method {
             MemMethod::Read(l) => (l, Mode::Shared),
             MemMethod::Write(l, _) => (l, Mode::Exclusive),
         };
-        match self
-            .locks
-            .lock()
-            .expect("lock table poisoned")
-            .try_lock(txn, loc, mode)
-        {
-            RwOutcome::Granted => {}
-            RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
-            RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
-        }
-        // Lock held: refresh committed view, then APP;PUSH eagerly.
-        pull_committed_lenient(h)?;
-        let op = match h.app_method(&method) {
-            Ok(op) => op,
-            Err(MachineError::NoAllowedResult(_)) => return Ok(Outcome::Abort),
-            Err(e) if e.is_criterion() => return Ok(Outcome::Abort),
-            Err(e) => return Err(e),
-        };
-        match h.push(op) {
-            Ok(()) => Ok(Outcome::Progress),
-            Err(e) if e.is_criterion() => {
-                // Shared-read vs shared-read pushes always commute, so
-                // this only fires for exotic interleavings the lock order
-                // didn't cover; treat as a wait.
-                h.unapp()?;
-                Ok(Outcome::Wait)
-            }
-            Err(e) => Err(e),
-        }
+        locked_step(h, &self.locks, [loc], mode, &method)
     }
 
     fn abort(&self, h: &mut TxnHandle<RwMem>, _: &mut ()) -> Result<(), MachineError> {
         let txn = h.txn();
         h.abort_and_retry()?;
-        self.locks
-            .lock()
-            .expect("lock table poisoned")
-            .release_all(txn);
+        release_all(&self.locks, txn);
         Ok(())
     }
 }

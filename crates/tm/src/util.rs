@@ -1,10 +1,15 @@
 //! Small helpers shared by the algorithm drivers.
 
+use std::hash::Hash;
 use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
+use pushpull_core::op::TxnId;
 use pushpull_core::spec::SeqSpec;
 use pushpull_core::TxnHandle;
+use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
+
+use crate::driver::Outcome;
 
 /// Pulls the *committed* global operations the thread's transaction can
 /// still touch and does not hold yet, in global-log order, skipping
@@ -32,6 +37,54 @@ use pushpull_core::TxnHandle;
 /// design.
 pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize, MachineError> {
     h.pull_committed_lenient()
+}
+
+/// One operation under locks — boosting's, 2PL's and mixed's boosted
+/// half: take each of `keys` in `mode` (a busy key waits, a would-be
+/// deadlock aborts), refresh the committed view, then APP;PUSH eagerly.
+/// A denied APP goes back to the skeleton with `?`.
+pub(crate) fn locked_step<S: SeqSpec, K: Eq + Hash>(
+    h: &mut TxnHandle<S>,
+    locks: &Mutex<RwLockTable<K>>,
+    keys: impl IntoIterator<Item = K>,
+    mode: Mode,
+    method: &S::Method,
+) -> Result<Outcome, MachineError> {
+    let txn = h.txn();
+    for key in keys {
+        let outcome = locks
+            .lock()
+            .expect("lock table poisoned")
+            .try_lock(txn, key, mode);
+        match outcome {
+            RwOutcome::Granted => {}
+            // The contention policy decides how long to tolerate
+            // push-wait / lock-wait livelocks the waits-for graph cannot
+            // see.
+            RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
+            RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
+        }
+    }
+    // Implicit PULL: refresh the committed shared view (the paper's "the
+    // local view is the same as the shared view").
+    pull_committed_lenient(h)?;
+    let op = h.app_method(method)?;
+    match h.push(op) {
+        Ok(()) => Ok(Outcome::Progress),
+        // A criterion (ii)/(iii) conflict the grants could not express
+        // (a map's `Size` against a put: their keys never conflict): undo
+        // the APP and wait for the conflicting transaction to commit.
+        Err(e) if e.is_criterion() => {
+            h.unapp()?;
+            Ok(Outcome::Wait)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Releases every grant `txn` holds in a driver's lock table.
+pub(crate) fn release_all<K: Eq + Hash>(locks: &Mutex<RwLockTable<K>>, txn: TxnId) {
+    locks.lock().expect("lock table poisoned").release_all(txn);
 }
 
 /// Deep-copies a driver's mutex-guarded metadata for a system clone,

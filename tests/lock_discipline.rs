@@ -22,7 +22,7 @@ use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::{KeySet, Rets, SeqSpec};
 use pushpull::core::toy::{CounterMethod, StrictCounter};
-use pushpull::core::GroupTxnResult;
+use pushpull::core::{commit_group, GroupTxnResult};
 use pushpull::spec::kvmap::{KvMap, MapMethod, MapOp, MapRet, MapState};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
@@ -101,7 +101,7 @@ fn each_rule_takes_exactly_the_locks_its_discipline_names() {
             |m, _| {
                 m.app_auto(TB).unwrap();
                 m.app_auto(TB).unwrap();
-                let out = m.commit_group(&[TB]).unwrap();
+                let out = commit_group(&mut [m.handle_mut(TB).unwrap()]);
                 assert!(out.results[0].1.is_committed(), "{:?}", out.results);
             },
             [0, 1, 0, 1],
@@ -178,7 +178,7 @@ fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u6
     m.app_auto(t).unwrap();
     let before = m.lock_stats_per_shard();
     if held {
-        let out = m.commit_group(&[t]).unwrap();
+        let out = commit_group(&mut [m.handle_mut(t).unwrap()]);
         match &out.results[0].1 {
             GroupTxnResult::Committed(_) => assert!(!peer_in_flight),
             GroupTxnResult::Aborted { denied, .. } => {

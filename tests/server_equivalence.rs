@@ -15,8 +15,8 @@
 //!
 //! Riding along:
 //!
-//! * the driver-facing group-commit seam contract (`commit_group` on
-//!   the machine every system hands out, validated end-to-end on a raw
+//! * the group-commit seam contract (`commit_group` over the handles of
+//!   the machine every system hands out, and end-to-end on a raw
 //!   machine);
 //! * the server's chaos rows: every injected rule denial through the
 //!   whole session loop, batched and unbatched, under a seeded random
@@ -35,7 +35,7 @@ use pushpull::core::machine::Machine;
 use pushpull::core::op::{ThreadId, TxnId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::SeqSpec;
-use pushpull::core::GroupTxnResult;
+use pushpull::core::{commit_group, GroupTxnResult};
 use pushpull::harness::testutil::{assert_chaos_cell, assert_ledger_matches};
 use pushpull::harness::{run, FaultPlan, RoundRobin, WorkloadSpec};
 use pushpull::server::{ServerConfig, SessionId, SessionOutcome, SessionScript, TxnServer};
@@ -339,11 +339,11 @@ fn abort_mix_group_equivalent() {
     });
 }
 
-/// The driver-facing commit seam: every system hands out its machine,
-/// whose `commit_group` reports idle threads back `Ineligible` for the
-/// caller's per-transaction fallback and errors on malformed batches;
-/// on a raw machine the same entry point really does commit a
-/// multi-thread batch under one acquisition.
+/// The group-commit seam: every system hands out its machine, and
+/// `commit_group` over that machine's handles reports idle threads back
+/// `Ineligible` for the caller's per-transaction fallback; on a raw
+/// machine the same entry point really does commit a multi-thread batch
+/// under one acquisition.
 #[test]
 fn service_commit_seam_contract() {
     // The seam, through a driver.
@@ -351,27 +351,15 @@ fn service_commit_seam_contract() {
         KvMap::new(),
         vec![vec![Code::method(MapMethod::Put(0, 1))], vec![]],
     );
-    let out = sys
-        .machine_mut()
-        .commit_group(&[])
-        .expect("empty batch is not an error");
+    let out = commit_group::<KvMap>(&mut []);
     assert!(out.results.is_empty());
     assert_eq!(out.batches, 0);
-    let out = sys.machine_mut().commit_group(&[ThreadId(0)]).unwrap();
+    let h0 = sys.machine_mut().handle_mut(ThreadId(0)).unwrap();
+    let out = commit_group(&mut [h0]);
     assert!(
         matches!(out.results[..], [(ThreadId(0), GroupTxnResult::Ineligible)]),
         "a thread with nothing applied must fall back, got {:?}",
         out.results
-    );
-    assert!(
-        sys.machine_mut()
-            .commit_group(&[ThreadId(0), ThreadId(0)])
-            .is_err(),
-        "duplicate tids must be rejected"
-    );
-    assert!(
-        sys.machine_mut().commit_group(&[ThreadId(9)]).is_err(),
-        "out-of-range tids must be rejected"
     );
 
     // The same entry point on a raw machine, committing for real: two
@@ -382,7 +370,10 @@ fn service_commit_seam_contract() {
     m.app_auto(t0).unwrap();
     m.app_auto(t1).unwrap();
     let (before, _) = m.lock_stats();
-    let out = m.commit_group(&[t0, t1]).unwrap();
+    let [h0, h1] = m.handles_mut() else {
+        unreachable!("two threads")
+    };
+    let out = commit_group(&mut [h0, h1]);
     assert!(out
         .results
         .iter()
