@@ -135,6 +135,20 @@ impl CriteriaAudit {
             .unwrap_or(0)
     }
 
+    /// Failed evaluations of every PUSH and CMT criterion: the denials of
+    /// the two rules that publish. A driver whose own metadata decides
+    /// every conflict — boosting, 2PL, §7's mixed system, TL2, the
+    /// simulated HTM — makes none, so this is its one measure of a
+    /// decision the machine's criteria contradicted. Injected denials are
+    /// not counted: they are tallied apart, in `injected`.
+    pub fn push_cmt_violations(&self) -> u64 {
+        self.violated
+            .iter()
+            .filter(|(o, _)| matches!(o.rule, Rule::Push | Rule::Cmt))
+            .map(|(_, n)| n)
+            .sum()
+    }
+
     /// Records one injected fault.
     pub fn inject(&mut self, kind: FaultKind) {
         *self.injected.entry(kind).or_default() += 1;

@@ -13,7 +13,7 @@
 //! footprint of its method. Two operations with disjoint footprints are
 //! both-movers (Def 4.1 — the declared law, validated against the
 //! exhaustive mover oracle by
-//! [`check_disjoint_footprints_commute`](crate::spec::check_disjoint_footprints_commute)),
+//! [`disjoint_commute_violations`](crate::spec::disjoint_commute_violations)),
 //! so the PUSH/UNPUSH criteria of one never need to inspect entries that
 //! live on another shard: disjoint-access parallelism, straight from the
 //! paper's mover theory.
@@ -50,7 +50,7 @@
 //!
 //! PUSH (iii) asks `allowed (G · op)` and UNPUSH (ii) `allowed (G ∖ op)`.
 //! By footprint law 2 (`allowed` factorizes over key classes —
-//! [`check_allowed_factorization`](crate::spec::check_allowed_factorization))
+//! [`factorization_violations`](crate::spec::factorization_violations))
 //! and the invariant that `G` itself is always allowed, the answer depends
 //! on the operation's own key class alone. So **lock granularity is
 //! `key % N`, cache granularity is the key** (DESIGN.md §9 "Cache

@@ -447,16 +447,19 @@ pub trait SeqSpec {
     /// "unknown/whole-state" and soundly degrades the operation to the
     /// coarse single-shard path.
     ///
-    /// Overrides must satisfy two laws, cross-checked by
-    /// [`check_disjoint_footprints_commute`] and
-    /// [`check_allowed_factorization`] on every enumerable spec:
+    /// Overrides must satisfy two laws, enumerated by
+    /// [`disjoint_commute_violations`] and [`factorization_violations`]
+    /// (what the `pushpull-analysis` certifier reports) on every
+    /// enumerable spec:
     ///
     /// 1. **Disjointness implies both-mover**: if `method_keys(m1)` and
     ///    `method_keys(m2)` are both `Some` and share no key, then
     ///    `m1 ◁ m2` and `m2 ◁ m1` hold for every observable return pair
     ///    (i.e. [`SeqSpec::method_mover`] would answer `Some(true)` both
     ///    ways). This is what lets a shard evaluate mover criteria
-    ///    against only its own entries.
+    ///    against only its own entries, and what makes the footprint the
+    ///    abstract locks of boosting, 2PL and §7's boosted half: methods
+    ///    whose locks are disjoint commute.
     /// 2. **`allowed` factorizes over key classes**: for any log whose
     ///    operations each declare exactly one key,
     ///    `allowed(ℓ) ⇔ ∀k. allowed(ℓ|k)` where `ℓ|k` keeps the ops with
@@ -590,9 +593,8 @@ pub fn commute<S: SeqSpec + ?Sized>(
 /// A counterexample to footprint law 1 (disjointness ⇒ both-mover): a
 /// method pair with declared, disjoint footprints that is *not* an
 /// exhaustive mover. Produced by [`disjoint_commute_violations`], the
-/// shared implementation behind both the test-suite wrapper
-/// [`check_disjoint_footprints_commute`] and the `pushpull-analysis`
-/// certifier's `unsound-footprint` diagnostics.
+/// one implementation behind the spec test suites and the
+/// `pushpull-analysis` certifier's `unsound-footprint` diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DisjointnessViolation<M> {
     /// The method whose op fails to move right across `m2`'s.
@@ -648,33 +650,12 @@ pub fn disjoint_commute_violations<S: SeqSpec + ?Sized>(
     out
 }
 
-/// Validates footprint law 1 as a pass/fail test helper: a thin wrapper
-/// over [`disjoint_commute_violations`] (the shared implementation also
-/// used by the `pushpull-analysis` certifier).
-///
-/// # Errors
-///
-/// Returns the first offending pair, rendered for the test failure.
-pub fn check_disjoint_footprints_commute<S: SeqSpec + ?Sized>(
-    spec: &S,
-    universe: &[S::State],
-    methods: &[S::Method],
-) -> Result<(), String> {
-    match disjoint_commute_violations(spec, universe, methods)
-        .into_iter()
-        .next()
-    {
-        Some(v) => Err(v.to_string()),
-        None => Ok(()),
-    }
-}
-
 /// A counterexample to footprint law 2 (`allowed` factorizes over key
 /// classes): a log of single-key operations on which the whole-log
 /// verdict disagrees with the conjunction of its per-key projections.
-/// Produced by [`factorization_violations`], the shared implementation
-/// behind both [`check_allowed_factorization`] and the
-/// `pushpull-analysis` certifier's `unsound-factorization` diagnostics.
+/// Produced by [`factorization_violations`], the one implementation
+/// behind the spec test suites and the `pushpull-analysis` certifier's
+/// `unsound-factorization` diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorizationViolation<M, R> {
     /// The counterexample log.
@@ -755,28 +736,6 @@ pub fn factorization_violations<S: SeqSpec + ?Sized>(
         }
     }
     out
-}
-
-/// Validates footprint law 2 as a pass/fail test helper: a thin wrapper
-/// over [`factorization_violations`] (the shared implementation also
-/// used by the `pushpull-analysis` certifier).
-///
-/// # Errors
-///
-/// Returns the first counterexample sequence, rendered for the test
-/// failure.
-pub fn check_allowed_factorization<S: SeqSpec + ?Sized>(
-    spec: &S,
-    sample: &[Op<S::Method, S::Ret>],
-    max_len: usize,
-) -> Result<(), String> {
-    match factorization_violations(spec, sample, max_len)
-        .into_iter()
-        .next()
-    {
-        Some(v) => Err(v.to_string()),
-        None => Ok(()),
-    }
 }
 
 #[cfg(test)]

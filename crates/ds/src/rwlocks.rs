@@ -2,11 +2,15 @@
 //! holds which key, and in which mode, with waits-for deadlock detection.
 //!
 //! Every algorithm that claims keys records that fact here. Boosting
-//! (Figure 2's `abstractLock(key).lock()`) and mixed's boosted half take
-//! abstract keys [`Mode::Exclusive`]; strict two-phase locking, the
-//! lock-inference style of pessimistic atomic sections the paper cites as
-//! \[4\] (Cherem et al.), takes locations shared for reads and exclusive
-//! for writes; the simulated HTM of §7 records each word it reads or
+//! (Figure 2's `abstractLock(key).lock()`) and mixed's boosted half lock
+//! a method's declared footprint: each key [`Mode::Exclusive`] and the
+//! whole object (a key of its own, `None` in their tables)
+//! [`Mode::Shared`], while a method that declares no footprint takes the
+//! whole object exclusive — two granularities in one table. Strict
+//! two-phase locking, the lock-inference style of pessimistic atomic
+//! sections the paper cites as \[4\] (Cherem et al.), does the same with
+//! a location's key shared for reads and exclusive for writes; the
+//! simulated HTM of §7 records each word it reads or
 //! writes the same way, its eager conflicts being the refused requests;
 //! and TL2 takes its commit locks exclusive. Readers share, writers
 //! exclude, and a sole reader may upgrade.
@@ -16,6 +20,10 @@
 //! transaction aborts (e.g. due to deadlock)" path of §4's UNPUSH
 //! discussion. The edge lasts until the requester is granted a key or
 //! releases everything.
+//! A caller that makes several requests in one step makes them under one
+//! hold of the table (see `pushpull-tm`'s `util::locked_step`): a grant
+//! clears the requester's edge, and the refused request repeated in the
+//! same hold records it again before anyone else looks.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;

@@ -135,7 +135,9 @@ pub fn assert_chaos_cell<T: TmSystem>(
 /// that has a key: sound, just coarser), or a *lie* (declare a key the
 /// method does not touch: unsound for routing, which is why strict mode
 /// asks for a certificate — and harmless for the refresh, which elides no
-/// criterion).
+/// criterion). A lie is not harmless to the lock-based drivers, which lock
+/// the declared footprint; the certifier refutes it over the inner spec's
+/// bounded universes, which the wrapper hands on.
 #[derive(Debug, Clone)]
 pub struct Redeclared<S: SeqSpec> {
     /// The specification every answer but the footprint comes from.
@@ -175,6 +177,10 @@ impl<S: SeqSpec> SeqSpec for Redeclared<S> {
 
     fn method_keys(&self, m: &S::Method) -> Option<KeySet> {
         (self.keys)(m)
+    }
+
+    fn method_universe(&self) -> Option<Vec<S::Method>> {
+        self.inner.method_universe()
     }
 
     fn inverse(&self, op: &Op<S::Method, S::Ret>) -> OpInverse<S::Method, S::Ret> {

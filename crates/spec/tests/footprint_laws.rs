@@ -13,17 +13,16 @@
 //!
 //! These are the *shared* law checkers: the `pushpull-analysis` spec
 //! certifier calls the same two functions to produce its
-//! `unsound-footprint`/`unsound-factorization` diagnostics, and the
-//! legacy `check_*` wrappers reduce to "first violation, stringified".
+//! `unsound-footprint`/`unsound-factorization` diagnostics, so each test
+//! asserts on the very lists the certifier reads. Law 1 is also the lock
+//! law of boosting, 2PL and §7's boosted half, which lock the declared
+//! footprint.
 //!
 //! Counter, register, and queue declare a single key class for every
 //! method, so both laws are vacuous there; the interesting cases are the
 //! keyed specs (rwmem, kvmap, set, bank) and the product encoding.
 
-use pushpull_core::spec::{
-    check_allowed_factorization, check_disjoint_footprints_commute, disjoint_commute_violations,
-    factorization_violations, KeySet, SeqSpec,
-};
+use pushpull_core::spec::{disjoint_commute_violations, factorization_violations, KeySet, SeqSpec};
 use pushpull_spec::bank::{self, Bank, BankMethod};
 use pushpull_spec::composite::{Either, Product};
 use pushpull_spec::counter::{self, Counter, CtrMethod};
@@ -127,9 +126,7 @@ fn product_footprints_satisfy_both_laws() {
         Either::R(CtrMethod::Add(1)),
         Either::R(CtrMethod::Get),
     ];
-    // Exercise the legacy wrappers here: thin shells over the shared
-    // violation enumerators, Err on the first hit.
-    check_disjoint_footprints_commute(&spec, &universe, &methods).unwrap();
+    assert!(disjoint_commute_violations(&spec, &universe, &methods).is_empty());
     let lift_set = |op: pushpull_spec::set::SetOp| {
         pushpull_core::op::Op::new(op.id, op.txn, Either::L(op.method), Either::L(op.ret))
     };
@@ -142,7 +139,7 @@ fn product_footprints_satisfy_both_laws() {
         lift_ctr(counter::ops::add(2, 1, 1)),
         lift_ctr(counter::ops::get(3, 1, 0)),
     ];
-    check_allowed_factorization(&spec, &sample, 3).unwrap();
+    assert!(factorization_violations(&spec, &sample, 3).is_empty());
 }
 
 #[test]

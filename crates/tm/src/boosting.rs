@@ -11,26 +11,27 @@
 //!   realized by real implementations as inverse operations;
 //! * on completion: **CMT**, then release the abstract locks.
 //!
-//! The abstract locks make PUSH criterion (ii) hold by construction for
-//! key-local methods (distinct keys ⇒ movers, per the spec's tables).
-//! For methods whose conflicts exclusive locks cannot express (e.g.
-//! lock-free commutative `Add` vs a `Get`), a failing PUSH criterion is
-//! handled as a conflict: the driver waits briefly, then aborts — the
-//! checked machine guarantees nothing unserializable ever slips through.
+//! The abstract locks are the spec's footprint ([`SeqSpec::method_keys`]):
+//! each key exclusive and the whole object shared, or the whole object
+//! exclusive for a method with no footprint (a map's `Size`). Footprint
+//! law 1, which `pushpull-analysis` certifies, is §6.3's lock law, so the
+//! locks order every pair that does not commute and the machine's
+//! criteria only confirm them. A counter's increments serialize.
 
+use std::marker::PhantomData;
 use std::sync::Mutex;
 
 use pushpull_core::error::MachineError;
 use pushpull_core::op::ThreadId;
+use pushpull_core::spec::SeqSpec;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable};
 
-use crate::conflict::ConflictKeyed;
 use crate::driver::{Algorithm, Driver, Outcome};
 use crate::util::{fork_mutex, locked_step, release_all};
 
-/// A transactional-boosting system over any [`ConflictKeyed`]
-/// specification.
+/// A transactional-boosting system over any specification, locking each
+/// method's declared footprint.
 ///
 /// # Examples
 ///
@@ -60,25 +61,28 @@ use crate::util::{fork_mutex, locked_step, release_all};
 /// ```
 pub type BoostingSystem<S> = Driver<Boosting<S>>;
 
-/// The boosting algorithm's cross-thread state: the abstract locks, each
-/// an exclusive grant in a [`RwLockTable`] behind a short-held mutex.
+/// The boosting algorithm's cross-thread state: the abstract locks —
+/// footprint keys and the whole object (`None`) — as grants in a
+/// [`RwLockTable`] behind a short-held mutex.
 /// The per-thread state is the number of aborts forced on the thread and
 /// not yet taken (the test hook for the Figure 2 abort path,
 /// [`BoostingSystem::force_abort`]).
 #[derive(Debug)]
-pub struct Boosting<S: ConflictKeyed> {
-    locks: Mutex<RwLockTable<S::LockKey>>,
+pub struct Boosting<S: SeqSpec> {
+    locks: Mutex<RwLockTable<Option<u64>>>,
+    spec: PhantomData<fn() -> S>,
 }
 
-impl<S: ConflictKeyed> Clone for Boosting<S> {
+impl<S: SeqSpec> Clone for Boosting<S> {
     fn clone(&self) -> Self {
         Self {
             locks: fork_mutex(&self.locks),
+            spec: PhantomData,
         }
     }
 }
 
-impl<S: ConflictKeyed> Algorithm for Boosting<S> {
+impl<S: SeqSpec> Algorithm for Boosting<S> {
     type Spec = S;
     type Thread = u32;
 
@@ -103,8 +107,7 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
         };
         // This method's abstract locks (2PL: held to commit), then APP;
         // PUSH at once.
-        let keys = h.spec().lock_keys(method);
-        locked_step(h, &self.locks, keys, Mode::Exclusive, method)
+        locked_step(h, &self.locks, Mode::Exclusive, method)
     }
 
     fn abort(&self, h: &mut TxnHandle<S>, _: &mut u32) -> Result<(), MachineError> {
@@ -126,12 +129,13 @@ impl<S: ConflictKeyed> Algorithm for Boosting<S> {
     }
 }
 
-impl<S: ConflictKeyed> BoostingSystem<S> {
+impl<S: SeqSpec> BoostingSystem<S> {
     /// Creates a system running `programs[i]` (a list of transaction
     /// bodies) on thread `i`.
     pub fn new(spec: S, programs: Vec<Vec<Code<S::Method>>>) -> Self {
         let alg = Boosting {
             locks: Mutex::new(RwLockTable::new()),
+            spec: PhantomData,
         };
         Driver::host(alg, spec, programs)
     }
@@ -198,6 +202,7 @@ mod tests {
             sys.stats().blocked_ticks > 0,
             "second thread must have waited"
         );
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
     }
 
     #[test]
@@ -261,6 +266,7 @@ mod tests {
             sys.stats().aborts >= 1,
             "deadlock must have aborted someone"
         );
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         assert!(check_machine(sys.machine()).is_serializable());
     }
 

@@ -4,11 +4,12 @@
 //! The model observes an HTM through exactly two behaviours (§7): word
 //! granularity *eager* conflict detection (the first conflicting access
 //! between two live transactions aborts one of them) and lazy publication
-//! (buffered writes become visible at commit). In PUSH/PULL terms: APP
-//! during the run, eager conflicts tracked in a [`RwLockTable`] (the
-//! simulated cache-coherence machinery: a read is a shared grant of its
-//! word, a write an exclusive one, and a refused request is a conflict),
-//! PUSH*;CMT at commit, UNAPP* on abort.
+//! (buffered writes become visible at commit). In PUSH/PULL terms: per
+//! access, an eager conflict check in a [`RwLockTable`] (the simulated
+//! cache-coherence machinery: a read is a shared grant of its word, a
+//! write an exclusive one, a refused request a conflict), then PULL of
+//! the committed state and APP; PUSH*;CMT at commit, UNAPP* on abort.
+//! The tracker decides every conflict; the machine's criteria confirm.
 //!
 //! This is the substitution for real TSX/POWER hardware recorded in
 //! DESIGN.md: conflict granularity, eagerness and the abort signal are
@@ -117,6 +118,9 @@ impl Algorithm for Htm {
         if access != RwOutcome::Granted {
             return Ok(Outcome::Abort);
         }
+        // Real HTM reads memory at access time, not at begin: refresh the
+        // committed view, which a write committed since begin changed.
+        pull_committed_lenient(h)?;
         h.app_method(&method)?;
         Ok(Outcome::Progress)
     }
@@ -145,17 +149,11 @@ impl HtmSystem {
 mod tests {
     use super::*;
     use crate::driver::{Tick, TmSystem};
-    use crate::util::run_round_robin;
+    use crate::util::{next_unblocked_tick, rmw, run_round_robin};
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
-        vec![Code::seq_all(vec![
-            Code::method(MemMethod::Read(Loc(l))),
-            Code::method(MemMethod::Write(Loc(l), v)),
-        ])]
-    }
+    use pushpull_spec::rwmem::MemRet;
 
     #[test]
     fn disjoint_words_run_in_parallel() {
@@ -199,5 +197,26 @@ mod tests {
         // …but T1's write to loc0 conflicts with T0's read: abort.
         let t = sys.tick(ThreadId(1)).unwrap();
         assert_eq!(t, Tick::Aborted);
+    }
+
+    #[test]
+    fn reads_see_writes_committed_since_begin() {
+        // T0 begins, then T1 writes loc 0, commits and releases the word
+        // before T0 reads it: T0's read must return T1's 2, as hardware
+        // reading memory at access time would, not the 0 of its begin.
+        let mut sys = HtmSystem::new(vec![
+            rmw(0, 1),
+            vec![Code::method(MemMethod::Write(Loc(0), 2))],
+        ]);
+        assert_eq!(sys.tick(ThreadId(0)).unwrap(), Tick::Progress);
+        while sys.machine().thread(ThreadId(1)).unwrap().commits() == 0 {
+            sys.tick(ThreadId(1)).unwrap();
+        }
+        assert_eq!(next_unblocked_tick(&mut sys, ThreadId(0)), Tick::Progress);
+        run_round_robin(&mut sys, 200);
+        assert_eq!(sys.stats().aborts, 0);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
+        let t0 = sys.machine().committed_txns().pop().unwrap();
+        assert_eq!(t0.ops[0].ret, MemRet::Val(2));
     }
 }

@@ -12,7 +12,7 @@
 //! | 6.2 | [`tl2::Tl2System`] | the concrete TL2 algorithm with its real metadata (clock, versions, read sets) |
 //! | 6.2 | [`checkpoint::CheckpointOptimistic`] | checkpoints/partial abort: UNAPP only the invalidated suffix |
 //! | 6.3 | [`pessimistic::MatveevShavitSystem`] | writes delayed; PUSH*;CMT under a commit token; reads PULL committed only |
-//! | 6.3 | [`boosting::BoostingSystem`] | abstract locks; APP;PUSH per op; UNPUSH;UNAPP on abort |
+//! | 6.3 | [`boosting::BoostingSystem`] | abstract locks on the spec's footprint; APP;PUSH per op; UNPUSH;UNAPP on abort |
 //! | 6.3 | [`twophase::TwoPhaseLocking`] | strict 2PL with shared read locks (the lock-inference family \[4\]) |
 //! | 6.4 | [`irrevocable::IrrevocableSystem`] | one eager-PUSH never-aborting thread among optimists |
 //! | 6.5 | [`dependent::DependentSystem`] | PULL of uncommitted effects, commit gating, cascaded detangling |
@@ -40,7 +40,6 @@
 
 pub mod boosting;
 pub mod checkpoint;
-pub mod conflict;
 pub mod contention;
 pub mod dependent;
 pub mod driver;
@@ -55,7 +54,6 @@ pub mod util;
 
 pub use boosting::BoostingSystem;
 pub use checkpoint::CheckpointOptimistic;
-pub use conflict::ConflictKeyed;
 pub use contention::ContentionPolicy;
 pub use dependent::DependentSystem;
 pub use driver::{Algorithm, Driver, ParallelSystem, SystemStats, Tick, TmSystem, Worker};

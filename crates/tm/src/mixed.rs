@@ -1,7 +1,9 @@
 //! Mixed Boosting + HTM transactions — paper §7.
 //!
 //! One transaction touches *boosted* objects (a skip-list set and a hash
-//! table, guarded by abstract locks, PUSHed at APP) and *HTM-managed*
+//! table, guarded by abstract locks on their footprint keys, PUSHed at
+//! APP — a hash-table `Size`, which declares no footprint, would lock the
+//! whole product) and *HTM-managed*
 //! integers (`size`, `x`, `y`: word-granularity eager conflict detection,
 //! PUSHed at commit). The payoff of the PUSH/PULL model is that an HTM
 //! abort can discard the cheap HTM effects while **leaving the expensive
@@ -28,7 +30,6 @@ use pushpull_spec::kvmap::{KvMap, MapMethod, MapRet};
 use pushpull_spec::rwmem::{Loc, MemMethod, MemRet, RwMem};
 use pushpull_spec::set::{SetMethod, SetRet, SetSpec};
 
-use crate::conflict::ConflictKeyed;
 use crate::driver::{Algorithm, Driver, Outcome, Phase};
 use crate::util::{fork_mutex, locked_step, pull_committed_lenient, release_all};
 
@@ -127,13 +128,14 @@ fn htm_access(m: &MixedMethod) -> Option<(HtmWord, Mode)> {
 pub type MixedSystem = Driver<Mixed>;
 
 /// The mixed algorithm's cross-thread state: two [`RwLockTable`]s, one
-/// holding the boosted components' abstract locks (exclusive), one the
-/// HTM words' reads and writes (the simulated HTM's conflicts). Each sits
+/// holding the boosted components' abstract locks (their footprint keys
+/// exclusive, as under [boosting](crate::boosting)), one the HTM words'
+/// reads and writes (the simulated HTM's conflicts). Each sits
 /// behind a short-held mutex, and a partial HTM rewind releases only the
 /// second.
 #[derive(Debug)]
 pub struct Mixed {
-    locks: Mutex<RwLockTable<<MixedSpec as ConflictKeyed>::LockKey>>,
+    locks: Mutex<RwLockTable<Option<u64>>>,
     tracker: Mutex<RwLockTable<HtmWord>>,
 }
 
@@ -274,8 +276,7 @@ impl Algorithm for Mixed {
             self.step_htm(h, t, method)
         } else {
             // A boosted method: its abstract locks, then APP;PUSH at once.
-            let keys = h.spec().lock_keys(&method);
-            locked_step(h, &self.locks, keys, Mode::Exclusive, &method)
+            locked_step(h, &self.locks, Mode::Exclusive, &method)
         }
     }
 
@@ -360,6 +361,7 @@ mod tests {
         run_round_robin(&mut sys, 4000);
         assert_eq!(sys.stats().commits, 2);
         assert!(sys.stats().aborts >= 1);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         assert!(check_machine(sys.machine()).is_serializable());
     }
 
@@ -411,6 +413,7 @@ mod tests {
         // Now T2's write goes through.
         run_round_robin(&mut sys, 200);
         assert_eq!(sys.stats().commits, 3);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         let report = check_machine(sys.machine());
         assert!(report.is_serializable(), "{report}");
     }

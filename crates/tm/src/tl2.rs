@@ -28,8 +28,10 @@ use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
 use crate::driver::{Algorithm, Driver, Outcome};
 use crate::util::{fork_mutex, pull_committed_lenient};
 
+/// Per-thread driver state, owned by exactly one worker: the running
+/// transaction's TL2 metadata.
 #[derive(Debug, Clone, Default)]
-struct Tl2Txn {
+pub struct Tl2Thread {
     /// Read version: global-clock sample at begin.
     rv: u64,
     /// Read set: location and the version observed.
@@ -84,13 +86,6 @@ impl Clone for Tl2 {
     }
 }
 
-/// Per-thread driver state, owned by exactly one worker.
-#[derive(Debug, Clone, Default)]
-pub struct Tl2Thread {
-    txn: Tl2Txn,
-    criteria_surprises: u64,
-}
-
 impl Algorithm for Tl2 {
     type Spec = RwMem;
     type Thread = Tl2Thread;
@@ -103,18 +98,18 @@ impl Algorithm for Tl2 {
     /// vmem mutex is taken per metadata operation only.
     fn step(&self, h: &mut TxnHandle<RwMem>, t: &mut Tl2Thread) -> Result<Outcome, MachineError> {
         let txn = h.txn();
-        if !t.txn.started {
+        if !t.started {
             // Begin: rv := GV; snapshot the committed state.
-            t.txn.rv = self.clock.now();
+            t.rv = self.clock.now();
             pull_committed_lenient(h)?;
-            t.txn.started = true;
+            t.started = true;
             return Ok(Outcome::Progress);
         }
         let options = h.step_options()?;
         if options.is_empty() {
             // Commit phase.
             // 1. Lock the write set.
-            let write_set = t.txn.write_set.clone();
+            let write_set = t.write_set.clone();
             for l in &write_set {
                 if !self
                     .vmem
@@ -128,7 +123,7 @@ impl Algorithm for Tl2 {
             // 2. wv := GV.tick().
             let wv = self.clock.tick();
             // 3. Validate the read set.
-            let read_set = t.txn.read_set.clone();
+            let read_set = t.read_set.clone();
             if !self
                 .vmem
                 .lock()
@@ -138,22 +133,15 @@ impl Algorithm for Tl2 {
                 return Ok(Outcome::Abort);
             }
             // 4. Publish: PUSH*;CMT on the machine, then bump versions.
-            let result = h.push_all_and_commit();
-            // TL2 said yes but the exact criteria said no: record the
-            // surprise (the soundness tests require zero) — unless a fault
-            // hook is armed, in which case the denial is injected, not a
-            // soundness gap — and abort.
-            if result.as_ref().is_err_and(MachineError::is_criterion)
-                && h.global_state().fault_hook().is_none()
-            {
-                t.criteria_surprises += 1;
-            }
-            result?;
+            // TL2's validation decided; the machine's criteria only
+            // confirm (a denial here is a violated PUSH or CMT obligation
+            // in the audit, which the soundness tests require to be zero).
+            h.push_all_and_commit()?;
             self.vmem
                 .lock()
                 .expect("vmem lock poisoned")
                 .publish(txn, &write_set, wv);
-            t.txn = Tl2Txn::default();
+            *t = Tl2Thread::default();
             Ok(Outcome::Committed)
         } else {
             let method = options[0].0;
@@ -165,14 +153,14 @@ impl Algorithm for Tl2 {
                         let vmem = self.vmem.lock().expect("vmem lock poisoned");
                         (vmem.version(&l), vmem.locked_by_other(&l, txn))
                     };
-                    if ver > t.txn.rv || locked_by_other {
+                    if ver > t.rv || locked_by_other {
                         return Ok(Outcome::Abort);
                     }
-                    t.txn.read_set.push((l, ver));
+                    t.read_set.push((l, ver));
                 }
                 MemMethod::Write(l, _) => {
-                    if !t.txn.write_set.contains(&l) {
-                        t.txn.write_set.push(l);
+                    if !t.write_set.contains(&l) {
+                        t.write_set.push(l);
                     }
                 }
             }
@@ -188,7 +176,7 @@ impl Algorithm for Tl2 {
             .expect("vmem lock poisoned")
             .unlock_all(txn);
         h.abort_and_retry()?;
-        t.txn = Tl2Txn::default();
+        *t = Tl2Thread::default();
         Ok(())
     }
 }
@@ -203,30 +191,14 @@ impl Tl2System {
         };
         Driver::host(alg, RwMem::new(), programs)
     }
-
-    /// Times the machine's criteria rejected a commit that TL2's own
-    /// validation had accepted. Zero on every run ⇒ the read/write-set
-    /// discipline soundly approximates the model's criteria.
-    pub fn criteria_surprises(&self) -> u64 {
-        self.locals().map(|t| t.criteria_surprises).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::TmSystem;
-    use crate::util::run_round_robin;
-    use pushpull_core::op::ThreadId;
+    use crate::util::{rmw, run_round_robin, run_seeded};
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
-        vec![Code::seq_all(vec![
-            Code::method(MemMethod::Read(Loc(l))),
-            Code::method(MemMethod::Write(Loc(l), v)),
-        ])]
-    }
 
     #[test]
     fn disjoint_transactions_commit() {
@@ -234,7 +206,7 @@ mod tests {
         run_round_robin(&mut sys, 2000);
         assert_eq!(sys.stats().commits, 2);
         assert_eq!(sys.stats().aborts, 0);
-        assert_eq!(sys.criteria_surprises(), 0);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         assert!(check_machine(sys.machine()).is_serializable());
     }
 
@@ -244,7 +216,7 @@ mod tests {
         run_round_robin(&mut sys, 4000);
         assert_eq!(sys.stats().commits, 2);
         assert!(sys.stats().aborts >= 1, "same-loc RMWs must conflict");
-        assert_eq!(sys.criteria_surprises(), 0);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         assert!(check_machine(sys.machine()).is_serializable());
     }
 
@@ -262,35 +234,18 @@ mod tests {
     /// PUSH criterion (ii)/(iii).
     #[test]
     fn tl2_validation_approximates_criteria_soundly() {
-        use pushpull_harness_seedless::rand_sched;
         for seed in 1..=30u64 {
             let mut sys = Tl2System::new(vec![rmw(0, 1), rmw(0, 2), rmw(1, 3), rmw(1, 4)]);
-            let mut state = seed;
-            let mut ticks = 0;
-            while !sys.is_done() {
-                let t = rand_sched(&mut state, sys.thread_count());
-                sys.tick(ThreadId(t)).unwrap();
-                ticks += 1;
-                assert!(ticks < 500_000, "seed {seed} diverged");
-            }
-            assert_eq!(sys.criteria_surprises(), 0, "seed {seed}");
+            run_seeded(&mut sys, seed, 500_000);
+            assert_eq!(
+                sys.machine().audit().push_cmt_violations(),
+                0,
+                "seed {seed}"
+            );
             assert!(
                 check_machine(sys.machine()).is_serializable(),
                 "seed {seed}"
             );
-        }
-    }
-
-    /// Tiny local xorshift scheduler so this crate's tests do not depend
-    /// on the harness crate (which depends on this crate).
-    mod pushpull_harness_seedless {
-        pub fn rand_sched(state: &mut u64, n: usize) -> usize {
-            let mut x = (*state).max(1);
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *state = x;
-            (x % n as u64) as usize
         }
     }
 }

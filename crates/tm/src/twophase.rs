@@ -2,10 +2,12 @@
 //! atomic sections the paper cites as pessimistic \[4\] (Cherem, Chilimbi
 //! & Gulwani: inferring locks for atomic sections), §6.3's family.
 //!
-//! Rule pattern: acquire the location's lock in the right mode
-//! (shared for reads — readers run in parallel, the refinement
-//! exclusive-keyed boosting cannot express), then **APP;PUSH** eagerly;
-//! locks are held to CMT (strictness); deadlocks abort (UNPUSH;UNAPP).
+//! Rule pattern: lock the location's footprint key in the access's mode
+//! (shared for reads — readers run in parallel — exclusive for writes;
+//! the whole memory shared beside it, as every footprinted method takes
+//! it), then **APP;PUSH** eagerly; locks are held to CMT (strictness);
+//! deadlocks abort (UNPUSH;UNAPP). This is boosting's locked step
+//! ([`crate::util`]) with the mode chosen per access.
 //!
 //! Because reads hold shared locks, a pushed `Read` can still meet a
 //! foreign uncommitted `Read` of the same location in PUSH criterion
@@ -19,7 +21,7 @@ use std::sync::Mutex;
 use pushpull_core::error::MachineError;
 use pushpull_core::{Code, TxnHandle};
 use pushpull_ds::rwlocks::{Mode, RwLockTable};
-use pushpull_spec::rwmem::{Loc, MemMethod, RwMem};
+use pushpull_spec::rwmem::{MemMethod, RwMem};
 
 use crate::driver::{Algorithm, Driver, Outcome};
 use crate::util::{fork_mutex, locked_step, release_all};
@@ -50,11 +52,12 @@ use crate::util::{fork_mutex, locked_step, release_all};
 /// ```
 pub type TwoPhaseLocking = Driver<TwoPhase>;
 
-/// Strict 2PL: the shared lock table — the algorithm's only cross-thread
+/// Strict 2PL: the shared lock table over the locations' footprint keys
+/// and the whole memory (`None`) — the algorithm's only cross-thread
 /// state, behind a short-held mutex. There is no per-thread state.
 #[derive(Debug)]
 pub struct TwoPhase {
-    locks: Mutex<RwLockTable<Loc>>,
+    locks: Mutex<RwLockTable<Option<u64>>>,
 }
 
 impl Clone for TwoPhase {
@@ -84,14 +87,12 @@ impl Algorithm for TwoPhase {
             release_all(&self.locks, committed);
             return Ok(Outcome::Committed);
         };
-        // The location's lock in the access's mode, then APP;PUSH. A PUSH
-        // denial after the grant only fires for interleavings the lock
-        // order did not cover (shared reads always commute): a wait.
-        let (loc, mode) = match method {
-            MemMethod::Read(l) => (l, Mode::Shared),
-            MemMethod::Write(l, _) => (l, Mode::Exclusive),
+        // The location's lock in the access's mode, then APP;PUSH.
+        let mode = match method {
+            MemMethod::Read(_) => Mode::Shared,
+            MemMethod::Write(..) => Mode::Exclusive,
         };
-        locked_step(h, &self.locks, [loc], mode, &method)
+        locked_step(h, &self.locks, mode, &method)
     }
 
     fn abort(&self, h: &mut TxnHandle<RwMem>, _: &mut ()) -> Result<(), MachineError> {
@@ -117,18 +118,11 @@ impl TwoPhaseLocking {
 mod tests {
     use super::*;
     use crate::driver::TmSystem;
-    use crate::util::run_round_robin;
-    use pushpull_core::error::{Clause, Rule};
+    use crate::util::{rmw, run_round_robin, run_seeded};
     use pushpull_core::op::ThreadId;
     use pushpull_core::opacity::{check_trace, OpacityVerdict};
     use pushpull_core::serializability::check_machine;
-
-    fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
-        vec![Code::seq_all(vec![
-            Code::method(MemMethod::Read(Loc(l))),
-            Code::method(MemMethod::Write(Loc(l), v)),
-        ])]
-    }
+    use pushpull_spec::rwmem::Loc;
 
     #[test]
     fn readers_run_in_parallel() {
@@ -150,9 +144,7 @@ mod tests {
             sys.stats().blocked_ticks > 0,
             "second RMW must wait on the lock"
         );
-        let audit = sys.machine().audit();
-        assert_eq!(audit.violated_count(Rule::Push, Clause::Ii), 0);
-        assert_eq!(audit.violated_count(Rule::Push, Clause::Iii), 0);
+        assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
         assert!(check_machine(sys.machine()).is_serializable());
     }
 
@@ -183,20 +175,14 @@ mod tests {
     #[test]
     fn random_interleavings_serializable() {
         for seed in 1..=15u64 {
-            let mut state = seed;
             let mut sys = TwoPhaseLocking::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3)]);
-            let mut ticks = 0;
-            while !sys.is_done() {
-                let mut x = state.max(1);
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                state = x;
-                sys.tick(ThreadId((x % 3) as usize)).unwrap();
-                ticks += 1;
-                assert!(ticks < 1_000_000, "seed {seed} diverged");
-            }
+            run_seeded(&mut sys, seed, 1_000_000);
             assert_eq!(sys.stats().commits, 3, "seed {seed}");
+            assert_eq!(
+                sys.machine().audit().push_cmt_violations(),
+                0,
+                "seed {seed}"
+            );
             assert!(
                 check_machine(sys.machine()).is_serializable(),
                 "seed {seed}"

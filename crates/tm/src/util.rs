@@ -1,4 +1,6 @@
-//! Small helpers shared by the algorithm drivers.
+//! Small helpers shared by the algorithm drivers: the lenient committed
+//! refresh, and the one locked step of boosting, 2PL and §7's boosted
+//! half, which takes a method's declared footprint as its abstract locks.
 
 use std::hash::Hash;
 use std::sync::Mutex;
@@ -10,6 +12,8 @@ use pushpull_core::TxnHandle;
 use pushpull_ds::rwlocks::{Mode, RwLockTable, RwOutcome};
 
 use crate::driver::Outcome;
+#[cfg(test)]
+use pushpull_spec::rwmem::MemMethod;
 
 /// Pulls the *committed* global operations the thread's transaction can
 /// still touch and does not hold yet, in global-log order, skipping
@@ -40,46 +44,51 @@ pub fn pull_committed_lenient<S: SeqSpec>(h: &mut TxnHandle<S>) -> Result<usize,
 }
 
 /// One operation under locks — boosting's, 2PL's and mixed's boosted
-/// half: take each of `keys` in `mode` (a busy key waits, a would-be
-/// deadlock aborts), refresh the committed view, then APP;PUSH eagerly.
-/// A denied APP goes back to the skeleton with `?`.
-pub(crate) fn locked_step<S: SeqSpec, K: Eq + Hash>(
+/// half. The locks are the spec's footprint ([`SeqSpec::method_keys`]):
+/// each key in `mode`, then the whole object (`None`) shared; a method
+/// that declares no footprint (a map's `Size`) takes the whole object
+/// exclusive. A busy lock waits, a would-be deadlock aborts. By footprint
+/// law 1 a granted set orders every pair that does not commute, so the
+/// APP;PUSH that follows is denied only by an injected fault, and a
+/// denial goes back to the skeleton with `?`.
+///
+/// All requests of a step share one hold of the table mutex. A grant
+/// clears the requester's waits-for edge, so re-requesting held keys
+/// drops the edge a refusal recorded; the refused request, repeated in
+/// the same hold, records it again (its cycle check walks from the
+/// holder and never reads the requester's edge) before anyone else looks.
+pub(crate) fn locked_step<S: SeqSpec>(
     h: &mut TxnHandle<S>,
-    locks: &Mutex<RwLockTable<K>>,
-    keys: impl IntoIterator<Item = K>,
+    locks: &Mutex<RwLockTable<Option<u64>>>,
     mode: Mode,
     method: &S::Method,
 ) -> Result<Outcome, MachineError> {
     let txn = h.txn();
-    for key in keys {
-        let outcome = locks
-            .lock()
-            .expect("lock table poisoned")
-            .try_lock(txn, key, mode);
-        match outcome {
-            RwOutcome::Granted => {}
-            // The contention policy decides how long to tolerate
-            // push-wait / lock-wait livelocks the waits-for graph cannot
-            // see.
-            RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
-            RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
+    let footprint = h.spec().method_keys(method);
+    let outcome = {
+        let mut table = locks.lock().expect("lock table poisoned");
+        match &footprint {
+            Some(keys) => keys
+                .iter()
+                .map(|k| table.try_lock(txn, Some(*k), mode))
+                .find(|o| *o != RwOutcome::Granted)
+                .unwrap_or_else(|| table.try_lock(txn, None, Mode::Shared)),
+            None => table.try_lock(txn, None, Mode::Exclusive),
         }
+    };
+    match outcome {
+        RwOutcome::Granted => {}
+        // The contention policy decides how long to tolerate lock-wait
+        // livelocks the waits-for graph cannot see.
+        RwOutcome::Busy { .. } => return Ok(Outcome::Wait),
+        RwOutcome::WouldDeadlock => return Ok(Outcome::Abort),
     }
     // Implicit PULL: refresh the committed shared view (the paper's "the
     // local view is the same as the shared view").
     pull_committed_lenient(h)?;
     let op = h.app_method(method)?;
-    match h.push(op) {
-        Ok(()) => Ok(Outcome::Progress),
-        // A criterion (ii)/(iii) conflict the grants could not express
-        // (a map's `Size` against a put: their keys never conflict): undo
-        // the APP and wait for the conflicting transaction to commit.
-        Err(e) if e.is_criterion() => {
-            h.unapp()?;
-            Ok(Outcome::Wait)
-        }
-        Err(e) => Err(e),
-    }
+    h.push(op)?;
+    Ok(Outcome::Progress)
 }
 
 /// Releases every grant `txn` holds in a driver's lock table.
@@ -108,6 +117,43 @@ pub(crate) fn run_round_robin<T: crate::driver::TmSystem>(sys: &mut T, max_ticks
         let _ = sys.tick(pushpull_core::op::ThreadId(i % n)).unwrap();
     }
     panic!("system did not terminate within {max_ticks} ticks");
+}
+
+/// A read-modify-write of location `l`: the contended memory program of
+/// the tests.
+#[cfg(test)]
+pub(crate) fn rmw(l: u32, v: i64) -> Vec<pushpull_core::Code<MemMethod>> {
+    use pushpull_core::Code;
+    use pushpull_spec::rwmem::Loc;
+    vec![Code::seq_all(vec![
+        Code::method(MemMethod::Read(Loc(l))),
+        Code::method(MemMethod::Write(Loc(l), v)),
+    ])]
+}
+
+/// Drives `sys` until done, each tick on a thread a seeded xorshift
+/// picks.
+///
+/// # Panics
+///
+/// Panics on a machine error or when `max_ticks` is exhausted.
+#[cfg(test)]
+pub(crate) fn run_seeded<T: crate::driver::TmSystem>(sys: &mut T, seed: u64, max_ticks: usize) {
+    let n = sys.thread_count() as u64;
+    let mut x = seed;
+    for _ in 0..max_ticks {
+        if sys.is_done() {
+            return;
+        }
+        x = x.max(1);
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let _ = sys
+            .tick(pushpull_core::op::ThreadId((x % n) as usize))
+            .unwrap();
+    }
+    panic!("seed {seed}: system did not terminate within {max_ticks} ticks");
 }
 
 /// Ticks `tid` until a tick is not [`Tick::Blocked`](crate::driver::Tick)

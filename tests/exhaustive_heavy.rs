@@ -80,7 +80,12 @@ fn three_thread_boosting_map_exhaustive() {
             max_depth: 64,
             max_terminals: 2_000_000,
         },
-        &mut |s| check_machine(s.machine()).is_serializable(),
+        &mut |s| {
+            // The abstract locks decided every conflict: no PUSH or CMT
+            // was denied after a grant.
+            s.machine().audit().push_cmt_violations() == 0
+                && check_machine(s.machine()).is_serializable()
+        },
     )
     .unwrap();
     // Complete, with no path pruned: threads of 3, 3 and 2 ticks admit

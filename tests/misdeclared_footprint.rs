@@ -11,6 +11,12 @@
 //! not look at footprints at all), through a §6 driver and through the
 //! service front-end under the round-robin scheduler.
 //!
+//! Boosting, 2PL and §7's boosted half do trust a footprint: it is
+//! their abstract locks. A `Size` declared on a key of its own claims to
+//! commute with every put; the certifier refutes that, and boosting over
+//! it meets the PUSH (ii) denials the whole-object lock would have
+//! ordered away — each one an abort, the run still serializable.
+//!
 //! The refresh's other filter — committed operations the spec declares
 //! `ReadOnly` stay in `G` — trusts the inverse oracle the same way, with
 //! no certificate either, and for the same reason: a memory whose every
@@ -18,6 +24,8 @@
 //! the same two runs show it costs retries, or a session its budget, and
 //! no verdict.
 
+use pushpull::analysis::{certify, UNSOUND_FOOTPRINT};
+use pushpull::core::error::{Clause, Rule};
 use pushpull::core::lang::Code;
 use pushpull::core::op::{Op, ThreadId};
 use pushpull::core::serializability::check_machine;
@@ -25,9 +33,10 @@ use pushpull::core::spec::{KeySet, OpInverse, Rets, SeqSpec};
 use pushpull::harness::testutil::Redeclared;
 use pushpull::harness::{run, RoundRobin};
 use pushpull::server::{ServerConfig, SessionOutcome, SessionScript, TxnServer};
+use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::spec::rwmem::{Loc, MemMethod, MemRet, MemState, RwMem};
 use pushpull::tm::optimistic::ReadPolicy;
-use pushpull::tm::OptimisticSystem;
+use pushpull::tm::{BoostingSystem, OptimisticSystem};
 
 const BUDGET: usize = 100_000;
 
@@ -202,4 +211,69 @@ fn a_write_declared_read_only_fails_a_session_on_its_budget_and_no_verdict() {
         through_the_server(WritesReadOnly::default()) > 0,
         "a reader that found 1 committed must fail"
     );
+}
+
+/// `map` with `Size` declared on a key of its own (no map key is
+/// `u64::MAX` here) where it declares none: as a lock, the key orders
+/// `Size` against no put.
+fn size_on_its_own_key(map: KvMap) -> Redeclared<KvMap> {
+    Redeclared {
+        inner: map,
+        keys: |m| Some(KeySet::one(m.key().unwrap_or(u64::MAX))),
+    }
+}
+
+#[test]
+fn a_size_on_its_own_key_is_refuted_by_the_certifier() {
+    let spec = size_on_its_own_key(KvMap::bounded(vec![1, 2], vec![7]));
+    let cert = certify(&spec, "kvmap-size-keyed").expect("bounded");
+    assert!(!cert.is_valid());
+    assert!(
+        cert.diagnostics
+            .iter()
+            .any(|d| d.lint == UNSOUND_FOOTPRINT && d.message.contains("Size")),
+        "{:?}",
+        cert.diagnostics
+    );
+}
+
+/// Four transactions each put a key of their own, then read `Size`.
+/// Honestly declared, `Size` locks the whole map exclusive and waits for
+/// the other puts to commit. Keyed on its own, it is granted beside
+/// uncommitted foreign puts, and the machine denies its PUSH (ii). The
+/// lie also narrows the refresh, which pulls the committed operations on
+/// the transaction's declared keys only: a `Size` that follows a
+/// committed foreign put stays stale and is denied on every retry, so
+/// that run is bounded rather than driven to the end.
+#[test]
+fn a_size_on_its_own_key_makes_boosting_meet_push_denials() {
+    let programs = || {
+        (0..4u64)
+            .map(|t| {
+                vec![Code::seq_all(vec![
+                    Code::method(MapMethod::Put(t, t as i64)),
+                    Code::method(MapMethod::Size),
+                ])]
+            })
+            .collect::<Vec<_>>()
+    };
+    let honest = Redeclared {
+        inner: KvMap::new(),
+        keys: |m: &MapMethod| KvMap::new().method_keys(m),
+    };
+    let mut sys = BoostingSystem::new(honest, programs());
+    assert!(run(&mut sys, &mut RoundRobin, BUDGET).unwrap().completed);
+    assert_eq!(sys.stats().commits, 4);
+    assert_eq!(sys.machine().audit().push_cmt_violations(), 0);
+
+    let mut sys = BoostingSystem::new(size_on_its_own_key(KvMap::new()), programs());
+    run(&mut sys, &mut RoundRobin, 2_000).unwrap();
+    let audit = sys.machine().audit();
+    assert!(
+        audit.violated_count(Rule::Push, Clause::Ii) > 0,
+        "{}",
+        audit.render()
+    );
+    let report = check_machine(sys.machine());
+    assert!(report.is_serializable(), "{report}");
 }

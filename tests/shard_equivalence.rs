@@ -18,6 +18,7 @@
 //! above 1 must fall back to whole-log evaluation without changing any
 //! outcome.
 
+use pushpull::core::audit::CriteriaAudit;
 use pushpull::core::lang::Code;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
@@ -43,11 +44,7 @@ const SHARD_COUNTS: [usize; 2] = [4, 16];
 
 /// One run: reshard, drive to completion round-robin, snapshot
 /// everything the equivalence claim quantifies over.
-fn golden<T>(
-    label: &str,
-    mut sys: T,
-    shards: usize,
-) -> (u64, String, pushpull::core::audit::CriteriaAudit)
+fn golden<T>(label: &str, mut sys: T, shards: usize) -> (u64, String, CriteriaAudit)
 where
     T: TmSystem,
     <T::MachineSpec as SeqSpec>::Method: std::fmt::Display,
@@ -69,8 +66,9 @@ where
 }
 
 /// Drives `make()`'s system at every shard count and asserts the
-/// equivalence against the single-shard baseline.
-fn assert_shard_equivalence<T>(label: &str, make: impl Fn() -> T)
+/// equivalence against the single-shard baseline; returns the baseline's
+/// audit, which every shard count matched.
+fn assert_shard_equivalence<T>(label: &str, make: impl Fn() -> T) -> CriteriaAudit
 where
     T: TmSystem,
     <T::MachineSpec as SeqSpec>::Method: std::fmt::Display,
@@ -85,6 +83,14 @@ where
         );
         assert_ledger_matches(&audit, &base_audit);
     }
+    base_audit
+}
+
+/// A driver whose own metadata decides every conflict (boosting, 2PL,
+/// TL2, the simulated HTM, §7's mixed system) is never denied a PUSH or
+/// CMT: the machine's criteria only confirm.
+fn assert_decided(audit: CriteriaAudit) {
+    assert_eq!(audit.push_cmt_violations(), 0, "\n{}", audit.render());
 }
 
 #[test]
@@ -99,9 +105,9 @@ fn boosting_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence("boosting/kvmap", || {
+    assert_decided(assert_shard_equivalence("boosting/kvmap", || {
         BoostingSystem::new(KvMap::new(), programs())
-    });
+    }));
 }
 
 #[test]
@@ -122,9 +128,10 @@ fn boosting_many_keys_per_shard_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence("boosting/kvmap-many-keys-per-shard", || {
-        BoostingSystem::new(KvMap::new(), programs())
-    });
+    assert_decided(assert_shard_equivalence(
+        "boosting/kvmap-many-keys-per-shard",
+        || BoostingSystem::new(KvMap::new(), programs()),
+    ));
 }
 
 #[test]
@@ -151,9 +158,10 @@ fn refresh_with_bystander_keys_is_verdict_equivalent() {
     assert_shard_equivalence("optimistic/kvmap-bystanders", || {
         OptimisticSystem::new(KvMap::new(), programs(), ReadPolicy::Snapshot)
     });
-    assert_shard_equivalence("boosting/kvmap-bystanders", || {
-        BoostingSystem::new(KvMap::new(), programs())
-    });
+    assert_decided(assert_shard_equivalence(
+        "boosting/kvmap-bystanders",
+        || BoostingSystem::new(KvMap::new(), programs()),
+    ));
 
     // Not vacuously: contenders were refreshed, by their own keys only.
     let mut sys = OptimisticSystem::new(KvMap::new(), programs(), ReadPolicy::Snapshot);
@@ -185,9 +193,10 @@ fn boosting_coarse_size_workload_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence("boosting/kvmap-size-coarse", || {
-        BoostingSystem::new(KvMap::new(), programs())
-    });
+    assert_decided(assert_shard_equivalence(
+        "boosting/kvmap-size-coarse",
+        || BoostingSystem::new(KvMap::new(), programs()),
+    ));
 }
 
 #[test]
@@ -224,24 +233,24 @@ fn rmw(l: u32, v: i64) -> Vec<Code<MemMethod>> {
 
 #[test]
 fn tl2_sharding_is_verdict_equivalent() {
-    assert_shard_equivalence("tl2/rwmem", || {
+    assert_decided(assert_shard_equivalence("tl2/rwmem", || {
         Tl2System::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(1, 4)])
-    });
+    }));
 }
 
 #[test]
 fn twophase_sharding_is_verdict_equivalent() {
     let read0 = || vec![Code::method(MemMethod::Read(Loc(0)))];
-    assert_shard_equivalence("2pl/rwmem", || {
+    assert_decided(assert_shard_equivalence("2pl/rwmem", || {
         TwoPhaseLocking::new(vec![read0(), read0(), rmw(1, 7), rmw(1, 8)])
-    });
+    }));
 }
 
 #[test]
 fn htm_sharding_is_verdict_equivalent() {
-    assert_shard_equivalence("htm/rwmem", || {
+    assert_decided(assert_shard_equivalence("htm/rwmem", || {
         HtmSystem::new(vec![rmw(0, 1), rmw(1, 2), rmw(0, 3), rmw(2, 4)])
-    });
+    }));
 }
 
 #[test]
@@ -303,9 +312,9 @@ fn mixed_sharding_is_verdict_equivalent() {
             })
             .collect::<Vec<_>>()
     };
-    assert_shard_equivalence("mixed/product", || {
+    assert_decided(assert_shard_equivalence("mixed/product", || {
         MixedSystem::new(mixed_spec(), programs())
-    });
+    }));
 }
 
 #[test]
