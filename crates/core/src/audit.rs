@@ -30,54 +30,6 @@ impl std::fmt::Display for Obligation {
     }
 }
 
-// Rule/Clause need Ord for the BTreeMap key; derive-by-hand here to keep
-// the error module's public surface minimal.
-impl Rule {
-    fn ord_key(self) -> u8 {
-        match self {
-            Rule::App => 0,
-            Rule::UnApp => 1,
-            Rule::Push => 2,
-            Rule::UnPush => 3,
-            Rule::Pull => 4,
-            Rule::UnPull => 5,
-            Rule::Cmt => 6,
-        }
-    }
-}
-
-impl Clause {
-    fn ord_key(self) -> u8 {
-        match self {
-            Clause::I => 0,
-            Clause::Ii => 1,
-            Clause::Iii => 2,
-            Clause::Iv => 3,
-        }
-    }
-}
-
-impl PartialOrd for Rule {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Rule {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ord_key().cmp(&other.ord_key())
-    }
-}
-impl PartialOrd for Clause {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Clause {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ord_key().cmp(&other.ord_key())
-    }
-}
-
 /// Tally of discharged (checked-and-passed) and violated criteria, plus
 /// the primitive-check counters behind them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -246,7 +198,7 @@ pub struct AtomicAudit {
     violated: [[AtomicU64; 4]; 7],
     mover_queries: [CachePadded<AtomicU64>; QUERY_SHARDS],
     allowed_queries: [CachePadded<AtomicU64>; QUERY_SHARDS],
-    /// Injected `Deny(rule)` faults, indexed by the rule's `ord_key`.
+    /// Injected `Deny(rule)` faults, indexed by `rule as usize`.
     injected_deny: [AtomicU64; 7],
     /// Injected non-deny faults (kill, stall, HTM), indexed
     /// by [`FaultKind::audit_slot`] — the dense numbering derived from
@@ -262,14 +214,12 @@ impl AtomicAudit {
 
     /// Records a passed criterion.
     pub fn pass(&self, rule: Rule, clause: Clause) {
-        self.discharged[rule.ord_key() as usize][clause.ord_key() as usize]
-            .fetch_add(1, Ordering::Relaxed);
+        self.discharged[rule as usize][clause as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a failed criterion.
     pub fn fail(&self, rule: Rule, clause: Clause) {
-        self.violated[rule.ord_key() as usize][clause.ord_key() as usize]
-            .fetch_add(1, Ordering::Relaxed);
+        self.violated[rule as usize][clause as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one mover-oracle consultation in the calling thread's stripe.
@@ -299,7 +249,7 @@ impl AtomicAudit {
                 let FaultKind::Deny(rule) = kind else {
                     unreachable!("only Deny lacks an audit slot")
                 };
-                self.injected_deny[rule.ord_key() as usize].fetch_add(1, Ordering::Relaxed)
+                self.injected_deny[rule as usize].fetch_add(1, Ordering::Relaxed)
             }
         };
     }
@@ -310,15 +260,13 @@ impl AtomicAudit {
         let mut out = CriteriaAudit::default();
         for rule in ALL_RULES {
             for clause in ALL_CLAUSES {
-                let d = self.discharged[rule.ord_key() as usize][clause.ord_key() as usize]
-                    .load(Ordering::Relaxed);
+                let d = self.discharged[rule as usize][clause as usize].load(Ordering::Relaxed);
                 if d > 0 {
                     *out.discharged
                         .entry(Obligation { rule, clause })
                         .or_default() += d;
                 }
-                let v = self.violated[rule.ord_key() as usize][clause.ord_key() as usize]
-                    .load(Ordering::Relaxed);
+                let v = self.violated[rule as usize][clause as usize].load(Ordering::Relaxed);
                 if v > 0 {
                     *out.violated.entry(Obligation { rule, clause }).or_default() += v;
                 }
@@ -335,7 +283,7 @@ impl AtomicAudit {
             .map(|s| s.load(Ordering::Relaxed))
             .sum();
         for rule in ALL_RULES {
-            let n = self.injected_deny[rule.ord_key() as usize].load(Ordering::Relaxed);
+            let n = self.injected_deny[rule as usize].load(Ordering::Relaxed);
             if n > 0 {
                 *out.injected.entry(FaultKind::Deny(rule)).or_default() += n;
             }

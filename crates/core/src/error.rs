@@ -11,8 +11,8 @@ use std::fmt;
 
 use crate::op::{OpId, ThreadId};
 
-/// The seven PUSH/PULL rules (Figure 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The seven PUSH/PULL rules (Figure 5), ordered as declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
     /// APPly an operation locally.
     App,
@@ -46,7 +46,7 @@ impl fmt::Display for Rule {
 }
 
 /// Which clause of a rule's premise failed, using the paper's numbering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Clause {
     /// Criterion (i).
     I,

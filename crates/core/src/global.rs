@@ -28,8 +28,10 @@
 //!   settled criterion (iii) at PULL time — no rule un-commits — so only
 //!   operations pulled `gUCmt` are looked up, and only their shards held.
 //! * A **held commit** (see [`crate::group`]) takes the same shard set
-//!   once — `GlobalState::acquire_held` — for all of a transaction's
-//!   PUSHes, its CMT and, denied, its abort. Inside it each PUSH/UNPUSH
+//!   once — `GlobalState::acquire_held` — for all of *one* transaction's
+//!   PUSHes, its CMT and, denied, its abort; no section ever holds a
+//!   second transaction. It is how `pushpull-server` commits every
+//!   eligible session. Inside it each PUSH/UNPUSH
 //!   *focuses* the view on its own route's shard, so the kernel reads
 //!   (cache, mover scan, audit tallies) exactly what it would under that
 //!   shard's own lock.

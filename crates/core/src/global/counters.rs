@@ -46,57 +46,18 @@ impl Tally {
     }
 }
 
-/// Counters of [`commit_group`](crate::group::commit_group): how many
-/// batches — held sections with at least one commit; a multi-shard
-/// transaction's section is a batch of one — were sealed, how many
-/// transactions rode them, how the batch sizes distribute, and how many
-/// shard-lock acquisitions the held sections amortized away compared to
-/// the per-transaction path.
+/// Counters of [`commit_group`](crate::group::commit_group): the held
+/// sections it committed and the transactions in them. Each section
+/// holds one transaction, so both read the one count; `pushpull-server`
+/// commits through [`commit_held`](crate::group::commit_held), which
+/// counts nothing, so a server's machine reads zero in both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupStats {
-    /// Batches executed as one held section.
+    /// Held sections that committed.
     pub batches: u64,
-    /// Transactions committed through a batch.
+    /// Transactions committed through them.
     pub batched_txns: u64,
-    /// Operations appended through a batch (each would have been its own
-    /// lock acquisition on the per-transaction path).
-    pub batched_ops: u64,
-    /// Lock acquisitions the batch path saved: for a one-shard batch of
-    /// `n` transactions and `k` appended operations the per-transaction
-    /// path pays `k` PUSH acquisitions plus `n` CMT acquisitions where the
-    /// batch pays one (for a transaction over `s` shards, `k + s` against
-    /// `s` — the same `k + n − 1` with `n = 1`).
-    pub locks_saved: u64,
-    /// Batch-size histogram in power-of-two buckets: sizes 1, 2, 3–4,
-    /// 5–8, 9–16, 17–32, 33–64, 65+ committed transactions. Bucket
-    /// order is fixed ascending, so any dump of it is deterministic.
-    pub size_hist: [u64; 8],
 }
-
-impl GroupStats {
-    /// The histogram bucket a batch of `n` transactions lands in.
-    pub fn bucket(n: u64) -> usize {
-        match n {
-            0 | 1 => 0,
-            2 => 1,
-            3..=4 => 2,
-            5..=8 => 3,
-            9..=16 => 4,
-            17..=32 => 5,
-            33..=64 => 6,
-            _ => 7,
-        }
-    }
-
-    /// Upper bound (inclusive) of histogram bucket `i`, for rendering.
-    pub fn bucket_label(i: usize) -> &'static str {
-        ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"][i.min(7)]
-    }
-}
-
-/// The group tally's layout: the four scalar counters of [`GroupStats`]
-/// in field order, then the eight histogram buckets.
-const GROUP_SLOTS: usize = 4 + 8;
 
 /// One counter of [`NestingStats`], named by the event it counts; the
 /// discriminant is its slot in the nesting tally.
@@ -129,7 +90,8 @@ pub(crate) struct Counters {
     /// Per-shard contended acquisitions: those that found the lock
     /// already held and had to wait.
     pub(super) lock_contended: Tally,
-    /// Group-commit batch counters (see [`GroupStats`]).
+    /// Held sections [`commit_group`](crate::group::commit_group)
+    /// committed (see [`GroupStats`]).
     group: Tally,
     /// Nested-scope traffic counters (see [`NestingStats`]).
     nesting: Tally,
@@ -145,7 +107,7 @@ impl Counters {
             audit: AtomicAudit::new(),
             lock_acquires: Tally::zeroed(shards),
             lock_contended: Tally::zeroed(shards),
-            group: Tally::zeroed(GROUP_SLOTS),
+            group: Tally::zeroed(1),
             nesting: Tally::zeroed(Nesting::UndoInverses as usize + 1),
         }
     }
@@ -217,31 +179,20 @@ impl<S: SeqSpec> GlobalState<S> {
         TxnId(self.counters.next_txn.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// A snapshot of the group-commit batch counters.
+    /// A snapshot of the held-commit counters.
     pub fn group_stats(&self) -> GroupStats {
-        let g = &self.counters.group;
+        let sections = self.counters.group.load(0);
         GroupStats {
-            batches: g.load(0),
-            batched_txns: g.load(1),
-            batched_ops: g.load(2),
-            locks_saved: g.load(3),
-            size_hist: std::array::from_fn(|i| g.load(4 + i)),
+            batches: sections,
+            batched_txns: sections,
         }
     }
 
-    /// Records one sealed group-commit batch of `txns` committed
-    /// transactions and `ops` appended operations under a single lock
-    /// acquisition.
-    pub(crate) fn note_group_batch(&self, txns: u64, ops: u64) {
-        let g = &self.counters.group;
-        g.add(0, 1);
-        g.add(1, txns);
-        g.add(2, ops);
-        // Per-transaction cost of the same work: one acquisition per
-        // appended op (PUSH) plus one per transaction (CMT); the batch
-        // paid exactly one.
-        g.add(3, (ops + txns).saturating_sub(1));
-        g.add(4 + GroupStats::bucket(txns), 1);
+    /// Records one transaction committed by
+    /// [`commit_group`](crate::group::commit_group) in a held section of
+    /// its own.
+    pub(crate) fn note_held_commit(&self) {
+        self.counters.group.add(0, 1);
     }
 
     /// A snapshot of the nested-scope traffic counters.

@@ -422,7 +422,7 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// Runs `body` with the view focused on held shard `shard`.
     ///
     /// Invariant: `shard` is held. A held section's shard set is
-    /// `TxnHandle::held_shards` — the routes of its members' own
+    /// `TxnHandle::held_shards` — the routes of its transaction's own
     /// operations, the only ones a held PUSH/UNPUSH is about — so the
     /// lookup cannot miss. Were it to, the view stays unfocused and
     /// nothing is corrupted: an UNPUSH does not find its entry
@@ -940,8 +940,8 @@ impl<S: SeqSpec> GlobalState<S> {
 
     /// Appends `op` to shard `target` inside the held view with
     /// commit-sequence `stamp` (the PUSH effect). The stamp is minted by [`Self::reserve_stamps`]
-    /// under the shard lock — one at a time, or as a group-commit
-    /// batch's contiguous block handed out one append at a time.
+    /// under the shard lock — one at a time, or as a held commit's
+    /// contiguous block handed out one append at a time.
     /// `target` is the routed shard ([`Route::target`]), whichever shards
     /// the view holds. `step_end` — PUSH (iii) passed class-locally, see
     /// [`LogView::allows`] — steps class `k`'s end-of-log set in place to

@@ -55,10 +55,10 @@ pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqS
 
 /// A critical section the *caller* already holds (see [`crate::group`]):
 /// the shared rule bodies run inside it instead of acquiring their own, so
-/// a transaction's PUSHes and its CMT — or a whole one-shard batch of
-/// transactions — are one uninterleaved section.
+/// a transaction's PUSHes and its CMT — and, denied, its abort — are one
+/// uninterleaved section.
 pub(crate) struct Held<'a, S: SeqSpec> {
-    /// The held shards: every shard the section's transactions route to.
+    /// The held shards: every shard the section's transaction routes to.
     pub(crate) view: LogView<'a, S>,
     /// The next unused stamp of the block reserved under the locks.
     pub(crate) stamp: u64,

@@ -633,9 +633,9 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// The one abort-and-restart body: [`Self::abort_and_retry`] when
     /// `held` is `None`; inside a caller-held section the rewind's
-    /// UNPUSHes run there, so a transaction denied mid-batch leaves `G`
-    /// — and the recorded trace — exactly as an immediate abort would,
-    /// before the next batched transaction's criteria run. Same
+    /// UNPUSHes run there, so a transaction denied in its section leaves
+    /// `G` — and the recorded trace — exactly as an immediate abort
+    /// would, before any other thread's criteria see it. Same
     /// no-scopes precondition as [`Self::commit_in`].
     pub(crate) fn abort_in(&mut self, held: Option<&mut Held<'_, S>>) -> MachineResult<TxnId> {
         debug_assert!(
@@ -741,9 +741,8 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// The single shard *every* operation of the current transaction —
     /// own and pulled — routes to, if it is eligible for a held commit
-    /// and there is such a shard: the transactions [`crate::group`]
-    /// batches per shard, and the key callers schedule their commit stage
-    /// by. `None` otherwise.
+    /// and there is such a shard — a key a caller may order its commit
+    /// stage by (`ledger/`'s ladder does). `None` otherwise.
     pub fn group_route(&self) -> Option<usize> {
         if !self.held_commit_allowed() {
             return None;

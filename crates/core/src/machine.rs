@@ -174,10 +174,10 @@ impl<S: SeqSpec> Machine<S> {
         self.global.arming_diagnostics()
     }
 
-    /// A snapshot of the group-commit batch counters (batches sealed,
-    /// transactions/operations batched, lock acquisitions saved, batch
-    /// size histogram). All-zero until [`crate::group::commit_group`]
-    /// runs over this machine's handles.
+    /// A snapshot of the held-commit counters (sections committed and
+    /// the transactions in them). All-zero until
+    /// [`crate::group::commit_group`] commits one of this machine's
+    /// handles.
     pub fn group_stats(&self) -> crate::global::GroupStats {
         self.global.group_stats()
     }
@@ -896,14 +896,15 @@ mod tests {
         m.install_certificate(Some(Arc::new(Default::default())));
         m.set_require_certificate(true);
         m.set_incremental(false);
-        // Mid-run: one sealed group batch, one scope in flight, one
+        // Mid-run: two held commits, one scope in flight, one
         // uncommitted push, one refused arming request.
         m.app_auto(a).unwrap();
         m.app_auto(b).unwrap();
         let [ha, hb, _] = m.handles_mut() else {
             unreachable!("three threads")
         };
-        assert_eq!(crate::group::commit_group(&mut [ha, hb]).batched_txns, 2);
+        let out = crate::group::commit_group(&mut [ha, hb]);
+        assert!(out.results.iter().all(|(_, r)| r.is_committed()));
         m.begin_nested(c, ScopeKind::Closed).unwrap();
         let op = m.app_auto(c).unwrap();
         m.push(c, op).unwrap();
@@ -941,7 +942,7 @@ mod tests {
         assert_eq!(before.1 .1.len(), 1, "the refused open scope");
         assert!(!before.2, "incremental off");
         assert!(before.3.discharged_count(Rule::Push, Clause::I) > 0);
-        assert_eq!((before.4 .0.batches, before.4 .1.scopes_opened), (1, 1));
+        assert_eq!((before.4 .0.batches, before.4 .1.scopes_opened), (2, 1));
         assert_eq!(before.5.len(), 2);
         let (txn, op_id, last) = before.6;
         let seen = m.committed_txns().iter().map(|c| c.txn).max().unwrap();

@@ -105,11 +105,6 @@ pub struct WatchdogReport {
     /// Per-shard `(acquires, contended)`, ascending by shard index —
     /// pinpoints *which* shard a log-bound livelock is fighting over.
     pub lock_stats_per_shard: Vec<(u64, u64)>,
-    /// Group-commit batch counters (all-zero unless the system commits
-    /// through `commit_group`) — a stall with `batches` flat but
-    /// commit-ready work queued means the batching stage itself is
-    /// wedged.
-    pub group_stats: pushpull_core::GroupStats,
     /// Nested-scope counters — a stall with `scopes_opened` climbing but
     /// neither `scopes_merged` nor `scopes_aborted` moving means threads
     /// keep re-entering a scope they can never exit.
@@ -131,27 +126,6 @@ impl std::fmt::Display for WatchdogReport {
                 f,
                 "    shard {i:<3} acquires={acquires:<9} contended={contended}"
             )?;
-        }
-        let g = self.group_stats;
-        if g.batches > 0 {
-            writeln!(
-                f,
-                "  group commit: {} batches, {} txns, {} ops, {} locks saved",
-                g.batches, g.batched_txns, g.batched_ops, g.locks_saved
-            )?;
-            // Fixed ascending bucket order: deterministic output.
-            write!(f, "  batch sizes:")?;
-            for (i, count) in g.size_hist.iter().enumerate() {
-                if *count > 0 {
-                    write!(
-                        f,
-                        " {}={}",
-                        pushpull_core::GroupStats::bucket_label(i),
-                        count
-                    )?;
-                }
-            }
-            writeln!(f)?;
         }
         let n = &self.nesting_stats;
         if n.scopes_opened > 0 {
@@ -330,7 +304,6 @@ where
             .collect(),
         lock_stats: m.lock_stats(),
         lock_stats_per_shard: m.lock_stats_per_shard(),
-        group_stats: m.group_stats(),
         nesting_stats: m.nesting_stats(),
     });
     Ok((

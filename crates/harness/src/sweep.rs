@@ -96,21 +96,14 @@ impl std::fmt::Display for SweepResult {
             count(|s| s.lock_contended),
             count(|s| s.lock_acquires),
         )?;
-        // Only service-front-end runs (sessions multiplexed or batches
-        // sealed) print the group-commit tail, so other sweep tables stay
-        // byte-compatible with older logs.
-        if self
-            .runs
-            .iter()
-            .any(|(s, _)| s.group_batches > 0 || s.sessions > 0)
-        {
+        // Only service-front-end runs (sessions multiplexed) print the
+        // session tail, so other sweep tables stay byte-compatible with
+        // older logs.
+        if self.runs.iter().any(|(s, _)| s.sessions > 0) {
             write!(
                 f,
-                " sessions={} batches={} (txns={} saved={} fb={})",
+                " sessions={} fb={}",
                 count(|s| s.sessions),
-                count(|s| s.group_batches),
-                count(|s| s.group_txns),
-                count(|s| s.group_locks_saved),
                 count(|s| s.group_fallbacks),
             )?;
         }
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn sweep_line_is_pinned_byte_for_byte() {
         // Synthetic runs with every counter the line prints non-zero, so
-        // both optional tails (sessions/batches and scopes) render.
+        // both optional tails (sessions and scopes) render.
         let result = sweep("server/pinned", [1u64, 3], |k| {
             let stats = SystemStats {
                 commits: 4 * k,
@@ -181,9 +174,6 @@ mod tests {
                 lock_acquires: 20 * k,
                 lock_contended: k,
                 sessions: 5 * k,
-                group_batches: 2 * k,
-                group_txns: 3 * k,
-                group_locks_saved: k,
                 group_fallbacks: k - 1,
                 scopes_opened: 6 * k,
                 scopes_merged: 2 * k,
@@ -200,8 +190,7 @@ mod tests {
             concat!(
                 "server/pinned                      commits=8.0±5.7      aborts=2.0±1.4      ",
                 "abort-rate=  20.0%  ticks=14.0±2.8       streak=2.0±1.4   degr=1.0±1.4 ",
-                "locks=2.0±1.4/40.0±28.3 sessions=10.0±7.1 batches=4.0±2.8 ",
-                "(txns=6.0±4.2 saved=2.0±1.4 fb=1.0±1.4) scopes=12.0±8.5 ",
+                "locks=2.0±1.4/40.0±28.3 sessions=10.0±7.1 fb=1.0±1.4 scopes=12.0±8.5 ",
                 "(merged=4.0±2.8 aborted=2.0±1.4 open=2.0±1.4 comp=1.0±1.4 undo=4.0±2.8)",
             )
         );

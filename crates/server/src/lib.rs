@@ -10,18 +10,19 @@
 //!   transaction body plus its close) and the deterministic seeded
 //!   admission assignment;
 //! * [`server`] — [`TxnServer`]: admission, APPly, and a commit stage
-//!   that batches commit-ready transactions *per destination shard* so
-//!   one shard-lock acquisition and one contiguous stamp reservation
-//!   cover a whole batch ([`pushpull_core::commit_group`]).
+//!   that commits each commit-ready transaction as one held section —
+//!   its PUSHes and its CMT under one acquisition of its own shards'
+//!   locks and one contiguous stamp reservation
+//!   ([`pushpull_core::commit_held`]).
 //!
 //! The server is itself a [`TmSystem`](pushpull_tm::driver::TmSystem)
 //! and a [`ParallelSystem`](pushpull_tm::driver::ParallelSystem), so the
 //! whole harness — seeded schedulers, the OS-thread runner with its
-//! watchdog, fault plans, parameter sweeps — drives it unchanged.
-//! Batching is observationally invisible: with the same scripts, seed,
-//! and shard count, group commit on and off produce bit-identical
-//! committed-transaction records and traces (the equivalence suite holds
-//! this at shard counts 1, 4, and 16).
+//! watchdog, fault plans, parameter sweeps — drives it unchanged. The
+//! server records no rule trace unless asked to, and recording changes
+//! nothing else: traced and untraced runs produce identical outcomes,
+//! committed-transaction records, audits and statistics (the
+//! equivalence suite holds this at shard counts 1, 4, and 16).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,5 +1,5 @@
 //! The transaction server: session multiplexing onto a bounded worker
-//! pool, with per-shard group commit.
+//! pool, each session committing in one held section.
 //!
 //! # Architecture
 //!
@@ -21,20 +21,16 @@
 //! 3. **apply** — each busy slot APPlies its remaining operations
 //!    (`Op`), failing the session cleanly if the spec refuses a result
 //!    (e.g. a bank overdraft: retrying could never succeed);
-//! 4. **commit** — commit-ready slots are scheduled in destination-shard
-//!    order and each eligible transaction commits as *one uninterleaved
-//!    held section* over its own shards (its PUSHes and its CMT under one
-//!    acquisition of each, see [`pushpull_core::group`]): through
-//!    [`commit_group`] — one section and one contiguous stamp range per
-//!    shard batch, then one section per multi-shard transaction — or,
-//!    with batching off, through [`commit_held`] one transaction at a
-//!    time. Either way no thread ever observes a session's uncommitted
-//!    operation, so a preempted committer makes its peers wait on a mutex
-//!    instead of spending their retry budget, and a denied attempt is
-//!    aborted and restarted inside its section in both modes. The
-//!    scheduling order is computed identically with batching on or off,
-//!    which is why the two modes produce bit-identical traces — and the
-//!    same transaction ids.
+//! 4. **commit** — commit-ready slots commit in slot order, each through
+//!    [`commit_held`]: *one uninterleaved held section* over the
+//!    transaction's own shards (its PUSHes and its CMT under one
+//!    acquisition of each, see [`pushpull_core::group`]). No thread ever
+//!    observes a session's uncommitted operation, so a preempted committer
+//!    makes its peers wait on a mutex instead of spending their retry
+//!    budget, and a denied attempt is aborted and restarted inside its
+//!    section. A transaction the section refuses (coarse-routed, nested or
+//!    compensating — its commit takes shard locks of its own) commits on
+//!    the unheld per-transaction path instead.
 //!
 //! Conflict-denied transactions are retried with a refreshed committed
 //! view, up to `max_retries`; a session that spends the budget fails
@@ -65,17 +61,10 @@
 //!
 //! # What the commit counters count
 //!
-//! * [`SessionOutcome::Committed`]`::batched` — the commit went through
-//!   [`commit_group`] (batching on), whatever the size of its batch.
-//! * [`GroupStats`](pushpull_core::GroupStats) (`group_batches`,
-//!   `group_txns`, … in [`SystemStats`]) — the held sections
-//!   [`commit_group`] sealed with at least one commit and the
-//!   transactions in them; a multi-shard transaction's section is a batch
-//!   of one. All zero with batching off: [`commit_held`] tallies nothing.
-//! * `group_fallbacks` — with batching on, transactions [`commit_group`]
-//!   reported `Ineligible` and the server committed on the unheld
-//!   per-transaction path instead: coarse-routed, nested or compensating
-//!   ones, whose commit takes shard locks of its own.
+//! `group_fallbacks` in [`SystemStats`]: transactions [`commit_held`]
+//! reported `Ineligible` and the server committed on the unheld
+//! per-transaction path instead. [`commit_held`] itself counts nothing, so
+//! a commit writes no shared word beyond the shard locks it takes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,7 +73,7 @@ use pushpull_core::error::MachineError;
 use pushpull_core::machine::Machine;
 use pushpull_core::op::{ThreadId, TxnId};
 use pushpull_core::spec::SeqSpec;
-use pushpull_core::{commit_group, commit_held, GroupTxnResult, TxnHandle};
+use pushpull_core::{commit_held, GroupTxnResult, TxnHandle};
 use pushpull_tm::driver::{
     fold_machine_counters, ParallelSystem, SystemStats, Tick, TmSystem, Worker,
 };
@@ -101,10 +90,6 @@ pub struct ServerConfig {
     /// Handle slots each worker owns — the worker's concurrent-session
     /// capacity.
     pub slots_per_worker: usize,
-    /// Batch commit-ready slots per destination shard through
-    /// [`commit_group`] (`false` commits each through a held section of
-    /// its own, [`commit_held`]).
-    pub group_commit: bool,
     /// Conflict-induced retries a session may spend before it fails.
     pub max_retries: u64,
     /// `0`: closed loop — a session becomes runnable when a slot frees.
@@ -121,7 +106,6 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             slots_per_worker: 8,
-            group_commit: true,
             max_retries: 32,
             arrival_period: 0,
             seed: 0x5E55_10AD,
@@ -136,8 +120,6 @@ pub enum SessionOutcome {
     Committed {
         /// The committed machine transaction.
         txn: TxnId,
-        /// Through [`commit_group`] (vs one transaction at a time)?
-        batched: bool,
         /// Conflict retries spent before success.
         retries: u64,
         /// Worker ticks from the session becoming runnable to the
@@ -240,7 +222,7 @@ impl WorkerState {
 }
 
 /// Commits the session in slot `k` and frees the slot.
-fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId, batched: bool) {
+fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId) {
     let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
         unreachable!("commit on a non-busy slot");
     };
@@ -250,7 +232,6 @@ fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId, batched: bool) {
         a.session,
         SessionOutcome::Committed {
             txn,
-            batched,
             retries: a.retries,
             latency,
         },
@@ -280,15 +261,13 @@ fn fail_session<S: SeqSpec>(
 
 /// Handles a conflict denial on slot `k`: abort-and-retry, or fail the
 /// session once the retry budget is spent. `restarted` says the abort
-/// already happened (the group path aborts in-view before reporting).
+/// already happened (a held section aborts before reporting).
 ///
 /// The surviving slot is queued on `needs_pull` instead of pulling the
-/// committed view here: the refresh must wait until the *whole* commit
-/// stage has run, so a denied transaction observes the same committed
-/// prefix whether its peers committed through one batch (all sealed
-/// before `commit_group` returned) or one at a time after its turn.
-/// Pulling eagerly is exactly the batched-vs-single divergence the
-/// equivalence suite would catch.
+/// committed view here: the refresh waits until the *whole* commit stage
+/// has run, so the retry sees what every slot of this tick committed —
+/// those after it in slot order too — and is not denied again next tick
+/// by a commit its refresh came too early to pull.
 fn conflict_retry<S: SeqSpec>(
     w: &mut WorkerState,
     k: usize,
@@ -338,7 +317,7 @@ fn commit_unheld<S: SeqSpec>(
 ) -> Result<(), MachineError> {
     match h.push_all_and_commit() {
         Ok(txn) => {
-            finish_commit(w, k, txn, false);
+            finish_commit(w, k, txn);
             Ok(())
         }
         Err(e) if e.is_criterion() => conflict_retry(w, k, h, e, false, needs_pull, cfg),
@@ -452,52 +431,27 @@ fn tick_worker<S: SeqSpec>(
         }
     }
 
-    // 4. Commit stage. Scheduling order is destination-shard order for
-    // single-shard-routable transactions, slot order for the rest —
-    // computed the same way whether batching is on or off, so the two
-    // modes replay identical traces.
-    ready.sort_by_key(|&k| match handles[k].group_route() {
-        Some(shard) => (0usize, shard, k),
-        None => (1usize, 0, k),
-    });
-    // Every eligible transaction commits inside a held section, batched
-    // per shard or one by one: no other thread ever observes a session's
-    // uncommitted operation in either mode.
-    let results: Vec<GroupTxnResult> = if cfg.group_commit {
-        let mut lent: Vec<Option<&mut TxnHandle<S>>> = handles.iter_mut().map(Some).collect();
-        let mut batch: Vec<&mut TxnHandle<S>> = ready
-            .iter()
-            .map(|&k| lent[k].take().expect("ready slots are distinct"))
-            .collect();
-        let results = commit_group(&mut batch).results;
-        results.into_iter().map(|(_tid, r)| r).collect()
-    } else {
-        ready
-            .iter()
-            .map(|&k| commit_held(&mut handles[k]))
-            .collect()
-    };
-    for (k, result) in ready.into_iter().zip(results) {
+    // 4. Commit stage, in slot order: every eligible transaction commits
+    // inside a held section of its own, so no other thread ever observes
+    // a session's uncommitted operation.
+    for k in ready {
         let h = &mut handles[k];
-        match result {
-            GroupTxnResult::Committed(txn) => {
-                finish_commit(w, k, txn, cfg.group_commit);
-            }
+        match commit_held(h) {
+            GroupTxnResult::Committed(txn) => finish_commit(w, k, txn),
             GroupTxnResult::Aborted { denied, .. } => {
                 conflict_retry(w, k, h, denied, true, &mut needs_pull, cfg)?;
             }
             GroupTxnResult::Wedged(e) => return Err(e),
             GroupTxnResult::Ineligible => {
-                w.stats.group_fallbacks += u64::from(cfg.group_commit);
+                w.stats.group_fallbacks += 1;
                 commit_unheld(w, k, h, &mut needs_pull, cfg)?;
             }
         }
     }
 
     // Refresh denied slots' committed views only now, after the whole
-    // stage: every retrying transaction observes the same committed
-    // prefix regardless of whether its peers committed through one batch
-    // or one at a time.
+    // stage (see `conflict_retry`): each retry pulls everything this
+    // tick committed.
     for k in needs_pull {
         if matches!(w.slots[k], Slot::Busy(_)) {
             pull_committed_lenient(&mut handles[k])?;
@@ -593,17 +547,11 @@ impl<S: SeqSpec> TxnServer<S> {
         out
     }
 
-    /// Accumulated statistics: worker counters summed, the machine-owned
-    /// counters folded in (see [`fold_machine_counters`]), and the
-    /// group-commit family read from the machine.
+    /// Accumulated statistics: worker counters summed and the
+    /// machine-owned counters folded in (see [`fold_machine_counters`]).
     pub fn stats(&self) -> SystemStats {
         let mut stats: SystemStats = self.workers.iter().map(|w| w.stats).sum();
         fold_machine_counters(&self.machine, &mut stats);
-        let g = self.machine.group_stats();
-        stats.group_batches = g.batches;
-        stats.group_txns = g.batched_txns;
-        stats.group_locks_saved = g.locks_saved;
-        stats.group_hist = g.size_hist;
         stats
     }
 }
@@ -692,8 +640,12 @@ mod tests {
             .collect()
     }
 
+    /// Every session commits in a section of its own: on conflict-free
+    /// single-key sessions over a sharded log, one shard-lock acquisition
+    /// per committed transaction — its PUSHes and its CMT under it — and
+    /// no fallback to the unheld path.
     #[test]
-    fn all_sessions_commit_and_batches_amortize_locks() {
+    fn every_commit_takes_one_shard_lock() {
         let mut sys = TxnServer::new(
             KvMap::new(),
             disjoint_scripts(64),
@@ -703,56 +655,18 @@ mod tests {
                 ..ServerConfig::default()
             },
         );
+        sys.set_log_shards(16);
         drive(&mut sys, 10_000);
         let stats = sys.stats();
         assert_eq!(stats.sessions, 64);
         assert_eq!(stats.commits, 64);
         assert!(sys.outcomes().iter().all(|(_, o)| o.is_committed()));
-        assert!(stats.group_batches > 0, "nothing batched");
-        assert_eq!(stats.group_txns, 64, "every commit should batch");
-        assert!(stats.group_locks_saved > 0);
-        // Full slots, synchronized sessions: batches of 8 land in the
-        // 5–8 bucket.
-        assert!(stats.group_hist[3] > 0, "hist: {:?}", stats.group_hist);
-        assert!(
-            stats.lock_acquires < stats.commits,
-            "batched disjoint load must average below one lock per commit \
-             ({} acquires / {} commits)",
-            stats.lock_acquires,
-            stats.commits
+        assert_eq!(stats.group_fallbacks, 0);
+        assert_eq!(
+            stats.lock_acquires, stats.commits,
+            "one shard-lock acquisition per committed transaction"
         );
         assert!(check_machine(sys.machine()).is_serializable());
-    }
-
-    #[test]
-    fn unbatched_mode_commits_identically_but_pays_per_txn_locks() {
-        let make = |group_commit| {
-            let mut sys = TxnServer::new(
-                KvMap::new(),
-                disjoint_scripts(32),
-                ServerConfig {
-                    workers: 2,
-                    slots_per_worker: 4,
-                    group_commit,
-                    ..ServerConfig::default()
-                },
-            );
-            sys.machine_mut().set_trace(true);
-            drive(&mut sys, 10_000);
-            sys
-        };
-        let on = make(true);
-        let off = make(false);
-        assert_eq!(
-            format!("{:?}", on.machine().committed_txns()),
-            format!("{:?}", off.machine().committed_txns()),
-        );
-        assert_eq!(
-            on.machine().trace().render(),
-            off.machine().trace().render()
-        );
-        assert_eq!(off.stats().group_batches, 0);
-        assert!(off.stats().lock_acquires > on.stats().lock_acquires);
     }
 
     #[test]
@@ -772,10 +686,7 @@ mod tests {
         );
         drive(&mut sys, 1_000);
         let outcomes = sys.outcomes();
-        assert!(matches!(
-            outcomes[0].1,
-            SessionOutcome::Committed { batched: true, .. }
-        ));
+        assert!(outcomes[0].1.is_committed());
         assert!(matches!(outcomes[1].1, SessionOutcome::Aborted { .. }));
         assert_eq!(sys.machine().committed_txns().len(), 1);
     }

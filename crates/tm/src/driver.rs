@@ -89,7 +89,7 @@ pub enum Outcome {
 ///
 /// A system *hands out its machine*: everything machine-level — spec
 /// certificates, strict mode, shard configuration, lock/group/nesting
-/// counters, the handles [`commit_group`](pushpull_core::commit_group)
+/// counters, the handles [`commit_held`](pushpull_core::commit_held)
 /// takes — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
 /// method. Implementors are [`Driver`] (the ten §6/§7 algorithm classes
@@ -127,7 +127,7 @@ pub trait TmSystem {
     fn machine(&self) -> &Machine<Self::MachineSpec>;
 
     /// The underlying machine, mutably (resharding, its handles for
-    /// [`commit_group`](pushpull_core::commit_group)).
+    /// [`commit_held`](pushpull_core::commit_held)).
     fn machine_mut(&mut self) -> &mut Machine<Self::MachineSpec>;
 
     /// Reshards the machine's shared log into `shards` footprint-addressed
@@ -498,23 +498,12 @@ pub struct SystemStats {
     /// Logical sessions the service front-end multiplexed (zero outside
     /// `pushpull-server` runs).
     pub sessions: u64,
-    /// Group-commit batches sealed: held sections that committed at
-    /// least one transaction.
-    pub group_batches: u64,
-    /// Transactions committed through a group-commit batch.
-    pub group_txns: u64,
-    /// Shard-lock acquisitions the batches amortized away versus the
-    /// per-transaction path.
-    pub group_locks_saved: u64,
-    /// Commit-ready transactions that fell back to the per-transaction
-    /// path: a coarse route or coarse mode, a live nested scope, a
-    /// registered compensation, or nothing to commit. (A multi-shard
-    /// transaction is batched, in a held section of its own.)
+    /// Commit-ready transactions the service front-end's held commit
+    /// refused and committed on the per-transaction path instead: a
+    /// coarse route or coarse mode, a live nested scope, a registered
+    /// compensation, or nothing to commit. (A multi-shard transaction
+    /// commits in a held section too.)
     pub group_fallbacks: u64,
-    /// Batch-size histogram in fixed ascending power-of-two buckets
-    /// (1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+) — deterministic to
-    /// report by construction.
-    pub group_hist: [u64; 8],
     /// Nested scopes entered (peeled `tx`/`otx` redexes, explicit scopes,
     /// checkpoint markers).
     pub scopes_opened: u64,
@@ -578,11 +567,7 @@ impl std::ops::Add for SystemStats {
             arena_capacity: self.arena_capacity + rhs.arena_capacity,
             arena_reused: self.arena_reused + rhs.arena_reused,
             sessions: self.sessions + rhs.sessions,
-            group_batches: self.group_batches + rhs.group_batches,
-            group_txns: self.group_txns + rhs.group_txns,
-            group_locks_saved: self.group_locks_saved + rhs.group_locks_saved,
             group_fallbacks: self.group_fallbacks + rhs.group_fallbacks,
-            group_hist: std::array::from_fn(|i| self.group_hist[i] + rhs.group_hist[i]),
             scopes_opened: self.scopes_opened + rhs.scopes_opened,
             scopes_merged: self.scopes_merged + rhs.scopes_merged,
             scopes_aborted: self.scopes_aborted + rhs.scopes_aborted,

@@ -109,8 +109,7 @@ impl Algorithm for Tl2 {
         if options.is_empty() {
             // Commit phase.
             // 1. Lock the write set.
-            let write_set = t.write_set.clone();
-            for l in &write_set {
+            for l in &t.write_set {
                 if !self
                     .vmem
                     .lock()
@@ -123,12 +122,11 @@ impl Algorithm for Tl2 {
             // 2. wv := GV.tick().
             let wv = self.clock.tick();
             // 3. Validate the read set.
-            let read_set = t.read_set.clone();
             if !self
                 .vmem
                 .lock()
                 .expect("vmem lock poisoned")
-                .validate(txn, &read_set)
+                .validate(txn, &t.read_set)
             {
                 return Ok(Outcome::Abort);
             }
@@ -140,7 +138,7 @@ impl Algorithm for Tl2 {
             self.vmem
                 .lock()
                 .expect("vmem lock poisoned")
-                .publish(txn, &write_set, wv);
+                .publish(txn, &t.write_set, wv);
             *t = Tl2Thread::default();
             Ok(Outcome::Committed)
         } else {

@@ -1,11 +1,11 @@
 //! The service front-end end to end: a bank-transfer session mix
 //! through [`TxnServer`] — funding sessions, transfer sessions, balance
-//! audits that deliberately abort, and per-shard group commit batching
-//! the commit-ready transactions (one shard-lock acquisition and one
-//! contiguous stamp range per batch).
+//! audits that deliberately abort — each commit-ready transaction
+//! committing as one held section (its PUSHes and its CMT under one
+//! acquisition of its shards' locks and one contiguous stamp range).
 //!
-//! Prints each session's outcome, the server statistics including the
-//! group-commit counters, and verifies conservation of money plus the
+//! Prints each session's outcome and the server statistics, and verifies
+//! that no commit left the held section, conservation of money and the
 //! serializability oracle.
 //!
 //! Run with: `cargo run --example server_demo`
@@ -53,7 +53,6 @@ fn main() {
         ServerConfig {
             workers: 4,
             slots_per_worker: 4,
-            group_commit: true,
             ..ServerConfig::default()
         },
     );
@@ -70,10 +69,7 @@ fn main() {
     println!("commits         {}", stats.commits);
     println!("aborts          {}", stats.aborts);
     println!("lock acquires   {}", stats.lock_acquires);
-    println!("group batches   {}", stats.group_batches);
-    println!("batched txns    {}", stats.group_txns);
-    println!("locks saved     {}", stats.group_locks_saved);
-    println!("batch-size hist {:?}", stats.group_hist);
+    println!("fallbacks       {}", stats.group_fallbacks);
     println!(
         "locks/commit    {:.3}",
         stats.lock_acquires as f64 / stats.commits.max(1) as f64
@@ -81,7 +77,7 @@ fn main() {
 
     assert_eq!(stats.sessions as usize, total_sessions);
     assert_eq!(stats.commits, u64::from(ACCOUNTS + TRANSFERS));
-    assert!(stats.group_batches > 0, "group commit never batched");
+    assert_eq!(stats.group_fallbacks, 0, "a commit left the held section");
 
     let report = check_machine(server.machine());
     println!("\nserializability oracle: {report}");

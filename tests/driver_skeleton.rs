@@ -296,22 +296,17 @@ fn mixed_skeleton_contract() {
 
 #[test]
 fn server_workers_match_ticks() {
-    for group_commit in [true, false] {
-        assert_workers_match_ticks("txn-server", || {
-            let scripts = (0..24u64)
-                .map(|s| {
-                    SessionScript::commit(vec![MapMethod::Get(s % 3), MapMethod::Put(s % 3, 1)])
-                })
-                .collect();
-            let config = ServerConfig {
-                workers: 3,
-                slots_per_worker: 2,
-                group_commit,
-                ..ServerConfig::default()
-            };
-            let mut sys = TxnServer::new(KvMap::new(), scripts, config);
-            sys.machine_mut().set_trace(true);
-            sys
-        });
-    }
+    assert_workers_match_ticks("txn-server", || {
+        let scripts = (0..24u64)
+            .map(|s| SessionScript::commit(vec![MapMethod::Get(s % 3), MapMethod::Put(s % 3, 1)]))
+            .collect();
+        let config = ServerConfig {
+            workers: 3,
+            slots_per_worker: 2,
+            ..ServerConfig::default()
+        };
+        let mut sys = TxnServer::new(KvMap::new(), scripts, config);
+        sys.machine_mut().set_trace(true);
+        sys
+    });
 }

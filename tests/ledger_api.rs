@@ -139,7 +139,6 @@ fn server_items() {
     let ServerConfig {
         workers: _,
         slots_per_worker: _,
-        group_commit: _,
         max_retries: _,
         arrival_period: _,
         seed: _,

@@ -22,7 +22,7 @@ use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::serializability::check_machine;
 use pushpull::core::spec::{KeySet, Rets, SeqSpec};
 use pushpull::core::toy::{CounterMethod, StrictCounter};
-use pushpull::core::{commit_group, GroupTxnResult};
+use pushpull::core::{commit_held, GroupTxnResult};
 use pushpull::spec::kvmap::{KvMap, MapMethod, MapOp, MapRet, MapState};
 use pushpull::spec::rwmem::{Loc, MemMethod, RwMem};
 
@@ -101,8 +101,8 @@ fn each_rule_takes_exactly_the_locks_its_discipline_names() {
             |m, _| {
                 m.app_auto(TB).unwrap();
                 m.app_auto(TB).unwrap();
-                let out = commit_group(&mut [m.handle_mut(TB).unwrap()]);
-                assert!(out.results[0].1.is_committed(), "{:?}", out.results);
+                let result = commit_held(m.handle_mut(TB).unwrap());
+                assert!(result.is_committed(), "{result:?}");
             },
             [0, 1, 0, 1],
         ),
@@ -161,7 +161,7 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
 
 /// A two-shard transaction (`Put(1)` on shard 1, `Put(2)` on shard 2 of
 /// four) whose peer may hold an uncommitted `Put(2)`; `held` commits it
-/// through `commit_group`, the reference through the unheld rules.
+/// through `commit_held`, the reference through the unheld rules.
 fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u64>) {
     let mut m = Machine::new(KvMap::new());
     let t = m.add_thread(vec![Code::seq(
@@ -178,15 +178,13 @@ fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u6
     m.app_auto(t).unwrap();
     let before = m.lock_stats_per_shard();
     if held {
-        let out = commit_group(&mut [m.handle_mut(t).unwrap()]);
-        match &out.results[0].1 {
+        match commit_held(m.handle_mut(t).unwrap()) {
             GroupTxnResult::Committed(_) => assert!(!peer_in_flight),
             GroupTxnResult::Aborted { denied, .. } => {
                 assert!(peer_in_flight && denied.is_criterion(), "{denied}");
             }
             other => panic!("unexpected held result {other:?}"),
         }
-        assert_eq!(out.batches, u64::from(!peer_in_flight), "a batch of one");
     } else if m.push_all_and_commit(t).is_err() {
         assert!(peer_in_flight);
         m.abort_and_retry(t).unwrap();
@@ -197,7 +195,7 @@ fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u6
 }
 
 /// The held commit is the unheld rule sequence minus the interleavings: a
-/// multi-shard transaction through `commit_group` records the same trace,
+/// multi-shard transaction through `commit_held` records the same trace,
 /// the same audit and the same `G` as `push_all_and_commit`, under exactly
 /// one acquisition of each shard it touches; denied by a peer's
 /// uncommitted operation on its second shard it aborts inside the section

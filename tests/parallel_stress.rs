@@ -285,9 +285,8 @@ const SHARDS: usize = 16;
 /// The held commit section, on OS threads under any schedule: a server of
 /// the benchmark's `kv_reuse` shape — 2 workers × 8 slots, 64 sessions of
 /// three operations over 16 shared keys, three quarters read-modify-write,
-/// 16 shards, the default retry budget — drained epoch after epoch with
-/// group commit on and off (a few hundred epochs in release, where CI's
-/// `stress` job runs this file; a handful in debug).
+/// 16 shards, the default retry budget — drained epoch after epoch (600
+/// in release, where CI's `stress` job runs this file; 12 in debug).
 ///
 /// * Every session commits, and none spends more than 24 of its 32
 ///   retries: a committer the OS deschedules makes its peers wait on a
@@ -299,98 +298,94 @@ const SHARDS: usize = 16;
 ///   transaction's own operations route to.
 #[test]
 fn server_commits_are_uninterleaved_and_retries_stay_far_from_the_budget() {
-    let epochs = if cfg!(debug_assertions) { 6 } else { 300 };
+    let epochs = if cfg!(debug_assertions) { 12 } else { 600 };
     let shard_of = |m: &MapMethod| m.key().expect("keyed methods only") as usize % SHARDS;
-    for group_commit in [true, false] {
-        let mut rng = Xorshift64::new(0x19 + u64::from(group_commit));
-        let mut retry_hist = [0u64; 33];
-        for epoch in 0..epochs {
-            let scripts: Vec<_> = (0..64)
-                .map(|_| {
-                    let [k, k2, k3] = [0; 3].map(|_| rng.gen_range(0..16));
-                    SessionScript::commit(if rng.gen_index(4) == 0 {
-                        vec![MapMethod::Get(k), MapMethod::Get(k2), MapMethod::Get(k3)]
-                    } else {
-                        let v = rng.gen_range(0..1000) as i64;
-                        vec![MapMethod::Get(k), MapMethod::Put(k, v), MapMethod::Get(k2)]
-                    })
+    let mut rng = Xorshift64::new(0x19);
+    let mut retry_hist = [0u64; 33];
+    for epoch in 0..epochs {
+        let scripts: Vec<_> = (0..64)
+            .map(|_| {
+                let [k, k2, k3] = [0; 3].map(|_| rng.gen_range(0..16));
+                SessionScript::commit(if rng.gen_index(4) == 0 {
+                    vec![MapMethod::Get(k), MapMethod::Get(k2), MapMethod::Get(k3)]
+                } else {
+                    let v = rng.gen_range(0..1000) as i64;
+                    vec![MapMethod::Get(k), MapMethod::Put(k, v), MapMethod::Get(k2)]
                 })
-                .collect();
-            let config = ServerConfig {
-                workers: 2,
-                slots_per_worker: 8,
-                group_commit,
-                seed: rng.gen_range(0..u64::MAX),
-                ..ServerConfig::default()
-            };
-            let cell = format!("group={group_commit} epoch {epoch}");
-            let mut sys = TxnServer::new(KvMap::new(), scripts, config);
-            sys.machine_mut().set_trace(true);
-            let (sys, outcome) = run_parallel_sharded(sys, BUDGET, None, SHARDS).unwrap();
-            assert!(outcome.completed, "{cell}: incomplete");
-            let outcomes = sys.outcomes();
-            assert_eq!(outcomes.len(), 64, "{cell}: sessions lost");
-            for (session, outcome) in outcomes {
-                match outcome {
-                    SessionOutcome::Committed { retries, .. } => {
-                        assert!(*retries <= 24, "{cell}: {session} spent {retries} retries");
-                        retry_hist[*retries as usize] += 1;
-                    }
-                    other => panic!("{cell}: {session} ended {other:?}"),
+            })
+            .collect();
+        let config = ServerConfig {
+            workers: 2,
+            slots_per_worker: 8,
+            seed: rng.gen_range(0..u64::MAX),
+            ..ServerConfig::default()
+        };
+        let cell = format!("epoch {epoch}");
+        let mut sys = TxnServer::new(KvMap::new(), scripts, config);
+        sys.machine_mut().set_trace(true);
+        let (sys, outcome) = run_parallel_sharded(sys, BUDGET, None, SHARDS).unwrap();
+        assert!(outcome.completed, "{cell}: incomplete");
+        let outcomes = sys.outcomes();
+        assert_eq!(outcomes.len(), 64, "{cell}: sessions lost");
+        for (session, outcome) in outcomes {
+            match outcome {
+                SessionOutcome::Committed { retries, .. } => {
+                    assert!(*retries <= 24, "{cell}: {session} spent {retries} retries");
+                    retry_hist[*retries as usize] += 1;
                 }
+                other => panic!("{cell}: {session} ended {other:?}"),
             }
-            if epoch % 50 == 0 {
-                let report = check_machine(sys.machine());
-                assert!(report.is_serializable(), "{cell}: {report}");
-            }
-
-            // Per handle: the shards of the operations applied since its
-            // BEGIN, and — from its first PUSH to its CMT or ABORT — the
-            // section those shards make.
-            let mut applied: HashMap<ThreadId, BTreeSet<usize>> = HashMap::new();
-            let mut holding: HashMap<ThreadId, BTreeSet<usize>> = HashMap::new();
-            let mut pushed: HashMap<OpId, usize> = HashMap::new();
-            let trace = sys.machine().trace();
-            for (at, event) in trace.events().iter().enumerate() {
-                let who = event.thread();
-                let touched: Vec<usize> = match event {
-                    Event::Push { op, method, .. } => {
-                        pushed.insert(*op, shard_of(method));
-                        let own = applied.get(&who).cloned().unwrap_or_default();
-                        holding.entry(who).or_insert(own);
-                        vec![shard_of(method)]
-                    }
-                    Event::UnPush { method, .. } => vec![shard_of(method)],
-                    Event::Commit { ops, .. } => ops.iter().map(|op| pushed[op]).collect(),
-                    Event::App { method, .. } => {
-                        applied.entry(who).or_default().insert(shard_of(method));
-                        vec![]
-                    }
-                    Event::Begin { .. } => {
-                        applied.remove(&who);
-                        vec![]
-                    }
-                    _ => vec![],
-                };
-                for (holder, section) in holding.iter().filter(|(h, _)| **h != who) {
-                    assert!(
-                        touched.iter().all(|shard| !section.contains(shard)),
-                        "{cell}: event {at} ({}) of {who} on shards {touched:?} falls inside \
-                         the commit section of {holder} over {section:?}",
-                        event.rule_name()
-                    );
-                }
-                if matches!(event, Event::Commit { .. } | Event::Abort { .. }) {
-                    holding.remove(&who);
-                }
-            }
-            assert!(holding.is_empty(), "{cell}: a section never closed");
         }
-        let max = retry_hist.iter().rposition(|n| *n > 0).unwrap_or(0);
-        eprintln!(
-            "kv_reuse-shaped server, group_commit={group_commit}: {epochs} epochs, \
-             max retries {max}, histogram {:?}",
-            &retry_hist[..=max]
-        );
+        if epoch % 50 == 0 {
+            let report = check_machine(sys.machine());
+            assert!(report.is_serializable(), "{cell}: {report}");
+        }
+
+        // Per handle: the shards of the operations applied since its
+        // BEGIN, and — from its first PUSH to its CMT or ABORT — the
+        // section those shards make.
+        let mut applied: HashMap<ThreadId, BTreeSet<usize>> = HashMap::new();
+        let mut holding: HashMap<ThreadId, BTreeSet<usize>> = HashMap::new();
+        let mut pushed: HashMap<OpId, usize> = HashMap::new();
+        let trace = sys.machine().trace();
+        for (at, event) in trace.events().iter().enumerate() {
+            let who = event.thread();
+            let touched: Vec<usize> = match event {
+                Event::Push { op, method, .. } => {
+                    pushed.insert(*op, shard_of(method));
+                    let own = applied.get(&who).cloned().unwrap_or_default();
+                    holding.entry(who).or_insert(own);
+                    vec![shard_of(method)]
+                }
+                Event::UnPush { method, .. } => vec![shard_of(method)],
+                Event::Commit { ops, .. } => ops.iter().map(|op| pushed[op]).collect(),
+                Event::App { method, .. } => {
+                    applied.entry(who).or_default().insert(shard_of(method));
+                    vec![]
+                }
+                Event::Begin { .. } => {
+                    applied.remove(&who);
+                    vec![]
+                }
+                _ => vec![],
+            };
+            for (holder, section) in holding.iter().filter(|(h, _)| **h != who) {
+                assert!(
+                    touched.iter().all(|shard| !section.contains(shard)),
+                    "{cell}: event {at} ({}) of {who} on shards {touched:?} falls inside \
+                     the commit section of {holder} over {section:?}",
+                    event.rule_name()
+                );
+            }
+            if matches!(event, Event::Commit { .. } | Event::Abort { .. }) {
+                holding.remove(&who);
+            }
+        }
+        assert!(holding.is_empty(), "{cell}: a section never closed");
     }
+    let max = retry_hist.iter().rposition(|n| *n > 0).unwrap_or(0);
+    eprintln!(
+        "kv_reuse-shaped server: {epochs} epochs, max retries {max}, histogram {:?}",
+        &retry_hist[..=max]
+    );
 }
