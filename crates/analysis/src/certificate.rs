@@ -1,14 +1,15 @@
 //! Machine-checked soundness certificates for sequential specifications.
 //!
 //! The sharded global log trusts hand-written
-//! [`SeqSpec`](crate::spec::SeqSpec) declarations — `method_keys`
+//! [`SeqSpec`](pushpull_core::spec::SeqSpec) declarations — `method_keys`
 //! footprints and `method_mover` overrides — and open nesting trusts its
 //! `inverse` verdicts. A [`SpecCertificate`] is the output of
 //! cross-checking every such declaration against the ground truth derived
-//! exhaustively from the denotational semantics (the `pushpull-analysis`
-//! certifier does the deriving; this type lives in core so
-//! [`GlobalState`](crate::global::GlobalState) can gate fine-grained
-//! routing and open-nested scope entry on it without a dependency cycle).
+//! exhaustively from the denotational semantics ([`mod@crate::certify`] does
+//! the deriving). The runtime reads no certificate: whether a spec's
+//! declarations are sound is a fact about the spec, decided once per spec
+//! (the `pushpull_lint` example certifies every shipped one), while the
+//! machine checks every criterion when its rule fires.
 //!
 //! A certificate records, over a finite method alphabet:
 //!
@@ -17,14 +18,12 @@
 //! * the **footprint cover** — each method's declared key set (or its
 //!   absence, which forces the coarse path) plus the inferred conflict
 //!   component it belongs to;
-//! * the **inverse-law verdict** open nesting is gated on;
+//! * the **inverse-law verdict** open-nested compensations rely on;
 //! * the finding counts of the certification run. A certificate with a
-//!   nonzero error count is *invalid*: strict mode treats it like no
-//!   certificate, demoting to coarse routing and refusing open scopes.
+//!   nonzero error count is *invalid*: some declaration is unsound.
 //!
-//! A certificate lives for one process: the certifier builds it and the
-//! run that armed it drops it. Its one rendering is the `Display`
-//! summary line.
+//! A certificate lives for one process: the certifier builds it and its
+//! caller reads it. Its one rendering is the `Display` summary line.
 
 use std::fmt;
 
@@ -32,7 +31,7 @@ use std::fmt;
 /// declarations agree with the exhaustively derived ground truth.
 ///
 /// Non-generic on purpose: the certifier works over a concrete spec, but
-/// the *verdict* is plain data, so [`GlobalState`](crate::global::GlobalState) and the harness
+/// the *verdict* is plain data, so an [`AnalysisPlan`](crate::AnalysisPlan)
 /// can carry it without becoming generic over the spec.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecCertificate {
@@ -56,19 +55,19 @@ pub struct SpecCertificate {
     /// `Some(true)` — the spec claims [`has_inverses`] and the round-trip
     /// law (per state: `op · op⁻¹` restores every state admitting `op`,
     /// and a `ReadOnly` operation leaves it unchanged) was proven
-    /// exhaustively, so open-nested scopes may be
-    /// armed under strict mode; `Some(false)` — the claim was *refuted*
-    /// (also counted in `errors`); `None` — the spec does not claim
-    /// invertibility, so open nesting stays per-op-checked at commit and
-    /// strict mode refuses to open such scopes.
+    /// exhaustively, so a parent abort can trust that replaying the
+    /// registered compensations restores the abstract state;
+    /// `Some(false)` — the claim was *refuted* (also counted in `errors`);
+    /// `None` — the spec does not claim invertibility. Either way the
+    /// machine checks each operation's verdict at the open commit.
     ///
-    /// [`has_inverses`]: crate::spec::SeqSpec::has_inverses
+    /// [`has_inverses`]: pushpull_core::spec::SeqSpec::has_inverses
     pub inverse_law: Option<bool>,
     /// Distinct declared footprint keys (the shard-count recommendation
     /// input).
     pub shard_keys: usize,
     /// Error-severity findings of the certification run. Nonzero ⇒ the
-    /// certificate is invalid and must not arm anything.
+    /// certificate is invalid.
     pub errors: usize,
     /// Warning-severity findings (e.g. coarse-forcing `None` footprints).
     pub warnings: usize,
@@ -77,18 +76,10 @@ pub struct SpecCertificate {
 }
 
 impl SpecCertificate {
-    /// Is this certificate sound to route fine-grained shards on? (No
-    /// error-severity finding survived certification.)
+    /// Are the spec's declarations sound? (No error-severity finding
+    /// survived certification.)
     pub fn is_valid(&self) -> bool {
         self.errors == 0
-    }
-
-    /// May open-nested scopes be armed on this certificate? Requires a
-    /// valid certificate whose inverse law was proven (not merely
-    /// unclaimed): a parent abort must be able to trust that replaying
-    /// the registered compensations restores the abstract state.
-    pub fn open_nesting_certified(&self) -> bool {
-        self.is_valid() && self.inverse_law == Some(true)
     }
 
     /// The checked mover verdict for `methods[i] ◁ methods[j]`.
@@ -168,20 +159,19 @@ mod tests {
         }
     }
 
+    /// Only a proven law renders as certified; `validity_tracks_error_count`
+    /// covers an invalid certificate.
     #[test]
     fn only_a_proven_inverse_law_gates_open_nesting() {
         let mut cert = sample();
-        assert!(cert.open_nesting_certified());
-        for law in [Some(false), None] {
+        for (law, shown) in [
+            (Some(true), "certified — VALID"),
+            (Some(false), "refuted"),
+            (None, "unchecked"),
+        ] {
             cert.inverse_law = law;
-            assert!(!cert.open_nesting_certified(), "{law:?}");
+            assert!(cert.to_string().contains(&format!("inverse law {shown}")));
         }
-        cert.inverse_law = Some(true);
-        cert.errors = 1;
-        assert!(
-            !cert.open_nesting_certified(),
-            "invalid certificates arm nothing"
-        );
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! [`results`](SeqSpec::results) offers). Each unsound, incomplete,
 //! or needlessly-coarse declaration becomes a rustc-style
 //! [`Diagnostic`]; the checked facts are packaged as a
-//! [`SpecCertificate`] that
-//! [`GlobalState`](pushpull_core::GlobalState) can demand (strict mode)
-//! before it routes fine-grained shards or opens an open-nested scope.
+//! [`SpecCertificate`].
 //!
 //! Severity ladder for mover findings:
 //!
@@ -43,13 +41,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pushpull_core::certificate::SpecCertificate;
 use pushpull_core::lang::Code;
 use pushpull_core::op::{Op, OpId, TxnId};
 use pushpull_core::spec::{
     disjoint_commute_violations, factorization_violations, observable_rets, SeqSpec,
 };
 
+use crate::certificate::SpecCertificate;
 use crate::diagnostics::{find_method, Diagnostic, Severity, Span};
 use crate::infer::{infer, InferredSpec};
 use crate::matrix::MoverMatrix;
@@ -104,8 +102,7 @@ const FACTOR_SAMPLE_CAP: usize = 18;
 /// that went into its error/warning/note tallies.
 #[derive(Debug, Clone)]
 pub struct Certification {
-    /// The machine-checked facts, ready for
-    /// [`GlobalState::install_certificate`](pushpull_core::GlobalState::install_certificate).
+    /// The machine-checked facts.
     pub certificate: Arc<SpecCertificate>,
     /// Every finding, most severe first.
     pub diagnostics: Vec<Diagnostic>,
@@ -349,8 +346,8 @@ where
                             ),
                         )
                         .with_note(
-                            "an open-nested commit would trust the claim at scope entry and \
-                             fail only at commit; drop the claim or complete the oracle",
+                            "an open-nested commit over this operation is refused at run \
+                             time; drop the claim or complete the oracle",
                         );
                         diags.push(at_method(d, programs, m));
                     } else if !not_invertible.contains(m) {
@@ -680,7 +677,7 @@ mod tests {
     fn counter_inverse_law_certifies() {
         let cert = certify(&Counter::with_universe(2), "counter").unwrap();
         assert_eq!(cert.certificate.inverse_law, Some(true));
-        assert!(cert.certificate.open_nesting_certified());
+        assert!(cert.certificate.is_valid());
     }
 
     #[test]
@@ -730,7 +727,6 @@ mod tests {
         let inner = Counter::with_universe(2);
         let cert = certify(&DoubleDown { inner }, "double-down").unwrap();
         assert_eq!(cert.certificate.inverse_law, Some(false));
-        assert!(!cert.certificate.open_nesting_certified());
         assert!(!cert.is_valid());
         assert!(
             cert.diagnostics

@@ -25,20 +25,19 @@
 //! spec with finite universes ([`mod@infer`]), cross-checks every
 //! hand-written `method_mover`/`method_keys` declaration, the two
 //! footprint laws and the two laws of the in-place step against it, and
-//! packages the result as a
-//! [`SpecCertificate`](pushpull_core::SpecCertificate) — which
-//! strict-mode runtimes demand before routing fine-grained shards or
-//! opening an open-nested scope ([`analyze_certified`] threads it
-//! through the plan).
+//! packages the result as a [`SpecCertificate`] ([`analyze_certified`]
+//! threads it through the plan). The runtime reads no certificate: a
+//! spec's declarations are certified once, not at every run, and the
+//! `pushpull_lint` example certifies every shipped spec.
 //!
-//! The result is an [`AnalysisPlan`]; hand it to
-//! `pushpull_harness::run_parallel` (or install its `certificate` on any
-//! machine directly) to certify the run.
+//! The result is an [`AnalysisPlan`]: the workload's diagnostics, its
+//! report, the certificate and a recommended shard count.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod certificate;
 pub mod certify;
 pub mod diagnostics;
 pub mod infer;
@@ -47,6 +46,7 @@ pub mod matrix;
 pub mod plan;
 pub mod summary;
 
+pub use certificate::SpecCertificate;
 pub use certify::{
     certify, certify_in, Certification, COARSE_FORCING, INCOMPLETE_MOVER, NEEDLESSLY_COARSE,
     UNCERTIFIABLE, UNSOUND_FACTORIZATION, UNSOUND_FOOTPRINT, UNSOUND_MOVER, UNSOUND_RESULTS,

@@ -75,7 +75,7 @@ impl<M: Clone + Eq> MoverMatrix<M> {
     }
 
     /// The raw row-major cells (alphabet order), for serialization into
-    /// a [`SpecCertificate`](pushpull_core::SpecCertificate).
+    /// a [`SpecCertificate`](crate::SpecCertificate).
     pub fn cells(&self) -> &[Option<bool>] {
         &self.cells
     }

@@ -1,15 +1,14 @@
 //! The analyzer entry point: one call that summarizes the programs,
 //! builds the mover matrix, runs the lints, and packages everything as an
-//! [`AnalysisPlan`]; [`analyze_certified`] adds the spec certificate the
-//! harness installs on any driver.
+//! [`AnalysisPlan`]; [`analyze_certified`] adds the spec certificate.
 
 use std::fmt;
 use std::sync::Arc;
 
-use pushpull_core::certificate::SpecCertificate;
 use pushpull_core::lang::Code;
 use pushpull_core::spec::SeqSpec;
 
+use crate::certificate::SpecCertificate;
 use crate::certify::certify_in;
 use crate::diagnostics::{render_report, Diagnostic, Severity};
 use crate::lint::{lint_programs, LintConfig};
@@ -22,11 +21,7 @@ use crate::summary::{summarize, ProgramSummary};
 #[derive(Debug, Clone)]
 pub struct AnalysisPlan {
     /// The spec's soundness certificate, `Some` only when
-    /// [`analyze_certified`] ran and the spec certified without errors —
-    /// ready for
-    /// [`GlobalState::install_certificate`](pushpull_core::GlobalState::install_certificate),
-    /// and what strict mode demands before it routes fine-grained shards
-    /// or opens an open-nested scope.
+    /// [`analyze_certified`] ran and the spec certified without errors.
     pub certificate: Option<Arc<SpecCertificate>>,
     /// Linter findings (program lints and, after [`analyze_certified`],
     /// the certifier's).
@@ -93,10 +88,9 @@ where
 /// [`analyze`], then the whole-spec certifier: runs [`certify_in`] over
 /// the spec's finite universes, folds its findings into the plan's
 /// diagnostics and report, and attaches the resulting certificate when
-/// it carries no errors (an invalid certificate is withheld — installing
-/// it would make strict-mode arming refuse anyway, and the diagnostics
-/// say why). Uncertifiable specs (no finite universes) get a note and
-/// no certificate.
+/// it carries no errors (an invalid certificate is withheld, and the
+/// diagnostics say why). Uncertifiable specs (no finite universes) get a
+/// note and no certificate.
 pub fn analyze_certified<S: SeqSpec>(
     spec: &S,
     programs: &[Vec<Code<S::Method>>],

@@ -135,10 +135,6 @@ pub enum MachineError {
         /// The operation with no spec-defined inverse.
         op: OpId,
     },
-    /// An open-nested scope was refused at entry: strict certificate
-    /// mode is on and no valid certificate with a proven inverse law is
-    /// installed.
-    OpenNestingUncertified(ThreadId),
 }
 
 impl fmt::Display for MachineError {
@@ -178,13 +174,6 @@ impl fmt::Display for MachineError {
                     f,
                     "open-nested commit on thread {thread}: operation {op} \
                      has no spec-defined inverse"
-                )
-            }
-            MachineError::OpenNestingUncertified(t) => {
-                write!(
-                    f,
-                    "open-nested scope refused on thread {t}: strict mode requires \
-                     a valid spec certificate with a proven inverse law"
                 )
             }
         }

@@ -6,7 +6,7 @@
 //! Besides the spec and the check mode it is three owned parts: the log
 //! (`global/shared_log.rs`: the shards of `G`, stamps, the committed list,
 //! routing and the critical sections), the arming (`global/arming.rs`:
-//! fault hook, certificate, strict mode) and the counters
+//! fault hook and trace switch) and the counters
 //! (`global/counters.rs`: generators, audit and tallies). A deep clone
 //! copies each part and a reshard rebuilds the log: one line per part.
 //!

@@ -57,14 +57,6 @@ impl<S: SeqSpec> TxnHandle<S> {
         origin: ScopeOrigin<S::Method>,
     ) -> MachineResult<usize> {
         self.active_code()?;
-        // Strict certificate mode gates open nesting at *entry*: a
-        // parent abort must be able to trust the registered
-        // compensations, so the inverse law has to be machine-proven
-        // before any open child runs (per-op verdicts at the open
-        // commit remain in force either way).
-        if kind == ScopeKind::Open && !self.global.open_nesting_allowed() {
-            return Err(MachineError::OpenNestingUncertified(self.tid));
-        }
         let base = self.local.len();
         let txn = match kind {
             ScopeKind::Open => {

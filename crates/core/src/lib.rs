@@ -66,7 +66,6 @@
 
 pub mod atomic;
 pub mod audit;
-pub mod certificate;
 mod criteria;
 pub mod error;
 pub mod faults;
@@ -91,7 +90,6 @@ pub mod structural;
 pub mod toy;
 pub mod trace;
 
-pub use certificate::SpecCertificate;
 pub use error::{Clause, CriterionViolation, MachineError, MachineResult, Rule};
 pub use faults::{BoundaryFault, FaultHook, FaultKind, HtmFault};
 pub use global::{CommittedTxn, GlobalState, GroupStats, TxnKind};

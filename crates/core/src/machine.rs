@@ -149,31 +149,6 @@ impl<S: SeqSpec> Machine<S> {
         self.global.set_fault_hook(hook);
     }
 
-    /// Installs (or, with `None`, removes) a spec certificate — the
-    /// machine-checked verdict that the spec's footprint/mover
-    /// declarations agree with the exhaustive ground truth; see
-    /// [`GlobalState::install_certificate`].
-    pub fn install_certificate(
-        &self,
-        cert: Option<std::sync::Arc<crate::certificate::SpecCertificate>>,
-    ) {
-        self.global.install_certificate(cert);
-    }
-
-    /// Turns strict certificate-gated arming on or off; see
-    /// [`GlobalState::set_require_certificate`]. When strict mode finds
-    /// the log already sharded and uncertified it demotes to coarse
-    /// routing immediately.
-    pub fn set_require_certificate(&self, on: bool) {
-        self.global.set_require_certificate(on);
-    }
-
-    /// The diagnostics recorded by the certificate gate (refused arming
-    /// requests, coarse demotions), in order.
-    pub fn arming_diagnostics(&self) -> Vec<String> {
-        self.global.arming_diagnostics()
-    }
-
     /// A snapshot of the held-commit counters (sections committed and
     /// the transactions in them). All-zero until
     /// [`crate::group::commit_group`] commits one of this machine's
@@ -220,34 +195,12 @@ impl<S: SeqSpec> Machine<S> {
     /// and all generators are preserved, so resharding mid-run changes
     /// the cost of the criteria, never their verdicts — and `shards == 1`
     /// reproduces the historical single-lock machine bit-for-bit.
-    ///
-    /// Under strict certificate mode
-    /// ([`Machine::set_require_certificate`]) a shard count above one
-    /// without a valid [`SpecCertificate`](crate::certificate) still
-    /// reshards, but the rebuilt log is demoted to the sticky coarse
-    /// path (every critical section takes all shard locks — sound,
-    /// never mis-routed, with a diagnostic recorded in
-    /// [`Machine::arming_diagnostics`]) instead of trusting the
-    /// uncertified footprint declarations for fine-grained routing.
     pub fn set_log_shards(&mut self, shards: usize) {
         let n = shards.max(1);
-        let gate_demote = n > 1 && self.global.require_certificate() && !self.global.certified();
         if n == self.global.shard_count() {
-            if gate_demote && !self.global.coarse_mode() {
-                self.global.demote_to_coarse(
-                    "strict mode: fine-grained shard routing requested without a valid \
-                     spec certificate; demoting to coarse routing",
-                );
-            }
             return;
         }
         let global = Arc::new(self.global.rebuilt_with_shards(n));
-        if gate_demote {
-            global.demote_to_coarse(
-                "strict mode: fine-grained shard routing requested without a valid \
-                 spec certificate; demoting to coarse routing",
-            );
-        }
         for h in &mut self.handles {
             h.rebind(Arc::clone(&global));
         }
@@ -893,11 +846,9 @@ mod tests {
         let b = m.add_thread(vec![inc_code()]);
         let c = m.add_thread(vec![Code::seq(inc_code(), inc_code())]);
         m.set_fault_hook(Some(Arc::new(Quiet)));
-        m.install_certificate(Some(Arc::new(Default::default())));
-        m.set_require_certificate(true);
         m.set_incremental(false);
         // Mid-run: two held commits, one scope in flight, one
-        // uncommitted push, one refused arming request.
+        // uncommitted push.
         m.app_auto(a).unwrap();
         m.app_auto(b).unwrap();
         let [ha, hb, _] = m.handles_mut() else {
@@ -908,10 +859,6 @@ mod tests {
         m.begin_nested(c, ScopeKind::Closed).unwrap();
         let op = m.app_auto(c).unwrap();
         m.push(c, op).unwrap();
-        assert!(matches!(
-            m.begin_nested(c, ScopeKind::Open),
-            Err(MachineError::OpenNestingUncertified(_))
-        ));
 
         // What a copy mints next: a transaction id, an op id, and a stamp
         // that sorts the op last in `G` — once more after a reshard, which
@@ -927,8 +874,7 @@ mod tests {
         let carried = |m: &Machine<ToyCounter>| {
             let g = m.global_state();
             (
-                (g.fault_hook().is_some(), g.certificate()),
-                (g.require_certificate(), g.arming_diagnostics()),
+                g.fault_hook().is_some(),
                 g.incremental(),
                 m.audit(),
                 (m.group_stats(), m.nesting_stats()),
@@ -937,14 +883,12 @@ mod tests {
             )
         };
         let before = carried(&m);
-        assert!(before.0 .0 && before.0 .1.is_some(), "hook, certificate");
-        assert!(before.1 .0, "strict mode");
-        assert_eq!(before.1 .1.len(), 1, "the refused open scope");
-        assert!(!before.2, "incremental off");
-        assert!(before.3.discharged_count(Rule::Push, Clause::I) > 0);
-        assert_eq!((before.4 .0.batches, before.4 .1.scopes_opened), (2, 1));
-        assert_eq!(before.5.len(), 2);
-        let (txn, op_id, last) = before.6;
+        assert!(before.0, "hook");
+        assert!(!before.1, "incremental off");
+        assert!(before.2.discharged_count(Rule::Push, Clause::I) > 0);
+        assert_eq!((before.3 .0.batches, before.3 .1.scopes_opened), (2, 1));
+        assert_eq!(before.4.len(), 2);
+        let (txn, op_id, last) = before.5;
         let seen = m.committed_txns().iter().map(|c| c.txn).max().unwrap();
         assert!(
             txn > seen.max(m.thread(c).unwrap().txn()),

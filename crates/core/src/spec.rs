@@ -501,9 +501,10 @@ pub trait SeqSpec {
 
     /// Does this spec support open nesting — i.e. is every operation an
     /// [`OpInverse::Inverse`] or [`OpInverse::ReadOnly`] under
-    /// [`SeqSpec::inverse`]? Consulted once at open-scope entry; the
-    /// per-operation verdicts are still checked at open commit. The
-    /// default (`false`) matches the default `inverse`.
+    /// [`SeqSpec::inverse`]? The machine never reads the claim: it checks
+    /// each operation's verdict at the open commit. `pushpull-analysis`
+    /// proves the claim's round-trip law on bounded specs. The default
+    /// (`false`) matches the default `inverse`.
     fn has_inverses(&self) -> bool {
         false
     }

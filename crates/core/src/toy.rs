@@ -134,9 +134,8 @@ impl SeqSpec for ToyCounter {
         }
     }
 
-    // has_inverses stays false: Dec is not invertible, so ToyCounter
-    // programs cannot enter open-nested scopes (and the certificate
-    // gate has a negative case to test).
+    // has_inverses stays false: Dec is not invertible, so an open-nested
+    // ToyCounter scope that applied one cannot commit.
 }
 
 /// A *strict* bounded counter for the nested-transaction examples and

@@ -302,57 +302,6 @@ fn explicit_open_scope_round_trip() {
     assert!(report.is_serializable(), "{report}");
 }
 
-#[test]
-fn strict_mode_gates_open_nesting_on_the_inverse_law() {
-    use pushpull_core::certificate::SpecCertificate;
-    use std::sync::Arc;
-
-    let certified = |law: Option<bool>| SpecCertificate {
-        spec_name: "strict-counter".into(),
-        methods: vec!["inc".into(), "dec".into(), "get".into()],
-        matrix: vec![Some(true); 9],
-        footprints: vec![None, None, None],
-        components: vec![0, 0, 0],
-        inverse_law: law,
-        shard_keys: 0,
-        errors: 0,
-        warnings: 0,
-        notes: 0,
-    };
-
-    let mut m = Machine::new(StrictCounter::with_bound(8));
-    m.set_require_certificate(true);
-    let t = m.add_thread(vec![Code::seq(inc(), inc())]);
-    m.app_auto(t).unwrap();
-
-    // No certificate at all: refused.
-    let err = m.begin_nested(t, ScopeKind::Open).unwrap_err();
-    assert!(
-        matches!(err, MachineError::OpenNestingUncertified(_)),
-        "{err}"
-    );
-    // A valid certificate whose inverse law is unchecked: still refused.
-    m.install_certificate(Some(Arc::new(certified(None))));
-    assert!(m.begin_nested(t, ScopeKind::Open).is_err());
-    assert!(
-        m.arming_diagnostics()
-            .iter()
-            .any(|d| d.contains("inverse law")),
-        "{:?}",
-        m.arming_diagnostics()
-    );
-    // Closed nesting is not gated: no inverse machinery is involved.
-    m.begin_nested(t, ScopeKind::Closed).unwrap();
-    m.abort_nested(t).unwrap();
-    // A proven inverse law opens the gate.
-    m.install_certificate(Some(Arc::new(certified(Some(true)))));
-    m.begin_nested(t, ScopeKind::Open).unwrap();
-    m.app_auto(t).unwrap();
-    m.commit_nested(t).unwrap();
-    m.push_all_and_commit(t).unwrap();
-    assert!(check_machine_nested(&m).is_serializable());
-}
-
 // ---------------------------------------------------------------------
 // The per-level oracle's restoration law.
 // ---------------------------------------------------------------------

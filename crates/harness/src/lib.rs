@@ -16,10 +16,8 @@
 //! * [`faults`] — deterministic seeded fault plans implementing the core
 //!   machine's [`FaultHook`](pushpull_core::faults::FaultHook) seam, for
 //!   the chaos-matrix tests;
-//! * [`parallel`] — the OS-thread runner, with panic propagation, a
-//!   tick-budget watchdog, and optional installation of an
-//!   [`AnalysisPlan`](pushpull_analysis::AnalysisPlan)'s spec certificate
-//!   before any worker spawns.
+//! * [`parallel`] — the OS-thread runner, with panic propagation and a
+//!   tick-budget watchdog.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,9 +35,7 @@ pub mod workload;
 
 pub use faults::{FaultPlan, FaultSpec};
 pub use model_check::{explore, ExploreLimits, ExploreReport};
-pub use parallel::{
-    run_parallel, run_parallel_sharded, ParallelError, ParallelOutcome, ThreadDump, WatchdogReport,
-};
+pub use parallel::{run_parallel, ParallelError, ParallelOutcome, ThreadDump, WatchdogReport};
 pub use runner::{run_reported, RunReport};
 pub use scheduler::{run, RandomSched, RoundRobin, RunOutcome, Scheduler};
 pub use sweep::{sweep, Aggregate, SweepResult};

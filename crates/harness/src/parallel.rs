@@ -176,13 +176,13 @@ struct ThreadSummary {
 /// Runs `sys` with one OS thread per model thread, each ticking its own
 /// worker closure until done (or until `max_ticks_per_thread`).
 ///
-/// When `plan` carries a spec certificate (from
-/// [`pushpull_analysis::analyze_certified`]), it is installed on the
-/// system before any worker spawns, so strict mode's two gates —
-/// fine-grained shard routing and open-nested scope entry — find it. A
-/// plan without one, and `None`, leave the installed certificate
-/// untouched. The plan arms nothing else: every criterion is still
-/// checked when its rule fires.
+/// `_plan` is ignored: the machine reads no certificate, and checks
+/// every criterion when its rule fires. The parameter stays because the
+/// benchmark package (`ledger/`) passes `None` to it; dropping it, and
+/// with it this crate's dependency on `pushpull-analysis`, is a change to
+/// that package too. To run resharded, call
+/// [`TmSystem::set_log_shards`](pushpull_tm::TmSystem::set_log_shards)
+/// first.
 ///
 /// # Errors
 ///
@@ -195,12 +195,11 @@ struct ThreadSummary {
 pub fn run_parallel<T>(
     mut sys: T,
     max_ticks_per_thread: usize,
-    plan: Option<&AnalysisPlan>,
+    _plan: Option<&AnalysisPlan>,
 ) -> Result<(T, ParallelOutcome), ParallelError>
 where
     T: ParallelSystem + Send,
 {
-    install_certificate(&sys, plan);
     let stop = AtomicBool::new(false);
 
     let results: Vec<Result<ThreadSummary, ParallelError>> = {
@@ -314,43 +313,6 @@ where
             watchdog,
         },
     ))
-}
-
-/// [`run_parallel`] with the machine's shared log resharded into
-/// `shards` footprint shards first (see
-/// [`Machine::set_log_shards`](pushpull_core::machine::Machine::set_log_shards)).
-///
-/// Sharding changes only which lock a shared-log rule takes — commits,
-/// audit ledgers and oracle verdicts are identical at every shard count
-/// (the equivalence the `shard_equivalence` suite pins); what changes is
-/// the contention profile, observable through
-/// [`SystemStats::lock_contended`](pushpull_tm::driver::SystemStats).
-///
-/// # Errors
-///
-/// Exactly as [`run_parallel`].
-pub fn run_parallel_sharded<T>(
-    mut sys: T,
-    max_ticks_per_thread: usize,
-    plan: Option<&AnalysisPlan>,
-    shards: usize,
-) -> Result<(T, ParallelOutcome), ParallelError>
-where
-    T: ParallelSystem + Send,
-{
-    // Certificate before resharding: strict-mode `set_log_shards` demotes
-    // an uncertified log to coarse routing, so a certified plan must be
-    // on record before the shards are cut. `None` below: it is installed.
-    install_certificate(&sys, plan);
-    sys.set_log_shards(shards);
-    run_parallel(sys, max_ticks_per_thread, None)
-}
-
-/// Installs `plan`'s certificate, if it carries one.
-fn install_certificate<T: ParallelSystem>(sys: &T, plan: Option<&AnalysisPlan>) {
-    if let Some(cert) = plan.and_then(|p| p.certificate.clone()) {
-        sys.machine().install_certificate(Some(cert));
-    }
 }
 
 #[cfg(test)]

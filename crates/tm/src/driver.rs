@@ -87,8 +87,8 @@ pub enum Outcome {
 
 /// A transactional-memory system driving a PUSH/PULL machine.
 ///
-/// A system *hands out its machine*: everything machine-level — spec
-/// certificates, strict mode, shard configuration, lock/group/nesting
+/// A system *hands out its machine*: everything machine-level — the
+/// fault hook, the trace switch, shard configuration, lock/group/nesting
 /// counters, the handles [`commit_held`](pushpull_core::commit_held)
 /// takes — is reached through [`machine`](TmSystem::machine) /
 /// [`machine_mut`](TmSystem::machine_mut) rather than forwarded method by
@@ -123,7 +123,7 @@ pub trait TmSystem {
 
     /// The underlying machine (for oracles, traces, audits, counters and
     /// the `&self` configuration seams such as
-    /// [`Machine::install_certificate`]).
+    /// [`Machine::set_fault_hook`]).
     fn machine(&self) -> &Machine<Self::MachineSpec>;
 
     /// The underlying machine, mutably (resharding, its handles for

@@ -119,8 +119,8 @@ fn main() {
 
     // ── Certificate-carrying plan ────────────────────────────────────
     // `analyze_certified` folds the certifier into the workload plan;
-    // the certificate is what strict mode will demand, and its
-    // footprint cover yields the recommended shard count.
+    // the workload's declared key classes yield the recommended shard
+    // count.
     let bounded = KvMap::bounded(vec![0, 1, 2, 3], vec![1]);
     let cplan = analyze_certified(&bounded, &disjoint, "kvmap");
     println!("=== certified plan: disjoint-keys (kvmap) ===");

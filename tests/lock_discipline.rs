@@ -49,7 +49,7 @@ fn disjoint_setup() -> Machine<RwMem> {
 fn each_rule_takes_exactly_the_locks_its_discipline_names() {
     type Step = fn(&mut Machine<RwMem>, &mut OpId);
     // (rule, step on thread B, expected lock acquisitions per shard)
-    let table: [(&str, Step, [u64; 4]); 12] = [
+    let table: [(&str, Step, [u64; 4]); 11] = [
         ("APP", |m, op| *op = m.app_auto(TB).unwrap(), [0, 0, 0, 0]),
         ("PUSH", |m, op| m.push(TB, *op).unwrap(), [0, 1, 0, 0]),
         ("UNPUSH", |m, op| m.unpush(TB, *op).unwrap(), [0, 1, 0, 0]),
@@ -105,19 +105,6 @@ fn each_rule_takes_exactly_the_locks_its_discipline_names() {
                 assert!(result.is_committed(), "{result:?}");
             },
             [0, 1, 0, 1],
-        ),
-        // Coarse: strict mode demotes this uncertified sharded log, and
-        // from then on a shared rule takes every shard.
-        (
-            "coarse PUSH",
-            |m, op| {
-                m.set_require_certificate(true);
-                m.enqueue_txn(TB, Code::method(MemMethod::Write(Loc(3), 1)))
-                    .unwrap();
-                *op = m.app_auto(TB).unwrap();
-                m.push(TB, *op).unwrap();
-            },
-            [1, 1, 1, 1],
         ),
     ];
     let mut m = disjoint_setup();

@@ -1,6 +1,8 @@
-//! The lenient refresh filters by declared keys *without* asking for a
-//! certificate, where fine-grained routing does ask (strict mode demotes
-//! it, `tests/certificate_gate.rs`). The argument: routing decides which
+//! The lenient refresh filters by declared keys, as fine-grained routing
+//! routes by them; neither asks for a certificate at run time, because
+//! the certifier vets a spec's footprints once (the `pushpull_lint`
+//! example certifies every shipped spec). What differs is what a lie
+//! costs. Routing decides which
 //! entries of `G` a criterion *reads*; the refresh decides which operations a transaction PULLs, and PULL is
 //! optional per operation — every PUSH and CMT criterion still runs
 //! against `G`. So a footprint that lies can leave a view stale, which

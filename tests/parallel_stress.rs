@@ -16,7 +16,7 @@ use pushpull::core::op::{OpId, ThreadId};
 use pushpull::core::rng::Xorshift64;
 use pushpull::core::serializability::check_machine;
 use pushpull::core::Event;
-use pushpull::harness::{run_parallel, run_parallel_sharded};
+use pushpull::harness::run_parallel;
 use pushpull::server::{ServerConfig, SessionOutcome, SessionScript, TxnServer};
 use pushpull::spec::counter::{Counter, CtrMethod};
 use pushpull::spec::kvmap::{KvMap, MapMethod};
@@ -323,7 +323,8 @@ fn server_commits_are_uninterleaved_and_retries_stay_far_from_the_budget() {
         let cell = format!("epoch {epoch}");
         let mut sys = TxnServer::new(KvMap::new(), scripts, config);
         sys.machine_mut().set_trace(true);
-        let (sys, outcome) = run_parallel_sharded(sys, BUDGET, None, SHARDS).unwrap();
+        sys.set_log_shards(SHARDS);
+        let (sys, outcome) = run_parallel(sys, BUDGET, None).unwrap();
         assert!(outcome.completed, "{cell}: incomplete");
         let outcomes = sys.outcomes();
         assert_eq!(outcomes.len(), 64, "{cell}: sessions lost");

@@ -1,7 +1,6 @@
-//! An analysis plan's route into a running system: a plan handed to the
-//! parallel runner reaches a wrapped driver's machine, and its spec
-//! certificate is what keeps a strict-mode, four-shard log on
-//! fine-grained routing.
+//! A certified workload on a wrapped driver: the shard count set through
+//! the wrapper reaches the wrapped machine, and a four-shard log over
+//! the certified footprints stays on fine-grained routing.
 
 use pushpull::analysis::analyze_certified;
 use pushpull::core::error::MachineError;
@@ -9,7 +8,7 @@ use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
 use pushpull::core::op::ThreadId;
 use pushpull::core::serializability::check_machine;
-use pushpull::harness::run_parallel_sharded;
+use pushpull::harness::run_parallel;
 use pushpull::spec::kvmap::{KvMap, MapMethod};
 use pushpull::tm::{BoostingSystem, ParallelSystem, SystemStats, Tick, TmSystem};
 
@@ -51,12 +50,12 @@ impl ParallelSystem for Wrapped {
     }
 }
 
-/// A wrapper system overrides only what it means to: a plan handed to
-/// `run_parallel_sharded`, and the shard count with it, still reach the
-/// wrapped machine, because both go through `machine()`/`machine_mut()`
-/// rather than per-hook forwarding a wrapper could forget. Under strict
-/// mode the plan's certificate is what keeps the four shards fine-grained:
-/// a plan that never arrived would leave the log demoted to coarse.
+/// A wrapper system overrides only what it means to: the shard count set
+/// through it still reaches the wrapped machine, because
+/// `TmSystem::set_log_shards` goes through `machine_mut()` rather than
+/// per-hook forwarding a wrapper could forget. The plan is the
+/// certifier's verdict on the workload's spec; the runner takes it and
+/// reads nothing from it.
 #[test]
 fn wrapper_system_still_receives_plan_and_shards() {
     // Own keys only, inside the bounded universe the certifier checks.
@@ -72,17 +71,14 @@ fn wrapper_system_still_receives_plan_and_shards() {
     let plan = analyze_certified(&spec(), &programs, "kvmap");
     assert!(plan.certificate.is_some(), "{plan}");
 
-    let sys = Wrapped(BoostingSystem::new(spec(), programs));
-    sys.machine().set_require_certificate(true);
-    let (sys, out) = run_parallel_sharded(sys, BUDGET, Some(&plan), 4).unwrap();
+    let mut sys = Wrapped(BoostingSystem::new(spec(), programs));
+    sys.set_log_shards(4);
+    let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
     assert!(out.completed);
-    let global = sys.machine().global_state();
-    assert!(global.certified(), "the plan's certificate was installed");
     assert_eq!(sys.machine().log_shards(), 4);
     assert!(
-        !global.coarse_mode(),
-        "a certified log keeps fine-grained routing: {:?}",
-        global.arming_diagnostics()
+        !sys.machine().global_state().coarse_mode(),
+        "every certified footprint routes fine-grained"
     );
     assert!(check_machine(sys.machine()).is_serializable());
 }
