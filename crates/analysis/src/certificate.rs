@@ -31,8 +31,8 @@ use std::fmt;
 /// declarations agree with the exhaustively derived ground truth.
 ///
 /// Non-generic on purpose: the certifier works over a concrete spec, but
-/// the *verdict* is plain data, so an [`AnalysisPlan`](crate::AnalysisPlan)
-/// can carry it without becoming generic over the spec.
+/// the *verdict* is plain data, which a caller can keep or print without
+/// becoming generic over the spec.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecCertificate {
     /// Name of the certified specification (e.g. `"bank"`).

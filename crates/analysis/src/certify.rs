@@ -18,8 +18,8 @@
 //! Severity ladder for mover findings:
 //!
 //! * a `Some(true)` override the exhaustive derivation *refutes* is an
-//!   **error** ([`UNSOUND_MOVER`]) — the linter's conflict scan, and
-//!   any reasoning from the matrix, would trust a pair that can fail;
+//!   **error** ([`UNSOUND_MOVER`]) — any reasoning from the matrix
+//!   would trust a pair that can fail;
 //! * a refused pair (`Some(false)`/`None`) the derivation *proves* is
 //!   **incomplete** ([`INCOMPLETE_MOVER`]): a **warning** when the
 //!   proof is structurally certain (a method self-pair with a single
@@ -254,8 +254,8 @@ fn check_mover_matrix<S: SeqSpec>(
                     ),
                 )
                 .with_note(
-                    "a `Some(true)` override makes the linter trust mover checks that can \
-                     fail; weaken the override (or fix the denotation)",
+                    "a `Some(true)` override promises mover checks that can fail; weaken \
+                     the override (or fix the denotation)",
                 );
                 diags.push(at_method(d, programs, m1));
             } else if claim != Some(true) && truth {

@@ -1,5 +1,6 @@
-//! Rustc-style diagnostics for the program linter: a severity, a lint
-//! name, a span *into the `Code` tree*, and a rendered report.
+//! Rustc-style diagnostics for the spec certifier: a severity, a lint
+//! name, an optional span *into a workload's `Code` tree*, and a rendered
+//! report.
 //!
 //! Spans are structural paths ([`PathStep`]) from a transaction's root
 //! to the offending subterm, so they survive pretty-printing and name
@@ -156,16 +157,17 @@ pub fn find_method<M: PartialEq>(code: &Code<M>, m: &M) -> Option<Vec<PathStep>>
     go(code, m, &mut path).then_some(path)
 }
 
-/// One linter finding.
+/// One certifier finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// How bad it is.
     pub severity: Severity,
-    /// Stable lint name (e.g. `never-commits`).
+    /// Stable lint name (e.g. `unsound-mover-override`).
     pub lint: &'static str,
     /// One-line description of the finding.
     pub message: String,
-    /// Where it is, when it points into a program.
+    /// Where it is, when it points into a program (see
+    /// [`certify_in`](crate::certify_in)).
     pub span: Option<Span>,
     /// The offending subterm, pretty-printed.
     pub snippet: Option<String>,
@@ -182,24 +184,6 @@ impl Diagnostic {
             message: message.into(),
             span: None,
             snippet: None,
-            notes: Vec::new(),
-        }
-    }
-
-    /// A diagnostic anchored at a span, with the subterm it points at.
-    pub fn spanned(
-        severity: Severity,
-        lint: &'static str,
-        message: impl Into<String>,
-        span: Span,
-        snippet: impl Into<String>,
-    ) -> Self {
-        Diagnostic {
-            severity,
-            lint,
-            message: message.into(),
-            span: Some(span),
-            snippet: Some(snippet.into()),
             notes: Vec::new(),
         }
     }
@@ -314,23 +298,25 @@ mod tests {
 
     #[test]
     fn rendering_is_rustc_shaped() {
-        let d = Diagnostic::spanned(
-            Severity::Warning,
-            "unreachable-method",
-            "method `deq()` is unreachable",
-            Span {
+        let d = Diagnostic {
+            span: Some(Span {
                 thread: 1,
                 txn: 0,
                 path: vec![PathStep::SeqR],
-            },
-            "(enq(9) ; deq())",
-        )
-        .with_note("every execution is stuck before this call");
+            }),
+            snippet: Some("size()".into()),
+            ..Diagnostic::global(
+                Severity::Warning,
+                "coarse-forcing",
+                "`size()` declares no footprint",
+            )
+            .with_note("declare a key class if the method's footprint is expressible")
+        };
         let text = d.to_string();
-        assert!(text.starts_with("warning[unreachable-method]:"), "{text}");
+        assert!(text.starts_with("warning[coarse-forcing]:"), "{text}");
         assert!(text.contains("--> thread 1, txn 0, at seq.1"), "{text}");
-        assert!(text.contains("| (enq(9) ; deq())"), "{text}");
-        assert!(text.contains("= note: every execution"), "{text}");
+        assert!(text.contains("| size()"), "{text}");
+        assert!(text.contains("= note: declare a key class"), "{text}");
         let report = render_report(&[d]);
         assert!(report.ends_with("0 errors, 1 warning\n"), "{report}");
     }

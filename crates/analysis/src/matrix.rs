@@ -12,11 +12,8 @@
 //! * `None` — the spec cannot decide at the method level (no override
 //!   and no finite state universe).
 //!
-//! The linter's PULL-cycle scan reads only `Some(true)` cells as
-//! proven; the certifier compares every cell with the exhaustive
+//! The certifier compares every declared cell with the exhaustive
 //! derivation.
-
-use std::fmt;
 
 use pushpull_core::spec::{method_mover_exhaustive, SeqSpec};
 
@@ -101,54 +98,6 @@ impl<M: Clone + Eq> MoverMatrix<M> {
     pub fn alphabet(&self) -> &[M] {
         &self.alphabet
     }
-
-    /// Number of methods in the alphabet.
-    pub fn len(&self) -> usize {
-        self.alphabet.len()
-    }
-
-    /// Is the alphabet empty?
-    pub fn is_empty(&self) -> bool {
-        self.alphabet.is_empty()
-    }
-
-    /// Number of ordered pairs proven (`Some(true)` cells).
-    pub fn proven_pairs(&self) -> usize {
-        self.cells.iter().filter(|c| **c == Some(true)).count()
-    }
-}
-
-impl<M: Clone + Eq + fmt::Display> MoverMatrix<M> {
-    /// Renders the matrix as a table: `✓` proven mover, `✗` refuted at
-    /// the method level (return-dependent), `?` undecided.
-    pub fn render(&self) -> String {
-        let names: Vec<String> = self.alphabet.iter().map(|m| m.to_string()).collect();
-        let width = names.iter().map(String::len).max().unwrap_or(1).max(1);
-        let mut out = String::new();
-        out.push_str(&format!("{:>width$} │", "◁"));
-        for name in &names {
-            out.push_str(&format!(" {name:^width$}"));
-        }
-        out.push('\n');
-        out.push_str(&format!("{:─>width$}─┼", ""));
-        for _ in &names {
-            out.push_str(&format!("─{:─^width$}", ""));
-        }
-        out.push('\n');
-        for (i, name) in names.iter().enumerate() {
-            out.push_str(&format!("{name:>width$} │"));
-            for j in 0..names.len() {
-                let mark = match self.cells[i * names.len() + j] {
-                    Some(true) => "✓",
-                    Some(false) => "✗",
-                    None => "?",
-                };
-                out.push_str(&format!(" {mark:^width$}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,8 +110,8 @@ mod tests {
     fn counter_matrix_is_fully_proven_without_get() {
         let spec = Counter::new();
         let matrix = MoverMatrix::build(&spec, &[CtrMethod::Add(1), CtrMethod::Add(2)]);
-        assert_eq!(matrix.proven_pairs(), 4);
-        assert_eq!(matrix.len(), 2);
+        assert_eq!(matrix.alphabet().len(), 2);
+        assert_eq!(matrix.cells(), &[Some(true); 4]);
     }
 
     #[test]
@@ -175,7 +124,7 @@ mod tests {
             MapMethod::Put(0, 1), // duplicate: deduped
         ];
         let matrix = MoverMatrix::build(&spec, &alphabet);
-        assert_eq!(matrix.len(), 3);
+        assert_eq!(matrix.alphabet().len(), 3);
         // Same key, write vs read: refuted at the method level.
         assert_eq!(
             matrix.query(&MapMethod::Put(0, 1), &MapMethod::Get(0)),
@@ -183,17 +132,7 @@ mod tests {
         );
         // Distinct keys: proven.
         assert!(matrix.proven(&MapMethod::Put(0, 1), &MapMethod::Get(1)));
-        assert!(matrix.proven_pairs() < 9);
         // Outside the alphabet: unknown, not proven.
         assert_eq!(matrix.query(&MapMethod::Get(7), &MapMethod::Get(7)), None);
-    }
-
-    #[test]
-    fn render_marks_all_three_verdicts() {
-        let spec = KvMap::new();
-        let matrix = MoverMatrix::build(&spec, &[MapMethod::Put(0, 1), MapMethod::Get(0)]);
-        let table = matrix.render();
-        assert!(table.contains('✓'), "{table}");
-        assert!(table.contains('✗'), "{table}");
     }
 }

@@ -2,17 +2,15 @@
 //! enumerable state universe, a `Some(true)` cell must be confirmed by
 //! the exhaustive method-level oracle
 //! ([`method_mover_exhaustive`]), which itself quantifies the dynamic
-//! op-level `mover` over all observable return pairs. The matrix has two
-//! consumers: the linter, whose PULL-cycle scan reads a proven cell as
-//! "these methods never conflict", and the spec certifier, which compares
-//! every declared cell with the exhaustive one.
-//! A `Some(true)` the exhaustive oracle refutes would let the linter miss
-//! a conflict.
+//! op-level `mover` over all observable return pairs. A proven cell reads
+//! as "these methods never conflict"; the spec certifier compares every
+//! declared cell with the exhaustive one, and a `Some(true)` the
+//! exhaustive oracle refutes is its one error-severity mover finding.
 //!
 //! `Some(false)` cells are allowed to be conservative (the hand-written
 //! oracles decline some return-dependent movers the exhaustive check
 //! would admit, e.g. zero-amount withdraw self-pairs), so only the
-//! `Some(true)` direction is asserted — the only one the linter trusts.
+//! `Some(true)` direction is asserted.
 
 use pushpull_analysis::MoverMatrix;
 use pushpull_core::spec::{method_mover_exhaustive, SeqSpec};

@@ -417,7 +417,7 @@ pub trait SeqSpec {
     }
 
     /// The *method-level* (return-universal) mover relation used by the
-    /// `pushpull-analysis` linter and certifier:
+    /// `pushpull-analysis` certifier:
     ///
     /// * `Some(true)` — `m1 ◁ m2` holds for **every** pair of return
     ///   observations the two methods can produce, so any runtime mover
@@ -425,7 +425,7 @@ pub trait SeqSpec {
     /// * `Some(false)` — some observable return pair is not a mover (the
     ///   runtime outcome depends on the returns);
     /// * `None` — unknown (no finite universe and no algebraic override);
-    ///   the analyzer must treat the pair as a potential conflict.
+    ///   a caller must treat the pair as a potential conflict.
     ///
     /// The default derives the answer exhaustively from
     /// [`SeqSpec::state_universe`] via [`method_mover_exhaustive`];

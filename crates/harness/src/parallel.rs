@@ -27,7 +27,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use pushpull_analysis::AnalysisPlan;
 use pushpull_core::error::MachineError;
 use pushpull_tm::driver::{ParallelSystem, Tick};
 
@@ -176,11 +175,12 @@ struct ThreadSummary {
 /// Runs `sys` with one OS thread per model thread, each ticking its own
 /// worker closure until done (or until `max_ticks_per_thread`).
 ///
-/// `_plan` is ignored: the machine reads no certificate, and checks
-/// every criterion when its rule fires. The parameter stays because the
-/// benchmark package (`ledger/`) passes `None` to it; dropping it, and
-/// with it this crate's dependency on `pushpull-analysis`, is a change to
-/// that package too. To run resharded, call
+/// The third parameter takes no value: its type is uninhabited, so
+/// `None` is the only argument a caller can pass. It stays only because
+/// the benchmark package (`ledger/`) passes `None`; dropping it is a
+/// change to that package too. The machine needs nothing beside the
+/// system: it checks every criterion when its rule fires. To run
+/// resharded, call
 /// [`TmSystem::set_log_shards`](pushpull_tm::TmSystem::set_log_shards)
 /// first.
 ///
@@ -195,7 +195,7 @@ struct ThreadSummary {
 pub fn run_parallel<T>(
     mut sys: T,
     max_ticks_per_thread: usize,
-    _plan: Option<&AnalysisPlan>,
+    _none: Option<&std::convert::Infallible>,
 ) -> Result<(T, ParallelOutcome), ParallelError>
 where
     T: ParallelSystem + Send,

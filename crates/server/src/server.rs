@@ -214,6 +214,16 @@ impl WorkerState {
                 .all(|s| matches!(s, Slot::Idle | Slot::Dead))
     }
 
+    /// Frees slot `k` and returns the session it hosted.
+    fn release(&mut self, k: usize) -> Active {
+        match std::mem::replace(&mut self.slots[k], Slot::Idle) {
+            Slot::Busy(a) => a,
+            // Every caller found slot `k` busy earlier in the same tick,
+            // and nothing but `release` takes a slot out of `Busy`.
+            _ => unreachable!("slot {k} released while hosting no session"),
+        }
+    }
+
     /// Records a finished session.
     fn finish(&mut self, session: usize, outcome: SessionOutcome) {
         self.stats.sessions += 1;
@@ -223,9 +233,7 @@ impl WorkerState {
 
 /// Commits the session in slot `k` and frees the slot.
 fn finish_commit(w: &mut WorkerState, k: usize, txn: TxnId) {
-    let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
-        unreachable!("commit on a non-busy slot");
-    };
+    let a = w.release(k);
     let latency = w.now - a.admitted_at + 1;
     w.stats.commits += 1;
     w.finish(
@@ -246,9 +254,7 @@ fn fail_session<S: SeqSpec>(
     h: &mut TxnHandle<S>,
     error: MachineError,
 ) {
-    let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
-        unreachable!("failure on a non-busy slot");
-    };
+    let a = w.release(k);
     w.stats.aborts += 1;
     if let Err(wedge) = h.abandon() {
         // The rewind itself failed: the handle is left mid-rewind and
@@ -411,9 +417,7 @@ fn tick_worker<S: SeqSpec>(
                     SessionEnd::Abort => {
                         let txn = h.txn();
                         h.abandon()?;
-                        let Slot::Busy(a) = std::mem::replace(&mut w.slots[k], Slot::Idle) else {
-                            unreachable!()
-                        };
+                        let a = w.release(k);
                         w.stats.aborts += 1;
                         w.finish(a.session, SessionOutcome::Aborted { txn });
                     }

@@ -9,11 +9,11 @@
 //! * [`spec`] — sequential specifications (`pushpull-spec`)
 //! * [`ds`] — substrate data structures (`pushpull-ds`)
 //! * [`tm`] — the §6/§7 algorithm classes (`pushpull-tm`)
-//! * [`analysis`] — program/pattern linter and spec certifier
-//!   (`pushpull-analysis`)
+//! * [`analysis`] — the spec certifier (`pushpull-analysis`)
 //! * [`harness`] — schedulers, model checker, workloads (`pushpull-harness`)
 //! * [`server`] — the transactional service front-end: session
-//!   multiplexing and per-shard group commit (`pushpull-server`)
+//!   multiplexing, each transaction committed as one held section
+//!   (`pushpull-server`)
 //!
 //! ## Quick start
 //!

@@ -7,7 +7,8 @@
 //! depends on" with the signature the benchmark uses, so removing or
 //! reshaping one fails to compile *here*. Keep the two lists in step.
 
-use pushpull::analysis::AnalysisPlan;
+use std::convert::Infallible;
+
 use pushpull::core::audit::CriteriaAudit;
 use pushpull::core::lang::Code;
 use pushpull::core::log::GlobalLog;
@@ -113,7 +114,7 @@ fn driver_items() {
     let _: fn(&Tl2System) -> &Machine<RwMem> = Tl2System::machine;
 
     type Ran<T> = Result<(T, ParallelOutcome), ParallelError>;
-    let _: fn(Tl2System, usize, Option<&AnalysisPlan>) -> Ran<Tl2System> = run_parallel;
+    let _: fn(Tl2System, usize, Option<&Infallible>) -> Ran<Tl2System> = run_parallel;
     let _ = |o: ParallelOutcome| (o.completed, o.ticks);
     let _: fn(&mut Server, &mut RoundRobin, usize) -> Result<RunOutcome, MachineError> = run;
     let _ = |o: RunOutcome| o.ticks;

@@ -2,7 +2,7 @@
 //! the wrapper reaches the wrapped machine, and a four-shard log over
 //! the certified footprints stays on fine-grained routing.
 
-use pushpull::analysis::analyze_certified;
+use pushpull::analysis::certify_in;
 use pushpull::core::error::MachineError;
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
@@ -53,9 +53,9 @@ impl ParallelSystem for Wrapped {
 /// A wrapper system overrides only what it means to: the shard count set
 /// through it still reaches the wrapped machine, because
 /// `TmSystem::set_log_shards` goes through `machine_mut()` rather than
-/// per-hook forwarding a wrapper could forget. The plan is the
-/// certifier's verdict on the workload's spec; the runner takes it and
-/// reads nothing from it.
+/// per-hook forwarding a wrapper could forget. The certifier's verdict on
+/// the workload's spec is checked once, beside the run: the runner takes
+/// nothing from it.
 #[test]
 fn wrapper_system_still_receives_plan_and_shards() {
     // Own keys only, inside the bounded universe the certifier checks.
@@ -68,12 +68,12 @@ fn wrapper_system_still_receives_plan_and_shards() {
             )]
         })
         .collect();
-    let plan = analyze_certified(&spec(), &programs, "kvmap");
-    assert!(plan.certificate.is_some(), "{plan}");
+    let cert = certify_in(&spec(), "kvmap", &programs).expect("bounded spec certifies");
+    assert!(cert.is_valid(), "{}", cert.certificate);
 
     let mut sys = Wrapped(BoostingSystem::new(spec(), programs));
     sys.set_log_shards(4);
-    let (sys, out) = run_parallel(sys, BUDGET, Some(&plan)).unwrap();
+    let (sys, out) = run_parallel(sys, BUDGET, None).unwrap();
     assert!(out.completed);
     assert_eq!(sys.machine().log_shards(), 4);
     assert!(
