@@ -119,15 +119,46 @@
 //! over it instead of collecting `Vec`s.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use crate::audit::CachePadded;
 use crate::log::{GlobalEntry, GlobalFlag, GlobalLog, LocalEntry};
 use crate::op::{Op, OpId};
+use crate::smallvec::SmallVec;
 use crate::spec::{SeqSpec, StateSet};
 
 use super::{unpoisoned, CommittedTxn, GlobalState};
+
+/// A map keyed by footprint class, hashed with [`ClassHasher`].
+type ClassMap<V> = HashMap<u64, V, BuildHasherDefault<ClassHasher>>;
+
+/// A fixed multiplicative hash for the caches' `u64` class keys: one
+/// multiply and a rotation per lookup, where `RandomState`'s SipHash runs
+/// a dozen rounds. The rotation brings the product's well-mixed high bits
+/// down to where the table takes its bucket index — every class on a
+/// shard shares its low bits (shard = class mod `N`). Not keyed, so not
+/// flooding-resistant: class keys come from in-process specs (DESIGN.md
+/// §9, "The class-key hasher").
+#[derive(Default)]
+struct ClassHasher(u64);
+
+impl Hasher for ClassHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Memoized denotations of a shard's log segment, two points per footprint
 /// class: at the end of its longest fully committed prefix, and at the end
@@ -139,10 +170,10 @@ struct PrefixCache<St> {
     /// `⟦ε⟧` — what a class absent from `classes` denotes.
     initial: StateSet<St>,
     /// `⟦G_i[..len]|k⟧` for every class `k` with an entry in `G_i[..len]`.
-    classes: HashMap<u64, StateSet<St>>,
+    classes: ClassMap<StateSet<St>>,
     /// `⟦G_i|k⟧` over the whole segment, for every class `k` whose last
     /// append passed its PUSH (iii) class-locally.
-    ends: HashMap<u64, StateSet<St>>,
+    ends: ClassMap<StateSet<St>>,
 }
 
 impl<St: PartialEq> PrefixCache<St> {
@@ -150,8 +181,8 @@ impl<St: PartialEq> PrefixCache<St> {
         Self {
             len: 0,
             initial,
-            classes: HashMap::new(),
-            ends: HashMap::new(),
+            classes: ClassMap::default(),
+            ends: ClassMap::default(),
         }
     }
 
@@ -405,7 +436,9 @@ impl Route {
 /// have read under its own route's lock.
 #[derive(Debug)]
 pub(crate) struct LogView<'a, S: SeqSpec> {
-    shards: Vec<(usize, MutexGuard<'a, ShardLog<S>>)>,
+    /// `(shard index, guard)`, ascending; inline up to four, so a routed
+    /// rule's section and a held commit over a few keys allocate nothing.
+    shards: SmallVec<(usize, MutexGuard<'a, ShardLog<S>>), 4>,
     /// View index of the focused shard, if any.
     focus: Option<usize>,
 }
@@ -504,7 +537,7 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// one binary search.
     fn commit_local(&mut self, local: &[LocalEntry<S::Method, S::Ret>], ids: bool) -> Vec<OpId> {
         let pushed = local.iter().filter(|l| l.flag.is_pushed());
-        let mut own: crate::smallvec::SmallVec<OpId, 8> = pushed.map(|l| l.op.id).collect();
+        let mut own: SmallVec<OpId, 8> = pushed.map(|l| l.op.id).collect();
         own.sort_unstable();
         let mut flipped: Vec<(u64, OpId)> = Vec::new();
         for (_, sh) in &mut self.shards {
@@ -522,7 +555,7 @@ pub(crate) struct StampedIter<'v, 'a, S: SeqSpec> {
     shards: &'v [(usize, MutexGuard<'a, ShardLog<S>>)],
     /// One cursor per viewed shard; inline up to 16 shards, so iterating
     /// any single- or CMT-width view allocates nothing.
-    pos: crate::smallvec::SmallVec<usize, 16>,
+    pos: SmallVec<usize, 16>,
 }
 
 impl<'v, S: SeqSpec> Iterator for StampedIter<'v, '_, S> {

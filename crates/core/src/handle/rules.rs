@@ -9,6 +9,7 @@ use crate::lang::Code;
 use crate::log::{GlobalEntry, GlobalFlag, LocalEntry, LocalFlag};
 use crate::machine::CheckMode;
 use crate::op::{Op, OpId, TxnId};
+use crate::smallvec::SmallVec;
 use crate::spec::SeqSpec;
 use crate::trace::Event;
 
@@ -101,13 +102,13 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// **APP** of the first `step(c)` option `pick` accepts, with the
     /// first return value `L` allows — the body of [`Self::app_method`]
     /// and [`Self::app_auto`]. Criterion (i) holds by construction (the
-    /// pair is an element of the `step(c)` derived here, once).
+    /// pair is the first element of `step(c)` that `pick` accepts, found by
+    /// [`Code::first_step`] without building the rest of the set).
     fn app_chosen(&mut self, pick: impl Fn(&S::Method) -> bool) -> MachineResult<OpId> {
         self.settle_scopes()?;
-        let options = self.step_options()?;
-        let (m, cont) = options
-            .into_iter()
-            .find(|(m, _)| pick(m))
+        let (m, cont) = self
+            .active_code()?
+            .first_step(pick)
             .ok_or(MachineError::NoSuchStep(self.tid))?;
         let ret = self.first_allowed(&m)?;
         self.fault_gate(Rule::App)?;
@@ -585,19 +586,19 @@ impl<S: SeqSpec> TxnHandle<S> {
     fn routed_shards<'e>(
         &self,
         entries: impl Iterator<Item = &'e LocalEntry<S::Method, S::Ret>>,
-    ) -> Option<Vec<usize>>
+    ) -> Option<ShardSet>
     where
         S: 'e,
     {
-        let mut shards = Vec::new();
+        let mut shards = ShardSet::new();
         for e in entries {
             match self.global.route(&e.op.method) {
                 Route::Coarse => return None,
-                Route::Single(i) => shards.push(i),
+                Route::Single(i) if !shards.contains(&i) => shards.push(i),
+                Route::Single(_) => {}
             }
         }
         shards.sort_unstable();
-        shards.dedup();
         Some(shards)
     }
 
@@ -689,7 +690,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     }
 
     /// Ids of the current transaction's unpushed operations, in order.
-    pub fn unpushed_ids(&self) -> Vec<OpId> {
+    pub fn unpushed_ids(&self) -> SmallVec<OpId, 8> {
         let unpushed = self.local.iter().filter(|e| e.flag.is_not_pushed());
         unpushed.map(|e| e.op.id).collect()
     }
@@ -759,7 +760,7 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// route to ([`Self::cmt_entries`], before any PUSH) — or `None` when
     /// it is not eligible: see [`Self::held_commit_allowed`], or an
     /// operation routes coarse.
-    pub(crate) fn held_shards(&self) -> Option<Vec<usize>> {
+    pub(crate) fn held_shards(&self) -> Option<ShardSet> {
         if !self.held_commit_allowed() {
             return None;
         }
@@ -770,6 +771,10 @@ impl<S: SeqSpec> TxnHandle<S> {
         self.routed_shards(needed)
     }
 }
+
+/// The shards a commit section holds, ascending — inline up to four, so a
+/// transaction over a handful of keys collects them without allocating.
+type ShardSet = SmallVec<usize, 4>;
 
 /// APP criterion (i): is `(method, cont)` an element of `step(code)`?
 fn in_step<M: Clone + PartialEq>(code: &Code<M>, method: &M, cont: &Code<M>) -> bool {

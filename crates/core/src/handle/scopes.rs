@@ -156,7 +156,7 @@ impl<S: SeqSpec> TxnHandle<S> {
             if let Some(top) = self.frames.last() {
                 if matches!(top.origin, ScopeOrigin::Peeled { .. }) {
                     let code = self.active_code()?;
-                    if code.fin() && code.step().is_empty() {
+                    if code.fin() && code.first_step(|_| true).is_none() {
                         self.commit_nested()?;
                         continue;
                     }

@@ -25,6 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::scope::ScopeKind;
+use crate::smallvec::SmallVec;
 
 /// Code of the generic transaction language.
 ///
@@ -107,7 +108,7 @@ impl<M: Clone> Code<M> {
     /// Sequences a list of codes: `seq_all([a, b, c]) = a ; (b ; c)`.
     /// An empty list yields `skip`.
     pub fn seq_all<I: IntoIterator<Item = Code<M>>>(parts: I) -> Self {
-        let mut parts: Vec<Code<M>> = parts.into_iter().collect();
+        let mut parts: SmallVec<Code<M>, 8> = parts.into_iter().collect();
         match parts.pop() {
             None => Code::Skip,
             Some(mut acc) => {
@@ -131,6 +132,11 @@ impl<M: Clone> Code<M> {
     /// step(m)        = {(m, skip)}
     /// ```
     ///
+    /// Continuations are built with SEMISKIP (Figure 6) applied: where
+    /// `k ; c₂` would begin with `skip`, the continuation is `c₂` itself —
+    /// no continuation begins with `skip ;`, and taking the step that
+    /// finishes `c₁` shares `c₂` without building a node.
+    ///
     /// The equations denote *sets*; nested `Choice`/`Star` can produce the
     /// same `(m, c′)` pair along several syntactic paths, so the result is
     /// deduplicated (first occurrence kept, order otherwise preserved).
@@ -143,6 +149,40 @@ impl<M: Clone> Code<M> {
         out
     }
 
+    /// The first option of [`Self::step`], in its order, whose method
+    /// `pick` accepts — found without building the others: only the
+    /// chosen continuation is constructed. (Deduplication keeps first
+    /// occurrences, so the first match is the same with or without it.)
+    ///
+    /// ```
+    /// use pushpull_core::lang::Code;
+    /// let c = Code::seq(Code::choice(Code::method("a"), Code::method("b")), Code::method("c"));
+    /// let (m, k) = c.first_step(|m| *m == "b").expect("b is a next method");
+    /// assert_eq!((m, k), ("b", Code::method("c")));
+    /// assert!(c.first_step(|m| *m == "c").is_none());
+    /// ```
+    pub fn first_step(&self, pick: impl Fn(&M) -> bool) -> Option<(M, Code<M>)> {
+        self.first_step_by(&pick)
+    }
+
+    fn first_step_by(&self, pick: &impl Fn(&M) -> bool) -> Option<(M, Code<M>)> {
+        match self {
+            Code::Skip => None,
+            Code::Method(m) => pick(m).then(|| (m.clone(), Code::Skip)),
+            Code::Seq(c1, c2) => match c1.first_step_by(pick) {
+                Some((m, k)) => Some((m, Self::then(k, c2))),
+                None if c1.fin() => c2.first_step_by(pick),
+                None => None,
+            },
+            Code::Choice(c1, c2) => c1.first_step_by(pick).or_else(|| c2.first_step_by(pick)),
+            Code::Star(c) => {
+                let (m, k) = c.first_step_by(pick)?;
+                Some((m, Self::then(k, &Arc::new(Code::Star(Arc::clone(c))))))
+            }
+            Code::Tx(c) | Code::OpenTx(c) => c.first_step_by(pick),
+        }
+    }
+
     fn step_raw(&self) -> Vec<(M, Code<M>)> {
         match self {
             Code::Skip => Vec::new(),
@@ -151,8 +191,8 @@ impl<M: Clone> Code<M> {
                 let mut out = c1.step_raw();
                 Self::then_all(&mut out, c2);
                 if c1.fin() {
-                    // `skip ; c₂` — what every step leaves behind — has
-                    // nothing to extend: take c₂'s options as they are.
+                    // Nothing of c₁'s to extend (a finished `skip`, say):
+                    // take c₂'s options as they are.
                     if out.is_empty() {
                         return c2.step_raw();
                     }
@@ -180,9 +220,25 @@ impl<M: Clone> Code<M> {
     /// all of them sharing the one `rest`.
     fn then_all(options: &mut [(M, Code<M>)], rest: &Arc<Code<M>>) {
         for (_, k) in options {
-            let first = std::mem::replace(k, Code::Skip);
-            *k = Code::Seq(Arc::new(first), Arc::clone(rest));
+            *k = Self::then(std::mem::replace(k, Code::Skip), rest);
         }
+    }
+
+    /// The continuation `k ; rest`, with SEMISKIP applied: `skip ; rest`
+    /// is `rest` (past any `skip ;` it begins with), a copy of its root
+    /// node sharing its subtrees.
+    fn then(k: Code<M>, rest: &Arc<Code<M>>) -> Code<M> {
+        if !matches!(k, Code::Skip) {
+            return Code::Seq(Arc::new(k), Arc::clone(rest));
+        }
+        let mut rest = rest;
+        while let Code::Seq(a, b) = &**rest {
+            if !matches!(**a, Code::Skip) {
+                break;
+            }
+            rest = b;
+        }
+        (**rest).clone()
     }
 
     /// The `fin` predicate of Example 1: can `self` reduce to `skip`
@@ -221,7 +277,7 @@ impl<M: Clone> Code<M> {
                         c => Code::Seq(Arc::new(c), Arc::clone(rest)),
                     };
                     Some((kind, body, cont))
-                } else if a.fin() && a.step_raw().is_empty() {
+                } else if a.fin() && a.first_step(|_| true).is_none() {
                     // `a` is semantically skip: the scope (if any) in
                     // `rest` is the leftmost redex.
                     rest.peel_scope()
@@ -340,6 +396,7 @@ impl<M: fmt::Display> fmt::Display for Code<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xorshift64;
 
     fn m(s: &str) -> Code<&str> {
         Code::method(s)
@@ -493,6 +550,106 @@ mod tests {
         assert_eq!(k2, ScopeKind::Closed);
         assert_eq!(b2, m("a"));
         assert_eq!(c2, m("b"));
+    }
+
+    /// A random code of at most `depth` levels using every constructor of
+    /// the grammar, over three methods (so choices and loops repeat them).
+    fn gen(rng: &mut Xorshift64, depth: u32) -> Code<&'static str> {
+        if depth == 0 || rng.gen_index(4) == 0 {
+            return match rng.gen_index(4) {
+                0 => Code::Skip,
+                i => m(["a", "b", "c"][i - 1]),
+            };
+        }
+        let a = gen(rng, depth - 1);
+        match rng.gen_index(6) {
+            0 | 1 => Code::seq(a, gen(rng, depth - 1)),
+            2 => Code::choice(a, gen(rng, depth - 1)),
+            3 => Code::star(a),
+            4 => Code::tx(a),
+            _ => Code::otx(a),
+        }
+    }
+
+    /// Generated codes and the codes a random walk of `step` options
+    /// reaches from them.
+    fn walked_codes() -> Vec<Code<&'static str>> {
+        let mut rng = Xorshift64::new(0x5e9_5c1b);
+        let mut codes = Vec::new();
+        for _ in 0..400 {
+            let mut c = gen(&mut rng, 5);
+            for _ in 0..6 {
+                codes.push(c.clone());
+                let steps = c.step();
+                if steps.is_empty() {
+                    break;
+                }
+                c = steps[rng.gen_index(steps.len())].1.clone();
+            }
+        }
+        codes
+    }
+
+    #[test]
+    fn first_step_is_the_first_step_option_pick_accepts() {
+        let picks: [&dyn Fn(&&str) -> bool; 6] = [
+            &|_| true,
+            &|m| *m == "a",
+            &|m| *m == "b",
+            &|m| *m == "c",
+            &|m| *m != "a",
+            &|_| false,
+        ];
+        for c in walked_codes() {
+            for pick in picks {
+                let expected = c.step().into_iter().find(|(m, _)| pick(m));
+                assert_eq!(c.first_step(pick), expected, "{c}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_step_continuation_begins_with_skip() {
+        for c in walked_codes() {
+            for (method, k) in c.step() {
+                if let Code::Seq(first, _) = &k {
+                    assert_ne!(**first, Code::Skip, "{c} steps {method} to {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_straight_line_program_shrinks_with_every_app_until_skip() {
+        use crate::machine::Machine;
+        use crate::toy::{CounterMethod, ToyCounter};
+        let mut rng = Xorshift64::new(7);
+        // A random `Seq` tree over `n` methods, nested either way.
+        fn tree(rng: &mut Xorshift64, n: usize) -> Code<CounterMethod> {
+            if n == 1 {
+                return Code::method(CounterMethod::Inc);
+            }
+            let left = 1 + rng.gen_index(n - 1);
+            Code::seq(tree(rng, left), tree(rng, n - left))
+        }
+        for n in 1..=12 {
+            let program = if n % 2 == 0 {
+                Code::seq_all((0..n).map(|_| Code::method(CounterMethod::Inc)))
+            } else {
+                tree(&mut rng, n)
+            };
+            let mut machine = Machine::new(ToyCounter::with_bound(16));
+            let t = machine.add_thread(vec![program.clone()]);
+            let mut size = program.size();
+            for _ in 0..n {
+                machine.app_method(t, &CounterMethod::Inc).expect("APP");
+                let code = machine.thread(t).unwrap().code().expect("active");
+                let shrank = code.size() < size || *code == Code::Skip;
+                assert!(shrank, "{program}: {code} after an APP");
+                size = code.size();
+            }
+            assert_eq!(size, 1, "{program} ends in skip");
+        }
     }
 
     #[test]

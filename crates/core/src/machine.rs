@@ -433,7 +433,7 @@ impl<S: SeqSpec> Machine<S> {
 
     /// Ids of the current transaction's unpushed operations, in order.
     pub fn unpushed_ids(&self, tid: ThreadId) -> MachineResult<Vec<OpId>> {
-        Ok(self.thread(tid)?.unpushed_ids())
+        Ok(self.thread(tid)?.unpushed_ids().to_vec())
     }
 
     /// Pulls every *committed* global operation not yet in the local log,

@@ -28,7 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pushpull_core::error::MachineError;
-use pushpull_tm::driver::{ParallelSystem, Tick};
+use pushpull_tm::driver::{ParallelSystem, Tick, Worker};
 
 /// Why a parallel run failed.
 #[derive(Debug)]
@@ -172,8 +172,62 @@ struct ThreadSummary {
     done: bool,
 }
 
+/// Ticks model thread `thread`'s worker until it is done, `max_ticks`
+/// run out or another worker raises `stop`. A machine error or a panic
+/// (caught here, so it can neither poison the run nor unwind into the
+/// caller) raises `stop` and comes back as the worker's error.
+fn drive(
+    thread: usize,
+    mut worker: Worker<'_>,
+    max_ticks: usize,
+    stop: &AtomicBool,
+) -> Result<ThreadSummary, ParallelError> {
+    let mut summary = ThreadSummary {
+        ticks: 0,
+        last: None,
+        done: false,
+    };
+    for _ in 0..max_ticks {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let tick = match catch_unwind(AssertUnwindSafe(&mut worker)) {
+            Ok(Ok(tick)) => tick,
+            Ok(Err(e)) => {
+                stop.store(true, Ordering::Relaxed);
+                return Err(ParallelError::Machine(e));
+            }
+            Err(payload) => {
+                stop.store(true, Ordering::Relaxed);
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                return Err(ParallelError::Panic {
+                    thread,
+                    ticks: summary.ticks,
+                    message,
+                });
+            }
+        };
+        summary.ticks += 1;
+        summary.last = Some(tick);
+        match tick {
+            Tick::Done => {
+                summary.done = true;
+                return Ok(summary);
+            }
+            Tick::Blocked => std::thread::yield_now(),
+            _ => {}
+        }
+    }
+    Ok(summary)
+}
+
 /// Runs `sys` with one OS thread per model thread, each ticking its own
-/// worker closure until done (or until `max_ticks_per_thread`).
+/// worker closure until done (or until `max_ticks_per_thread`). Model
+/// thread 0 runs on the calling thread; the others are spawned.
 ///
 /// The third parameter takes no value: its type is uninhabited, so
 /// `None` is the only argument a caller can pass. It stays only because
@@ -202,72 +256,33 @@ where
 {
     let stop = AtomicBool::new(false);
 
+    // Model thread 0 runs on the calling thread, which would otherwise
+    // only wait in the join: one spawn fewer per run.
     let results: Vec<Result<ThreadSummary, ParallelError>> = {
-        let workers = sys.workers();
+        let mut workers = sys.workers().into_iter().enumerate();
+        let first = workers.next();
         let stop = &stop;
         std::thread::scope(|scope| {
             let handles: Vec<_> = workers
-                .into_iter()
-                .enumerate()
-                .map(|(thread, mut worker)| {
-                    scope.spawn(move || {
-                        let mut summary = ThreadSummary {
-                            ticks: 0,
-                            last: None,
-                            done: false,
-                        };
-                        for _ in 0..max_ticks_per_thread {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let tick = match catch_unwind(AssertUnwindSafe(&mut worker)) {
-                                Ok(Ok(tick)) => tick,
-                                Ok(Err(e)) => {
-                                    stop.store(true, Ordering::Relaxed);
-                                    return Err(ParallelError::Machine(e));
-                                }
-                                Err(payload) => {
-                                    stop.store(true, Ordering::Relaxed);
-                                    let message = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| (*s).to_string())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".into());
-                                    return Err(ParallelError::Panic {
-                                        thread,
-                                        ticks: summary.ticks,
-                                        message,
-                                    });
-                                }
-                            };
-                            summary.ticks += 1;
-                            summary.last = Some(tick);
-                            match tick {
-                                Tick::Done => {
-                                    summary.done = true;
-                                    return Ok(summary);
-                                }
-                                Tick::Blocked => std::thread::yield_now(),
-                                _ => {}
-                            }
-                        }
-                        Ok(summary)
-                    })
+                .map(|(thread, worker)| {
+                    scope.spawn(move || drive(thread, worker, max_ticks_per_thread, stop))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Unreachable: the worker body catches its own
-                    // panics. Kept so a harness bug cannot hang the run.
-                    Err(_) => Err(ParallelError::Panic {
-                        thread: usize::MAX,
-                        ticks: 0,
-                        message: "worker thread died outside catch_unwind".into(),
-                    }),
-                })
-                .collect()
+            let mut results = Vec::with_capacity(handles.len() + 1);
+            if let Some((thread, worker)) = first {
+                results.push(drive(thread, worker, max_ticks_per_thread, stop));
+            }
+            results.extend(handles.into_iter().map(|h| match h.join() {
+                Ok(r) => r,
+                // Unreachable: the worker body catches its own
+                // panics. Kept so a harness bug cannot hang the run.
+                Err(_) => Err(ParallelError::Panic {
+                    thread: usize::MAX,
+                    ticks: 0,
+                    message: "worker thread died outside catch_unwind".into(),
+                }),
+            }));
+            results
         })
     };
 
@@ -404,10 +419,10 @@ mod tests {
         assert_eq!(outcome.ticks, rr.ticks + sys.thread_count());
     }
 
-    /// A two-thread system whose second worker panics on its third tick,
+    /// A two-thread system whose worker `.1` panics on its third tick,
     /// over an empty machine.
     #[derive(Debug)]
-    struct PanickySystem(Machine<ToyCounter>);
+    struct PanickySystem(Machine<ToyCounter>, usize);
 
     impl pushpull_tm::driver::TmSystem for PanickySystem {
         type MachineSpec = ToyCounter;
@@ -437,23 +452,27 @@ mod tests {
 
     impl ParallelSystem for PanickySystem {
         fn workers(&mut self) -> Vec<pushpull_tm::driver::Worker<'_>> {
-            let mut calls = 0u32;
-            vec![
-                Box::new(|| Ok(Tick::Progress)),
-                Box::new(move || {
-                    calls += 1;
-                    if calls >= 3 {
-                        panic!("injected worker panic");
-                    }
-                    Ok(Tick::Progress)
-                }),
-            ]
+            (0..2)
+                .map(|thread| {
+                    let mut calls = 0u32;
+                    let panics = thread == self.1;
+                    let worker: pushpull_tm::driver::Worker<'_> = Box::new(move || {
+                        calls += 1;
+                        if panics && calls >= 3 {
+                            panic!("injected worker panic");
+                        }
+                        Ok(Tick::Progress)
+                    });
+                    worker
+                })
+                .collect()
         }
     }
 
-    #[test]
-    fn worker_panic_surfaces_thread_and_tick() {
-        let sys = PanickySystem(Machine::new(ToyCounter::with_bound(1)));
+    /// Runs a `PanickySystem` whose worker `panicking` panics: the run
+    /// comes back as `Panic` naming that thread and its tick count.
+    fn assert_panic_surfaces(panicking: usize) {
+        let sys = PanickySystem(Machine::new(ToyCounter::with_bound(1)), panicking);
         let err = run_parallel(sys, 100_000, None).unwrap_err();
         match err {
             ParallelError::Panic {
@@ -461,14 +480,30 @@ mod tests {
                 ticks,
                 ref message,
             } => {
-                assert_eq!(thread, 1);
+                assert_eq!(thread, panicking);
                 assert_eq!(ticks, 2, "panicked on the third call");
                 assert!(message.contains("injected worker panic"));
             }
-            other => panic!("expected Panic, got {other:?}"),
+            ref other => panic!("expected Panic, got {other:?}"),
         }
         let rendered = err.to_string();
-        assert!(rendered.contains("thread 1"), "{rendered}");
+        assert!(
+            rendered.contains(&format!("thread {panicking}")),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn worker_panic_surfaces_thread_and_tick() {
+        assert_panic_surfaces(1);
+    }
+
+    /// Worker 0 runs on the calling thread: its panic is caught like any
+    /// other worker's, stops the spawned one, and does not unwind out of
+    /// `run_parallel`.
+    #[test]
+    fn a_panic_in_worker_zero_on_the_calling_thread_is_caught() {
+        assert_panic_surfaces(0);
     }
 
     #[test]
