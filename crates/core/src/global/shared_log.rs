@@ -461,7 +461,7 @@ impl<'a, S: SeqSpec> LogView<'a, S> {
     /// nothing is corrupted: an UNPUSH does not find its entry
     /// (`NoSuchOp`), and a PUSH stops at `append_push`'s own held-target
     /// check before anything is written.
-    pub(crate) fn focused<R>(&mut self, shard: usize, body: impl FnOnce(&mut Self) -> R) -> R {
+    fn focused<R>(&mut self, shard: usize, body: impl FnOnce(&mut Self) -> R) -> R {
         self.focus = self.shards.iter().position(|(i, _)| *i == shard);
         debug_assert!(self.focus.is_some(), "held section lacks shard {shard}");
         let out = body(self);
@@ -893,24 +893,44 @@ impl<S: SeqSpec> GlobalState<S> {
                 self.log.coarse.store(true, Ordering::SeqCst);
                 self.acquire_all()
             }
-            Route::Single(i) => self.acquire_held([i]).unwrap_or_else(|| self.acquire_all()),
+            Route::Single(i) => self.acquire_held([i]),
         }
     }
 
-    /// The fine-grained section over `shards` — one routed PUSH/UNPUSH's
-    /// shard, or the shard set of a held commit (see [`crate::group`]) —
-    /// or `None` once the sticky coarse flag is set: the flag is
-    /// re-checked *after* locking (see [`Self::acquire_route`]), so no
-    /// section evaluates shard-locally past a coarse append.
-    pub(crate) fn acquire_held(
-        &self,
-        shards: impl IntoIterator<Item = usize>,
-    ) -> Option<LogView<'_, S>> {
-        if self.coarse_mode() {
-            return None;
+    /// The section over `shards` — one routed PUSH/UNPUSH's shard, a
+    /// refresh's footprint shards, or the shard set of a held commit (see
+    /// [`crate::group`]) — or over every shard once the sticky coarse flag
+    /// is set: the flag is re-checked *after* locking (see
+    /// [`Self::acquire_route`]), so no section evaluates shard-locally past
+    /// a coarse append.
+    pub(crate) fn acquire_held(&self, shards: impl IntoIterator<Item = usize>) -> LogView<'_, S> {
+        if !self.coarse_mode() {
+            let view = self.acquire_shards(shards);
+            if !self.coarse_mode() {
+                return view;
+            }
         }
-        let view = self.acquire_shards(shards);
-        (!self.coarse_mode()).then_some(view)
+        self.acquire_all()
+    }
+
+    /// Runs `body`, one PUSH/UNPUSH in a held section, over `view` as
+    /// [`Self::acquire_route`] would show it: focused on the route's shard,
+    /// unless `view` holds every shard (as it does for a coarse route,
+    /// which sets the sticky flag first) and the flag is set.
+    pub(crate) fn in_held<'a, R>(
+        &self,
+        view: &mut LogView<'a, S>,
+        route: Route,
+        body: impl FnOnce(&mut LogView<'a, S>) -> R,
+    ) -> R {
+        if route == Route::Coarse {
+            self.log.coarse.store(true, Ordering::SeqCst);
+        }
+        if view.shards.len() == self.shard_count() && self.coarse_mode() {
+            body(view)
+        } else {
+            view.focused(route.target(), body)
+        }
     }
 
     /// Locates and snapshots a global entry by id, locking one shard at
@@ -954,13 +974,15 @@ impl<S: SeqSpec> GlobalState<S> {
         skip: impl Fn(&Op<S::Method, S::Ret>) -> bool,
     ) -> Vec<GlobalEntry<S::Method, S::Ret>> {
         let n = self.log.shards.len() as u64;
-        let fine = footprint.and_then(|keys| {
-            let mut shards: Vec<usize> = keys.iter().map(|k| (k % n) as usize).collect();
-            shards.sort_unstable();
-            shards.dedup();
-            self.acquire_held(shards)
-        });
-        let view = fine.unwrap_or_else(|| self.acquire_all());
+        let view = match footprint {
+            Some(keys) => {
+                let mut shards: Vec<usize> = keys.iter().map(|k| (k % n) as usize).collect();
+                shards.sort_unstable();
+                shards.dedup();
+                self.acquire_held(shards)
+            }
+            None => self.acquire_all(),
+        };
         let concerned = |method: &S::Method| match (footprint, self.spec.method_keys(method)) {
             (Some(keys), Some(declared)) => declared.iter().any(|k| keys.binary_search(k).is_ok()),
             _ => true,

@@ -1,7 +1,7 @@
 //! **Held commits**: a transaction's PUSHes and its CMT as *one
-//! uninterleaved section* over the transaction's own shards — the paper's
-//! optimistic pattern, "PUSH everything and CMT at an uninterleaved
-//! moment" (§6.2).
+//! uninterleaved section* over the transaction's own shards (every shard
+//! once it is coarse) — the paper's optimistic pattern, "PUSH everything
+//! and CMT at an uninterleaved moment" (§6.2).
 //!
 //! ## The held section
 //!
@@ -24,6 +24,10 @@
 //! route's shard (`LogView::focused`), so the criteria kernel reads
 //! exactly what it would under that shard's own lock — the same
 //! cache-backed denotation, the same mover scan, the same audit tallies.
+//! A *coarse* transaction (an operation with no single-key footprint, or
+//! the sticky coarse flag set, before or after locking) holds every shard,
+//! and each PUSH/UNPUSH is focused exactly when its unheld rule would lock
+//! one shard; a coarse route sets the flag first, as `acquire_route` does.
 //! A transaction denied in the section is aborted *inside
 //! it* with the same tail-first rewind the unheld path performs (it is the
 //! same code), so its partial appends never leak. Stamps it consumed are
@@ -50,14 +54,13 @@
 //!
 //! ## Who is refused
 //!
-//! Three kinds of transaction stay on the unheld per-transaction path
-//! (`TxnHandle::held_shards` says which), each because its commit takes
-//! shard locks of its own, which under a held view would self-deadlock
-//! (DESIGN.md §13.3): *coarse-routed* ones (an operation with no
-//! single-key footprint, or sticky coarse mode — their section is every
-//! shard), *nested* ones (an open scope commits to `G` as a transaction
-//! of its own) and *compensating* ones (an abort replays compensations as
-//! fresh top-level transactions).
+//! Two kinds of transaction are refused (`TxnHandle::held_shards` says
+//! which), each because its commit takes shard locks of its own, which
+//! under a held view would self-deadlock (DESIGN.md §13.3): *nested* ones
+//! (an open scope commits to `G` as a transaction of its own) and
+//! *compensating* ones (an abort replays compensations as fresh top-level
+//! transactions). So is a finished thread. An empty transaction is not:
+//! its section holds no shard, and its CMT runs the ordinary criteria.
 
 use std::sync::Arc;
 
@@ -86,9 +89,9 @@ pub enum GroupTxnResult {
     /// The inline abort itself failed — structural misuse, not reachable
     /// from well-formed drives. The handle is left mid-rewind.
     Wedged(MachineError),
-    /// Not eligible for a held commit (coarse route or coarse mode, a
-    /// live nested scope or registered compensation, or nothing to
-    /// commit) — the caller falls back to the per-transaction path.
+    /// Not eligible for a held commit: the thread is finished, or its
+    /// transaction has a live nested scope or a registered compensation.
+    /// Nothing ran; the handle is untouched.
     Ineligible,
 }
 
@@ -107,24 +110,20 @@ pub struct GroupOutcome {
 }
 
 /// Commits the current transaction of `h` as one uninterleaved section
-/// over its own shards (see the module docs): the held counterpart of
-/// [`TxnHandle::push_all_and_commit`], with the abort of a denied attempt
-/// inside the section too. Tallies nothing in
+/// over its own shards, or every shard once coarse (see the module docs):
+/// the held counterpart of [`TxnHandle::push_all_and_commit`], with the
+/// abort of a denied attempt inside the section too. Tallies nothing in
 /// [`GroupStats`](crate::global::GroupStats), so a commit writes no
 /// shared counter word beyond the shard locks it takes.
 pub fn commit_held<S: SeqSpec>(h: &mut TxnHandle<S>) -> GroupTxnResult {
-    let global = Arc::clone(h.global_state());
-    // `None` also when the sticky coarse flag won the race for the locks:
-    // nothing ran, and the caller falls back.
-    let Some(view) = h
-        .held_shards()
-        .and_then(|shards| global.acquire_held(shards))
-    else {
+    let Some(shards) = h.held_shards() else {
         return GroupTxnResult::Ineligible;
     };
+    let global = Arc::clone(h.global_state());
     let ids = h.unpushed_ids();
+    // Fields evaluate in order: the block is reserved under the locks.
     let mut held = Held {
-        view,
+        view: global.acquire_held(shards),
         stamp: global.reserve_stamps(ids.len() as u64),
     };
     let committed = ids
@@ -143,8 +142,7 @@ pub fn commit_held<S: SeqSpec>(h: &mut TxnHandle<S>) -> GroupTxnResult {
 /// Commits each handle through [`commit_held`], in input order, and
 /// counts every committed section in its machine's
 /// [`GroupStats`](crate::global::GroupStats) as a batch of one.
-/// Ineligible handles are reported back untouched for the caller's
-/// per-transaction fallback.
+/// Ineligible handles are reported back untouched.
 pub fn commit_group<S: SeqSpec>(handles: &mut [&mut TxnHandle<S>]) -> GroupOutcome {
     let results = handles
         .iter_mut()

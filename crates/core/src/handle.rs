@@ -58,7 +58,8 @@ pub(crate) type StampedEvent<S> = (u64, Event<<S as SeqSpec>::Method, <S as SeqS
 /// a transaction's PUSHes and its CMT — and, denied, its abort — are one
 /// uninterleaved section.
 pub(crate) struct Held<'a, S: SeqSpec> {
-    /// The held shards: every shard the section's transaction routes to.
+    /// The held shards: every shard the section's transaction routes to,
+    /// or every shard once it is coarse.
     pub(crate) view: LogView<'a, S>,
     /// The next unused stamp of the block reserved under the locks.
     pub(crate) stamp: u64,

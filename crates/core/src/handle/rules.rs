@@ -252,11 +252,11 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// Runs `body` — the criteria over `G` and the effect of one PUSH or
     /// UNPUSH — as the paper's one atomic step: inside the caller-held
-    /// section (its view *focused on the route's shard*, so the kernel
-    /// reads exactly what it would under its own lock, and the cursor into
-    /// its reserved stamp block), or else under the route's own lock — one
-    /// footprint shard on the routed fast path, every shard (ascending)
-    /// when coarse. `body` also receives the shard to append to.
+    /// section (its view focused as the route's own locks would show it,
+    /// see `GlobalState::in_held`, and the cursor into its reserved stamp
+    /// block), or else under the route's own lock — one footprint shard on
+    /// the routed fast path, every shard (ascending) when coarse. `body`
+    /// also receives the shard to append to.
     fn shared_section(
         &self,
         route: Route,
@@ -266,10 +266,8 @@ impl<S: SeqSpec> TxnHandle<S> {
         let target = route.target();
         match held {
             Some(h) => {
-                debug_assert!(route != Route::Coarse, "held_shards excludes coarse routes");
                 let stamp = &mut h.stamp;
-                h.view
-                    .focused(target, |view| body(view, target, Some(stamp)))
+                (self.global).in_held(&mut h.view, route, |v| body(v, target, Some(stamp)))
             }
             None => body(&mut self.global.acquire_route(route), target, None),
         }
@@ -544,8 +542,9 @@ impl<S: SeqSpec> TxnHandle<S> {
     /// otherwise): criterion (iii) plus the `cmt` effect
     /// ([`GlobalState::seal_commit`]), atomic over exactly the shards
     /// the suffix's pushed and still-unsettled pulled operations live on
-    /// ([`Self::cmt_entries`]), locked in canonical ascending order — or
-    /// over the caller's held section. Returns the flipped ids.
+    /// ([`Self::cmt_entries`]) — every shard when one routes coarse —
+    /// locked in canonical ascending order, or over the caller's held
+    /// section. Returns the flipped ids.
     pub(super) fn cmt_section(
         &self,
         base: usize,
@@ -566,10 +565,11 @@ impl<S: SeqSpec> TxnHandle<S> {
         if let Some(h) = held {
             return section(&mut h.view);
         }
-        match self.routed_shards(self.cmt_entries(base)) {
-            Some(shards) => section(&mut self.global.acquire_shards(shards)),
-            None => section(&mut self.global.acquire_all()),
-        }
+        section(
+            &mut self
+                .global
+                .acquire_shards(self.routed_shards(self.cmt_entries(base))),
+        )
     }
 
     /// The entries of `L[base..]` a CMT has business with in `G`: own
@@ -581,25 +581,25 @@ impl<S: SeqSpec> TxnHandle<S> {
         suffix.filter(|e| e.flag.is_pushed() || self.unsettled.contains(&e.op.id))
     }
 
-    /// The shards `entries` route to, ascending and distinct — `None` if
-    /// any of them routes coarse.
+    /// The shards `entries` route to, ascending and distinct — every
+    /// shard if any of them routes coarse.
     fn routed_shards<'e>(
         &self,
         entries: impl Iterator<Item = &'e LocalEntry<S::Method, S::Ret>>,
-    ) -> Option<ShardSet>
+    ) -> ShardSet
     where
         S: 'e,
     {
         let mut shards = ShardSet::new();
         for e in entries {
             match self.global.route(&e.op.method) {
-                Route::Coarse => return None,
+                Route::Coarse => return (0..self.global.shard_count()).collect(),
                 Route::Single(i) if !shards.contains(&i) => shards.push(i),
                 Route::Single(_) => {}
             }
         }
         shards.sort_unstable();
-        Some(shards)
+        shards
     }
 
     /// Resets the per-transaction state after a commit: the local log,
@@ -726,15 +726,12 @@ impl<S: SeqSpec> TxnHandle<S> {
     // ------------------------------------------------------------------
 
     /// May the current transaction commit inside a held section at all?
-    /// Not when the thread is finished, the local log is empty or coarse
-    /// mode is on, and not with nested scopes or registered compensations:
-    /// resolving those (open commits, compensation replay) acquires shard
-    /// locks of its own, which would deadlock under the caller's held
-    /// view.
+    /// Not when the thread is finished, and not with nested scopes or
+    /// registered compensations: resolving those (open commits,
+    /// compensation replay) acquires shard locks of its own, which would
+    /// deadlock under the caller's held view.
     fn held_commit_allowed(&self) -> bool {
         self.code.is_some()
-            && !self.local.is_empty()
-            && !self.global.coarse_mode()
             && self.frames.is_empty()
             && self.comps.is_empty()
             && self.open_children == 0
@@ -757,18 +754,16 @@ impl<S: SeqSpec> TxnHandle<S> {
 
     /// The shards a held commit of the current transaction must hold —
     /// those its own operations and its still-unsettled pulled operations
-    /// route to ([`Self::cmt_entries`], before any PUSH) — or `None` when
-    /// it is not eligible: see [`Self::held_commit_allowed`], or an
-    /// operation routes coarse.
+    /// route to ([`Self::cmt_entries`], before any PUSH), every shard when
+    /// one routes coarse — or `None` when it is not eligible (see
+    /// [`Self::held_commit_allowed`]).
     pub(crate) fn held_shards(&self) -> Option<ShardSet> {
-        if !self.held_commit_allowed() {
-            return None;
-        }
         let needed = self
             .local
             .iter()
             .filter(|e| e.flag.is_own() || self.unsettled.contains(&e.op.id));
-        self.routed_shards(needed)
+        self.held_commit_allowed()
+            .then(|| self.routed_shards(needed))
     }
 }
 

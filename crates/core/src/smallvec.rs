@@ -9,8 +9,8 @@
 //! and only spills to the heap past that, so the common case performs
 //! zero allocations (the §7-motivated *step complexity* concern).
 //!
-//! The implementation is deliberately small: push/pop/remove/truncate
-//! plus slice access via `Deref`. Anything fancier should operate on the
+//! The implementation is deliberately small: `push`, `pop`, `remove` and
+//! `clear`, plus slice access via `Deref`. Anything fancier should operate on the
 //! `&[T]` slice view. (No external crates: the workspace is offline, so
 //! this is written in-repo rather than depending on `smallvec`.)
 //!

@@ -100,12 +100,7 @@ impl std::fmt::Display for SweepResult {
         // session tail, so other sweep tables stay byte-compatible with
         // older logs.
         if self.runs.iter().any(|(s, _)| s.sessions > 0) {
-            write!(
-                f,
-                " sessions={} fb={}",
-                count(|s| s.sessions),
-                count(|s| s.group_fallbacks),
-            )?;
+            write!(f, " sessions={}", count(|s| s.sessions))?;
         }
         // And only runs that actually nested scopes print the nesting
         // tail, keeping flat sweep tables byte-compatible.
@@ -174,7 +169,6 @@ mod tests {
                 lock_acquires: 20 * k,
                 lock_contended: k,
                 sessions: 5 * k,
-                group_fallbacks: k - 1,
                 scopes_opened: 6 * k,
                 scopes_merged: 2 * k,
                 scopes_aborted: k,
@@ -190,7 +184,7 @@ mod tests {
             concat!(
                 "server/pinned                      commits=8.0±5.7      aborts=2.0±1.4      ",
                 "abort-rate=  20.0%  ticks=14.0±2.8       streak=2.0±1.4   degr=1.0±1.4 ",
-                "locks=2.0±1.4/40.0±28.3 sessions=10.0±7.1 fb=1.0±1.4 scopes=12.0±8.5 ",
+                "locks=2.0±1.4/40.0±28.3 sessions=10.0±7.1 scopes=12.0±8.5 ",
                 "(merged=4.0±2.8 aborted=2.0±1.4 open=2.0±1.4 comp=1.0±1.4 undo=4.0±2.8)",
             )
         );

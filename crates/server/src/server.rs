@@ -23,14 +23,15 @@
 //!    (e.g. a bank overdraft: retrying could never succeed);
 //! 4. **commit** — commit-ready slots commit in slot order, each through
 //!    [`commit_held`]: *one uninterleaved held section* over the
-//!    transaction's own shards (its PUSHes and its CMT under one
-//!    acquisition of each, see [`pushpull_core::group`]). No thread ever
-//!    observes a session's uncommitted operation, so a preempted committer
-//!    makes its peers wait on a mutex instead of spending their retry
-//!    budget, and a denied attempt is aborted and restarted inside its
-//!    section. A transaction the section refuses (coarse-routed, nested or
-//!    compensating — its commit takes shard locks of its own) commits on
-//!    the unheld per-transaction path instead.
+//!    transaction's own shards, or every shard once it is coarse (its
+//!    PUSHes and its CMT under one acquisition of each, see
+//!    [`pushpull_core::group`]). No thread ever observes a session's
+//!    uncommitted operation, so a preempted committer makes its peers wait
+//!    on a mutex instead of spending their retry budget, and a denied
+//!    attempt is aborted and restarted inside its section. This is the
+//!    server's one commit path: the section refuses only finished threads
+//!    and nested or compensating transactions, and a busy slot's
+//!    straight-line script is none of those.
 //!
 //! Conflict-denied transactions are retried with a refreshed committed
 //! view, up to `max_retries`; a session that spends the budget fails
@@ -61,10 +62,10 @@
 //!
 //! # What the commit counters count
 //!
-//! `group_fallbacks` in [`SystemStats`]: transactions [`commit_held`]
-//! reported `Ineligible` and the server committed on the unheld
-//! per-transaction path instead. [`commit_held`] itself counts nothing, so
-//! a commit writes no shared word beyond the shard locks it takes.
+//! `commits` and `aborts` in [`SystemStats`], per worker. [`commit_held`]
+//! itself counts nothing, so a commit writes no shared word beyond the
+//! shard locks it takes; `group_fallbacks` stays zero, since no commit
+//! leaves the held section.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -311,26 +312,6 @@ fn conflict_retry<S: SeqSpec>(
     Ok(())
 }
 
-/// Commits slot `k` on the unheld per-transaction path: the transaction
-/// was reported ineligible for a held section (coarse-routed, nested or
-/// compensating — its commit takes shard locks of its own).
-fn commit_unheld<S: SeqSpec>(
-    w: &mut WorkerState,
-    k: usize,
-    h: &mut TxnHandle<S>,
-    needs_pull: &mut Vec<usize>,
-    cfg: &ServerConfig,
-) -> Result<(), MachineError> {
-    match h.push_all_and_commit() {
-        Ok(txn) => {
-            finish_commit(w, k, txn);
-            Ok(())
-        }
-        Err(e) if e.is_criterion() => conflict_retry(w, k, h, e, false, needs_pull, cfg),
-        Err(e) => Err(e),
-    }
-}
-
 /// One tick of one worker — the single drive function shared by the
 /// sequential [`TmSystem::tick`] and the OS-thread
 /// [`ParallelSystem::workers`] paths.
@@ -435,9 +416,9 @@ fn tick_worker<S: SeqSpec>(
         }
     }
 
-    // 4. Commit stage, in slot order: every eligible transaction commits
-    // inside a held section of its own, so no other thread ever observes
-    // a session's uncommitted operation.
+    // 4. Commit stage, in slot order: every transaction commits inside a
+    // held section of its own, so no other thread ever observes a
+    // session's uncommitted operation.
     for k in ready {
         let h = &mut handles[k];
         match commit_held(h) {
@@ -446,10 +427,9 @@ fn tick_worker<S: SeqSpec>(
                 conflict_retry(w, k, h, denied, true, &mut needs_pull, cfg)?;
             }
             GroupTxnResult::Wedged(e) => return Err(e),
-            GroupTxnResult::Ineligible => {
-                w.stats.group_fallbacks += 1;
-                commit_unheld(w, k, h, &mut needs_pull, cfg)?;
-            }
+            // A busy slot holds a transaction, and its straight-line
+            // script opens no scope: only a finished handle is refused.
+            GroupTxnResult::Ineligible => return Err(MachineError::ThreadFinished(h.tid())),
         }
     }
 
@@ -646,8 +626,7 @@ mod tests {
 
     /// Every session commits in a section of its own: on conflict-free
     /// single-key sessions over a sharded log, one shard-lock acquisition
-    /// per committed transaction — its PUSHes and its CMT under it — and
-    /// no fallback to the unheld path.
+    /// per committed transaction — its PUSHes and its CMT under it.
     #[test]
     fn every_commit_takes_one_shard_lock() {
         let mut sys = TxnServer::new(

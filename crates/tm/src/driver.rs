@@ -498,11 +498,10 @@ pub struct SystemStats {
     /// Logical sessions the service front-end multiplexed (zero outside
     /// `pushpull-server` runs).
     pub sessions: u64,
-    /// Commit-ready transactions the service front-end's held commit
-    /// refused and committed on the per-transaction path instead: a
-    /// coarse route or coarse mode, a live nested scope, a registered
-    /// compensation, or nothing to commit. (A multi-shard transaction
-    /// commits in a held section too.)
+    /// Always zero: the service front-end commits every commit-ready
+    /// transaction in a held section
+    /// ([`commit_held`](pushpull_core::commit_held)), which refuses none
+    /// of them. Kept for `ledger/`, which reads it.
     pub group_fallbacks: u64,
     /// Nested scopes entered (peeled `tx`/`otx` redexes, explicit scopes,
     /// checkpoint markers).

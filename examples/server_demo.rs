@@ -5,8 +5,8 @@
 //! acquisition of its shards' locks and one contiguous stamp range).
 //!
 //! Prints each session's outcome and the server statistics, and verifies
-//! that no commit left the held section, conservation of money and the
-//! serializability oracle.
+//! the commit count, conservation of money and the serializability
+//! oracle.
 //!
 //! Run with: `cargo run --example server_demo`
 
@@ -69,7 +69,6 @@ fn main() {
     println!("commits         {}", stats.commits);
     println!("aborts          {}", stats.aborts);
     println!("lock acquires   {}", stats.lock_acquires);
-    println!("fallbacks       {}", stats.group_fallbacks);
     println!(
         "locks/commit    {:.3}",
         stats.lock_acquires as f64 / stats.commits.max(1) as f64
@@ -77,7 +76,6 @@ fn main() {
 
     assert_eq!(stats.sessions as usize, total_sessions);
     assert_eq!(stats.commits, u64::from(ACCOUNTS + TRANSFERS));
-    assert_eq!(stats.group_fallbacks, 0, "a commit left the held section");
 
     let report = check_machine(server.machine());
     println!("\nserializability oracle: {report}");

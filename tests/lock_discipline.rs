@@ -146,14 +146,20 @@ fn sticky_coarse_disables_the_fast_path_without_changing_verdicts() {
     m.commit(tb).expect("commit put");
 }
 
-/// A two-shard transaction (`Put(1)` on shard 1, `Put(2)` on shard 2 of
-/// four) whose peer may hold an uncommitted `Put(2)`; `held` commits it
-/// through `commit_held`, the reference through the unheld rules.
-fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u64>) {
+/// A transaction of `Put(1)` (shard 1 of four) and then `second` —
+/// `Put(2)` on shard 2, or `Size`, which has no single-key footprint and
+/// routes coarse — whose peer may hold an uncommitted `Put(2)`; `held`
+/// commits it through `commit_held`, the reference through the unheld
+/// rules.
+fn two_shard_commit(
+    second: MapMethod,
+    peer_in_flight: bool,
+    held: bool,
+) -> (Machine<KvMap>, Vec<u64>) {
     let mut m = Machine::new(KvMap::new());
     let t = m.add_thread(vec![Code::seq(
         Code::method(MapMethod::Put(1, 10)),
-        Code::method(MapMethod::Put(2, 20)),
+        Code::method(second),
     )]);
     let peer = m.add_thread(vec![Code::method(MapMethod::Put(2, 99))]);
     m.set_log_shards(4);
@@ -186,36 +192,57 @@ fn two_shard_commit(peer_in_flight: bool, held: bool) -> (Machine<KvMap>, Vec<u6
 /// the same audit and the same `G` as `push_all_and_commit`, under exactly
 /// one acquisition of each shard it touches; denied by a peer's
 /// uncommitted operation on its second shard it aborts inside the section
-/// — the same rewind as the unheld abort — and leaves nothing in `G`.
+/// — the same rewind as the unheld abort — and leaves nothing in `G`. A
+/// coarse transaction does the same over every shard, each locked once:
+/// its `Put(1)` is evaluated on shard 1 alone, as the unheld PUSH is, and
+/// its `Size` sets the sticky flag and reads every shard.
 #[test]
 fn held_commit_equals_the_unheld_rules_under_one_acquisition_per_shard() {
-    for peer_in_flight in [false, true] {
-        let (held, held_locks) = two_shard_commit(peer_in_flight, true);
-        let (unheld, unheld_locks) = two_shard_commit(peer_in_flight, false);
-        assert_eq!(held_locks, [0, 1, 1, 0], "peer in flight: {peer_in_flight}");
-        // Unheld: one lock per PUSH, the CMT's two — or, denied at the
-        // second PUSH, that attempt and the first one's UNPUSH.
-        let expected_unheld = if peer_in_flight {
-            [0, 2, 1, 0]
-        } else {
-            [0, 2, 2, 0]
-        };
-        assert_eq!(unheld_locks, expected_unheld);
-        assert_eq!(held.trace().render(), unheld.trace().render());
-        assert_eq!(held.audit(), unheld.audit());
-        assert_eq!(held.global(), unheld.global());
-        assert_eq!(held.committed_txns(), unheld.committed_txns());
-        let t = held.thread(ThreadId(0)).unwrap();
-        if peer_in_flight {
-            let rules = held.trace().rule_names(ThreadId(0));
-            let rewind = &rules[rules.len() - 5..];
-            assert_eq!(rewind, ["UNAPP", "UNPUSH", "UNAPP", "ABORT", "BEGIN"]);
-            let own = |txn| held.global().iter().any(|e| e.op.txn == txn);
-            assert!(!own(t.txn()) && held.global().len() == 1, "residue in G");
-            assert!(t.local().is_empty());
-        } else {
-            assert!(t.is_done());
-            assert_eq!(held.global().committed_ops().len(), 2);
+    // (second operation, held locks, unheld locks with the peer idle and
+    // in flight). Unheld, two shards: one lock per PUSH, the CMT's two —
+    // or, denied at the second PUSH, that attempt and the first one's
+    // UNPUSH. Unheld, coarse: shard 1 for `Put(1)`, then every shard for
+    // the `Size` PUSH and again for the CMT — or, denied, for the UNPUSH
+    // of `Put(1)`, which coarse mode evaluates under every lock.
+    let cases = [
+        (
+            MapMethod::Put(2, 20),
+            [0, 1, 1, 0],
+            [[0, 2, 2, 0], [0, 2, 1, 0]],
+        ),
+        (MapMethod::Size, [1, 1, 1, 1], [[2, 3, 2, 2], [2, 3, 2, 2]]),
+    ];
+    for (second, expected_held, expected_unheld) in cases {
+        for peer_in_flight in [false, true] {
+            let cell = format!("{second:?}, peer in flight: {peer_in_flight}");
+            let (held, held_locks) = two_shard_commit(second, peer_in_flight, true);
+            let (unheld, unheld_locks) = two_shard_commit(second, peer_in_flight, false);
+            assert_eq!(held_locks, expected_held, "{cell}");
+            assert_eq!(
+                unheld_locks, expected_unheld[peer_in_flight as usize],
+                "{cell}"
+            );
+            assert_eq!(held.trace().render(), unheld.trace().render(), "{cell}");
+            assert_eq!(held.audit(), unheld.audit(), "{cell}");
+            assert_eq!(held.global(), unheld.global(), "{cell}");
+            assert_eq!(held.committed_txns(), unheld.committed_txns(), "{cell}");
+            let coarse = |m: &Machine<KvMap>| m.global_state().coarse_mode();
+            assert_eq!(coarse(&held), coarse(&unheld), "{cell}: sticky flag");
+            let t = held.thread(ThreadId(0)).unwrap();
+            if peer_in_flight {
+                let rules = held.trace().rule_names(ThreadId(0));
+                let rewind = &rules[rules.len() - 5..];
+                assert_eq!(rewind, ["UNAPP", "UNPUSH", "UNAPP", "ABORT", "BEGIN"]);
+                let own = |txn| held.global().iter().any(|e| e.op.txn == txn);
+                assert!(
+                    !own(t.txn()) && held.global().len() == 1,
+                    "{cell}: residue in G"
+                );
+                assert!(t.local().is_empty());
+            } else {
+                assert!(t.is_done());
+                assert_eq!(held.global().committed_ops().len(), 2);
+            }
         }
     }
 }

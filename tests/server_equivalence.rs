@@ -1,8 +1,9 @@
 //! Golden runs of the service front-end, plus the server's chaos rows and
 //! the multiplexing scale test.
 //!
-//! Ten workload families — the same spec/method mixes the §6/§7 drivers
-//! run — go through [`TxnServer`] at shard counts 1, 4 and 16. Every run
+//! Eleven workload families — the same spec/method mixes the §6/§7
+//! drivers run, and one of coarse-routed and empty sessions — go through
+//! [`TxnServer`] at shard counts 1, 4 and 16. Every run
 //! drains, loses no session and is serializable. The server records no
 //! trace by default, so one run of each family turns it on; a second
 //! stays untraced, as the server ships, and must match the traced one in
@@ -23,7 +24,7 @@
 
 use std::sync::Arc;
 
-use pushpull::core::error::Rule;
+use pushpull::core::error::{Clause, MachineError, Rule};
 use pushpull::core::faults::FaultKind;
 use pushpull::core::lang::Code;
 use pushpull::core::machine::Machine;
@@ -164,6 +165,22 @@ fn kvmap_contended_group_equivalent() {
     };
     assert_server_equivalence("server/kvmap", KvMap::new, || {
         sessions_from(wl.kvmap_programs())
+    });
+}
+
+/// Sessions with a `Size` (no single-key footprint: above one shard it
+/// routes coarse, and its section holds every shard) beside keyed ones,
+/// and one session with no operation at all — both commit in a held
+/// section like every other.
+#[test]
+fn kvmap_coarse_and_empty_group_equivalent() {
+    assert_server_equivalence("server/kvmap-coarse", KvMap::new, || {
+        let keyed = (0..12u64).map(|s| match s % 3 {
+            0 => SessionScript::commit(vec![MapMethod::Put(s % 5, s as i64), MapMethod::Size]),
+            1 => SessionScript::commit(vec![MapMethod::Size, MapMethod::Get(s % 5)]),
+            _ => SessionScript::commit(vec![MapMethod::Get(s % 5), MapMethod::Put(s % 7, 1)]),
+        });
+        keyed.chain([SessionScript::commit(vec![])]).collect()
     });
 }
 
@@ -308,10 +325,11 @@ fn abort_mix_group_equivalent() {
 }
 
 /// The held-commit seam: every system hands out its machine, and
-/// `commit_group` over that machine's handles reports idle threads back
-/// `Ineligible` for the caller's per-transaction fallback; on a raw
-/// machine the same entry point really does commit, one held section per
-/// transaction.
+/// `commit_group` over that machine's handles reports a finished thread
+/// `Ineligible`, and runs the ordinary CMT criteria on a thread that has
+/// applied nothing yet — denied, it is aborted inside its section; on a
+/// raw machine the same entry point really does commit, one held section
+/// per transaction.
 #[test]
 fn service_commit_seam_contract() {
     // The seam, through a driver.
@@ -321,11 +339,23 @@ fn service_commit_seam_contract() {
     );
     let out = commit_group::<KvMap>(&mut []);
     assert!(out.results.is_empty());
-    let h0 = sys.machine_mut().handle_mut(ThreadId(0)).unwrap();
-    let out = commit_group(&mut [h0]);
+    let [h0, h1] = sys.machine_mut().handles_mut() else {
+        unreachable!("two threads")
+    };
+    let out = commit_group(&mut [h0, h1]);
+    let cmt_i = |denied: &MachineError| match denied {
+        MachineError::Criterion(v) => (v.rule, v.clause) == (Rule::Cmt, Clause::I),
+        _ => false,
+    };
     assert!(
-        matches!(out.results[..], [(ThreadId(0), GroupTxnResult::Ineligible)]),
-        "a thread with nothing applied must fall back, got {:?}",
+        matches!(
+            &out.results[..],
+            [
+                (ThreadId(0), GroupTxnResult::Aborted { denied, .. }),
+                (ThreadId(1), GroupTxnResult::Ineligible),
+            ] if cmt_i(denied)
+        ),
+        "an unapplied thread is denied CMT (i), a finished one refused: {:?}",
         out.results
     );
 
@@ -457,8 +487,8 @@ fn retry_budget_exhaustion_fails_sessions_clean() {
 
 /// Ten thousand logical sessions multiplexed onto 256 worker slots
 /// (4 workers × 64 handles): every session commits under exactly one
-/// shard-lock acquisition, none falls back to the unheld path, and the
-/// deterministic outcome order names every session exactly once. (The
+/// shard-lock acquisition, and the deterministic outcome order names
+/// every session exactly once. (The
 /// O(n²) whole-log serializability oracle is deliberately skipped at
 /// this scale; the equivalence families above cover the verdicts.)
 #[test]
